@@ -10,9 +10,13 @@ for the smoke job; full mode uses the paper's problem sizes).  All
 three paper programs must keep >=80% of their loop instances on the
 slab path and beat the lowered engine in both the blanket-slab and
 auto tiers at full size; the smoke job gates coverage on all three
-and allows 10% timing noise on the auto ratio.  Results — including
-the per-nest tier decisions — land in ``BENCH_simulator.json`` at the
-repository root.
+and allows 10% timing noise on the auto ratio.  The sequential
+reference (``run_sequential`` on the untransformed procedure, lowered
+beforehand like the compiled program is) is timed in the same process
+and must not cost more than the slab-tier simulation it validates —
+``reference_vs_slab <= 1.0``, a ratio, at every size.  Results —
+including the per-nest tier decisions — land in
+``BENCH_simulator.json`` at the repository root.
 """
 
 import json
@@ -22,8 +26,11 @@ import time
 
 import pytest
 
+from repro.codegen.seq import run_sequential
 from repro.core import CompilerOptions, compile_source
+from repro.ir.build import parse_and_build
 from repro.machine import simulate
+from repro.machine.lowering import lower_procedure
 from repro.obs import Metrics, Tracer, validate_chrome_trace
 from repro.programs import (
     appsp_inputs,
@@ -151,6 +158,14 @@ def test_engine_speedups(name, source, inputs, gates):
     )
     slab_traced_s = time.perf_counter() - started
 
+    # The reference Session.run validates against, on the same
+    # footing: lowering done (it is a compile pass for the simulator).
+    proc = parse_and_build(source)
+    lower_procedure(proc)
+    started = time.perf_counter()
+    run_sequential(proc, inputs)
+    reference_s = time.perf_counter() - started
+
     assert_identical(fast, slow)
     assert_identical(slab, slow)
     assert_identical(auto, slow)
@@ -175,6 +190,8 @@ def test_engine_speedups(name, source, inputs, gates):
         "lowered_s": round(lowered_s, 4),
         "slab_s": round(slab_s, 4),
         "auto_s": round(auto_s, 4),
+        "reference_s": round(reference_s, 4),
+        "reference_vs_slab": round(reference_s / slab_s, 3),
         **{k: round(v, 3) for k, v in measured.items()},
         "tracer_overhead": round(tracer_overhead, 4),
         # coverage/traffic columns (identical across tiers by the
@@ -193,6 +210,10 @@ def test_engine_speedups(name, source, inputs, gates):
         assert measured[metric] >= floor, (
             f"{name}: {metric} only {measured[metric]:.3f} (need >={floor})"
         )
+    assert reference_s <= slab_s, (
+        f"{name}: the sequential reference took {reference_s:.4f} s, the "
+        f"slab-tier simulation it validates {slab_s:.4f} s"
+    )
     if not SMOKE and name == "tomcatv":
         # the ISSUE's acceptance bound; smoke sizes are milliseconds and
         # too noisy for a 2% ratio, so only the paper size asserts

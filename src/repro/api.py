@@ -251,21 +251,17 @@ class Session:
         blanket behaviour."""
         import numpy as np
 
-        from .codegen.seq import run_sequential
+        from .codegen.seq import run_sequential, seeded_inputs
         from .ir.build import parse_and_build
         from .machine.simulator import simulate
 
         compiled = self.compile(source, **overrides)
         cache_hit = self.last_cache_hit
 
-        rng = np.random.default_rng(seed)
         # A fresh, untransformed procedure feeds the sequential
         # reference run; its symbol order fixes the rng draws.
         proc = parse_and_build(source)
-        inputs = {}
-        for symbol in proc.symbols.arrays():
-            shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-            inputs[symbol.name] = rng.uniform(0.5, 1.5, shape)
+        inputs = seeded_inputs(proc, seed)
 
         sequential = run_sequential(proc, inputs) if validate else None
         sim = simulate(

@@ -7,6 +7,7 @@ from .seq import (
     GlobalStore,
     SequentialInterpreter,
     run_sequential,
+    seeded_inputs,
 )
 from .spmd import SPMDPrinter, print_spmd
 from .walker import ExecutionHooks, StopExecution, Walker
@@ -24,6 +25,7 @@ __all__ = [
     "GlobalStore",
     "SequentialInterpreter",
     "run_sequential",
+    "seeded_inputs",
     "ExecutionHooks",
     "StopExecution",
     "Walker",

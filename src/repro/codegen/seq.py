@@ -1,8 +1,23 @@
-"""Sequential reference interpreter — the semantic ground truth.
+"""Sequential reference — the semantic ground truth.
 
 Executes a procedure on plain global storage (numpy arrays, scalar
-dict). The SPMD simulator's results are validated against this
-interpreter bit-for-bit in the integration tests.
+dict); ``Session.run``, the fuzzer and the integration tests validate
+the SPMD simulator's results against it.  Two engines, one result:
+
+* ``fast_path=False`` is the tree-walking interpreter
+  (:class:`SequentialHooks` over ``eval_expr``): slow, small, and
+  independent of everything else — the oracle of last resort.
+* ``fast_path=True`` (the default) runs each statement through its
+  one-time-lowered closure (:mod:`repro.machine.lowering`) and hands
+  every eligible loop to :mod:`repro.codegen.seqvec`, which executes
+  it as numpy lane operations.  A loop that is not eligible, or whose
+  takeover bails on a value, runs through the closures one iteration
+  at a time.
+
+Both produce bit-identical arrays, scalars (with their Python types),
+post-loop index values, ``WalkStats``, and — on a failing program — the
+same error and the same partial store
+(``tests/props/test_seq_vector_parity.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ from ..ir.program import Procedure
 from ..ir.stmt import AssignStmt, IfStmt
 from ..ir.symbols import ScalarType, Symbol
 from .evalexpr import ValueReader, coerce_store, eval_expr, eval_subscripts
-from .walker import ExecutionHooks, Walker
+from .walker import ExecutionHooks, Walker, WalkStats
 
 
 def _dtype_of(symbol: Symbol):
@@ -84,12 +99,17 @@ class LoweredSequentialHooks(ExecutionHooks):
     """Sequential execution through the one-time-lowered statement
     closures (``repro.machine.lowering``), with the plain global store
     as the reader. Statements without a lowered closure fall back to
-    the tree-walking hooks."""
+    the tree-walking hooks; whole loops are offered to ``vector``
+    (a :class:`~repro.codegen.seqvec.SeqVectorizer`) first."""
 
-    def __init__(self, store: GlobalStore, lowered):
+    def __init__(self, store: GlobalStore, lowered, stats: WalkStats):
+        # deferred import: only a run needs the vector kernels
+        from .seqvec import SeqVectorizer
+
         self.store = store
         self.lowered = lowered
         self._slow = SequentialHooks(store)
+        self.vector = SeqVectorizer(self, stats)
 
     def assign(self, stmt: AssignStmt, env: dict[str, int]) -> None:
         fn = self.lowered.assigns.get(stmt.stmt_id)
@@ -114,6 +134,9 @@ class LoweredSequentialHooks(ExecutionHooks):
         if fn is None:
             return self._slow.eval_bound(expr, env)
         return fn(self.store, env)
+
+    def run_loop(self, stmt, low, high, step, env) -> bool:
+        return self.vector.run_loop(stmt, low, high, step, env)
 
 
 class SequentialHooks(ExecutionHooks):
@@ -150,6 +173,13 @@ class SequentialInterpreter:
         self.proc = proc
         self.store = GlobalStore(proc)
         self.fast_path = fast_path
+        #: statement/iteration counts and the step limit of the run
+        self.stats = WalkStats()
+        #: loop variables and their post-loop values, once run
+        self.env: dict[str, int] = {}
+        #: the engine of the last run (``hooks.vector`` tells which
+        #: loops were taken over, and why the others were not)
+        self.hooks: ExecutionHooks | None = None
 
     def run(self):
         if self.fast_path:
@@ -157,12 +187,29 @@ class SequentialInterpreter:
             from ..machine.lowering import lower_procedure
 
             hooks: ExecutionHooks = LoweredSequentialHooks(
-                self.store, lower_procedure(self.proc)
+                self.store, lower_procedure(self.proc), self.stats
             )
         else:
             hooks = SequentialHooks(self.store)
+        self.hooks = hooks
         walker = Walker(self.proc, hooks)
+        walker.stats = self.stats
+        self.env = walker.env
         return walker.run()
+
+
+def seeded_inputs(proc: Procedure, seed: int) -> dict[str, np.ndarray]:
+    """Deterministic random input arrays for ``proc``: one
+    ``uniform(0.5, 1.5)`` draw per declared array, in symbol order, from
+    ``default_rng(seed)``.  The one dataset ``Session.run``, the sweep
+    engines and the fuzzer feed to the reference and to every tier."""
+    rng = np.random.default_rng(seed)
+    return {
+        symbol.name: rng.uniform(
+            0.5, 1.5, tuple(symbol.extent(d) for d in range(symbol.rank))
+        )
+        for symbol in proc.symbols.arrays()
+    }
 
 
 def run_sequential(

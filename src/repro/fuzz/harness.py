@@ -8,8 +8,10 @@ it found (empty = the program survives):
   ``tier="auto"`` runs must produce byte-identical clocks, traffic
   stats, canonical stats, per-rank memories, and gathered arrays;
 * **sequential validation** — the gathered arrays must match the
-  sequential interpreter (``allclose``: parallel reductions combine in
-  tree order, so bitwise equality is not expected);
+  sequential reference (``allclose``: parallel reductions combine in
+  tree order, so bitwise equality is not expected), and the reference
+  itself — lowered closures plus vectorized loop takeovers — must equal
+  the tree-walking interpreter bit for bit, arrays and scalars;
 * **DetermineMapping differential** — the paper's ``selected``
   strategy must compute the same values as the replicate-everything
   baseline (mapping decisions move data, never change it);
@@ -19,6 +21,8 @@ it found (empty = the program survives):
 Divergence kinds form the triage taxonomy (see ARCHITECTURE.md):
 ``compile-crash``, ``tier-crash``, ``tier-error-mismatch``, ``clocks``,
 ``stats``, ``canonical``, ``memory``, ``gather``, ``sequential``,
+``seq-vector`` (the vectorized reference and the tree-walker disagree
+— a bug in ``repro.codegen.seqvec`` or the lowering, not in any tier),
 ``mapping``, ``sweep``, ``invalid`` (the program itself is rejected
 everywhere — a generator bug, not a tier bug).
 """
@@ -75,17 +79,29 @@ def make_inputs(source: str, seed: int) -> dict:
     """Deterministic random inputs, drawn in the *untransformed*
     procedure's symbol order exactly like ``Session.run`` (so the
     sequential reference and every tier see one dataset)."""
-    import numpy as np
-
+    from ..codegen.seq import seeded_inputs
     from ..ir.build import parse_and_build
 
-    proc = parse_and_build(source)
-    rng = np.random.default_rng(seed)
-    inputs = {}
-    for symbol in proc.symbols.arrays():
-        shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-        inputs[symbol.name] = rng.uniform(0.5, 1.5, shape)
-    return inputs
+    return seeded_inputs(parse_and_build(source), seed)
+
+
+def store_mismatch(expected, actual) -> str | None:
+    """First bit-level difference between two ``GlobalStore``s — array
+    bytes, scalar values and their Python types — or None."""
+    for name, want in expected.arrays.items():
+        got = actual.arrays[name]
+        if want.dtype != got.dtype or want.tobytes() != got.tobytes():
+            return f"array {name} differs"
+    if set(expected.scalars) != set(actual.scalars):
+        return (
+            f"scalars defined {sorted(actual.scalars)}, "
+            f"expected {sorted(expected.scalars)}"
+        )
+    for name, want in expected.scalars.items():
+        got = actual.scalars[name]
+        if type(want) is not type(got) or repr(want) != repr(got):
+            return f"scalar {name} is {got!r}, expected {want!r}"
+    return None
 
 
 def tier_payload(sim) -> dict:
@@ -274,8 +290,9 @@ def _diff_detail(want: dict, got: dict, limit: int = 3) -> str:
 def check_sequential(
     source: str, procs: int, *, seed: int = 0
 ) -> list[Divergence]:
-    """The whole parallel machinery against the sequential
-    interpreter: gathered arrays must match within tolerance."""
+    """The whole parallel machinery against the sequential reference:
+    gathered arrays must match within tolerance — and the reference
+    against the tree-walking interpreter, bit for bit."""
     import numpy as np
 
     from ..codegen.seq import run_sequential
@@ -287,6 +304,9 @@ def check_sequential(
         inputs = make_inputs(source, seed)
         sim = simulate(compiled, dict(inputs), tier="auto")
         sequential = run_sequential(parse_and_build(source), inputs)
+        oracle = run_sequential(
+            parse_and_build(source), inputs, fast_path=False
+        )
     except Exception as exc:  # noqa: BLE001 — tier lens already reported
         return [
             Divergence(
@@ -298,6 +318,16 @@ def check_sequential(
             )
         ]
     out: list[Divergence] = []
+    mismatch = store_mismatch(oracle, sequential)
+    if mismatch is not None:
+        out.append(
+            Divergence(
+                kind="seq-vector",
+                detail=f"vectorized reference vs tree-walker: {mismatch}",
+                procs=procs,
+                source=source,
+            )
+        )
     for symbol in compiled.proc.symbols.arrays():
         name = symbol.name
         if not np.allclose(sim.gather(name), sequential.get_array(name)):

@@ -39,15 +39,29 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..codegen.veceval import (
+    _BOUND_ERRORS,
+    _RED_UFUNC,
+    _Bail,
+    _Ctx,
+    _affine_vec,
+    _bounds_checked_offset,
+    _canon_form,
+    _carried_dependence,
+    _check_affine_refs,
+    _coerce_vec,
+    _eval,
+    _fold_lanes,
+    _reduction_operand,
+    _stmt_array_refs,
+)
 from ..comm.analysis import hoisted_loop_vars
-from ..errors import InterpreterError, MappingError, SimulationError
+from ..errors import MappingError
 from ..ir.expr import (
     ArrayElemRef,
     BinOp,
-    Const,
     IntrinsicCall,
     ScalarRef,
-    UnOp,
     affine_form,
 )
 from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
@@ -55,17 +69,6 @@ from ..ir.symbols import ScalarType
 from .stats import sequential_prefix_sum, sequential_sum
 
 _MISSING = object()
-
-
-class _Bail(Exception):
-    """This takeover declines; nothing has been mutated."""
-
-
-#: what a bound expression can legitimately raise at evaluation time
-#: (mirrors lowering's ``_FOLD_ERRORS``): the interpreter's canonical
-#: errors plus numeric-domain failures.  Genuine programming errors —
-#: NameError, TypeError, AttributeError — must propagate, not bail.
-_BOUND_ERRORS = (InterpreterError, ArithmeticError, ValueError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -219,181 +222,9 @@ def charge_column_lanes(clocks, charge: PColumnCharge, unit) -> None:
         )
 
 
-def _canon_form(form) -> tuple:
-    """Hashable normal form of an affine subscript, comparable across
-    refs: (const, sorted (symbol name, coeff) pairs)."""
-    return (
-        form.const,
-        tuple(sorted((s.name, c) for s, c in form.coeffs if c != 0)),
-    )
-
-
 def _form_symbols(form):
     return [s for s, c in form.coeffs if c != 0]
 
-
-# ---------------------------------------------------------------------------
-# Vectorized expression evaluation
-# ---------------------------------------------------------------------------
-#
-# Values are numpy arrays (one lane per iteration) or python/numpy
-# scalars; ``is_int`` tracks Fortran INTEGER-ness so division picks the
-# toward-zero semantics exactly like the interpreter's dynamic types.
-
-
-def _vec_idiv(left, right):
-    la = np.asarray(left, dtype=np.int64)
-    ra = np.asarray(right, dtype=np.int64)
-    if np.any(ra == 0):
-        raise _Bail("integer division by zero")
-    q = np.floor_divide(la, ra)
-    q = q + ((q < 0) & (q * ra != la))
-    return q
-
-
-def _as_bool(value):
-    return np.asarray(value) != 0
-
-
-class _Ctx:
-    """Evaluation context: resolves loop variables, scalars and array
-    reads for one lane set.  Subclassed by the plans."""
-
-    def loop_vec(self, name: str):
-        raise NotImplementedError
-
-    @property
-    def env(self):
-        raise NotImplementedError
-
-    def read_scalar(self, ref: ScalarRef):
-        raise NotImplementedError
-
-    def read_array(self, ref: ArrayElemRef):
-        raise NotImplementedError
-
-
-def _eval(expr, ctx: _Ctx):
-    """Vectorized twin of ``eval_expr``: returns (value, is_int).
-    Anything outside the bit-for-bit-safe whitelist raises _Bail."""
-    if isinstance(expr, Const):
-        v = expr.value
-        # bool is an int subclass, exactly as the interpreted dynamic
-        # typing sees it
-        return v, isinstance(v, int)
-    if isinstance(expr, ScalarRef):
-        sym = expr.symbol
-        if sym.value is not None:
-            v = sym.value
-            return v, isinstance(v, int)
-        if sym.is_loop_var:
-            lv = ctx.loop_vec(sym.name)
-            if lv is not None:
-                return lv, True
-            if sym.name in ctx.env:
-                return ctx.env[sym.name], True
-        return ctx.read_scalar(expr)
-    if isinstance(expr, ArrayElemRef):
-        return ctx.read_array(expr)
-    if isinstance(expr, UnOp):
-        v, vi = _eval(expr.operand, ctx)
-        if expr.op == "-":
-            return -v, vi
-        if expr.op == ".NOT.":
-            if isinstance(v, np.ndarray):
-                return ~_as_bool(v), False
-            return not v, False
-        raise _Bail(f"unary op {expr.op}")
-    if isinstance(expr, BinOp):
-        le, li = _eval(expr.left, ctx)
-        re, ri = _eval(expr.right, ctx)
-        op = expr.op
-        if op == "+":
-            return le + re, li and ri
-        if op == "-":
-            return le - re, li and ri
-        if op == "*":
-            return le * re, li and ri
-        if op == "/":
-            if li and ri:
-                return _vec_idiv(le, re), True
-            if np.any(np.asarray(re) == 0):
-                raise _Bail("division by zero")
-            return le / re, False
-        if op == "==":
-            return le == re, False
-        if op == "/=":
-            return le != re, False
-        if op == "<":
-            return le < re, False
-        if op == "<=":
-            return le <= re, False
-        if op == ">":
-            return le > re, False
-        if op == ">=":
-            return le >= re, False
-        # .AND./.OR. evaluate both operands (so do both lower tiers)
-        if op == ".AND.":
-            return _as_bool(le) & _as_bool(re), False
-        if op == ".OR.":
-            return _as_bool(le) | _as_bool(re), False
-        raise _Bail(f"binary op {op}")
-    if isinstance(expr, IntrinsicCall):
-        return _eval_intrinsic(expr, ctx)
-    raise _Bail(f"expression {type(expr).__name__}")
-
-
-def _eval_intrinsic(expr, ctx):
-    name = expr.name
-    evaluated = [_eval(a, ctx) for a in expr.args]
-    vals = [v for v, _ in evaluated]
-    ints = [i for _, i in evaluated]
-    if name == "ABS":
-        v = vals[0]
-        return (np.abs(v) if isinstance(v, np.ndarray) else abs(v)), ints[0]
-    if name in ("MAX", "MIN"):
-        fn = np.maximum if name == "MAX" else np.minimum
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = fn(acc, v)
-        return acc, all(ints)
-    if name == "SQRT":
-        v = np.asarray(vals[0], dtype=np.float64)
-        if np.any(v < 0):
-            raise _Bail("SQRT of negative value")
-        out = np.sqrt(v)
-        return (out if isinstance(vals[0], np.ndarray) else float(out)), False
-    if name == "MOD":
-        if np.any(np.asarray(vals[1]) == 0):
-            raise _Bail("MOD by zero")
-        return vals[0] % vals[1], all(ints)
-    if name == "SIGN":
-        return np.copysign(vals[0], vals[1]), False
-    if name in ("REAL", "FLOAT", "DBLE"):
-        v = vals[0]
-        if isinstance(v, np.ndarray):
-            return v.astype(np.float64), False
-        return float(v), False
-    # EXP/LOG/SIN/COS: numpy's SIMD paths are not guaranteed to match
-    # libm bit for bit; INT truncation and ** likewise stay scalar.
-    raise _Bail(f"intrinsic {name}")
-
-
-def _coerce_vec(value, is_int, stype: ScalarType, n: int) -> np.ndarray:
-    """``coerce_store`` over a whole lane vector, broadcast to n."""
-    if stype is ScalarType.INT:
-        if not is_int:
-            raise _Bail("REAL value stored to INTEGER")
-        out = np.empty(n, dtype=np.int64)
-        out[...] = value
-        return out
-    if stype is ScalarType.LOGICAL:
-        out = np.empty(n, dtype=np.bool_)
-        out[...] = _as_bool(value)
-        return out
-    out = np.empty(n, dtype=np.float64)
-    out[...] = value
-    return out
 
 # ---------------------------------------------------------------------------
 # Static classification (the ``slabexec`` compiler pass)
@@ -452,26 +283,6 @@ def _placement_map(events) -> dict[int, list[int]]:
     return placements
 
 
-def _stmt_array_refs(stmt: AssignStmt):
-    """Every ArrayElemRef in the statement (lhs target + rhs reads,
-    including refs nested in subscripts)."""
-    out = []
-    if isinstance(stmt.lhs, ArrayElemRef):
-        out.append(stmt.lhs)
-        for sub in stmt.lhs.subscripts:
-            out.extend(r for r in sub.refs() if isinstance(r, ArrayElemRef))
-    out.extend(r for r in stmt.rhs.refs() if isinstance(r, ArrayElemRef))
-    return out
-
-
-def _check_affine_refs(stmt: AssignStmt) -> str | None:
-    for ref in _stmt_array_refs(stmt):
-        for sub in ref.subscripts:
-            if affine_form(sub) is None:
-                return f"non-affine subscript in {ref.symbol.name}"
-    return None
-
-
 def _check_executor(info, v: str | None) -> str | None:
     """Executor must be an owner/all set whose position does not vary
     with the vectorized loop variable ``v`` (None: any loop var)."""
@@ -485,73 +296,6 @@ def _check_executor(info, v: str | None) -> str | None:
                 for sym in dim.form.symbols:
                     if v is not None and sym.name == v and sym.value is None:
                         return f"executor position varies with {v}"
-    return None
-
-
-def _carried_dependence(proc, loop: LoopStmt, assigns,
-                        reduction_ids=frozenset()) -> str | None:
-    """Reject any possible cross-iteration flow of values through an
-    array at ``loop``'s level (per :mod:`repro.analysis.dependence`).
-
-    A write/read pair sharing *some* dimension whose subscript form is
-    identical, has a nonzero coefficient on the loop variable, and is
-    otherwise invariant over the loop (no in-body-written scalars)
-    touches the same element only in the same iteration — that
-    dimension witnesses distance 0 and the pair is allowed; anything
-    else that ``may_depend_within_loop`` cannot disprove is treated as
-    loop-carried.  A recognized reduction update's own accumulator
-    recurrence (write and read in the same update statement) is the
-    fold being vectorized, not a rejection."""
-    from ..analysis.dependence import may_depend_within_loop
-
-    v = loop.var.name
-    written_scalars = {
-        s.lhs.symbol.name for s in assigns if isinstance(s.lhs, ScalarRef)
-    }
-
-    def zero_distance_witness(wf, of) -> bool:
-        for a, b in zip(wf, of):
-            if _canon_form(a) != _canon_form(b):
-                continue
-            if not any(
-                c != 0 and sym.name == v and sym.value is None
-                for sym, c in a.coeffs
-            ):
-                continue
-            if any(
-                sym.value is None and sym.name != v
-                and sym.name in written_scalars
-                for sym, _c in a.coeffs
-            ):
-                continue  # the form itself mutates mid-loop
-            return True
-        return False
-
-    writes = []
-    refs = []
-    for s in assigns:
-        if isinstance(s.lhs, ArrayElemRef):
-            writes.append((s, s.lhs))
-        for r in _stmt_array_refs(s):
-            refs.append((s, r))
-    for ws, w in writes:
-        w_forms = [affine_form(sub) for sub in w.subscripts]
-        if any(f is None for f in w_forms):
-            return f"non-affine subscript in {w.symbol.name}"
-        for os, o in refs:
-            if o is w or o.symbol.name != w.symbol.name:
-                continue
-            if os is ws and ws.stmt_id in reduction_ids:
-                continue  # the accumulator recurrence of a fold
-            o_forms = [affine_form(sub) for sub in o.subscripts]
-            if any(f is None for f in o_forms):
-                return f"non-affine subscript in {o.symbol.name}"
-            if len(o_forms) == len(w_forms) and zero_distance_witness(
-                w_forms, o_forms
-            ):
-                continue  # distance 0 only
-            if may_depend_within_loop(proc, w, o, loop):
-                return f"loop-carried dependence on {w.symbol.name}"
     return None
 
 
@@ -880,44 +624,6 @@ def classify_procedure(proc, executors, events, reduction_ids,
 # Runtime plans
 # ---------------------------------------------------------------------------
 
-_RED_UFUNC = {
-    "+": np.add,
-    "*": np.multiply,
-    "MAX": np.maximum,
-    "MIN": np.minimum,
-}
-
-
-def _reduction_operand(rhs, acc: str, op: str):
-    """``acc = acc OP e`` / ``acc = MAX(acc, e)`` → ``e`` (both
-    orderings; + and * are bitwise commutative in IEEE), or None."""
-
-    def is_acc(e):
-        return isinstance(e, ScalarRef) and e.symbol.name == acc
-
-    e = None
-    if op in ("+", "*") and isinstance(rhs, BinOp) and rhs.op == op:
-        if is_acc(rhs.left):
-            e = rhs.right
-        elif is_acc(rhs.right):
-            e = rhs.left
-    elif (
-        op in ("MAX", "MIN")
-        and isinstance(rhs, IntrinsicCall)
-        and rhs.name == op
-        and len(rhs.args) == 2
-    ):
-        if is_acc(rhs.args[0]):
-            e = rhs.args[1]
-        elif is_acc(rhs.args[1]):
-            e = rhs.args[0]
-    if e is None:
-        return None
-    for ref in e.refs():
-        if isinstance(ref, ScalarRef) and ref.symbol.name == acc:
-            return None  # acc on both sides: not a fold
-    return e
-
 
 class _Step:
     """One body assignment, preprocessed."""
@@ -998,37 +704,6 @@ def _afold_operand(rhs, name: str, canon: tuple, op: str):
         if isinstance(ref, ArrayElemRef) and ref.symbol.name == name:
             return None  # acc on both sides: not a fold
     return e
-
-
-def _affine_vec(form, vec_vars: dict, env, symbol=None, dim=None):
-    """Evaluate an affine form over the lanes: returns an int or an
-    int64 vector.  ``vec_vars`` maps loop-var name -> lane vector."""
-    total = form.const
-    vec = None
-    for sym, coeff in form.coeffs:
-        if sym.value is not None:
-            total += coeff * int(sym.value)
-            continue
-        lanes = vec_vars.get(sym.name)
-        if lanes is not None:
-            contrib = coeff * lanes
-            vec = contrib if vec is None else vec + contrib
-            continue
-        if sym.name in env:
-            total += coeff * int(env[sym.name])
-            continue
-        raise _Bail(f"unresolved subscript symbol {sym.name}")
-    return total if vec is None else vec + total
-
-
-def _bounds_checked_offset(idx, symbol, dim: int):
-    lo, hi = symbol.dims[dim]
-    if isinstance(idx, np.ndarray):
-        if idx.size and (int(idx.min()) < lo or int(idx.max()) > hi):
-            raise _Bail(f"subscript out of bounds for {symbol.name}")
-    elif not lo <= idx <= hi:
-        raise _Bail(f"subscript out of bounds for {symbol.name}")
-    return idx - lo
 
 
 class _InnerCtx(_Ctx):
@@ -1193,13 +868,9 @@ class _InnerCtx(_Ctx):
                 raise _Bail("fold accumulator invalid")
             start = memory.arrays[st.name][off]
             value, is_int = _eval(st.red_expr, self)
-            if st.stype is ScalarType.INT and not is_int:
-                raise _Bail("REAL fold into INTEGER accumulator")
-            dtype = np.int64 if st.stype is ScalarType.INT else np.float64
-            buf = np.empty(self.n + 1, dtype=dtype)
-            buf[0] = start
-            buf[1:] = value
-            self.afold_results[k] = _RED_UFUNC[st.red_op].accumulate(buf)[-1]
+            self.afold_results[k] = _fold_lanes(
+                st.red_op, start, value, is_int, st.stype, self.n
+            )
             self.tape_pos[k] = len(self.tape)
             self.tape.append(st.dt)
             return
@@ -1211,13 +882,9 @@ class _InnerCtx(_Ctx):
                     raise _Bail("reduction accumulator invalid")
                 start = self.memory.scalars[acc]
             value, is_int = _eval(st.red_expr, self)
-            if st.stype is ScalarType.INT and not is_int:
-                raise _Bail("REAL fold into INTEGER accumulator")
-            dtype = np.int64 if st.stype is ScalarType.INT else np.float64
-            buf = np.empty(self.n + 1, dtype=dtype)
-            buf[0] = start
-            buf[1:] = value
-            self.red_results[acc] = _RED_UFUNC[st.red_op].accumulate(buf)[-1]
+            self.red_results[acc] = _fold_lanes(
+                st.red_op, start, value, is_int, st.stype, self.n
+            )
             self.tape_pos[k] = len(self.tape)
             self.tape.append(st.dt)
             return

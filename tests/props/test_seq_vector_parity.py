@@ -1,0 +1,498 @@
+"""The vectorized sequential reference against the tree-walking
+interpreter, bit for bit.
+
+``run_sequential(proc, inputs)`` executes eligible loops as numpy lane
+operations (``repro.codegen.seqvec``); ``fast_path=False`` is the
+tree-walking interpreter, which shares nothing with it but the walker.
+Every program here runs both ways and must agree on every array byte,
+every scalar value *and Python type*, the post-loop index values, the
+``WalkStats``, and — when the program fails — the exception type, its
+message and the partial store it leaves behind.
+"""
+
+import pathlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.codegen.seq import SequentialInterpreter, seeded_inputs
+from repro.codegen.seqvec import _Plan
+from repro.codegen.veceval import _Bail
+from repro.errors import InterpreterError
+from repro.fuzz import generate
+from repro.fuzz.harness import store_mismatch
+from repro.ir.build import parse_and_build
+from repro.ir.stmt import LoopStmt
+from repro.programs import appsp_source, dgefa_source, tomcatv_source
+from repro.programs import figures
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+FILES = sorted(CORPUS.glob("*.hpf"))
+
+
+def _run(source: str, fast_path: bool, seed: int = 0, max_steps=None):
+    """(interpreter, raised exception or None) of one run."""
+    proc = parse_and_build(source)
+    interp = SequentialInterpreter(proc, fast_path=fast_path)
+    for name, values in seeded_inputs(proc, seed).items():
+        interp.store.set_array(name, values)
+    if max_steps is not None:
+        interp.stats.max_steps = max_steps
+    try:
+        interp.run()
+    except (InterpreterError, ArithmeticError, ValueError) as exc:
+        return interp, exc
+    return interp, None
+
+
+def assert_parity(source: str, seed: int = 0, max_steps=None):
+    """Run both ways, compare everything; returns the vectorized
+    run's interpreter and error for further assertions."""
+    tree, tree_err = _run(source, False, seed, max_steps)
+    vec, vec_err = _run(source, True, seed, max_steps)
+    assert type(vec_err) is type(tree_err)
+    assert str(vec_err) == str(tree_err)
+    assert store_mismatch(tree.store, vec.store) is None
+    assert vec.env == tree.env
+    assert {k: type(v) for k, v in vec.env.items()} == {
+        k: type(v) for k, v in tree.env.items()
+    }
+    if tree_err is None:  # a failing statement is counted once it starts
+        assert vec.stats == tree.stats
+    return vec, vec_err
+
+
+def _program(body: str, decls: str = "REAL A(n), B(n), C(n)", n: int = 8) -> str:
+    return (
+        "PROGRAM P\n"
+        f"  PARAMETER (n = {n})\n"
+        f"  {decls}\n"
+        f"{body}"
+        "END PROGRAM\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Whole programs
+# ---------------------------------------------------------------------------
+
+KERNELS = {
+    "tomcatv": tomcatv_source(n=17, niter=2),
+    "dgefa": dgefa_source(n=12),
+    "appsp-1d": appsp_source(nx=8, ny=8, nz=8, niter=2, procs=4,
+                             distribution="1d"),
+    "appsp-2d": appsp_source(nx=8, ny=8, nz=8, niter=2, procs=4),
+    "appsp-auto": appsp_source(nx=7, ny=8, nz=9, niter=1, procs=4,
+                               use_new_clause=False),
+}
+
+FIGURES = {
+    "figure1": figures.figure1_source(n=20),
+    "figure2": figures.figure2_source(n=12),
+    "figure4": figures.figure4_source(n=6),
+    "figure5": figures.figure5_source(n=12),
+    "figure6": figures.figure6_source(n=8),
+    "figure7": figures.figure7_source(n=16),
+}
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("seed", (0, 1))
+def test_kernels(name, seed):
+    vec, err = assert_parity(KERNELS[name], seed)
+    assert err is None
+    assert vec.hooks.vector.taken > 0
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_paper_figures(name):
+    assert_parity(FIGURES[name])
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])
+def test_corpus(path):
+    _vec, err = assert_parity(path.read_text())
+    assert err is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_generated_programs(seed):
+    program = generate(seed)
+    assert_parity(program.emit(program.procs))
+
+
+def test_tomcatv_is_four_takeovers_plus_the_residual_folds():
+    """The stencil, the two column sweeps and the update nest are one
+    takeover each; the residual nest's accumulators are used before they are
+    defined at the outer level, so its n-2 inner loops fold."""
+    n = 17
+    vec, _ = assert_parity(tomcatv_source(n=n, niter=1))
+    vector = vec.hooks.vector
+    assert vector.taken == 4 + (n - 2)
+    assert vector.bails == {}
+    reasons = {v for v in vector.verdicts.values() if isinstance(v, str)}
+    assert reasons == {
+        "store to AA is lane-invariant",  # the DO it loop
+        "scalar RXM used before its definition",  # the residual j loop
+    }
+
+
+# ---------------------------------------------------------------------------
+# Errors and partial state
+# ---------------------------------------------------------------------------
+
+
+def test_out_of_bounds_store_in_the_third_statement():
+    vec, err = assert_parity(_program(
+        "  DO i = 1, n\n"
+        "    A(i) = B(i) * 2.0\n"
+        "    B(i) = A(i) + 1.0\n"
+        "    C(i + 1) = A(i)\n"
+        "  END DO\n"
+    ))
+    assert "out of bounds" in str(err)
+    assert vec.hooks.vector.taken == 0
+    assert "out of bounds" in next(iter(vec.hooks.vector.bails.values()))
+
+
+def test_zero_divisor_at_one_lane():
+    vec, err = assert_parity(_program(
+        "  DO i = 1, n\n"
+        "    C(i) = A(i) + 1.0\n"
+        "    A(i) = 1.0 / (B(i) - B(5))\n"
+        "  END DO\n"
+    ))
+    assert str(err) == "division by zero"
+    assert vec.hooks.vector.taken == 0
+
+
+def test_integer_zero_divisor_at_one_lane():
+    _vec, err = assert_parity(_program(
+        "  DO i = 1, n\n"
+        "    K(i) = n / (i - 3)\n"
+        "  END DO\n",
+        decls="INTEGER K(n)",
+    ))
+    assert str(err) == "integer division by zero"
+
+
+def test_read_of_an_undefined_scalar():
+    _vec, err = assert_parity(_program(
+        "  DO i = 1, n\n"
+        "    B(i) = A(i) * 2.0\n"
+        "    A(i) = A(i) + s\n"
+        "  END DO\n",
+        decls="REAL A(n), B(n)\n  REAL s",
+    ))
+    assert str(err) == "read of undefined scalar S"
+
+
+def test_negative_square_root_at_one_lane():
+    _vec, err = assert_parity(_program(
+        "  DO i = 1, n\n"
+        "    A(i) = SQRT(B(i) - 1.0)\n"
+        "  END DO\n"
+    ))
+    assert isinstance(err, ValueError)  # math.sqrt's own domain error
+
+
+def test_real_stored_to_integer_truncates_like_the_interpreter():
+    vec, err = assert_parity(_program(
+        "  DO i = 1, n\n"
+        "    k = A(i) * 10.0\n"
+        "    K2(i) = k + i\n"
+        "  END DO\n",
+        decls="REAL A(n)\n  INTEGER K2(n)\n  INTEGER k",
+    ))
+    assert err is None
+    assert vec.hooks.vector.taken == 0  # REAL -> INTEGER stays scalar
+
+
+@pytest.mark.parametrize("bounds", ["5, 4", "3, 3", "4, 3, 1", "3, 4, -1"])
+def test_zero_and_one_trip_loops_are_not_taken(bounds):
+    vec, err = assert_parity(_program(
+        f"  DO i = {bounds}\n"
+        "    A(i) = B(i) + 1.0\n"
+        "  END DO\n"
+        "  C(1) = i\n"
+    ))
+    assert err is None
+    assert vec.hooks.vector.taken == 0
+
+
+def test_negative_step():
+    vec, err = assert_parity(_program(
+        "  DO i = n, 2, -2\n"
+        "    t = B(i) + B(i - 1)\n"
+        "    A(i) = t * 0.5\n"
+        "  END DO\n"
+        "  C(1) = i + t\n",
+        decls="REAL A(n), B(n), C(n)\n  REAL t",
+    ))
+    assert err is None
+    assert vec.hooks.vector.taken == 1
+    assert vec.env["I"] == 0
+
+
+def test_zero_step_in_an_inner_loop():
+    _vec, err = assert_parity(_program(
+        "  m = 0\n"
+        "  DO j = 1, n\n"
+        "    DO i = 1, n, m\n"
+        "      A(i, j) = 1.0\n"
+        "    END DO\n"
+        "  END DO\n",
+        decls="REAL A(n, n)\n  INTEGER m",
+    ))
+    assert "zero step" in str(err)
+
+
+def test_subscript_through_an_outer_scalar_and_a_diagonal():
+    vec, err = assert_parity(_program(
+        "  l = 3\n"
+        "  DO j = 1, n\n"
+        "    t = A(l, j)\n"
+        "    A(l, j) = A(2, j)\n"
+        "    A(2, j) = t\n"
+        "  END DO\n"
+        "  DO i = 1, n\n"
+        "    A(i, i) = A(i, i) * 2.0 + A(i, n + 1 - i)\n"
+        "  END DO\n"
+        "  DO i = n, 1, -1\n"
+        "    B(i, n + 1 - i) = A(n + 1 - i, i)\n"
+        "  END DO\n",
+        decls="REAL A(n, n), B(n, n)\n  REAL t\n  INTEGER l",
+    ))
+    assert err is None
+    # row i is touched in iteration i only: both diagonals are taken,
+    # gathered and scattered through index vectors
+    assert vec.hooks.vector.taken == 3
+
+
+def test_signed_zeros_follow_python_max_and_min():
+    """``MAX(-0.0, 0.0)`` keeps its first argument in the interpreter;
+    the lane evaluator must too, and a fold that ends on a zero bails."""
+    vec, err = assert_parity(_program(
+        "  z = 0.0\n"
+        "  DO i = 1, n\n"
+        "    t = z * (0.0 - B(i))\n"
+        "    A(i) = MAX(t, z)\n"
+        "    C(i) = MIN(z, t)\n"
+        "    B(i) = MAX(z, t)\n"
+        "  END DO\n"
+        "  r = 0.0 - z\n"
+        "  DO i = 1, n\n"
+        "    r = MAX(r, A(i))\n"
+        "  END DO\n",
+        decls="REAL A(n), B(n), C(n)\n  REAL z, t, r",
+    ))
+    assert err is None
+    assert vec.hooks.vector.taken == 1
+    assert "zero or NaN" in next(iter(vec.hooks.vector.bails.values()))
+
+
+def test_folds_run_in_iteration_order():
+    """Sums whose pairwise and sequential orders round differently;
+    REAL and INTEGER accumulators; all four operators."""
+    vec, err = assert_parity(_program(
+        "  s = 0.1\n"
+        "  p = 1.0\n"
+        "  k = 0\n"
+        "  q = 9.0\n"
+        "  DO i = 1, n\n"
+        "    A(i) = A(i) * 0.001 + 1.0 / i\n"
+        "  END DO\n"
+        "  DO i = 1, n\n"
+        "    s = s + A(i) * B(i)\n"
+        "    p = A(i) * p\n"
+        "    k = MAX(k, i - 7)\n"
+        "    q = MIN(B(i), q)\n"
+        "  END DO\n",
+        decls="REAL A(n), B(n)\n  REAL s, p, q\n  INTEGER k",
+        n=60,
+    ))
+    assert err is None
+    vector = vec.hooks.vector
+    assert vector.taken == 2 and vector.bails == {}
+    folds = [v.folds for v in vector.verdicts.values() if v.folds]
+    assert sorted(op for op, _ in folds[0].values()) == ["*", "+", "MAX", "MIN"]
+
+
+def test_integers_beyond_int64_stay_python_integers():
+    """int64 lanes would wrap where the interpreter's integers grow:
+    a factorial fold and a squared product both bail."""
+    vec, err = assert_parity(_program(
+        "  k = 1\n"
+        "  DO i = 1, n\n"
+        "    k = k * i\n"
+        "  END DO\n"
+        "  DO i = 1, n\n"
+        "    m = i * 3000000000\n"
+        "    m = m * m\n"
+        "  END DO\n"
+        "  j = 0\n"
+        "  DO i = 1, n\n"
+        "    j = j + i * i\n"
+        "  END DO\n",
+        decls="INTEGER k, m, j",
+        n=25,
+    ))
+    assert err is None
+    assert vec.store.scalars["K"] > 2**64 and vec.store.scalars["M"] > 2**64
+    assert vec.hooks.vector.taken == 1  # the sum of squares fits
+    assert sorted(vec.hooks.vector.bails.values()) == [
+        "INTEGER fold may exceed int64",
+        "INTEGER lanes may exceed int64",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Step limit and WalkStats
+# ---------------------------------------------------------------------------
+
+
+def test_step_limit_raises_the_same_error_both_ways():
+    source = tomcatv_source(n=9, niter=1)
+    full, _ = _run(source, True)
+    for limit in (10, 200, full.stats.statements_executed - 1):
+        vec, err = assert_parity(source, max_steps=limit)
+        assert str(err) == "execution step limit exceeded"
+    vec, err = assert_parity(source, max_steps=full.stats.statements_executed)
+    assert err is None and vec.hooks.vector.taken > 0
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])
+def test_walk_stats_are_equal_on_the_corpus(path):
+    tree, _ = _run(path.read_text(), False)
+    vec, _ = _run(path.read_text(), True)
+    assert vec.stats == tree.stats
+    assert vec.stats.statements_executed > 0
+
+
+# ---------------------------------------------------------------------------
+# Eligibility: every decline reason declines
+# ---------------------------------------------------------------------------
+
+
+def _verdict(body: str, decls: str = "REAL A(n), B(n), C(n)", which: int = 0):
+    """The plan of the ``which``-th loop of the program, or the reason
+    it has none."""
+    proc = parse_and_build(_program(body, decls))
+    loops = [s for s in proc.all_stmts() if isinstance(s, LoopStmt)]
+    try:
+        return _Plan(proc, loops[which])
+    except _Bail as why:
+        return str(why)
+
+
+def test_plain_loop_is_taken():
+    plan = _verdict("  DO i = 2, n\n    A(i) = B(i - 1) + C(i)\n  END DO\n")
+    assert isinstance(plan, _Plan) and plan.folds == {}
+
+
+def test_carried_dependence_declines():
+    assert "loop-carried dependence on A" in _verdict(
+        "  DO i = 2, n\n    A(i) = A(i - 1) + B(i)\n  END DO\n"
+    )
+
+
+def test_anti_dependence_declines():
+    assert "loop-carried dependence on A" in _verdict(
+        "  DO i = 1, n - 1\n    A(i) = A(i + 1) + B(i)\n  END DO\n"
+    )
+
+
+def test_lane_invariant_store_declines():
+    assert _verdict(
+        "  DO i = 1, n\n    A(1) = B(i)\n  END DO\n"
+    ) == "store to A is lane-invariant"
+
+
+def test_store_separated_only_by_an_inner_index_declines():
+    assert _verdict(
+        "  DO j = 1, 3\n    DO i = 1, 3\n      A(i + j) = 1.0\n"
+        "    END DO\n  END DO\n"
+    ) == "store to A is lane-invariant"
+
+
+def test_use_before_definition_declines():
+    assert _verdict(
+        "  DO i = 1, n\n    A(i) = t\n    t = B(i)\n  END DO\n",
+        decls="REAL A(n), B(n)\n  REAL t",
+    ) == "scalar T used before its definition"
+
+
+def test_definition_in_an_inner_loop_does_not_reach_past_it():
+    assert _verdict(
+        "  DO j = 1, n\n    DO i = 1, n\n      t = B(i, j)\n    END DO\n"
+        "    A(1, j) = t\n  END DO\n",
+        decls="REAL A(n, n), B(n, n)\n  REAL t",
+    ) == "scalar T used before its definition"
+
+
+def test_fold_is_recognized_in_an_innermost_loop_only():
+    body = (
+        "  DO j = 1, n\n    DO i = 1, n\n      s = s + A(i, j)\n"
+        "    END DO\n  END DO\n"
+    )
+    decls = "REAL A(n, n)\n  REAL s"
+    assert _verdict(body, decls, 0) == "scalar S used before its definition"
+    inner = _verdict(body, decls, 1)
+    assert isinstance(inner, _Plan)
+    assert [op for op, _ in inner.folds.values()] == ["+"]
+
+
+def test_accumulator_with_a_second_use_is_not_a_fold():
+    assert _verdict(
+        "  DO i = 1, n\n    s = s + A(i)\n    B(i) = s\n  END DO\n",
+        decls="REAL A(n), B(n)\n  REAL s",
+    ) == "scalar S used before its definition"
+
+
+def test_inner_bound_depending_on_the_lane_variable_declines():
+    assert _verdict(
+        "  DO j = 1, n\n    DO i = j, n\n      A(i, j) = 1.0\n"
+        "    END DO\n  END DO\n",
+        decls="REAL A(n, n)",
+    ) == "inner bound depends on J"
+
+
+def test_inner_bound_depending_on_a_body_scalar_or_an_array_declines():
+    assert _verdict(
+        "  DO j = 1, n\n    m = 3\n    DO i = 1, m\n      A(i, j) = 1.0\n"
+        "    END DO\n  END DO\n",
+        decls="REAL A(n, n)\n  INTEGER m",
+    ) == "inner bound depends on M"
+    assert _verdict(
+        "  DO j = 1, n\n    DO i = 1, K(1)\n      A(i, j) = 1.0\n"
+        "    END DO\n  END DO\n",
+        decls="REAL A(n, n)\n  INTEGER K(n)",
+    ) == "inner bound reads an array"
+
+
+def test_subscript_through_a_body_written_scalar_declines():
+    assert _verdict(
+        "  DO i = 1, n\n    m = i\n    A(m) = B(i)\n  END DO\n",
+        decls="REAL A(n), B(n)\n  INTEGER m",
+    ) == "subscript depends on body-written scalar M"
+
+
+def test_non_affine_subscript_declines():
+    assert "non-affine subscript" in _verdict(
+        "  DO i = 1, 2\n    A(i * i) = B(i)\n  END DO\n"
+    )
+
+
+@pytest.mark.parametrize("stmt, kind", [
+    ("IF (B(i) > 1.0) A(i) = 0.0", "IfStmt"),
+    ("IF (B(i) > 1.0) GO TO 10", "IfStmt"),
+    ("GO TO 10", "GotoStmt"),
+    ("STOP", "StopStmt"),
+])
+def test_control_flow_in_the_body_declines(stmt, kind):
+    assert _verdict(
+        f"  DO i = 1, n\n    {stmt}\n    A(i) = B(i)\n 10 CONTINUE\n"
+        "  END DO\n"
+    ) == f"body contains {kind}"

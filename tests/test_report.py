@@ -1,5 +1,7 @@
 """Report/table module tests (small sizes for speed)."""
 
+import pathlib
+
 import pytest
 
 from repro.report import Table, table1_tomcatv, table2_dgefa, table3_appsp
@@ -163,3 +165,23 @@ class TestSimulatorBackedTables:
             4, "2-D, No Partial Priv."
         )
         assert table.cell(4, "1-D, Priv.") < table.cell(4, "1-D, No Array Priv.")
+
+
+class TestCommittedTables:
+    """The paper tables at paper sizes are the committed texts, byte
+    for byte — ``benchmarks/output/table2_dgefa.txt`` once sat a whole
+    estimator change (PR 6's exact triangular trip counts) behind what
+    ``repro tables`` printed, and nothing noticed."""
+
+    OUTPUT = (
+        pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "output"
+    )
+
+    @pytest.mark.parametrize("name, build", [
+        ("table1_tomcatv", table1_tomcatv),
+        ("table2_dgefa", table2_dgefa),
+        ("table3_appsp", table3_appsp),
+    ])
+    def test_rendered_table_equals_committed_text(self, name, build):
+        committed = (self.OUTPUT / f"{name}.txt").read_text()
+        assert build().render() + "\n" == committed
