@@ -38,9 +38,12 @@ from typing import TYPE_CHECKING, Any, Callable
 if TYPE_CHECKING:
     from .driver import CompiledProgram
 
-#: bump when the pickled payload layout changes; part of the pipeline
-#: fingerprint, so old entries become silent misses, not errors
-CACHE_SCHEMA = 1
+#: bump when the pickled payload layout — or the meaning of a pass
+#: product in it — changes; part of the pipeline fingerprint, so old
+#: entries become silent misses, not errors.  2: ``SlabReport``
+#: triangular verdicts admit cross-column reads (a schema-1 report
+#: would keep routing such nests to the inner-loop takeover).
+CACHE_SCHEMA = 2
 
 _MAGIC = "repro-compile-cache"
 _SUFFIX = ".pkl"

@@ -21,6 +21,9 @@ Validity invariants the generator maintains (property-tested in
 * ``INDEPENDENT`` is asserted only on nests where every array is
   read-only or written-only (no loop-carried flow), with privatized
   temporaries in ``NEW`` and accumulators in ``REDUCTION``;
+* the signature nest (pivot column/row reads of the updated array,
+  halo reads of another) never writes what it reads across columns:
+  its loops start one past the pivot;
 * no division, so no input can trap.
 """
 
@@ -69,6 +72,7 @@ class GenConfig:
     p_work_array: float = 0.25
     p_independent: float = 0.35
     p_lhs_offset: float = 0.15
+    p_signature: float = 0.25
     temps: tuple[str, ...] = ("T0", "T1", "T2")
     accumulators: tuple[str, ...] = ("R0", "R1")
 
@@ -366,6 +370,30 @@ def _nest(d: _Draw) -> FuzzNest:
     )
 
 
+def _signature_nest(d: _Draw) -> FuzzNest:
+    """The dgefa/tomcatv shape the slab engine takes as one nest with
+    the fetches replayed inside: every lane reads the pivot column and
+    row of the array it updates (never written — both loops start one
+    past the pivot) and, usually, a halo column of another array;
+    half the time an enclosing ``k`` loop moves the pivot."""
+    rng = d.rng
+    target, other = rng.sample(d.arrays, 2)
+    around = ("k", "2", "3") if rng.random() < 0.5 else None
+    p = "k" if around else "2"
+    lhs = ref(target, "i", 0, "j", 0)
+    rhs = f"{lhs} + {rng.choice(COEFFS)} * {target}(i, {p}) * {target}({p}, j)"
+    if rng.random() < 0.6:
+        halo = ref(other, "i", 0, "j", rng.choice((-1, 1)))
+        rhs += f" + {rng.choice(COEFFS)} * {halo}"
+    sweep = FuzzLoop(
+        var="i", low=f"{p} + 1", high="n - 1",
+        body=[FuzzStmt(lhs=lhs, rhs=rhs)],
+    )
+    return FuzzNest(
+        var="j", low=f"{p} + 1", high="n - 1", inner=[sweep], around=around
+    )
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -381,6 +409,10 @@ def generate(seed: int, config: GenConfig | None = None) -> FuzzProgram:
     arrays = ("A", "B", "C")
     d = _Draw(rng=rng, config=config, arrays=arrays)
     nests = [_nest(d) for _ in range(rng.randrange(1, config.max_nests + 1))]
+    # drawn after everything else, so a seed's other nests are the ones
+    # it has always produced
+    if rng.random() < config.p_signature:
+        nests.append(_signature_nest(d))
     scalars = tuple(
         s for s in config.accumulators + config.temps if s in d.used_scalars
     )

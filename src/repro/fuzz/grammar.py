@@ -105,7 +105,8 @@ class FuzzNest:
     """One outer loop over ``j`` holding prologue statements, inner
     loops, and epilogue statements.  ``independent`` attaches an
     ``!HPF$ INDEPENDENT`` directive with the given NEW/REDUCTION
-    clauses to the outer loop."""
+    clauses to the outer loop; ``around`` wraps the whole nest in an
+    enclosing ``(var, low, high)`` loop its statements may reference."""
 
     var: str
     low: str
@@ -117,8 +118,16 @@ class FuzzNest:
     independent: bool = False
     new_vars: tuple[str, ...] = ()
     reduction_vars: tuple[str, ...] = ()
+    around: tuple[str, str, str] | None = None
 
     def emit(self, indent: str) -> list[str]:
+        if self.around is not None:
+            var, low, high = self.around
+            return [
+                f"{indent}DO {var} = {low}, {high}",
+                *replace(self, around=None).emit(indent + "  "),
+                f"{indent}END DO",
+            ]
         lines: list[str] = []
         if self.independent:
             clauses = ""

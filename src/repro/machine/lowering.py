@@ -41,6 +41,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from ..codegen.evalexpr import (
     _apply_binop,
     _apply_intrinsic,
@@ -719,6 +721,8 @@ class _ArrayAccess:
                 if role.fmt.kind != "block" or role.stride != 1:
                     stageable = False  # slabs are block-contiguous only
         self.dist = tuple(dist)
+        #: the dist owner tables as index vectors, for :meth:`owners`
+        self._owner_vecs = [np.asarray(d[3], dtype=np.int64) for d in dist]
         span_bases = [0]
         for g, role in enumerate(mapping.roles):
             if role.kind != "dist":
@@ -746,6 +750,22 @@ class _ArrayAccess:
         if self.singletons is not None:
             return self.singletons[acc]
         return [acc + b for b in self.span_bases]
+
+    def owners(self, offs) -> np.ndarray:
+        """Vectorized :meth:`candidates` over element *offsets* (one
+        int vector per array dim): row ``c`` holds every element's
+        ``c``-th owning rank, raising the same OOB MappingError."""
+        lows = [lo for lo, _ in self.mapping.array.dims]
+        acc = np.zeros(np.shape(offs[0]), dtype=np.int64)
+        for (array_dim, stride, noff, _table, fmt, gstride), table in zip(
+            self.dist, self._owner_vecs
+        ):
+            pos = stride * (offs[array_dim] + lows[array_dim]) + noff
+            outside = (pos < 0) | (pos >= fmt.extent)
+            if outside.any():
+                fmt.owner(int(pos[outside][0]))  # raises
+            acc += table[pos] * gstride
+        return np.add.outer(np.asarray(self.span_bases, dtype=np.int64), acc)
 
     def _slab(self, src: int):
         got = self._slabs.get(src, _MISS)

@@ -27,15 +27,17 @@ Bit-for-bit clock identity is guaranteed by construction: per-instance
 compute charges are precomputed ``dt`` values replayed through
 ``np.add.accumulate`` (strictly sequential, unlike pairwise
 ``np.sum``), so a slab charges exactly the floating-point sum the
-per-iteration path would have produced.  Takeovers that would need a
-fetch bail — remote reads keep their exact per-element charging in the
-lower tiers — so ``TrafficStats`` is untouched by construction.
+per-iteration path would have produced.  Reads of elements the
+executing rank does not hold are fetched inside the takeover:
+:class:`_FetchLog` records each one at its first read in per-iteration
+order and replays messages and compute in that order at commit, so
+``TrafficStats`` and the clocks see tier 2's exact sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -65,7 +67,6 @@ from ..ir.expr import (
     affine_form,
 )
 from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
-from ..ir.symbols import ScalarType
 from .stats import sequential_prefix_sum, sequential_sum
 
 _MISSING = object()
@@ -253,13 +254,12 @@ class SlabReport:
     def eligible_loops(self) -> set[int]:
         """Statement ids of every loop with at least one "ok" verdict."""
         out: set[int] = set()
-        tri = getattr(self, "triangular", {})  # pre-field pickles
-        for table in (self.inner, self.column, tri):
+        for table in (self.inner, self.column, self.triangular):
             out.update(sid for sid, v in table.items() if v == "ok")
         return out
 
     def summary(self) -> dict[str, int]:
-        tri = getattr(self, "triangular", {})  # pre-field pickles
+        tri = self.triangular
         return {
             "inner_ok": sum(1 for v in self.inner.values() if v == "ok"),
             "inner_total": len(self.inner),
@@ -324,6 +324,36 @@ def _classify_inner(proc, loop: LoopStmt, executors, placements,
     return _carried_dependence(proc, loop, assigns, reduction_ids) or "ok"
 
 
+def _split_nest(loop: LoopStmt):
+    """``(inner, pre, body, post)`` of an outer loop whose body is
+    straight-line assigns around exactly one assign-only inner loop —
+    or the reason (a string) it is not of that shape."""
+    inner: LoopStmt | None = None
+    pre: list[AssignStmt] = []
+    post: list[AssignStmt] = []
+    for s in loop.body:
+        if isinstance(s, ContinueStmt):
+            continue
+        if isinstance(s, LoopStmt):
+            if inner is not None:
+                return "more than one inner loop"
+            inner = s
+        elif not isinstance(s, AssignStmt):
+            return f"body contains {type(s).__name__}"
+        else:
+            (pre if inner is None else post).append(s)
+    if inner is None:
+        return "no inner loop"
+    body: list[AssignStmt] = []
+    for s in inner.body:
+        if isinstance(s, ContinueStmt):
+            continue
+        if not isinstance(s, AssignStmt):
+            return f"inner body contains {type(s).__name__}"
+        body.append(s)
+    return inner, pre, body, post
+
+
 def _classify_column(proc, loop: LoopStmt, executors, placements,
                      reduction_ids, grid_rank) -> str:
     """An outer loop executed column-wise: its body is straight-line
@@ -335,30 +365,12 @@ def _classify_column(proc, loop: LoopStmt, executors, placements,
     if grid_rank is not None and grid_rank != 1:
         return "grid is not one-dimensional"
     j = loop.var.name
-    inner: LoopStmt | None = None
-    assigns = []
-    for s in loop.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if isinstance(s, LoopStmt):
-            if inner is not None:
-                return "more than one inner loop"
-            inner = s
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"body contains {type(s).__name__}"
-        assigns.append(s)
-    if inner is None:
-        return "no inner loop"
+    nest = _split_nest(loop)
+    if isinstance(nest, str):
+        return nest
+    inner, pre, body, post = nest
     i = inner.var.name
-    inner_assigns = []
-    for s in inner.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"inner body contains {type(s).__name__}"
-        inner_assigns.append(s)
-    all_assigns = assigns + inner_assigns
+    all_assigns = pre + post + body
     if not all_assigns:
         return "empty body"
     # inner bounds must be invariant over the takeover
@@ -432,42 +444,26 @@ def _replicated_exec(info) -> bool:
 
 
 def _classify_triangular(proc, loop: LoopStmt, executors, placements,
-                         reduction_ids, grid_rank) -> str:
+                         reduction_ids, grid_rank, inner_ok=False) -> str:
     """An outer loop executed as one flattened slab: straight-line
     assigns around exactly one inner loop whose bounds may be affine in
     the outer variable (triangular nests) — per-column slab widths vary
     with the outer index.  Every statement runs on the owner of the
-    same outer-variable position, every array touches exactly its own
-    column, and arrays are written only inside the inner loop, so the
-    columns evolve independently and the whole imperfect nest commits
-    as one takeover."""
+    same outer-variable position, every store names its own column,
+    and arrays are written only inside the inner loop.  Reads may
+    leave the column — the part of the kernel's signature a rank needs
+    but does not own, fetched at run time: of an array the nest never
+    writes freely, of a written one when no value flows between outer
+    iterations.  The columns then evolve independently and the whole
+    imperfect nest commits as one takeover."""
     if grid_rank is not None and grid_rank != 1:
         return "grid is not one-dimensional"
     j = loop.var.name
-    inner: LoopStmt | None = None
-    pre: list[AssignStmt] = []
-    post: list[AssignStmt] = []
-    for s in loop.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if isinstance(s, LoopStmt):
-            if inner is not None:
-                return "more than one inner loop"
-            inner = s
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"body contains {type(s).__name__}"
-        (pre if inner is None else post).append(s)
-    if inner is None:
-        return "no inner loop"
+    nest = _split_nest(loop)
+    if isinstance(nest, str):
+        return nest
+    inner, pre, body, post = nest
     i = inner.var.name
-    body: list[AssignStmt] = []
-    for s in inner.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"inner body contains {type(s).__name__}"
-        body.append(s)
     all_assigns = pre + body + post
     if not body:
         return "empty inner body"
@@ -530,9 +526,9 @@ def _classify_triangular(proc, loop: LoopStmt, executors, placements,
                 return f"S{s.stmt_id}: communication placed inside the loop"
     if canon_pos is _MISSING:
         return "no owner-positioned statement"
-    # column discipline: one dimension subscripted exactly ``j`` in
-    # every ref, the others ``j``-free; arrays written only in the
-    # inner loop, and prologue/epilogue refs are ``i``-free
+    # column discipline: a store subscripts one dimension exactly
+    # ``j`` and keeps the others ``j``-free; arrays are written only in
+    # the inner loop, and prologue/epilogue refs are ``i``-free
     inner_written = {
         s.lhs.symbol.name for s in body if isinstance(s.lhs, ArrayElemRef)
     }
@@ -545,23 +541,37 @@ def _classify_triangular(proc, loop: LoopStmt, executors, placements,
             name = ref.symbol.name
             if not in_body and name in inner_written:
                 return f"{name}: written array read outside the inner loop"
-            ref_jdims = []
-            for d, sub in enumerate(ref.subscripts):
-                canon = _canon_form(affine_form(sub))
-                if canon == (0, ((j, 1),)):
-                    ref_jdims.append(d)
-                elif any(nm == j for nm, _ in canon[1]):
-                    return f"{name}: mixed {j}-subscript"
-                elif not in_body and any(nm == i for nm, _ in canon[1]):
-                    return f"{name}: {i}-subscript outside the inner loop"
+            canons = [_canon_form(affine_form(sub)) for sub in ref.subscripts]
+            if not in_body and any(nm == i for c in canons for nm, _ in c[1]):
+                return f"{name}: {i}-subscript outside the inner loop"
+            if ref is not s.lhs:
+                continue
+            ref_jdims = [
+                d for d, c in enumerate(canons) if c == (0, ((j, 1),))
+            ]
+            if any(
+                nm == j
+                for d, c in enumerate(canons)
+                if d not in ref_jdims
+                for nm, _ in c[1]
+            ):
+                return f"{name}: mixed {j}-subscript"
             if len(ref_jdims) != 1:
                 return f"{name}: no unique {j}-column dimension"
-            d = ref_jdims[0]
-            if jdims.setdefault(name, d) != d:
+            if jdims.setdefault(name, ref_jdims[0]) != ref_jdims[0]:
                 return f"{name}: inconsistent {j}-column dimension"
-    reason = _carried_dependence(proc, inner, body, reduction_ids)
-    if reason is not None:
-        return reason
+    # no value may flow between inner iterations of a column (already
+    # established when the inner loop's own verdict is ok), nor — now
+    # that reads leave the column — between columns
+    levels = [(loop, frozenset((i,)))]
+    if not inner_ok:
+        levels.insert(0, (inner, frozenset()))
+    for level, inner_vars in levels:
+        reason = _carried_dependence(
+            proc, level, body, reduction_ids, inner_vars
+        )
+        if reason is not None:
+            return reason
     return "ok"
 
 
@@ -611,6 +621,7 @@ def classify_procedure(proc, executors, events, reduction_ids,
                     report.triangular[s.stmt_id] = _classify_triangular(
                         proc, s, executors, placements, reduction_ids,
                         grid_rank,
+                        inner_ok=report.inner.get(nested[0].stmt_id) == "ok",
                     )
                 visit_columns(s.body)
             elif isinstance(s, IfStmt):
@@ -706,12 +717,277 @@ def _afold_operand(rhs, name: str, canon: tuple, op: str):
     return e
 
 
+def _lane_index(off, n: int) -> tuple:
+    """Per-dimension offsets (ints or lane vectors) as ``n``-lane index
+    vectors."""
+    return tuple(
+        np.broadcast_to(np.asarray(o, dtype=np.int64), (n,)) for o in off
+    )
+
+
+def _lane_offsets(ref_forms: dict, vars_of: Callable, env) -> dict:
+    """ref_id -> bounds-checked lane offsets, one per dimension.
+    ``vars_of(ref_id)`` gives the lane vectors of the ref's loop
+    variables; dimensions subscripted by one form over the same lanes
+    and bounds — whatever the array — share one vector."""
+    shared: dict[tuple, Any] = {}
+    offs: dict[int, tuple] = {}
+    for ref_id, (symbol, forms) in ref_forms.items():
+        vec_vars = vars_of(ref_id)
+        off = []
+        for d, f in enumerate(forms):
+            key = (id(vec_vars), _canon_form(f), symbol.dims[d])
+            if key not in shared:
+                shared[key] = _bounds_checked_offset(
+                    _affine_vec(f, vec_vars, env), symbol, d
+                )
+            off.append(shared[key])
+        offs[ref_id] = tuple(off)
+    return offs
+
+
+def _check_disjoint(plan, offs: dict, n: int) -> None:
+    """Several write regions, or reads of a written array matching no
+    region: the classification was symbolic — verify the concrete index
+    sets are disjoint, else per-iteration order matters."""
+    if len(plan.regions) < 2 and not plan.disjoint_reads:
+        return
+    written: dict[str, np.ndarray] = {}
+
+    def hits(ref_id) -> tuple:
+        symbol, _forms = plan.ref_forms[ref_id]
+        shape = tuple(symbol.extent(d) for d in range(symbol.rank))
+        mask = written.get(symbol.name)
+        if mask is None:
+            mask = written[symbol.name] = np.zeros(shape, dtype=np.bool_)
+        return mask, _lane_index(offs[ref_id], n)
+
+    for info in plan.regions.values():
+        mask, idx = hits(info.ref0)
+        if mask[idx].any():
+            raise _Bail("write regions overlap")
+        mask[idx] = True
+    for ref_id in plan.disjoint_reads:
+        mask, idx = hits(ref_id)
+        if mask[idx].any():
+            raise _Bail("read overlaps writes across lanes")
+
+
+class _Fetched(NamedTuple):
+    """One rank's fetching read of one reference: a vector entry per
+    distinct element, then the facts all of them share."""
+
+    inst: np.ndarray  #: statement instance of the element's first read
+    elem: np.ndarray  #: flat element index
+    src: np.ndarray  #: source rank
+    shaky: np.ndarray  #: the source is not the element's primary owner
+    q: int  #: the read's sequence within its statement
+    dst: int  #: the reading rank
+    ref: ArrayElemRef
+    stmt: AssignStmt
+    sel: tuple  #: element offsets, one vector per dimension
+    values: np.ndarray
+
+
+class _FetchLog:
+    """The remote reads one takeover's evaluation met, and their exact
+    replay.
+
+    The per-iteration path fetches an invalid element once per reading
+    rank, at that rank's first read of it.  Evaluation records every
+    such read with its place in per-iteration order — the number of the
+    statement *instance* and the read's sequence within the statement —
+    and takes the value from the source rank, whose copy cannot change
+    during the takeover (a fetched element is never one the takeover
+    writes).  :meth:`schedule` orders the fetches and peeks their
+    coalescing keys, still without mutating anything, so it may bail;
+    :meth:`commit` replays compute and messages in that order."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.reads: list[_Fetched] = []
+
+    def _fetch_read(self, ref, stmt, q: int, dst: int, sel: tuple, inst):
+        """Values of the elements ``sel`` that rank ``dst`` reads while
+        invalid, in instances ``inst`` (ascending): the vectorized twin
+        of ``FetchEngine.fetch_array``'s source lookup."""
+        symbol = ref.symbol
+        acc = self.plan.fast.engine.access(symbol.name)
+        elem, first, back = np.unique(
+            np.ravel_multi_index(sel, acc.datas[0].shape),
+            return_index=True,
+            return_inverse=True,
+        )
+        sel = tuple(o[first] for o in sel)
+        try:
+            owners = acc.owners(sel)
+        except MappingError:
+            # the per-iteration path raises the canonical error
+            raise _Bail("owner lookup failed") from None
+        src = np.full(elem.size, -1, dtype=np.int64)
+        values = np.empty(elem.size, dtype=acc.datas[0].dtype)
+        # an owner holding a valid copy, else the lowest rank that does
+        for row in (*owners, *range(len(acc.valids))):
+            todo = np.flatnonzero(src < 0)
+            if not todo.size:
+                break
+            ranks = np.broadcast_to(row, src.shape)[todo]
+            for r in np.unique(ranks):
+                lanes = todo[ranks == r]
+                lanes = lanes[acc.valids[r][tuple(o[lanes] for o in sel)]]
+                src[lanes] = r
+                values[lanes] = acc.datas[r][tuple(o[lanes] for o in sel)]
+        if (src < 0).any():
+            raise _Bail(f"no rank holds every element read of {symbol.name}")
+        self.reads.append(_Fetched(
+            inst[first], elem, src, src != owners[0],
+            q, dst, ref, stmt, sel, values,
+        ))
+        return values[back]
+
+    def schedule(self, env):
+        """Order the recorded fetches as the per-iteration path issues
+        them — every (rank, element) once, at its first read — and peek
+        their coalescing keys.  Returns None when nothing fetched, else
+        per-fetch vectors (instance, source, reader, opens-a-message)
+        plus the bookkeeping of each (read, source) group and the
+        coalescing keys the takeover opens."""
+        reads = self.reads
+        if not reads:
+            return None
+        plan = self.plan
+        sim = plan.sim
+        inst, elem, src, shaky = (
+            np.concatenate(column) for column in list(zip(*reads))[:4]
+        )
+        arrays: dict[str, int] = {}
+        q, dst, array, read = (
+            np.repeat(column, [f.elem.size for f in reads])
+            for column in (
+                [f.q for f in reads],
+                [f.dst for f in reads],
+                [
+                    arrays.setdefault(f.ref.symbol.name, len(arrays))
+                    for f in reads
+                ],
+                range(len(reads)),
+            )
+        )
+        elem += array * (int(elem.max()) + 1)
+        order = np.lexsort((q, inst))
+        held = dst[order] * (int(elem.max()) + 1) + elem[order]
+        keep = order[np.sort(np.unique(held, return_index=True)[1])]
+        inst, elem, src, shaky, dst, read = (
+            a[keep] for a in (inst, elem, src, shaky, dst, read)
+        )
+        if shaky.any():
+            # a primary owner's valid copy is the source whatever the
+            # other ranks hold; any other choice can change once an
+            # earlier fetcher of the same element holds it too
+            elems, counts = np.unique(elem, return_counts=True)
+            if np.isin(elem[shaky], elems[counts > 1]).any():
+                raise _Bail("fetch source depends on fetch order")
+        # what a fetch does besides charging is the same for every
+        # element of one (read, source) group, whatever the order; only
+        # the startup goes to the earliest fetch under each key
+        nranks = len(sim.memories)
+        groups = []
+        opened: dict[tuple, int] = {}
+        for pair, at, count in zip(
+            *map(
+                np.ndarray.tolist,
+                np.unique(
+                    read * nranks + src, return_index=True, return_counts=True
+                ),
+            )
+        ):
+            f = reads[pair // nranks]
+            event_key = (f.stmt.stmt_id, f.ref.ref_id)
+            meta = plan.fetch_meta.get(event_key)
+            if meta is None:
+                event = sim._events.get(event_key)
+                if event is None:
+                    # raw coalescing keys embed the full env — including
+                    # the takeover variables, which tier 2 sets per
+                    # iteration and we do not
+                    raise _Bail("fetch without a placed event")
+                meta = (event.ordinal, hoisted_loop_vars(event, f.stmt))
+                if set(meta[1]) & set(plan.lane_vars):
+                    raise _Bail("fetch key varies per lane")
+                plan.fetch_meta[event_key] = meta
+            ordinal, outer = meta
+            key = (
+                "evt", ordinal, pair % nranks, f.dst,
+                tuple(env.get(nm, 0) for nm in outer),
+            )
+            opened[key] = min(opened.get(key, at), at)
+            groups.append((event_key, f.dst, f.ref.symbol.name, count))
+        fresh = [key for key in opened if key not in sim._fetch_keys_seen]
+        startup = np.zeros(inst.size, dtype=np.bool_)
+        startup[[opened[key] for key in fresh]] = True
+        return inst, src, dst, startup, groups, fresh
+
+    def commit(self, sched, dts: np.ndarray, tapes: dict) -> int:
+        """Replay compute and messages in per-iteration order; returns
+        the number of elements fetched.
+
+        ``dts`` is the charge tape of the takeover's statements and
+        ``tapes[r]`` the ``(step, inst)`` vectors of rank ``r``: which
+        statement each of its instances runs and the instance's
+        (ascending) number.  Compute charges on different ranks commute
+        and only a message couples two clocks, so a rank's tape stays
+        pending until just before a message that touches the rank,
+        where it is left-folded up to the message's instance — tier 2's
+        interleaved ``charge_compute`` / ``charge_message_amortized``
+        sequence, bit for bit.  ``compute_time`` sees no messages and
+        is folded in one piece.  Everything else a fetch does is
+        batched per group."""
+        inst, src, dst, startup, groups, fresh = sched
+        sim = self.plan.sim
+        clocks, stats, memories = sim.clocks, sim.stats, sim.memories
+        time = clocks.time
+        # how much of the reader's and the source's tapes precedes each
+        # fetch (a rank that computes nothing here has none)
+        cut = np.zeros((2, inst.size), dtype=np.int64)
+        for r, (step, at) in tapes.items():
+            clocks.compute_time[r] = sequential_sum(
+                clocks.compute_time[r], dts[step]
+            )
+            for side, rank in enumerate((dst, src)):
+                cut[side, rank == r] = np.searchsorted(at, inst[rank == r])
+        done = [0] * len(time)
+        for d, s, cut_d, cut_s, new in zip(
+            dst.tolist(), src.tolist(), *cut.tolist(), startup.tolist()
+        ):
+            for r, upto in ((d, cut_d), (s, cut_s)):
+                if upto > done[r]:
+                    time[r] = sequential_sum(
+                        time[r], dts[tapes[r][0][done[r]:upto]]
+                    )
+                    done[r] = upto
+            clocks.charge_message_amortized(s, d, 1, new)
+        for r, (step, _at) in tapes.items():
+            time[r] = sequential_sum(time[r], dts[step[done[r]:]])
+        sim._fetch_keys_seen.update(fresh)
+        stats.messages += len(fresh)
+        for event_key, reader, name, count in groups:
+            stats.record_fetch_batch(event_key, count)
+            memories[reader].versions[name] += count
+        for f in self.reads:
+            memory = memories[f.dst]
+            memory.arrays[f.ref.symbol.name][f.sel] = f.values
+            memory.valid[f.ref.symbol.name][f.sel] = True
+        return inst.size
+
+
 class _InnerCtx(_Ctx):
     """Per-rank lane evaluation of one inner-loop takeover."""
 
     def __init__(self, plan: "InnerPlan", rank: int, iv: np.ndarray,
-                 env, n: int, offs: dict):
+                 env, n: int, offs: dict, log: _FetchLog):
         self.plan = plan
+        self.rank = rank
+        self.log = log
         self.memory = plan.sim.memories[rank]
         self.iv = iv
         self._env = env
@@ -725,12 +1001,6 @@ class _InnerCtx(_Ctx):
         self.red_results: dict[str, Any] = {}
         self.afold_results: dict[int, Any] = {}  # step index -> folded
         self.tape: list[float] = []
-        #: step index -> position of its dt on the tape
-        self.tape_pos: dict[int, int] = {}
-        #: (array name, element) -> [tag, src, value, sid, rid, stmt];
-        #: tag = (lane, step, read-seq) of the *first* read in
-        #: per-iteration order — where the per-element fetch fires
-        self.fetches: dict[tuple, list] = {}
         self.cur_k = 0
         self.cur_stmt = None
         self.q = 0
@@ -778,75 +1048,23 @@ class _InnerCtx(_Ctx):
         off = self.offs[ref.ref_id]
         memory = self.memory
         self.q += 1
-        m = memory.valid[name][off]
-        if not bool(np.all(m)):
+        data = memory.arrays[name][off]
+        ok = memory.valid[name][off]
+        if not bool(np.all(ok)):
             if rk is not None:
                 raise _Bail(f"written array {name} read would fetch")
             # unwritten arrays — and reads prepare has proven disjoint
-            # from every write region — may fetch like any cold read
-            return self._fetch_read(ref, off, m)
-        data = memory.arrays[name][off]
+            # from every write region — may fetch like any cold read;
+            # instance = (lane, step): every step runs on this rank
+            n = self.n
+            bad = np.flatnonzero(~np.broadcast_to(ok, (n,)))
+            data = np.broadcast_to(data, (n,)).copy()
+            data[bad] = self.log._fetch_read(
+                ref, self.cur_stmt, self.q, self.rank,
+                tuple(o[bad] for o in _lane_index(off, n)),
+                bad * len(self.plan.steps) + self.cur_k,
+            )
         return data, data.dtype.kind in "bi"
-
-    def _fetch_read(self, ref: ArrayElemRef, off, m):
-        """Some lanes read invalid elements: the per-iteration path
-        would fetch each one, exactly once, at its first read.  Record
-        the fetch (tagged with its per-iteration position so the commit
-        replays the charges in the identical order) and read the value
-        from the source rank — its copy cannot change during the
-        takeover, since only this loop's statements execute."""
-        name = ref.symbol.name
-        symbol = ref.symbol
-        engine = self.plan.fast.engine
-        acc = engine.access(name)
-        n = self.n
-        offv = [
-            np.broadcast_to(np.asarray(o, dtype=np.int64), (n,)) for o in off
-        ]
-        mv = np.broadcast_to(np.asarray(m, dtype=np.bool_), (n,))
-        data = self.memory.arrays[name]
-        out = np.empty(n, dtype=data.dtype)
-        out[:] = data[off]
-        lows = [lo for lo, _ in symbol.dims]
-        valids = acc.valids
-        fetches = self.fetches
-        sid = self.cur_stmt.stmt_id
-        for lane in np.nonzero(~mv)[0]:
-            elem = tuple(int(o[lane]) for o in offv)
-            tag = (int(lane), self.cur_k, self.q)
-            rec = fetches.get((name, elem))
-            if rec is not None:
-                if tag < rec[0]:
-                    rec[0] = tag
-                    rec[3] = sid
-                    rec[4] = ref.ref_id
-                    rec[5] = self.cur_stmt
-                out[lane] = rec[2]
-                continue
-            index = tuple(e + lo for e, lo in zip(elem, lows))
-            try:
-                cands = acc.candidates(index)
-            except MappingError:
-                # the per-iteration path raises the canonical error
-                raise _Bail("owner lookup failed") from None
-            src = None
-            for owner in cands:
-                if valids[owner][elem]:
-                    src = owner
-                    break
-            if src is None:
-                for r2 in range(len(valids)):
-                    if valids[r2][elem]:
-                        src = r2
-                        break
-            if src is None:
-                raise _Bail(f"no rank holds {name}{index}")
-            value = acc.datas[src][elem].item()
-            fetches[(name, elem)] = [
-                tag, src, value, sid, ref.ref_id, self.cur_stmt,
-            ]
-            out[lane] = value
-        return out, out.dtype.kind in "bi"
 
     def process(self, st: _Step, executes: bool, k: int = 0) -> None:
         if not executes:
@@ -871,7 +1089,6 @@ class _InnerCtx(_Ctx):
             self.afold_results[k] = _fold_lanes(
                 st.red_op, start, value, is_int, st.stype, self.n
             )
-            self.tape_pos[k] = len(self.tape)
             self.tape.append(st.dt)
             return
         if st.kind == "reduction":
@@ -885,7 +1102,6 @@ class _InnerCtx(_Ctx):
             self.red_results[acc] = _fold_lanes(
                 st.red_op, start, value, is_int, st.stype, self.n
             )
-            self.tape_pos[k] = len(self.tape)
             self.tape.append(st.dt)
             return
         value, is_int = _eval(st.rhs, self)
@@ -896,7 +1112,6 @@ class _InnerCtx(_Ctx):
         else:
             self.scalar_shadow[st.name] = vec
             self.scalar_killed.discard(st.name)
-        self.tape_pos[k] = len(self.tape)
         self.tape.append(st.dt)
 
 
@@ -931,6 +1146,9 @@ class InnerPlan:
         self.fast = fast
         self.loop = loop
         self.v = loop.var.name
+        self.lane_vars = (self.v,)
+        #: (stmt_id, ref_id) -> (event ordinal, hoisted loop vars)
+        self.fetch_meta: dict[tuple, tuple] = {}
         self.steps: list[_Step] = []
         #: (name, canon) -> write region
         self.regions: dict[tuple, _WrittenArray] = {}
@@ -1132,88 +1350,11 @@ class InnerPlan:
 
     # ------------------------------------------------------------------
 
-    def _fetch_schedule(self, ctx: _InnerCtx, rank: int, env) -> list:
-        """Order the recorded fetches exactly as the per-iteration path
-        would have issued them and precompute each one's coalescing key
-        and startup flag (peeked — nothing is mutated until commit)."""
-        sim = self.sim
-        tape_len = len(ctx.tape)
-        entries = []
-        for (name, elem), rec in ctx.fetches.items():
-            tag, src, value, sid, rid, stmt = rec
-            v, k, _q = tag
-            flat = v * tape_len + ctx.tape_pos[k]
-            event = sim._events.get((sid, rid))
-            if event is None:
-                # raw coalescing keys embed the full env — including
-                # the takeover variable, which tier 2 sets per
-                # iteration and we do not
-                raise _Bail("fetch without a placed event")
-            outer = hoisted_loop_vars(event, stmt)
-            if self.v in outer:
-                raise _Bail("fetch key varies per lane")
-            key = (
-                "evt",
-                event.ordinal,
-                src,
-                rank,
-                tuple(env.get(nm, 0) for nm in outer),
-            )
-            entries.append((tag, flat, key, src, sid, rid, name, elem, value))
-        entries.sort(key=lambda e: e[0])
-        seen_new: set = set()
-        global_seen = sim._fetch_keys_seen
-        out = []
-        for tag, flat, key, src, sid, rid, name, elem, value in entries:
-            startup = key not in global_seen and key not in seen_new
-            if startup:
-                seen_new.add(key)
-            out.append((flat, key, startup, src, sid, rid, name, elem, value))
-        return out
-
-    def _commit_fetching_tape(
-        self, rank: int, ctx: _InnerCtx, n: int, fetch_plan: list
-    ) -> None:
-        """Charge the rank's compute tape with the fetch messages
-        replayed at their exact per-iteration positions.  Left folds
-        compose, so splitting the tape at each message reproduces the
-        interleaved ``charge_compute``/``charge_message_amortized``
-        sequence bit for bit; ``compute_time`` sees no messages and is
-        folded in one piece."""
-        sim = self.sim
-        clocks = sim.clocks
-        stats = sim.stats
-        memory = sim.memories[rank]
-        full = clocks.tile(clocks.tape(ctx.tape), n)
-        if full.size:
-            clocks.compute_time[rank] = sequential_sum(
-                clocks.compute_time[rank], full
-            )
-        prev = 0
-        for flat, key, startup, src, sid, rid, name, elem, value in fetch_plan:
-            if flat > prev:
-                clocks.time[rank] = sequential_sum(
-                    clocks.time[rank], full[prev:flat]
-                )
-                prev = flat
-            clocks.charge_message_amortized(src, rank, 1, startup)
-            if startup:
-                sim._fetch_keys_seen.add(key)
-                stats.messages += 1
-            stats.record_fetch((sid, rid), 1)
-            memory.arrays[name][elem] = value
-            memory.valid[name][elem] = True
-            memory.versions[name] += 1
-        if prev < full.shape[0]:
-            clocks.time[rank] = sequential_sum(clocks.time[rank], full[prev:])
-
     def prepare(self, low: int, high: int, step: int, env) -> Callable:
         n = slab_trip_count(low, high, step)
         sim = self.sim
         if n == 0:
-            def commit_empty():
-                pass
-            return commit_empty
+            return lambda: None
         steps = self.steps
         rank_sets: list[list[int]] = []
         exec_sets: list[set] = []
@@ -1253,80 +1394,39 @@ class InnerPlan:
                 sub_env[nm] = int(val)
         iv = low + step * np.arange(n, dtype=np.int64)
         vec_vars = {self.v: iv}
-        offs: dict[int, tuple] = {}
-        by_key: dict[tuple, tuple] = {}
-        for ref_id, (symbol, forms) in self.ref_forms.items():
-            key = (symbol.name, tuple(_canon_form(f) for f in forms))
-            got = by_key.get(key)
-            if got is None:
-                got = tuple(
-                    _bounds_checked_offset(
-                        _affine_vec(f, vec_vars, sub_env), symbol, d
-                    )
-                    for d, f in enumerate(forms)
-                )
-                by_key[key] = got
-            offs[ref_id] = got
-        if len(self.regions) > 1 or self.disjoint_reads:
-            # several write regions, or reads not matching any region:
-            # the classification was symbolic — verify the concrete
-            # index sets are disjoint, else per-iteration order matters
-            def flat_of(ref_id):
-                symbol, forms = self.ref_forms[ref_id]
-                shape = tuple(
-                    symbol.extent(d) for d in range(symbol.rank)
-                )
-                idx = tuple(
-                    np.broadcast_to(np.asarray(o, dtype=np.int64), (n,))
-                    for o in offs[ref_id]
-                )
-                return np.ravel_multi_index(idx, shape)
-
-            wflats = {
-                key: flat_of(info.ref0)
-                for key, info in self.regions.items()
-            }
-            for name, keys in self.written_arrays.items():
-                for a in range(len(keys)):
-                    for b in range(a + 1, len(keys)):
-                        if np.intersect1d(
-                            wflats[keys[a]], wflats[keys[b]]
-                        ).size:
-                            raise _Bail("write regions overlap")
-            for ref_id in self.disjoint_reads:
-                symbol, _forms = self.ref_forms[ref_id]
-                rflat = flat_of(ref_id)
-                for key in self.written_arrays[symbol.name]:
-                    if np.intersect1d(rflat, wflats[key]).size:
-                        raise _Bail("read overlaps writes across lanes")
+        offs = _lane_offsets(self.ref_forms, lambda _ref: vec_vars, sub_env)
+        _check_disjoint(self, offs, n)
+        log = _FetchLog(self)
         ctxs: dict[int, _InnerCtx] = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for r in participants:
-                ctx = _InnerCtx(self, r, iv, env, n, offs)
+                ctx = _InnerCtx(self, r, iv, env, n, offs, log)
                 for k, st in enumerate(steps):
                     ctx.process(st, r in exec_sets[k], k)
                 ctxs[r] = ctx
-        if any(ctx.fetches for ctx in ctxs.values()):
-            if len(participants) != 1:
-                # cross-rank message/compute interleaving would need
-                # the per-instance global order; leave it to tier 2
-                raise _Bail("fetching takeover with multiple executors")
-            fetch_plan = self._fetch_schedule(
-                ctxs[participants[0]], participants[0], env
-            )
-        else:
-            fetch_plan = None
+        if log.reads and len(participants) != 1:
+            # instance numbers here assume one rank runs every step
+            raise _Bail("fetching takeover with multiple executors")
+        fetch_plan = log.schedule(env)
 
         def commit():
             memories = sim.memories
             clocks = sim.clocks
-            for r in participants:
-                tape = ctxs[r].tape
-                if fetch_plan is not None:
-                    self._commit_fetching_tape(r, ctxs[r], n, fetch_plan)
-                elif tape:
+            fetched = 0
+            if fetch_plan is not None:
+                # one rank runs every step of every lane, in order
+                fetched = log.commit(
+                    fetch_plan,
+                    clocks.tape(ctxs[participants[0]].tape),
+                    {participants[0]: (
+                        np.tile(np.arange(len(steps)), n),
+                        np.arange(n * len(steps)),
+                    )},
+                )
+            else:
+                for r in participants:
                     clocks.charge_compute_tape(
-                        r, clocks.tile(clocks.tape(tape), n)
+                        r, clocks.tile(clocks.tape(ctxs[r].tape), n)
                     )
             for key, info in self.regions.items():
                 name = key[0]
@@ -1361,7 +1461,7 @@ class InnerPlan:
                         memories[r].scalar_store(
                             st.name, ctxs[r].red_results[st.name].item()
                         )
-                elif st.kind == "afold":
+                elif st.kind in ("afold", "sfold"):
                     off = offs[st.stmt.lhs.ref_id]
                     for r in rank_sets[k]:
                         memory = memories[r]
@@ -1370,28 +1470,70 @@ class InnerPlan:
                         )
                         memory.valid[st.name][off] = True
                         memory.versions[st.name] += n
-                    # private accumulation: non-executors keep their
-                    # copies untouched, exactly like scalar reductions
-                elif st.kind == "sfold":
-                    # a plain owner-computes store, just serialized:
-                    # non-executors are invalidated once per iteration
-                    off = offs[st.stmt.lhs.ref_id]
-                    wset = exec_sets[k]
-                    for r in rank_sets[k]:
-                        memory = memories[r]
-                        memory.arrays[st.name][off] = (
-                            ctxs[r].afold_results[k].item()
-                        )
-                        memory.valid[st.name][off] = True
-                        memory.versions[st.name] += n
-                    if len(wset) < len(memories):
+                    # afold accumulates privately: non-executors keep
+                    # their copies, exactly like scalar reductions.  An
+                    # sfold is a plain owner-computes store, just
+                    # serialized: it invalidates them once per iteration
+                    if st.kind == "sfold":
                         for r2, memory in enumerate(memories):
-                            if r2 not in wset:
+                            if r2 not in exec_sets[k]:
                                 memory.valid[st.name][off] = False
                                 memory.versions[st.name] += n
             sim.slab_instances += n * len(steps)
+            return fetched
 
         return commit
+
+
+def _set_owner_position(plan, steps) -> None:
+    """Fix the plan's executor position: the canonical owner position
+    of ``steps`` — identical across them; replicated statements run on
+    every rank and carry none — as ``pos_form``/``pos_fmt``, with
+    ``pos_ranks`` tabulating the executing rank of every template
+    position of that (1-D grid) format."""
+    sim = plan.sim
+    canon = _MISSING
+    for st in steps:
+        if st.repl:
+            continue
+        info = sim.compiled.executors.get(st.sid)
+        if info is None or info.kind != "owner" or len(info.position) != 1:
+            raise _Bail("executor is not a 1-D owner position")
+        dim = info.position[0]
+        if dim.kind != "pos" or dim.form is None or dim.fmt is None:
+            raise _Bail("executor position is not a point")
+        c = _canon_form(dim.form)
+        if canon is _MISSING:
+            canon = c
+            plan.pos_form, plan.pos_fmt = dim.form, dim.fmt
+        elif c != canon:
+            raise _Bail("executor position differs across statements")
+    if canon is _MISSING:
+        raise _Bail("no owner-positioned statement")
+    rank_of = np.asarray(
+        [sim.grid.rank_of((c,)) for c in range(sim.grid.shape[0])],
+        dtype=np.int64,
+    )
+    plan.pos_ranks = rank_of[
+        np.asarray(plan.fast.etables.owner_table(plan.pos_fmt), dtype=np.int64)
+    ]
+
+
+def _exec_columns(plan, jvec: np.ndarray, env) -> tuple:
+    """Executor position, executing rank, and rank -> columns map of
+    the outer iterations ``jvec`` of a column-style plan."""
+    pos = np.asarray(
+        _affine_vec(plan.pos_form, {plan.j: jvec}, env), dtype=np.int64
+    )
+    if pos.ndim == 0:
+        pos = np.full(jvec.size, int(pos), dtype=np.int64)
+    if int(pos.min()) < 0 or int(pos.max()) >= plan.pos_fmt.extent:
+        raise _Bail("executor position out of range")
+    exec_col = plan.pos_ranks[pos]
+    cols_of = {
+        int(r): np.nonzero(exec_col == r)[0] for r in np.unique(exec_col)
+    }
+    return pos, exec_col, cols_of
 
 
 class _ColCtx(_Ctx):
@@ -1534,9 +1676,6 @@ class ColumnPlan:
         self.j = loop.var.name
         if sim.grid.rank != 1:
             raise _Bail("grid is not one-dimensional")
-        inner = None
-        pre: list[_Step] = []
-        post: list[_Step] = []
 
         def make_step(stmt) -> _Step:
             dt = fast._dt.get(stmt.stmt_id)
@@ -1548,55 +1687,25 @@ class ColumnPlan:
             st.kind = "array" if isinstance(stmt.lhs, ArrayElemRef) else "scalar"
             return st
 
-        for stmt in loop.body:
-            if isinstance(stmt, ContinueStmt):
-                continue
-            if isinstance(stmt, LoopStmt):
-                if inner is not None:
-                    raise _Bail("more than one inner loop")
-                inner = stmt
-                continue
-            if not isinstance(stmt, AssignStmt):
-                raise _Bail("non-assign in body")
-            (pre if inner is None else post).append(make_step(stmt))
-        if inner is None:
-            raise _Bail("no inner loop")
+        nest = _split_nest(loop)
+        if isinstance(nest, str):
+            raise _Bail(nest)
+        inner = nest[0]
         if inner.stmt_id in sim._reductions_by_loop:
             raise _Bail("inner loop combines a reduction")
         self.inner = inner
         self.i = inner.var.name
-        body: list[_Step] = []
-        for stmt in inner.body:
-            if isinstance(stmt, ContinueStmt):
-                continue
-            if not isinstance(stmt, AssignStmt):
-                raise _Bail("non-assign in inner body")
-            body.append(make_step(stmt))
+        pre, body, post = (
+            [make_step(stmt) for stmt in stmts] for stmts in nest[1:]
+        )
         self.pre, self.body, self.post = pre, body, post
         all_steps = pre + body + post
         if not all_steps:
             raise _Bail("empty body")
-        # canonical executor position (identical across statements)
-        self.pos_form = None
-        self.pos_fmt = None
         #: P-parametric charge structure of the latest prepare (None
         #: until prepared, or when no closed form applies)
         self.p_charge: PColumnCharge | None = None
-        canon = _MISSING
-        for st in all_steps:
-            info = sim.compiled.executors.get(st.sid)
-            if info is None or info.kind != "owner" or len(info.position) != 1:
-                raise _Bail("executor is not a 1-D owner position")
-            dim = info.position[0]
-            if dim.kind != "pos" or dim.form is None or dim.fmt is None:
-                raise _Bail("executor position is not a point")
-            c = _canon_form(dim.form)
-            if canon is _MISSING:
-                canon = c
-                self.pos_form = dim.form
-                self.pos_fmt = dim.fmt
-            elif c != canon:
-                raise _Bail("executor position differs across statements")
+        _set_owner_position(self, all_steps)
         # written names; column discipline per array
         self.written_scalars: set[str] = set()
         self.written_arrays: set[str] = set()
@@ -1674,28 +1783,9 @@ class ColumnPlan:
         nj = slab_trip_count(low, high, step)
         sim = self.sim
         if nj == 0:
-            def commit_empty():
-                pass
-            return commit_empty
+            return lambda: None
         jvec = low + step * np.arange(nj, dtype=np.int64)
-        pos = _affine_vec(self.pos_form, {self.j: jvec}, env)
-        pos = np.asarray(pos, dtype=np.int64)
-        if pos.ndim == 0:
-            pos = np.full(nj, int(pos), dtype=np.int64)
-        fmt = self.pos_fmt
-        if pos.size and (int(pos.min()) < 0 or int(pos.max()) >= fmt.extent):
-            raise _Bail("executor position out of range")
-        owner = np.asarray(self.fast.etables.owner_table(fmt), dtype=np.int64)
-        coord = owner[pos]
-        rank_of = np.asarray(
-            [sim.grid.rank_of((c,)) for c in range(sim.grid.shape[0])],
-            dtype=np.int64,
-        )
-        exec_col = rank_of[coord]
-        cols_of = {
-            int(r): np.nonzero(exec_col == r)[0]
-            for r in np.unique(exec_col)
-        }
+        pos, exec_col, cols_of = _exec_columns(self, jvec, env)
         # inner bounds: evaluated once (checked invariant), uncharged,
         # exactly like the per-iteration walker's eval_bound
         try:
@@ -1717,6 +1807,7 @@ class ColumnPlan:
         # index, i.e. the per-rank column counts are slab_owned_trips
         # evaluated at the concrete P
         charge_form = None
+        fmt = self.pos_fmt
         if fmt.kind == "block" and fmt.procs == sim.grid.shape[0]:
             charge_form = PColumnCharge(
                 extent=fmt.extent,
@@ -1825,14 +1916,18 @@ class _TriCtx(_Ctx):
     prologue and epilogue run with one lane per outer iteration
     (column), the inner body with one lane per (outer, inner) instance.
     Every lane executes on its column's owner, so evaluation is global
-    and per-rank state is gathered lane-wise from the owning rank."""
+    and per-rank state is gathered lane-wise from the executing rank —
+    which fetches what it reads but does not hold."""
 
     #: statement phases, in execution order
     PRE, BODY, POST = 0, 1, 2
 
     def __init__(self, plan: "TriangularPlan", jvec, iflat, jflat,
-                 widths, env, exec_col, cols_of, offs):
+                 widths, env, exec_col, cols_of, offs, inst0, log):
         self.plan = plan
+        self.log = log
+        #: phase -> instance number of each lane's first statement
+        self.inst0 = inst0
         self.jvec = jvec
         self.iflat = iflat
         self.jflat = jflat
@@ -1847,15 +1942,23 @@ class _TriCtx(_Ctx):
         self.rank_flat = np.repeat(exec_col, widths)
         #: last flat lane of each column
         self.seg_end = np.cumsum(widths) - 1
+        #: (rank, its lanes) of the column phases and of the body
+        self.lanes_of = (
+            list(cols_of.items()),
+            [(r, np.flatnonzero(self.rank_flat == r)) for r in cols_of],
+        )
         self.phase = self.PRE
-        #: the statement being processed is replicated on every rank
+        #: the statement being processed, its index within the phase,
+        #: whether it is replicated on every rank, and its reads so far
+        self.cur_stmt = None
+        self.cur_k = 0
         self.cur_repl = False
+        self.q = 0
         #: phase -> scalar name -> lane vector of that phase
         self.scalar_shadow: tuple[dict, dict, dict] = ({}, {}, {})
         self.scalar_cache: dict[str, tuple] = {}
         self.repl_cache: dict[str, tuple] = {}
         self.array_shadow: dict[tuple, np.ndarray] = {}
-        self.tape: tuple[list, list, list] = ([], [], [])
 
     def _lanes(self) -> int:
         return self.nflat if self.phase == self.BODY else self.nj
@@ -1950,26 +2053,11 @@ class _TriCtx(_Ctx):
             vec = np.repeat(vec, self.widths)
         return vec, is_int
 
-    def _gather(self, name: str, off, owner: np.ndarray):
-        """Each lane reads its column owner's copy; any invalid element
-        would fetch per-iteration, so the takeover declines."""
-        memories = self.plan.sim.memories
-        nl = owner.size
-        offv = tuple(
-            np.broadcast_to(np.asarray(o, dtype=np.int64), (nl,))
-            for o in off
-        )
-        out = np.empty(nl, dtype=memories[0].array_dtype(name))
-        for r in np.unique(owner):
-            lanes = np.nonzero(owner == r)[0]
-            sel = tuple(o[lanes] for o in offv)
-            memory = memories[int(r)]
-            if not bool(np.all(memory.valid[name][sel])):
-                raise _Bail(f"array {name} read would fetch")
-            out[lanes] = memory.arrays[name][sel]
-        return out, out.dtype.kind in "bi"
-
     def read_array(self, ref: ArrayElemRef):
+        """Each lane reads its executing rank's copy.  An element
+        invalid there is one the per-iteration path would fetch: logged
+        and read from its source, unless the takeover itself writes the
+        element's region — then it declines."""
         name = ref.symbol.name
         rk = self.plan.read_region.get(ref.ref_id)
         if rk is not None:
@@ -1978,19 +2066,37 @@ class _TriCtx(_Ctx):
                 return vec, vec.dtype.kind in "bi"
             # read before this lane's write: pre-state (regions are
             # injective per column, columns are disjoint)
-        off = self.offs[ref.ref_id]
-        owner = self.rank_flat if self.phase == self.BODY else self.exec_col
-        return self._gather(name, off, owner)
+        self.q += 1
+        memories = self.plan.sim.memories
+        offv = _lane_index(self.offs[ref.ref_id], self._lanes())
+        out = np.empty(self._lanes(), dtype=memories[0].array_dtype(name))
+        for r, lanes in self.lanes_of[self.phase == self.BODY]:
+            sel = tuple(o[lanes] for o in offv)
+            memory = memories[r]
+            out[lanes] = memory.arrays[name][sel]
+            ok = memory.valid[name][sel]
+            if not ok.all():
+                if rk is not None:
+                    raise _Bail(f"written array {name} read would fetch")
+                bad = np.flatnonzero(~ok)
+                out[lanes[bad]] = self.log._fetch_read(
+                    ref, self.cur_stmt, self.q, r,
+                    tuple(o[bad] for o in sel),
+                    self.inst0[self.phase][lanes[bad]] + self.cur_k,
+                )
+        return out, out.dtype.kind in "bi"
 
-    def process(self, st: _Step) -> None:
+    def process(self, st: _Step, k: int) -> None:
+        self.cur_stmt = st.stmt
+        self.cur_k = k
         self.cur_repl = st.repl
+        self.q = 0
         value, is_int = _eval(st.rhs, self)
         vec = _coerce_vec(value, is_int, st.stype, self._lanes())
         if st.kind == "array":
             self.array_shadow[st.region_key] = vec
         else:
             self.scalar_shadow[self.phase][st.name] = vec
-        self.tape[self.phase].append(st.dt)
 
 
 class TriangularPlan:
@@ -1999,10 +2105,13 @@ class TriangularPlan:
     outer index (triangular nests).  The outer iterations are columns
     executed on their owner rank; prologue/epilogue statements get one
     lane per column, the inner body one lane per (outer, inner)
-    instance, flattened.  Exact because every reference touches only
-    its own column and regions are injective within it — anything
-    runtime-dependent (validity, bounds, widths, region overlap) bails
-    to tier 2 before any mutation."""
+    instance, flattened.  Exact because every store touches only its
+    own column, regions are injective within it, and what a lane reads
+    outside its column is never written by the takeover — such reads go
+    through the lane's executing rank, fetching like tier 2
+    (:class:`_FetchLog`).  Anything runtime-dependent (validity of
+    written regions, bounds, widths, region and read overlap) bails to
+    tier 2 before any mutation."""
 
     def __init__(self, slab: "SlabExecutor", loop: LoopStmt):
         sim = slab.sim
@@ -2013,9 +2122,6 @@ class TriangularPlan:
         self.j = loop.var.name
         if sim.grid.rank != 1:
             raise _Bail("grid is not one-dimensional")
-        inner = None
-        pre: list[_Step] = []
-        post: list[_Step] = []
 
         def make_step(stmt) -> _Step:
             dt = fast._dt.get(stmt.stmt_id)
@@ -2037,30 +2143,20 @@ class TriangularPlan:
                         raise _Bail("replicated statement reads an array")
             return st
 
-        for stmt in loop.body:
-            if isinstance(stmt, ContinueStmt):
-                continue
-            if isinstance(stmt, LoopStmt):
-                if inner is not None:
-                    raise _Bail("more than one inner loop")
-                inner = stmt
-                continue
-            if not isinstance(stmt, AssignStmt):
-                raise _Bail("non-assign in body")
-            (pre if inner is None else post).append(make_step(stmt))
-        if inner is None:
-            raise _Bail("no inner loop")
+        nest = _split_nest(loop)
+        if isinstance(nest, str):
+            raise _Bail(nest)
+        inner = nest[0]
         if inner.stmt_id in sim._reductions_by_loop:
             raise _Bail("inner loop combines a reduction")
         self.inner = inner
         self.i = inner.var.name
-        body: list[_Step] = []
-        for stmt in inner.body:
-            if isinstance(stmt, ContinueStmt):
-                continue
-            if not isinstance(stmt, AssignStmt):
-                raise _Bail("non-assign in inner body")
-            body.append(make_step(stmt))
+        self.lane_vars = (self.j, self.i)
+        #: (stmt_id, ref_id) -> (event ordinal, hoisted loop vars)
+        self.fetch_meta: dict[tuple, tuple] = {}
+        pre, body, post = (
+            [make_step(stmt) for stmt in stmts] for stmts in nest[1:]
+        )
         if not body:
             raise _Bail("empty inner body")
         self.pre, self.body, self.post = pre, body, post
@@ -2069,30 +2165,7 @@ class TriangularPlan:
             for ph, steps in ((0, pre), (1, body), (2, post))
             for st in steps
         ]
-        # canonical executor position of the owner-positioned statements
-        # (identical across them, a function of j only); replicated
-        # statements run on every rank and carry no position
-        self.pos_form = None
-        self.pos_fmt = None
-        canon = _MISSING
-        for st, _ph in phased:
-            if st.repl:
-                continue
-            info = sim.compiled.executors.get(st.sid)
-            if info is None or info.kind != "owner" or len(info.position) != 1:
-                raise _Bail("executor is not a 1-D owner position")
-            dim = info.position[0]
-            if dim.kind != "pos" or dim.form is None or dim.fmt is None:
-                raise _Bail("executor position is not a point")
-            c = _canon_form(dim.form)
-            if canon is _MISSING:
-                canon = c
-                self.pos_form = dim.form
-                self.pos_fmt = dim.fmt
-            elif c != canon:
-                raise _Bail("executor position differs across statements")
-        if canon is _MISSING:
-            raise _Bail("no owner-positioned statement")
+        _set_owner_position(self, pre + body + post)
         # written names; write regions (body only) like InnerPlan's
         self.scalar_phase: dict[str, int] = {}
         self.scalar_repl: dict[str, bool] = {}
@@ -2101,6 +2174,10 @@ class TriangularPlan:
         self.read_region: dict[int, tuple] = {}
         self.disjoint_reads: list[int] = []
         self.ref_forms: dict[int, tuple] = {}
+        #: ref ids of the inner loop's statements (flat-lane refs)
+        self.body_refs = {
+            r.ref_id for st in body for r in _stmt_array_refs(st.stmt)
+        }
         for st, ph in phased:
             if st.kind == "scalar":
                 got = self.scalar_phase.setdefault(st.name, ph)
@@ -2182,32 +2259,36 @@ class TriangularPlan:
 
     # ------------------------------------------------------------------
 
+    def _rank_tapes(self, count, inst0, exec_col):
+        """Each rank's tier-2 tape as ``(rank, step, inst)``: the
+        statement (index into pre + body + post) and the number of
+        every instance it runs, in order — all of its own columns',
+        the replicated ones of foreign columns."""
+        steps = self.pre + self.body + self.post
+        step_of = np.empty(
+            int(count.sum()), dtype=np.min_scalar_type(len(steps))
+        )
+        s0 = 0
+        for first, phase in zip(inst0, (self.pre, self.body, self.post)):
+            for k in range(len(phase)):
+                step_of[first + k] = s0 + k
+            s0 += len(phase)
+        repl = np.asarray([st.repl for st in steps])
+        if repl.any():
+            ranks, everywhere = range(len(self.sim.memories)), repl[step_of]
+        else:
+            ranks, everywhere = np.unique(exec_col).tolist(), False
+        for r in ranks:
+            mine = np.flatnonzero(np.repeat(exec_col == r, count) | everywhere)
+            yield r, step_of[mine], mine
+
     def prepare(self, low: int, high: int, step: int, env) -> Callable:
         nj = slab_trip_count(low, high, step)
         sim = self.sim
         if nj == 0:
-            def commit_empty():
-                pass
-            return commit_empty
+            return lambda: None
         jvec = low + step * np.arange(nj, dtype=np.int64)
-        pos = _affine_vec(self.pos_form, {self.j: jvec}, env)
-        pos = np.asarray(pos, dtype=np.int64)
-        if pos.ndim == 0:
-            pos = np.full(nj, int(pos), dtype=np.int64)
-        fmt = self.pos_fmt
-        if pos.size and (int(pos.min()) < 0 or int(pos.max()) >= fmt.extent):
-            raise _Bail("executor position out of range")
-        owner = np.asarray(self.fast.etables.owner_table(fmt), dtype=np.int64)
-        coord = owner[pos]
-        rank_of = np.asarray(
-            [sim.grid.rank_of((c,)) for c in range(sim.grid.shape[0])],
-            dtype=np.int64,
-        )
-        exec_col = rank_of[coord]
-        cols_of = {
-            int(r): np.nonzero(exec_col == r)[0]
-            for r in np.unique(exec_col)
-        }
+        _pos, exec_col, cols_of = _exec_columns(self, jvec, env)
         # per-column inner bounds — the triangular part
         try:
             si = (
@@ -2235,126 +2316,64 @@ class TriangularPlan:
         nflat = int(widths.sum())
         seg_start = np.cumsum(widths) - widths
         jflat = np.repeat(jvec, widths)
-        iflat = np.repeat(li, widths) + si * (
-            np.arange(nflat, dtype=np.int64) - np.repeat(seg_start, widths)
+        #: inner iteration number of each flat lane within its column
+        tflat = np.arange(nflat, dtype=np.int64) - np.repeat(seg_start, widths)
+        iflat = np.repeat(li, widths) + si * tflat
+        # lane offsets for every reference: body refs over the flat
+        # lanes, prologue/epilogue refs over the columns
+        lane_vars = ({self.j: jvec}, {self.i: iflat, self.j: jflat})
+        offs = _lane_offsets(
+            self.ref_forms,
+            lambda ref_id: lane_vars[ref_id in self.body_refs],
+            env,
         )
-        # lane offsets for every reference
-        offs: dict[int, tuple] = {}
-        by_key: dict[tuple, tuple] = {}
-        body_ids = {
-            r.ref_id
-            for st in self.body
-            for r in ([st.stmt.lhs] if st.kind == "array" else [])
-            + [x for x in st.rhs.refs() if isinstance(x, ArrayElemRef)]
-        }
-        for ref_id, (symbol, forms) in self.ref_forms.items():
-            in_body = ref_id in body_ids
-            key = (
-                symbol.name,
-                in_body,
-                tuple(_canon_form(f) for f in forms),
-            )
-            got = by_key.get(key)
-            if got is None:
-                vec_vars = (
-                    {self.i: iflat, self.j: jflat}
-                    if in_body
-                    else {self.j: jvec}
-                )
-                got = tuple(
-                    _bounds_checked_offset(
-                        _affine_vec(f, vec_vars, env), symbol, d
-                    )
-                    for d, f in enumerate(forms)
-                )
-                by_key[key] = got
-            offs[ref_id] = got
-        if len(self.regions) > 1 or self.disjoint_reads:
-            def flat_of(ref_id):
-                symbol, _forms = self.ref_forms[ref_id]
-                shape = tuple(
-                    symbol.extent(d) for d in range(symbol.rank)
-                )
-                idx = tuple(
-                    np.broadcast_to(np.asarray(o, dtype=np.int64), (nflat,))
-                    for o in offs[ref_id]
-                )
-                return np.ravel_multi_index(idx, shape)
-
-            wflats = {
-                key: flat_of(info.ref0)
-                for key, info in self.regions.items()
-            }
-            for name, keys in self.written_arrays.items():
-                for a in range(len(keys)):
-                    for b in range(a + 1, len(keys)):
-                        if np.intersect1d(
-                            wflats[keys[a]], wflats[keys[b]]
-                        ).size:
-                            raise _Bail("write regions overlap")
-            for ref_id in self.disjoint_reads:
-                symbol, _forms = self.ref_forms[ref_id]
-                rflat = flat_of(ref_id)
-                for key in self.written_arrays[symbol.name]:
-                    if np.intersect1d(rflat, wflats[key]).size:
-                        raise _Bail("read overlaps writes across lanes")
+        _check_disjoint(self, offs, nflat)
+        # statement instances in per-iteration order: column by column,
+        # prologue, body step by step, epilogue
+        npre, nbody = len(self.pre), len(self.body)
+        count = npre + widths * nbody + len(self.post)
+        base = np.cumsum(count) - count
+        inst0 = (
+            base,
+            np.repeat(base + npre, widths) + nbody * tflat,
+            base + npre + widths * nbody,
+        )
+        log = _FetchLog(self)
         ctx = _TriCtx(
-            self, jvec, iflat, jflat, widths, env, exec_col, cols_of, offs
+            self, jvec, iflat, jflat, widths, env, exec_col, cols_of, offs,
+            inst0, log,
         )
+        phases = (self.pre, self.body, self.post)
         with np.errstate(over="ignore", invalid="ignore"):
-            for st in self.pre:
-                ctx.process(st)
-            ctx.phase = ctx.BODY
-            for st in self.body:
-                ctx.process(st)
-            ctx.phase = ctx.POST
-            for st in self.post:
-                ctx.process(st)
+            for phase, steps in enumerate(phases):
+                ctx.phase = phase
+                for k, st in enumerate(steps):
+                    ctx.process(st, k)
+        fetch_plan = log.schedule(env)
 
         def commit():
             memories = sim.memories
             clocks = sim.clocks
-            # each rank's tier-2 tape: its own columns run every
-            # statement, foreign columns only the replicated ones
-            own = tuple(
-                clocks.tape([st.dt for st in steps])
-                for steps in (self.pre, self.body, self.post)
+            dts = clocks.tape(
+                [st.dt for st in self.pre + self.body + self.post]
             )
-            foreign = tuple(
-                clocks.tape([st.dt for st in steps if st.repl])
-                for steps in (self.pre, self.body, self.post)
-            )
-            if any(f.size for f in foreign):
-                ranks = range(len(memories))
+            tapes = self._rank_tapes(count, inst0, exec_col)
+            fetched = 0
+            if fetch_plan is not None:
+                fetched = log.commit(
+                    fetch_plan, dts, {r: (step, at) for r, step, at in tapes}
+                )
             else:
-                ranks = cols_of
-            for r in ranks:
-                parts = []
-                for c in (
-                    range(nj) if ranks is not cols_of else cols_of[r]
-                ):
-                    pre_dts, body_dts, post_dts = (
-                        own if int(exec_col[c]) == r else foreign
-                    )
-                    parts.append(pre_dts)
-                    parts.append(clocks.tile(body_dts, int(widths[c])))
-                    parts.append(post_dts)
-                seq = clocks.cat(parts) if parts else own[0][:0]
-                if seq.size:
-                    clocks.charge_compute_tape(r, seq)
+                for r, step, _at in tapes:
+                    clocks.charge_compute_tape(r, dts[step])
             many = sim.grid.size > 1
             rank_flat = ctx.rank_flat
             for key, info in self.regions.items():
                 name = key[0]
-                off = offs[info.ref0]
-                offv = tuple(
-                    np.broadcast_to(np.asarray(o, dtype=np.int64), (nflat,))
-                    for o in off
-                )
+                offv = _lane_index(offs[info.ref0], nflat)
                 nw = len(info.write_steps)
                 shadow = ctx.array_shadow[key]
-                for r in cols_of:
-                    lanes = np.nonzero(rank_flat == r)[0]
+                for r, lanes in ctx.lanes_of[1]:
                     sel = tuple(o[lanes] for o in offv)
                     memory = memories[r]
                     memory.arrays[name][sel] = shadow[lanes]
@@ -2396,6 +2415,7 @@ class TriangularPlan:
             sim.slab_instances += nj * (
                 len(self.pre) + len(self.post)
             ) + nflat * len(self.body)
+            return fetched
 
         return commit
 
@@ -2462,7 +2482,7 @@ class SlabExecutor:
                 return InnerPlan(self, stmt)
             if self.report.column.get(sid) == "ok":
                 return ColumnPlan(self, stmt)
-            if getattr(self.report, "triangular", {}).get(sid) == "ok":
+            if self.report.triangular.get(sid) == "ok":
                 return TriangularPlan(self, stmt)
         except _Bail as bail:
             self._record_bail(stmt, str(bail))
@@ -2518,11 +2538,13 @@ class SlabExecutor:
             return False
         # Phase B (commit) is outside the net: a failure here would mean
         # corrupted state and must surface, not silently re-execute.
-        commit()
+        fetched = commit()
         self._committed.add(sid)
         self._decide(sid, "slab")
         if sim.metrics is not None:
             sim.metrics.inc(f"slab.takeover[loop=S{sid}]")
+            if fetched:
+                sim.metrics.inc(f"slab.fetch_replay[loop=S{sid}]", fetched)
         if sim.tracer.enabled:
             sim.tracer.instant(
                 "slab.takeover", cat="sim", loop=sid, low=low,

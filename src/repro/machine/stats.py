@@ -26,6 +26,8 @@ def sequential_sum(start, dts: np.ndarray):
     so each lane is bitwise identical to a scalar fold of its column."""
     if dts.size == 0:
         return start
+    if dts.shape[0] == 1:  # a one-term fold is one addition
+        return float(start + dts[0]) if dts.ndim == 1 else start + dts[0]
     if dts.ndim == 1:
         buf = np.empty(dts.size + 1, dtype=np.float64)
         buf[0] = start

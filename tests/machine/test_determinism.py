@@ -260,14 +260,14 @@ class TestNarrowedSlabGuards:
 
         from repro.machine import lowering
 
-        original = lowering._ArrayAccess.candidates
+        original = lowering._ArrayAccess.owners
 
-        def sabotaged(self, index):
+        def sabotaged(self, offs):
             if "_fetch_read" in sys._getframe(1).f_code.co_qualname:
                 raise exc
-            return original(self, index)
+            return original(self, offs)
 
-        monkeypatch.setattr(lowering._ArrayAccess, "candidates", sabotaged)
+        monkeypatch.setattr(lowering._ArrayAccess, "owners", sabotaged)
 
     def test_typeerror_in_owner_lookup_propagates(
         self, compiled, inputs, monkeypatch

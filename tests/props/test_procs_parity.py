@@ -145,9 +145,10 @@ def test_random_procs_subsets_stay_byte_identical(procs, machines):
 #: mirrors SlabExecutor.GIVE_UP_AFTER (an instance attribute)
 GIVE_UP_AFTER = 8
 
-#: enough outer iterations that tomcatv's slab-approved nests are
-#: entered well past GIVE_UP_AFTER times
-DEMOTE_SOURCE_NITER = 3
+#: enough outer iterations that tomcatv's slab-approved nests — taken
+#: over at the ``j`` loop, once per iteration — are entered past
+#: GIVE_UP_AFTER times
+DEMOTE_SOURCE_NITER = 10
 
 
 def _force_prepare_bails(monkeypatch):

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CompilerOptions, compile_source
+from repro.ir.stmt import LoopStmt
 from repro.machine import simulate
+from repro.obs import Metrics
 
 DISTRIBUTIONS = [
     "!HPF$ DISTRIBUTE (*, BLOCK) :: A\n",  # column-owned: slab-eligible
@@ -82,6 +84,7 @@ def assert_invisible(slab, other):
         for name in om.arrays:
             assert sm.arrays[name].tobytes() == om.arrays[name].tobytes()
             assert sm.valid[name].tobytes() == om.valid[name].tobytes()
+            assert sm.versions[name] == om.versions[name]
         assert sm.scalars == om.scalars
         assert sm.scalar_valid == om.scalar_valid
     for name in ("A", "B", "C"):
@@ -112,15 +115,32 @@ def triangular_nests(draw):
     """Imperfect triangular nests in the dgefa mould: inner bounds
     depend on the outer loop variable, with optional scalar prologue
     and epilogue statements and an optional reduction into one element
-    of the owned column."""
+    of the owned column.  A lane may also read outside its own column —
+    the part of the kernel's signature a rank needs but does not own: a
+    pivot-column read of the written array (``A(i,k)``, dgefa's update
+    sweep) and halo reads of an unwritten one (``B(i,j±1)``, tomcatv's
+    stencil), optionally under an enclosing ``k`` loop that moves the
+    pivot.  Returns (source, n, block-distributed?, entries of the
+    ``j`` nest when the whole nest is one takeover with such reads
+    inside, else None)."""
     n = draw(st.integers(min_value=8, max_value=12))
     dist = draw(st.sampled_from(TRI_DISTS))
     lower = draw(st.booleans())
     prologue = draw(st.booleans())
     epilogue = draw(st.booleans())
     col_reduce = draw(st.booleans())
-    irange = "j, n - 1" if lower else "2, j"
-    lines = []
+    pivot = draw(st.booleans()) and not col_reduce
+    halo = draw(
+        st.sampled_from([(), ("j - 1",), ("j + 1",), ("j - 1", "j + 1")])
+    )
+    k_loop = draw(st.booleans()) and pivot  # else a reduction over k
+    # the pivot column is never written: j starts one past it
+    p = "k" if k_loop else "2" if pivot else "1"
+    cross = "".join(f" + 0.25 * B(i,{col})" for col in halo)
+    if pivot:
+        cross += f" + 0.5 * A(i,{p})"
+    irange = "j, n - 1" if lower else f"{p} + 1, j"
+    lines = [f"  DO j = {p} + 1, n - 1"]
     if prologue:
         lines.append("    S = 0.5 * j")
     lines.append(f"    DO i = {irange}")
@@ -128,12 +148,12 @@ def triangular_nests(draw):
         # reduction into one element of the owned column, dgefa-style:
         # A appears only as the fold accumulator
         lines.append(
-            "      C(i,j) = B(i,j) * 1.25 + S" if prologue
-            else "      C(i,j) = B(i,j) * 1.25 + C(i,j)"
+            f"      C(i,j) = B(i,j) * 1.25 + S{cross}" if prologue
+            else f"      C(i,j) = B(i,j) * 1.25 + C(i,j){cross}"
         )
         lines.append("      A(1,j) = A(1,j) + B(i,j)")
     else:
-        lines.append("      A(i,j) = B(i,j) * 1.25 + C(i,j)")
+        lines.append(f"      A(i,j) = B(i,j) * 1.25 + C(i,j){cross}")
         lines.append(
             "      C(i,j) = A(i,j) + S" if prologue
             else "      C(i,j) = A(i,j) + B(i,j)"
@@ -141,23 +161,27 @@ def triangular_nests(draw):
     lines.append("    END DO")
     if epilogue:
         lines.append("    T = 1.0 + 0.25 * j")
+    lines.append("  END DO")
+    if k_loop:
+        lines = ["  DO k = 2, 3"] + ["  " + ln for ln in lines] + ["  END DO"]
     source = (
         f"PROGRAM R\n  PARAMETER (n = {n})\n"
         "  REAL A(n,n), B(n,n), C(n,n)\n  REAL S, T\n"
         "!HPF$ ALIGN (i,j) WITH A(i,j) :: B, C\n"
         + dist
         + "  S = 0.0\n  T = 0.0\n"
-        "  DO j = 2, n - 1\n"
         + "".join(line + "\n" for line in lines)
-        + "  END DO\nEND PROGRAM\n"
+        + "END PROGRAM\n"
     )
-    return source, n, dist is TRI_DISTS[0]
+    # (the column fold is the inner-loop plan's shape, nest or no nest)
+    entries = (2 if k_loop else 1) if cross and not col_reduce else None
+    return source, n, dist is TRI_DISTS[0], entries
 
 
 @given(triangular_nests(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_triangular_nests_are_bit_for_bit_invisible(case, procs):
-    source, n, block_dist = case
+    source, n, block_dist, _ = case
     slab, lowered, walker = run_three_ways(source, n, procs)
     assert_invisible(slab, lowered)
     assert_invisible(slab, walker)
@@ -168,12 +192,46 @@ def test_triangular_nests_are_bit_for_bit_invisible(case, procs):
         assert slab.slab_instances > 0
 
 
+@given(
+    triangular_nests().filter(lambda case: case[3] is not None),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_cross_column_reads_are_fetched_inside_one_takeover(case, procs):
+    """Reads that leave the lane's column do not push the nest off the
+    slab path: the ``j`` nest commits once per entry with its fetches
+    replayed inside, byte-identical to both lower tiers in clocks,
+    traffic, and every rank's data, validity and versions."""
+    source, n, _, entries = case
+    rng = np.random.default_rng(n * 31 + procs)
+    inputs = {name: rng.uniform(1, 2, (n, n)) for name in ("A", "B", "C")}
+    compiled = compile_source(source, CompilerOptions(num_procs=procs))
+    metrics = Metrics()
+    slab = simulate(compiled, inputs, tier="slab", metrics=metrics)
+    lowered = simulate(compiled, inputs, tier="lowered")
+    walker = simulate(compiled, inputs, tier="interpreted")
+    assert_invisible(slab, lowered)
+    assert_invisible(slab, walker)
+    assert lowered.slab_instances == 0
+    assert slab.slab_instances > 0
+    assert not any(key.startswith("slab.bail") for key in metrics.counters)
+    if procs > 1:  # on one rank there is no owner position to slice by
+        (j_loop,) = (
+            s.stmt_id
+            for s in compiled.proc.all_stmts()
+            if isinstance(s, LoopStmt) and s.var.name == "J"
+        )
+        taken = metrics.counters[f"slab.takeover[loop=S{j_loop}]"]
+        assert taken == entries
+        assert slab.interp_instances == 2  # ``S`` and ``T`` set up front
+
+
 @given(triangular_nests(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=15, deadline=None)
 def test_auto_tier_matches_forced_tiers(case, procs):
     """tier="auto" consults the TierPlan per nest but must stay
     bit-for-bit identical to every forced tier."""
-    source, n, _ = case
+    source, n, _, _ = case
     rng = np.random.default_rng(n * 31 + procs)
     inputs = {name: rng.uniform(1, 2, (n, n)) for name in ("A", "B", "C")}
     compiled = compile_source(source, CompilerOptions(num_procs=procs))
