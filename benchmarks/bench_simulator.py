@@ -134,7 +134,7 @@ def _tracer_overhead(compiled, inputs):
         for traced in (False, True) if pair % 2 == 0 else (True, False):
             started = time.perf_counter()
             sim = simulate(
-                compiled, inputs, fast_path=True, slab_path=True,
+                compiled, inputs, tier="slab",
                 tracer=Tracer(enabled=False) if traced else None,
             )
             seconds[traced] = time.perf_counter() - started
@@ -185,15 +185,15 @@ def test_engine_speedups(name, source, inputs, gates):
     compiled = compile_source(source, CompilerOptions())
 
     started = time.perf_counter()
-    slow = simulate(compiled, inputs, fast_path=False)
+    slow = simulate(compiled, inputs, tier="interpreted")
     interpreted_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    fast = simulate(compiled, inputs, fast_path=True, slab_path=False)
+    fast = simulate(compiled, inputs, tier="lowered")
     lowered_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
+    slab = simulate(compiled, inputs, tier="slab")
     slab_s = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -341,9 +341,9 @@ def test_identity_under_every_ablation(pname, source, inputs, vname, options):
     mapping-strategy and optimization ablation, across all three
     execution engines."""
     compiled = compile_source(source, options)
-    slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
-    fast = simulate(compiled, inputs, fast_path=True, slab_path=False)
-    slow = simulate(compiled, inputs, fast_path=False)
+    slab = simulate(compiled, inputs, tier="slab")
+    fast = simulate(compiled, inputs, tier="lowered")
+    slow = simulate(compiled, inputs, tier="interpreted")
     assert_identical(fast, slow)
     assert_identical(slab, slow)
 
@@ -368,9 +368,9 @@ def test_identity_on_fuzz_corpus(path):
     for procs in (3, 4):
         compiled = compile_source(source, CompilerOptions(num_procs=procs))
         inputs = make_inputs(source, 0)
-        slow = simulate(compiled, dict(inputs), fast_path=False)
-        fast = simulate(compiled, dict(inputs), fast_path=True, slab_path=False)
-        slab = simulate(compiled, dict(inputs), fast_path=True, slab_path=True)
+        slow = simulate(compiled, dict(inputs), tier="interpreted")
+        fast = simulate(compiled, dict(inputs), tier="lowered")
+        slab = simulate(compiled, dict(inputs), tier="slab")
         auto = simulate(compiled, dict(inputs), tier="auto")
         assert_identical(fast, slow)
         assert_identical(slab, slow)

@@ -237,8 +237,7 @@ class Session:
         *,
         seed: int = 0,
         validate: bool = True,
-        trace_capacity: int = 0,
-        tier: str | None = "auto",
+        tier: str = "auto",
         **overrides: Any,
     ) -> RunResult:
         """Execute ``source`` on the simulated machine with
@@ -247,8 +246,7 @@ class Session:
         ``validate=False``.  ``tier`` selects the execution engine:
         ``"auto"`` (default) consults the compiled :class:`TierPlan`
         per nest, ``"interpreted"``/``"lowered"``/``"slab"`` force a
-        single tier, and ``None`` keeps the simulator's legacy
-        blanket behaviour."""
+        single tier."""
         import numpy as np
 
         from .codegen.seq import run_sequential, seeded_inputs
@@ -267,7 +265,6 @@ class Session:
         sim = simulate(
             compiled,
             inputs,
-            trace_capacity=trace_capacity,
             tracer=self.tracer,
             metrics=self.metrics,
             tier=tier,

@@ -37,13 +37,8 @@ from dataclasses import dataclass
 from ..core.driver import CompilerOptions, compile_source
 from ..model import SP2
 
-#: forced-tier simulate() kwargs, plus the TierPlan-driven auto mode
-TIER_KWARGS = {
-    "interpreted": dict(fast_path=False),
-    "lowered": dict(fast_path=True, slab_path=False),
-    "slab": dict(fast_path=True, slab_path=True),
-    "auto": dict(tier="auto"),
-}
+#: the three forced tiers plus the TierPlan-driven auto mode
+TIERS = ("interpreted", "lowered", "slab", "auto")
 
 #: the small machine grid of the sweep differential
 SWEEP_MACHINES = (
@@ -193,15 +188,15 @@ def check_tiers(
 
     payloads: dict[str, dict] = {}
     errors: dict[str, str] = {}
-    for tier, kwargs in TIER_KWARGS.items():
+    for tier in TIERS:
         try:
-            sim = simulate(compiled, dict(inputs), **kwargs)
+            sim = simulate(compiled, dict(inputs), tier=tier)
             payloads[tier] = tier_payload(sim)
         except Exception as exc:  # noqa: BLE001 — compared below
             errors[tier] = _trim(exc)
 
     divergences: list[Divergence] = []
-    if errors and len(errors) == len(TIER_KWARGS):
+    if errors and len(errors) == len(TIERS):
         # every engine rejects it identically: the program is invalid
         kinds = set(errors.values())
         kind = "invalid" if len(kinds) == 1 else "tier-error-mismatch"

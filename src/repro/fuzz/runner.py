@@ -84,10 +84,7 @@ def _slab_ran(program: FuzzProgram, procs: int = 3, seed: int = 0) -> bool:
         from .harness import make_inputs
 
         sim = simulate(
-            compiled,
-            make_inputs(program.emit(procs), seed),
-            fast_path=True,
-            slab_path=True,
+            compiled, make_inputs(program.emit(procs), seed), tier="slab"
         )
     except Exception:  # noqa: BLE001 — coverage stat only
         return False

@@ -1,4 +1,4 @@
-"""Lane-vectorized charging: one simulation, many machine models.
+"""Lane-stacked machines: one simulation or estimate, many machine models.
 
 The batched sweep evaluator (:mod:`repro.sweep.batched`) exploits a
 structural fact of the simulator: machine parameters are *write-only*
@@ -8,23 +8,26 @@ differ only in simulator parameters (alpha/beta/flop rate) execute the
 exact same instruction stream — only the ``dt`` values charged to the
 virtual clocks differ.
 
-This module makes those ``dt`` values *vectors*.  A
-:class:`VectorMachine` stacks ``lanes`` scalar
-:class:`~repro.model.MachineModel` parameter sets into ``(lanes,)``
-arrays and evaluates the same closed-form charge expressions
-(``alpha + beta*bytes*elements``, log-tree collectives, ``flops x
-flop_time``) elementwise; a :class:`VectorClocks` holds per-rank
-``(lanes,)`` clock vectors and applies every charge with the same
-operation sequence as the scalar :class:`~repro.machine.stats.Clocks`.
+A :class:`VectorMachine` makes those ``dt`` values *vectors*: it stacks
+the parameter fields of ``lanes`` scalar
+:class:`~repro.model.MachineModel` instances into ``(lanes,)`` arrays
+and inherits every pricing formula from
+:class:`~repro.model.CostFormulas` — the same text the scalar model
+runs, evaluated elementwise.  Over such a machine
+:class:`~repro.machine.stats.Clocks` sees ``machine.lanes`` and keeps
+``(lanes,)`` vectors per rank instead of floats.
 
 Bitwise parity is by construction: IEEE-754 elementwise numpy ops in
-an identical order produce, per lane, exactly the doubles the scalar
+one operation order produce, per lane, exactly the doubles the scalar
 run produces (``np.add.accumulate`` is strictly sequential down the
 instance axis; ``np.maximum`` agrees with ``max`` on non-NaN floats;
 machine-independent quantities — trip counts, spans, element counts —
 stay python scalars so no transcendental is re-evaluated in numpy).
-The parity property suite byte-compares every lane against a dedicated
-scalar simulation.
+
+The processor count is a parameter of a lane, not a second mechanism:
+the batched sweep runs one sub-simulation per grid shape, and the
+estimator prices a whole procs × machine grid in one pass by reading
+the per-lane ``grid_shapes`` a :class:`VectorMachine` may carry.
 """
 
 from __future__ import annotations
@@ -34,440 +37,97 @@ from typing import Sequence
 
 import numpy as np
 
-from ..model import MachineModel
-from .stats import Clocks
+from ..model import CostFormulas, MachineModel
 
 
-class VectorMachine:
+class VectorMachine(CostFormulas):
     """``lanes`` machine models evaluated elementwise.
 
-    Presents the :class:`~repro.model.MachineModel` interface with
-    every scalar parameter replaced by a ``(lanes,)`` float64 vector;
-    each cost method returns the ``(lanes,)`` vector of per-model
-    costs, computed with the same arithmetic (same operation order,
-    same int->float conversions) as the scalar model, so lane ``m`` is
-    bitwise equal to ``models[m]``'s answer.
-    """
+    Every parameter field is the ``(lanes,)`` float64 stack of the
+    models' values, so each inherited cost method returns the
+    ``(lanes,)`` vector of per-model costs and lane ``m`` is bitwise
+    ``models[m]``'s answer.
 
-    def __init__(self, models: Sequence[MachineModel]):
-        if not models:
-            raise ValueError("VectorMachine needs at least one lane")
-        self.models = tuple(models)
-        self.lanes = len(self.models)
-        self.name = f"vector[{','.join(m.name for m in self.models)}]"
-        self.alpha = np.asarray([m.alpha for m in models], dtype=np.float64)
-        self.beta = np.asarray([m.beta for m in models], dtype=np.float64)
-        self.flop_time = np.asarray(
-            [m.flop_time for m in models], dtype=np.float64
-        )
-        self.stmt_overhead = np.asarray(
-            [m.stmt_overhead for m in models], dtype=np.float64
-        )
-        #: per-lane when the models disagree, scalar int otherwise (the
-        #: common case; keeps ``beta * element_bytes`` an exact int
-        #: scaling either way)
-        sizes = {m.element_bytes for m in models}
-        self.element_bytes = (
-            models[0].element_bytes
-            if len(sizes) == 1
-            else np.asarray(
-                [m.element_bytes for m in models], dtype=np.float64
-            )
-        )
-
-    # -- point-to-point ----------------------------------------------------
-
-    def message_time(self, elements: int) -> np.ndarray:
-        return self.alpha + self.beta * self.element_bytes * max(elements, 0)
-
-    # -- collectives -------------------------------------------------------
-    #
-    # ``procs`` may be a scalar int (every lane prices the same span — the
-    # machine-lane sweep case) or a ``(lanes,)`` int vector (each lane has
-    # its own processor count — the procs-lane sweep case).  Per-lane
-    # round counts are computed with the *scalar* ``math`` path per entry
-    # so each lane is bitwise identical to its dedicated scalar model;
-    # lanes with ``procs <= 1`` are masked to the scalar early-return
-    # value with ``np.where``.
-
-    @staticmethod
-    def _rounds(procs):
-        if np.ndim(procs) == 0:
-            return max(1, math.ceil(math.log2(max(procs, 2))))
-        return np.asarray(
-            [
-                max(1, math.ceil(math.log2(max(int(p), 2))))
-                for p in np.asarray(procs).ravel()
-            ],
-            dtype=np.int64,
-        )
-
-    def broadcast_time(self, elements: int, procs) -> np.ndarray:
-        if np.ndim(procs) == 0:
-            if procs <= 1:
-                return np.zeros(self.lanes, dtype=np.float64)
-            return self._rounds(procs) * self.message_time(elements)
-        charged = self._rounds(procs) * self.message_time(elements)
-        return np.where(np.asarray(procs) <= 1, 0.0, charged)
-
-    def reduce_time(self, elements: int, procs) -> np.ndarray:
-        if np.ndim(procs) == 0:
-            if procs <= 1:
-                return np.zeros(self.lanes, dtype=np.float64)
-            return self._rounds(procs) * self.message_time(elements)
-        charged = self._rounds(procs) * self.message_time(elements)
-        return np.where(np.asarray(procs) <= 1, 0.0, charged)
-
-    def shift_time(self, elements: int) -> np.ndarray:
-        return self.message_time(elements)
-
-    def gather_time(self, elements: int, procs) -> np.ndarray:
-        if np.ndim(procs) == 0:
-            if procs <= 1:
-                return self.message_time(elements)
-            return 2 * self._rounds(procs) * self.message_time(elements)
-        charged = 2 * self._rounds(procs) * self.message_time(elements)
-        return np.where(
-            np.asarray(procs) <= 1, self.message_time(elements), charged
-        )
-
-    def alltoall_time(self, elements: int, procs) -> np.ndarray:
-        if np.ndim(procs) == 0:
-            if procs <= 1:
-                return np.zeros(self.lanes, dtype=np.float64)
-            per_proc = max(elements // procs, 1)
-            return (procs - 1) * self.alpha + (
-                2 * self.beta * self.element_bytes * per_proc
-            )
-        procs = np.asarray(procs)
-        per_proc = np.maximum(elements // np.maximum(procs, 1), 1)
-        charged = (procs - 1) * self.alpha + (
-            2 * self.beta * self.element_bytes * per_proc
-        )
-        return np.where(procs <= 1, 0.0, charged)
-
-    def transfer_time(self, pattern, elements: int, span_procs):
-        if pattern.kind == "none":
-            return np.zeros(self.lanes, dtype=np.float64)
-        if pattern.kind == "shift":
-            return self.shift_time(elements)
-        if pattern.kind == "broadcast":
-            return self.broadcast_time(elements, span_procs)
-        return self.gather_time(elements, span_procs)
-
-    # -- computation -------------------------------------------------------
-
-    def compute_time(self, flops: int, instances: int = 1) -> np.ndarray:
-        return instances * (flops * self.flop_time + self.stmt_overhead)
-
-
-class VectorClocks(Clocks):
-    """Per-rank ``(lanes,)`` clock vectors driven by a
-    :class:`VectorMachine`.
-
-    Every charge method repeats the scalar :class:`Clocks` operation
-    sequence with elementwise array arithmetic; rank entries are always
-    *distinct* arrays (a shared object would couple ranks through
-    in-place ``+=`` charging, which the scalar float semantics never
-    do).  Tape assembly builds ``(instances, lanes)`` tapes so
-    ``sequential_sum`` left-folds down the instance axis per lane.
-    """
-
-    def __init__(self, num_ranks: int, machine: VectorMachine):
-        super().__init__(num_ranks, machine)
-        self.lanes = machine.lanes
-        zeros = lambda: np.zeros(machine.lanes, dtype=np.float64)  # noqa: E731
-        self.time = [zeros() for _ in range(num_ranks)]
-        self.compute_time = [zeros() for _ in range(num_ranks)]
-        self.comm_time = [zeros() for _ in range(num_ranks)]
-
-    # -- charging ----------------------------------------------------------
-
-    def charge_message(self, src: int, dst: int, elements: int) -> None:
-        dt = self.machine.message_time(elements)
-        start = np.maximum(self.time[src], self.time[dst])
-        self.time[src] = start + dt
-        self.time[dst] = start + dt
-        self.comm_time[src] += dt
-        self.comm_time[dst] += dt
-
-    def charge_message_amortized(
-        self, src: int, dst: int, elements: int, startup: bool
-    ) -> None:
-        dt = self.machine.beta * self.machine.element_bytes * elements
-        if startup:
-            dt = dt + self.machine.alpha
-        start = np.maximum(self.time[src], self.time[dst])
-        self.time[src] = start + dt
-        self.time[dst] = start + dt
-        self.comm_time[src] += dt
-        self.comm_time[dst] += dt
-
-    def charge_collective(
-        self, ranks: list, elements: int, kind: str
-    ) -> None:
-        if len(ranks) <= 1:
-            return
-        if kind == "reduce":
-            dt = self.machine.reduce_time(elements, len(ranks))
-        else:
-            dt = self.machine.broadcast_time(elements, len(ranks))
-        start = self.time[ranks[0]]
-        for r in ranks[1:]:
-            start = np.maximum(start, self.time[r])
-        for r in ranks:
-            self.time[r] = start + dt
-            self.comm_time[r] += dt
-
-    # -- tape assembly -----------------------------------------------------
-
-    def tape(self, dts: list) -> np.ndarray:
-        if not dts:
-            return np.empty((0, self.lanes), dtype=np.float64)
-        return np.asarray(dts, dtype=np.float64).reshape(len(dts), self.lanes)
-
-    def tile(self, tape: np.ndarray, n: int) -> np.ndarray:
-        return np.tile(tape, (n, 1))
-
-    def cat(self, parts: list) -> np.ndarray:
-        return np.concatenate(parts, axis=0) if parts else self.tape([])
-
-    # -- extraction --------------------------------------------------------
-
-    def lane_snapshot(self, lane: int) -> dict[str, list[float]]:
-        """The scalar ``Clocks.snapshot()`` of one lane: plain python
-        floats (``float(np.float64)`` is exact), ready for the
-        canonical-stats JSON byte comparison."""
-        return {
-            "time": [float(t[lane]) for t in self.time],
-            "compute_time": [float(t[lane]) for t in self.compute_time],
-            "comm_time": [float(t[lane]) for t in self.comm_time],
-        }
-
-    def lane_elapsed(self, lane: int) -> float:
-        """``max(time)`` of one lane, exactly as the scalar property."""
-        times = [float(t[lane]) for t in self.time]
-        return max(times) if times else 0.0
-
-    @property
-    def elapsed(self):
-        """The ``(lanes,)`` vector of per-lane makespans."""
-        if not self.time:
-            return np.zeros(self.lanes, dtype=np.float64)
-        out = self.time[0]
-        for t in self.time[1:]:
-            out = np.maximum(out, t)
-        return out
-
-
-class ProcsVectorMachine(VectorMachine):
-    """Machine lanes that additionally carry a per-lane processor count.
-
-    This is the procs-axis-as-lane-dimension machine: lane ``m`` prices
-    costs for ``models[m]`` running on ``procs[m]`` ranks arranged as
-    ``grid_shapes[m]``.  The collective methods inherited from
-    :class:`VectorMachine` already accept per-lane ``procs`` vectors
-    (so mixed-procs lanes are never priced with one shared span), and
-    the convenience ``lane_*`` wrappers charge each lane at its own
-    count.  Consumers: the procs-lane clock structure below, the
-    estimator's one-call procs-vector pricing, and the P-parametric
-    slab-charging property tests.
+    ``grid_shapes`` (optional, one processor-grid shape per lane) makes
+    the processor count a per-lane quantity as well: ``procs`` is then
+    the ``(lanes,)`` vector of ``prod(shape)`` and
+    :class:`~repro.perf.estimator.PerfEstimator` reads the shapes to
+    price every lane on its own grid.
     """
 
     def __init__(
         self,
         models: Sequence[MachineModel],
-        procs: Sequence[int],
         grid_shapes: Sequence[Sequence[int]] | None = None,
     ):
-        super().__init__(models)
-        self.procs = np.asarray(procs, dtype=np.int64)
-        if self.procs.shape != (self.lanes,):
-            raise ValueError(
-                f"procs must supply one count per lane: got shape "
-                f"{self.procs.shape} for {self.lanes} lane(s)"
+        if not models:
+            raise ValueError("VectorMachine needs at least one lane")
+        self.models = tuple(models)
+        self.lanes = len(self.models)
+        self.name = f"vector[{','.join(m.name for m in self.models)}]"
+
+        def stack(field: str) -> np.ndarray:
+            return np.asarray(
+                [getattr(m, field) for m in self.models], dtype=np.float64
             )
-        if np.any(self.procs < 1):
-            raise ValueError("every lane needs procs >= 1")
+
+        self.alpha = stack("alpha")
+        self.beta = stack("beta")
+        self.flop_time = stack("flop_time")
+        self.stmt_overhead = stack("stmt_overhead")
+        #: per-lane when the models disagree, scalar int otherwise (the
+        #: common case; scaling by it is exact either way)
+        sizes = {m.element_bytes for m in self.models}
+        self.element_bytes = (
+            sizes.pop() if len(sizes) == 1 else stack("element_bytes")
+        )
+        self.grid_shapes = None
+        self.procs = None
         if grid_shapes is not None:
-            grid_shapes = tuple(tuple(int(d) for d in s) for s in grid_shapes)
-            if len(grid_shapes) != self.lanes:
+            self.grid_shapes = tuple(
+                tuple(int(d) for d in shape) for shape in grid_shapes
+            )
+            if len(self.grid_shapes) != self.lanes:
                 raise ValueError(
                     f"grid_shapes must supply one shape per lane: got "
-                    f"{len(grid_shapes)} for {self.lanes} lane(s)"
+                    f"{len(self.grid_shapes)} for {self.lanes} lane(s)"
                 )
-            for shape, count in zip(grid_shapes, self.procs):
-                if math.prod(shape) != count:
-                    raise ValueError(
-                        f"grid shape {shape} does not hold {count} procs"
-                    )
-        #: per-lane processor grid shapes (defaults to 1-d grids)
-        self.grid_shapes = grid_shapes or tuple(
-            (int(p),) for p in self.procs
-        )
-        self.max_procs = int(self.procs.max())
-        self.name = "procs-" + self.name
-
-    # -- per-lane-count collectives ---------------------------------------
-
-    def lane_broadcast_time(self, elements: int) -> np.ndarray:
-        return self.broadcast_time(elements, self.procs)
-
-    def lane_reduce_time(self, elements: int) -> np.ndarray:
-        return self.reduce_time(elements, self.procs)
-
-    def lane_gather_time(self, elements: int) -> np.ndarray:
-        return self.gather_time(elements, self.procs)
-
-    def lane_alltoall_time(self, elements: int) -> np.ndarray:
-        return self.alltoall_time(elements, self.procs)
-
-
-class ProcsVectorClocks(VectorClocks):
-    """Lane clocks for a procs vector: per-rank state laid out over the
-    *maximum* rank count, with validity masks.
-
-    Lane ``m`` only populates ranks ``0 .. procs[m]-1``; the remaining
-    rows are masked off so a charge addressed to rank ``r`` advances
-    exactly the lanes where rank ``r`` exists.  Charges on valid lanes
-    repeat the scalar operation sequence (``max`` start resolution,
-    then ``+ dt``), so each lane's clocks are bitwise what a dedicated
-    ``procs[m]``-rank run with ``models[m]`` would produce.  Collectives
-    derive their span *per lane* from the validity masks and price it
-    through the per-lane ``procs`` collective path, so a global
-    collective over ranks ``0..max_procs`` is simultaneously a
-    ``procs[m]``-wide collective in every lane.
-
-    Two ways to fill one: drive it directly (masked charging — the
-    P-parametric slab-charging path), or :meth:`adopt` the columns of
-    per-procs sub-simulations (the batched sweep's fuse-at-extract
-    path for programs whose instruction streams differ across P).
-    """
-
-    def __init__(self, machine: ProcsVectorMachine):
-        super().__init__(machine.max_procs, machine)
-        self.procs = machine.procs
-        #: per-rank ``(lanes,)`` bool: does this rank exist in the lane?
-        self.valid = [
-            np.asarray(self.procs > r) for r in range(machine.max_procs)
-        ]
-
-    # -- masked charging ---------------------------------------------------
-
-    def charge_compute(self, rank: int, flops: int) -> None:
-        dt = np.where(
-            self.valid[rank], self.machine.compute_time(flops, 1), 0.0
-        )
-        self.time[rank] = self.time[rank] + dt
-        self.compute_time[rank] = self.compute_time[rank] + dt
-
-    def charge_compute_tape(self, rank: int, dts: np.ndarray) -> None:
-        if dts.size == 0:
-            return
-        # a 0.0 charge is a bitwise no-op (+0.0 + x == x), so masking a
-        # lane's column to zero freezes its clocks through the fold
-        super().charge_compute_tape(rank, np.where(self.valid[rank], dts, 0.0))
-
-    def charge_message(self, src: int, dst: int, elements: int) -> None:
-        live = self.valid[src] & self.valid[dst]
-        dt = self.machine.message_time(elements)
-        start = np.maximum(self.time[src], self.time[dst])
-        end = start + dt
-        self.time[src] = np.where(live, end, self.time[src])
-        self.time[dst] = np.where(live, end, self.time[dst])
-        self.comm_time[src] = np.where(
-            live, self.comm_time[src] + dt, self.comm_time[src]
-        )
-        self.comm_time[dst] = np.where(
-            live, self.comm_time[dst] + dt, self.comm_time[dst]
-        )
-
-    def charge_message_amortized(
-        self, src: int, dst: int, elements: int, startup: bool
-    ) -> None:
-        live = self.valid[src] & self.valid[dst]
-        dt = self.machine.beta * self.machine.element_bytes * elements
-        if startup:
-            dt = dt + self.machine.alpha
-        start = np.maximum(self.time[src], self.time[dst])
-        end = start + dt
-        self.time[src] = np.where(live, end, self.time[src])
-        self.time[dst] = np.where(live, end, self.time[dst])
-        self.comm_time[src] = np.where(
-            live, self.comm_time[src] + dt, self.comm_time[src]
-        )
-        self.comm_time[dst] = np.where(
-            live, self.comm_time[dst] + dt, self.comm_time[dst]
-        )
-
-    def charge_collective(self, ranks: list, elements: int, kind: str) -> None:
-        if not ranks:
-            return
-        # per-lane span: how many of the addressed ranks exist there
-        spans = np.zeros(self.lanes, dtype=np.int64)
-        for r in ranks:
-            spans = spans + self.valid[r]
-        if kind == "reduce":
-            dt = self.machine.reduce_time(elements, spans)
-        else:
-            dt = self.machine.broadcast_time(elements, spans)
-        # start = max over each lane's participating ranks, folded in
-        # rank order exactly like the scalar loop
-        start = np.full(self.lanes, -np.inf, dtype=np.float64)
-        for r in ranks:
-            start = np.where(
-                self.valid[r], np.maximum(start, self.time[r]), start
+            self.procs = np.asarray(
+                [math.prod(shape) for shape in self.grid_shapes],
+                dtype=np.int64,
             )
-        end = start + dt
-        live = spans >= 2  # scalar early-returns on <= 1 participants
-        for r in ranks:
-            hit = live & self.valid[r]
-            self.time[r] = np.where(hit, end, self.time[r])
-            self.comm_time[r] = np.where(
-                hit, self.comm_time[r] + dt, self.comm_time[r]
-            )
+            if np.any(self.procs < 1):
+                raise ValueError("every lane needs procs >= 1")
 
-    # -- adoption ----------------------------------------------------------
+    # -- per-lane processor counts -----------------------------------------
+    #
+    # The collectives take ``procs`` as a plain int (every lane prices
+    # the same span — a machine-lane simulation) or as a ``(lanes,)`` int
+    # vector (each lane has its own count — the estimator's procs-lane
+    # pass).  A vector is priced by running the inherited scalar-``procs``
+    # formula once per distinct count and keeping, per lane, the answer
+    # for that lane's count — so each lane is the scalar formula's value
+    # by definition, early returns for ``procs <= 1`` included.
 
-    def adopt(self, lane_start: int, clocks: VectorClocks) -> None:
-        """Copy a sub-simulation's per-rank lane columns into lanes
-        ``lane_start .. lane_start + clocks.lanes``.  The sub-run must
-        have exactly the rank count those lanes declare."""
-        stop = lane_start + clocks.lanes
-        ranks = len(clocks.time)
-        expected = self.procs[lane_start:stop]
-        if np.any(expected != ranks):
-            raise ValueError(
-                f"sub-run has {ranks} rank(s) but lanes "
-                f"{lane_start}..{stop - 1} declare {expected.tolist()}"
-            )
-        for r in range(ranks):
-            self.time[r][lane_start:stop] = clocks.time[r]
-            self.compute_time[r][lane_start:stop] = clocks.compute_time[r]
-            self.comm_time[r][lane_start:stop] = clocks.comm_time[r]
-
-    # -- extraction --------------------------------------------------------
-
-    def lane_snapshot(self, lane: int) -> dict[str, list[float]]:
-        """The scalar snapshot of one lane: only its ``procs[lane]``
-        live ranks appear, exactly like a dedicated run's ``Clocks``."""
-        count = int(self.procs[lane])
-        return {
-            "time": [float(t[lane]) for t in self.time[:count]],
-            "compute_time": [
-                float(t[lane]) for t in self.compute_time[:count]
-            ],
-            "comm_time": [float(t[lane]) for t in self.comm_time[:count]],
-        }
-
-    def lane_elapsed(self, lane: int) -> float:
-        times = [float(t[lane]) for t in self.time[: int(self.procs[lane])]]
-        return max(times) if times else 0.0
-
-    @property
-    def elapsed(self):
-        """Per-lane makespans over each lane's *valid* ranks only."""
+    def _per_lane(self, formula, elements: int, procs):
+        if np.ndim(procs) == 0:
+            return formula(self, elements, procs)
+        procs = np.asarray(procs)
         out = np.zeros(self.lanes, dtype=np.float64)
-        for r, t in enumerate(self.time):
-            out = np.where(self.valid[r], np.maximum(out, t), out)
+        for count in np.unique(procs):
+            out = np.where(
+                procs == count, formula(self, elements, int(count)), out
+            )
         return out
+
+    def broadcast_time(self, elements: int, procs):
+        return self._per_lane(CostFormulas.broadcast_time, elements, procs)
+
+    def reduce_time(self, elements: int, procs):
+        return self._per_lane(CostFormulas.reduce_time, elements, procs)
+
+    def gather_time(self, elements: int, procs):
+        return self._per_lane(CostFormulas.gather_time, elements, procs)
+
+    def alltoall_time(self, elements: int, procs):
+        return self._per_lane(CostFormulas.alltoall_time, elements, procs)

@@ -42,7 +42,7 @@ from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
 from ..obs import Metrics, NULL_TRACER, Tracer
 from .lowering import FastHooks, FastPath
 from .memory import NodeMemory, initialize_array, ownership_mask
-from .stats import Clocks, Trace, TrafficStats
+from .stats import Clocks, TrafficStats
 
 
 class _FetchingReader(ValueReader):
@@ -115,42 +115,28 @@ class SPMDSimulator:
         self,
         compiled: CompiledProgram,
         machine: MachineModel | None = None,
-        trace_capacity: int = 0,
-        fast_path: bool = True,
-        slab_path: bool = True,
         tracer: Tracer | None = None,
         metrics: Metrics | None = None,
-        tier: str | None = None,
+        tier: str = "slab",
     ):
         self.compiled = compiled
-        # ``tier`` names the engine stack explicitly and overrides the
-        # legacy fast_path/slab_path flags; None keeps their semantics
-        # ("slab" everywhere it can) for existing callers and parity
-        # tests.  "auto" additionally consults the compiled TierPlan per
-        # nest — cost-driven selection that never regresses below the
-        # lowered tier.
-        if tier is not None:
-            if tier not in ("auto", "interpreted", "lowered", "slab"):
-                raise ValueError(
-                    f"tier must be auto|interpreted|lowered|slab, got {tier!r}"
-                )
-            fast_path = tier != "interpreted"
-            slab_path = tier in ("auto", "slab")
-        self.tier_mode = tier
+        if tier not in ("auto", "interpreted", "lowered", "slab"):
+            raise ValueError(
+                f"tier must be auto|interpreted|lowered|slab, got {tier!r}"
+            )
+        #: the engine switch: "interpreted" runs the tree-walking
+        #: executor (the parity tests' reference), "lowered" the
+        #: compiled closures alone, "slab" additionally takes every
+        #: eligible nest over as vectorized slab kernels, and "auto"
+        #: does so only where the compiled TierPlan predicts a win —
+        #: cost-driven selection that never regresses below "lowered"
+        self.tier = tier
         #: structured tracing (repro.obs); the disabled NULL_TRACER by
-        #: default, so hot paths pay one attribute load and one branch.
-        #: Unlike the legacy ``trace`` ring, enabling it does NOT
-        #: disable the slab tier.
+        #: default, so hot paths pay one attribute load and one branch
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: metrics registry filled by :meth:`collect_metrics` at the end
         #: of :meth:`run` (None: no collection)
         self.metrics = metrics
-        #: escape hatch: False runs the original tree-walking executor;
-        #: the parity tests assert both paths agree bit-for-bit
-        self.fast_path = fast_path
-        #: tier 3: vectorized slab kernels for eligible loop nests
-        #: (requires fast_path; False times the lowered closures alone)
-        self.slab_path = slab_path
         self._fast: FastPath | None = None
         #: dynamic statement instances executed as slabs vs one at a
         #: time — the bench's eligibility-coverage metric
@@ -170,16 +156,11 @@ class SPMDSimulator:
         self.grid = compiled.grid
         self.machine = machine or compiled.options.machine
         self.memories = [NodeMemory(r, self.proc) for r in self.grid.all_ranks()]
-        # A VectorMachine (repro.machine.batchexec) carries one lane
-        # per swept machine variant: charge every lane in one run.
-        from .batchexec import VectorClocks, VectorMachine
-
-        if isinstance(self.machine, VectorMachine):
-            self.clocks = VectorClocks(self.grid.size, self.machine)
-        else:
-            self.clocks = Clocks(self.grid.size, self.machine)
+        # float clocks over a MachineModel; over a VectorMachine
+        # (repro.machine.batchexec) one lane per swept machine variant,
+        # all charged in this one run
+        self.clocks = Clocks(self.grid.size, self.machine)
         self.stats = TrafficStats()
-        self.trace = Trace(trace_capacity)
         self.authoritative = _AuthoritativeReader(self)
         #: (stmt_id, ref_id) -> CommEvent, for fetch coalescing; when
         #: message combining merged/deduped events, every absorbed
@@ -264,17 +245,17 @@ class SPMDSimulator:
         initialize_array(self.memories, mapping, values)
 
     def run(self):
-        if self.fast_path:
+        if self.tier == "interpreted":
+            hooks: ExecutionHooks = _SPMDHooks(self)
+            engines = "interpreted"
+        else:
             if self._fast is None:
                 self._fast = FastPath(self)
-            hooks: ExecutionHooks = FastHooks(self._fast)
-            tier = "lowered+slab" if self.slab_path else "lowered"
-        else:
-            hooks = _SPMDHooks(self)
-            tier = "interpreted"
+            hooks = FastHooks(self._fast)
+            engines = "lowered" if self.tier == "lowered" else "lowered+slab"
         walker = Walker(self.proc, hooks)
         with self.tracer.span(
-            f"simulate[{tier}]", cat="sim", procs=self.grid.size
+            f"simulate[{engines}]", cat="sim", procs=self.grid.size
         ) as span:
             result = walker.run()
             span.add(
@@ -365,9 +346,6 @@ class SPMDSimulator:
         self.memories[rank].array_store(name, index, value)
         event = self._events.get((stmt.stmt_id, ref.ref_id))
         self._charge_fetch(event, stmt, ref.ref_id, src, rank, env)
-        self.trace.record(
-            "fetch", f"{name}{index} for S{stmt.stmt_id}", src=src, dst=rank
-        )
         return value
 
     def fetch_scalar(self, rank: int, ref: ScalarRef, stmt: Stmt, env):
@@ -386,9 +364,6 @@ class SPMDSimulator:
         self.memories[rank].scalar_store(name, value)
         event = self._events.get((stmt.stmt_id, ref.ref_id))
         self._charge_fetch(event, stmt, ref.ref_id, src, rank, env)
-        self.trace.record(
-            "fetch", f"{name} for S{stmt.stmt_id}", src=src, dst=rank
-        )
         return value
 
     # ==================================================================
@@ -672,11 +647,6 @@ class SPMDSimulator:
         for group, elements in group_elements.items():
             self.clocks.charge_collective(list(group), elements, "reduce")
             self.stats.reductions += 1
-            self.trace.record(
-                "reduce",
-                f"{reduction.op}({name})[{elements} elems] across ranks "
-                f"{list(group)}",
-            )
 
     def _combine(self, reduction, mapping: ReductionMapping, loop: LoopStmt, env) -> None:
         name = reduction.symbol.name
@@ -713,10 +683,6 @@ class SPMDSimulator:
             if len(group) > 1:
                 self.clocks.charge_collective(group, 1, "reduce")
                 self.stats.reductions += 1
-                self.trace.record(
-                    "reduce",
-                    f"{reduction.op}({name}) across ranks {group}",
-                )
             for rank in self.grid.all_ranks():
                 memory = self.memories[rank]
                 if rank in group:
@@ -847,8 +813,7 @@ class SPMDSimulator:
         m.gauge("sim.slab_instances", self.slab_instances)
         m.gauge("sim.interp_instances", self.interp_instances)
         m.gauge("sim.slab_coverage", round(self.slab_coverage, 6))
-        if self.tier_mode is not None:
-            m.gauge(f"tier.mode[{self.tier_mode}]", 1)
+        m.gauge(f"tier.mode[{self.tier}]", 1)
         for sid, choice in sorted(self.tier_decisions.items()):
             m.gauge(f"tier.decision[loop=S{sid},choice={choice}]", 1)
         for name, value in self.stats.as_dict().items():
@@ -879,22 +844,12 @@ def simulate(
     compiled: CompiledProgram,
     inputs: dict[str, np.ndarray] | None = None,
     machine: MachineModel | None = None,
-    trace_capacity: int = 0,
-    fast_path: bool = True,
-    slab_path: bool = True,
     tracer: Tracer | None = None,
     metrics: Metrics | None = None,
-    tier: str | None = None,
+    tier: str = "slab",
 ) -> SPMDSimulator:
     sim = SPMDSimulator(
-        compiled,
-        machine,
-        trace_capacity=trace_capacity,
-        fast_path=fast_path,
-        slab_path=slab_path,
-        tracer=tracer,
-        metrics=metrics,
-        tier=tier,
+        compiled, machine, tracer=tracer, metrics=metrics, tier=tier
     )
     for name, values in (inputs or {}).items():
         sim.set_array(name, values)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
-
-from ..comm.costmodel import MachineModel
 
 
 def sequential_sum(start, dts: np.ndarray):
@@ -37,39 +36,6 @@ def sequential_sum(start, dts: np.ndarray):
     buf[0] = start
     buf[1:] = dts
     return np.add.accumulate(buf, axis=0)[-1]
-
-
-def sequential_prefix_sum(start, dts: np.ndarray, steps) -> np.ndarray:
-    """Per-lane left-fold of a shared ``(max_steps, lanes)`` tape where
-    lane ``m`` only folds its first ``steps[m]`` entries.
-
-    This is the procs-lane charging trick: nests whose per-rank trip
-    counts are closed-form functions of P produce one shared charge
-    tape padded to the *longest* lane; accumulating once sequentially
-    and reading lane ``m`` at row ``steps[m]`` yields exactly the value
-    a dedicated ``steps[m]``-step scalar fold produces, because zero
-    padding after a lane's own steps never enters its prefix.
-
-    ``start`` is a float or ``(lanes,)`` vector, ``dts`` a
-    ``(max_steps, lanes)`` tape, ``steps`` a ``(lanes,)`` int vector
-    with ``0 <= steps[m] <= max_steps``; returns the ``(lanes,)``
-    per-lane fold results."""
-    dts = np.asarray(dts, dtype=np.float64)
-    if dts.ndim != 2:
-        raise ValueError(f"dts must be a (steps, lanes) tape, got {dts.shape}")
-    lanes = dts.shape[1]
-    steps = np.asarray(steps, dtype=np.int64)
-    if steps.shape != (lanes,):
-        raise ValueError(
-            f"steps must give one count per lane: {steps.shape} vs {lanes}"
-        )
-    if np.any(steps < 0) or np.any(steps > dts.shape[0]):
-        raise ValueError("steps out of range for the tape")
-    buf = np.empty((dts.shape[0] + 1, lanes), dtype=np.float64)
-    buf[0] = start
-    buf[1:] = dts
-    acc = np.add.accumulate(buf, axis=0)
-    return acc[steps, np.arange(lanes)]
 
 
 @dataclass
@@ -120,59 +86,50 @@ class TrafficStats:
         }
 
 
-@dataclass
-class TraceRecord:
-    """One traced runtime event."""
-
-    kind: str  # "fetch" | "reduce" | "exec"
-    detail: str
-    src: int | None = None
-    dst: int | None = None
-
-    def __str__(self) -> str:
-        route = ""
-        if self.src is not None and self.dst is not None:
-            route = f" [{self.src}->{self.dst}]"
-        elif self.dst is not None:
-            route = f" [@{self.dst}]"
-        return f"{self.kind:6s}{route} {self.detail}"
-
-
-class Trace:
-    """Bounded ring of runtime events (off unless a capacity is set)."""
-
-    def __init__(self, capacity: int = 0):
-        self.capacity = capacity
-        self.records: list[TraceRecord] = []
-        self.dropped = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
-    def record(self, kind: str, detail: str, src: int | None = None, dst: int | None = None) -> None:
-        if not self.enabled:
-            return
-        if len(self.records) >= self.capacity:
-            self.dropped += 1
-            return
-        self.records.append(TraceRecord(kind=kind, detail=detail, src=src, dst=dst))
-
-    def render(self) -> str:
-        lines = [str(r) for r in self.records]
-        if self.dropped:
-            lines.append(f"... {self.dropped} further event(s) not recorded")
-        return "\n".join(lines) if lines else "no traced events"
-
-
 class Clocks:
-    """Per-rank virtual time, advanced by compute and message events."""
+    """Per-rank virtual time, advanced by compute and message events.
 
-    def __init__(self, num_ranks: int, machine: MachineModel):
+    One class for both lane shapes, chosen once at construction from
+    the machine: over a :class:`~repro.model.MachineModel` every
+    per-rank time is a float; over a machine that carries ``lanes``
+    (:class:`~repro.machine.batchexec.VectorMachine`) it is a
+    ``(lanes,)`` vector and each charge advances every lane at once.
+    The charge bodies below never branch on that — ``dt`` values come
+    from the machine in the right shape, ``later`` is the "later of two
+    clocks" operator (``max`` / ``np.maximum``, which agree on non-NaN
+    floats) and tapes carry a trailing lane axis — so lane ``m`` sees
+    exactly the operation sequence of a scalar run on model ``m``.
+
+    Lane vectors are never shared between ranks or fields: every
+    rebinding charge builds fresh arrays (a shared one would couple
+    ranks through the in-place ``+=`` charges, which float semantics
+    never do).
+    """
+
+    def __init__(self, num_ranks: int, machine):
         self.machine = machine
-        self.time = [0.0] * num_ranks
-        self.compute_time = [0.0] * num_ranks
-        self.comm_time = [0.0] * num_ranks
+        #: lane count, or None for scalar clocks
+        self.lanes = getattr(machine, "lanes", None)
+        if self.lanes is None:
+            self.later = max
+            self._row = ()
+        else:
+            self.later = np.maximum
+            self._row = (self.lanes,)
+        self.time = [self._zero() for _ in range(num_ranks)]
+        self.compute_time = [self._zero() for _ in range(num_ranks)]
+        self.comm_time = [self._zero() for _ in range(num_ranks)]
+
+    def _zero(self):
+        return np.zeros(self._row) if self._row else 0.0
+
+    def _deliver(self, src: int, dst: int, dt) -> None:
+        """Both ends of a message leave at the later clock plus ``dt``."""
+        start = self.later(self.time[src], self.time[dst])
+        self.time[src] = start + dt
+        self.time[dst] = start + dt
+        self.comm_time[src] += dt
+        self.comm_time[dst] += dt
 
     def charge_compute(self, rank: int, flops: int) -> None:
         dt = self.machine.compute_time(flops, 1)
@@ -180,24 +137,15 @@ class Clocks:
         self.compute_time[rank] += dt
 
     def charge_message(self, src: int, dst: int, elements: int) -> None:
-        dt = self.machine.message_time(elements)
-        start = max(self.time[src], self.time[dst])
-        self.time[src] = start + dt
-        self.time[dst] = start + dt
-        self.comm_time[src] += dt
-        self.comm_time[dst] += dt
+        self._deliver(src, dst, self.machine.message_time(elements))
 
     def charge_message_amortized(self, src: int, dst: int, elements: int, startup: bool) -> None:
         """Per-element transfer charging with one startup per coalesced
         message (message vectorization at run time)."""
         dt = self.machine.beta * self.machine.element_bytes * elements
         if startup:
-            dt += self.machine.alpha
-        start = max(self.time[src], self.time[dst])
-        self.time[src] = start + dt
-        self.time[dst] = start + dt
-        self.comm_time[src] += dt
-        self.comm_time[dst] += dt
+            dt = dt + self.machine.alpha
+        self._deliver(src, dst, dt)
 
     def charge_compute_tape(self, rank: int, dts: np.ndarray) -> None:
         """Batched compute charging, bit-for-bit identical to calling
@@ -215,18 +163,18 @@ class Clocks:
     # The slab engine builds charge tapes out of per-statement ``dt``
     # values and feeds them to ``charge_compute_tape``/``sequential_sum``.
     # Routing the numpy assembly through the clock object keeps the tape
-    # *shape* a clock concern: the scalar clocks here build 1-d tapes
-    # (one entry per statement instance), while the lane-vector clocks
-    # of the batched sweep evaluator (``repro.machine.batchexec``) build
-    # ``(instances, lanes)`` tapes from per-lane ``dt`` vectors.
+    # *shape* a clock concern: ``(instances,)`` for scalar clocks,
+    # ``(instances, lanes)`` for lane clocks, folded down axis 0.
 
     def tape(self, dts: list) -> np.ndarray:
         """A charge tape from a list of per-statement ``dt`` values."""
-        return np.asarray(dts, dtype=np.float64)
+        return np.asarray(dts, dtype=np.float64).reshape(
+            (len(dts),) + self._row
+        )
 
     def tile(self, tape: np.ndarray, n: int) -> np.ndarray:
         """``tape`` repeated ``n`` times along the instance axis."""
-        return np.tile(tape, n)
+        return np.tile(tape, (n,) + (1,) * len(self._row))
 
     def cat(self, parts: list) -> np.ndarray:
         """Tapes concatenated along the instance axis."""
@@ -239,12 +187,12 @@ class Clocks:
             dt = self.machine.reduce_time(elements, len(ranks))
         else:
             dt = self.machine.broadcast_time(elements, len(ranks))
-        start = max(self.time[r] for r in ranks)
+        start = reduce(self.later, (self.time[r] for r in ranks))
         for r in ranks:
             self.time[r] = start + dt
             self.comm_time[r] += dt
 
-    def snapshot(self) -> dict[str, list[float]]:
+    def snapshot(self) -> dict[str, list]:
         """Exact per-rank clock values, for bit-for-bit comparisons."""
         return {
             "time": list(self.time),
@@ -252,14 +200,28 @@ class Clocks:
             "comm_time": list(self.comm_time),
         }
 
-    @property
-    def elapsed(self) -> float:
-        return max(self.time) if self.time else 0.0
+    def lane_snapshot(self, lane: int) -> dict[str, list[float]]:
+        """``snapshot()`` of one lane as a scalar run would print it:
+        plain python floats (``float(np.float64)`` is exact), ready for
+        the canonical-stats JSON byte comparison."""
+        return {
+            name: [float(t[lane]) for t in times]
+            for name, times in self.snapshot().items()
+        }
+
+    def lane_elapsed(self, lane: int) -> float:
+        """``elapsed`` of one lane, exactly as the scalar property."""
+        return float(self.elapsed[lane]) if self.time else 0.0
 
     @property
-    def total_compute(self) -> float:
+    def elapsed(self):
+        """The makespan: a float, or the ``(lanes,)`` vector of them."""
+        return reduce(self.later, self.time) if self.time else self._zero()
+
+    @property
+    def total_compute(self):
         return sum(self.compute_time)
 
     @property
-    def total_comm(self) -> float:
+    def total_comm(self):
         return sum(self.comm_time)

@@ -30,18 +30,19 @@ from dataclasses import dataclass
 
 
 
-@dataclass(frozen=True)
-class MachineModel:
-    """Cost parameters of the simulated distributed-memory machine."""
+class CostFormulas:
+    """The α–β + flop-rate pricing formulas, written once.
 
-    name: str = "SP2-like"
-    alpha: float = 40e-6  # message startup (s)
-    beta: float = 1.0 / 35e6  # per-byte transfer time (s/B)
-    flop_time: float = 1.0 / 50e6  # sustained per-flop time (s)
-    element_bytes: int = 8
-    #: per-statement-instance loop/addressing overhead (s); folded into
-    #: compute cost so tiny statements are not free
-    stmt_overhead: float = 10e-9
+    Every formula reads the parameter fields (``alpha``, ``beta``,
+    ``flop_time``, ``element_bytes``, ``stmt_overhead``) off ``self`` and
+    never asks what they hold: floats on a :class:`MachineModel`,
+    ``(lanes,)`` vectors on the lane-stacked
+    :class:`~repro.machine.batchexec.VectorMachine`.  IEEE-754
+    elementwise arithmetic in one operation order makes lane ``m`` of a
+    vector answer bitwise the scalar answer of model ``m`` — there is no
+    second formula text to keep in step.  Element counts and ``procs``
+    are plain Python ints here.
+    """
 
     # -- point-to-point ----------------------------------------------------
 
@@ -112,6 +113,20 @@ class MachineModel:
 
     def compute_time(self, flops: int, instances: int = 1) -> float:
         return instances * (flops * self.flop_time + self.stmt_overhead)
+
+
+@dataclass(frozen=True)
+class MachineModel(CostFormulas):
+    """Cost parameters of the simulated distributed-memory machine."""
+
+    name: str = "SP2-like"
+    alpha: float = 40e-6  # message startup (s)
+    beta: float = 1.0 / 35e6  # per-byte transfer time (s/B)
+    flop_time: float = 1.0 / 50e6  # sustained per-flop time (s)
+    element_bytes: int = 8
+    #: per-statement-instance loop/addressing overhead (s); folded into
+    #: compute cost so tiny statements are not free
+    stmt_overhead: float = 10e-9
 
 
 #: The default machine used by benchmarks: 1997 SP2 thin nodes.

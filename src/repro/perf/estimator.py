@@ -182,7 +182,7 @@ class PerfEstimator:
         self.ctx = compiled.ctx
         self.grid = compiled.grid
         #: procs-lane mode: a machine that carries per-lane grid shapes
-        #: (:class:`~repro.machine.batchexec.ProcsVectorMachine`) makes
+        #: (:class:`~repro.machine.batchexec.VectorMachine`) makes
         #: every grid-dependent quantity a ``(lanes,)`` vector, so one
         #: ``estimate()`` call prices a whole procs vector — each lane
         #: bitwise what a dedicated scalar estimate on that lane's
@@ -332,9 +332,7 @@ class PerfEstimator:
     def _grid_size(self):
         if self._lane_shapes is None:
             return self.grid.size
-        return np.asarray(
-            [math.prod(s) for s in self._lane_shapes], dtype=np.int64
-        )
+        return self.machine.procs
 
     def _instances(self, stmt: Stmt, up_to_level: int | None = None) -> float:
         enclosing = []

@@ -8,8 +8,7 @@ A sweep grid typically varies three kinds of axis:
 * **processor count** — this changes the compiled program (and hence
   the instruction stream), but the per-procs runs of one program are
   the *same experiment* at different widths: they become *procs
-  sub-groups* of one batch, sharing planning, compile dedup, and
-  fused procs-lane extraction;
+  sub-groups* of one batch, sharing planning and compile dedup;
 * **other compiler options / measurement mode** — these change the
   experiment itself; compile-mode points never batch at all.
 
@@ -20,24 +19,22 @@ batch, lanes split into procs sub-groups — runs sharing one compiled
 program — whose lanes differ only in ``options.machine``.
 :func:`run_batched` compiles each sub-group once (procs values that
 resolve to the same processor grid share even that compile), evaluates
-all its machine lanes in a single lane-vector simulation, adopts every
-sub-group's clocks into one batch-wide
-:class:`~repro.machine.batchexec.ProcsVectorClocks` laid out over the
-widest rank count, and stitches per-lane
+all its machine lanes in a single lane-vector simulation, reads each
+lane's payload straight off that sub-simulation's
+:class:`~repro.machine.stats.Clocks`, and stitches per-lane
 :class:`~repro.sweep.spec.SweepResult` records back in grid order —
 byte-identical to what a dedicated per-point run would have produced.
 Estimate-mode batches whose sub-groups share an estimate signature
 collapse further: one :class:`~repro.perf.estimator.PerfEstimator`
-pass over a :class:`~repro.machine.batchexec.ProcsVectorMachine`
-prices the whole procs × machine grid in a single call.
+pass over a :class:`~repro.machine.batchexec.VectorMachine` carrying
+per-lane ``grid_shapes`` prices the whole procs × machine grid in a
+single call.
 
 Jobs that cannot batch (compile-mode points, failure-injection test
 jobs) are returned to the caller untouched; :func:`repro.sweep.engine.
 run_sweep` sends them down the ordinary pool path.  The degrade ladder
 never loses a grid point: a sub-group whose compile or vectorized
-evaluation fails runs its lanes per-lane in-process, and a fused
-extraction that fails degrades to per-sub-group extraction (which is
-byte-identical — adoption copies clock columns verbatim).
+evaluation fails runs its lanes per-lane in-process.
 """
 
 from __future__ import annotations
@@ -223,8 +220,7 @@ def compile_with_memo(
 
 def _simulate_lanes(batch: Batch, compiled: CompiledProgram):
     """One lane-vector simulation of a procs sub-group: every machine
-    lane charged in a single tier="auto" run.  Returns the sim; payload
-    extraction happens at the batch level (fused across sub-groups)."""
+    lane charged in a single tier="auto" run."""
     from ..codegen.seq import seeded_inputs
     from ..machine.batchexec import VectorMachine
     from ..machine.simulator import simulate
@@ -235,11 +231,11 @@ def _simulate_lanes(batch: Batch, compiled: CompiledProgram):
     return simulate(compiled, inputs, machine=machine, tier="auto")
 
 
-def _simulate_payloads(sim, compiled: CompiledProgram, clocks, lanes) -> list[dict]:
-    """Per-lane simulate-mode payloads: the clock-derived fields come
-    from lane ``m`` of ``clocks`` (the sub-run's own lane clocks, or
-    the batch's fused procs-lane clocks — identical by adoption), the
-    rest from the sub-simulation they all share."""
+def _simulate_payloads(sim, compiled: CompiledProgram) -> list[dict]:
+    """Per-lane simulate-mode payloads of one sub-simulation: the
+    clock-derived fields come from lane ``m`` of its clocks, the rest
+    is shared by every lane."""
+    clocks = sim.clocks
     base = sim.canonical_stats()  # lane-vector "clocks", shared rest
     shared = dict(
         slab_coverage=round(sim.slab_coverage, 6),
@@ -249,7 +245,7 @@ def _simulate_payloads(sim, compiled: CompiledProgram, clocks, lanes) -> list[di
         grid_size=compiled.grid.size,
     )
     payloads = []
-    for lane in lanes:
+    for lane in range(clocks.lanes):
         stats = {
             "procs": base["procs"],
             "clocks": clocks.lane_snapshot(lane),
@@ -263,34 +259,6 @@ def _simulate_payloads(sim, compiled: CompiledProgram, clocks, lanes) -> list[di
                 canonical_stats=stats,
             )
         )
-    return payloads
-
-
-def _fuse_simulations(groups) -> dict[int, dict]:
-    """Fuse-at-extract: adopt every sub-simulation's lane clocks into
-    one batch-wide :class:`ProcsVectorClocks` laid out over the widest
-    rank count, then extract each batch lane's payload from the fused
-    structure.  ``groups`` holds ``(lanes, sub, compiled, sim)`` per
-    procs sub-group; returns payloads keyed by batch lane position."""
-    from ..machine.batchexec import ProcsVectorClocks, ProcsVectorMachine
-
-    models, procs, shapes = [], [], []
-    for lanes, sub, compiled, _sim in groups:
-        models.extend(j.options.machine for j in sub.jobs)
-        procs.extend([compiled.grid.size] * len(lanes))
-        shapes.extend([compiled.grid.shape] * len(lanes))
-    fused = ProcsVectorClocks(
-        ProcsVectorMachine(models, procs, grid_shapes=shapes)
-    )
-    payloads: dict[int, dict] = {}
-    offset = 0
-    for lanes, _sub, compiled, sim in groups:
-        fused.adopt(offset, sim.clocks)
-        extracted = _simulate_payloads(
-            sim, compiled, fused, range(offset, offset + len(lanes))
-        )
-        payloads.update(zip(lanes, extracted))
-        offset += len(lanes)
     return payloads
 
 
@@ -327,18 +295,16 @@ def _estimate_procs_lanes(groups) -> dict[int, dict]:
     cell of a batch in a single call.  The caller guarantees the
     sub-groups share an estimate signature, so any one compiled
     program describes the common cost structure; the per-lane grid
-    shapes ride on the :class:`ProcsVectorMachine`."""
-    from ..machine.batchexec import ProcsVectorMachine
+    shapes ride on the :class:`VectorMachine`."""
+    from ..machine.batchexec import VectorMachine
     from ..perf.estimator import PerfEstimator
 
-    models, procs, shapes, order, sizes = [], [], [], [], []
+    models, shapes, order = [], [], []
     for lanes, sub, compiled, _sim in groups:
         models.extend(j.options.machine for j in sub.jobs)
-        procs.extend([compiled.grid.size] * len(lanes))
         shapes.extend([compiled.grid.shape] * len(lanes))
-        sizes.extend([compiled.grid.size] * len(lanes))
         order.extend(lanes)
-    machine = ProcsVectorMachine(models, procs, grid_shapes=shapes)
+    machine = VectorMachine(models, grid_shapes=shapes)
     estimate = PerfEstimator(groups[0][2], machine).estimate()
     payloads: dict[int, dict] = {}
     for fused_lane, batch_lane in enumerate(order):
@@ -346,7 +312,7 @@ def _estimate_procs_lanes(groups) -> dict[int, dict]:
             total_time=_lane_float(estimate.total_time, fused_lane),
             compute_time=_lane_float(estimate.compute_time, fused_lane),
             comm_time=_lane_float(estimate.comm_time, fused_lane),
-            grid_size=sizes[fused_lane],
+            grid_size=int(machine.procs[fused_lane]),
         )
     return payloads
 
@@ -456,24 +422,10 @@ def run_batched(
                             cache_hit and pos == 0,
                             deduped or pos > 0,
                         )
-                if evaluated and batch.jobs[0].mode == "simulate":
-                    try:
-                        payloads = _fuse_simulations(evaluated)
-                    except Exception:
-                        # byte-identical either way: adoption copies
-                        # columns, so per-sub-group extraction is a
-                        # safe rung below the fused one
-                        reason = _active_failure("fuse")
-                        payloads = {}
-                        for lanes, _sub, compiled, sim in evaluated:
-                            extracted = _simulate_payloads(
-                                sim, compiled, sim.clocks, range(len(lanes))
-                            )
-                            payloads.update(zip(lanes, extracted))
-                            reasons.update((lane, reason) for lane in lanes)
-                        _inc(
-                            "sweep.lane_fallback[reason=fuse]",
-                            len(reasons),
+                if batch.jobs[0].mode == "simulate":
+                    for lanes, _sub, compiled, sim in evaluated:
+                        payloads.update(
+                            zip(lanes, _simulate_payloads(sim, compiled))
                         )
                 elif evaluated:
                     payloads = _try_estimates(

@@ -523,8 +523,8 @@ def run_sweep(
     (:mod:`repro.sweep.batched`) — points differing only in machine
     parameters share one simulation, points differing only in the
     processor count fuse into procs sub-groups of one batch (sharing
-    compiles where the resolved grid agrees, and one fused procs-lane
-    extraction/estimate), repeated compiles dedupe — with everything
+    compiles where the resolved grid agrees and, in estimate mode, one
+    procs-lane estimator pass), repeated compiles dedupe — with everything
     non-batchable falling back to the pool; ``"auto"`` (default) uses
     the batched path exactly when some batch has two or more lanes to
     fuse.  Results are identical across modes (the parity suite

@@ -225,6 +225,28 @@ class TestRetiredShims:
         assert callable(repro.table1_tomcatv)
 
 
+    def test_run_has_no_event_buffer_keyword(self):
+        import inspect
+
+        assert list(inspect.signature(Session.run).parameters) == [
+            "self", "source", "seed", "validate", "tier", "overrides"
+        ]
+
+    def test_package_metadata_reads_the_one_version(self):
+        """pyproject.toml used to carry its own, stale, version."""
+        import pathlib
+        import tomllib
+
+        root = pathlib.Path(__file__).resolve().parents[2]
+        meta = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+        assert repro.__version__ == "1.2.0"
+
+
 class TestCompileManyJobs:
     def test_mapping_jobs(self):
         from repro.core.driver import compile_many

@@ -131,7 +131,7 @@ class TestExpressionClosures:
 class TestExecutorTables:
     def test_ranks_match_interpreted_executor_sets(self):
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
-        sim = SPMDSimulator(compiled, fast_path=True)
+        sim = SPMDSimulator(compiled)
         for name, values in _inputs().items():
             sim.set_array(name, values)
         tables = ExecutorTables(sim)
@@ -149,14 +149,14 @@ class TestExecutorTables:
     def test_fast_path_prefers_compiled_lowering(self):
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
         assert compiled.lowering is not None
-        sim = SPMDSimulator(compiled, fast_path=True)
+        sim = SPMDSimulator(compiled)
         assert FastPath(sim).lowered is compiled.lowering
 
     def test_fast_path_relowers_on_stale_epoch(self):
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
         stale = compiled.lowering
         compiled.proc.finalize()
-        sim = SPMDSimulator(compiled, fast_path=True)
+        sim = SPMDSimulator(compiled)
         fp = FastPath(sim)
         assert fp.lowered is not stale
         assert fp.lowered.ir_epoch == compiled.proc.ir_epoch
@@ -167,7 +167,7 @@ class TestFetchCharging:
         # The coalescing stage changes only where fetched values are
         # read from; every per-element charge is identical.
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
-        fast = simulate(compiled, _inputs(), fast_path=True)
-        slow = simulate(compiled, _inputs(), fast_path=False)
+        fast = simulate(compiled, _inputs())
+        slow = simulate(compiled, _inputs(), tier="interpreted")
         assert fast.stats.as_dict() == slow.stats.as_dict()
         assert fast.clocks.snapshot() == slow.clocks.snapshot()

@@ -139,29 +139,16 @@ class TestTrafficStats:
 
 
 class TestTrace:
-    def test_disabled_by_default(self):
-        from repro.machine.stats import Trace
-
-        trace = Trace()
-        trace.record("fetch", "x")
-        assert not trace.enabled
-        assert trace.render() == "no traced events"
-
-    def test_capacity_bound(self):
-        from repro.machine.stats import Trace
-
-        trace = Trace(capacity=2)
-        for k in range(5):
-            trace.record("fetch", f"e{k}", src=0, dst=1)
-        assert len(trace.records) == 2
-        assert trace.dropped == 3
-        assert "3 further event(s)" in trace.render()
+    """Runtime events reach ``repro.obs`` (the one tracing mechanism)
+    and ``TrafficStats``; the simulator keeps no event buffer of its
+    own."""
 
     def test_simulator_records_fetches(self):
         import numpy as np
 
         from repro.core import CompilerOptions, compile_source
         from repro.machine import simulate
+        from repro.obs import Tracer
 
         src = (
             "PROGRAM T\n  PARAMETER (n = 16)\n  REAL A(n), B(n)\n"
@@ -170,11 +157,14 @@ class TestTrace:
             "  DO i = 2, n\n    A(i) = B(i - 1)\n  END DO\nEND PROGRAM\n"
         )
         compiled = compile_source(src, CompilerOptions(num_procs=4))
+        tracer = Tracer()
         sim = simulate(
-            compiled, {"B": np.arange(16, dtype=float)}, trace_capacity=16
+            compiled, {"B": np.arange(16, dtype=float)}, tracer=tracer
         )
-        text = sim.trace.render()
-        assert "fetch" in text and "B(" in text
+        startups = [e for e in tracer.events if e["name"] == "msg.startup"]
+        assert startups and len(startups) == sim.stats.messages
+        assert {"src", "dst", "stmt", "event"} <= set(startups[0]["args"])
+        assert not hasattr(sim, "trace")
 
     def test_simulator_records_reduces(self):
         import numpy as np
@@ -186,5 +176,6 @@ class TestTrace:
         compiled = compile_source(
             tomcatv_source(n=8, niter=1, procs=4), CompilerOptions()
         )
-        sim = simulate(compiled, tomcatv_inputs(8), trace_capacity=400)
-        assert "reduce" in sim.trace.render()
+        sim = simulate(compiled, tomcatv_inputs(8))
+        assert sim.stats.reductions > 0
+        assert sim.clocks.total_comm > 0.0

@@ -1,29 +1,18 @@
-"""Unit tests for the P-parametric slab charging forms.
+"""Unit tests for the closed forms slab charging rests on.
 
-Each closed form must agree with a brute-force enumeration for every
-processor count — scalar P for the ordinary simulation path, vector P
-for the procs-lane sweep path — and :func:`charge_column_lanes` must
-reproduce dedicated per-lane scalar folds bitwise."""
-
-import dataclasses
+A slab takeover charges rank ``r`` one tape per column it owns, read
+off the concrete owner table of the executor position's
+:class:`~repro.mapping.distribution.DimFormat`.  These tests pin the
+arithmetic underneath against brute-force enumeration: loop trip
+counts (scalar and per-column vector bounds), the BLOCK partition of an
+extent, and how many terms of a strided position progression land in
+each rank's section."""
 
 import numpy as np
 import pytest
 
-from repro.machine.batchexec import ProcsVectorClocks, ProcsVectorMachine
-from repro.machine.slabexec import (
-    PColumnCharge,
-    charge_column_lanes,
-    slab_block_size,
-    slab_local_count,
-    slab_owned_trips,
-    slab_rank_span,
-    slab_trip_count,
-)
-from repro.machine.stats import Clocks
-from repro.model import SP2
-
-FAST = dataclasses.replace(SP2, name="fast", flop_time=1.0 / 500e6)
+from repro.machine.slabexec import slab_trip_count
+from repro.mapping.distribution import DimFormat
 
 
 def _brute_owned(extent, procs, coord, first, stride, trips):
@@ -51,111 +40,36 @@ class TestClosedForms:
     @pytest.mark.parametrize("extent", [1, 7, 16, 33])
     @pytest.mark.parametrize("procs", [1, 2, 3, 4, 8])
     def test_block_partition_forms(self, extent, procs):
-        bs = slab_block_size(extent, procs)
+        fmt = DimFormat(kind="block", extent=extent, procs=procs)
+        bs = fmt.block_size
         assert bs == -(-extent // procs)
         total = 0
         owners = 0
         for coord in range(procs):
-            count = slab_local_count(extent, procs, coord)
+            count = fmt.local_count(coord)
             brute = max(0, min(bs, extent - coord * bs))
             assert count == brute
             total += count
             owners += count > 0
         assert total == extent  # the blocks tile the extent exactly
-        assert slab_rank_span(extent, procs) == owners
-
-    def test_partition_forms_vectorize_over_procs(self):
-        procs = np.asarray([1, 2, 3, 4, 8])
-        extent = 33
-        assert slab_block_size(extent, procs).tolist() == [
-            slab_block_size(extent, int(p)) for p in procs
-        ]
-        assert slab_rank_span(extent, procs).tolist() == [
-            slab_rank_span(extent, int(p)) for p in procs
-        ]
-        assert slab_local_count(extent, procs, 1).tolist() == [
-            slab_local_count(extent, int(p), 1) for p in procs
-        ]
+        # coordinates owning anything: the span of a section-wide transfer
+        assert owners == min(procs, -(-extent // bs))
 
     @pytest.mark.parametrize("stride", [1, 2, 3, -1, -2, 0])
     @pytest.mark.parametrize("procs", [1, 2, 4, 5])
     def test_owned_trips_matches_enumeration(self, stride, procs):
+        """Per-rank column counts as the slab plans take them — a
+        bincount of the owner table over the position progression —
+        against the interval-intersection enumeration."""
         extent, trips = 20, 9
         first = 14 if stride < 0 else 2
+        fmt = DimFormat(kind="block", extent=extent, procs=procs)
+        owner_table = np.asarray([fmt.owner(p) for p in range(extent)])
+        positions = first + stride * np.arange(trips)
+        # positions past either end belong to nobody (a plan bails there)
+        positions = positions[(positions >= 0) & (positions < extent)]
+        counts = np.bincount(owner_table[positions], minlength=procs)
         for coord in range(procs):
-            got = slab_owned_trips(extent, procs, coord, first, stride, trips)
-            assert got == _brute_owned(
+            assert counts[coord] == _brute_owned(
                 extent, procs, coord, first, stride, trips
             ), (stride, procs, coord)
-
-    def test_owned_trips_vectorizes_over_procs(self):
-        procs = np.asarray([1, 2, 4, 5])
-        got = slab_owned_trips(20, procs, 1, 2, 2, 9)
-        assert got.tolist() == [
-            slab_owned_trips(20, int(p), 1, 2, 2, 9) for p in procs
-        ]
-
-
-class TestPColumnCharge:
-    CHARGE = PColumnCharge(extent=20, first=1, stride=1, trips=18, unit_len=3)
-
-    @pytest.mark.parametrize("procs", [1, 2, 3, 4, 8])
-    def test_columns_partition_the_trips(self, procs):
-        counts = [self.CHARGE.columns(procs, r) for r in range(procs)]
-        assert sum(counts) == self.CHARGE.trips
-        assert self.CHARGE.span(procs) == sum(c > 0 for c in counts)
-        for r, count in enumerate(counts):
-            assert self.CHARGE.rank_steps(procs, r) == (
-                count * self.CHARGE.unit_len
-            )
-
-    def test_span_vectorizes(self):
-        procs = np.asarray([1, 2, 4, 8])
-        assert self.CHARGE.span(procs).tolist() == [
-            self.CHARGE.span(int(p)) for p in procs
-        ]
-
-
-class TestChargeColumnLanes:
-    def test_matches_per_lane_scalar_folds(self):
-        models = (SP2, FAST, SP2)
-        procs = (1, 2, 4)
-        machine = ProcsVectorMachine(models, procs=procs)
-        clocks = ProcsVectorClocks(machine)
-        charge = PColumnCharge(
-            extent=10, first=1, stride=1, trips=8, unit_len=2
-        )
-        # per-column dt tape: one compute charge per body statement
-        unit = np.stack(
-            [machine.compute_time(5, 1), machine.compute_time(9, 1)]
-        )
-        charge_column_lanes(clocks, charge, unit)
-        for lane, (model, p) in enumerate(zip(models, procs)):
-            scalar = Clocks(p, model)
-            dts = [model.compute_time(5, 1), model.compute_time(9, 1)]
-            for r in range(p):
-                cols = charge.columns(p, r)
-                scalar.charge_compute_tape(r, scalar.tape(dts * cols))
-            assert clocks.lane_snapshot(lane) == scalar.snapshot()
-            assert clocks.lane_elapsed(lane) == scalar.elapsed
-
-    def test_shared_1d_unit_broadcasts_across_lanes(self):
-        machine = ProcsVectorMachine((SP2, SP2), procs=(2, 4))
-        clocks = ProcsVectorClocks(machine)
-        charge = PColumnCharge(extent=8, first=1, stride=1, trips=8,
-                               unit_len=1)
-        charge_column_lanes(clocks, charge, np.asarray([1e-6]))
-        for lane, p in enumerate((2, 4)):
-            scalar = Clocks(p, SP2)
-            for r in range(p):
-                cols = charge.columns(p, r)
-                scalar.charge_compute_tape(r, scalar.tape([1e-6] * cols))
-            assert clocks.lane_snapshot(lane) == scalar.snapshot()
-
-    def test_empty_unit_is_a_no_op(self):
-        machine = ProcsVectorMachine((SP2,), procs=(2,))
-        clocks = ProcsVectorClocks(machine)
-        charge = PColumnCharge(extent=8, first=1, stride=1, trips=8,
-                               unit_len=0)
-        charge_column_lanes(clocks, charge, np.empty((0,)))
-        assert clocks.lane_elapsed(0) == 0.0

@@ -73,8 +73,8 @@ class TestRuntime:
     def test_tomcatv_coverage_and_parity(self):
         compiled = _compile_tomcatv()
         inputs = tomcatv_inputs(12)
-        slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
-        walker = simulate(compiled, inputs, fast_path=False)
+        slab = simulate(compiled, inputs, tier="slab")
+        walker = simulate(compiled, inputs, tier="interpreted")
         assert slab.slab_instances > 0
         assert slab.slab_coverage > 0.9
         assert slab.clocks.snapshot() == walker.clocks.snapshot()
@@ -84,10 +84,10 @@ class TestRuntime:
                 slab.gather(name).tobytes() == walker.gather(name).tobytes()
             )
 
-    def test_slab_path_off_executes_nothing_in_tier3(self):
+    def test_lowered_tier_executes_nothing_in_tier3(self):
         compiled = _compile_tomcatv()
         sim = simulate(
-            compiled, tomcatv_inputs(12), fast_path=True, slab_path=False
+            compiled, tomcatv_inputs(12), tier="lowered"
         )
         assert sim.slab_instances == 0
 
@@ -95,7 +95,7 @@ class TestRuntime:
         compiled = _compile_tomcatv()
         compiled.slabs = None  # e.g. compiled artifact from an old cache
         sim = simulate(
-            compiled, tomcatv_inputs(12), fast_path=True, slab_path=True
+            compiled, tomcatv_inputs(12), tier="slab"
         )
         assert sim.slab_instances > 0
 
@@ -116,8 +116,8 @@ class TestRuntime:
         rng = np.random.default_rng(3)
         inputs = {nm: rng.uniform(1, 2, (n, n)) for nm in "AB"}
         compiled = compile_source(source, CompilerOptions(num_procs=4))
-        slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
-        walker = simulate(compiled, inputs, fast_path=False)
+        slab = simulate(compiled, inputs, tier="slab")
+        walker = simulate(compiled, inputs, tier="interpreted")
         assert slab.slab_instances > 0
         assert slab.stats.messages > 0  # ghost columns really moved
         assert slab.clocks.snapshot() == walker.clocks.snapshot()
@@ -310,7 +310,7 @@ class TestFetchReplay:
     def test_dgefa_lanes_match_scalar_runs(self):
         """One DGEFA simulation over five machine lanes charges every
         lane exactly like its own scalar run: the replay goes through
-        the ``clocks.*`` interface, so ``VectorClocks`` gets it too."""
+        the ``clocks.*`` interface, so lane clocks get it too."""
         n = 20
         compiled = compile_source(
             dgefa_source(n=n, procs=4), CompilerOptions(num_procs=4)

@@ -223,8 +223,7 @@ class TestEndToEnd:
         lowered = simulate(
             sim.compiled,
             tomcatv_inputs(12),
-            fast_path=True,
-            slab_path=False,
+            tier="lowered",
             tracer=tracer,
         )
         startups = [

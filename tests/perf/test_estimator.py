@@ -185,7 +185,7 @@ class TestTriangularExactness:
     def _walker_instances(self, compiled):
         from repro.machine import simulate
 
-        return simulate(compiled, fast_path=False).interp_instances
+        return simulate(compiled, tier="interpreted").interp_instances
 
     def _estimated_instances(self, compiled):
         from repro.ir.stmt import AssignStmt, IfStmt

@@ -7,7 +7,9 @@ must reproduce each variant's dedicated scalar run exactly.  These
 tests byte-compare (canonical JSON) the batched sweep's per-lane
 records against per-point ``tier="auto"`` simulations for the three
 paper kernels over a ≥7-point grid each, and a hypothesis property
-hammers the lane arithmetic with randomized machine parameters."""
+replays drawn charge scripts and whole simulations on the one
+``Clocks`` class over a scalar model and over a lane-stacked machine
+with randomized parameters."""
 
 import dataclasses
 import json
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.driver import CompilerOptions, compile_source
 from repro.machine.batchexec import VectorMachine
 from repro.machine.simulator import simulate
+from repro.machine.stats import Clocks
 from repro.model import SP2, MachineModel
 from repro.programs import appsp_source, dgefa_source, tomcatv_source
 from repro.sweep import SweepSpec, run_sweep
@@ -117,9 +120,76 @@ def machine_models(draw):
     )
 
 
-@settings(max_examples=10, deadline=None)
-@given(models=st.lists(machine_models(), min_size=1, max_size=4))
-def test_lane_vector_clocks_match_scalar_runs(models):
+RANKS = 4
+_rank = st.integers(0, RANKS - 1)
+_elements = st.integers(1, 5000)
+
+#: one charge: every entry point of ``Clocks`` the engines drive, over
+#: the argument shapes they produce — collectives over any rank subset
+#: (the empty and one-rank ones return early), tapes that are empty,
+#: one entry long, tiled, and concatenated
+charge_ops = st.one_of(
+    st.tuples(st.just("compute"), _rank, st.integers(0, 40)),
+    st.tuples(st.just("message"), _rank, _rank, _elements),
+    st.tuples(
+        st.just("amortized"), _rank, _rank, _elements, st.booleans()
+    ),
+    st.tuples(
+        st.just("collective"),
+        st.lists(_rank, unique=True, max_size=RANKS),
+        _elements,
+        st.sampled_from(["reduce", "broadcast"]),
+    ),
+    st.tuples(
+        st.just("tape"),
+        _rank,
+        st.lists(st.integers(0, 40), max_size=3),
+        st.integers(0, 3),
+    ),
+)
+
+
+def _replay(clocks, script):
+    machine = clocks.machine
+    for kind, *args in script:
+        if kind == "compute":
+            clocks.charge_compute(*args)
+        elif kind == "message":
+            clocks.charge_message(*args)
+        elif kind == "amortized":
+            clocks.charge_message_amortized(*args)
+        elif kind == "collective":
+            clocks.charge_collective(*args)
+        else:
+            rank, flops, repeats = args
+            unit = clocks.tape([machine.compute_time(f, 1) for f in flops])
+            clocks.charge_compute_tape(
+                rank, clocks.cat([clocks.tile(unit, repeats), unit])
+            )
+            clocks.charge_compute_tape(rank, clocks.cat([]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    models=st.lists(machine_models(), min_size=1, max_size=4),
+    script=st.lists(charge_ops, max_size=30),
+)
+def test_lane_vector_clocks_match_scalar_runs(models, script):
+    # the one Clocks class, replaying one script over a k-lane machine
+    # and over each scalar model: lane m is bitwise scalar run m
+    lanes = Clocks(RANKS, VectorMachine(models))
+    _replay(lanes, script)
+    for lane, model in enumerate(models):
+        scalar = Clocks(RANKS, model)
+        _replay(scalar, script)
+        assert _canonical(lanes.lane_snapshot(lane)) == _canonical(
+            scalar.snapshot()
+        )
+        assert lanes.lane_elapsed(lane) == scalar.elapsed
+        assert float(lanes.total_compute[lane]) == scalar.total_compute
+        assert float(lanes.total_comm[lane]) == scalar.total_comm
+
+    # and the same through whole simulations
     compiled = _compiled()
     sim = simulate(
         compiled, _inputs(compiled), machine=VectorMachine(models),

@@ -51,8 +51,8 @@ def test_materialization_timing_differs_but_state_matches():
     source = _memory_repro()
     compiled = compile_source(source, CompilerOptions(num_procs=3))
     inputs = make_inputs(source, 0)
-    walk = simulate(compiled, dict(inputs), fast_path=False)
-    low = simulate(compiled, dict(inputs), fast_path=True, slab_path=False)
+    walk = simulate(compiled, dict(inputs), tier="interpreted")
+    low = simulate(compiled, dict(inputs), tier="lowered")
     walk_keys = set(walk.memories[0].arrays)
     low_keys = set(low.memories[0].arrays)
     assert walk_keys <= low_keys  # the class this regression pinned
@@ -69,7 +69,7 @@ def test_tier_payload_covers_every_declared_array():
     in every rank's digest record, whether or not that tier touched it."""
     source = _memory_repro()
     compiled = compile_source(source, CompilerOptions(num_procs=3))
-    sim = simulate(compiled, make_inputs(source, 0), fast_path=False)
+    sim = simulate(compiled, make_inputs(source, 0), tier="interpreted")
     payload = tier_payload(sim)
     for record in payload["memories"]:
         assert {"A", "B", "C", "W"} <= set(record)
@@ -124,7 +124,7 @@ def test_every_scalar_is_written_before_read():
         program = generate(seed)
         source = program.emit(1)
         compiled = compile_source(source, CompilerOptions(num_procs=1))
-        simulate(compiled, make_inputs(source, 0), fast_path=False)
+        simulate(compiled, make_inputs(source, 0), tier="interpreted")
 
 
 def test_inputs_match_session_convention():

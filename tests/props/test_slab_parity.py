@@ -71,9 +71,9 @@ def run_three_ways(source, n, procs):
         name: rng.uniform(1, 2, (n, n)) for name in ("A", "B", "C")
     }
     compiled = compile_source(source, CompilerOptions(num_procs=procs))
-    slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
-    lowered = simulate(compiled, inputs, fast_path=True, slab_path=False)
-    walker = simulate(compiled, inputs, fast_path=False)
+    slab = simulate(compiled, inputs, tier="slab")
+    lowered = simulate(compiled, inputs, tier="lowered")
+    walker = simulate(compiled, inputs, tier="interpreted")
     return slab, lowered, walker
 
 
@@ -259,8 +259,8 @@ def test_reduction_slab_keeps_combine_tree(procs):
     rng = np.random.default_rng(procs)
     inputs = {"B": rng.uniform(-2, 2, (n, n))}
     compiled = compile_source(source, CompilerOptions(num_procs=procs))
-    slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
-    walker = simulate(compiled, inputs, fast_path=False)
+    slab = simulate(compiled, inputs, tier="slab")
+    walker = simulate(compiled, inputs, tier="interpreted")
     assert slab.clocks.snapshot() == walker.clocks.snapshot()
     assert slab.stats.as_dict() == walker.stats.as_dict()
     for sm, om in zip(slab.memories, walker.memories):

@@ -123,14 +123,19 @@ class TestCatalogCli:
 
 class TestFlagConventions:
     def test_measure_exec_canonical_and_aliases(self, program, capsys):
-        for flags in (
-            ["--measure", "estimate", "--exec", "batched"],
-            ["--sweep-mode", "estimate", "--mode", "batched"],
-        ):
-            assert main([
-                "sweep", str(program), "--procs", "2", *flags,
-            ]) == 0
-            assert "total" in capsys.readouterr().out
+        """``--measure``/``--exec`` are the only spellings; the aliases
+        older releases hid are refused on both grid-taking commands."""
+        assert main([
+            "sweep", str(program), "--procs", "2",
+            "--measure", "estimate", "--exec", "batched",
+        ]) == 0
+        assert "total" in capsys.readouterr().out
+        for command in (["sweep"], ["jobs", "submit"]):
+            for old in (["--sweep-mode", "estimate"], ["--mode", "batched"]):
+                with pytest.raises(SystemExit) as exit_info:
+                    main([*command, str(program), "--procs", "2", *old])
+                assert exit_info.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_hidden_aliases_not_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -141,26 +141,24 @@ class TestFallback:
             "sweep.lane_fallback[reason=lane-eval]"
         ] == len(results)
 
-    def test_fuse_degrade_stays_batched_but_records_reason(
-        self, monkeypatch
-    ):
+    def test_extraction_failure_degrades_to_per_lane_runs(self, monkeypatch):
+        """Payloads come straight off each sub-simulation's clocks; a
+        failure there lands on the last-resort rung, which reruns the
+        batch's lanes one by one and loses no point."""
         import repro.sweep.batched as batched_mod
 
-        def nope(evaluated):
-            raise ValueError("adoption refused")
+        def nope(sim, compiled):
+            raise ValueError("extraction refused")
 
-        monkeypatch.setattr(batched_mod, "_fuse_simulations", nope)
+        monkeypatch.setattr(batched_mod, "_simulate_payloads", nope)
         metrics = Metrics()
         spec = _spec(procs=(2, 4), machines=(SP2,))
         results = run_sweep(spec, workers=0, mode="batched", metrics=metrics)
-        assert [r.worker for r in results] == ["batched"] * len(results)
+        assert [r.worker for r in results] == ["batched-fallback"] * 2
         for result in results:
-            assert result.fallback_reason.startswith("fuse: ")
-            assert "ValueError: adoption refused" in result.fallback_reason
-        assert metrics.counters["sweep.lane_fallback[reason=fuse]"] == len(
-            results
-        )
-        # the degraded rung is byte-identical to the pool path
+            assert result.fallback_reason.startswith("batch: ")
+            assert "ValueError: extraction refused" in result.fallback_reason
+        assert metrics.counters["sweep.lane_fallback[reason=batch]"] == 2
         pool = run_sweep(spec, workers=0, mode="pool")
         for p, b in zip(pool, results):
             assert p.canonical_stats == b.canonical_stats

@@ -147,11 +147,20 @@ class TestExplainAndProfile:
 
 
 class TestTraceFlag:
-    def test_run_with_trace(self, program_file, capsys):
-        assert main(["run", program_file, "--procs", "4", "--trace", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "trace:" in out
-        assert "fetch" in out
+    def test_run_with_trace(self, program_file, tmp_path, capsys):
+        """``--trace`` takes a path; the event-count form is an
+        argparse error that says what to write instead."""
+        for count in ("5", "0"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", program_file, "--procs", "4", "--trace", count])
+            assert exit_info.value.code == 2
+            assert "--trace OUT.json" in capsys.readouterr().err
+        out_path = tmp_path / "5.json"
+        assert main(
+            ["run", program_file, "--procs", "4", "--trace", str(out_path)]
+        ) == 0
+        assert out_path.exists()
+        assert "trace:" not in capsys.readouterr().out
 
 
 class TestObsFlags:
@@ -241,7 +250,7 @@ class TestSweepCommand:
 
         assert main(
             ["sweep", program_file, "--procs", "2", "--json",
-             "--sweep-mode", "estimate"]
+             "--measure", "estimate"]
         ) == 0
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 1
@@ -252,7 +261,7 @@ class TestSweepCommand:
         assert main(
             ["sweep", program_file, "--procs", "2",
              "--axis", "strategy=selected,producer",
-             "--sweep-mode", "compile"]
+             "--measure", "compile"]
         ) == 0
         out = capsys.readouterr().out
         assert "2 points" in out
@@ -260,10 +269,19 @@ class TestSweepCommand:
     def test_forced_batched_mode(self, program_file, capsys):
         assert main(
             ["sweep", program_file, "--procs", "2", "4",
-             "--mode", "batched"]
+             "--exec", "batched"]
         ) == 0
         out = capsys.readouterr().out
         assert "(2 batched" in out
+
+    @pytest.mark.parametrize(
+        "old", [["--sweep-mode", "estimate"], ["--mode", "batched"]]
+    )
+    def test_rejects_retired_spellings(self, program_file, old, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", program_file, "--procs", "2", *old])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_rejects_machine_axis(self, program_file):
         with pytest.raises(SystemExit):
