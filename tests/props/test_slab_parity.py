@@ -266,3 +266,84 @@ def test_reduction_slab_keeps_combine_tree(procs):
     for sm, om in zip(slab.memories, walker.memories):
         assert sm.scalars == om.scalars
         assert sm.scalar_valid == om.scalar_valid
+
+
+@st.composite
+def serial_column_nests(draw):
+    """Column sweeps in tomcatv's tridiagonal mould: the inner loop
+    carries a recurrence along ``i`` (``D(i,j)`` from ``D(i∓1,j)``), so
+    the columns are the lanes and the inner loop runs step by step.
+    Forward or backward, with an optional array store into the own
+    column before the sweep (tomcatv's ``D(2,j)``) and after it, a
+    scalar temporary defined before its uses, an optional second
+    recurrence sharing the temporary, and block or cyclic columns."""
+    n = draw(st.integers(min_value=6, max_value=11))
+    dist = draw(st.sampled_from(TRI_DISTS))
+    backward = draw(st.booleans())
+    prologue = draw(st.booleans())
+    epilogue = draw(st.booleans())
+    temporary = draw(st.booleans())
+    second = draw(st.booleans())
+    # the recurrence reads the row the previous step wrote
+    first, prev = ("n - 1", "i + 1") if backward else ("2", "i - 1")
+    irange = "n - 2, 2, -1" if backward else "3, n - 1"
+    lines = ["  DO j = 2, n - 1"]
+    if prologue:
+        lines.append(f"    D({first},j) = 1.0 / B({first},j)")
+    lines.append(f"    DO i = {irange}")
+    if temporary:
+        lines.append(f"      R = C(i,j) * D({prev},j)")
+        lines.append("      D(i,j) = 1.0 / (B(i,j) - 0.25 * R)")
+    else:
+        lines.append(
+            f"      D(i,j) = 1.0 / (B(i,j) - 0.25 * C(i,j) * D({prev},j))"
+        )
+    if second:
+        factor = "R" if temporary else "D(i,j)"
+        lines.append(f"      A(i,j) = A(i,j) - A({prev},j) * {factor}")
+    lines.append("    END DO")
+    if epilogue:
+        last = "2" if backward else "n - 1"
+        lines.append(f"    A(1,j) = D({last},j) + A({last},j)")
+    lines.append("  END DO")
+    source = (
+        f"PROGRAM R\n  PARAMETER (n = {n})\n"
+        "  REAL A(n,n), B(n,n), C(n,n), D(n,n)\n  REAL R\n"
+        "!HPF$ ALIGN (i,j) WITH A(i,j) :: B, C, D\n"
+        + dist
+        + "".join(line + "\n" for line in lines)
+        + "END PROGRAM\n"
+    )
+    return source, n
+
+
+@given(serial_column_nests(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_serial_column_nests_are_bit_for_bit_invisible(case, procs):
+    """The serial-inner shape outside tomcatv: the whole ``j`` nest is
+    taken over with the recurrence intact, invisible against both lower
+    tiers in clocks, traffic, and every rank's data, validity and
+    versions."""
+    source, n = case
+    rng = np.random.default_rng(n * 31 + procs)
+    # diagonally dominant, as a tridiagonal solve expects: no divisor
+    # comes near zero
+    inputs = {name: rng.uniform(1, 2, (n, n)) for name in "ACD"}
+    inputs["B"] = rng.uniform(4, 5, (n, n))
+    compiled = compile_source(source, CompilerOptions(num_procs=procs))
+    metrics = Metrics()
+    slab = simulate(compiled, inputs, tier="slab", metrics=metrics)
+    lowered = simulate(compiled, inputs, tier="lowered")
+    walker = simulate(compiled, inputs, tier="interpreted")
+    for other in (lowered, walker):
+        assert_invisible(slab, other)
+        assert slab.gather("D").tobytes() == other.gather("D").tobytes()
+    assert lowered.slab_instances == 0
+    if procs > 1:  # on one rank there is no owner position to slice by
+        assert slab.slab_instances > 0
+        (j_loop,) = (
+            s.stmt_id
+            for s in compiled.proc.all_stmts()
+            if isinstance(s, LoopStmt) and s.var.name == "J"
+        )
+        assert metrics.counters[f"slab.takeover[loop=S{j_loop}]"] == 1
