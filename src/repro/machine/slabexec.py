@@ -2,26 +2,39 @@
 
 The lowered closures of :mod:`repro.machine.lowering` (tier 2) still
 execute one iteration x one rank x one element at a time.  This module
-batches whole loop nests into per-rank numpy kernels — the "generalized
-data-parallel operation" view of the paper's privatized loops: each
-rank evaluates its owned iteration slab as sliced array expressions and
-the virtual clocks are charged in closed form from per-statement charge
-tapes.
+takes whole loop nests over as one data-parallel operation each — the
+"generalized data-parallel operation" view of the paper's privatized
+loops: a *domain* of statement instances, a *signature* from each
+instance to the elements it reads, and the recognized folds.  A *lane*
+is a (statement instance, executing rank) pair; every statement is
+evaluated once over all of its lanes as numpy vector operations, each
+lane reading through its own rank's memory, and the virtual clocks are
+charged in closed form from per-statement charge tapes.
+
+There is one plan (:class:`NestPlan`) and one evaluation context.  What
+used to be three kinds of takeover are shapes of the domain, described
+by data (:class:`_Domain`): the outer iterations — *columns* — are
+always lanes; the iterations of the one inner loop, when there is one,
+are lanes too (a flattened, possibly triangular nest: the per-column
+*widths* vary with the outer index) unless a value flows from one of
+them to the next — then the inner loop is the *serial axis*: the body
+runs trip by trip, each statement still vectorized across the columns.
 
 Eligibility (the fallback ladder's top rung) is decided in two stages:
 
 * a **static classification** (:func:`classify_procedure`, run as the
   ``slabexec`` compiler pass) checks the shape of each loop nest —
-  assign-only bodies, affine subscripts, executor sets constant in the
-  inner loop variable, communication placed at or above the loop per
-  the communication analysis, and no loop-carried dependence at the
-  loop per :mod:`repro.analysis.dependence`;
-* a **runtime plan** rechecks everything that depends on live state
+  assign-only bodies, affine subscripts, executors that are a fixed
+  rank set or the owner of the column, communication placed above the
+  loop per the communication analysis, and no dependence carried
+  between lanes per :mod:`repro.analysis.dependence`;
+* the **runtime plan** rechecks everything that depends on live state
   (validity of read operands, executor rank sets, divisors, subscript
-  bounds) and *bails* — executing nothing and mutating nothing — the
-  moment any assumption fails.  A bailed takeover falls back to the
-  tier-2 lowered closures, which reproduce the per-iteration semantics
-  (including any error and its exact partial state) bit for bit.
+  bounds, disjointness of the concrete index sets) and *bails* —
+  executing nothing and mutating nothing — the moment any assumption
+  fails.  A bailed takeover falls back to the tier-2 lowered closures,
+  which reproduce the per-iteration semantics (including any error and
+  its exact partial state) bit for bit.
 
 Bit-for-bit clock identity is guaranteed by construction: per-instance
 compute charges are precomputed ``dt`` values replayed through
@@ -71,6 +84,10 @@ from .stats import sequential_sum
 
 _MISSING = object()
 
+#: consecutive prepare bails after which a nest that never committed is
+#: demoted to tier 2 for the rest of the run
+GIVE_UP_AFTER = 8
+
 
 def slab_trip_count(low, high, step):
     """Trip count of ``DO v = low, high, step`` (0 when empty).
@@ -83,8 +100,12 @@ def slab_trip_count(low, high, step):
     return np.maximum(n, 0)
 
 
-def _form_symbols(form):
-    return [s for s, c in form.coeffs if c != 0]
+def _mentions(form, *names: str) -> bool:
+    """The affine form varies with one of the (non-constant) symbols
+    ``names``."""
+    return any(
+        sym.value is None and sym.name in names for sym, _c in form.coeffs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -96,38 +117,18 @@ def _form_symbols(form):
 class SlabReport:
     """Pass product: per-loop slab eligibility.
 
-    ``inner`` maps innermost-loop statement ids to ``"ok"`` or the first
-    failing reason; ``column`` does the same for outer loops wrapping a
-    single ineligible inner loop (executed column-wise); ``triangular``
-    covers outer loops wrapping exactly one inner loop whose bounds may
-    vary with the outer index (imperfect nests with prologue/epilogue
-    assigns included).  Plain ids and strings only, so the product
-    pickles with the compiled program and is rebuilt (like the
-    lowering) when ``ir_epoch`` is stale.
+    ``verdicts`` maps every loop statement id to ``"ok"`` or the first
+    reason the loop is not one takeover.  Plain ids and strings only,
+    so the product pickles with the compiled program and is rebuilt
+    (like the lowering) when ``ir_epoch`` is stale.
     """
 
     ir_epoch: int
-    inner: dict[int, str] = field(default_factory=dict)
-    column: dict[int, str] = field(default_factory=dict)
-    triangular: dict[int, str] = field(default_factory=dict)
+    verdicts: dict[int, str] = field(default_factory=dict)
 
     def eligible_loops(self) -> set[int]:
-        """Statement ids of every loop with at least one "ok" verdict."""
-        out: set[int] = set()
-        for table in (self.inner, self.column, self.triangular):
-            out.update(sid for sid, v in table.items() if v == "ok")
-        return out
-
-    def summary(self) -> dict[str, int]:
-        tri = self.triangular
-        return {
-            "inner_ok": sum(1 for v in self.inner.values() if v == "ok"),
-            "inner_total": len(self.inner),
-            "column_ok": sum(1 for v in self.column.values() if v == "ok"),
-            "column_total": len(self.column),
-            "triangular_ok": sum(1 for v in tri.values() if v == "ok"),
-            "triangular_total": len(tri),
-        }
+        """Statement ids of every loop with an "ok" verdict."""
+        return {sid for sid, v in self.verdicts.items() if v == "ok"}
 
 
 def _placement_map(events) -> dict[int, list[int]]:
@@ -159,35 +160,11 @@ def _check_executor(info, v: str | None) -> str | None:
     return None
 
 
-def _classify_inner(proc, loop: LoopStmt, executors, placements,
-                    reduction_ids) -> str:
-    v = loop.var.name
-    assigns = []
-    for s in loop.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"body contains {type(s).__name__}"
-        assigns.append(s)
-    if not assigns:
-        return "empty body"
-    for s in assigns:
-        reason = _check_executor(executors.get(s.stmt_id), v)
-        if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        reason = _check_affine_refs(s)
-        if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        for level in placements.get(s.stmt_id, ()):
-            if level >= loop.level:
-                return f"S{s.stmt_id}: communication placed inside the loop"
-    return _carried_dependence(proc, loop, assigns, reduction_ids) or "ok"
-
-
 def _split_nest(loop: LoopStmt):
-    """``(inner, pre, body, post)`` of an outer loop whose body is
-    straight-line assigns around exactly one assign-only inner loop —
-    or the reason (a string) it is not of that shape."""
+    """``(inner, pre, body, post)`` of a loop whose body is
+    straight-line assigns around at most one assign-only inner loop
+    (``inner`` is None and every assign in ``pre`` when there is none)
+    — or the reason (a string) it is not of that shape."""
     inner: LoopStmt | None = None
     pre: list[AssignStmt] = []
     post: list[AssignStmt] = []
@@ -202,92 +179,16 @@ def _split_nest(loop: LoopStmt):
             return f"body contains {type(s).__name__}"
         else:
             (pre if inner is None else post).append(s)
-    if inner is None:
-        return "no inner loop"
     body: list[AssignStmt] = []
-    for s in inner.body:
+    for s in inner.body if inner is not None else ():
         if isinstance(s, ContinueStmt):
             continue
         if not isinstance(s, AssignStmt):
             return f"inner body contains {type(s).__name__}"
         body.append(s)
-    return inner, pre, body, post
-
-
-def _classify_column(proc, loop: LoopStmt, executors, placements,
-                     reduction_ids, grid_rank) -> str:
-    """An outer loop executed column-wise: its body is straight-line
-    assigns around exactly one inner loop; every statement runs on the
-    owner of the same position (a function of the outer variable only),
-    and every array touches exactly its outer-variable column — so the
-    columns evolve independently and one rank-sliced numpy pass per
-    statement reproduces the sequential per-column semantics."""
-    if grid_rank is not None and grid_rank != 1:
-        return "grid is not one-dimensional"
-    j = loop.var.name
-    nest = _split_nest(loop)
-    if isinstance(nest, str):
-        return nest
-    inner, pre, body, post = nest
-    i = inner.var.name
-    all_assigns = pre + post + body
-    if not all_assigns:
+    if not (pre if inner is None else body):
         return "empty body"
-    # inner bounds must be invariant over the takeover
-    for bound in (inner.low, inner.high, inner.step):
-        if bound is None:
-            continue
-        for ref in bound.refs():
-            if isinstance(ref, ScalarRef) and ref.symbol.name in (j, i):
-                return "inner bounds vary with the loop variables"
-    canon_pos = _MISSING
-    for s in all_assigns:
-        if s.stmt_id in reduction_ids:
-            return f"S{s.stmt_id}: reduction update in body"
-        info = executors.get(s.stmt_id)
-        reason = _check_executor(info, None)
-        if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        if info.kind != "owner":
-            return f"S{s.stmt_id}: executor kind {info.kind}"
-        pos = tuple(
-            _canon_form(dim.form)
-            if dim.kind == "pos" and dim.form is not None
-            else dim.kind
-            for dim in info.position
-        )
-        if canon_pos is _MISSING:
-            canon_pos = pos
-        elif pos != canon_pos:
-            return "executor position differs across statements"
-        reason = _check_affine_refs(s)
-        if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        for level in placements.get(s.stmt_id, ()):
-            if level >= loop.level:
-                return f"S{s.stmt_id}: communication placed inside the loop"
-    # every array must touch exactly its own column: one dimension
-    # subscripted exactly ``j`` in every ref, the others ``j``-free
-    jdims: dict[str, int] = {}
-    for s in all_assigns:
-        for ref in _stmt_array_refs(s):
-            name = ref.symbol.name
-            ref_jdims = []
-            for d, sub in enumerate(ref.subscripts):
-                form = affine_form(sub)
-                canon = _canon_form(form)
-                if canon == (0, ((j, 1),)):
-                    ref_jdims.append(d)
-                elif any(nm == j for nm, _ in canon[1]):
-                    return f"{name}: mixed {j}-subscript"
-            if len(ref_jdims) != 1:
-                return f"{name}: no unique {j}-column dimension"
-            d = ref_jdims[0]
-            if jdims.setdefault(name, d) != d:
-                return f"{name}: inconsistent {j}-column dimension"
-            if len(ref.subscripts) != 2:
-                return f"{name}: only rank-2 arrays supported"
-    return "ok"
+    return inner, pre, body, post
 
 
 def _replicated_exec(info) -> bool:
@@ -303,136 +204,178 @@ def _replicated_exec(info) -> bool:
     )
 
 
-def _classify_triangular(proc, loop: LoopStmt, executors, placements,
-                         reduction_ids, grid_rank, inner_ok=False) -> str:
-    """An outer loop executed as one flattened slab: straight-line
-    assigns around exactly one inner loop whose bounds may be affine in
-    the outer variable (triangular nests) — per-column slab widths vary
-    with the outer index.  Every statement runs on the owner of the
-    same outer-variable position, every store names its own column,
-    and arrays are written only inside the inner loop.  Reads may
-    leave the column — the part of the kernel's signature a rank needs
-    but does not own, fetched at run time: of an array the nest never
-    writes freely, of a written one when no value flows between outer
-    iterations.  The columns then evolve independently and the whole
-    imperfect nest commits as one takeover."""
-    if grid_rank is not None and grid_rank != 1:
-        return "grid is not one-dimensional"
-    j = loop.var.name
+def _runs_serially(proc, inner: LoopStmt, body, reduction_ids,
+                   verdicts) -> bool:
+    """The inner loop of a nest is its serial axis — run trip by trip
+    rather than flattened into lanes — exactly when a value flows from
+    one of its iterations to the next (an eligible inner loop carries
+    none: that was its own verdict)."""
+    return (
+        verdicts.get(inner.stmt_id) != "ok"
+        and _carried_dependence(proc, inner, body, reduction_ids) is not None
+    )
+
+
+def _column_discipline(stmts, v: str, stores_only: bool) -> str | None:
+    """Each array keeps one dimension subscripted exactly ``v`` and the
+    others ``v``-free — in its stores, or in every reference — so a
+    column's lanes touch only their own column of it."""
+    vdims: dict[str, int] = {}
+    for s in stmts:
+        for ref in _stmt_array_refs(s):
+            if stores_only and ref is not s.lhs:
+                continue
+            name = ref.symbol.name
+            forms = [affine_form(sub) for sub in ref.subscripts]
+            own = [
+                d for d, f in enumerate(forms)
+                if _canon_form(f) == (0, ((v, 1),))
+            ]
+            if any(
+                _mentions(f, v) for d, f in enumerate(forms) if d not in own
+            ):
+                return f"{name}: mixed {v}-subscript"
+            if len(own) != 1:
+                return f"{name}: no unique {v}-column dimension"
+            if vdims.setdefault(name, own[0]) != own[0]:
+                return f"{name}: inconsistent {v}-column dimension"
+    return None
+
+
+def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
+              grid_rank, verdicts) -> str:
+    """Whether ``loop`` is one data-parallel operation, and if not the
+    first reason why.
+
+    Without an inner loop every iteration is a lane on a *fixed*
+    executor set: the executors may not vary with the loop variable,
+    and no array value may flow between iterations.
+
+    With one inner loop the outer iterations are columns, each run by
+    the owner of the same outer-variable position; replicated
+    statements may ride along when they touch no array.  The inner
+    iterations are flattened into the lanes — their bounds may be
+    affine in the outer variable (triangular nests) — with every store
+    in the inner loop and naming its own column, and reads free to
+    leave it (fetched at run time) as long as no value flows between
+    outer iterations; or, when the inner loop carries a value, they are
+    the serial axis: the bounds must then be the same for every column
+    and every reference must stay inside its own column, so the
+    columns evolve independently in program order."""
     nest = _split_nest(loop)
     if isinstance(nest, str):
         return nest
     inner, pre, body, post = nest
+    v = loop.var.name
+    stmts = pre + body + post
+
+    def communicates(s) -> str | None:
+        if any(level >= loop.level for level in placements.get(s.stmt_id, ())):
+            return "communication placed inside the loop"
+        return None
+
+    if inner is None:
+        for s in stmts:
+            reason = (
+                _check_executor(executors.get(s.stmt_id), v)
+                or _check_affine_refs(s)
+                or communicates(s)
+            )
+            if reason is not None:
+                return f"S{s.stmt_id}: {reason}"
+        return _carried_dependence(proc, loop, stmts, reduction_ids) or "ok"
+
+    if grid_rank is not None and grid_rank != 1:
+        return "grid is not one-dimensional"
     i = inner.var.name
-    all_assigns = pre + body + post
-    if not body:
-        return "empty inner body"
-    # inner bounds may vary with the outer variable (that is the point)
-    # but not with the inner variable; the step must be invariant
-    for bound, tag in ((inner.low, "low"), (inner.high, "high")):
-        form = affine_form(bound) if bound is not None else None
-        if form is None:
+    serial = _runs_serially(proc, inner, body, reduction_ids, verdicts)
+    for tag, bound in (
+        ("low", inner.low), ("high", inner.high), ("step", inner.step)
+    ):
+        if bound is None:
+            continue
+        names = {
+            r.symbol.name for r in bound.refs() if isinstance(r, ScalarRef)
+        }
+        if i in names:
+            return "inner bounds vary with the inner variable"
+        if v in names and (serial or tag == "step"):
+            # a serial axis has one trip count for all columns
+            return "inner bounds vary with the loop variables"
+        if affine_form(bound) is None and not serial:
             return f"inner {tag} bound not affine"
-        for sym, _c in form.coeffs:
-            if sym.value is None and sym.name == i:
-                return "inner bounds vary with the inner variable"
-    if inner.step is not None:
-        form = affine_form(inner.step)
-        if form is None:
-            return "inner step not affine"
-        for sym, _c in form.coeffs:
-            if sym.value is None and sym.name in (i, j):
-                return "inner step varies with the loop variables"
     canon_pos = _MISSING
-    for s in all_assigns:
-        if s.stmt_id in reduction_ids:
-            return f"S{s.stmt_id}: reduction update in body"
-        info = executors.get(s.stmt_id)
+    for s in stmts:
+        sid = s.stmt_id
+        if sid in reduction_ids:
+            return f"S{sid}: reduction update in body"
+        info = executors.get(sid)
         if info is None:
-            return f"S{s.stmt_id}: no executor info"
-        if _replicated_exec(info):
+            return f"S{sid}: no executor info"
+        if _replicated_exec(info) and not serial:
             # every rank runs it each iteration: fine for scalar-only
-            # statements with rank-invariant operands (checked at run
-            # time); arrays would read per-rank state
+            # statements (their operands are checked at run time);
+            # arrays would read per-rank state
             if isinstance(s.lhs, ArrayElemRef) or _stmt_array_refs(s):
-                return f"S{s.stmt_id}: replicated statement touches arrays"
-            for level in placements.get(s.stmt_id, ()):
-                if level >= loop.level:
-                    return (
-                        f"S{s.stmt_id}: communication placed inside the loop"
-                    )
+                return f"S{sid}: replicated statement touches arrays"
+            reason = communicates(s)
+            if reason is not None:
+                return f"S{sid}: {reason}"
             continue
         reason = _check_executor(info, None)
+        if reason is None and info.kind != "owner":
+            reason = f"executor kind {info.kind}"
         if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        if info.kind != "owner" or len(info.position) != 1:
-            return f"S{s.stmt_id}: executor is not a 1-D owner position"
-        dim = info.position[0]
-        if dim.kind != "pos" or dim.form is None:
-            return f"S{s.stmt_id}: executor position is not a point"
-        pos = _canon_form(dim.form)
+            return f"S{sid}: {reason}"
+        pos = tuple(
+            _canon_form(dim.form)
+            if dim.kind == "pos" and dim.form is not None
+            else dim.kind
+            for dim in info.position
+        )
         if canon_pos is _MISSING:
             canon_pos = pos
         elif pos != canon_pos:
             return "executor position differs across statements"
-        for sym, _c in dim.form.coeffs:
-            if sym.value is None and sym.name == i:
-                return "executor position varies with the inner variable"
-        reason = _check_affine_refs(s)
+        if not serial:
+            # (a serial nest whose position is no point — one rank —
+            # is declined by the plan, not here: its verdict feeds the
+            # tier decisions the records pin)
+            if len(pos) != 1:
+                return f"S{sid}: executor is not a 1-D owner position"
+            if isinstance(pos[0], str):
+                return f"S{sid}: executor position is not a point"
+        if any(
+            dim.kind == "pos" and dim.form is not None
+            and _mentions(dim.form, i)
+            for dim in info.position
+        ):
+            return "executor position varies with the inner variable"
+        reason = _check_affine_refs(s) or communicates(s)
         if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        for level in placements.get(s.stmt_id, ()):
-            if level >= loop.level:
-                return f"S{s.stmt_id}: communication placed inside the loop"
+            return f"S{sid}: {reason}"
     if canon_pos is _MISSING:
         return "no owner-positioned statement"
-    # column discipline: a store subscripts one dimension exactly
-    # ``j`` and keeps the others ``j``-free; arrays are written only in
-    # the inner loop, and prologue/epilogue refs are ``i``-free
-    inner_written = {
+    written = {
         s.lhs.symbol.name for s in body if isinstance(s.lhs, ArrayElemRef)
     }
-    jdims: dict[str, int] = {}
-    for s in all_assigns:
-        in_body = s in body
-        if not in_body and isinstance(s.lhs, ArrayElemRef):
+    for s in pre + post:
+        if isinstance(s.lhs, ArrayElemRef) and not serial:
             return "array written outside the inner loop"
         for ref in _stmt_array_refs(s):
             name = ref.symbol.name
-            if not in_body and name in inner_written:
+            if name in written and not serial:
                 return f"{name}: written array read outside the inner loop"
-            canons = [_canon_form(affine_form(sub)) for sub in ref.subscripts]
-            if not in_body and any(nm == i for c in canons for nm, _ in c[1]):
+            if any(_mentions(affine_form(sub), i) for sub in ref.subscripts):
                 return f"{name}: {i}-subscript outside the inner loop"
-            if ref is not s.lhs:
-                continue
-            ref_jdims = [
-                d for d, c in enumerate(canons) if c == (0, ((j, 1),))
-            ]
-            if any(
-                nm == j
-                for d, c in enumerate(canons)
-                if d not in ref_jdims
-                for nm, _ in c[1]
-            ):
-                return f"{name}: mixed {j}-subscript"
-            if len(ref_jdims) != 1:
-                return f"{name}: no unique {j}-column dimension"
-            if jdims.setdefault(name, ref_jdims[0]) != ref_jdims[0]:
-                return f"{name}: inconsistent {j}-column dimension"
-    # no value may flow between inner iterations of a column (already
-    # established when the inner loop's own verdict is ok), nor — now
-    # that reads leave the column — between columns
-    levels = [(loop, frozenset((i,)))]
-    if not inner_ok:
-        levels.insert(0, (inner, frozenset()))
-    for level, inner_vars in levels:
-        reason = _carried_dependence(
-            proc, level, body, reduction_ids, inner_vars
-        )
-        if reason is not None:
-            return reason
-    return "ok"
+    reason = _column_discipline(stmts, v, stores_only=not serial)
+    if reason is not None:
+        return reason
+    # no value may flow between columns (within one, the inner loop's
+    # own verdict or the serial axis takes care of it)
+    return _carried_dependence(
+        proc, loop, stmts, reduction_ids, frozenset((i,))
+    ) or "ok"
 
 
 def classify_procedure(proc, executors, events, reduction_ids,
@@ -444,99 +387,66 @@ def classify_procedure(proc, executors, events, reduction_ids,
     def visit(stmts):
         for s in stmts:
             if isinstance(s, LoopStmt):
-                nested = [b for b in s.body if isinstance(b, LoopStmt)]
-                if not nested:
-                    report.inner[s.stmt_id] = _classify_inner(
-                        proc, s, executors, placements, reduction_ids
-                    )
-                elif (
-                    len(nested) == 1
-                    and report.inner.get(nested[0].stmt_id) != "ok"
-                ):
-                    pass  # classified below, after visiting children
+                # inner verdicts first: whether a nest flattens its
+                # inner loop depends on it.  An eligible nest preempts
+                # its eligible inner loop; a bail falls back to tier 2,
+                # which re-enters the inner loop's own takeover
                 visit(s.body)
+                report.verdicts[s.stmt_id] = _classify(
+                    proc, s, executors, placements, reduction_ids,
+                    grid_rank, report.verdicts,
+                )
             elif isinstance(s, IfStmt):
                 visit(s.then_body)
                 visit(s.else_body)
 
     visit(proc.body)
-
-    def visit_columns(stmts):
-        for s in stmts:
-            if isinstance(s, LoopStmt):
-                nested = [b for b in s.body if isinstance(b, LoopStmt)]
-                if (
-                    len(nested) == 1
-                    and report.inner.get(nested[0].stmt_id, "") != "ok"
-                ):
-                    report.column[s.stmt_id] = _classify_column(
-                        proc, s, executors, placements, reduction_ids,
-                        grid_rank,
-                    )
-                if len(nested) == 1:
-                    # classified even when the inner loop is itself
-                    # eligible: the outer takeover preempts; a bail
-                    # falls back to tier 2, which re-enters the inner
-                    # loop's own takeover
-                    report.triangular[s.stmt_id] = _classify_triangular(
-                        proc, s, executors, placements, reduction_ids,
-                        grid_rank,
-                        inner_ok=report.inner.get(nested[0].stmt_id) == "ok",
-                    )
-                visit_columns(s.body)
-            elif isinstance(s, IfStmt):
-                visit_columns(s.then_body)
-                visit_columns(s.else_body)
-
-    visit_columns(proc.body)
     return report
 
 # ---------------------------------------------------------------------------
-# Runtime plans
+# The runtime plan
 # ---------------------------------------------------------------------------
 
 
 class _Step:
-    """One body assignment, preprocessed."""
+    """One assignment of the nest, preprocessed."""
 
-    __slots__ = ("stmt", "sid", "dt", "kind", "name", "stype", "rhs",
-                 "red_op", "red_expr", "lhs_forms", "row_form",
-                 "region_key", "repl")
+    __slots__ = ("stmt", "sid", "dt", "index", "k", "kind", "name", "stype",
+                 "expr", "op", "follows", "group")
 
-    def __init__(self, stmt: AssignStmt, dt: float):
+    def __init__(self, stmt: AssignStmt, dt: float, index: int, k: int):
         self.stmt = stmt
         self.sid = stmt.stmt_id
         self.dt = dt
+        #: position among all the nest's statements, and within its phase
+        self.index = index
+        self.k = k
         self.name = stmt.lhs.symbol.name
         self.stype = stmt.lhs.symbol.type
-        self.rhs = stmt.rhs
-        self.red_op = None
-        self.red_expr = None
-        self.lhs_forms = None
-        self.row_form = None
-        self.region_key = None
-        self.repl = False
+        #: an "array" or "scalar" store of ``expr`` — or, with ``op``,
+        #: the fold of ``expr`` over the lanes into a "reduction"
+        #: scalar or an "afold" element (both private to each rank) or
+        #: an "sfold" element (a plain owner-computes store, serialized)
+        self.kind = "array" if isinstance(stmt.lhs, ArrayElemRef) else "scalar"
+        self.expr = stmt.rhs
+        self.op = None
+        #: executed by the owner of its column (else: by a fixed rank
+        #: set); index of the nest's statements sharing its executor
+        self.follows = False
+        self.group = 0
 
 
 def _check_form_resolvable(form, loop_vars: tuple[str, ...],
-                           scalar_deps: set | None = None) -> None:
-    """Subscript/position forms may reference only the vectorized loop
-    vars, other (env-resolved) loop variables, and symbolic constants.
-    A per-rank memory scalar is allowed only when the caller passes
-    ``scalar_deps`` — its name is recorded and the *prepare* phase
-    resolves one agreed value across the participants (bailing when the
-    copies diverge or are invalid); without that set, it bails here."""
+                           scalar_deps: set) -> None:
+    """Subscript forms may reference the vectorized loop vars, other
+    (env-resolved) loop variables, symbolic constants, and per-rank
+    memory scalars — whose names are recorded in ``scalar_deps``: the
+    *prepare* phase resolves one agreed value across the participants
+    (bailing when the copies diverge or are invalid)."""
     for sym, _c in form.coeffs:
-        if sym.value is not None:
-            continue
-        if sym.name in loop_vars:
-            continue
-        if sym.is_loop_var:
-            continue  # resolved from env at run time (bail if absent)
-        if scalar_deps is not None:
-            scalar_deps.add(sym.name)
-            continue
-        raise _Bail(f"subscript depends on scalar {sym.name}")
+        if sym.value is None and sym.name not in loop_vars:
+            if not sym.is_loop_var:  # else: from env at run time
+                scalar_deps.add(sym.name)
 
 
 def _afold_operand(rhs, name: str, canon: tuple, op: str):
@@ -577,12 +487,16 @@ def _afold_operand(rhs, name: str, canon: tuple, op: str):
     return e
 
 
-def _lane_index(off, n: int) -> tuple:
-    """Per-dimension offsets (ints or lane vectors) as ``n``-lane index
-    vectors."""
-    return tuple(
-        np.broadcast_to(np.asarray(o, dtype=np.int64), (n,)) for o in off
-    )
+def _pick(index, lanes, n: int) -> tuple:
+    """The ``lanes`` (a slice or a mask) of a numpy index whose
+    components are ints or arrays with the ``n`` lanes as last axis;
+    anything narrower is the same for every lane and stays as it is."""
+    return tuple([
+        ix[..., lanes]
+        if isinstance(ix, np.ndarray) and ix.ndim and ix.shape[-1] == n
+        else ix
+        for ix in index
+    ])
 
 
 def _lane_offsets(ref_forms: dict, vars_of: Callable, env) -> dict:
@@ -604,33 +518,6 @@ def _lane_offsets(ref_forms: dict, vars_of: Callable, env) -> dict:
             off.append(shared[key])
         offs[ref_id] = tuple(off)
     return offs
-
-
-def _check_disjoint(plan, offs: dict, n: int) -> None:
-    """Several write regions, or reads of a written array matching no
-    region: the classification was symbolic — verify the concrete index
-    sets are disjoint, else per-iteration order matters."""
-    if len(plan.regions) < 2 and not plan.disjoint_reads:
-        return
-    written: dict[str, np.ndarray] = {}
-
-    def hits(ref_id) -> tuple:
-        symbol, _forms = plan.ref_forms[ref_id]
-        shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-        mask = written.get(symbol.name)
-        if mask is None:
-            mask = written[symbol.name] = np.zeros(shape, dtype=np.bool_)
-        return mask, _lane_index(offs[ref_id], n)
-
-    for info in plan.regions.values():
-        mask, idx = hits(info.ref0)
-        if mask[idx].any():
-            raise _Bail("write regions overlap")
-        mask[idx] = True
-    for ref_id in plan.disjoint_reads:
-        mask, idx = hits(ref_id)
-        if mask[idx].any():
-            raise _Bail("read overlaps writes across lanes")
 
 
 class _Fetched(NamedTuple):
@@ -840,1409 +727,1055 @@ class _FetchLog:
         return inst.size
 
 
-class _InnerCtx(_Ctx):
-    """Per-rank lane evaluation of one inner-loop takeover."""
+#: statement phases of a nest, in execution order: before the inner
+#: loop, its body, after it (a loop without an inner loop is all PRE)
+PRE, BODY, POST = 0, 1, 2
 
-    def __init__(self, plan: "InnerPlan", rank: int, iv: np.ndarray,
-                 env, n: int, offs: dict, log: _FetchLog):
-        self.plan = plan
+
+class _Domain:
+    """The iteration domain of one takeover, as data.
+
+    ``jvec`` is the outer index of every *column*.  A column runs the
+    prologue once, the body ``trips`` times — the inner index starting
+    at ``low`` and advancing by ``step`` — and the epilogue once.
+    ``widths`` of those trips lie side by side as lanes and ``serial``
+    of them follow one another, ``trips == widths * serial``: a
+    flattened nest has ``widths == trips`` (varying with the column
+    when it is triangular) and one pass over the body, a nest with a
+    serial axis ``widths == 1`` and ``serial`` passes, a loop without
+    an inner loop an empty body.  ``count`` statement instances belong
+    to each column, numbered from ``base`` in per-iteration order."""
+
+    __slots__ = ("jvec", "low", "step", "trips", "widths", "serial",
+                 "serial_var", "count", "base", "tapes")
+
+    def binding(self, t: int) -> dict:
+        """The serial axis' index at body pass ``t``, as an env entry."""
+        if self.serial_var is None:
+            return {}
+        return {self.serial_var: int(self.low[0]) + self.step * t}
+
+
+class _Lanes:
+    """The lanes of one executor layout at one level — its columns, or
+    the flattened body.  A lane is a (statement instance, executing
+    rank) pair; lanes are ordered rank-major (then by column, then by
+    inner iteration), so each rank's lanes are one slice and run in
+    per-iteration order."""
+
+    def __init__(self, runs: np.ndarray, rank, col, lane_vars: dict,
+                 spread=None):
+        #: the layout (shared by its levels, and what identifies it)
+        self.runs = runs
+        self.n = rank.size
         self.rank = rank
-        self.log = log
-        self.memory = plan.sim.memories[rank]
-        self.iv = iv
-        self._env = env
-        self.n = n
-        self.offs = offs
-        self.scalar_shadow: dict[str, np.ndarray] = {}
-        self.scalar_killed: set[str] = set()
-        #: write-region key -> shadow lane vector
-        self.array_shadow: dict[tuple, np.ndarray] = {}
-        self.array_killed: set[tuple] = set()
-        self.red_results: dict[str, Any] = {}
-        self.afold_results: dict[int, Any] = {}  # step index -> folded
-        self.tape: list[float] = []
-        self.cur_k = 0
-        self.cur_stmt = None
+        self.col = col
+        #: the loop variables' lane vectors
+        self.vars = lane_vars
+        #: in the flattened body: the column-level lane each lane
+        #: belongs to and its inner iteration within the column, then
+        #: those ``columns``, their ``widths`` and ``first`` flat lanes
+        #: (at column level: the lanes themselves, and nothing)
+        self.up, self.tw, self.columns, self.widths, self.first = spread or (
+            np.arange(rank.size), None, None, None, None
+        )
+        ends = np.bincount(rank, minlength=len(runs)).cumsum().tolist()
+        self.slices = [
+            (r, slice(start, stop))
+            for r, (start, stop) in enumerate(zip([0] + ends, ends))
+            if stop > start
+        ]
+        self._home = self._lost = self._lane_id = None
+
+    @property
+    def home(self) -> np.ndarray:
+        """One lane per statement instance — that of the lowest rank
+        running it — as a lane mask."""
+        if self._home is None:
+            self._home = self.rank == self.runs.argmax(axis=0)[self.col]
+        return self._home
+
+    @property
+    def lost(self) -> list:
+        """``(rank, lanes, count)`` for every rank that does not run all
+        the columns: a mask of the home lanes of the instances it does
+        not run — whose stores invalidate its copies.  (``lanes`` is
+        None for all of them: a rank that runs nothing, where no
+        instance is shared.)"""
+        if self._lost is None:
+            home, runs = self.home, self.runs
+            idle = ~runs.any(axis=1) if home.all() else ()
+            self._lost = []
+            for r in (~runs.all(axis=1)).nonzero()[0].tolist():
+                if len(idle) and idle[r]:
+                    self._lost.append((r, None, self.n))
+                else:
+                    lanes = home & ~runs[r][self.col]
+                    self._lost.append((r, lanes, int(lanes.sum())))
+        return self._lost
+
+    @property
+    def lane_id(self) -> np.ndarray:
+        """(rank, column) -> column-level lane, -1 where not run."""
+        if self._lane_id is None:
+            self._lane_id = np.full(self.runs.shape, -1, dtype=np.int64)
+            self._lane_id[self.rank, self.col] = self.up
+        return self._lane_id
+
+
+class _Layout:
+    """Which rank runs which column of the statements sharing one
+    executor: ``runs[r, c]`` — the owner-computes layout has one rank
+    per column, a fixed executor set the same ranks for every column —
+    and its lanes at either level."""
+
+    def __init__(self, runs: np.ndarray, dom: _Domain, plan: "NestPlan"):
+        self.runs = runs
+        rank, col = runs.nonzero()
+        self.columns = _Lanes(runs, rank, col, {plan.v: dom.jvec[col]})
+        self._flat = None
+        self._spread = (dom, plan)
+
+    def at(self, flat: bool) -> _Lanes:
+        if not flat:
+            return self.columns
+        if self._flat is None:
+            dom, plan = self._spread
+            cols = self.columns
+            widths = dom.widths[cols.col]
+            first = widths.cumsum() - widths
+            up = cols.up.repeat(widths)
+            tw = np.arange(up.size, dtype=np.int64) - first[up]
+            col = cols.col[up]
+            lane_vars = {plan.v: dom.jvec[col]}
+            if plan.i in plan.flat_vars:
+                lane_vars[plan.i] = dom.low[col] + dom.step * tw
+            self._flat = _Lanes(
+                self.runs, cols.rank[up], col, lane_vars,
+                (up, tw, cols, widths, first),
+            )
+        return self._flat
+
+
+class _NestCtx(_Ctx):
+    """One takeover in flight: the lane values of everything the nest
+    has written so far, the reads that went to memory, and the fetch
+    log.  Evaluation is global — one ``_eval`` per statement per pass,
+    whatever the number of ranks; per-rank state is gathered lane-wise
+    through each lane's executing rank."""
+
+    def __init__(self, plan: "NestPlan", dom: _Domain, layouts: list, env):
+        self.plan = plan
+        self.dom = dom
+        self.base_env = env
+        self.memories = plan.sim.memories
+        self.log = _FetchLog(plan)
+        #: the executor layouts; step index -> the step's lanes at its
+        #: level (the flattened body's, or the columns')
+        self.layouts = layouts
+        self.lanes_of = [
+            layouts[st.group].at(phase == BODY)
+            for phase, steps in enumerate(plan.steps)
+            for st in steps
+        ]
+        #: ranks running anything at all
+        self.participants = sorted({
+            r for layout in layouts for r, _sl in layout.at(False).slices
+        })
+        sub_env = plan.subscript_env(env, self.participants)
+        #: per-pass increment of every offset that moves with the
+        #: serial axis
+        self.strides = {
+            ref_id: tuple([c * dom.step for c in coeffs])
+            for ref_id, coeffs in plan.strides.items()
+        }
+
+        def vars_of(ref_id):
+            return self.lanes_of[plan.ref_home[ref_id]].vars
+
+        #: ref_id -> lane offsets at the first body pass; the last pass
+        #: is evaluated for its bounds checks alone
+        self.offs = _lane_offsets(
+            plan.ref_forms, vars_of, {**sub_env, **dom.binding(0)}
+        )
+        if self.strides and dom.serial > 1:
+            _lane_offsets(
+                {r: plan.ref_forms[r] for r in self.strides}, vars_of,
+                {**sub_env, **dom.binding(dom.serial - 1)},
+            )
+        #: scalar name -> (lanes, pass, lane values) of its last store
+        self.scalars: dict[str, tuple] = {}
+        #: store key -> [lanes, ref_id, body pass, lane values, stores]:
+        #: the elements one store form writes in one pass, and what was
+        #: last stored there
+        self.regions: dict[tuple, list] = {}
+        #: reads of written arrays that found no region (yet)
+        self.misses: list[tuple] = []
+        #: accumulator name / fold step index -> rank -> folded value
+        self.reduced: dict[str, dict] = {}
+        self.folded: dict[int, dict] = {}
+        self._memory_scalars: dict[tuple, tuple] = {}
+        self._gathered: dict[int, tuple] = {}
+        self.npass = 0
+
+    # -- evaluation ----------------------------------------------------
+
+    def run(self) -> None:
+        """Evaluate the nest pass by pass; raises ``_Bail`` — nothing
+        has been mutated — when it cannot stand in for tier 2."""
+        plan, dom = self.plan, self.dom
+        for phase, steps in enumerate(plan.steps):
+            for t in range(dom.serial if phase == BODY else 1):
+                self.phase, self.t = phase, t
+                self.npass += 1
+                self._env = self.base_env
+                if phase == BODY:
+                    self._env = {**self.base_env, **dom.binding(t)}
+                    self.pass_keys = plan.moving_keys(self._env)
+                for st in steps:
+                    self.process(st)
+        self._check_stores()
+        self.fetch_plan = self.log.schedule(self.base_env)
+
+    def process(self, st: _Step) -> None:
+        self.cur = st
         self.q = 0
+        lanes = self.lanes = self.lanes_of[st.index]
+        value, is_int = _eval(st.expr, self)
+        if st.op is not None:
+            self._fold(st, value, is_int)
+            return
+        vec = _coerce_vec(value, is_int, st.stype, lanes.n)
+        if st.kind == "scalar":
+            was = self.scalars.get(st.name)
+            if was is not None and was[0].runs is not lanes.runs:
+                raise _Bail(f"scalar {st.name} written by two executor sets")
+            self.scalars[st.name] = (lanes, self.npass, vec)
+            return
+        ref_id = st.stmt.lhs.ref_id
+        key = self.plan.keys[ref_id] or self.pass_keys[ref_id]
+        region = self.regions.get(key)
+        if region is None:
+            self.regions[key] = [lanes, ref_id, self.t, vec, 1]
+        elif region[0] is not lanes:
+            raise _Bail("array writers differ in executor set")
+        else:
+            region[3] = vec
+            region[4] += 1
+
+    def _fold(self, st: _Step, value, is_int: bool) -> None:
+        """``acc = acc OP e`` over each rank's lanes, in iteration
+        order, seeded with the rank's own accumulator."""
+        if st.kind == "reduction":
+            results = self.reduced.setdefault(st.name, {})
+        else:
+            results = self.folded[st.index] = {}
+            off = self.offs[st.stmt.lhs.ref_id]
+        for r, sl in self.lanes.slices:
+            memory = self.memories[r]
+            if st.kind != "reduction":
+                if not bool(memory.valid[st.name][off]):
+                    raise _Bail("fold accumulator invalid")
+                start = memory.arrays[st.name][off]
+            elif r in results:
+                start = results[r]
+            elif memory.scalar_is_valid(st.name):
+                start = memory.scalars[st.name]
+            else:
+                raise _Bail("reduction accumulator invalid")
+            results[r] = _fold_lanes(
+                st.op, start,
+                value[sl] if isinstance(value, np.ndarray) else value,
+                is_int, st.stype, sl.stop - sl.start,
+            )
+
+    # -- _Ctx ----------------------------------------------------------
 
     def loop_vec(self, name: str):
-        return self.iv if name == self.plan.v else None
+        return self.lanes.vars.get(name)
 
     @property
     def env(self):
         return self._env
+
+    def _carry(self, vec: np.ndarray, src: _Lanes, what: str) -> np.ndarray:
+        """``vec`` over the lanes ``src`` that stored it, as the current
+        statement's other lanes read it: each through its own rank's
+        copy; a column's value repeated over the column's inner lanes,
+        a body value taken at the same inner iteration — or, after the
+        body, at the column's last."""
+        dst = self.lanes
+        at = dst.up
+        if src.runs is not dst.runs:
+            at = (src.columns or src).lane_id[dst.rank, dst.col]
+            if (at < 0).any():
+                # the reading rank did not run the store: its copy was
+                # invalidated by the ranks that did
+                raise _Bail(f"{what} read would fetch")
+        if src.tw is None:
+            return vec[at]
+        if dst.tw is None:
+            return vec[src.first[at] + src.widths[at] - 1]
+        return vec[src.first[at] + dst.tw]
 
     def read_scalar(self, ref: ScalarRef):
         name = ref.symbol.name
         if name in self._env:  # mirrors the fetching reader
             v = self._env[name]
             return v, isinstance(v, int)
-        vec = self.scalar_shadow.get(name)
-        if vec is not None:
-            return vec, vec.dtype.kind in "bi"
-        if (
-            name in self.scalar_killed
-            or name in self.plan.written_scalars
-            or name in self.plan.acc_names
-        ):
-            # invalidated mid-loop on this rank, or read before the
-            # first in-body write (a cross-iteration carried value)
-            raise _Bail(f"scalar {name} not vectorizable here")
-        memory = self.memory
-        if not memory.scalar_is_valid(name):
-            raise _Bail(f"scalar {name} read would fetch")
-        v = memory.scalars[name]
-        return v, isinstance(v, int)
-
-    def read_array(self, ref: ArrayElemRef):
-        name = ref.symbol.name
-        rk = self.plan.read_region.get(ref.ref_id)
-        if rk is not None:
-            vec = self.array_shadow.get(rk)
-            if vec is not None:
-                return vec, vec.dtype.kind in "bi"
-            if rk in self.array_killed:
-                raise _Bail(f"array {name} invalidated mid-loop here")
-            # read before this iteration's write: pre-state (injective
-            # subscripts mean no other iteration has touched the lane)
-        off = self.offs[ref.ref_id]
-        memory = self.memory
-        self.q += 1
-        data = memory.arrays[name][off]
-        ok = memory.valid[name][off]
-        if not bool(np.all(ok)):
-            if rk is not None:
-                raise _Bail(f"written array {name} read would fetch")
-            # unwritten arrays — and reads prepare has proven disjoint
-            # from every write region — may fetch like any cold read;
-            # instance = (lane, step): every step runs on this rank
-            n = self.n
-            bad = np.flatnonzero(~np.broadcast_to(ok, (n,)))
-            data = np.broadcast_to(data, (n,)).copy()
-            data[bad] = self.log._fetch_read(
-                ref, self.cur_stmt, self.q, self.rank,
-                tuple(o[bad] for o in _lane_index(off, n)),
-                bad * len(self.plan.steps) + self.cur_k,
-            )
-        return data, data.dtype.kind in "bi"
-
-    def process(self, st: _Step, executes: bool, k: int = 0) -> None:
-        if not executes:
-            # this rank's copy is invalidated by the executing ranks
-            if st.kind == "array":
-                self.array_shadow.pop(st.region_key, None)
-                self.array_killed.add(st.region_key)
-            elif st.kind == "scalar":
-                self.scalar_shadow.pop(st.name, None)
-                self.scalar_killed.add(st.name)
-            return  # reductions/folds: private copies stay untouched
-        self.cur_k = k
-        self.cur_stmt = st.stmt
-        self.q = 0
-        if st.kind in ("afold", "sfold"):
-            off = self.offs[st.stmt.lhs.ref_id]
-            memory = self.memory
-            if not bool(memory.valid[st.name][off]):
-                raise _Bail("fold accumulator invalid")
-            start = memory.arrays[st.name][off]
-            value, is_int = _eval(st.red_expr, self)
-            self.afold_results[k] = _fold_lanes(
-                st.red_op, start, value, is_int, st.stype, self.n
-            )
-            self.tape.append(st.dt)
-            return
-        if st.kind == "reduction":
-            acc = st.name
-            start = self.red_results.get(acc)
-            if start is None:
-                if not self.memory.scalar_is_valid(acc):
-                    raise _Bail("reduction accumulator invalid")
-                start = self.memory.scalars[acc]
-            value, is_int = _eval(st.red_expr, self)
-            self.red_results[acc] = _fold_lanes(
-                st.red_op, start, value, is_int, st.stype, self.n
-            )
-            self.tape.append(st.dt)
-            return
-        value, is_int = _eval(st.rhs, self)
-        vec = _coerce_vec(value, is_int, st.stype, self.n)
-        if st.kind == "array":
-            self.array_shadow[st.region_key] = vec
-            self.array_killed.discard(st.region_key)
-        else:
-            self.scalar_shadow[st.name] = vec
-            self.scalar_killed.discard(st.name)
-        self.tape.append(st.dt)
-
-
-class _WrittenArray:
-    """One write *region* of an array: all stores sharing a canonical
-    subscript form.  An array written under several distinct forms gets
-    several regions; *prepare* verifies the concrete index sets are
-    pairwise disjoint (else it bails to tier 2)."""
-
-    __slots__ = ("symbol", "forms", "canon", "write_steps", "ref0")
-
-    def __init__(self, symbol, forms, canon, ref0):
-        self.symbol = symbol
-        self.forms = forms
-        self.canon = canon
-        self.write_steps: list[int] = []
-        self.ref0 = ref0  # a representative lhs ref_id for offsets
-
-
-class InnerPlan:
-    """Vectorized execution of one innermost loop: every iteration is a
-    lane; each participating rank evaluates its statements over the
-    whole lane vector, then commits stores, invalidations, and charge
-    tapes.  Any condition the per-iteration path would have handled
-    differently (invalid reads → fetches, bounds errors, non-affine
-    values) raises :class:`_Bail` before anything is mutated."""
-
-    def __init__(self, slab: "SlabExecutor", loop: LoopStmt):
-        sim = slab.sim
-        fast = slab.fast
-        self.sim = sim
-        self.fast = fast
-        self.loop = loop
-        self.v = loop.var.name
-        self.lane_vars = (self.v,)
-        #: (stmt_id, ref_id) -> (event ordinal, hoisted loop vars)
-        self.fetch_meta: dict[tuple, tuple] = {}
-        self.steps: list[_Step] = []
-        #: (name, canon) -> write region
-        self.regions: dict[tuple, _WrittenArray] = {}
-        #: name -> region keys of that array
-        self.written_arrays: dict[str, list[tuple]] = {}
-        #: read ref_id -> region key, for reads matching a write region
-        self.read_region: dict[int, tuple] = {}
-        #: read ref_ids of written arrays with *no* matching region:
-        #: concretely checked disjoint from every write at prepare
-        self.disjoint_reads: list[int] = []
-        self.written_scalars: dict[str, int] = {}  # name -> last writer
-        self.acc_names: set[str] = set()
-        #: array name -> step index of its fold (reduction into a fixed
-        #: element, e.g. ``AMD(k) = MAX(AMD(k), ...)``)
-        self.afold_arrays: dict[str, int] = {}
-        #: memory scalars subscripts depend on, resolved at prepare
-        self.subscript_scalars: set[str] = set()
-        self.ref_forms: dict[int, tuple] = {}  # ref_id -> (symbol, forms)
-        red_exprs: list = []
-        for stmt in loop.body:
-            if isinstance(stmt, ContinueStmt):
-                continue
-            if not isinstance(stmt, AssignStmt):
-                raise _Bail("non-assign in body")
-            dt = fast._dt.get(stmt.stmt_id)
-            if dt is None:
-                raise _Bail("statement not lowered")
-            st = _Step(stmt, dt)
-            k = len(self.steps)
-            red = sim._reduction_updates.get(stmt.stmt_id)
-            if red is not None:
-                reduction, _mapping = red
-                if (
-                    reduction.location_symbol is None
-                    and reduction.op in _RED_UFUNC
-                    and isinstance(stmt.lhs, ArrayElemRef)
-                    and reduction.symbol.name == st.name
-                ):
-                    # fold into one array element: the subscripts must
-                    # be loop-invariant, so every lane hits the same
-                    # private accumulator element
-                    forms = [affine_form(s) for s in stmt.lhs.subscripts]
-                    if any(f is None for f in forms):
-                        raise _Bail("non-affine fold subscript")
-                    for f in forms:
-                        _check_form_resolvable(
-                            f, (self.v,), self.subscript_scalars
-                        )
-                        if any(
-                            sym.name == self.v and sym.value is None
-                            for sym in _form_symbols(f)
-                        ):
-                            raise _Bail("fold subscript varies with lane")
-                    canon = tuple(_canon_form(f) for f in forms)
-                    e = _afold_operand(stmt.rhs, st.name, canon, reduction.op)
-                    if e is None:
-                        raise _Bail("unrecognized array fold update")
-                    st.kind = "afold"
-                    st.red_op = reduction.op
-                    st.red_expr = e
-                    if st.name in self.afold_arrays:
-                        raise _Bail("array folded twice")
-                    self.afold_arrays[st.name] = k
-                    self.ref_forms[stmt.lhs.ref_id] = (stmt.lhs.symbol, forms)
-                    red_exprs.append(e)
-                    self.steps.append(st)
-                    continue
-                if (
-                    not isinstance(stmt.lhs, ScalarRef)
-                    or reduction.location_symbol is not None
-                    or reduction.op not in _RED_UFUNC
-                    or reduction.symbol.name != st.name
-                ):
-                    raise _Bail("unsupported reduction form")
-                e = _reduction_operand(stmt.rhs, st.name, reduction.op)
-                if e is None:
-                    raise _Bail("unrecognized reduction update")
-                st.kind = "reduction"
-                st.red_op = reduction.op
-                st.red_expr = e
-                self.acc_names.add(st.name)
-                red_exprs.append(e)
-            elif isinstance(stmt.lhs, ArrayElemRef):
-                st.kind = "array"
-                forms = [affine_form(s) for s in stmt.lhs.subscripts]
-                if any(f is None for f in forms):
-                    raise _Bail("non-affine store subscript")
-                for f in forms:
-                    _check_form_resolvable(
-                        f, (self.v,), self.subscript_scalars
-                    )
-                canon = tuple(_canon_form(f) for f in forms)
-                key = (st.name, canon)
-                info = self.regions.get(key)
-                if info is None:
-                    if not any(
-                        f.coeff(sym) != 0
-                        for f in forms
-                        for sym in f.symbols
-                        if sym.name == self.v and sym.value is None
-                    ):
-                        # every lane stores the same element: only a
-                        # serial fold (``A(c) = A(c) OP e``, the
-                        # reduction-into-column shape the reduction
-                        # pass left as a plain owner-computes assign)
-                        # has per-iteration semantics a slab can replay
-                        e = op = None
-                        for cand in ("+", "*", "MAX", "MIN"):
-                            e = _afold_operand(stmt.rhs, st.name, canon, cand)
-                            if e is not None:
-                                op = cand
-                                break
-                        if e is None:
-                            raise _Bail("store not injective in the loop var")
-                        st.kind = "sfold"
-                        st.red_op = op
-                        st.red_expr = e
-                        if st.name in self.afold_arrays:
-                            raise _Bail("array folded twice")
-                        self.afold_arrays[st.name] = k
-                        self.ref_forms[stmt.lhs.ref_id] = (
-                            stmt.lhs.symbol, forms
-                        )
-                        self.steps.append(st)
-                        continue
-                    info = _WrittenArray(
-                        stmt.lhs.symbol, forms, canon, stmt.lhs.ref_id
-                    )
-                    self.regions[key] = info
-                    self.written_arrays.setdefault(st.name, []).append(key)
-                info.write_steps.append(k)
-                st.region_key = key
-                self.ref_forms[stmt.lhs.ref_id] = (stmt.lhs.symbol, forms)
-            else:
-                st.kind = "scalar"
-                self.written_scalars[st.name] = k
-            self.steps.append(st)
-        if not self.steps:
-            raise _Bail("empty body")
-        # rhs reads: affine forms everywhere; a read of an in-body
-        # written array either matches a write region exactly (lane for
-        # lane) or must be concretely disjoint from all of them —
-        # deferred to prepare, where the indices are known
-        for st in self.steps:
-            expr = st.red_expr if st.kind in ("reduction", "afold", "sfold") else st.rhs
-            for ref in expr.refs():
-                if not isinstance(ref, ArrayElemRef):
-                    continue
-                name = ref.symbol.name
-                if name in self.afold_arrays:
-                    raise _Bail("fold array read outside its fold")
-                forms = [affine_form(s) for s in ref.subscripts]
-                if any(f is None for f in forms):
-                    raise _Bail("non-affine read subscript")
-                for f in forms:
-                    _check_form_resolvable(
-                        f, (self.v,), self.subscript_scalars
-                    )
-                if name in self.written_arrays:
-                    canon = tuple(_canon_form(f) for f in forms)
-                    key = (name, canon)
-                    if key in self.regions:
-                        self.read_region[ref.ref_id] = key
-                    else:
-                        self.disjoint_reads.append(ref.ref_id)
-                self.ref_forms[ref.ref_id] = (ref.symbol, forms)
-        if set(self.afold_arrays) & set(self.written_arrays):
-            raise _Bail("array both folded and written")
-        # accumulators must not leak into any other statement
-        for st in self.steps:
-            for name in self.acc_names:
-                if st.kind == "reduction" and st.name == name:
-                    continue
-                if st.kind != "reduction" and st.name == name:
-                    raise _Bail("accumulator written outside the fold")
-                expr = (
-                    st.red_expr
-                    if st.kind in ("reduction", "afold", "sfold")
-                    else st.rhs
-                )
-                for ref in expr.refs():
-                    if isinstance(ref, ScalarRef) and ref.symbol.name == name:
-                        raise _Bail("accumulator read outside the fold")
-        # executor positions must not depend on anything the body writes
-        mutated = set(self.written_scalars) | self.acc_names
-        if self.subscript_scalars & mutated:
-            raise _Bail("subscript depends on a scalar written in body")
-        for st in self.steps:
-            info = sim.compiled.executors.get(st.sid)
-            if info is None:
-                raise _Bail("no executor info")
-            for dim in info.position:
-                if dim.kind == "pos" and dim.form is not None:
-                    for sym in dim.form.symbols:
-                        if sym.value is None and (
-                            sym.name == self.v or sym.name in mutated
-                        ):
-                            raise _Bail("executor varies inside the loop")
-
-    # ------------------------------------------------------------------
-
-    def prepare(self, low: int, high: int, step: int, env) -> Callable:
-        n = slab_trip_count(low, high, step)
-        sim = self.sim
-        if n == 0:
-            return lambda: None
-        steps = self.steps
-        rank_sets: list[list[int]] = []
-        exec_sets: list[set] = []
-        for st in steps:
-            ranks = sim.executor_ranks(st.stmt, env)
-            if not ranks:
-                raise _Bail("empty executor set")
-            rank_sets.append(ranks)
-            exec_sets.append(set(ranks))
-        for info in self.regions.values():
-            first = exec_sets[info.write_steps[0]]
-            for k in info.write_steps[1:]:
-                if exec_sets[k] != first:
-                    raise _Bail("array writers differ in executor set")
-        participants = sorted(set().union(*exec_sets))
-        sub_env = env
-        if self.subscript_scalars:
-            # subscripts referencing memory scalars: every participant
-            # must hold the same valid integral value (per-iteration
-            # semantics read the rank's own copy each time)
-            sub_env = dict(env)
-            for nm in sorted(self.subscript_scalars):
-                if nm in env:
-                    continue
-                val = _MISSING
-                for r in participants:
-                    memory = sim.memories[r]
-                    if not memory.scalar_is_valid(nm):
-                        raise _Bail(f"subscript scalar {nm} invalid")
-                    got = memory.scalars[nm]
-                    if val is _MISSING:
-                        val = got
-                    elif got != val:
-                        raise _Bail(f"subscript scalar {nm} diverges")
-                if not float(val).is_integer():
-                    raise _Bail(f"subscript scalar {nm} not integral")
-                sub_env[nm] = int(val)
-        iv = low + step * np.arange(n, dtype=np.int64)
-        vec_vars = {self.v: iv}
-        offs = _lane_offsets(self.ref_forms, lambda _ref: vec_vars, sub_env)
-        _check_disjoint(self, offs, n)
-        log = _FetchLog(self)
-        ctxs: dict[int, _InnerCtx] = {}
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in participants:
-                ctx = _InnerCtx(self, r, iv, env, n, offs, log)
-                for k, st in enumerate(steps):
-                    ctx.process(st, r in exec_sets[k], k)
-                ctxs[r] = ctx
-        if log.reads and len(participants) != 1:
-            # instance numbers here assume one rank runs every step
-            raise _Bail("fetching takeover with multiple executors")
-        fetch_plan = log.schedule(env)
-
-        def commit():
-            memories = sim.memories
-            clocks = sim.clocks
-            fetched = 0
-            if fetch_plan is not None:
-                # one rank runs every step of every lane, in order
-                fetched = log.commit(
-                    fetch_plan,
-                    clocks.tape(ctxs[participants[0]].tape),
-                    {participants[0]: (
-                        np.tile(np.arange(len(steps)), n),
-                        np.arange(n * len(steps)),
-                    )},
-                )
-            else:
-                for r in participants:
-                    clocks.charge_compute_tape(
-                        r, clocks.tile(clocks.tape(ctxs[r].tape), n)
-                    )
-            for key, info in self.regions.items():
-                name = key[0]
-                w_ranks = rank_sets[info.write_steps[0]]
-                wset = exec_sets[info.write_steps[0]]
-                off = offs[info.ref0]
-                bump = n * len(info.write_steps)
-                for r in w_ranks:
-                    memory = memories[r]
-                    memory.arrays[name][off] = ctxs[r].array_shadow[key]
-                    memory.valid[name][off] = True
-                    memory.versions[name] += bump
-                if len(w_ranks) < len(memories):
-                    for r2, memory in enumerate(memories):
-                        if r2 not in wset:
-                            memory.valid[name][off] = False
-                            memory.versions[name] += bump
-            for name, last_k in self.written_scalars.items():
-                ranks = rank_sets[last_k]
-                rset = exec_sets[last_k]
-                for r in ranks:
-                    memories[r].scalar_store(
-                        name, ctxs[r].scalar_shadow[name][-1].item()
-                    )
-                if len(ranks) < len(memories):
-                    for r2, memory in enumerate(memories):
-                        if r2 not in rset:
-                            memory.scalar_invalidate(name)
-            for k, st in enumerate(steps):
-                if st.kind == "reduction":
-                    for r in rank_sets[k]:
-                        memories[r].scalar_store(
-                            st.name, ctxs[r].red_results[st.name].item()
-                        )
-                elif st.kind in ("afold", "sfold"):
-                    off = offs[st.stmt.lhs.ref_id]
-                    for r in rank_sets[k]:
-                        memory = memories[r]
-                        memory.arrays[st.name][off] = (
-                            ctxs[r].afold_results[k].item()
-                        )
-                        memory.valid[st.name][off] = True
-                        memory.versions[st.name] += n
-                    # afold accumulates privately: non-executors keep
-                    # their copies, exactly like scalar reductions.  An
-                    # sfold is a plain owner-computes store, just
-                    # serialized: it invalidates them once per iteration
-                    if st.kind == "sfold":
-                        for r2, memory in enumerate(memories):
-                            if r2 not in exec_sets[k]:
-                                memory.valid[st.name][off] = False
-                                memory.versions[st.name] += n
-            sim.slab_instances += n * len(steps)
-            return fetched
-
-        return commit
-
-
-def _set_owner_position(plan, steps) -> None:
-    """Fix the plan's executor position: the canonical owner position
-    of ``steps`` — identical across them; replicated statements run on
-    every rank and carry none — as ``pos_form``/``pos_fmt``, with
-    ``pos_ranks`` tabulating the executing rank of every template
-    position of that (1-D grid) format."""
-    sim = plan.sim
-    canon = _MISSING
-    for st in steps:
-        if st.repl:
-            continue
-        info = sim.compiled.executors.get(st.sid)
-        if info is None or info.kind != "owner" or len(info.position) != 1:
-            raise _Bail("executor is not a 1-D owner position")
-        dim = info.position[0]
-        if dim.kind != "pos" or dim.form is None or dim.fmt is None:
-            raise _Bail("executor position is not a point")
-        c = _canon_form(dim.form)
-        if canon is _MISSING:
-            canon = c
-            plan.pos_form, plan.pos_fmt = dim.form, dim.fmt
-        elif c != canon:
-            raise _Bail("executor position differs across statements")
-    if canon is _MISSING:
-        raise _Bail("no owner-positioned statement")
-    rank_of = np.asarray(
-        [sim.grid.rank_of((c,)) for c in range(sim.grid.shape[0])],
-        dtype=np.int64,
-    )
-    plan.pos_ranks = rank_of[
-        np.asarray(plan.fast.etables.owner_table(plan.pos_fmt), dtype=np.int64)
-    ]
-
-
-def _exec_columns(plan, jvec: np.ndarray, env) -> tuple:
-    """Executing rank and rank -> columns map of the outer iterations
-    ``jvec`` of a column-style plan."""
-    pos = np.asarray(
-        _affine_vec(plan.pos_form, {plan.j: jvec}, env), dtype=np.int64
-    )
-    if pos.ndim == 0:
-        pos = np.full(jvec.size, int(pos), dtype=np.int64)
-    if int(pos.min()) < 0 or int(pos.max()) >= plan.pos_fmt.extent:
-        raise _Bail("executor position out of range")
-    exec_col = plan.pos_ranks[pos]
-    cols_of = {
-        int(r): np.nonzero(exec_col == r)[0] for r in np.unique(exec_col)
-    }
-    return exec_col, cols_of
-
-
-class _ColCtx(_Ctx):
-    """Column-lane evaluation: one lane per outer-loop iteration
-    (column), statements processed in sequential order with the inner
-    loop unrolled step by step — exact because each column reads and
-    writes only its own data (checked statically)."""
-
-    def __init__(self, plan: "ColumnPlan", jvec: np.ndarray, env,
-                 exec_col: np.ndarray, cols_of: dict[int, np.ndarray]):
-        self.plan = plan
-        self.jvec = jvec
-        self._env = env
-        self.nj = jvec.size
-        self.exec_col = exec_col
-        self.cols_of = cols_of
-        self._i: int | None = None
-        self.tables: dict[str, tuple] = {}
-        self.scalar_shadow: dict[str, np.ndarray] = {}
-        self.scalar_cache: dict[str, tuple] = {}
-
-    def loop_vec(self, name: str):
-        if name == self.plan.j:
-            return self.jvec
-        if name == self.plan.i and self._i is not None:
-            return self._i
-        return None
-
-    @property
-    def env(self):
-        return self._env
-
-    def _array(self, name: str) -> tuple:
-        t = self.tables.get(name)
-        if t is None:
-            plan = self.plan
-            symbol = plan.array_symbols[name]
-            jdim = plan.jdims[name]
-            jlow, jhigh = symbol.dims[jdim]
-            if int(self.jvec.min()) < jlow or int(self.jvec.max()) > jhigh:
-                raise _Bail(f"column index out of bounds for {name}")
-            joff = self.jvec - jlow
-            other = symbol.extent(1 - jdim)
-            memories = plan.sim.memories
-            dtype = memories[0].array_dtype(name)
-            w = np.empty((other, self.nj), dtype=dtype)
-            v = np.empty((other, self.nj), dtype=np.bool_)
-            for r, cols in self.cols_of.items():
-                data = memories[r].arrays[name]
-                valid = memories[r].valid[name]
-                jsel = joff[cols]
-                if jdim == 1:
-                    w[:, cols] = data[:, jsel]
-                    v[:, cols] = valid[:, jsel]
-                else:
-                    w[:, cols] = data[jsel, :].T
-                    v[:, cols] = valid[jsel, :].T
-            t = (w, v, np.zeros((other, self.nj), dtype=np.bool_), joff)
-            self.tables[name] = t
-        return t
-
-    def _row(self, ref: ArrayElemRef) -> int:
         plan = self.plan
-        jdim = plan.jdims[ref.symbol.name]
-        form = plan.row_form_of(ref, 1 - jdim)
-        vec_vars = {} if self._i is None else {plan.i: self._i}
-        idx = _affine_vec(form, vec_vars, self._env)
-        if isinstance(idx, np.ndarray):
-            raise _Bail("row subscript not scalar")
-        return _bounds_checked_offset(int(idx), ref.symbol, 1 - jdim)
-
-    def read_scalar(self, ref: ScalarRef):
-        name = ref.symbol.name
-        if name in self._env:
-            v = self._env[name]
-            return v, isinstance(v, int)
-        vec = self.scalar_shadow.get(name)
-        if vec is not None:
-            return vec, vec.dtype.kind in "bi"
-        if name in self.plan.written_scalars:
-            # read before the first in-column write: the value would
-            # flow across columns
+        stored = self.scalars.get(name)
+        if stored is not None:
+            src, npass, vec = stored
+            if npass == self.npass or self.phase not in plan.scalar_phases[name]:
+                if src is not self.lanes:
+                    vec = self._carry(vec, src, f"scalar {name}")
+                return vec, vec.dtype.kind in "bi"
+        if stored is not None or name in plan.scalar_phases:
+            # its store in this pass comes later (or it accumulates):
+            # the value would flow in from another iteration
             raise _Bail(f"scalar {name} read before its definition")
-        cached = self.scalar_cache.get(name)
-        if cached is not None:
-            return cached
-        memories = self.plan.sim.memories
-        values = {}
-        for r in self.cols_of:
-            if not memories[r].scalar_is_valid(name):
-                raise _Bail(f"scalar {name} read would fetch")
-            values[r] = memories[r].scalars[name]
-        kinds = {isinstance(v, int) for v in values.values()}
-        if len(kinds) != 1:
-            raise _Bail(f"scalar {name} mixes types across ranks")
-        is_int = kinds.pop()
-        vec = np.empty(self.nj, dtype=np.int64 if is_int else np.float64)
-        for r, cols in self.cols_of.items():
-            vec[cols] = values[r]
-        result = (vec, is_int)
-        self.scalar_cache[name] = result
-        return result
-
-    def read_array(self, ref: ArrayElemRef):
-        w, v, written, _joff = self._array(ref.symbol.name)
-        row = self._row(ref)
-        if not bool((v[row] | written[row]).all()):
-            raise _Bail(f"array {ref.symbol.name} read would fetch")
-        data = w[row].copy()
-        return data, data.dtype.kind in "bi"
-
-    def process(self, st: _Step) -> None:
-        value, is_int = _eval(st.rhs, self)
-        vec = _coerce_vec(value, is_int, st.stype, self.nj)
-        if st.kind == "array":
-            w, _v, written, _joff = self._array(st.name)
-            row = self._row(st.stmt.lhs)
-            w[row] = vec
-            written[row] = True
-        else:
-            self.scalar_shadow[st.name] = vec
-            self.scalar_cache.pop(st.name, None)
-
-
-class ColumnPlan:
-    """Column-wise execution of an outer loop wrapping one sequential
-    inner loop: the outer iterations (columns) are the lanes; the inner
-    loop runs step by step with each statement vectorized across all
-    columns at once.  Exact because every array reference touches only
-    its own column and every statement executes on that column's owner
-    (both checked statically), so the columns evolve independently in
-    program order."""
-
-    def __init__(self, slab: "SlabExecutor", loop: LoopStmt):
-        sim = slab.sim
-        fast = slab.fast
-        self.sim = sim
-        self.fast = fast
-        self.loop = loop
-        self.j = loop.var.name
-        if sim.grid.rank != 1:
-            raise _Bail("grid is not one-dimensional")
-
-        def make_step(stmt) -> _Step:
-            dt = fast._dt.get(stmt.stmt_id)
-            if dt is None:
-                raise _Bail("statement not lowered")
-            if stmt.stmt_id in sim._reduction_updates:
-                raise _Bail("reduction update in body")
-            st = _Step(stmt, dt)
-            st.kind = "array" if isinstance(stmt.lhs, ArrayElemRef) else "scalar"
-            return st
-
-        nest = _split_nest(loop)
-        if isinstance(nest, str):
-            raise _Bail(nest)
-        inner = nest[0]
-        if inner.stmt_id in sim._reductions_by_loop:
-            raise _Bail("inner loop combines a reduction")
-        self.inner = inner
-        self.i = inner.var.name
-        pre, body, post = (
-            [make_step(stmt) for stmt in stmts] for stmts in nest[1:]
-        )
-        self.pre, self.body, self.post = pre, body, post
-        all_steps = pre + body + post
-        if not all_steps:
-            raise _Bail("empty body")
-        _set_owner_position(self, all_steps)
-        # written names; column discipline per array
-        self.written_scalars: set[str] = set()
-        self.written_arrays: set[str] = set()
-        self.jdims: dict[str, int] = {}
-        self.array_symbols: dict[str, Any] = {}
-        self._row_forms: dict[int, Any] = {}
-        for st in all_steps:
-            if st.kind == "scalar":
-                self.written_scalars.add(st.name)
-            else:
-                self.written_arrays.add(st.name)
-            refs = [st.stmt.lhs] if st.kind == "array" else []
-            refs.extend(
-                r for r in st.rhs.refs() if isinstance(r, ArrayElemRef)
-            )
-            for ref in refs:
-                self._register_ref(ref)
-        # the executor position may only depend on j (and constants)
-        for sym, _c in self.pos_form.coeffs:
-            if sym.value is None and sym.name != self.j:
-                if not sym.is_loop_var or sym.name in self.written_scalars:
-                    raise _Bail("executor position not a column function")
-        # inner bounds must not change during the takeover
-        for bound in (inner.low, inner.high, inner.step):
-            if bound is None:
-                continue
-            for ref in bound.refs():
-                if isinstance(ref, ScalarRef) and (
-                    ref.symbol.name in (self.j, self.i)
-                    or ref.symbol.name in self.written_scalars
-                ):
-                    raise _Bail("inner bounds vary during the takeover")
-
-    def _register_ref(self, ref: ArrayElemRef) -> None:
-        name = ref.symbol.name
-        if len(ref.subscripts) != 2:
-            raise _Bail("only rank-2 arrays supported column-wise")
-        forms = [affine_form(s) for s in ref.subscripts]
-        if any(f is None for f in forms):
-            raise _Bail("non-affine subscript")
-        jdim = None
-        for d, f in enumerate(forms):
-            c = _canon_form(f)
-            if c == (0, ((self.j, 1),)):
-                if jdim is not None:
-                    raise _Bail("two column dimensions")
-                jdim = d
-            elif any(nm == self.j for nm, _ in c[1]):
-                raise _Bail("mixed column subscript")
-        if jdim is None:
-            raise _Bail(f"{name}: reference has no column dimension")
-        if self.jdims.setdefault(name, jdim) != jdim:
-            raise _Bail(f"{name}: inconsistent column dimension")
-        self.array_symbols.setdefault(name, ref.symbol)
-        row = forms[1 - jdim]
-        for sym, _c in row.coeffs:
-            if sym.value is not None:
-                continue
-            if sym.name == self.i:
-                continue
-            if sym.is_loop_var and sym.name != self.j:
-                continue  # env-resolved outer index
-            raise _Bail(f"row subscript depends on scalar {sym.name}")
-        self._row_forms[ref.ref_id] = row
-
-    def row_form_of(self, ref: ArrayElemRef, row_dim: int):
-        form = self._row_forms.get(ref.ref_id)
-        if form is None:
-            raise _Bail("unregistered reference")
-        return form
-
-    # ------------------------------------------------------------------
-
-    def prepare(self, low: int, high: int, step: int, env) -> Callable:
-        nj = slab_trip_count(low, high, step)
-        sim = self.sim
-        if nj == 0:
-            return lambda: None
-        jvec = low + step * np.arange(nj, dtype=np.int64)
-        exec_col, cols_of = _exec_columns(self, jvec, env)
-        # inner bounds: evaluated once (checked invariant), uncharged,
-        # exactly like the per-iteration walker's eval_bound
-        try:
-            li = self.fast.eval_bound(self.inner.low, env)
-            hi = self.fast.eval_bound(self.inner.high, env)
-            si = (
-                self.fast.eval_bound(self.inner.step, env)
-                if self.inner.step is not None
-                else 1
-            )
-        except _BOUND_ERRORS:
-            raise _Bail("inner bounds not evaluable") from None
-        if si == 0:
-            raise _Bail("zero inner step")
-        nsteps = slab_trip_count(li, hi, si)
-        ctx = _ColCtx(self, jvec, env, exec_col, cols_of)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for st in self.pre:
-                ctx.process(st)
-            for t in range(nsteps):
-                ctx._i = li + t * si
-                for st in self.body:
-                    ctx.process(st)
-            ctx._i = None
-            for st in self.post:
-                ctx.process(st)
-
-        def commit():
-            memories = sim.memories
-            clocks = sim.clocks
-            seq = clocks.cat([
-                clocks.tape([st.dt for st in self.pre]),
-                clocks.tile(
-                    clocks.tape([st.dt for st in self.body]), nsteps
-                ),
-                clocks.tape([st.dt for st in self.post]),
-            ])
-            if seq.size:
-                for r, cols in cols_of.items():
-                    clocks.charge_compute_tape(r, clocks.tile(seq, cols.size))
-            many = sim.grid.size > 1
-            for name, (w, _v, written, joff) in ctx.tables.items():
-                if not written.any():
-                    continue
-                jdim = self.jdims[name]
-                rws, cs = np.nonzero(written)
-                for r, cols in cols_of.items():
-                    sel = exec_col[cs] == r
-                    if not sel.any():
-                        continue
-                    rsel, csel = rws[sel], cs[sel]
-                    memory = memories[r]
-                    data, valid = memory.arrays[name], memory.valid[name]
-                    if jdim == 1:
-                        data[rsel, joff[csel]] = w[rsel, csel]
-                        valid[rsel, joff[csel]] = True
-                    else:
-                        data[joff[csel], rsel] = w[rsel, csel]
-                        valid[joff[csel], rsel] = True
-                    memory.versions[name] += int(sel.sum())
-                if many:
-                    for r2, memory in enumerate(memories):
-                        sel = exec_col[cs] != r2
-                        if not sel.any():
-                            continue
-                        rsel, csel = rws[sel], cs[sel]
-                        valid = memory.valid[name]
-                        if jdim == 1:
-                            valid[rsel, joff[csel]] = False
-                        else:
-                            valid[joff[csel], rsel] = False
-                        memory.versions[name] += int(sel.sum())
-            # every column's owner stores its own last value (the stored
-            # value persists even once a later column invalidates it)
-            last_rank = int(exec_col[-1])
-            for name, vec in ctx.scalar_shadow.items():
-                for r, cols in cols_of.items():
-                    memories[r].scalar_store(name, vec[cols[-1]].item())
-                if many:
-                    for r2, memory in enumerate(memories):
-                        if r2 != last_rank:
-                            memory.scalar_invalidate(name)
-            if self.i not in env:
-                # the walker's per-iteration epilogue would have left
-                # the inner index at its final value
-                env[self.i] = li + nsteps * si
-            sim.slab_instances += nj * (
-                len(self.pre) + len(self.post) + nsteps * len(self.body)
-            )
-
-        return commit
-
-
-class _TriCtx(_Ctx):
-    """Flattened-lane evaluation of one triangular/imperfect nest: the
-    prologue and epilogue run with one lane per outer iteration
-    (column), the inner body with one lane per (outer, inner) instance.
-    Every lane executes on its column's owner, so evaluation is global
-    and per-rank state is gathered lane-wise from the executing rank —
-    which fetches what it reads but does not hold."""
-
-    #: statement phases, in execution order
-    PRE, BODY, POST = 0, 1, 2
-
-    def __init__(self, plan: "TriangularPlan", jvec, iflat, jflat,
-                 widths, env, exec_col, cols_of, offs, inst0, log):
-        self.plan = plan
-        self.log = log
-        #: phase -> instance number of each lane's first statement
-        self.inst0 = inst0
-        self.jvec = jvec
-        self.iflat = iflat
-        self.jflat = jflat
-        self.widths = widths
-        self._env = env
-        self.exec_col = exec_col
-        self.cols_of = cols_of
-        self.offs = offs
-        self.nj = jvec.size
-        self.nflat = iflat.size
-        #: owner rank of each flat (body) lane
-        self.rank_flat = np.repeat(exec_col, widths)
-        #: last flat lane of each column
-        self.seg_end = np.cumsum(widths) - 1
-        #: (rank, its lanes) of the column phases and of the body
-        self.lanes_of = (
-            list(cols_of.items()),
-            [(r, np.flatnonzero(self.rank_flat == r)) for r in cols_of],
-        )
-        self.phase = self.PRE
-        #: the statement being processed, its index within the phase,
-        #: whether it is replicated on every rank, and its reads so far
-        self.cur_stmt = None
-        self.cur_k = 0
-        self.cur_repl = False
-        self.q = 0
-        #: phase -> scalar name -> lane vector of that phase
-        self.scalar_shadow: tuple[dict, dict, dict] = ({}, {}, {})
-        self.scalar_cache: dict[str, tuple] = {}
-        self.repl_cache: dict[str, tuple] = {}
-        self.array_shadow: dict[tuple, np.ndarray] = {}
-
-    def _lanes(self) -> int:
-        return self.nflat if self.phase == self.BODY else self.nj
-
-    def loop_vec(self, name: str):
-        if self.phase == self.BODY:
-            if name == self.plan.i:
-                return self.iflat
-            if name == self.plan.j:
-                return self.jflat
-        elif name == self.plan.j:
-            return self.jvec
-        return None
-
-    @property
-    def env(self):
-        return self._env
-
-    def _expand(self, vec: np.ndarray, from_phase: int) -> np.ndarray:
-        """Carry a scalar's per-phase value forward within each column:
-        prologue values repeat across the column's body lanes; body
-        values reach the epilogue at each column's final lane."""
-        if from_phase == self.phase:
-            return vec
-        if from_phase == self.PRE and self.phase == self.BODY:
-            return np.repeat(vec, self.widths)
-        if from_phase == self.PRE and self.phase == self.POST:
-            return vec
-        if from_phase == self.BODY and self.phase == self.POST:
-            return vec[self.seg_end]
-        raise _Bail("scalar value flows backward")
-
-    def read_scalar(self, ref: ScalarRef):
-        name = ref.symbol.name
-        if name in self._env:
-            v = self._env[name]
-            return v, isinstance(v, int)
-        wp = self.plan.scalar_phase.get(name)
-        if wp is not None:
-            if self.cur_repl and not self.plan.scalar_repl[name]:
-                # a replicated reader runs on every rank, but an
-                # owner-written scalar is only valid on each column's
-                # owner — the other ranks would fetch
-                raise _Bail(f"replicated read of owner scalar {name}")
-            if wp > self.phase:
-                raise _Bail(f"scalar {name} carried across columns")
-            vec = self.scalar_shadow[wp].get(name)
-            if vec is None:
-                # read before the first in-column write: the value
-                # would flow in from a previous column
-                raise _Bail(f"scalar {name} read before its definition")
-            vec = self._expand(vec, wp)
-            return vec, vec.dtype.kind in "bi"
-        if self.cur_repl:
-            # a replicated statement evaluates on every rank with its
-            # own copy: all copies must be valid and identical for one
-            # vectorized evaluation to stand in for all of them
-            cached = self.repl_cache.get(name)
-            if cached is None:
-                vals = []
-                for memory in self.plan.sim.memories:
-                    if not memory.scalar_is_valid(name):
-                        raise _Bail(f"scalar {name} read would fetch")
-                    vals.append(memory.scalars[name])
-                kinds = {isinstance(v, int) for v in vals}
-                if len(kinds) != 1:
-                    raise _Bail(f"scalar {name} mixes types across ranks")
-                if any(v != vals[0] for v in vals[1:]):
-                    raise _Bail(f"scalar {name} differs across ranks")
-                cached = (vals[0], kinds.pop())
-                self.repl_cache[name] = cached
-            return cached
-        cached = self.scalar_cache.get(name)
-        if cached is None:
-            memories = self.plan.sim.memories
-            values = {}
-            for r in self.cols_of:
-                if not memories[r].scalar_is_valid(name):
+        lanes = self.lanes
+        got = self._memory_scalars.get((name, lanes))
+        if got is None:
+            # every lane reads its own rank's copy
+            values = []
+            for r, _sl in lanes.slices:
+                if not self.memories[r].scalar_is_valid(name):
                     raise _Bail(f"scalar {name} read would fetch")
-                values[r] = memories[r].scalars[name]
-            kinds = {isinstance(v, int) for v in values.values()}
+                values.append(self.memories[r].scalars[name])
+            kinds = {isinstance(v, int) for v in values}
             if len(kinds) != 1:
                 raise _Bail(f"scalar {name} mixes types across ranks")
             is_int = kinds.pop()
-            vec = np.empty(self.nj, dtype=np.int64 if is_int else np.float64)
-            for r, cols in self.cols_of.items():
-                vec[cols] = values[r]
-            cached = (vec, is_int)
-            self.scalar_cache[name] = cached
-        vec, is_int = cached
-        if self.phase == self.BODY:
-            vec = np.repeat(vec, self.widths)
-        return vec, is_int
+            if len(values) == 1:
+                got = (values[0], is_int)
+            else:
+                vec = np.empty(
+                    lanes.n, dtype=np.int64 if is_int else np.float64
+                )
+                for (_r, sl), v in zip(lanes.slices, values):
+                    vec[sl] = v
+                got = (vec, is_int)
+            self._memory_scalars[(name, lanes)] = got
+        return got
 
     def read_array(self, ref: ArrayElemRef):
-        """Each lane reads its executing rank's copy.  An element
-        invalid there is one the per-iteration path would fetch: logged
-        and read from its source, unless the takeover itself writes the
-        element's region — then it declines."""
+        """What the nest stored under the same key is read lane for
+        lane; anything else comes from each lane's executing rank.  An
+        element invalid there is one the per-iteration path would
+        fetch: logged and read from its source."""
         name = ref.symbol.name
-        rk = self.plan.read_region.get(ref.ref_id)
-        if rk is not None:
-            vec = self.array_shadow.get(rk)
-            if vec is not None:
-                return vec, vec.dtype.kind in "bi"
-            # read before this lane's write: pre-state (regions are
-            # injective per column, columns are disjoint)
+        ref_id = ref.ref_id
+        key = self.plan.keys[ref_id] or self.pass_keys[ref_id]
+        region = self.regions.get(key)
+        if region is not None:
+            vec = region[3]
+            if region[0] is not self.lanes:
+                vec = self._carry(vec, region[0], f"array {name}")
+            return vec, vec.dtype.kind in "bi"
         self.q += 1
-        memories = self.plan.sim.memories
-        offv = _lane_index(self.offs[ref.ref_id], self._lanes())
-        out = np.empty(self._lanes(), dtype=memories[0].array_dtype(name))
-        for r, lanes in self.lanes_of[self.phase == self.BODY]:
-            sel = tuple(o[lanes] for o in offv)
-            memory = memories[r]
-            out[lanes] = memory.arrays[name][sel]
-            ok = memory.valid[name][sel]
-            if not ok.all():
-                if rk is not None:
-                    raise _Bail(f"written array {name} read would fetch")
-                bad = np.flatnonzero(~ok)
-                out[lanes[bad]] = self.log._fetch_read(
-                    ref, self.cur_stmt, self.q, r,
-                    tuple(o[bad] for o in sel),
-                    self.inst0[self.phase][lanes[bad]] + self.cur_k,
-                )
-        return out, out.dtype.kind in "bi"
-
-    def process(self, st: _Step, k: int) -> None:
-        self.cur_stmt = st.stmt
-        self.cur_k = k
-        self.cur_repl = st.repl
-        self.q = 0
-        value, is_int = _eval(st.rhs, self)
-        vec = _coerce_vec(value, is_int, st.stype, self._lanes())
-        if st.kind == "array":
-            self.array_shadow[st.region_key] = vec
+        if ref_id in self.strides:
+            # gathered for every pass at once, one row per pass
+            got = self._gathered.get(ref_id)
+            if got is None:
+                got = self._gathered[ref_id] = self._gather(ref)
+            data, ok = got[0][self.t], got[1][self.t]
         else:
-            self.scalar_shadow[self.phase][st.name] = vec
+            data, ok = self._gather(ref)
+        fetched = not ok.all()
+        if fetched:
+            data = self._fetch(ref, data, ok)
+        if name in self.plan.written_arrays:
+            # the pre-state of an element the nest writes later in the
+            # same lane, or a read that must miss every store: settled
+            # once all the stores are known
+            self.misses.append((key, name, ref_id, self.t, fetched))
+        return data, data.dtype.kind in "bi"
+
+    def _offsets(self, ref_id: int, t: int) -> tuple:
+        """The reference's lane offsets in body pass ``t``."""
+        off = self.offs[ref_id]
+        stride = self.strides.get(ref_id)
+        if stride is None or t == 0:
+            return off
+        return tuple([o + s * t for o, s in zip(off, stride)])
+
+    def _gather(self, ref: ArrayElemRef) -> tuple:
+        """``(data, valid)`` of ``ref`` over the current lanes, each
+        from its executing rank's copy; for a reference that moves with
+        the serial axis, of every pass at once, one row per pass —
+        memory does not change while the nest is evaluated."""
+        name = ref.symbol.name
+        lanes = self.lanes
+        index = self.offs[ref.ref_id]
+        stride = self.strides.get(ref.ref_id)
+        shape = (lanes.n,)
+        if stride is not None:
+            passes = np.arange(self.dom.serial, dtype=np.int64)[:, None]
+            index = tuple([o + s * passes for o, s in zip(index, stride)])
+            shape = (self.dom.serial, lanes.n)
+        if len(lanes.slices) == 1:
+            memory = self.memories[lanes.slices[0][0]]
+            return memory.arrays[name][index], memory.valid[name][index]
+        data = np.empty(shape, dtype=self.memories[0].array_dtype(name))
+        ok = np.empty(shape, dtype=np.bool_)
+        for r, sl in lanes.slices:
+            sel = _pick(index, sl, lanes.n)
+            memory = self.memories[r]
+            data[..., sl] = memory.arrays[name][sel]
+            ok[..., sl] = memory.valid[name][sel]
+        return data, ok
+
+    def _fetch(self, ref: ArrayElemRef, data, ok) -> np.ndarray:
+        lanes, dom, plan = self.lanes, self.dom, self.plan
+        name = ref.symbol.name
+        if not self.cur.follows and len(self.participants) != 1:
+            # ranks sharing an instance would fetch in an order the log
+            # does not record; (a fixed executor fetching beside other
+            # ranks' statements stays on tier 2 as well)
+            raise _Bail("fetching takeover with multiple executors")
+        if dom.serial > 1:
+            # (the replay numbers the instances of one body pass;
+            # fetches under a serial axis stay on tier 2)
+            raise _Bail(f"array {name} read would fetch")
+        # the lane's statement instance, in per-iteration order
+        npre, nbody = len(plan.steps[PRE]), len(plan.steps[BODY])
+        inst = dom.base[lanes.col] + self.cur.k
+        if self.phase == BODY:
+            inst += npre + nbody * lanes.tw
+        elif self.phase == POST:
+            inst += npre + nbody * dom.trips[lanes.col]
+        shape = (lanes.n,)
+        off = [np.broadcast_to(o, shape) for o in self._offsets(ref.ref_id, 0)]
+        ok = np.broadcast_to(ok, shape)
+        data = np.array(np.broadcast_to(data, shape))
+        for r, sl in lanes.slices:
+            bad = (~ok[sl]).nonzero()[0] + sl.start
+            if bad.size:
+                data[bad] = self.log._fetch_read(
+                    ref, self.cur.stmt, self.q, r,
+                    tuple([o[bad] for o in off]), inst[bad],
+                )
+        return data
+
+    def _check_stores(self) -> None:
+        """Settle the reads that went to memory against the stores, and
+        gather each array's regions for commit.  The classification was
+        symbolic: where an array has several regions, or reads that
+        match none, verify the concrete index sets are disjoint — else
+        per-iteration order matters."""
+        stray: dict[str, list] = {}
+        for key, name, ref_id, t, fetched in self.misses:
+            if key not in self.regions:
+                stray.setdefault(name, []).append(self._offsets(ref_id, t))
+            elif fetched:
+                raise _Bail(f"written array {name} read would fetch")
+        groups: dict[tuple, list] = {}
+        for region in self.regions.values():
+            name = self.plan.ref_forms[region[1]][0].name
+            groups.setdefault((name, region[0]), []).append(region)
+        #: (array, lanes) -> the regions these lanes stored: a numpy
+        #: index and the values — with one row per region when there
+        #: are several — and the number of store statements behind them
+        self.stores: dict[tuple, tuple] = {}
+        marks: dict[str, list] = {}
+        for (name, lanes), regions in groups.items():
+            _lanes, ref_id, t, vals, writes = regions[0]
+            index = self._offsets(ref_id, t)
+            if len(regions) > 1:
+                shape = (len(regions), lanes.n)
+                rows = [np.empty(shape, dtype=np.int64) for _ in index]
+                vals = np.empty(shape, dtype=vals.dtype)
+                writes = 0
+                for row, (_lanes, ref_id, t, vec, stores) in enumerate(regions):
+                    for ix, o in zip(rows, self._offsets(ref_id, t)):
+                        ix[row] = o
+                    vals[row] = vec
+                    writes += stores
+                index = tuple(rows)
+            self.stores[name, lanes] = (index, vals, writes)
+            marks.setdefault(name, []).append((index, lanes, len(regions)))
+        for name, stored in marks.items():
+            reads = stray.get(name, ())
+            if sum([rows for _i, _l, rows in stored]) < 2 and not reads:
+                continue
+            mask = np.zeros(self.memories[0].array_shape(name), dtype=np.bool_)
+            count = 0
+            for index, lanes, rows in stored:  # each instance once
+                mask[_pick(index, lanes.home, lanes.n)] = True
+                count += rows * int(lanes.home.sum())
+            if int(mask.sum()) != count:
+                raise _Bail("write regions overlap")
+            for off in reads:
+                if mask[off].any():
+                    raise _Bail("read overlaps writes across lanes")
+
+    # -- commit --------------------------------------------------------
+
+    def _rank_tapes(self):
+        """Each rank's tier-2 tape as ``(rank, step, inst)``: the
+        statement (index into the nest's steps) and the number of every
+        instance it runs, in order."""
+        plan, dom = self.plan, self.dom
+        count, trips = dom.count, dom.trips
+        sizes = [len(steps) for steps in plan.steps]
+        step_of = np.empty(
+            int(count.sum()), dtype=np.min_scalar_type(sum(sizes))
+        )
+        # the first statement of each column's prologue, of every one
+        # of its body trips, and of its epilogue
+        def first_of_trips():
+            trip = np.arange(int(trips.sum())) - (trips.cumsum() - trips).repeat(trips)
+            return (dom.base + sizes[PRE]).repeat(trips) + sizes[BODY] * trip
+
+        firsts = (
+            lambda: dom.base,
+            first_of_trips,
+            lambda: dom.base + sizes[PRE] + sizes[BODY] * trips,
+        )
+        s0 = 0
+        for first, size in zip(firsts, sizes):
+            if size:
+                first = first()
+                for k in range(size):
+                    step_of[first + k] = s0 + k
+                s0 += size
+        # which instances each layout's statements are
+        groups = np.asarray([st.group for st in plan.all_steps])
+        parts = []
+        for group, layout in enumerate(self.layouts):
+            steps = groups == group
+            parts.append((layout.runs, None if steps.all() else steps[step_of]))
+        for r in self.participants:
+            mine = False
+            for runs, here in parts:
+                ran = runs[r].repeat(count)
+                mine = mine | (ran if here is None else ran & here)
+            mine = mine.nonzero()[0].astype(np.int32)
+            yield r, step_of[mine], mine
+
+    def commit(self) -> int:
+        """Make the takeover visible: clocks, stores and invalidations,
+        scalars, folds.  Returns the number of elements fetched."""
+        plan, dom = self.plan, self.dom
+        sim = plan.sim
+        memories, clocks = self.memories, sim.clocks
+        dts = clocks.tape([st.dt for st in plan.all_steps])
+        if dom.tapes is None:
+            dom.tapes = list(self._rank_tapes())
+        fetched = 0
+        if self.fetch_plan is not None:
+            fetched = self.log.commit(
+                self.fetch_plan, dts,
+                {r: (step, at) for r, step, at in dom.tapes},
+            )
+        else:
+            for r, step, _at in dom.tapes:
+                clocks.charge_compute_tape(r, dts[step])
+        for (name, lanes), (index, vals, writes) in self.stores.items():
+            whole = len(lanes.slices) == 1
+            for r, sl in lanes.slices:
+                sel = index if whole else _pick(index, sl, lanes.n)
+                memory = memories[r]
+                memory.arrays[name][sel] = vals if whole else vals[..., sl]
+                memory.valid[name][sel] = True
+                memory.versions[name] += (sl.stop - sl.start) * writes
+            # every write instance invalidates each rank not running it
+            for r, lost, count in lanes.lost:
+                sel = index if lost is None else _pick(index, lost, lanes.n)
+                memory = memories[r]
+                memory.valid[name][sel] = False
+                memory.versions[name] += count * writes
+        for name, (lanes, _npass, vec) in self.scalars.items():
+            # every rank keeps the value of its own last instance (it
+            # persists even once a later column invalidates it); the
+            # copies of the ranks running the last column end valid
+            for r, sl in lanes.slices:
+                memories[r].scalar_store(name, vec[sl.stop - 1].item())
+            for r in (~lanes.runs[:, -1]).nonzero()[0].tolist():
+                memories[r].scalar_invalidate(name)
+        for name, results in self.reduced.items():
+            for r, value in results.items():
+                memories[r].scalar_store(name, value.item())
+        for index, results in self.folded.items():
+            st = plan.all_steps[index]
+            off = self.offs[st.stmt.lhs.ref_id]
+            lanes = self.lanes_of[index]
+            for r, sl in lanes.slices:
+                memory = memories[r]
+                memory.arrays[st.name][off] = results[r].item()
+                memory.valid[st.name][off] = True
+                memory.versions[st.name] += sl.stop - sl.start
+            # an afold accumulates privately: the other ranks keep
+            # their copies, exactly like scalar reductions.  An sfold
+            # is a plain owner-computes store, just serialized: it
+            # invalidates them once per iteration
+            if st.kind == "sfold":
+                for r, _lost, count in lanes.lost:
+                    memory = memories[r]
+                    memory.valid[st.name][off] = False
+                    memory.versions[st.name] += count
+        if plan.i is not None and plan.i not in self.base_env:
+            # the walker's per-iteration epilogue leaves the inner
+            # index at the last column's final value
+            self.base_env[plan.i] = int(
+                dom.low[-1] + dom.trips[-1] * dom.step
+            )
+        sim.slab_instances += int(dom.count.sum())
+        return fetched
 
 
-class TriangularPlan:
-    """One takeover for a whole imperfect nest whose inner bounds may be
-    affine in the outer variable: per-column slab widths vary with the
-    outer index (triangular nests).  The outer iterations are columns
-    executed on their owner rank; prologue/epilogue statements get one
-    lane per column, the inner body one lane per (outer, inner)
-    instance, flattened.  Exact because every store touches only its
-    own column, regions are injective within it, and what a lane reads
-    outside its column is never written by the takeover — such reads go
-    through the lane's executing rank, fetching like tier 2
-    (:class:`_FetchLog`).  Anything runtime-dependent (validity of
-    written regions, bounds, widths, region and read overlap) bails to
-    tier 2 before any mutation."""
+class NestPlan:
+    """Vectorized execution of one loop nest as one takeover.
+
+    Built once per eligible loop from the IR and the static reports
+    (raising ``_Bail`` when the nest is tier 2 after all); *prepare*
+    then builds the entry's iteration domain (:class:`_Domain`),
+    evaluates every statement over its lanes (:class:`_NestCtx`) and
+    returns the commit.  Exact because no value flows between lanes:
+    every store is injective over its lanes, a lane reads what its own
+    instance stored or what the nest never writes, and whatever depends
+    on live state — validity, bounds, widths, overlap of the concrete
+    index sets — bails to tier 2 before any mutation.  A lane reads
+    through its executing rank and fetches what that rank does not
+    hold, like tier 2 (:class:`_FetchLog`)."""
 
     def __init__(self, slab: "SlabExecutor", loop: LoopStmt):
-        sim = slab.sim
-        fast = slab.fast
-        self.sim = sim
-        self.fast = fast
+        sim = self.sim = slab.sim
+        fast = self.fast = slab.fast
         self.loop = loop
-        self.j = loop.var.name
-        if sim.grid.rank != 1:
-            raise _Bail("grid is not one-dimensional")
-
-        def make_step(stmt) -> _Step:
-            dt = fast._dt.get(stmt.stmt_id)
-            if dt is None:
-                raise _Bail("statement not lowered")
-            if stmt.stmt_id in sim._reduction_updates:
-                raise _Bail("reduction update in body")
-            st = _Step(stmt, dt)
-            st.kind = (
-                "array" if isinstance(stmt.lhs, ArrayElemRef) else "scalar"
-            )
-            info = sim.compiled.executors.get(stmt.stmt_id)
-            st.repl = sim._runs_everywhere(stmt) or _replicated_exec(info)
-            if st.repl:
-                if st.kind == "array":
-                    raise _Bail("replicated statement writes an array")
-                for ref in stmt.rhs.refs():
-                    if isinstance(ref, ArrayElemRef):
-                        raise _Bail("replicated statement reads an array")
-            return st
-
         nest = _split_nest(loop)
         if isinstance(nest, str):
             raise _Bail(nest)
-        inner = nest[0]
-        if inner.stmt_id in sim._reductions_by_loop:
-            raise _Bail("inner loop combines a reduction")
-        self.inner = inner
-        self.i = inner.var.name
-        self.lane_vars = (self.j, self.i)
+        inner, *phases = nest
+        self.v = v = loop.var.name
+        self.i = i = inner.var.name if inner is not None else None
+        serial = inner is not None and _runs_serially(
+            sim.proc, inner, phases[BODY], slab.reduction_ids,
+            slab.report.verdicts,
+        )
+        #: the variable of the serial axis, if there is one, and the
+        #: lane axes of the body
+        self.serial_var = i if serial else None
+        self.flat_vars = (v,) if inner is None or serial else (v, i)
+        #: every loop variable the takeover binds
+        self.lane_vars = (v,) if inner is None else (v, i)
         #: (stmt_id, ref_id) -> (event ordinal, hoisted loop vars)
         self.fetch_meta: dict[tuple, tuple] = {}
-        pre, body, post = (
-            [make_step(stmt) for stmt in stmts] for stmts in nest[1:]
-        )
-        if not body:
-            raise _Bail("empty inner body")
-        self.pre, self.body, self.post = pre, body, post
-        phased = [
-            (st, ph)
-            for ph, steps in ((0, pre), (1, body), (2, post))
-            for st in steps
-        ]
-        _set_owner_position(self, pre + body + post)
-        # written names; write regions (body only) like InnerPlan's
-        self.scalar_phase: dict[str, int] = {}
-        self.scalar_repl: dict[str, bool] = {}
-        self.regions: dict[tuple, _WrittenArray] = {}
-        self.written_arrays: dict[str, list[tuple]] = {}
-        self.read_region: dict[int, tuple] = {}
-        self.disjoint_reads: list[int] = []
+        #: ref_id -> (symbol, forms); index of its step; what it names
+        #: — a canonical key comparable across the nest's statements,
+        #: None for a reference that moves with the serial axis (its
+        #: key changes with the pass: ``moving_keys``); the offsets'
+        #: coefficients on that axis
         self.ref_forms: dict[int, tuple] = {}
-        #: ref ids of the inner loop's statements (flat-lane refs)
-        self.body_refs = {
-            r.ref_id for st in body for r in _stmt_array_refs(st.stmt)
-        }
-        for st, ph in phased:
-            if st.kind == "scalar":
-                got = self.scalar_phase.setdefault(st.name, ph)
-                if got != ph:
-                    raise _Bail("scalar written in two phases")
-                was = self.scalar_repl.setdefault(st.name, st.repl)
-                if was != st.repl:
-                    raise _Bail("scalar written by mixed executor kinds")
-                continue
-            if ph != 1:
-                raise _Bail("array written outside the inner loop")
-            forms = [affine_form(s) for s in st.stmt.lhs.subscripts]
-            if any(f is None for f in forms):
-                raise _Bail("non-affine store subscript")
-            for f in forms:
-                _check_form_resolvable(f, (self.i, self.j))
-            canon = tuple(_canon_form(f) for f in forms)
-            key = (st.name, canon)
-            info = self.regions.get(key)
-            if info is None:
-                if not any(
-                    f.coeff(sym) != 0
-                    for f in forms
-                    for sym in f.symbols
-                    if sym.name == self.i and sym.value is None
-                ):
-                    raise _Bail("store not injective in the inner var")
-                info = _WrittenArray(
-                    st.stmt.lhs.symbol, forms, canon, st.stmt.lhs.ref_id
-                )
-                self.regions[key] = info
-                self.written_arrays.setdefault(st.name, []).append(key)
-            info.write_steps.append(ph)  # phase, only the count matters
-            st.region_key = key
-            self.ref_forms[st.stmt.lhs.ref_id] = (st.stmt.lhs.symbol, forms)
-        for st, ph in phased:
-            for ref in st.rhs.refs():
-                if not isinstance(ref, ArrayElemRef):
-                    continue
-                name = ref.symbol.name
-                forms = [affine_form(s) for s in ref.subscripts]
-                if any(f is None for f in forms):
-                    raise _Bail("non-affine read subscript")
-                vars_ok = (self.i, self.j) if ph == 1 else (self.j,)
-                for f in forms:
-                    _check_form_resolvable(f, vars_ok)
-                    if ph != 1 and any(
-                        sym.name == self.i and sym.value is None
-                        for sym in _form_symbols(f)
-                    ):
-                        raise _Bail("inner index outside the inner loop")
-                if name in self.written_arrays:
-                    if ph != 1:
-                        raise _Bail("written array read outside the body")
-                    canon = tuple(_canon_form(f) for f in forms)
-                    key = (name, canon)
-                    if key in self.regions:
-                        self.read_region[ref.ref_id] = key
-                    else:
-                        self.disjoint_reads.append(ref.ref_id)
-                self.ref_forms[ref.ref_id] = (ref.symbol, forms)
-        # the executor position may only depend on j (and constants)
-        for sym, _c in self.pos_form.coeffs:
-            if sym.value is None and sym.name != self.j:
-                if not sym.is_loop_var or sym.name in self.scalar_phase:
-                    raise _Bail("executor position not a column function")
-        # inner bounds: affine in j (triangular), free of the inner
-        # variable and of anything the takeover writes
-        self.low_form = affine_form(inner.low)
-        self.high_form = affine_form(inner.high)
-        if self.low_form is None or self.high_form is None:
-            raise _Bail("inner bounds not affine")
-        for form in (self.low_form, self.high_form):
-            for sym, _c in form.coeffs:
-                if sym.value is None and (
-                    sym.name == self.i or sym.name in self.scalar_phase
-                ):
+        self.ref_home: dict[int, int] = {}
+        self.keys: dict[int, tuple | None] = {}
+        self.strides: dict[int, tuple] = {}
+        self._moving: list[tuple] = []
+        self._moving_rows = None
+        #: memory scalars subscripts depend on, resolved at prepare
+        self.subscript_scalars: set[str] = set()
+        #: scalar name -> phases storing it; reduction accumulators
+        self.scalar_phases: dict[str, set] = {}
+        self.acc_names: set[str] = set()
+        self.written_arrays: set[str] = set()
+        #: arrays folded into one element (``AMD(k) = MAX(AMD(k), ...)``)
+        self.fold_arrays: set[str] = set()
+        self.steps: tuple[list, list, list] = ([], [], [])
+        self.all_steps: list[_Step] = []
+        for phase, stmts in enumerate(phases):
+            for stmt in stmts:
+                dt = fast._dt.get(stmt.stmt_id)
+                if dt is None:
+                    raise _Bail("statement not lowered")
+                st = _Step(stmt, dt, len(self.all_steps), len(self.steps[phase]))
+                self._store_role(st, phase)
+                self.steps[phase].append(st)
+                self.all_steps.append(st)
+        for phase, steps in enumerate(self.steps):
+            for st in steps:
+                for ref in st.expr.refs():
+                    if isinstance(ref, ArrayElemRef):
+                        if ref.symbol.name in self.fold_arrays:
+                            raise _Bail("fold array read outside its fold")
+                        self._register(ref, st, phase)
+        if self.fold_arrays & self.written_arrays:
+            raise _Bail("array both folded and written")
+        # accumulators must not leak into any other statement
+        for st in self.all_steps:
+            if st.kind != "reduction" and st.name in self.acc_names:
+                raise _Bail("accumulator written outside the fold")
+            for ref in st.expr.refs():
+                if isinstance(ref, ScalarRef) and ref.symbol.name in self.acc_names:
+                    raise _Bail("accumulator read outside the fold")
+        mutated = set(self.scalar_phases) | self.acc_names
+        if self.subscript_scalars & mutated:
+            raise _Bail("subscript depends on a scalar written in body")
+        self._executors(mutated)
+        #: the inner loop's bounds — an absent one is 1: a missing
+        #: step, and the single trip of a nest without an inner loop —
+        #: with the affine form of each that varies with the column
+        self.bounds = (
+            (inner.low, inner.high, inner.step) if inner is not None
+            else (None, None, None)
+        )
+        self.bound_forms = [None, None, None]
+        for k, bound in enumerate(self.bounds):
+            for ref in bound.refs() if bound is not None else ():
+                if isinstance(ref, ArrayElemRef):
+                    raise _Bail("inner bound reads an array")
+                if ref.symbol.name == i or ref.symbol.name in mutated:
                     raise _Bail("inner bounds vary during the takeover")
+                if ref.symbol.name == v:
+                    self.bound_forms[k] = affine_form(bound)
+                    if self.bound_forms[k] is None or serial or k == 2:
+                        raise _Bail("inner bounds not affine in the column")
+        if inner is not None:
+            # what the one plan could run but this round does not take
+            # (see CHANGES.md): each keeps its tier-2 verdict
+            if inner.stmt_id in sim._reductions_by_loop:
+                raise _Bail("inner loop combines a reduction")
+            if any(st.op is not None for st in self.all_steps):
+                raise _Bail("reduction update in body")
+            if self.subscript_scalars:
+                raise _Bail(
+                    f"subscript depends on scalar "
+                    f"{min(self.subscript_scalars)}"
+                )
+
+    def _store_role(self, st: _Step, phase: int) -> None:
+        """What ``st`` stores and how: a lane value per instance, or a
+        fold over the lanes into one accumulator."""
+        stmt, v = st.stmt, self.v
+        red = self.sim._reduction_updates.get(st.sid)
+        if st.kind == "scalar":
+            if red is None:
+                self.scalar_phases.setdefault(st.name, set()).add(phase)
+                return
+            reduction = red[0]
+            if (
+                reduction.location_symbol is not None
+                or reduction.op not in _RED_UFUNC
+                or reduction.symbol.name != st.name
+            ):
+                raise _Bail("unsupported reduction form")
+            st.expr = _reduction_operand(stmt.rhs, st.name, reduction.op)
+            if st.expr is None:
+                raise _Bail("unrecognized reduction update")
+            st.kind, st.op = "reduction", reduction.op
+            self.acc_names.add(st.name)
+            return
+        forms = self._register(stmt.lhs, st, phase)
+        canon = tuple(_canon_form(f) for f in forms)
+        axes = self.flat_vars if phase == BODY else (v,)
+        injective = all(any(_mentions(f, a) for f in forms) for a in axes)
+        if red is not None:
+            reduction = red[0]
+            if (
+                reduction.location_symbol is not None
+                or reduction.op not in _RED_UFUNC
+                or reduction.symbol.name != st.name
+            ):
+                raise _Bail("unsupported reduction form")
+            # fold into one array element: every lane must hit the same
+            # private accumulator element
+            if any(_mentions(f, *self.lane_vars) for f in forms):
+                raise _Bail("fold subscript varies with lane")
+            st.expr = _afold_operand(stmt.rhs, st.name, canon, reduction.op)
+            if st.expr is None:
+                raise _Bail("unrecognized array fold update")
+            st.kind, st.op = "afold", reduction.op
+        elif not injective:
+            # every lane of an axis stores the same element: only a
+            # serial fold (``A(c) = A(c) OP e``, the reduction-into-
+            # column shape the reduction pass left as a plain
+            # owner-computes assign) has per-iteration semantics a
+            # slab can replay
+            if self.i is not None or any(_mentions(f, v) for f in forms):
+                raise _Bail("store not injective in the loop variables")
+            for op in ("+", "*", "MAX", "MIN"):
+                st.expr = _afold_operand(stmt.rhs, st.name, canon, op)
+                if st.expr is not None:
+                    break
+            else:
+                raise _Bail("store not injective in the loop var")
+            st.kind, st.op = "sfold", op
+        else:
+            self.written_arrays.add(st.name)
+            return
+        if st.name in self.fold_arrays:
+            raise _Bail("array folded twice")
+        self.fold_arrays.add(st.name)
+
+    def _register(self, ref: ArrayElemRef, st: _Step, phase: int) -> list:
+        """Record an array reference's forms, home and key."""
+        forms = [affine_form(s) for s in ref.subscripts]
+        if any(f is None for f in forms):
+            raise _Bail("non-affine subscript")
+        for f in forms:
+            _check_form_resolvable(f, self.lane_vars, self.subscript_scalars)
+            if phase != BODY and self.i is not None and _mentions(f, self.i):
+                raise _Bail("inner index outside the inner loop")
+        self.ref_forms[ref.ref_id] = (ref.symbol, forms)
+        self.ref_home[ref.ref_id] = st.index
+        # canonical: per dimension the constant — symbolic constants
+        # folded in — and the other symbols' terms, the serial axis'
+        # coefficient apart
+        consts, coeffs, terms = [], [], []
+        for f in forms:
+            const, ci, rest = f.const, 0, []
+            for sym, c in f.coeffs:
+                if sym.value is not None:
+                    const += c * int(sym.value)
+                elif sym.name == self.serial_var:
+                    ci = c
+                else:
+                    rest.append((sym.name, c))
+            consts.append(const)
+            coeffs.append(ci)
+            terms.append(tuple(sorted(rest)))
+        head = (ref.symbol.name, tuple(terms))
+        if any(coeffs):
+            self.keys[ref.ref_id] = None
+            self.strides[ref.ref_id] = tuple(coeffs)
+            self._moving.append((ref.ref_id, head, consts, coeffs))
+        else:
+            self.keys[ref.ref_id] = (*head, tuple(consts))
+        return forms
+
+    def moving_keys(self, env) -> dict:
+        """ref_id -> key, at the serial axis' index in ``env``, of every
+        reference that moves with the axis: the index resolved into the
+        constants, so a store and a later pass's read of the same
+        elements (``D(i,j)``, ``D(i-1,j)``) agree."""
+        if not self._moving:
+            return {}
+        if self._moving_rows is None:
+            pad = max(len(consts) for _r, _h, consts, _c in self._moving)
+            self._moving_rows = [
+                np.array([row[k] + [0] * (pad - len(row[k])) for row in self._moving])
+                for k in (2, 3)
+            ]
+        const, coeff = self._moving_rows
+        rows = (const + coeff * env[self.serial_var]).tolist()
+        return {
+            ref_id: (*head, tuple(row[:len(consts)]))
+            for (ref_id, head, consts, _c), row in zip(self._moving, rows)
+        }
+
+    def _executors(self, mutated: set) -> None:
+        """Sort the statements by executor: those run by the owner of
+        their column — one canonical 1-D position, a function of the
+        outer variable, tabulated as ``pos_ranks`` — and those run by a
+        fixed rank set, evaluated at prepare."""
+        sim = self.sim
+        canon = _MISSING
+        self.pos_form = None
+        #: one statement of every distinct executor (``_Step.group``)
+        self.executors: list[_Step] = []
+        groups: dict = {}
+        for st in self.all_steps:
+            info = sim.compiled.executors.get(st.sid)
+            if info is None:
+                raise _Bail("no executor info")
+            everywhere = sim._runs_everywhere(st.stmt) or info.kind == "all"
+            forms = [
+                dim.form
+                for dim in info.position
+                if dim.kind == "pos" and dim.form is not None
+                and dim.fmt is not None
+            ]
+            st.follows = not everywhere and any(
+                _mentions(form, self.v) for form in forms
+            )
+            # (what ``executor_ranks`` is a function of)
+            key = "all" if everywhere else "owner" if st.follows else tuple(
+                _canon_form(dim.form)
+                if dim.kind == "pos" and dim.form is not None
+                and dim.fmt is not None
+                else None
+                for dim in info.position
+            )
+            st.group = groups.setdefault(key, len(groups))
+            if st.group == len(self.executors):
+                self.executors.append(st)
+            if not st.follows:
+                continue
+            if info.kind != "owner" or len(info.position) != 1:
+                raise _Bail("executor is not a 1-D owner position")
+            dim = info.position[0]
+            if dim.fmt is None:
+                raise _Bail("executor position is not a point")
+            if canon is _MISSING:
+                canon = _canon_form(dim.form)
+                self.pos_form, self.pos_fmt = dim.form, dim.fmt
+            elif _canon_form(dim.form) != canon:
+                raise _Bail("executor position differs across statements")
+        if canon is _MISSING:
+            if self.i is not None:
+                # (one rank: the columns have no owner to be sliced by)
+                raise _Bail("executor position is not a point")
+        else:
+            if sim.grid.rank != 1:
+                raise _Bail("grid is not one-dimensional")
+            # the position may only depend on the column (and constants)
+            for sym, _c in self.pos_form.coeffs:
+                if sym.value is None and sym.name != self.v:
+                    if (
+                        not sym.is_loop_var
+                        or sym.name == self.i
+                        or sym.name in mutated
+                    ):
+                        raise _Bail("executor position not a column function")
+            rank_of = np.asarray(
+                [sim.grid.rank_of((c,)) for c in range(sim.grid.shape[0])],
+                dtype=np.int64,
+            )
+            self.pos_ranks = rank_of[
+                np.asarray(
+                    self.fast.etables.owner_table(self.pos_fmt), dtype=np.int64
+                )
+            ]
+        for st in self.all_steps:
+            if st.follows:
+                continue
+            info = sim.compiled.executors[st.sid]
+            everywhere = sim._runs_everywhere(st.stmt)
+            if canon is not _MISSING:
+                # beside column-owned statements only replicated ones,
+                # and only on scalars: arrays would read per-rank state
+                if not (everywhere or _replicated_exec(info)):
+                    raise _Bail("executor position differs across statements")
+                if st.kind != "scalar" or any(
+                    isinstance(ref, ArrayElemRef) for ref in st.stmt.rhs.refs()
+                ):
+                    raise _Bail("replicated statement touches an array")
+            for dim in () if everywhere else info.position:
+                if dim.kind == "pos" and dim.form is not None:
+                    if _mentions(dim.form, *self.lane_vars, *mutated):
+                        raise _Bail("executor varies inside the loop")
+
+    def subscript_env(self, env, participants: list[int]):
+        """``env`` plus the memory scalars the subscripts reference:
+        every participant must hold the same valid integral value
+        (per-iteration semantics read the rank's own copy each time)."""
+        if not self.subscript_scalars:
+            return env
+        sub_env = dict(env)
+        for nm in sorted(self.subscript_scalars - set(env)):
+            val = _MISSING
+            for r in participants:
+                memory = self.sim.memories[r]
+                if not memory.scalar_is_valid(nm):
+                    raise _Bail(f"subscript scalar {nm} invalid")
+                got = memory.scalars[nm]
+                if val is _MISSING:
+                    val = got
+                elif got != val:
+                    raise _Bail(f"subscript scalar {nm} diverges")
+            if not float(val).is_integer():
+                raise _Bail(f"subscript scalar {nm} not integral")
+            sub_env[nm] = int(val)
+        return sub_env
 
     # ------------------------------------------------------------------
 
-    def _rank_tapes(self, count, inst0, exec_col):
-        """Each rank's tier-2 tape as ``(rank, step, inst)``: the
-        statement (index into pre + body + post) and the number of
-        every instance it runs, in order — all of its own columns',
-        the replicated ones of foreign columns."""
-        steps = self.pre + self.body + self.post
-        step_of = np.empty(
-            int(count.sum()), dtype=np.min_scalar_type(len(steps))
-        )
-        s0 = 0
-        for first, phase in zip(inst0, (self.pre, self.body, self.post)):
-            for k in range(len(phase)):
-                step_of[first + k] = s0 + k
-            s0 += len(phase)
-        repl = np.asarray([st.repl for st in steps])
-        if repl.any():
-            ranks, everywhere = range(len(self.sim.memories)), repl[step_of]
-        else:
-            ranks, everywhere = np.unique(exec_col).tolist(), False
-        for r in ranks:
-            mine = np.flatnonzero(np.repeat(exec_col == r, count) | everywhere)
-            yield r, step_of[mine], mine
-
-    def prepare(self, low: int, high: int, step: int, env) -> Callable:
+    def _build_shape(self, low: int, high: int, step: int, bounds: tuple,
+                     pos, ranks: tuple) -> tuple:
+        """The iteration domain and the executor layouts of an entry
+        whose loop runs ``low, high, step``, whose inner bounds and
+        owner position are ``bounds`` and ``pos`` at the first column,
+        and whose fixed executors are ``ranks``."""
         nj = slab_trip_count(low, high, step)
-        sim = self.sim
         if nj == 0:
-            return lambda: None
-        jvec = low + step * np.arange(nj, dtype=np.int64)
-        exec_col, cols_of = _exec_columns(self, jvec, env)
-        # per-column inner bounds — the triangular part
-        try:
-            si = (
-                self.fast.eval_bound(self.inner.step, env)
-                if self.inner.step is not None
-                else 1
-            )
-        except _BOUND_ERRORS:
-            raise _Bail("inner bounds not evaluable") from None
+            return None, ()
+        dom = _Domain()
+        ahead = step * np.arange(nj, dtype=np.int64)  # of the first column
+
+        def per_column(first, form):
+            slope = 0 if form is None else form.coeff(self.loop.var)
+            return first + slope * ahead
+
+        dom.jvec = low + ahead
+        li, hi, si = bounds
         if si == 0:
             raise _Bail("zero inner step")
-        si = int(si)
-        jvar = {self.j: jvec}
-        li = np.broadcast_to(
-            np.asarray(_affine_vec(self.low_form, jvar, env)), (nj,)
-        ).astype(np.int64)
-        hi = np.broadcast_to(
-            np.asarray(_affine_vec(self.high_form, jvar, env)), (nj,)
-        ).astype(np.int64)
-        widths = slab_trip_count(li, hi, si)
-        if bool((widths == 0).any()):
+        dom.step = si
+        dom.low = per_column(li, self.bound_forms[0])
+        dom.trips = slab_trip_count(
+            dom.low, per_column(hi, self.bound_forms[1]), si
+        )
+        dom.serial_var = self.serial_var
+        if self.serial_var is None:
+            dom.widths, dom.serial = dom.trips, 1
+        else:
+            dom.widths, dom.serial = np.ones_like(dom.trips), int(dom.trips[0])
+        if not dom.widths.all():
             # a column with no inner iterations still runs its prologue
             # and epilogue; keep the uncommon shape on tier 2
             raise _Bail("empty inner slab")
-        nflat = int(widths.sum())
-        seg_start = np.cumsum(widths) - widths
-        jflat = np.repeat(jvec, widths)
-        #: inner iteration number of each flat lane within its column
-        tflat = np.arange(nflat, dtype=np.int64) - np.repeat(seg_start, widths)
-        iflat = np.repeat(li, widths) + si * tflat
-        # lane offsets for every reference: body refs over the flat
-        # lanes, prologue/epilogue refs over the columns
-        lane_vars = ({self.j: jvec}, {self.i: iflat, self.j: jflat})
-        offs = _lane_offsets(
-            self.ref_forms,
-            lambda ref_id: lane_vars[ref_id in self.body_refs],
-            env,
-        )
-        _check_disjoint(self, offs, nflat)
         # statement instances in per-iteration order: column by column,
-        # prologue, body step by step, epilogue
-        npre, nbody = len(self.pre), len(self.body)
-        count = npre + widths * nbody + len(self.post)
-        base = np.cumsum(count) - count
-        inst0 = (
-            base,
-            np.repeat(base + npre, widths) + nbody * tflat,
-            base + npre + widths * nbody,
-        )
-        log = _FetchLog(self)
-        ctx = _TriCtx(
-            self, jvec, iflat, jflat, widths, env, exec_col, cols_of, offs,
-            inst0, log,
-        )
-        phases = (self.pre, self.body, self.post)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for phase, steps in enumerate(phases):
-                ctx.phase = phase
-                for k, st in enumerate(steps):
-                    ctx.process(st, k)
-        fetch_plan = log.schedule(env)
-
-        def commit():
-            memories = sim.memories
-            clocks = sim.clocks
-            dts = clocks.tape(
-                [st.dt for st in self.pre + self.body + self.post]
-            )
-            tapes = self._rank_tapes(count, inst0, exec_col)
-            fetched = 0
-            if fetch_plan is not None:
-                fetched = log.commit(
-                    fetch_plan, dts, {r: (step, at) for r, step, at in tapes}
-                )
+        # prologue, body trip by trip, epilogue
+        npre, nbody, npost = (len(steps) for steps in self.steps)
+        dom.count = npre + dom.trips * nbody + npost
+        dom.base = dom.count.cumsum() - dom.count
+        dom.tapes = None
+        layouts = []
+        for st, fixed in zip(self.executors, ranks):
+            runs = np.zeros((len(self.sim.memories), nj), dtype=np.bool_)
+            if st.follows:
+                at = per_column(pos, self.pos_form)
+                if int(at.min()) < 0 or int(at.max()) >= self.pos_fmt.extent:
+                    raise _Bail("executor position out of range")
+                runs[self.pos_ranks[at], np.arange(nj)] = True
+            elif fixed:
+                runs[list(fixed)] = True
             else:
-                for r, step, _at in tapes:
-                    clocks.charge_compute_tape(r, dts[step])
-            many = sim.grid.size > 1
-            rank_flat = ctx.rank_flat
-            for key, info in self.regions.items():
-                name = key[0]
-                offv = _lane_index(offs[info.ref0], nflat)
-                nw = len(info.write_steps)
-                shadow = ctx.array_shadow[key]
-                for r, lanes in ctx.lanes_of[1]:
-                    sel = tuple(o[lanes] for o in offv)
-                    memory = memories[r]
-                    memory.arrays[name][sel] = shadow[lanes]
-                    memory.valid[name][sel] = True
-                    memory.versions[name] += lanes.size * nw
-                if many:
-                    # every write instance invalidates each non-owner
-                    for r2, memory in enumerate(memories):
-                        lanes = np.nonzero(rank_flat != r2)[0]
-                        if not lanes.size:
-                            continue
-                        sel = tuple(o[lanes] for o in offv)
-                        memory.valid[name][sel] = False
-                        memory.versions[name] += lanes.size * nw
-            last_rank = int(exec_col[-1])
-            for name, wp in self.scalar_phase.items():
-                vec = ctx.scalar_shadow[wp].get(name)
-                if vec is None:
-                    continue
-                if self.scalar_repl[name]:
-                    # every rank executed every write; all copies end
-                    # valid, holding the last column's value
-                    v = vec[-1].item()
-                    for memory in memories:
-                        memory.scalar_store(name, v)
-                    continue
-                for r, cols in cols_of.items():
-                    c = int(cols[-1])
-                    lane = int(ctx.seg_end[c]) if wp == 1 else c
-                    memories[r].scalar_store(name, vec[lane].item())
-                if many:
-                    for r2, memory in enumerate(memories):
-                        if r2 != last_rank:
-                            memory.scalar_invalidate(name)
-            if self.i not in env:
-                # the walker's per-iteration epilogue leaves the inner
-                # index at the last column's final value
-                env[self.i] = int(li[-1] + widths[-1] * si)
-            sim.slab_instances += nj * (
-                len(self.pre) + len(self.post)
-            ) + nflat * len(self.body)
-            return fetched
+                raise _Bail("empty executor set")
+            layouts.append(_Layout(runs, dom, self))
+        return dom, layouts
 
-        return commit
+    def prepare(self, low: int, high: int, step: int, env) -> Callable:
+        # what the entry's shape is a function of — a handful of
+        # integers that successive entries mostly repeat, so the
+        # executor keeps the last shape (one, whatever the loop: a big
+        # nest's is released before the next is built).  A bound
+        # invariant over the columns is evaluated once, uncharged,
+        # exactly like the per-iteration walker's eval_bound; one
+        # affine in the column, and the owners' position, at the first
+        # column
+        first = {self.v: low}
+        try:
+            bounds = tuple([
+                1 if bound is None
+                else self.fast.eval_bound(bound, env) if form is None
+                else _affine_vec(form, first, env)
+                for bound, form in zip(self.bounds, self.bound_forms)
+            ])
+        except _BOUND_ERRORS:
+            raise _Bail("inner bounds not evaluable") from None
+        key = (
+            self, low, high, step, bounds,
+            _affine_vec(self.pos_form, first, env) if self.pos_form else None,
+            tuple([
+                None if st.follows
+                else tuple(self.sim.executor_ranks(st.stmt, env))
+                for st in self.executors
+            ]),
+        )
+        memo = self.fast.slab
+        if key != memo.shape_key:
+            memo.shape_key = memo.shape = None
+            memo.shape = self._build_shape(*key[1:])
+            memo.shape_key = key
+        dom, layouts = memo.shape
+        if dom is None:
+            return lambda: None
+        ctx = _NestCtx(self, dom, layouts, env)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ctx.run()
+        return ctx.commit
 
 
 # ---------------------------------------------------------------------------
@@ -2258,33 +1791,37 @@ class SlabExecutor:
         self.fast = fast
         self.sim = fast.sim
         sim = self.sim
+        #: update statements of every recognized reduction: their
+        #: accumulator recurrence is a fold, not a carried dependence
+        self.reduction_ids = {
+            s.stmt_id
+            for red in sim.compiled.ctx.reductions
+            for s in red.update_stmts
+        }
         report = getattr(sim.compiled, "slabs", None)
         if report is None or report.ir_epoch != sim.proc.ir_epoch:
-            reduction_ids = {
-                s.stmt_id
-                for red in sim.compiled.ctx.reductions
-                for s in red.update_stmts
-            }
             report = classify_procedure(
                 sim.proc,
                 sim.compiled.executors,
                 sim.compiled.comm.events,
-                reduction_ids,
+                self.reduction_ids,
                 grid_rank=sim.grid.rank,
             )
         self.report = report
         self._plans: dict[int, Any] = {}
         self._eligible = report.eligible_loops()
-        #: satellite fix for the DGEFA regression: a program whose
-        #: report has no eligible nest at all pays nothing per loop
-        #: entry (one flag check instead of a plan lookup + prepare)
+        #: a program whose report has no eligible nest pays nothing per
+        #: loop entry: one flag check instead of a plan lookup (DGEFA's
+        #: pivot search enters thousands of ineligible loops)
         self.enabled = bool(self._eligible)
-        #: per-loop consecutive prepare bails; a nest that bails this
-        #: many times without ever committing is demoted to tier 2 for
-        #: the rest of the run (prepare overhead was pure loss)
+        #: per-loop consecutive prepare bails; a nest that reaches
+        #: GIVE_UP_AFTER without ever committing is demoted to tier 2
+        #: for the rest of the run (prepare overhead was pure loss)
         self._bail_counts: dict[int, int] = {}
         self._committed: set[int] = set()
-        self.GIVE_UP_AFTER = 8
+        #: the last takeover's shape and what it was built from (see
+        #: ``NestPlan.prepare``)
+        self.shape_key = self.shape = None
 
     def _record_bail(self, stmt: LoopStmt, reason: str) -> None:
         sim = self.sim
@@ -2297,25 +1834,20 @@ class SlabExecutor:
             )
 
     def _build(self, stmt: LoopStmt):
-        sid = stmt.stmt_id
         # Plan construction only reads the IR and the static reports;
         # a bail means "this loop is tier 2", a numeric-domain error in
         # a closed form means the same — anything else (NameError,
         # TypeError, ...) is a genuine bug and must surface.
+        if stmt.stmt_id not in self._eligible:
+            return None
         try:
-            if self.report.inner.get(sid) == "ok":
-                return InnerPlan(self, stmt)
-            if self.report.column.get(sid) == "ok":
-                return ColumnPlan(self, stmt)
-            if self.report.triangular.get(sid) == "ok":
-                return TriangularPlan(self, stmt)
+            return NestPlan(self, stmt)
         except _Bail as bail:
             self._record_bail(stmt, str(bail))
             return None
         except (ArithmeticError, ValueError, OverflowError):
             self._record_bail(stmt, "plan construction error")
             return None
-        return None
 
     def _decide(self, sid: int, choice: str) -> None:
         sim = self.sim
@@ -2353,7 +1885,7 @@ class SlabExecutor:
             if sid not in self._committed:
                 bails = self._bail_counts.get(sid, 0) + 1
                 self._bail_counts[sid] = bails
-                if bails >= self.GIVE_UP_AFTER:
+                if bails >= GIVE_UP_AFTER:
                     # never succeeded: stop paying prepare per entry
                     self._plans[sid] = None
             return False
@@ -2376,3 +1908,4 @@ class SlabExecutor:
                 high=high, step=step,
             )
         return True
+

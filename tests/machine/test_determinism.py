@@ -191,8 +191,7 @@ class TestErrorTransparency:
         def exploding_prepare(self, low, high, step, env):
             raise NameError("injected bug in slab prepare")
 
-        monkeypatch.setattr(slabexec.InnerPlan, "prepare", exploding_prepare)
-        monkeypatch.setattr(slabexec.ColumnPlan, "prepare", exploding_prepare)
+        monkeypatch.setattr(slabexec.NestPlan, "prepare", exploding_prepare)
         with pytest.raises(NameError):
             simulate(compiled, inputs, tier="slab")
 
@@ -221,8 +220,8 @@ END PROGRAM
 
 
 class TestNarrowedSlabGuards:
-    """The three remaining slab-side guards (inner-bound evaluation in
-    ColumnPlan/TriangularPlan.prepare, owner lookup in the vectorized
+    """The remaining slab-side guards (inner-bound evaluation while
+    NestPlan builds an entry's domain, owner lookup in the vectorized
     fetch path) bail only on their canonical error types; programming
     errors propagate."""
 

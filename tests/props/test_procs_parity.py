@@ -142,8 +142,7 @@ def test_random_procs_subsets_stay_byte_identical(procs, machines):
 
 # -- mid-run tier demotion ---------------------------------------------------
 
-#: mirrors SlabExecutor.GIVE_UP_AFTER (an instance attribute)
-GIVE_UP_AFTER = 8
+GIVE_UP_AFTER = slabexec.GIVE_UP_AFTER
 
 #: enough outer iterations that tomcatv's slab-approved nests — taken
 #: over at the ``j`` loop, once per iteration — are entered past
@@ -159,10 +158,7 @@ def _force_prepare_bails(monkeypatch):
     def bailing(self, low, high, step, env):
         raise slabexec._Bail("forced bail (demotion test)")
 
-    for cls in ("InnerPlan", "ColumnPlan", "TriangularPlan"):
-        plan = getattr(slabexec, cls, None)
-        if plan is not None:
-            monkeypatch.setattr(plan, "prepare", bailing)
+    monkeypatch.setattr(slabexec.NestPlan, "prepare", bailing)
 
 
 def test_forced_bails_actually_demote(monkeypatch):
