@@ -21,18 +21,20 @@ A third, **batched grid** (simulate mode, 3 processor counts × 7
 machine-parameter variants = 21 points on TOMCATV) gates the batched
 sweep evaluator: run cold through the pool path and cold through
 ``mode="batched"``, the batched leg must produce byte-identical
-``canonical_stats`` and finish at least ``--min-batched-speedup``
-(default 5.0) times faster — machine-parameter lanes share one
-lane-vector simulation and the procs axis shares compiles, so ~21
-full jobs collapse to ~3 compiles + 3 simulations.
+``canonical_stats`` with no point off the fast path — machine-parameter
+lanes share one lane-vector simulation and the procs axis shares
+compiles, so ~21 full jobs collapse to ~3 compiles + 3 simulations.
 
 A fourth, **procs grid** (simulate mode, 7 processor counts × 5
 machines over TOMCATV + DGEFA + APPSP = 105 points) gates the procs
 axis as a lane dimension: every batched point must report
 ``procs_lanes == 7`` (all seven processor counts fused as sub-groups
-of its batch), produce ``canonical_stats`` byte-identical to the pool
-path, and the batched leg must finish at least ``--min-procs-speedup``
-(default 3.0) times faster.  A companion **compile-once gate** sweeps
+of its batch) and produce ``canonical_stats`` byte-identical to the
+pool path.  Both grids' pool/batched wall-clock ratios are printed and
+recorded, not gated: a single-shot ratio moves whenever either side is
+optimized, and the batched path's wall time has a trajectory in the
+end-to-end benchmark (``sweep_105``, ``service_cold``).  A companion
+**compile-once gate** sweeps
 a pinned-PROCESSORS TOMCATV source over ``procs=(None, 4)`` — the
 directive fixes the grid either way, so the second lane must reuse
 the first lane's compile (``compile_dedup``) and land on byte-identical
@@ -50,8 +52,6 @@ speedup, and the disk caches' footprint + per-pass hit counts.
 Usage::
 
     python benchmarks/sweep_gate.py [--workers 2] [--min-speedup 2.0]
-                                    [--min-batched-speedup 5.0]
-                                    [--min-procs-speedup 3.0]
                                     [--cache-dir DIR] [--stats-out F]
                                     [--inject-crash] [--verbose]
 
@@ -155,8 +155,6 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--procs", type=int, nargs="+", default=[1, 2, 4, 8])
     parser.add_argument("--min-speedup", type=float, default=2.0)
-    parser.add_argument("--min-batched-speedup", type=float, default=5.0)
-    parser.add_argument("--min-procs-speedup", type=float, default=3.0)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--stats-out", default=None)
     parser.add_argument("--inject-crash", action="store_true")
@@ -262,13 +260,7 @@ def main() -> int:
               f"{len(batched_jobs)} points")
     batched_speedup = t_pool / t_batched if t_batched > 0 else float("inf")
     print(f"pool {t_pool:.3f}s, batched {t_batched:.3f}s -> speedup "
-          f"{batched_speedup:.2f}x (gate: >= "
-          f"{args.min_batched_speedup:.1f}x)")
-    if batched_speedup < args.min_batched_speedup:
-        failures.append(
-            f"batched sweep only {batched_speedup:.2f}x faster than the "
-            f"pool path (need >= {args.min_batched_speedup:.1f}x)"
-        )
+          f"{batched_speedup:.2f}x (recorded, not gated)")
 
     # -- procs grid: the procs axis itself as a lane dimension ---------
     # 7 processor counts x 3 machines over three paper kernels; the
@@ -337,13 +329,7 @@ def main() -> int:
         if t_procs_batched > 0 else float("inf")
     )
     print(f"pool {t_procs_pool:.3f}s, batched {t_procs_batched:.3f}s -> "
-          f"speedup {procs_speedup:.2f}x (gate: >= "
-          f"{args.min_procs_speedup:.1f}x)")
-    if procs_speedup < args.min_procs_speedup:
-        failures.append(
-            f"procs-lane sweep only {procs_speedup:.2f}x faster than "
-            f"the pool path (need >= {args.min_procs_speedup:.1f}x)"
-        )
+          f"speedup {procs_speedup:.2f}x (recorded, not gated)")
 
     # -- compile-once gate: a P-independent program compiles once ------
     # The pinned PROCESSORS(4) directive fixes the grid whether the
@@ -405,7 +391,6 @@ def main() -> int:
         "batched_pool_seconds": t_pool,
         "batched_seconds": t_batched,
         "batched_speedup": batched_speedup,
-        "min_batched_speedup": args.min_batched_speedup,
         "batched_compile_dedups": sum(r.compile_dedup for r in b_fast),
         "procs_jobs": len(procs_jobs),
         "procs_values": list(procs_values),
@@ -413,7 +398,6 @@ def main() -> int:
         "procs_pool_seconds": t_procs_pool,
         "procs_batched_seconds": t_procs_batched,
         "procs_speedup": procs_speedup,
-        "min_procs_speedup": args.min_procs_speedup,
         "procs_compile_dedups": sum(r.compile_dedup for r in p_fast),
         "procs_lanes_fused": sum(r.procs_lanes > 1 for r in p_fast),
         "pinned_compile_once": bool(

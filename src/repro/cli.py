@@ -49,6 +49,7 @@ from .api import Session
 from .codegen.spmd import print_spmd
 from .core.driver import CompilerOptions
 from .core.scalar_mapping import STRATEGIES
+from .machine import TIERS
 from .sweep import SweepSpec
 
 
@@ -770,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
         "--tier",
-        choices=["auto", "interpreted", "lowered", "slab"],
+        choices=TIERS,
         default="auto",
         help="execution engine: 'auto' picks slab per nest from the "
         "compiled TierPlan; the others force one tier everywhere",

@@ -346,34 +346,37 @@ _RED_UFUNC = {
 }
 
 
-def _reduction_operand(rhs, acc: str, op: str):
-    """``acc = acc OP e`` / ``acc = MAX(acc, e)`` → ``e`` (both
-    orderings; + and * are bitwise commutative in IEEE), or None."""
-
-    def is_acc(e):
-        return isinstance(e, ScalarRef) and e.symbol.name == acc
-
-    e = None
+def _fold_operand(rhs, op: str, is_acc):
+    """``acc OP e`` / ``MAX(acc, e)`` → ``e`` (both orderings; + and *
+    are bitwise commutative in IEEE), or None; ``is_acc(expr)`` says
+    whether an operand is the accumulator."""
     if op in ("+", "*") and isinstance(rhs, BinOp) and rhs.op == op:
-        if is_acc(rhs.left):
-            e = rhs.right
-        elif is_acc(rhs.right):
-            e = rhs.left
+        pair = (rhs.left, rhs.right)
     elif (
         op in ("MAX", "MIN")
         and isinstance(rhs, IntrinsicCall)
         and rhs.name == op
         and len(rhs.args) == 2
     ):
-        if is_acc(rhs.args[0]):
-            e = rhs.args[1]
-        elif is_acc(rhs.args[1]):
-            e = rhs.args[0]
-    if e is None:
+        pair = tuple(rhs.args)
+    else:
         return None
-    for ref in e.refs():
-        if isinstance(ref, ScalarRef) and ref.symbol.name == acc:
-            return None  # acc on both sides: not a fold
+    if is_acc(pair[0]):
+        return pair[1]
+    if is_acc(pair[1]):
+        return pair[0]
+    return None
+
+
+def _reduction_operand(rhs, acc: str, op: str):
+    """``acc = acc OP e`` / ``acc = MAX(acc, e)`` → ``e``, or None."""
+
+    def is_acc(e):
+        return isinstance(e, ScalarRef) and e.symbol.name == acc
+
+    e = _fold_operand(rhs, op, is_acc)
+    if e is not None and any(is_acc(ref) for ref in e.refs()):
+        return None  # acc on both sides: not a fold
     return e
 
 

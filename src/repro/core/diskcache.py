@@ -40,10 +40,10 @@ if TYPE_CHECKING:
 
 #: bump when the pickled payload layout — or the meaning of a pass
 #: product in it — changes; part of the pipeline fingerprint, so old
-#: entries become silent misses, not errors.  2: ``SlabReport``
-#: triangular verdicts admit cross-column reads (a schema-1 report
-#: would keep routing such nests to the inner-loop takeover).
-CACHE_SCHEMA = 2
+#: entries become silent misses, not errors.  3: ``SlabReport``
+#: carries one ``verdicts`` table (a schema-2 pickle would restore the
+#: three per-shape tables the simulator no longer reads).
+CACHE_SCHEMA = 3
 
 _MAGIC = "repro-compile-cache"
 _SUFFIX = ".pkl"

@@ -35,10 +35,8 @@ import traceback
 from dataclasses import dataclass
 
 from ..core.driver import CompilerOptions, compile_source
+from ..machine import TIERS
 from ..model import SP2
-
-#: the three forced tiers plus the TierPlan-driven auto mode
-TIERS = ("interpreted", "lowered", "slab", "auto")
 
 #: the small machine grid of the sweep differential
 SWEEP_MACHINES = (

@@ -3,7 +3,7 @@ tracking, virtual clocks, and the SPMD execution engine."""
 
 from .lowering import LoweredIR, lower_procedure
 from .memory import NodeMemory, initialize_array, ownership_mask
-from .simulator import SPMDSimulator, simulate
+from .simulator import TIERS, SPMDSimulator, simulate
 from .stats import Clocks, TrafficStats
 
 __all__ = [
@@ -14,6 +14,7 @@ __all__ = [
     "lower_procedure",
     "SPMDSimulator",
     "simulate",
+    "TIERS",
     "Clocks",
     "TrafficStats",
 ]

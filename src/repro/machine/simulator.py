@@ -110,6 +110,11 @@ class _SPMDHooks(ExecutionHooks):
         self.sim.on_loop_exit(stmt, env)
 
 
+#: the engine switch's values: the three forced tiers, then the
+#: TierPlan-driven per-nest choice
+TIERS = ("interpreted", "lowered", "slab", "auto")
+
+
 class SPMDSimulator:
     def __init__(
         self,
@@ -120,10 +125,8 @@ class SPMDSimulator:
         tier: str = "slab",
     ):
         self.compiled = compiled
-        if tier not in ("auto", "interpreted", "lowered", "slab"):
-            raise ValueError(
-                f"tier must be auto|interpreted|lowered|slab, got {tier!r}"
-            )
+        if tier not in TIERS:
+            raise ValueError(f"tier must be {'|'.join(TIERS)}, got {tier!r}")
         #: the engine switch: "interpreted" runs the tree-walking
         #: executor (the parity tests' reference), "lowered" the
         #: compiled closures alone, "slab" additionally takes every

@@ -67,18 +67,13 @@ from ..codegen.veceval import (
     _coerce_vec,
     _eval,
     _fold_lanes,
+    _fold_operand,
     _reduction_operand,
     _stmt_array_refs,
 )
 from ..comm.analysis import hoisted_loop_vars
 from ..errors import MappingError
-from ..ir.expr import (
-    ArrayElemRef,
-    BinOp,
-    IntrinsicCall,
-    ScalarRef,
-    affine_form,
-)
+from ..ir.expr import ArrayElemRef, ScalarRef, affine_form
 from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
 from .stats import sequential_sum
 
@@ -436,19 +431,6 @@ class _Step:
         self.group = 0
 
 
-def _check_form_resolvable(form, loop_vars: tuple[str, ...],
-                           scalar_deps: set) -> None:
-    """Subscript forms may reference the vectorized loop vars, other
-    (env-resolved) loop variables, symbolic constants, and per-rank
-    memory scalars — whose names are recorded in ``scalar_deps``: the
-    *prepare* phase resolves one agreed value across the participants
-    (bailing when the copies diverge or are invalid)."""
-    for sym, _c in form.coeffs:
-        if sym.value is None and sym.name not in loop_vars:
-            if not sym.is_loop_var:  # else: from env at run time
-                scalar_deps.add(sym.name)
-
-
 def _afold_operand(rhs, name: str, canon: tuple, op: str):
     """``A(c) = A(c) OP e`` / ``A(c) = MAX(A(c), e)`` → ``e`` (both
     orderings), where the accumulator reference matches the store's
@@ -463,27 +445,12 @@ def _afold_operand(rhs, name: str, canon: tuple, op: str):
             return False
         return tuple(_canon_form(f) for f in forms) == canon
 
-    e = None
-    if op in ("+", "*") and isinstance(rhs, BinOp) and rhs.op == op:
-        if is_acc(rhs.left):
-            e = rhs.right
-        elif is_acc(rhs.right):
-            e = rhs.left
-    elif (
-        op in ("MAX", "MIN")
-        and isinstance(rhs, IntrinsicCall)
-        and rhs.name == op
-        and len(rhs.args) == 2
+    e = _fold_operand(rhs, op, is_acc)
+    if e is not None and any(
+        isinstance(ref, ArrayElemRef) and ref.symbol.name == name
+        for ref in e.refs()
     ):
-        if is_acc(rhs.args[0]):
-            e = rhs.args[1]
-        elif is_acc(rhs.args[1]):
-            e = rhs.args[0]
-    if e is None:
-        return None
-    for ref in e.refs():
-        if isinstance(ref, ArrayElemRef) and ref.symbol.name == name:
-            return None  # acc on both sides: not a fold
+        return None  # acc on both sides: not a fold
     return e
 
 
@@ -1373,7 +1340,6 @@ class NestPlan:
         self.keys: dict[int, tuple | None] = {}
         self.strides: dict[int, tuple] = {}
         self._moving: list[tuple] = []
-        self._moving_rows = None
         #: memory scalars subscripts depend on, resolved at prepare
         self.subscript_scalars: set[str] = set()
         #: scalar name -> phases storing it; reduction accumulators
@@ -1448,18 +1414,17 @@ class NestPlan:
         """What ``st`` stores and how: a lane value per instance, or a
         fold over the lanes into one accumulator."""
         stmt, v = st.stmt, self.v
-        red = self.sim._reduction_updates.get(st.sid)
+        reduction = self.sim._reduction_updates.get(st.sid, (None,))[0]
+        if reduction is not None and (
+            reduction.location_symbol is not None
+            or reduction.op not in _RED_UFUNC
+            or reduction.symbol.name != st.name
+        ):
+            raise _Bail("unsupported reduction form")
         if st.kind == "scalar":
-            if red is None:
+            if reduction is None:
                 self.scalar_phases.setdefault(st.name, set()).add(phase)
                 return
-            reduction = red[0]
-            if (
-                reduction.location_symbol is not None
-                or reduction.op not in _RED_UFUNC
-                or reduction.symbol.name != st.name
-            ):
-                raise _Bail("unsupported reduction form")
             st.expr = _reduction_operand(stmt.rhs, st.name, reduction.op)
             if st.expr is None:
                 raise _Bail("unrecognized reduction update")
@@ -1470,14 +1435,7 @@ class NestPlan:
         canon = tuple(_canon_form(f) for f in forms)
         axes = self.flat_vars if phase == BODY else (v,)
         injective = all(any(_mentions(f, a) for f in forms) for a in axes)
-        if red is not None:
-            reduction = red[0]
-            if (
-                reduction.location_symbol is not None
-                or reduction.op not in _RED_UFUNC
-                or reduction.symbol.name != st.name
-            ):
-                raise _Bail("unsupported reduction form")
+        if reduction is not None:
             # fold into one array element: every lane must hit the same
             # private accumulator element
             if any(_mentions(f, *self.lane_vars) for f in forms):
@@ -1514,9 +1472,16 @@ class NestPlan:
         if any(f is None for f in forms):
             raise _Bail("non-affine subscript")
         for f in forms:
-            _check_form_resolvable(f, self.lane_vars, self.subscript_scalars)
             if phase != BODY and self.i is not None and _mentions(f, self.i):
                 raise _Bail("inner index outside the inner loop")
+            # besides the takeover's loop variables a subscript may
+            # reference enclosing loops' (from env at run time) and
+            # per-rank memory scalars, resolved to one agreed value at
+            # prepare (``subscript_env``)
+            self.subscript_scalars.update(
+                sym.name for sym, _c in f.coeffs
+                if sym.value is None and not sym.is_loop_var
+            )
         self.ref_forms[ref.ref_id] = (ref.symbol, forms)
         self.ref_home[ref.ref_id] = st.index
         # canonical: per dimension the constant — symbolic constants
@@ -1539,7 +1504,7 @@ class NestPlan:
         if any(coeffs):
             self.keys[ref.ref_id] = None
             self.strides[ref.ref_id] = tuple(coeffs)
-            self._moving.append((ref.ref_id, head, consts, coeffs))
+            self._moving.append((ref.ref_id, head, list(zip(consts, coeffs))))
         else:
             self.keys[ref.ref_id] = (*head, tuple(consts))
         return forms
@@ -1549,19 +1514,10 @@ class NestPlan:
         reference that moves with the axis: the index resolved into the
         constants, so a store and a later pass's read of the same
         elements (``D(i,j)``, ``D(i-1,j)``) agree."""
-        if not self._moving:
-            return {}
-        if self._moving_rows is None:
-            pad = max(len(consts) for _r, _h, consts, _c in self._moving)
-            self._moving_rows = [
-                np.array([row[k] + [0] * (pad - len(row[k])) for row in self._moving])
-                for k in (2, 3)
-            ]
-        const, coeff = self._moving_rows
-        rows = (const + coeff * env[self.serial_var]).tolist()
+        i = env.get(self.serial_var)
         return {
-            ref_id: (*head, tuple(row[:len(consts)]))
-            for (ref_id, head, consts, _c), row in zip(self._moving, rows)
+            ref_id: (*head, tuple([c + ci * i for c, ci in dims]))
+            for ref_id, head, dims in self._moving
         }
 
     def _executors(self, mutated: set) -> None:
@@ -1721,8 +1677,10 @@ class NestPlan:
         dom.count = npre + dom.trips * nbody + npost
         dom.base = dom.count.cumsum() - dom.count
         dom.tapes = None
-        layouts = []
+        layouts: dict = {}  # by rank set: equal executors share one
         for st, fixed in zip(self.executors, ranks):
+            if fixed in layouts:
+                continue
             runs = np.zeros((len(self.sim.memories), nj), dtype=np.bool_)
             if st.follows:
                 at = per_column(pos, self.pos_form)
@@ -1733,8 +1691,8 @@ class NestPlan:
                 runs[list(fixed)] = True
             else:
                 raise _Bail("empty executor set")
-            layouts.append(_Layout(runs, dom, self))
-        return dom, layouts
+            layouts[fixed] = _Layout(runs, dom, self)
+        return dom, [layouts[fixed] for fixed in ranks]
 
     def prepare(self, low: int, high: int, step: int, env) -> Callable:
         # what the entry's shape is a function of — a handful of
@@ -1757,7 +1715,8 @@ class NestPlan:
             raise _Bail("inner bounds not evaluable") from None
         key = (
             self, low, high, step, bounds,
-            _affine_vec(self.pos_form, first, env) if self.pos_form else None,
+            None if self.pos_form is None
+            else _affine_vec(self.pos_form, first, env),
             tuple([
                 None if st.follows
                 else tuple(self.sim.executor_ranks(st.stmt, env))

@@ -160,25 +160,19 @@ class Clocks:
 
     # -- tape assembly -----------------------------------------------------
     #
-    # The slab engine builds charge tapes out of per-statement ``dt``
-    # values and feeds them to ``charge_compute_tape``/``sequential_sum``.
-    # Routing the numpy assembly through the clock object keeps the tape
-    # *shape* a clock concern: ``(instances,)`` for scalar clocks,
-    # ``(instances, lanes)`` for lane clocks, folded down axis 0.
+    # The slab engine charges per-statement ``dt`` values in instance
+    # order: it builds one tape row per statement here and indexes it
+    # with each rank's statement sequence (``tape[steps]``) for
+    # ``charge_compute_tape``/``sequential_sum``.  Building the rows
+    # through the clock object keeps the tape *shape* a clock concern:
+    # ``(instances,)`` for scalar clocks, ``(instances, lanes)`` for
+    # lane clocks, folded down axis 0.
 
     def tape(self, dts: list) -> np.ndarray:
         """A charge tape from a list of per-statement ``dt`` values."""
         return np.asarray(dts, dtype=np.float64).reshape(
             (len(dts),) + self._row
         )
-
-    def tile(self, tape: np.ndarray, n: int) -> np.ndarray:
-        """``tape`` repeated ``n`` times along the instance axis."""
-        return np.tile(tape, (n,) + (1,) * len(self._row))
-
-    def cat(self, parts: list) -> np.ndarray:
-        """Tapes concatenated along the instance axis."""
-        return np.concatenate(parts) if parts else self.tape([])
 
     def charge_collective(self, ranks: list[int], elements: int, kind: str) -> None:
         if len(ranks) <= 1:
