@@ -711,10 +711,17 @@ class _Domain:
     when it is triangular) and one pass over the body, a nest with a
     serial axis ``widths == 1`` and ``serial`` passes, a loop without
     an inner loop an empty body.  ``count`` statement instances belong
-    to each column, numbered from ``base`` in per-iteration order."""
+    to each column, numbered from ``base`` in per-iteration order.
+
+    Who runs them is data too: ``layouts`` holds one executor layout
+    per distinct executor of the nest, ``lanes_of`` every statement's
+    lanes at its level (the flattened body's, or the columns'),
+    ``participants`` the ranks running anything at all, and ``tapes``
+    — filled at the first commit — each rank's charge tape."""
 
     __slots__ = ("jvec", "low", "step", "trips", "widths", "serial",
-                 "serial_var", "count", "base", "tapes")
+                 "serial_var", "count", "base", "layouts", "lanes_of",
+                 "participants", "tapes")
 
     def binding(self, t: int) -> dict:
         """The serial axis' index at body pass ``t``, as an env entry."""
@@ -824,6 +831,20 @@ class _Layout:
         return self._flat
 
 
+class _Region:
+    """The elements one store form writes in one body pass, and the
+    lane values last stored there."""
+
+    __slots__ = ("lanes", "ref_id", "t", "vec", "stores")
+
+    def __init__(self, lanes: _Lanes, ref_id: int, t: int, vec):
+        self.lanes = lanes
+        self.ref_id = ref_id
+        self.t = t
+        self.vec = vec
+        self.stores = 1
+
+
 class _NestCtx(_Ctx):
     """One takeover in flight: the lane values of everything the nest
     has written so far, the reads that went to memory, and the fetch
@@ -831,25 +852,15 @@ class _NestCtx(_Ctx):
     whatever the number of ranks; per-rank state is gathered lane-wise
     through each lane's executing rank."""
 
-    def __init__(self, plan: "NestPlan", dom: _Domain, layouts: list, env):
+    def __init__(self, plan: "NestPlan", dom: _Domain, env):
         self.plan = plan
         self.dom = dom
         self.base_env = env
         self.memories = plan.sim.memories
         self.log = _FetchLog(plan)
-        #: the executor layouts; step index -> the step's lanes at its
-        #: level (the flattened body's, or the columns')
-        self.layouts = layouts
-        self.lanes_of = [
-            layouts[st.group].at(phase == BODY)
-            for phase, steps in enumerate(plan.steps)
-            for st in steps
-        ]
-        #: ranks running anything at all
-        self.participants = sorted({
-            r for layout in layouts for r, _sl in layout.at(False).slices
-        })
-        sub_env = plan.subscript_env(env, self.participants)
+        #: step index -> the step's lanes
+        self.lanes_of = dom.lanes_of
+        sub_env = plan.subscript_env(env, dom.participants)
         #: per-pass increment of every offset that moves with the
         #: serial axis
         self.strides = {
@@ -872,10 +883,8 @@ class _NestCtx(_Ctx):
             )
         #: scalar name -> (lanes, pass, lane values) of its last store
         self.scalars: dict[str, tuple] = {}
-        #: store key -> [lanes, ref_id, body pass, lane values, stores]:
-        #: the elements one store form writes in one pass, and what was
-        #: last stored there
-        self.regions: dict[tuple, list] = {}
+        #: store key -> region
+        self.regions: dict[tuple, _Region] = {}
         #: reads of written arrays that found no region (yet)
         self.misses: list[tuple] = []
         #: accumulator name / fold step index -> rank -> folded value
@@ -923,12 +932,12 @@ class _NestCtx(_Ctx):
         key = self.plan.keys[ref_id] or self.pass_keys[ref_id]
         region = self.regions.get(key)
         if region is None:
-            self.regions[key] = [lanes, ref_id, self.t, vec, 1]
-        elif region[0] is not lanes:
+            self.regions[key] = _Region(lanes, ref_id, self.t, vec)
+        elif region.lanes is not lanes:
             raise _Bail("array writers differ in executor set")
         else:
-            region[3] = vec
-            region[4] += 1
+            region.vec = vec
+            region.stores += 1
 
     def _fold(self, st: _Step, value, is_int: bool) -> None:
         """``acc = acc OP e`` over each rank's lanes, in iteration
@@ -1037,9 +1046,9 @@ class _NestCtx(_Ctx):
         key = self.plan.keys[ref_id] or self.pass_keys[ref_id]
         region = self.regions.get(key)
         if region is not None:
-            vec = region[3]
-            if region[0] is not self.lanes:
-                vec = self._carry(vec, region[0], f"array {name}")
+            vec = region.vec
+            if region.lanes is not self.lanes:
+                vec = self._carry(vec, region.lanes, f"array {name}")
             return vec, vec.dtype.kind in "bi"
         self.q += 1
         if ref_id in self.strides:
@@ -1097,7 +1106,7 @@ class _NestCtx(_Ctx):
     def _fetch(self, ref: ArrayElemRef, data, ok) -> np.ndarray:
         lanes, dom, plan = self.lanes, self.dom, self.plan
         name = ref.symbol.name
-        if not self.cur.follows and len(self.participants) != 1:
+        if not self.cur.follows and len(dom.participants) != 1:
             # ranks sharing an instance would fetch in an order the log
             # does not record; (a fixed executor fetching beside other
             # ranks' statements stays on tier 2 as well)
@@ -1140,27 +1149,26 @@ class _NestCtx(_Ctx):
                 raise _Bail(f"written array {name} read would fetch")
         groups: dict[tuple, list] = {}
         for region in self.regions.values():
-            name = self.plan.ref_forms[region[1]][0].name
-            groups.setdefault((name, region[0]), []).append(region)
+            name = self.plan.ref_forms[region.ref_id][0].name
+            groups.setdefault((name, region.lanes), []).append(region)
         #: (array, lanes) -> the regions these lanes stored: a numpy
         #: index and the values — with one row per region when there
         #: are several — and the number of store statements behind them
         self.stores: dict[tuple, tuple] = {}
         marks: dict[str, list] = {}
         for (name, lanes), regions in groups.items():
-            _lanes, ref_id, t, vals, writes = regions[0]
-            index = self._offsets(ref_id, t)
+            first = regions[0]
+            index, vals = self._offsets(first.ref_id, first.t), first.vec
             if len(regions) > 1:
                 shape = (len(regions), lanes.n)
                 rows = [np.empty(shape, dtype=np.int64) for _ in index]
                 vals = np.empty(shape, dtype=vals.dtype)
-                writes = 0
-                for row, (_lanes, ref_id, t, vec, stores) in enumerate(regions):
-                    for ix, o in zip(rows, self._offsets(ref_id, t)):
+                for row, region in enumerate(regions):
+                    for ix, o in zip(rows, self._offsets(region.ref_id, region.t)):
                         ix[row] = o
-                    vals[row] = vec
-                    writes += stores
+                    vals[row] = region.vec
                 index = tuple(rows)
+            writes = sum([region.stores for region in regions])
             self.stores[name, lanes] = (index, vals, writes)
             marks.setdefault(name, []).append((index, lanes, len(regions)))
         for name, stored in marks.items():
@@ -1211,10 +1219,10 @@ class _NestCtx(_Ctx):
         # which instances each layout's statements are
         groups = np.asarray([st.group for st in plan.all_steps])
         parts = []
-        for group, layout in enumerate(self.layouts):
+        for group, layout in enumerate(dom.layouts):
             steps = groups == group
             parts.append((layout.runs, None if steps.all() else steps[step_of]))
-        for r in self.participants:
+        for r in dom.participants:
             mine = False
             for runs, here in parts:
                 ran = runs[r].repeat(count)
@@ -1638,14 +1646,15 @@ class NestPlan:
     # ------------------------------------------------------------------
 
     def _build_shape(self, low: int, high: int, step: int, bounds: tuple,
-                     pos, ranks: tuple) -> tuple:
-        """The iteration domain and the executor layouts of an entry
+                     pos, ranks: tuple) -> _Domain | None:
+        """The iteration domain — None when it is empty — of an entry
         whose loop runs ``low, high, step``, whose inner bounds and
         owner position are ``bounds`` and ``pos`` at the first column,
-        and whose fixed executors are ``ranks``."""
+        and whose fixed executors are ``ranks``: a function of these
+        alone."""
         nj = slab_trip_count(low, high, step)
         if nj == 0:
-            return None, ()
+            return None
         dom = _Domain()
         ahead = step * np.arange(nj, dtype=np.int64)  # of the first column
 
@@ -1692,7 +1701,16 @@ class NestPlan:
             else:
                 raise _Bail("empty executor set")
             layouts[fixed] = _Layout(runs, dom, self)
-        return dom, [layouts[fixed] for fixed in ranks]
+        dom.layouts = [layouts[fixed] for fixed in ranks]
+        dom.lanes_of = [
+            dom.layouts[st.group].at(phase == BODY)
+            for phase, steps in enumerate(self.steps)
+            for st in steps
+        ]
+        dom.participants = sorted({
+            r for layout in dom.layouts for r, _sl in layout.columns.slices
+        })
+        return dom
 
     def prepare(self, low: int, high: int, step: int, env) -> Callable:
         # what the entry's shape is a function of — a handful of
@@ -1728,10 +1746,10 @@ class NestPlan:
             memo.shape_key = memo.shape = None
             memo.shape = self._build_shape(*key[1:])
             memo.shape_key = key
-        dom, layouts = memo.shape
+        dom = memo.shape
         if dom is None:
             return lambda: None
-        ctx = _NestCtx(self, dom, layouts, env)
+        ctx = _NestCtx(self, dom, env)
         with np.errstate(over="ignore", invalid="ignore"):
             ctx.run()
         return ctx.commit
