@@ -113,13 +113,17 @@ class SlabReport:
     """Pass product: per-loop slab eligibility.
 
     ``verdicts`` maps every loop statement id to ``"ok"`` or the first
-    reason the loop is not one takeover.  Plain ids and strings only,
-    so the product pickles with the compiled program and is rebuilt
-    (like the lowering) when ``ir_epoch`` is stale.
+    reason the loop is not one takeover; ``serial_axes`` names the
+    eligible nests whose inner loop is the serial axis — the one fact
+    about a nest's domain that takes a dependence analysis to know.
+    Plain ids and strings only, so the product pickles with the
+    compiled program and is rebuilt (like the lowering) when
+    ``ir_epoch`` is stale.
     """
 
     ir_epoch: int
     verdicts: dict[int, str] = field(default_factory=dict)
+    serial_axes: set[int] = field(default_factory=set)
 
     def eligible_loops(self) -> set[int]:
         """Statement ids of every loop with an "ok" verdict."""
@@ -238,9 +242,10 @@ def _column_discipline(stmts, v: str, stores_only: bool) -> str | None:
 
 
 def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
-              grid_rank, verdicts) -> str:
+              grid_rank, report: SlabReport) -> str:
     """Whether ``loop`` is one data-parallel operation, and if not the
-    first reason why.
+    first reason why (an eligible nest with a serial axis is noted in
+    ``report.serial_axes``).
 
     Without an inner loop every iteration is a lane on a *fixed*
     executor set: the executors may not vary with the loop variable,
@@ -283,7 +288,7 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
     if grid_rank is not None and grid_rank != 1:
         return "grid is not one-dimensional"
     i = inner.var.name
-    serial = _runs_serially(proc, inner, body, reduction_ids, verdicts)
+    serial = _runs_serially(proc, inner, body, reduction_ids, report.verdicts)
     for tag, bound in (
         ("low", inner.low), ("high", inner.high), ("step", inner.step)
     ):
@@ -368,9 +373,12 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
         return reason
     # no value may flow between columns (within one, the inner loop's
     # own verdict or the serial axis takes care of it)
-    return _carried_dependence(
+    reason = _carried_dependence(
         proc, loop, stmts, reduction_ids, frozenset((i,))
-    ) or "ok"
+    )
+    if reason is None and serial:
+        report.serial_axes.add(loop.stmt_id)
+    return reason or "ok"
 
 
 def classify_procedure(proc, executors, events, reduction_ids,
@@ -389,7 +397,7 @@ def classify_procedure(proc, executors, events, reduction_ids,
                 visit(s.body)
                 report.verdicts[s.stmt_id] = _classify(
                     proc, s, executors, placements, reduction_ids,
-                    grid_rank, report.verdicts,
+                    grid_rank, report,
                 )
             elif isinstance(s, IfStmt):
                 visit(s.then_body)
@@ -784,8 +792,8 @@ class _Lanes:
                 if len(idle) and idle[r]:
                     self._lost.append((r, None, self.n))
                 else:
-                    lanes = home & ~runs[r][self.col]
-                    self._lost.append((r, lanes, int(lanes.sum())))
+                    lanes = (home & ~runs[r][self.col]).nonzero()[0]
+                    self._lost.append((r, lanes, lanes.size))
         return self._lost
 
     @property
@@ -808,22 +816,27 @@ class _Layout:
         rank, col = runs.nonzero()
         self.columns = _Lanes(runs, rank, col, {plan.v: dom.jvec[col]})
         self._flat = None
-        self._spread = (dom, plan)
+        # what the flattened lanes are built from (not the domain
+        # itself, which holds the layouts: no reference cycle)
+        self._spread = (
+            dom.widths, plan.v, dom.jvec,
+            plan.i if plan.i in plan.flat_vars else None, dom.low, dom.step,
+        )
 
     def at(self, flat: bool) -> _Lanes:
         if not flat:
             return self.columns
         if self._flat is None:
-            dom, plan = self._spread
+            widths, v, jvec, i, low, step = self._spread
             cols = self.columns
-            widths = dom.widths[cols.col]
+            widths = widths[cols.col]
             first = widths.cumsum() - widths
             up = cols.up.repeat(widths)
             tw = np.arange(up.size, dtype=np.int64) - first[up]
             col = cols.col[up]
-            lane_vars = {plan.v: dom.jvec[col]}
-            if plan.i in plan.flat_vars:
-                lane_vars[plan.i] = dom.low[col] + dom.step * tw
+            lane_vars = {v: jvec[col]}
+            if i is not None:
+                lane_vars[i] = low[col] + step * tw
             self._flat = _Lanes(
                 self.runs, cols.rank[up], col, lane_vars,
                 (up, tw, cols, widths, first),
@@ -1326,10 +1339,7 @@ class NestPlan:
         inner, *phases = nest
         self.v = v = loop.var.name
         self.i = i = inner.var.name if inner is not None else None
-        serial = inner is not None and _runs_serially(
-            sim.proc, inner, phases[BODY], slab.reduction_ids,
-            slab.report.verdicts,
-        )
+        serial = loop.stmt_id in slab.report.serial_axes
         #: the variable of the serial axis, if there is one, and the
         #: lane axes of the body
         self.serial_var = i if serial else None
@@ -1768,20 +1778,18 @@ class SlabExecutor:
         self.fast = fast
         self.sim = fast.sim
         sim = self.sim
-        #: update statements of every recognized reduction: their
-        #: accumulator recurrence is a fold, not a carried dependence
-        self.reduction_ids = {
-            s.stmt_id
-            for red in sim.compiled.ctx.reductions
-            for s in red.update_stmts
-        }
         report = getattr(sim.compiled, "slabs", None)
         if report is None or report.ir_epoch != sim.proc.ir_epoch:
+            reduction_ids = {
+                s.stmt_id
+                for red in sim.compiled.ctx.reductions
+                for s in red.update_stmts
+            }
             report = classify_procedure(
                 sim.proc,
                 sim.compiled.executors,
                 sim.compiled.comm.events,
-                self.reduction_ids,
+                reduction_ids,
                 grid_rank=sim.grid.rank,
             )
         self.report = report

@@ -73,6 +73,7 @@ class TestClassifier:
         report = _compile_tomcatv().slabs
         clone = pickle.loads(pickle.dumps(report))
         assert clone.verdicts == report.verdicts
+        assert clone.serial_axes == report.serial_axes and len(clone.serial_axes) == 2
         assert clone.ir_epoch == report.ir_epoch
 
     def test_one_plan_class_and_one_context(self):
@@ -95,7 +96,7 @@ class TestClassifier:
             "_NestCtx"
         ]
         fields = {f.name for f in dataclasses.fields(slabexec.SlabReport)}
-        assert fields == {"ir_epoch", "verdicts"}
+        assert fields == {"ir_epoch", "verdicts", "serial_axes"}
 
 
 class TestRuntime:
@@ -127,6 +128,38 @@ class TestRuntime:
             compiled, tomcatv_inputs(12), tier="slab"
         )
         assert sim.slab_instances > 0
+
+    def test_takeovers_leave_no_cyclic_garbage(self):
+        """A takeover's domain, lanes and context die by reference
+        count: a cycle among them would hold every entry's arrays until
+        the collector runs, and DGEFA builds a new shape per entry."""
+        import gc
+
+        from repro.machine import slabexec
+
+        compiled = compile_source(
+            dgefa_source(n=12, procs=4), CompilerOptions(num_procs=4)
+        )
+        inputs = seeded_inputs(compiled.proc, 0)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            sim = simulate(compiled, inputs, tier="slab")
+            assert sim.slab_instances > 0
+            del sim
+            gc.collect()
+            domains = sum(
+                type(obj) is slabexec._Domain for obj in gc.garbage
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        # the executor, its plans and the simulator reference each
+        # other by design and die together — with the one shape the
+        # executor keeps, not the twenty-odd the run built
+        assert domains == 1
 
     def test_ghost_column_fetches_replay_inside_slab(self):
         """A (*, BLOCK) stencil reads the neighbour rank's boundary
