@@ -144,8 +144,8 @@ class Session:
     A fit saved by ``repro calibrate --save`` is applied automatically:
     when the options carry no explicit ``nest_cost_constants``, the
     session loads the saved constants (from the cache root, or the
-    root ``use_calibration`` names) into its options, so ``tierplan``
-    prices tiers with the host's own numbers.  ``use_calibration=
+    root ``use_calibration`` names) into its options, so the tier
+    plan prices tiers with the host's own numbers.  ``use_calibration=
     False`` keeps the shipped defaults; an explicit
     ``nest_cost_constants`` in the options always wins.
     """

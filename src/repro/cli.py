@@ -822,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--save", action="store_true",
         help="persist the fit under the cache root so sessions (and "
-        "tierplan) apply it by default",
+        "their tier plans) apply it by default",
     )
     _add_json_flag(p_cal)
     p_cal.add_argument("--verbose", action="store_true")

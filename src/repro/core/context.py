@@ -13,10 +13,11 @@ convenience that produces an :class:`AnalysisContext`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..analysis.constprop import ConstPropInfo, propagate_constants
 from ..analysis.dataflow import LivenessInfo, compute_liveness
+from ..analysis.dependence import read_may_see_loop_write
 from ..analysis.dominance import DominatorInfo, compute_dominance
 from ..analysis.induction import (
     InductionVar,
@@ -27,7 +28,9 @@ from ..analysis.privatizable import PrivatizabilityInfo
 from ..analysis.reductions import Reduction, find_reductions
 from ..analysis.ssa import SSAInfo
 from ..ir.cfg import CFG, build_cfg
+from ..ir.expr import ArrayElemRef
 from ..ir.program import Procedure
+from ..ir.stmt import LoopStmt
 from ..mapping.descriptors import ArrayMapping, resolve_mappings
 from ..mapping.grid import ProcessorGrid, default_grid
 
@@ -48,6 +51,24 @@ class AnalysisContext:
     reductions: list[Reduction]
     inductions: list[InductionVar]
     array_mappings: dict[str, ArrayMapping]
+    #: (ref id, loop id) -> :meth:`hoisting_blocked` verdict: a pure
+    #: function of the IR this context was built over, asked by scalar
+    #: mapping and again by communication analysis, once per option
+    #: ablation sharing the context
+    _hoisting: dict[tuple[int, int], bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def hoisting_blocked(self, read: ArrayElemRef, loop: LoopStmt) -> bool:
+        """Can ``read`` observe a value written inside ``loop`` (so its
+        communication cannot be hoisted out of it)?"""
+        key = (read.ref_id, loop.stmt_id)
+        blocked = self._hoisting.get(key)
+        if blocked is None:
+            blocked = self._hoisting[key] = read_may_see_loop_write(
+                self.proc, read, loop
+            )
+        return blocked
 
 
 @dataclass

@@ -40,10 +40,10 @@ if TYPE_CHECKING:
 
 #: bump when the pickled payload layout — or the meaning of a pass
 #: product in it — changes; part of the pipeline fingerprint, so old
-#: entries become silent misses, not errors.  3: ``SlabReport``
-#: carries one ``verdicts`` table (a schema-2 pickle would restore the
-#: three per-shape tables the simulator no longer reads).
-CACHE_SCHEMA = 3
+#: entries become silent misses, not errors.  4: ``CompiledProgram``
+#: derives ``lowering``/``slabs``/``tierplan`` on first read (a schema-3
+#: pickle carries them as fields and lacks the memo the properties use).
+CACHE_SCHEMA = 4
 
 _MAGIC = "repro-compile-cache"
 _SUFFIX = ".pkl"

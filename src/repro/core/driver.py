@@ -20,12 +20,15 @@ by :class:`~repro.core.passes.PassManager` (see
 analysis cache across compiles, or use :func:`compile_many` to batch
 whole ablation sweeps. The result of every entry point is a
 :class:`CompiledProgram` consumed by the performance estimator, the
-SPMD simulator, and the reports.
+SPMD simulator, and the reports. What only the simulator reads —
+statement closures, slab verdicts, the tier plan — is no pipeline
+stage: it is derived from the compiled program on first read.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
@@ -164,16 +167,53 @@ class CompiledProgram:
     comm: CommReport
     #: per-pass wall-time metrics of this compilation
     timings: PipelineTimings | None = None
-    #: statement closures from the lowering pass (the simulator's fast
-    #: path); None when a custom pipeline skipped it
-    lowering: "LoweredIR | None" = None
-    #: slab-eligibility report from the slabexec pass (the simulator's
-    #: tier-3 engine); None when a custom pipeline skipped it
-    slabs: "SlabReport | None" = None
-    #: cost-driven per-nest tier decisions from the tierplan pass
-    #: (consulted by the simulator under ``tier="auto"``); None when a
-    #: custom pipeline skipped it
-    tierplan: "TierPlan | None" = None
+    #: the back-end products derived so far, timings row name ->
+    #: (ir_epoch, product): pure functions of the fields above, built on
+    #: first read and again whenever the procedure's IR moved on
+    _derived: dict[str, tuple[int, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _derive(self, name: str, build, *inputs) -> Any:
+        epoch = self.proc.ir_epoch
+        held = self._derived.get(name)
+        if held is None or held[0] != epoch:
+            started = time.perf_counter()
+            held = self._derived[name] = (epoch, build(self, *inputs))
+            if self.timings is not None:
+                self.timings.record(name, time.perf_counter() - started)
+        return held[1]
+
+    def __getstate__(self) -> dict[str, Any]:
+        # derived products (closures among them) and their timing rows
+        # stay out of pickles: the compile pool and the disk cache ship
+        # only what cannot be recomputed
+        state = {**self.__dict__, "_derived": {}}
+        if self.timings is not None and self._derived:
+            state["timings"] = PipelineTimings(
+                {
+                    name: timing
+                    for name, timing in self.timings.passes.items()
+                    if name not in self._derived
+                }
+            )
+        return state
+
+    @property
+    def lowering(self) -> "LoweredIR":
+        """Statement closures, the simulator's fast path."""
+        return self._derive("lowering", _lower)
+
+    @property
+    def slabs(self) -> "SlabReport":
+        """Per-loop slab eligibility, the simulator's tier-3 engine."""
+        return self._derive("slabexec", _classify_slabs)
+
+    @property
+    def tierplan(self) -> "TierPlan":
+        """Cost-driven per-nest tier decisions, consulted by the
+        simulator under ``tier="auto"``."""
+        return self._derive("tierplan", _plan_tiers, self.slabs)
 
     @property
     def grid(self) -> ProcessorGrid:
@@ -231,6 +271,47 @@ class CompiledProgram:
         return "\n".join(lines)
 
 
+# The derived back-end products.  Imports are deferred: repro.machine
+# and repro.perf depend on repro.core.
+
+
+def _lower(compiled: CompiledProgram) -> "LoweredIR":
+    """Keyed only on the IR fingerprint, so every option ablation of a
+    procedure shares one lowering."""
+    from ..machine.lowering import lower_procedure
+
+    return lower_procedure(compiled.proc)
+
+
+def _classify_slabs(compiled: CompiledProgram) -> "SlabReport":
+    """Eligibility only — the runtime plans are built per run."""
+    from ..machine.slabexec import classify_procedure
+
+    reduction_ids = {
+        s.stmt_id for red in compiled.ctx.reductions for s in red.update_stmts
+    }
+    return classify_procedure(
+        compiled.proc,
+        compiled.executors,
+        compiled.comm.events,
+        reduction_ids,
+        grid_rank=compiled.grid.rank,
+    )
+
+
+def _plan_tiers(compiled: CompiledProgram, slabs: "SlabReport") -> "TierPlan":
+    from ..perf.estimator import PerfEstimator
+    from ..perf.tierplan import build_tierplan
+
+    # host-calibrated constants ride on the options (see ``repro
+    # calibrate --save``), so the plan reflects the fit it was asked for
+    constants = compiled.options.nest_cost_constants
+    estimator = PerfEstimator(
+        compiled, nest_cost_constants=dict(constants) if constants else None
+    )
+    return build_tierplan(compiled.proc, slabs, estimator)
+
+
 def compile_procedure(
     proc: Procedure,
     options: CompilerOptions | None = None,
@@ -253,9 +334,6 @@ def compile_procedure(
         executors=state["executors"],
         comm=state["comm"],
         timings=all_timings,
-        lowering=state.products.get("lowering"),
-        slabs=state.products.get("slabexec"),
-        tierplan=state.products.get("tierplan"),
     )
 
 

@@ -295,9 +295,6 @@ DEFAULT_PIPELINE: tuple[str, ...] = (
     "partitioning",
     "comm-analysis",
     "message-combining",
-    "lowering",
-    "slabexec",
-    "tierplan",
 )
 
 
@@ -710,99 +707,6 @@ register_pass(
         run=_run_partitioning,
         provides=("executors",),
         requires=("ctx", "scalar_pass", "array_result", "cf_decisions"),
-        cacheable=False,
-    )
-)
-
-
-def _run_lowering(state: PipelineState) -> dict[str, Any]:
-    """Lower every statement to cached closures (the simulator's fast
-    path). Keyed only on the IR fingerprint, so every option ablation
-    of a procedure shares one lowering."""
-    # deferred import: repro.machine depends on repro.core
-    from ..machine.lowering import lower_procedure
-
-    return {"lowering": lower_procedure(state.proc)}
-
-
-register_pass(
-    Pass(
-        name="lowering",
-        run=_run_lowering,
-        provides=("lowering",),
-    )
-)
-
-
-def _run_slabexec(state: PipelineState) -> dict[str, Any]:
-    """Classify every loop nest for the simulator's tier-3 slab engine
-    (eligibility only — the runtime plans are built lazily per run).
-    Depends on executors and communication placement, so it runs
-    per-ablation and stays uncached like the mapping back end."""
-    # deferred import: repro.machine depends on repro.core
-    from ..machine.slabexec import classify_procedure
-
-    ctx = state["ctx"]
-    reduction_ids = {
-        s.stmt_id for red in ctx.reductions for s in red.update_stmts
-    }
-    return {
-        "slabexec": classify_procedure(
-            state.proc,
-            state["executors"],
-            state["comm"].events,
-            reduction_ids,
-            grid_rank=state["grid"].rank,
-        )
-    }
-
-
-register_pass(
-    Pass(
-        name="slabexec",
-        run=_run_slabexec,
-        provides=("slabexec",),
-        requires=("ctx", "grid", "executors", "comm"),
-        cacheable=False,
-    )
-)
-
-
-def _run_tierplan(state: PipelineState) -> dict[str, Any]:
-    """Combine the slab-eligibility report with per-nest cost estimates
-    into the pickle-safe TierPlan the runtime consults under
-    ``tier="auto"``.  Depends on everything the estimator prices, so it
-    runs per-ablation and stays uncached like the mapping back end."""
-    # deferred import: repro.perf depends on repro.core
-    from ..perf.estimator import PerfEstimator
-    from ..perf.tierplan import build_tierplan
-
-    constants = getattr(state.options, "nest_cost_constants", None)
-    estimator = PerfEstimator(
-        SimpleNamespace(
-            proc=state.proc,
-            options=state.options,
-            ctx=state["ctx"],
-            grid=state["grid"],
-            executors=state["executors"],
-            comm=state["comm"],
-        ),
-        # host-calibrated constants ride on the options (see
-        # ``repro calibrate --save``) so the cached TierPlan reflects
-        # the fit it was planned with
-        nest_cost_constants=dict(constants) if constants else None,
-    )
-    return {
-        "tierplan": build_tierplan(state.proc, state["slabexec"], estimator)
-    }
-
-
-register_pass(
-    Pass(
-        name="tierplan",
-        run=_run_tierplan,
-        provides=("tierplan",),
-        requires=("ctx", "grid", "executors", "comm", "slabexec"),
         cacheable=False,
     )
 )

@@ -482,12 +482,10 @@ class ScalarMappingPass:
         * scalar reference: blocked inside the innermost loop in which
           the value is recomputed (common loop with a reaching def).
         """
-        from ..analysis.dependence import read_may_see_loop_write
-
         level = 0
         if isinstance(ref, ArrayElemRef):
             for loop in self.ctx.proc.stmt_of_ref(ref).loops_enclosing():
-                if read_may_see_loop_write(self.ctx.proc, ref, loop):
+                if self.ctx.hoisting_blocked(ref, loop):
                     level = max(level, loop.level)
             # Non-affine / scalar-dependent subscripts also pin the
             # communication to where their values are produced.

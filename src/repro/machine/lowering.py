@@ -363,40 +363,6 @@ class LoweredIR:
     #: label -> generated source, for debugging/inspection
     sources: dict[str, str] = field(default_factory=dict)
 
-    def __reduce__(self):
-        # closures don't pickle (CompiledPrograms travel across the
-        # compile pool and the persistent disk cache); ship a lazy
-        # stand-in that re-lowers only if statements actually execute
-        return (_LazyLowered, (self.proc,))
-
-
-class _LazyLowered:
-    """Unpickled stand-in for a :class:`LoweredIR`.
-
-    Re-lowering eagerly on arrival costs ~10ms of ``builtins.compile``
-    calls — paid even by consumers (compile-mode sweeps, report
-    printing) that never execute a statement. Defer to first touch;
-    :class:`FastPath` forces once so statement execution never goes
-    through ``__getattr__``."""
-
-    __slots__ = ("_proc", "_real")
-
-    def __init__(self, proc):
-        self._proc = proc
-        self._real = None
-
-    def force(self) -> "LoweredIR":
-        if self._real is None:
-            self._real = lower_procedure(self._proc)
-        return self._real
-
-    def __getattr__(self, name):
-        # only reached for LoweredIR attributes (slots resolve first)
-        return getattr(self.force(), name)
-
-    def __reduce__(self):
-        return (_LazyLowered, (self._proc,))
-
 
 #: (proc.uid, proc.ir_epoch) -> LoweredIR; bounded so long-running
 #: processes compiling many procedures don't accumulate dead closures
@@ -1024,12 +990,7 @@ class FastPath:
 
     def __init__(self, sim):
         self.sim = sim
-        lowered = getattr(sim.compiled, "lowering", None)
-        if isinstance(lowered, _LazyLowered):
-            lowered = lowered.force()
-        if lowered is None or lowered.ir_epoch != sim.proc.ir_epoch:
-            lowered = lower_procedure(sim.proc)
-        self.lowered = lowered
+        self.lowered = lowered = sim.compiled.lowering
         self.etables = ExecutorTables(sim)
         self.engine = FetchEngine(self)
         self.readers = [_FastReader(sim, self.engine, r) for r in sim.grid.all_ranks()]

@@ -149,9 +149,7 @@ class SPMDSimulator:
         #: plan consulted — every eligible nest may be taken)
         self._tier_approved: set[int] | None = None
         if tier == "auto":
-            plan = getattr(compiled, "tierplan", None)
-            if plan is not None and plan.ir_epoch == compiled.proc.ir_epoch:
-                self._tier_approved = plan.slab_loops()
+            self._tier_approved = compiled.tierplan.slab_loops()
         #: runtime record, loop id -> engine that actually ran the nest
         #: ("slab" | "lowered"), exported via canonical_stats()/metrics
         self.tier_decisions: dict[int, str] = {}

@@ -104,21 +104,20 @@ def _mentions(form, *names: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Static classification (the ``slabexec`` compiler pass)
+# Static classification (``CompiledProgram.slabs``)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class SlabReport:
-    """Pass product: per-loop slab eligibility.
+    """Per-loop slab eligibility.
 
     ``verdicts`` maps every loop statement id to ``"ok"`` or the first
     reason the loop is not one takeover; ``serial_axes`` names the
     eligible nests whose inner loop is the serial axis — the one fact
     about a nest's domain that takes a dependence analysis to know.
-    Plain ids and strings only, so the product pickles with the
-    compiled program and is rebuilt (like the lowering) when
-    ``ir_epoch`` is stale.
+    Plain ids and strings only; derived from the compiled program on
+    first read and again when ``ir_epoch`` is stale, like the lowering.
     """
 
     ir_epoch: int
@@ -1778,21 +1777,7 @@ class SlabExecutor:
         self.fast = fast
         self.sim = fast.sim
         sim = self.sim
-        report = getattr(sim.compiled, "slabs", None)
-        if report is None or report.ir_epoch != sim.proc.ir_epoch:
-            reduction_ids = {
-                s.stmt_id
-                for red in sim.compiled.ctx.reductions
-                for s in red.update_stmts
-            }
-            report = classify_procedure(
-                sim.proc,
-                sim.compiled.executors,
-                sim.compiled.comm.events,
-                reduction_ids,
-                grid_rank=sim.grid.rank,
-            )
-        self.report = report
+        self.report = report = sim.compiled.slabs
         self._plans: dict[int, Any] = {}
         self._eligible = report.eligible_loops()
         #: a program whose report has no eligible nest pays nothing per

@@ -24,7 +24,7 @@ Apply a fit programmatically with
 print the suggestion with ``repro calibrate``.  ``repro calibrate
 --save`` persists the fit under the cache root
 (:func:`save_calibration`); from then on :class:`repro.api.Session`
-(and hence the CLI and ``tierplan``) applies it by default —
+(and hence the CLI and the tier plan) applies it by default —
 ``use_calibration=False`` / ``--no-calibration`` opts out, and an
 explicit ``nest_cost_constants`` in the options always wins.
 """

@@ -113,8 +113,8 @@ class EventCost:
 class NestCost:
     """Predicted host-side execution time of one loop nest under the
     tier-2 lowered interpreter vs the tier-3 slab engine (see
-    docs/COSTMODEL.md: the per-nest inequality the tierplan pass
-    decides with)."""
+    docs/COSTMODEL.md: the per-nest inequality the tier plan is
+    decided with)."""
 
     loop_id: int
     #: dynamic statement instances inside the nest, whole program run

@@ -6,16 +6,16 @@ The simulator has three execution tiers — the tree-walking interpreter
 with tiny per-entry lane counts the prepare/commit overhead loses to
 plain tier-2 dispatch (the DGEFA regression).  In the paper's spirit —
 mapping decisions driven by a cost model, not fixed heuristics — the
-``tierplan`` pass combines the slab classifier's eligibility report
-with :meth:`repro.perf.PerfEstimator.nest_cost` and records, per
-eligible nest, whether the slab engine is *predicted* to win.
+tier plan combines the slab classifier's eligibility report with
+:meth:`repro.perf.PerfEstimator.nest_cost` and records, per eligible
+nest, whether the slab engine is *predicted* to win.
 
-The product is a :class:`TierPlan`: plain ints/floats/strings only, so
-it pickles with the :class:`~repro.core.driver.CompiledProgram` (disk
-compile cache) and is consulted by the runtime when running with
-``tier="auto"``.  A decision never regresses below tier 2: "lowered"
-just means the slab engine leaves the nest to the closures, and any
-slab bail already falls back to tier 2 statement-by-statement.
+The product is a :class:`TierPlan`, derived from the
+:class:`~repro.core.driver.CompiledProgram` (its slab report, and the
+nest-cost constants its options carry) the first time a simulator
+asks for ``tier="auto"``.  A decision never regresses below tier 2:
+"lowered" just means the slab engine leaves the nest to the closures,
+and any slab bail already falls back to tier 2 statement-by-statement.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ class NestDecision:
 
 @dataclass
 class TierPlan:
-    """Pass product: per-eligible-nest tier decisions, keyed on the
-    loop's statement id at ``ir_epoch`` (stale plans are ignored by the
-    runtime, like a stale lowering)."""
+    """Per-eligible-nest tier decisions, keyed on the loop's statement
+    id at ``ir_epoch`` (a stale plan is rebuilt on the next read, like
+    a stale lowering)."""
 
     ir_epoch: int
     decisions: dict[int, NestDecision] = field(default_factory=dict)
@@ -88,7 +88,7 @@ class TierPlan:
 
 def build_tierplan(proc, slabs, estimator) -> TierPlan:
     """Decide each slab-eligible nest with the per-nest cost inequality
-    (see docs/COSTMODEL.md).  ``slabs`` is the slabexec pass's
+    (see docs/COSTMODEL.md).  ``slabs`` is the program's
     :class:`~repro.machine.slabexec.SlabReport`; ``estimator`` any
     object with a ``nest_cost(loop)`` method (normally a
     :class:`~repro.perf.PerfEstimator`)."""
@@ -102,7 +102,7 @@ def build_tierplan(proc, slabs, estimator) -> TierPlan:
             continue
         try:
             cost = estimator.nest_cost(loop)
-        except Exception as exc:  # never fail the compile over a prediction
+        except Exception as exc:  # never fail a run over a prediction
             plan.decisions[sid] = NestDecision(
                 loop_id=sid,
                 choice="slab",  # eligible and unpriceable: keep legacy

@@ -64,6 +64,15 @@ def test_unknown_pass_has_actionable_error():
         manager.run(proc, CompilerOptions())
 
 
+@pytest.mark.parametrize("name", ("lowering", "slabexec", "tierplan"))
+def test_derived_products_are_not_passes(name):
+    """They are read off the CompiledProgram, not scheduled."""
+    assert len(DEFAULT_PIPELINE) == 13
+    manager = PassManager(pipeline=(*DEFAULT_PIPELINE, name))
+    with pytest.raises(UnknownPassError, match=repr(name)):
+        manager.run(parse_and_build(STENCIL), CompilerOptions())
+
+
 def test_missing_requirement_raises():
     manager = PassManager(pipeline=("induction",))  # needs "frontend"
     proc = parse_and_build(STENCIL)

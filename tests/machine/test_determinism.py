@@ -175,11 +175,11 @@ class TestErrorTransparency:
                 lowering._ExprCompiler, "emit", sabotaged
             )
             lowering._LOWERED_CACHE.clear()
-            lowered = lowering.lower_procedure(compiled_fresh.proc)
+            # the derived product is built (and kept) under sabotage
+            assert compiled_fresh.lowering.assigns
         finally:
             monkeypatch_ctx.undo()
             lowering._LOWERED_CACHE.clear()
-        compiled_fresh.lowering = lowered
         with pytest.raises(NameError):
             simulate(compiled_fresh, inputs, tier="lowered")
 

@@ -122,12 +122,14 @@ class TestRuntime:
         assert sim.slab_instances == 0
 
     def test_missing_report_is_rebuilt_at_runtime(self):
-        compiled = _compile_tomcatv()
-        compiled.slabs = None  # e.g. compiled artifact from an old cache
+        # a compiled artifact from the disk cache carries no report
+        compiled = pickle.loads(pickle.dumps(_compile_tomcatv()))
+        assert "slabexec" not in compiled._derived
         sim = simulate(
             compiled, tomcatv_inputs(12), tier="slab"
         )
         assert sim.slab_instances > 0
+        assert sim._fast.slab.report is compiled.slabs
 
     def test_takeovers_leave_no_cyclic_garbage(self):
         """A takeover's domain, lanes and context die by reference
