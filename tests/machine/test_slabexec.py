@@ -1,7 +1,7 @@
 """Unit tests for the tier-3 slab engine (`repro.machine.slabexec`).
 
 Covers the static classifier (eligibility decisions on the paper
-benchmarks), report plumbing through the pass manager, and runtime
+benchmarks), the report derived from the compiled program, and runtime
 behaviour: coverage, fallback, ghost-column fetch replay.
 """
 
