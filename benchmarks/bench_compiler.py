@@ -69,7 +69,8 @@ def _ablation_jobs():
 
 
 def test_batch_compile_speedup(benchmark):
-    """compile_many (front-end analysis cache + process-pool groups)
+    """compile_many (one shared PassManager: every job after a
+    source's first replays parse + front-end analyses from its cache)
     versus the same jobs compiled sequentially from scratch; the
     ROADMAP's batching/caching health metric."""
     jobs = _ablation_jobs()

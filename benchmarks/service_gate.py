@@ -5,9 +5,9 @@ Submits the batched-grid workload (21 simulate-mode points on TOMCATV:
 3 processor counts × 7 machine-parameter variants) to a fresh service
 directory as one durable job sharded across the grid's fusion groups,
 then drives it with **two** ``repro serve`` worker subprocesses — and
-kills one of them mid-run (``_REPRO_SERVICE_EXIT_AFTER_POINTS``
-hard-exits the process after N point commits, simulating a kill -9).
-The gate holds when:
+kills one of them mid-run (the claim loop's one fault hook hard-exits
+the process at a named protocol step — by default right after its
+first point commit — simulating a kill -9).  The gate holds when:
 
 * the job still completes: the surviving/replacement worker reclaims
   the dead owner's lease and drains the remaining points;
@@ -26,7 +26,7 @@ footprint, per-worker shard counts, and the kill diagnostics.
 
 Usage::
 
-    python benchmarks/service_gate.py [--kill-after 3]
+    python benchmarks/service_gate.py [--fault exit@committed]
                                       [--service-dir DIR] [--stats-out F]
                                       [--verbose]
 
@@ -47,9 +47,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC_DIR))
 
+from repro.jobqueue import FAULT_EXIT_CODE  # noqa: E402
+from repro.jobqueue.worker import _FAULT_ENV  # noqa: E402
 from repro.records import comparable  # noqa: E402
-from repro.service import KILL_AFTER_ENV, SweepService  # noqa: E402
-from repro.service.service import KILLED_EXIT_CODE  # noqa: E402
+from repro.service import SweepService  # noqa: E402
 from repro.sweep import SweepSpec, run_sweep  # noqa: E402
 
 from sweep_gate import MACHINE_VARIANTS  # noqa: E402
@@ -77,14 +78,13 @@ def build_spec() -> SweepSpec:
     )
 
 
-def spawn_worker(service_dir, kill_after=None):
+def spawn_worker(service_dir, fault=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)
     env["PYTHONHASHSEED"] = env.get("PYTHONHASHSEED", "0")
-    if kill_after is not None:
-        env[KILL_AFTER_ENV] = str(kill_after)
-    else:
-        env.pop(KILL_AFTER_ENV, None)
+    env.pop(_FAULT_ENV, None)
+    if fault is not None:
+        env[_FAULT_ENV] = fault
     return subprocess.Popen(
         [sys.executable, "-c", _SERVE_SNIPPET, str(service_dir)],
         env=env,
@@ -103,9 +103,9 @@ def canon(results) -> bytes:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--kill-after", type=int, default=3, metavar="N",
-        help="hard-kill the doomed worker after N point commits "
-        "(default: 3)",
+        "--fault", default="exit@committed", metavar="SPEC",
+        help="the doomed worker's fault, ACTION@STEP[:label=L][:attempts=N] "
+        "(default: exit@committed — dies after its first point commit)",
     )
     parser.add_argument("--service-dir", default=None)
     parser.add_argument("--stats-out", default=None, metavar="F")
@@ -120,7 +120,7 @@ def main() -> int:
         service_dir = pathlib.Path(scratch) / "svc"
 
     failures: list[str] = []
-    stats: dict = {"kill_after": args.kill_after}
+    stats: dict = {"fault": args.fault}
     spec = build_spec()
     jobs = spec.jobs()
     print(f"service grid: {len(jobs)} simulate-mode points "
@@ -140,17 +140,16 @@ def main() -> int:
         stats["shards"] = handle.poll().n_shards
 
         started = time.perf_counter()
-        doomed = spawn_worker(service_dir, kill_after=args.kill_after)
+        doomed = spawn_worker(service_dir, fault=args.fault)
         survivor = spawn_worker(service_dir)
         doomed_out, doomed_err = doomed.communicate(timeout=300)
-        if doomed.returncode != KILLED_EXIT_CODE:
+        if doomed.returncode != FAULT_EXIT_CODE:
             failures.append(
                 f"doomed worker exited {doomed.returncode}, expected "
-                f"injected kill {KILLED_EXIT_CODE}: {doomed_err.strip()}"
+                f"injected kill {FAULT_EXIT_CODE}: {doomed_err.strip()}"
             )
         else:
-            print(f"killed worker pid {doomed.pid} after "
-                  f"{args.kill_after} point commit(s)")
+            print(f"killed worker pid {doomed.pid} ({args.fault})")
         survivor_out, survivor_err = survivor.communicate(timeout=300)
         if survivor.returncode != 0:
             failures.append(

@@ -41,10 +41,11 @@ the first lane's compile (``compile_dedup``) and land on byte-identical
 stats: a P-independent program compiles once for the whole procs
 vector.
 
-With ``--inject-crash``, the first timing-grid point's pool worker is
-killed mid-flight (``os._exit``) on its first attempt — the supervisor
-must retry it without losing the point, proving the engine's recovery
-path in CI rather than only in unit tests.
+With ``--inject-crash``, the pool worker that first claims the first
+timing-grid point is killed mid-flight (``os._exit``, through the claim
+loop's one fault hook) — the point must be reclaimed and retried
+without being lost, proving the queue's recovery path in CI rather
+than only in unit tests.
 
 Writes a JSON artifact (``--stats-out``) with the timings, the
 speedup, and the disk caches' footprint + per-pass hit counts.
@@ -61,6 +62,7 @@ Exits 0 when every gate holds, 1 otherwise.
 import argparse
 import dataclasses
 import json
+import os
 import pathlib
 import shutil
 import sys
@@ -73,6 +75,7 @@ sys.path.insert(0, str(SRC_DIR))
 
 from repro.core.diskcache import CompileCache  # noqa: E402
 from repro.core.driver import CompilerOptions  # noqa: E402
+from repro.jobqueue.worker import _FAULT_ENV  # noqa: E402
 from repro.model import SP2  # noqa: E402
 from repro.programs import (  # noqa: E402
     appsp_source,
@@ -95,7 +98,7 @@ MACHINE_VARIANTS = (
 )
 
 
-def build_jobs(procs, strategies, mode, inject_crash=False):
+def build_jobs(procs, strategies, mode):
     spec = SweepSpec(
         programs={
             "tomcatv": lambda p: tomcatv_source(n=8, niter=1, procs=p),
@@ -105,10 +108,7 @@ def build_jobs(procs, strategies, mode, inject_crash=False):
         axes={"strategy": tuple(strategies)},
         mode=mode,
     )
-    jobs = spec.jobs()
-    if inject_crash:
-        jobs[0] = dataclasses.replace(jobs[0], inject={"crash_attempts": 1})
-    return jobs
+    return spec.jobs()
 
 
 def run_pass(jobs, workers, cache_root):
@@ -116,7 +116,6 @@ def run_pass(jobs, workers, cache_root):
     started = time.perf_counter()
     results = run_sweep(
         jobs, workers=workers, cache=cache, timeout=120, retries=2,
-        backoff=0.05,
     )
     elapsed = time.perf_counter() - started
     return results, elapsed, cache
@@ -170,15 +169,20 @@ def main() -> int:
 
     # -- timing grid: compile mode, warm must be >= min-speedup faster --
     timing_jobs = build_jobs(
-        args.procs, ("selected", "consumer", "producer"), "compile",
-        inject_crash=args.inject_crash,
+        args.procs, ("selected", "consumer", "producer"), "compile"
     )
     print(f"timing grid: {len(timing_jobs)} compile-mode points, "
           f"{args.workers} workers")
+    if args.inject_crash:
+        # inherited by the pool's children; both passes pay one crash
+        os.environ[_FAULT_ENV] = (
+            f"exit@evaluating:label={timing_jobs[0].label}:attempts=1"
+        )
     cold, t_cold, _ = run_pass(timing_jobs, args.workers, base_root / "timing")
     warm, t_warm, timing_cache = run_pass(
         timing_jobs, args.workers, base_root / "timing"
     )
+    os.environ.pop(_FAULT_ENV, None)
     check_pass_pair("timing", timing_jobs, cold, warm, failures)
 
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
@@ -230,14 +234,14 @@ def main() -> int:
     started = time.perf_counter()
     b_pool = run_sweep(
         batched_jobs, workers=args.workers, cache=pool_cache,
-        timeout=120, retries=2, backoff=0.05, mode="pool",
+        timeout=120, retries=2, mode="pool",
     )
     t_pool = time.perf_counter() - started
     batched_cache = CompileCache(base_root / "batched")
     started = time.perf_counter()
     b_fast = run_sweep(
         batched_jobs, workers=args.workers, cache=batched_cache,
-        timeout=120, retries=2, backoff=0.05, mode="batched",
+        timeout=120, retries=2, mode="batched",
     )
     t_batched = time.perf_counter() - started
 
@@ -289,14 +293,14 @@ def main() -> int:
     p_pool = run_sweep(
         procs_jobs, workers=args.workers,
         cache=CompileCache(base_root / "procs-pool"),
-        timeout=120, retries=2, backoff=0.05, mode="pool",
+        timeout=120, retries=2, mode="pool",
     )
     t_procs_pool = time.perf_counter() - started
     started = time.perf_counter()
     p_fast = run_sweep(
         procs_jobs, workers=args.workers,
         cache=CompileCache(base_root / "procs-batched"),
-        timeout=120, retries=2, backoff=0.05, mode="batched",
+        timeout=120, retries=2, mode="batched",
     )
     t_procs_batched = time.perf_counter() - started
 

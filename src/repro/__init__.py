@@ -59,7 +59,7 @@ from .report import table1_tomcatv, table2_dgefa, table3_appsp
 from .service import Catalog, JobHandle, SweepService
 from .sweep import SweepJob, SweepResult, SweepSpec, run_sweep
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 # The supported surface is api.__all__ (the Session facade and its
 # types) plus the groups below; everything else is internal.

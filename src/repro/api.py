@@ -294,7 +294,6 @@ class Session:
         workers: int | None = None,
         timeout: float | None = None,
         retries: int = 2,
-        backoff: float = 0.1,
         on_result: Callable[[SweepResult], None] | None = None,
         mode: str = "auto",
     ) -> list[SweepResult]:
@@ -314,7 +313,6 @@ class Session:
             workers=workers,
             timeout=timeout,
             retries=retries,
-            backoff=backoff,
             cache=self.cache,
             manager=self.manager,
             tracer=self.tracer,

@@ -11,7 +11,7 @@ Usage (also via ``python -m repro``)::
               [--measure simulate] [--exec auto] [--json]
     repro tables [--table 1 2 3] [--fast]
     repro cache stats|clear [--cache-dir DIR]
-    repro serve [--service-dir DIR] [--backend inline|pool[:N]] [--once]
+    repro serve [--service-dir DIR] [--workers N] [--once]
     repro jobs submit|status|watch|cancel [...]
     repro catalog ls|show|gc [...]
 
@@ -556,17 +556,14 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_serve(args) -> int:
-    service = _service(
-        args,
-        backend=args.backend,
-        lease_ttl=args.lease_ttl,
-    )
+    service = _service(args, lease_ttl=args.lease_ttl)
     try:
         processed = service.serve_forever(
             poll=args.poll,
             once=args.once,
             max_shards=args.max_shards,
             idle_timeout=args.idle_timeout,
+            workers=args.workers,
         )
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         print("interrupted; leases will expire", file=sys.stderr)
@@ -887,9 +884,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_service_flags(p_serve)
     p_serve.add_argument(
-        "--backend", default="inline", metavar="NAME[:N]",
-        help="worker backend: 'inline' (in-process, default) or "
-        "'pool[:N]' (supervised N-process pool)",
+        "--workers", type=int, default=1, metavar="N",
+        help="claim loops to run: 1 (default) serves in this process, "
+        "N > 1 supervises N child processes serving the same directory",
     )
     p_serve.add_argument(
         "--once", action="store_true",

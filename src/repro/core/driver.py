@@ -27,9 +27,7 @@ stage: it is derived from the compiled program on first read.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -444,80 +442,32 @@ def _compile_one_cached(
     return compiled
 
 
-def _compile_group(
-    source: str,
-    options_list: list[CompilerOptions],
-    cache_root: str | None = None,
-):
-    """Pool worker: all ablations of one source share one manager, so
-    the parsed IR and every front-end analysis are computed once; a
-    persistent cache root additionally short-circuits whole compiles."""
-    from .diskcache import CompileCache
-
-    manager = PassManager()
-    cache = CompileCache(cache_root) if cache_root else None
-    return [
-        _compile_one_cached(source, o, manager, cache) for o in options_list
-    ]
-
-
 def compile_many(
     jobs: Iterable[BatchJob | tuple[str, CompilerOptions] | Mapping | str],
     *,
-    processes: int | None = None,
     manager: PassManager | None = None,
     cache=None,
 ) -> list[CompiledProgram]:
     """Compile a batch of (source, options) jobs, returning one
     :class:`CompiledProgram` per job in input order.
 
-    Jobs are grouped by source text; each group runs under one
-    :class:`PassManager`, so option ablations of the same program reuse
-    the cached parse and front-end analyses. Distinct groups run
-    concurrently on a process pool (the passes are pure-Python
-    CPU-bound work) sized ``min(processes or cpu_count, group count)``;
-    with a single group or a single CPU everything runs in-process,
-    where an explicit ``manager`` can also carry its cache in and out.
+    The whole batch runs in-process, in job order, under one
+    :class:`PassManager` (``manager``, or a fresh one), so option
+    ablations of the same program reuse the cached parse and front-end
+    analyses however the jobs interleave — that reuse is the speedup.
+    Compiles that should spread over processes are a compile-mode
+    sweep: ``run_sweep(jobs, mode="pool")``.
 
     ``cache`` enables the persistent compile cache
     (:mod:`repro.core.diskcache`): pass a :class:`CompileCache`, a
     cache-root path, or True for the default root. Warm entries skip
-    the pass pipeline entirely, in both the serial and the pooled
-    paths.
+    the pass pipeline entirely.
     """
     from .diskcache import as_compile_cache
 
-    batch: list[BatchJob] = [_as_job(j) for j in jobs]
-    groups: dict[str, list[int]] = {}
-    for index, job in enumerate(batch):
-        groups.setdefault(job.source, []).append(index)
-
     disk_cache = as_compile_cache(cache)
-    results: list[CompiledProgram | None] = [None] * len(batch)
-    if processes is None:
-        processes = os.cpu_count() or 1
-    processes = max(1, min(processes, len(groups)))
-
-    if processes == 1:
-        shared = manager or PassManager()
-        for source, indices in groups.items():
-            for index in indices:
-                results[index] = _compile_one_cached(
-                    source, batch[index].options, shared, disk_cache
-                )
-    else:
-        cache_root = str(disk_cache.root) if disk_cache is not None else None
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = {
-                pool.submit(
-                    _compile_group,
-                    source,
-                    [batch[i].options for i in indices],
-                    cache_root,
-                ): indices
-                for source, indices in groups.items()
-            }
-            for future, indices in futures.items():
-                for index, compiled in zip(indices, future.result()):
-                    results[index] = compiled
-    return results  # type: ignore[return-value]
+    shared = manager or PassManager()
+    return [
+        _compile_one_cached(job.source, job.options, shared, disk_cache)
+        for job in map(_as_job, jobs)
+    ]

@@ -1,7 +1,8 @@
-"""Shared sqlite plumbing for the service's durable stores.
+"""Shared sqlite plumbing for the job queue and the artifact catalog.
 
-Both service databases — the job queue and the artifact catalog — are
-single-file sqlite databases opened in WAL mode so a submitting client,
+Both databases — the job queue (the service's durable one and the
+sweep pool's temporary one alike) and the service's artifact catalog —
+are single-file sqlite databases opened in WAL mode so a submitting client,
 several ``repro serve`` worker processes, and a ``repro jobs watch``
 poller can read and write concurrently without corrupting each other:
 WAL gives readers a consistent snapshot while one writer commits, and

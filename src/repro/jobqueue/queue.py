@@ -3,9 +3,10 @@
 A *job* is a submitted experiment grid — an ordered list of
 :class:`~repro.sweep.spec.SweepJob` points.  On submit the grid is
 persisted point-by-point to sqlite, pre-partitioned into *shards*
-(fusion-preserving groups of points, see
-:func:`repro.service.worker.shard_jobs`), and becomes claimable by any
-worker process sharing the queue database:
+(the durable service plans fusion-preserving groups of points, see
+:func:`repro.service.worker.shard_jobs`; the sweep pool submits one
+point per shard), and becomes claimable by any worker process sharing
+the queue database:
 
 * **states** — a job is ``queued`` → ``running`` → ``done`` (or
   ``failed`` / ``cancelled``); a shard is ``ready`` → ``leased`` →
@@ -14,6 +15,12 @@ worker process sharing the queue database:
   workers extend it by heartbeating.  A shard whose lease expired —
   or whose owner is a dead local pid — is reclaimable by anyone, so a
   killed worker forfeits only its in-flight shard, never the job.
+* **attempt bound** — a shard is handed out at most ``max_attempts``
+  times.  When it comes up for claiming again after that, the queue
+  gives it up instead: its still-pending points are committed as
+  ``ok=False`` results (``worker="abandoned"``, the error naming the
+  attempt count and the last owner), so a point that kills every
+  worker it meets ends the job instead of circulating forever.
 * **durability** — every completed point commits its pickled
   :class:`~repro.sweep.spec.SweepResult` in the same transaction that
   flips the point state, so a crash between points loses nothing and
@@ -36,10 +43,12 @@ import socket
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from ..sweep.spec import SweepJob, SweepResult
 from .db import connect, ensure_schema, transaction
+
+if TYPE_CHECKING:  # jobs and results cross this module only as pickles
+    from ..sweep.spec import SweepJob, SweepResult
 
 QUEUE_SCHEMA_VERSION = 1
 
@@ -106,18 +115,22 @@ def make_owner() -> str:
     return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
 
 
+def owner_pid(owner: str | None) -> int | None:
+    """The pid inside an owner tag made on *this* host, else None — a
+    remote owner's pid means nothing here."""
+    host, _, rest = (owner or "").partition(":")
+    pid_text = rest.partition(":")[0]
+    if host != socket.gethostname() or not pid_text.isdigit():
+        return None
+    return int(pid_text)
+
+
 def _owner_is_dead(owner: str | None) -> bool:
     """True only when ``owner`` names a pid on *this* host that no
     longer exists — remote owners are never presumed dead (their lease
     expiry decides)."""
-    if not owner:
-        return False
-    host, _, rest = owner.partition(":")
-    pid_text = rest.partition(":")[0]
-    if host != socket.gethostname() or not pid_text.isdigit():
-        return False
-    pid = int(pid_text)
-    if pid == os.getpid():
+    pid = owner_pid(owner)
+    if pid is None or pid == os.getpid():
         return False
     try:
         os.kill(pid, 0)
@@ -199,15 +212,24 @@ class Claim:
     shard: int
     owner: str
     exec_mode: str
+    #: which handing-out of the shard this is (1 = first)
+    attempt: int
     points: list[tuple[int, SweepJob]]
 
 
 class JobQueue:
     """Durable sqlite-backed queue of sweep jobs (see module doc)."""
 
-    def __init__(self, path: str | os.PathLike, *, lease_ttl: float = 60.0):
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        *,
+        lease_ttl: float = 60.0,
+        max_attempts: int = 3,
+    ):
         self.path = path
         self.lease_ttl = float(lease_ttl)
+        self.max_attempts = int(max_attempts)
         self.conn = connect(path)
         ensure_schema(self.conn, "queue", QUEUE_SCHEMA_VERSION, _DDL)
 
@@ -305,22 +327,28 @@ class JobQueue:
         """Lease one shard of work, or None when nothing is claimable.
         Prefers fresh ``ready`` shards, then shards whose lease expired
         or whose owner died; completed points of a reclaimed shard are
-        *not* reissued."""
+        *not* reissued.  A shard that comes up after ``max_attempts``
+        claims is given up (see :meth:`_give_up`), not handed out."""
         now = time.time()
         with transaction(self.conn):
-            row = self.conn.execute(
-                "SELECT s.job_id, s.shard, s.state, s.owner, s.attempts,"
-                " j.exec_mode FROM shards s JOIN jobs j ON j.id = s.job_id"
-                " WHERE j.state IN ('queued', 'running')"
-                " AND (s.state = 'ready' OR (s.state = 'leased'"
-                "      AND s.lease_expires < ?))"
-                " ORDER BY s.state = 'ready' DESC, s.job_id, s.shard LIMIT 1",
-                (now,),
-            ).fetchone()
-            if row is None:
-                row = self._find_dead_owner_shard()
-            if row is None:
-                return None
+            while True:
+                row = self.conn.execute(
+                    "SELECT s.job_id, s.shard, s.state, s.owner, s.attempts,"
+                    " j.exec_mode FROM shards s JOIN jobs j ON j.id = s.job_id"
+                    " WHERE j.state IN ('queued', 'running')"
+                    " AND (s.state = 'ready' OR (s.state = 'leased'"
+                    "      AND s.lease_expires < ?))"
+                    " ORDER BY s.state = 'ready' DESC, s.job_id, s.shard"
+                    " LIMIT 1",
+                    (now,),
+                ).fetchone()
+                if row is None:
+                    row = self._find_dead_owner_shard()
+                if row is None:
+                    return None
+                if row["attempts"] < self.max_attempts:
+                    break
+                self._give_up(row, now)
             job_id, shard = row["job_id"], row["shard"]
             reclaimed = row["state"] == "leased"
             self.conn.execute(
@@ -334,11 +362,7 @@ class JobQueue:
                 " COALESCE(started_at, ?) WHERE id = ? AND state = 'queued'",
                 (now, job_id),
             )
-            pending = self.conn.execute(
-                "SELECT idx, job FROM points WHERE job_id = ? AND shard = ?"
-                " AND state = 'pending' ORDER BY idx",
-                (job_id, shard),
-            ).fetchall()
+            pending = self._pending_points(job_id, shard)
             self._emit(
                 job_id,
                 "reclaimed" if reclaimed else "claimed",
@@ -346,14 +370,49 @@ class JobQueue:
                 owner=owner,
                 pending=len(pending),
                 attempt=row["attempts"] + 1,
+                # who lost the lease: a supervisor's cue to stop it
+                **({"lost": row["owner"]} if reclaimed else {}),
             )
         return Claim(
             job_id=job_id,
             shard=shard,
             owner=owner,
             exec_mode=row["exec_mode"],
+            attempt=row["attempts"] + 1,
             points=[(r["idx"], pickle.loads(r["job"])) for r in pending],
         )
+
+    def _pending_points(self, job_id: int, shard: int):
+        return self.conn.execute(
+            "SELECT idx, job FROM points WHERE job_id = ? AND shard = ?"
+            " AND state = 'pending' ORDER BY idx",
+            (job_id, shard),
+        ).fetchall()
+
+    def _give_up(self, row, now: float) -> None:
+        """``row``'s shard has used every allowed claim and is up for
+        claiming again (inside :meth:`claim`'s transaction): commit its
+        pending points as failures and close it, so the job can end."""
+        job_id, shard, attempts = row["job_id"], row["shard"], row["attempts"]
+        error = (
+            f"abandoned after {attempts} attempts; last owner "
+            f"{row['owner'] or 'released its lease'}"
+        )
+        for point in self._pending_points(job_id, shard):
+            result = pickle.loads(point["job"]).result(
+                ok=False, error=error, attempts=attempts, worker="abandoned"
+            )
+            self.complete_point(job_id, point["idx"], result)
+        self.conn.execute(
+            "UPDATE shards SET state = 'done', owner = NULL,"
+            " lease_expires = NULL WHERE job_id = ? AND shard = ?",
+            (job_id, shard),
+        )
+        self._emit(
+            job_id, "abandoned", shard=shard, attempts=attempts,
+            owner=row["owner"],
+        )
+        self._finish_job_if_last(job_id, now)
 
     def _find_dead_owner_shard(self):
         """A leased, unexpired shard whose owner is a dead local pid —
@@ -451,19 +510,24 @@ class JobQueue:
             if cursor.rowcount == 0:
                 return False
             self._emit(job_id, "shard_done", shard=shard, owner=owner)
-            left = self.conn.execute(
-                "SELECT COUNT(*) AS n FROM shards WHERE job_id = ?"
-                " AND state != 'done'",
-                (job_id,),
-            ).fetchone()["n"]
-            if left == 0:
-                self.conn.execute(
-                    "UPDATE jobs SET state = 'done', finished_at = ?"
-                    " WHERE id = ? AND state = 'running'",
-                    (now, job_id),
-                )
-                self._emit(job_id, "done")
+            self._finish_job_if_last(job_id, now)
         return True
+
+    def _finish_job_if_last(self, job_id: int, now: float) -> None:
+        """Inside the transaction that closed a shard: when it was the
+        job's last open one, the job is ``done``."""
+        left = self.conn.execute(
+            "SELECT COUNT(*) AS n FROM shards WHERE job_id = ?"
+            " AND state != 'done'",
+            (job_id,),
+        ).fetchone()["n"]
+        if left == 0:
+            self.conn.execute(
+                "UPDATE jobs SET state = 'done', finished_at = ?"
+                " WHERE id = ? AND state = 'running'",
+                (now, job_id),
+            )
+            self._emit(job_id, "done")
 
     def release_shard(
         self, job_id: int, shard: int, owner: str, reason: str = ""
@@ -573,6 +637,50 @@ class JobQueue:
         ):
             out[row["idx"]] = pickle.loads(row["result"])
         return out
+
+    def point_results(
+        self, job_id: int, indices: Sequence[int]
+    ) -> list[tuple[int, SweepResult]]:
+        """``(grid index, result)`` of the given finished points — what
+        an event-log tail reads after seeing their ``point`` events."""
+        marks = ",".join("?" * len(indices))
+        return [
+            (row["idx"], pickle.loads(row["result"]))
+            for row in self.conn.execute(
+                f"SELECT idx, result FROM points WHERE job_id = ?"
+                f" AND idx IN ({marks}) AND result IS NOT NULL ORDER BY idx",
+                (job_id, *indices),
+            )
+        ]
+
+    def lapsed(self, since: int = 0) -> tuple[int, list[str]]:
+        """Owners that overran a lease: whoever holds an expired one
+        right now, plus everyone a ``reclaimed`` event after event
+        ``since`` took a shard from (a sibling may reclaim before any
+        supervisor looks).  Returns the event watermark to pass next
+        time, and the owner tags."""
+        owners = [
+            row["owner"]
+            for row in self.conn.execute(
+                "SELECT owner FROM shards WHERE state = 'leased'"
+                " AND lease_expires < ?",
+                (time.time(),),
+            )
+        ]
+        for row in self.conn.execute(
+            "SELECT seq, payload FROM events WHERE kind = 'reclaimed'"
+            " AND seq > ? ORDER BY seq",
+            (since,),
+        ):
+            since = row["seq"]
+            owners.append(json.loads(row["payload"])["lost"])
+        return since, owners
+
+    def shards_done(self) -> int:
+        """Shards closed so far, over every job in the queue."""
+        return self.conn.execute(
+            "SELECT COUNT(*) AS n FROM shards WHERE state = 'done'"
+        ).fetchone()["n"]
 
     def depth(self) -> dict[str, int]:
         """Queue-pressure gauges: claimable shards, leased shards, and

@@ -1,44 +1,24 @@
 """Persistent sweep service: durable job queue, artifact catalog, and
-pluggable worker backends over one service directory.
+claim-loop workers over one service directory.
 
 See :mod:`repro.service.service` for the execution model and
 ``docs/SERVICE.md`` for the protocol walkthrough.
 """
 
+from ..jobqueue import Event, JobQueue, JobStatus, SchemaMismatch, make_owner
 from .catalog import Catalog, canonical_sha, point_key, source_sha
-from .db import SchemaMismatch
-from .queue import Event, JobQueue, JobStatus, make_owner
-from .service import (
-    KILL_AFTER_ENV,
-    JobFailed,
-    JobHandle,
-    SweepService,
-    default_service_dir,
-)
-from .worker import (
-    BACKENDS,
-    InlineBackend,
-    PoolBackend,
-    WorkerBackend,
-    as_backend,
-    shard_jobs,
-)
+from .service import JobFailed, JobHandle, SweepService, default_service_dir
+from .worker import shard_jobs
 
 __all__ = [
-    "BACKENDS",
     "Catalog",
     "Event",
-    "InlineBackend",
     "JobFailed",
     "JobHandle",
     "JobQueue",
     "JobStatus",
-    "KILL_AFTER_ENV",
-    "PoolBackend",
     "SchemaMismatch",
     "SweepService",
-    "WorkerBackend",
-    "as_backend",
     "canonical_sha",
     "default_service_dir",
     "make_owner",

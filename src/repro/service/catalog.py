@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..core.diskcache import options_signature, pipeline_fingerprint
 from ..sweep.spec import SweepJob, SweepResult
-from .db import connect, ensure_schema, transaction
+from ..jobqueue.db import connect, ensure_schema, transaction
 
 if TYPE_CHECKING:
     from ..core.diskcache import CompileCache

@@ -13,11 +13,11 @@ Clients submit through :meth:`SweepService.submit` (or
 the ordered :class:`~repro.sweep.spec.SweepResult` list,
 ``stream_events()`` to tail progress.  Work happens wherever someone
 runs the worker loop: ``repro serve`` (or
-:meth:`SweepService.serve_forever`) claims one shard at a time,
-serves points the catalog has already measured as *reuses*, evaluates
-the rest through the configured
-:class:`~repro.service.worker.WorkerBackend`, and commits every point
-to queue + catalog as it lands.  Kill the process at any moment:
+:meth:`SweepService.serve_forever`) runs the queue's claim loop
+(:func:`repro.jobqueue.work`) one shard at a time, serves points the
+catalog has already measured as *reuses*, evaluates the rest in-process
+through :func:`repro.sweep.run_sweep`, and commits every point to
+queue + catalog as it lands.  Kill the process at any moment:
 completed points are durable, the lease expires (or the dead pid is
 detected), and the next worker resumes exactly the pending points —
 canonical stats stay byte-identical to an uninterrupted
@@ -35,25 +35,23 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from ..core.diskcache import as_compile_cache, default_cache_dir
 from ..core.passes import PassManager
+from ..jobqueue import (
+    Claim,
+    Event,
+    JobQueue,
+    JobStatus,
+    LocalWorkers,
+    make_owner,
+    work,
+)
 from ..obs import NULL_TRACER
-from ..sweep.engine import EXEC_MODES
+from ..sweep.engine import EXEC_MODES, run_sweep
 from ..sweep.spec import SweepJob, SweepResult, SweepSpec
 from .catalog import Catalog, point_key
-from .queue import Claim, Event, JobQueue, JobStatus, make_owner
-from .worker import WorkerBackend, as_backend, shard_jobs
+from .worker import shard_jobs
 
 if TYPE_CHECKING:
     from ..obs import Metrics, Tracer
-
-#: test-only failure injection (the crash-recovery suites and the CI
-#: service gate): when set, the serving process hard-exits —
-#: ``os._exit(32)``, simulating a kill -9 / OOM — after committing
-#: this many points, so recovery must resume from the queue alone
-KILL_AFTER_ENV = "_REPRO_SERVICE_EXIT_AFTER_POINTS"
-
-#: exit code of an injected service death (matches the sweep pool's
-#: injected worker crash convention)
-KILLED_EXIT_CODE = 32
 
 
 def default_service_dir() -> Path:
@@ -138,17 +136,28 @@ class JobHandle:
         return self.service.queue.cancel(self.job_id)
 
 
+def _serve_child(
+    worker_id: int, root: str, lease_ttl: float, cache_root, loop: dict
+) -> None:
+    """One ``serve_forever(workers=N)`` child: its own service object
+    (own sqlite connections, own owner tag) on the parent's directory."""
+    service = SweepService(root, lease_ttl=lease_ttl, cache=cache_root)
+    try:
+        service.serve_forever(**loop)
+    finally:
+        service.close()
+
+
 class SweepService:
-    """Queue + catalog + backend over one service directory.  The same
-    class serves both roles: clients construct it to submit/poll,
-    worker processes construct it (with their backend of choice) to
-    run :meth:`serve_forever`."""
+    """Queue + catalog + compile cache over one service directory.
+    The same class serves both roles: clients construct it to
+    submit/poll, worker processes construct it to run
+    :meth:`serve_forever`."""
 
     def __init__(
         self,
         root: "str | os.PathLike | None" = None,
         *,
-        backend: "WorkerBackend | str | None" = None,
         lease_ttl: float = 60.0,
         cache: Any = None,
         tracer: "Tracer | None" = None,
@@ -162,12 +171,10 @@ class SweepService:
         self.cache = as_compile_cache(
             cache if cache is not None else self.root / "cache"
         )
-        self.backend = as_backend(backend)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.manager = PassManager(tracer=tracer)
         self.owner = owner or make_owner()
-        self._committed_points = 0
 
     def close(self) -> None:
         self.queue.close()
@@ -233,100 +240,69 @@ class SweepService:
     def run_next(self) -> bool:
         """Claim and fully process one shard; False when the queue has
         nothing claimable."""
-        claim = self.queue.claim(self.owner)
-        if claim is None:
-            self._update_depth_gauges()
-            return False
-        self._inc("service.shards_claimed")
-        self._execute_claim(claim)
+        worked = work(self.queue, self.owner, self._evaluate)
+        if worked:
+            self._inc("service.shards_claimed")
         self._update_depth_gauges()
-        return True
+        return worked
 
-    def _execute_claim(self, claim: Claim) -> None:
+    def _evaluate(self, claim: Claim, commit) -> None:
+        """The claim loop's evaluator: points the catalog has already
+        measured land as reuses, the rest run in-process as one sweep
+        (so batched/procs-lane fusion applies to the whole shard) and
+        land as they stream out.  Results map back to grid indices by
+        label (unique within a grid up to identical point identities,
+        which interchange freely)."""
+        job_of = dict(claim.points)
+
+        def land(idx: int, result: SweepResult, reused: bool) -> None:
+            if not reused:
+                self.catalog.record_result(
+                    job_of[idx], result, job_id=claim.job_id
+                )
+                self.catalog.record_compile(
+                    job_of[idx], self.cache, self.manager.pipeline
+                )
+            commit(idx, result, reused=reused)
+            self._inc("service.points_reused" if reused else "service.points_done")
+            self.tracer.instant(
+                "service.point",
+                cat="service",
+                job_id=claim.job_id,
+                label=result.label,
+                ok=result.ok,
+                reused=reused,
+            )
+
         with self.tracer.span(
             "service.shard",
             cat="service",
             job_id=claim.job_id,
             shard=claim.shard,
-            backend=self.backend.name,
             pending=len(claim.points),
         ):
-            fresh: list[tuple[int, SweepJob]] = []
+            index_of: dict[str, deque[int]] = {}
+            fresh: list[SweepJob] = []
             for idx, job in claim.points:
                 cached = self.catalog.lookup(job)
                 if cached is not None:
-                    self._commit(claim, idx, job, cached, reused=True)
+                    land(idx, cached, True)
                 else:
-                    fresh.append((idx, job))
+                    fresh.append(job)
+                    index_of.setdefault(job.label, deque()).append(idx)
             if fresh:
-                self._evaluate(claim, fresh)
-        if not self.queue.heartbeat(claim.job_id, claim.shard, self.owner):
-            # cancelled mid-shard, or the lease was reclaimed: committed
-            # points are durable either way; just walk away
-            self.queue.release_shard(
-                claim.job_id, claim.shard, self.owner, "lease lost"
-            )
-            return
-        self.queue.finish_shard(claim.job_id, claim.shard, self.owner)
-
-    def _evaluate(
-        self, claim: Claim, fresh: list[tuple[int, SweepJob]]
-    ) -> None:
-        """Run the shard's never-measured points through the backend,
-        committing each result as it streams out.  Results map back to
-        grid indices by label (unique within a grid up to identical
-        point identities, which interchange freely)."""
-        index_of: dict[str, deque[int]] = {}
-        job_of = dict(fresh)
-        for idx, job in fresh:
-            index_of.setdefault(job.label, deque()).append(idx)
-
-        def commit(result: SweepResult) -> None:
-            lane = index_of.get(result.label)
-            if not lane:  # pragma: no cover - engine emits one per job
-                return
-            idx = lane.popleft()
-            self._commit(claim, idx, job_of[idx], result, reused=False)
-            self.queue.heartbeat(claim.job_id, claim.shard, self.owner)
-
-        self.backend.run(
-            [job for _, job in fresh],
-            exec_mode=claim.exec_mode,
-            cache=self.cache,
-            manager=self.manager,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            on_result=commit,
-        )
-
-    def _commit(
-        self,
-        claim: Claim,
-        idx: int,
-        job: SweepJob,
-        result: SweepResult,
-        *,
-        reused: bool,
-    ) -> None:
-        if not reused:
-            self.catalog.record_result(job, result, job_id=claim.job_id)
-            self.catalog.record_compile(
-                job, self.cache, self.manager.pipeline
-            )
-        self.queue.complete_point(claim.job_id, idx, result, reused=reused)
-        self._inc("service.points_reused" if reused else "service.points_done")
-        self.tracer.instant(
-            "service.point",
-            cat="service",
-            job_id=claim.job_id,
-            label=result.label,
-            ok=result.ok,
-            reused=reused,
-        )
-        self._committed_points += 1
-        kill_after = int(os.environ.get(KILL_AFTER_ENV, "0") or "0")
-        if kill_after and self._committed_points >= kill_after:
-            os._exit(KILLED_EXIT_CODE)
+                run_sweep(
+                    fresh,
+                    workers=0,
+                    mode=claim.exec_mode,
+                    cache=self.cache,
+                    manager=self.manager,
+                    tracer=self.tracer,
+                    metrics=self.metrics,
+                    on_result=lambda result: land(
+                        index_of[result.label].popleft(), result, False
+                    ),
+                )
 
     def serve_forever(
         self,
@@ -335,12 +311,25 @@ class SweepService:
         once: bool = False,
         max_shards: int | None = None,
         idle_timeout: float | None = None,
+        workers: int = 1,
     ) -> int:
         """The worker loop: claim-and-process shards until stopped.
         ``once`` drains the queue and returns when nothing is
         claimable; ``idle_timeout`` returns after that many idle
         seconds; ``max_shards`` bounds the shards processed.  Returns
-        the number of shards this call processed."""
+        the number of shards this call processed.
+
+        ``workers > 1`` runs the same loop in that many child
+        processes instead and supervises them from here — one that
+        crashed or overran its lease is replaced — until they have all
+        returned (or ``max_shards`` shards closed meanwhile, the count
+        this then returns)."""
+        if workers > 1:
+            return self._supervise(
+                workers,
+                max_shards,
+                dict(poll=poll, once=once, idle_timeout=idle_timeout),
+            )
         processed = 0
         idle_since: float | None = None
         while True:
@@ -357,3 +346,35 @@ class SweepService:
             if idle_timeout is not None and now - idle_since >= idle_timeout:
                 return processed
             time.sleep(poll)
+
+    def _supervise(
+        self, workers: int, max_shards: int | None, loop: dict
+    ) -> int:
+        before = self.queue.shards_done()
+        pool = LocalWorkers(
+            self.queue,
+            _serve_child,
+            (
+                str(self.root),
+                self.queue.lease_ttl,
+                str(self.cache.root) if self.cache else False,
+                loop,
+            ),
+            workers,
+        )
+        try:
+            while True:
+                pool.tend()
+                processed = self.queue.shards_done() - before
+                if pool.stalled:
+                    # no child can be started: be the worker ourselves
+                    return processed + self.serve_forever(
+                        max_shards=max_shards, **loop
+                    )
+                if not pool.children or (
+                    max_shards is not None and processed >= max_shards
+                ):
+                    return processed
+                pool.wait(loop["poll"])
+        finally:
+            pool.shutdown()

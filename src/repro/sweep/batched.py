@@ -30,9 +30,9 @@ pass over a :class:`~repro.machine.batchexec.VectorMachine` carrying
 per-lane ``grid_shapes`` prices the whole procs × machine grid in a
 single call.
 
-Jobs that cannot batch (compile-mode points, failure-injection test
-jobs) are returned to the caller untouched; :func:`repro.sweep.engine.
-run_sweep` sends them down the ordinary pool path.  The degrade ladder
+Jobs that cannot batch (compile-mode points) are returned to the
+caller untouched; :func:`repro.sweep.engine.run_sweep` sends them down
+the ordinary per-job path.  The degrade ladder
 never loses a grid point: a sub-group whose compile or vectorized
 evaluation fails runs its lanes per-lane in-process.
 """
@@ -125,7 +125,7 @@ def plan_batches(
     batches: dict[tuple, Batch] = {}
     leftover: list[int] = []
     for index, job in enumerate(jobs):
-        if job.mode not in BATCHABLE_MODES or job.inject:
+        if job.mode not in BATCHABLE_MODES:
             leftover.append(index)
             continue
         key = batch_key(job)
@@ -147,8 +147,39 @@ def _sub_batch(batch: Batch, lanes: list[int]) -> Batch:
 
 
 # ---------------------------------------------------------------------------
-# Compilation (shared with the engine's dedup)
+# Shared with the engine: result bookkeeping, compile dedup
 # ---------------------------------------------------------------------------
+
+
+def record_result(
+    result: SweepResult,
+    *,
+    tracer: Tracer,
+    metrics: Metrics | None,
+    on_result: Callable[[SweepResult], None] | None,
+) -> None:
+    """The bookkeeping every finished grid point gets, whichever path
+    evaluated it (serial loop, pool coordinator, in-process fallback,
+    batch): outcome/cache counters, the ``sweep.job`` trace instant,
+    and the caller's streaming callback."""
+    if metrics is not None:
+        metrics.inc("sweep.jobs_ok" if result.ok else "sweep.jobs_failed")
+        if result.cache_hit:
+            metrics.inc("sweep.cache_hits")
+        if result.compile_dedup:
+            metrics.inc("sweep.compile_dedup")
+    tracer.instant(
+        "sweep.job",
+        cat="sweep",
+        label=result.label,
+        ok=result.ok,
+        attempts=result.attempts,
+        worker=result.worker,
+        cache_hit=result.cache_hit,
+        duration_s=round(result.duration_s, 6),
+    )
+    if on_result is not None:
+        on_result(result)
 
 
 def compile_with_memo(
@@ -349,13 +380,9 @@ def run_batched(
 
     def _emit(index: int, result: SweepResult) -> None:
         results[index] = result
-        _inc("sweep.jobs_ok" if result.ok else "sweep.jobs_failed")
-        if result.cache_hit:
-            _inc("sweep.cache_hits")
-        if result.compile_dedup:
-            _inc("sweep.compile_dedup")
-        if on_result is not None:
-            on_result(result)
+        record_result(
+            result, tracer=tracer, metrics=metrics, on_result=on_result
+        )
 
     def _fall_back(sub: Batch, rung: str) -> None:
         """A rung of the degrade ladder: run each of the sub-batch's
@@ -455,12 +482,7 @@ def run_batched(
                 if lane not in payloads:
                     continue  # emitted by a fallback rung
                 cache_hit, deduped = flags.get(lane, (False, False))
-                result = SweepResult(
-                    label=job.label,
-                    program=job.program,
-                    mode=job.mode,
-                    procs=job.procs,
-                    options=job.options,
+                result = job.result(
                     worker="batched",
                     cache_hit=cache_hit,
                     compile_dedup=deduped,

@@ -1,4 +1,4 @@
-"""The sweep engine: fan a job grid out over a worker pool.
+"""The sweep engine: fan a job grid out over worker processes.
 
 ``run_sweep`` executes :class:`~repro.sweep.spec.SweepJob` records —
 serially in-process, or on a pool of worker processes — and returns
@@ -6,17 +6,21 @@ one :class:`~repro.sweep.spec.SweepResult` per job, in job order.
 Results also *stream*: an ``on_result`` callback fires as each point
 completes, so long grids report progress instead of going dark.
 
-The pool is supervised, not fire-and-forget:
+The pool is the job queue's claim loop run by local children
+(:mod:`repro.jobqueue`), not a mechanism of its own: the coordinator
+submits the jobs to a temporary queue, one shard per point, starts the
+workers and tails the event log.  What follows is the queue's
+protocol, seen from a sweep:
 
-* each worker runs **one job at a time** through its own task/result
-  queue pair, so a dead or hung worker forfeits exactly one job;
-* a worker that **crashes** (exits without reporting) or **times out**
-  (``timeout`` seconds per job) is killed and respawned, and its job
-  is requeued with exponential backoff, up to ``retries`` extra
-  attempts;
-* a job that exhausts its pool attempts **degrades to in-process
-  serial execution** — a poisoned pool can slow a sweep down, but it
-  cannot lose a grid point;
+* a worker holds **one point at a time** under a lease, so a dead or
+  hung worker forfeits exactly one point;
+* a worker that **crashes** is reaped and its point is reclaimable at
+  once; one that outlives its lease (``timeout`` seconds per point) is
+  killed; either way the point is handed out again, up to ``retries``
+  extra times;
+* a point whose claims are used up comes back *abandoned*, and the
+  coordinator **runs it in-process** — a poisoned pool can slow a
+  sweep down, but it cannot lose a grid point;
 * a job that raises an ordinary exception (compile error, bad source)
   fails *fast*: deterministic errors are reported, not retried.
 
@@ -30,29 +34,24 @@ the :class:`repro.obs.Tracer`.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_mod
+import tempfile
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, replace
+from functools import partial
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from ..core.diskcache import CompileCache, as_compile_cache
 from ..core.passes import PassManager
+from ..jobqueue import JobQueue, LocalWorkers, make_owner, work
 from ..obs import Metrics, NULL_TRACER, Tracer
-from .batched import compile_with_memo, plan_batches, run_batched
+from .batched import compile_with_memo, plan_batches, record_result, run_batched
 from .spec import SweepJob, SweepResult, SweepSpec
 
 #: execution modes of :func:`run_sweep` — how the grid is *run*, as
 #: opposed to ``SweepSpec.mode`` which says what each point *measures*
 EXEC_MODES = ("auto", "pool", "batched")
-
-#: environment marker set inside pool workers; failure injection (the
-#: engine's own crash/hang tests) only ever fires where it is set, so
-#: the serial fallback path is immune by construction
-_WORKER_ENV = "_REPRO_SWEEP_WORKER"
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +111,7 @@ def execute_job(
     ``result.compile_dedup``.
     """
     started = time.perf_counter()
-    result = SweepResult(
-        label=job.label,
-        program=job.program,
-        mode=job.mode,
-        procs=job.procs,
-        options=job.options,
-    )
+    result = job.result()
     try:
         manager = manager or PassManager()
         compiled, hit, deduped = compile_with_memo(
@@ -136,359 +129,140 @@ def execute_job(
 
 
 # ---------------------------------------------------------------------------
-# Pool worker
+# The pool: local workers on a temporary queue
 # ---------------------------------------------------------------------------
 
 
-def _apply_injection(job: SweepJob, attempt: int) -> None:
-    """Honour a job's failure-injection knobs (tests only; guarded by
-    the worker environment marker)."""
-    inject = dict(job.inject or {})
-    if not inject or _WORKER_ENV not in os.environ:
-        return
-    if attempt <= int(inject.get("crash_attempts", 0)):
-        os._exit(32)  # simulate a hard worker death (segfault/OOM kill)
-    if attempt <= int(inject.get("hang_attempts", 0)):
-        time.sleep(float(inject.get("hang_seconds", 3600.0)))
-    if attempt <= int(inject.get("fail_attempts", 0)):
-        raise RuntimeError(f"injected failure (attempt {attempt})")
-
-
-def _worker_main(worker_id: int, task_q, result_q, cache_root: str | None):
-    """One pool worker: executes one task at a time until poisoned.
-    Keeps a process-lifetime PassManager so repeated points of the same
+def _pool_worker(
+    worker_id: int,
+    root: str,
+    lease_ttl: float,
+    max_attempts: int,
+    cache_root: str | None,
+) -> None:
+    """One pool child: runs the claim loop on the sweep's temporary
+    queue until nothing is claimable.  Keeps a process-lifetime
+    PassManager and compile memo, so repeated points of the same
     program share parse + front-end analyses even on cache misses."""
-    os.environ[_WORKER_ENV] = str(worker_id)
+    queue = JobQueue(
+        Path(root) / "queue.sqlite",
+        lease_ttl=lease_ttl,
+        max_attempts=max_attempts,
+    )
     cache = CompileCache(cache_root) if cache_root else None
     manager = PassManager()
     memo: dict = {}
-    while True:
-        task = task_q.get()
-        if task is None:
-            return
-        index, attempt, job = task
-        try:
-            _apply_injection(job, attempt)
+
+    def evaluate(claim, commit) -> None:
+        for idx, job in claim.points:
             result = execute_job(job, manager=manager, cache=cache, memo=memo)
-        except Exception:
-            result = SweepResult(
-                label=job.label,
-                program=job.program,
-                mode=job.mode,
-                procs=job.procs,
-                options=job.options,
-                ok=False,
-                error=traceback.format_exc(),
-            )
-        result_q.put((index, attempt, result))
+            result.worker = f"worker-{worker_id}"
+            result.attempts = claim.attempt
+            commit(idx, result)
+
+    owner = make_owner()
+    while work(queue, owner, evaluate):
+        pass
 
 
-# ---------------------------------------------------------------------------
-# The supervisor
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Worker:
-    id: int
-    proc: multiprocessing.Process
-    task_q: object
-    result_q: object
-    #: (job index, attempt, deadline or None) while busy
-    current: tuple[int, int, float | None] | None = None
-
-
-class _Supervisor:
-    def __init__(
-        self,
-        jobs: Sequence[SweepJob],
-        *,
-        workers: int,
-        timeout: float | None,
-        retries: int,
-        backoff: float,
-        cache: CompileCache | None,
-        tracer: Tracer,
-        metrics: Metrics | None,
-        on_result: Callable[[SweepResult], None] | None,
-    ):
-        self.jobs = jobs
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.cache = cache
-        self.tracer = tracer
-        self.metrics = metrics
-        self.on_result = on_result
-        self.results: dict[int, SweepResult] = {}
-        #: (job index, attempt, earliest dispatch time)
-        self.pending: deque[tuple[int, int, float]] = deque(
-            (index, 1, 0.0) for index in range(len(jobs))
-        )
-        self.ctx = multiprocessing.get_context()
-        self.workers: list[_Worker] = []
-        self.target_workers = workers
-        self.next_worker_id = 0
-        self.fallback_manager: PassManager | None = None
-        self.fallback_memo: dict = {}
-
-    # -- worker lifecycle --------------------------------------------------
-
-    def _spawn_worker(self) -> _Worker | None:
-        try:
-            task_q = self.ctx.Queue()
-            result_q = self.ctx.Queue()
-            worker_id = self.next_worker_id
-            self.next_worker_id += 1
-            proc = self.ctx.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    task_q,
-                    result_q,
-                    str(self.cache.root) if self.cache else None,
-                ),
-                daemon=True,
-                name=f"repro-sweep-{worker_id}",
-            )
-            proc.start()
-        except Exception:
-            return None
-        worker = _Worker(id=worker_id, proc=proc, task_q=task_q, result_q=result_q)
-        self.workers.append(worker)
-        return worker
-
-    def _discard_worker(self, worker: _Worker, *, kill: bool) -> None:
-        self.workers.remove(worker)
-        if kill and worker.proc.is_alive():
-            worker.proc.terminate()
-            worker.proc.join(timeout=1.0)
-            if worker.proc.is_alive():  # pragma: no cover - stubborn child
-                worker.proc.kill()
-                worker.proc.join(timeout=1.0)
-        else:
-            worker.proc.join(timeout=1.0)
-        # the queues die with the worker: a process killed mid-put may
-        # leave its own queue locked, so nothing shared is reused
-
-    def _shutdown(self) -> None:
-        for worker in list(self.workers):
-            try:
-                worker.task_q.put_nowait(None)
-            except Exception:
-                pass
-        deadline = time.monotonic() + 2.0
-        for worker in list(self.workers):
-            worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=1.0)
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _inc(self, name: str, amount: float = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, amount)
-
-    def _record(self, index: int, attempt: int, result: SweepResult) -> None:
-        result.attempts = attempt
-        self.results[index] = result
-        self._inc("sweep.jobs_ok" if result.ok else "sweep.jobs_failed")
-        if result.cache_hit:
-            self._inc("sweep.cache_hits")
-        if result.compile_dedup:
-            self._inc("sweep.compile_dedup")
-        self.tracer.instant(
-            "sweep.job",
-            cat="sweep",
-            label=result.label,
-            ok=result.ok,
-            attempts=attempt,
-            worker=result.worker,
-            cache_hit=result.cache_hit,
-            duration_s=round(result.duration_s, 6),
-        )
-        if self.on_result is not None:
-            self.on_result(result)
-
-    def _serial_fallback(self, index: int, attempt: int, reason: str) -> None:
-        """The pool failed this job ``retries + 1`` times: run it here,
-        in-process, so the grid point is never lost."""
-        self._inc("sweep.serial_fallbacks")
-        if self.fallback_manager is None:
-            self.fallback_manager = PassManager()
-        job = self.jobs[index]
-        result = execute_job(
-            job,
-            manager=self.fallback_manager,
-            cache=self.cache,
-            memo=self.fallback_memo,
-        )
-        result.worker = "serial-fallback"
-        if not result.ok and result.error is not None:
-            result.error = f"{reason}; serial fallback also failed:\n{result.error}"
-        self._record(index, attempt, result)
-
-    def _requeue(self, index: int, attempt: int, reason: str) -> None:
-        if attempt > self.retries:
-            self._serial_fallback(index, attempt, reason)
-            return
-        self._inc("sweep.retries")
-        delay = self.backoff * (2 ** (attempt - 1))
-        self.pending.append((index, attempt + 1, time.monotonic() + delay))
-
-    # -- the loop ----------------------------------------------------------
-
-    def run(self) -> list[SweepResult]:
-        total = len(self.jobs)
-        try:
-            while len(self.results) < total:
-                progressed = self._drain_results()
-                progressed |= self._reap_failures()
-                progressed |= self._dispatch()
-                if len(self.results) >= total:
-                    break
-                if not self.workers and self.pending:
-                    # the pool cannot be (re)built: degrade fully
-                    while self.pending:
-                        index, attempt, _ = self.pending.popleft()
-                        self._serial_fallback(
-                            index, attempt, "worker pool unavailable"
-                        )
-                    break
-                if not progressed:
-                    # short poll: warm (cache-hit) jobs complete in
-                    # single-digit milliseconds, so a coarse sleep here
-                    # would dominate the whole sweep's wall clock
-                    time.sleep(0.001)
-        finally:
-            self._shutdown()
-        return [self.results[index] for index in range(total)]
-
-    def _drain_results(self) -> bool:
-        progressed = False
-        for worker in list(self.workers):
-            while True:
-                try:
-                    index, attempt, result = worker.result_q.get_nowait()
-                except (queue_mod.Empty, OSError, EOFError):
-                    break
-                result.worker = f"worker-{worker.id}"
-                worker.current = None
-                self._record(index, attempt, result)
-                progressed = True
-        return progressed
-
-    def _reap_failures(self) -> bool:
-        progressed = False
-        now = time.monotonic()
-        for worker in list(self.workers):
-            if worker.current is None:
-                if not worker.proc.is_alive():
-                    # idle worker died (startup failure): just drop it
-                    self._discard_worker(worker, kill=False)
-                    progressed = True
-                continue
-            index, attempt, deadline = worker.current
-            if not worker.proc.is_alive():
-                self._inc("sweep.worker_crashes")
-                self._discard_worker(worker, kill=False)
-                self._requeue(index, attempt, "worker crashed")
-                progressed = True
-            elif deadline is not None and now > deadline:
-                self._inc("sweep.timeouts")
-                self._discard_worker(worker, kill=True)
-                self._requeue(
-                    index, attempt, f"timed out after {self.timeout}s"
-                )
-                progressed = True
-        return progressed
-
-    def _dispatch(self) -> bool:
-        progressed = False
-        now = time.monotonic()
-        remaining = len(self.jobs) - len(self.results)
-        busy = sum(1 for w in self.workers if w.current is not None)
-        while (
-            len(self.workers) < min(self.target_workers, remaining)
-            and len(self.workers) - busy == 0
-            and self.pending
-        ):
-            if self._spawn_worker() is None:
-                break
-        for worker in self.workers:
-            if worker.current is not None or not self.pending:
-                continue
-            index, attempt, ready = self.pending[0]
-            if ready > now:
-                continue
-            self.pending.popleft()
-            deadline = now + self.timeout if self.timeout else None
-            try:
-                worker.task_q.put((index, attempt, self.jobs[index]))
-            except Exception:
-                self._discard_worker(worker, kill=True)
-                self._requeue(index, attempt, "task dispatch failed")
-                continue
-            worker.current = (index, attempt, deadline)
-            progressed = True
-        return progressed
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-
-def _run_job_list(
+def _run_pool(
     jobs: Sequence[SweepJob],
     *,
     workers: int,
     timeout: float | None,
     retries: int,
-    backoff: float,
     cache: CompileCache | None,
-    manager: PassManager | None,
-    tracer: Tracer,
     metrics: Metrics | None,
-    on_result: Callable[[SweepResult], None] | None,
+    record: Callable[[SweepResult], None],
 ) -> list[SweepResult]:
-    """The per-job execution paths (serial in-process, or the
-    supervised pool), shared by the pool mode and the batched mode's
-    non-batchable remainder."""
-    if workers <= 1 or len(jobs) == 1:
-        shared = manager or PassManager(tracer=tracer)
-        memo: dict = {}
-        results = []
-        for job in jobs:
-            with tracer.span("sweep.job", cat="sweep", label=job.label):
-                result = execute_job(
-                    job, manager=shared, cache=cache, memo=memo
+    """The coordinator: submit ``jobs`` to a temporary queue, keep
+    ``workers`` children claiming from it, and ``record`` each point
+    as its commit shows up in the event log."""
+
+    def inc(name: str, amount: float = 1) -> None:
+        if metrics is not None and amount:
+            metrics.inc(name, amount)
+
+    results: dict[int, SweepResult] = {}
+    fallback_manager = PassManager()
+    fallback_memo: dict = {}
+
+    def run_here(index: int, attempts: int, reason: str) -> None:
+        """The pool could not finish this point: run it in this
+        process, so the grid point is never lost.  No claim is taken,
+        so the fault hook of :func:`repro.jobqueue.work` cannot fire."""
+        inc("sweep.serial_fallbacks")
+        result = execute_job(
+            jobs[index],
+            manager=fallback_manager,
+            cache=cache,
+            memo=fallback_memo,
+        )
+        result.worker = "serial-fallback"
+        result.attempts = attempts
+        if not result.ok and result.error is not None:
+            result.error = f"{reason}; serial fallback also failed:\n{result.error}"
+        results[index] = result
+        record(result)
+
+    lease_ttl = timeout if timeout else float("inf")
+    with tempfile.TemporaryDirectory(
+        prefix="repro-sweep-", ignore_cleanup_errors=True
+    ) as root:
+        queue = JobQueue(
+            Path(root) / "queue.sqlite",
+            lease_ttl=lease_ttl,
+            max_attempts=retries + 1,
+        )
+        pool = LocalWorkers(
+            queue,
+            _pool_worker,
+            (root, lease_ttl, retries + 1, str(cache.root) if cache else None),
+            workers,
+        )
+        try:
+            job_id = queue.submit(
+                jobs,
+                [job.label for job in jobs],
+                [[index] for index in range(len(jobs))],
+            )
+            seen = 0
+            while len(results) < len(jobs):
+                events = queue.events_since(job_id, seen)
+                landed = [e.payload["idx"] for e in events if e.kind == "point"]
+                for index, result in queue.point_results(job_id, landed):
+                    if result.worker == "abandoned":
+                        run_here(index, result.attempts, result.error)
+                    else:
+                        results[index] = result
+                        record(result)
+                crashed, timed_out = pool.tend()
+                inc("sweep.worker_crashes", crashed)
+                inc("sweep.timeouts", timed_out)
+                inc(  # a retry is a point handed out again
+                    "sweep.retries",
+                    sum(e.payload["pending"] for e in events if e.kind == "reclaimed"),
                 )
-            if metrics is not None:
-                metrics.inc(
-                    "sweep.jobs_ok" if result.ok else "sweep.jobs_failed"
-                )
-                if result.cache_hit:
-                    metrics.inc("sweep.cache_hits")
-                if result.compile_dedup:
-                    metrics.inc("sweep.compile_dedup")
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-        return results
-    supervisor = _Supervisor(
-        jobs,
-        workers=workers,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        cache=cache,
-        tracer=tracer,
-        metrics=metrics,
-        on_result=on_result,
-    )
-    return supervisor.run()
+                if pool.stalled:
+                    for index in range(len(jobs)):
+                        if index not in results:
+                            run_here(index, 1, "worker pool unavailable")
+                elif events:
+                    seen = events[-1].seq
+                else:
+                    # short poll: warm (cache-hit) jobs complete in
+                    # single-digit milliseconds, so a coarse sleep here
+                    # would dominate the whole sweep's wall clock
+                    pool.wait(0.002)
+        finally:
+            pool.shutdown()
+            queue.close()
+    return [results[index] for index in range(len(jobs))]
+
+
+# ---------------------------------------------------------------------------
+# Entry point
+# ---------------------------------------------------------------------------
 
 
 def run_sweep(
@@ -497,7 +271,6 @@ def run_sweep(
     workers: int | None = None,
     timeout: float | None = None,
     retries: int = 2,
-    backoff: float = 0.1,
     cache: CompileCache | str | os.PathLike | bool | None = None,
     manager: PassManager | None = None,
     tracer: Tracer | None = None,
@@ -510,22 +283,22 @@ def run_sweep(
     ``workers``: None picks ``min(cpu_count, job count)``; 0 or 1
     forces in-process serial execution (sharing ``manager`` across
     points, so front-end analyses are reused like the table builders
-    always did).  ``timeout`` is per job, in seconds; ``retries``
-    bounds how often a crashed or timed-out job is redispatched
-    (with ``backoff * 2**attempt`` delays) before the supervisor runs
-    it serially itself.  ``cache`` enables the persistent compile
+    always did).  ``timeout`` is per job, in seconds (the lease a pool
+    worker holds it under); ``retries`` bounds how often a job whose
+    worker crashed or timed out is handed out again before the
+    coordinator runs it in-process itself.  ``cache`` enables the persistent compile
     cache (path, True for the default root, or a
     :class:`CompileCache`).
 
     ``mode`` picks the execution strategy: ``"pool"`` runs every job
-    through the per-job paths above; ``"batched"`` routes
+    on its own, serially or on the worker pool; ``"batched"`` routes
     simulate/estimate points through the vectorized batch evaluator
     (:mod:`repro.sweep.batched`) — points differing only in machine
     parameters share one simulation, points differing only in the
     processor count fuse into procs sub-groups of one batch (sharing
     compiles where the resolved grid agrees and, in estimate mode, one
     procs-lane estimator pass), repeated compiles dedupe — with everything
-    non-batchable falling back to the pool; ``"auto"`` (default) uses
+    non-batchable run per job; ``"auto"`` (default) uses
     the batched path exactly when some batch has two or more lanes to
     fuse.  Results are identical across modes (the parity suite
     byte-compares them); only the wall clock differs.
@@ -560,11 +333,10 @@ def run_sweep(
     ):
         merged: dict[int, SweepResult] = {}
         if batches:
-            shared = manager or PassManager(tracer=tracer)
             merged.update(
                 run_batched(
                     batches,
-                    manager=shared,
+                    manager=manager or PassManager(tracer=tracer),
                     cache=disk_cache,
                     memo={},
                     tracer=tracer,
@@ -572,20 +344,34 @@ def run_sweep(
                     on_result=on_result,
                 )
             )
-        if leftover:
-            rest_results = _run_job_list(
-                [jobs[i] for i in leftover],
-                workers=min(workers, len(leftover)),
-                timeout=timeout,
-                retries=retries,
-                backoff=backoff,
-                cache=disk_cache,
-                manager=manager,
-                tracer=tracer,
-                metrics=metrics,
-                on_result=on_result,
+        record = partial(
+            record_result, tracer=tracer, metrics=metrics, on_result=on_result
+        )
+        rest = [jobs[i] for i in leftover]
+        if len(rest) > 1 and workers > 1:
+            merged.update(
+                zip(
+                    leftover,
+                    _run_pool(
+                        rest,
+                        workers=min(workers, len(rest)),
+                        timeout=timeout,
+                        retries=retries,
+                        cache=disk_cache,
+                        metrics=metrics,
+                        record=record,
+                    ),
+                )
             )
-            merged.update(zip(leftover, rest_results))
+        elif rest:
+            shared = manager or PassManager(tracer=tracer)
+            memo: dict = {}
+            for index, job in zip(leftover, rest):
+                with tracer.span("sweep.job", cat="sweep", label=job.label):
+                    merged[index] = execute_job(
+                        job, manager=shared, cache=disk_cache, memo=memo
+                    )
+                record(merged[index])
         results = [merged[i] for i in range(len(jobs))]
 
     if metrics is not None and disk_cache is not None:

@@ -58,10 +58,6 @@ class SweepJob:
     #: rng seed for generated simulator inputs
     seed: int = 0
     label: str = ""
-    #: failure-injection knobs, honoured only inside pool workers (the
-    #: engine's crash/timeout tests): ``crash_attempts`` /
-    #: ``hang_attempts`` (+ ``hang_seconds``) / ``fail_attempts``
-    inject: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -73,6 +69,19 @@ class SweepJob:
             object.__setattr__(
                 self, "label", f"{self.program}[p={procs}{suffix}]"
             )
+
+    def result(self, **fields: Any) -> "SweepResult":
+        """This point's result record: the identifying fields copied
+        from the job, the rest (``ok``, ``worker``, measurements, ...)
+        from ``fields``."""
+        return SweepResult(
+            label=self.label,
+            program=self.program,
+            mode=self.mode,
+            procs=self.procs,
+            options=self.options,
+            **fields,
+        )
 
 
 @dataclass
@@ -163,7 +172,10 @@ class SweepResult:
     error: str | None = None
     #: executions needed (1 = first try; crashes/timeouts retry)
     attempts: int = 1
-    #: "serial", "worker-N", or "serial-fallback"
+    #: where the point ran: "serial", "worker-N", "serial-fallback",
+    #: "batched", "batched-fallback", "catalog" (a service reuse) — or
+    #: "abandoned": no run finished, the queue gave the point up after
+    #: its shard's last allowed claim (``ok=False``)
     worker: str = "serial"
     #: the compile came from the persistent cache
     cache_hit: bool = False

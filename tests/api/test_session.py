@@ -244,7 +244,7 @@ class TestRetiredShims:
         assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
             "attr": "repro.__version__"
         }
-        assert repro.__version__ == "1.3.0"
+        assert repro.__version__ == "1.4.0"
 
 
 class TestCompileManyJobs:

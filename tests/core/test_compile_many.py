@@ -93,7 +93,7 @@ def test_batch_preserves_job_order_across_sources():
     assert results[1].proc.name == "DGEFA"
     assert results[2].proc.name == "TOMCATV"
     assert results[2].options.strategy == "replication"
-    # grouping by source: jobs 0 and 2 share one parsed procedure
+    # one shared manager: jobs 0 and 2 share one parsed procedure
     assert results[0].proc is results[2].proc
 
 
@@ -104,23 +104,32 @@ def test_batch_accepts_tuples_and_plain_sources():
     assert results[1].options.strategy == "producer"
 
 
-def test_batch_on_forced_process_pool():
-    """Workers compile groups in their own processes and ship the
-    CompiledPrograms back over pickle."""
+def test_batch_interleaved_sources_keep_job_order_and_parse_once():
+    """Jobs alternating between sources come back in job order, and
+    the shared manager still parses each source exactly once."""
+    tomcatv = tomcatv_source(n=33, niter=1, procs=4)
+    dgefa = dgefa_source(n=50, procs=4)
     jobs = [
-        BatchJob(tomcatv_source(n=33, niter=1, procs=4), CompilerOptions()),
-        BatchJob(dgefa_source(n=50, procs=4), CompilerOptions(align_reductions=False)),
+        BatchJob(tomcatv, CompilerOptions()),
+        BatchJob(dgefa, CompilerOptions(align_reductions=False)),
+        BatchJob(tomcatv, CompilerOptions(strategy="producer")),
+        BatchJob(dgefa, CompilerOptions()),
     ]
-    results = compile_many(jobs, processes=2)
+    results = compile_many(jobs)
     fresh = [compile_source(j.source, j.options) for j in jobs]
     for compiled, expected in zip(results, fresh):
         assert canonical(compiled.report()) == canonical(expected.report())
+    assert [r.timings.cache_hit("parse") for r in results] == [
+        False, False, True, True,
+    ]
+    assert results[0].proc is results[2].proc
+    assert results[1].proc is results[3].proc
 
 
 def test_batch_with_explicit_manager_retains_cache():
     manager = PassManager()
     src = tomcatv_source(n=33, niter=1, procs=4)
-    compile_many([(src, CompilerOptions())], processes=1, manager=manager)
+    compile_many([(src, CompilerOptions())], manager=manager)
     followup = compile_source(src, CompilerOptions(strategy="producer"), manager=manager)
     assert followup.timings.cache_hit("parse")
     assert followup.timings.cache_hit("ssa")

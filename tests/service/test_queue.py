@@ -117,6 +117,52 @@ class TestClaimLease:
         assert queue.claim("elsewhere:999999:far") is not None
         assert queue.claim(make_owner()) is None
 
+    def test_attempts_are_bounded(self, tmp_path):
+        """A shard every claimant abandons stops being handed out at
+        ``max_attempts``: its pending points fail, the job ends."""
+        queue = JobQueue(tmp_path / "q.sqlite", lease_ttl=0)
+        jobs = _spec().jobs()
+        job_id = _submit(queue, jobs, shards=1)
+        first = queue.claim("remotehost:1:a")
+        idx, job = first.points[0]
+        queue.complete_point(job_id, idx, _result(job))  # then abandons
+        handed_out = [first] + [
+            queue.claim(f"remotehost:{n}:x") for n in range(2, 51)
+        ]
+        attempts = [c.attempt for c in handed_out if c is not None]
+        assert attempts == list(range(1, queue.max_attempts + 1))
+        status = queue.status(job_id)
+        assert status.state == "done" and status.terminal
+        assert status.done == len(jobs) and status.failed == len(jobs) - 1
+        results = queue.results(job_id)
+        assert results[idx].ok and results[idx].worker == "test"
+        for result in results[1:]:
+            assert not result.ok and result.worker == "abandoned"
+            assert "abandoned after 3 attempts" in result.error
+            assert "remotehost:3:x" in result.error  # the last owner
+        kinds = [e.kind for e in queue.events_since(job_id)]
+        assert kinds.count("point") == len(jobs)
+        assert kinds[-2:] == ["abandoned", "done"]
+
+    def test_late_commit_after_reclaim_lands_once(self, tmp_path):
+        """The original owner of a reclaimed shard finishing late does
+        not duplicate a point: whoever commits first wins."""
+        queue = JobQueue(tmp_path / "q.sqlite", lease_ttl=0)
+        jobs = _spec().jobs()
+        job_id = _submit(queue, jobs, shards=1)
+        slow = queue.claim("remotehost:1:slow")
+        fast = queue.claim("remotehost:2:fast")
+        assert fast.shard == slow.shard and fast.attempt == 2
+        for idx, job in fast.points:
+            assert queue.complete_point(job_id, idx, _result(job, worker="fast"))
+        for idx, job in slow.points:
+            assert not queue.complete_point(job_id, idx, _result(job, worker="slow"))
+        assert not queue.finish_shard(job_id, slow.shard, "remotehost:1:slow")
+        assert queue.finish_shard(job_id, fast.shard, "remotehost:2:fast")
+        assert {r.worker for r in queue.results(job_id)} == {"fast"}
+        kinds = [e.kind for e in queue.events_since(job_id)]
+        assert kinds.count("point") == len(jobs)
+
 
 class TestCompletion:
     def test_complete_all_points_finishes_job(self, tmp_path):

@@ -10,9 +10,11 @@ import subprocess
 import sys
 
 import repro
+from repro.jobqueue import FAULT_EXIT_CODE
+from repro.jobqueue.worker import _FAULT_ENV
 from repro.records import comparable
-from repro.service import KILL_AFTER_ENV, SweepService
-from repro.service.service import KILLED_EXIT_CODE
+from repro.service import SweepService
+from repro.sweep import run_sweep
 from repro.sweep.spec import SweepSpec
 
 from pathlib import Path
@@ -37,13 +39,12 @@ def _spec(procs=(2, 3, 4, 5)):
     )
 
 
-def _serve_subprocess(root, kill_after=None):
+def _serve_subprocess(root, fault=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC_ROOT)
-    if kill_after is not None:
-        env[KILL_AFTER_ENV] = str(kill_after)
-    else:
-        env.pop(KILL_AFTER_ENV, None)
+    env.pop(_FAULT_ENV, None)
+    if fault is not None:
+        env[_FAULT_ENV] = fault
     return subprocess.run(
         [sys.executable, "-c", _SERVE_SNIPPET, str(root)],
         env=env,
@@ -74,10 +75,13 @@ class TestCrashRecovery:
         # submit, then kill the serving subprocess after 2 commits
         client = SweepService(tmp_path / "svc")
         handle = client.submit(spec, shards=n_points)
-        killed = _serve_subprocess(tmp_path / "svc", kill_after=2)
-        assert killed.returncode == KILLED_EXIT_CODE, killed.stderr
+        second = spec.jobs()[1].label
+        killed = _serve_subprocess(
+            tmp_path / "svc", fault=f"exit@committed:label={second}"
+        )
+        assert killed.returncode == FAULT_EXIT_CODE, killed.stderr
         partial = handle.poll()
-        assert 0 < partial.done < n_points
+        assert partial.done == 2
         assert partial.state == "running"
 
         # a fresh worker (new pid) resumes and drains the job: the dead
@@ -103,10 +107,40 @@ class TestCrashRecovery:
         service = SweepService(tmp_path / "svc")
         handle = service.submit(spec, shards=2)
 
-        monkeypatch.setenv(KILL_AFTER_ENV, "1")
+        monkeypatch.setenv(_FAULT_ENV, "exit@committed")
         exits = []
-        monkeypatch.setattr(os, "_exit", lambda code: exits.append(code))
+        monkeypatch.setattr(
+            os, "_exit", lambda code: exits.append((code, handle.poll().done))
+        )
         service.run_next()
-        assert exits == [KILLED_EXIT_CODE]
-        assert handle.poll().done == 1
+        assert exits == [(FAULT_EXIT_CODE, 1)]
         service.close()
+
+    def test_poison_point_ends_the_job_instead_of_circulating(self, tmp_path):
+        """A point that kills every worker that evaluates it is given
+        up after the queue's attempt bound: it comes back ``ok=False``,
+        the job still ends, and nothing else is lost or re-run."""
+        spec = _spec(procs=(2, 3, 4))
+        jobs = spec.jobs()
+        poison = jobs[1]
+        client = SweepService(tmp_path / "svc")
+        handle = client.submit(spec, shards=len(jobs))
+        fault = f"exit@evaluating:label={poison.label}"
+        for _ in range(client.queue.max_attempts):
+            died = _serve_subprocess(tmp_path / "svc", fault=fault)
+            assert died.returncode == FAULT_EXIT_CODE, died.stderr
+            assert not handle.poll().terminal
+        # the next claimant finds the bound used up and gives the shard up
+        drained = _serve_subprocess(tmp_path / "svc", fault=fault)
+        assert drained.returncode == 0, drained.stderr
+
+        results = handle.result(timeout=0)
+        status = handle.poll()
+        assert status.state == "done" and status.failed == 1
+        bad = results[1]
+        assert not bad.ok and bad.worker == "abandoned"
+        assert f"abandoned after {client.queue.max_attempts} attempts" in bad.error
+        direct = run_sweep(jobs, workers=0, mode="pool")
+        assert _canon(results[:1] + results[2:]) == _canon(direct[:1] + direct[2:])
+        assert [client.catalog.evaluations(j) for j in jobs] == [1, 0, 1]
+        client.close()

@@ -1,5 +1,6 @@
 """SweepService end-to-end: byte-parity with direct sweeps, catalog
-reuse, the JobHandle client surface, sharding, and backends."""
+reuse, the JobHandle client surface, sharding, and supervised
+workers."""
 
 import json
 
@@ -9,14 +10,7 @@ from repro import Session
 from repro.obs import Metrics
 from repro.programs import tomcatv_source
 from repro.records import comparable
-from repro.service import (
-    InlineBackend,
-    JobFailed,
-    PoolBackend,
-    SweepService,
-    as_backend,
-    shard_jobs,
-)
+from repro.service import JobFailed, SweepService, shard_jobs
 from repro.sweep.spec import SweepSpec
 
 
@@ -149,33 +143,28 @@ class TestSessionSubmit:
         handle.service.close()
 
 
-class TestBackends:
-    def test_as_backend_forms(self):
-        assert isinstance(as_backend(None), InlineBackend)
-        assert isinstance(as_backend("inline"), InlineBackend)
-        pool = as_backend("pool:3")
-        assert isinstance(pool, PoolBackend) and pool.workers == 3
-        backend = InlineBackend()
-        assert as_backend(backend) is backend
-        with pytest.raises(ValueError, match="unknown worker backend"):
-            as_backend("cloud")
-        with pytest.raises(TypeError, match="not a worker backend"):
-            as_backend(42)
-
-    def test_pool_backend_matches_inline(self, tmp_path):
-        spec = _spec()
-        inline = SweepService(tmp_path / "a", backend="inline")
-        handle = inline.submit(spec)
-        inline.serve_forever(once=True)
+class TestWorkers:
+    def test_supervised_workers_match_in_process_serving(self, tmp_path):
+        spec = _spec(procs=(2, 3, 4, 5))
+        inline = SweepService(tmp_path / "a")
+        handle = inline.submit(spec, shards=4)
+        assert inline.serve_forever(once=True) == 4
         inline_results = handle.result(timeout=60)
         inline.close()
 
-        pool = SweepService(tmp_path / "b", backend="pool:2")
-        handle = pool.submit(spec)
-        pool.serve_forever(once=True)
-        pool_results = handle.result(timeout=120)
-        pool.close()
-        assert _canon(inline_results) == _canon(pool_results)
+        pooled = SweepService(tmp_path / "b")
+        handle = pooled.submit(spec, shards=4)
+        assert pooled.serve_forever(once=True, workers=2) == 4
+        pooled_results = handle.result(timeout=0)
+        owners = {
+            event.payload["owner"]
+            for event in handle.stream_events(timeout=5)
+            if event.kind == "claimed"
+        }
+        assert pooled.owner not in owners  # children served, not the parent
+        assert all(pooled.catalog.evaluations(j) == 1 for j in spec.jobs())
+        pooled.close()
+        assert _canon(inline_results) == _canon(pooled_results)
 
 
 class TestShardJobs:

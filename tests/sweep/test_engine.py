@@ -1,12 +1,13 @@
 """The sweep engine: grid expansion, serial/parallel parity, and the
-supervised failure paths (crash retry, timeout kill, serial
-fallback)."""
+pool's failure paths (crash retry, timeout kill, serial fallback) —
+the full step-by-step fault matrix is tests/test_fault_matrix.py."""
 
 import time
 
 import pytest
 
 from repro.core.driver import CompilerOptions
+from repro.jobqueue.worker import _FAULT_ENV
 from repro.obs import Metrics
 from repro.programs import dgefa_source, tomcatv_source
 from repro.sweep import SweepJob, SweepResult, SweepSpec, run_sweep
@@ -107,13 +108,6 @@ class TestSerial:
         )
         assert not r.ok and "ParseError" in r.error
 
-    def test_injection_is_inert_outside_workers(self):
-        (r,) = run_sweep(
-            [_job(inject={"crash_attempts": 99, "fail_attempts": 99})],
-            workers=0,
-        )
-        assert r.ok and r.worker == "serial"
-
 
 class TestParallel:
     def test_parity_with_serial(self):
@@ -132,14 +126,12 @@ class TestParallel:
             assert p.total_time == pytest.approx(s.total_time, abs=0, rel=0)
             assert p.worker.startswith("worker-")
 
-    def test_crash_is_retried(self):
+    def test_crash_is_retried(self, monkeypatch):
+        monkeypatch.setenv(_FAULT_ENV, "exit@evaluating:label=crashy:attempts=1")
         metrics = Metrics()
-        jobs = [
-            _job("crashy", inject={"crash_attempts": 1}),
-            _job(),
-        ]
+        jobs = [_job("crashy"), _job()]
         results = run_sweep(
-            jobs, workers=2, retries=2, backoff=0.02, timeout=120,
+            jobs, workers=2, retries=2, timeout=120, mode="pool",
             metrics=metrics,
         )
         crashy = next(r for r in results if r.label == "crashy")
@@ -147,33 +139,31 @@ class TestParallel:
         assert metrics.counters["sweep.worker_crashes"] == 1
         assert metrics.counters["sweep.retries"] == 1
 
-    def test_exhausted_retries_fall_back_to_serial(self):
+    def test_exhausted_retries_fall_back_to_serial(self, monkeypatch):
+        monkeypatch.setenv(_FAULT_ENV, "exit@evaluating:label=doomed")
         metrics = Metrics()
-        jobs = [
-            _job("doomed", inject={"crash_attempts": 99}),
-            _job(),
-        ]
+        jobs = [_job("doomed"), _job()]
         results = run_sweep(
-            jobs, workers=2, retries=1, backoff=0.02, timeout=120,
+            jobs, workers=2, retries=1, timeout=120, mode="pool",
             metrics=metrics,
         )
         doomed = next(r for r in results if r.label == "doomed")
         assert doomed.ok
-        assert doomed.worker == "serial-fallback"
+        assert doomed.worker == "serial-fallback" and doomed.attempts == 2
         assert metrics.counters["sweep.serial_fallbacks"] == 1
+        assert metrics.counters["sweep.worker_crashes"] == 2
+        assert metrics.counters["sweep.retries"] == 1
         # the fallback's numbers agree with a plain serial run
         (reference,) = run_sweep([_job()], workers=0)
         assert doomed.total_time == pytest.approx(reference.total_time)
 
-    def test_timeout_kills_and_retries(self):
+    def test_timeout_kills_and_retries(self, monkeypatch):
+        monkeypatch.setenv(_FAULT_ENV, "hang@evaluating:label=hang:attempts=1")
         metrics = Metrics()
-        jobs = [
-            _job("hang", inject={"hang_attempts": 1, "hang_seconds": 120}),
-            _job(),
-        ]
+        jobs = [_job("hang"), _job()]
         start = time.monotonic()
         results = run_sweep(
-            jobs, workers=2, retries=2, backoff=0.02, timeout=2.0,
+            jobs, workers=2, retries=2, timeout=2.0, mode="pool",
             metrics=metrics,
         )
         assert time.monotonic() - start < 60
@@ -181,12 +171,12 @@ class TestParallel:
         assert hang.ok and hang.attempts == 2
         assert metrics.counters["sweep.timeouts"] == 1
 
-    def test_deterministic_failure_is_not_retried(self):
-        jobs = [
-            _job("raiser", inject={"fail_attempts": 5}),
-            _job(),
-        ]
-        results = run_sweep(jobs, workers=2, retries=3, timeout=120)
+    def test_deterministic_failure_is_not_retried(self, monkeypatch):
+        monkeypatch.setenv(_FAULT_ENV, "raise@evaluating:label=raiser")
+        jobs = [_job("raiser"), _job()]
+        results = run_sweep(
+            jobs, workers=2, retries=3, timeout=120, mode="pool"
+        )
         raiser = next(r for r in results if r.label == "raiser")
         assert not raiser.ok
         assert raiser.attempts == 1
@@ -194,9 +184,13 @@ class TestParallel:
 
     def test_disk_cache_shared_across_workers(self, tmp_path):
         jobs = [_job(), _job(options=CompilerOptions(num_procs=4), procs=4)]
-        cold = run_sweep(jobs, workers=2, cache=tmp_path, timeout=120)
+        cold = run_sweep(
+            jobs, workers=2, cache=tmp_path, timeout=120, mode="pool"
+        )
         assert not any(r.cache_hit for r in cold)
-        warm = run_sweep(jobs, workers=2, cache=tmp_path, timeout=120)
+        warm = run_sweep(
+            jobs, workers=2, cache=tmp_path, timeout=120, mode="pool"
+        )
         assert all(r.cache_hit for r in warm)
         for c, w in zip(cold, warm):
             assert w.total_time == pytest.approx(c.total_time, abs=0, rel=0)

@@ -79,7 +79,6 @@ class TestPartitionInvariant:
             _job(options=CompilerOptions(num_procs=2, machine=FAST)),  # lane 1
             _job(mode="compile"),  # leftover: not batchable
             _job(mode="estimate"),  # batch B (mode differs)
-            _job(inject={"fail_attempts": 1}),  # leftover: inject
             # lane 2 of batch A: the procs axis is a lane dimension
             # now, so a different count is a sub-group, not a new batch
             _job(procs=4, options=CompilerOptions(num_procs=4)),
@@ -89,7 +88,7 @@ class TestPartitionInvariant:
         batched_indices = [i for b in batches for i in b.indices]
         assert sorted(batched_indices + leftover) == list(range(len(jobs)))
         assert len(set(batched_indices)) == len(batched_indices)
-        assert leftover == [2, 4]
+        assert leftover == [2]
         by_len = sorted(len(b) for b in batches)
         assert by_len == [1, 4]
         # batch A splits into one sub-group per compiled program
