@@ -21,6 +21,7 @@ including the per-nest tier decisions and how many takeovers each nest
 committed — land in ``BENCH_simulator.json`` at the repository root.
 """
 
+import gc
 import json
 import os
 import pathlib
@@ -188,21 +189,31 @@ def test_engine_speedups(name, source, inputs, gates):
     assert compiled.lowering.assigns
     tierplan = compiled.tierplan  # plans over compiled.slabs
 
-    started = time.perf_counter()
-    slow = simulate(compiled, inputs, tier="interpreted")
-    interpreted_s = time.perf_counter() - started
+    # Collector off for the four single-shot timings: a full collection
+    # landing inside one ~12 ms smoke-size run reads as that tier being
+    # 3x slower, and which run it lands in moves with how many objects
+    # the process happened to allocate before (it moved when `import
+    # repro` stopped loading concurrent.futures).
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        slow = simulate(compiled, inputs, tier="interpreted")
+        interpreted_s = time.perf_counter() - started
 
-    started = time.perf_counter()
-    fast = simulate(compiled, inputs, tier="lowered")
-    lowered_s = time.perf_counter() - started
+        started = time.perf_counter()
+        fast = simulate(compiled, inputs, tier="lowered")
+        lowered_s = time.perf_counter() - started
 
-    started = time.perf_counter()
-    slab = simulate(compiled, inputs, tier="slab")
-    slab_s = time.perf_counter() - started
+        started = time.perf_counter()
+        slab = simulate(compiled, inputs, tier="slab")
+        slab_s = time.perf_counter() - started
 
-    started = time.perf_counter()
-    auto = simulate(compiled, inputs, tier="auto")
-    auto_s = time.perf_counter() - started
+        started = time.perf_counter()
+        auto = simulate(compiled, inputs, tier="auto")
+        auto_s = time.perf_counter() - started
+    finally:
+        gc.enable()
 
     tracer_overhead, traced = _tracer_overhead(compiled, inputs)
     counts = _slab_counts(compiled, inputs)

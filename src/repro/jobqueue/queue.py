@@ -643,6 +643,8 @@ class JobQueue:
     ) -> list[tuple[int, SweepResult]]:
         """``(grid index, result)`` of the given finished points — what
         an event-log tail reads after seeing their ``point`` events."""
+        if not indices:
+            return []
         marks = ",".join("?" * len(indices))
         return [
             (row["idx"], pickle.loads(row["result"]))
@@ -667,14 +669,17 @@ class JobQueue:
                 (time.time(),),
             )
         ]
+        top = self.conn.execute(
+            "SELECT COALESCE(MAX(seq), 0) AS top FROM events"
+        ).fetchone()["top"]
         for row in self.conn.execute(
-            "SELECT seq, payload FROM events WHERE kind = 'reclaimed'"
-            " AND seq > ? ORDER BY seq",
-            (since,),
+            "SELECT payload FROM events WHERE kind = 'reclaimed'"
+            " AND seq > ? AND seq <= ?",
+            (since, top),
         ):
-            since = row["seq"]
-            owners.append(json.loads(row["payload"])["lost"])
-        return since, owners
+            # .get: a directory written before 1.4 has no "lost"
+            owners.append(json.loads(row["payload"]).get("lost"))
+        return top, owners
 
     def shards_done(self) -> int:
         """Shards closed so far, over every job in the queue."""
