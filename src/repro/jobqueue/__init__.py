@@ -7,5 +7,5 @@ run it (:mod:`.worker`).  It sits below both users —
 """
 
 from .db import SchemaMismatch
-from .queue import Claim, Event, JobQueue, JobStatus, make_owner
+from .queue import ABANDONED, Claim, Event, JobQueue, JobStatus, make_owner
 from .worker import FAULT_EXIT_CODE, PROTOCOL_STEPS, LocalWorkers, work

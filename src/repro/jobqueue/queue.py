@@ -52,6 +52,10 @@ if TYPE_CHECKING:  # jobs and results cross this module only as pickles
 
 QUEUE_SCHEMA_VERSION = 1
 
+#: ``SweepResult.worker`` of a point no run finished: the queue gave
+#: it up at the attempt bound (see :meth:`JobQueue._give_up`)
+ABANDONED = "abandoned"
+
 #: job states; ``TERMINAL_STATES`` end the job's lifecycle
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
@@ -400,7 +404,7 @@ class JobQueue:
         )
         for point in self._pending_points(job_id, shard):
             result = pickle.loads(point["job"]).result(
-                ok=False, error=error, attempts=attempts, worker="abandoned"
+                ok=False, error=error, attempts=attempts, worker=ABANDONED
             )
             self.complete_point(job_id, point["idx"], result)
         self.conn.execute(

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..core.diskcache import CompileCache, as_compile_cache
 from ..core.passes import PassManager
-from ..jobqueue import JobQueue, LocalWorkers, make_owner, work
+from ..jobqueue import ABANDONED, JobQueue, LocalWorkers, make_owner, work
 from ..obs import Metrics, NULL_TRACER, Tracer
 from .batched import compile_with_memo, plan_batches, record_result, run_batched
 from .spec import SweepJob, SweepResult, SweepSpec
@@ -187,37 +187,45 @@ def _run_pool(
     fallback_manager = PassManager()
     fallback_memo: dict = {}
 
-    def run_here(index: int, attempts: int, reason: str) -> None:
-        """The pool could not finish this point: run it in this
-        process, so the grid point is never lost.  No claim is taken,
-        so the fault hook of :func:`repro.jobqueue.work` cannot fire."""
-        inc("sweep.serial_fallbacks")
-        result = execute_job(
-            jobs[index],
-            manager=fallback_manager,
-            cache=cache,
-            memo=fallback_memo,
-        )
-        result.worker = "serial-fallback"
-        result.attempts = attempts
-        if not result.ok and result.error is not None:
-            result.error = f"{reason}; serial fallback also failed:\n{result.error}"
+    def land(index: int, result: SweepResult) -> None:
+        if result.worker == ABANDONED:
+            # the pool could not finish this point: run it in this
+            # process, so the grid point is never lost.  No claim is
+            # taken, so the fault hook of repro.jobqueue.work cannot fire
+            inc("sweep.serial_fallbacks")
+            reason, attempts = result.error, result.attempts
+            result = execute_job(
+                jobs[index],
+                manager=fallback_manager,
+                cache=cache,
+                memo=fallback_memo,
+            )
+            result.worker = "serial-fallback"
+            result.attempts = attempts
+            if not result.ok and result.error is not None:
+                result.error = (
+                    f"{reason}; serial fallback also failed:\n{result.error}"
+                )
         results[index] = result
         record(result)
 
-    lease_ttl = timeout if timeout else float("inf")
     with tempfile.TemporaryDirectory(
         prefix="repro-sweep-", ignore_cleanup_errors=True
     ) as root:
         queue = JobQueue(
             Path(root) / "queue.sqlite",
-            lease_ttl=lease_ttl,
+            lease_ttl=timeout if timeout else float("inf"),
             max_attempts=retries + 1,
         )
         pool = LocalWorkers(
             queue,
             _pool_worker,
-            (root, lease_ttl, retries + 1, str(cache.root) if cache else None),
+            (
+                root,
+                queue.lease_ttl,
+                queue.max_attempts,
+                str(cache.root) if cache else None,
+            ),
             workers,
         )
         try:
@@ -229,27 +237,29 @@ def _run_pool(
             seen = 0
             while len(results) < len(jobs):
                 events = queue.events_since(job_id, seen)
+                if events:
+                    seen = events[-1].seq
                 landed = [e.payload["idx"] for e in events if e.kind == "point"]
                 for index, result in queue.point_results(job_id, landed):
-                    if result.worker == "abandoned":
-                        run_here(index, result.attempts, result.error)
-                    else:
-                        results[index] = result
-                        record(result)
-                crashed, timed_out = pool.tend()
-                inc("sweep.worker_crashes", crashed)
-                inc("sweep.timeouts", timed_out)
+                    land(index, result)
                 inc(  # a retry is a point handed out again
                     "sweep.retries",
                     sum(e.payload["pending"] for e in events if e.kind == "reclaimed"),
                 )
+                crashed, timed_out = pool.tend()
+                inc("sweep.worker_crashes", crashed)
+                inc("sweep.timeouts", timed_out)
                 if pool.stalled:
-                    for index in range(len(jobs)):
+                    for index, job in enumerate(jobs):
                         if index not in results:
-                            run_here(index, 1, "worker pool unavailable")
-                elif events:
-                    seen = events[-1].seq
-                else:
+                            land(
+                                index,
+                                job.result(
+                                    worker=ABANDONED,
+                                    error="worker pool unavailable",
+                                ),
+                            )
+                elif not events:
                     # short poll: warm (cache-hit) jobs complete in
                     # single-digit milliseconds, so a coarse sleep here
                     # would dominate the whole sweep's wall clock
@@ -286,8 +296,8 @@ def run_sweep(
     always did).  ``timeout`` is per job, in seconds (the lease a pool
     worker holds it under); ``retries`` bounds how often a job whose
     worker crashed or timed out is handed out again before the
-    coordinator runs it in-process itself.  ``cache`` enables the persistent compile
-    cache (path, True for the default root, or a
+    coordinator runs it in-process itself.  ``cache`` enables the
+    persistent compile cache (path, True for the default root, or a
     :class:`CompileCache`).
 
     ``mode`` picks the execution strategy: ``"pool"`` runs every job

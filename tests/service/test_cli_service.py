@@ -62,6 +62,19 @@ class TestJobsLifecycle:
         ]) == 1
         assert "no job 7" in capsys.readouterr().err
 
+    def test_serve_workers_flag_drains_with_child_processes(
+        self, program, tmp_path, capsys
+    ):
+        _, service_dir = _submit(program, tmp_path)
+        _submit(program, tmp_path)
+        capsys.readouterr()
+        assert main([
+            "serve", "--service-dir", service_dir, "--once", "--workers", "2",
+        ]) == 0
+        assert "served 2 shard(s)" in capsys.readouterr().out
+        assert main(["jobs", "status", "--service-dir", service_dir]) == 0
+        assert capsys.readouterr().out.count("done") == 2
+
     def test_cancel(self, program, tmp_path, capsys):
         _, service_dir = _submit(program, tmp_path)
         assert main(["jobs", "cancel", "1", "--service-dir", service_dir]) == 0

@@ -12,7 +12,9 @@ exactly once according to the catalog.
 """
 
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,7 +31,7 @@ from repro.obs import Metrics
 from repro.programs import dgefa_source
 from repro.records import comparable
 from repro.service import SweepService
-from repro.sweep import SweepJob, run_sweep
+from repro.sweep import SweepJob, SweepSpec, run_sweep
 
 _SRC_ROOT = Path(repro.__file__).resolve().parents[1]
 VICTIM = "victim"
@@ -115,6 +117,11 @@ def _jobs():
             ("fourth", "consumer"),
         ]
     ]
+
+
+def _strip_ids(report):
+    # statement ids come from a process-global counter
+    return re.sub(r"\bS\d+\b", "S", report)
 
 
 def _canon(results):
@@ -210,15 +217,15 @@ def test_durable_column(fault, reference, tmp_path):
             assert time.monotonic() < deadline, "job never reached a terminal state"
             for worker in [_serve(client.root, fault) for _ in range(2)]:
                 try:
-                    worker.wait(timeout=2)
+                    _, errors = worker.communicate(timeout=2)
                 except subprocess.TimeoutExpired:
                     left_behind.append(worker)
                 else:
-                    assert worker.returncode in (0, 32), worker.stderr.read()
+                    assert worker.returncode in (0, 32), errors
     finally:
         for worker in left_behind:
             worker.kill()
-            worker.wait()
+            worker.communicate()
     results = handle.result(timeout=0)
     _check(fault, results, reference, fault.durable_ok)
     commits = [
@@ -231,6 +238,52 @@ def test_durable_column(fault, reference, tmp_path):
         1, int(fault.durable_ok), 1, 1,
     ]
     client.close()
+
+
+def test_more_workers_than_cores_each_dying_after_every_commit(monkeypatch):
+    """Stress: four children on a 24-point grid, every one hard-exits
+    right after each point it commits, so every shard is reclaimed
+    once (with nothing left to do).  Each point still lands exactly
+    once, identical to the serial run."""
+    spec = SweepSpec(
+        programs={"dgefa": lambda p: dgefa_source(n=8, procs=p)},
+        procs=(2, 4, 8),
+        axes={
+            "strategy": ("selected", "producer", "replication", "consumer"),
+            "combine_messages": (False, True),
+        },
+        mode="compile",
+    )
+    serial = run_sweep(spec, workers=0, mode="pool")
+    monkeypatch.setenv(_FAULT_ENV, "exit@committed")
+    streamed = []
+    started = time.monotonic()
+    results = run_sweep(
+        spec, workers=4, mode="pool", timeout=120,
+        on_result=lambda r: streamed.append(r.label),
+    )
+    assert time.monotonic() - started < 60
+    assert len(results) == 24
+    assert sorted(streamed) == sorted(r.label for r in serial)
+    assert [r.label for r in results] == [r.label for r in serial]
+    assert all(r.ok and r.attempts == 1 for r in results)
+    assert [_strip_ids(r.report) for r in results] == [
+        _strip_ids(r.report) for r in serial
+    ]
+
+
+def test_pool_that_cannot_start_a_child_runs_everything_itself(
+    reference, monkeypatch
+):
+    def refuse(self):
+        raise OSError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    metrics = Metrics()
+    results = run_sweep(_jobs(), mode="pool", workers=2, metrics=metrics)
+    assert _canon(results) == reference
+    assert {r.worker for r in results} == {"serial-fallback"}
+    assert metrics.counters["sweep.serial_fallbacks"] == len(results)
 
 
 def test_interrupted_pool_leaves_no_queue_behind(monkeypatch, tmp_path):
