@@ -1,18 +1,26 @@
 #!/usr/bin/env python
 """CI determinism gate.
 
-Runs ``python -m repro run`` twice on the same tomcatv program in two
-*separate* processes and byte-compares the ``--stats-json`` output.
-The payload (``SPMDSimulator.canonical_stats``) keys per-event traffic
-on the stable event ordinal, so two runs of the same source must be
+Runs ``python -m repro run`` twice on the same program in two
+*separate* processes — under two different ``PYTHONHASHSEED`` values,
+so that set and string-keyed dict order differ between them — and
+byte-compares the ``--stats-json`` output.  The payload
+(``SPMDSimulator.canonical_stats``) keys per-event traffic on the
+stable event ordinal, so two runs of the same source must be
 byte-identical — any drift means communication charging picked up a
 run-varying input again (the ``id(event)`` coalescing-key bug this
-gate was built to catch).
+gate was built to catch) or orders its work by a hash.
+
+Two legs: tomcatv (the stencil the gate was built on) and DGEFA, whose
+update sweep fetches the pivot column inside every takeover — the
+fetch-replay kernel, which groups its work in dicts keyed on tuples
+that contain strings.
 
 Usage::
 
     python benchmarks/determinism_gate.py [--n 33] [--niter 2]
-                                          [--procs 8] [--verbose]
+                                          [--procs 8] [--dgefa-n 24]
+                                          [--dgefa-procs 4] [--verbose]
 
 Exits 0 on byte-identical stats, 1 on mismatch (with a unified diff).
 """
@@ -29,13 +37,19 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC_DIR))
 
-from repro.programs import tomcatv_source  # noqa: E402
+from repro.programs import dgefa_source, tomcatv_source  # noqa: E402
+
+#: the two processes' ``PYTHONHASHSEED`` values: explicit and different
+#: (0 would switch hash randomization off in both)
+HASH_SEEDS = ("1", "2")
 
 
-def run_once(program: pathlib.Path, procs: int, stats: pathlib.Path) -> None:
+def run_once(
+    program: pathlib.Path, procs: int, stats: pathlib.Path, hash_seed: str
+) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    env.setdefault("PYTHONHASHSEED", "0")
+    env["PYTHONHASHSEED"] = hash_seed
     subprocess.run(
         [
             sys.executable,
@@ -55,44 +69,63 @@ def run_once(program: pathlib.Path, procs: int, stats: pathlib.Path) -> None:
     )
 
 
+def compare(tmpdir: pathlib.Path, name: str, source: str, procs: int) -> bool:
+    """One leg: two runs of ``source``, one per hash seed."""
+    program = tmpdir / f"{name}.hpf"
+    program.write_text(source)
+    outputs = []
+    for hash_seed in HASH_SEEDS:
+        stats = tmpdir / f"{name}_hashseed{hash_seed}.json"
+        run_once(program, procs, stats, hash_seed)
+        outputs.append(stats.read_bytes())
+    a, b = outputs
+    if a == b:
+        print(
+            f"determinism gate PASSED: two {name} runs (procs={procs}, "
+            f"PYTHONHASHSEED {' and '.join(HASH_SEEDS)}) produced "
+            f"byte-identical stats ({len(a)} bytes)"
+        )
+        return True
+    print(f"determinism gate FAILED: {name} stats differ between runs")
+    diff = difflib.unified_diff(
+        a.decode().splitlines(keepends=True),
+        b.decode().splitlines(keepends=True),
+        fromfile=f"hashseed{HASH_SEEDS[0]}/stats.json",
+        tofile=f"hashseed{HASH_SEEDS[1]}/stats.json",
+    )
+    sys.stdout.writelines(diff)
+    return False
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=33, help="tomcatv grid size")
     parser.add_argument("--niter", type=int, default=2)
     parser.add_argument("--procs", type=int, default=8)
+    parser.add_argument("--dgefa-n", type=int, default=24)
+    parser.add_argument("--dgefa-procs", type=int, default=4)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
 
     global VERBOSE
     VERBOSE = args.verbose
 
+    legs = [
+        (
+            "tomcatv",
+            tomcatv_source(n=args.n, niter=args.niter, procs=args.procs),
+            args.procs,
+        ),
+        (
+            "dgefa",
+            dgefa_source(n=args.dgefa_n, procs=args.dgefa_procs),
+            args.dgefa_procs,
+        ),
+    ]
     with tempfile.TemporaryDirectory(prefix="determinism-gate-") as tmp:
-        tmpdir = pathlib.Path(tmp)
-        program = tmpdir / "tomcatv.hpf"
-        program.write_text(
-            tomcatv_source(n=args.n, niter=args.niter, procs=args.procs)
-        )
-        first = tmpdir / "stats_run1.json"
-        second = tmpdir / "stats_run2.json"
-        run_once(program, args.procs, first)
-        run_once(program, args.procs, second)
-        a, b = first.read_bytes(), second.read_bytes()
-        if a == b:
-            print(
-                f"determinism gate PASSED: two tomcatv runs "
-                f"(n={args.n}, niter={args.niter}, procs={args.procs}) "
-                f"produced byte-identical stats ({len(a)} bytes)"
-            )
-            return 0
-        print("determinism gate FAILED: stats differ between runs")
-        diff = difflib.unified_diff(
-            a.decode().splitlines(keepends=True),
-            b.decode().splitlines(keepends=True),
-            fromfile="run1/stats.json",
-            tofile="run2/stats.json",
-        )
-        sys.stdout.writelines(diff)
-        return 1
+        # every leg runs, so one report shows every kernel that drifted
+        passed = [compare(pathlib.Path(tmp), *leg) for leg in legs]
+    return 0 if all(passed) else 1
 
 
 VERBOSE = False

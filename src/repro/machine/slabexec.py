@@ -495,15 +495,15 @@ def _lane_offsets(ref_forms: dict, vars_of: Callable, env) -> dict:
 
 
 class _Fetched(NamedTuple):
-    """One rank's fetching read of one reference: a vector entry per
-    distinct element, then the facts all of them share."""
+    """One fetching read of one reference: a vector entry per distinct
+    (reader, element), then the facts all of them share."""
 
     inst: np.ndarray  #: statement instance of the element's first read
     elem: np.ndarray  #: flat element index
     src: np.ndarray  #: source rank
     shaky: np.ndarray  #: the source is not the element's primary owner
+    dst: np.ndarray  #: the reading rank (ascending)
     q: int  #: the read's sequence within its statement
-    dst: int  #: the reading rank
     ref: ArrayElemRef
     stmt: AssignStmt
     sel: tuple  #: element offsets, one vector per dimension
@@ -520,22 +520,27 @@ class _FetchLog:
     statement *instance* and the read's sequence within the statement —
     and takes the value from the source rank, whose copy cannot change
     during the takeover (a fetched element is never one the takeover
-    writes).  :meth:`schedule` orders the fetches and peeks their
-    coalescing keys, still without mutating anything, so it may bail;
-    :meth:`commit` replays compute and messages in that order."""
+    writes): one source lookup per fetching read, over the lanes of all
+    the reading ranks at once.  :meth:`schedule` orders the fetches and
+    peeks their coalescing keys, still without mutating anything, so it
+    may bail; :meth:`commit` replays compute and messages in that
+    order, one fold per *message run*."""
 
     def __init__(self, plan):
         self.plan = plan
         self.reads: list[_Fetched] = []
 
-    def _fetch_read(self, ref, stmt, q: int, dst: int, sel: tuple, inst):
-        """Values of the elements ``sel`` that rank ``dst`` reads while
-        invalid, in instances ``inst`` (ascending): the vectorized twin
-        of ``FetchEngine.fetch_array``'s source lookup."""
+    def _fetch_read(self, ref, stmt, q: int, dst, sel: tuple, inst):
+        """Values of the elements ``sel`` that the ranks ``dst`` read
+        while invalid, in instances ``inst`` — one entry per lane, the
+        lanes rank-major and each rank's instances ascending: the
+        vectorized twin of ``FetchEngine.fetch_array``'s source lookup.
+        A rank fetches an element once, at its first lane."""
         symbol = ref.symbol
         acc = self.plan.fast.engine.access(symbol.name)
-        elem, first, back = np.unique(
-            np.ravel_multi_index(sel, acc.datas[0].shape),
+        elem = np.ravel_multi_index(sel, acc.datas[0].shape)
+        _held, first, back = np.unique(
+            dst * acc.datas[0].size + elem,
             return_index=True,
             return_inverse=True,
         )
@@ -545,8 +550,8 @@ class _FetchLog:
         except MappingError:
             # the per-iteration path raises the canonical error
             raise _Bail("owner lookup failed") from None
-        src = np.full(elem.size, -1, dtype=np.int64)
-        values = np.empty(elem.size, dtype=acc.datas[0].dtype)
+        src = np.full(first.size, -1, dtype=np.int64)
+        values = np.empty(first.size, dtype=acc.datas[0].dtype)
         # an owner holding a valid copy, else the lowest rank that does
         for row in (*owners, *range(len(acc.valids))):
             todo = np.flatnonzero(src < 0)
@@ -561,8 +566,8 @@ class _FetchLog:
         if (src < 0).any():
             raise _Bail(f"no rank holds every element read of {symbol.name}")
         self.reads.append(_Fetched(
-            inst[first], elem, src, src != owners[0],
-            q, dst, ref, stmt, sel, values,
+            inst[first], elem[first], src, src != owners[0], dst[first],
+            q, ref, stmt, sel, values,
         ))
         return values[back]
 
@@ -571,22 +576,21 @@ class _FetchLog:
         them — every (rank, element) once, at its first read — and peek
         their coalescing keys.  Returns None when nothing fetched, else
         per-fetch vectors (instance, source, reader, opens-a-message)
-        plus the bookkeeping of each (read, source) group and the
-        coalescing keys the takeover opens."""
+        plus the bookkeeping of each (read, reader, source) group and
+        the coalescing keys the takeover opens."""
         reads = self.reads
         if not reads:
             return None
         plan = self.plan
         sim = plan.sim
-        inst, elem, src, shaky = (
-            np.concatenate(column) for column in list(zip(*reads))[:4]
+        inst, elem, src, shaky, dst = (
+            np.concatenate(column) for column in list(zip(*reads))[:5]
         )
         arrays: dict[str, int] = {}
-        q, dst, array, read = (
+        q, array, read = (
             np.repeat(column, [f.elem.size for f in reads])
             for column in (
                 [f.q for f in reads],
-                [f.dst for f in reads],
                 [
                     arrays.setdefault(f.ref.symbol.name, len(arrays))
                     for f in reads
@@ -609,20 +613,23 @@ class _FetchLog:
             if np.isin(elem[shaky], elems[counts > 1]).any():
                 raise _Bail("fetch source depends on fetch order")
         # what a fetch does besides charging is the same for every
-        # element of one (read, source) group, whatever the order; only
-        # the startup goes to the earliest fetch under each key
+        # element of one (read, reader, source) group, whatever the
+        # order; only the startup goes to the earliest fetch under each
+        # key
         nranks = len(sim.memories)
         groups = []
         opened: dict[tuple, int] = {}
-        for pair, at, count in zip(
+        for code, at, count in zip(
             *map(
                 np.ndarray.tolist,
                 np.unique(
-                    read * nranks + src, return_index=True, return_counts=True
+                    (read * nranks + dst) * nranks + src,
+                    return_index=True, return_counts=True,
                 ),
             )
         ):
-            f = reads[pair // nranks]
+            pair, source = divmod(code, nranks)
+            f, reader = reads[pair // nranks], pair % nranks
             event_key = (f.stmt.stmt_id, f.ref.ref_id)
             meta = plan.fetch_meta.get(event_key)
             if meta is None:
@@ -638,67 +645,117 @@ class _FetchLog:
                 plan.fetch_meta[event_key] = meta
             ordinal, outer = meta
             key = (
-                "evt", ordinal, pair % nranks, f.dst,
+                "evt", ordinal, source, reader,
                 tuple(env.get(nm, 0) for nm in outer),
             )
             opened[key] = min(opened.get(key, at), at)
-            groups.append((event_key, f.dst, f.ref.symbol.name, count))
+            groups.append((event_key, reader, f.ref.symbol.name, count))
         fresh = [key for key in opened if key not in sim._fetch_keys_seen]
         startup = np.zeros(inst.size, dtype=np.bool_)
         startup[[opened[key] for key in fresh]] = True
         return inst, src, dst, startup, groups, fresh
 
-    def commit(self, sched, dts: np.ndarray, tapes: dict) -> int:
+    def commit(self, sched, dts: np.ndarray, tapes: list) -> tuple[int, int]:
         """Replay compute and messages in per-iteration order; returns
-        the number of elements fetched.
+        the number of elements fetched and of message runs replayed.
 
         ``dts`` is the charge tape of the takeover's statements and
-        ``tapes[r]`` the ``(step, inst)`` vectors of rank ``r``: which
-        statement each of its instances runs and the instance's
-        (ascending) number.  Compute charges on different ranks commute
-        and only a message couples two clocks, so a rank's tape stays
-        pending until just before a message that touches the rank,
-        where it is left-folded up to the message's instance — tier 2's
-        interleaved ``charge_compute`` / ``charge_message_amortized``
-        sequence, bit for bit.  ``compute_time`` sees no messages and
-        is folded in one piece.  Everything else a fetch does is
-        batched per group."""
+        ``tapes`` holds ``(rank, step, inst)`` per computing rank,
+        ascending: which statement each of the rank's instances runs
+        and the instance's (ascending) number.  Compute charges on
+        different ranks commute and only a message couples two clocks,
+        so a rank's tape stays pending until just before a message that
+        touches the rank, where it is left-folded up to the message's
+        instance — tier 2's interleaved ``charge_compute`` /
+        ``charge_message_amortized`` sequence, bit for bit.  The unit
+        of that replay is the *run*: consecutive fetches by one reader
+        from one source while the source has nothing pending.  Only a
+        run's first message meets two unrelated clocks; the rest of it
+        — the reader's compute between the messages included — is one
+        left fold (``Clocks.charge_message_run``).  ``compute_time``
+        sees no messages and is folded in one piece.  Everything else a
+        fetch does is batched per group."""
         inst, src, dst, startup, groups, fresh = sched
         sim = self.plan.sim
         clocks, stats, memories = sim.clocks, sim.stats, sim.memories
         time = clocks.time
-        # how much of the reader's and the source's tapes precedes each
-        # fetch (a rank that computes nothing here has none)
-        cut = np.zeros((2, inst.size), dtype=np.int64)
-        for r, (step, at) in tapes.items():
+        # the ranks' tapes end to end — rank r's is steps[done[r]:
+        # ends[r]], empty when it computes nothing here — and how much
+        # of the reader's and of the source's precedes each fetch
+        bounds = np.zeros(len(time) + 1, dtype=np.int64)
+        for r, step, _at in tapes:
+            bounds[r + 1] = step.size
             clocks.compute_time[r] = sequential_sum(
                 clocks.compute_time[r], dts[step]
             )
-            for side, rank in enumerate((dst, src)):
-                cut[side, rank == r] = np.searchsorted(at, inst[rank == r])
-        done = [0] * len(time)
-        for d, s, cut_d, cut_s, new in zip(
-            dst.tolist(), src.tolist(), *cut.tolist(), startup.tolist()
+        bounds = bounds.cumsum()
+        done, ends = bounds[:-1].tolist(), bounds[1:].tolist()
+        steps = np.concatenate([step for _r, step, _at in tapes])
+        who = np.stack((dst, src))
+        when = np.broadcast_to(inst, who.shape)
+        cut = bounds[who]
+        for r, _step, at in tapes:
+            here = who == r
+            cut[here] += np.searchsorted(at, when[here])
+        # a run ends where the reader, the source or — the source
+        # having computed in between — the source's cut changes
+        opens = np.ones(inst.size, dtype=np.bool_)
+        opens[1:] = (
+            (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])
+            | (cut[1, 1:] != cut[1, :-1])
+        )
+        first = opens.nonzero()[0]
+        last = np.append(first[1:], inst.size) - 1
+        # the replay tape: every message, each after the ``gap`` compute
+        # charges of its reader since the run's previous message (what
+        # precedes a run's first message is flushed in the loop) — as
+        # rows of the statements' tape extended by the two message rows
+        gap = np.diff(cut[0], prepend=0)
+        gap[first] = 0
+        slot = np.arange(inst.size) + gap.cumsum()
+        row = np.empty(int(slot[-1]) + 1, dtype=np.intp)
+        row[slot] = len(dts) + startup
+        if len(row) > inst.size:
+            between = np.ones(len(row), dtype=np.bool_)
+            between[slot] = False
+            row[between] = steps[
+                between.nonzero()[0] + (cut[0] - slot).repeat(gap)
+            ]
+        tape = np.concatenate((dts, clocks.message_rows()))[row]
+        messages = tape[slot]
+        for d, s, cut_d, cut_s, end_d, lo, hi, lo_slot, hi_slot in zip(
+            *map(np.ndarray.tolist, (
+                dst[first], src[first], cut[0, first], cut[1, first],
+                cut[0, last], first, last + 1, slot[first], slot[last] + 1,
+            ))
         ):
             for r, upto in ((d, cut_d), (s, cut_s)):
                 if upto > done[r]:
                     time[r] = sequential_sum(
-                        time[r], dts[tapes[r][0][done[r]:upto]]
+                        time[r], dts[steps[done[r]:upto]]
                     )
                     done[r] = upto
-            clocks.charge_message_amortized(s, d, 1, new)
-        for r, (step, _at) in tapes.items():
-            time[r] = sequential_sum(time[r], dts[step[done[r]:]])
+            clocks.charge_message_run(
+                s, d, tape[lo_slot:hi_slot], messages[lo:hi]
+            )
+            done[d] = end_d
+        for r, _step, _at in tapes:
+            time[r] = sequential_sum(time[r], dts[steps[done[r]:ends[r]]])
         sim._fetch_keys_seen.update(fresh)
         stats.messages += len(fresh)
         for event_key, reader, name, count in groups:
             stats.record_fetch_batch(event_key, count)
             memories[reader].versions[name] += count
         for f in self.reads:
-            memory = memories[f.dst]
-            memory.arrays[f.ref.symbol.name][f.sel] = f.values
-            memory.valid[f.ref.symbol.name][f.sel] = True
-        return inst.size
+            name = f.ref.symbol.name
+            edges = np.diff(f.dst, prepend=-1, append=-1).nonzero()[0]
+            edges = edges.tolist()
+            for r, lo, hi in zip(f.dst[edges[:-1]].tolist(), edges, edges[1:]):
+                sel = tuple([o[lo:hi] for o in f.sel])
+                memory = memories[r]
+                memory.arrays[name][sel] = f.values[lo:hi]
+                memory.valid[name][sel] = True
+        return inst.size, first.size
 
 
 #: statement phases of a nest, in execution order: before the inner
@@ -1138,13 +1195,11 @@ class _NestCtx(_Ctx):
         off = [np.broadcast_to(o, shape) for o in self._offsets(ref.ref_id, 0)]
         ok = np.broadcast_to(ok, shape)
         data = np.array(np.broadcast_to(data, shape))
-        for r, sl in lanes.slices:
-            bad = (~ok[sl]).nonzero()[0] + sl.start
-            if bad.size:
-                data[bad] = self.log._fetch_read(
-                    ref, self.cur.stmt, self.q, r,
-                    tuple([o[bad] for o in off]), inst[bad],
-                )
+        bad = (~ok).nonzero()[0]
+        data[bad] = self.log._fetch_read(
+            ref, self.cur.stmt, self.q, lanes.rank[bad],
+            tuple([o[bad] for o in off]), inst[bad],
+        )
         return data
 
     def _check_stores(self) -> None:
@@ -1242,21 +1297,19 @@ class _NestCtx(_Ctx):
             mine = mine.nonzero()[0].astype(np.int32)
             yield r, step_of[mine], mine
 
-    def commit(self) -> int:
+    def commit(self) -> tuple[int, int]:
         """Make the takeover visible: clocks, stores and invalidations,
-        scalars, folds.  Returns the number of elements fetched."""
+        scalars, folds.  Returns the number of elements fetched and of
+        message runs replayed."""
         plan, dom = self.plan, self.dom
         sim = plan.sim
         memories, clocks = self.memories, sim.clocks
         dts = clocks.tape([st.dt for st in plan.all_steps])
         if dom.tapes is None:
             dom.tapes = list(self._rank_tapes())
-        fetched = 0
+        replayed = (0, 0)
         if self.fetch_plan is not None:
-            fetched = self.log.commit(
-                self.fetch_plan, dts,
-                {r: (step, at) for r, step, at in dom.tapes},
-            )
+            replayed = self.log.commit(self.fetch_plan, dts, dom.tapes)
         else:
             for r, step, _at in dom.tapes:
                 clocks.charge_compute_tape(r, dts[step])
@@ -1310,7 +1363,7 @@ class _NestCtx(_Ctx):
                 dom.low[-1] + dom.trips[-1] * dom.step
             )
         sim.slab_instances += int(dom.count.sum())
-        return fetched
+        return replayed
 
 
 class NestPlan:
@@ -1757,7 +1810,7 @@ class NestPlan:
             memo.shape_key = key
         dom = memo.shape
         if dom is None:
-            return lambda: None
+            return lambda: (0, 0)
         ctx = _NestCtx(self, dom, env)
         with np.errstate(over="ignore", invalid="ignore"):
             ctx.run()
@@ -1865,13 +1918,14 @@ class SlabExecutor:
             return False
         # Phase B (commit) is outside the net: a failure here would mean
         # corrupted state and must surface, not silently re-execute.
-        fetched = commit()
+        fetched, runs = commit()
         self._committed.add(sid)
         self._decide(sid, "slab")
         if sim.metrics is not None:
             sim.metrics.inc(f"slab.takeover[loop=S{sid}]")
             if fetched:
                 sim.metrics.inc(f"slab.fetch_replay[loop=S{sid}]", fetched)
+                sim.metrics.inc(f"slab.fetch_runs[loop=S{sid}]", runs)
         if sim.tracer.enabled:
             sim.tracer.instant(
                 "slab.takeover", cat="sim", loop=sid, low=low,

@@ -147,6 +147,47 @@ class Clocks:
             dt = dt + self.machine.alpha
         self._deliver(src, dst, dt)
 
+    def message_rows(self) -> np.ndarray:
+        """The two ``dt`` values of a single-element
+        ``charge_message_amortized`` as tape rows: without and with the
+        startup."""
+        unit = self.machine.beta * self.machine.element_bytes
+        return self.tape([unit, unit + self.machine.alpha])
+
+    def charge_message_run(self, src: int, dst: int, tape: np.ndarray,
+                           messages: np.ndarray) -> None:
+        """A *run* of messages from ``src`` to ``dst`` in one fold, bit
+        for bit the interleaved ``charge_compute(dst)`` /
+        ``charge_message_amortized(src, dst, 1, ...)`` sequence it
+        stands for.
+
+        ``tape`` is that sequence's ``dt`` values in order — the first
+        message, then ``dst``'s compute charges and the further
+        messages as they interleave, ending with a message — and
+        ``messages`` the messages among them (:meth:`message_rows`).
+        The caller guarantees that between the first and the last
+        message nothing else touches either clock and ``src`` charges
+        no compute.  Then the first message leaves both clocks at one
+        instant ``T``, and from there every ``later(t_src, t_dst)`` is
+        ``t_dst``: ``t_src`` stays at the previous message's instant
+        while ``t_dst`` moved on from it by charges ``c >= 0``, and
+        ``fl(T + c) >= T`` for ``c >= 0``.  So the whole run is one
+        strictly sequential left fold of ``tape`` onto the later of the
+        two clocks, both ends leaving at the result.  ``c >= 0`` is not
+        tested here: :class:`~repro.model.MachineModel` rejects
+        negative and non-finite parameters at construction, so no
+        machine can produce a negative or NaN charge.  ``comm_time``
+        sees only the messages.  A one-message run is exactly
+        ``_deliver``, whose last addition is likewise made once per
+        end (lane vectors are never shared)."""
+        start = sequential_sum(
+            self.later(self.time[src], self.time[dst]), tape[:-1]
+        )
+        self.time[src] = sequential_sum(start, tape[-1:])
+        self.time[dst] = sequential_sum(start, tape[-1:])
+        self.comm_time[src] = sequential_sum(self.comm_time[src], messages)
+        self.comm_time[dst] = sequential_sum(self.comm_time[dst], messages)
+
     def charge_compute_tape(self, rank: int, dts: np.ndarray) -> None:
         """Batched compute charging, bit-for-bit identical to calling
         ``charge_compute`` once per tape entry: ``dts`` holds the

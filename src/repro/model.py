@@ -26,8 +26,8 @@ ratios, scaling trends).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
 
 
 class CostFormulas:
@@ -127,6 +127,32 @@ class MachineModel(CostFormulas):
     #: per-statement-instance loop/addressing overhead (s); folded into
     #: compute cost so tiny statements are not free
     stmt_overhead: float = 10e-9
+
+    def __post_init__(self) -> None:
+        # every charge the simulator makes is a sum of products of these
+        # with counts: finite and non-negative here means no clock ever
+        # runs backwards or turns NaN (``Clocks.charge_message_run``
+        # folds on that)
+        for name in ("alpha", "beta", "flop_time", "stmt_overhead"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+            ):
+                raise ValueError(
+                    f"{name} must be a finite number >= 0, got {value!r}"
+                )
+        if (
+            isinstance(self.element_bytes, bool)
+            or not isinstance(self.element_bytes, numbers.Integral)
+            or self.element_bytes < 1
+        ):
+            raise ValueError(
+                f"element_bytes must be an integer >= 1, "
+                f"got {self.element_bytes!r}"
+            )
 
 
 #: The default machine used by benchmarks: 1997 SP2 thin nodes.

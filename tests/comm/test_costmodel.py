@@ -1,5 +1,8 @@
 """Machine cost model tests."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core import TransferPattern
@@ -30,6 +33,39 @@ class TestMessageCosts:
     def test_monotone_in_size(self):
         times = [SP2.message_time(n) for n in (0, 1, 10, 100, 1000)]
         assert times == sorted(times)
+
+
+class TestParameterValidation:
+    """Hostile machine parameters are a typed error at construction —
+    the one site ``simulate(machine=)``, ``CompilerOptions(machine=)``
+    and a sweep's ``machine`` axis all pass through — not a NaN, an
+    infinite or a shrinking clock several layers later."""
+
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta", "flop_time", "stmt_overhead"]
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -1e-6, "1e-6", None, True]
+    )
+    def test_times_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(SP2, **{field: value})
+        assert field in str(err.value) and repr(value) in str(err.value)
+
+    @pytest.mark.parametrize("value", [0, -8, 8.0, float("nan"), True])
+    def test_element_bytes_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError) as err:
+            MachineModel(element_bytes=value)
+        assert "element_bytes" in str(err.value)
+        assert repr(value) in str(err.value)
+
+    def test_zero_costs_and_numpy_numbers_stay_legal(self):
+        free = MachineModel(
+            alpha=0, beta=0.0, flop_time=np.float64(0.0), stmt_overhead=0.0,
+            element_bytes=np.int64(4),
+        )
+        assert free.message_time(10) == 0.0
+        assert free.compute_time(5, 3) == 0.0
 
 
 class TestCollectives:

@@ -230,8 +230,9 @@ def _state(sim):
     return out
 
 
-#: kernel -> (source, verdict by loop ordinal, takeovers and replayed
-#: fetch elements by loop ordinal under tier="slab")
+#: kernel -> (source, verdict by loop ordinal, then by loop ordinal
+#: under tier="slab": takeovers, replayed fetch elements and the message
+#: runs they were replayed as)
 GOLDEN = {
     "dgefa": (
         dgefa_source(n=12, procs=4),
@@ -245,6 +246,7 @@ GOLDEN = {
         },
         {"L03": 11, "L04": 11},
         {"L04": 194},
+        {"L04": 30},
     ),
     "tomcatv": (
         tomcatv_source(n=12, niter=2, procs=4),
@@ -263,6 +265,7 @@ GOLDEN = {
         },
         {"L01": 2, "L04": 20, "L05": 2, "L07": 2, "L09": 2},
         {"L01": 264},
+        {"L01": 12},
     ),
     "appsp": (
         appsp_source(nx=6, ny=6, nz=6, niter=1, procs=4),
@@ -279,6 +282,7 @@ GOLDEN = {
         },
         {"L03": 16, "L05": 12, "L08": 12},
         {"L05": 32, "L08": 16},
+        {"L05": 4, "L08": 4},
     ),
 }
 
@@ -291,7 +295,7 @@ class TestGoldenVerdicts:
 
     @pytest.mark.parametrize("kernel", sorted(GOLDEN))
     def test_verdicts_and_takeovers(self, kernel):
-        source, verdicts, takeovers, replayed = GOLDEN[kernel]
+        source, verdicts, takeovers, replayed, runs = GOLDEN[kernel]
         compiled = compile_source(source, CompilerOptions(num_procs=4))
         assert _ordinal_verdicts(compiled) == verdicts
         metrics = Metrics()
@@ -301,6 +305,7 @@ class TestGoldenVerdicts:
         )
         assert _slab_counters(metrics, compiled, "takeover") == takeovers
         assert _slab_counters(metrics, compiled, "fetch_replay") == replayed
+        assert _slab_counters(metrics, compiled, "fetch_runs") == runs
         assert _slab_counters(metrics, compiled, "fallback") == {}
 
     def test_dgefa_update_nest_is_taken_once_per_pivot(self):
@@ -372,6 +377,62 @@ class TestFetchReplay:
         assert _slab_counters(metrics, compiled, "fetch_replay") == {}
         walker = simulate(compiled, inputs, tier="interpreted")
         assert _state(slab) == _state(walker)
+
+    @pytest.mark.parametrize(
+        "source, procs, lookups, runs, replayed, elements, messages",
+        [
+            (dgefa_source(n=24, procs=4), 4, 23, 66, 824, 959, 201),
+            (SOURCE_BETWEEN, 3, 1, 2, 16, 16, 2),
+        ],
+        ids=["dgefa", "source-between"],
+    )
+    def test_replay_work_counts_reads_and_runs(
+        self, monkeypatch, source, procs, lookups, runs, replayed, elements,
+        messages,
+    ):
+        """The Python work of a takeover's communication, as counts that
+        repeat exactly: one source lookup per fetching read — not one
+        per reading rank — and at most one message-charging call per
+        message run — not one per element."""
+        from repro.machine.slabexec import _FetchLog
+        from repro.machine.stats import Clocks
+
+        calls = Counter()
+        replaying = []
+
+        def count(owner, name, label, always):
+            inner = getattr(owner, name)
+
+            def counted(self, *args):
+                if always or replaying:
+                    calls[label] += 1
+                return inner(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        def replay(self, *args, inner=_FetchLog.commit):
+            replaying.append(self)
+            try:
+                return inner(self, *args)
+            finally:
+                replaying.pop()
+
+        count(_FetchLog, "_fetch_read", "lookups", True)
+        for name in (
+            "charge_message", "charge_message_amortized", "charge_message_run"
+        ):
+            count(Clocks, name, "charges", False)
+        monkeypatch.setattr(_FetchLog, "commit", replay)
+        compiled, inputs, slab, metrics = self._run(source, procs)
+        assert calls["lookups"] == lookups
+        assert 0 < calls["charges"] <= runs
+        fetch_runs = _slab_counters(metrics, compiled, "fetch_runs")
+        assert sum(fetch_runs.values()) == runs
+        fetch_replay = _slab_counters(metrics, compiled, "fetch_replay")
+        assert sum(fetch_replay.values()) == replayed
+        assert (slab.stats.elements, slab.stats.messages) == (
+            elements, messages,
+        )
 
     def test_dgefa_lanes_match_scalar_runs(self):
         """One DGEFA simulation over five machine lanes charges every
