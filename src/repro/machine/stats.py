@@ -139,20 +139,24 @@ class Clocks:
     def charge_message(self, src: int, dst: int, elements: int) -> None:
         self._deliver(src, dst, self.machine.message_time(elements))
 
-    def charge_message_amortized(self, src: int, dst: int, elements: int, startup: bool) -> None:
-        """Per-element transfer charging with one startup per coalesced
-        message (message vectorization at run time)."""
+    def amortized_dt(self, elements: int, startup: bool):
+        """Transfer time of ``elements`` elements of a coalesced
+        message, plus the startup on the message's first transfer."""
         dt = self.machine.beta * self.machine.element_bytes * elements
         if startup:
             dt = dt + self.machine.alpha
-        self._deliver(src, dst, dt)
+        return dt
+
+    def charge_message_amortized(self, src: int, dst: int, elements: int, startup: bool) -> None:
+        """Per-element transfer charging with one startup per coalesced
+        message (message vectorization at run time)."""
+        self._deliver(src, dst, self.amortized_dt(elements, startup))
 
     def message_rows(self) -> np.ndarray:
         """The two ``dt`` values of a single-element
         ``charge_message_amortized`` as tape rows: without and with the
         startup."""
-        unit = self.machine.beta * self.machine.element_bytes
-        return self.tape([unit, unit + self.machine.alpha])
+        return self.tape([self.amortized_dt(1, False), self.amortized_dt(1, True)])
 
     def charge_message_run(self, src: int, dst: int, tape: np.ndarray,
                            messages: np.ndarray) -> None:

@@ -1,14 +1,17 @@
 """Unit tests for node memory, clocks, and traffic statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.ir import parse_and_build
 from repro.machine import NodeMemory, initialize_array
+from repro.machine.batchexec import VectorMachine
 from repro.machine.stats import Clocks, TrafficStats
 from repro.mapping import ProcessorGrid, resolve_mappings
-from repro.model import MachineModel
+from repro.model import SP2, MachineModel
 
 
 SRC = """
@@ -107,6 +110,23 @@ class TestClocks:
         clocks2 = Clocks(2, machine)
         clocks2.charge_message_amortized(0, 1, 1, startup=False)
         assert clocks2.time[1] < with_startup
+
+    @pytest.mark.parametrize("lanes", [None, 3])
+    def test_message_rows_are_the_amortized_charges(self, lanes):
+        # the run replay folds these rows where tier 2 calls
+        # charge_message_amortized(src, dst, 1, startup): same bits
+        machine = dataclasses.replace(SP2, alpha=3.1e-5, beta=7.3e-9)
+        if lanes:
+            machine = VectorMachine(
+                [dataclasses.replace(machine, beta=machine.beta * (m + 1))
+                 for m in range(lanes)]
+            )
+        rows = Clocks(2, machine).message_rows()
+        for row, startup in zip(rows, (False, True)):
+            clocks = Clocks(2, machine)
+            clocks.charge_message_amortized(0, 1, 1, startup)
+            assert np.array_equal(row, clocks.time[1])
+            assert np.array_equal(row, clocks.comm_time[0])
 
     def test_collective_synchronizes_all(self):
         clocks = Clocks(4, MachineModel())
