@@ -33,13 +33,7 @@ of its batch) and produce ``canonical_stats`` byte-identical to the
 pool path.  Both grids' pool/batched wall-clock ratios are printed and
 recorded, not gated: a single-shot ratio moves whenever either side is
 optimized, and the batched path's wall time has a trajectory in the
-end-to-end benchmark (``sweep_105``, ``service_cold``).  A companion
-**compile-once gate** sweeps
-a pinned-PROCESSORS TOMCATV source over ``procs=(None, 4)`` — the
-directive fixes the grid either way, so the second lane must reuse
-the first lane's compile (``compile_dedup``) and land on byte-identical
-stats: a P-independent program compiles once for the whole procs
-vector.
+end-to-end benchmark (``sweep_105``, ``service_cold``).
 
 With ``--inject-crash``, the pool worker that first claims the first
 timing-grid point is killed mid-flight (``os._exit``, through the claim
@@ -74,7 +68,6 @@ SRC_DIR = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC_DIR))
 
 from repro.core.diskcache import CompileCache  # noqa: E402
-from repro.core.driver import CompilerOptions  # noqa: E402
 from repro.jobqueue.worker import _FAULT_ENV  # noqa: E402
 from repro.model import SP2  # noqa: E402
 from repro.programs import (  # noqa: E402
@@ -83,7 +76,7 @@ from repro.programs import (  # noqa: E402
     tomcatv_source,
 )
 from repro.records import comparable  # noqa: E402
-from repro.sweep import SweepJob, SweepSpec, run_sweep  # noqa: E402
+from repro.sweep import SweepSpec, run_sweep  # noqa: E402
 
 #: seven machine-parameter ablations around the SP2 baseline — the
 #: lane axis of the batched grid (3 procs x 7 machines = 21 points)
@@ -335,40 +328,6 @@ def main() -> int:
     print(f"pool {t_procs_pool:.3f}s, batched {t_procs_batched:.3f}s -> "
           f"speedup {procs_speedup:.2f}x (recorded, not gated)")
 
-    # -- compile-once gate: a P-independent program compiles once ------
-    # The pinned PROCESSORS(4) directive fixes the grid whether the
-    # sweep requests num_procs=None or num_procs=4, so the batched
-    # evaluator must compile the source once and dedupe the other lane.
-    pinned_source = tomcatv_source(n=16, niter=1, procs=4)
-    pinned_jobs = [
-        SweepJob(program="tomcatv-pinned", source=pinned_source,
-                 mode="simulate", procs=None, options=CompilerOptions()),
-        SweepJob(program="tomcatv-pinned", source=pinned_source,
-                 mode="simulate", procs=4,
-                 options=CompilerOptions(num_procs=4)),
-    ]
-    pinned = run_sweep(
-        pinned_jobs, workers=0, cache=CompileCache(base_root / "pinned"),
-        mode="batched",
-    )
-    bad = [r for r in pinned if not r.ok]
-    if bad:
-        failures.append(f"compile-once gate: {len(bad)} failed "
-                        f"point(s), first: {bad[0].error}")
-    elif [r.compile_dedup for r in pinned] != [False, True]:
-        failures.append(
-            "compile-once gate: pinned-PROCESSORS source was not "
-            "compiled exactly once across the procs vector (dedup flags "
-            f"{[r.compile_dedup for r in pinned]})"
-        )
-    elif (json.dumps(pinned[0].canonical_stats, sort_keys=True)
-          != json.dumps(pinned[1].canonical_stats, sort_keys=True)):
-        failures.append("compile-once gate: the deduped lane's stats "
-                        "differ from the compiled lane's")
-    else:
-        print("compile-once gate: pinned-PROCESSORS source compiled "
-              "once for the whole procs vector, identical stats")
-
     if args.verbose:
         for r in warm + s_warm + b_fast + p_fast:
             print(f"  {r.label:45s} {r.mode:8s} hit={r.cache_hit} "
@@ -404,10 +363,6 @@ def main() -> int:
         "procs_speedup": procs_speedup,
         "procs_compile_dedups": sum(r.compile_dedup for r in p_fast),
         "procs_lanes_fused": sum(r.procs_lanes > 1 for r in p_fast),
-        "pinned_compile_once": bool(
-            pinned and all(r.ok for r in pinned)
-            and [r.compile_dedup for r in pinned] == [False, True]
-        ),
         "failures": failures,
     }
     if args.stats_out:

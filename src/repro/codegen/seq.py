@@ -81,7 +81,13 @@ class GlobalStore(ValueReader):
     # -- initialization helpers ------------------------------------------------------
 
     def set_array(self, name: str, values: np.ndarray) -> None:
-        target = self.arrays[name.upper()]
+        target = self.arrays.get(name.upper())
+        if target is None:
+            raise InterpreterError(
+                f"no array {name!r} to initialize: the program declares "
+                f"{sorted(self.arrays)}"
+            )
+        values = np.asarray(values)
         if target.shape != values.shape:
             raise InterpreterError(
                 f"shape mismatch for {name}: {values.shape} vs {target.shape}"

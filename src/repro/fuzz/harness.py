@@ -102,14 +102,9 @@ def tier_payload(sim) -> dict:
     canonical stats verbatim, per-rank memory and gathered-array
     contents as hex digests (byte-level, order-stable).
 
-    Memory digests cover *every declared array on every rank*, indexing
-    ``memory.arrays[name]`` so lazily-deferred storage materializes to
-    its semantic state (initial values + ownership validity) first.
-    Tiers legitimately differ in *when* they allocate per-rank copies —
-    the walker touches lazily, the fast path may materialize during
-    setup — but the materialized contents must be byte-identical, and
-    comparing the forced total state is strictly stronger than
-    comparing whichever keys each tier happened to touch."""
+    Memory digests cover *every declared array on every rank* — data
+    and validity — whether or not the run touched it: every rank holds
+    all of them from construction."""
     import hashlib
 
     def digest(data: bytes) -> str:

@@ -20,9 +20,8 @@ once, at lowering time:
   ``_eval_form``/``_ranks_of_position`` recomputation becomes O(1)
   table lookups parameterized only by the enclosing loop indices.
 * **Fetches** (:class:`FetchEngine`) resolve sources through
-  precomputed owner tables, and fetches sharing a coalescing key are
-  served from a numpy block snapshot of the source's owned slab
-  (charged exactly as before: one startup per placement instance plus
+  precomputed owner tables and are charged by the simulator's one
+  ``_charge_fetch`` (one startup per placement instance plus
   per-element bandwidth — identical clock totals by construction).
 
 Lowered closures are cached per ``(proc.uid, proc.ir_epoch)``: any
@@ -51,7 +50,6 @@ from ..codegen.evalexpr import (
     fortran_int_div,
 )
 from ..codegen.walker import ExecutionHooks
-from ..comm.analysis import hoisted_loop_vars
 from ..comm.costmodel import flops_of_expr
 from ..core.mapping_kinds import ReductionMapping
 from ..errors import InterpreterError, SimulationError
@@ -635,43 +633,22 @@ class ExecutorTables:
 
 
 # ---------------------------------------------------------------------------
-# Fetch engine: precomputed owner tables + staged block transfers
+# Fetch engine: precomputed owner tables
 # ---------------------------------------------------------------------------
 
 
-class _Stage:
-    """Snapshot of a source rank's owned slab, taken on the second
-    fetch of a coalescing key and serving the rest of that vectorized
-    message as local numpy reads. Valid only while the source array's
-    version counter is unchanged."""
-
-    __slots__ = ("src", "version", "los", "his", "data", "valid")
-
-    def __init__(self, src, version, los, his, data, valid):
-        self.src = src
-        self.version = version
-        self.los = los
-        self.his = his
-        self.data = data
-        self.valid = valid
-
-
 class _ArrayAccess:
-    """Per-array fetch metadata: owner tables in ``owner_ranks`` order,
-    raw storage handles, and the block-slab geometry for staging."""
+    """Per-array fetch metadata: owner tables in ``owner_ranks`` order
+    and raw storage handles."""
 
-    def __init__(self, sim, name: str, etables: ExecutorTables, stage_ok: bool):
+    def __init__(self, sim, name: str, etables: ExecutorTables):
         mapping = sim.compiled.mappings[name]
-        self.name = name
         self.mapping = mapping
-        self.memories = sim.memories
         self.datas = [m.arrays[name] for m in sim.memories]
         self.valids = [m.valid[name] for m in sim.memories]
         grid = sim.grid
-        self.grid = grid
         strides = etables.strides
         dist = []
-        stageable = stage_ok
         for g, role in enumerate(mapping.roles):
             if role.kind == "dist":
                 dist.append(
@@ -684,8 +661,6 @@ class _ArrayAccess:
                         strides[g],
                     )
                 )
-                if role.fmt.kind != "block" or role.stride != 1:
-                    stageable = False  # slabs are block-contiguous only
         self.dist = tuple(dist)
         #: the dist owner tables as index vectors, for :meth:`owners`
         self._owner_vecs = [np.asarray(d[3], dtype=np.int64) for d in dist]
@@ -700,8 +675,6 @@ class _ArrayAccess:
                 ]
         self.span_bases = span_bases
         self.singletons = etables.singletons if span_bases == [0] else None
-        self.stageable = stageable and bool(dist)
-        self._slabs: dict[int, tuple | None] = {}
 
     def candidates(self, index) -> list[int]:
         """Owning ranks of a global index — same order (and same OOB
@@ -733,91 +706,27 @@ class _ArrayAccess:
             acc += table[pos] * gstride
         return np.add.outer(np.asarray(self.span_bases, dtype=np.int64), acc)
 
-    def _slab(self, src: int):
-        got = self._slabs.get(src, _MISS)
-        if got is not _MISS:
-            return got
-        symbol = self.mapping.array
-        coords = self.grid.coords_of(src)
-        los: list[int] = []
-        his: list[int] = []
-        got = None
-        for dim in range(symbol.rank):
-            n = symbol.extent(dim)
-            lo, hi = 0, n
-            g = self.mapping.grid_dim_of_array_dim(dim)
-            if g is not None:
-                role = self.mapping.roles[g]
-                fmt = role.fmt
-                bs = fmt.block_size
-                t_lo = coords[g] * bs
-                t_hi = min(t_lo + bs, fmt.extent)
-                low_bound = symbol.dims[dim][0]
-                # stride == 1: offset of index i is i - low_bound and
-                # its template position is i + norm_offset
-                lo = max(t_lo - role.norm_offset - low_bound, 0)
-                hi = min(t_hi - role.norm_offset - low_bound, n)
-            if hi <= lo:
-                break
-            los.append(lo)
-            his.append(hi)
-        else:
-            slices = tuple(slice(lo, hi) for lo, hi in zip(los, his))
-            got = (slices, tuple(los), tuple(his))
-        self._slabs[src] = got
-        return got
-
-    def stage_from(self, src: int) -> _Stage | None:
-        s = self._slab(src)
-        if s is None:
-            return None
-        slices, los, his = s
-        return _Stage(
-            src,
-            self.memories[src].versions[self.name],
-            los,
-            his,
-            self.datas[src][slices].copy(),
-            self.valids[src][slices].copy(),
-        )
-
 
 class FetchEngine:
-    """Fast-path remote reads: precomputed per-ref coalescing metadata
-    and staged numpy block transfers. Charging is identical to the
-    interpreted ``fetch_array`` — one startup per coalescing key, one
-    bandwidth unit per element, in the same order."""
-
-    _MAX_STAGES = 64
+    """Fast-path remote reads: the interpreted ``fetch_array`` with the
+    source found through precomputed owner tables and the value moved
+    between raw storage handles.  The charge is the simulator's own
+    ``_charge_fetch`` — one startup per coalescing key, one bandwidth
+    unit per element, in the same order."""
 
     def __init__(self, fast: "FastPath"):
         self.sim = fast.sim
         self.etables = fast.etables
         self._access: dict[str, _ArrayAccess] = {}
-        #: (stmt_id, ref_id) -> (event | None, outer loop var names)
-        self._meta: dict[tuple[int, int], tuple] = {}
-        #: coalescing key -> _Stage | None (None = staging disabled for
-        #: this key after a stale snapshot)
-        self._stages: OrderedDict = OrderedDict()
-        # arrays accumulating per-rank reduction partials hold
-        # rank-divergent values; never stage them
-        self._no_stage = {
-            reduction.symbol.name
-            for reduction, _ in self.sim._reduction_updates.values()
-            if reduction.is_array_reduction
-        }
 
     def access(self, name: str) -> _ArrayAccess:
         acc = self._access.get(name)
         if acc is None:
-            acc = _ArrayAccess(
-                self.sim, name, self.etables, name not in self._no_stage
-            )
+            acc = _ArrayAccess(self.sim, name, self.etables)
             self._access[name] = acc
         return acc
 
     def fetch_array(self, reader, ref, index, off, env):
-        sim = self.sim
         name = ref.symbol.name
         acc = self.access(name)
         valids = acc.valids
@@ -838,117 +747,17 @@ class FetchEngine:
                 f"rank {rank}: {name}{index} requested but no rank holds it "
                 f"(statement S{stmt.stmt_id})"
             )
-        sid = stmt.stmt_id
-        rid = ref.ref_id
-        meta = self._meta.get((sid, rid))
-        if meta is None:
-            event = sim._events.get((sid, rid))
-            if event is None:
-                meta = (None, None)
-            else:
-                meta = (event, hoisted_loop_vars(event, stmt))
-            self._meta[(sid, rid)] = meta
-        event, outer_names = meta
-        if event is None:
-            key = ("raw", sid, rid, src, rank, tuple(sorted(env.items())))
-        else:
-            key = (
-                "evt",
-                event.ordinal,
-                src,
-                rank,
-                tuple(env.get(n, 0) for n in outer_names),
-            )
-        seen = sim._fetch_keys_seen
-        startup = key not in seen
-        value = None
-        if startup:
-            seen.add(key)
-        elif acc.stageable:
-            st = self._stages.get(key, _MISS)
-            if st is _MISS:
-                # second fetch of this key: the message is vectorized,
-                # snapshot the source slab as one block transfer
-                st = acc.stage_from(src)
-                self._remember(key, st)
-                if sim.tracer.enabled:
-                    sim.tracer.instant(
-                        "fetch.stage",
-                        cat="comm",
-                        array=name,
-                        src=src,
-                        staged=st is not None,
-                    )
-            if st is not None:
-                if (
-                    st.src == src
-                    and acc.memories[src].versions[name] == st.version
-                ):
-                    rel = []
-                    for o, lo, hi in zip(off, st.los, st.his):
-                        if lo <= o < hi:
-                            rel.append(o - lo)
-                        else:
-                            rel = None
-                            break
-                    if rel is not None and st.valid[tuple(rel)]:
-                        value = st.data[tuple(rel)].item()
-                else:
-                    # stale snapshot: the source mutated mid-message;
-                    # stop staging this key
-                    self._stages[key] = None
-        if value is None:
-            value = acc.datas[src][off].item()
+        value = acc.datas[src][off].item()
         # deliver into the requesting rank's memory (= array_store)
-        arr, valid, _lows, mem = reader.tables[name]
-        arr[off] = value
-        valid[off] = True
-        mem.versions[name] += 1
-        sim.clocks.charge_message_amortized(src, rank, 1, startup)
-        if startup:
-            sim.stats.messages += 1
-            if sim.tracer.enabled:
-                sim.tracer.instant(
-                    "msg.startup",
-                    cat="comm",
-                    src=src,
-                    dst=rank,
-                    stmt=sid,
-                    event=-1 if event is None else event.ordinal,
-                )
-        sim.stats.record_fetch((sid, rid) if event is not None else None, 1)
+        acc.datas[rank][off] = value
+        valids[rank][off] = True
+        self.sim._charge_fetch(stmt, ref.ref_id, src, rank, env)
         return value
-
-    def _remember(self, key, st):
-        self._stages[key] = st
-        while len(self._stages) > self._MAX_STAGES:
-            self._stages.popitem(last=False)
 
 
 # ---------------------------------------------------------------------------
 # Fast readers and the fast path itself
 # ---------------------------------------------------------------------------
-
-
-class _RankTables(dict):
-    """name -> (data, valid, lows, memory) handle tuples, built on
-    first use so lazily-allocated arrays stay unallocated on ranks that
-    never touch them."""
-
-    def __init__(self, memory):
-        super().__init__()
-        self._memory = memory
-
-    def __missing__(self, name):
-        memory = self._memory
-        rec = (
-            memory.arrays[name],
-            memory.valid[name],
-            memory._lows[name],
-            memory,
-        )
-        self[name] = rec
-        return rec
 
 
 class _FastReader:
@@ -965,7 +774,11 @@ class _FastReader:
         memory = sim.memories[rank]
         self.scalars = memory.scalars
         self.scalar_valid = memory.scalar_valid
-        self.tables = _RankTables(memory)
+        #: name -> (data, valid, lows) storage handles
+        self.tables = {
+            name: (data, memory.valid[name], memory._lows[name])
+            for name, data in memory.arrays.items()
+        }
 
     def read_scalar(self, ref, env):
         name = ref.symbol.name
@@ -976,7 +789,7 @@ class _FastReader:
         return self.sim.fetch_scalar(self.rank, ref, self.stmt, env)
 
     def read_array(self, ref, index, env):
-        arr, valid, lows, _memory = self.tables[ref.symbol.name]
+        arr, valid, lows = self.tables[ref.symbol.name]
         off = tuple(i - lo for i, lo in zip(index, lows))
         if valid[off]:
             return arr[off].item()
@@ -1052,11 +865,10 @@ class FastPath:
                 reader = readers[rank]
                 reader.stmt = stmt
                 index, value = fn(reader, env)
-                arr, valid, _lo, memory = reader.tables[name]
+                arr, valid, _lo = reader.tables[name]
                 off = tuple(i - lo for i, lo in zip(index, lows))
                 arr[off] = value
                 valid[off] = True
-                memory.versions[name] += 1
                 time[rank] += dt
                 compute_time[rank] += dt
                 written = off
@@ -1069,7 +881,6 @@ class FastPath:
                 for rank, memory in enumerate(memories):
                     if rank not in executing:
                         memory.valid[name][written] = False
-                        memory.versions[name] += 1
         else:  # scalar lhs
             for rank in ranks:
                 reader = readers[rank]

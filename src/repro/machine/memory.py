@@ -32,92 +32,31 @@ def _dtype_of(symbol: Symbol):
     return np.float64
 
 
-class _LazyStore(dict):
-    """Array/validity dict that materializes storage on first access.
-
-    ``memory[name]`` via ``__getitem__`` allocates (both the data array
-    and its validity mask, together); ``in`` tests, ``.get`` and
-    iteration never allocate, so untouched arrays on non-executor ranks
-    cost nothing."""
-
-    def __init__(self, memory: "NodeMemory"):
-        super().__init__()
-        self._memory = memory
-
-    def __missing__(self, name: str) -> np.ndarray:
-        self._memory._materialize(name)
-        return dict.__getitem__(self, name)
-
-
 class NodeMemory:
-    """Memory of one virtual processor."""
+    """Memory of one virtual processor: every declared array at its
+    full global shape beside a validity mask, and the scalars.  All of
+    it exists from construction — zero data, nothing valid; the
+    simulator marks what the rank owns and ``initialize_array`` writes
+    the initial contents through."""
 
     def __init__(self, rank: int, proc: Procedure):
         self.rank = rank
-        self.arrays: dict[str, np.ndarray] = _LazyStore(self)
-        self.valid: dict[str, np.ndarray] = _LazyStore(self)
+        self.arrays: dict[str, np.ndarray] = {}
+        self.valid: dict[str, np.ndarray] = {}
         self.scalars: dict[str, float | int | bool] = {}
         self.scalar_valid: dict[str, bool] = {}
         self._lows: dict[str, tuple[int, ...]] = {}
-        self._shapes: dict[str, tuple[int, ...]] = {}
-        self._dtypes: dict[str, type] = {}
-        #: initial contents deferred until first touch:
-        #: name -> (values-or-None, mapping-or-None)
-        self._pending: dict[str, tuple[np.ndarray | None, ArrayMapping | None]] = {}
-        #: per-array mutation counters, bumped on any store/invalidate;
-        #: the fast path's staged block transfers use them to know when
-        #: a snapshot of a source slab is still current
-        self.versions: dict[str, int] = {}
         for symbol in proc.symbols.arrays():
             shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-            self._shapes[symbol.name] = shape
-            self._dtypes[symbol.name] = _dtype_of(symbol)
+            self.arrays[symbol.name] = np.zeros(shape, dtype=_dtype_of(symbol))
+            self.valid[symbol.name] = np.zeros(shape, dtype=np.bool_)
             self._lows[symbol.name] = tuple(lo for lo, _ in symbol.dims)
-            self.versions[symbol.name] = 0
 
     def array_shape(self, name: str) -> tuple[int, ...]:
-        return self._shapes[name]
+        return self.arrays[name].shape
 
     def array_dtype(self, name: str):
-        return self._dtypes[name]
-
-    def _materialize(self, name: str) -> None:
-        shape = self._shapes[name]
-        data = np.zeros(shape, dtype=self._dtypes[name])
-        mask = np.zeros(shape, dtype=np.bool_)
-        values, mapping = self._pending.pop(name, (None, None))
-        if values is not None:
-            data[...] = values
-        if mapping is not None:
-            mask[...] = ownership_mask(mapping, self.rank)
-        dict.__setitem__(self.arrays, name, data)
-        dict.__setitem__(self.valid, name, mask)
-
-    def init_pending(
-        self,
-        name: str,
-        values: np.ndarray | None,
-        mapping: ArrayMapping | None,
-    ) -> None:
-        """Record initial contents + ownership validity without
-        allocating; writes through if storage already exists."""
-        if values is not None and values.shape != self._shapes[name]:
-            raise SimulationError(
-                f"shape mismatch initializing {name}: "
-                f"{values.shape} vs {self._shapes[name]}"
-            )
-        if name in self.arrays:  # already materialized: write through
-            if values is not None:
-                self.arrays[name][...] = values
-            if mapping is not None:
-                self.valid[name][...] = ownership_mask(mapping, self.rank)
-        else:
-            old_values, old_mapping = self._pending.get(name, (None, None))
-            self._pending[name] = (
-                values if values is not None else old_values,
-                mapping if mapping is not None else old_mapping,
-            )
-        self.versions[name] += 1
+        return self.arrays[name].dtype
 
     # -- index helpers -----------------------------------------------------
 
@@ -137,11 +76,9 @@ class NodeMemory:
         off = self.offset(name, index)
         self.arrays[name][off] = value
         self.valid[name][off] = True
-        self.versions[name] += 1
 
     def array_invalidate(self, name: str, index: tuple[int, ...]) -> None:
         self.valid[name][self.offset(name, index)] = False
-        self.versions[name] += 1
 
     # -- scalars ------------------------------------------------------------------
 
@@ -205,7 +142,7 @@ def initialize_array(
 ) -> None:
     """Distribute initial array contents: every rank receives the data,
     but validity follows ownership (owners valid; replicated/privatized
-    dims valid everywhere).  Storage stays pending until first touch."""
+    dims valid everywhere)."""
     name = mapping.array.name
     for memory in memories:
         if memory.array_shape(name) != values.shape:
@@ -214,4 +151,5 @@ def initialize_array(
                 f"{values.shape} vs {memory.array_shape(name)}"
             )
     for memory in memories:
-        memory.init_pending(name, values, mapping)
+        memory.arrays[name][...] = values
+        memory.valid[name][...] = ownership_mask(mapping, memory.rank)

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..codegen.evalexpr import ValueReader, coerce_store, eval_expr, eval_subscripts
 from ..codegen.walker import ExecutionHooks, Walker
+from ..comm.analysis import hoisted_loop_vars
 from ..comm.costmodel import MachineModel, flops_of_expr
 from ..comm.events import CommEvent
 from ..core.driver import CompiledProgram
@@ -182,6 +183,10 @@ class SPMDSimulator:
             if e.ordinal < 0:
                 e.ordinal = next_ordinal
                 next_ordinal += 1
+        #: (stmt_id, ref_id) -> (event or None, its hoisted loop vars)
+        self._fetch_meta_of: dict[tuple[int, int], tuple] = {}
+        #: the coalescing keys of every message sent so far — all three
+        #: tiers build them with :meth:`_coalesce_key`
         self._fetch_keys_seen: set = set()
         #: loop indices currently iterating (a position form referencing
         #: an inactive loop's index spans the whole dimension)
@@ -199,14 +204,15 @@ class SPMDSimulator:
         self._exec_everywhere: dict[int, bool] = {}
         self._ranks_cache: dict[tuple, list[int]] = {}
         self._index_reductions()
-        # Zero-initialize every array with ownership validity (matching
-        # the sequential interpreter's zero-filled global store);
-        # set_array overwrites the contents afterwards.  Kept pending so
-        # untouched arrays on non-executor ranks never allocate.
+        # Every array starts zero-filled (matching the sequential
+        # interpreter's global store) and valid where the rank owns it;
+        # set_array overwrites the contents afterwards.
         for symbol in self.proc.symbols.arrays():
             mapping = self.compiled.mappings[symbol.name]
             for memory in self.memories:
-                memory.init_pending(symbol.name, None, mapping)
+                memory.valid[symbol.name][...] = ownership_mask(
+                    mapping, memory.rank
+                )
 
     # ==================================================================
     # Setup
@@ -242,8 +248,13 @@ class SPMDSimulator:
                 ).append((reduction, mapping))
 
     def set_array(self, name: str, values: np.ndarray) -> None:
-        mapping = self.compiled.mappings[name.upper()]
-        initialize_array(self.memories, mapping, values)
+        mapping = self.compiled.mappings.get(name.upper())
+        if mapping is None:
+            raise SimulationError(
+                f"no array {name!r} to initialize: the program declares "
+                f"{sorted(self.compiled.mappings)}"
+            )
+        initialize_array(self.memories, mapping, np.asarray(values))
 
     def run(self):
         if self.tier == "interpreted":
@@ -292,24 +303,45 @@ class SPMDSimulator:
     # Fetch (modeled communication)
     # ==================================================================
 
-    def _coalesce_key(self, event: CommEvent | None, stmt: Stmt, ref_id: int,
-                      src: int, dst: int, env) -> tuple:
+    def _fetch_meta(self, stmt: Stmt, ref_id: int) -> tuple:
+        """``(event, hoisted loop variables)`` of a fetching reference:
+        the communication event that places its transfer (None when the
+        static analysis placed none) and the loops the event is hoisted
+        out of — one lookup per reference, then memoized."""
+        ref_key = (stmt.stmt_id, ref_id)
+        meta = self._fetch_meta_of.get(ref_key)
+        if meta is None:
+            event = self._events.get(ref_key)
+            meta = self._fetch_meta_of[ref_key] = (
+                event, () if event is None else hoisted_loop_vars(event, stmt)
+            )
+        return meta
+
+    def _coalesce_key(self, stmt: Stmt, ref_id: int, src: int, dst: int,
+                      env) -> tuple:
+        """The message a fetch belongs to — message vectorization's one
+        startup per placement instance.  Every tier builds its keys
+        here, so the shapes in ``_fetch_keys_seen`` cannot differ."""
+        event, outer = self._fetch_meta(stmt, ref_id)
         if event is None:
             return ("raw", stmt.stmt_id, ref_id, src, dst, tuple(sorted(env.items())))
-        from ..comm.analysis import hoisted_loop_vars
-
-        outer = tuple(env.get(name, 0) for name in hoisted_loop_vars(event, stmt))
         # Keyed by the event's stable ordinal so transfers merged by
         # message combining share one startup per placement instance
         # and charging is identical across runs and pickle round-trips.
-        return ("evt", event.ordinal, src, dst, outer)
+        return (
+            "evt", event.ordinal, src, dst,
+            tuple(env.get(name, 0) for name in outer),
+        )
 
-    def _charge_fetch(self, event: CommEvent | None, stmt: Stmt, ref_id: int,
-                      src: int, dst: int, env, elements: int = 1) -> None:
-        key = self._coalesce_key(event, stmt, ref_id, src, dst, env)
+    def _charge_fetch(self, stmt: Stmt, ref_id: int, src: int, dst: int,
+                      env) -> None:
+        """Charge the fetch of one element: its bandwidth, and the
+        startup if it opens its message."""
+        event, _outer = self._fetch_meta(stmt, ref_id)
+        key = self._coalesce_key(stmt, ref_id, src, dst, env)
         startup = key not in self._fetch_keys_seen
         self._fetch_keys_seen.add(key)
-        self.clocks.charge_message_amortized(src, dst, elements, startup)
+        self.clocks.charge_message_amortized(src, dst, 1, startup)
         if startup:
             self.stats.messages += 1
             if self.tracer.enabled:
@@ -322,7 +354,7 @@ class SPMDSimulator:
                     event=-1 if event is None else event.ordinal,
                 )
         self.stats.record_fetch(
-            (stmt.stmt_id, ref_id) if event is not None else None, elements
+            (stmt.stmt_id, ref_id) if event is not None else None
         )
 
     def fetch_array(self, rank: int, ref: ArrayElemRef, index, stmt: Stmt, env):
@@ -345,8 +377,7 @@ class SPMDSimulator:
             )
         value = self.memories[src].array_value(name, index)
         self.memories[rank].array_store(name, index, value)
-        event = self._events.get((stmt.stmt_id, ref.ref_id))
-        self._charge_fetch(event, stmt, ref.ref_id, src, rank, env)
+        self._charge_fetch(stmt, ref.ref_id, src, rank, env)
         return value
 
     def fetch_scalar(self, rank: int, ref: ScalarRef, stmt: Stmt, env):
@@ -363,8 +394,7 @@ class SPMDSimulator:
             )
         value = self.memories[src].scalar_value(name)
         self.memories[rank].scalar_store(name, value)
-        event = self._events.get((stmt.stmt_id, ref.ref_id))
-        self._charge_fetch(event, stmt, ref.ref_id, src, rank, env)
+        self._charge_fetch(stmt, ref.ref_id, src, rank, env)
         return value
 
     # ==================================================================
@@ -489,9 +519,7 @@ class SPMDSimulator:
                 off = self.memories[0].offset(name, written_index)
                 for rank in self._all_ranks:
                     if rank not in executing:
-                        memory = self.memories[rank]
-                        memory.valid[name][off] = False
-                        memory.versions[name] += 1
+                        self.memories[rank].valid[name][off] = False
         else:
             name = stmt.lhs.symbol.name
             for rank in ranks:

@@ -71,7 +71,6 @@ from ..codegen.veceval import (
     _reduction_operand,
     _stmt_array_refs,
 )
-from ..comm.analysis import hoisted_loop_vars
 from ..errors import MappingError
 from ..ir.expr import ArrayElemRef, ScalarRef, affine_form
 from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
@@ -576,8 +575,8 @@ class _FetchLog:
         them — every (rank, element) once, at its first read — and peek
         their coalescing keys.  Returns None when nothing fetched, else
         per-fetch vectors (instance, source, reader, opens-a-message)
-        plus the bookkeeping of each (read, reader, source) group and
-        the coalescing keys the takeover opens."""
+        plus the number of elements fetched under each reference's
+        event and the coalescing keys the takeover opens."""
         reads = self.reads
         if not reads:
             return None
@@ -612,48 +611,41 @@ class _FetchLog:
             elems, counts = np.unique(elem, return_counts=True)
             if np.isin(elem[shaky], elems[counts > 1]).any():
                 raise _Bail("fetch source depends on fetch order")
-        # what a fetch does besides charging is the same for every
-        # element of one (read, reader, source) group, whatever the
-        # order; only the startup goes to the earliest fetch under each
-        # key
+        tally = []
+        for k, count in zip(
+            *map(np.ndarray.tolist, np.unique(read, return_counts=True))
+        ):
+            f = reads[k]
+            event, outer = sim._fetch_meta(f.stmt, f.ref.ref_id)
+            if event is None:
+                # raw coalescing keys embed the full env — including
+                # the takeover variables, which tier 2 sets per
+                # iteration and we do not
+                raise _Bail("fetch without a placed event")
+            if set(outer) & set(plan.lane_vars):
+                raise _Bail("fetch key varies per lane")
+            tally.append(((f.stmt.stmt_id, f.ref.ref_id), count))
+        # the key is the same for every element of one (read, reader,
+        # source) group, whatever the order; the startup goes to the
+        # earliest fetch under each key
         nranks = len(sim.memories)
-        groups = []
         opened: dict[tuple, int] = {}
-        for code, at, count in zip(
+        for code, at in zip(
             *map(
                 np.ndarray.tolist,
                 np.unique(
-                    (read * nranks + dst) * nranks + src,
-                    return_index=True, return_counts=True,
+                    (read * nranks + dst) * nranks + src, return_index=True
                 ),
             )
         ):
             pair, source = divmod(code, nranks)
             f, reader = reads[pair // nranks], pair % nranks
-            event_key = (f.stmt.stmt_id, f.ref.ref_id)
-            meta = plan.fetch_meta.get(event_key)
-            if meta is None:
-                event = sim._events.get(event_key)
-                if event is None:
-                    # raw coalescing keys embed the full env — including
-                    # the takeover variables, which tier 2 sets per
-                    # iteration and we do not
-                    raise _Bail("fetch without a placed event")
-                meta = (event.ordinal, hoisted_loop_vars(event, f.stmt))
-                if set(meta[1]) & set(plan.lane_vars):
-                    raise _Bail("fetch key varies per lane")
-                plan.fetch_meta[event_key] = meta
-            ordinal, outer = meta
-            key = (
-                "evt", ordinal, source, reader,
-                tuple(env.get(nm, 0) for nm in outer),
-            )
+            key = sim._coalesce_key(f.stmt, f.ref.ref_id, source, reader, env)
             opened[key] = min(opened.get(key, at), at)
-            groups.append((event_key, reader, f.ref.symbol.name, count))
         fresh = [key for key in opened if key not in sim._fetch_keys_seen]
         startup = np.zeros(inst.size, dtype=np.bool_)
         startup[[opened[key] for key in fresh]] = True
-        return inst, src, dst, startup, groups, fresh
+        return inst, src, dst, startup, tally, fresh
 
     def commit(self, sched, dts: np.ndarray, tapes: list) -> tuple[int, int]:
         """Replay compute and messages in per-iteration order; returns
@@ -674,8 +666,8 @@ class _FetchLog:
         — the reader's compute between the messages included — is one
         left fold (``Clocks.charge_message_run``).  ``compute_time``
         sees no messages and is folded in one piece.  Everything else a
-        fetch does is batched per group."""
-        inst, src, dst, startup, groups, fresh = sched
+        fetch does is batched per reference."""
+        inst, src, dst, startup, tally, fresh = sched
         sim = self.plan.sim
         clocks, stats, memories = sim.clocks, sim.stats, sim.memories
         time = clocks.time
@@ -743,9 +735,8 @@ class _FetchLog:
             time[r] = sequential_sum(time[r], dts[steps[done[r]:ends[r]]])
         sim._fetch_keys_seen.update(fresh)
         stats.messages += len(fresh)
-        for event_key, reader, name, count in groups:
-            stats.record_fetch_batch(event_key, count)
-            memories[reader].versions[name] += count
+        for event_key, count in tally:
+            stats.record_fetch(event_key, count)
         for f in self.reads:
             name = f.ref.symbol.name
             edges = np.diff(f.dst, prepend=-1, append=-1).nonzero()[0]
@@ -835,21 +826,21 @@ class _Lanes:
 
     @property
     def lost(self) -> list:
-        """``(rank, lanes, count)`` for every rank that does not run all
-        the columns: a mask of the home lanes of the instances it does
-        not run — whose stores invalidate its copies.  (``lanes`` is
-        None for all of them: a rank that runs nothing, where no
-        instance is shared.)"""
+        """``(rank, lanes)`` for every rank that does not run all the
+        columns: a mask of the home lanes of the instances it does not
+        run — whose stores invalidate its copies.  (``lanes`` is None
+        for all of them: a rank that runs nothing, where no instance is
+        shared.)"""
         if self._lost is None:
             home, runs = self.home, self.runs
             idle = ~runs.any(axis=1) if home.all() else ()
             self._lost = []
             for r in (~runs.all(axis=1)).nonzero()[0].tolist():
                 if len(idle) and idle[r]:
-                    self._lost.append((r, None, self.n))
+                    self._lost.append((r, None))
                 else:
                     lanes = (home & ~runs[r][self.col]).nonzero()[0]
-                    self._lost.append((r, lanes, lanes.size))
+                    self._lost.append((r, lanes))
         return self._lost
 
     @property
@@ -904,14 +895,13 @@ class _Region:
     """The elements one store form writes in one body pass, and the
     lane values last stored there."""
 
-    __slots__ = ("lanes", "ref_id", "t", "vec", "stores")
+    __slots__ = ("lanes", "ref_id", "t", "vec")
 
     def __init__(self, lanes: _Lanes, ref_id: int, t: int, vec):
         self.lanes = lanes
         self.ref_id = ref_id
         self.t = t
         self.vec = vec
-        self.stores = 1
 
 
 class _NestCtx(_Ctx):
@@ -1006,7 +996,6 @@ class _NestCtx(_Ctx):
             raise _Bail("array writers differ in executor set")
         else:
             region.vec = vec
-            region.stores += 1
 
     def _fold(self, st: _Step, value, is_int: bool) -> None:
         """``acc = acc OP e`` over each rank's lanes, in iteration
@@ -1219,8 +1208,8 @@ class _NestCtx(_Ctx):
             name = self.plan.ref_forms[region.ref_id][0].name
             groups.setdefault((name, region.lanes), []).append(region)
         #: (array, lanes) -> the regions these lanes stored: a numpy
-        #: index and the values — with one row per region when there
-        #: are several — and the number of store statements behind them
+        #: index and the values, with one row per region when there
+        #: are several
         self.stores: dict[tuple, tuple] = {}
         marks: dict[str, list] = {}
         for (name, lanes), regions in groups.items():
@@ -1235,8 +1224,7 @@ class _NestCtx(_Ctx):
                         ix[row] = o
                     vals[row] = region.vec
                 index = tuple(rows)
-            writes = sum([region.stores for region in regions])
-            self.stores[name, lanes] = (index, vals, writes)
+            self.stores[name, lanes] = (index, vals)
             marks.setdefault(name, []).append((index, lanes, len(regions)))
         for name, stored in marks.items():
             reads = stray.get(name, ())
@@ -1313,20 +1301,17 @@ class _NestCtx(_Ctx):
         else:
             for r, step, _at in dom.tapes:
                 clocks.charge_compute_tape(r, dts[step])
-        for (name, lanes), (index, vals, writes) in self.stores.items():
+        for (name, lanes), (index, vals) in self.stores.items():
             whole = len(lanes.slices) == 1
             for r, sl in lanes.slices:
                 sel = index if whole else _pick(index, sl, lanes.n)
                 memory = memories[r]
                 memory.arrays[name][sel] = vals if whole else vals[..., sl]
                 memory.valid[name][sel] = True
-                memory.versions[name] += (sl.stop - sl.start) * writes
             # every write instance invalidates each rank not running it
-            for r, lost, count in lanes.lost:
+            for r, lost in lanes.lost:
                 sel = index if lost is None else _pick(index, lost, lanes.n)
-                memory = memories[r]
-                memory.valid[name][sel] = False
-                memory.versions[name] += count * writes
+                memories[r].valid[name][sel] = False
         for name, (lanes, _npass, vec) in self.scalars.items():
             # every rank keeps the value of its own last instance (it
             # persists even once a later column invalidates it); the
@@ -1342,20 +1327,17 @@ class _NestCtx(_Ctx):
             st = plan.all_steps[index]
             off = self.offs[st.stmt.lhs.ref_id]
             lanes = self.lanes_of[index]
-            for r, sl in lanes.slices:
+            for r, _sl in lanes.slices:
                 memory = memories[r]
                 memory.arrays[st.name][off] = results[r].item()
                 memory.valid[st.name][off] = True
-                memory.versions[st.name] += sl.stop - sl.start
             # an afold accumulates privately: the other ranks keep
             # their copies, exactly like scalar reductions.  An sfold
             # is a plain owner-computes store, just serialized: it
             # invalidates them once per iteration
             if st.kind == "sfold":
-                for r, _lost, count in lanes.lost:
-                    memory = memories[r]
-                    memory.valid[st.name][off] = False
-                    memory.versions[st.name] += count
+                for r, _lost in lanes.lost:
+                    memories[r].valid[st.name][off] = False
         if plan.i is not None and plan.i not in self.base_env:
             # the walker's per-iteration epilogue leaves the inner
             # index at the last column's final value
@@ -1398,8 +1380,6 @@ class NestPlan:
         self.flat_vars = (v,) if inner is None or serial else (v, i)
         #: every loop variable the takeover binds
         self.lane_vars = (v,) if inner is None else (v, i)
-        #: (stmt_id, ref_id) -> (event ordinal, hoisted loop vars)
-        self.fetch_meta: dict[tuple, tuple] = {}
         #: ref_id -> (symbol, forms); index of its step; what it names
         #: — a canonical key comparable across the nest's statements,
         #: None for a reference that moves with the serial axis (its

@@ -50,18 +50,9 @@ class TrafficStats:
     #: the static communication analysis
     per_event_fetches: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def record_fetch(self, key: tuple[int, int] | None, elements: int = 1) -> None:
-        self.fetches += 1
-        self.elements += elements
-        if key is None:
-            self.unexpected_fetches += 1
-        else:
-            self.per_event_fetches[key] = self.per_event_fetches.get(key, 0) + 1
-
-    def record_fetch_batch(self, key: tuple[int, int] | None, count: int) -> None:
-        """Exactly ``count`` single-element ``record_fetch`` calls."""
-        if count <= 0:
-            return
+    def record_fetch(self, key: tuple[int, int] | None, count: int = 1) -> None:
+        """Tally ``count`` single-element fetches placed by the event
+        of ``key`` (None: by no event of the static analysis)."""
         self.fetches += count
         self.elements += count
         if key is None:

@@ -2,8 +2,8 @@
 
 A :class:`Tracer` collects *spans* (duration events wrapping one unit
 of work: a compiler pass, a simulator tier entry, a slab takeover) and
-*instant* events (points in time: a message startup, a fetch-stage
-snapshot, a slab bail).  The recorded stream serializes to the Chrome
+*instant* events (points in time: a message startup, a slab takeover,
+a slab bail).  The recorded stream serializes to the Chrome
 ``trace_event`` JSON format (the ``{"traceEvents": [...]}`` object
 form), loadable in ``chrome://tracing`` / Perfetto.
 

@@ -17,8 +17,7 @@ simulate (or estimate) the same ``(program, seed,
 options-minus-machine-minus-procs)`` point form one *batch*.  Within a
 batch, lanes split into procs sub-groups — runs sharing one compiled
 program — whose lanes differ only in ``options.machine``.
-:func:`run_batched` compiles each sub-group once (procs values that
-resolve to the same processor grid share even that compile), evaluates
+:func:`run_batched` compiles each sub-group once, evaluates
 all its machine lanes in a single lane-vector simulation, reads each
 lane's payload straight off that sub-simulation's
 :class:`~repro.machine.stats.Clocks`, and stitches per-lane
@@ -188,45 +187,17 @@ def compile_with_memo(
     manager: PassManager,
     cache: CompileCache | None,
     memo: dict | None,
-    grid_memo: dict | None = None,
 ) -> tuple[CompiledProgram, bool, bool]:
     """Compile ``job`` through the optional in-run memo table and the
     optional persistent cache.  Returns ``(compiled, cache_hit,
     deduped)`` — ``deduped`` means no compile work ran at all.
 
-    ``memo`` keys on the exact ``(source, options signature)``.
-    ``grid_memo`` (the batched path) adds a second, *grid-normalized*
-    level: ``num_procs`` influences compilation only through the
-    resolved processor grid, so a prior compile of the same source
-    under the same options-minus-``num_procs`` whose grid matches what
-    this job's ``num_procs`` would resolve to is the identical program
-    — a P-independent program (PROCESSORS directive pinned) compiles
-    once for a whole procs vector."""
+    ``memo`` keys on the exact ``(source, options signature)``."""
     key = (job.source, options_signature(job.options))
     if memo is not None:
         hit = memo.get(key)
         if hit is not None:
             return hit, False, True
-    family: dict | None = None
-    if grid_memo is not None:
-        neutral = dataclasses.replace(job.options, num_procs=None)
-        family = grid_memo.setdefault(
-            (job.source, options_signature(neutral)), {}
-        )
-        if family:
-            from ..core.context import resolve_grid
-
-            # any prior compile of this family parsed the same source,
-            # so its PROCESSORS directive predicts this job's grid
-            prior = next(iter(family.values()))
-            shape = resolve_grid(
-                prior.proc, num_procs=job.options.num_procs
-            ).shape
-            hit = family.get(shape)
-            if hit is not None:
-                if memo is not None:
-                    memo[key] = hit
-                return hit, False, True
     if cache is not None:
         compiled, cache_hit = cache.get_or_compile(
             job.source,
@@ -239,8 +210,6 @@ def compile_with_memo(
         cache_hit = False
     if memo is not None:
         memo[key] = compiled
-    if family is not None:
-        family.setdefault(compiled.grid.shape, compiled)
     return compiled, cache_hit, False
 
 
@@ -374,9 +343,6 @@ def run_batched(
             metrics.inc(name, amount)
 
     results: dict[int, SweepResult] = {}
-    #: grid-normalized compile memo (see :func:`compile_with_memo`),
-    #: scoped to this run like the exact-signature memo
-    grid_memo: dict = {}
 
     def _emit(index: int, result: SweepResult) -> None:
         results[index] = result
@@ -433,7 +399,6 @@ def run_batched(
                             manager=manager,
                             cache=cache,
                             memo=memo,
-                            grid_memo=grid_memo,
                         )
                         sim = (
                             _simulate_lanes(sub, compiled)

@@ -164,9 +164,9 @@ class TestExecutorTables:
 
 
 class TestFetchCharging:
-    def test_block_staging_preserves_traffic_totals(self):
-        # The coalescing stage changes only where fetched values are
-        # read from; every per-element charge is identical.
+    def test_fast_path_fetches_preserve_traffic_totals(self):
+        # The fetch engine changes only how a fetch finds its source;
+        # every per-element charge is identical.
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
         fast = simulate(compiled, _inputs())
         slow = simulate(compiled, _inputs(), tier="interpreted")

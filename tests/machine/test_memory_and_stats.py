@@ -150,12 +150,12 @@ class TestClocks:
 class TestTrafficStats:
     def test_fetch_recording(self):
         stats = TrafficStats()
-        stats.record_fetch((1, 2), elements=3)
+        stats.record_fetch((1, 2), count=3)
         stats.record_fetch(None)
-        assert stats.fetches == 2
+        assert stats.fetches == 4
         assert stats.unexpected_fetches == 1
         assert stats.elements == 4
-        assert stats.per_event_fetches[(1, 2)] == 1
+        assert stats.per_event_fetches[(1, 2)] == 3
 
 
 class TestTrace:

@@ -217,14 +217,13 @@ def _slab_counters(metrics, compiled, kind):
 
 def _state(sim):
     """Everything a tier must agree on: clocks, traffic, and every
-    rank's data, validity and version counters."""
+    rank's data and validity."""
     out = [sim.clocks.snapshot(), sim.stats.as_dict()]
     for memory in sim.memories:
         for name in sorted(sym.name for sym in sim.proc.symbols.arrays()):
             out.append((
                 memory.arrays[name].tobytes(),
                 memory.valid[name].tobytes(),
-                memory.versions[name],
             ))
         out.append((dict(memory.scalars), dict(memory.scalar_valid)))
     return out
@@ -365,10 +364,11 @@ class TestFetchReplay:
         the lane variables; the schedule declines — for the ``j`` nest
         and then for its ``i`` loop — before anything is mutated, and
         tier 2 replays the nest exactly."""
-        from repro.machine import slabexec
+        from repro.machine import simulator
 
+        # (the one lookup every tier's keys are built from)
         monkeypatch.setattr(
-            slabexec, "hoisted_loop_vars", lambda event, stmt: ("J", "I")
+            simulator, "hoisted_loop_vars", lambda event, stmt: ("J", "I")
         )
         compiled, inputs, slab, metrics = self._run(SOURCE_BETWEEN, 3)
         assert metrics.counters["slab.bail[fetch key varies per lane]"] >= 1

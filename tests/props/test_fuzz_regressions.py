@@ -14,54 +14,66 @@ import numpy as np
 import pytest
 
 from repro.core.driver import CompilerOptions, compile_source
-from repro.fuzz import GenConfig, check_program, check_tiers, generate, shrink
+from repro.fuzz import GenConfig, check_program, generate, shrink
 from repro.fuzz.generator import _array_roles
 from repro.fuzz.harness import make_inputs, tier_payload
-from repro.machine.simulator import simulate
+from repro.machine import TIERS, SPMDSimulator, ownership_mask, simulate
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 # ---------------------------------------------------------------------------
-# Divergence class 1: lazy vs eager per-rank array materialization
+# Per-rank storage: every rank holds every declared array
 # ---------------------------------------------------------------------------
 #
 # Campaign seed 0, program seed 1 (minimized): a replicated-execution
-# scalar reduction reading remote rows.  The walker never touches rank
-# 0's copy of C (it stays deferred); the fast-path engines allocate it
-# during setup.  The materialized contents are byte-identical — tiers
-# may differ in *when* they allocate, never in semantic state — so the
-# harness compares every declared array with materialization forced.
+# scalar reduction reading remote rows — under the walker rank 0 never
+# touches its copy of C.  The harness's memory lens compares every
+# declared array on every rank, so every rank must hold all of them,
+# touched or not, whatever the tier.
 
 
 def _memory_repro() -> str:
     return (CORPUS / "regression_memory_materialization.hpf").read_text()
 
 
-def test_memory_materialization_repro_is_tier_clean():
-    divergences, reference = check_tiers(_memory_repro(), 3)
-    assert divergences == []
-    assert reference is not None
+def test_every_rank_holds_every_declared_array_from_construction():
+    """Zero data and ownership validity before anything ran; the
+    inputs written through by ``set_array`` — on every tier."""
+    source = _memory_repro()
+    compiled = compile_source(source, CompilerOptions(num_procs=3))
+    inputs = make_inputs(source, 0)
+    for tier in TIERS:
+        sim = SPMDSimulator(compiled, tier=tier)
+        for rank, memory in enumerate(sim.memories):
+            assert set(memory.arrays) == set(memory.valid) == {"A", "B", "C", "W"}
+            for name, data in memory.arrays.items():
+                owned = ownership_mask(compiled.mappings[name], rank)
+                assert not data.any()
+                assert np.array_equal(memory.valid[name], owned)
+        for name, values in inputs.items():
+            sim.set_array(name, values)
+        for rank, memory in enumerate(sim.memories):
+            for name, values in inputs.items():
+                owned = ownership_mask(compiled.mappings[name], rank)
+                assert np.array_equal(memory.arrays[name], values)
+                assert np.array_equal(memory.valid[name], owned)
 
 
-def test_materialization_timing_differs_but_state_matches():
-    """The diagnosis, pinned: the walker leaves untouched per-rank
-    copies unmaterialized where the lowered engine allocates them, and
-    forcing materialization yields byte-identical data + validity."""
+def test_tiers_hold_the_same_arrays_after_a_run():
+    """Which arrays a rank holds once the program ran is the same on
+    every tier, and so are the data and validity bytes."""
     source = _memory_repro()
     compiled = compile_source(source, CompilerOptions(num_procs=3))
     inputs = make_inputs(source, 0)
     walk = simulate(compiled, dict(inputs), tier="interpreted")
-    low = simulate(compiled, dict(inputs), tier="lowered")
-    walk_keys = set(walk.memories[0].arrays)
-    low_keys = set(low.memories[0].arrays)
-    assert walk_keys <= low_keys  # the class this regression pinned
-    for rank in range(3):
-        wm, lm = walk.memories[rank], low.memories[rank]
-        for name in ("A", "B", "C", "W"):
-            # indexing forces lazy storage to its semantic state
-            assert wm.arrays[name].tobytes() == lm.arrays[name].tobytes()
-            assert wm.valid[name].tobytes() == lm.valid[name].tobytes()
+    for tier in TIERS[1:]:
+        other = simulate(compiled, dict(inputs), tier=tier)
+        for wm, om in zip(walk.memories, other.memories):
+            assert list(wm.arrays) == list(om.arrays) == ["A", "B", "C", "W"]
+            for name in wm.arrays:
+                assert wm.arrays[name].tobytes() == om.arrays[name].tobytes()
+                assert wm.valid[name].tobytes() == om.valid[name].tobytes()
 
 
 def test_tier_payload_covers_every_declared_array():

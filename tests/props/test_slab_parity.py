@@ -84,7 +84,6 @@ def assert_invisible(slab, other):
         for name in om.arrays:
             assert sm.arrays[name].tobytes() == om.arrays[name].tobytes()
             assert sm.valid[name].tobytes() == om.valid[name].tobytes()
-            assert sm.versions[name] == om.versions[name]
         assert sm.scalars == om.scalars
         assert sm.scalar_valid == om.scalar_valid
     for name in ("A", "B", "C"):

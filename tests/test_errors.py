@@ -120,3 +120,40 @@ class TestRuntimeErrors:
         sim = SPMDSimulator(compiled)
         with pytest.raises(SimulationError):
             sim.set_array("A", np.zeros(7))
+
+    @pytest.mark.parametrize("backend", ["simulate", "run_sequential"])
+    def test_bad_input_arrays_are_typed_errors(self, backend):
+        """An input naming no declared array, or of the wrong shape, is
+        a ``ReproError`` that names the array — on both back ends —
+        and anything array-like (a nested list) is accepted."""
+        from repro.codegen import run_sequential
+        from repro.errors import InterpreterError, SimulationError
+        from repro.machine import simulate
+
+        source = (
+            "PROGRAM t\n  REAL A(2, 2), B(2, 2)\n"
+            "!HPF$ ALIGN B(i, j) WITH A(i, j)\n"
+            "!HPF$ DISTRIBUTE (BLOCK, *) :: A\n"
+            "  DO i = 1, 2\n    A(i, 1) = B(i, 2)\n  END DO\nEND\n"
+        )
+        if backend == "simulate":
+            compiled = compile_source(source, CompilerOptions(num_procs=2))
+            error = SimulationError
+
+            def run(inputs):
+                return simulate(compiled, inputs).gather("A")
+        else:
+            error = InterpreterError
+
+            def run(inputs):
+                return run_sequential(parse_and_build(source), inputs).get_array("A")
+
+        with pytest.raises(error) as err:
+            run({"NOPE": [[1.0, 2.0], [3.0, 4.0]]})
+        assert "'NOPE'" in str(err.value) and "['A', 'B']" in str(err.value)
+        with pytest.raises(error) as err:
+            run({"b": [1.0, 2.0]})
+        assert "shape mismatch" in str(err.value)
+        assert run({"b": [[1.0, 2.0], [3.0, 4.0]]}).tolist() == [
+            [2.0, 0.0], [4.0, 0.0]
+        ]
