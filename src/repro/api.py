@@ -250,18 +250,22 @@ class Session:
         import numpy as np
 
         from .codegen.seq import run_sequential, seeded_inputs
-        from .ir.build import parse_and_build
+        from .ir.build import build_procedure
         from .machine.simulator import simulate
 
         compiled = self.compile(source, **overrides)
         cache_hit = self.last_cache_hit
 
-        # A fresh, untransformed procedure feeds the sequential
-        # reference run; its symbol order fixes the rng draws.
-        proc = parse_and_build(source)
+        # A fresh, untransformed procedure — built from the AST the
+        # compile parsed — feeds the sequential reference run; its
+        # symbol order fixes the rng draws.
+        proc = build_procedure(self.manager.syntax_tree(source))
         inputs = seeded_inputs(proc, seed)
 
-        sequential = run_sequential(proc, inputs) if validate else None
+        sequential = (
+            run_sequential(proc, inputs, metrics=self.metrics)
+            if validate else None
+        )
         sim = simulate(
             compiled,
             inputs,

@@ -108,14 +108,15 @@ class LoweredSequentialHooks(ExecutionHooks):
     the tree-walking hooks; whole loops are offered to ``vector``
     (a :class:`~repro.codegen.seqvec.SeqVectorizer`) first."""
 
-    def __init__(self, store: GlobalStore, lowered, stats: WalkStats):
+    def __init__(self, store: GlobalStore, lowered, stats: WalkStats,
+                 metrics=None):
         # deferred import: only a run needs the vector kernels
         from .seqvec import SeqVectorizer
 
         self.store = store
         self.lowered = lowered
         self._slow = SequentialHooks(store)
-        self.vector = SeqVectorizer(self, stats)
+        self.vector = SeqVectorizer(self, stats, metrics)
 
     def assign(self, stmt: AssignStmt, env: dict[str, int]) -> None:
         fn = self.lowered.assigns.get(stmt.stmt_id)
@@ -175,10 +176,12 @@ class SequentialInterpreter:
         result = interp.store.get_array("A")
     """
 
-    def __init__(self, proc: Procedure, fast_path: bool = True):
+    def __init__(self, proc: Procedure, fast_path: bool = True, metrics=None):
         self.proc = proc
         self.store = GlobalStore(proc)
         self.fast_path = fast_path
+        #: a :class:`repro.obs.Metrics` the takeovers count into
+        self.metrics = metrics
         #: statement/iteration counts and the step limit of the run
         self.stats = WalkStats()
         #: loop variables and their post-loop values, once run
@@ -193,7 +196,8 @@ class SequentialInterpreter:
             from ..machine.lowering import lower_procedure
 
             hooks: ExecutionHooks = LoweredSequentialHooks(
-                self.store, lower_procedure(self.proc), self.stats
+                self.store, lower_procedure(self.proc), self.stats,
+                self.metrics,
             )
         else:
             hooks = SequentialHooks(self.store)
@@ -222,9 +226,12 @@ def run_sequential(
     proc: Procedure,
     inputs: dict[str, np.ndarray] | None = None,
     fast_path: bool = True,
+    metrics=None,
 ):
-    """Convenience: run and return the final store."""
-    interp = SequentialInterpreter(proc, fast_path=fast_path)
+    """Convenience: run and return the final store.  ``metrics`` counts
+    the whole-loop takeovers (``seq.takeover[loop=S..]``) and the ones
+    that bailed on a value (``seq.bail[reason]``)."""
+    interp = SequentialInterpreter(proc, fast_path=fast_path, metrics=metrics)
     for name, values in (inputs or {}).items():
         interp.store.set_array(name, values)
     interp.run()

@@ -7,11 +7,15 @@ dependence across iterations is one data-parallel operation — a domain
 (the iterations), a signature (the affine subscripts) and, for the
 recognized ``+``/``*``/``MAX``/``MIN`` updates, a fold.  Such a loop
 executes here as numpy lane operations over the global arrays, one
-lane per iteration: no ranks, no ownership, no clocks.  Loops nested in
-a taken loop run serially with a scalar index and lane-vector values,
-which is the legal interchange of a column sweep (``D(i,j)`` from
-``D(i-1,j)``): the parallel outer ``j`` becomes the lane axis, the
-serial inner ``i`` runs as written.
+lane per iteration: no ranks, no ownership, no clocks.  The argument
+holds for both loops of a perfect nest, so when the one inner loop
+carries no value either (:func:`~repro.codegen.veceval._serial_axis`)
+the nest is *flattened*: every statement runs once over the outer x
+inner lanes, outer-major — program order, which is also the order of
+the folds.  Any other loop nested in a taken loop runs serially with a
+scalar index and lane-vector values, which is the legal interchange of
+a column sweep (``D(i,j)`` from ``D(i-1,j)``): the parallel outer ``j``
+becomes the lane axis, the serial inner ``i`` runs as written.
 
 Whether a loop has the shape is decided once per loop statement
 (:class:`_Plan`).  Everything that depends on values — a subscript out
@@ -42,10 +46,19 @@ from .veceval import (
     _eval,
     _fold_lanes,
     _reduction_operand,
+    _serial_axis,
     _stmt_array_refs,
 )
 
 _MISSING = object()
+
+
+def _walks(form, name: str, others) -> bool:
+    """The subscript varies with loop index ``name`` and with none of
+    ``others``: distinct values of ``name``, distinct elements —
+    whatever the others are."""
+    names = {sym.name for sym, c in form.coeffs if c and sym.value is None}
+    return name in names and not names & others
 
 
 class _Plan:
@@ -91,8 +104,8 @@ class _Plan:
                             f"inner bound depends on {ref.symbol.name}"
                         )
 
-        #: ref_id -> per dimension (affine form, its coefficient on v)
-        self.forms: dict[int, list] = {}
+        forms: dict[int, list] = {}
+        stores = []
         #: store scalars the subscripts read (never written in the body)
         self.subscript_scalars: set[str] = set()
         for s in assigns:
@@ -100,13 +113,8 @@ class _Plan:
             if reason is not None:
                 raise _Bail(reason)
             for ref in _stmt_array_refs(s):
-                forms = [affine_form(sub) for sub in ref.subscripts]
-                self.forms[ref.ref_id] = [
-                    (form, sum(c for sym, c in form.coeffs
-                               if sym.name == v and sym.value is None))
-                    for form in forms
-                ]
-                for form in forms:
+                forms[ref.ref_id] = [affine_form(sub) for sub in ref.subscripts]
+                for form in forms[ref.ref_id]:
                     for sym, _c in form.coeffs:
                         if sym.value is not None or sym.is_loop_var:
                             continue
@@ -116,22 +124,49 @@ class _Plan:
                                 f"scalar {sym.name}"
                             )
                         self.subscript_scalars.add(sym.name)
-            if isinstance(s.lhs, ArrayElemRef) and not any(
-                self._separates_lanes(form)
-                for form, _cv in self.forms[s.lhs.ref_id]
-            ):
-                raise _Bail(f"store to {s.lhs.symbol.name} is lane-invariant")
+            if isinstance(s.lhs, ArrayElemRef):
+                stores.append(forms[s.lhs.ref_id])
+                if not any(_walks(f, v, inner_vars) for f in stores[-1]):
+                    raise _Bail(
+                        f"store to {s.lhs.symbol.name} is lane-invariant"
+                    )
 
-        self.folds = self._scalar_roles(assigns, written, innermost=not inner)
+        #: the inner loop whose iterations are lanes too: the body is
+        #: that loop alone, it carries no value, and every store keeps
+        #: the lane pairs apart — one subscript walks with the outer
+        #: index only (above), another with the inner index only
+        self.flat = None
+        perfect = len(inner) == 1 == sum(
+            not isinstance(s, ContinueStmt) for s in loop.body
+        )
+        if perfect and all(
+            any(_walks(f, inner[0].var.name, {v}) for f in fs) for fs in stores
+        ) and not _serial_axis(proc, inner[0], assigns):
+            self.flat = inner[0]
+        lane_vars = [loop.var] + ([self.flat.var] if self.flat else [])
+        #: ref_id -> per dimension the affine form and its nonzero
+        #: (coefficient, lane axis) pairs; then how the reference
+        #: selects its lanes: when each lane axis walks one dimension
+        #: of its own, by slices — a view, its axes in dimension order,
+        #: and whether that is lane order transposed — else (a
+        #: diagonal, a reference that leaves a lane axis out) by index
+        #: vectors that broadcast to the lane shape
+        self.forms: dict[int, tuple] = {}
+        for ref_id, fs in forms.items():
+            dims = [
+                (f, [(c, a) for a, var in enumerate(lane_vars)
+                     if (c := f.coeff(var))])
+                for f in fs
+            ]
+            walkers = [[a for _c, a in walk] for _f, walk in dims if walk]
+            sliced = sorted(walkers) == [[a] for a in range(len(lane_vars))]
+            self.forms[ref_id] = dims, sliced, sliced and walkers != sorted(walkers)
+        self.folds = self._scalar_roles(
+            assigns, written, innermost=not inner or self.flat is not None
+        )
         reason = _carried_dependence(proc, loop, assigns, inner_vars=inner_vars)
         if reason is not None:
             raise _Bail(reason)
-
-    def _separates_lanes(self, form) -> bool:
-        """Distinct lanes, distinct elements — whatever the inner
-        indices are: ``v`` appears, no inner-loop variable does."""
-        names = {sym.name for sym, c in form.coeffs if c and sym.value is None}
-        return self.v in names and not names & self.inner_vars
 
     def _scalar_roles(self, assigns, written, innermost: bool) -> dict:
         """Every body-written scalar is defined textually before each
@@ -199,27 +234,40 @@ class _SeqCtx(_Ctx):
         self.eval_bound = hooks.eval_bound
         self.store = hooks.store
         self.plan = plan
-        self.n = n
-        self.k = np.arange(n)
-        self.iv = low + step * self.k
-        #: subscripts are evaluated on the first lane; the last one is
-        #: ``span`` x (coefficient on v) further, and an affine
-        #: subscript is in bounds on every lane iff it is on those two
-        self.first = {plan.v: low}
-        self.step = step
-        self.span = step * (n - 1)
+        #: the lanes, one axis per lane loop (outermost first): their
+        #: shape, each axis' (step, trips) and position vector, and the
+        #: loop indices' lane vectors — all broadcasting to ``shape``
+        self.shape: tuple = ()
+        self.axes: list[tuple] = []
+        self.k: list[np.ndarray] = []
+        self.iv: dict[str, np.ndarray] = {}
+        #: subscripts are evaluated on the first lane (``_index``)
+        self.first: dict[str, int] = {}
         self._env = dict(env)
         self.lanes: dict[str, np.ndarray] = {}
         self.folded: dict[str, object] = {}
         self.journal: list[tuple] = []
-        #: statement instances / inner-loop iterations of one lane
+        #: statement instances / inner-loop iterations of one lane of
+        #: the taken loop
         self.steps = 0
         self.iterations = 0
+        self._axis(plan.v, low, step, n)
+
+    def _axis(self, name: str, low: int, step: int, n: int) -> None:
+        """``name`` runs ``low, low + step, ...`` over ``n`` lanes,
+        inside the lane axes there already are."""
+        k = np.arange(n)
+        self.shape += (n,)
+        self.axes.append((step, n))
+        self.k = [kk[:, None] for kk in self.k] + [k]
+        self.iv = {nm: vec[:, None] for nm, vec in self.iv.items()}
+        self.iv[name] = low + step * k
+        self.first[name] = low
 
     # -- _Ctx ----------------------------------------------------------
 
     def loop_vec(self, name: str):
-        return self.iv if name == self.plan.v else None
+        return self.iv.get(name)
 
     @property
     def env(self):
@@ -238,32 +286,45 @@ class _SeqCtx(_Ctx):
         return value, isinstance(value, int)
 
     def read_array(self, ref: ArrayElemRef):
-        data = self.store.arrays[ref.symbol.name][self._index(ref)]
-        return data, data.dtype.kind in "bi"
+        index, swap = self._index(ref)
+        data = self.store.arrays[ref.symbol.name][index]
+        return (data.T if swap else data), data.dtype.kind in "bi"
 
     # -- execution -----------------------------------------------------
 
     def _index(self, ref: ArrayElemRef) -> tuple:
-        """Bounds-checked numpy index of ``ref`` over the lanes: ints
-        for lane-invariant dimensions, a slice for the one that walks
-        with the lanes (index vectors when several do)."""
+        """Bounds-checked numpy index of ``ref`` over the lanes — an
+        affine subscript is in bounds on every lane iff it is at both
+        ends of its range over them — and whether it selects the lanes
+        transposed.  Lane-invariant dimensions are ints; the walking
+        ones slices (a view) or index vectors (``_Plan.forms``)."""
+        dims, sliced, swap = self.plan.forms[ref.ref_id]
         symbol = ref.symbol
         offs = []
-        walking = []
-        for dim, (form, cv) in enumerate(self.plan.forms[ref.ref_id]):
+        for dim, (form, walk) in enumerate(dims):
             index = _affine_vec(form, self.first, self._env)
-            offs.append(_bounds_checked_offset(index, symbol, dim))
-            if cv:
-                _bounds_checked_offset(index + cv * self.span, symbol, dim)
-                walking.append((dim, cv * self.step))
-        for dim, stride in walking:
-            first = offs[dim]
-            if len(walking) > 1:
-                offs[dim] = first + stride * self.k
+            below = above = 0
+            for c, a in walk:
+                step, n = self.axes[a]
+                reach = c * step * (n - 1)
+                if reach < 0:
+                    below += reach
+                else:
+                    above += reach
+            off = _bounds_checked_offset(index + below, symbol, dim) - below
+            if not walk:
+                offs.append(off)
+                continue
+            _bounds_checked_offset(index + above, symbol, dim)
+            if sliced:  # with the one axis of ``walk``, still bound
+                stride = c * step
+                stop = off + stride * n
+                offs.append(slice(off, stop if stop >= 0 else None, stride))
             else:
-                stop = first + stride * self.n
-                offs[dim] = slice(first, stop if stop >= 0 else None, stride)
-        return tuple(offs)
+                offs.append(off + sum(
+                    c * self.axes[a][0] * self.k[a] for c, a in walk
+                ))
+        return tuple(offs), swap
 
     def _assign(self, stmt: AssignStmt) -> None:
         lhs = stmt.lhs
@@ -273,21 +334,23 @@ class _SeqCtx(_Ctx):
             self.folded[name] = self._fold(lhs, *fold)
             return
         value, is_int = _eval(stmt.rhs, self)
-        vec = _coerce_vec(value, is_int, lhs.symbol.type, self.n)
+        vec = _coerce_vec(value, is_int, lhs.symbol.type, self.shape)
         if isinstance(lhs, ScalarRef):
             self.lanes[name] = vec
             return
         array = self.store.arrays[name]
-        index = self._index(lhs)
+        index, swap = self._index(lhs)
         self.journal.append((array, index, array[index].copy()))
-        array[index] = vec
+        array[index] = vec.T if swap else vec
 
     def _fold(self, acc: ScalarRef, op: str, operand):
-        """``acc = acc OP e`` over the lanes, in iteration order."""
+        """``acc = acc OP e`` over the lanes, in iteration order
+        (outer-major)."""
         seed, seed_int = self.read_scalar(acc)
         value, is_int = _eval(operand, self)
+        value = np.broadcast_to(value, self.shape).ravel()
         result = _fold_lanes(
-            op, seed, value, is_int and seed_int, acc.symbol.type, self.n
+            op, seed, value, is_int and seed_int, acc.symbol.type, value.size
         )
         if op in ("MAX", "MIN") and (result == 0 or result != result):
             # ties between -0.0 and 0.0, and NaN, resolve by argument
@@ -311,11 +374,22 @@ class _SeqCtx(_Ctx):
                 name = s.var.name
                 saved = env.get(name)
                 index = low
-                while index <= high if step > 0 else index >= high:
-                    env[name] = index
-                    self.iterations += 1
+                if s is self.plan.flat:
+                    trips = (high - low + step) // step
+                    if trips < 1:
+                        raise _Bail("zero-trip inner loop")
+                    # every trip at once: each statement over all lanes
+                    self._axis(name, low, step, trips)
+                    self.iterations += trips
+                    self.steps += (trips - 1) * len(s.body)
                     self.run(s.body)
-                    index += step
+                    index += trips * step
+                else:
+                    while index <= high if step > 0 else index >= high:
+                        env[name] = index
+                        self.iterations += 1
+                        self.run(s.body)
+                        index += step
                 # the walker's epilogue: Fortran leaves the final index
                 env[name] = index if saved is None else saved
 
@@ -328,7 +402,7 @@ class _SeqCtx(_Ctx):
         inner loops' final indices become visible."""
         scalars = self.store.scalars
         for name, vec in self.lanes.items():
-            scalars[name] = vec[-1].item()
+            scalars[name] = vec.item(-1)
         for name, result in self.folded.items():
             scalars[name] = result.item()
         for name in self.plan.inner_vars:
@@ -339,10 +413,11 @@ class _SeqCtx(_Ctx):
 class SeqVectorizer:
     """``run_loop`` takeover of the lowered sequential hooks."""
 
-    def __init__(self, hooks, stats):
+    def __init__(self, hooks, stats, metrics=None):
         self.hooks = hooks
         self.store = hooks.store
         self.stats = stats
+        self.metrics = metrics
         #: loop stmt_id -> _Plan, or the reason the loop keeps its
         #: per-iteration closures
         self.verdicts: dict[int, _Plan | str] = {}
@@ -382,9 +457,13 @@ class SeqVectorizer:
         except (_Bail, *_BOUND_ERRORS) as why:
             ctx.rollback()
             self.bails[stmt.stmt_id] = str(why)
+            if self.metrics is not None:
+                self.metrics.inc(f"seq.bail[{why}]")
             return False
         ctx.commit(env)
         self.taken += 1
+        if self.metrics is not None:
+            self.metrics.inc(f"seq.takeover[loop=S{stmt.stmt_id}]")
         stats.statements_executed += n * ctx.steps
         stats.loop_iterations += n * ctx.iterations
         return True

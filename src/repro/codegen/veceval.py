@@ -338,6 +338,17 @@ def _carried_dependence(proc, loop: LoopStmt, assigns,
     return None
 
 
+def _serial_axis(proc, inner: LoopStmt, body,
+                 reduction_ids=frozenset()) -> bool:
+    """The inner loop of a nest is its *serial axis* — run trip by
+    trip, each statement still one vector over the outer iterations —
+    exactly when a value flows from one of its iterations to the next;
+    otherwise its iterations are lanes too and the nest is flattened.
+    Both engines decide it here, so a nest flattens in both or in
+    neither."""
+    return _carried_dependence(proc, inner, body, reduction_ids) is not None
+
+
 _RED_UFUNC = {
     "+": np.add,
     "*": np.multiply,

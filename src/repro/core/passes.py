@@ -33,8 +33,9 @@ from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 from ..errors import ReproError
-from ..ir.build import parse_and_build
+from ..ir.build import build_procedure
 from ..ir.program import Procedure
+from ..lang import parse_program
 from ..obs import Metrics, NULL_TRACER, Tracer
 from ..mapping.grid import ProcessorGrid
 from ..partition.owner_computes import run_partitioning
@@ -322,9 +323,19 @@ class PassManager:
         #: the disabled NULL_TRACER by default
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._parse_cache: dict[str, Procedure] = {}
+        self._syntax_tree: tuple[str, Any] | None = None
         self._option_closures: dict[str, tuple[str, ...]] = {}
 
     # -- parsing -----------------------------------------------------------
+
+    def syntax_tree(self, source: str):
+        """The AST of ``source``; the last text's is kept (one tree,
+        whatever the number of sources a manager sees), so the compiled
+        IR and ``Session.run``'s untransformed reference are built from
+        one parse — ``build_procedure`` leaves the tree as parsed."""
+        if self._syntax_tree is None or self._syntax_tree[0] != source:
+            self._syntax_tree = (source, parse_program(source))
+        return self._syntax_tree[1]
 
     def parse(self, source: str, timings: PipelineTimings | None = None) -> Procedure:
         """Parse + lower ``source``, memoized on the source text. Batch
@@ -336,7 +347,7 @@ class PassManager:
             proc = self._parse_cache.get(digest)
             cached = proc is not None
             if proc is None:
-                proc = parse_and_build(source)
+                proc = build_procedure(self.syntax_tree(source))
                 self._parse_cache[digest] = proc
             span.add(cached=cached)
         elapsed = time.perf_counter() - started
@@ -462,10 +473,12 @@ class PassManager:
                 f"compile.pass[{name}].seconds", round(timing.seconds, 6)
             )
         # deferred import: repro.machine depends on repro.core
-        from ..machine.lowering import lowering_cache_stats
+        from ..machine.lowering import CLOSURE_COUNTS, lowering_cache_stats
 
         for key, value in lowering_cache_stats().items():
             metrics.gauge(f"lowering.cache.{key}", value)
+        for name, count in CLOSURE_COUNTS.items():
+            metrics.gauge(name, count)
         return metrics
 
     # -- cache keys --------------------------------------------------------

@@ -431,11 +431,14 @@ class IRBuilder:
 
 
 def build_procedure(program: ast.Program) -> Procedure:
-    """Lower a parsed program to IR (inlining subroutine calls first)."""
+    """Lower a parsed program to IR (inlining subroutine calls first —
+    in a copy: ``program`` is left as parsed, and may be built again)."""
     if program.subroutines:
+        import copy
+
         from ..lang.inline import inline_calls
 
-        program = inline_calls(program)
+        program = inline_calls(copy.deepcopy(program))
     return IRBuilder().build(program)
 
 

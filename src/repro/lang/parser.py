@@ -566,7 +566,12 @@ class Parser:
 
 def parse_program(source: str) -> ast.Program:
     """Parse a full mini-HPF program."""
-    return Parser(source).parse_program()
+    parser = Parser(source)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        # (every nesting level of an expression is ten parser frames)
+        raise parser._error("expression nested too deeply") from None
 
 
 def parse_expression(source: str) -> ast.Expr:

@@ -5,7 +5,8 @@ The tree-walking evaluator re-dispatches an ``isinstance`` chain per
 expression node per iteration per rank. This module removes that work
 once, at lowering time:
 
-* **Expressions** compile to Python code objects via ``compile()``.
+* **Expressions** become Python source, ``compile()``d by the first
+  lookup of the statement's closure (:class:`_Closures`).
   Constant subtrees fold (through the same ``_apply_binop`` /
   ``_apply_intrinsic`` the interpreter uses, so folded values are
   bit-identical), intrinsics inline to direct calls, and subscript
@@ -341,21 +342,47 @@ class _ExprCompiler:
 # ---------------------------------------------------------------------------
 
 
+class _Source(tuple):
+    """``(globals, name, source, label)`` of a closure not compiled yet."""
+
+
+class _Closures(dict):
+    """key -> ``fn(R, env)``, held as its emitted :class:`_Source` until
+    the first lookup of the key — ``get`` and ``[]`` alike — compiles
+    it: a statement inside a nest that every engine takes whole never
+    pays ``compile()``."""
+
+    def get(self, key, default=None):
+        fn = dict.get(self, key, default)
+        if fn.__class__ is _Source:
+            glb, name, src, label = fn
+            exec(compile(src, f"<lowered:{label}>", "exec"), glb)
+            fn = self[key] = glb[name]
+            CLOSURE_COUNTS["lowering.closures_built"] += 1
+        return fn
+
+    def __getitem__(self, key):
+        fn = self.get(key, _MISS)
+        if fn is _MISS:
+            raise KeyError(key)
+        return fn
+
+
 @dataclass
 class LoweredIR:
     """Per-procedure lowering result: one closure per statement the
-    lowerer could compile. A missing entry means "stay interpreted"."""
+    lowerer could emit. A missing entry means "stay interpreted"."""
 
     proc: Any
     ir_epoch: int
     #: stmt_id -> fn(R, env) -> (index-or-None, coerced value)
-    assigns: dict[int, Callable] = field(default_factory=dict)
+    assigns: dict[int, Callable] = field(default_factory=_Closures)
     #: stmt_id -> (lhs symbol name, dim lower bounds or None for scalars)
     lhs_info: dict[int, tuple] = field(default_factory=dict)
     #: stmt_id -> fn(R, env) -> bool
-    conds: dict[int, Callable] = field(default_factory=dict)
+    conds: dict[int, Callable] = field(default_factory=_Closures)
     #: id(bound expr) -> fn(R, env) -> int
-    bounds: dict[int, Callable] = field(default_factory=dict)
+    bounds: dict[int, Callable] = field(default_factory=_Closures)
     #: stmt_id -> flop count of Assign/If statements (for compute charges)
     flops: dict[int, int] = field(default_factory=dict)
     #: label -> generated source, for debugging/inspection
@@ -372,16 +399,21 @@ _LOWERED_CACHE_MAX = 64
 _CACHE_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
+#: closures emitted as source / compiled by a first lookup since
+#: process start, under their names in the obs metrics export
+CLOSURE_COUNTS = {"lowering.closures_emitted": 0, "lowering.closures_built": 0}
+
+
 def lowering_cache_stats() -> dict[str, int]:
     """Snapshot of the lowering LRU's activity since process start."""
     return dict(_CACHE_COUNTS, size=len(_LOWERED_CACHE))
 
 
-def _compile_fn(name: str, body: str, glb: dict, lowered: LoweredIR, label: str):
+def _emit_fn(name: str, body: str, glb: dict, lowered: LoweredIR, label: str):
     src = f"def {name}(R, env):\n    return {body}\n"
-    exec(compile(src, f"<lowered:{label}>", "exec"), glb)
     lowered.sources[label] = src
-    return glb[name]
+    CLOSURE_COUNTS["lowering.closures_emitted"] += 1
+    return _Source((glb, name, src, label))
 
 
 def lower_procedure(proc) -> LoweredIR:
@@ -427,7 +459,7 @@ def lower_procedure(proc) -> LoweredIR:
                 else:
                     body = f"(None, {val})"
                     lows = None
-                lowered.assigns[sid] = _compile_fn(
+                lowered.assigns[sid] = _emit_fn(
                     f"_a{sid}", body, glb, lowered, f"{proc.name}:S{sid}"
                 )
                 lowered.lhs_info[sid] = (stmt.lhs.symbol.name, lows)
@@ -437,7 +469,7 @@ def lower_procedure(proc) -> LoweredIR:
             lowered.flops[sid] = max(flops_of_expr(stmt.cond), 1)
             try:
                 cond = comp.emit(stmt.cond)
-                lowered.conds[sid] = _compile_fn(
+                lowered.conds[sid] = _emit_fn(
                     f"_c{sid}",
                     f"bool({cond.code})",
                     glb,
@@ -452,7 +484,7 @@ def lower_procedure(proc) -> LoweredIR:
                     continue
                 try:
                     e = comp.emit(expr)
-                    lowered.bounds[id(expr)] = _compile_fn(
+                    lowered.bounds[id(expr)] = _emit_fn(
                         f"_b{len(lowered.bounds)}",
                         e.code if e.is_int else f"int({e.code})",
                         glb,

@@ -69,6 +69,7 @@ from ..codegen.veceval import (
     _fold_lanes,
     _fold_operand,
     _reduction_operand,
+    _serial_axis,
     _stmt_array_refs,
 )
 from ..errors import MappingError
@@ -203,13 +204,10 @@ def _replicated_exec(info) -> bool:
 
 def _runs_serially(proc, inner: LoopStmt, body, reduction_ids,
                    verdicts) -> bool:
-    """The inner loop of a nest is its serial axis — run trip by trip
-    rather than flattened into lanes — exactly when a value flows from
-    one of its iterations to the next (an eligible inner loop carries
-    none: that was its own verdict)."""
-    return (
-        verdicts.get(inner.stmt_id) != "ok"
-        and _carried_dependence(proc, inner, body, reduction_ids) is not None
+    """Whether the inner loop of a nest is its serial axis (an eligible
+    inner loop carries no value: that was its own verdict)."""
+    return verdicts.get(inner.stmt_id) != "ok" and _serial_axis(
+        proc, inner, body, reduction_ids
     )
 
 
@@ -254,12 +252,13 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
     statements may ride along when they touch no array.  The inner
     iterations are flattened into the lanes — their bounds may be
     affine in the outer variable (triangular nests) — with every store
-    in the inner loop and naming its own column, and reads free to
-    leave it (fetched at run time) as long as no value flows between
-    outer iterations; or, when the inner loop carries a value, they are
-    the serial axis: the bounds must then be the same for every column
-    and every reference must stay inside its own column, so the
-    columns evolve independently in program order."""
+    in the inner loop and naming its own column, scalar reduction
+    updates folded there, and reads free to leave the column (fetched
+    at run time) as long as no value flows between outer iterations;
+    or, when the inner loop carries a value, they are the serial axis:
+    the bounds must then be the same for every column and every
+    reference must stay inside its own column, so the columns evolve
+    independently in program order."""
     nest = _split_nest(loop)
     if isinstance(nest, str):
         return nest
@@ -305,7 +304,8 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
     canon_pos = _MISSING
     for s in stmts:
         sid = s.stmt_id
-        if sid in reduction_ids:
+        if sid in reduction_ids and (serial or isinstance(s.lhs, ArrayElemRef)):
+            # (a flattened nest folds its *scalar* updates, rank by rank)
             return f"S{sid}: reduction update in body"
         info = executors.get(sid)
         if info is None:
@@ -1452,7 +1452,7 @@ class NestPlan:
             # (see CHANGES.md): each keeps its tier-2 verdict
             if inner.stmt_id in sim._reductions_by_loop:
                 raise _Bail("inner loop combines a reduction")
-            if any(st.op is not None for st in self.all_steps):
+            if serial and any(st.op is not None for st in self.all_steps):
                 raise _Bail("reduction update in body")
             if self.subscript_scalars:
                 raise _Bail(

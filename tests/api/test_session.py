@@ -105,6 +105,61 @@ class TestSessionRunEquivalence:
         assert result.matches == {} and result.sequential is None
         assert result.elapsed > 0
 
+    def test_run_parses_the_source_once(self, monkeypatch):
+        """The compile and the untransformed reference procedure are
+        built from one AST (``PassManager.syntax_tree``); the reference
+        is still a procedure of its own, numbered after the compiled
+        one, and its symbol order draws the same inputs."""
+        from repro.core import passes
+        from repro.ir import parse_and_build
+        from repro.codegen.seq import seeded_inputs
+
+        parses = []
+        parse = passes.parse_program
+        monkeypatch.setattr(
+            passes, "parse_program",
+            lambda source: (parses.append(source), parse(source))[1],
+        )
+        session = Session(num_procs=2)
+        result = session.run(TOMCATV, seed=3)
+        assert result.ok and parses == [TOMCATV]
+        reference = result.sequential.proc
+        assert reference is not result.compiled.proc
+        first = lambda proc: min(s.stmt_id for s in proc.all_stmts())
+        assert first(reference) > first(result.compiled.proc)
+        again = seeded_inputs(parse_and_build(TOMCATV), 3)
+        assert list(again) == list(result.inputs)
+        for name, values in again.items():
+            assert values.tobytes() == result.inputs[name].tobytes()
+        session.run(TOMCATV, seed=4)
+        assert parses == [TOMCATV]
+
+    def test_run_counts_the_reference_takeovers(self):
+        """``seq.takeover[loop=S..]`` / ``seq.bail[reason]`` land in the
+        session's metrics (``repro run --metrics`` prints them), beside
+        the slab engine's and the closure gauges."""
+        from repro.obs import Metrics
+
+        metrics = Metrics()
+        session = Session(num_procs=2, metrics=metrics)
+        result = session.run(TOMCATV)
+        taken = {
+            k: v for k, v in metrics.counters.items()
+            if k.startswith("seq.takeover[loop=S")
+        }
+        assert sorted(taken.values()) == [1] * 5
+        assert not any(k.startswith("seq.bail[") for k in metrics.counters)
+        loops = {s.stmt_id for s in result.sequential.proc.all_stmts()}
+        assert {int(k[len("seq.takeover[loop=S"):-1]) for k in taken} <= loops
+        bad = TOMCATV.replace("DO i = 2, n - 1\n        X(i,j)", "DO i = 2, n + 1\n        X(i,j)")
+        assert bad != TOMCATV
+        with pytest.raises(repro.errors.InterpreterError):
+            session.run(bad)
+        assert metrics.counters["seq.bail[subscript out of bounds for X]"] >= 1
+        session.collect_metrics()
+        emitted = metrics.gauges["lowering.closures_emitted"]
+        assert 0 < metrics.gauges["lowering.closures_built"] < emitted
+
     def test_run_seed_changes_inputs_not_stats_keys(self):
         a = Session(num_procs=2).run(TOMCATV, seed=0)
         b = Session(num_procs=2).run(TOMCATV, seed=1)

@@ -185,3 +185,42 @@ class TestProcedureNavigation:
     def test_dump_contains_statements(self):
         proc = build("  A(1) = B(2)")
         assert "A(1)" in proc.dump()
+
+
+class TestTheTreeIsLeftAsParsed:
+    """``PassManager.syntax_tree`` hands one AST to every build of a
+    source text: a build may not change it."""
+
+    @staticmethod
+    def _sources():
+        import pathlib
+
+        from repro.programs import appsp_source, dgefa_source, tomcatv_source
+
+        from ..lang.test_inline import BASIC
+
+        corpus = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+        return [
+            tomcatv_source(n=12, niter=1),
+            dgefa_source(n=8),
+            appsp_source(nx=6, ny=6, nz=6, niter=1, procs=4),
+            BASIC,  # a CALL to inline: the inliner rewrites in place
+            *(path.read_text() for path in sorted(corpus.glob("*.hpf"))),
+        ]
+
+    def test_build_procedure_does_not_touch_the_tree(self):
+        from repro.ir.build import build_procedure
+        from repro.lang import parse_program
+
+        for source in self._sources():
+            tree = parse_program(source)
+            first = build_procedure(tree)
+            assert tree == parse_program(source)
+            second = build_procedure(tree)
+            assert second is not first
+            assert [type(s) for s in second.all_stmts()] == [
+                type(s) for s in first.all_stmts()
+            ]
+            assert [s.name for s in second.symbols.arrays()] == [
+                s.name for s in first.symbols.arrays()
+            ]

@@ -1,6 +1,7 @@
 """Unit tests for the statement-lowering layer (`repro.machine.lowering`)."""
 
 import math
+import pathlib
 import pickle
 
 import numpy as np
@@ -14,7 +15,8 @@ from repro.errors import InterpreterError
 from repro.ir import parse_and_build
 from repro.ir.stmt import AssignStmt
 from repro.machine import LoweredIR, lower_procedure, simulate
-from repro.machine.lowering import ExecutorTables, FastPath
+from repro.machine.lowering import CLOSURE_COUNTS, ExecutorTables, FastPath
+from repro.programs import appsp_source, dgefa_source, tomcatv_source
 from repro.machine.simulator import SPMDSimulator
 
 SOURCE = """
@@ -34,6 +36,20 @@ PROGRAM UNIT
   END DO
 END PROGRAM
 """
+
+
+#: the three kernels and the fuzz corpus
+EVERY_PROGRAM = {
+    "tomcatv": tomcatv_source(n=12, niter=1),
+    "dgefa": dgefa_source(n=8),
+    "appsp": appsp_source(nx=6, ny=6, nz=6, niter=1, procs=4),
+    **{
+        path.stem: path.read_text()
+        for path in sorted(
+            (pathlib.Path(__file__).resolve().parents[1] / "corpus").glob("*.hpf")
+        )
+    },
+}
 
 
 def _inputs(n=10, seed=1):
@@ -85,6 +101,68 @@ class TestLoweringCache:
         assert set(clone.lowering.assigns) == set(lowered.assigns)
         assert set(clone.lowering.conds) == set(lowered.conds)
         assert clone.lowering.flops == lowered.flops
+
+
+def _built(table) -> int:
+    """Closures of a ``LoweredIR`` table compiled so far (``values()``
+    does not look a key up, so it shows the emitted source as it is)."""
+    return sum(callable(entry) for entry in table.values())
+
+
+class TestClosuresCompileOnFirstLookup:
+    def test_get_and_subscript_both_build(self):
+        lowered = lower_procedure(parse_and_build(SOURCE))
+        tables = (lowered.assigns, lowered.conds, lowered.bounds)
+        emitted = sum(len(t) for t in tables)
+        assert emitted == len(lowered.sources) == 4 + 4
+        assert [_built(t) for t in tables] == [0, 0, 0]
+        before = dict(CLOSURE_COUNTS)
+        first, second = list(lowered.assigns)[:2]
+        fn = lowered.assigns.get(first)
+        assert callable(fn) and lowered.assigns.get(first) is fn
+        assert callable(lowered.assigns[second])
+        assert lowered.assigns.get(-1) is None
+        with pytest.raises(KeyError):
+            lowered.assigns[-1]
+        assert _built(lowered.assigns) == 2
+        assert CLOSURE_COUNTS["lowering.closures_built"] == (
+            before["lowering.closures_built"] + 2
+        )
+        assert CLOSURE_COUNTS["lowering.closures_emitted"] == (
+            before["lowering.closures_emitted"]
+        )
+
+    def test_a_run_compiles_no_statement_inside_a_taken_nest(self):
+        """tomcatv n=129 on 16 ranks: both engines take every nest
+        whole, so of the 2 x 55 emitted closures only loop bounds and
+        the ``rxm``/``rym`` initializations are ever compiled."""
+        from repro import Session
+        from repro.programs import tomcatv_source
+
+        result = Session(num_procs=16, use_calibration=False).run(
+            tomcatv_source(n=129, niter=1, procs=16)
+        )
+        assert result.ok
+        both = [result.compiled.lowering, lower_procedure(result.sequential.proc)]
+        emitted = sum(
+            len(t) for l in both for t in (l.assigns, l.conds, l.bounds)
+        )
+        built = sum(
+            _built(t) for l in both for t in (l.assigns, l.conds, l.bounds)
+        )
+        assert emitted == 110
+        assert built <= 50
+        assert sum(_built(l.assigns) for l in both) <= 4
+
+    @pytest.mark.parametrize("name", sorted(EVERY_PROGRAM))
+    def test_every_emitted_closure_builds(self, name):
+        """A generator bug must not hide until a closure's first use."""
+        lowered = lower_procedure(parse_and_build(EVERY_PROGRAM[name]))
+        for table in (lowered.assigns, lowered.conds, lowered.bounds):
+            for key in table:
+                assert callable(table[key])
+            assert _built(table) == len(table)
+        assert lowered.assigns
 
 
 class TestExpressionClosures:

@@ -35,7 +35,7 @@ def _compile_tomcatv(n=12, procs=4):
 
 
 class TestClassifier:
-    def test_tomcatv_eligibility(self):
+    def test_tomcatv_nests_are_all_eligible_folds_included(self):
         compiled = _compile_tomcatv()
         report = compiled.slabs
         assert report is not None
@@ -52,9 +52,31 @@ class TestClassifier:
         assert len(carried) == 2
         assert all("loop-carried" in r for r in carried)
         # ... so their J sweeps over whole columns are nests with a
-        # serial axis; the stencil and update nests flatten theirs
+        # serial axis; the stencil, residual (a flattened nest folds
+        # its MAX updates) and update nests flatten theirs
         nests = Counter(report.verdicts.values())
-        assert nests["ok"] == 3 + 4
+        assert nests["ok"] == 3 + 5
+        assert len(report.serial_axes) == 2
+
+    @pytest.mark.parametrize("update, verdict", [
+        # a flattened nest folds its scalar updates ...
+        ("S = MAX(S, A(i,j))", "ok"),
+        # ... a nest with a serial axis does not, nor does any nest an
+        # update of an array element
+        ("A(i,j) = A(i-1,j) + B(i,j)\n      S = MAX(S, A(i,j))",
+         "S#: reduction update in body"),
+        ("B(2,j) = B(2,j) + A(i,j)", "S#: reduction update in body"),
+    ])
+    def test_reduction_update_in_a_nest(self, update, verdict):
+        compiled = compile_source(
+            "PROGRAM R\n  PARAMETER (n = 8)\n  REAL A(n,n), B(n,n)\n  REAL S\n"
+            "!HPF$ ALIGN (i,j) WITH A(i,j) :: B\n"
+            "!HPF$ DISTRIBUTE (*, BLOCK) :: A\n  S = 0.0\n"
+            f"  DO j = 1, n\n    DO i = 2, n\n      {update}\n"
+            "    END DO\n  END DO\nEND PROGRAM\n",
+            CompilerOptions(num_procs=4),
+        )
+        assert _ordinal_verdicts(compiled)["L00"] == verdict
 
     def test_dgefa_eligibility(self):
         compiled = compile_source(
@@ -253,7 +275,7 @@ GOLDEN = {
             "L00": "more than one inner loop",
             "L01": "ok",
             "L02": "ok",
-            "L03": "S#: reduction update in body",
+            "L03": "ok",
             "L04": "ok",
             "L05": "ok",
             "L06": "loop-carried dependence on D",
@@ -262,7 +284,7 @@ GOLDEN = {
             "L09": "ok",
             "L10": "ok",
         },
-        {"L01": 2, "L04": 20, "L05": 2, "L07": 2, "L09": 2},
+        {"L01": 2, "L03": 2, "L05": 2, "L07": 2, "L09": 2},
         {"L01": 264},
         {"L01": 12},
     ),
@@ -306,6 +328,38 @@ class TestGoldenVerdicts:
         assert _slab_counters(metrics, compiled, "fetch_replay") == replayed
         assert _slab_counters(metrics, compiled, "fetch_runs") == runs
         assert _slab_counters(metrics, compiled, "fallback") == {}
+
+    def test_tomcatv_residual_nest_is_taken_once_per_iteration(self):
+        """One takeover of the ``j`` nest per ``it`` — its two ``MAX``
+        updates fold inside it — none of its ``i`` loop."""
+        niter = 2
+        takeovers = GOLDEN["tomcatv"][2]
+        assert takeovers["L03"] == niter
+        assert "L04" not in takeovers
+
+    @pytest.mark.parametrize("dist", ["BLOCK", "CYCLIC"])
+    @pytest.mark.parametrize("update", [
+        "S = S + 0.25 * B(i,j)",
+        "S = (0.75 + 0.25 * B(i,j)) * S",
+        "S = MAX(S, ABS(B(i,j)))",
+        "S = MIN(A(i,j), S)",
+    ])
+    def test_a_flattened_nest_folds_inside_one_takeover(self, update, dist):
+        compiled = compile_source(
+            "PROGRAM R\n  PARAMETER (n = 9)\n  REAL A(n,n), B(n,n)\n  REAL S\n"
+            "!HPF$ ALIGN (i,j) WITH A(i,j) :: B\n"
+            f"!HPF$ DISTRIBUTE (*, {dist}) :: A\n  S = 1.5\n"
+            "  DO j = 2, n - 1\n    DO i = n - 1, 2, -1\n"
+            f"      A(i,j) = B(i - 1,j + 1) * 0.5\n      {update}\n"
+            "    END DO\n  END DO\nEND PROGRAM\n",
+            CompilerOptions(num_procs=3),
+        )
+        inputs = seeded_inputs(compiled.proc, 1)
+        metrics = Metrics()
+        slab = simulate(compiled, inputs, tier="slab", metrics=metrics)
+        assert _slab_counters(metrics, compiled, "takeover") == {"L00": 1}
+        assert _slab_counters(metrics, compiled, "fallback") == {}
+        assert _state(slab) == _state(simulate(compiled, inputs, tier="lowered"))
 
     def test_dgefa_update_nest_is_taken_once_per_pivot(self):
         """n - 1 takeovers of the ``j`` nest, none of its ``i`` loop."""

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codegen.seq import SequentialInterpreter, seeded_inputs
-from repro.codegen.seqvec import _Plan
+from repro.codegen.seqvec import _Plan, _SeqCtx
 from repro.codegen.veceval import _Bail
 from repro.errors import InterpreterError
 from repro.fuzz import generate
@@ -123,20 +123,210 @@ def test_generated_programs(seed):
     assert_parity(program.emit(program.procs))
 
 
-def test_tomcatv_is_four_takeovers_plus_the_residual_folds():
-    """The stencil, the two column sweeps and the update nest are one
-    takeover each; the residual nest's accumulators are used before they are
-    defined at the outer level, so its n-2 inner loops fold."""
-    n = 17
-    vec, _ = assert_parity(tomcatv_source(n=n, niter=1))
+# ---------------------------------------------------------------------------
+# Perfect two-deep nests: flattened, or not, and why
+# ---------------------------------------------------------------------------
+
+#: loop ranges as (low, high, step): ascending and descending, unit and
+#: not, a single trip, no trip at all
+RANGES = [
+    "1, n", "2, n - 1", "n, 1, -1", "1, n, 2", "n, 2, -3", "n - 1, 2, -2",
+    "2, 2", "3, 2",
+]
+
+#: statements of a nest body.  Most flatten; the others must keep the
+#: serial plan, decline, or bail on a value — parity either way
+NEST_STATEMENTS = {
+    "transposed read": "A(i,j) = B(i,j) * 2.0 + C(j,i)",
+    "one-axis reads": "t = B(i,j) + C(i,1)\n      C(i,j) = t * t - B(2,j)",
+    "integer lanes": "KK(i,j) = i * 3 - j",
+    "diagonals": "A(i,j) = B(i,i) + KK(j,j)",
+    "transposed store": "B(j,i) = A(i,j) + 1.0",
+    "+": "s = s + A(i,j) * B(i,j)",
+    "*": "p = (0.9 + 0.2 * B(i,j)) * p",
+    "MAX": "q = MAX(q, B(i,j) - 1.0)",
+    "MIN": "r = MIN(C(i,j), r)",
+    "integer +": "k = k + (i + j) * 1073741823",  # near the int64 bail
+    "integer *": "k = k * 3",
+    "integer MAX": "m = MAX(m, i - j)",
+    "MAX of -0.0": "z = MAX(z, 0.0 * (0.0 - B(i,j)))",  # bails
+    "store past n": "A(i + 1,j) = B(i,j)",  # where i reaches n only
+    "read past n": "t = B(i,j + 1)\n      C(i,j) = t",  # ... where j does
+    "no inner-only subscript": "D(i + j,j) = B(i,j)",  # not flattened
+    "no outer-only subscript": "D(i,i + j) = B(i,j)",  # declines
+    "inner loop carries": "A(i,j) = A(i - 1,j) + B(i,j)",  # serial plan
+    "outer loop carries": "A(i,j) = A(i,j - 1) * 0.5",  # declines
+}
+
+
+def _nest(outer: str, inner: str, statements, n: int = 6, k0: int = 0) -> str:
+    return _program(
+        "  s = 0.1\n  p = 1.0\n  q = 0.0 - 9.0\n  r = 9.0\n"
+        f"  z = 0.0 * (0.0 - 1.0)\n  k = {k0}\n  m = 0 - 5\n"
+        f"  DO j = {outer}\n    DO i = {inner}\n"
+        + "".join(f"      {stmt}\n" for stmt in statements)
+        + "    END DO\n  END DO\n  C(1,1) = i + j\n",
+        decls="REAL A(n,n), B(n,n), C(n,n), D(16,16)\n  INTEGER KK(n,n)\n"
+        "  REAL s, p, q, r, t, z\n  INTEGER k, m",
+        n=n,
+    )
+
+
+@st.composite
+def perfect_nests(draw):
+    statements = draw(st.lists(
+        st.sampled_from(sorted(NEST_STATEMENTS.values())),
+        min_size=1, max_size=4, unique=True,
+    ))
+    source = _nest(
+        draw(st.sampled_from(RANGES)), draw(st.sampled_from(RANGES)),
+        statements,
+        n=draw(st.integers(min_value=5, max_value=8)),
+        k0=draw(st.sampled_from([0, -7, 2**62 - 2**40, 2**62 - 5])),
+    )
+    max_steps = draw(st.one_of(st.none(), st.integers(8, 400)))
+    return source, draw(st.integers(0, 3)), max_steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(perfect_nests())
+def test_generated_perfect_nests(case):
+    source, seed, max_steps = case
+    assert_parity(source, seed, max_steps)
+
+
+def _nest_run(outer, inner, *names, **kw):
+    """(vectorizer, error, the outer loop's plan or decline reason) of
+    a nest of the named ``NEST_STATEMENTS``."""
+    statements = [NEST_STATEMENTS[name] for name in names]
+    vec, err = assert_parity(_nest(outer, inner, statements, **kw))
     vector = vec.hooks.vector
-    assert vector.taken == 4 + (n - 2)
+    return vector, err, next(iter(vector.verdicts.values()))
+
+
+@pytest.mark.parametrize("outer", ["1, n", "n, 2, -3", "1, n, 2"])
+@pytest.mark.parametrize("inner", ["2, n - 1", "n, 1, -1", "n - 1, 2, -2", "2, 2"])
+def test_all_four_folds_in_a_flattened_nest_any_direction(outer, inner):
+    vector, err, plan = _nest_run(
+        outer, inner, "transposed read", "integer lanes",
+        "+", "*", "MAX", "MIN", "integer MAX",
+    )
+    assert err is None and vector.bails == {}
+    assert vector.taken == 1 and plan.flat is not None
+    assert sorted(op for op, _ in plan.folds.values()) == [
+        "*", "+", "MAX", "MAX", "MIN",
+    ]
+
+
+def test_a_zero_trip_inner_loop_bails_the_flattened_takeover():
+    vector, err, plan = _nest_run("1, n", "3, 2", "transposed read")
+    assert err is None and plan.flat is not None
+    assert vector.taken == 0
+    assert list(vector.bails.values()) == ["zero-trip inner loop"]
+
+
+@pytest.mark.parametrize("k0, reason", [
+    (2**62 - 5, {"INTEGER fold may exceed int64"}),  # the inner loops' too
+    (2**62 - 2**40, set()),
+])
+def test_integer_fold_near_the_int64_bail(k0, reason):
+    vector, err, plan = _nest_run("1, n", "1, n", "integer +", k0=k0)
+    assert err is None and plan.flat is not None
+    assert set(vector.bails.values()) == reason
+    assert vector.taken == (0 if reason else 1)
+
+
+def test_a_max_fold_ending_on_minus_zero_bails():
+    vector, err, plan = _nest_run("1, n", "1, n", "MAX of -0.0")
+    assert err is None and plan.flat is not None
+    assert vector.taken == 0  # the inner loops bail too, one by one
+    assert set(vector.bails.values()) == {"MAX fold result is a zero or NaN"}
+
+
+@pytest.mark.parametrize("outer, inner, stmt", [
+    ("1, n", "1, n", "store past n"),  # the last lane of each column
+    ("1, n", "2, n - 1", "read past n"),  # the last column
+    ("n, 1, -1", "2, n - 1", "read past n"),  # the first column
+])
+def test_out_of_bounds_at_the_edge_lanes_only(outer, inner, stmt):
+    vector, err, plan = _nest_run(outer, inner, "integer lanes", stmt)
+    assert "out of bounds" in str(err)
+    assert plan.flat is not None
+    # (the columns before the bad one are taken one by one)
+    assert "out of bounds" in vector.bails[next(iter(vector.verdicts))]
+
+
+def test_a_store_without_an_inner_only_subscript_is_not_flattened():
+    vector, err, plan = _nest_run("1, n", "1, n", "no inner-only subscript")
+    assert err is None
+    assert plan.flat is None and vector.taken == 1  # the serial plan
+
+
+def test_a_store_without_an_outer_only_subscript_declines():
+    vector, err, plan = _nest_run("1, n", "1, n", "no outer-only subscript")
+    assert err is None
+    assert plan == "store to D is lane-invariant"
+    assert vector.taken == 6  # the inner loop, once per outer iteration
+
+
+def test_an_inner_loop_that_carries_a_value_keeps_the_serial_plan():
+    vector, err, plan = _nest_run("1, n", "2, n", "inner loop carries")
+    assert err is None
+    assert plan.flat is None and vector.taken == 1
+
+
+def test_step_limit_inside_a_flattened_nest():
+    source = _nest(
+        "1, n", "1, n",
+        [NEST_STATEMENTS["transposed read"], NEST_STATEMENTS["+"]],
+    )
+    full, _ = _run(source, True)
+    assert full.hooks.vector.taken == 1
+    total = full.stats.statements_executed
+    for limit in (9, 40, total - 2):  # (the last step follows the nest)
+        vec, err = assert_parity(source, max_steps=limit)
+        assert str(err) == "execution step limit exceeded"
+        # (inner loops are taken until the limit is in reach)
+        assert "execution step limit" in vec.hooks.vector.bails.values()
+    vec, err = assert_parity(source, max_steps=total)
+    assert err is None and vec.hooks.vector.taken == 1
+
+
+def test_tomcatv_is_five_takeovers_three_of_them_flattened():
+    """The stencil, residual and update nests are perfect and carry no
+    value at either level: one flattened takeover each, the residual
+    nest folding its two ``MAX`` updates over all the lanes.  The two
+    column sweeps keep the serial plan (their inner loops carry)."""
+    vec, _ = assert_parity(tomcatv_source(n=17, niter=1))
+    vector = vec.hooks.vector
+    assert vector.taken == 5
     assert vector.bails == {}
+    plans = [v for v in vector.verdicts.values() if isinstance(v, _Plan)]
+    assert [p.flat is not None for p in plans] == [True, True, False, False, True]
+    assert [len(p.folds) for p in plans] == [0, 2, 0, 0, 0]
     reasons = {v for v in vector.verdicts.values() if isinstance(v, str)}
-    assert reasons == {
-        "store to AA is lane-invariant",  # the DO it loop
-        "scalar RXM used before its definition",  # the residual j loop
-    }
+    assert reasons == {"store to AA is lane-invariant"}  # the DO it loop
+
+
+def test_dgefa_update_nest_is_one_statement_per_pivot(monkeypatch):
+    """``A(i,j) = A(i,j) + A(i,k) * A(k,j)`` is evaluated once per
+    pivot over the (n-k) x (n-k) lanes — not once per column."""
+    n = 24
+    source = dgefa_source(n=n)
+    (update,) = [
+        number for number, line in enumerate(source.splitlines(), 1)
+        if "A(i,j) = A(i,j) + A(i,k) * A(k,j)" in line
+    ]
+    evaluated = []
+    assign = _SeqCtx._assign
+    monkeypatch.setattr(
+        _SeqCtx, "_assign",
+        lambda self, stmt: (evaluated.append(stmt.line), assign(self, stmt))[1],
+    )
+    assert_parity(source)
+    # (the tree-walking run evaluates nothing here; the last pivot's
+    # nest is a single column and is not taken)
+    assert evaluated.count(update) == n - 2
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +622,21 @@ def test_definition_in_an_inner_loop_does_not_reach_past_it():
     ) == "scalar T used before its definition"
 
 
-def test_fold_is_recognized_in_an_innermost_loop_only():
+def test_fold_is_recognized_in_an_innermost_loop_or_a_flattened_nest():
     body = (
         "  DO j = 1, n\n    DO i = 1, n\n      s = s + A(i, j)\n"
         "    END DO\n  END DO\n"
     )
     decls = "REAL A(n, n)\n  REAL s"
-    assert _verdict(body, decls, 0) == "scalar S used before its definition"
-    inner = _verdict(body, decls, 1)
-    assert isinstance(inner, _Plan)
-    assert [op for op, _ in inner.folds.values()] == ["+"]
+    for which in (0, 1):
+        plan = _verdict(body, decls, which)
+        assert isinstance(plan, _Plan)
+        assert (plan.flat is not None) == (which == 0)
+        assert [op for op, _ in plan.folds.values()] == ["+"]
+    # a nest that is not flattened (here: not perfect) folds nothing
+    imperfect = body.replace("    DO i", "    A(1, j) = 0.0\n    DO i")
+    assert _verdict(imperfect, decls, 0) == "scalar S used before its definition"
+    assert isinstance(_verdict(imperfect, decls, 1), _Plan)
 
 
 def test_accumulator_with_a_second_use_is_not_a_fold():

@@ -27,14 +27,15 @@ DISTRIBUTIONS = [
 @st.composite
 def affine_nests(draw):
     """Random two-level nests over aligned 2-D arrays: affine stencil
-    reads, optional guard, optional MAX reduction, either sweep
+    reads, optional guard, optional reduction (any of the four folds:
+    an eligible nest takes it whole and folds inside), either sweep
     direction."""
     n = draw(st.integers(min_value=6, max_value=10))
     dist = draw(st.sampled_from(DISTRIBUTIONS))
     oi = draw(st.integers(min_value=-1, max_value=1))
     oj = draw(st.integers(min_value=-1, max_value=1))
     guarded = draw(st.booleans())
-    reduced = draw(st.booleans())
+    reduced = draw(st.sampled_from([None, None, "+", "*", "MAX", "MIN"]))
     downward = draw(st.booleans())
     body = [
         f"      A(i,j) = B(i {'+' if oi >= 0 else '-'} {abs(oi)},"
@@ -43,8 +44,10 @@ def affine_nests(draw):
     ]
     if guarded:  # an IfStmt keeps the nest off the slab path entirely
         body.append("      IF (B(i,j) .GT. 1.5) A(i,j) = C(i,j)")
-    if reduced:
-        body.append("      S = MAX(S, ABS(B(i,j)))")
+    if reduced in ("+", "*"):
+        body.append(f"      S = S {reduced} (0.75 + 0.25 * B(i,j))")
+    elif reduced:
+        body.append(f"      S = {reduced}(S, ABS(B(i,j)))")
     irange = "n - 1, 2, -1" if downward else "2, n - 1"
     # an ALIGN chain needs a DISTRIBUTE target; fully replicated
     # programs simply carry no directives at all
@@ -55,7 +58,7 @@ def affine_nests(draw):
         f"PROGRAM R\n  PARAMETER (n = {n})\n"
         "  REAL A(n,n), B(n,n), C(n,n)\n  REAL S\n"
         + directives
-        + "  S = 0.0\n"
+        + "  S = 1.5\n"
         "  DO j = 2, n - 1\n"
         f"    DO i = {irange}\n"
         + "".join(line + "\n" for line in body)

@@ -48,6 +48,39 @@ class TestFrontEndErrors:
             parse_and_build("PROGRAM t\n  REAL A(m)\nEND\n")
 
 
+def _nested(depth: int) -> str:
+    """``B(i) = ((...(A(i) + 1.0) * 0.5 ...))``, ``depth`` levels deep."""
+    expr = "A(i)"
+    for level in range(depth):
+        expr = f"({expr} + 1.0)" if level % 2 == 0 else f"({expr} * 0.5)"
+    return (
+        "PROGRAM deep\n  PARAMETER (n = 8)\n  REAL A(n), B(n)\n"
+        "!HPF$ ALIGN B(i) WITH A(i)\n!HPF$ DISTRIBUTE (BLOCK) :: A\n"
+        f"  DO i = 1, n\n    B(i) = {expr}\n  END DO\nEND PROGRAM\n"
+    )
+
+
+class TestExpressionNesting:
+    """The parser recurses ten frames per nesting level; running out of
+    stack is a typed error with a location, not a ``RecursionError``."""
+
+    def test_ninety_levels_run(self):
+        from repro import Session
+
+        result = Session(num_procs=2, use_calibration=False).run(_nested(90))
+        assert result.ok and result.matches == {"A": True, "B": True}
+
+    @pytest.mark.parametrize("depth", [300, 3000])
+    def test_too_deep_is_a_parse_error(self, depth):
+        from repro import Session
+
+        with pytest.raises(ParseError) as err:
+            Session(num_procs=2, use_calibration=False).run(_nested(depth))
+        assert isinstance(err.value, ReproError)
+        assert "expression nested too deeply at line 7" in str(err.value)
+        assert not isinstance(err.value.__cause__, RecursionError)
+
+
 class TestMappingErrors:
     def test_grid_rank_mismatch(self):
         src = (
