@@ -8,9 +8,11 @@ compiled (``compileall``) and their ``benchmarks/e2e/out/`` cleared, so
 neither side pays for stale bytecode or leftovers; then for every seed
 the driver form
 
-    python3 benchmarks/e2e/run.py --workload W --seed S --seconds 6 --trace 0
+    python3 benchmarks/e2e/run.py --workload W --seed S --seconds R --trace 0
 
-runs in each tree, the side going first alternating from seed to seed.
+runs in each tree, the side going first alternating from seed to seed;
+``R`` is the ``run_seconds`` of the parent tree's ``BENCHMARK.json``, the
+run length the benchmark itself uses, for both sides.
 Every run is printed, then each side's median and quartiles per
 end-to-end metric, the pairs the change won (ties count for neither),
 ``failed``, and whether the medians differ by more than the distance
@@ -44,6 +46,11 @@ def prepare(tree: Path) -> None:
         raise SystemExit(f"{tree}: no benchmarks/e2e/run.py")
     compileall.compile_dir(str(tree / "src"), quiet=1)
     shutil.rmtree(tree / "benchmarks" / "e2e" / "out", ignore_errors=True)
+
+
+def run_seconds(parent: Path) -> float:
+    """The run length the benchmark's contract sets, read at the parent."""
+    return json.loads((parent / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -81,18 +88,18 @@ def main() -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="0-9", type=seeds_of)
-    parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         prepare(tree)
+    seconds = run_seconds(trees["parent"])
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for turn, seed in enumerate(args.seeds):
         order = ("parent", "change") if turn % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_once(trees[side], args.workload, seed, args.seconds, args.trace)
+            run = run_once(trees[side], args.workload, seed, seconds, args.trace)
             runs[side].append(run)
             shown = " ".join(
                 f"{name}={value:.6g}" for name, value in run.items() if value

@@ -119,7 +119,7 @@ class LoweredSequentialHooks(ExecutionHooks):
         self.vector = SeqVectorizer(self, stats, metrics)
 
     def assign(self, stmt: AssignStmt, env: dict[str, int]) -> None:
-        fn = self.lowered.assigns.get(stmt.stmt_id)
+        fn = self.lowered.assigns.built[stmt.stmt_id]
         if fn is None:
             return self._slow.assign(stmt, env)
         index, value = fn(self.store, env)
@@ -131,13 +131,13 @@ class LoweredSequentialHooks(ExecutionHooks):
             self.store.arrays[name][off] = value
 
     def eval_condition(self, stmt: IfStmt, env: dict[str, int]) -> bool:
-        fn = self.lowered.conds.get(stmt.stmt_id)
+        fn = self.lowered.conds.built[stmt.stmt_id]
         if fn is None:
             return self._slow.eval_condition(stmt, env)
         return fn(self.store, env)
 
     def eval_bound(self, expr, env: dict[str, int]) -> int:
-        fn = self.lowered.bounds.get(id(expr))
+        fn = self.lowered.bounds.built[id(expr)]
         if fn is None:
             return self._slow.eval_bound(expr, env)
         return fn(self.store, env)

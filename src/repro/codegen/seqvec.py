@@ -316,7 +316,9 @@ class _SeqCtx(_Ctx):
                 offs.append(off)
                 continue
             _bounds_checked_offset(index + above, symbol, dim)
-            if sliced:  # with the one axis of ``walk``, still bound
+            if sliced:  # one lane axis walks this dimension
+                (c, a), = walk
+                step, n = self.axes[a]
                 stride = c * step
                 stop = off + stride * n
                 offs.append(slice(off, stop if stop >= 0 else None, stride))

@@ -346,11 +346,26 @@ class _Source(tuple):
     """``(globals, name, source, label)`` of a closure not compiled yet."""
 
 
+class _Built(dict):
+    """key -> what ``table.get(key)`` returned, asked once per key."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __missing__(self, key):
+        fn = self[key] = self.table.get(key)
+        return fn
+
+
 class _Closures(dict):
     """key -> ``fn(R, env)``, held as its emitted :class:`_Source` until
     the first lookup of the key — ``get`` and ``[]`` alike — compiles
     it: a statement inside a nest that every engine takes whole never
-    pays ``compile()``."""
+    pays ``compile()``.  The per-instance lookups of a run go through
+    ``built[key]`` (``None``: no closure), the C dict's on every hit."""
+
+    def __init__(self):
+        self.built = _Built(self)
 
     def get(self, key, default=None):
         fn = dict.get(self, key, default)
@@ -982,7 +997,7 @@ class FastPath:
         return results.pop()
 
     def eval_bound(self, expr, env) -> int:
-        fn = self.lowered.bounds.get(id(expr))
+        fn = self.lowered.bounds.built[id(expr)]
         if fn is None:
             return int(eval_expr(expr, self.sim.authoritative, env))
         return fn(self.sim.authoritative, env)

@@ -332,8 +332,17 @@ class TestGoldenVerdicts:
     def test_tomcatv_residual_nest_is_taken_once_per_iteration(self):
         """One takeover of the ``j`` nest per ``it`` — its two ``MAX``
         updates fold inside it — none of its ``i`` loop."""
-        niter = 2
-        takeovers = GOLDEN["tomcatv"][2]
+        niter = 3
+        compiled = compile_source(
+            tomcatv_source(n=12, niter=niter, procs=4),
+            CompilerOptions(num_procs=4),
+        )
+        metrics = Metrics()
+        simulate(
+            compiled, seeded_inputs(compiled.proc, 0), tier="slab",
+            metrics=metrics,
+        )
+        takeovers = _slab_counters(metrics, compiled, "takeover")
         assert takeovers["L03"] == niter
         assert "L04" not in takeovers
 
