@@ -274,8 +274,6 @@ class CompiledProgram:
 
 
 def _lower(compiled: CompiledProgram) -> "LoweredIR":
-    """Keyed only on the IR fingerprint, so every option ablation of a
-    procedure shares one lowering."""
     from ..machine.lowering import lower_procedure
 
     return lower_procedure(compiled.proc)

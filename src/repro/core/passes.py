@@ -473,10 +473,8 @@ class PassManager:
                 f"compile.pass[{name}].seconds", round(timing.seconds, 6)
             )
         # deferred import: repro.machine depends on repro.core
-        from ..machine.lowering import CLOSURE_COUNTS, lowering_cache_stats
+        from ..machine.lowering import CLOSURE_COUNTS
 
-        for key, value in lowering_cache_stats().items():
-            metrics.gauge(f"lowering.cache.{key}", value)
         for name, count in CLOSURE_COUNTS.items():
             metrics.gauge(name, count)
         return metrics

@@ -91,8 +91,8 @@ class Procedure:
         # A pickled uid is only unique in the *originating* process.  A
         # procedure revived here (process pool result, persistent
         # compile cache) must not alias a locally created one in any
-        # uid-keyed cache (lowering LRU, analysis cache), so it gets a
-        # fresh local identity.
+        # uid-keyed cache (the analysis cache), so it gets a fresh local
+        # identity.
         self.__dict__.update(state)
         self.uid = next(_UID_COUNTER)
 

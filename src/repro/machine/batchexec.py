@@ -24,15 +24,14 @@ instance axis; ``np.maximum`` agrees with ``max`` on non-NaN floats;
 machine-independent quantities — trip counts, spans, element counts —
 stay python scalars so no transcendental is re-evaluated in numpy).
 
-The processor count is a parameter of a lane, not a second mechanism:
-the batched sweep runs one sub-simulation per grid shape, and the
-estimator prices a whole procs × machine grid in one pass by reading
-the per-lane ``grid_shapes`` a :class:`VectorMachine` may carry.
+The processor count is never a lane: it changes the compiled program
+(mappings, executors, communication events), so the batched sweep runs
+one sub-simulation and one estimate per grid shape, and every
+collective here receives its span as a plain int.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -46,20 +45,10 @@ class VectorMachine(CostFormulas):
     Every parameter field is the ``(lanes,)`` float64 stack of the
     models' values, so each inherited cost method returns the
     ``(lanes,)`` vector of per-model costs and lane ``m`` is bitwise
-    ``models[m]``'s answer.
-
-    ``grid_shapes`` (optional, one processor-grid shape per lane) makes
-    the processor count a per-lane quantity as well: ``procs`` is then
-    the ``(lanes,)`` vector of ``prod(shape)`` and
-    :class:`~repro.perf.estimator.PerfEstimator` reads the shapes to
-    price every lane on its own grid.
+    ``models[m]``'s answer.  The class defines no formula of its own.
     """
 
-    def __init__(
-        self,
-        models: Sequence[MachineModel],
-        grid_shapes: Sequence[Sequence[int]] | None = None,
-    ):
+    def __init__(self, models: Sequence[MachineModel]):
         if not models:
             raise ValueError("VectorMachine needs at least one lane")
         self.models = tuple(models)
@@ -81,53 +70,3 @@ class VectorMachine(CostFormulas):
         self.element_bytes = (
             sizes.pop() if len(sizes) == 1 else stack("element_bytes")
         )
-        self.grid_shapes = None
-        self.procs = None
-        if grid_shapes is not None:
-            self.grid_shapes = tuple(
-                tuple(int(d) for d in shape) for shape in grid_shapes
-            )
-            if len(self.grid_shapes) != self.lanes:
-                raise ValueError(
-                    f"grid_shapes must supply one shape per lane: got "
-                    f"{len(self.grid_shapes)} for {self.lanes} lane(s)"
-                )
-            self.procs = np.asarray(
-                [math.prod(shape) for shape in self.grid_shapes],
-                dtype=np.int64,
-            )
-            if np.any(self.procs < 1):
-                raise ValueError("every lane needs procs >= 1")
-
-    # -- per-lane processor counts -----------------------------------------
-    #
-    # The collectives take ``procs`` as a plain int (every lane prices
-    # the same span — a machine-lane simulation) or as a ``(lanes,)`` int
-    # vector (each lane has its own count — the estimator's procs-lane
-    # pass).  A vector is priced by running the inherited scalar-``procs``
-    # formula once per distinct count and keeping, per lane, the answer
-    # for that lane's count — so each lane is the scalar formula's value
-    # by definition, early returns for ``procs <= 1`` included.
-
-    def _per_lane(self, formula, elements: int, procs):
-        if np.ndim(procs) == 0:
-            return formula(self, elements, procs)
-        procs = np.asarray(procs)
-        out = np.zeros(self.lanes, dtype=np.float64)
-        for count in np.unique(procs):
-            out = np.where(
-                procs == count, formula(self, elements, int(count)), out
-            )
-        return out
-
-    def broadcast_time(self, elements: int, procs):
-        return self._per_lane(CostFormulas.broadcast_time, elements, procs)
-
-    def reduce_time(self, elements: int, procs):
-        return self._per_lane(CostFormulas.reduce_time, elements, procs)
-
-    def gather_time(self, elements: int, procs):
-        return self._per_lane(CostFormulas.gather_time, elements, procs)
-
-    def alltoall_time(self, elements: int, procs):
-        return self._per_lane(CostFormulas.alltoall_time, elements, procs)

@@ -25,9 +25,10 @@ once, at lowering time:
   ``_charge_fetch`` (one startup per placement instance plus
   per-element bandwidth — identical clock totals by construction).
 
-Lowered closures are cached per ``(proc.uid, proc.ir_epoch)``: any
-``finalize()`` after an IR transform bumps the epoch and invalidates
-the cache entry. Statements the lowerer cannot handle simply stay
+A compiled program keeps its lowered form as derived state
+(:attr:`~repro.core.driver.CompiledProgram.lowering`): any
+``finalize()`` after an IR transform bumps ``proc.ir_epoch`` and the
+next read lowers again. Statements the lowerer cannot handle simply stay
 interpreted — the fast path falls back per statement, never changing
 semantics. ``SPMDSimulator(..., tier="interpreted")`` bypasses the
 module entirely; the parity tests use that tier to assert bit-for-bit
@@ -37,7 +38,6 @@ identity of results, clocks, and traffic statistics.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -404,24 +404,9 @@ class LoweredIR:
     sources: dict[str, str] = field(default_factory=dict)
 
 
-#: (proc.uid, proc.ir_epoch) -> LoweredIR; bounded so long-running
-#: processes compiling many procedures don't accumulate dead closures
-_LOWERED_CACHE: OrderedDict[tuple[int, int], LoweredIR] = OrderedDict()
-_LOWERED_CACHE_MAX = 64
-
-#: process-wide hit/miss/eviction tallies of the lowering LRU, exposed
-#: through :func:`lowering_cache_stats` for the obs metrics export
-_CACHE_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
 #: closures emitted as source / compiled by a first lookup since
 #: process start, under their names in the obs metrics export
 CLOSURE_COUNTS = {"lowering.closures_emitted": 0, "lowering.closures_built": 0}
-
-
-def lowering_cache_stats() -> dict[str, int]:
-    """Snapshot of the lowering LRU's activity since process start."""
-    return dict(_CACHE_COUNTS, size=len(_LOWERED_CACHE))
 
 
 def _emit_fn(name: str, body: str, glb: dict, lowered: LoweredIR, label: str):
@@ -432,16 +417,8 @@ def _emit_fn(name: str, body: str, glb: dict, lowered: LoweredIR, label: str):
 
 
 def lower_procedure(proc) -> LoweredIR:
-    """Lower every statement of ``proc`` to closures, cached on
-    ``(proc.uid, proc.ir_epoch)`` — shared across option ablations and
-    invalidated by any IR-mutating ``finalize()``."""
-    key = (proc.uid, proc.ir_epoch)
-    cached = _LOWERED_CACHE.get(key)
-    if cached is not None:
-        _CACHE_COUNTS["hits"] += 1
-        _LOWERED_CACHE.move_to_end(key)
-        return cached
-    _CACHE_COUNTS["misses"] += 1
+    """Lower every statement of ``proc`` to closures (emission only:
+    each closure compiles on its first lookup)."""
     glb: dict[str, Any] = {
         "InterpreterError": InterpreterError,
         "_div": _div,
@@ -508,10 +485,6 @@ def lower_procedure(proc) -> LoweredIR:
                     )
                 except _LOWER_ERRORS:
                     pass
-    _LOWERED_CACHE[key] = lowered
-    while len(_LOWERED_CACHE) > _LOWERED_CACHE_MAX:
-        _CACHE_COUNTS["evictions"] += 1
-        _LOWERED_CACHE.popitem(last=False)
     return lowered
 
 

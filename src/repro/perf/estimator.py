@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..comm.costmodel import MachineModel, flops_of_expr
 from ..comm.events import CommEvent, ReduceEvent
 from ..core.driver import CompiledProgram
@@ -181,26 +179,6 @@ class PerfEstimator:
                 setattr(self, name, float(value))
         self.ctx = compiled.ctx
         self.grid = compiled.grid
-        #: procs-lane mode: a machine that carries per-lane grid shapes
-        #: (:class:`~repro.machine.batchexec.VectorMachine`) makes
-        #: every grid-dependent quantity a ``(lanes,)`` vector, so one
-        #: ``estimate()`` call prices a whole procs vector — each lane
-        #: bitwise what a dedicated scalar estimate on that lane's
-        #: machine + grid would produce (elementwise numpy ops replace
-        #: the scalar ``min``/``max`` in identical order)
-        shapes = getattr(self.machine, "grid_shapes", None)
-        self._lane_shapes = None
-        if shapes is not None:
-            if any(len(s) != self.grid.rank for s in shapes):
-                raise ValueError(
-                    f"per-lane grid shapes must match the compiled grid "
-                    f"rank {self.grid.rank}: got {shapes}"
-                )
-            self._lane_shapes = tuple(tuple(s) for s in shapes)
-            self._shape_vectors = tuple(
-                np.asarray([s[g] for s in self._lane_shapes], dtype=np.int64)
-                for g in range(self.grid.rank)
-            )
         #: pricing semantics for inner-loop shifts: False (default)
         #: charges a collective per iteration instance — the 1997
         #: compiled-code behaviour behind the paper's catastrophic
@@ -318,22 +296,6 @@ class PerfEstimator:
             return None
         return vname, m0, q, total / vtrip
 
-    # ==================================================================
-    # Grid access (scalar or per-lane)
-    # ==================================================================
-
-    def _shape(self, g: int):
-        """Grid extent along dimension ``g``: an int, or a ``(lanes,)``
-        vector in procs-lane mode."""
-        if self._lane_shapes is None:
-            return self.grid.shape[g]
-        return self._shape_vectors[g]
-
-    def _grid_size(self):
-        if self._lane_shapes is None:
-            return self.grid.size
-        return self.machine.procs
-
     def _instances(self, stmt: Stmt, up_to_level: int | None = None) -> float:
         enclosing = []
         for loop in stmt.loops_enclosing():
@@ -450,10 +412,8 @@ class PerfEstimator:
         ):
             return self._sibling_parallel_factor(stmt)
         factor = 1.0
-        lanes = self._lane_shapes is not None
         enclosing = stmt.loops_enclosing()
         for g, dim in enumerate(executor.position):
-            procs = self._shape(g)
             if dim.kind != "pos" or dim.form is None:
                 continue
             driving = [
@@ -464,13 +424,8 @@ class PerfEstimator:
             extent = 1.0
             for loop in driving:
                 extent *= self.trip_count(loop)
-            if lanes:
-                factor = factor * np.minimum(
-                    procs.astype(np.float64), max(extent, 1.0)
-                )
-            else:
-                factor *= min(float(procs), max(extent, 1.0))
-        return np.maximum(factor, 1.0) if lanes else max(factor, 1.0)
+            factor *= min(float(self.grid.shape[g]), max(extent, 1.0))
+        return max(factor, 1.0)
 
     def _sibling_parallel_factor(self, stmt: Stmt) -> float:
         """Privatized (no-guard) statements execute with the union of
@@ -486,11 +441,7 @@ class PerfEstimator:
             executor = self.compiled.executors.get(sibling.stmt_id)
             if executor is None or executor.kind != "owner":
                 continue
-            sibling_factor = self._parallel_factor(sibling)
-            if self._lane_shapes is not None:
-                best = np.maximum(best, sibling_factor)
-            else:
-                best = max(best, sibling_factor)
+            best = max(best, self._parallel_factor(sibling))
         return best
 
     # ==================================================================
@@ -555,14 +506,8 @@ class PerfEstimator:
                     delta = max(
                         (abs(d) for d in event.pattern.offsets), default=1
                     )
-                    if self._lane_shapes is not None:
-                        boundaries = np.maximum(self._shape(g) - 1, 0) * delta
-                        fraction = fraction * np.minimum(
-                            1.0, boundaries / trip
-                        )
-                    else:
-                        boundaries = max(self.grid.shape[g] - 1, 0) * delta
-                        fraction *= min(1.0, boundaries / trip)
+                    boundaries = max(self.grid.shape[g] - 1, 0) * delta
+                    fraction *= min(1.0, boundaries / trip)
                     break
         return fraction
 
@@ -580,9 +525,9 @@ class PerfEstimator:
         span = 1
         if event.pattern.kind == "broadcast":
             for g in event.pattern.bcast_dims:
-                span = span * self._shape(g)
+                span *= self.grid.shape[g]
         elif event.pattern.kind == "general":
-            span = self._grid_size()
+            span = self.grid.size
         if event.pattern.kind == "general":
             # Distinguish two 'general' shapes at this placement:
             #  * the data position is FIXED within one instance (only
@@ -622,7 +567,7 @@ class PerfEstimator:
         instances = self._instances(event.stmt, up_to_level=event.loop_level - 1)
         span = 1
         for g in event.grid_dims:
-            span = span * self._shape(g)
+            span *= self.grid.shape[g]
         per_instance = self.machine.reduce_time(event.elements, span)
         return EventCost(
             event=event,
@@ -683,76 +628,3 @@ class PerfEstimator:
                 continue
             total += self.machine.compute_time(flops, 1) * self._instances(stmt)
         return total
-
-
-def _position_signature(position) -> tuple:
-    out = []
-    for dim in position:
-        form = None
-        if dim.form is not None:
-            form = (
-                dim.form.const,
-                tuple(sorted((s.name, c) for s, c in dim.form.coeffs)),
-            )
-        fmt = None
-        if dim.fmt is not None:
-            fmt = (dim.fmt.kind, dim.fmt.extent, dim.fmt.chunk)
-        out.append((dim.kind, form, fmt))
-    return tuple(out)
-
-
-def estimate_signature(compiled: CompiledProgram) -> tuple:
-    """Structural fingerprint of everything :class:`PerfEstimator`
-    walks, *excluding* the processor count.
-
-    Two compiles of the same source at different ``num_procs`` that
-    share this signature differ only in ``grid.shape`` extents — every
-    other estimator input (trip counts, flops, executor positions,
-    communication events, placements, reduction spans) is identical —
-    so a single procs-lane estimate with per-lane grid shapes prices
-    each lane exactly as that lane's dedicated scalar estimate.  When
-    the signatures differ (e.g. the mapping analysis made a
-    P-dependent choice), the batched sweep evaluator falls back to one
-    estimate per procs value."""
-    # statement/ref ids are assigned by a compile-global counter, so
-    # normalize to program-order indices before comparing compiles
-    order = {
-        stmt.stmt_id: i
-        for i, stmt in enumerate(compiled.proc.all_stmts())
-    }
-    executors = tuple(
-        (
-            order.get(sid, sid),
-            info.kind,
-            _position_signature(info.position),
-            tuple(info.union_dims),
-        )
-        for sid, info in sorted(
-            compiled.executors.items(),
-            key=lambda kv: order.get(kv[0], kv[0]),
-        )
-    )
-    events = tuple(
-        (
-            e.ordinal,
-            order.get(e.stmt.stmt_id, -1),
-            e.placement_level,
-            e.pattern.kind,
-            tuple(e.pattern.offsets),
-            tuple(e.pattern.bcast_dims),
-            _position_signature(e.data_position),
-            tuple(m.ordinal for m in e.combined_with),
-        )
-        for e in compiled.comm.events
-    )
-    reduces = tuple(
-        (
-            order.get(r.stmt.stmt_id, -1),
-            r.loop_level,
-            tuple(r.grid_dims),
-            r.elements,
-        )
-        for r in compiled.comm.reduces
-    )
-    return (compiled.grid.rank, executors, events, reduces)
-

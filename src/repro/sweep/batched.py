@@ -23,11 +23,11 @@ lane's payload straight off that sub-simulation's
 :class:`~repro.machine.stats.Clocks`, and stitches per-lane
 :class:`~repro.sweep.spec.SweepResult` records back in grid order —
 byte-identical to what a dedicated per-point run would have produced.
-Estimate-mode batches whose sub-groups share an estimate signature
-collapse further: one :class:`~repro.perf.estimator.PerfEstimator`
-pass over a :class:`~repro.machine.batchexec.VectorMachine` carrying
-per-lane ``grid_shapes`` prices the whole procs × machine grid in a
-single call.
+An estimate-mode sub-group is one
+:class:`~repro.perf.estimator.PerfEstimator` pass over the
+:class:`~repro.machine.batchexec.VectorMachine` of its machine lanes:
+the mapping is chosen per processor grid, so the compile — and the
+estimate that walks it — is per grid.
 
 Jobs that cannot batch (compile-mode points) are returned to the
 caller untouched; :func:`repro.sweep.engine.run_sweep` sends them down
@@ -290,33 +290,6 @@ def _estimate_lanes(batch: Batch, compiled: CompiledProgram) -> list[dict]:
     ]
 
 
-def _estimate_procs_lanes(groups) -> dict[int, dict]:
-    """One procs-lane estimator pass pricing every (procs, machine)
-    cell of a batch in a single call.  The caller guarantees the
-    sub-groups share an estimate signature, so any one compiled
-    program describes the common cost structure; the per-lane grid
-    shapes ride on the :class:`VectorMachine`."""
-    from ..machine.batchexec import VectorMachine
-    from ..perf.estimator import PerfEstimator
-
-    models, shapes, order = [], [], []
-    for lanes, sub, compiled, _sim in groups:
-        models.extend(j.options.machine for j in sub.jobs)
-        shapes.extend([compiled.grid.shape] * len(lanes))
-        order.extend(lanes)
-    machine = VectorMachine(models, grid_shapes=shapes)
-    estimate = PerfEstimator(groups[0][2], machine).estimate()
-    payloads: dict[int, dict] = {}
-    for fused_lane, batch_lane in enumerate(order):
-        payloads[batch_lane] = dict(
-            total_time=_lane_float(estimate.total_time, fused_lane),
-            compute_time=_lane_float(estimate.compute_time, fused_lane),
-            comm_time=_lane_float(estimate.comm_time, fused_lane),
-            grid_size=int(machine.procs[fused_lane]),
-        )
-    return payloads
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
@@ -386,9 +359,6 @@ def run_batched(
             #: batch lane -> measurement payload / (cache_hit, dedup)
             payloads: dict[int, dict] = {}
             flags: dict[int, tuple[bool, bool]] = {}
-            #: batch lane -> why a degrade rung touched it (the lanes
-            #: stayed batched but not on the rung first attempted)
-            reasons: dict[int, str] = {}
             try:
                 evaluated = []  # (lanes, sub, compiled, sim|None)
                 for lanes in groups:
@@ -420,9 +390,7 @@ def run_batched(
                             zip(lanes, _simulate_payloads(sim, compiled))
                         )
                 elif evaluated:
-                    payloads = _try_estimates(
-                        evaluated, flags, _fall_back, reasons, _inc
-                    )
+                    payloads = _try_estimates(evaluated, flags, _fall_back)
             except Exception:
                 # last-resort rung: planning/extraction bugs degrade
                 # whatever has not been emitted yet to per-lane runs
@@ -453,7 +421,6 @@ def run_batched(
                     compile_dedup=deduped,
                     duration_s=per_lane,
                     procs_lanes=len(groups),
-                    fallback_reason=reasons.get(lane),
                 )
                 for name, value in payloads[lane].items():
                     setattr(result, name, value)
@@ -461,32 +428,10 @@ def run_batched(
     return results
 
 
-def _try_estimates(evaluated, flags, fall_back, reasons, inc) -> dict[int, dict]:
-    """The estimate-mode ladder: one fused procs-lane estimator call
-    when every sub-group shares an estimate signature, per-sub-group
-    vectorized estimates otherwise (or when fusing fails), per-lane
-    fallback for a sub-group whose estimator itself raises.  Degrades
-    record why: ``reasons`` (batch lane -> reason) feeds the
-    ``fallback_reason`` of results that stayed batched on a lower rung,
-    and each rung bumps its ``sweep.lane_fallback[reason=...]`` lanes."""
-    if len(evaluated) > 1:
-        from ..perf.estimator import estimate_signature
-
-        try:
-            signatures = {
-                estimate_signature(compiled)
-                for _lanes, _sub, compiled, _sim in evaluated
-            }
-            if len(signatures) == 1:
-                return _estimate_procs_lanes(evaluated)
-        except Exception:
-            # fall through to per-sub-group estimates
-            reason = _active_failure("estimate-fuse")
-            affected = [
-                lane for lanes, _sub, _c, _s in evaluated for lane in lanes
-            ]
-            reasons.update((lane, reason) for lane in affected)
-            inc("sweep.lane_fallback[reason=estimate-fuse]", len(affected))
+def _try_estimates(evaluated, flags, fall_back) -> dict[int, dict]:
+    """The estimate-mode ladder: one vectorized estimate per procs
+    sub-group, per-lane fallback for a sub-group whose estimator
+    raises."""
     payloads: dict[int, dict] = {}
     for lanes, sub, compiled, _sim in evaluated:
         try:
@@ -494,7 +439,6 @@ def _try_estimates(evaluated, flags, fall_back, reasons, inc) -> dict[int, dict]
         except Exception:
             for lane in lanes:
                 flags.pop(lane, None)
-                reasons.pop(lane, None)
             fall_back(sub, "estimate")
             continue
         payloads.update(zip(lanes, extracted))

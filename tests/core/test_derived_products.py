@@ -11,8 +11,8 @@ import pytest
 from repro.cli import main
 from repro.codegen.seq import seeded_inputs
 from repro.core import CompilerOptions, compile_source
-from repro.machine import simulate, slabexec
-from repro.machine.lowering import FastPath, lowering_cache_stats
+from repro.machine import lowering, simulate, slabexec
+from repro.machine.lowering import FastPath
 from repro.machine.simulator import SPMDSimulator
 from repro.obs import Metrics
 from repro.perf import tierplan
@@ -26,8 +26,13 @@ DERIVED = ("lowering", "slabexec", "tierplan")
 def builds(monkeypatch):
     """Counts every construction of a derived product."""
     counts = dict.fromkeys(DERIVED, 0)
+    lower = lowering.lower_procedure
     classify = slabexec.classify_procedure
     plan = tierplan.build_tierplan
+
+    def counting_lower(proc):
+        counts["lowering"] += 1
+        return lower(proc)
 
     def counting_classify(*args, **kwargs):
         counts["slabexec"] += 1
@@ -37,15 +42,10 @@ def builds(monkeypatch):
         counts["tierplan"] += 1
         return plan(*args, **kwargs)
 
+    monkeypatch.setattr(lowering, "lower_procedure", counting_lower)
     monkeypatch.setattr(slabexec, "classify_procedure", counting_classify)
     monkeypatch.setattr(tierplan, "build_tierplan", counting_plan)
-    misses = lowering_cache_stats()["misses"]
-
-    def snapshot():
-        counts["lowering"] = lowering_cache_stats()["misses"] - misses
-        return dict(counts)
-
-    return snapshot
+    return lambda: dict(counts)
 
 
 def _dgefa():

@@ -142,15 +142,11 @@ class TestErrorTransparency:
             return original(self, expr)
 
         monkeypatch.setattr(lowering._ExprCompiler, "emit", sabotaged)
-        lowering._LOWERED_CACHE.clear()
-        try:
-            assert any(
-                isinstance(s, AssignStmt) for s in compiled.proc.all_stmts()
-            )
-            with pytest.raises(NameError):
-                lowering.lower_procedure(compiled.proc)
-        finally:
-            lowering._LOWERED_CACHE.clear()
+        assert any(
+            isinstance(s, AssignStmt) for s in compiled.proc.all_stmts()
+        )
+        with pytest.raises(NameError):
+            lowering.lower_procedure(compiled.proc)
 
     def test_runtime_nameerror_in_closure_propagates(self, inputs):
         """A NameError raised while *executing* a lowered closure also
@@ -174,12 +170,10 @@ class TestErrorTransparency:
             monkeypatch_ctx.setattr(
                 lowering._ExprCompiler, "emit", sabotaged
             )
-            lowering._LOWERED_CACHE.clear()
             # the derived product is built (and kept) under sabotage
             assert compiled_fresh.lowering.assigns
         finally:
             monkeypatch_ctx.undo()
-            lowering._LOWERED_CACHE.clear()
         with pytest.raises(NameError):
             simulate(compiled_fresh, inputs, tier="lowered")
 

@@ -75,17 +75,26 @@ class TestFortranIntDiv:
 
 
 class TestLoweringCache:
+    """The one memo is ``CompiledProgram.lowering``; ``lower_procedure``
+    itself lowers and returns."""
+
     def test_same_epoch_hits_cache(self):
-        proc = parse_and_build(SOURCE)
-        assert lower_procedure(proc) is lower_procedure(proc)
+        compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
+        assert compiled.lowering is compiled.lowering
+        before = CLOSURE_COUNTS["lowering.closures_emitted"]
+        assert lower_procedure(compiled.proc) is not compiled.lowering
+        assert CLOSURE_COUNTS["lowering.closures_emitted"] == (
+            before + len(compiled.lowering.sources)
+        )
 
     def test_finalize_invalidates(self):
-        proc = parse_and_build(SOURCE)
-        before = lower_procedure(proc)
-        proc.finalize()
-        after = lower_procedure(proc)
+        compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
+        before = compiled.lowering
+        compiled.proc.finalize()
+        after = compiled.lowering
         assert after is not before
-        assert after.ir_epoch == proc.ir_epoch
+        assert after.ir_epoch == compiled.proc.ir_epoch
+        assert compiled.lowering is after
 
     def test_pickle_round_trip_relowers(self):
         # LoweredIR holds exec'd closures, so it never travels: a
@@ -137,13 +146,18 @@ class TestClosuresCompileOnFirstLookup:
         whole, so of the 2 x 55 emitted closures only loop bounds and
         the ``rxm``/``rym`` initializations are ever compiled."""
         from repro import Session
-        from repro.programs import tomcatv_source
+        from repro.codegen import SequentialInterpreter
+        from repro.codegen.seq import seeded_inputs
 
         result = Session(num_procs=16, use_calibration=False).run(
             tomcatv_source(n=129, niter=1, procs=16)
         )
         assert result.ok
-        both = [result.compiled.lowering, lower_procedure(result.sequential.proc)]
+        reference = SequentialInterpreter(result.sequential.proc)
+        for name, values in seeded_inputs(reference.proc, 0).items():
+            reference.store.set_array(name, values)
+        reference.run()
+        both = [result.compiled.lowering, reference.hooks.lowered]
         emitted = sum(
             len(t) for l in both for t in (l.assigns, l.conds, l.bounds)
         )
@@ -229,7 +243,6 @@ class TestExecutorTables:
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
         sim = SPMDSimulator(compiled)
         assert FastPath(sim).lowered is compiled.lowering
-        assert compiled.lowering is lower_procedure(compiled.proc)
 
     def test_fast_path_relowers_on_stale_epoch(self):
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))

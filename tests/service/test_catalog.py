@@ -115,6 +115,28 @@ class TestInspection:
         assert stats["results"]["entries"] == 1
         assert stats["results"]["evaluations"] == 1
 
+    def test_a_catalog_written_with_the_calibrations_table_still_opens(
+        self, tmp_path
+    ):
+        """Earlier releases created an (always empty) ``calibrations``
+        table; the schema version did not move when it went."""
+        path = tmp_path / "c.sqlite"
+        old = Catalog(path)
+        job = _jobs()[0]
+        old.record_result(job, _result(job))
+        old.conn.execute(
+            "CREATE TABLE calibrations (path TEXT PRIMARY KEY,"
+            " constants TEXT NOT NULL, recorded_at REAL NOT NULL)"
+        )
+        old.conn.commit()
+        old.close()
+        catalog = Catalog(path)
+        assert [r["table"] for r in catalog.ls()] == ["results"]
+        assert "calibrations" not in catalog.stats_dict()
+        with pytest.raises(ValueError, match="unknown catalog kind"):
+            catalog.ls("calibrations")
+        assert catalog.lookup(job).total_time == 1.25
+
     def test_show_prefix_match_and_missing(self, tmp_path):
         catalog = Catalog(tmp_path / "c.sqlite")
         job = _jobs()[0]

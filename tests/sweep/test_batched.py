@@ -47,6 +47,44 @@ class TestParityWithPool:
                 _comparable(b), sort_keys=True
             )
 
+    def test_estimate_cells_equal_dedicated_estimates(self):
+        """Table 1's shape: one batch per strategy, three procs
+        sub-groups each, and the strategies choose different mappings
+        at different processor counts — every sub-group is priced on
+        its own compile, and every cell is bitwise what
+        ``Session.estimate`` says of that point alone."""
+        from repro import Session
+
+        spec = SweepSpec(
+            programs={
+                "tomcatv": lambda p: tomcatv_source(n=12, niter=1, procs=p)
+            },
+            procs=(1, 2, 4),
+            axes={
+                "strategy": ("replication", "producer", "selected"),
+                "machine": (SP2, FAST),
+            },
+            mode="estimate",
+        )
+        metrics = Metrics()
+        results = run_sweep(spec, workers=0, mode="batched", metrics=metrics)
+        assert len(results) == 18
+        assert metrics.counters["sweep.batched_groups"] == 3
+        assert not any(
+            name.startswith("sweep.lane_fallback") for name in metrics.counters
+        )
+        for job, result in zip(spec.jobs(), results):
+            assert result.ok and result.worker == "batched"
+            assert result.fallback_reason is None
+            assert result.procs_lanes == 3
+            alone = Session(job.options, use_calibration=False).estimate(
+                job.source
+            )
+            assert (
+                result.total_time, result.compute_time, result.comm_time
+            ) == (alone.total_time, alone.compute_time, alone.comm_time)
+            assert result.grid_size == job.procs
+
     def test_auto_picks_batched_when_lanes_fuse(self):
         metrics = Metrics()
         results = run_sweep(_spec(), workers=0, mode="auto", metrics=metrics)
@@ -162,6 +200,36 @@ class TestFallback:
         pool = run_sweep(spec, workers=0, mode="pool")
         for p, b in zip(pool, results):
             assert p.canonical_stats == b.canonical_stats
+
+    def test_failing_estimate_degrades_its_own_sub_group_only(
+        self, monkeypatch
+    ):
+        import repro.sweep.batched as batched_mod
+
+        estimate_lanes = batched_mod._estimate_lanes
+
+        def refuse_four_procs(batch, compiled):
+            if compiled.grid.size == 4:
+                raise ArithmeticError("estimate refused")
+            return estimate_lanes(batch, compiled)
+
+        monkeypatch.setattr(batched_mod, "_estimate_lanes", refuse_four_procs)
+        metrics = Metrics()
+        spec = _spec(mode="estimate")
+        results = run_sweep(spec, workers=0, mode="batched", metrics=metrics)
+        pool = run_sweep(spec, workers=0, mode="pool")
+        for job, result, ref in zip(spec.jobs(), results, pool):
+            assert _comparable(result) == _comparable(ref)
+            if job.procs == 4:
+                assert result.worker == "batched-fallback"
+                assert result.fallback_reason.startswith("estimate: ")
+                assert "ArithmeticError: estimate refused" in (
+                    result.fallback_reason
+                )
+            else:
+                assert result.worker == "batched"
+                assert result.fallback_reason is None
+        assert metrics.counters["sweep.lane_fallback[reason=estimate]"] == 3
 
     def test_healthy_batched_run_has_no_fallback_reason(self):
         results = run_sweep(_spec(procs=(2,)), workers=0, mode="batched")
