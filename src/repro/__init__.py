@@ -30,7 +30,6 @@ from .codegen import SequentialInterpreter, print_spmd, run_sequential
 from .comm import SP2, MachineModel
 from .core import (
     AlignedTo,
-    AnalysisCache,
     AnalysisContext,
     ArrayPrivatization,
     BatchJob,
@@ -82,7 +81,6 @@ __all__ = [
     "MachineModel",
     # compiler internals (stable subset)
     "AlignedTo",
-    "AnalysisCache",
     "AnalysisContext",
     "ArrayPrivatization",
     "BatchJob",

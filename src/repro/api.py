@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .core.diskcache import CompileCache, as_compile_cache
-from .core.driver import CompiledProgram, CompilerOptions, compile_source
+from .core.driver import (
+    CompiledProgram,
+    CompilerOptions,
+    compile_cached,
+    compile_source,
+)
 from .core.passes import PassManager
 from .sweep import SweepJob, SweepResult, SweepSpec, run_sweep
 
@@ -197,18 +202,9 @@ class Session:
     def compile(self, source: str, **overrides: Any) -> CompiledProgram:
         """Compile source text under the session options (plus
         ``overrides``), through the persistent cache when enabled."""
-        options = self.options_for(**overrides)
-        if self.cache is not None:
-            compiled, hit = self.cache.get_or_compile(
-                source,
-                options,
-                lambda: compile_source(source, options, manager=self.manager),
-                pipeline=self.manager.pipeline,
-            )
-            self.last_cache_hit = hit
-        else:
-            compiled = compile_source(source, options, manager=self.manager)
-            self.last_cache_hit = False
+        compiled, self.last_cache_hit = compile_cached(
+            source, self.options_for(**overrides), self.manager, self.cache
+        )
         return compiled
 
     def estimate(

@@ -5,13 +5,10 @@ from .analysis import CommAnalysis, CommOptions, positions_union
 from .combine import combine_messages, combining_stats
 from .costmodel import SP2, MachineModel, flops_of_expr
 from .events import CommEvent, CommReport, ReduceEvent
-from .passes import COMM_ANALYSIS, MESSAGE_COMBINING
 
 __all__ = [
     "CommAnalysis",
     "CommOptions",
-    "COMM_ANALYSIS",
-    "MESSAGE_COMBINING",
     "positions_union",
     "combine_messages",
     "combining_stats",

@@ -35,17 +35,9 @@ from .driver import (
 )
 from .passes import (
     DEFAULT_PIPELINE,
-    AnalysisCache,
-    Pass,
-    PassError,
     PassManager,
-    PipelineState,
     PipelineTimings,
-    UnknownPassError,
     build_context,
-    register_pass,
-    registered_pass,
-    registered_passes,
 )
 from .locality import (
     ANY,
@@ -112,16 +104,8 @@ __all__ = [
     "options_signature",
     "pipeline_fingerprint",
     "DEFAULT_PIPELINE",
-    "AnalysisCache",
-    "Pass",
-    "PassError",
     "PassManager",
-    "PipelineState",
     "PipelineTimings",
-    "UnknownPassError",
-    "register_pass",
-    "registered_pass",
-    "registered_passes",
     "ANY",
     "DimPosition",
     "Position",

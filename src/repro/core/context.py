@@ -5,10 +5,11 @@ variable recognition precede the mapping pass).
 
 This module provides the *stages* — front-end analysis, induction
 substitution, reduction recognition, privatizability, directive
-resolution — as standalone functions. The pipeline that sequences,
-caches, and times them lives in :mod:`repro.core.passes`, which also
-exports :func:`~repro.core.passes.build_context`, the one-call
-convenience that produces an :class:`AnalysisContext`.
+resolution — as standalone functions.
+:meth:`repro.core.passes.PassManager.run` calls them in that order,
+times them and keeps their results between compiles;
+:func:`~repro.core.passes.build_context` is the one-call convenience
+that produces an :class:`AnalysisContext` and keeps nothing.
 """
 
 from __future__ import annotations

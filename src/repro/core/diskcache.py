@@ -11,7 +11,7 @@ with ``REPRO_CACHE_DIR`` or an explicit ``--cache-dir``), keyed on
 * the canonical *options closure* — every ``CompilerOptions`` field,
   including the machine model, rendered deterministically,
 * a *pipeline fingerprint* — cache schema version, package version,
-  and the ordered pass names — so a pipeline or format change can
+  and the ordered stage names — so a pipeline or format change can
   never resurrect stale artifacts.
 
 Loads are corruption-safe by contract: a missing, truncated,
@@ -34,6 +34,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
+
+from . import passes
 
 if TYPE_CHECKING:
     from .driver import CompiledProgram
@@ -91,14 +93,11 @@ def options_signature(options: Any) -> str:
     )
 
 
-def pipeline_fingerprint(pipeline: tuple[str, ...] | None = None) -> str:
+def pipeline_fingerprint() -> str:
     """Fingerprint of the compilation pipeline an entry was produced
-    by: schema version, package version, ordered pass names."""
-    if pipeline is None:
-        from .passes import DEFAULT_PIPELINE
-
-        pipeline = DEFAULT_PIPELINE
-    payload = f"{_MAGIC}:{CACHE_SCHEMA}:{_package_version()}:{','.join(pipeline)}"
+    by: schema version, package version, ordered stage names."""
+    stages = ",".join(passes.DEFAULT_PIPELINE)
+    payload = f"{_MAGIC}:{CACHE_SCHEMA}:{_package_version()}:{stages}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -131,18 +130,13 @@ class CompileCache:
 
     # -- keys --------------------------------------------------------------
 
-    def key(
-        self,
-        source: str,
-        options: Any,
-        pipeline: tuple[str, ...] | None = None,
-    ) -> str:
+    def key(self, source: str, options: Any) -> str:
         """Content address of one compile: (source hash, options
         closure, pipeline fingerprint)."""
         digest = hashlib.sha256()
         digest.update(hashlib.sha256(source.encode("utf-8")).digest())
         digest.update(options_signature(options).encode("utf-8"))
-        digest.update(pipeline_fingerprint(pipeline).encode("utf-8"))
+        digest.update(pipeline_fingerprint().encode("utf-8"))
         return digest.hexdigest()
 
     def path_for(self, key: str) -> Path:
@@ -210,11 +204,10 @@ class CompileCache:
         source: str,
         options: Any,
         compile_fn: Callable[[], "CompiledProgram"],
-        pipeline: tuple[str, ...] | None = None,
     ) -> "tuple[CompiledProgram, bool]":
         """``(program, was_hit)``: load if present, else compile via
         ``compile_fn`` and persist the result."""
-        key = self.key(source, options, pipeline)
+        key = self.key(source, options)
         compiled = self.load(key)
         if compiled is not None:
             return compiled, True

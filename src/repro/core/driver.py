@@ -14,11 +14,11 @@
 6. owner-computes computation partitioning,
 7. communication analysis with message-vectorization placement.
 
-Since the PassManager refactor the stages are named passes sequenced
-by :class:`~repro.core.passes.PassManager` (see
+Stages 2-7 are :meth:`repro.core.passes.PassManager.run` (see
 ``docs/ARCHITECTURE.md``); pass ``manager=`` to reuse one manager's
-analysis cache across compiles, or use :func:`compile_many` to batch
-whole ablation sweeps. The result of every entry point is a
+parsed IR and front-end analyses across compiles, or use
+:func:`compile_many` to batch whole ablation sweeps. The result of
+every entry point is a
 :class:`CompiledProgram` consumed by the performance estimator, the
 SPMD simulator, and the reports. What only the simulator reads —
 statement closures, slab verdicts, the tier plan — is no pipeline
@@ -27,6 +27,7 @@ stage: it is derived from the compiled program on first read.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
@@ -38,11 +39,12 @@ from ..mapping.grid import ProcessorGrid
 from ..partition.owner_computes import ExecutorInfo
 from .array_mapping import ArrayMappingResult
 from .context import AnalysisContext
+from .diskcache import CompileCache, as_compile_cache
 from .mapping_kinds import ControlFlowDecision, ScalarMapping
 from .passes import PassManager, PipelineTimings
 from .scalar_mapping import STRATEGIES, ScalarMappingPass
 
-if TYPE_CHECKING:  # provided by comm/machine passes; no runtime dependency
+if TYPE_CHECKING:  # comm/machine/perf types; no runtime dependency
     from ..comm.events import CommReport
     from ..machine.lowering import LoweredIR
     from ..machine.slabexec import SlabReport
@@ -88,7 +90,9 @@ class CompilerOptions:
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
         if self.num_procs is not None and (
-            not isinstance(self.num_procs, int) or self.num_procs < 1
+            not isinstance(self.num_procs, int)
+            or isinstance(self.num_procs, bool)
+            or self.num_procs < 1
         ):
             raise ValueError(
                 f"num_procs must be a positive processor count, "
@@ -111,7 +115,7 @@ class CompilerOptions:
                     f"unknown nest-cost constant(s) {unknown}; "
                     f"valid: {sorted(NEST_COST_CONSTANTS)}"
                 )
-            if any(value <= 0 for _, value in normalized):
+            if not all(0 < value < math.inf for _, value in normalized):
                 raise ValueError("nest-cost constants must be positive")
             self.nest_cost_constants = normalized or None
 
@@ -318,18 +322,10 @@ def compile_procedure(
 ) -> CompiledProgram:
     options = options or CompilerOptions()
     manager = manager or PassManager(tracer=tracer)
-    state, run_timings = manager.run(proc, options)
+    products, run_timings = manager.run(proc, options)
     all_timings = (timings or PipelineTimings()).merge(run_timings)
     return CompiledProgram(
-        proc=proc,
-        options=options,
-        ctx=state["ctx"],
-        scalar_pass=state["scalar_pass"],
-        array_result=state["array_result"],
-        cf_decisions=state["cf_decisions"],
-        executors=state["executors"],
-        comm=state["comm"],
-        timings=all_timings,
+        proc=proc, options=options, timings=all_timings, **products
     )
 
 
@@ -421,23 +417,21 @@ def _as_job(job) -> BatchJob:
     return BatchJob(source=source, options=options)
 
 
-def _compile_one_cached(
+def compile_cached(
     source: str,
     options: CompilerOptions,
     manager: PassManager,
-    cache,
-) -> CompiledProgram:
-    """One compile through the optional persistent cache: a warm entry
-    skips the whole pass pipeline."""
+    cache: CompileCache | None,
+) -> tuple[CompiledProgram, bool]:
+    """One compile through the optional persistent cache: ``(program,
+    was a disk hit)``; a warm entry skips the whole pass pipeline."""
     if cache is None:
-        return compile_source(source, options, manager=manager)
-    compiled, _hit = cache.get_or_compile(
+        return compile_source(source, options, manager=manager), False
+    return cache.get_or_compile(
         source,
         options,
         lambda: compile_source(source, options, manager=manager),
-        pipeline=manager.pipeline,
     )
-    return compiled
 
 
 def compile_many(
@@ -461,11 +455,9 @@ def compile_many(
     cache-root path, or True for the default root. Warm entries skip
     the pass pipeline entirely.
     """
-    from .diskcache import as_compile_cache
-
     disk_cache = as_compile_cache(cache)
     shared = manager or PassManager()
     return [
-        _compile_one_cached(job.source, job.options, shared, disk_cache)
+        compile_cached(job.source, job.options, shared, disk_cache)[0]
         for job in map(_as_job, jobs)
     ]

@@ -1,27 +1,28 @@
-"""The pass manager: the compilation pipeline as named, instrumented,
-cacheable passes.
+"""The pass manager: the paper's phase order, written out once.
 
-The driver used to hard-wire the paper's phases (SSA → induction →
-reduction/privatizability → DetermineMapping → partitioning →
-communication analysis) as one monolithic function. Here each phase is
-a :class:`Pass` with declared inputs/outputs, sequenced by a
-:class:`PassManager` that
+Section 2.2 of the paper fixes the order — SSA construction, constant
+propagation and induction-variable recognition precede the mapping
+pass; DetermineMapping, computation partitioning and communication
+placement follow — so the order is part of the algorithm, not
+configuration: :meth:`PassManager.run` is that order as straight-line
+code, each stage under a ``pass:{name}`` span and a row of the
+:class:`PipelineTimings` report (``repro compile --timings``), named
+by :data:`DEFAULT_PIPELINE`.
 
-* caches analysis results in a typed :class:`AnalysisCache` keyed on
-  (procedure fingerprint, relevant compiler options), so strategy
-  ablations over one procedure re-run only the mapping back end;
-* invalidates cached analyses when a transform pass (induction
-  substitution, scalar expansion, inlining) mutates the IR — detected
-  through ``Procedure.ir_epoch``, which every ``finalize()`` bumps;
-* records per-pass wall time and invocation counts into a
-  :class:`PipelineTimings` report (``repro compile --timings``).
+What a manager keeps from one compile to the next is the parsed IR per
+source text and two memos keyed on the statement tree it analysed:
 
-Passes are looked up in a process-wide registry by name. The core
-passes below register themselves at import; the communication passes
-are registered by ``repro.comm.passes`` when ``repro.comm`` is
-imported (which ``repro/__init__`` always does). That registration is
-what breaks the old ``repro.core`` ↔ ``repro.comm`` import cycle:
-``repro.core`` never imports ``repro.comm``, it only names its passes.
+* the IR analyses (SSA-level front end, inductions, reductions,
+  privatizability) per ``(proc.uid, ir_epoch)`` — shared by every
+  processor count;
+* the assembled :class:`AnalysisContext` per ``(proc.uid, ir_epoch,
+  num_procs)`` — shared by every option ablation on that grid, and
+  with it the context's hoisting memo.
+
+Every ``Procedure.finalize()`` bumps ``ir_epoch``, so a tree changed by
+a transform (induction substitution, scalar expansion, inlining) looks
+up a key nothing was stored under; the mapping back end is
+option-dependent and always runs.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple
+from functools import partial
+from typing import Any
 
-from ..errors import ReproError
 from ..ir.build import build_procedure
 from ..ir.program import Procedure
 from ..lang import parse_program
@@ -52,92 +52,6 @@ from .context import (
 )
 from .control_flow import ControlFlowOptions, run_control_flow
 from .scalar_mapping import ScalarMappingOptions, run_scalar_mapping
-
-
-class PassError(ReproError):
-    """Misconfigured or missing pass."""
-
-
-class UnknownPassError(PassError):
-    """A pipeline names a pass that nothing has registered."""
-
-
-# ---------------------------------------------------------------------------
-# Pass descriptors and pipeline state
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PipelineState:
-    """Working state of one compilation: the procedure, the options it
-    is compiled under, and the products computed so far."""
-
-    proc: Procedure
-    options: Any
-    products: dict[str, Any] = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> Any:
-        return self.products[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.products
-
-
-@dataclass(frozen=True)
-class Pass:
-    """One named pipeline stage.
-
-    ``run`` receives the :class:`PipelineState` and returns a dict of
-    the products it provides. ``option_keys`` names the
-    ``CompilerOptions`` fields the pass reads — together with the
-    option keys of everything it (transitively) requires, they form the
-    options part of its cache key.
-    """
-
-    name: str
-    run: Callable[[PipelineState], dict[str, Any]]
-    provides: tuple[str, ...]
-    requires: tuple[str, ...] = ()
-    option_keys: tuple[str, ...] = ()
-    #: mutates the statement tree; triggers cache invalidation and
-    #: recomputation of already-computed IR-dependent products
-    transforms_ir: bool = False
-    #: result depends on the statement tree (False: directives only)
-    ir_dependent: bool = True
-    #: front-end analyses are cacheable; mapping/comm back-end passes
-    #: are cheap relative to their option fan-out and stay uncached
-    cacheable: bool = True
-    #: predicate on the options deciding whether the pass runs at all
-    enabled: Callable[[Any], bool] | None = None
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-_REGISTRY: dict[str, Pass] = {}
-
-
-def register_pass(p: Pass, *, replace: bool = False) -> Pass:
-    if not replace and p.name in _REGISTRY:
-        raise PassError(f"pass {p.name!r} is already registered")
-    _REGISTRY[p.name] = p
-    return p
-
-
-def registered_pass(name: str) -> Pass:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownPassError(
-            f"no pass named {name!r} is registered "
-            f"(registered: {sorted(_REGISTRY)}); the communication passes "
-            "are registered by importing repro.comm"
-        ) from None
-
-
-def registered_passes() -> dict[str, Pass]:
-    return dict(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -216,72 +130,12 @@ class PipelineTimings:
 
 
 # ---------------------------------------------------------------------------
-# Analysis cache
+# The stages
 # ---------------------------------------------------------------------------
 
-
-class CacheKey(NamedTuple):
-    pass_name: str
-    #: (Procedure.uid, ir_epoch) — the epoch is dropped for passes that
-    #: only read directives (ir_dependent=False)
-    fingerprint: tuple
-    #: ((option name, value), ...) over the pass's transitive option keys
-    option_sig: tuple
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-
-
-class AnalysisCache:
-    """Pass products keyed on (procedure fingerprint, options)."""
-
-    def __init__(self) -> None:
-        self._entries: dict[CacheKey, dict[str, Any]] = {}
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: CacheKey) -> dict[str, Any] | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return entry
-
-    def store(self, key: CacheKey, products: dict[str, Any]) -> None:
-        self._entries[key] = products
-
-    def invalidate_stale(self, proc: Procedure) -> int:
-        """Drop every entry of ``proc`` recorded at an older IR epoch
-        (called after a transform pass mutates the statement tree)."""
-        stale = [
-            key
-            for key in self._entries
-            if key.fingerprint[0] == proc.uid
-            and len(key.fingerprint) > 1
-            and key.fingerprint[1] != proc.ir_epoch
-        ]
-        for key in stale:
-            del self._entries[key]
-        self.stats.invalidations += len(stale)
-        return len(stale)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-# ---------------------------------------------------------------------------
-# The manager
-# ---------------------------------------------------------------------------
-
-#: the paper's pipeline, in phase order; the last two names are
-#: registered by repro.comm
+#: the timings rows of one compile, in phase order (``parse`` precedes
+#: them when the compile started from source text); part of the
+#: persistent compile cache's fingerprint
 DEFAULT_PIPELINE: tuple[str, ...] = (
     "grid",
     "ssa",
@@ -298,33 +152,56 @@ DEFAULT_PIPELINE: tuple[str, ...] = (
     "message-combining",
 )
 
+#: the rows a held context stands for, and those of held IR analyses
+_CONTEXT_ROWS = DEFAULT_PIPELINE[:7]
+_IR_ROWS = DEFAULT_PIPELINE[1:5]
+
+
+def _unrecorded(name: str, build, *args):
+    return build(*args)
+
+
+def _analyze_ir(proc: Procedure, stage=_unrecorded, substitute: bool = True):
+    """ssa → induction → reductions → privatizability, each through
+    ``stage(name, build, *args)``: ``(frontend, inductions, reductions,
+    priv)``.  Induction substitution rewrites the statement tree; when
+    it did (``ir_epoch`` moved) the front end is analysed again, so
+    everything returned describes the procedure as it now is."""
+    frontend = stage("ssa", analyze_frontend, proc)
+    inductions = []
+    if substitute:
+        epoch = proc.ir_epoch
+        inductions = stage("induction", substitute_inductions, proc, frontend)
+        if proc.ir_epoch != epoch:
+            frontend = stage("ssa", analyze_frontend, proc)
+    reductions = stage("reductions", recognize_reductions, proc, frontend)
+    priv = stage("privatizability", analyze_privatizability, proc, frontend)
+    return frontend, inductions, reductions, priv
+
 
 class PassManager:
-    """Sequences a pipeline of registered passes over procedures,
-    caching analysis products and collecting per-pass metrics.
+    """Runs the pipeline over procedures, keeping front-end analyses
+    between compiles and collecting per-stage metrics.
 
     One manager may serve many compilations (that is the point): its
-    :class:`AnalysisCache` carries front-end analyses across option
-    ablations of the same procedure, and its parse cache carries the
-    IR across repeated ``compile_source`` calls on the same text.
-    ``metrics`` accumulates timings over everything the manager ran.
+    memos carry the front end across option ablations of the same
+    procedure, and its parse cache carries the IR across repeated
+    ``compile_source`` calls on the same text.  ``metrics`` accumulates
+    timings over everything the manager ran.
     """
 
-    def __init__(
-        self,
-        pipeline: tuple[str, ...] = DEFAULT_PIPELINE,
-        cache: AnalysisCache | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.pipeline = tuple(pipeline)
-        self.cache = cache if cache is not None else AnalysisCache()
+    def __init__(self, tracer: Tracer | None = None) -> None:
         self.metrics = PipelineTimings()
-        #: repro.obs tracer wrapping parse and every pass execution;
-        #: the disabled NULL_TRACER by default
+        #: repro.obs tracer wrapping parse and every stage; the
+        #: disabled NULL_TRACER by default
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: compiles whose context was reused / built
+        self.context_hits = 0
+        self.context_misses = 0
         self._parse_cache: dict[str, Procedure] = {}
         self._syntax_tree: tuple[str, Any] | None = None
-        self._option_closures: dict[str, tuple[str, ...]] = {}
+        self._analyses: dict[tuple[int, int], tuple] = {}
+        self._contexts: dict[tuple[int, int, int | None], AnalysisContext] = {}
 
     # -- parsing -----------------------------------------------------------
 
@@ -340,7 +217,7 @@ class PassManager:
     def parse(self, source: str, timings: PipelineTimings | None = None) -> Procedure:
         """Parse + lower ``source``, memoized on the source text. Batch
         ablations over one program therefore share a single IR — and
-        with it every cached analysis."""
+        with it every kept analysis."""
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         started = time.perf_counter()
         with self.tracer.span("parse", cat="compile") as span:
@@ -359,111 +236,128 @@ class PassManager:
     # -- running -----------------------------------------------------------
 
     def run(
-        self,
-        proc: Procedure,
-        options: Any,
-        *,
-        targets: tuple[str, ...] | None = None,
-        seeds: dict[str, Any] | None = None,
-    ) -> tuple[PipelineState, PipelineTimings]:
-        """Run the pipeline over ``proc``. ``seeds`` pre-populates
-        products (their producing passes are skipped); with ``targets``
-        the run stops as soon as all named products exist."""
-        state = PipelineState(proc=proc, options=options, products=dict(seeds or {}))
-        seeded = frozenset(seeds or ())
+        self, proc: Procedure, options: Any
+    ) -> tuple[dict[str, Any], PipelineTimings]:
+        """Compile ``proc`` under ``options``: the six products a
+        :class:`~repro.core.driver.CompiledProgram` is built from, by
+        field name, and the timings of this run."""
         timings = PipelineTimings()
-        executed: list[Pass] = []
-        for name in self.pipeline:
-            if targets is not None and all(t in state.products for t in targets):
-                break
-            p = registered_pass(name)
-            if all(prov in seeded for prov in p.provides):
-                continue
-            if p.enabled is not None and not p.enabled(options):
-                continue
-            self._execute(p, state, timings, executed)
-            executed.append(p)
-        if targets is not None:
-            missing = [t for t in targets if t not in state.products]
-            if missing:
-                raise PassError(
-                    f"pipeline {self.pipeline} produced no {missing!r}"
-                )
-        return state, timings
+        stage = partial(self._stage, timings)
+        uid, num_procs = proc.uid, options.num_procs
 
-    def _execute(
-        self,
-        p: Pass,
-        state: PipelineState,
-        timings: PipelineTimings,
-        executed: list[Pass],
-    ) -> None:
+        ctx = self._contexts.get((uid, proc.ir_epoch, num_procs))
+        if ctx is not None:
+            self.context_hits += 1
+            for name in _CONTEXT_ROWS:
+                stage(name)
+        else:
+            self.context_misses += 1
+            grid = stage("grid", resolve_grid, proc, num_procs)
+            analyses = self._analyses.get((uid, proc.ir_epoch))
+            if analyses is not None:
+                for name in _IR_ROWS:
+                    stage(name)
+            else:
+                analyses = _analyze_ir(proc, stage)
+                # keyed on the tree as analysed: past the substitution
+                self._analyses[(uid, proc.ir_epoch)] = analyses
+            array_mappings = stage(
+                "array-directives", resolve_array_directives, proc, grid
+            )
+            ctx = stage(
+                "context", assemble_context, proc, grid, *analyses, array_mappings
+            )
+            self._contexts[(uid, proc.ir_epoch, num_procs)] = ctx
+
+        scalar_pass = stage(
+            "scalar-mapping",
+            run_scalar_mapping,
+            ctx,
+            ScalarMappingOptions(
+                strategy=options.strategy,
+                align_reductions=options.align_reductions,
+            ),
+        )
+        array_result = stage(
+            "array-mapping",
+            run_array_mapping,
+            ctx,
+            scalar_pass,
+            ArrayMappingOptions(
+                privatize_arrays=options.privatize_arrays,
+                partial_privatization=options.partial_privatization,
+                auto_privatization=options.auto_privatize_arrays,
+            ),
+        )
+        cf_decisions = stage(
+            "control-flow",
+            run_control_flow,
+            ctx,
+            ControlFlowOptions(
+                privatize_control_flow=options.privatize_control_flow
+            ),
+        )
+        executors = stage(
+            "partitioning",
+            run_partitioning,
+            ctx,
+            scalar_pass,
+            array_result.effective,
+            cf_decisions,
+            array_result.privatizations,
+        )
+        # deferred import: repro.comm depends on repro.core
+        from ..comm.analysis import CommAnalysis, CommOptions
+        from ..comm.combine import combine_messages
+
+        comm = stage(
+            "comm-analysis",
+            CommAnalysis(
+                ctx,
+                scalar_pass,
+                array_result.effective,
+                executors,
+                cf_decisions,
+                CommOptions(message_vectorization=options.message_vectorization),
+            ).run,
+        )
+        if options.combine_messages:
+            comm = stage("message-combining", combine_messages, comm)
+        return {
+            "ctx": ctx,
+            "scalar_pass": scalar_pass,
+            "array_result": array_result,
+            "cf_decisions": cf_decisions,
+            "executors": executors,
+            "comm": comm,
+        }, timings
+
+    def _stage(self, timings: PipelineTimings, name: str, build=None, *args):
+        """One ``pass:{name}`` span and one timings row around
+        ``build(*args)`` — or, without ``build``, the ``cached`` row of
+        a product the manager already holds."""
+        cached = build is None
         started = time.perf_counter()
-        with self.tracer.span(f"pass:{p.name}", cat="compile") as span:
-            key = self._cache_key(p, state)
-            if key is not None:
-                hit = self.cache.lookup(key)
-                if hit is not None:
-                    state.products.update(hit)
-                    span.add(cached=True)
-                    self._record(
-                        p.name, time.perf_counter() - started, timings, True
-                    )
-                    return
-            missing = [r for r in p.requires if r not in state.products]
-            if missing:
-                raise PassError(
-                    f"pass {p.name!r} requires {missing!r}, not produced by any "
-                    f"earlier pass in pipeline {self.pipeline}"
-                )
-            epoch_before = state.proc.ir_epoch
-            products = p.run(state) or {}
-            state.products.update(products)
-            if p.transforms_ir and state.proc.ir_epoch != epoch_before:
-                self._after_ir_mutation(p, state, products, timings, executed)
-            elif key is not None:
-                self.cache.store(key, products)
-            span.add(cached=False)
-        self._record(p.name, time.perf_counter() - started, timings, False)
-
-    def _after_ir_mutation(
-        self,
-        p: Pass,
-        state: PipelineState,
-        products: dict[str, Any],
-        timings: PipelineTimings,
-        executed: list[Pass],
-    ) -> None:
-        """A transform changed the statement tree: purge stale cache
-        entries, recompute the IR-dependent products already in flight,
-        and re-key the transform's own result at the new epoch (a later
-        compile of the now-substituted procedure hits it instead of
-        re-running the transform)."""
-        self.cache.invalidate_stale(state.proc)
-        for earlier in executed:
-            if earlier.ir_dependent and not earlier.transforms_ir:
-                self._execute(earlier, state, timings, executed=[])
-        key = self._cache_key(p, state)
-        if key is not None:
-            self.cache.store(key, products)
-
-    def _record(
-        self, name: str, seconds: float, timings: PipelineTimings, cached: bool
-    ) -> None:
-        timings.record(name, seconds, cached=cached)
-        self.metrics.record(name, seconds, cached=cached)
+        with self.tracer.span(f"pass:{name}", cat="compile") as span:
+            product = None if cached else build(*args)
+            span.add(cached=cached)
+        elapsed = time.perf_counter() - started
+        timings.record(name, elapsed, cached=cached)
+        self.metrics.record(name, elapsed, cached=cached)
+        return product
 
     # -- obs export --------------------------------------------------------
 
     def collect_metrics(self, metrics: Metrics) -> Metrics:
-        """Export everything the manager accumulated — analysis-cache
-        hit rates, per-pass call/hit/time tallies, and the lowering
-        LRU's counters — into a :class:`repro.obs.Metrics` registry."""
-        stats = self.cache.stats
-        metrics.gauge("compile.cache.hits", stats.hits)
-        metrics.gauge("compile.cache.misses", stats.misses)
-        metrics.gauge("compile.cache.invalidations", stats.invalidations)
-        metrics.gauge("compile.cache.entries", len(self.cache))
+        """Export everything the manager accumulated — how many
+        compiles reused a kept context, per-stage call/hit/time
+        tallies, and the statement-closure counts — into a
+        :class:`repro.obs.Metrics` registry."""
+        metrics.gauge("compile.cache.hits", self.context_hits)
+        metrics.gauge("compile.cache.misses", self.context_misses)
+        metrics.gauge(
+            "compile.cache.entries", len(self._analyses) + len(self._contexts)
+        )
         for name, timing in self.metrics.passes.items():
             metrics.gauge(f"compile.pass[{name}].calls", timing.calls)
             metrics.gauge(
@@ -479,254 +373,6 @@ class PassManager:
             metrics.gauge(name, count)
         return metrics
 
-    # -- cache keys --------------------------------------------------------
-
-    def _cache_key(self, p: Pass, state: PipelineState) -> CacheKey | None:
-        if not p.cacheable:
-            return None
-        fingerprint = (
-            (state.proc.uid, state.proc.ir_epoch)
-            if p.ir_dependent
-            else (state.proc.uid,)
-        )
-        option_sig = tuple(
-            (k, getattr(state.options, k)) for k in self._option_closure(p.name)
-        )
-        return CacheKey(pass_name=p.name, fingerprint=fingerprint, option_sig=option_sig)
-
-    def _option_closure(self, name: str) -> tuple[str, ...]:
-        """Option keys a pass depends on, transitively through the
-        passes producing its required products — so e.g. everything
-        downstream of the grid inherits ``num_procs``."""
-        cached = self._option_closures.get(name)
-        if cached is not None:
-            return cached
-        providers: dict[str, Pass] = {}
-        for pipeline_name in self.pipeline:
-            candidate = registered_pass(pipeline_name)
-            for product in candidate.provides:
-                providers.setdefault(product, candidate)
-        keys: set[str] = set()
-        stack = [registered_pass(name)]
-        seen: set[str] = set()
-        while stack:
-            current = stack.pop()
-            if current.name in seen:
-                continue
-            seen.add(current.name)
-            keys.update(current.option_keys)
-            for product in current.requires:
-                producer = providers.get(product)
-                if producer is not None:
-                    stack.append(producer)
-        closure = tuple(sorted(keys))
-        self._option_closures[name] = closure
-        return closure
-
-
-# ---------------------------------------------------------------------------
-# The core passes
-# ---------------------------------------------------------------------------
-
-
-def _run_grid(state: PipelineState) -> dict[str, Any]:
-    return {"grid": resolve_grid(state.proc, num_procs=state.options.num_procs)}
-
-
-def _run_frontend(state: PipelineState) -> dict[str, Any]:
-    return {"frontend": analyze_frontend(state.proc)}
-
-
-def _run_induction(state: PipelineState) -> dict[str, Any]:
-    return {"inductions": substitute_inductions(state.proc, state["frontend"])}
-
-
-def _run_reductions(state: PipelineState) -> dict[str, Any]:
-    return {"reductions": recognize_reductions(state.proc, state["frontend"])}
-
-
-def _run_privatizability(state: PipelineState) -> dict[str, Any]:
-    return {"priv": analyze_privatizability(state.proc, state["frontend"])}
-
-
-def _run_array_directives(state: PipelineState) -> dict[str, Any]:
-    return {"array_mappings": resolve_array_directives(state.proc, state["grid"])}
-
-
-def _run_context(state: PipelineState) -> dict[str, Any]:
-    return {
-        "ctx": assemble_context(
-            state.proc,
-            state["grid"],
-            state["frontend"],
-            state["inductions"],
-            state["reductions"],
-            state["priv"],
-            state["array_mappings"],
-        )
-    }
-
-
-def _run_scalar_mapping(state: PipelineState) -> dict[str, Any]:
-    o = state.options
-    return {
-        "scalar_pass": run_scalar_mapping(
-            state["ctx"],
-            ScalarMappingOptions(
-                strategy=o.strategy, align_reductions=o.align_reductions
-            ),
-        )
-    }
-
-
-def _run_array_mapping(state: PipelineState) -> dict[str, Any]:
-    o = state.options
-    return {
-        "array_result": run_array_mapping(
-            state["ctx"],
-            state["scalar_pass"],
-            ArrayMappingOptions(
-                privatize_arrays=o.privatize_arrays,
-                partial_privatization=o.partial_privatization,
-                auto_privatization=o.auto_privatize_arrays,
-            ),
-        )
-    }
-
-
-def _run_control_flow(state: PipelineState) -> dict[str, Any]:
-    return {
-        "cf_decisions": run_control_flow(
-            state["ctx"],
-            ControlFlowOptions(
-                privatize_control_flow=state.options.privatize_control_flow
-            ),
-        )
-    }
-
-
-def _run_partitioning(state: PipelineState) -> dict[str, Any]:
-    array_result = state["array_result"]
-    return {
-        "executors": run_partitioning(
-            state["ctx"],
-            state["scalar_pass"],
-            array_result.effective,
-            state["cf_decisions"],
-            array_result.privatizations,
-        )
-    }
-
-
-register_pass(
-    Pass(
-        name="grid",
-        run=_run_grid,
-        provides=("grid",),
-        option_keys=("num_procs",),
-        ir_dependent=False,
-    )
-)
-register_pass(
-    Pass(name="ssa", run=_run_frontend, provides=("frontend",))
-)
-register_pass(
-    Pass(
-        name="induction",
-        run=_run_induction,
-        provides=("inductions",),
-        requires=("frontend",),
-        transforms_ir=True,
-    )
-)
-register_pass(
-    Pass(
-        name="reductions",
-        run=_run_reductions,
-        provides=("reductions",),
-        requires=("frontend",),
-    )
-)
-register_pass(
-    Pass(
-        name="privatizability",
-        run=_run_privatizability,
-        provides=("priv",),
-        requires=("frontend",),
-    )
-)
-register_pass(
-    Pass(
-        name="array-directives",
-        run=_run_array_directives,
-        provides=("array_mappings",),
-        requires=("grid",),
-    )
-)
-register_pass(
-    Pass(
-        name="context",
-        run=_run_context,
-        provides=("ctx",),
-        requires=(
-            "grid",
-            "frontend",
-            "inductions",
-            "reductions",
-            "priv",
-            "array_mappings",
-        ),
-    )
-)
-register_pass(
-    Pass(
-        name="scalar-mapping",
-        run=_run_scalar_mapping,
-        provides=("scalar_pass",),
-        requires=("ctx",),
-        option_keys=("strategy", "align_reductions"),
-        cacheable=False,
-    )
-)
-register_pass(
-    Pass(
-        name="array-mapping",
-        run=_run_array_mapping,
-        provides=("array_result",),
-        requires=("ctx", "scalar_pass"),
-        option_keys=(
-            "privatize_arrays",
-            "partial_privatization",
-            "auto_privatize_arrays",
-        ),
-        cacheable=False,
-    )
-)
-register_pass(
-    Pass(
-        name="control-flow",
-        run=_run_control_flow,
-        provides=("cf_decisions",),
-        requires=("ctx",),
-        option_keys=("privatize_control_flow",),
-        cacheable=False,
-    )
-)
-register_pass(
-    Pass(
-        name="partitioning",
-        run=_run_partitioning,
-        provides=("executors",),
-        requires=("ctx", "scalar_pass", "array_result", "cf_decisions"),
-        cacheable=False,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Convenience: the classic one-call context builder
-# ---------------------------------------------------------------------------
-
 
 def build_context(
     proc: Procedure,
@@ -734,20 +380,13 @@ def build_context(
     grid: ProcessorGrid | None = None,
     substitute_inductions: bool = True,
 ) -> AnalysisContext:
-    """Run the analysis pipeline up to the assembled
-    :class:`AnalysisContext`. If the program has a PROCESSORS directive
-    it fixes the grid shape; ``num_procs`` (total processor count) may
-    rescale it proportionally; an explicit ``grid`` overrides
-    everything."""
-    seeds: dict[str, Any] = {}
-    if grid is not None:
-        seeds["grid"] = grid
-    if not substitute_inductions:
-        seeds["inductions"] = []
-    state, _ = PassManager().run(
-        proc,
-        SimpleNamespace(num_procs=num_procs),
-        targets=("ctx",),
-        seeds=seeds,
+    """Run the front end up to the assembled :class:`AnalysisContext`,
+    keeping nothing. If the program has a PROCESSORS directive it fixes
+    the grid shape; ``num_procs`` (total processor count) may rescale
+    it proportionally; an explicit ``grid`` overrides everything."""
+    if grid is None:
+        grid = resolve_grid(proc, num_procs)
+    analyses = _analyze_ir(proc, substitute=substitute_inductions)
+    return assemble_context(
+        proc, grid, *analyses, resolve_array_directives(proc, grid)
     )
-    return state["ctx"]

@@ -68,7 +68,7 @@ class Procedure:
     distributes: list[DistributeSpec] = field(default_factory=list)
     processors: ProcessorsSpec | None = None
 
-    #: process-unique identity, part of the analysis-cache fingerprint
+    #: process-unique identity, part of the keys a PassManager memoizes on
     #: (ids of garbage-collected procedures can be reused; this cannot)
     uid: int = field(
         default_factory=_UID_COUNTER.__next__, repr=False, compare=False
@@ -91,7 +91,7 @@ class Procedure:
         # A pickled uid is only unique in the *originating* process.  A
         # procedure revived here (process pool result, persistent
         # compile cache) must not alias a locally created one in any
-        # uid-keyed cache (the analysis cache), so it gets a fresh local
+        # uid-keyed memo (a PassManager's), so it gets a fresh local
         # identity.
         self.__dict__.update(state)
         self.uid = next(_UID_COUNTER)

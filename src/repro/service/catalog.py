@@ -120,10 +120,7 @@ class Catalog:
     # -- recording ---------------------------------------------------------
 
     def record_compile(
-        self,
-        job: SweepJob,
-        cache: "CompileCache | None",
-        pipeline: tuple[str, ...] | None = None,
+        self, job: SweepJob, cache: "CompileCache | None"
     ) -> str | None:
         """Index the compiled artifact a point's compile produced (or
         reused) in the disk cache; returns the artifact key.  No cache,
@@ -131,7 +128,7 @@ class Catalog:
         best-effort), indexes nothing (None)."""
         if cache is None:
             return None
-        key = cache.key(job.source, job.options, pipeline)
+        key = cache.key(job.source, job.options)
         path = cache.path_for(key)
         try:
             size = path.stat().st_size
@@ -151,7 +148,7 @@ class Catalog:
                     job.program,
                     source_sha(job.source),
                     options_signature(job.options),
-                    pipeline_fingerprint(pipeline),
+                    pipeline_fingerprint(),
                     str(path),
                     size,
                     now,

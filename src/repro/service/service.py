@@ -260,9 +260,7 @@ class SweepService:
                 self.catalog.record_result(
                     job_of[idx], result, job_id=claim.job_id
                 )
-                self.catalog.record_compile(
-                    job_of[idx], self.cache, self.manager.pipeline
-                )
+                self.catalog.record_compile(job_of[idx], self.cache)
             commit(idx, result, reused=reused)
             self._inc("service.points_reused" if reused else "service.points_done")
             self.tracer.instant(

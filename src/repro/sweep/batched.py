@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.diskcache import CompileCache, options_signature
-from ..core.driver import CompiledProgram, compile_source
+from ..core.driver import CompiledProgram, compile_cached
 from ..core.passes import PassManager
 from ..model import SP2
 from ..obs import Metrics, Tracer
@@ -198,16 +198,7 @@ def compile_with_memo(
         hit = memo.get(key)
         if hit is not None:
             return hit, False, True
-    if cache is not None:
-        compiled, cache_hit = cache.get_or_compile(
-            job.source,
-            job.options,
-            lambda: compile_source(job.source, job.options, manager=manager),
-            pipeline=manager.pipeline,
-        )
-    else:
-        compiled = compile_source(job.source, job.options, manager=manager)
-        cache_hit = False
+    compiled, cache_hit = compile_cached(job.source, job.options, manager, cache)
     if memo is not None:
         memo[key] = compiled
     return compiled, cache_hit, False

@@ -305,9 +305,9 @@ def run_sweep(
     simulate/estimate points through the vectorized batch evaluator
     (:mod:`repro.sweep.batched`) — points differing only in machine
     parameters share one simulation, points differing only in the
-    processor count fuse into procs sub-groups of one batch (sharing
-    compiles where the resolved grid agrees and, in estimate mode, one
-    procs-lane estimator pass), repeated compiles dedupe — with everything
+    processor count fuse into procs sub-groups of one batch (one
+    compile and one lane-vector simulation or estimate per sub-group),
+    repeated compiles dedupe — with everything
     non-batchable run per job; ``"auto"`` (default) uses
     the batched path exactly when some batch has two or more lanes to
     fuse.  Results are identical across modes (the parity suite

@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from repro.core import diskcache, passes
 from repro.core.diskcache import (
     CACHE_SCHEMA,
     CompileCache,
@@ -58,10 +59,32 @@ class TestKeys:
         )
         assert cache.key(SRC, OPTS) != cache.key(SRC, other)
 
-    def test_key_varies_with_pipeline(self, tmp_path):
+    def test_key_varies_with_pipeline(self, tmp_path, monkeypatch):
         cache = CompileCache(tmp_path)
-        assert cache.key(SRC, OPTS) != cache.key(
-            SRC, OPTS, pipeline=("grid", "ssa")
+        key = cache.key(SRC, OPTS)
+        monkeypatch.setattr(passes, "DEFAULT_PIPELINE", ("grid", "ssa"))
+        assert cache.key(SRC, OPTS) != key
+
+    def test_key_is_pinned(self, tmp_path, monkeypatch):
+        """Computed at the commit before ``pipeline=`` left the
+        signatures: every entry and catalog row written before it is
+        still found.  A new key here orphans every existing cache —
+        bump ``CACHE_SCHEMA`` on purpose, never by accident."""
+        monkeypatch.setattr(diskcache, "_package_version", lambda: "pinned")
+        source = (
+            "PROGRAM STEN\n"
+            "  REAL A(32), B(32)\n"
+            "!HPF$ PROCESSORS P(4)\n"
+            "!HPF$ ALIGN B(i) WITH A(i)\n"
+            "!HPF$ DISTRIBUTE (BLOCK) :: A\n"
+            "  DO i = 2, 31\n"
+            "    A(i) = B(i - 1) + B(i + 1)\n"
+            "  END DO\n"
+            "END PROGRAM\n"
+        )
+        options = CompilerOptions(num_procs=4, strategy="producer")
+        assert CompileCache(tmp_path).key(source, options) == (
+            "35b8289c0f37628fb27aeec8e5712dd67863d9c8cf1de77bad8a9627cbea6131"
         )
 
     def test_options_signature_covers_every_field(self):
@@ -71,9 +94,14 @@ class TestKeys:
         for field in dataclasses.fields(CompilerOptions):
             assert f"{field.name}=" in signature
 
-    def test_fingerprint_includes_schema(self):
-        assert pipeline_fingerprint() == pipeline_fingerprint()
-        assert pipeline_fingerprint(("grid",)) != pipeline_fingerprint(("ssa",))
+    def test_fingerprint_includes_schema(self, monkeypatch):
+        fingerprint = pipeline_fingerprint()
+        assert fingerprint == pipeline_fingerprint()
+        monkeypatch.setattr(diskcache, "CACHE_SCHEMA", CACHE_SCHEMA + 1)
+        bumped = pipeline_fingerprint()
+        assert bumped != fingerprint
+        monkeypatch.setattr(passes, "DEFAULT_PIPELINE", ("ssa",))
+        assert pipeline_fingerprint() != bumped
 
 
 class TestRoundTrip:
@@ -143,13 +171,20 @@ class TestCorruptionSafety:
         assert cache.stats.corrupt == 1
 
     def test_stale_pipeline_fingerprint_recompiles(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        cache.get_or_compile(SRC, OPTS, _compile, pipeline=("grid", "ssa"))
-        # same source+options under the real pipeline: different key,
-        # so the stale entry is simply never consulted
-        compiled, hit = cache.get_or_compile(SRC, OPTS, _compile)
-        assert not hit
-        assert _stats(compiled) == _stats(_compile())
+        for module, name, stale in (
+            (passes, "DEFAULT_PIPELINE", ("grid", "ssa")),
+            (diskcache, "CACHE_SCHEMA", CACHE_SCHEMA - 1),
+        ):
+            cache = CompileCache(tmp_path / name)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(module, name, stale)
+                cache.get_or_compile(SRC, OPTS, _compile)
+            # same source+options under the real pipeline: different
+            # key, so the stale entry is simply never consulted
+            compiled, hit = cache.get_or_compile(SRC, OPTS, _compile)
+            assert not hit
+            assert cache.entry_count() == 2
+            assert _stats(compiled) == _stats(_compile())
 
     def test_store_failure_degrades_gracefully(self, tmp_path):
         cache = CompileCache(tmp_path / "root")

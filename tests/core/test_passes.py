@@ -1,20 +1,14 @@
-"""PassManager / AnalysisCache / PipelineTimings unit tests."""
+"""PassManager / PipelineTimings unit tests."""
 
 import pytest
 
 from repro.core import (
     DEFAULT_PIPELINE,
-    AnalysisCache,
     CompilerOptions,
-    Pass,
-    PassError,
     PassManager,
-    UnknownPassError,
     build_context,
     compile_procedure,
     compile_source,
-    registered_pass,
-    registered_passes,
 )
 from repro.ir.build import parse_and_build
 
@@ -49,47 +43,29 @@ INDUCTION = (
 )
 
 
-def test_default_pipeline_registered():
-    registered = registered_passes()
-    for name in DEFAULT_PIPELINE:
-        assert name in registered, name
-    # comm passes are wired in by repro.comm, not repro.core
-    assert registered["comm-analysis"] is not None
-
-
-def test_unknown_pass_has_actionable_error():
-    manager = PassManager(pipeline=("grid", "no-such-pass"))
+def test_rows_are_the_default_pipeline():
+    """``message-combining`` is the one conditional stage."""
+    manager = PassManager()
     proc = parse_and_build(STENCIL)
-    with pytest.raises(UnknownPassError, match="repro.comm"):
-        manager.run(proc, CompilerOptions())
+    _, combined = manager.run(proc, CompilerOptions(combine_messages=True))
+    assert tuple(combined.passes) == DEFAULT_PIPELINE
+    _, plain = manager.run(proc, CompilerOptions())
+    assert tuple(plain.passes) == DEFAULT_PIPELINE[:-1]
 
 
 @pytest.mark.parametrize("name", ("lowering", "slabexec", "tierplan"))
 def test_derived_products_are_not_passes(name):
     """They are read off the CompiledProgram, not scheduled."""
     assert len(DEFAULT_PIPELINE) == 13
-    manager = PassManager(pipeline=(*DEFAULT_PIPELINE, name))
-    with pytest.raises(UnknownPassError, match=repr(name)):
-        manager.run(parse_and_build(STENCIL), CompilerOptions())
-
-
-def test_missing_requirement_raises():
-    manager = PassManager(pipeline=("induction",))  # needs "frontend"
-    proc = parse_and_build(STENCIL)
-    with pytest.raises(PassError, match="requires"):
-        manager.run(proc, CompilerOptions())
+    assert name not in DEFAULT_PIPELINE
+    compiled = compile_source(STENCIL, CompilerOptions(combine_messages=True))
+    assert name not in compiled.timings.passes
 
 
 def test_run_produces_all_products():
     manager = PassManager()
     state, timings = manager.run(parse_and_build(STENCIL), CompilerOptions())
     for product in (
-        "grid",
-        "frontend",
-        "inductions",
-        "reductions",
-        "priv",
-        "array_mappings",
         "ctx",
         "scalar_pass",
         "array_result",
@@ -113,12 +89,12 @@ def test_second_compile_hits_analysis_cache():
         assert second.timings.cache_hit(cached_pass), cached_pass
     # mapping back end is option-dependent and re-runs
     assert not second.timings.cache_hit("scalar-mapping")
-    assert manager.cache.stats.hits > 0
+    assert manager.context_hits > 0
 
 
 def test_cache_distinguishes_options():
-    """num_procs flows into the cache key of the grid and of everything
-    downstream of it (transitive option closure)."""
+    """num_procs is part of the key of the context — the grid and
+    everything resolved against it."""
     manager = PassManager()
     proc = parse_and_build(STENCIL)
     a = compile_procedure(proc, CompilerOptions(num_procs=4), manager=manager)
@@ -140,7 +116,6 @@ def test_transform_pass_invalidates_and_reruns_frontend():
     assert proc.ir_epoch > epoch_before
     # the substitution forced a frontend recompute within the first run
     assert first.timings.passes["ssa"].calls == 2
-    assert manager.cache.stats.invalidations > 0
     # second compile: the substituted IR + its inductions replay from cache
     second = compile_procedure(proc, CompilerOptions(), manager=manager)
     assert second.timings.cache_hit("ssa")
@@ -170,6 +145,39 @@ def test_parse_cache_shares_ir():
     assert a.report() == b.report()
 
 
+def test_option_ablations_share_one_context():
+    """Strategy ablations on one grid share the context, and with it
+    the hoisting verdicts; another processor count gets its own."""
+    manager = PassManager()
+    proc = parse_and_build(STENCIL)
+    selected, producer, replication = (
+        compile_procedure(proc, CompilerOptions(strategy=strategy), manager=manager)
+        for strategy in ("selected", "producer", "replication")
+    )
+    assert selected.ctx is producer.ctx is replication.ctx
+    assert selected.ctx._hoisting is replication.ctx._hoisting
+    assert selected.ctx._hoisting
+    wider = compile_procedure(proc, CompilerOptions(num_procs=8), manager=manager)
+    assert wider.ctx is not selected.ctx
+    assert wider.ctx._hoisting is not selected.ctx._hoisting
+    assert (manager.context_hits, manager.context_misses) == (2, 2)
+
+
+def test_build_context_result_is_never_handed_to_a_compile():
+    from repro.mapping.grid import default_grid
+
+    manager = PassManager()
+    proc = parse_and_build(INDUCTION)
+    special = build_context(
+        proc, grid=default_grid(16, rank=1), substitute_inductions=False
+    )
+    assert special.grid.size == 16 and not special.inductions
+    compiled = compile_procedure(proc, CompilerOptions(), manager=manager)
+    assert compiled.ctx is not special
+    assert compiled.grid.size == 4 and compiled.ctx.inductions
+    assert not compiled.timings.cache_hit("context")
+
+
 def test_build_context_seeds_and_overrides():
     from repro.mapping.grid import default_grid
 
@@ -197,23 +205,3 @@ def test_timings_render_and_merge():
     data = merged.as_dict()
     assert data["total_seconds"] > 0
     assert any(p["name"] == "ssa" for p in data["passes"])
-
-
-def test_analysis_cache_api():
-    cache = AnalysisCache()
-    manager = PassManager(cache=cache)
-    proc = parse_and_build(STENCIL)
-    compile_procedure(proc, CompilerOptions(), manager=manager)
-    assert len(cache) > 0
-    cache.clear()
-    assert len(cache) == 0
-
-
-def test_registered_pass_objects_are_declarative():
-    ssa = registered_pass("ssa")
-    assert isinstance(ssa, Pass)
-    assert ssa.provides == ("frontend",)
-    induction = registered_pass("induction")
-    assert induction.transforms_ir
-    comm = registered_pass("comm-analysis")
-    assert "ctx" in comm.requires and "executors" in comm.requires

@@ -5,7 +5,9 @@ code emits: in the Observability section's tables, in that section's
 prose and in the sweep engine's "Fallback ladder" paragraph.  Every
 listed name must still be a string literal under ``src/repro`` — so
 deleting an emitter cannot leave its row or its mention behind.
-(Docs → code only: an emitter without a row is not caught here.)
+Code → docs is checked for one family so far: every ``compile.`` name
+the source spells must have its row (an emitter of another family
+without a row is not caught here).
 """
 
 import ast
@@ -65,15 +67,39 @@ def prose_names() -> list[str]:
     )
 
 
+def _source_nodes():
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def source_literals() -> set[str]:
     """Every string constant under ``src/repro`` — the constant parts
     of f-strings included."""
-    literals = set()
-    for path in (ROOT / "src" / "repro").rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                literals.add(node.value)
-    return literals
+    return {
+        node.value
+        for node in _source_nodes()
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def source_names(prefix: str) -> set[str]:
+    """The names starting with ``prefix`` that ``src/repro`` spells,
+    an f-string's ``{...}`` fields rendered as ``NAME``."""
+    names = set()
+    for node in _source_nodes():
+        if isinstance(node, ast.JoinedStr):
+            name = "".join(
+                part.value if isinstance(part, ast.Constant) else "NAME"
+                for part in node.values
+            )
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        # an f-string's leading constant is walked on its own too
+        if name.startswith(prefix) and not name.endswith("["):
+            names.add(name)
+    return names
 
 
 def emitted(name: str, literals: set[str]) -> bool:
@@ -114,6 +140,13 @@ def test_every_documented_name_is_emitted():
     names = documented_names() + prose_names()
     missing = [n for n in names if not emitted(n, literals)]
     assert missing == [], f"documented but emitted nowhere under src/repro: {missing}"
+
+
+def test_every_compile_gauge_has_its_row():
+    gauges = source_names("compile.")
+    assert {"compile.cache.hits", "compile.pass[NAME].seconds"} <= gauges
+    assert "compile.cache.invalidations" not in gauges
+    assert gauges - set(documented_names()) == set()
 
 
 def test_a_deleted_emitter_is_caught():

@@ -88,18 +88,18 @@ class TestArtifacts:
             lambda: compile_source(job.source, job.options),
         )
         catalog = Catalog(tmp_path / "c.sqlite")
-        key = catalog.record_compile(job, cache, None)
+        key = catalog.record_compile(job, cache)
         assert key is not None
         row = catalog.show(key)
         assert row["table"] == "artifacts" and row["exists"]
         assert row["program"] == job.program
         # second record of the same artifact bumps uses
-        catalog.record_compile(job, cache, None)
+        catalog.record_compile(job, cache)
         assert catalog.show(key)["uses"] == 2
 
     def test_record_compile_without_cache_is_noop(self, tmp_path):
         catalog = Catalog(tmp_path / "c.sqlite")
-        assert catalog.record_compile(_jobs()[0], None, None) is None
+        assert catalog.record_compile(_jobs()[0], None) is None
 
 
 class TestInspection:
@@ -163,7 +163,7 @@ class TestGc:
                 lambda job=job: compile_source(job.source, job.options),
             )
         catalog = Catalog(tmp_path / "c.sqlite")
-        keys = [catalog.record_compile(job, cache, None) for job in jobs]
+        keys = [catalog.record_compile(job, cache) for job in jobs]
         catalog.record_result(jobs[0], _result(jobs[0]))
 
         # orphan one artifact's cache file

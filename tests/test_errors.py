@@ -116,6 +116,20 @@ class TestOptionsValidation:
             CompilerOptions(strategy="fastest")
         assert "fastest" in str(err.value)
 
+    def test_boolean_processor_count(self):
+        """``True == 1`` would share the in-manager memo with
+        ``num_procs=1`` under a cache key and sweep group of its own."""
+        with pytest.raises(ValueError, match="num_procs must be a positive"):
+            CompilerOptions(num_procs=True)
+        assert CompilerOptions(num_procs=1).num_procs == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_nest_cost_constant(self, value):
+        """NaN options never compare equal to themselves, and ``nan``
+        would enter every cache key."""
+        with pytest.raises(ValueError, match="must be positive"):
+            CompilerOptions(nest_cost_constants={"C_PREP": value})
+
     def test_all_errors_share_base(self):
         for exc in (LexError, ParseError, DirectiveError, SemanticError, MappingError):
             assert issubclass(exc, ReproError)

@@ -1,7 +1,10 @@
-"""The core ↔ comm import cycle is resolved structurally: repro.core
-never imports repro.comm (the comm passes register themselves), so the
-two packages import cleanly in either order and the driver needs no
-lazy imports."""
+"""``repro.comm`` depends on ``repro.core``, never the other way round
+at import time: the one place core reaches comm is the function-level
+``from ..comm.analysis import …`` / ``from ..comm.combine import …`` in
+``PassManager.run`` (``core/passes.py``) — the idiom ``core/driver.py``
+uses for ``repro.machine`` and ``repro.perf`` — so the two packages
+import cleanly in either order and ``core/driver.py`` itself names
+``repro.comm`` under ``TYPE_CHECKING`` only."""
 
 import pathlib
 import subprocess
