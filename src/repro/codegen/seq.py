@@ -88,6 +88,12 @@ class GlobalStore(ValueReader):
                 f"{sorted(self.arrays)}"
             )
         values = np.asarray(values)
+        if values.dtype.kind not in "biuf":
+            # (complex would lose its imaginary part, a string die in numpy)
+            raise InterpreterError(
+                f"cannot initialize {name.upper()} from {values.dtype} "
+                f"values: an input is boolean, integer or real"
+            )
         if target.shape != values.shape:
             raise InterpreterError(
                 f"shape mismatch for {name}: {values.shape} vs {target.shape}"
@@ -95,7 +101,13 @@ class GlobalStore(ValueReader):
         target[...] = values
 
     def get_array(self, name: str) -> np.ndarray:
-        return self.arrays[name.upper()].copy()
+        values = self.arrays.get(name.upper())
+        if values is None:
+            raise InterpreterError(
+                f"no array {name!r} to read: the program declares "
+                f"{sorted(self.arrays)}"
+            )
+        return values.copy()
 
     def get_scalar(self, name: str):
         return self.scalars.get(name.upper())

@@ -2,7 +2,7 @@
 tracking, virtual clocks, and the SPMD execution engine."""
 
 from .lowering import LoweredIR, lower_procedure
-from .memory import NodeMemory, initialize_array, ownership_mask
+from .memory import NodeMemory, initialize_array, ownership_mask, ownership_masks
 from .simulator import TIERS, SPMDSimulator, simulate
 from .stats import Clocks, TrafficStats
 
@@ -10,6 +10,7 @@ __all__ = [
     "NodeMemory",
     "initialize_array",
     "ownership_mask",
+    "ownership_masks",
     "LoweredIR",
     "lower_procedure",
     "SPMDSimulator",

@@ -880,7 +880,6 @@ class FastPath:
         time = sim.clocks.time
         compute_time = sim.clocks.compute_time
         if lows is not None:  # array lhs
-            written = None
             for rank in ranks:
                 reader = readers[rank]
                 reader.stmt = stmt
@@ -891,16 +890,13 @@ class FastPath:
                 valid[off] = True
                 time[rank] += dt
                 compute_time[rank] += dt
-                written = off
-            if (
-                written is not None
-                and not is_private_accumulation
-                and len(ranks) < len(memories)
-            ):
-                executing = set(ranks)
-                for rank, memory in enumerate(memories):
-                    if rank not in executing:
-                        memory.valid[name][written] = False
+            if not is_private_accumulation and len(ranks) < len(memories):
+                # the element's column of the validity buffer: every
+                # executor just stored it, nobody else holds it now
+                column = sim.store.valid[name][(slice(None), *off)]
+                column.fill(False)
+                for rank in ranks:
+                    column[rank] = True
         else:  # scalar lhs
             for rank in ranks:
                 reader = readers[rank]

@@ -42,7 +42,7 @@ from ..ir.expr import AffineForm, ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
 from ..obs import Metrics, NULL_TRACER, Tracer
 from .lowering import FastHooks, FastPath
-from .memory import NodeMemory, initialize_array, ownership_mask
+from .memory import ArrayStore, NodeMemory, initialize_array, ownership_masks
 from .stats import Clocks, TrafficStats
 
 
@@ -157,7 +157,11 @@ class SPMDSimulator:
         self.proc = compiled.proc
         self.grid = compiled.grid
         self.machine = machine or compiled.options.machine
-        self.memories = [NodeMemory(r, self.proc) for r in self.grid.all_ranks()]
+        #: every rank's arrays; a rank's memory is its row of each
+        self.store = ArrayStore(self.proc, self.grid.size)
+        self.memories = [
+            NodeMemory(r, self.proc, self.store) for r in self.grid.all_ranks()
+        ]
         # float clocks over a MachineModel; over a VectorMachine
         # (repro.machine.batchexec) one lane per swept machine variant,
         # all charged in this one run
@@ -194,9 +198,8 @@ class SPMDSimulator:
         #: reduction bookkeeping
         self._reduction_updates: dict[int, tuple] = {}
         self._reductions_by_loop: dict[int, list] = {}
-        self._reduction_snapshots: dict[int, dict[int, float]] = {}
-        #: name -> per-rank ownership masks, cached for gather()
-        self._owner_masks: dict[str, list[np.ndarray]] = {}
+        #: (loop, name) at loop entry: rank -> scalar, or the array buffer's copy
+        self._reduction_snapshots: dict[tuple, dict | np.ndarray] = {}
         #: executor-set caches: per-statement "runs everywhere" flag and
         #: position-form-value -> rank list (satellite: stop rebuilding
         #: the itertools product on every statement instance)
@@ -207,12 +210,8 @@ class SPMDSimulator:
         # Every array starts zero-filled (matching the sequential
         # interpreter's global store) and valid where the rank owns it;
         # set_array overwrites the contents afterwards.
-        for symbol in self.proc.symbols.arrays():
-            mapping = self.compiled.mappings[symbol.name]
-            for memory in self.memories:
-                memory.valid[symbol.name][...] = ownership_mask(
-                    mapping, memory.rank
-                )
+        for name, valid in self.store.valid.items():
+            valid[...] = ownership_masks(self.compiled.mappings[name])
 
     # ==================================================================
     # Setup
@@ -248,13 +247,7 @@ class SPMDSimulator:
                 ).append((reduction, mapping))
 
     def set_array(self, name: str, values: np.ndarray) -> None:
-        mapping = self.compiled.mappings.get(name.upper())
-        if mapping is None:
-            raise SimulationError(
-                f"no array {name!r} to initialize: the program declares "
-                f"{sorted(self.compiled.mappings)}"
-            )
-        initialize_array(self.memories, mapping, np.asarray(values))
+        initialize_array(self.memories, self._mapping_of(name), values)
 
     def run(self):
         if self.tier == "interpreted":
@@ -602,10 +595,7 @@ class SPMDSimulator:
             key = (stmt.stmt_id, reduction.symbol.name)
             name = reduction.symbol.name
             if reduction.is_array_reduction:
-                self._reduction_snapshots[key] = {
-                    memory.rank: memory.arrays[name].copy()
-                    for memory in self.memories
-                }
+                self._reduction_snapshots[key] = self.store.data[name].copy()
             else:
                 snapshot: dict[int, float] = {}
                 for memory in self.memories:
@@ -635,9 +625,7 @@ class SPMDSimulator:
         name = reduction.symbol.name
         acc_mapping = self.compiled.mappings[name]
         symbol = acc_mapping.array
-        snapshots = self._reduction_snapshots.get(
-            (loop.stmt_id, name), {}
-        )
+        snapshots = self._reduction_snapshots.get((loop.stmt_id, name))
         group_elements: dict[tuple[int, ...], int] = {}
         ranges = [range(lo, hi + 1) for lo, hi in symbol.dims]
         for index in itertools.product(*ranges):
@@ -647,7 +635,7 @@ class SPMDSimulator:
             offset = self.memories[group[0]].offset(name, index)
             partials = []
             for rank in group:
-                base = snapshots[rank][offset] if rank in snapshots else 0.0
+                base = 0.0 if snapshots is None else snapshots[rank][offset]
                 value = self.memories[rank].arrays[name][offset]
                 partials.append((rank, float(value), float(base)))
             if all(v == b for _, v, b in partials):
@@ -736,46 +724,35 @@ class SPMDSimulator:
     # Results
     # ==================================================================
 
-    def _masks_of(self, name: str) -> list[np.ndarray]:
-        masks = self._owner_masks.get(name)
-        if masks is None:
-            mapping = self.compiled.mappings[name]
-            masks = [ownership_mask(mapping, r) for r in self.grid.all_ranks()]
-            self._owner_masks[name] = masks
-        return masks
+    def _mapping_of(self, name: str):
+        mapping = self.compiled.mappings.get(name.upper())
+        if mapping is None:
+            raise SimulationError(
+                f"no array {name!r}: the program declares "
+                f"{sorted(self.compiled.mappings)}"
+            )
+        return mapping
 
     def gather(self, name: str) -> np.ndarray:
-        """Reassemble the global array from owning ranks (vectorized
-        ``authoritative_array`` over the whole index space: pass 1 takes
-        each element from its lowest-ranked valid owner, pass 2 from the
+        """Reassemble the global array (vectorized
+        ``authoritative_array`` over the whole index space: each element
+        comes from its lowest-ranked valid owner, else from the
         lowest-ranked valid copy anywhere — the interpreted element-wise
         lookup order, so the result is bit-identical)."""
-        name = name.upper()
-        mapping = self.compiled.mappings[name]
+        mapping = self._mapping_of(name)
         symbol = mapping.array
-        shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-        result = np.zeros(shape, dtype=self.memories[0].array_dtype(name))
-        filled = np.zeros(shape, dtype=np.bool_)
-        masks = self._masks_of(name)
-        for rank, memory in enumerate(self.memories):
-            take = memory.valid[name] & masks[rank]
-            take &= ~filled
-            if take.any():
-                result[take] = memory.arrays[name][take]
-                filled |= take
-        if not filled.all():
-            for memory in self.memories:
-                take = memory.valid[name] & ~filled
-                if take.any():
-                    result[take] = memory.arrays[name][take]
-                    filled |= take
-        if not filled.all():
-            offset = np.unravel_index(int(np.argmax(~filled)), shape)
-            index = tuple(
-                int(o) + lo for o, (lo, _) in zip(offset, symbol.dims)
-            )
-            raise SimulationError(f"no valid copy of {name}{index} anywhere")
-        return result
+        data = self.store.data[symbol.name]
+        valid = self.store.valid[symbol.name]
+        # argmax over the rank axis is the first rank with the best
+        # score: 2 a valid owner, 1 a valid copy
+        score = valid.view(np.int8) + (valid & ownership_masks(mapping))
+        source = score.argmax(axis=0)
+        held = valid.any(axis=0)
+        if not held.all():
+            offset = np.unravel_index(int(np.argmin(held)), held.shape)
+            index = tuple(int(o) + lo for o, (lo, _) in zip(offset, symbol.dims))
+            raise SimulationError(f"no valid copy of {symbol.name}{index} anywhere")
+        return np.take_along_axis(data, source[None], axis=0)[0]
 
     def gather_scalar(self, name: str):
         return self.authoritative_scalar(name.upper())

@@ -460,37 +460,37 @@ def _afold_operand(rhs, name: str, canon: tuple, op: str):
     return e
 
 
-def _pick(index, lanes, n: int) -> tuple:
-    """The ``lanes`` (a slice or a mask) of a numpy index whose
-    components are ints or arrays with the ``n`` lanes as last axis;
-    anything narrower is the same for every lane and stays as it is."""
-    return tuple([
-        ix[..., lanes]
-        if isinstance(ix, np.ndarray) and ix.ndim and ix.shape[-1] == n
-        else ix
-        for ix in index
-    ])
-
-
-def _lane_offsets(ref_forms: dict, vars_of: Callable, env) -> dict:
-    """ref_id -> bounds-checked lane offsets, one per dimension.
-    ``vars_of(ref_id)`` gives the lane vectors of the ref's loop
-    variables; dimensions subscripted by one form over the same lanes
-    and bounds — whatever the array — share one vector."""
-    shared: dict[tuple, Any] = {}
-    offs: dict[int, tuple] = {}
+def _lane_addresses(ref_forms: dict, lanes_of: Callable, env) -> tuple:
+    """ref_id -> the flat *element* of its array each lane names — the
+    ravel of the bounds-checked per-dimension offsets, an int where no
+    subscript varies with the lanes — and ref_id -> the lane's
+    *address* in the array's ``(P, *shape)`` buffer, ``lanes.rank *
+    size + element``.  ``lanes_of(ref_id)`` gives the ref's lanes;
+    dimensions subscripted by one form over the same lanes and bounds
+    — whatever the array — share one offset vector, references alike
+    in every dimension one element and one address vector."""
+    dims: dict[tuple, Any] = {}
+    shared: dict[tuple, tuple] = {}
+    elems: dict[int, Any] = {}
+    addrs: dict[int, np.ndarray] = {}
     for ref_id, (symbol, forms) in ref_forms.items():
-        vec_vars = vars_of(ref_id)
-        off = []
-        for d, f in enumerate(forms):
-            key = (id(vec_vars), _canon_form(f), symbol.dims[d])
-            if key not in shared:
-                shared[key] = _bounds_checked_offset(
-                    _affine_vec(f, vec_vars, env), symbol, d
-                )
-            off.append(shared[key])
-        offs[ref_id] = tuple(off)
-    return offs
+        lanes = lanes_of(ref_id)
+        canon = tuple([_canon_form(f) for f in forms])
+        key = (lanes, canon, symbol.dims)
+        if key not in shared:
+            size = 1
+            for d, f in enumerate(forms):
+                dim = (lanes, canon[d], symbol.dims[d])
+                if dim not in dims:
+                    dims[dim] = _bounds_checked_offset(
+                        _affine_vec(f, lanes.vars, env), symbol, d
+                    )
+                extent = symbol.extent(d)
+                elem = dims[dim] if d == 0 else elem * extent + dims[dim]
+                size *= extent
+            shared[key] = (elem, lanes.rank * size + elem)
+        elems[ref_id], addrs[ref_id] = shared[key]
+    return elems, addrs
 
 
 class _Fetched(NamedTuple):
@@ -505,7 +505,7 @@ class _Fetched(NamedTuple):
     q: int  #: the read's sequence within its statement
     ref: ArrayElemRef
     stmt: AssignStmt
-    sel: tuple  #: element offsets, one vector per dimension
+    addr: np.ndarray  #: where the reader keeps it: ``dst * size + elem``
     values: np.ndarray
 
 
@@ -529,44 +529,39 @@ class _FetchLog:
         self.plan = plan
         self.reads: list[_Fetched] = []
 
-    def _fetch_read(self, ref, stmt, q: int, dst, sel: tuple, inst):
-        """Values of the elements ``sel`` that the ranks ``dst`` read
+    def _fetch_read(self, ref, stmt, q: int, dst, elem, inst):
+        """Values of the elements ``elem`` that the ranks ``dst`` read
         while invalid, in instances ``inst`` — one entry per lane, the
         lanes rank-major and each rank's instances ascending: the
         vectorized twin of ``FetchEngine.fetch_array``'s source lookup.
         A rank fetches an element once, at its first lane."""
-        symbol = ref.symbol
-        acc = self.plan.fast.engine.access(symbol.name)
-        elem = np.ravel_multi_index(sel, acc.datas[0].shape)
-        _held, first, back = np.unique(
-            dst * acc.datas[0].size + elem,
-            return_index=True,
-            return_inverse=True,
+        name = ref.symbol.name
+        acc = self.plan.fast.engine.access(name)
+        data, valid, size = self.plan.sim.store.flat[name]
+        addr, first, back = np.unique(
+            dst * size + elem, return_index=True, return_inverse=True
         )
-        sel = tuple(o[first] for o in sel)
+        elem = elem[first]
         try:
-            owners = acc.owners(sel)
+            owners = acc.owners(np.unravel_index(elem, acc.datas[0].shape))
         except MappingError:
             # the per-iteration path raises the canonical error
             raise _Bail("owner lookup failed") from None
         src = np.full(first.size, -1, dtype=np.int64)
-        values = np.empty(first.size, dtype=acc.datas[0].dtype)
         # an owner holding a valid copy, else the lowest rank that does
         for row in (*owners, *range(len(acc.valids))):
             todo = np.flatnonzero(src < 0)
             if not todo.size:
                 break
             ranks = np.broadcast_to(row, src.shape)[todo]
-            for r in np.unique(ranks):
-                lanes = todo[ranks == r]
-                lanes = lanes[acc.valids[r][tuple(o[lanes] for o in sel)]]
-                src[lanes] = r
-                values[lanes] = acc.datas[r][tuple(o[lanes] for o in sel)]
+            held = valid.take(ranks * size + elem[todo])
+            src[todo[held]] = ranks[held]
         if (src < 0).any():
-            raise _Bail(f"no rank holds every element read of {symbol.name}")
+            raise _Bail(f"no rank holds every element read of {name}")
+        values = data.take(src * size + elem)
         self.reads.append(_Fetched(
-            inst[first], elem[first], src, src != owners[0], dst[first],
-            q, ref, stmt, sel, values,
+            inst[first], elem, src, src != owners[0], dst[first],
+            q, ref, stmt, addr, values,
         ))
         return values[back]
 
@@ -652,9 +647,9 @@ class _FetchLog:
         the number of elements fetched and of message runs replayed.
 
         ``dts`` is the charge tape of the takeover's statements and
-        ``tapes`` holds ``(rank, step, inst)`` per computing rank,
-        ascending: which statement each of the rank's instances runs
-        and the instance's (ascending) number.  Compute charges on
+        ``tapes`` the ranks' tapes end to end (``_NestCtx._rank_tapes``):
+        which statement each of a rank's instances runs and the
+        instance's (ascending) number.  Compute charges on
         different ranks commute and only a message couples two clocks,
         so a rank's tape stays pending until just before a message that
         touches the rank, where it is left-folded up to the message's
@@ -669,26 +664,25 @@ class _FetchLog:
         fetch does is batched per reference."""
         inst, src, dst, startup, tally, fresh = sched
         sim = self.plan.sim
-        clocks, stats, memories = sim.clocks, sim.stats, sim.memories
+        clocks, stats = sim.clocks, sim.stats
         time = clocks.time
-        # the ranks' tapes end to end — rank r's is steps[done[r]:
-        # ends[r]], empty when it computes nothing here — and how much
-        # of the reader's and of the source's precedes each fetch
-        bounds = np.zeros(len(time) + 1, dtype=np.int64)
-        for r, step, _at in tapes:
-            bounds[r + 1] = step.size
-            clocks.compute_time[r] = sequential_sum(
-                clocks.compute_time[r], dts[step]
-            )
-        bounds = bounds.cumsum()
+        # rank r's tape is steps[done[r]:ends[r]], empty when it
+        # computes nothing here
+        bounds, steps, at = tapes
         done, ends = bounds[:-1].tolist(), bounds[1:].tolist()
-        steps = np.concatenate([step for _r, step, _at in tapes])
+        computing = [r for r in range(len(time)) if ends[r] > done[r]]
+        for r in computing:
+            clocks.compute_time[r] = sequential_sum(
+                clocks.compute_time[r], dts[steps[done[r]:ends[r]]]
+            )
+        # how much of the reader's and of the source's tape precedes
+        # each fetch
         who = np.stack((dst, src))
         when = np.broadcast_to(inst, who.shape)
         cut = bounds[who]
-        for r, _step, at in tapes:
+        for r in computing:
             here = who == r
-            cut[here] += np.searchsorted(at, when[here])
+            cut[here] += np.searchsorted(at[done[r]:ends[r]], when[here])
         # a run ends where the reader, the source or — the source
         # having computed in between — the source's cut changes
         opens = np.ones(inst.size, dtype=np.bool_)
@@ -731,21 +725,16 @@ class _FetchLog:
                 s, d, tape[lo_slot:hi_slot], messages[lo:hi]
             )
             done[d] = end_d
-        for r, _step, _at in tapes:
+        for r in computing:
             time[r] = sequential_sum(time[r], dts[steps[done[r]:ends[r]]])
         sim._fetch_keys_seen.update(fresh)
         stats.messages += len(fresh)
         for event_key, count in tally:
             stats.record_fetch(event_key, count)
         for f in self.reads:
-            name = f.ref.symbol.name
-            edges = np.diff(f.dst, prepend=-1, append=-1).nonzero()[0]
-            edges = edges.tolist()
-            for r, lo, hi in zip(f.dst[edges[:-1]].tolist(), edges, edges[1:]):
-                sel = tuple([o[lo:hi] for o in f.sel])
-                memory = memories[r]
-                memory.arrays[name][sel] = f.values[lo:hi]
-                memory.valid[name][sel] = True
+            data, valid, _size = sim.store.flat[f.ref.symbol.name]
+            data[f.addr] = f.values
+            valid[f.addr] = True
         return inst.size, first.size
 
 
@@ -809,12 +798,13 @@ class _Lanes:
             np.arange(rank.size), None, None, None, None
         )
         ends = np.bincount(rank, minlength=len(runs)).cumsum().tolist()
+        #: the ranks with lanes and each one's slice of them
         self.slices = [
             (r, slice(start, stop))
             for r, (start, stop) in enumerate(zip([0] + ends, ends))
             if stop > start
         ]
-        self._home = self._lost = self._lane_id = None
+        self._home = self._lane_id = None
 
     @property
     def home(self) -> np.ndarray:
@@ -823,25 +813,6 @@ class _Lanes:
         if self._home is None:
             self._home = self.rank == self.runs.argmax(axis=0)[self.col]
         return self._home
-
-    @property
-    def lost(self) -> list:
-        """``(rank, lanes)`` for every rank that does not run all the
-        columns: a mask of the home lanes of the instances it does not
-        run — whose stores invalidate its copies.  (``lanes`` is None
-        for all of them: a rank that runs nothing, where no instance is
-        shared.)"""
-        if self._lost is None:
-            home, runs = self.home, self.runs
-            idle = ~runs.any(axis=1) if home.all() else ()
-            self._lost = []
-            for r in (~runs.all(axis=1)).nonzero()[0].tolist():
-                if len(idle) and idle[r]:
-                    self._lost.append((r, None))
-                else:
-                    lanes = (home & ~runs[r][self.col]).nonzero()[0]
-                    self._lost.append((r, lanes))
-        return self._lost
 
     @property
     def lane_id(self) -> np.ndarray:
@@ -916,28 +887,28 @@ class _NestCtx(_Ctx):
         self.dom = dom
         self.base_env = env
         self.memories = plan.sim.memories
+        self.store = plan.sim.store
         self.log = _FetchLog(plan)
         #: step index -> the step's lanes
         self.lanes_of = dom.lanes_of
         sub_env = plan.subscript_env(env, dom.participants)
-        #: per-pass increment of every offset that moves with the
-        #: serial axis
+        #: per-pass increment of every element (and address) that moves
+        #: with the serial axis
         self.strides = {
-            ref_id: tuple([c * dom.step for c in coeffs])
-            for ref_id, coeffs in plan.strides.items()
+            ref_id: coeff * dom.step for ref_id, coeff in plan.strides.items()
         }
 
-        def vars_of(ref_id):
-            return self.lanes_of[plan.ref_home[ref_id]].vars
+        def lanes_of(ref_id):
+            return self.lanes_of[plan.ref_home[ref_id]]
 
-        #: ref_id -> lane offsets at the first body pass; the last pass
-        #: is evaluated for its bounds checks alone
-        self.offs = _lane_offsets(
-            plan.ref_forms, vars_of, {**sub_env, **dom.binding(0)}
+        #: ref_id -> lane elements and addresses at the first body
+        #: pass; the last pass is evaluated for its bounds checks alone
+        self.elem, self.addr = _lane_addresses(
+            plan.ref_forms, lanes_of, {**sub_env, **dom.binding(0)}
         )
         if self.strides and dom.serial > 1:
-            _lane_offsets(
-                {r: plan.ref_forms[r] for r in self.strides}, vars_of,
+            _lane_addresses(
+                {r: plan.ref_forms[r] for r in self.strides}, lanes_of,
                 {**sub_env, **dom.binding(dom.serial - 1)},
             )
         #: scalar name -> (lanes, pass, lane values) of its last store
@@ -1004,13 +975,15 @@ class _NestCtx(_Ctx):
             results = self.reduced.setdefault(st.name, {})
         else:
             results = self.folded[st.index] = {}
-            off = self.offs[st.stmt.lhs.ref_id]
-        for r, sl in self.lanes.slices:
+            data, valid, _size = self.store.flat[st.name]
+            addr = self._fold_addresses(st.index)
+            if not valid.take(addr).all():
+                raise _Bail("fold accumulator invalid")
+            starts = data.take(addr)
+        for k, (r, sl) in enumerate(self.lanes.slices):
             memory = self.memories[r]
             if st.kind != "reduction":
-                if not bool(memory.valid[st.name][off]):
-                    raise _Bail("fold accumulator invalid")
-                start = memory.arrays[st.name][off]
+                start = starts[k]
             elif r in results:
                 start = results[r]
             elif memory.scalar_is_valid(st.name):
@@ -1022,6 +995,14 @@ class _NestCtx(_Ctx):
                 value[sl] if isinstance(value, np.ndarray) else value,
                 is_int, st.stype, sl.stop - sl.start,
             )
+
+    def _fold_addresses(self, index: int) -> np.ndarray:
+        """Where each rank folding into step ``index``'s one array
+        element keeps it (the address at the rank's first lane), in
+        the order of the lanes' ``slices``."""
+        heads = [sl.start for _r, sl in self.lanes_of[index].slices]
+        ref_id = self.plan.all_steps[index].stmt.lhs.ref_id
+        return self.addr[ref_id][heads]
 
     # -- _Ctx ----------------------------------------------------------
 
@@ -1127,39 +1108,26 @@ class _NestCtx(_Ctx):
             self.misses.append((key, name, ref_id, self.t, fetched))
         return data, data.dtype.kind in "bi"
 
-    def _offsets(self, ref_id: int, t: int) -> tuple:
-        """The reference's lane offsets in body pass ``t``."""
-        off = self.offs[ref_id]
+    def _at(self, table: dict, ref_id: int, t: int):
+        """The reference's entry of ``table`` — the lane elements or
+        addresses — in body pass ``t``."""
         stride = self.strides.get(ref_id)
         if stride is None or t == 0:
-            return off
-        return tuple([o + s * t for o, s in zip(off, stride)])
+            return table[ref_id]
+        return table[ref_id] + stride * t
 
     def _gather(self, ref: ArrayElemRef) -> tuple:
         """``(data, valid)`` of ``ref`` over the current lanes, each
         from its executing rank's copy; for a reference that moves with
         the serial axis, of every pass at once, one row per pass —
         memory does not change while the nest is evaluated."""
-        name = ref.symbol.name
-        lanes = self.lanes
-        index = self.offs[ref.ref_id]
+        data, valid, _size = self.store.flat[ref.symbol.name]
+        addr = self.addr[ref.ref_id]
         stride = self.strides.get(ref.ref_id)
-        shape = (lanes.n,)
         if stride is not None:
             passes = np.arange(self.dom.serial, dtype=np.int64)[:, None]
-            index = tuple([o + s * passes for o, s in zip(index, stride)])
-            shape = (self.dom.serial, lanes.n)
-        if len(lanes.slices) == 1:
-            memory = self.memories[lanes.slices[0][0]]
-            return memory.arrays[name][index], memory.valid[name][index]
-        data = np.empty(shape, dtype=self.memories[0].array_dtype(name))
-        ok = np.empty(shape, dtype=np.bool_)
-        for r, sl in lanes.slices:
-            sel = _pick(index, sl, lanes.n)
-            memory = self.memories[r]
-            data[..., sl] = memory.arrays[name][sel]
-            ok[..., sl] = memory.valid[name][sel]
-        return data, ok
+            addr = addr + stride * passes
+        return data.take(addr), valid.take(addr)
 
     def _fetch(self, ref: ArrayElemRef, data, ok) -> np.ndarray:
         lanes, dom, plan = self.lanes, self.dom, self.plan
@@ -1173,21 +1141,19 @@ class _NestCtx(_Ctx):
             # (the replay numbers the instances of one body pass;
             # fetches under a serial axis stay on tier 2)
             raise _Bail(f"array {name} read would fetch")
-        # the lane's statement instance, in per-iteration order
-        npre, nbody = len(plan.steps[PRE]), len(plan.steps[BODY])
-        inst = dom.base[lanes.col] + self.cur.k
-        if self.phase == BODY:
-            inst += npre + nbody * lanes.tw
-        elif self.phase == POST:
-            inst += npre + nbody * dom.trips[lanes.col]
-        shape = (lanes.n,)
-        off = [np.broadcast_to(o, shape) for o in self._offsets(ref.ref_id, 0)]
-        ok = np.broadcast_to(ok, shape)
-        data = np.array(np.broadcast_to(data, shape))
         bad = (~ok).nonzero()[0]
+        # the fetching lanes' statement instances, in per-iteration order
+        npre, nbody = len(plan.steps[PRE]), len(plan.steps[BODY])
+        col = lanes.col[bad]
+        inst = dom.base[col] + self.cur.k
+        if self.phase == BODY:
+            inst += npre + nbody * lanes.tw[bad]
+        elif self.phase == POST:
+            inst += npre + nbody * dom.trips[col]
+        data = data.copy()
         data[bad] = self.log._fetch_read(
             ref, self.cur.stmt, self.q, lanes.rank[bad],
-            tuple([o[bad] for o in off]), inst[bad],
+            np.broadcast_to(self.elem[ref.ref_id], ok.shape)[bad], inst,
         )
         return data
 
@@ -1195,95 +1161,107 @@ class _NestCtx(_Ctx):
         """Settle the reads that went to memory against the stores, and
         gather each array's regions for commit.  The classification was
         symbolic: where an array has several regions, or reads that
-        match none, verify the concrete index sets are disjoint — else
+        match none, verify the concrete element sets are disjoint — else
         per-iteration order matters."""
         stray: dict[str, list] = {}
         for key, name, ref_id, t, fetched in self.misses:
             if key not in self.regions:
-                stray.setdefault(name, []).append(self._offsets(ref_id, t))
+                stray.setdefault(name, []).append(self._at(self.elem, ref_id, t))
             elif fetched:
                 raise _Bail(f"written array {name} read would fetch")
         groups: dict[tuple, list] = {}
         for region in self.regions.values():
             name = self.plan.ref_forms[region.ref_id][0].name
             groups.setdefault((name, region.lanes), []).append(region)
-        #: (array, lanes) -> the regions these lanes stored: a numpy
-        #: index and the values, with one row per region when there
-        #: are several
+        #: (array, lanes) -> the regions these lanes stored: elements,
+        #: addresses and values, with one row per region when there are
+        #: several
         self.stores: dict[tuple, tuple] = {}
         marks: dict[str, list] = {}
         for (name, lanes), regions in groups.items():
-            first = regions[0]
-            index, vals = self._offsets(first.ref_id, first.t), first.vec
-            if len(regions) > 1:
-                shape = (len(regions), lanes.n)
-                rows = [np.empty(shape, dtype=np.int64) for _ in index]
-                vals = np.empty(shape, dtype=vals.dtype)
-                for row, region in enumerate(regions):
-                    for ix, o in zip(rows, self._offsets(region.ref_id, region.t)):
-                        ix[row] = o
-                    vals[row] = region.vec
-                index = tuple(rows)
-            self.stores[name, lanes] = (index, vals)
-            marks.setdefault(name, []).append((index, lanes, len(regions)))
+            rows = [
+                (
+                    self._at(self.elem, region.ref_id, region.t),
+                    self._at(self.addr, region.ref_id, region.t),
+                    region.vec,
+                )
+                for region in regions
+            ]
+            stored = self.stores[name, lanes] = (
+                rows[0] if len(rows) == 1 else tuple(map(np.stack, zip(*rows)))
+            )
+            marks.setdefault(name, []).append((stored[0], lanes, len(rows)))
         for name, stored in marks.items():
             reads = stray.get(name, ())
-            if sum([rows for _i, _l, rows in stored]) < 2 and not reads:
+            if sum([rows for _e, _l, rows in stored]) < 2 and not reads:
                 continue
-            mask = np.zeros(self.memories[0].array_shape(name), dtype=np.bool_)
+            mask = np.zeros(self.store.data[name][0].size, dtype=np.bool_)
             count = 0
-            for index, lanes, rows in stored:  # each instance once
-                mask[_pick(index, lanes.home, lanes.n)] = True
+            for elem, lanes, rows in stored:  # each instance once
+                mask[elem[..., lanes.home]] = True
                 count += rows * int(lanes.home.sum())
             if int(mask.sum()) != count:
                 raise _Bail("write regions overlap")
-            for off in reads:
-                if mask[off].any():
+            for elem in reads:
+                if mask[elem].any():
                     raise _Bail("read overlaps writes across lanes")
 
     # -- commit --------------------------------------------------------
 
-    def _rank_tapes(self):
-        """Each rank's tier-2 tape as ``(rank, step, inst)``: the
-        statement (index into the nest's steps) and the number of every
-        instance it runs, in order."""
+    def _rank_tapes(self) -> tuple:
+        """The ranks' tier-2 tapes end to end, in rank order, as
+        ``(bounds, step, inst)``: rank ``r`` runs the instances
+        ``inst[bounds[r]:bounds[r + 1]]``, ascending, each the
+        statement ``step`` (index into the nest's steps)."""
         plan, dom = self.plan, self.dom
         count, trips = dom.count, dom.trips
         sizes = [len(steps) for steps in plan.steps]
-        step_of = np.empty(
-            int(count.sum()), dtype=np.min_scalar_type(sum(sizes))
-        )
+        step_of = np.empty(int(count.sum()), dtype=np.min_scalar_type(sum(sizes)))
         # the first statement of each column's prologue, of every one
         # of its body trips, and of its epilogue
-        def first_of_trips():
-            trip = np.arange(int(trips.sum())) - (trips.cumsum() - trips).repeat(trips)
-            return (dom.base + sizes[PRE]).repeat(trips) + sizes[BODY] * trip
-
-        firsts = (
-            lambda: dom.base,
-            first_of_trips,
-            lambda: dom.base + sizes[PRE] + sizes[BODY] * trips,
-        )
         s0 = 0
-        for first, size in zip(firsts, sizes):
+        for phase, size in enumerate(sizes):
             if size:
-                first = first()
+                first = dom.base + (phase > PRE) * sizes[PRE]
+                if phase == BODY:
+                    starts = (trips.cumsum() - trips).repeat(trips)
+                    trip = np.arange(starts.size) - starts
+                    first = first.repeat(trips) + size * trip
+                elif phase == POST:
+                    first = first + sizes[BODY] * trips
                 for k in range(size):
                     step_of[first + k] = s0 + k
                 s0 += size
-        # which instances each layout's statements are
+        # a lane (rank, column) runs its column's instances: the lanes
+        # are rank-major, so a layout's come out rank by rank and
+        # ascending — as they are numbered, where every rank's columns
+        # are consecutive
+        nranks = len(self.memories)
+        shared = len(dom.layouts) > 1
         groups = np.asarray([st.group for st in plan.all_steps])
-        parts = []
+        ranks, insts = [], []
         for group, layout in enumerate(dom.layouts):
-            steps = groups == group
-            parts.append((layout.runs, None if steps.all() else steps[step_of]))
-        for r in dom.participants:
-            mine = False
-            for runs, here in parts:
-                ran = runs[r].repeat(count)
-                mine = mine | (ran if here is None else ran & here)
-            mine = mine.nonzero()[0].astype(np.int32)
-            yield r, step_of[mine], mine
+            cols = layout.columns
+            n = count[cols.col]
+            inst = np.arange(int(n.sum()), dtype=np.int32)
+            ahead = dom.base[cols.col] - (n.cumsum() - n)
+            if ahead.any():
+                inst += ahead.repeat(n)
+            if shared:
+                # ... those of the layout's own statements, that is
+                mine = groups[step_of[inst]] == group
+                inst = inst[mine]
+                ranks.append(cols.rank.repeat(n)[mine])
+            insts.append(inst)
+        if shared:
+            rank, inst = np.concatenate(ranks), np.concatenate(insts)
+            inst = inst[np.lexsort((inst, rank))]
+            lengths = np.bincount(rank, minlength=nranks)
+        else:
+            lengths = np.bincount(cols.rank, weights=n, minlength=nranks)
+        bounds = np.zeros(nranks + 1, dtype=np.int64)
+        np.cumsum(lengths, dtype=np.int64, out=bounds[1:])
+        return bounds, step_of[inst], inst
 
     def commit(self) -> tuple[int, int]:
         """Make the takeover visible: clocks, stores and invalidations,
@@ -1294,24 +1272,25 @@ class _NestCtx(_Ctx):
         memories, clocks = self.memories, sim.clocks
         dts = clocks.tape([st.dt for st in plan.all_steps])
         if dom.tapes is None:
-            dom.tapes = list(self._rank_tapes())
+            dom.tapes = self._rank_tapes()
         replayed = (0, 0)
         if self.fetch_plan is not None:
             replayed = self.log.commit(self.fetch_plan, dts, dom.tapes)
         else:
-            for r, step, _at in dom.tapes:
-                clocks.charge_compute_tape(r, dts[step])
-        for (name, lanes), (index, vals) in self.stores.items():
-            whole = len(lanes.slices) == 1
-            for r, sl in lanes.slices:
-                sel = index if whole else _pick(index, sl, lanes.n)
-                memory = memories[r]
-                memory.arrays[name][sel] = vals if whole else vals[..., sl]
-                memory.valid[name][sel] = True
-            # every write instance invalidates each rank not running it
-            for r, lost in lanes.lost:
-                sel = index if lost is None else _pick(index, lost, lanes.n)
-                memories[r].valid[name][sel] = False
+            bounds, steps, _inst = dom.tapes
+            cuts = bounds.tolist()
+            for r in dom.participants:
+                clocks.charge_compute_tape(r, dts[steps[cuts[r]:cuts[r + 1]]])
+        store, nranks = self.store, len(memories)
+        for (name, lanes), (elem, addr, vals) in self.stores.items():
+            data, valid, size = store.flat[name]
+            data[addr] = vals
+            if not lanes.runs.all():
+                # every write instance invalidates each rank not
+                # running it: nobody holds the elements, then the
+                # writers do
+                valid.reshape(nranks, size)[:, elem[..., lanes.home]] = False
+            valid[addr] = True
         for name, (lanes, _npass, vec) in self.scalars.items():
             # every rank keeps the value of its own last instance (it
             # persists even once a later column invalidates it); the
@@ -1325,19 +1304,19 @@ class _NestCtx(_Ctx):
                 memories[r].scalar_store(name, value.item())
         for index, results in self.folded.items():
             st = plan.all_steps[index]
-            off = self.offs[st.stmt.lhs.ref_id]
             lanes = self.lanes_of[index]
-            for r, _sl in lanes.slices:
-                memory = memories[r]
-                memory.arrays[st.name][off] = results[r].item()
-                memory.valid[st.name][off] = True
+            data, valid, size = store.flat[st.name]
+            addr = self._fold_addresses(index)
+            data[addr] = [results[r].item() for r, _sl in lanes.slices]
+            valid[addr] = True
             # an afold accumulates privately: the other ranks keep
             # their copies, exactly like scalar reductions.  An sfold
             # is a plain owner-computes store, just serialized: it
             # invalidates them once per iteration
             if st.kind == "sfold":
-                for r, _lost in lanes.lost:
-                    memories[r].valid[st.name][off] = False
+                lost = ~lanes.runs.all(axis=1)
+                elem = self.elem[st.stmt.lhs.ref_id]
+                valid.reshape(nranks, size)[lost, elem] = False
         if plan.i is not None and plan.i not in self.base_env:
             # the walker's per-iteration epilogue leaves the inner
             # index at the last column's final value
@@ -1383,12 +1362,12 @@ class NestPlan:
         #: ref_id -> (symbol, forms); index of its step; what it names
         #: — a canonical key comparable across the nest's statements,
         #: None for a reference that moves with the serial axis (its
-        #: key changes with the pass: ``moving_keys``); the offsets'
-        #: coefficients on that axis
+        #: key changes with the pass: ``moving_keys``); the flat
+        #: element's coefficient on that axis
         self.ref_forms: dict[int, tuple] = {}
         self.ref_home: dict[int, int] = {}
         self.keys: dict[int, tuple | None] = {}
-        self.strides: dict[int, tuple] = {}
+        self.strides: dict[int, int] = {}
         self._moving: list[tuple] = []
         #: memory scalars subscripts depend on, resolved at prepare
         self.subscript_scalars: set[str] = set()
@@ -1553,7 +1532,10 @@ class NestPlan:
         head = (ref.symbol.name, tuple(terms))
         if any(coeffs):
             self.keys[ref.ref_id] = None
-            self.strides[ref.ref_id] = tuple(coeffs)
+            stride = 0  # of the flat element, per unit of the axis
+            for d, ci in enumerate(coeffs):
+                stride = stride * ref.symbol.extent(d) + ci
+            self.strides[ref.ref_id] = stride
             self._moving.append((ref.ref_id, head, list(zip(consts, coeffs))))
         else:
             self.keys[ref.ref_id] = (*head, tuple(consts))

@@ -7,11 +7,19 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.ir import parse_and_build
-from repro.machine import NodeMemory, initialize_array
+from repro.core import CompilerOptions, compile_source
+from repro.machine import (
+    NodeMemory,
+    SPMDSimulator,
+    initialize_array,
+    ownership_mask,
+    ownership_masks,
+)
 from repro.machine.batchexec import VectorMachine
 from repro.machine.stats import Clocks, TrafficStats
 from repro.mapping import ProcessorGrid, resolve_mappings
 from repro.model import SP2, MachineModel
+from repro.programs import appsp_source
 
 
 SRC = """
@@ -84,6 +92,83 @@ class TestInitializeArray:
         proc, grid, mappings, memories = setup
         with pytest.raises(SimulationError):
             initialize_array(memories, mappings["A"], np.zeros(5))
+
+
+LAYOUTS = """
+PROGRAM L
+  PARAMETER (n = 12)
+  REAL A(n, n), B(n, n), C(0:n, n), V(n), W(n), R(n)
+!HPF$ DISTRIBUTE (BLOCK, *) :: A
+!HPF$ DISTRIBUTE (*, CYCLIC) :: B
+!HPF$ DISTRIBUTE (CYCLIC(2), *) :: C
+!HPF$ ALIGN V(j) WITH A(*, j)
+!HPF$ ALIGN W(j) WITH B(*, j)
+  A(3, 1) = 7.0
+END PROGRAM
+"""
+
+
+class TestArrayStore:
+    """One buffer per array, rank-major: a rank's memory is a row."""
+
+    def test_every_rank_is_a_row_of_the_arrays_buffer(self):
+        sim = SPMDSimulator(compile_source(LAYOUTS, CompilerOptions(num_procs=4)))
+        for name in ("A", "B", "C", "V", "W", "R"):
+            data, valid = sim.store.data[name], sim.store.valid[name]
+            assert data.shape == valid.shape == (4, *data[0].shape)
+            for memory in sim.memories:
+                assert memory.arrays[name].shape == data[0].shape
+                assert np.shares_memory(memory.arrays[name], data)
+                assert np.shares_memory(memory.valid[name], valid)
+                for other in sim.memories[memory.rank + 1:]:
+                    assert not np.shares_memory(
+                        memory.arrays[name], other.arrays[name]
+                    )
+            flat, flat_valid, size = sim.store.flat[name]
+            assert size == data[0].size
+            assert np.shares_memory(flat, data)
+            assert np.shares_memory(flat_valid, valid)
+
+    def test_tier2_store_and_invalidation_show_through_both(self):
+        """A(3, 1) = 7.0 runs on the owner of row 3, rank 0; rank 3
+        held a copy — written through its row, seen in the buffer —
+        and loses it through the buffer's column, seen in its row."""
+        sim = SPMDSimulator(
+            compile_source(LAYOUTS, CompilerOptions(num_procs=4)), tier="lowered"
+        )
+        sim.memories[3].array_store("A", (3, 1), 1.0)
+        assert sim.store.valid["A"][:, 2, 0].tolist() == [True, False, False, True]
+        assert sim.store.flat["A"][0][3 * 144 + 2 * 12] == 1.0
+        sim.run()
+        assert sim.store.valid["A"][:, 2, 0].tolist() == [True, False, False, False]
+        assert sim.store.data["A"][:, 2, 0].tolist() == [7.0, 0.0, 0.0, 1.0]
+        assert sim.memories[0].array_value("A", (3, 1)) == 7.0
+        assert not sim.memories[3].array_is_valid("A", (3, 1))
+        assert sim.gather("A")[2, 0] == 7.0
+
+    @pytest.mark.parametrize("procs", [1, 2, 3, 16])
+    @pytest.mark.parametrize("kernel", ["layouts", "appsp-2d"])
+    def test_stacked_masks_are_the_one_rank_masks(self, kernel, procs):
+        """``ownership_masks`` against its one-rank oracle: BLOCK,
+        CYCLIC, block-cyclic, replicated and ``ALIGN ... WITH A(*, j)``
+        dimensions, on 1-D grids and on appsp's 2-D one."""
+        source = LAYOUTS if kernel == "layouts" else appsp_source(
+            nx=6, ny=6, nz=6, niter=1, procs=procs, distribution="2d"
+        )
+        compiled = compile_source(source, CompilerOptions(num_procs=procs))
+        assert compiled.grid.rank == (1 if kernel == "layouts" else 2)
+        for name, mapping in compiled.mappings.items():
+            masks = ownership_masks(mapping)
+            assert masks.dtype == np.bool_
+            assert masks.shape[0] == procs
+            for rank in range(procs):
+                assert np.array_equal(masks[rank], ownership_mask(mapping, rank)), name
+            owned = set(mapping.owned_global_indices(procs - 1))
+            lows = [lo for lo, _ in mapping.array.dims]
+            assert {
+                tuple(int(o) + lo for o, lo in zip(off, lows))
+                for off in np.argwhere(masks[procs - 1])
+            } == owned
 
 
 class TestClocks:

@@ -16,7 +16,7 @@ import pytest
 from repro.codegen.seq import seeded_inputs
 from repro.core import CompilerOptions, compile_source
 from repro.ir.stmt import LoopStmt
-from repro.machine import simulate
+from repro.machine import SPMDSimulator, simulate
 from repro.machine.batchexec import VectorMachine
 from repro.obs import Metrics
 from repro.programs import (
@@ -378,6 +378,89 @@ class TestGoldenVerdicts:
         assert "L05" not in takeovers
 
 
+KERNELS = {
+    "tomcatv": lambda procs: tomcatv_source(n=12, niter=2, procs=procs),
+    "dgefa": lambda procs: dgefa_source(n=12, procs=procs),
+    "appsp": lambda procs: appsp_source(nx=6, ny=6, nz=6, niter=1, procs=procs),
+}
+
+
+class TestOneStorePerArray:
+    """The takeover's memory operations address the ``(P, *shape)``
+    buffers flat: ``rank * size + element``."""
+
+    @pytest.mark.parametrize("procs", [1, 3, 16])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_kernel_memories_match_tier2(self, kernel, procs):
+        """Every rank's data and validity bytes (and the clocks and
+        traffic) after a slab run are tier 2's — the fuzz harness's
+        memory digest, on the paper kernels."""
+        compiled = compile_source(
+            KERNELS[kernel](procs), CompilerOptions(num_procs=procs)
+        )
+        inputs = seeded_inputs(compiled.proc, 2)
+        slab = simulate(compiled, inputs, tier="slab")
+        lowered = simulate(compiled, inputs, tier="lowered")
+        assert slab.slab_instances > 0
+        assert _state(slab) == _state(lowered)
+
+    @pytest.mark.parametrize("procs", [1, 4])
+    @pytest.mark.parametrize("kernel", ["tomcatv", "dgefa"])
+    def test_lane_addresses_are_rank_major_ravels(
+        self, monkeypatch, kernel, procs
+    ):
+        """A reference's lane address is ``np.ravel_multi_index`` of its
+        per-dimension offsets plus ``rank * size`` — in every pass of a
+        serial axis (tomcatv's recurrences), with a lane-invariant
+        subscript (DGEFA's pivot column), and on one rank."""
+        from repro.codegen.veceval import _affine_vec
+        from repro.machine.slabexec import _NestCtx
+
+        seen = Counter()
+        commit = _NestCtx.commit
+
+        def checked(ctx):
+            # (now: the walker's env moves on after the takeover)
+            plan, dom = ctx.plan, ctx.dom
+            outer = plan.subscript_env(ctx.base_env, dom.participants)
+            for ref_id, (symbol, forms) in plan.ref_forms.items():
+                lanes = ctx.lanes_of[plan.ref_home[ref_id]]
+                shape = [symbol.extent(d) for d in range(symbol.rank)]
+                moves = ref_id in ctx.strides
+                for t in {0, dom.serial - 1} if moves else {0}:
+                    env = {**outer, **dom.binding(t)}
+                    offsets = [
+                        _affine_vec(form, lanes.vars, env) - symbol.dims[d][0]
+                        for d, form in enumerate(forms)
+                    ]
+                    seen["invariant"] += any(np.ndim(o) == 0 for o in offsets)
+                    seen["moving"] += moves and t > 0
+                    element = np.ravel_multi_index(
+                        [np.broadcast_to(o, lanes.n) for o in offsets], shape
+                    )
+                    assert np.array_equal(
+                        ctx._at(ctx.elem, ref_id, t),
+                        element if np.ndim(ctx.elem[ref_id]) else element[0],
+                    )
+                    assert np.array_equal(
+                        ctx._at(ctx.addr, ref_id, t),
+                        lanes.rank * int(np.prod(shape)) + element,
+                    )
+                    seen["refs"] += 1
+            return commit(ctx)
+
+        monkeypatch.setattr(_NestCtx, "commit", checked)
+        compiled = compile_source(
+            KERNELS[kernel](procs), CompilerOptions(num_procs=procs)
+        )
+        simulate(compiled, seeded_inputs(compiled.proc, 2), tier="slab")
+        assert seen["refs"] > 0
+        if kernel == "dgefa":
+            assert seen["invariant"] > 0
+        elif procs > 1:  # (one rank has no column owner: no nest is taken)
+            assert seen["moving"] > 0
+
+
 SOURCE_BETWEEN = """PROGRAM B
   PARAMETER (n = 8)
   REAL A(n,n), P(n,n)
@@ -421,6 +504,69 @@ class TestFetchReplay:
         # the three ranks' clocks really are coupled through rank 1
         times = slab.clocks.snapshot()["time"]
         assert times[2] > times[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "columns, holder, fetched, lost",
+        [("5, 6", 2, 8, [0]), ("4, 5", 0, 8, [2])],
+        ids=["from-rank-2", "from-rank-0"],
+    )
+    def test_fetch_from_a_non_owner_copy(self, columns, holder, fetched, lost):
+        """Column 5 of P has lost its owner's copy (rank 1) and lives
+        on another rank: the one fetcher — rank 1, running column 5 —
+        finds it on the lowest rank that holds a valid copy, a
+        non-owner, like tier 2."""
+        source = SOURCE_BETWEEN.replace("4, 6", columns)
+        compiled = compile_source(source, CompilerOptions(num_procs=3))
+        inputs = seeded_inputs(compiled.proc, 1)
+
+        def run(tier, metrics=None):
+            sim = SPMDSimulator(compiled, tier=tier, metrics=metrics)
+            for name, values in inputs.items():
+                sim.set_array(name, values)
+            sim.store.valid["P"][1, :, 4] = False
+            sim.store.valid["P"][holder, :, 4] = True
+            sim.run()
+            return sim
+
+        metrics = Metrics()
+        slab = run("slab", metrics)
+        assert _slab_counters(metrics, compiled, "takeover") == {"L00": 1}
+        assert _slab_counters(metrics, compiled, "fetch_replay") == {"L00": fetched}
+        assert slab.stats.messages == 1
+        comm = slab.clocks.snapshot()["comm_time"]
+        assert comm[holder] > 0.0 and comm[1] > 0.0
+        assert [comm[r] for r in lost] == [0.0]
+        assert slab.store.valid["P"][1, :, 4].all()
+        for tier in ("lowered", "interpreted"):
+            assert _state(slab) == _state(run(tier))
+
+    def test_store_invalidates_a_rank_running_another_column(self):
+        """Ranks 1 and 2 hold copies of column 4 of A, which rank 0
+        stores in the same takeover in which they run columns 5 and 6:
+        the store leaves the element with its writer alone."""
+        compiled = compile_source(SOURCE_BETWEEN, CompilerOptions(num_procs=3))
+        inputs = seeded_inputs(compiled.proc, 1)
+
+        def run(tier, metrics=None):
+            sim = SPMDSimulator(compiled, tier=tier, metrics=metrics)
+            for name, values in inputs.items():
+                sim.set_array(name, values)
+            sim.store.valid["A"][1:, :, 3] = True
+            sim.run()
+            return sim
+
+        metrics = Metrics()
+        slab = run("slab", metrics)
+        assert _slab_counters(metrics, compiled, "takeover") == {"L00": 1}
+        assert slab.store.valid["A"][:, :, 3].all(axis=1).tolist() == [
+            True, False, False,
+        ]
+        assert not slab.store.valid["A"][1:, :, 3].any()
+        assert slab.store.valid["A"][:, 0, 3:6].tolist() == [
+            [True, False, False], [False, True, False], [False, False, True],
+        ]
+        for tier in ("lowered", "interpreted"):
+            assert _state(slab) == _state(run(tier))
 
     def test_lane_varying_fetch_key_bails_without_a_trace(self, monkeypatch):
         """A transfer placed inside the taken nest keys its messages on

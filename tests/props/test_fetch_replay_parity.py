@@ -75,13 +75,18 @@ def _replayed(machine, warmup, flops, tapes, fetches):
         _fetch_keys_seen=set(),
     )
     inst, src, dst, startup = (np.asarray(col) for col in zip(*fetches))
+    # the tapes end to end in rank order, rank r's at bounds[r]:bounds[r+1]
+    bounds = np.zeros(len(warmup) + 1, dtype=np.int64)
+    for r, (steps, _at) in tapes.items():
+        bounds[r + 1] = len(steps)
+    steps, at = (
+        np.concatenate([np.asarray(tape[k], dtype) for tape in tapes.values()])
+        for k, dtype in enumerate((np.uint8, np.int64))
+    )
     fetched, runs = _FetchLog(SimpleNamespace(sim=sim)).commit(
         (inst, src, dst, startup.astype(np.bool_), [], []),
         clocks.tape([machine.compute_time(f, 1) for f in flops]),
-        [
-            (r, np.asarray(steps, np.uint8), np.asarray(at, np.int32))
-            for r, (steps, at) in tapes.items()
-        ],
+        (bounds.cumsum(), steps, at),
     )
     assert fetched == len(fetches)
     return clocks, runs

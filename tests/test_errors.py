@@ -204,3 +204,79 @@ class TestRuntimeErrors:
         assert run({"b": [[1.0, 2.0], [3.0, 4.0]]}).tolist() == [
             [2.0, 0.0], [4.0, 0.0]
         ]
+
+    @pytest.mark.parametrize("backend", ["simulate", "run_sequential"])
+    def test_unknown_result_names_are_typed_errors(self, backend):
+        """Asking a finished run for an array the program does not
+        declare — a typo, or a scalar's name — is the back end's typed
+        error naming the declared arrays, as ``set_array`` raises; never
+        a bare ``KeyError``."""
+        from repro.codegen import run_sequential
+        from repro.errors import InterpreterError, SimulationError
+        from repro.machine import simulate
+
+        source = (
+            "PROGRAM t\n  REAL A(4), B(4)\n  REAL pmax\n"
+            "!HPF$ ALIGN B(i) WITH A(i)\n!HPF$ DISTRIBUTE (BLOCK) :: A\n"
+            "  pmax = 2.0\n  DO i = 1, 4\n    A(i) = pmax * B(i)\n  END DO\nEND\n"
+        )
+        if backend == "simulate":
+            compiled = compile_source(source, CompilerOptions(num_procs=2))
+            error, read = SimulationError, simulate(compiled, {}).gather
+        else:
+            error = InterpreterError
+            read = run_sequential(parse_and_build(source), {}).get_array
+        assert read("a").shape == (4,)
+        for name in ("nope", "pmax"):
+            with pytest.raises(error) as err:
+                read(name)
+            assert repr(name) in str(err.value)
+            assert "the program declares ['A', 'B']" in str(err.value)
+
+    @pytest.mark.parametrize("backend", ["simulate", "run_sequential"])
+    def test_non_real_input_values_are_rejected(self, backend):
+        """A complex input would silently lose its imaginary part and a
+        string die inside numpy: both are typed errors naming the array
+        and the dtype; booleans, integers and reals go in as before."""
+        import warnings
+
+        import numpy as np
+
+        from repro.codegen import run_sequential
+        from repro.errors import InterpreterError, SimulationError
+        from repro.machine import simulate
+
+        source = (
+            "PROGRAM t\n  REAL A(2, 2)\n!HPF$ DISTRIBUTE (BLOCK, *) :: A\n"
+            "  A(1, 1) = A(2, 2)\nEND\n"
+        )
+        if backend == "simulate":
+            compiled = compile_source(source, CompilerOptions(num_procs=2))
+            error = SimulationError
+
+            def run(values):
+                return simulate(compiled, {"a": values}).gather("A")
+        else:
+            error = InterpreterError
+
+            def run(values):
+                proc = parse_and_build(source)
+                return run_sequential(proc, {"a": values}).get_array("A")
+
+        hostile = (
+            np.ones((2, 2), dtype=complex),
+            np.full((2, 2), "1.5"),
+            np.full((2, 2), None),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            for values in hostile:
+                with pytest.raises(error) as err:
+                    run(values)
+                assert "cannot initialize A" in str(err.value)
+                assert str(values.dtype) in str(err.value)
+        for values in (
+            np.eye(2, dtype=bool), np.eye(2, dtype=np.int32),
+            np.eye(2, dtype=np.float32), [[1, 0], [0, 1]],
+        ):
+            assert run(values).tolist() == [[1.0, 0.0], [0.0, 1.0]]
