@@ -219,21 +219,10 @@ def test_engine_speedups(name, source, inputs, gates):
 
     # The reference Session.run validates against, as a run pays for
     # it: emitting the closures' source is part of every reference run.
-    # On the tiers' footing: the collector off (a full collection
-    # landing in this ~7 ms run doubles it) and its vector kernels — a
-    # deferred import, as long again — loaded, like the tiers' derived
-    # products above.
-    import repro.codegen.seqvec  # noqa: F401
-
     proc = parse_and_build(source)
-    gc.collect()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        run_sequential(proc, inputs)
-        reference_s = time.perf_counter() - started
-    finally:
-        gc.enable()
+    started = time.perf_counter()
+    run_sequential(proc, inputs)
+    reference_s = time.perf_counter() - started
 
     assert_identical(fast, slow)
     assert_identical(slab, slow)

@@ -146,8 +146,7 @@ def ownership_mask(mapping: ArrayMapping, rank: int) -> np.ndarray:
     symbol = mapping.array
     coords = mapping.grid.coords_of(rank)
     vecs: list[np.ndarray] = []
-    for dim in range(symbol.rank):
-        low, high = symbol.dims[dim]
+    for dim, (low, high) in enumerate(symbol.dims):
         count = high - low + 1
         g = mapping.grid_dim_of_array_dim(dim)
         if g is None:

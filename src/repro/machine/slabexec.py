@@ -1258,7 +1258,8 @@ class _NestCtx(_Ctx):
             inst = inst[np.lexsort((inst, rank))]
             lengths = np.bincount(rank, minlength=nranks)
         else:
-            lengths = np.bincount(cols.rank, weights=n, minlength=nranks)
+            (inst,), cols = insts, dom.layouts[0].columns
+            lengths = np.bincount(cols.rank, count[cols.col], nranks)
         bounds = np.zeros(nranks + 1, dtype=np.int64)
         np.cumsum(lengths, dtype=np.int64, out=bounds[1:])
         return bounds, step_of[inst], inst
