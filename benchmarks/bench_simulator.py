@@ -108,12 +108,11 @@ def assert_identical(fast, slow):
     """The whole observable machine state, bit for bit."""
     assert fast.clocks.snapshot() == slow.clocks.snapshot()
     assert fast.stats.as_dict() == slow.stats.as_dict()
-    for fm, sm in zip(fast.memories, slow.memories):
-        for name in sm.arrays:
-            assert fm.arrays[name].tobytes() == sm.arrays[name].tobytes(), name
-            assert fm.valid[name].tobytes() == sm.valid[name].tobytes(), name
-        assert fm.scalars == sm.scalars
-        assert fm.scalar_valid == sm.scalar_valid
+    for name in slow.store.data:
+        assert fast.store.data[name].tobytes() == slow.store.data[name].tobytes(), name
+        assert fast.store.valid[name].tobytes() == slow.store.valid[name].tobytes(), name
+    assert fast.store.scalars == slow.store.scalars
+    assert fast.store.scalar_valid == slow.store.scalar_valid
 
 
 #: alternated (default, disabled-tracer) run pairs behind one

@@ -27,7 +27,6 @@ regeneration of the paper's tables.
 from .api import RunResult, Session
 from .api import __all__ as _API_ALL
 from .codegen import SequentialInterpreter, print_spmd, run_sequential
-from .comm import SP2, MachineModel
 from .core import (
     AlignedTo,
     AnalysisContext,
@@ -52,6 +51,7 @@ from .ir import Procedure, parse_and_build
 from .lang import parse_program
 from .machine import SPMDSimulator, simulate
 from .mapping import ProcessorGrid
+from .model import SP2, MachineModel
 from .perf import PerfEstimator
 from .records import RESULT_SCHEMA, comparable, result_record
 from .report import table1_tomcatv, table2_dgefa, table3_appsp

@@ -110,7 +110,14 @@ class GlobalStore(ValueReader):
         return values.copy()
 
     def get_scalar(self, name: str):
-        return self.scalars.get(name.upper())
+        """The scalar's final value; None when it was never assigned."""
+        symbol = self.proc.symbols.lookup(name)
+        if symbol is None or not symbol.is_scalar:
+            raise InterpreterError(
+                f"no scalar {name!r} to read: the program declares "
+                f"{sorted(s.name for s in self.proc.symbols.scalars())}"
+            )
+        return self.scalars.get(symbol.name)
 
 
 class LoweredSequentialHooks(ExecutionHooks):

@@ -1,9 +1,8 @@
 """Communication analysis: event extraction, message vectorization
-placement, and the SP2-class cost model."""
+placement (the SP2-class cost model is :mod:`repro.model`)."""
 
 from .analysis import CommAnalysis, CommOptions, positions_union
 from .combine import combine_messages, combining_stats
-from .costmodel import SP2, MachineModel, flops_of_expr
 from .events import CommEvent, CommReport, ReduceEvent
 
 __all__ = [
@@ -12,9 +11,6 @@ __all__ = [
     "positions_union",
     "combine_messages",
     "combining_stats",
-    "SP2",
-    "MachineModel",
-    "flops_of_expr",
     "CommEvent",
     "CommReport",
     "ReduceEvent",

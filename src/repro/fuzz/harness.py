@@ -6,7 +6,8 @@ it found (empty = the program survives):
 
 * **tier parity** — ``interpreted`` / ``lowered`` / ``slab`` /
   ``tier="auto"`` runs must produce byte-identical clocks, traffic
-  stats, canonical stats, per-rank memories, and gathered arrays;
+  stats, canonical stats, stores (every rank's copy of every
+  variable), and gathered arrays;
 * **sequential validation** — the gathered arrays must match the
   sequential reference (``allclose``: parallel reductions combine in
   tree order, so bitwise equality is not expected), and the reference
@@ -99,10 +100,11 @@ def store_mismatch(expected, actual) -> str | None:
 
 def tier_payload(sim) -> dict:
     """Everything a tier's run must agree on, in comparable form:
-    canonical stats verbatim, per-rank memory and gathered-array
-    contents as hex digests (byte-level, order-stable).
+    canonical stats verbatim, the store's array buffers and
+    gathered-array contents as hex digests (byte-level, order-stable),
+    and its scalar slots verbatim.
 
-    Memory digests cover *every declared array on every rank* — data
+    The store covers *every declared variable on every rank* — data
     and validity — whether or not the run touched it: every rank holds
     all of them from construction."""
     import hashlib
@@ -110,18 +112,19 @@ def tier_payload(sim) -> dict:
     def digest(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()[:16]
 
-    names = sorted(s.name for s in sim.compiled.proc.symbols.arrays())
-    memories = []
-    for memory in sim.memories:
-        record = {}
-        for name in names:
-            record[name] = (
-                digest(memory.arrays[name].tobytes()),
-                digest(memory.valid[name].tobytes()),
-            )
-        record["scalars"] = dict(sorted(memory.scalars.items()))
-        record["scalar_valid"] = dict(sorted(memory.scalar_valid.items()))
-        memories.append(record)
+    store = sim.store
+    names = sorted(store.data)
+    arrays = {
+        name: (
+            digest(store.data[name].tobytes()),
+            digest(store.valid[name].tobytes()),
+        )
+        for name in names
+    }
+    scalars = {
+        name: (store.scalars[name], store.scalar_valid[name])
+        for name in sorted(store.scalars)
+    }
     gathers = {
         name: digest(sim.gather(name).tobytes()) for name in names
     }
@@ -131,7 +134,7 @@ def tier_payload(sim) -> dict:
     canonical.pop("tiers", None)
     return {
         "canonical": canonical,
-        "memories": memories,
+        "store": {"arrays": arrays, "scalars": scalars},
         "gathers": gathers,
     }
 
@@ -246,7 +249,7 @@ def _first_difference(want: dict, got: dict) -> str:
         return "stats"
     if _canonical(want["canonical"]) != _canonical(got["canonical"]):
         return "canonical"
-    if _canonical(want["memories"]) != _canonical(got["memories"]):
+    if _canonical(want["store"]) != _canonical(got["store"]):
         return "memory"
     if _canonical(want["gathers"]) != _canonical(got["gathers"]):
         return "gather"

@@ -1,14 +1,13 @@
-"""Simulated distributed-memory machine: per-node memory with validity
-tracking, virtual clocks, and the SPMD execution engine."""
+"""Simulated distributed-memory machine: one store of every rank's
+copies with validity tracking, virtual clocks, and the SPMD execution engine."""
 
 from .lowering import LoweredIR, lower_procedure
-from .memory import NodeMemory, initialize_array, ownership_mask, ownership_masks
+from .memory import Store, ownership_mask, ownership_masks
 from .simulator import TIERS, SPMDSimulator, simulate
 from .stats import Clocks, TrafficStats
 
 __all__ = [
-    "NodeMemory",
-    "initialize_array",
+    "Store",
     "ownership_mask",
     "ownership_masks",
     "LoweredIR",

@@ -51,7 +51,6 @@ from ..codegen.evalexpr import (
     fortran_int_div,
 )
 from ..codegen.walker import ExecutionHooks
-from ..comm.costmodel import flops_of_expr
 from ..core.mapping_kinds import ReductionMapping
 from ..errors import InterpreterError, SimulationError
 from ..ir.expr import (
@@ -65,6 +64,7 @@ from ..ir.expr import (
 )
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt
 from ..ir.symbols import ScalarType
+from ..model import flops_of_expr
 
 _MISS = object()
 
@@ -611,7 +611,7 @@ class ExecutorTables:
         """Affine position form -> owning coordinate (or None when it
         spans), with ``fmt.owner`` pre-tabulated. Mirrors
         ``SPMDSimulator._eval_form`` exactly, including the live
-        lookup chain env -> symbol.value -> any valid memory copy."""
+        lookup chain env -> symbol.value -> the first valid copy."""
         table = self.owner_table(fmt)
         extent = fmt.extent
         const = form.const
@@ -620,7 +620,7 @@ class ExecutorTables:
             for sym, coeff in form.coeffs
         )
         active = self.sim._active_loop_vars
-        memories = self.sim.memories
+        store = self.sim.store
         if not terms:
             if 0 <= const < extent:
                 c = table[const]
@@ -637,13 +637,10 @@ class ExecutorTables:
                     if value is not None:
                         v = value
                     else:
-                        v = None
-                        for memory in memories:
-                            if memory.scalar_valid.get(name, False):
-                                v = memory.scalars[name]
-                                break
-                        if v is None:
+                        rank = store.holder(name)
+                        if rank is None:
                             return None
+                        v = store.scalars[name][rank]
                 pos += coeff * int(v)
             if 0 <= pos < extent:
                 return table[pos]
@@ -664,8 +661,9 @@ class _ArrayAccess:
     def __init__(self, sim, name: str, etables: ExecutorTables):
         mapping = sim.compiled.mappings[name]
         self.mapping = mapping
-        self.datas = [m.arrays[name] for m in sim.memories]
-        self.valids = [m.valid[name] for m in sim.memories]
+        #: every rank's copy: the rows of the array's buffers
+        self.datas = list(sim.store.data[name])
+        self.valids = list(sim.store.valid[name])
         grid = sim.grid
         strides = etables.strides
         dist = []
@@ -768,7 +766,7 @@ class FetchEngine:
                 f"(statement S{stmt.stmt_id})"
             )
         value = acc.datas[src][off].item()
-        # deliver into the requesting rank's memory (= array_store)
+        # deliver into the requesting rank's copy
         acc.datas[rank][off] = value
         valids[rank][off] = True
         self.sim._charge_fetch(stmt, ref.ref_id, src, rank, env)
@@ -791,22 +789,23 @@ class _FastReader:
         self.engine = engine
         self.rank = rank
         self.stmt = None
-        memory = sim.memories[rank]
-        self.scalars = memory.scalars
-        self.scalar_valid = memory.scalar_valid
-        #: name -> (data, valid, lows) storage handles
+        store = sim.store
+        self.scalars = store.scalars
+        self.scalar_valid = store.scalar_valid
+        #: name -> (data, valid, lows): the rank's rows of the buffers
         self.tables = {
-            name: (data, memory.valid[name], memory._lows[name])
-            for name, data in memory.arrays.items()
+            name: (data[rank], store.valid[name][rank], store.lows[name])
+            for name, data in store.data.items()
         }
 
     def read_scalar(self, ref, env):
         name = ref.symbol.name
         if name in env:
             return env[name]
-        if self.scalar_valid.get(name, False):
-            return self.scalars[name]
-        return self.sim.fetch_scalar(self.rank, ref, self.stmt, env)
+        rank = self.rank
+        if self.scalar_valid[name][rank]:
+            return self.scalars[name][rank]
+        return self.sim.fetch_scalar(rank, ref, self.stmt, env)
 
     def read_array(self, ref, index, env):
         arr, valid, lows = self.tables[ref.symbol.name]
@@ -876,7 +875,7 @@ class FastPath:
             raise SimulationError(f"S{sid}: empty executor set")
         sim = self.sim
         readers = self.readers
-        memories = sim.memories
+        store = sim.store
         time = sim.clocks.time
         compute_time = sim.clocks.compute_time
         if lows is not None:  # array lhs
@@ -890,28 +889,24 @@ class FastPath:
                 valid[off] = True
                 time[rank] += dt
                 compute_time[rank] += dt
-            if not is_private_accumulation and len(ranks) < len(memories):
+            if not is_private_accumulation and len(ranks) < len(readers):
                 # the element's column of the validity buffer: every
                 # executor just stored it, nobody else holds it now
-                column = sim.store.valid[name][(slice(None), *off)]
+                column = store.valid[name][(slice(None), *off)]
                 column.fill(False)
                 for rank in ranks:
                     column[rank] = True
         else:  # scalar lhs
+            values, valid = store.scalars[name], store.scalar_valid[name]
             for rank in ranks:
                 reader = readers[rank]
                 reader.stmt = stmt
-                _none, value = fn(reader, env)
-                memory = memories[rank]
-                memory.scalars[name] = value
-                memory.scalar_valid[name] = True
+                _none, values[rank] = fn(reader, env)
+                valid[rank] = True
                 time[rank] += dt
                 compute_time[rank] += dt
-            if not is_private_accumulation and len(ranks) < len(memories):
-                executing = set(ranks)
-                for rank, memory in enumerate(memories):
-                    if rank not in executing:
-                        memory.scalar_valid[name] = False
+            if not is_private_accumulation and len(ranks) < len(readers):
+                store.scalar_keep(name, ranks)
 
     # -- conditions and bounds --------------------------------------------
 

@@ -1,24 +1,29 @@
 """Memory of the simulated distributed-memory machine.
 
 Every virtual processor holds a full-global-shape copy of every array
-plus a validity mask: an element is *valid* on a rank when the rank
-owns it (per the effective mapping) or has received it. Reads of
-invalid elements trigger modeled communication in the simulator; writes
-are only legal on executing ranks. This "distributed memory with
-explicit validity" discipline is what lets the simulator detect
-mapping/partitioning bugs: an element nobody valid-holds is a compile
-error surfaced at run time.
+and a copy of every scalar, each with a validity flag: a copy is
+*valid* on a rank when the rank owns it (per the effective mapping),
+has received it, or computed it. Reads of invalid copies trigger
+modeled communication in the simulator; writes are only legal on
+executing ranks. This "distributed memory with explicit validity"
+discipline is what lets the simulator detect mapping/partitioning bugs:
+an element nobody valid-holds is a compile error surfaced at run time.
 
 A distributed object is indexed by *(processor, element)* — the
-processor is one more index, not a container.  So there is one store
-per array (:class:`ArrayStore`): a data buffer and a validity buffer of
-shape ``(P, *shape)``, rank-major.  A :class:`NodeMemory` is a row of
-it — ``memory.arrays[name]`` / ``memory.valid[name]`` are views of the
-rank's row, so a store through either is visible through both — and an
-element's *address* in the flattened buffer is ``rank * size +
-element``, which is how the slab tier reads, writes, invalidates and
-delivers for all ranks in one indexed operation.  Nothing of a store is
-ever pickled: a simulator builds its own from the procedure.
+processor is one more index, not a container.  So the simulator's whole
+state is one :class:`Store`, addressed by (name, rank, element):
+
+* an array is a data buffer and a validity buffer of shape ``(P,
+  *shape)``, rank-major; an element's *address* in the flattened buffer
+  is ``rank * size + element``, which is how the slab tier reads,
+  writes, invalidates and delivers for all ranks in one indexed
+  operation;
+* a scalar is a length-``P`` list of values and one of validity flags.
+  Plain Python values keep each rank's copy at its exact type, and an
+  invalidated copy keeps its value (``None``: never stored).
+
+Nothing of a store is ever pickled: a simulator builds its own from the
+procedure.
 
 (Full-shape allocation is a simulation convenience — the *semantics*
 are those of distributed sections. Test problem sizes are small; large
@@ -29,24 +34,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..codegen.seq import _dtype_of
 from ..errors import SimulationError
 from ..ir.program import Procedure
-from ..ir.symbols import ScalarType, Symbol
 from ..mapping.descriptors import ArrayMapping, GridDimRole
 
 
-def _dtype_of(symbol: Symbol):
-    if symbol.type is ScalarType.INT:
-        return np.int64
-    if symbol.type is ScalarType.LOGICAL:
-        return np.bool_
-    return np.float64
-
-
-class ArrayStore:
-    """Every declared array on every rank: per array one data buffer
+class Store:
+    """Every declared variable on every rank: per array one data buffer
     and one validity buffer of shape ``(nranks, *shape)`` — zero data,
-    nothing valid."""
+    nothing valid — and per scalar one list of ``nranks`` values and
+    one of validity flags — nothing stored."""
 
     def __init__(self, proc: Procedure, nranks: int):
         self.data: dict[str, np.ndarray] = {}
@@ -62,67 +60,53 @@ class ArrayStore:
             valid = self.valid[name] = np.zeros(shape, dtype=np.bool_)
             self.lows[name] = tuple(lo for lo, _ in symbol.dims)
             self.flat[name] = (data.reshape(-1), valid.reshape(-1), data[0].size)
+        #: name -> every rank's value of the scalar, and whether it is valid
+        self.scalars: dict[str, list] = {
+            s.name: [None] * nranks for s in proc.symbols.scalars()
+        }
+        self.scalar_valid: dict[str, list[bool]] = {
+            name: [False] * nranks for name in self.scalars
+        }
 
-
-class NodeMemory:
-    """Memory of one virtual processor: every declared array at its
-    full global shape beside a validity mask — row ``rank`` of
-    ``store``, or of a one-rank store of its own — and the scalars.
-    All of it exists from construction; the simulator marks what the
-    rank owns and ``initialize_array`` writes the initial contents
-    through."""
-
-    def __init__(self, rank: int, proc: Procedure, store: ArrayStore | None = None):
-        self.rank = rank
-        row = rank
-        if store is None:
-            store, row = ArrayStore(proc, 1), 0
-        self.arrays = {name: buf[row] for name, buf in store.data.items()}
-        self.valid = {name: buf[row] for name, buf in store.valid.items()}
-        self.scalars: dict[str, float | int | bool] = {}
-        self.scalar_valid: dict[str, bool] = {}
-        self._lows = store.lows
-
-    # -- index helpers -----------------------------------------------------
+    def set_array(self, mapping: ArrayMapping, values) -> None:
+        """Distribute initial array contents: every rank receives the
+        data, but validity follows ownership (owners valid; replicated/
+        privatized dims valid everywhere)."""
+        name = mapping.array.name
+        values = np.asarray(values)
+        if values.dtype.kind not in "biuf":
+            # (complex would lose its imaginary part, a string die in numpy)
+            raise SimulationError(
+                f"cannot initialize {name} from {values.dtype} values: "
+                f"an input is boolean, integer or real"
+            )
+        data = self.data[name]
+        if data.shape[1:] != values.shape:
+            raise SimulationError(
+                f"shape mismatch initializing {name}: "
+                f"{values.shape} vs {data.shape[1:]}"
+            )
+        data[...] = values
+        self.valid[name][...] = ownership_masks(mapping)
 
     def offset(self, name: str, index: tuple[int, ...]) -> tuple[int, ...]:
-        lows = self._lows[name]
-        return tuple(idx - lo for idx, lo in zip(index, lows))
+        """The element ``name(index)`` as offsets into a rank's copy."""
+        return tuple(idx - lo for idx, lo in zip(index, self.lows[name]))
 
-    # -- arrays ----------------------------------------------------------------
+    def at(self, name: str, rank: int, index: tuple[int, ...]) -> tuple[int, ...]:
+        """Rank ``rank``'s copy of ``name(index)`` in the array's buffers."""
+        return (rank, *self.offset(name, index))
 
-    def array_value(self, name: str, index: tuple[int, ...]):
-        return self.arrays[name][self.offset(name, index)].item()
+    def holder(self, name: str) -> int | None:
+        """The lowest rank holding a valid copy of scalar ``name``."""
+        valid = self.scalar_valid[name]
+        return valid.index(True) if True in valid else None
 
-    def array_is_valid(self, name: str, index: tuple[int, ...]) -> bool:
-        return bool(self.valid[name][self.offset(name, index)])
-
-    def array_store(self, name: str, index: tuple[int, ...], value) -> None:
-        off = self.offset(name, index)
-        self.arrays[name][off] = value
-        self.valid[name][off] = True
-
-    def array_invalidate(self, name: str, index: tuple[int, ...]) -> None:
-        self.valid[name][self.offset(name, index)] = False
-
-    # -- scalars ------------------------------------------------------------------
-
-    def scalar_value(self, name: str):
-        if not self.scalar_valid.get(name, False):
-            raise SimulationError(
-                f"rank {self.rank}: read of invalid scalar {name}"
-            )
-        return self.scalars[name]
-
-    def scalar_is_valid(self, name: str) -> bool:
-        return self.scalar_valid.get(name, False)
-
-    def scalar_store(self, name: str, value) -> None:
-        self.scalars[name] = value
-        self.scalar_valid[name] = True
-
-    def scalar_invalidate(self, name: str) -> None:
-        self.scalar_valid[name] = False
+    def scalar_keep(self, name: str, ranks) -> None:
+        """Invalidate scalar ``name`` on every rank outside ``ranks``."""
+        keep = set(ranks)
+        valid = self.scalar_valid[name]
+        valid[:] = [ok and r in keep for r, ok in enumerate(valid)]
 
 
 def _owner_vector(role: GridDimRole, low: int, count: int) -> np.ndarray:
@@ -175,28 +159,3 @@ def ownership_masks(mapping: ArrayMapping) -> np.ndarray:
             along[dim] = -1
             masks &= (owner == coords[g][:, None]).reshape(grid.size, *along)
     return masks
-
-
-def initialize_array(memories: list[NodeMemory], mapping: ArrayMapping,
-                     values) -> None:
-    """Distribute initial array contents: every rank receives the data,
-    but validity follows ownership (owners valid; replicated/privatized
-    dims valid everywhere)."""
-    name = mapping.array.name
-    values = np.asarray(values)
-    if values.dtype.kind not in "biuf":
-        # (complex would lose its imaginary part, a string die in numpy)
-        raise SimulationError(
-            f"cannot initialize {name} from {values.dtype} values: "
-            f"an input is boolean, integer or real"
-        )
-    for memory in memories:
-        if memory.arrays[name].shape != values.shape:
-            raise SimulationError(
-                f"shape mismatch initializing {name}: "
-                f"{values.shape} vs {memory.arrays[name].shape}"
-            )
-    masks = ownership_masks(mapping)
-    for memory in memories:
-        memory.arrays[name][...] = values
-        memory.valid[name][...] = masks[memory.rank]

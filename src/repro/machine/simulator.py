@@ -1,7 +1,7 @@
 """SPMD execution on the simulated distributed-memory machine.
 
-Runs a compiled program on P virtual processors with per-node memory,
-validity tracking, and virtual clocks:
+Runs a compiled program on P virtual processors with one store of
+every rank's copies, validity tracking, and virtual clocks:
 
 * each assignment executes only on its executor ranks (owner-computes
   guards, privatized/no-guard statements, replicated execution);
@@ -30,7 +30,6 @@ import numpy as np
 from ..codegen.evalexpr import ValueReader, coerce_store, eval_expr, eval_subscripts
 from ..codegen.walker import ExecutionHooks, Walker
 from ..comm.analysis import hoisted_loop_vars
-from ..comm.costmodel import MachineModel, flops_of_expr
 from ..comm.events import CommEvent
 from ..core.driver import CompiledProgram
 from ..core.mapping_kinds import (
@@ -40,14 +39,15 @@ from ..core.mapping_kinds import (
 from ..errors import SimulationError
 from ..ir.expr import AffineForm, ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
+from ..model import MachineModel, flops_of_expr
 from ..obs import Metrics, NULL_TRACER, Tracer
 from .lowering import FastHooks, FastPath
-from .memory import ArrayStore, NodeMemory, initialize_array, ownership_masks
+from .memory import Store, ownership_masks
 from .stats import Clocks, TrafficStats
 
 
 class _FetchingReader(ValueReader):
-    """Reads through one rank's memory, fetching remote data on demand."""
+    """Reads through one rank's copies, fetching remote data on demand."""
 
     def __init__(self, sim: "SPMDSimulator", rank: int, stmt: Stmt):
         self.sim = sim
@@ -58,16 +58,17 @@ class _FetchingReader(ValueReader):
         name = ref.symbol.name
         if name in env:
             return env[name]
-        memory = self.sim.memories[self.rank]
-        if memory.scalar_is_valid(name):
-            return memory.scalar_value(name)
+        store = self.sim.store
+        if store.scalar_valid[name][self.rank]:
+            return store.scalars[name][self.rank]
         return self.sim.fetch_scalar(self.rank, ref, self.stmt, env)
 
     def read_array(self, ref: ArrayElemRef, index, env):
         name = ref.symbol.name
-        memory = self.sim.memories[self.rank]
-        if memory.array_is_valid(name, index):
-            return memory.array_value(name, index)
+        store = self.sim.store
+        at = store.at(name, self.rank, index)
+        if store.valid[name][at]:
+            return store.data[name][at].item()
         return self.sim.fetch_array(self.rank, ref, index, self.stmt, env)
 
 
@@ -157,11 +158,8 @@ class SPMDSimulator:
         self.proc = compiled.proc
         self.grid = compiled.grid
         self.machine = machine or compiled.options.machine
-        #: every rank's arrays; a rank's memory is its row of each
-        self.store = ArrayStore(self.proc, self.grid.size)
-        self.memories = [
-            NodeMemory(r, self.proc, self.store) for r in self.grid.all_ranks()
-        ]
+        #: every rank's copy of every variable
+        self.store = Store(self.proc, self.grid.size)
         # float clocks over a MachineModel; over a VectorMachine
         # (repro.machine.batchexec) one lane per swept machine variant,
         # all charged in this one run
@@ -247,7 +245,7 @@ class SPMDSimulator:
                 ).append((reduction, mapping))
 
     def set_array(self, name: str, values: np.ndarray) -> None:
-        initialize_array(self.memories, self._mapping_of(name), values)
+        self.store.set_array(self._mapping_of(name), values)
 
     def run(self):
         if self.tier == "interpreted":
@@ -277,20 +275,25 @@ class SPMDSimulator:
     # ==================================================================
 
     def authoritative_scalar(self, name: str):
-        for memory in self.memories:
-            if memory.scalar_is_valid(name):
-                return memory.scalar_value(name)
-        raise SimulationError(f"no valid copy of scalar {name} anywhere")
+        rank = self.store.holder(name)
+        if rank is None:
+            raise SimulationError(f"no valid copy of scalar {name} anywhere")
+        return self.store.scalars[name][rank]
+
+    def _array_holder(self, name: str, index: tuple[int, ...]) -> int | None:
+        """The rank ``name(index)`` is read from: its lowest-ranked valid
+        owner, else the lowest-ranked valid copy anywhere."""
+        valid = self.store.valid[name][(slice(None), *self.store.offset(name, index))]
+        for rank in self.compiled.mappings[name].owner_ranks(index):
+            if valid[rank]:
+                return rank
+        return int(valid.argmax()) if valid.any() else None
 
     def authoritative_array(self, name: str, index: tuple[int, ...]):
-        mapping = self.compiled.mappings[name]
-        for rank in mapping.owner_ranks(index):
-            if self.memories[rank].array_is_valid(name, index):
-                return self.memories[rank].array_value(name, index)
-        for memory in self.memories:
-            if memory.array_is_valid(name, index):
-                return memory.array_value(name, index)
-        raise SimulationError(f"no valid copy of {name}{index} anywhere")
+        rank = self._array_holder(name, index)
+        if rank is None:
+            raise SimulationError(f"no valid copy of {name}{index} anywhere")
+        return self.store.data[name][self.store.at(name, rank, index)].item()
 
     # ==================================================================
     # Fetch (modeled communication)
@@ -352,41 +355,31 @@ class SPMDSimulator:
 
     def fetch_array(self, rank: int, ref: ArrayElemRef, index, stmt: Stmt, env):
         name = ref.symbol.name
-        mapping = self.compiled.mappings[name]
-        src = None
-        for owner in mapping.owner_ranks(index):
-            if self.memories[owner].array_is_valid(name, index):
-                src = owner
-                break
-        if src is None:
-            for r, memory in enumerate(self.memories):
-                if memory.array_is_valid(name, index):
-                    src = r
-                    break
+        src = self._array_holder(name, index)
         if src is None:
             raise SimulationError(
                 f"rank {rank}: {name}{index} requested but no rank holds it "
                 f"(statement S{stmt.stmt_id})"
             )
-        value = self.memories[src].array_value(name, index)
-        self.memories[rank].array_store(name, index, value)
+        store = self.store
+        data, at = store.data[name], store.at(name, rank, index)
+        value = data[store.at(name, src, index)].item()
+        data[at] = value
+        store.valid[name][at] = True
         self._charge_fetch(stmt, ref.ref_id, src, rank, env)
         return value
 
     def fetch_scalar(self, rank: int, ref: ScalarRef, stmt: Stmt, env):
         name = ref.symbol.name
-        src = None
-        for r, memory in enumerate(self.memories):
-            if memory.scalar_is_valid(name):
-                src = r
-                break
+        src = self.store.holder(name)
         if src is None:
             raise SimulationError(
                 f"rank {rank}: scalar {name} requested but no rank holds it "
                 f"(statement S{stmt.stmt_id})"
             )
-        value = self.memories[src].scalar_value(name)
-        self.memories[rank].scalar_store(name, value)
+        values = self.store.scalars[name]
+        value = values[rank] = values[src]
+        self.store.scalar_valid[name][rank] = True
         self._charge_fetch(stmt, ref.ref_id, src, rank, env)
         return value
 
@@ -407,13 +400,10 @@ class SPMDSimulator:
             elif symbol.value is not None:
                 value = symbol.value
             else:
-                value = None
-                for memory in self.memories:
-                    if memory.scalar_is_valid(symbol.name):
-                        value = memory.scalar_value(symbol.name)
-                        break
-                if value is None:
+                rank = self.store.holder(symbol.name)
+                if rank is None:
                     return None
+                value = self.store.scalars[symbol.name][rank]
             total += coeff * int(value)
         return total
 
@@ -493,39 +483,35 @@ class SPMDSimulator:
         reduction_entry = self._reduction_updates.get(stmt.stmt_id)
         is_private_accumulation = reduction_entry is not None
 
+        store = self.store
+        name = stmt.lhs.symbol.name
         if isinstance(stmt.lhs, ArrayElemRef):
-            name = stmt.lhs.symbol.name
+            data, valid = store.data[name], store.valid[name]
             written_index = None
             for rank in ranks:
                 reader = _FetchingReader(self, rank, stmt)
                 index = eval_subscripts(stmt.lhs, reader, env)
                 value = eval_expr(stmt.rhs, reader, env)
-                value = coerce_store(value, stmt.lhs.symbol.type)
-                self.memories[rank].array_store(name, index, value)
+                at = store.at(name, rank, index)
+                data[at] = coerce_store(value, stmt.lhs.symbol.type)
+                valid[at] = True
                 self.clocks.charge_compute(rank, self._flops(stmt))
                 written_index = index
             if written_index is not None and not is_private_accumulation:
-                # Batched invalidation: one offset computation and a
-                # direct mask write per non-executor rank, instead of
-                # per-element accessor calls.
-                executing = set(ranks)
-                off = self.memories[0].offset(name, written_index)
-                for rank in self._all_ranks:
-                    if rank not in executing:
-                        self.memories[rank].valid[name][off] = False
+                # the element's column: every non-executor loses its copy
+                lost = np.ones(self.grid.size, dtype=np.bool_)
+                lost[ranks] = False
+                valid[(lost, *store.offset(name, written_index))] = False
         else:
-            name = stmt.lhs.symbol.name
+            values, valid = store.scalars[name], store.scalar_valid[name]
             for rank in ranks:
                 reader = _FetchingReader(self, rank, stmt)
                 value = eval_expr(stmt.rhs, reader, env)
-                value = coerce_store(value, stmt.lhs.symbol.type)
-                self.memories[rank].scalar_store(name, value)
+                values[rank] = coerce_store(value, stmt.lhs.symbol.type)
+                valid[rank] = True
                 self.clocks.charge_compute(rank, self._flops(stmt))
             if not is_private_accumulation and len(ranks) < self.grid.size:
-                executing = set(ranks)
-                for rank in self._all_ranks:
-                    if rank not in executing:
-                        self.memories[rank].scalar_invalidate(name)
+                store.scalar_keep(name, ranks)
 
     def exec_condition(self, stmt: IfStmt, env) -> bool:
         decision = self.compiled.cf_decisions.get(stmt.stmt_id)
@@ -591,17 +577,17 @@ class SPMDSimulator:
         self._active_loop_vars[var_name] = (
             self._active_loop_vars.get(var_name, 0) + 1
         )
+        store = self.store
         for reduction, mapping in self._reductions_by_loop.get(stmt.stmt_id, ()):
             key = (stmt.stmt_id, reduction.symbol.name)
             name = reduction.symbol.name
             if reduction.is_array_reduction:
-                self._reduction_snapshots[key] = self.store.data[name].copy()
+                self._reduction_snapshots[key] = store.data[name].copy()
             else:
-                snapshot: dict[int, float] = {}
-                for memory in self.memories:
-                    if memory.scalar_is_valid(name):
-                        snapshot[memory.rank] = memory.scalar_value(name)
-                self._reduction_snapshots[key] = snapshot
+                ok = store.scalar_valid[name]
+                self._reduction_snapshots[key] = {
+                    r: v for r, v in enumerate(store.scalars[name]) if ok[r]
+                }
 
     def on_loop_exit(self, stmt: LoopStmt, env) -> None:
         var_name = stmt.var.name
@@ -625,6 +611,7 @@ class SPMDSimulator:
         name = reduction.symbol.name
         acc_mapping = self.compiled.mappings[name]
         symbol = acc_mapping.array
+        data, valid = self.store.data[name], self.store.valid[name]
         snapshots = self._reduction_snapshots.get((loop.stmt_id, name))
         group_elements: dict[tuple[int, ...], int] = {}
         ranges = [range(lo, hi + 1) for lo, hi in symbol.dims]
@@ -632,11 +619,11 @@ class SPMDSimulator:
             group = tuple(sorted(acc_mapping.owner_ranks(index)))
             if len(group) <= 1:
                 continue
-            offset = self.memories[group[0]].offset(name, index)
+            offset = self.store.offset(name, index)
             partials = []
             for rank in group:
                 base = 0.0 if snapshots is None else snapshots[rank][offset]
-                value = self.memories[rank].arrays[name][offset]
+                value = data[(rank, *offset)]
                 partials.append((rank, float(value), float(base)))
             if all(v == b for _, v, b in partials):
                 continue  # untouched element
@@ -658,8 +645,9 @@ class SPMDSimulator:
                 raise SimulationError(
                     f"unknown array reduction op {reduction.op}"
                 )
-            for rank in group:
-                self.memories[rank].array_store(name, index, combined)
+            at = (list(group), *offset)
+            data[at] = combined
+            valid[at] = True
             group_elements[group] = group_elements.get(group, 0) + 1
         for group, elements in group_elements.items():
             self.clocks.charge_collective(list(group), elements, "reduce")
@@ -667,13 +655,12 @@ class SPMDSimulator:
 
     def _combine(self, reduction, mapping: ReductionMapping, loop: LoopStmt, env) -> None:
         name = reduction.symbol.name
+        store = self.store
+        values, valid = store.scalars[name], store.scalar_valid[name]
+        location = reduction.location_symbol
         snapshot = self._reduction_snapshots.get((loop.stmt_id, name), {})
         for group in self._participant_groups(mapping, env):
-            partials = []
-            for rank in group:
-                memory = self.memories[rank]
-                if memory.scalar_is_valid(name):
-                    partials.append((rank, memory.scalar_value(name)))
+            partials = [(rank, values[rank]) for rank in group if valid[rank]]
             if not partials:
                 continue
             if reduction.op == "+":
@@ -700,24 +687,23 @@ class SPMDSimulator:
             if len(group) > 1:
                 self.clocks.charge_collective(group, 1, "reduce")
                 self.stats.reductions += 1
-            for rank in self.grid.all_ranks():
-                memory = self.memories[rank]
-                if rank in group:
-                    memory.scalar_store(name, combined)
-                    if loc_value is not None and reduction.location_symbol is not None:
-                        memory.scalar_store(reduction.location_symbol.name, loc_value)
-                else:
-                    memory.scalar_invalidate(name)
-                    if reduction.location_symbol is not None:
-                        memory.scalar_invalidate(reduction.location_symbol.name)
+            for rank in group:
+                values[rank] = combined
+                valid[rank] = True
+            store.scalar_keep(name, group)
+            if location is not None:
+                if loc_value is not None:
+                    for rank in group:
+                        store.scalars[location.name][rank] = loc_value
+                        store.scalar_valid[location.name][rank] = True
+                store.scalar_keep(location.name, group)
 
     def _location_of(self, reduction, rank: int):
         if reduction.location_symbol is None:
             return None
-        memory = self.memories[rank]
         loc_name = reduction.location_symbol.name
-        if memory.scalar_is_valid(loc_name):
-            return memory.scalar_value(loc_name)
+        if self.store.scalar_valid[loc_name][rank]:
+            return self.store.scalars[loc_name][rank]
         return None
 
     # ==================================================================
@@ -755,6 +741,11 @@ class SPMDSimulator:
         return np.take_along_axis(data, source[None], axis=0)[0]
 
     def gather_scalar(self, name: str):
+        if name.upper() not in self.store.scalars:
+            raise SimulationError(
+                f"no scalar {name!r}: the program declares "
+                f"{sorted(self.store.scalars)}"
+            )
         return self.authoritative_scalar(name.upper())
 
     @property

@@ -8,7 +8,7 @@ loops: a *domain* of statement instances, a *signature* from each
 instance to the elements it reads, and the recognized folds.  A *lane*
 is a (statement instance, executing rank) pair; every statement is
 evaluated once over all of its lanes as numpy vector operations, each
-lane reading through its own rank's memory, and the virtual clocks are
+lane reading through its own rank's copy, and the virtual clocks are
 charged in closed form from per-statement charge tapes.
 
 There is one plan (:class:`NestPlan`) and one evaluation context.  What
@@ -623,7 +623,7 @@ class _FetchLog:
         # the key is the same for every element of one (read, reader,
         # source) group, whatever the order; the startup goes to the
         # earliest fetch under each key
-        nranks = len(sim.memories)
+        nranks = sim.grid.size
         opened: dict[tuple, int] = {}
         for code, at in zip(
             *map(
@@ -886,7 +886,6 @@ class _NestCtx(_Ctx):
         self.plan = plan
         self.dom = dom
         self.base_env = env
-        self.memories = plan.sim.memories
         self.store = plan.sim.store
         self.log = _FetchLog(plan)
         #: step index -> the step's lanes
@@ -981,13 +980,12 @@ class _NestCtx(_Ctx):
                 raise _Bail("fold accumulator invalid")
             starts = data.take(addr)
         for k, (r, sl) in enumerate(self.lanes.slices):
-            memory = self.memories[r]
             if st.kind != "reduction":
                 start = starts[k]
             elif r in results:
                 start = results[r]
-            elif memory.scalar_is_valid(st.name):
-                start = memory.scalars[st.name]
+            elif self.store.scalar_valid[st.name][r]:
+                start = self.store.scalars[st.name][r]
             else:
                 raise _Bail("reduction accumulator invalid")
             results[r] = _fold_lanes(
@@ -1054,11 +1052,11 @@ class _NestCtx(_Ctx):
         got = self._memory_scalars.get((name, lanes))
         if got is None:
             # every lane reads its own rank's copy
-            values = []
-            for r, _sl in lanes.slices:
-                if not self.memories[r].scalar_is_valid(name):
-                    raise _Bail(f"scalar {name} read would fetch")
-                values.append(self.memories[r].scalars[name])
+            held, ok = self.store.scalars[name], self.store.scalar_valid[name]
+            ranks = [r for r, _sl in lanes.slices]
+            if not all(ok[r] for r in ranks):
+                raise _Bail(f"scalar {name} read would fetch")
+            values = [held[r] for r in ranks]
             kinds = {isinstance(v, int) for v in values}
             if len(kinds) != 1:
                 raise _Bail(f"scalar {name} mixes types across ranks")
@@ -1236,7 +1234,7 @@ class _NestCtx(_Ctx):
         # are rank-major, so a layout's come out rank by rank and
         # ascending — as they are numbered, where every rank's columns
         # are consecutive
-        nranks = len(self.memories)
+        nranks = self.plan.sim.grid.size
         shared = len(dom.layouts) > 1
         groups = np.asarray([st.group for st in plan.all_steps])
         ranks, insts = [], []
@@ -1270,7 +1268,7 @@ class _NestCtx(_Ctx):
         message runs replayed."""
         plan, dom = self.plan, self.dom
         sim = plan.sim
-        memories, clocks = self.memories, sim.clocks
+        clocks = sim.clocks
         dts = clocks.tape([st.dt for st in plan.all_steps])
         if dom.tapes is None:
             dom.tapes = self._rank_tapes()
@@ -1282,7 +1280,7 @@ class _NestCtx(_Ctx):
             cuts = bounds.tolist()
             for r in dom.participants:
                 clocks.charge_compute_tape(r, dts[steps[cuts[r]:cuts[r + 1]]])
-        store, nranks = self.store, len(memories)
+        store, nranks = self.store, sim.grid.size
         for (name, lanes), (elem, addr, vals) in self.stores.items():
             data, valid, size = store.flat[name]
             data[addr] = vals
@@ -1296,13 +1294,14 @@ class _NestCtx(_Ctx):
             # every rank keeps the value of its own last instance (it
             # persists even once a later column invalidates it); the
             # copies of the ranks running the last column end valid
+            values = store.scalars[name]
             for r, sl in lanes.slices:
-                memories[r].scalar_store(name, vec[sl.stop - 1].item())
-            for r in (~lanes.runs[:, -1]).nonzero()[0].tolist():
-                memories[r].scalar_invalidate(name)
+                values[r] = vec[sl.stop - 1].item()
+            store.scalar_valid[name][:] = lanes.runs[:, -1].tolist()
         for name, results in self.reduced.items():
             for r, value in results.items():
-                memories[r].scalar_store(name, value.item())
+                store.scalars[name][r] = value.item()
+                store.scalar_valid[name][r] = True
         for index, results in self.folded.items():
             st = plan.all_steps[index]
             lanes = self.lanes_of[index]
@@ -1652,13 +1651,13 @@ class NestPlan:
         if not self.subscript_scalars:
             return env
         sub_env = dict(env)
+        store = self.sim.store
         for nm in sorted(self.subscript_scalars - set(env)):
             val = _MISSING
             for r in participants:
-                memory = self.sim.memories[r]
-                if not memory.scalar_is_valid(nm):
+                if not store.scalar_valid[nm][r]:
                     raise _Bail(f"subscript scalar {nm} invalid")
-                got = memory.scalars[nm]
+                got = store.scalars[nm][r]
                 if val is _MISSING:
                     val = got
                 elif got != val:
@@ -1715,7 +1714,7 @@ class NestPlan:
         for st, fixed in zip(self.executors, ranks):
             if fixed in layouts:
                 continue
-            runs = np.zeros((len(self.sim.memories), nj), dtype=np.bool_)
+            runs = np.zeros((self.sim.grid.size, nj), dtype=np.bool_)
             if st.follows:
                 at = per_column(pos, self.pos_form)
                 if int(at.min()) < 0 or int(at.max()) >= self.pos_fmt.extent:

@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..comm.costmodel import MachineModel, flops_of_expr
 from ..comm.events import CommEvent, ReduceEvent
 from ..core.driver import CompiledProgram
 from ..core.locality import Position
 from ..errors import AnalysisError
 from ..ir.expr import ArrayElemRef, Const, Expr, ScalarRef, affine_form
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
+from ..model import MachineModel, flops_of_expr
 
 
 def _power_sum(p: int, m: int) -> int:

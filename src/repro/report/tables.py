@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..comm.costmodel import MachineModel
 from ..core.driver import CompilerOptions, compile_source
 from ..core.passes import PassManager
+from ..model import MachineModel
 from ..programs import appsp_source, dgefa_source, tomcatv_source
 from ..sweep import SweepJob, run_sweep
 

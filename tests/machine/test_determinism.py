@@ -22,15 +22,13 @@ TIERS = ("interpreted", "lowered", "slab")
 
 
 def _observables(sim: SPMDSimulator):
-    memory = [
-        (
-            {n: a.tobytes() for n, a in m.arrays.items()},
-            {n: v.tobytes() for n, v in m.valid.items()},
-            dict(m.scalars),
-            dict(m.scalar_valid),
-        )
-        for m in sim.memories
-    ]
+    store = sim.store
+    memory = (
+        {n: a.tobytes() for n, a in store.data.items()},
+        {n: v.tobytes() for n, v in store.valid.items()},
+        store.scalars,
+        store.scalar_valid,
+    )
     return sim.clocks.snapshot(), sim.stats.as_dict(), memory
 
 

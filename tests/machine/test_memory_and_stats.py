@@ -1,4 +1,4 @@
-"""Unit tests for node memory, clocks, and traffic statistics."""
+"""Unit tests for the simulator's store, clocks, and traffic statistics."""
 
 import dataclasses
 
@@ -9,15 +9,13 @@ from repro.errors import SimulationError
 from repro.ir import parse_and_build
 from repro.core import CompilerOptions, compile_source
 from repro.machine import (
-    NodeMemory,
     SPMDSimulator,
-    initialize_array,
+    Store,
     ownership_mask,
     ownership_masks,
 )
 from repro.machine.batchexec import VectorMachine
 from repro.machine.stats import Clocks, TrafficStats
-from repro.mapping import ProcessorGrid, resolve_mappings
 from repro.model import SP2, MachineModel
 from repro.programs import appsp_source
 
@@ -25,6 +23,7 @@ from repro.programs import appsp_source
 SRC = """
 PROGRAM T
   REAL A(12), E(12)
+  REAL X
 !HPF$ ALIGN E(i) WITH A(*)
 !HPF$ DISTRIBUTE (BLOCK) :: A
 END PROGRAM
@@ -32,66 +31,90 @@ END PROGRAM
 
 
 @pytest.fixture
-def setup():
-    proc = parse_and_build(SRC)
-    grid = ProcessorGrid(name="P", shape=(4,))
-    mappings = resolve_mappings(proc, grid)
-    memories = [NodeMemory(r, proc) for r in range(4)]
-    return proc, grid, mappings, memories
+def sim():
+    return SPMDSimulator(compile_source(SRC, CompilerOptions(num_procs=4)))
 
 
-class TestNodeMemory:
-    def test_array_store_and_read(self, setup):
-        proc, grid, mappings, memories = setup
-        memories[0].array_store("A", (3,), 7.5)
-        assert memories[0].array_is_valid("A", (3,))
-        assert memories[0].array_value("A", (3,)) == 7.5
+class TestStore:
+    """Every variable is a (rank, element) slot of one store."""
 
-    def test_invalidate(self, setup):
-        proc, grid, mappings, memories = setup
-        memories[0].array_store("A", (3,), 7.5)
-        memories[0].array_invalidate("A", (3,))
-        assert not memories[0].array_is_valid("A", (3,))
+    def test_array_store_and_read(self, sim):
+        store = sim.store
+        at = store.at("A", 0, (3,))
+        assert at == (0, 2)
+        store.data["A"][at] = 7.5
+        store.valid["A"][at] = True
+        data, valid, size = store.flat["A"]
+        assert size == 12
+        assert valid[0 * size + 2] and data[0 * size + 2] == 7.5
+        assert sim.authoritative_array("A", (3,)) == 7.5
 
-    def test_scalar_roundtrip(self, setup):
-        proc, grid, mappings, memories = setup
-        memories[1].scalar_store("X", 3)
-        assert memories[1].scalar_is_valid("X")
-        assert memories[1].scalar_value("X") == 3
+    def test_invalidate(self, sim):
+        """Invalidating a copy keeps its bytes; the element then comes
+        from the next rank holding it, and nobody holding it is an
+        error."""
+        store = sim.store
+        store.data["E"][:, 6] = [1.0, 2.0, 3.0, 4.0]
+        assert store.valid["E"][:, 6].all()
+        store.valid["E"][store.at("E", 0, (7,))] = False
+        assert store.data["E"][0, 6] == 1.0
+        assert sim.authoritative_array("E", (7,)) == 2.0
+        store.valid["E"][:, 6] = False
+        with pytest.raises(SimulationError, match="no valid copy of E"):
+            sim.authoritative_array("E", (7,))
 
-    def test_invalid_scalar_read_raises(self, setup):
-        proc, grid, mappings, memories = setup
-        with pytest.raises(SimulationError):
-            memories[2].scalar_value("NOPE")
+    def test_scalar_roundtrip(self, sim):
+        store = sim.store
+        assert store.scalars["X"] == [None] * 4
+        assert store.scalar_valid["X"] == [False] * 4
+        store.scalars["X"][1] = 3
+        store.scalar_valid["X"][1] = True
+        assert store.holder("X") == 1
+        assert sim.gather_scalar("x") == 3
+        store.scalars["X"][3] = 4.5
+        store.scalar_valid["X"][3] = True
+        store.scalar_keep("X", [3])
+        assert store.scalar_valid["X"] == [False, False, False, True]
+        assert store.scalars["X"] == [None, 3, None, 4.5]
+        assert sim.gather_scalar("x") == 4.5
+
+    def test_invalid_scalar_read_raises(self, sim):
+        with pytest.raises(SimulationError, match="no valid copy of scalar X"):
+            sim.gather_scalar("X")
+        with pytest.raises(SimulationError, match="declares \\['X'\\]"):
+            sim.gather_scalar("NOPE")
 
     def test_offset_respects_lower_bounds(self):
         proc = parse_and_build(
-            "PROGRAM T\n  REAL A(0:5)\nEND PROGRAM\n"
+            "PROGRAM T\n  REAL A(0:5), B(-2:3, 4:6)\nEND PROGRAM\n"
         )
-        memory = NodeMemory(0, proc)
-        assert memory.offset("A", (0,)) == (0,)
-        assert memory.offset("A", (5,)) == (5,)
+        store = Store(proc, 2)
+        assert store.offset("A", (0,)) == (0,)
+        assert store.offset("A", (5,)) == (5,)
+        assert store.offset("B", (-2, 4)) == (0, 0)
+        assert store.at("B", 1, (3, 6)) == (1, 5, 2)
+        assert store.data["B"].shape == store.valid["B"].shape == (2, 6, 3)
 
 
 class TestInitializeArray:
-    def test_validity_follows_ownership(self, setup):
-        proc, grid, mappings, memories = setup
+    def test_validity_follows_ownership(self, sim):
+        mapping = sim.compiled.mappings["A"]
         values = np.arange(12, dtype=float)
-        initialize_array(memories, mappings["A"], values)
+        sim.set_array("A", values)
         for rank in range(4):
-            owned = set(mappings["A"].owned_global_indices(rank))
+            owned = set(mapping.owned_global_indices(rank))
+            assert np.array_equal(sim.store.data["A"][rank], values)
             for i in range(1, 13):
-                assert memories[rank].array_is_valid("A", (i,)) == ((i,) in owned)
+                valid = sim.store.valid["A"][sim.store.at("A", rank, (i,))]
+                assert valid == ((i,) in owned)
 
-    def test_replicated_valid_everywhere(self, setup):
-        proc, grid, mappings, memories = setup
-        initialize_array(memories, mappings["E"], np.zeros(12))
-        assert all(m.array_is_valid("E", (7,)) for m in memories)
+    def test_replicated_valid_everywhere(self, sim):
+        sim.set_array("E", np.zeros(12))
+        assert sim.store.valid["E"][:, 6].all()
 
-    def test_shape_mismatch_rejected(self, setup):
-        proc, grid, mappings, memories = setup
+    def test_shape_mismatch_rejected(self, sim):
         with pytest.raises(SimulationError):
-            initialize_array(memories, mappings["A"], np.zeros(5))
+            sim.set_array("A", np.zeros(5))
 
 
 LAYOUTS = """
@@ -109,41 +132,48 @@ END PROGRAM
 
 
 class TestArrayStore:
-    """One buffer per array, rank-major: a rank's memory is a row."""
+    """One buffer per array, rank-major: a rank's copy is a row."""
 
     def test_every_rank_is_a_row_of_the_arrays_buffer(self):
-        sim = SPMDSimulator(compile_source(LAYOUTS, CompilerOptions(num_procs=4)))
+        """The tier-2 readers' storage handles are row views of the
+        store's buffers, one rank's row apart from every other's."""
+        sim = SPMDSimulator(
+            compile_source(LAYOUTS, CompilerOptions(num_procs=4)), tier="lowered"
+        )
+        sim.run()
+        readers = sim._fast.readers
         for name in ("A", "B", "C", "V", "W", "R"):
             data, valid = sim.store.data[name], sim.store.valid[name]
             assert data.shape == valid.shape == (4, *data[0].shape)
-            for memory in sim.memories:
-                assert memory.arrays[name].shape == data[0].shape
-                assert np.shares_memory(memory.arrays[name], data)
-                assert np.shares_memory(memory.valid[name], valid)
-                for other in sim.memories[memory.rank + 1:]:
-                    assert not np.shares_memory(
-                        memory.arrays[name], other.arrays[name]
-                    )
+            for rank, reader in enumerate(readers):
+                row, row_valid, lows = reader.tables[name]
+                assert row.shape == data[0].shape
+                assert lows == sim.store.lows[name]
+                assert np.shares_memory(row, data[rank])
+                assert np.shares_memory(row_valid, valid[rank])
+                for other in readers[rank + 1:]:
+                    assert not np.shares_memory(row, other.tables[name][0])
             flat, flat_valid, size = sim.store.flat[name]
             assert size == data[0].size
             assert np.shares_memory(flat, data)
             assert np.shares_memory(flat_valid, valid)
 
-    def test_tier2_store_and_invalidation_show_through_both(self):
+    def test_tier2_store_and_invalidation_go_through_the_buffer(self):
         """A(3, 1) = 7.0 runs on the owner of row 3, rank 0; rank 3
-        held a copy — written through its row, seen in the buffer —
-        and loses it through the buffer's column, seen in its row."""
+        held a copy — at its flat address ``rank * size + element`` —
+        and loses it through the buffer's column."""
         sim = SPMDSimulator(
             compile_source(LAYOUTS, CompilerOptions(num_procs=4)), tier="lowered"
         )
-        sim.memories[3].array_store("A", (3, 1), 1.0)
+        at = sim.store.at("A", 3, (3, 1))
+        sim.store.data["A"][at] = 1.0
+        sim.store.valid["A"][at] = True
         assert sim.store.valid["A"][:, 2, 0].tolist() == [True, False, False, True]
         assert sim.store.flat["A"][0][3 * 144 + 2 * 12] == 1.0
         sim.run()
         assert sim.store.valid["A"][:, 2, 0].tolist() == [True, False, False, False]
         assert sim.store.data["A"][:, 2, 0].tolist() == [7.0, 0.0, 0.0, 1.0]
-        assert sim.memories[0].array_value("A", (3, 1)) == 7.0
-        assert not sim.memories[3].array_is_valid("A", (3, 1))
+        assert sim.authoritative_array("A", (3, 1)) == 7.0
         assert sim.gather("A")[2, 0] == 7.0
 
     @pytest.mark.parametrize("procs", [1, 2, 3, 16])

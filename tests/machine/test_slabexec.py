@@ -240,14 +240,11 @@ def _slab_counters(metrics, compiled, kind):
 def _state(sim):
     """Everything a tier must agree on: clocks, traffic, and every
     rank's data and validity."""
+    store = sim.store
     out = [sim.clocks.snapshot(), sim.stats.as_dict()]
-    for memory in sim.memories:
-        for name in sorted(sym.name for sym in sim.proc.symbols.arrays()):
-            out.append((
-                memory.arrays[name].tobytes(),
-                memory.valid[name].tobytes(),
-            ))
-        out.append((dict(memory.scalars), dict(memory.scalar_valid)))
+    for name in sorted(store.data):
+        out.append((store.data[name].tobytes(), store.valid[name].tobytes()))
+    out.append((store.scalars, store.scalar_valid))
     return out
 
 

@@ -45,19 +45,20 @@ def test_every_rank_holds_every_declared_array_from_construction():
     inputs = make_inputs(source, 0)
     for tier in TIERS:
         sim = SPMDSimulator(compiled, tier=tier)
-        for rank, memory in enumerate(sim.memories):
-            assert set(memory.arrays) == set(memory.valid) == {"A", "B", "C", "W"}
-            for name, data in memory.arrays.items():
+        store = sim.store
+        assert set(store.data) == set(store.valid) == {"A", "B", "C", "W"}
+        for rank in range(sim.grid.size):
+            for name, data in store.data.items():
                 owned = ownership_mask(compiled.mappings[name], rank)
-                assert not data.any()
-                assert np.array_equal(memory.valid[name], owned)
+                assert not data[rank].any()
+                assert np.array_equal(store.valid[name][rank], owned)
         for name, values in inputs.items():
             sim.set_array(name, values)
-        for rank, memory in enumerate(sim.memories):
+        for rank in range(sim.grid.size):
             for name, values in inputs.items():
                 owned = ownership_mask(compiled.mappings[name], rank)
-                assert np.array_equal(memory.arrays[name], values)
-                assert np.array_equal(memory.valid[name], owned)
+                assert np.array_equal(store.data[name][rank], values)
+                assert np.array_equal(store.valid[name][rank], owned)
 
 
 def test_tiers_hold_the_same_arrays_after_a_run():
@@ -69,22 +70,27 @@ def test_tiers_hold_the_same_arrays_after_a_run():
     walk = simulate(compiled, dict(inputs), tier="interpreted")
     for tier in TIERS[1:]:
         other = simulate(compiled, dict(inputs), tier=tier)
-        for wm, om in zip(walk.memories, other.memories):
-            assert list(wm.arrays) == list(om.arrays) == ["A", "B", "C", "W"]
-            for name in wm.arrays:
-                assert wm.arrays[name].tobytes() == om.arrays[name].tobytes()
-                assert wm.valid[name].tobytes() == om.valid[name].tobytes()
+        mine, theirs = walk.store, other.store
+        assert list(mine.data) == list(theirs.data) == ["A", "B", "C", "W"]
+        for name in mine.data:
+            assert mine.data[name].tobytes() == theirs.data[name].tobytes()
+            assert mine.valid[name].tobytes() == theirs.valid[name].tobytes()
 
 
 def test_tier_payload_covers_every_declared_array():
-    """The harness's memory lens is total: every declared array appears
-    in every rank's digest record, whether or not that tier touched it."""
+    """The harness's memory lens is total: every declared array's
+    buffers — every rank's row — and every declared scalar's slots are
+    in the digest record, whether or not that tier touched them."""
     source = _memory_repro()
     compiled = compile_source(source, CompilerOptions(num_procs=3))
     sim = simulate(compiled, make_inputs(source, 0), tier="interpreted")
-    payload = tier_payload(sim)
-    for record in payload["memories"]:
-        assert {"A", "B", "C", "W"} <= set(record)
+    payload = tier_payload(sim)["store"]
+    assert {"A", "B", "C", "W"} <= set(payload["arrays"])
+    assert set(payload["scalars"]) == {
+        s.name for s in compiled.proc.symbols.scalars()
+    }
+    for values, valid in payload["scalars"].values():
+        assert len(values) == len(valid) == sim.grid.size
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def assert_parity(source, inputs=None, procs=4, strategy="selected", **opts):
 
     Sequential fast vs slow: identical stores. SPMD fast vs slow:
     identical clocks, traffic stats, gathered arrays, and per-rank
-    memory state. The simulator result must also match the sequential
+    store state. The simulator result must also match the sequential
     ground truth numerically.
     """
     fast_seq = run_sequential(parse_and_build(source), inputs, fast_path=True)
@@ -45,12 +45,11 @@ def assert_parity(source, inputs=None, procs=4, strategy="selected", **opts):
         gathered = fast.gather(name)
         assert gathered.tobytes() == slow.gather(name).tobytes(), name
         assert np.allclose(gathered, values), name
-    for fm, sm in zip(fast.memories, slow.memories):
-        for name in sm.arrays:
-            assert fm.arrays[name].tobytes() == sm.arrays[name].tobytes()
-            assert fm.valid[name].tobytes() == sm.valid[name].tobytes()
-        assert fm.scalars == sm.scalars
-        assert fm.scalar_valid == sm.scalar_valid
+    for name in slow.store.data:
+        assert fast.store.data[name].tobytes() == slow.store.data[name].tobytes()
+        assert fast.store.valid[name].tobytes() == slow.store.valid[name].tobytes()
+    assert fast.store.scalars == slow.store.scalars
+    assert fast.store.scalar_valid == slow.store.scalar_valid
     return fast, slow
 
 

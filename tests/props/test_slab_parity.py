@@ -83,12 +83,12 @@ def run_three_ways(source, n, procs):
 def assert_invisible(slab, other):
     assert slab.clocks.snapshot() == other.clocks.snapshot()
     assert slab.stats.as_dict() == other.stats.as_dict()
-    for sm, om in zip(slab.memories, other.memories):
-        for name in om.arrays:
-            assert sm.arrays[name].tobytes() == om.arrays[name].tobytes()
-            assert sm.valid[name].tobytes() == om.valid[name].tobytes()
-        assert sm.scalars == om.scalars
-        assert sm.scalar_valid == om.scalar_valid
+    mine, theirs = slab.store, other.store
+    for name in theirs.data:
+        assert mine.data[name].tobytes() == theirs.data[name].tobytes()
+        assert mine.valid[name].tobytes() == theirs.valid[name].tobytes()
+    assert mine.scalars == theirs.scalars
+    assert mine.scalar_valid == theirs.scalar_valid
     for name in ("A", "B", "C"):
         assert slab.gather(name).tobytes() == other.gather(name).tobytes()
 
@@ -265,9 +265,8 @@ def test_reduction_slab_keeps_combine_tree(procs):
     walker = simulate(compiled, inputs, tier="interpreted")
     assert slab.clocks.snapshot() == walker.clocks.snapshot()
     assert slab.stats.as_dict() == walker.stats.as_dict()
-    for sm, om in zip(slab.memories, walker.memories):
-        assert sm.scalars == om.scalars
-        assert sm.scalar_valid == om.scalar_valid
+    assert slab.store.scalars == walker.store.scalars
+    assert slab.store.scalar_valid == walker.store.scalar_valid
 
 
 @st.composite

@@ -207,10 +207,11 @@ class TestRuntimeErrors:
 
     @pytest.mark.parametrize("backend", ["simulate", "run_sequential"])
     def test_unknown_result_names_are_typed_errors(self, backend):
-        """Asking a finished run for an array the program does not
-        declare — a typo, or a scalar's name — is the back end's typed
-        error naming the declared arrays, as ``set_array`` raises; never
-        a bare ``KeyError``."""
+        """Asking a finished run for an array (a scalar) the program
+        does not declare — a typo, or the name of a scalar (an array) —
+        is the back end's typed error naming the declared arrays
+        (scalars), as ``set_array`` raises; never a bare ``KeyError``
+        or a silent ``None``."""
         from repro.codegen import run_sequential
         from repro.errors import InterpreterError, SimulationError
         from repro.machine import simulate
@@ -222,16 +223,23 @@ class TestRuntimeErrors:
         )
         if backend == "simulate":
             compiled = compile_source(source, CompilerOptions(num_procs=2))
-            error, read = SimulationError, simulate(compiled, {}).gather
+            sim = simulate(compiled, {})
+            error, read, read_scalar = SimulationError, sim.gather, sim.gather_scalar
         else:
             error = InterpreterError
-            read = run_sequential(parse_and_build(source), {}).get_array
+            store = run_sequential(parse_and_build(source), {})
+            read, read_scalar = store.get_array, store.get_scalar
         assert read("a").shape == (4,)
-        for name in ("nope", "pmax"):
-            with pytest.raises(error) as err:
-                read(name)
-            assert repr(name) in str(err.value)
-            assert "the program declares ['A', 'B']" in str(err.value)
+        assert read_scalar("pmax") == 2.0
+        for reader, declared, names in (
+            (read, "['A', 'B']", ("nope", "pmax")),
+            (read_scalar, "['I', 'PMAX']", ("nope", "a")),
+        ):
+            for name in names:
+                with pytest.raises(error) as err:
+                    reader(name)
+                assert repr(name) in str(err.value)
+                assert f"the program declares {declared}" in str(err.value)
 
     @pytest.mark.parametrize("backend", ["simulate", "run_sequential"])
     def test_non_real_input_values_are_rejected(self, backend):
