@@ -183,12 +183,6 @@ class ConstPropInfo:
             return None
         return value
 
-    def const_of_use(self, ref: ScalarRef):
-        def_id = self.ssa.use_def.get(ref.ref_id)
-        if def_id is None:
-            return None
-        return self.const_of_def(self.ssa.defs[def_id])
-
     def eval_expr(self, expr: Expr):
         """Evaluate an expression to a constant using current SSA facts,
         or None."""

@@ -126,11 +126,6 @@ class PrivatizabilityInfo:
         memory-based loop-carried dependences, which can be eliminated
         only by privatizing that array."
         """
-        inner_vars = {
-            l.var.name
-            for l in loop.walk()
-            if isinstance(l, LoopStmt) and l is not loop
-        }
         for stmt in loop.walk():
             if not isinstance(stmt, AssignStmt):
                 continue
@@ -147,23 +142,6 @@ class PrivatizabilityInfo:
                 if form.coeff(loop.var) != 0:
                     all_inner_or_invariant = False
                     break
-                for s in form.symbols:
-                    if s.name != loop.var.name and s.name not in inner_vars and not s.is_loop_var:
-                        pass  # free symbol invariant w.r.t. the loop: fine
             if all_inner_or_invariant:
                 return True
         return False
-
-    def eliminated_dependences(self, array: Symbol, loop: LoopStmt) -> int:
-        """Count of memory-based loop-carried dependences on ``array``
-        within ``loop`` that privatization eliminates (reporting aid)."""
-        from .dependence import array_dependences
-
-        count = 0
-        for dep in array_dependences(self.proc, loop):
-            if dep.array.name == array.name and dep.loop_carried and dep.kind in (
-                "anti",
-                "output",
-            ):
-                count += 1
-        return count

@@ -320,11 +320,6 @@ class SSAInfo:
             work.extend(phi_users.get(current_id, ()))
         return False
 
-    def uses_reached_through_phis(self, d: SSADef) -> list[ScalarRef]:
-        """Uses of ``d`` that are reached only via at least one phi."""
-        direct = set(self.direct_uses.get(d.def_id, ()))
-        return [u for u in self.reached_uses(d) if u.ref_id not in direct]
-
     def stmt_of_use(self, ref: ScalarRef) -> Stmt:
         return self.use_info[ref.ref_id][1].stmt
 

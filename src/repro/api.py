@@ -276,6 +276,7 @@ class Session:
                     np.allclose(
                         sim.gather(symbol.name),
                         sequential.get_array(symbol.name),
+                        equal_nan=True,
                     )
                 )
         return RunResult(

@@ -7,12 +7,12 @@ the SPMD simulator's results against it.  Two engines, one result:
 * ``fast_path=False`` is the tree-walking interpreter
   (:class:`SequentialHooks` over ``eval_expr``): slow, small, and
   independent of everything else — the oracle of last resort.
-* ``fast_path=True`` (the default) runs each statement through its
-  one-time-lowered closure (:mod:`repro.machine.lowering`) and hands
-  every eligible loop to :mod:`repro.codegen.seqvec`, which executes
-  it as numpy lane operations.  A loop that is not eligible, or whose
-  takeover bails on a value, runs through the closures one iteration
-  at a time.
+* ``fast_path=True`` (the default) hands every eligible loop to
+  :mod:`repro.codegen.seqvec`, which executes it as numpy lane
+  operations.  Every other statement — a loop that is not eligible, or
+  whose takeover bails on a value, runs one iteration at a time — goes
+  through its one-time-lowered closure (:mod:`repro.machine.lowering`;
+  lowering is total, so this engine never calls the tree walker).
 
 Both produce bit-identical arrays, scalars (with their Python types),
 post-loop index values, ``WalkStats``, and — on a failing program — the
@@ -123,9 +123,8 @@ class GlobalStore(ValueReader):
 class LoweredSequentialHooks(ExecutionHooks):
     """Sequential execution through the one-time-lowered statement
     closures (``repro.machine.lowering``), with the plain global store
-    as the reader. Statements without a lowered closure fall back to
-    the tree-walking hooks; whole loops are offered to ``vector``
-    (a :class:`~repro.codegen.seqvec.SeqVectorizer`) first."""
+    as the reader; whole loops are offered to ``vector`` (a
+    :class:`~repro.codegen.seqvec.SeqVectorizer`) first."""
 
     def __init__(self, store: GlobalStore, lowered, stats: WalkStats,
                  metrics=None):
@@ -134,13 +133,10 @@ class LoweredSequentialHooks(ExecutionHooks):
 
         self.store = store
         self.lowered = lowered
-        self._slow = SequentialHooks(store)
         self.vector = SeqVectorizer(self, stats, metrics)
 
     def assign(self, stmt: AssignStmt, env: dict[str, int]) -> None:
         fn = self.lowered.assigns.built[stmt.stmt_id]
-        if fn is None:
-            return self._slow.assign(stmt, env)
         index, value = fn(self.store, env)
         name, lows = self.lowered.lhs_info[stmt.stmt_id]
         if index is None:
@@ -150,16 +146,10 @@ class LoweredSequentialHooks(ExecutionHooks):
             self.store.arrays[name][off] = value
 
     def eval_condition(self, stmt: IfStmt, env: dict[str, int]) -> bool:
-        fn = self.lowered.conds.built[stmt.stmt_id]
-        if fn is None:
-            return self._slow.eval_condition(stmt, env)
-        return fn(self.store, env)
+        return self.lowered.conds.built[stmt.stmt_id](self.store, env)
 
     def eval_bound(self, expr, env: dict[str, int]) -> int:
-        fn = self.lowered.bounds.built[id(expr)]
-        if fn is None:
-            return self._slow.eval_bound(expr, env)
-        return fn(self.store, env)
+        return self.lowered.bounds.built[id(expr)](self.store, env)
 
     def run_loop(self, stmt, low, high, step, env) -> bool:
         return self.vector.run_loop(stmt, low, high, step, env)

@@ -129,13 +129,6 @@ class Walker:
             self._label_maps[id(stmts)] = table
         return table
 
-    @staticmethod
-    def _index_of_label(stmts: list[Stmt], label: int) -> int | None:
-        for k, stmt in enumerate(stmts):
-            if stmt.label == label:
-                return k
-        return None
-
     def _exec_stmt(self, stmt: Stmt) -> int | None:
         self.stats.bump()
         if isinstance(stmt, AssignStmt):

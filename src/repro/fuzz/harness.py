@@ -321,7 +321,9 @@ def check_sequential(
         )
     for symbol in compiled.proc.symbols.arrays():
         name = symbol.name
-        if not np.allclose(sim.gather(name), sequential.get_array(name)):
+        if not np.allclose(
+            sim.gather(name), sequential.get_array(name), equal_nan=True
+        ):
             out.append(
                 Divergence(
                     kind="sequential",
@@ -364,7 +366,9 @@ def check_mapping(
     out: list[Divergence] = []
     for symbol in baseline.compiled.proc.symbols.arrays():
         name = symbol.name
-        if not np.allclose(selected.gather(name), baseline.gather(name)):
+        if not np.allclose(
+            selected.gather(name), baseline.gather(name), equal_nan=True
+        ):
             out.append(
                 Divergence(
                     kind="mapping",

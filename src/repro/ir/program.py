@@ -159,17 +159,6 @@ class Procedure:
         loops_b = set(id(l) for l in b.loops_enclosing())
         return [l for l in loops_a if id(l) in loops_b]
 
-    def innermost_common_loop(self, a: Stmt, b: Stmt) -> LoopStmt | None:
-        common = self.common_loops(a, b)
-        return common[-1] if common else None
-
-    def loop_at_level(self, stmt: Stmt, level: int) -> LoopStmt | None:
-        """The enclosing loop of ``stmt`` at 1-based nesting ``level``."""
-        chain = stmt.loops_enclosing()
-        if 1 <= level <= len(chain):
-            return chain[level - 1]
-        return None
-
     def encloses(self, loop: LoopStmt, stmt: Stmt) -> bool:
         return any(l is loop for l in stmt.loops_enclosing())
 

@@ -66,9 +66,6 @@ class _DirectiveParser:
             return self._next()
         return None
 
-    def _at_end(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
-
     def _ident(self) -> str:
         return self._expect(TokenKind.IDENT).value
 

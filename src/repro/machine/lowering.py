@@ -25,14 +25,16 @@ once, at lowering time:
   ``_charge_fetch`` (one startup per placement instance plus
   per-element bandwidth — identical clock totals by construction).
 
-A compiled program keeps its lowered form as derived state
+Lowering is total: every assignment, condition and loop bound gets a
+closure.  A constant the fold cannot write as a Python literal (a
+non-finite float) is a named global of the closure; a fold that fails
+emits the unfolded operation, which raises the interpreter's error at
+run time.  A compiled program keeps its lowered form as derived state
 (:attr:`~repro.core.driver.CompiledProgram.lowering`): any
 ``finalize()`` after an IR transform bumps ``proc.ir_epoch`` and the
-next read lowers again. Statements the lowerer cannot handle simply stay
-interpreted — the fast path falls back per statement, never changing
-semantics. ``SPMDSimulator(..., tier="interpreted")`` bypasses the
-module entirely; the parity tests use that tier to assert bit-for-bit
-identity of results, clocks, and traffic statistics.
+next read lowers again.  ``SPMDSimulator(..., tier="interpreted")``
+bypasses the module entirely: it is the reference the parity tests
+hold results, clocks and traffic statistics against, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from ..codegen.evalexpr import (
     _apply_binop,
     _apply_intrinsic,
     coerce_store,
-    eval_expr,
     fortran_int_div,
 )
 from ..codegen.walker import ExecutionHooks
@@ -112,30 +113,17 @@ def _oob(symbol, index):
 # ---------------------------------------------------------------------------
 
 
-class _CannotLower(Exception):
-    """This expression/statement stays interpreted."""
-
-
-class _NoFold(Exception):
-    """Constant folding declined (e.g. non-finite float literal)."""
-
-
-#: what a best-effort constant fold may swallow: fold-declined
-#: (``_NoFold``), values the interpreter itself would reject at run
-#: time (``InterpreterError``: constant division by zero, unknown
-#: intrinsic), and numeric-domain errors.  Genuine programming errors
-#: (NameError, TypeError, ...) propagate.
+#: what a best-effort constant fold may swallow: values the interpreter
+#: itself would reject at run time (``InterpreterError``: constant
+#: division by zero, unknown intrinsic) and numeric-domain errors.  The
+#: unfolded operation is emitted instead and raises at run time.
+#: Genuine programming errors (NameError, TypeError, ...) propagate.
 _FOLD_ERRORS = (
-    _NoFold,
     InterpreterError,
     ArithmeticError,
     ValueError,
     OverflowError,
 )
-
-#: what statement-level lowering may swallow before falling back to the
-#: interpreter: "stay interpreted" signals plus the fold error set
-_LOWER_ERRORS = (_CannotLower,) + _FOLD_ERRORS
 
 
 class _Emitted:
@@ -161,12 +149,12 @@ _MATH_INTRINSICS = {
 class _ExprCompiler:
     """Emits Python source for IR expressions into a shared globals
     dict. Folded constants go through the interpreter's own arithmetic
-    so values agree bit-for-bit; anything it cannot handle raises
-    :class:`_CannotLower` and the statement stays interpreted."""
+    so values agree bit-for-bit; every IR expression kind lowers."""
 
     def __init__(self, glb: dict):
         self.glb = glb
         self._temp = 0
+        self._consts = 0
 
     def _ref_name(self, ref) -> str:
         name = f"_r{ref.ref_id}"
@@ -180,9 +168,14 @@ class _ExprCompiler:
 
     def _const(self, value) -> _Emitted:
         if isinstance(value, float) and not math.isfinite(value):
-            raise _NoFold  # repr() would not round-trip as a literal
+            # repr() would not round-trip as a literal: a named global
+            code = f"_k{self._consts}"
+            self._consts += 1
+            self.glb[code] = value
+        else:
+            code = repr(value)
         return _Emitted(
-            repr(value),
+            code,
             is_const=True,
             value=value,
             is_int=isinstance(value, int) and not isinstance(value, bool),
@@ -206,21 +199,14 @@ class _ExprCompiler:
             return self._binop(expr)
         if isinstance(expr, IntrinsicCall):
             return self._intrinsic(expr)
-        raise _CannotLower(f"cannot lower {expr!r}")
+        raise TypeError(f"cannot lower {expr!r}")
 
     def _scalar_read(self, expr: ScalarRef) -> _Emitted:
         symbol = expr.symbol
         if symbol.value is not None:
-            try:
-                return self._const(symbol.value)
-            except _NoFold:
-                pass
+            return self._const(symbol.value)
         r = self._ref_name(expr)
         is_int = symbol.type is ScalarType.INT
-        if symbol.value is not None:
-            # non-foldable constant value: keep the interpreter's lookup
-            sy = self._sym_name(symbol)
-            return _Emitted(f"{sy}.value", is_int=is_int)
         if symbol.is_loop_var:
             key = repr(symbol.name)
             return _Emitted(
@@ -233,10 +219,7 @@ class _ExprCompiler:
         x = self.emit(expr.operand)
         if expr.op == "-":
             if x.is_const:
-                try:
-                    return self._const(-x.value)
-                except _NoFold:
-                    pass
+                return self._const(-x.value)
             return _Emitted(f"(-{x.code})", is_int=x.is_int)
         if expr.op == ".NOT.":
             if x.is_const:
@@ -329,7 +312,10 @@ class _ExprCompiler:
     def store_code(self, emitted: _Emitted, symbol_type: ScalarType) -> str:
         """Fortran assignment conversion (``coerce_store``), inlined."""
         if emitted.is_const:
-            return repr(coerce_store(emitted.value, symbol_type))
+            try:
+                return self._const(coerce_store(emitted.value, symbol_type)).code
+            except _FOLD_ERRORS:  # e.g. INT(inf): the store raises instead
+                pass
         if symbol_type is ScalarType.INT:
             return emitted.code if emitted.is_int else f"int({emitted.code})"
         if symbol_type is ScalarType.REAL:
@@ -347,13 +333,13 @@ class _Source(tuple):
 
 
 class _Built(dict):
-    """key -> what ``table.get(key)`` returned, asked once per key."""
+    """key -> ``table[key]``, asked once per key."""
 
     def __init__(self, table):
         self.table = table
 
     def __missing__(self, key):
-        fn = self[key] = self.table.get(key)
+        fn = self[key] = self.table[key]
         return fn
 
 
@@ -362,7 +348,7 @@ class _Closures(dict):
     the first lookup of the key — ``get`` and ``[]`` alike — compiles
     it: a statement inside a nest that every engine takes whole never
     pays ``compile()``.  The per-instance lookups of a run go through
-    ``built[key]`` (``None``: no closure), the C dict's on every hit."""
+    ``built[key]``, the C dict's on every hit."""
 
     def __init__(self):
         self.built = _Built(self)
@@ -385,8 +371,8 @@ class _Closures(dict):
 
 @dataclass
 class LoweredIR:
-    """Per-procedure lowering result: one closure per statement the
-    lowerer could emit. A missing entry means "stay interpreted"."""
+    """Per-procedure lowering result: one closure per assignment,
+    condition and loop bound of the procedure."""
 
     proc: Any
     ir_epoch: int
@@ -440,51 +426,42 @@ def lower_procedure(proc) -> LoweredIR:
         sid = stmt.stmt_id
         if isinstance(stmt, AssignStmt):
             lowered.flops[sid] = max(flops_of_expr(stmt.rhs), 1)
-            try:
-                rhs = comp.emit(stmt.rhs)
-                val = comp.store_code(rhs, stmt.lhs.symbol.type)
-                if isinstance(stmt.lhs, ArrayElemRef):
-                    # tuple evaluation order = subscripts first, then
-                    # rhs — matching the simulator's exec_assign
-                    body = f"({comp.index_code(stmt.lhs)}, {val})"
-                    lows = tuple(lo for lo, _ in stmt.lhs.symbol.dims)
-                else:
-                    body = f"(None, {val})"
-                    lows = None
-                lowered.assigns[sid] = _emit_fn(
-                    f"_a{sid}", body, glb, lowered, f"{proc.name}:S{sid}"
-                )
-                lowered.lhs_info[sid] = (stmt.lhs.symbol.name, lows)
-            except _LOWER_ERRORS:
-                lowered.lhs_info.pop(sid, None)
+            rhs = comp.emit(stmt.rhs)
+            val = comp.store_code(rhs, stmt.lhs.symbol.type)
+            if isinstance(stmt.lhs, ArrayElemRef):
+                # tuple evaluation order = subscripts first, then rhs —
+                # matching the simulator's exec_assign
+                body = f"({comp.index_code(stmt.lhs)}, {val})"
+                lows = tuple(lo for lo, _ in stmt.lhs.symbol.dims)
+            else:
+                body = f"(None, {val})"
+                lows = None
+            lowered.assigns[sid] = _emit_fn(
+                f"_a{sid}", body, glb, lowered, f"{proc.name}:S{sid}"
+            )
+            lowered.lhs_info[sid] = (stmt.lhs.symbol.name, lows)
         elif isinstance(stmt, IfStmt):
             lowered.flops[sid] = max(flops_of_expr(stmt.cond), 1)
-            try:
-                cond = comp.emit(stmt.cond)
-                lowered.conds[sid] = _emit_fn(
-                    f"_c{sid}",
-                    f"bool({cond.code})",
-                    glb,
-                    lowered,
-                    f"{proc.name}:S{sid}",
-                )
-            except _LOWER_ERRORS:
-                pass
+            cond = comp.emit(stmt.cond)
+            lowered.conds[sid] = _emit_fn(
+                f"_c{sid}",
+                f"bool({cond.code})",
+                glb,
+                lowered,
+                f"{proc.name}:S{sid}",
+            )
         elif isinstance(stmt, LoopStmt):
             for expr in (stmt.low, stmt.high, stmt.step):
                 if expr is None or id(expr) in lowered.bounds:
                     continue
-                try:
-                    e = comp.emit(expr)
-                    lowered.bounds[id(expr)] = _emit_fn(
-                        f"_b{len(lowered.bounds)}",
-                        e.code if e.is_int else f"int({e.code})",
-                        glb,
-                        lowered,
-                        f"{proc.name}:S{sid}:bound{len(lowered.bounds)}",
-                    )
-                except _LOWER_ERRORS:
-                    pass
+                e = comp.emit(expr)
+                lowered.bounds[id(expr)] = _emit_fn(
+                    f"_b{len(lowered.bounds)}",
+                    e.code if e.is_int else f"int({e.code})",
+                    glb,
+                    lowered,
+                    f"{proc.name}:S{sid}:bound{len(lowered.bounds)}",
+                )
     return lowered
 
 
@@ -817,8 +794,8 @@ class _FastReader:
 
 class FastPath:
     """Wires the lowered closures, executor tables, and fetch engine to
-    one simulator instance. Every statement without a lowered closure
-    falls back to the simulator's interpreted execution."""
+    one simulator instance: every statement instance a slab takeover
+    does not cover runs through its closure."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -843,16 +820,13 @@ class FastPath:
 
     def _assign_rec(self, stmt):
         sid = stmt.stmt_id
-        fn = self.lowered.assigns.get(sid)
-        if fn is None:
-            return False
         name, lows = self.lowered.lhs_info[sid]
         closure = self.etables._closures.get(sid)
         if closure is None:
             closure = self.etables._build(stmt)
             self.etables._closures[sid] = closure
         return (
-            fn,
+            self.lowered.assigns[sid],
             name,
             lows,
             self._dt[sid],
@@ -867,8 +841,6 @@ class FastPath:
         if rec is None:
             rec = self._assign_rec(stmt)
             self._assign_recs[sid] = rec
-        if rec is False:
-            return self.sim.exec_assign(stmt, env)
         fn, name, lows, dt, is_private_accumulation, ranks_of = rec
         ranks = ranks_of(env)
         if not ranks:
@@ -915,22 +887,16 @@ class FastPath:
         self.sim.interp_instances += 1
         rec = self._cond_recs.get(sid)
         if rec is None:
-            fn = self.lowered.conds.get(sid)
-            if fn is None:
-                rec = False
+            decision = self.sim.compiled.cf_decisions.get(sid)
+            if decision is not None and decision.privatized:
+                dep = tuple(
+                    self.sim.proc.stmt_of_ref(ref)
+                    for ref in decision.dependent_refs
+                )
             else:
-                decision = self.sim.compiled.cf_decisions.get(sid)
-                if decision is not None and decision.privatized:
-                    dep = tuple(
-                        self.sim.proc.stmt_of_ref(ref)
-                        for ref in decision.dependent_refs
-                    )
-                else:
-                    dep = None
-                rec = (fn, self._dt[sid], dep)
+                dep = None
+            rec = (self.lowered.conds[sid], self._dt[sid], dep)
             self._cond_recs[sid] = rec
-        if rec is False:
-            return self.sim.exec_condition(stmt, env)
         fn, dt, dep = rec
         sim = self.sim
         if dep is None:
@@ -962,8 +928,6 @@ class FastPath:
 
     def eval_bound(self, expr, env) -> int:
         fn = self.lowered.bounds.built[id(expr)]
-        if fn is None:
-            return int(eval_expr(expr, self.sim.authoritative, env))
         return fn(self.sim.authoritative, env)
 
 

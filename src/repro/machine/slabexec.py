@@ -282,7 +282,7 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
                 return f"S{s.stmt_id}: {reason}"
         return _carried_dependence(proc, loop, stmts, reduction_ids) or "ok"
 
-    if grid_rank is not None and grid_rank != 1:
+    if grid_rank != 1:
         return "grid is not one-dimensional"
     i = inner.var.name
     serial = _runs_serially(proc, inner, body, reduction_ids, report.verdicts)
@@ -380,7 +380,7 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
 
 
 def classify_procedure(proc, executors, events, reduction_ids,
-                       grid_rank=None) -> SlabReport:
+                       grid_rank: int) -> SlabReport:
     """Statically classify every loop nest for slab eligibility."""
     placements = _placement_map(events)
     report = SlabReport(ir_epoch=proc.ir_epoch)
@@ -1330,8 +1330,11 @@ class _NestCtx(_Ctx):
 class NestPlan:
     """Vectorized execution of one loop nest as one takeover.
 
-    Built once per eligible loop from the IR and the static reports
-    (raising ``_Bail`` when the nest is tier 2 after all); *prepare*
+    Built once per loop whose verdict is "ok", from the IR and the
+    static reports.  It trusts what the verdict proved — the nest's
+    shape, affine subscripts, executor info, one owner position, a 1-D
+    grid — and raises ``_Bail`` only where the verdict decides nothing
+    (the nest is tier 2 after all); *prepare*
     then builds the entry's iteration domain (:class:`_Domain`),
     evaluates every statement over its lanes (:class:`_NestCtx`) and
     returns the commit.  Exact because no value flows between lanes:
@@ -1346,10 +1349,7 @@ class NestPlan:
         sim = self.sim = slab.sim
         fast = self.fast = slab.fast
         self.loop = loop
-        nest = _split_nest(loop)
-        if isinstance(nest, str):
-            raise _Bail(nest)
-        inner, *phases = nest
+        inner, *phases = _split_nest(loop)
         self.v = v = loop.var.name
         self.i = i = inner.var.name if inner is not None else None
         serial = loop.stmt_id in slab.report.serial_axes
@@ -1381,20 +1381,17 @@ class NestPlan:
         self.all_steps: list[_Step] = []
         for phase, stmts in enumerate(phases):
             for stmt in stmts:
-                dt = fast._dt.get(stmt.stmt_id)
-                if dt is None:
-                    raise _Bail("statement not lowered")
+                dt = fast._dt[stmt.stmt_id]
                 st = _Step(stmt, dt, len(self.all_steps), len(self.steps[phase]))
                 self._store_role(st, phase)
                 self.steps[phase].append(st)
                 self.all_steps.append(st)
-        for phase, steps in enumerate(self.steps):
-            for st in steps:
-                for ref in st.expr.refs():
-                    if isinstance(ref, ArrayElemRef):
-                        if ref.symbol.name in self.fold_arrays:
-                            raise _Bail("fold array read outside its fold")
-                        self._register(ref, st, phase)
+        for st in self.all_steps:
+            for ref in st.expr.refs():
+                if isinstance(ref, ArrayElemRef):
+                    if ref.symbol.name in self.fold_arrays:
+                        raise _Bail("fold array read outside its fold")
+                    self._register(ref, st)
         if self.fold_arrays & self.written_arrays:
             raise _Bail("array both folded and written")
         # accumulators must not leak into any other statement
@@ -1431,8 +1428,6 @@ class NestPlan:
             # (see CHANGES.md): each keeps its tier-2 verdict
             if inner.stmt_id in sim._reductions_by_loop:
                 raise _Bail("inner loop combines a reduction")
-            if serial and any(st.op is not None for st in self.all_steps):
-                raise _Bail("reduction update in body")
             if self.subscript_scalars:
                 raise _Bail(
                     f"subscript depends on scalar "
@@ -1460,7 +1455,7 @@ class NestPlan:
             st.kind, st.op = "reduction", reduction.op
             self.acc_names.add(st.name)
             return
-        forms = self._register(stmt.lhs, st, phase)
+        forms = self._register(stmt.lhs, st)
         canon = tuple(_canon_form(f) for f in forms)
         axes = self.flat_vars if phase == BODY else (v,)
         injective = all(any(_mentions(f, a) for f in forms) for a in axes)
@@ -1495,14 +1490,10 @@ class NestPlan:
             raise _Bail("array folded twice")
         self.fold_arrays.add(st.name)
 
-    def _register(self, ref: ArrayElemRef, st: _Step, phase: int) -> list:
+    def _register(self, ref: ArrayElemRef, st: _Step) -> list:
         """Record an array reference's forms, home and key."""
         forms = [affine_form(s) for s in ref.subscripts]
-        if any(f is None for f in forms):
-            raise _Bail("non-affine subscript")
         for f in forms:
-            if phase != BODY and self.i is not None and _mentions(f, self.i):
-                raise _Bail("inner index outside the inner loop")
             # besides the takeover's loop variables a subscript may
             # reference enclosing loops' (from env at run time) and
             # per-rank memory scalars, resolved to one agreed value at
@@ -1558,15 +1549,12 @@ class NestPlan:
         outer variable, tabulated as ``pos_ranks`` — and those run by a
         fixed rank set, evaluated at prepare."""
         sim = self.sim
-        canon = _MISSING
         self.pos_form = None
         #: one statement of every distinct executor (``_Step.group``)
         self.executors: list[_Step] = []
         groups: dict = {}
         for st in self.all_steps:
-            info = sim.compiled.executors.get(st.sid)
-            if info is None:
-                raise _Bail("no executor info")
+            info = sim.compiled.executors[st.sid]
             everywhere = sim._runs_everywhere(st.stmt) or info.kind == "all"
             forms = [
                 dim.form
@@ -1590,23 +1578,15 @@ class NestPlan:
                 self.executors.append(st)
             if not st.follows:
                 continue
-            if info.kind != "owner" or len(info.position) != 1:
-                raise _Bail("executor is not a 1-D owner position")
+            # (the verdict held every owner position of the nest equal,
+            # on a 1-D grid: the one dimension ``follows`` found)
             dim = info.position[0]
-            if dim.fmt is None:
-                raise _Bail("executor position is not a point")
-            if canon is _MISSING:
-                canon = _canon_form(dim.form)
-                self.pos_form, self.pos_fmt = dim.form, dim.fmt
-            elif _canon_form(dim.form) != canon:
-                raise _Bail("executor position differs across statements")
-        if canon is _MISSING:
+            self.pos_form, self.pos_fmt = dim.form, dim.fmt
+        if self.pos_form is None:
             if self.i is not None:
                 # (one rank: the columns have no owner to be sliced by)
                 raise _Bail("executor position is not a point")
         else:
-            if sim.grid.rank != 1:
-                raise _Bail("grid is not one-dimensional")
             # the position may only depend on the column (and constants)
             for sym, _c in self.pos_form.coeffs:
                 if sym.value is None and sym.name != self.v:
@@ -1630,11 +1610,10 @@ class NestPlan:
                 continue
             info = sim.compiled.executors[st.sid]
             everywhere = sim._runs_everywhere(st.stmt)
-            if canon is not _MISSING:
-                # beside column-owned statements only replicated ones,
-                # and only on scalars: arrays would read per-rank state
-                if not (everywhere or _replicated_exec(info)):
-                    raise _Bail("executor position differs across statements")
+            if self.pos_form is not None:
+                # beside column-owned statements only replicated ones
+                # (the verdict's), and only on scalars: arrays would
+                # read per-rank state
                 if st.kind != "scalar" or any(
                     isinstance(ref, ArrayElemRef) for ref in st.stmt.rhs.refs()
                 ):

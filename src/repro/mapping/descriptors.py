@@ -74,11 +74,6 @@ class ArrayMapping:
     def is_partitioned(self) -> bool:
         return not self.is_replicated
 
-    def distributed_array_dims(self) -> tuple[int, ...]:
-        return tuple(
-            r.array_dim for r in self.roles if r.kind == "dist" and r.array_dim is not None
-        )
-
     def grid_dim_of_array_dim(self, array_dim: int) -> int | None:
         for g, role in enumerate(self.roles):
             if role.kind == "dist" and role.array_dim == array_dim:

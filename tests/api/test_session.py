@@ -100,6 +100,23 @@ class TestSessionRunEquivalence:
         assert result.ok and result.all_match
         assert set(result.matches)  # every array checked
 
+    @pytest.mark.parametrize("tier", ["interpreted", "lowered", "slab", "auto"])
+    def test_run_validates_agreeing_nan_results(self, tier):
+        """A NaN the simulator and the reference both compute is a
+        match, not a mismatch: ``inf * 0.0`` in every element of A."""
+        src = (
+            "PROGRAM NF\n  PARAMETER (n = 8)\n  REAL A(n), B(n)\n  REAL X\n"
+            "!HPF$ ALIGN (i) WITH A(i) :: B\n!HPF$ DISTRIBUTE (BLOCK) :: A\n"
+            "  X = 1E999\n  DO i = 1, n\n    A(i) = X * 0.0 + 1E999\n"
+            "  END DO\nEND PROGRAM\n"
+        )
+        result = Session(num_procs=4, use_calibration=False).run(src, tier=tier)
+        assert result.sim.gather("A").tobytes() == (
+            result.sequential.get_array("A").tobytes()
+        )
+        assert all(result.sim.gather("A") != result.sim.gather("A"))  # NaN
+        assert result.ok and result.matches == {"A": True, "B": True}
+
     def test_run_without_validation(self):
         result = Session(num_procs=2).run(TOMCATV, validate=False)
         assert result.matches == {} and result.sequential is None

@@ -13,11 +13,13 @@ from repro.codegen.seq import GlobalStore
 from repro.core import CompilerOptions, compile_source
 from repro.errors import InterpreterError
 from repro.ir import parse_and_build
-from repro.ir.stmt import AssignStmt
+from repro.ir.stmt import AssignStmt, IfStmt, LoopStmt
 from repro.machine import LoweredIR, lower_procedure, simulate
 from repro.machine.lowering import CLOSURE_COUNTS, ExecutorTables, FastPath
 from repro.programs import appsp_source, dgefa_source, tomcatv_source
 from repro.machine.simulator import SPMDSimulator
+
+from ..props.test_lowering_parity import NON_FINITE
 
 SOURCE = """
 PROGRAM UNIT
@@ -38,11 +40,12 @@ END PROGRAM
 """
 
 
-#: the three kernels and the fuzz corpus
+#: the three kernels, the fuzz corpus and non-finite constants
 EVERY_PROGRAM = {
     "tomcatv": tomcatv_source(n=12, niter=1),
     "dgefa": dgefa_source(n=8),
     "appsp": appsp_source(nx=6, ny=6, nz=6, niter=1, procs=4),
+    "non_finite": NON_FINITE,
     **{
         path.stem: path.read_text()
         for path in sorted(
@@ -178,6 +181,21 @@ class TestClosuresCompileOnFirstLookup:
             assert _built(table) == len(table)
         assert lowered.assigns
 
+    @pytest.mark.parametrize("name", sorted(EVERY_PROGRAM))
+    def test_every_statement_has_a_closure(self, name):
+        """Lowering is total: no assignment, condition or loop bound is
+        left to the tree walker."""
+        proc = parse_and_build(EVERY_PROGRAM[name])
+        lowered = lower_procedure(proc)
+        for stmt in proc.all_stmts():
+            if isinstance(stmt, AssignStmt):
+                assert stmt.stmt_id in lowered.assigns, stmt
+            elif isinstance(stmt, IfStmt):
+                assert stmt.stmt_id in lowered.conds, stmt
+            elif isinstance(stmt, LoopStmt):
+                for bound in (stmt.low, stmt.high, stmt.step):
+                    assert bound is None or id(bound) in lowered.bounds, stmt
+
 
 class TestExpressionClosures:
     def test_closures_match_eval_expr(self):
@@ -194,6 +212,12 @@ class TestExpressionClosures:
             fn = lowered.assigns[stmt.stmt_id]
             index, value = fn(store, env)
             assert value == eval_expr(stmt.rhs, store, env), stmt
+
+    def test_unknown_expression_kind_is_a_type_error(self):
+        from repro.machine.lowering import _ExprCompiler
+
+        with pytest.raises(TypeError, match="cannot lower"):
+            _ExprCompiler({}).emit(object())
 
     def test_subscript_error_matches_interpreter(self):
         src = SOURCE.replace("DO i = 2, n - 1", "DO i = 2, n + 1")

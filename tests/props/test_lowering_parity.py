@@ -44,7 +44,7 @@ def assert_parity(source, inputs=None, procs=4, strategy="selected", **opts):
     for name, values in slow_seq.arrays.items():
         gathered = fast.gather(name)
         assert gathered.tobytes() == slow.gather(name).tobytes(), name
-        assert np.allclose(gathered, values), name
+        assert np.allclose(gathered, values, equal_nan=True), name
     for name in slow.store.data:
         assert fast.store.data[name].tobytes() == slow.store.data[name].tobytes()
         assert fast.store.valid[name].tobytes() == slow.store.valid[name].tobytes()
@@ -68,6 +68,22 @@ HEADER = (
 
 def program(body, n=12, decls=""):
     return HEADER.format(n=n, decls=decls) + body + "END PROGRAM\n"
+
+
+#: a non-finite literal and an infinite PARAMETER, in an assignment, a
+#: condition and a loop bound: lowering writes them as named globals of
+#: the closures, and ``inf - inf`` stores NaN in C
+NON_FINITE = program(
+    "  x = -1E999\n"
+    "  DO i = 1, MIN(n, big)\n"
+    "    A(i) = B(i) * 0.0 + big\n"
+    "    C(i) = A(i) - big\n"
+    "    IF (B(i) > x) THEN\n"
+    "      B(i) = MIN(B(i), big)\n"
+    "    END IF\n"
+    "  END DO\n",
+    decls="  PARAMETER (big = 1E999)\n  REAL x\n",
+)
 
 
 class TestStatementKinds:
@@ -179,6 +195,11 @@ class TestStatementKinds:
             decls="  INTEGER k\n",
         )
         assert_parity(src, _inputs("ABC", 12))
+
+    def test_non_finite_constants(self):
+        fast, _slow = assert_parity(NON_FINITE, _inputs("ABC", 12))
+        assert np.isinf(fast.gather("A")).all()
+        assert np.isnan(fast.gather("C")).all()
 
 
 @pytest.mark.parametrize(
