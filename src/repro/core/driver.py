@@ -208,7 +208,7 @@ class CompiledProgram:
 
     @property
     def slabs(self) -> "SlabReport":
-        """Per-loop slab eligibility, the simulator's tier-3 engine."""
+        """Per-loop slab plans, the simulator's tier-3 engine."""
         return self._derive("slabexec", _classify_slabs)
 
     @property
@@ -284,19 +284,11 @@ def _lower(compiled: CompiledProgram) -> "LoweredIR":
 
 
 def _classify_slabs(compiled: CompiledProgram) -> "SlabReport":
-    """Eligibility only — the runtime plans are built per run."""
+    """Every loop's slab plan or the reason it has none — built once
+    here and shared by every run of the program."""
     from ..machine.slabexec import classify_procedure
 
-    reduction_ids = {
-        s.stmt_id for red in compiled.ctx.reductions for s in red.update_stmts
-    }
-    return classify_procedure(
-        compiled.proc,
-        compiled.executors,
-        compiled.comm.events,
-        reduction_ids,
-        grid_rank=compiled.grid.rank,
-    )
+    return classify_procedure(compiled)
 
 
 def _plan_tiers(compiled: CompiledProgram, slabs: "SlabReport") -> "TierPlan":

@@ -52,7 +52,6 @@ from ..codegen.evalexpr import (
     fortran_int_div,
 )
 from ..codegen.walker import ExecutionHooks
-from ..core.mapping_kinds import ReductionMapping
 from ..errors import InterpreterError, SimulationError
 from ..ir.expr import (
     ArrayElemRef,
@@ -507,23 +506,9 @@ class ExecutorTables:
 
     def _build(self, stmt) -> Callable:
         sim = self.sim
-        compiled = sim.compiled
-        info = compiled.executors[stmt.stmt_id]
-        all_ranks = self.all_ranks
-        # Reduction-variable statements outside the update set run
-        # everywhere (mirrors SPMDSimulator.executor_ranks).
-        if (
-            isinstance(stmt, AssignStmt)
-            and isinstance(stmt.lhs, ScalarRef)
-            and stmt.stmt_id not in sim._reduction_updates
-        ):
-            d = compiled.ctx.ssa.def_of_lhs.get(stmt.lhs.ref_id)
-            mapping = (
-                compiled.scalar_pass.decisions.get(d) if d is not None else None
-            )
-            if isinstance(mapping, ReductionMapping):
-                return lambda env: all_ranks
-        if info.kind == "all":
+        info = sim.compiled.executors[stmt.stmt_id]
+        if stmt.stmt_id in sim.reductions.everywhere or info.kind == "all":
+            all_ranks = self.all_ranks
             return lambda env: all_ranks
         return self._position_closure(info.position)
 
@@ -830,7 +815,7 @@ class FastPath:
             name,
             lows,
             self._dt[sid],
-            sid in self.sim._reduction_updates,
+            sid in self.sim.reductions.updates,
             closure,
         )
 

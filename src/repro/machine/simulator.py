@@ -117,6 +117,59 @@ class _SPMDHooks(ExecutionHooks):
 TIERS = ("interpreted", "lowered", "slab", "auto")
 
 
+class ReductionIndex:
+    """The recognized reductions of a compiled program, by statement
+    and loop id — a function of the program alone, read alike by the
+    simulator, its executor tables and the slab classifier."""
+
+    def __init__(self, compiled: CompiledProgram):
+        #: update statement ids of every recognized reduction
+        self.recognized = {
+            s.stmt_id for red in compiled.ctx.reductions for s in red.update_stmts
+        }
+        #: update statement id -> (reduction, mapping) of the privatized
+        #: ones, and combining loop id -> those it combines at exit
+        self.updates: dict[int, tuple] = {}
+        self.by_loop: dict[int, list] = {}
+        scalar_pass = compiled.scalar_pass
+        array_reductions = getattr(scalar_pass, "array_reductions", {})
+        for reduction in compiled.ctx.reductions:
+            update = reduction.update_stmts[0]
+            if reduction.is_array_reduction:
+                entry = array_reductions.get(update.stmt_id)
+                if entry is None:
+                    continue
+                _, mapping = entry
+                self.updates[update.stmt_id] = (reduction, mapping)
+                self.by_loop.setdefault(reduction.loop.stmt_id, []).append(
+                    (reduction, mapping)
+                )
+                continue
+            d = compiled.ctx.ssa.def_of_assignment(update)
+            mapping = scalar_pass.decisions.get(d.def_id) if d else None
+            if not isinstance(mapping, (ReductionMapping, FullyReplicatedReduction)):
+                continue
+            for stmt in reduction.update_stmts:
+                self.updates[stmt.stmt_id] = (reduction, mapping)
+            if isinstance(mapping, ReductionMapping):
+                self.by_loop.setdefault(reduction.loop.stmt_id, []).append(
+                    (reduction, mapping)
+                )
+        #: reduction-variable statements outside the update set (the
+        #: initialization of the privatized temporary) run everywhere
+        def_of_lhs = compiled.ctx.ssa.def_of_lhs
+        self.everywhere = {
+            s.stmt_id
+            for s in compiled.proc.assignments()
+            if isinstance(s.lhs, ScalarRef)
+            and s.stmt_id not in self.updates
+            and isinstance(
+                scalar_pass.decisions.get(def_of_lhs.get(s.lhs.ref_id)),
+                ReductionMapping,
+            )
+        }
+
+
 class SPMDSimulator:
     def __init__(
         self,
@@ -194,17 +247,13 @@ class SPMDSimulator:
         #: an inactive loop's index spans the whole dimension)
         self._active_loop_vars: dict[str, int] = {}
         #: reduction bookkeeping
-        self._reduction_updates: dict[int, tuple] = {}
-        self._reductions_by_loop: dict[int, list] = {}
+        self.reductions = ReductionIndex(compiled)
         #: (loop, name) at loop entry: rank -> scalar, or the array buffer's copy
         self._reduction_snapshots: dict[tuple, dict | np.ndarray] = {}
-        #: executor-set caches: per-statement "runs everywhere" flag and
-        #: position-form-value -> rank list (satellite: stop rebuilding
-        #: the itertools product on every statement instance)
+        #: executor-set cache: position-form-value -> rank list (stop
+        #: rebuilding the itertools product on every statement instance)
         self._all_ranks = list(self.grid.all_ranks())
-        self._exec_everywhere: dict[int, bool] = {}
         self._ranks_cache: dict[tuple, list[int]] = {}
-        self._index_reductions()
         # Every array starts zero-filled (matching the sequential
         # interpreter's global store) and valid where the rank owns it;
         # set_array overwrites the contents afterwards.
@@ -214,35 +263,6 @@ class SPMDSimulator:
     # ==================================================================
     # Setup
     # ==================================================================
-
-    def _index_reductions(self) -> None:
-        array_reductions = getattr(
-            self.compiled.scalar_pass, "array_reductions", {}
-        )
-        for reduction in self.compiled.ctx.reductions:
-            update = reduction.update_stmts[0]
-            if reduction.is_array_reduction:
-                entry = array_reductions.get(update.stmt_id)
-                if entry is None:
-                    continue
-                _, mapping = entry
-                self._reduction_updates[update.stmt_id] = (reduction, mapping)
-                self._reductions_by_loop.setdefault(
-                    reduction.loop.stmt_id, []
-                ).append((reduction, mapping))
-                continue
-            d = self.compiled.ctx.ssa.def_of_assignment(update)
-            mapping = (
-                self.compiled.scalar_pass.decisions.get(d.def_id) if d else None
-            )
-            if not isinstance(mapping, (ReductionMapping, FullyReplicatedReduction)):
-                continue
-            for stmt in reduction.update_stmts:
-                self._reduction_updates[stmt.stmt_id] = (reduction, mapping)
-            if isinstance(mapping, ReductionMapping):
-                self._reductions_by_loop.setdefault(
-                    reduction.loop.stmt_id, []
-                ).append((reduction, mapping))
 
     def set_array(self, name: str, values: np.ndarray) -> None:
         self.store.set_array(self._mapping_of(name), values)
@@ -430,30 +450,9 @@ class SPMDSimulator:
     def _ranks_of_position(self, position, env) -> list[int]:
         return self._position_ranks(position, self._position_form_values(position, env))
 
-    def _runs_everywhere(self, stmt: Stmt) -> bool:
-        """Reduction-variable statements outside the update set (the
-        initialization of the privatized temporary) run everywhere;
-        static per statement, so computed once."""
-        cached = self._exec_everywhere.get(stmt.stmt_id)
-        if cached is not None:
-            return cached
-        everywhere = False
-        if (
-            isinstance(stmt, AssignStmt)
-            and isinstance(stmt.lhs, ScalarRef)
-            and stmt.stmt_id not in self._reduction_updates
-        ):
-            d = self.compiled.ctx.ssa.def_of_lhs.get(stmt.lhs.ref_id)
-            mapping = (
-                self.compiled.scalar_pass.decisions.get(d) if d is not None else None
-            )
-            everywhere = isinstance(mapping, ReductionMapping)
-        self._exec_everywhere[stmt.stmt_id] = everywhere
-        return everywhere
-
     def executor_ranks(self, stmt: Stmt, env) -> list[int]:
         info = self.compiled.executors[stmt.stmt_id]
-        if self._runs_everywhere(stmt) or info.kind == "all":
+        if stmt.stmt_id in self.reductions.everywhere or info.kind == "all":
             return self._all_ranks
         # Cache on the evaluated position forms: statement instances in
         # different iterations of hoisted-out loops share one entry.
@@ -480,8 +479,7 @@ class SPMDSimulator:
         ranks = self.executor_ranks(stmt, env)
         if not ranks:
             raise SimulationError(f"S{stmt.stmt_id}: empty executor set")
-        reduction_entry = self._reduction_updates.get(stmt.stmt_id)
-        is_private_accumulation = reduction_entry is not None
+        is_private_accumulation = stmt.stmt_id in self.reductions.updates
 
         store = self.store
         name = stmt.lhs.symbol.name
@@ -578,7 +576,7 @@ class SPMDSimulator:
             self._active_loop_vars.get(var_name, 0) + 1
         )
         store = self.store
-        for reduction, mapping in self._reductions_by_loop.get(stmt.stmt_id, ()):
+        for reduction, mapping in self.reductions.by_loop.get(stmt.stmt_id, ()):
             key = (stmt.stmt_id, reduction.symbol.name)
             name = reduction.symbol.name
             if reduction.is_array_reduction:
@@ -596,7 +594,7 @@ class SPMDSimulator:
             self._active_loop_vars.pop(var_name, None)
         else:
             self._active_loop_vars[var_name] = count
-        for reduction, mapping in self._reductions_by_loop.get(stmt.stmt_id, ()):
+        for reduction, mapping in self.reductions.by_loop.get(stmt.stmt_id, ()):
             if reduction.is_array_reduction:
                 self._combine_array(reduction, mapping, stmt, env)
             else:

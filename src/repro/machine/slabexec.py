@@ -20,21 +20,25 @@ are lanes too (a flattened, possibly triangular nest: the per-column
 them to the next — then the inner loop is the *serial axis*: the body
 runs trip by trip, each statement still vectorized across the columns.
 
-Eligibility (the fallback ladder's top rung) is decided in two stages:
+Eligibility (the fallback ladder's top rung) is decided once per nest
+and checked again per entry:
 
-* a **static classification** (:func:`classify_procedure`, run as the
-  ``slabexec`` compiler pass) checks the shape of each loop nest —
-  assign-only bodies, affine subscripts, executors that are a fixed
-  rank set or the owner of the column, communication placed above the
-  loop per the communication analysis, and no dependence carried
-  between lanes per :mod:`repro.analysis.dependence`;
-* the **runtime plan** rechecks everything that depends on live state
-  (validity of read operands, executor rank sets, divisors, subscript
-  bounds, disjointness of the concrete index sets) and *bails* —
-  executing nothing and mutating nothing — the moment any assumption
-  fails.  A bailed takeover falls back to the tier-2 lowered closures,
-  which reproduce the per-iteration semantics (including any error and
-  its exact partial state) bit for bit.
+* the **classification** (:func:`classify_procedure`, the compiled
+  program's ``slabs``) checks the shape of each loop nest — assign-only
+  bodies, affine subscripts, executors that are a fixed rank set or the
+  owner of the column, communication placed above the loop per the
+  communication analysis, no dependence carried between lanes per
+  :mod:`repro.analysis.dependence`, and a store role for every
+  statement — and builds the nest's :class:`NestPlan`, or names the
+  first reason it is not one takeover.  The plan is machine- and
+  run-independent: every simulation of the program shares it;
+* each **entry** (:meth:`NestPlan.prepare`) checks what depends on live
+  state (validity of read operands, executor rank sets, divisors,
+  subscript bounds, disjointness of the concrete index sets) and
+  *bails* — executing nothing and mutating nothing — the moment any
+  assumption fails.  A bailed takeover falls back to the tier-2 lowered
+  closures, which reproduce the per-iteration semantics (including any
+  error and its exact partial state) bit for bit.
 
 Bit-for-bit clock identity is guaranteed by construction: per-instance
 compute charges are precomputed ``dt`` values replayed through
@@ -75,9 +79,8 @@ from ..codegen.veceval import (
 from ..errors import MappingError
 from ..ir.expr import ArrayElemRef, ScalarRef, affine_form
 from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
+from .simulator import ReductionIndex
 from .stats import sequential_sum
-
-_MISSING = object()
 
 #: consecutive prepare bails after which a nest that never committed is
 #: demoted to tier 2 for the rest of the run
@@ -110,23 +113,24 @@ def _mentions(form, *names: str) -> bool:
 
 @dataclass
 class SlabReport:
-    """Per-loop slab eligibility.
+    """Per-loop slab plans.
 
-    ``verdicts`` maps every loop statement id to ``"ok"`` or the first
-    reason the loop is not one takeover; ``serial_axes`` names the
-    eligible nests whose inner loop is the serial axis — the one fact
-    about a nest's domain that takes a dependence analysis to know.
-    Plain ids and strings only; derived from the compiled program on
-    first read and again when ``ir_epoch`` is stale, like the lowering.
+    ``verdicts`` maps every loop statement id to the loop's
+    :class:`NestPlan` — it is one takeover — or to the first reason it
+    is not.  Derived from the compiled program on first read and again
+    when ``ir_epoch`` is stale, like the lowering; the plans hold no
+    machine or run state, so every simulation of the program shares
+    them.
     """
 
     ir_epoch: int
-    verdicts: dict[int, str] = field(default_factory=dict)
-    serial_axes: set[int] = field(default_factory=set)
+    verdicts: dict[int, "NestPlan | str"] = field(default_factory=dict)
 
     def eligible_loops(self) -> set[int]:
-        """Statement ids of every loop with an "ok" verdict."""
-        return {sid for sid, v in self.verdicts.items() if v == "ok"}
+        """Statement ids of every loop with a plan."""
+        return {
+            sid for sid, v in self.verdicts.items() if isinstance(v, NestPlan)
+        }
 
 
 def _placement_map(events) -> dict[int, list[int]]:
@@ -202,15 +206,6 @@ def _replicated_exec(info) -> bool:
     )
 
 
-def _runs_serially(proc, inner: LoopStmt, body, reduction_ids,
-                   verdicts) -> bool:
-    """Whether the inner loop of a nest is its serial axis (an eligible
-    inner loop carries no value: that was its own verdict)."""
-    return verdicts.get(inner.stmt_id) != "ok" and _serial_axis(
-        proc, inner, body, reduction_ids
-    )
-
-
 def _column_discipline(stmts, v: str, stores_only: bool) -> str | None:
     """Each array keeps one dimension subscripted exactly ``v`` and the
     others ``v``-free — in its stores, or in every reference — so a
@@ -237,11 +232,10 @@ def _column_discipline(stmts, v: str, stores_only: bool) -> str | None:
     return None
 
 
-def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
-              grid_rank, report: SlabReport) -> str:
-    """Whether ``loop`` is one data-parallel operation, and if not the
-    first reason why (an eligible nest with a serial axis is noted in
-    ``report.serial_axes``).
+def _classify(compiled, loop: LoopStmt, placements,
+              reductions: ReductionIndex, verdicts) -> "NestPlan | str":
+    """The plan of ``loop`` as one data-parallel operation, or the first
+    reason it is not one.
 
     Without an inner loop every iteration is a lane on a *fixed*
     executor set: the executors may not vary with the loop variable,
@@ -263,6 +257,8 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
     if isinstance(nest, str):
         return nest
     inner, pre, body, post = nest
+    proc, executors = compiled.proc, compiled.executors
+    reduction_ids = reductions.recognized
     v = loop.var.name
     stmts = pre + body + post
 
@@ -280,28 +276,41 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
             )
             if reason is not None:
                 return f"S{s.stmt_id}: {reason}"
-        return _carried_dependence(proc, loop, stmts, reduction_ids) or "ok"
+        reason = _carried_dependence(proc, loop, stmts, reduction_ids)
+        if reason is not None:
+            return reason
+        plan = NestPlan(loop, None, False, [None, None, None])
+        return plan._build(compiled, reductions, (pre, body, post)) or plan
 
-    if grid_rank != 1:
+    if compiled.grid.rank != 1:
         return "grid is not one-dimensional"
     i = inner.var.name
-    serial = _runs_serially(proc, inner, body, reduction_ids, report.verdicts)
+    # (an inner loop with a plan carries no value: its own verdict)
+    serial = not isinstance(verdicts.get(inner.stmt_id), NestPlan) and (
+        _serial_axis(proc, inner, body, reduction_ids)
+    )
+    stored = {s.lhs.symbol.name for s in stmts if isinstance(s.lhs, ScalarRef)}
+    #: the affine form of each inner bound that varies with the column
+    bound_forms = []
     for tag, bound in (
         ("low", inner.low), ("high", inner.high), ("step", inner.step)
     ):
-        if bound is None:
-            continue
-        names = {
-            r.symbol.name for r in bound.refs() if isinstance(r, ScalarRef)
-        }
+        refs = bound.refs() if bound is not None else ()
+        names = {r.symbol.name for r in refs if isinstance(r, ScalarRef)}
         if i in names:
             return "inner bounds vary with the inner variable"
         if v in names and (serial or tag == "step"):
             # a serial axis has one trip count for all columns
             return "inner bounds vary with the loop variables"
-        if affine_form(bound) is None and not serial:
+        form = affine_form(bound) if bound is not None else None
+        if bound is not None and form is None and not serial:
             return f"inner {tag} bound not affine"
-    canon_pos = _MISSING
+        if any(isinstance(r, ArrayElemRef) for r in refs):
+            return "inner bound reads an array"
+        if names & stored:
+            return "inner bounds vary during the takeover"
+        bound_forms.append(form if v in names else None)
+    canon_pos = None
     for s in stmts:
         sid = s.stmt_id
         if sid in reduction_ids and (serial or isinstance(s.lhs, ArrayElemRef)):
@@ -331,14 +340,14 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
             else dim.kind
             for dim in info.position
         )
-        if canon_pos is _MISSING:
+        if canon_pos is None:
             canon_pos = pos
         elif pos != canon_pos:
             return "executor position differs across statements"
         if not serial:
             # (a serial nest whose position is no point — one rank —
-            # is declined by the plan, not here: its verdict feeds the
-            # tier decisions the records pin)
+            # is declined by its plan's executors, after every check
+            # here)
             if len(pos) != 1:
                 return f"S{sid}: executor is not a 1-D owner position"
             if isinstance(pos[0], str):
@@ -352,7 +361,7 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
         reason = _check_affine_refs(s) or communicates(s)
         if reason is not None:
             return f"S{sid}: {reason}"
-    if canon_pos is _MISSING:
+    if canon_pos is None:
         return "no owner-positioned statement"
     written = {
         s.lhs.symbol.name for s in body if isinstance(s.lhs, ArrayElemRef)
@@ -374,28 +383,29 @@ def _classify(proc, loop: LoopStmt, executors, placements, reduction_ids,
     reason = _carried_dependence(
         proc, loop, stmts, reduction_ids, frozenset((i,))
     )
-    if reason is None and serial:
-        report.serial_axes.add(loop.stmt_id)
-    return reason or "ok"
+    if reason is not None:
+        return reason
+    plan = NestPlan(loop, inner, serial, bound_forms)
+    return plan._build(compiled, reductions, (pre, body, post)) or plan
 
 
-def classify_procedure(proc, executors, events, reduction_ids,
-                       grid_rank: int) -> SlabReport:
-    """Statically classify every loop nest for slab eligibility."""
-    placements = _placement_map(events)
+def classify_procedure(compiled) -> SlabReport:
+    """Every loop nest's plan, or the first reason it has none."""
+    proc = compiled.proc
+    placements = _placement_map(compiled.comm.events)
+    reductions = ReductionIndex(compiled)
     report = SlabReport(ir_epoch=proc.ir_epoch)
 
     def visit(stmts):
         for s in stmts:
             if isinstance(s, LoopStmt):
                 # inner verdicts first: whether a nest flattens its
-                # inner loop depends on it.  An eligible nest preempts
-                # its eligible inner loop; a bail falls back to tier 2,
-                # which re-enters the inner loop's own takeover
+                # inner loop depends on it.  A nest with a plan preempts
+                # its inner loop's; a bail falls back to tier 2, which
+                # re-enters the inner loop's own takeover
                 visit(s.body)
                 report.verdicts[s.stmt_id] = _classify(
-                    proc, s, executors, placements, reduction_ids,
-                    grid_rank, report,
+                    compiled, s, placements, reductions, report.verdicts
                 )
             elif isinstance(s, IfStmt):
                 visit(s.then_body)
@@ -412,13 +422,12 @@ def classify_procedure(proc, executors, events, reduction_ids,
 class _Step:
     """One assignment of the nest, preprocessed."""
 
-    __slots__ = ("stmt", "sid", "dt", "index", "k", "kind", "name", "stype",
+    __slots__ = ("stmt", "sid", "index", "k", "kind", "name", "stype",
                  "expr", "op", "follows", "group")
 
-    def __init__(self, stmt: AssignStmt, dt: float, index: int, k: int):
+    def __init__(self, stmt: AssignStmt, index: int, k: int):
         self.stmt = stmt
         self.sid = stmt.stmt_id
-        self.dt = dt
         #: position among all the nest's statements, and within its phase
         self.index = index
         self.k = k
@@ -525,8 +534,10 @@ class _FetchLog:
     may bail; :meth:`commit` replays compute and messages in that
     order, one fold per *message run*."""
 
-    def __init__(self, plan):
-        self.plan = plan
+    def __init__(self, sim, engine, lane_vars: tuple):
+        self.sim = sim
+        self.engine = engine
+        self.lane_vars = lane_vars
         self.reads: list[_Fetched] = []
 
     def _fetch_read(self, ref, stmt, q: int, dst, elem, inst):
@@ -536,8 +547,8 @@ class _FetchLog:
         vectorized twin of ``FetchEngine.fetch_array``'s source lookup.
         A rank fetches an element once, at its first lane."""
         name = ref.symbol.name
-        acc = self.plan.fast.engine.access(name)
-        data, valid, size = self.plan.sim.store.flat[name]
+        acc = self.engine.access(name)
+        data, valid, size = self.sim.store.flat[name]
         addr, first, back = np.unique(
             dst * size + elem, return_index=True, return_inverse=True
         )
@@ -575,8 +586,7 @@ class _FetchLog:
         reads = self.reads
         if not reads:
             return None
-        plan = self.plan
-        sim = plan.sim
+        sim = self.sim
         inst, elem, src, shaky, dst = (
             np.concatenate(column) for column in list(zip(*reads))[:5]
         )
@@ -617,7 +627,7 @@ class _FetchLog:
                 # the takeover variables, which tier 2 sets per
                 # iteration and we do not
                 raise _Bail("fetch without a placed event")
-            if set(outer) & set(plan.lane_vars):
+            if set(outer) & set(self.lane_vars):
                 raise _Bail("fetch key varies per lane")
             tally.append(((f.stmt.stmt_id, f.ref.ref_id), count))
         # the key is the same for every element of one (read, reader,
@@ -663,7 +673,7 @@ class _FetchLog:
         sees no messages and is folded in one piece.  Everything else a
         fetch does is batched per reference."""
         inst, src, dst, startup, tally, fresh = sched
-        sim = self.plan.sim
+        sim = self.sim
         clocks, stats = sim.clocks, sim.stats
         time = clocks.time
         # rank r's tape is steps[done[r]:ends[r]], empty when it
@@ -882,15 +892,17 @@ class _NestCtx(_Ctx):
     whatever the number of ranks; per-rank state is gathered lane-wise
     through each lane's executing rank."""
 
-    def __init__(self, plan: "NestPlan", dom: _Domain, env):
+    def __init__(self, plan: "NestPlan", slab: "SlabExecutor", dom: _Domain,
+                 env):
         self.plan = plan
         self.dom = dom
         self.base_env = env
-        self.store = plan.sim.store
-        self.log = _FetchLog(plan)
+        self.sim, self.fast = slab.sim, slab.fast
+        self.store = self.sim.store
+        self.log = _FetchLog(self.sim, self.fast.engine, plan.lane_vars)
         #: step index -> the step's lanes
         self.lanes_of = dom.lanes_of
-        sub_env = plan.subscript_env(env, dom.participants)
+        sub_env = plan.subscript_env(self.store, env, dom.participants)
         #: per-pass increment of every element (and address) that moves
         #: with the serial axis
         self.strides = {
@@ -1234,7 +1246,7 @@ class _NestCtx(_Ctx):
         # are rank-major, so a layout's come out rank by rank and
         # ascending — as they are numbered, where every rank's columns
         # are consecutive
-        nranks = self.plan.sim.grid.size
+        nranks = self.sim.grid.size
         shared = len(dom.layouts) > 1
         groups = np.asarray([st.group for st in plan.all_steps])
         ranks, insts = [], []
@@ -1266,10 +1278,10 @@ class _NestCtx(_Ctx):
         """Make the takeover visible: clocks, stores and invalidations,
         scalars, folds.  Returns the number of elements fetched and of
         message runs replayed."""
-        plan, dom = self.plan, self.dom
-        sim = plan.sim
+        plan, dom, sim = self.plan, self.dom, self.sim
         clocks = sim.clocks
-        dts = clocks.tape([st.dt for st in plan.all_steps])
+        dt = self.fast._dt
+        dts = clocks.tape([dt[st.sid] for st in plan.all_steps])
         if dom.tapes is None:
             dom.tapes = self._rank_tapes()
         replayed = (0, 0)
@@ -1330,11 +1342,11 @@ class _NestCtx(_Ctx):
 class NestPlan:
     """Vectorized execution of one loop nest as one takeover.
 
-    Built once per loop whose verdict is "ok", from the IR and the
-    static reports.  It trusts what the verdict proved — the nest's
-    shape, affine subscripts, executor info, one owner position, a 1-D
-    grid — and raises ``_Bail`` only where the verdict decides nothing
-    (the nest is tier 2 after all); *prepare*
+    Built by the classification (:func:`_classify`) for every loop that
+    is one takeover, from the IR and the compiled program alone: the
+    nest's shape and store roles, its references' keys, its executor
+    groups and the owner table of the column.  It holds no machine and
+    no run, so every simulation of the program shares it.  *prepare*
     then builds the entry's iteration domain (:class:`_Domain`),
     evaluates every statement over its lanes (:class:`_NestCtx`) and
     returns the commit.  Exact because no value flows between lanes:
@@ -1345,14 +1357,12 @@ class NestPlan:
     through its executing rank and fetches what that rank does not
     hold, like tier 2 (:class:`_FetchLog`)."""
 
-    def __init__(self, slab: "SlabExecutor", loop: LoopStmt):
-        sim = self.sim = slab.sim
-        fast = self.fast = slab.fast
+    def __init__(self, loop: LoopStmt, inner: LoopStmt | None, serial: bool,
+                 bound_forms: list):
         self.loop = loop
-        inner, *phases = _split_nest(loop)
+        self.inner = inner
         self.v = v = loop.var.name
         self.i = i = inner.var.name if inner is not None else None
-        serial = loop.stmt_id in slab.report.serial_axes
         #: the variable of the serial axis, if there is one, and the
         #: lane axes of the body
         self.serial_var = i if serial else None
@@ -1379,32 +1389,6 @@ class NestPlan:
         self.fold_arrays: set[str] = set()
         self.steps: tuple[list, list, list] = ([], [], [])
         self.all_steps: list[_Step] = []
-        for phase, stmts in enumerate(phases):
-            for stmt in stmts:
-                dt = fast._dt[stmt.stmt_id]
-                st = _Step(stmt, dt, len(self.all_steps), len(self.steps[phase]))
-                self._store_role(st, phase)
-                self.steps[phase].append(st)
-                self.all_steps.append(st)
-        for st in self.all_steps:
-            for ref in st.expr.refs():
-                if isinstance(ref, ArrayElemRef):
-                    if ref.symbol.name in self.fold_arrays:
-                        raise _Bail("fold array read outside its fold")
-                    self._register(ref, st)
-        if self.fold_arrays & self.written_arrays:
-            raise _Bail("array both folded and written")
-        # accumulators must not leak into any other statement
-        for st in self.all_steps:
-            if st.kind != "reduction" and st.name in self.acc_names:
-                raise _Bail("accumulator written outside the fold")
-            for ref in st.expr.refs():
-                if isinstance(ref, ScalarRef) and ref.symbol.name in self.acc_names:
-                    raise _Bail("accumulator read outside the fold")
-        mutated = set(self.scalar_phases) | self.acc_names
-        if self.subscript_scalars & mutated:
-            raise _Bail("subscript depends on a scalar written in body")
-        self._executors(mutated)
         #: the inner loop's bounds — an absent one is 1: a missing
         #: step, and the single trip of a nest without an inner loop —
         #: with the affine form of each that varies with the column
@@ -1412,49 +1396,73 @@ class NestPlan:
             (inner.low, inner.high, inner.step) if inner is not None
             else (None, None, None)
         )
-        self.bound_forms = [None, None, None]
-        for k, bound in enumerate(self.bounds):
-            for ref in bound.refs() if bound is not None else ():
-                if isinstance(ref, ArrayElemRef):
-                    raise _Bail("inner bound reads an array")
-                if ref.symbol.name == i or ref.symbol.name in mutated:
-                    raise _Bail("inner bounds vary during the takeover")
-                if ref.symbol.name == v:
-                    self.bound_forms[k] = affine_form(bound)
-                    if self.bound_forms[k] is None or serial or k == 2:
-                        raise _Bail("inner bounds not affine in the column")
-        if inner is not None:
-            # what the one plan could run but this round does not take
-            # (see CHANGES.md): each keeps its tier-2 verdict
-            if inner.stmt_id in sim._reductions_by_loop:
-                raise _Bail("inner loop combines a reduction")
-            if self.subscript_scalars:
-                raise _Bail(
-                    f"subscript depends on scalar "
-                    f"{min(self.subscript_scalars)}"
-                )
+        self.bound_forms = bound_forms
 
-    def _store_role(self, st: _Step, phase: int) -> None:
+    def _build(self, compiled, reductions: ReductionIndex,
+               phases: tuple) -> str | None:
+        """Give every statement of the nest — ``phases``: before the
+        inner loop, its body, after it — its store role, every
+        reference its key and every executor its group; or return the
+        first reason the nest is not one takeover."""
+        for phase, stmts in enumerate(phases):
+            for stmt in stmts:
+                st = _Step(stmt, len(self.all_steps), len(self.steps[phase]))
+                reason = self._store_role(st, phase, reductions.updates)
+                if reason is not None:
+                    return reason
+                self.steps[phase].append(st)
+                self.all_steps.append(st)
+        for st in self.all_steps:
+            for ref in st.expr.refs():
+                if isinstance(ref, ArrayElemRef):
+                    if ref.symbol.name in self.fold_arrays:
+                        return "fold array read outside its fold"
+                    self._register(ref, st)
+        if self.fold_arrays & self.written_arrays:
+            return "array both folded and written"
+        # accumulators must not leak into any other statement
+        for st in self.all_steps:
+            if st.kind != "reduction" and st.name in self.acc_names:
+                return "accumulator written outside the fold"
+            for ref in st.expr.refs():
+                if isinstance(ref, ScalarRef) and ref.symbol.name in self.acc_names:
+                    return "accumulator read outside the fold"
+        mutated = set(self.scalar_phases) | self.acc_names
+        if self.subscript_scalars & mutated:
+            return "subscript depends on a scalar written in body"
+        reason = self._executors(compiled, reductions.everywhere, mutated)
+        if reason is not None or self.inner is None:
+            return reason
+        # what the one plan could run but this round does not take
+        # (see CHANGES.md): each keeps its tier-2 verdict
+        if self.inner.stmt_id in reductions.by_loop:
+            return "inner loop combines a reduction"
+        if self.subscript_scalars:
+            return f"subscript depends on scalar {min(self.subscript_scalars)}"
+        return None
+
+    def _store_role(self, st: _Step, phase: int, updates) -> str | None:
         """What ``st`` stores and how: a lane value per instance, or a
-        fold over the lanes into one accumulator."""
+        fold over the lanes into one accumulator (None), or why it is
+        neither."""
         stmt, v = st.stmt, self.v
-        reduction = self.sim._reduction_updates.get(st.sid, (None,))[0]
+        reduction = updates.get(st.sid, (None,))[0]
         if reduction is not None and (
             reduction.location_symbol is not None
             or reduction.op not in _RED_UFUNC
             or reduction.symbol.name != st.name
         ):
-            raise _Bail("unsupported reduction form")
+            return "unsupported reduction form"
         if st.kind == "scalar":
             if reduction is None:
                 self.scalar_phases.setdefault(st.name, set()).add(phase)
-                return
+                return None
             st.expr = _reduction_operand(stmt.rhs, st.name, reduction.op)
             if st.expr is None:
-                raise _Bail("unrecognized reduction update")
+                return "unrecognized reduction update"
             st.kind, st.op = "reduction", reduction.op
             self.acc_names.add(st.name)
-            return
+            return None
         forms = self._register(stmt.lhs, st)
         canon = tuple(_canon_form(f) for f in forms)
         axes = self.flat_vars if phase == BODY else (v,)
@@ -1463,10 +1471,10 @@ class NestPlan:
             # fold into one array element: every lane must hit the same
             # private accumulator element
             if any(_mentions(f, *self.lane_vars) for f in forms):
-                raise _Bail("fold subscript varies with lane")
+                return "fold subscript varies with lane"
             st.expr = _afold_operand(stmt.rhs, st.name, canon, reduction.op)
             if st.expr is None:
-                raise _Bail("unrecognized array fold update")
+                return "unrecognized array fold update"
             st.kind, st.op = "afold", reduction.op
         elif not injective:
             # every lane of an axis stores the same element: only a
@@ -1475,20 +1483,21 @@ class NestPlan:
             # owner-computes assign) has per-iteration semantics a
             # slab can replay
             if self.i is not None or any(_mentions(f, v) for f in forms):
-                raise _Bail("store not injective in the loop variables")
+                return "store not injective in the loop variables"
             for op in ("+", "*", "MAX", "MIN"):
                 st.expr = _afold_operand(stmt.rhs, st.name, canon, op)
                 if st.expr is not None:
                     break
             else:
-                raise _Bail("store not injective in the loop var")
+                return "store not injective in the loop var"
             st.kind, st.op = "sfold", op
         else:
             self.written_arrays.add(st.name)
-            return
+            return None
         if st.name in self.fold_arrays:
-            raise _Bail("array folded twice")
+            return "array folded twice"
         self.fold_arrays.add(st.name)
+        return None
 
     def _register(self, ref: ArrayElemRef, st: _Step) -> list:
         """Record an array reference's forms, home and key."""
@@ -1543,30 +1552,30 @@ class NestPlan:
             for ref_id, head, dims in self._moving
         }
 
-    def _executors(self, mutated: set) -> None:
+    def _executors(self, compiled, everywhere: set,
+                   mutated: set) -> str | None:
         """Sort the statements by executor: those run by the owner of
         their column — one canonical 1-D position, a function of the
         outer variable, tabulated as ``pos_ranks`` — and those run by a
         fixed rank set, evaluated at prepare."""
-        sim = self.sim
         self.pos_form = None
         #: one statement of every distinct executor (``_Step.group``)
         self.executors: list[_Step] = []
         groups: dict = {}
         for st in self.all_steps:
-            info = sim.compiled.executors[st.sid]
-            everywhere = sim._runs_everywhere(st.stmt) or info.kind == "all"
+            info = compiled.executors[st.sid]
+            runs_all = st.sid in everywhere or info.kind == "all"
             forms = [
                 dim.form
                 for dim in info.position
                 if dim.kind == "pos" and dim.form is not None
                 and dim.fmt is not None
             ]
-            st.follows = not everywhere and any(
+            st.follows = not runs_all and any(
                 _mentions(form, self.v) for form in forms
             )
             # (what ``executor_ranks`` is a function of)
-            key = "all" if everywhere else "owner" if st.follows else tuple(
+            key = "all" if runs_all else "owner" if st.follows else tuple(
                 _canon_form(dim.form)
                 if dim.kind == "pos" and dim.form is not None
                 and dim.fmt is not None
@@ -1578,66 +1587,64 @@ class NestPlan:
                 self.executors.append(st)
             if not st.follows:
                 continue
-            # (the verdict held every owner position of the nest equal,
-            # on a 1-D grid: the one dimension ``follows`` found)
+            # (the classification held every owner position of the nest
+            # equal, on a 1-D grid: the one dimension ``follows`` found)
             dim = info.position[0]
             self.pos_form, self.pos_fmt = dim.form, dim.fmt
         if self.pos_form is None:
             if self.i is not None:
                 # (one rank: the columns have no owner to be sliced by)
-                raise _Bail("executor position is not a point")
+                return "executor position is not a point"
         else:
             # the position may only depend on the column (and constants)
             for sym, _c in self.pos_form.coeffs:
-                if sym.value is None and sym.name != self.v:
-                    if (
-                        not sym.is_loop_var
-                        or sym.name == self.i
-                        or sym.name in mutated
-                    ):
-                        raise _Bail("executor position not a column function")
+                if sym.value is None and sym.name != self.v and (
+                    not sym.is_loop_var or sym.name in mutated
+                ):
+                    return "executor position not a column function"
+            grid, fmt = compiled.grid, self.pos_fmt
             rank_of = np.asarray(
-                [sim.grid.rank_of((c,)) for c in range(sim.grid.shape[0])],
+                [grid.rank_of((c,)) for c in range(grid.shape[0])],
                 dtype=np.int64,
             )
             self.pos_ranks = rank_of[
                 np.asarray(
-                    self.fast.etables.owner_table(self.pos_fmt), dtype=np.int64
+                    [fmt.owner(p) for p in range(fmt.extent)], dtype=np.int64
                 )
             ]
         for st in self.all_steps:
             if st.follows:
                 continue
-            info = sim.compiled.executors[st.sid]
-            everywhere = sim._runs_everywhere(st.stmt)
-            if self.pos_form is not None:
-                # beside column-owned statements only replicated ones
-                # (the verdict's), and only on scalars: arrays would
-                # read per-rank state
-                if st.kind != "scalar" or any(
-                    isinstance(ref, ArrayElemRef) for ref in st.stmt.rhs.refs()
-                ):
-                    raise _Bail("replicated statement touches an array")
-            for dim in () if everywhere else info.position:
+            if self.pos_form is not None and (
+                st.kind != "scalar"
+                or st.sid in everywhere and _stmt_array_refs(st.stmt)
+            ):
+                # beside column-owned statements only plain scalar
+                # stores: the classification held the replicated ones
+                # off arrays, this holds folds and what runs everywhere
+                return "replicated statement touches an array"
+            if st.sid in everywhere:
+                continue
+            for dim in compiled.executors[st.sid].position:
                 if dim.kind == "pos" and dim.form is not None:
                     if _mentions(dim.form, *self.lane_vars, *mutated):
-                        raise _Bail("executor varies inside the loop")
+                        return "executor varies inside the loop"
+        return None
 
-    def subscript_env(self, env, participants: list[int]):
+    def subscript_env(self, store, env, participants: list[int]):
         """``env`` plus the memory scalars the subscripts reference:
-        every participant must hold the same valid integral value
-        (per-iteration semantics read the rank's own copy each time)."""
+        every participant must hold the same valid integral value in
+        ``store`` (per-iteration semantics read the rank's own copy
+        each time)."""
         if not self.subscript_scalars:
             return env
         sub_env = dict(env)
-        store = self.sim.store
         for nm in sorted(self.subscript_scalars - set(env)):
-            val = _MISSING
-            for r in participants:
+            for k, r in enumerate(participants):
                 if not store.scalar_valid[nm][r]:
                     raise _Bail(f"subscript scalar {nm} invalid")
                 got = store.scalars[nm][r]
-                if val is _MISSING:
+                if k == 0:
                     val = got
                 elif got != val:
                     raise _Bail(f"subscript scalar {nm} diverges")
@@ -1648,13 +1655,13 @@ class NestPlan:
 
     # ------------------------------------------------------------------
 
-    def _build_shape(self, low: int, high: int, step: int, bounds: tuple,
-                     pos, ranks: tuple) -> _Domain | None:
+    def _build_shape(self, nranks: int, low: int, high: int, step: int,
+                     bounds: tuple, pos, ranks: tuple) -> _Domain | None:
         """The iteration domain — None when it is empty — of an entry
-        whose loop runs ``low, high, step``, whose inner bounds and
-        owner position are ``bounds`` and ``pos`` at the first column,
-        and whose fixed executors are ``ranks``: a function of these
-        alone."""
+        on ``nranks`` ranks whose loop runs ``low, high, step``, whose
+        inner bounds and owner position are ``bounds`` and ``pos`` at
+        the first column, and whose fixed executors are ``ranks``: a
+        function of these alone."""
         nj = slab_trip_count(low, high, step)
         if nj == 0:
             return None
@@ -1693,7 +1700,7 @@ class NestPlan:
         for st, fixed in zip(self.executors, ranks):
             if fixed in layouts:
                 continue
-            runs = np.zeros((self.sim.grid.size, nj), dtype=np.bool_)
+            runs = np.zeros((nranks, nj), dtype=np.bool_)
             if st.follows:
                 at = per_column(pos, self.pos_form)
                 if int(at.min()) < 0 or int(at.max()) >= self.pos_fmt.extent:
@@ -1715,20 +1722,21 @@ class NestPlan:
         })
         return dom
 
-    def prepare(self, low: int, high: int, step: int, env) -> Callable:
-        # what the entry's shape is a function of — a handful of
-        # integers that successive entries mostly repeat, so the
-        # executor keeps the last shape (one, whatever the loop: a big
-        # nest's is released before the next is built).  A bound
-        # invariant over the columns is evaluated once, uncharged,
-        # exactly like the per-iteration walker's eval_bound; one
-        # affine in the column, and the owners' position, at the first
-        # column
+    def prepare(self, slab: "SlabExecutor", low: int, high: int, step: int,
+                env) -> Callable:
+        # ``slab`` is the run's executor.  What the entry's shape is a
+        # function of — a handful of integers that successive entries
+        # mostly repeat, so the executor keeps the last shape (one,
+        # whatever the loop: a big nest's is released before the next
+        # is built).  A bound invariant over the columns is evaluated
+        # once, uncharged, exactly like the per-iteration walker's
+        # eval_bound; one affine in the column, and the owners'
+        # position, at the first column
         first = {self.v: low}
         try:
             bounds = tuple([
                 1 if bound is None
-                else self.fast.eval_bound(bound, env) if form is None
+                else slab.fast.eval_bound(bound, env) if form is None
                 else _affine_vec(form, first, env)
                 for bound, form in zip(self.bounds, self.bound_forms)
             ])
@@ -1740,19 +1748,18 @@ class NestPlan:
             else _affine_vec(self.pos_form, first, env),
             tuple([
                 None if st.follows
-                else tuple(self.sim.executor_ranks(st.stmt, env))
+                else tuple(slab.sim.executor_ranks(st.stmt, env))
                 for st in self.executors
             ]),
         )
-        memo = self.fast.slab
-        if key != memo.shape_key:
-            memo.shape_key = memo.shape = None
-            memo.shape = self._build_shape(*key[1:])
-            memo.shape_key = key
-        dom = memo.shape
+        if key != slab.shape_key:
+            slab.shape_key = slab.shape = None
+            slab.shape = self._build_shape(slab.sim.grid.size, *key[1:])
+            slab.shape_key = key
+        dom = slab.shape
         if dom is None:
             return lambda: (0, 0)
-        ctx = _NestCtx(self, dom, env)
+        ctx = _NestCtx(self, slab, dom, env)
         with np.errstate(over="ignore", invalid="ignore"):
             ctx.run()
         return ctx.commit
@@ -1764,20 +1771,19 @@ class NestPlan:
 
 
 class SlabExecutor:
-    """Tier-3 entry point: owns the eligibility report and one runtime
-    plan per loop, attempts takeovers, and falls back on any bail."""
+    """Tier-3 entry point of one run: attempts a takeover of every loop
+    the compiled program has a plan for, falls back on any bail, and
+    keeps what belongs to the run — the last entry's shape and the bail
+    counts that demote a nest."""
 
     def __init__(self, fast):
         self.fast = fast
         self.sim = fast.sim
-        sim = self.sim
-        self.report = report = sim.compiled.slabs
-        self._plans: dict[int, Any] = {}
-        self._eligible = report.eligible_loops()
-        #: a program whose report has no eligible nest pays nothing per
-        #: loop entry: one flag check instead of a plan lookup (DGEFA's
-        #: pivot search enters thousands of ineligible loops)
-        self.enabled = bool(self._eligible)
+        self.report = report = self.sim.compiled.slabs
+        #: a program without a plan pays nothing per loop entry: one
+        #: flag check instead of a verdict lookup (DGEFA's pivot search
+        #: enters thousands of loops without one)
+        self.enabled = bool(report.eligible_loops())
         #: per-loop consecutive prepare bails; a nest that reaches
         #: GIVE_UP_AFTER without ever committing is demoted to tier 2
         #: for the rest of the run (prepare overhead was pure loss)
@@ -1797,22 +1803,6 @@ class SlabExecutor:
                 "slab.bail", cat="sim", loop=stmt.stmt_id, reason=reason
             )
 
-    def _build(self, stmt: LoopStmt):
-        # Plan construction only reads the IR and the static reports;
-        # a bail means "this loop is tier 2", a numeric-domain error in
-        # a closed form means the same — anything else (NameError,
-        # TypeError, ...) is a genuine bug and must surface.
-        if stmt.stmt_id not in self._eligible:
-            return None
-        try:
-            return NestPlan(self, stmt)
-        except _Bail as bail:
-            self._record_bail(stmt, str(bail))
-            return None
-        except (ArithmeticError, ValueError, OverflowError):
-            self._record_bail(stmt, "plan construction error")
-            return None
-
     def _decide(self, sid: int, choice: str) -> None:
         sim = self.sim
         if sim.tier_decisions.get(sid) != choice:
@@ -1825,33 +1815,29 @@ class SlabExecutor:
         if not self.enabled:
             return False
         sid = stmt.stmt_id
+        plan = self.report.verdicts.get(sid)
+        if not isinstance(plan, NestPlan):
+            return False
         sim = self.sim
         approved = sim._tier_approved
         if approved is not None and sid not in approved:
-            if sid in self._eligible:
-                # the TierPlan predicted tier 2 to win here
-                self._decide(sid, "lowered")
+            # the TierPlan predicted tier 2 to win here
+            self._decide(sid, "lowered")
             return False
-        plan = self._plans.get(sid, _MISSING)
-        if plan is _MISSING:
-            plan = self._build(stmt)
-            self._plans[sid] = plan
-        if plan is None:
+        if self._bail_counts.get(sid, 0) >= GIVE_UP_AFTER:
             return False
         # Phase A (prepare) mutates nothing: a bail or a numeric-domain
         # error falls back to tier 2, which replays the loop exactly;
         # genuine programming errors propagate.
         try:
-            commit = plan.prepare(low, high, step, env)
+            commit = plan.prepare(self, low, high, step, env)
         except _Bail as bail:
             self._record_bail(stmt, str(bail))
             self._decide(sid, "lowered")
             if sid not in self._committed:
-                bails = self._bail_counts.get(sid, 0) + 1
-                self._bail_counts[sid] = bails
-                if bails >= GIVE_UP_AFTER:
-                    # never succeeded: stop paying prepare per entry
-                    self._plans[sid] = None
+                # never succeeded: the GIVE_UP_AFTER-th bail stops
+                # paying prepare per entry
+                self._bail_counts[sid] = self._bail_counts.get(sid, 0) + 1
             return False
         except (ArithmeticError, ValueError, OverflowError):
             self._record_bail(stmt, "prepare error")
@@ -1873,4 +1859,3 @@ class SlabExecutor:
                 high=high, step=step,
             )
         return True
-

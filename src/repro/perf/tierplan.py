@@ -6,8 +6,8 @@ The simulator has three execution tiers — the tree-walking interpreter
 with tiny per-entry lane counts the prepare/commit overhead loses to
 plain tier-2 dispatch (the DGEFA regression).  In the paper's spirit —
 mapping decisions driven by a cost model, not fixed heuristics — the
-tier plan combines the slab classifier's eligibility report with
-:meth:`repro.perf.PerfEstimator.nest_cost` and records, per eligible
+tier plan combines the nests the slab classifier built a plan for
+with :meth:`repro.perf.PerfEstimator.nest_cost` and records, per such
 nest, whether the slab engine is *predicted* to win.
 
 The product is a :class:`TierPlan`, derived from the
@@ -87,7 +87,7 @@ class TierPlan:
 
 
 def build_tierplan(proc, slabs, estimator) -> TierPlan:
-    """Decide each slab-eligible nest with the per-nest cost inequality
+    """Decide each nest with a slab plan by the per-nest cost inequality
     (see docs/COSTMODEL.md).  ``slabs`` is the program's
     :class:`~repro.machine.slabexec.SlabReport`; ``estimator`` any
     object with a ``nest_cost(loop)`` method (normally a

@@ -1,8 +1,9 @@
 """``CompiledProgram.lowering`` / ``.slabs`` / ``.tierplan`` are derived
 on first read, memoized against ``proc.ir_epoch``, and never pickled:
 estimate journeys build none of them, simulate journeys build each
-once, and a stale or unpickled program plans ``tier="auto"`` again
-instead of silently running as ``tier="slab"``."""
+once — and with ``.slabs`` one ``NestPlan`` per loop that has one — and
+a stale or unpickled program plans ``tier="auto"`` again instead of
+silently running as ``tier="slab"``."""
 
 import pickle
 
@@ -20,15 +21,20 @@ from repro.programs import dgefa_source
 from repro.report.tables import table1_tomcatv, table2_dgefa, table3_appsp
 
 DERIVED = ("lowering", "slabexec", "tierplan")
+#: the derived products, and the slab plans ``slabexec`` builds
+BUILT = (*DERIVED, "plans")
+NOTHING = dict.fromkeys(BUILT, 0)
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts every construction of a derived product."""
-    counts = dict.fromkeys(DERIVED, 0)
+    """Counts every construction of a derived product, and of a slab
+    plan."""
+    counts = dict(NOTHING)
     lower = lowering.lower_procedure
     classify = slabexec.classify_procedure
     plan = tierplan.build_tierplan
+    nest_plan = slabexec.NestPlan.__init__
 
     def counting_lower(proc):
         counts["lowering"] += 1
@@ -42,7 +48,12 @@ def builds(monkeypatch):
         counts["tierplan"] += 1
         return plan(*args, **kwargs)
 
+    def counting_nest_plan(self, *args):
+        counts["plans"] += 1
+        nest_plan(self, *args)
+
     monkeypatch.setattr(lowering, "lower_procedure", counting_lower)
+    monkeypatch.setattr(slabexec.NestPlan, "__init__", counting_nest_plan)
     monkeypatch.setattr(slabexec, "classify_procedure", counting_classify)
     monkeypatch.setattr(tierplan, "build_tierplan", counting_plan)
     return lambda: dict(counts)
@@ -73,7 +84,7 @@ class TestEstimateJourneysBuildNothing:
         table1_tomcatv(n=33, niter=1, procs=(1, 4))
         table2_dgefa(n=40, procs=(2, 4))
         table3_appsp(n=8, niter=1, procs=(2, 4))
-        assert builds() == dict.fromkeys(DERIVED, 0)
+        assert builds() == NOTHING
 
     @pytest.mark.parametrize(
         "argv", (["compile", "--timings"], ["estimate", "--procs", "1", "4"])
@@ -82,7 +93,7 @@ class TestEstimateJourneysBuildNothing:
         program = tmp_path / "dgefa.hpf"
         program.write_text(dgefa_source(n=12, procs=4))
         assert main([argv[0], str(program), *argv[1:]]) == 0
-        assert builds() == dict.fromkeys(DERIVED, 0)
+        assert builds() == NOTHING
         out = capsys.readouterr().out
         if argv[0] == "compile":
             assert "comm-analysis" in out
@@ -108,9 +119,13 @@ class TestSimulateBuildsEachOnce:
         simulate(compiled, inputs, tier="auto")
         simulate(compiled, inputs, tier="auto")
         after = builds()
-        assert {row: after[row] - before[row] for row in DERIVED} == (
-            dict.fromkeys(DERIVED, 1)
-        )
+        # one plan per loop with an "ok" verdict, built with the report
+        # and prepared by both runs
+        plans = len(compiled.slabs.eligible_loops())
+        assert plans == 3
+        assert {row: after[row] - before[row] for row in BUILT} == {
+            **dict.fromkeys(DERIVED, 1), "plans": plans,
+        }
         for row in DERIVED:
             assert compiled.timings.passes[row].calls == calls.get(row, 0) + 1
         assert FastPath(SPMDSimulator(compiled)).lowered is compiled.lowering
@@ -119,9 +134,9 @@ class TestSimulateBuildsEachOnce:
     def test_forced_tiers_never_plan(self, builds):
         compiled, inputs = _dgefa()
         simulate(compiled, inputs, tier="lowered")
-        assert builds() == {"lowering": 1, "slabexec": 0, "tierplan": 0}
+        assert builds() == {**NOTHING, "lowering": 1}
         simulate(compiled, inputs, tier="slab")
-        assert builds() == {"lowering": 1, "slabexec": 1, "tierplan": 0}
+        assert builds() == {**NOTHING, "lowering": 1, "slabexec": 1, "plans": 3}
 
     def test_derived_state_never_reaches_a_pickle(self):
         compiled, inputs = _dgefa()

@@ -180,7 +180,7 @@ class TestErrorTransparency:
     ):
         from repro.machine import slabexec
 
-        def exploding_prepare(self, low, high, step, env):
+        def exploding_prepare(self, slab, low, high, step, env):
             raise NameError("injected bug in slab prepare")
 
         monkeypatch.setattr(slabexec.NestPlan, "prepare", exploding_prepare)

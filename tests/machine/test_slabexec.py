@@ -40,7 +40,7 @@ class TestClassifier:
         report = compiled.slabs
         assert report is not None
         innermost = [
-            report.verdicts[loop.stmt_id]
+            _reason(report.verdicts[loop.stmt_id])
             for loop in compiled.proc.all_stmts()
             if isinstance(loop, LoopStmt)
             and not any(isinstance(s, LoopStmt) for s in loop.body)
@@ -54,9 +54,9 @@ class TestClassifier:
         # ... so their J sweeps over whole columns are nests with a
         # serial axis; the stencil, residual (a flattened nest folds
         # its MAX updates) and update nests flatten theirs
-        nests = Counter(report.verdicts.values())
-        assert nests["ok"] == 3 + 5
-        assert len(report.serial_axes) == 2
+        plans = [v for v in report.verdicts.values() if not isinstance(v, str)]
+        assert len(plans) == 3 + 5
+        assert [plan.serial_var for plan in plans].count("I") == 2
 
     @pytest.mark.parametrize("update, verdict", [
         # a flattened nest folds its scalar updates ...
@@ -94,8 +94,15 @@ class TestClassifier:
     def test_report_is_pickle_safe(self):
         report = _compile_tomcatv().slabs
         clone = pickle.loads(pickle.dumps(report))
-        assert clone.verdicts == report.verdicts
-        assert clone.serial_axes == report.serial_axes and len(clone.serial_axes) == 2
+
+        def shapes(report):
+            return {
+                sid: getattr(v, "serial_var", v)
+                for sid, v in report.verdicts.items()
+            }
+
+        assert shapes(clone) == shapes(report)
+        assert list(shapes(report).values()).count("I") == 2
         assert clone.ir_epoch == report.ir_epoch
 
     def test_one_plan_class_and_one_context(self):
@@ -118,7 +125,7 @@ class TestClassifier:
             "_NestCtx"
         ]
         fields = {f.name for f in dataclasses.fields(slabexec.SlabReport)}
-        assert fields == {"ir_epoch", "verdicts", "serial_axes"}
+        assert fields == {"ir_epoch", "verdicts"}
 
 
 class TestRuntime:
@@ -153,6 +160,38 @@ class TestRuntime:
         assert sim.slab_instances > 0
         assert sim._fast.slab.report is compiled.slabs
 
+    def test_runs_share_the_compiled_plans(self, monkeypatch):
+        """The plans belong to the compiled program: a scalar run and a
+        two-lane VectorMachine run prepare the same NestPlan objects,
+        and neither builds one."""
+        from repro.machine import slabexec
+        from repro.model import SP2
+
+        compiled = _compile_tomcatv()
+        plans = {
+            v for v in compiled.slabs.verdicts.values() if not isinstance(v, str)
+        }
+        built, prepared = [], {}
+        init, prepare = slabexec.NestPlan.__init__, slabexec.NestPlan.prepare
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def recording_prepare(self, slab, *args):
+            prepared.setdefault(slab, set()).add(self)
+            return prepare(self, slab, *args)
+
+        monkeypatch.setattr(slabexec.NestPlan, "__init__", counting_init)
+        monkeypatch.setattr(slabexec.NestPlan, "prepare", recording_prepare)
+        lanes = VectorMachine([SP2, dataclasses.replace(SP2, alpha=2 * SP2.alpha)])
+        for machine in (SP2, lanes):
+            sim = simulate(compiled, tomcatv_inputs(12), machine=machine)
+            assert sim.slab_instances > 0
+        assert built == []
+        scalar, vector = prepared.values()
+        assert scalar == vector and len(scalar) == 5 and scalar <= plans
+
     def test_takeovers_leave_no_cyclic_garbage(self):
         """A takeover's domain, lanes and context die by reference
         count: a cycle among them would hold every entry's arrays until
@@ -180,9 +219,10 @@ class TestRuntime:
             gc.set_debug(0)
             gc.garbage.clear()
             gc.enable()
-        # the executor, its plans and the simulator reference each
-        # other by design and die together — with the one shape the
-        # executor keeps, not the twenty-odd the run built
+        # the executor and the simulator reference each other by
+        # design and die together — with the one shape the executor
+        # keeps, not the twenty-odd the run built; the plans belong to
+        # the compiled program and reference neither
         assert domains == 1
 
     def test_ghost_column_fetches_replay_inside_slab(self):
@@ -218,10 +258,15 @@ def _loop_ordinals(compiled):
     return {loop.stmt_id: k for k, loop in enumerate(loops)}
 
 
+def _reason(verdict):
+    """A loop's verdict as text: "ok" for a plan."""
+    return verdict if isinstance(verdict, str) else "ok"
+
+
 def _ordinal_verdicts(compiled):
     """The slab report keyed by loop ordinal, statement ids masked."""
     return {
-        f"L{k:02d}": re.sub(r"S\d+", "S#", compiled.slabs.verdicts[sid])
+        f"L{k:02d}": re.sub(r"S\d+", "S#", _reason(compiled.slabs.verdicts[sid]))
         for sid, k in _loop_ordinals(compiled).items()
     }
 
@@ -248,12 +293,12 @@ def _state(sim):
     return out
 
 
-#: kernel -> (source, verdict by loop ordinal, then by loop ordinal
-#: under tier="slab": takeovers, replayed fetch elements and the message
-#: runs they were replayed as)
+#: kernel -> (source, processors, verdict by loop ordinal, then by loop
+#: ordinal under tier="slab": takeovers, replayed fetch elements and the
+#: message runs they were replayed as)
 GOLDEN = {
     "dgefa": (
-        dgefa_source(n=12, procs=4),
+        dgefa_source(n=12, procs=4), 4,
         {
             "L00": "body contains IfStmt",
             "L01": "body contains IfStmt",
@@ -267,7 +312,7 @@ GOLDEN = {
         {"L04": 30},
     ),
     "tomcatv": (
-        tomcatv_source(n=12, niter=2, procs=4),
+        tomcatv_source(n=12, niter=2, procs=4), 4,
         {
             "L00": "more than one inner loop",
             "L01": "ok",
@@ -285,8 +330,31 @@ GOLDEN = {
         {"L01": 264},
         {"L01": 12},
     ),
+    # one rank: a nest's columns have no owner to be sliced by, so its
+    # innermost loops are taken instead — the serial-axis nests (L05,
+    # L07) are declined by their plans' executors, a verdict like the
+    # others, not a bail at run time
+    "tomcatv-p1": (
+        tomcatv_source(n=12, niter=2, procs=1), 1,
+        {
+            "L00": "more than one inner loop",
+            "L01": "S#: executor position is not a point",
+            "L02": "ok",
+            "L03": "S#: executor position is not a point",
+            "L04": "ok",
+            "L05": "executor position is not a point",
+            "L06": "loop-carried dependence on D",
+            "L07": "executor position is not a point",
+            "L08": "loop-carried dependence on RX",
+            "L09": "S#: executor position is not a point",
+            "L10": "ok",
+        },
+        {"L02": 20, "L04": 20, "L10": 20},
+        {},
+        {},
+    ),
     "appsp": (
-        appsp_source(nx=6, ny=6, nz=6, niter=1, procs=4),
+        appsp_source(nx=6, ny=6, nz=6, niter=1, procs=4), 4,
         {
             "L00": "more than one inner loop",
             "L01": "more than one inner loop",
@@ -313,8 +381,8 @@ class TestGoldenVerdicts:
 
     @pytest.mark.parametrize("kernel", sorted(GOLDEN))
     def test_verdicts_and_takeovers(self, kernel):
-        source, verdicts, takeovers, replayed, runs = GOLDEN[kernel]
-        compiled = compile_source(source, CompilerOptions(num_procs=4))
+        source, procs, verdicts, takeovers, replayed, runs = GOLDEN[kernel]
+        compiled = compile_source(source, CompilerOptions(num_procs=procs))
         assert _ordinal_verdicts(compiled) == verdicts
         metrics = Metrics()
         simulate(
@@ -325,6 +393,7 @@ class TestGoldenVerdicts:
         assert _slab_counters(metrics, compiled, "fetch_replay") == replayed
         assert _slab_counters(metrics, compiled, "fetch_runs") == runs
         assert _slab_counters(metrics, compiled, "fallback") == {}
+        assert not [key for key in metrics.counters if key.startswith("slab.bail")]
 
     def test_tomcatv_residual_nest_is_taken_once_per_iteration(self):
         """One takeover of the ``j`` nest per ``it`` — its two ``MAX``
@@ -370,7 +439,7 @@ class TestGoldenVerdicts:
     def test_dgefa_update_nest_is_taken_once_per_pivot(self):
         """n - 1 takeovers of the ``j`` nest, none of its ``i`` loop."""
         n = 12
-        takeovers = GOLDEN["dgefa"][2]
+        takeovers = GOLDEN["dgefa"][3]
         assert takeovers["L04"] == n - 1
         assert "L05" not in takeovers
 
@@ -419,7 +488,7 @@ class TestOneStorePerArray:
         def checked(ctx):
             # (now: the walker's env moves on after the takeover)
             plan, dom = ctx.plan, ctx.dom
-            outer = plan.subscript_env(ctx.base_env, dom.participants)
+            outer = plan.subscript_env(ctx.store, ctx.base_env, dom.participants)
             for ref_id, (symbol, forms) in plan.ref_forms.items():
                 lanes = ctx.lanes_of[plan.ref_home[ref_id]]
                 shape = [symbol.extent(d) for d in range(symbol.rank)]

@@ -155,7 +155,7 @@ def _force_prepare_bails(monkeypatch):
     nests are approved, build plans, then fail GIVE_UP_AFTER consecutive
     prepares and are demoted to tier 2 for the rest of the run."""
 
-    def bailing(self, low, high, step, env):
+    def bailing(self, slab, low, high, step, env):
         raise slabexec._Bail("forced bail (demotion test)")
 
     monkeypatch.setattr(slabexec.NestPlan, "prepare", bailing)
