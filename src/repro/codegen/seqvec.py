@@ -17,116 +17,84 @@ scalar index and lane-vector values, which is the legal interchange of
 a column sweep (``D(i,j)`` from ``D(i-1,j)``): the parallel outer ``j``
 becomes the lane axis, the serial inner ``i`` runs as written.
 
-Whether a loop has the shape is decided once per loop statement
-(:class:`_Plan`).  Everything that depends on values — a subscript out
-of bounds, a zero divisor, an undefined scalar, fewer than two trips —
-is found while evaluating, raises ``_Bail`` before any store is
-visible (array stores are journalled and rolled back), and hands the
-loop to the per-iteration closures, which reproduce the interpreter's
-error and its exact partial state.
+Whether a loop has the shape is decided once per loop statement: its
+nest shape (:func:`~repro.codegen.veceval.nest_shape`, which the slab
+tier starts from too), then :class:`_Plan`'s own rules.  Everything
+that depends on values — a subscript out of bounds, a zero divisor, an
+undefined scalar, fewer than two trips — is found while evaluating,
+raises ``_Bail`` before any store is visible (array stores are
+journalled and rolled back), and hands the loop to the per-iteration
+closures, which reproduce the interpreter's error and its exact
+partial state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..ir.expr import ArrayElemRef, ScalarRef, affine_form
+from ..ir.expr import ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, ContinueStmt, LoopStmt
 from ..ir.symbols import ScalarType
 from .veceval import (
     _BOUND_ERRORS,
     _RED_UFUNC,
+    NestShape,
     _Bail,
     _Ctx,
     _affine_vec,
     _bounds_checked_offset,
     _carried_dependence,
-    _check_affine_refs,
     _coerce_vec,
     _eval,
     _fold_lanes,
+    _mentions,
     _reduction_operand,
     _serial_axis,
-    _stmt_array_refs,
+    nest_shape,
 )
 
 _MISSING = object()
 
 
-def _walks(form, name: str, others) -> bool:
-    """The subscript varies with loop index ``name`` and with none of
+def _walks(forms, name: str, *others: str) -> bool:
+    """One subscript varies with loop index ``name`` and with none of
     ``others``: distinct values of ``name``, distinct elements —
     whatever the others are."""
-    names = {sym.name for sym, c in form.coeffs if c and sym.value is None}
-    return name in names and not names & others
+    return any(
+        _mentions(f, name) and not _mentions(f, *others) for f in forms
+    )
 
 
 class _Plan:
-    """The takeover shape of one loop; raises ``_Bail`` with the reason
-    when the loop does not have it."""
+    """The takeover shape of one loop, from its nest shape; raises
+    ``_Bail`` with the reason when the loop does not have it."""
 
-    def __init__(self, proc, loop: LoopStmt):
+    def __init__(self, proc, shape: NestShape):
+        loop, assigns, inner, forms = (
+            shape.loop, shape.assigns, shape.loops, shape.forms
+        )
         self.v = v = loop.var.name
         self.body = loop.body
-        assigns: list[AssignStmt] = []
-        inner: list[LoopStmt] = []
-
-        def collect(stmts):
-            for s in stmts:
-                if isinstance(s, AssignStmt):
-                    assigns.append(s)
-                elif isinstance(s, LoopStmt):
-                    inner.append(s)
-                    collect(s.body)
-                elif not isinstance(s, ContinueStmt):
-                    raise _Bail(f"body contains {type(s).__name__}")
-
-        collect(loop.body)
         if not assigns:
             raise _Bail("empty body")
         self.inner_vars = inner_vars = {l.var.name for l in inner}
         if v in inner_vars:
             raise _Bail(f"inner loop reuses {v}")
-        written = set()
         for s in assigns:
-            if isinstance(s.lhs, ScalarRef):
-                if s.lhs.symbol.is_loop_var:
-                    raise _Bail(f"loop variable {s.lhs.symbol.name} assigned")
-                written.add(s.lhs.symbol.name)
-
-        for l in inner:
-            for bound in (l.low, l.high, l.step):
-                for ref in bound.refs() if bound is not None else ():
-                    if isinstance(ref, ArrayElemRef):
-                        raise _Bail("inner bound reads an array")
-                    if ref.symbol.name == v or ref.symbol.name in written:
-                        raise _Bail(
-                            f"inner bound depends on {ref.symbol.name}"
-                        )
-
-        forms: dict[int, list] = {}
-        stores = []
+            if isinstance(s.lhs, ScalarRef) and s.lhs.symbol.is_loop_var:
+                raise _Bail(f"loop variable {s.lhs.symbol.name} assigned")
+        # (a triangular nest: the inner trips would vary with the lane)
+        if any(
+            v in names for l in inner for names, _f in shape.bounds[l.stmt_id]
+        ):
+            raise _Bail(f"inner bound depends on {v}")
         #: store scalars the subscripts read (never written in the body)
-        self.subscript_scalars: set[str] = set()
+        self.subscript_scalars = shape.subscript_scalars
+        stores = []
         for s in assigns:
-            reason = _check_affine_refs(s)
-            if reason is not None:
-                raise _Bail(reason)
-            for ref in _stmt_array_refs(s):
-                forms[ref.ref_id] = [affine_form(sub) for sub in ref.subscripts]
-                for form in forms[ref.ref_id]:
-                    for sym, _c in form.coeffs:
-                        if sym.value is not None or sym.is_loop_var:
-                            continue
-                        if sym.name in written:
-                            raise _Bail(
-                                f"subscript depends on body-written "
-                                f"scalar {sym.name}"
-                            )
-                        self.subscript_scalars.add(sym.name)
             if isinstance(s.lhs, ArrayElemRef):
                 stores.append(forms[s.lhs.ref_id])
-                if not any(_walks(f, v, inner_vars) for f in stores[-1]):
+                if not _walks(stores[-1], v, *inner_vars):
                     raise _Bail(
                         f"store to {s.lhs.symbol.name} is lane-invariant"
                     )
@@ -140,8 +108,8 @@ class _Plan:
             not isinstance(s, ContinueStmt) for s in loop.body
         )
         if perfect and all(
-            any(_walks(f, inner[0].var.name, {v}) for f in fs) for fs in stores
-        ) and not _serial_axis(proc, inner[0], assigns):
+            _walks(fs, inner[0].var.name, v) for fs in stores
+        ) and not _serial_axis(proc, inner[0], assigns, forms):
             self.flat = inner[0]
         lane_vars = [loop.var] + ([self.flat.var] if self.flat else [])
         #: ref_id -> per dimension the affine form and its nonzero
@@ -162,9 +130,12 @@ class _Plan:
             sliced = sorted(walkers) == [[a] for a in range(len(lane_vars))]
             self.forms[ref_id] = dims, sliced, sliced and walkers != sorted(walkers)
         self.folds = self._scalar_roles(
-            assigns, written, innermost=not inner or self.flat is not None
+            assigns, shape.written,
+            innermost=not inner or self.flat is not None,
         )
-        reason = _carried_dependence(proc, loop, assigns, inner_vars=inner_vars)
+        reason = _carried_dependence(
+            proc, loop, assigns, forms, inner_vars=inner_vars
+        )
         if reason is not None:
             raise _Bail(reason)
 
@@ -431,10 +402,12 @@ class SeqVectorizer:
     def run_loop(self, stmt: LoopStmt, low: int, high: int, step: int, env) -> bool:
         plan = self.verdicts.get(stmt.stmt_id)
         if plan is None:
-            try:
-                plan = _Plan(self.store.proc, stmt)
-            except _Bail as why:
-                plan = str(why)
+            plan = nest_shape(stmt)  # the shape, or the reason
+            if not isinstance(plan, str):
+                try:
+                    plan = _Plan(self.store.proc, plan)
+                except _Bail as why:
+                    plan = str(why)
             self.verdicts[stmt.stmt_id] = plan
         if isinstance(plan, str):
             return False

@@ -1,4 +1,4 @@
-"""The one vector expression evaluator.
+"""The one vector expression evaluator, and the one nest shape.
 
 Rank-free value kernels shared by the slab plans of
 :mod:`repro.machine.slabexec` (tier 3 of the simulator) and the
@@ -8,6 +8,10 @@ vectors, the affine subscript kernels, fold-operand recognition and the
 loop-carried dependence test.  Everything here is a pure function of
 expressions, lane vectors and a :class:`_Ctx` that says where scalar
 and array values come from — no ranks, no ownership, no clocks.
+
+Both engines start a loop's plan from its :func:`nest_shape` — the IR
+facts of the nest, derived once, or the first IR reason the loop is
+not one data-parallel operation — and add only their own rules.
 
 Anything whose result could differ from the per-iteration interpreter
 (a zero divisor, an out-of-bounds subscript, an intrinsic numpy does
@@ -29,7 +33,7 @@ from ..ir.expr import (
     UnOp,
     affine_form,
 )
-from ..ir.stmt import AssignStmt, LoopStmt
+from ..ir.stmt import AssignStmt, ContinueStmt, LoopStmt
 from ..ir.symbols import ScalarType
 
 
@@ -50,6 +54,14 @@ def _canon_form(form) -> tuple:
     return (
         form.const,
         tuple(sorted((s.name, c) for s, c in form.coeffs if c != 0)),
+    )
+
+
+def _mentions(form, *names: str) -> bool:
+    """The affine form varies with one of the (non-constant) symbols
+    ``names``."""
+    return any(
+        sym.value is None and sym.name in names for sym, _c in form.coeffs
     )
 
 
@@ -250,30 +262,82 @@ def _coerce_vec(value, is_int, stype: ScalarType, n: int) -> np.ndarray:
 
 
 def _stmt_array_refs(stmt: AssignStmt):
-    """Every ArrayElemRef in the statement (lhs target + rhs reads,
-    including refs nested in subscripts)."""
-    out = []
-    if isinstance(stmt.lhs, ArrayElemRef):
-        out.append(stmt.lhs)
-        for sub in stmt.lhs.subscripts:
-            out.extend(r for r in sub.refs() if isinstance(r, ArrayElemRef))
-    out.extend(r for r in stmt.rhs.refs() if isinstance(r, ArrayElemRef))
-    return out
+    """Every ArrayElemRef in the statement: the lhs target, then the rhs
+    reads (a subscript holding one is not affine, and the nest shape
+    declines before it could matter)."""
+    lhs = [stmt.lhs] if isinstance(stmt.lhs, ArrayElemRef) else []
+    return lhs + [r for r in stmt.rhs.refs() if isinstance(r, ArrayElemRef)]
 
 
-def _check_affine_refs(stmt: AssignStmt) -> str | None:
-    for ref in _stmt_array_refs(stmt):
-        for sub in ref.subscripts:
-            if affine_form(sub) is None:
+class NestShape:
+    """The IR facts of one loop nest, as both engines start from them."""
+
+    def __init__(self, loop, assigns, loops, written, forms, scalars, bounds):
+        self.loop = loop
+        #: the nest's assignments and nested loops, in program order
+        self.assigns, self.loops = assigns, loops
+        #: the scalars the nest assigns
+        self.written = written
+        #: ref_id -> per dimension the affine form, of every array reference
+        self.forms = forms
+        #: the memory scalars the subscripts read (none of them written)
+        self.subscript_scalars = scalars
+        #: nested loop stmt_id -> per bound (low, high, step — an absent
+        #: step is 1) the names it reads and its affine form, or None
+        self.bounds = bounds
+
+
+def nest_shape(loop: LoopStmt) -> NestShape | str:
+    """The shape of ``loop``'s nest, or the first IR reason it is not one
+    data-parallel operation."""
+    assigns, loops, stack = [], [], loop.body[::-1]
+    while stack:  # pre-order
+        s = stack.pop()
+        if isinstance(s, AssignStmt):
+            assigns.append(s)
+        elif isinstance(s, LoopStmt):
+            loops.append(s)
+            stack += s.body[::-1]
+        elif not isinstance(s, ContinueStmt):
+            return f"body contains {type(s).__name__}"
+    written = {
+        s.lhs.symbol.name for s in assigns if isinstance(s.lhs, ScalarRef)
+    }
+    bounds = {}
+    for inner in loops:
+        facts = bounds[inner.stmt_id] = []
+        for bound in (inner.low, inner.high, inner.step or Const(1)):
+            refs = list(bound.refs())
+            for ref in refs:
+                if isinstance(ref, ArrayElemRef):
+                    return "inner bound reads an array"
+                if ref.symbol.name in written:
+                    return f"inner bound depends on {ref.symbol.name}"
+            names = {ref.symbol.name for ref in refs}
+            facts.append((names, affine_form(bound)))
+    forms: dict[int, list] = {}
+    scalars: set[str] = set()
+    for s in assigns:
+        for ref in _stmt_array_refs(s):
+            forms[ref.ref_id] = [affine_form(sub) for sub in ref.subscripts]
+            if any(f is None for f in forms[ref.ref_id]):
                 return f"non-affine subscript in {ref.symbol.name}"
-    return None
+            scalars.update(
+                sym.name for f in forms[ref.ref_id] for sym, _c in f.coeffs
+                if sym.value is None and not sym.is_loop_var
+            )
+        if scalars & written:
+            name = min(scalars & written)
+            return f"subscript depends on body-written scalar {name}"
+    return NestShape(loop, assigns, loops, written, forms, scalars, bounds)
 
 
-def _carried_dependence(proc, loop: LoopStmt, assigns,
+def _carried_dependence(proc, loop: LoopStmt, assigns, forms,
                         reduction_ids=frozenset(),
                         inner_vars=frozenset()) -> str | None:
     """Reject any possible cross-iteration flow of values through an
-    array at ``loop``'s level (per :mod:`repro.analysis.dependence`).
+    array at ``loop``'s level (per :mod:`repro.analysis.dependence`);
+    ``forms`` are the nest shape's.
 
     A write/read pair sharing *some* dimension whose subscript form is
     identical, has a nonzero coefficient on the loop variable, and is
@@ -318,17 +382,13 @@ def _carried_dependence(proc, loop: LoopStmt, assigns,
         for r in _stmt_array_refs(s):
             refs.append((s, r))
     for ws, w in writes:
-        w_forms = [affine_form(sub) for sub in w.subscripts]
-        if any(f is None for f in w_forms):
-            return f"non-affine subscript in {w.symbol.name}"
+        w_forms = forms[w.ref_id]
         for os, o in refs:
             if o is w or o.symbol.name != w.symbol.name:
                 continue
             if os is ws and ws.stmt_id in reduction_ids:
                 continue  # the accumulator recurrence of a fold
-            o_forms = [affine_form(sub) for sub in o.subscripts]
-            if any(f is None for f in o_forms):
-                return f"non-affine subscript in {o.symbol.name}"
+            o_forms = forms[o.ref_id]
             if len(o_forms) == len(w_forms) and zero_distance_witness(
                 w_forms, o_forms
             ):
@@ -338,7 +398,7 @@ def _carried_dependence(proc, loop: LoopStmt, assigns,
     return None
 
 
-def _serial_axis(proc, inner: LoopStmt, body,
+def _serial_axis(proc, inner: LoopStmt, body, forms,
                  reduction_ids=frozenset()) -> bool:
     """The inner loop of a nest is its *serial axis* — run trip by
     trip, each statement still one vector over the outer iterations —
@@ -346,7 +406,7 @@ def _serial_axis(proc, inner: LoopStmt, body,
     otherwise its iterations are lanes too and the nest is flattened.
     Both engines decide it here, so a nest flattens in both or in
     neither."""
-    return _carried_dependence(proc, inner, body, reduction_ids) is not None
+    return bool(_carried_dependence(proc, inner, body, forms, reduction_ids))
 
 
 _RED_UFUNC = {
@@ -357,10 +417,11 @@ _RED_UFUNC = {
 }
 
 
-def _fold_operand(rhs, op: str, is_acc):
+def _fold_operand(rhs, op: str, acc: str, is_acc):
     """``acc OP e`` / ``MAX(acc, e)`` → ``e`` (both orderings; + and *
     are bitwise commutative in IEEE), or None; ``is_acc(expr)`` says
-    whether an operand is the accumulator."""
+    whether an operand is the accumulator, and ``e`` may not read the
+    variable ``acc`` at all."""
     if op in ("+", "*") and isinstance(rhs, BinOp) and rhs.op == op:
         pair = (rhs.left, rhs.right)
     elif (
@@ -372,11 +433,10 @@ def _fold_operand(rhs, op: str, is_acc):
         pair = tuple(rhs.args)
     else:
         return None
-    if is_acc(pair[0]):
-        return pair[1]
-    if is_acc(pair[1]):
-        return pair[0]
-    return None
+    e = pair[1] if is_acc(pair[0]) else pair[0] if is_acc(pair[1]) else None
+    if e is None or any(ref.symbol.name == acc for ref in e.refs()):
+        return None  # acc on both sides: not a fold
+    return e
 
 
 def _reduction_operand(rhs, acc: str, op: str):
@@ -385,10 +445,7 @@ def _reduction_operand(rhs, acc: str, op: str):
     def is_acc(e):
         return isinstance(e, ScalarRef) and e.symbol.name == acc
 
-    e = _fold_operand(rhs, op, is_acc)
-    if e is not None and any(is_acc(ref) for ref in e.refs()):
-        return None  # acc on both sides: not a fold
-    return e
+    return _fold_operand(rhs, op, acc, is_acc)
 
 
 def _fold_lanes(op: str, start, value, is_int: bool, stype: ScalarType,

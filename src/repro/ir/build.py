@@ -22,6 +22,21 @@ from .program import AlignSpec, DistributeSpec, Procedure, ProcessorsSpec
 from .symbols import ScalarType, Symbol, SymbolKind, SymbolTable
 
 
+def _is_integer(expr: ir.Expr) -> bool:
+    """Whether the static type of ``expr`` is INTEGER."""
+    if isinstance(expr, ir.Const):
+        return type(expr.value) is int
+    if isinstance(expr, ir.Ref):
+        return expr.symbol.type is ScalarType.INT
+    if isinstance(expr, ir.IntrinsicCall):
+        keeps = expr.name in ("ABS", "MAX", "MIN", "MOD")
+        return expr.name == "INT" or keeps and all(map(_is_integer, expr.args))
+    if isinstance(expr, ir.BinOp):
+        arithmetic = expr.op in ("+", "-", "*", "/", "**")
+        return arithmetic and _is_integer(expr.left) and _is_integer(expr.right)
+    return isinstance(expr, ir.UnOp) and expr.op == "-" and _is_integer(expr.operand)
+
+
 class IRBuilder:
     """Single-use builder: ``IRBuilder().build(program_ast)``."""
 
@@ -142,26 +157,26 @@ class IRBuilder:
         if isinstance(expr, ast.ArrayRef):
             key = expr.ident.upper()
             symbol = self.symbols.lookup(key)
+            if (symbol is None or not symbol.is_array) and key in INTRINSICS:
+                return ir.IntrinsicCall(
+                    name=key, args=[self.lower_expr(a) for a in expr.subscripts]
+                )
             if symbol is None or symbol.kind is SymbolKind.PARAM:
-                if key in INTRINSICS:
-                    return ir.IntrinsicCall(
-                        name=key, args=[self.lower_expr(a) for a in expr.subscripts]
-                    )
                 raise SemanticError(f"unknown array or intrinsic {key!r}")
             if not symbol.is_array:
-                if key in INTRINSICS:
-                    return ir.IntrinsicCall(
-                        name=key, args=[self.lower_expr(a) for a in expr.subscripts]
-                    )
                 raise SemanticError(f"scalar {key!r} used with subscripts")
             if len(expr.subscripts) != symbol.rank:
                 raise SemanticError(
                     f"array {key!r} has rank {symbol.rank}, "
                     f"referenced with {len(expr.subscripts)} subscripts"
                 )
-            return ir.ArrayElemRef(
-                symbol=symbol, subscripts=[self.lower_expr(s) for s in expr.subscripts]
-            )
+            subscripts = [self.lower_expr(s) for s in expr.subscripts]
+            for dim, sub in enumerate(subscripts, 1):
+                if not _is_integer(sub):
+                    raise SemanticError(
+                        f"subscript {dim} of array {key!r} is not INTEGER: {sub}"
+                    )
+            return ir.ArrayElemRef(symbol=symbol, subscripts=subscripts)
         if isinstance(expr, ast.BinOp):
             return ir.BinOp(
                 op=expr.op,

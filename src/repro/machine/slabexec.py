@@ -24,10 +24,12 @@ Eligibility (the fallback ladder's top rung) is decided once per nest
 and checked again per entry:
 
 * the **classification** (:func:`classify_procedure`, the compiled
-  program's ``slabs``) checks the shape of each loop nest — assign-only
-  bodies, affine subscripts, executors that are a fixed rank set or the
-  owner of the column, communication placed above the loop per the
-  communication analysis, no dependence carried between lanes per
+  program's ``slabs``) starts from each loop's nest shape
+  (:func:`~repro.codegen.veceval.nest_shape`: assign-only bodies and
+  affine subscripts, as in the sequential reference) and adds its own
+  rules — at most one inner loop, executors that are a fixed rank set
+  or the owner of the column, communication placed above the loop per
+  the communication analysis, no dependence carried between lanes per
   :mod:`repro.analysis.dependence`, and a store role for every
   statement — and builds the nest's :class:`NestPlan`, or names the
   first reason it is not one takeover.  The plan is machine- and
@@ -61,24 +63,26 @@ import numpy as np
 from ..codegen.veceval import (
     _BOUND_ERRORS,
     _RED_UFUNC,
+    NestShape,
     _Bail,
     _Ctx,
     _affine_vec,
     _bounds_checked_offset,
     _canon_form,
     _carried_dependence,
-    _check_affine_refs,
     _coerce_vec,
     _eval,
     _fold_lanes,
     _fold_operand,
+    _mentions,
     _reduction_operand,
     _serial_axis,
     _stmt_array_refs,
+    nest_shape,
 )
 from ..errors import MappingError
-from ..ir.expr import ArrayElemRef, ScalarRef, affine_form
-from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
+from ..ir.expr import ArrayElemRef, ScalarRef
+from ..ir.stmt import AssignStmt, IfStmt, LoopStmt
 from .simulator import ReductionIndex
 from .stats import sequential_sum
 
@@ -96,14 +100,6 @@ def slab_trip_count(low, high, step):
     if np.ndim(n) == 0:
         return max(int(n), 0)
     return np.maximum(n, 0)
-
-
-def _mentions(form, *names: str) -> bool:
-    """The affine form varies with one of the (non-constant) symbols
-    ``names``."""
-    return any(
-        sym.value is None and sym.name in names for sym, _c in form.coeffs
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,51 +142,19 @@ def _placement_map(events) -> dict[int, list[int]]:
     return placements
 
 
-def _check_executor(info, v: str | None) -> str | None:
+def _check_executor(info, v: str) -> str | None:
     """Executor must be an owner/all set whose position does not vary
-    with the vectorized loop variable ``v`` (None: any loop var)."""
+    with the vectorized loop variable ``v``."""
     if info is None:
         return "no executor info"
     if info.kind not in ("owner", "all"):
         return f"executor kind {info.kind}"
-    if info.kind == "owner":
-        for dim in info.position:
-            if dim.kind == "pos" and dim.form is not None:
-                for sym in dim.form.symbols:
-                    if v is not None and sym.name == v and sym.value is None:
-                        return f"executor position varies with {v}"
+    if info.kind == "owner" and any(
+        dim.kind == "pos" and dim.form is not None and _mentions(dim.form, v)
+        for dim in info.position
+    ):
+        return f"executor position varies with {v}"
     return None
-
-
-def _split_nest(loop: LoopStmt):
-    """``(inner, pre, body, post)`` of a loop whose body is
-    straight-line assigns around at most one assign-only inner loop
-    (``inner`` is None and every assign in ``pre`` when there is none)
-    — or the reason (a string) it is not of that shape."""
-    inner: LoopStmt | None = None
-    pre: list[AssignStmt] = []
-    post: list[AssignStmt] = []
-    for s in loop.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if isinstance(s, LoopStmt):
-            if inner is not None:
-                return "more than one inner loop"
-            inner = s
-        elif not isinstance(s, AssignStmt):
-            return f"body contains {type(s).__name__}"
-        else:
-            (pre if inner is None else post).append(s)
-    body: list[AssignStmt] = []
-    for s in inner.body if inner is not None else ():
-        if isinstance(s, ContinueStmt):
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"inner body contains {type(s).__name__}"
-        body.append(s)
-    if not (pre if inner is None else body):
-        return "empty body"
-    return inner, pre, body, post
 
 
 def _replicated_exec(info) -> bool:
@@ -206,7 +170,7 @@ def _replicated_exec(info) -> bool:
     )
 
 
-def _column_discipline(stmts, v: str, stores_only: bool) -> str | None:
+def _column_discipline(stmts, v: str, stores_only: bool, forms) -> str | None:
     """Each array keeps one dimension subscripted exactly ``v`` and the
     others ``v``-free — in its stores, or in every reference — so a
     column's lanes touch only their own column of it."""
@@ -216,14 +180,11 @@ def _column_discipline(stmts, v: str, stores_only: bool) -> str | None:
             if stores_only and ref is not s.lhs:
                 continue
             name = ref.symbol.name
-            forms = [affine_form(sub) for sub in ref.subscripts]
+            fs = forms[ref.ref_id]
             own = [
-                d for d, f in enumerate(forms)
-                if _canon_form(f) == (0, ((v, 1),))
+                d for d, f in enumerate(fs) if _canon_form(f) == (0, ((v, 1),))
             ]
-            if any(
-                _mentions(f, v) for d, f in enumerate(forms) if d not in own
-            ):
+            if any(_mentions(f, v) for d, f in enumerate(fs) if d not in own):
                 return f"{name}: mixed {v}-subscript"
             if len(own) != 1:
                 return f"{name}: no unique {v}-column dimension"
@@ -253,14 +214,30 @@ def _classify(compiled, loop: LoopStmt, placements,
     the bounds must then be the same for every column and every
     reference must stay inside its own column, so the columns evolve
     independently in program order."""
-    nest = _split_nest(loop)
-    if isinstance(nest, str):
-        return nest
-    inner, pre, body, post = nest
+    shape = nest_shape(loop)
+    if isinstance(shape, str):
+        return shape
+    nested = [s for s in loop.body if isinstance(s, LoopStmt)]
+    if len(nested) > 1:
+        return "more than one inner loop"
+    if len(shape.loops) > len(nested):
+        return "inner body contains LoopStmt"
+    inner = nested[0] if nested else None
+    # the statements before the inner loop, in it and after it
+    pre, body, post = phases = ([], [], [])
+    phase = pre
+    for s in loop.body:
+        if s is inner:
+            body.extend(t for t in s.body if isinstance(t, AssignStmt))
+            phase = post
+        elif isinstance(s, AssignStmt):
+            phase.append(s)
+    if not (pre if inner is None else body):
+        return "empty body"
     proc, executors = compiled.proc, compiled.executors
     reduction_ids = reductions.recognized
     v = loop.var.name
-    stmts = pre + body + post
+    stmts, forms = shape.assigns, shape.forms
 
     def communicates(s) -> str | None:
         if any(level >= loop.level for level in placements.get(s.stmt_id, ())):
@@ -269,46 +246,35 @@ def _classify(compiled, loop: LoopStmt, placements,
 
     if inner is None:
         for s in stmts:
-            reason = (
-                _check_executor(executors.get(s.stmt_id), v)
-                or _check_affine_refs(s)
-                or communicates(s)
-            )
+            info = executors.get(s.stmt_id)
+            reason = _check_executor(info, v) or communicates(s)
             if reason is not None:
                 return f"S{s.stmt_id}: {reason}"
-        reason = _carried_dependence(proc, loop, stmts, reduction_ids)
+        reason = _carried_dependence(proc, loop, stmts, forms, reduction_ids)
         if reason is not None:
             return reason
-        plan = NestPlan(loop, None, False, [None, None, None])
-        return plan._build(compiled, reductions, (pre, body, post)) or plan
+        plan = NestPlan(shape, None, False, [None, None, None])
+        return plan._build(compiled, reductions, phases) or plan
 
     if compiled.grid.rank != 1:
         return "grid is not one-dimensional"
     i = inner.var.name
     # (an inner loop with a plan carries no value: its own verdict)
     serial = not isinstance(verdicts.get(inner.stmt_id), NestPlan) and (
-        _serial_axis(proc, inner, body, reduction_ids)
+        _serial_axis(proc, inner, body, forms, reduction_ids)
     )
-    stored = {s.lhs.symbol.name for s in stmts if isinstance(s.lhs, ScalarRef)}
     #: the affine form of each inner bound that varies with the column
     bound_forms = []
-    for tag, bound in (
-        ("low", inner.low), ("high", inner.high), ("step", inner.step)
+    for tag, (names, form) in zip(
+        ("low", "high", "step"), shape.bounds[inner.stmt_id]
     ):
-        refs = bound.refs() if bound is not None else ()
-        names = {r.symbol.name for r in refs if isinstance(r, ScalarRef)}
         if i in names:
             return "inner bounds vary with the inner variable"
         if v in names and (serial or tag == "step"):
             # a serial axis has one trip count for all columns
             return "inner bounds vary with the loop variables"
-        form = affine_form(bound) if bound is not None else None
-        if bound is not None and form is None and not serial:
+        if form is None and not serial:
             return f"inner {tag} bound not affine"
-        if any(isinstance(r, ArrayElemRef) for r in refs):
-            return "inner bound reads an array"
-        if names & stored:
-            return "inner bounds vary during the takeover"
         bound_forms.append(form if v in names else None)
     canon_pos = None
     for s in stmts:
@@ -323,17 +289,14 @@ def _classify(compiled, loop: LoopStmt, placements,
             # every rank runs it each iteration: fine for scalar-only
             # statements (their operands are checked at run time);
             # arrays would read per-rank state
-            if isinstance(s.lhs, ArrayElemRef) or _stmt_array_refs(s):
+            if _stmt_array_refs(s):
                 return f"S{sid}: replicated statement touches arrays"
             reason = communicates(s)
             if reason is not None:
                 return f"S{sid}: {reason}"
             continue
-        reason = _check_executor(info, None)
-        if reason is None and info.kind != "owner":
-            reason = f"executor kind {info.kind}"
-        if reason is not None:
-            return f"S{sid}: {reason}"
+        if info.kind != "owner":
+            return f"S{sid}: executor kind {info.kind}"
         pos = tuple(
             _canon_form(dim.form)
             if dim.kind == "pos" and dim.form is not None
@@ -358,7 +321,7 @@ def _classify(compiled, loop: LoopStmt, placements,
             for dim in info.position
         ):
             return "executor position varies with the inner variable"
-        reason = _check_affine_refs(s) or communicates(s)
+        reason = communicates(s)
         if reason is not None:
             return f"S{sid}: {reason}"
     if canon_pos is None:
@@ -373,20 +336,20 @@ def _classify(compiled, loop: LoopStmt, placements,
             name = ref.symbol.name
             if name in written and not serial:
                 return f"{name}: written array read outside the inner loop"
-            if any(_mentions(affine_form(sub), i) for sub in ref.subscripts):
+            if any(_mentions(f, i) for f in forms[ref.ref_id]):
                 return f"{name}: {i}-subscript outside the inner loop"
-    reason = _column_discipline(stmts, v, stores_only=not serial)
+    reason = _column_discipline(stmts, v, not serial, forms)
     if reason is not None:
         return reason
     # no value may flow between columns (within one, the inner loop's
     # own verdict or the serial axis takes care of it)
     reason = _carried_dependence(
-        proc, loop, stmts, reduction_ids, frozenset((i,))
+        proc, loop, stmts, forms, reduction_ids, frozenset((i,))
     )
     if reason is not None:
         return reason
-    plan = NestPlan(loop, inner, serial, bound_forms)
-    return plan._build(compiled, reductions, (pre, body, post)) or plan
+    plan = NestPlan(shape, inner, serial, bound_forms)
+    return plan._build(compiled, reductions, phases) or plan
 
 
 def classify_procedure(compiled) -> SlabReport:
@@ -446,27 +409,20 @@ class _Step:
         self.group = 0
 
 
-def _afold_operand(rhs, name: str, canon: tuple, op: str):
+def _afold_operand(rhs, name: str, canon: tuple, op: str, forms: dict):
     """``A(c) = A(c) OP e`` / ``A(c) = MAX(A(c), e)`` → ``e`` (both
     orderings), where the accumulator reference matches the store's
-    canonical subscript form exactly; None otherwise.  ``e`` must not
-    touch the accumulator array at all."""
+    canonical subscript form exactly (``forms``: the nest shape's);
+    None otherwise.  ``e`` must not touch the accumulator array at
+    all."""
 
     def is_acc(e):
-        if not isinstance(e, ArrayElemRef) or e.symbol.name != name:
-            return False
-        forms = [affine_form(s) for s in e.subscripts]
-        if any(f is None for f in forms):
-            return False
-        return tuple(_canon_form(f) for f in forms) == canon
+        return (
+            isinstance(e, ArrayElemRef) and e.symbol.name == name
+            and tuple(_canon_form(f) for f in forms[e.ref_id]) == canon
+        )
 
-    e = _fold_operand(rhs, op, is_acc)
-    if e is not None and any(
-        isinstance(ref, ArrayElemRef) and ref.symbol.name == name
-        for ref in e.refs()
-    ):
-        return None  # acc on both sides: not a fold
-    return e
+    return _fold_operand(rhs, op, name, is_acc)
 
 
 def _lane_addresses(ref_forms: dict, lanes_of: Callable, env) -> tuple:
@@ -1343,13 +1299,15 @@ class NestPlan:
     """Vectorized execution of one loop nest as one takeover.
 
     Built by the classification (:func:`_classify`) for every loop that
-    is one takeover, from the IR and the compiled program alone: the
-    nest's shape and store roles, its references' keys, its executor
-    groups and the owner table of the column.  It holds no machine and
-    no run, so every simulation of the program shares it.  *prepare*
-    then builds the entry's iteration domain (:class:`_Domain`),
-    evaluates every statement over its lanes (:class:`_NestCtx`) and
-    returns the commit.  Exact because no value flows between lanes:
+    is one takeover, from the loop's nest shape
+    (:func:`~repro.codegen.veceval.nest_shape`, which it holds) and the
+    compiled program alone: the nest's store roles, its references'
+    keys, its executor groups and the owner table of the column.  It
+    holds no machine and no run, so every simulation of the program
+    shares it.  *prepare* then builds the entry's iteration domain
+    (:class:`_Domain`), evaluates every statement over its lanes
+    (:class:`_NestCtx`) and returns the commit.  Exact because no value
+    flows between lanes:
     every store is injective over its lanes, a lane reads what its own
     instance stored or what the nest never writes, and whatever depends
     on live state — validity, bounds, widths, overlap of the concrete
@@ -1357,9 +1315,10 @@ class NestPlan:
     through its executing rank and fetches what that rank does not
     hold, like tier 2 (:class:`_FetchLog`)."""
 
-    def __init__(self, loop: LoopStmt, inner: LoopStmt | None, serial: bool,
-                 bound_forms: list):
-        self.loop = loop
+    def __init__(self, shape: NestShape, inner: LoopStmt | None,
+                 serial: bool, bound_forms: list):
+        self.shape = shape
+        self.loop = loop = shape.loop
         self.inner = inner
         self.v = v = loop.var.name
         self.i = i = inner.var.name if inner is not None else None
@@ -1379,8 +1338,6 @@ class NestPlan:
         self.keys: dict[int, tuple | None] = {}
         self.strides: dict[int, int] = {}
         self._moving: list[tuple] = []
-        #: memory scalars subscripts depend on, resolved at prepare
-        self.subscript_scalars: set[str] = set()
         #: scalar name -> phases storing it; reduction accumulators
         self.scalar_phases: dict[str, set] = {}
         self.acc_names: set[str] = set()
@@ -1427,18 +1384,16 @@ class NestPlan:
             for ref in st.expr.refs():
                 if isinstance(ref, ScalarRef) and ref.symbol.name in self.acc_names:
                     return "accumulator read outside the fold"
-        mutated = set(self.scalar_phases) | self.acc_names
-        if self.subscript_scalars & mutated:
-            return "subscript depends on a scalar written in body"
-        reason = self._executors(compiled, reductions.everywhere, mutated)
+        reason = self._executors(compiled, reductions.everywhere)
         if reason is not None or self.inner is None:
             return reason
         # what the one plan could run but this round does not take
         # (see CHANGES.md): each keeps its tier-2 verdict
         if self.inner.stmt_id in reductions.by_loop:
             return "inner loop combines a reduction"
-        if self.subscript_scalars:
-            return f"subscript depends on scalar {min(self.subscript_scalars)}"
+        if self.shape.subscript_scalars:
+            name = min(self.shape.subscript_scalars)
+            return f"subscript depends on scalar {name}"
         return None
 
     def _store_role(self, st: _Step, phase: int, updates) -> str | None:
@@ -1472,7 +1427,9 @@ class NestPlan:
             # private accumulator element
             if any(_mentions(f, *self.lane_vars) for f in forms):
                 return "fold subscript varies with lane"
-            st.expr = _afold_operand(stmt.rhs, st.name, canon, reduction.op)
+            st.expr = _afold_operand(
+                stmt.rhs, st.name, canon, reduction.op, self.shape.forms
+            )
             if st.expr is None:
                 return "unrecognized array fold update"
             st.kind, st.op = "afold", reduction.op
@@ -1485,7 +1442,9 @@ class NestPlan:
             if self.i is not None or any(_mentions(f, v) for f in forms):
                 return "store not injective in the loop variables"
             for op in ("+", "*", "MAX", "MIN"):
-                st.expr = _afold_operand(stmt.rhs, st.name, canon, op)
+                st.expr = _afold_operand(
+                    stmt.rhs, st.name, canon, op, self.shape.forms
+                )
                 if st.expr is not None:
                     break
             else:
@@ -1500,17 +1459,11 @@ class NestPlan:
         return None
 
     def _register(self, ref: ArrayElemRef, st: _Step) -> list:
-        """Record an array reference's forms, home and key."""
-        forms = [affine_form(s) for s in ref.subscripts]
-        for f in forms:
-            # besides the takeover's loop variables a subscript may
-            # reference enclosing loops' (from env at run time) and
-            # per-rank memory scalars, resolved to one agreed value at
-            # prepare (``subscript_env``)
-            self.subscript_scalars.update(
-                sym.name for sym, _c in f.coeffs
-                if sym.value is None and not sym.is_loop_var
-            )
+        """Record an array reference's forms, home and key.  Besides the
+        takeover's loop variables a subscript may reference enclosing
+        loops' (from env at run time) and the shape's memory scalars,
+        resolved to one agreed value at prepare (``subscript_env``)."""
+        forms = self.shape.forms[ref.ref_id]
         self.ref_forms[ref.ref_id] = (ref.symbol, forms)
         self.ref_home[ref.ref_id] = st.index
         # canonical: per dimension the constant — symbolic constants
@@ -1552,12 +1505,12 @@ class NestPlan:
             for ref_id, head, dims in self._moving
         }
 
-    def _executors(self, compiled, everywhere: set,
-                   mutated: set) -> str | None:
+    def _executors(self, compiled, everywhere: set) -> str | None:
         """Sort the statements by executor: those run by the owner of
         their column — one canonical 1-D position, a function of the
         outer variable, tabulated as ``pos_ranks`` — and those run by a
         fixed rank set, evaluated at prepare."""
+        written = self.shape.written
         self.pos_form = None
         #: one statement of every distinct executor (``_Step.group``)
         self.executors: list[_Step] = []
@@ -1599,7 +1552,7 @@ class NestPlan:
             # the position may only depend on the column (and constants)
             for sym, _c in self.pos_form.coeffs:
                 if sym.value is None and sym.name != self.v and (
-                    not sym.is_loop_var or sym.name in mutated
+                    not sym.is_loop_var or sym.name in written
                 ):
                     return "executor position not a column function"
             grid, fmt = compiled.grid, self.pos_fmt
@@ -1627,19 +1580,20 @@ class NestPlan:
                 continue
             for dim in compiled.executors[st.sid].position:
                 if dim.kind == "pos" and dim.form is not None:
-                    if _mentions(dim.form, *self.lane_vars, *mutated):
+                    if _mentions(dim.form, *self.lane_vars, *written):
                         return "executor varies inside the loop"
         return None
 
     def subscript_env(self, store, env, participants: list[int]):
-        """``env`` plus the memory scalars the subscripts reference:
-        every participant must hold the same valid integral value in
-        ``store`` (per-iteration semantics read the rank's own copy
-        each time)."""
-        if not self.subscript_scalars:
+        """``env`` plus the memory scalars the subscripts reference
+        (INTEGER symbols: the only ones an affine form holds): every
+        participant must hold the same valid value in ``store``
+        (per-iteration semantics read the rank's own copy each time)."""
+        scalars = self.shape.subscript_scalars
+        if not scalars:
             return env
         sub_env = dict(env)
-        for nm in sorted(self.subscript_scalars - set(env)):
+        for nm in sorted(scalars - set(env)):
             for k, r in enumerate(participants):
                 if not store.scalar_valid[nm][r]:
                     raise _Bail(f"subscript scalar {nm} invalid")
@@ -1648,8 +1602,6 @@ class NestPlan:
                     val = got
                 elif got != val:
                     raise _Bail(f"subscript scalar {nm} diverges")
-            if not float(val).is_integer():
-                raise _Bail(f"subscript scalar {nm} not integral")
             sub_env[nm] = int(val)
         return sub_env
 

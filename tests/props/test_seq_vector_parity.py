@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.codegen.seq import SequentialInterpreter, seeded_inputs
 from repro.codegen.seqvec import _Plan, _SeqCtx
-from repro.codegen.veceval import _Bail
+from repro.codegen.veceval import _Bail, nest_shape
+from repro.core import CompilerOptions, compile_source
 from repro.errors import InterpreterError
 from repro.fuzz import generate
 from repro.fuzz.harness import store_mismatch
@@ -566,15 +567,37 @@ def test_walk_stats_are_equal_on_the_corpus(path):
 # ---------------------------------------------------------------------------
 
 
+def _loops(proc):
+    return [s for s in proc.all_stmts() if isinstance(s, LoopStmt)]
+
+
 def _verdict(body: str, decls: str = "REAL A(n), B(n), C(n)", which: int = 0):
     """The plan of the ``which``-th loop of the program, or the reason
     it has none."""
     proc = parse_and_build(_program(body, decls))
-    loops = [s for s in proc.all_stmts() if isinstance(s, LoopStmt)]
+    shape = nest_shape(_loops(proc)[which])
+    if isinstance(shape, str):
+        return shape
     try:
-        return _Plan(proc, loops[which])
+        return _Plan(proc, shape)
     except _Bail as why:
         return str(why)
+
+
+def _slab_verdict(body: str, decls: str = "REAL A(n), B(n), C(n)",
+                  which: int = 0):
+    """The slab classifier's verdict on the same loop, on 2 ranks."""
+    compiled = compile_source(
+        _program(body, decls), CompilerOptions(num_procs=2)
+    )
+    return compiled.slabs.verdicts[_loops(compiled.proc)[which].stmt_id]
+
+
+#: the IR rules of the nest shape decline a loop in both engines, with
+#: the same reason
+BOTH = pytest.mark.parametrize(
+    "verdict", [_verdict, _slab_verdict], ids=["seqvec", "slab"]
+)
 
 
 def test_plain_loop_is_taken():
@@ -654,40 +677,69 @@ def test_inner_bound_depending_on_the_lane_variable_declines():
     ) == "inner bound depends on J"
 
 
-def test_inner_bound_depending_on_a_body_scalar_or_an_array_declines():
-    assert _verdict(
+@BOTH
+def test_inner_bound_depending_on_a_body_scalar_or_an_array_declines(verdict):
+    assert verdict(
         "  DO j = 1, n\n    m = 3\n    DO i = 1, m\n      A(i, j) = 1.0\n"
         "    END DO\n  END DO\n",
         decls="REAL A(n, n)\n  INTEGER m",
     ) == "inner bound depends on M"
-    assert _verdict(
+    assert verdict(
         "  DO j = 1, n\n    DO i = 1, K(1)\n      A(i, j) = 1.0\n"
         "    END DO\n  END DO\n",
         decls="REAL A(n, n)\n  INTEGER K(n)",
     ) == "inner bound reads an array"
 
 
-def test_subscript_through_a_body_written_scalar_declines():
-    assert _verdict(
+@BOTH
+def test_subscript_through_a_body_written_scalar_declines(verdict):
+    assert verdict(
         "  DO i = 1, n\n    m = i\n    A(m) = B(i)\n  END DO\n",
         decls="REAL A(n), B(n)\n  INTEGER m",
     ) == "subscript depends on body-written scalar M"
 
 
-def test_non_affine_subscript_declines():
-    assert "non-affine subscript" in _verdict(
+@BOTH
+def test_non_affine_subscript_declines(verdict):
+    assert verdict(
         "  DO i = 1, 2\n    A(i * i) = B(i)\n  END DO\n"
-    )
+    ) == "non-affine subscript in A"
 
 
+@BOTH
 @pytest.mark.parametrize("stmt, kind", [
     ("IF (B(i) > 1.0) A(i) = 0.0", "IfStmt"),
     ("IF (B(i) > 1.0) GO TO 10", "IfStmt"),
     ("GO TO 10", "GotoStmt"),
     ("STOP", "StopStmt"),
 ])
-def test_control_flow_in_the_body_declines(stmt, kind):
-    assert _verdict(
+def test_control_flow_in_the_body_declines(verdict, stmt, kind):
+    assert verdict(
         f"  DO i = 1, n\n    {stmt}\n    A(i) = B(i)\n 10 CONTINUE\n"
         "  END DO\n"
     ) == f"body contains {kind}"
+
+
+def test_a_shape_decline_is_the_verdict_of_both_engines():
+    """Every loop the nest shape declines carries the shape's reason in
+    the reference (the loops it entered) and in the slab classifier, on
+    the kernels and seed-0 fuzz programs 0-29 at three ranks."""
+    sources = [
+        tomcatv_source(n=17, niter=1, procs=3),
+        dgefa_source(n=12, procs=3),
+        appsp_source(nx=6, ny=6, nz=6, niter=1, procs=3),
+    ] + [generate(k).emit(3) for k in range(30)]
+    checked = {"seqvec": 0, "slab": 0}
+    for source in sources:
+        compiled = compile_source(source, CompilerOptions(num_procs=3))
+        interp, _err = _run(source, True)
+        for engine, proc, verdicts in (
+            ("slab", compiled.proc, compiled.slabs.verdicts),
+            ("seqvec", interp.store.proc, interp.hooks.vector.verdicts),
+        ):
+            for loop in _loops(proc):
+                shape = nest_shape(loop)
+                if isinstance(shape, str) and loop.stmt_id in verdicts:
+                    assert verdicts[loop.stmt_id] == shape, (engine, source)
+                    checked[engine] += 1
+    assert min(checked.values()) > 0

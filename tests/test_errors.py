@@ -47,6 +47,20 @@ class TestFrontEndErrors:
         with pytest.raises(SemanticError):
             parse_and_build("PROGRAM t\n  REAL A(m)\nEND\n")
 
+    @pytest.mark.parametrize("body, dim", [
+        ("  x = B(1, 2.7)\n", 2),
+        ("  x = B(.TRUE., 1)\n", 1),
+        ("  s = 2.5\n  B(s, 1) = 0.0\n", 1),
+    ])
+    def test_non_integer_subscript(self, body, dim):
+        """A REAL or LOGICAL subscript is a typed error, not an element
+        picked by truncation; ``INT`` converts one."""
+        decls = "PROGRAM t\n  REAL B(4, 4)\n  REAL s, x\n"
+        with pytest.raises(SemanticError) as err:
+            parse_and_build(f"{decls}{body}END\n")
+        assert f"subscript {dim} of array 'B' is not INTEGER" in str(err.value)
+        parse_and_build(f"{decls}  x = B(INT(s + 1), MOD(3, 2))\nEND\n")
+
 
 def _nested(depth: int) -> str:
     """``B(i) = ((...(A(i) + 1.0) * 0.5 ...))``, ``depth`` levels deep."""
