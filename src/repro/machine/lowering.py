@@ -17,13 +17,16 @@ once, at lowering time:
   the lowered form.
 * **Executor sets** (:class:`ExecutorTables`) lower each statement's
   owner-computes position to per-grid-dim coordinate closures over
-  precomputed ``fmt.owner`` tables: the per-iteration
-  ``_eval_form``/``_ranks_of_position`` recomputation becomes O(1)
-  table lookups parameterized only by the enclosing loop indices.
-* **Fetches** (:class:`FetchEngine`) resolve sources through
-  precomputed owner tables and are charged by the simulator's one
-  ``_charge_fetch`` (one startup per placement instance plus
-  per-element bandwidth — identical clock totals by construction).
+  precomputed ``fmt.owner`` tables: tier 1's per-iteration position
+  evaluation becomes O(1) table lookups parameterized only by the
+  enclosing loop indices.
+
+:class:`FastPath` is the walker's hooks for tiers 2 and 3.  It calls no
+tier-1 code: a read of a copy the rank does not hold goes through the
+simulator's one ``fetch_array`` / ``fetch_scalar``, whose source is the
+store's (:meth:`~repro.machine.memory.Store.source`) and whose charge
+is ``_charge_fetch`` — one startup per placement instance plus
+per-element bandwidth.
 
 Lowering is total: every assignment, condition and loop bound gets a
 closure.  A constant the fold cannot write as a Python literal (a
@@ -42,8 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
-
-import numpy as np
 
 from ..codegen.evalexpr import (
     _apply_binop,
@@ -498,11 +499,15 @@ class ExecutorTables:
         return table
 
     def ranks(self, stmt, env) -> list[int]:
+        return self.ranks_of(stmt)(env)
+
+    def ranks_of(self, stmt) -> Callable:
+        """``stmt``'s executor set as a closure ``env -> ranks``, built
+        at the first request."""
         fn = self._closures.get(stmt.stmt_id)
         if fn is None:
-            fn = self._build(stmt)
-            self._closures[stmt.stmt_id] = fn
-        return fn(env)
+            fn = self._closures[stmt.stmt_id] = self._build(stmt)
+        return fn
 
     def _build(self, stmt) -> Callable:
         sim = self.sim
@@ -612,143 +617,19 @@ class ExecutorTables:
 
 
 # ---------------------------------------------------------------------------
-# Fetch engine: precomputed owner tables
-# ---------------------------------------------------------------------------
-
-
-class _ArrayAccess:
-    """Per-array fetch metadata: owner tables in ``owner_ranks`` order
-    and raw storage handles."""
-
-    def __init__(self, sim, name: str, etables: ExecutorTables):
-        mapping = sim.compiled.mappings[name]
-        self.mapping = mapping
-        #: every rank's copy: the rows of the array's buffers
-        self.datas = list(sim.store.data[name])
-        self.valids = list(sim.store.valid[name])
-        grid = sim.grid
-        strides = etables.strides
-        dist = []
-        for g, role in enumerate(mapping.roles):
-            if role.kind == "dist":
-                dist.append(
-                    (
-                        role.array_dim,
-                        role.stride,
-                        role.norm_offset,
-                        etables.owner_table(role.fmt),
-                        role.fmt,
-                        strides[g],
-                    )
-                )
-        self.dist = tuple(dist)
-        #: the dist owner tables as index vectors, for :meth:`owners`
-        self._owner_vecs = [np.asarray(d[3], dtype=np.int64) for d in dist]
-        span_bases = [0]
-        for g, role in enumerate(mapping.roles):
-            if role.kind != "dist":
-                stride = strides[g]
-                span_bases = [
-                    b + c * stride
-                    for b in span_bases
-                    for c in range(grid.shape[g])
-                ]
-        self.span_bases = span_bases
-        self.singletons = etables.singletons if span_bases == [0] else None
-
-    def candidates(self, index) -> list[int]:
-        """Owning ranks of a global index — same order (and same OOB
-        MappingError) as ``ArrayMapping.owner_ranks``."""
-        acc = 0
-        for array_dim, stride, noff, table, fmt, gstride in self.dist:
-            pos = stride * index[array_dim] + noff
-            if 0 <= pos < fmt.extent:
-                acc += table[pos] * gstride
-            else:
-                acc += fmt.owner(pos) * gstride  # raises
-        if self.singletons is not None:
-            return self.singletons[acc]
-        return [acc + b for b in self.span_bases]
-
-    def owners(self, offs) -> np.ndarray:
-        """Vectorized :meth:`candidates` over element *offsets* (one
-        int vector per array dim): row ``c`` holds every element's
-        ``c``-th owning rank, raising the same OOB MappingError."""
-        lows = [lo for lo, _ in self.mapping.array.dims]
-        acc = np.zeros(np.shape(offs[0]), dtype=np.int64)
-        for (array_dim, stride, noff, _table, fmt, gstride), table in zip(
-            self.dist, self._owner_vecs
-        ):
-            pos = stride * (offs[array_dim] + lows[array_dim]) + noff
-            outside = (pos < 0) | (pos >= fmt.extent)
-            if outside.any():
-                fmt.owner(int(pos[outside][0]))  # raises
-            acc += table[pos] * gstride
-        return np.add.outer(np.asarray(self.span_bases, dtype=np.int64), acc)
-
-
-class FetchEngine:
-    """Fast-path remote reads: the interpreted ``fetch_array`` with the
-    source found through precomputed owner tables and the value moved
-    between raw storage handles.  The charge is the simulator's own
-    ``_charge_fetch`` — one startup per coalescing key, one bandwidth
-    unit per element, in the same order."""
-
-    def __init__(self, fast: "FastPath"):
-        self.sim = fast.sim
-        self.etables = fast.etables
-        self._access: dict[str, _ArrayAccess] = {}
-
-    def access(self, name: str) -> _ArrayAccess:
-        acc = self._access.get(name)
-        if acc is None:
-            acc = _ArrayAccess(self.sim, name, self.etables)
-            self._access[name] = acc
-        return acc
-
-    def fetch_array(self, reader, ref, index, off, env):
-        name = ref.symbol.name
-        acc = self.access(name)
-        valids = acc.valids
-        src = None
-        for owner in acc.candidates(index):
-            if valids[owner][off]:
-                src = owner
-                break
-        if src is None:
-            for r in range(len(valids)):
-                if valids[r][off]:
-                    src = r
-                    break
-        stmt = reader.stmt
-        rank = reader.rank
-        if src is None:
-            raise SimulationError(
-                f"rank {rank}: {name}{index} requested but no rank holds it "
-                f"(statement S{stmt.stmt_id})"
-            )
-        value = acc.datas[src][off].item()
-        # deliver into the requesting rank's copy
-        acc.datas[rank][off] = value
-        valids[rank][off] = True
-        self.sim._charge_fetch(stmt, ref.ref_id, src, rank, env)
-        return value
-
-
-# ---------------------------------------------------------------------------
 # Fast readers and the fast path itself
 # ---------------------------------------------------------------------------
 
 
 class _FastReader:
-    """Per-rank reader with direct storage handles — the lowered-closure
-    counterpart of ``_FetchingReader``."""
+    """Per-rank reader with direct storage handles; a read of a copy
+    the rank does not hold fetches through the simulator's one
+    ``fetch_array`` / ``fetch_scalar``."""
 
-    __slots__ = ("sim", "engine", "rank", "stmt", "scalars", "scalar_valid", "tables")
+    __slots__ = ("sim", "rank", "stmt", "scalars", "scalar_valid", "tables")
 
-    def __init__(self, sim, engine: FetchEngine, rank: int):
+    def __init__(self, sim, rank: int):
         self.sim = sim
-        self.engine = engine
         self.rank = rank
         self.stmt = None
         store = sim.store
@@ -774,20 +655,21 @@ class _FastReader:
         off = tuple(i - lo for i, lo in zip(index, lows))
         if valid[off]:
             return arr[off].item()
-        return self.engine.fetch_array(self, ref, index, off, env)
+        return self.sim.fetch_array(self.rank, ref, index, self.stmt, env)
 
 
-class FastPath:
-    """Wires the lowered closures, executor tables, and fetch engine to
-    one simulator instance: every statement instance a slab takeover
-    does not cover runs through its closure."""
+class FastPath(ExecutionHooks):
+    """The walker's hooks for tiers 2 and 3 of one simulator instance:
+    every statement instance a slab takeover does not cover runs
+    through its lowered closure on its executor table's ranks; loop
+    bookkeeping (active variables, reduction snapshots and combines)
+    stays with the simulator."""
 
     def __init__(self, sim):
         self.sim = sim
         self.lowered = lowered = sim.compiled.lowering
         self.etables = ExecutorTables(sim)
-        self.engine = FetchEngine(self)
-        self.readers = [_FastReader(sim, self.engine, r) for r in sim.grid.all_ranks()]
+        self.readers = [_FastReader(sim, r) for r in sim.grid.all_ranks()]
         machine = sim.machine
         #: stmt_id -> precomputed compute-charge delta (compute_time is
         #: deterministic in flops, so this is bit-identical to
@@ -806,20 +688,16 @@ class FastPath:
     def _assign_rec(self, stmt):
         sid = stmt.stmt_id
         name, lows = self.lowered.lhs_info[sid]
-        closure = self.etables._closures.get(sid)
-        if closure is None:
-            closure = self.etables._build(stmt)
-            self.etables._closures[sid] = closure
         return (
             self.lowered.assigns[sid],
             name,
             lows,
             self._dt[sid],
             sid in self.sim.reductions.updates,
-            closure,
+            self.etables.ranks_of(stmt),
         )
 
-    def exec_assign(self, stmt, env) -> None:
+    def assign(self, stmt, env) -> None:
         sid = stmt.stmt_id
         self.sim.interp_instances += 1
         rec = self._assign_recs.get(sid)
@@ -867,7 +745,7 @@ class FastPath:
 
     # -- conditions and bounds --------------------------------------------
 
-    def exec_condition(self, stmt, env) -> bool:
+    def eval_condition(self, stmt, env) -> bool:
         sid = stmt.stmt_id
         self.sim.interp_instances += 1
         rec = self._cond_recs.get(sid)
@@ -915,23 +793,7 @@ class FastPath:
         fn = self.lowered.bounds.built[id(expr)]
         return fn(self.sim.authoritative, env)
 
-
-class FastHooks(ExecutionHooks):
-    """Walker hooks driving the fast path; loop bookkeeping (active
-    vars, reduction snapshots/combines) stays with the simulator."""
-
-    def __init__(self, fast: FastPath):
-        self.fast = fast
-        self.sim = fast.sim
-
-    def assign(self, stmt, env) -> None:
-        self.fast.exec_assign(stmt, env)
-
-    def eval_condition(self, stmt, env) -> bool:
-        return self.fast.exec_condition(stmt, env)
-
-    def eval_bound(self, expr, env) -> int:
-        return self.fast.eval_bound(expr, env)
+    # -- loops -------------------------------------------------------------
 
     def loop_enter(self, stmt, env) -> None:
         self.sim.on_loop_enter(stmt, env)
@@ -940,12 +802,10 @@ class FastHooks(ExecutionHooks):
         self.sim.on_loop_exit(stmt, env)
 
     def run_loop(self, stmt, low, high, step, env) -> bool:
-        sim = self.sim
-        if sim.tier == "lowered":
+        if self.sim.tier == "lowered":
             return False
-        slab = self.fast.slab
-        if slab is None:
+        if self.slab is None:
             from .slabexec import SlabExecutor
 
-            slab = self.fast.slab = SlabExecutor(self.fast)
-        return slab.run_loop(stmt, low, high, step, env)
+            self.slab = SlabExecutor(self)
+        return self.slab.run_loop(stmt, low, high, step, env)

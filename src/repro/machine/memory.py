@@ -22,8 +22,18 @@ state is one :class:`Store`, addressed by (name, rank, element):
   Plain Python values keep each rank's copy at its exact type, and an
   invalidated copy keeps its value (``None``: never stored).
 
+The store is also the one place that knows who owns an element.  At
+construction it tabulates, per array and per distributed dimension, the
+owner of every index along that dimension (:class:`_Owners`: O(extent),
+never a ``(P, *shape)`` mask), and from those tables answers, for all
+three tiers, the two questions every fetch, gather and combine asks: an
+element's owner ranks, ascending (:meth:`Store.owner_rows`), and the
+rank a read of it is served from — its lowest-ranked valid owner, else
+the lowest-ranked valid copy (:meth:`Store.sources`, and
+:meth:`Store.source` for one element).
+
 Nothing of a store is ever pickled: a simulator builds its own from the
-procedure.
+compiled program.
 
 (Full-shape allocation is a simulation convenience — the *semantics*
 are those of distributed sections. Test problem sizes are small; large
@@ -36,23 +46,26 @@ import numpy as np
 
 from ..codegen.seq import _dtype_of
 from ..errors import SimulationError
-from ..ir.program import Procedure
 from ..mapping.descriptors import ArrayMapping, GridDimRole
 
 
 class Store:
     """Every declared variable on every rank: per array one data buffer
     and one validity buffer of shape ``(nranks, *shape)`` — zero data,
-    nothing valid — and per scalar one list of ``nranks`` values and
-    one of validity flags — nothing stored."""
+    valid where the rank owns the element — and per scalar one list of
+    ``nranks`` values and one of validity flags — nothing stored."""
 
-    def __init__(self, proc: Procedure, nranks: int):
+    def __init__(self, compiled):
+        proc = compiled.proc
+        self.nranks = nranks = compiled.grid.size
         self.data: dict[str, np.ndarray] = {}
         self.valid: dict[str, np.ndarray] = {}
         self.lows: dict[str, tuple[int, ...]] = {}
         #: name -> (data, valid, size) with the buffers flattened: rank
         #: ``r``'s element ``e`` is at ``r * size + e``
         self.flat: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
+        #: name -> who owns each element of the array
+        self.owners: dict[str, _Owners] = {}
         for symbol in proc.symbols.arrays():
             name = symbol.name
             shape = (nranks, *(symbol.extent(d) for d in range(symbol.rank)))
@@ -60,6 +73,8 @@ class Store:
             valid = self.valid[name] = np.zeros(shape, dtype=np.bool_)
             self.lows[name] = tuple(lo for lo, _ in symbol.dims)
             self.flat[name] = (data.reshape(-1), valid.reshape(-1), data[0].size)
+            owners = self.owners[name] = _Owners(compiled.mappings[name])
+            owners.mark(valid)
         #: name -> every rank's value of the scalar, and whether it is valid
         self.scalars: dict[str, list] = {
             s.name: [None] * nranks for s in proc.symbols.scalars()
@@ -68,11 +83,10 @@ class Store:
             name: [False] * nranks for name in self.scalars
         }
 
-    def set_array(self, mapping: ArrayMapping, values) -> None:
+    def set_array(self, name: str, values) -> None:
         """Distribute initial array contents: every rank receives the
         data, but validity follows ownership (owners valid; replicated/
         privatized dims valid everywhere)."""
-        name = mapping.array.name
         values = np.asarray(values)
         if values.dtype.kind not in "biuf":
             # (complex would lose its imaginary part, a string die in numpy)
@@ -87,7 +101,7 @@ class Store:
                 f"{values.shape} vs {data.shape[1:]}"
             )
         data[...] = values
-        self.valid[name][...] = ownership_masks(mapping)
+        self.owners[name].mark(self.valid[name])
 
     def offset(self, name: str, index: tuple[int, ...]) -> tuple[int, ...]:
         """The element ``name(index)`` as offsets into a rank's copy."""
@@ -96,6 +110,57 @@ class Store:
     def at(self, name: str, rank: int, index: tuple[int, ...]) -> tuple[int, ...]:
         """Rank ``rank``'s copy of ``name(index)`` in the array's buffers."""
         return (rank, *self.offset(name, index))
+
+    def element(self, name: str, index: tuple[int, ...]) -> int:
+        """The flat element ``name(index)``; an index with the wrong
+        number of subscripts or outside the declared bounds is a
+        :class:`SimulationError` (numpy would wrap or reject it)."""
+        lows, shape = self.lows[name], self.data[name].shape[1:]
+        offset = self.offset(name, index)
+        if len(index) != len(lows) or not all(
+            0 <= o < n for o, n in zip(offset, shape)
+        ):
+            bounds = ", ".join(f"{lo}:{lo + n - 1}" for lo, n in zip(lows, shape))
+            raise SimulationError(
+                f"{name}{tuple(index)} is not an element of {name}({bounds})"
+            )
+        elem = 0
+        for o, n in zip(offset, shape):
+            elem = elem * n + o
+        return elem
+
+    def owner_rows(self, name: str, elem: np.ndarray) -> np.ndarray:
+        """The owner ranks of the flat elements ``elem`` of ``name``,
+        shape ``(k, len(elem))``: row ``c`` holds every element's
+        ``c``-th owner, so each column is ascending."""
+        return self.owners[name].rows(elem)
+
+    def sources(self, name: str, elem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rank a read of each flat element ``elem`` of ``name`` is
+        served from — its lowest-ranked valid owner, else the
+        lowest-ranked rank holding a valid copy, -1 when none does —
+        and the elements' :meth:`owner_rows`."""
+        owners = self.owner_rows(name, elem)
+        valid, size = self.flat[name][1:]
+        src = np.full(len(elem), -1, dtype=np.int64)
+        todo = np.arange(len(elem))
+        for row in owners:
+            held = valid.take(row[todo] * size + elem[todo])
+            src[todo[held]] = row[todo[held]]
+            todo = todo[~held]
+        if todo.size:
+            # no owner holds these: the lowest rank that does (argmax)
+            held = self.valid[name].reshape(self.nranks, -1)[:, elem[todo]]
+            src[todo] = np.where(held.any(axis=0), held.argmax(axis=0), -1)
+        return src, owners
+
+    def source(self, name: str, index: tuple[int, ...]) -> int | None:
+        """The rank a read of ``name(index)`` is served from (None: no
+        rank holds it) — :meth:`sources` of one element."""
+        src, _owners = self.sources(
+            name, np.asarray([self.element(name, index)], dtype=np.int64)
+        )
+        return int(src[0]) if src[0] >= 0 else None
 
     def holder(self, name: str) -> int | None:
         """The lowest rank holding a valid copy of scalar ``name``."""
@@ -124,38 +189,57 @@ def _owner_vector(role: GridDimRole, low: int, count: int) -> np.ndarray:
     return (pos // fmt.chunk) % fmt.procs
 
 
-def ownership_mask(mapping: ArrayMapping, rank: int) -> np.ndarray:
-    """Boolean mask over the full global shape of the elements ``rank``
-    owns — the vectorized form of ``mapping.owned_global_indices``."""
-    symbol = mapping.array
-    coords = mapping.grid.coords_of(rank)
-    vecs: list[np.ndarray] = []
-    for dim, (low, high) in enumerate(symbol.dims):
-        count = high - low + 1
-        g = mapping.grid_dim_of_array_dim(dim)
-        if g is None:
-            vecs.append(np.ones(count, dtype=np.bool_))
-        else:
-            vecs.append(_owner_vector(mapping.roles[g], low, count) == coords[g])
-    mask = vecs[0]
-    for vec in vecs[1:]:
-        mask = np.logical_and.outer(mask, vec)
-    return mask
+class _Owners:
+    """Who owns each element of one array, in tables the size of its
+    dimensions.  A rank is row-major over the grid coordinates, so an
+    owner rank is a sum of one part per grid dimension (coordinate x
+    the dimension's rank stride): per distributed dimension the part
+    the owner of every index along it contributes, and the parts of
+    the other grid dimensions, which every coordinate owns — the
+    ``span`` — added last, in ascending order."""
+
+    def __init__(self, mapping: ArrayMapping):
+        grid, symbol = mapping.grid, mapping.array
+        self.shape = tuple(symbol.extent(d) for d in range(symbol.rank))
+        ranks = np.arange(grid.size, dtype=np.int64)
+        stride = grid.size
+        #: (array dim, the owner's part per index, every rank's part)
+        self.dims: list[tuple[int, np.ndarray, np.ndarray]] = []
+        span = np.zeros(1, dtype=np.int64)
+        for g, role in enumerate(mapping.roles):
+            extent = grid.shape[g]
+            stride //= extent
+            if role.kind == "dist":
+                dim = role.array_dim
+                owner = _owner_vector(role, symbol.dims[dim][0], self.shape[dim])
+                rank_part = ranks // stride % extent * stride
+                self.dims.append((dim, owner * stride, rank_part))
+            else:
+                span = np.add.outer(span, np.arange(extent) * stride).reshape(-1)
+        self.span = span
+
+    def rows(self, elem: np.ndarray) -> np.ndarray:
+        """Owner ranks of flat elements, one row per owner ordinal."""
+        offs = np.unravel_index(elem, self.shape)
+        part = np.zeros(np.shape(elem), dtype=np.int64)
+        for dim, owner, _rank_part in self.dims:
+            part = part + owner[offs[dim]]
+        return np.add.outer(self.span, part)
+
+    def mark(self, valid: np.ndarray) -> None:
+        """Make ``valid`` (shape ``(P, *shape)``) hold exactly what each
+        rank owns, one distributed dimension at a time."""
+        valid[...] = True
+        for dim, owner, rank_part in self.dims:
+            along = [1] * len(self.shape)
+            along[dim] = -1
+            valid &= (rank_part[:, None] == owner).reshape(len(rank_part), *along)
 
 
 def ownership_masks(mapping: ArrayMapping) -> np.ndarray:
-    """:func:`ownership_mask` of every rank at once, shape ``(P,
-    *shape)``: per distributed dimension one owner vector, compared
-    with every rank's coordinate on that grid dimension."""
-    symbol, grid = mapping.array, mapping.grid
-    shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-    coords = np.unravel_index(np.arange(grid.size), grid.shape)
-    masks = np.ones((grid.size, *shape), dtype=np.bool_)
-    for dim, (low, _high) in enumerate(symbol.dims):
-        g = mapping.grid_dim_of_array_dim(dim)
-        if g is not None:
-            owner = _owner_vector(mapping.roles[g], low, shape[dim])
-            along = [1] * symbol.rank
-            along[dim] = -1
-            masks &= (owner == coords[g][:, None]).reshape(grid.size, *along)
+    """Every rank's ownership mask of the array at once, shape ``(P,
+    *shape)``: ``masks[r]`` is true where rank ``r`` owns the element."""
+    owners = _Owners(mapping)
+    masks = np.empty((mapping.grid.size, *owners.shape), dtype=np.bool_)
+    owners.mark(masks)
     return masks

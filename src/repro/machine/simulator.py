@@ -41,8 +41,8 @@ from ..ir.expr import AffineForm, ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
 from ..model import MachineModel, flops_of_expr
 from ..obs import Metrics, NULL_TRACER, Tracer
-from .lowering import FastHooks, FastPath
-from .memory import Store, ownership_masks
+from .lowering import FastPath
+from .memory import Store
 from .stats import Clocks, TrafficStats
 
 
@@ -211,8 +211,10 @@ class SPMDSimulator:
         self.proc = compiled.proc
         self.grid = compiled.grid
         self.machine = machine or compiled.options.machine
-        #: every rank's copy of every variable
-        self.store = Store(self.proc, self.grid.size)
+        #: every rank's copy of every variable: zero-filled arrays
+        #: (matching the sequential interpreter's global store), valid
+        #: where the rank owns them; set_array overwrites the contents
+        self.store = Store(compiled)
         # float clocks over a MachineModel; over a VectorMachine
         # (repro.machine.batchexec) one lane per swept machine variant,
         # all charged in this one run
@@ -254,18 +256,13 @@ class SPMDSimulator:
         #: rebuilding the itertools product on every statement instance)
         self._all_ranks = list(self.grid.all_ranks())
         self._ranks_cache: dict[tuple, list[int]] = {}
-        # Every array starts zero-filled (matching the sequential
-        # interpreter's global store) and valid where the rank owns it;
-        # set_array overwrites the contents afterwards.
-        for name, valid in self.store.valid.items():
-            valid[...] = ownership_masks(self.compiled.mappings[name])
 
     # ==================================================================
     # Setup
     # ==================================================================
 
     def set_array(self, name: str, values: np.ndarray) -> None:
-        self.store.set_array(self._mapping_of(name), values)
+        self.store.set_array(self._array_name(name), values)
 
     def run(self):
         if self.tier == "interpreted":
@@ -274,7 +271,7 @@ class SPMDSimulator:
         else:
             if self._fast is None:
                 self._fast = FastPath(self)
-            hooks = FastHooks(self._fast)
+            hooks = self._fast
             engines = "lowered" if self.tier == "lowered" else "lowered+slab"
         walker = Walker(self.proc, hooks)
         with self.tracer.span(
@@ -300,17 +297,8 @@ class SPMDSimulator:
             raise SimulationError(f"no valid copy of scalar {name} anywhere")
         return self.store.scalars[name][rank]
 
-    def _array_holder(self, name: str, index: tuple[int, ...]) -> int | None:
-        """The rank ``name(index)`` is read from: its lowest-ranked valid
-        owner, else the lowest-ranked valid copy anywhere."""
-        valid = self.store.valid[name][(slice(None), *self.store.offset(name, index))]
-        for rank in self.compiled.mappings[name].owner_ranks(index):
-            if valid[rank]:
-                return rank
-        return int(valid.argmax()) if valid.any() else None
-
     def authoritative_array(self, name: str, index: tuple[int, ...]):
-        rank = self._array_holder(name, index)
+        rank = self.store.source(name, index)
         if rank is None:
             raise SimulationError(f"no valid copy of {name}{index} anywhere")
         return self.store.data[name][self.store.at(name, rank, index)].item()
@@ -375,7 +363,7 @@ class SPMDSimulator:
 
     def fetch_array(self, rank: int, ref: ArrayElemRef, index, stmt: Stmt, env):
         name = ref.symbol.name
-        src = self._array_holder(name, index)
+        src = self.store.source(name, index)
         if src is None:
             raise SimulationError(
                 f"rank {rank}: {name}{index} requested but no rank holds it "
@@ -410,7 +398,9 @@ class SPMDSimulator:
     def _eval_form(self, form: AffineForm, env) -> int | None:
         """Evaluate an affine position form; None when some variable has
         no value yet (e.g. the index of a loop that has not started —
-        the position then spans the whole dimension)."""
+        the position then spans the whole dimension).  Tier 1's executor
+        positions read it, and so does every tier's reduction combine
+        (:meth:`_participant_groups`)."""
         total = form.const
         for symbol, coeff in form.coeffs:
             if symbol.is_loop_var and symbol.name not in self._active_loop_vars:
@@ -446,9 +436,6 @@ class SPMDSimulator:
             else:
                 axes.append(list(range(self.grid.shape[g])))
         return [self.grid.rank_of(c) for c in itertools.product(*axes)]
-
-    def _ranks_of_position(self, position, env) -> list[int]:
-        return self._position_ranks(position, self._position_form_values(position, env))
 
     def executor_ranks(self, stmt: Stmt, env) -> list[int]:
         info = self.compiled.executors[stmt.stmt_id]
@@ -605,26 +592,28 @@ class SPMDSimulator:
     ) -> None:
         """Element-wise combine of an array-valued reduction at the
         reduction loop's exit (paper Section 3.1): for each accumulator
-        element, merge the partials held by its owner group."""
+        element, merge the partials held by its owner group, element by
+        element in array order."""
         name = reduction.symbol.name
-        acc_mapping = self.compiled.mappings[name]
-        symbol = acc_mapping.array
-        data, valid = self.store.data[name], self.store.valid[name]
-        snapshots = self._reduction_snapshots.get((loop.stmt_id, name))
+        data, valid, size = self.store.flat[name]
+        elem = np.arange(size)
+        groups = self.store.owner_rows(name, elem)
+        if len(groups) <= 1:
+            return  # one owner per element: nothing to merge
+        at = groups * size + elem
+        values = data[at].astype(np.float64)
+        snapshot = self._reduction_snapshots.get((loop.stmt_id, name))
+        bases = (
+            np.zeros_like(values) if snapshot is None
+            else snapshot.reshape(-1)[at].astype(np.float64)
+        )
         group_elements: dict[tuple[int, ...], int] = {}
-        ranges = [range(lo, hi + 1) for lo, hi in symbol.dims]
-        for index in itertools.product(*ranges):
-            group = tuple(sorted(acc_mapping.owner_ranks(index)))
-            if len(group) <= 1:
-                continue
-            offset = self.store.offset(name, index)
-            partials = []
-            for rank in group:
-                base = 0.0 if snapshots is None else snapshots[rank][offset]
-                value = data[(rank, *offset)]
-                partials.append((rank, float(value), float(base)))
-            if all(v == b for _, v, b in partials):
-                continue  # untouched element
+        # an element whose every partial equals its base is untouched
+        for e in np.flatnonzero((values != bases).any(axis=0)).tolist():
+            group = tuple(groups[:, e].tolist())
+            partials = list(
+                zip(group, values[:, e].tolist(), bases[:, e].tolist())
+            )
             if reduction.op == "+":
                 combined = partials[0][2] + sum(v - b for _, v, b in partials)
             elif reduction.op == "*":
@@ -643,9 +632,8 @@ class SPMDSimulator:
                 raise SimulationError(
                     f"unknown array reduction op {reduction.op}"
                 )
-            at = (list(group), *offset)
-            data[at] = combined
-            valid[at] = True
+            data[at[:, e]] = combined
+            valid[at[:, e]] = True
             group_elements[group] = group_elements.get(group, 0) + 1
         for group, elements in group_elements.items():
             self.clocks.charge_collective(list(group), elements, "reduce")
@@ -708,35 +696,29 @@ class SPMDSimulator:
     # Results
     # ==================================================================
 
-    def _mapping_of(self, name: str):
-        mapping = self.compiled.mappings.get(name.upper())
-        if mapping is None:
+    def _array_name(self, name: str) -> str:
+        if name.upper() not in self.store.data:
             raise SimulationError(
                 f"no array {name!r}: the program declares "
-                f"{sorted(self.compiled.mappings)}"
+                f"{sorted(self.store.data)}"
             )
-        return mapping
+        return name.upper()
 
     def gather(self, name: str) -> np.ndarray:
-        """Reassemble the global array (vectorized
-        ``authoritative_array`` over the whole index space: each element
-        comes from its lowest-ranked valid owner, else from the
-        lowest-ranked valid copy anywhere — the interpreted element-wise
-        lookup order, so the result is bit-identical)."""
-        mapping = self._mapping_of(name)
-        symbol = mapping.array
-        data = self.store.data[symbol.name]
-        valid = self.store.valid[symbol.name]
-        # argmax over the rank axis is the first rank with the best
-        # score: 2 a valid owner, 1 a valid copy
-        score = valid.view(np.int8) + (valid & ownership_masks(mapping))
-        source = score.argmax(axis=0)
-        held = valid.any(axis=0)
-        if not held.all():
-            offset = np.unravel_index(int(np.argmin(held)), held.shape)
-            index = tuple(int(o) + lo for o, (lo, _) in zip(offset, symbol.dims))
-            raise SimulationError(f"no valid copy of {symbol.name}{index} anywhere")
-        return np.take_along_axis(data, source[None], axis=0)[0]
+        """Reassemble the global array: ``authoritative_array`` over the
+        whole index space, every element from the store's source of a
+        read of it."""
+        name = self._array_name(name)
+        store = self.store
+        data, _valid, size = store.flat[name]
+        shape = store.data[name].shape[1:]
+        elem = np.arange(size)
+        src, _owners = store.sources(name, elem)
+        if (src < 0).any():
+            offset = np.unravel_index(int(np.argmax(src < 0)), shape)
+            index = tuple(int(o) + lo for o, lo in zip(offset, store.lows[name]))
+            raise SimulationError(f"no valid copy of {name}{index} anywhere")
+        return data.take(src * size + elem).reshape(shape)
 
     def gather_scalar(self, name: str):
         if name.upper() not in self.store.scalars:

@@ -80,7 +80,6 @@ from ..codegen.veceval import (
     _stmt_array_refs,
     nest_shape,
 )
-from ..errors import MappingError
 from ..ir.expr import ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt
 from .simulator import ReductionIndex
@@ -490,39 +489,26 @@ class _FetchLog:
     may bail; :meth:`commit` replays compute and messages in that
     order, one fold per *message run*."""
 
-    def __init__(self, sim, engine, lane_vars: tuple):
+    def __init__(self, sim, lane_vars: tuple):
         self.sim = sim
-        self.engine = engine
         self.lane_vars = lane_vars
         self.reads: list[_Fetched] = []
 
     def _fetch_read(self, ref, stmt, q: int, dst, elem, inst):
         """Values of the elements ``elem`` that the ranks ``dst`` read
         while invalid, in instances ``inst`` — one entry per lane, the
-        lanes rank-major and each rank's instances ascending: the
-        vectorized twin of ``FetchEngine.fetch_array``'s source lookup.
-        A rank fetches an element once, at its first lane."""
+        lanes rank-major and each rank's instances ascending, served
+        from the store's sources of the elements (``Store.sources``, as
+        every tier's fetch is).  A rank fetches an element once, at its
+        first lane."""
         name = ref.symbol.name
-        acc = self.engine.access(name)
-        data, valid, size = self.sim.store.flat[name]
+        store = self.sim.store
+        data, _valid, size = store.flat[name]
         addr, first, back = np.unique(
             dst * size + elem, return_index=True, return_inverse=True
         )
         elem = elem[first]
-        try:
-            owners = acc.owners(np.unravel_index(elem, acc.datas[0].shape))
-        except MappingError:
-            # the per-iteration path raises the canonical error
-            raise _Bail("owner lookup failed") from None
-        src = np.full(first.size, -1, dtype=np.int64)
-        # an owner holding a valid copy, else the lowest rank that does
-        for row in (*owners, *range(len(acc.valids))):
-            todo = np.flatnonzero(src < 0)
-            if not todo.size:
-                break
-            ranks = np.broadcast_to(row, src.shape)[todo]
-            held = valid.take(ranks * size + elem[todo])
-            src[todo[held]] = ranks[held]
+        src, owners = store.sources(name, elem)
         if (src < 0).any():
             raise _Bail(f"no rank holds every element read of {name}")
         values = data.take(src * size + elem)
@@ -855,7 +841,7 @@ class _NestCtx(_Ctx):
         self.base_env = env
         self.sim, self.fast = slab.sim, slab.fast
         self.store = self.sim.store
-        self.log = _FetchLog(self.sim, self.fast.engine, plan.lane_vars)
+        self.log = _FetchLog(self.sim, plan.lane_vars)
         #: step index -> the step's lanes
         self.lanes_of = dom.lanes_of
         sub_env = plan.subscript_env(self.store, env, dom.participants)
@@ -1527,7 +1513,7 @@ class NestPlan:
             st.follows = not runs_all and any(
                 _mentions(form, self.v) for form in forms
             )
-            # (what ``executor_ranks`` is a function of)
+            # (what the executor set is a function of)
             key = "all" if runs_all else "owner" if st.follows else tuple(
                 _canon_form(dim.form)
                 if dim.kind == "pos" and dim.form is not None
@@ -1700,7 +1686,7 @@ class NestPlan:
             else _affine_vec(self.pos_form, first, env),
             tuple([
                 None if st.follows
-                else tuple(slab.sim.executor_ranks(st.stmt, env))
+                else tuple(slab.fast.etables.ranks(st.stmt, env))
                 for st in self.executors
             ]),
         )

@@ -212,10 +212,10 @@ END PROGRAM
 
 
 class TestNarrowedSlabGuards:
-    """The remaining slab-side guards (inner-bound evaluation while
-    NestPlan builds an entry's domain, owner lookup in the vectorized
-    fetch path) bail only on their canonical error types; programming
-    errors propagate."""
+    """The remaining slab-side guard (inner-bound evaluation while
+    NestPlan builds an entry's domain) bails only on its canonical error
+    types; programming errors there, and in the store's owner lookup of
+    the vectorized fetch path, propagate."""
 
     @staticmethod
     def _patch_eval_bound(monkeypatch, exc):
@@ -261,44 +261,20 @@ class TestNarrowedSlabGuards:
             "slab.bail[inner bounds not evaluable]"
         ] >= 1
 
-    @staticmethod
-    def _patch_candidates(monkeypatch, exc):
-        import sys
-
-        from repro.machine import lowering
-
-        original = lowering._ArrayAccess.owners
-
-        def sabotaged(self, offs):
-            if "_fetch_read" in sys._getframe(1).f_code.co_qualname:
-                raise exc
-            return original(self, offs)
-
-        monkeypatch.setattr(lowering._ArrayAccess, "owners", sabotaged)
-
     def test_typeerror_in_owner_lookup_propagates(
         self, compiled, inputs, monkeypatch
     ):
-        self._patch_candidates(
-            monkeypatch, TypeError("injected bug in owner lookup")
-        )
+        import sys
+
+        from repro.machine.memory import Store
+
+        original = Store.sources
+
+        def sabotaged(self, name, elem):
+            if "_fetch_read" in sys._getframe(1).f_code.co_qualname:
+                raise TypeError("injected bug in owner lookup")
+            return original(self, name, elem)
+
+        monkeypatch.setattr(Store, "sources", sabotaged)
         with pytest.raises(TypeError):
             simulate(compiled, inputs, tier="slab")
-
-    def test_mapping_error_in_owner_lookup_bails(
-        self, compiled, inputs, monkeypatch
-    ):
-        from repro.errors import MappingError
-        from repro.obs import Metrics
-
-        self._patch_candidates(
-            monkeypatch, MappingError("index outside the template")
-        )
-        metrics = Metrics()
-        sim = simulate(
-            compiled, inputs, tier="slab",
-            metrics=metrics,
-        )
-        reference = simulate(compiled, inputs, tier="interpreted")
-        assert _observables(sim) == _observables(reference)
-        assert metrics.counters["slab.bail[owner lookup failed]"] >= 1

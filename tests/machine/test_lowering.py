@@ -40,6 +40,8 @@ END PROGRAM
 """
 
 
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+
 #: the three kernels, the fuzz corpus and non-finite constants
 EVERY_PROGRAM = {
     "tomcatv": tomcatv_source(n=12, niter=1),
@@ -48,9 +50,7 @@ EVERY_PROGRAM = {
     "non_finite": NON_FINITE,
     **{
         path.stem: path.read_text()
-        for path in sorted(
-            (pathlib.Path(__file__).resolve().parents[1] / "corpus").glob("*.hpf")
-        )
+        for path in sorted(CORPUS.glob("*.hpf"))
     },
 }
 
@@ -280,10 +280,55 @@ class TestExecutorTables:
 
 class TestFetchCharging:
     def test_fast_path_fetches_preserve_traffic_totals(self):
-        # The fetch engine changes only how a fetch finds its source;
-        # every per-element charge is identical.
+        # Tier 2 fetches through the simulator's one fetch_array: every
+        # per-element charge is the interpreted one.
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
         fast = simulate(compiled, _inputs())
         slow = simulate(compiled, _inputs(), tier="interpreted")
         assert fast.stats.as_dict() == slow.stats.as_dict()
         assert fast.clocks.snapshot() == slow.clocks.snapshot()
+
+
+#: what only tier 1 runs: its statement path, its readers and hooks, and
+#: its executor-set evaluation (the reference ``ExecutorTables`` is held
+#: equal to above)
+TIER_ONE_ONLY = (
+    "exec_assign", "exec_condition", "_dependent_ranks", "executor_ranks",
+    "_position_form_values", "_position_ranks",
+)
+
+
+class TestTierOneIsALeaf:
+    """Tiers 2 and 3 call no tier-1 code: with every tier-1-only member
+    raising, the lowered and slab tiers still run the three kernels and
+    the corpus, to the unpatched interpreted run's stats, stores and
+    gathered arrays."""
+
+    @pytest.mark.parametrize(
+        "program", ["tomcatv", "dgefa", "appsp"]
+        + [p.stem for p in sorted(CORPUS.glob("*.hpf"))],
+    )
+    def test_lowered_and_slab_run_without_tier_one(self, program, monkeypatch):
+        from repro.fuzz.harness import make_inputs, tier_payload
+        from repro.machine import simulator
+
+        source = EVERY_PROGRAM[program]
+        procs = 4 if program in ("tomcatv", "dgefa", "appsp") else 3
+        compiled = compile_source(source, CompilerOptions(num_procs=procs))
+        inputs = make_inputs(source, 0)
+        reference = tier_payload(
+            simulate(compiled, dict(inputs), tier="interpreted")
+        )
+
+        def tier_one(*args, **kwargs):
+            raise AssertionError("tier-1 code called")
+
+        for name in TIER_ONE_ONLY:
+            monkeypatch.setattr(SPMDSimulator, name, tier_one)
+        monkeypatch.setattr(simulator, "_FetchingReader", tier_one)
+        monkeypatch.setattr(simulator, "_SPMDHooks", tier_one)
+        with pytest.raises(AssertionError, match="tier-1 code called"):
+            simulate(compiled, dict(inputs), tier="interpreted")
+        for tier in ("lowered", "slab"):
+            sim = simulate(compiled, dict(inputs), tier=tier)
+            assert tier_payload(sim) == reference, tier

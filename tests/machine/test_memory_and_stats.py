@@ -1,23 +1,26 @@
 """Unit tests for the simulator's store, clocks, and traffic statistics."""
 
 import dataclasses
+import itertools
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
-from repro.ir import parse_and_build
+from repro.errors import MappingError, SimulationError
 from repro.core import CompilerOptions, compile_source
 from repro.machine import (
     SPMDSimulator,
     Store,
-    ownership_mask,
     ownership_masks,
 )
 from repro.machine.batchexec import VectorMachine
 from repro.machine.stats import Clocks, TrafficStats
 from repro.model import SP2, MachineModel
-from repro.programs import appsp_source
+from repro.programs import appsp_source, dgefa_source, tomcatv_source
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
 
 SRC = """
@@ -85,15 +88,30 @@ class TestStore:
             sim.gather_scalar("NOPE")
 
     def test_offset_respects_lower_bounds(self):
-        proc = parse_and_build(
-            "PROGRAM T\n  REAL A(0:5), B(-2:3, 4:6)\nEND PROGRAM\n"
-        )
-        store = Store(proc, 2)
+        store = Store(compile_source(
+            "PROGRAM T\n  REAL A(0:5), B(-2:3, 4:6)\nEND PROGRAM\n",
+            CompilerOptions(num_procs=2),
+        ))
         assert store.offset("A", (0,)) == (0,)
         assert store.offset("A", (5,)) == (5,)
         assert store.offset("B", (-2, 4)) == (0, 0)
         assert store.at("B", 1, (3, 6)) == (1, 5, 2)
         assert store.data["B"].shape == store.valid["B"].shape == (2, 6, 3)
+
+    @pytest.mark.parametrize("index", [(0, 1), (1, 0), (99, 1), (1,)])
+    def test_index_outside_the_array_is_a_typed_error(self, index):
+        """An index numpy would wrap (``A(0, 1)`` read ``A(12, 1)``) or
+        reject with its own error is the store's ``SimulationError``,
+        naming the array, the index and the declared bounds."""
+        compiled = compile_source(
+            dgefa_source(n=12, procs=4), CompilerOptions(num_procs=4)
+        )
+        sim = SPMDSimulator(compiled)
+        sim.set_array("A", np.arange(144.0).reshape(12, 12))
+        assert sim.authoritative_array("A", (12, 1)) == 132.0
+        message = f"A{index} is not an element of A(1:12, 1:12)"
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            sim.authoritative_array("A", index)
 
 
 class TestInitializeArray:
@@ -178,8 +196,8 @@ class TestArrayStore:
 
     @pytest.mark.parametrize("procs", [1, 2, 3, 16])
     @pytest.mark.parametrize("kernel", ["layouts", "appsp-2d"])
-    def test_stacked_masks_are_the_one_rank_masks(self, kernel, procs):
-        """``ownership_masks`` against its one-rank oracle: BLOCK,
+    def test_masks_are_the_descriptors_ownership(self, kernel, procs):
+        """``ownership_masks`` against ``ArrayMapping.owns``: BLOCK,
         CYCLIC, block-cyclic, replicated and ``ALIGN ... WITH A(*, j)``
         dimensions, on 1-D grids and on appsp's 2-D one."""
         source = LAYOUTS if kernel == "layouts" else appsp_source(
@@ -191,14 +209,117 @@ class TestArrayStore:
             masks = ownership_masks(mapping)
             assert masks.dtype == np.bool_
             assert masks.shape[0] == procs
-            for rank in range(procs):
-                assert np.array_equal(masks[rank], ownership_mask(mapping, rank)), name
-            owned = set(mapping.owned_global_indices(procs - 1))
             lows = [lo for lo, _ in mapping.array.dims]
-            assert {
-                tuple(int(o) + lo for o, lo in zip(off, lows))
-                for off in np.argwhere(masks[procs - 1])
-            } == owned
+            for index in itertools.product(
+                *(range(lo, hi + 1) for lo, hi in mapping.array.dims)
+            ):
+                column = masks[(slice(None), *(i - lo for i, lo in zip(index, lows)))]
+                assert column.tolist() == [
+                    mapping.owns(rank, index) for rank in range(procs)
+                ], (name, index)
+
+
+#: kernels and corpus programs whose mappings, together, hold every
+#: kind of grid dimension role: BLOCK, CYCLIC and CYCLIC(k) dimensions,
+#: (BLOCK, BLOCK) on a 2-D grid, replicated and privatized ones
+OWNER_PROGRAMS = {
+    "layouts": (LAYOUTS, 4),
+    "tomcatv": (tomcatv_source(n=8, niter=1, procs=4), 4),
+    "dgefa": (dgefa_source(n=8, procs=3), 3),
+    **{
+        f"appsp-{dist}": (
+            appsp_source(nx=6, ny=6, nz=6, niter=1, procs=procs, distribution=dist),
+            procs,
+        )
+        for dist, procs in (("1d", 3), ("2d", 4))
+    },
+    **{
+        path.stem: (path.read_text(), 3)
+        for path in sorted(CORPUS.glob("*.hpf"))
+    },
+}
+
+
+def _role_kinds(mapping) -> set[str]:
+    return {
+        role.kind if role.kind != "dist"
+        else f"{role.fmt.kind}{'-k' if role.fmt.chunk > 1 else ''}"
+        for role in mapping.roles
+    }
+
+
+class TestOwnerTable:
+    """The store's owner rows and read sources against a brute-force
+    rule built on ``ArrayMapping.owner_ranks``, the descriptor's own
+    definition: owners ascending; a read served by the lowest-ranked
+    owner holding a valid copy, else by the lowest-ranked rank holding
+    one, else by nobody."""
+
+    @staticmethod
+    def _served_from(mapping, valid, index, offset) -> int:
+        for rank in mapping.owner_ranks(index):
+            if valid[(rank, *offset)]:
+                return rank
+        for rank in range(valid.shape[0]):
+            if valid[(rank, *offset)]:
+                return rank
+        return -1
+
+    def test_an_element_outside_the_template_raises_at_construction(self):
+        """``B(9)`` and ``B(10)`` align past ``A``'s template: the store's
+        table refuses the program before anything runs, so no later
+        owner lookup can meet such an element."""
+        compiled = compile_source(
+            "PROGRAM T\n  REAL A(8), B(10)\n"
+            "!HPF$ ALIGN B(i) WITH A(i)\n!HPF$ DISTRIBUTE (BLOCK) :: A\n"
+            "END PROGRAM\n",
+            CompilerOptions(num_procs=4),
+        )
+        with pytest.raises(MappingError, match="index 8 outside extent 8"):
+            SPMDSimulator(compiled)
+
+    def test_programs_cover_every_role_kind(self):
+        kinds, grids = set(), set()
+        for source, procs in OWNER_PROGRAMS.values():
+            compiled = compile_source(source, CompilerOptions(num_procs=procs))
+            grids.add(compiled.grid.rank)
+            for mapping in compiled.mappings.values():
+                kinds |= _role_kinds(mapping)
+        assert {"block", "cyclic", "cyclic-k", "repl", "priv"} <= kinds
+        assert grids == {1, 2}
+
+    @pytest.mark.parametrize("program", sorted(OWNER_PROGRAMS))
+    def test_owner_rows_and_sources_are_the_descriptors(self, program):
+        source, procs = OWNER_PROGRAMS[program]
+        compiled = compile_source(source, CompilerOptions(num_procs=procs))
+        store = SPMDSimulator(compiled).store
+        rng = np.random.default_rng(sorted(OWNER_PROGRAMS).index(program))
+        for name, mapping in compiled.mappings.items():
+            valid = store.valid[name]
+            shape = valid.shape[1:]
+            elem = np.arange(valid[0].size)
+            indices = list(itertools.product(
+                *(range(lo, hi + 1) for lo, hi in mapping.array.dims)
+            ))
+            rows = store.owner_rows(name, elem)
+            assert [tuple(column) for column in rows.T.tolist()] == [
+                tuple(mapping.owner_ranks(index)) for index in indices
+            ], name
+            for density in (0.0, 0.2, 0.7):
+                valid[...] = rng.random(valid.shape) < density
+                src, owners = store.sources(name, elem)
+                assert np.array_equal(owners, rows)
+                expected = [
+                    self._served_from(
+                        mapping, valid, index, np.unravel_index(e, shape)
+                    )
+                    for e, index in zip(elem.tolist(), indices)
+                ]
+                assert src.tolist() == expected, (name, density)
+                for e in rng.choice(elem.size, min(elem.size, 8), replace=False):
+                    index = indices[e]
+                    served = store.source(name, index)
+                    assert (-1 if served is None else served) == expected[e]
 
 
 class TestClocks:

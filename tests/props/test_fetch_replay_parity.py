@@ -83,7 +83,7 @@ def _replayed(machine, warmup, flops, tapes, fetches):
         np.concatenate([np.asarray(tape[k], dtype) for tape in tapes.values()])
         for k, dtype in enumerate((np.uint8, np.int64))
     )
-    fetched, runs = _FetchLog(sim, None, ()).commit(
+    fetched, runs = _FetchLog(sim, ()).commit(
         (inst, src, dst, startup.astype(np.bool_), [], []),
         clocks.tape([machine.compute_time(f, 1) for f in flops]),
         (bounds.cumsum(), steps, at),

@@ -17,7 +17,7 @@ from repro.core.driver import CompilerOptions, compile_source
 from repro.fuzz import GenConfig, check_program, generate, shrink
 from repro.fuzz.generator import _array_roles
 from repro.fuzz.harness import make_inputs, tier_payload
-from repro.machine import TIERS, SPMDSimulator, ownership_mask, simulate
+from repro.machine import TIERS, SPMDSimulator, ownership_masks, simulate
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -47,18 +47,17 @@ def test_every_rank_holds_every_declared_array_from_construction():
         sim = SPMDSimulator(compiled, tier=tier)
         store = sim.store
         assert set(store.data) == set(store.valid) == {"A", "B", "C", "W"}
-        for rank in range(sim.grid.size):
-            for name, data in store.data.items():
-                owned = ownership_mask(compiled.mappings[name], rank)
-                assert not data[rank].any()
-                assert np.array_equal(store.valid[name][rank], owned)
+        for name, data in store.data.items():
+            assert not data.any()
+            owned = ownership_masks(compiled.mappings[name])
+            assert np.array_equal(store.valid[name], owned)
         for name, values in inputs.items():
             sim.set_array(name, values)
-        for rank in range(sim.grid.size):
-            for name, values in inputs.items():
-                owned = ownership_mask(compiled.mappings[name], rank)
+        for name, values in inputs.items():
+            owned = ownership_masks(compiled.mappings[name])
+            for rank in range(sim.grid.size):
                 assert np.array_equal(store.data[name][rank], values)
-                assert np.array_equal(store.valid[name][rank], owned)
+            assert np.array_equal(store.valid[name], owned)
 
 
 def test_tiers_hold_the_same_arrays_after_a_run():
