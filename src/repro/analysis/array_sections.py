@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ..ir.cfg import CFG
 from ..ir.expr import AffineForm, ArrayElemRef, affine_form
 from ..ir.program import Procedure
-from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
+from ..ir.stmt import IfStmt, LoopStmt, Stmt
 from ..ir.symbols import Symbol
 from .dataflow import LivenessInfo
 

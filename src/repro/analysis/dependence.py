@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..ir.expr import ArrayElemRef, AffineForm, affine_form
 from ..ir.program import Procedure
-from ..ir.stmt import LoopStmt, Stmt
+from ..ir.stmt import LoopStmt
 from ..ir.symbols import Symbol
 
 

@@ -25,7 +25,7 @@ lint on top.
 from __future__ import annotations
 
 from ..ir.cfg import CFG
-from ..ir.expr import ArrayElemRef, ScalarRef, affine_form
+from ..ir.expr import ArrayElemRef, affine_form
 from ..ir.program import Procedure
 from ..ir.stmt import AssignStmt, LoopStmt
 from ..ir.symbols import Symbol

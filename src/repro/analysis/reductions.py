@@ -25,14 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.expr import (
-    ArrayElemRef,
-    BinOp,
-    Expr,
-    IntrinsicCall,
-    Ref,
-    ScalarRef,
-)
+from ..ir.expr import ArrayElemRef, BinOp, Expr, IntrinsicCall, ScalarRef
 from ..ir.program import Procedure
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
 from ..ir.symbols import Symbol

@@ -43,14 +43,45 @@ facade returns.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .api import Session
 from .codegen.spmd import print_spmd
 from .core.driver import CompilerOptions
 from .core.scalar_mapping import STRATEGIES
+from .errors import ReproError
 from .machine import TIERS
 from .sweep import SweepSpec
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with every error on one line (``-h`` prints
+    the usage)."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _checked(parse, ok, what: str):
+    """An argparse type: ``parse(value)`` when ``ok`` of it, else an
+    error saying ``what`` was expected."""
+
+    def convert(value: str):
+        try:
+            number = parse(value)
+        except ValueError:
+            number = None
+        if number is None or not ok(number):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value!r}")
+        return number
+
+    return convert
+
+
+_PROCS = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_COUNT = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_SCALE = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 
 
 def _compiler_options(args, num_procs: int | None = None) -> CompilerOptions:
@@ -194,8 +225,11 @@ def _service(args, **kwargs):
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as error:
+        raise ReproError(f"cannot read {path}: {error.strerror}") from None
 
 
 def cmd_compile(args) -> int:
@@ -366,25 +400,18 @@ def cmd_tables(args) -> int:
 
 def _parse_axis(spec: str):
     """``--axis FIELD=V1,V2,...`` -> (field, values) with values
-    coerced to the CompilerOptions field's type."""
-    import dataclasses
-
+    coerced to the CompilerOptions field's type (which validates the
+    name and the values)."""
     field_name, sep, raw = spec.partition("=")
     field_name = field_name.strip()
     if not sep or not raw:
-        raise SystemExit(
+        raise ReproError(
             f"--axis expects FIELD=V1,V2,... got {spec!r}"
         )
-    types = {f.name: f.type for f in dataclasses.fields(CompilerOptions)}
     if field_name == "machine":
-        raise SystemExit(
+        raise ReproError(
             "--axis machine=... is not supported on the CLI; build a "
             "SweepSpec with MachineModel variants through repro.Session"
-        )
-    if field_name not in types:
-        raise SystemExit(
-            f"unknown CompilerOptions axis field {field_name!r}; "
-            f"valid: {sorted(types)}"
         )
     values = []
     for token in raw.split(","):
@@ -409,14 +436,20 @@ def _build_spec(args, session) -> SweepSpec:
         name = os.path.basename(path) if path != "-" else "stdin"
         programs[name] = _read_source(path)
     axes = dict(_parse_axis(spec) for spec in (args.axis or []))
-    return SweepSpec(
-        programs=programs,
-        procs=tuple(args.procs) if args.procs else (None,),
-        axes=axes,
-        base=session.options,
-        mode=args.measure,
-        seed=args.seed,
-    )
+    try:
+        for name, values in axes.items():
+            for value in values:
+                CompilerOptions.from_overrides(session.options, **{name: value})
+        return SweepSpec(
+            programs=programs,
+            procs=tuple(args.procs) if args.procs else (None,),
+            axes=axes,
+            base=session.options,
+            mode=args.measure,
+            seed=args.seed,
+        )
+    except ValueError as error:  # an option value CompilerOptions refuses
+        raise ReproError(str(error)) from None
 
 
 def cmd_sweep(args) -> int:
@@ -526,7 +559,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     )
     _add_option_flags(parser)
     parser.add_argument(
-        "--procs", type=int, nargs="+", default=None,
+        "--procs", type=_PROCS, nargs="+", default=None,
         help="processor counts to sweep (default: each source's "
         "PROCESSORS directive)",
     )
@@ -547,7 +580,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         "in machine parameters or processor count into one vectorized "
         "evaluation (default: auto)",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_COUNT, default=0)
     _add_json_flag(
         parser,
         help="emit the full result records (shared repro.records "
@@ -576,8 +609,8 @@ def cmd_serve(args) -> int:
 
 def cmd_jobs_submit(args) -> int:
     session = _session(args)
-    service = _service(args, cache=session.cache or None)
     spec = _build_spec(args, session)
+    service = _service(args, cache=session.cache or None)
     handle = service.submit(
         spec,
         name=args.name or "",
@@ -726,7 +759,7 @@ def cmd_catalog(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description=(
             "Reproduction of Gupta, 'On Privatization of Variables for "
@@ -737,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile and print the mapping report")
     _add_compile_flags(p_compile)
-    p_compile.add_argument("--procs", type=int, default=None)
+    p_compile.add_argument("--procs", type=_PROCS, default=None)
     p_compile.add_argument(
         "--spmd", action="store_true", help="also print SPMD pseudo-code"
     )
@@ -750,21 +783,21 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="per-statement cost breakdown (analytic model)"
     )
     _add_compile_flags(p_profile)
-    p_profile.add_argument("--procs", type=int, default=16)
-    p_profile.add_argument("--top", type=int, default=10)
+    p_profile.add_argument("--procs", type=_PROCS, default=16)
+    p_profile.add_argument("--top", type=_COUNT, default=10)
     p_profile.set_defaults(func=cmd_profile)
 
     p_estimate = sub.add_parser("estimate", help="analytic performance sweep")
     _add_compile_flags(p_estimate)
     p_estimate.add_argument(
-        "--procs", type=int, nargs="+", default=[1, 2, 4, 8, 16]
+        "--procs", type=_PROCS, nargs="+", default=[1, 2, 4, 8, 16]
     )
     p_estimate.set_defaults(func=cmd_estimate)
 
     p_run = sub.add_parser("run", help="simulate and validate against sequential")
     _add_compile_flags(p_run)
-    p_run.add_argument("--procs", type=int, default=4)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--procs", type=_PROCS, default=4)
+    p_run.add_argument("--seed", type=_COUNT, default=0)
     p_run.add_argument(
         "--tier",
         choices=TIERS,
@@ -853,9 +886,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="differential tier-parity fuzzing over random programs",
     )
-    p_fuzz.add_argument("--seed", type=int, default=0,
+    p_fuzz.add_argument("--seed", type=_COUNT, default=0,
                         help="campaign seed (program k draws seed*1e6+k)")
-    p_fuzz.add_argument("--count", type=int, default=150,
+    p_fuzz.add_argument("--count", type=_COUNT, default=150,
                         help="programs to generate and check")
     p_fuzz.add_argument(
         "--sweep-every", type=int, default=25, metavar="K",
@@ -863,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
              "program (0 disables the sweep lens)",
     )
     p_fuzz.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=_SCALE, default=1.0,
         help="scale generated program size (nests, bodies) by this factor",
     )
     p_fuzz.add_argument(
@@ -1004,7 +1037,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        # a user error — an option value, an unreadable or invalid
+        # program — is argparse's one line, not a traceback
+        words = [args.command, getattr(args, f"{args.command}_command", None)]
+        prog = " ".join(["repro", *filter(None, words)])
+        parser.exit(2, f"{prog}: error: {error}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

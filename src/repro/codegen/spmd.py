@@ -14,14 +14,8 @@ from __future__ import annotations
 
 from ..comm.events import CommEvent, ReduceEvent
 from ..core.driver import CompiledProgram
-from ..core.mapping_kinds import (
-    AlignedTo,
-    FullyReplicatedReduction,
-    PrivateNoAlign,
-    ReductionMapping,
-    Replicated,
-)
-from ..ir.expr import ArrayElemRef, ScalarRef
+from ..core.mapping_kinds import FullyReplicatedReduction, Replicated
+from ..ir.expr import ScalarRef
 from ..ir.stmt import (
     AssignStmt,
     CallStmt,
@@ -32,7 +26,7 @@ from ..ir.stmt import (
     Stmt,
     StopStmt,
 )
-from .bounds import ShrunkBounds, all_shrinkable_loops
+from .bounds import all_shrinkable_loops
 
 _INDENT = "  "
 

@@ -13,7 +13,7 @@ so the same control-flow engine drives both back ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import InterpreterError
 from ..ir.program import Procedure

@@ -24,8 +24,6 @@ of the members' volumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..ir.stmt import Stmt
 from .events import CommEvent, CommReport
 

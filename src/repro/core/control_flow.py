@@ -12,7 +12,7 @@ control-dependent on S."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ir.expr import Ref
 from ..ir.program import Procedure

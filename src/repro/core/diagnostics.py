@@ -10,16 +10,14 @@ accomplished.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..ir.expr import ArrayElemRef, ScalarRef
-from ..ir.stmt import AssignStmt, Stmt
+from ..ir.expr import ScalarRef
 from .consumer import classify_use
 from .driver import CompiledProgram
 from .mapping_kinds import (
     AlignedTo,
     FullyReplicatedReduction,
-    PrivateNoAlign,
     Replicated,
     ReductionMapping,
 )

@@ -30,8 +30,8 @@ from ..ir.expr import (
     clone_expr,
 )
 from ..ir.program import AlignSpec, Procedure
-from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
-from ..ir.symbols import ScalarType, Symbol, SymbolKind
+from ..ir.stmt import AssignStmt, IfStmt, LoopStmt
+from ..ir.symbols import Symbol, SymbolKind
 from .context import AnalysisContext
 from .passes import build_context
 from .mapping_kinds import AlignedTo

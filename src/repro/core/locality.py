@@ -22,15 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir.expr import (
-    AffineForm,
-    ArrayElemRef,
-    Const,
-    Expr,
-    Ref,
-    ScalarRef,
-    affine_form,
-)
+from ..ir.expr import AffineForm, ArrayElemRef, affine_form
 from ..mapping.descriptors import ArrayMapping
 from ..mapping.distribution import DimFormat
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from ..errors import MappingError
 from ..ir.expr import ArrayElemRef, affine_form
 from ..ir.program import Procedure
-from ..ir.stmt import AssignStmt, LoopStmt
+from ..ir.stmt import LoopStmt
 from ..ir.symbols import Symbol
 from ..mapping.descriptors import ArrayMapping, GridDimRole
 

@@ -19,12 +19,12 @@ Strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..analysis.reductions import Reduction, reduction_for_def
 from ..analysis.ssa import SSADef
-from ..ir.expr import ArrayElemRef, Expr, Ref, ScalarRef, affine_form
-from ..ir.stmt import AssignStmt, LoopStmt, Stmt
+from ..ir.expr import ArrayElemRef, Ref, ScalarRef, affine_form
+from ..ir.stmt import AssignStmt, Stmt
 from .align_level import align_level, alignment_valid
 from .consumer import classify_use, consumer_candidate
 from .context import AnalysisContext
@@ -35,10 +35,8 @@ from .locality import (
     position_of_array_ref,
 )
 from .mapping_kinds import (
-    DUMMY_REPLICATED,
     AlignedTo,
     DummyReplicatedRef,
-    FullyReplicatedReduction,
     PrivateNoAlign,
     Replicated,
     ReductionMapping,

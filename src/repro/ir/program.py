@@ -8,15 +8,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..errors import SemanticError
-from .expr import ArrayElemRef, Expr, Ref
-from .stmt import (
-    AssignStmt,
-    ContinueStmt,
-    GotoStmt,
-    IfStmt,
-    LoopStmt,
-    Stmt,
-)
+from .expr import Ref
+from .stmt import AssignStmt, GotoStmt, IfStmt, LoopStmt, Stmt
 from .symbols import Symbol, SymbolTable
 
 #: process-local source of Procedure.uid values; also consulted when a

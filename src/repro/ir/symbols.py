@@ -9,7 +9,7 @@ evaluated at build time and stored with their value.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SemanticError
 

@@ -15,11 +15,12 @@ once, at lowering time:
   ``fn(R, env)`` parameterized over a :class:`ValueReader`-shaped
   reader, so the SPMD simulator and the sequential interpreter share
   the lowered form.
-* **Executor sets** (:class:`ExecutorTables`) lower each statement's
-  owner-computes position to per-grid-dim coordinate closures over
-  precomputed ``fmt.owner`` tables: tier 1's per-iteration position
-  evaluation becomes O(1) table lookups parameterized only by the
-  enclosing loop indices.
+* **Executor sets** (:class:`ExecutorTables`, the simulator's
+  ``etables``) lower each statement's owner-computes position to
+  closures parameterized only by the enclosing loop indices: per grid
+  dimension a lookup in the format's tabulated owners, turned into
+  ranks by the store's one rule
+  (:mod:`repro.machine.memory`: ``tabulate_owners``, ``GridRanks``).
 
 :class:`FastPath` is the walker's hooks for tiers 2 and 3.  It calls no
 tier-1 code: a read of a copy the rank does not hold goes through the
@@ -66,6 +67,7 @@ from ..ir.expr import (
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt
 from ..ir.symbols import ScalarType
 from ..model import flops_of_expr
+from .memory import tabulate_owners
 
 _MISS = object()
 
@@ -471,39 +473,21 @@ def lower_procedure(proc) -> LoweredIR:
 
 
 class ExecutorTables:
-    """Precomputed executor rank descriptors: owner-computes guards as
-    O(1) table lookups parameterized only by enclosing loop indices."""
+    """Every statement's executor ranks as a closure ``env -> ranks``,
+    ascending, built at the first request and parameterized only by
+    the enclosing loop indices: per grid dimension an owning coordinate,
+    looked up in the format's tabulated owners, or every coordinate,
+    turned into ranks by the store's one rule
+    (:mod:`repro.machine.memory`).  A privatized ``IF``'s entry is the
+    union of its dependent statements'."""
 
     def __init__(self, sim):
         self.sim = sim
-        grid = sim.grid
-        self.shape = grid.shape
-        strides: list[int] = []
-        s = 1
-        for extent in reversed(grid.shape):
-            strides.append(s)
-            s *= extent
-        #: row-major rank = sum(coord[g] * strides[g])
-        self.strides = tuple(reversed(strides))
-        self.all_ranks = list(grid.all_ranks())
-        #: shared [rank] singletons so owner-set lookups allocate nothing
-        self.singletons = [[r] for r in self.all_ranks]
-        self._owner_tables: dict = {}
+        self.grid = sim.store.grid_ranks
         self._closures: dict[int, Callable] = {}
 
-    def owner_table(self, fmt) -> list[int]:
-        table = self._owner_tables.get(fmt)
-        if table is None:
-            table = [fmt.owner(p) for p in range(fmt.extent)]
-            self._owner_tables[fmt] = table
-        return table
-
-    def ranks(self, stmt, env) -> list[int]:
-        return self.ranks_of(stmt)(env)
-
     def ranks_of(self, stmt) -> Callable:
-        """``stmt``'s executor set as a closure ``env -> ranks``, built
-        at the first request."""
+        """``stmt``'s executor set as a closure ``env -> ranks``."""
         fn = self._closures.get(stmt.stmt_id)
         if fn is None:
             fn = self._closures[stmt.stmt_id] = self._build(stmt)
@@ -511,75 +495,72 @@ class ExecutorTables:
 
     def _build(self, stmt) -> Callable:
         sim = self.sim
-        info = sim.compiled.executors[stmt.stmt_id]
-        if stmt.stmt_id in sim.reductions.everywhere or info.kind == "all":
-            all_ranks = self.all_ranks
-            return lambda env: all_ranks
-        return self._position_closure(info.position)
+        sid = stmt.stmt_id
+        every = self.grid.every
+        if isinstance(stmt, IfStmt):
+            decision = sim.compiled.cf_decisions.get(sid)
+            if decision is None or not decision.privatized:
+                return lambda env: every
+            deps = [
+                self.ranks_of(sim.proc.stmt_of_ref(ref))
+                for ref in decision.dependent_refs
+            ]
 
-    def _position_closure(self, position) -> Callable:
-        coord_fns: list[Callable | None] = []
-        for dim in position:
-            if dim.kind == "pos" and dim.form is not None and dim.fmt is not None:
-                coord_fns.append(self._form_closure(dim.form, dim.fmt))
-            else:
-                coord_fns.append(None)
-        strides = self.strides
-        pos_dims = tuple(
-            (strides[g], fn) for g, fn in enumerate(coord_fns) if fn is not None
-        )
-        # rank contributions of the spanning dims, in itertools.product
-        # order (later grid dims vary fastest == ascending ranks)
-        span_bases = [0]
-        for g, fn in enumerate(coord_fns):
-            if fn is None:
-                stride = strides[g]
-                span_bases = [
-                    b + c * stride
-                    for b in span_bases
-                    for c in range(self.shape[g])
-                ]
-        if not pos_dims:
-            return lambda env: span_bases
-        singles = self.singletons if span_bases == [0] else None
-        generic = self._generic_closure(coord_fns)
+            def union(env):  # dependents sharing one list add nothing
+                ranks = []
+                for fn in deps:
+                    more = fn(env)
+                    if more is not ranks:
+                        ranks = sorted({*ranks, *more}) if ranks else more
+                return ranks
 
-        def ranks_of(env):
-            acc = 0
-            for stride, fn in pos_dims:
-                c = fn(env)
-                if c is None:  # inactive loop var: dim spans the grid
-                    return generic(env)
-                acc += c * stride
-            if singles is not None:
-                return singles[acc]
-            return [acc + b for b in span_bases]
+            return union
+        info = sim.compiled.executors[sid]
+        if sim.reductions.runs_everywhere(sid, info):
+            return lambda env: every
+        return self.closure(info.position)
 
-        return ranks_of
+    def closure(self, position, spanning=()) -> Callable:
+        """The ranks at ``position`` as a closure ``env -> ranks``: a
+        grid dimension whose position is a form on a format is located
+        by it, any other — and those in ``spanning`` — is every
+        coordinate.  One located dimension indexes a list of shared
+        rank lists by position."""
+        dims = [
+            (dim.form, dim.fmt)
+            if dim.kind == "pos" and dim.form is not None
+            and dim.fmt is not None and g not in spanning
+            else None
+            for g, dim in enumerate(position)
+        ]
+        grid = self.grid
+        every = grid.ranks([None] * len(dims))
+        located = [(g, *dim) for g, dim in enumerate(dims) if dim is not None]
+        if not located:
+            return lambda env: every
+        if len(located) == 1:
+            (g, form, fmt), = located
+            at = [
+                grid.ranks([c if h == g else None for h in range(len(dims))])
+                for c in range(grid.shape[g])
+            ]
+            table = [at[c] for c in tabulate_owners(fmt).tolist()]
+            return self._lookup(form, fmt, table, every)
+        fns = [
+            (lambda env: None) if dim is None
+            else self._lookup(*dim, tabulate_owners(dim[1]).tolist(), None)
+            for dim in dims
+        ]
+        ranks = grid.ranks
+        return lambda env: ranks([fn(env) for fn in fns])
 
-    def _generic_closure(self, coord_fns) -> Callable:
-        shape = self.shape
-        strides = self.strides
-
-        def generic(env):
-            ranks = [0]
-            for g, fn in enumerate(coord_fns):
-                c = fn(env) if fn is not None else None
-                if c is None:
-                    contrib = [cc * strides[g] for cc in range(shape[g])]
-                else:
-                    contrib = [c * strides[g]]
-                ranks = [r + cc for r in ranks for cc in contrib]
-            return ranks
-
-        return generic
-
-    def _form_closure(self, form, fmt) -> Callable:
-        """Affine position form -> owning coordinate (or None when it
-        spans), with ``fmt.owner`` pre-tabulated. Mirrors
-        ``SPMDSimulator._eval_form`` exactly, including the live
-        lookup chain env -> symbol.value -> the first valid copy."""
-        table = self.owner_table(fmt)
+    def _lookup(self, form, fmt, table: list, spans) -> Callable:
+        """``table`` at the position ``form`` takes, or ``spans`` when
+        some variable has none — an inactive loop's index, a scalar no
+        rank holds: the position then spans the dimension.  A variable's
+        value is looked up live: env, then ``symbol.value``, then the
+        first valid copy.  A position outside the template raises
+        ``fmt.owner``'s canonical ``MappingError``."""
         extent = fmt.extent
         const = form.const
         terms = tuple(
@@ -588,17 +569,12 @@ class ExecutorTables:
         )
         active = self.sim._active_loop_vars
         store = self.sim.store
-        if not terms:
-            if 0 <= const < extent:
-                c = table[const]
-                return lambda env: c
-            return lambda env: fmt.owner(const)  # raises MappingError
 
-        def coord(env):
+        def lookup(env):
             pos = const
             for name, coeff, value, is_loop_var in terms:
                 if is_loop_var and name not in active:
-                    return None
+                    return spans
                 v = env.get(name, _MISS)
                 if v is _MISS:
                     if value is not None:
@@ -606,14 +582,14 @@ class ExecutorTables:
                     else:
                         rank = store.holder(name)
                         if rank is None:
-                            return None
+                            return spans
                         v = store.scalars[name][rank]
                 pos += coeff * int(v)
             if 0 <= pos < extent:
                 return table[pos]
             return fmt.owner(pos)  # raises the canonical MappingError
 
-        return coord
+        return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +644,6 @@ class FastPath(ExecutionHooks):
     def __init__(self, sim):
         self.sim = sim
         self.lowered = lowered = sim.compiled.lowering
-        self.etables = ExecutorTables(sim)
         self.readers = [_FastReader(sim, r) for r in sim.grid.all_ranks()]
         machine = sim.machine
         #: stmt_id -> precomputed compute-charge delta (compute_time is
@@ -685,25 +660,17 @@ class FastPath(ExecutionHooks):
 
     # -- assignments -------------------------------------------------------
 
-    def _assign_rec(self, stmt):
-        sid = stmt.stmt_id
-        name, lows = self.lowered.lhs_info[sid]
-        return (
-            self.lowered.assigns[sid],
-            name,
-            lows,
-            self._dt[sid],
-            sid in self.sim.reductions.updates,
-            self.etables.ranks_of(stmt),
-        )
-
     def assign(self, stmt, env) -> None:
         sid = stmt.stmt_id
         self.sim.interp_instances += 1
         rec = self._assign_recs.get(sid)
         if rec is None:
-            rec = self._assign_rec(stmt)
-            self._assign_recs[sid] = rec
+            name, lows = self.lowered.lhs_info[sid]
+            rec = self._assign_recs[sid] = (
+                self.lowered.assigns[sid], name, lows, self._dt[sid],
+                sid in self.sim.reductions.updates,
+                self.sim.etables.ranks_of(stmt),
+            )
         fn, name, lows, dt, is_private_accumulation, ranks_of = rec
         ranks = ranks_of(env)
         if not ranks:
@@ -750,25 +717,13 @@ class FastPath(ExecutionHooks):
         self.sim.interp_instances += 1
         rec = self._cond_recs.get(sid)
         if rec is None:
-            decision = self.sim.compiled.cf_decisions.get(sid)
-            if decision is not None and decision.privatized:
-                dep = tuple(
-                    self.sim.proc.stmt_of_ref(ref)
-                    for ref in decision.dependent_refs
-                )
-            else:
-                dep = None
-            rec = (self.lowered.conds[sid], self._dt[sid], dep)
-            self._cond_recs[sid] = rec
-        fn, dt, dep = rec
+            rec = self._cond_recs[sid] = (
+                self.lowered.conds[sid], self._dt[sid],
+                self.sim.etables.ranks_of(stmt),
+            )
+        fn, dt, ranks_of = rec
         sim = self.sim
-        if dep is None:
-            ranks = self.etables.all_ranks
-        else:
-            acc: set[int] = set()
-            for dep_stmt in dep:
-                acc.update(self.etables.ranks(dep_stmt, env))
-            ranks = sorted(acc)
+        ranks = ranks_of(env)
         if not ranks:
             # nobody depends on the outcome; evaluate for control flow
             # only (free)

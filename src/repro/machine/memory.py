@@ -32,6 +32,12 @@ rank a read of it is served from — its lowest-ranked valid owner, else
 the lowest-ranked valid copy (:meth:`Store.sources`, and
 :meth:`Store.source` for one element).
 
+The module is the one place that turns owner coordinates into ranks,
+for statements as well: :func:`tabulate_owners` lists a format's
+owners, :class:`GridRanks` turns a coordinate (or None: every one) per
+grid dimension into the ascending rank list — read by the store, the
+executor tables, the reduction groups and the slab plan's columns.
+
 Nothing of a store is ever pickled: a simulator builds its own from the
 compiled program.
 
@@ -42,11 +48,14 @@ sizes go through the analytic estimator instead.)
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..codegen.seq import _dtype_of
 from ..errors import SimulationError
-from ..mapping.descriptors import ArrayMapping, GridDimRole
+from ..mapping.descriptors import ArrayMapping
+from ..mapping.distribution import DimFormat
 
 
 class Store:
@@ -64,6 +73,8 @@ class Store:
         #: name -> (data, valid, size) with the buffers flattened: rank
         #: ``r``'s element ``e`` is at ``r * size + e``
         self.flat: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
+        #: the rule turning owner coordinates into ranks
+        self.grid_ranks = grid_ranks = GridRanks(compiled.grid.shape)
         #: name -> who owns each element of the array
         self.owners: dict[str, _Owners] = {}
         for symbol in proc.symbols.arrays():
@@ -73,7 +84,7 @@ class Store:
             valid = self.valid[name] = np.zeros(shape, dtype=np.bool_)
             self.lows[name] = tuple(lo for lo, _ in symbol.dims)
             self.flat[name] = (data.reshape(-1), valid.reshape(-1), data[0].size)
-            owners = self.owners[name] = _Owners(compiled.mappings[name])
+            owners = self.owners[name] = _Owners(compiled.mappings[name], grid_ranks)
             owners.mark(valid)
         #: name -> every rank's value of the scalar, and whether it is valid
         self.scalars: dict[str, list] = {
@@ -174,49 +185,72 @@ class Store:
         valid[:] = [ok and r in keep for r, ok in enumerate(valid)]
 
 
-def _owner_vector(role: GridDimRole, low: int, count: int) -> np.ndarray:
-    """Owning grid coordinate of every global index along one
-    distributed dimension (vectorized ``fmt.owner(template_pos(i))``)."""
-    idx = np.arange(low, low + count, dtype=np.int64)
-    pos = role.stride * idx + role.norm_offset
-    fmt = role.fmt
-    bad = (pos < 0) | (pos >= fmt.extent)
-    if bad.any():
-        # raise the canonical MappingError at the first bad position
-        fmt.owner(int(pos[int(np.argmax(bad))]))
+def tabulate_owners(fmt: DimFormat) -> np.ndarray:
+    """The owning grid coordinate of every position of ``fmt``, in
+    order: ``fmt.owner`` at ``0 .. extent - 1`` as one vectorized block
+    or cyclic formula."""
+    pos = np.arange(fmt.extent, dtype=np.int64)
     if fmt.kind == "block":
         return pos // fmt.block_size
-    return (pos // fmt.chunk) % fmt.procs
+    return pos // fmt.chunk % fmt.procs
+
+
+class GridRanks:
+    """The one rule turning a coordinate per grid dimension — or None:
+    every coordinate — into ranks, ascending.  A rank is row-major over
+    the grid coordinates, so it is a sum of one part per grid dimension
+    (coordinate x the dimension's rank stride): the given coordinates'
+    parts, plus each sum of every coordinate's part over the other
+    dimensions — the span — in ascending order."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.strides = tuple(math.prod(shape[g + 1:]) for g in range(len(shape)))
+        #: every rank, and a shared one-rank list per rank: a point's
+        #: rank list allocates nothing
+        self.every = list(range(math.prod(shape)))
+        self.singletons = [[r] for r in self.every]
+
+    def ranks(self, coords) -> list[int]:
+        part, span = 0, [0]
+        for c, extent, stride in zip(coords, self.shape, self.strides):
+            if c is None:
+                span = [b + k * stride for b in span for k in range(extent)]
+            else:
+                part += c * stride
+        if len(span) == 1:
+            return self.singletons[part]
+        return [part + b for b in span]
 
 
 class _Owners:
     """Who owns each element of one array, in tables the size of its
-    dimensions.  A rank is row-major over the grid coordinates, so an
-    owner rank is a sum of one part per grid dimension (coordinate x
-    the dimension's rank stride): per distributed dimension the part
-    the owner of every index along it contributes, and the parts of
-    the other grid dimensions, which every coordinate owns — the
-    ``span`` — added last, in ascending order."""
+    dimensions, by the :class:`GridRanks` rule: per distributed
+    dimension the part the owner of every index along it contributes,
+    and the span of the other grid dimensions, added last."""
 
-    def __init__(self, mapping: ArrayMapping):
-        grid, symbol = mapping.grid, mapping.array
+    def __init__(self, mapping: ArrayMapping, grid: GridRanks):
+        symbol = mapping.array
         self.shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-        ranks = np.arange(grid.size, dtype=np.int64)
-        stride = grid.size
+        ranks = np.asarray(grid.every, dtype=np.int64)
         #: (array dim, the owner's part per index, every rank's part)
         self.dims: list[tuple[int, np.ndarray, np.ndarray]] = []
-        span = np.zeros(1, dtype=np.int64)
         for g, role in enumerate(mapping.roles):
-            extent = grid.shape[g]
-            stride //= extent
-            if role.kind == "dist":
-                dim = role.array_dim
-                owner = _owner_vector(role, symbol.dims[dim][0], self.shape[dim])
-                rank_part = ranks // stride % extent * stride
-                self.dims.append((dim, owner * stride, rank_part))
-            else:
-                span = np.add.outer(span, np.arange(extent) * stride).reshape(-1)
-        self.span = span
+            if role.kind != "dist":
+                continue
+            # the template position of every index along the dimension
+            dim, stride, fmt = role.array_dim, grid.strides[g], role.fmt
+            low = symbol.dims[dim][0]
+            pos = role.stride * np.arange(low, low + self.shape[dim]) + role.norm_offset
+            bad = (pos < 0) | (pos >= fmt.extent)
+            if bad.any():
+                # raise the canonical MappingError at the first bad position
+                fmt.owner(int(pos[int(np.argmax(bad))]))
+            owner = tabulate_owners(fmt)[pos] * stride
+            self.dims.append((dim, owner, ranks // stride % grid.shape[g] * stride))
+        self.span = np.asarray(grid.ranks(
+            [0 if role.kind == "dist" else None for role in mapping.roles]
+        ), dtype=np.int64)
 
     def rows(self, elem: np.ndarray) -> np.ndarray:
         """Owner ranks of flat elements, one row per owner ordinal."""
@@ -239,7 +273,7 @@ class _Owners:
 def ownership_masks(mapping: ArrayMapping) -> np.ndarray:
     """Every rank's ownership mask of the array at once, shape ``(P,
     *shape)``: ``masks[r]`` is true where rank ``r`` owns the element."""
-    owners = _Owners(mapping)
+    owners = _Owners(mapping, GridRanks(mapping.grid.shape))
     masks = np.empty((mapping.grid.size, *owners.shape), dtype=np.bool_)
     owners.mark(masks)
     return masks

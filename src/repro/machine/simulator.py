@@ -24,6 +24,7 @@ but large problem sizes are priced by ``repro.perf`` instead.
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from ..codegen.walker import ExecutionHooks, Walker
 from ..comm.analysis import hoisted_loop_vars
 from ..comm.events import CommEvent
 from ..core.driver import CompiledProgram
+from ..core.locality import position_of_array_ref
 from ..core.mapping_kinds import (
     FullyReplicatedReduction,
     ReductionMapping,
@@ -41,7 +43,7 @@ from ..ir.expr import AffineForm, ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
 from ..model import MachineModel, flops_of_expr
 from ..obs import Metrics, NULL_TRACER, Tracer
-from .lowering import FastPath
+from .lowering import ExecutorTables, FastPath
 from .memory import Store
 from .stats import Clocks, TrafficStats
 
@@ -169,6 +171,12 @@ class ReductionIndex:
             )
         }
 
+    def runs_everywhere(self, sid: int, info) -> bool:
+        """Whether statement ``sid``, of executor ``info``, runs on
+        every rank: replicated, or a reduction variable's statement
+        outside its update set."""
+        return sid in self.everywhere or info.kind == "all"
+
 
 class SPMDSimulator:
     def __init__(
@@ -252,10 +260,15 @@ class SPMDSimulator:
         self.reductions = ReductionIndex(compiled)
         #: (loop, name) at loop entry: rank -> scalar, or the array buffer's copy
         self._reduction_snapshots: dict[tuple, dict | np.ndarray] = {}
-        #: executor-set cache: position-form-value -> rank list (stop
-        #: rebuilding the itertools product on every statement instance)
-        self._all_ranks = list(self.grid.all_ranks())
-        self._ranks_cache: dict[tuple, list[int]] = {}
+        #: every statement's executor closure, built at its first
+        #: request (tiers 2 and 3), and the reductions' groups (all)
+        self.etables = ExecutorTables(self)
+        #: first update statement id -> the reduction's combining group
+        self._groups: dict[int, Callable] = {}
+        if tier == "interpreted":
+            #: tier 1's executor sets, by statement and position values
+            self._all_ranks = list(self.grid.all_ranks())
+            self._ranks_cache: dict[tuple, list[int]] = {}
 
     # ==================================================================
     # Setup
@@ -398,9 +411,9 @@ class SPMDSimulator:
     def _eval_form(self, form: AffineForm, env) -> int | None:
         """Evaluate an affine position form; None when some variable has
         no value yet (e.g. the index of a loop that has not started —
-        the position then spans the whole dimension).  Tier 1's executor
-        positions read it, and so does every tier's reduction combine
-        (:meth:`_participant_groups`)."""
+        the position then spans the whole dimension).  Only tier 1's
+        executor positions read it: the other tiers, and every tier's
+        reduction combine, look positions up in :attr:`etables`."""
         total = form.const
         for symbol, coeff in form.coeffs:
             if symbol.is_loop_var and symbol.name not in self._active_loop_vars:
@@ -531,31 +544,23 @@ class SPMDSimulator:
     # Reductions
     # ==================================================================
 
-    def _participant_groups(self, mapping: ReductionMapping, env):
-        """Groups of ranks combining together: the aligned (non-reduced)
-        coordinates are fixed by the target's position; the reduction
-        dims span all coordinates."""
-        target_mapping = self.compiled.mappings[mapping.target.symbol.name]
-        axes: list[list[int]] = []
-        for g in range(self.grid.rank):
-            if g in mapping.replicated_grid_dims:
-                axes.append(list(range(self.grid.shape[g])))
-                continue
-            role = target_mapping.roles[g]
-            if role.kind != "dist":
-                axes.append(list(range(self.grid.shape[g])))
-                continue
-            sub = mapping.target.subscripts[role.array_dim]
-            from ..ir.expr import affine_form
-
-            form = affine_form(sub)
-            if form is None:
-                axes.append(list(range(self.grid.shape[g])))
-                continue
-            pos = role.stride * self._eval_form(form, env) + role.norm_offset
-            axes.append([role.fmt.owner(pos)])
-        ranks = [self.grid.rank_of(c) for c in itertools.product(*axes)]
-        return [sorted(ranks)]
+    def _participant_groups(self, reduction, mapping: ReductionMapping,
+                            env) -> list[int]:
+        """The ranks combining ``reduction``'s partials, ascending: the
+        owners of the target's subscripts in the grid dimensions it is
+        aligned in, every coordinate in those it spans (paper Fig. 5) —
+        the target's forms taken once per reduction."""
+        sid = reduction.update_stmts[0].stmt_id
+        fn = self._groups.get(sid)
+        if fn is None:
+            target = mapping.target
+            fn = self._groups[sid] = self.etables.closure(
+                position_of_array_ref(
+                    target, self.compiled.mappings[target.symbol.name]
+                ),
+                mapping.replicated_grid_dims,
+            )
+        return fn(env)
 
     def on_loop_enter(self, stmt: LoopStmt, env) -> None:
         var_name = stmt.var.name
@@ -645,44 +650,44 @@ class SPMDSimulator:
         values, valid = store.scalars[name], store.scalar_valid[name]
         location = reduction.location_symbol
         snapshot = self._reduction_snapshots.get((loop.stmt_id, name), {})
-        for group in self._participant_groups(mapping, env):
-            partials = [(rank, values[rank]) for rank in group if valid[rank]]
-            if not partials:
-                continue
-            if reduction.op == "+":
-                base = snapshot.get(partials[0][0], 0.0)
-                combined = base + sum(v - snapshot.get(r, base) for r, v in partials)
-                loc_value = None
-            elif reduction.op == "*":
-                base = snapshot.get(partials[0][0], 1.0)
-                combined = base
-                for r, v in partials:
-                    prev = snapshot.get(r, base)
-                    if prev == 0:
-                        raise SimulationError("product reduction from zero base")
-                    combined *= v / prev
-                loc_value = None
-            elif reduction.op in ("MAX", "MAXLOC"):
-                best_rank, combined = max(partials, key=lambda t: t[1])
-                loc_value = self._location_of(reduction, best_rank)
-            elif reduction.op in ("MIN", "MINLOC"):
-                best_rank, combined = min(partials, key=lambda t: t[1])
-                loc_value = self._location_of(reduction, best_rank)
-            else:
-                raise SimulationError(f"unknown reduction op {reduction.op}")
-            if len(group) > 1:
-                self.clocks.charge_collective(group, 1, "reduce")
-                self.stats.reductions += 1
-            for rank in group:
-                values[rank] = combined
-                valid[rank] = True
-            store.scalar_keep(name, group)
-            if location is not None:
-                if loc_value is not None:
-                    for rank in group:
-                        store.scalars[location.name][rank] = loc_value
-                        store.scalar_valid[location.name][rank] = True
-                store.scalar_keep(location.name, group)
+        group = self._participant_groups(reduction, mapping, env)
+        partials = [(rank, values[rank]) for rank in group if valid[rank]]
+        if not partials:
+            return
+        if reduction.op == "+":
+            base = snapshot.get(partials[0][0], 0.0)
+            combined = base + sum(v - snapshot.get(r, base) for r, v in partials)
+            loc_value = None
+        elif reduction.op == "*":
+            base = snapshot.get(partials[0][0], 1.0)
+            combined = base
+            for r, v in partials:
+                prev = snapshot.get(r, base)
+                if prev == 0:
+                    raise SimulationError("product reduction from zero base")
+                combined *= v / prev
+            loc_value = None
+        elif reduction.op in ("MAX", "MAXLOC"):
+            best_rank, combined = max(partials, key=lambda t: t[1])
+            loc_value = self._location_of(reduction, best_rank)
+        elif reduction.op in ("MIN", "MINLOC"):
+            best_rank, combined = min(partials, key=lambda t: t[1])
+            loc_value = self._location_of(reduction, best_rank)
+        else:
+            raise SimulationError(f"unknown reduction op {reduction.op}")
+        if len(group) > 1:
+            self.clocks.charge_collective(group, 1, "reduce")
+            self.stats.reductions += 1
+        for rank in group:
+            values[rank] = combined
+            valid[rank] = True
+        store.scalar_keep(name, group)
+        if location is not None:
+            if loc_value is not None:
+                for rank in group:
+                    store.scalars[location.name][rank] = loc_value
+                    store.scalar_valid[location.name][rank] = True
+            store.scalar_keep(location.name, group)
 
     def _location_of(self, reduction, rank: int):
         if reduction.location_symbol is None:

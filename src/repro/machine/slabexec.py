@@ -82,6 +82,7 @@ from ..codegen.veceval import (
 )
 from ..ir.expr import ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt
+from .memory import tabulate_owners
 from .simulator import ReductionIndex
 from .stats import sequential_sum
 
@@ -1370,7 +1371,7 @@ class NestPlan:
             for ref in st.expr.refs():
                 if isinstance(ref, ScalarRef) and ref.symbol.name in self.acc_names:
                     return "accumulator read outside the fold"
-        reason = self._executors(compiled, reductions.everywhere)
+        reason = self._executors(compiled, reductions)
         if reason is not None or self.inner is None:
             return reason
         # what the one plan could run but this round does not take
@@ -1491,35 +1492,30 @@ class NestPlan:
             for ref_id, head, dims in self._moving
         }
 
-    def _executors(self, compiled, everywhere: set) -> str | None:
+    def _executors(self, compiled, reductions: ReductionIndex) -> str | None:
         """Sort the statements by executor: those run by the owner of
         their column — one canonical 1-D position, a function of the
-        outer variable, tabulated as ``pos_ranks`` — and those run by a
-        fixed rank set, evaluated at prepare."""
-        written = self.shape.written
+        outer variable — and those run by a fixed rank set, evaluated
+        at prepare."""
+        written, everywhere = self.shape.written, reductions.everywhere
         self.pos_form = None
         #: one statement of every distinct executor (``_Step.group``)
         self.executors: list[_Step] = []
         groups: dict = {}
         for st in self.all_steps:
             info = compiled.executors[st.sid]
-            runs_all = st.sid in everywhere or info.kind == "all"
+            runs_all = reductions.runs_everywhere(st.sid, info)
             forms = [
-                dim.form
+                dim.form if dim.kind == "pos" and dim.form is not None
+                and dim.fmt is not None else None
                 for dim in info.position
-                if dim.kind == "pos" and dim.form is not None
-                and dim.fmt is not None
             ]
             st.follows = not runs_all and any(
-                _mentions(form, self.v) for form in forms
+                form is not None and _mentions(form, self.v) for form in forms
             )
             # (what the executor set is a function of)
             key = "all" if runs_all else "owner" if st.follows else tuple(
-                _canon_form(dim.form)
-                if dim.kind == "pos" and dim.form is not None
-                and dim.fmt is not None
-                else None
-                for dim in info.position
+                None if form is None else _canon_form(form) for form in forms
             )
             st.group = groups.setdefault(key, len(groups))
             if st.group == len(self.executors):
@@ -1541,16 +1537,6 @@ class NestPlan:
                     not sym.is_loop_var or sym.name in written
                 ):
                     return "executor position not a column function"
-            grid, fmt = compiled.grid, self.pos_fmt
-            rank_of = np.asarray(
-                [grid.rank_of((c,)) for c in range(grid.shape[0])],
-                dtype=np.int64,
-            )
-            self.pos_ranks = rank_of[
-                np.asarray(
-                    [fmt.owner(p) for p in range(fmt.extent)], dtype=np.int64
-                )
-            ]
         for st in self.all_steps:
             if st.follows:
                 continue
@@ -1643,7 +1629,8 @@ class NestPlan:
                 at = per_column(pos, self.pos_form)
                 if int(at.min()) < 0 or int(at.max()) >= self.pos_fmt.extent:
                     raise _Bail("executor position out of range")
-                runs[self.pos_ranks[at], np.arange(nj)] = True
+                # (on the plan's 1-D grid a coordinate is the rank)
+                runs[tabulate_owners(self.pos_fmt)[at], np.arange(nj)] = True
             elif fixed:
                 runs[list(fixed)] = True
             else:
@@ -1686,7 +1673,7 @@ class NestPlan:
             else _affine_vec(self.pos_form, first, env),
             tuple([
                 None if st.follows
-                else tuple(slab.fast.etables.ranks(st.stmt, env))
+                else tuple(slab.sim.etables.ranks_of(st.stmt)(env))
                 for st in self.executors
             ]),
         )

@@ -19,7 +19,7 @@ performance estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.context import AnalysisContext
 from ..core.locality import Position, all_any, position_of_array_ref
@@ -33,7 +33,7 @@ from ..core.mapping_kinds import (
     ScalarMapping,
 )
 from ..errors import PartitionError
-from ..ir.expr import ArrayElemRef, Ref, ScalarRef
+from ..ir.expr import ArrayElemRef, Ref
 from ..ir.stmt import (
     AssignStmt,
     CallStmt,

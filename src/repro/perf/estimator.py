@@ -28,7 +28,7 @@ from ..comm.events import CommEvent, ReduceEvent
 from ..core.driver import CompiledProgram
 from ..core.locality import Position
 from ..errors import AnalysisError
-from ..ir.expr import ArrayElemRef, Const, Expr, ScalarRef, affine_form
+from ..ir.expr import ArrayElemRef, Expr, ScalarRef, affine_form
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
 from ..model import MachineModel, flops_of_expr
 

@@ -1,5 +1,6 @@
 """Unit tests for the statement-lowering layer (`repro.machine.lowering`)."""
 
+import itertools
 import math
 import pathlib
 import pickle
@@ -11,11 +12,11 @@ from repro.codegen import run_sequential
 from repro.codegen.evalexpr import eval_expr, fortran_int_div
 from repro.codegen.seq import GlobalStore
 from repro.core import CompilerOptions, compile_source
-from repro.errors import InterpreterError
+from repro.errors import InterpreterError, MappingError
 from repro.ir import parse_and_build
 from repro.ir.stmt import AssignStmt, IfStmt, LoopStmt
 from repro.machine import LoweredIR, lower_procedure, simulate
-from repro.machine.lowering import CLOSURE_COUNTS, ExecutorTables, FastPath
+from repro.machine.lowering import CLOSURE_COUNTS, FastPath
 from repro.programs import appsp_source, dgefa_source, tomcatv_source
 from repro.machine.simulator import SPMDSimulator
 
@@ -245,23 +246,186 @@ class TestExpressionClosures:
                 run_sequential(parse_and_build(src), fast_path=fast)
 
 
+#: executor positions over every kind of grid dimension: BLOCK (the
+#: unit SOURCE), CYCLIC(2) columns with a collapsed row dimension, a 2-D
+#: (BLOCK, BLOCK) grid, and privatized IFs: one whose dependents have
+#: different owners (BLOCK and CYCLIC), dgefa's and a corpus program's
+PLACEMENTS = {
+    "block": (SOURCE, 4),
+    "cyclic2": ("""
+PROGRAM C2
+  PARAMETER (n = 10)
+  REAL A(n, n), X(n)
+  REAL s
+!HPF$ DISTRIBUTE (*, CYCLIC(2)) :: A
+!HPF$ ALIGN X(j) WITH A(*, j)
+  DO j = 1, n
+    s = 0.0
+    DO i = 1, n
+      A(i, j) = A(i, j) + X(j)
+      s = s + A(i, j)
+    END DO
+    X(j) = s
+  END DO
+END PROGRAM
+""", 3),
+    "block-block": ("""
+PROGRAM G2
+  PARAMETER (n = 8)
+  REAL A(n, n), B(n, n)
+!HPF$ PROCESSORS P(2, 2)
+!HPF$ ALIGN (i, j) WITH A(i, j) :: B
+!HPF$ DISTRIBUTE (BLOCK, BLOCK) ONTO P :: A
+  DO j = 2, n
+    DO i = 1, n
+      A(i, j) = B(i, j - 1) * 2.0
+    END DO
+    B(1, j) = A(2, j)
+  END DO
+END PROGRAM
+""", 4),
+    "if-block-cyclic": ("""
+PROGRAM PIF
+  PARAMETER (n = 8)
+  REAL A(n), B(n)
+  REAL t
+!HPF$ DISTRIBUTE (BLOCK) :: A
+!HPF$ DISTRIBUTE (CYCLIC) :: B
+  DO i = 1, n
+    t = A(i) - B(i)
+    IF (t .GT. 0.5) THEN
+      A(i) = t
+      B(i) = t
+    END IF
+  END DO
+END PROGRAM
+""", 4),
+    "dgefa": (EVERY_PROGRAM["dgefa"], 4),
+    "fuzz_0004": (EVERY_PROGRAM["fuzz_0004"], 4),
+}
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of its
+    ``MappingError``."""
+    try:
+        return fn(*args)
+    except MappingError as error:
+        return type(error), str(error)
+
+
+def _envs(loops, n):
+    """Loop-index values for ``loops``: the diagonal 1 .. n + 2 (its
+    tail outside every template) and, for a nest, a spread of the rest."""
+    yield from (dict.fromkeys(loops, i) for i in range(1, n + 3))
+    if len(loops) > 1:
+        spread = (1, 3, n)
+        for values in itertools.product(spread, repeat=len(loops)):
+            yield dict(zip(loops, values))
+
+
 class TestExecutorTables:
-    def test_ranks_match_interpreted_executor_sets(self):
-        compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
-        sim = SPMDSimulator(compiled)
-        for name, values in _inputs().items():
-            sim.set_array(name, values)
-        tables = ExecutorTables(sim)
+    @pytest.mark.parametrize("program", sorted(PLACEMENTS))
+    def test_ranks_match_interpreted_executor_sets(self, program):
+        """Every assignment's and condition's table entry against tier
+        1's executor set, with the enclosing loops inactive (a position
+        naming their index spans) and active (it is a point): equal
+        lists, or the same ``MappingError`` for a position outside the
+        template."""
+        source, procs = PLACEMENTS[program]
+        compiled = compile_source(source, CompilerOptions(num_procs=procs))
+        sim = SPMDSimulator(compiled, tier="interpreted")
+        every = list(range(procs))
+        active = sim._active_loop_vars
+        proper = errors = privatized = 0
         for stmt in compiled.proc.all_stmts():
-            if stmt.stmt_id not in compiled.executors:
+            if isinstance(stmt, IfStmt):
+                decision = compiled.cf_decisions.get(stmt.stmt_id)
+                if decision is not None and decision.privatized:
+                    privatized += 1
+
+                    def tier_one(env, decision=decision):
+                        return sim._dependent_ranks(decision, env)
+                else:
+                    def tier_one(env):
+                        return every
+            elif isinstance(stmt, AssignStmt):
+                def tier_one(env, stmt=stmt):
+                    return sim.executor_ranks(stmt, env)
+            else:
                 continue
             loops = [lp.var.name for lp in stmt.loops_enclosing()]
-            for i in range(1, 11):
-                env = dict.fromkeys(loops, i)
-                assert tables.ranks(stmt, env) == sim.executor_ranks(stmt, env), (
-                    stmt,
-                    env,
-                )
+            for running in (False, True):
+                active.clear()
+                if running:
+                    active.update(dict.fromkeys(loops, 1))
+                for env in _envs(loops, 10):
+                    got = _outcome(sim.etables.ranks_of(stmt), env)
+                    assert got == _outcome(tier_one, env), (stmt, env, running)
+                    if isinstance(got, tuple):
+                        errors += 1
+                    elif running and len(got) < procs:
+                        proper += 1
+        assert proper, "no loop-dependent executor was compared"
+        if program in ("if-block-cyclic", "dgefa", "fuzz_0004"):
+            assert privatized
+        if program == "block":
+            assert errors, "no position outside the template"
+
+    @pytest.mark.parametrize(
+        "program", sorted(set(EVERY_PROGRAM) - {"non_finite"})
+    )
+    def test_reduction_groups_are_the_owner_filter(self, program):
+        """A combine's group against a filter over all ranks: a rank
+        takes part when its coordinate is the target's owner in every
+        grid dimension the reduction is aligned in."""
+        from repro.ir.expr import affine_form
+
+        source = EVERY_PROGRAM[program]
+        compiled = compile_source(source, CompilerOptions(num_procs=4))
+        sim = SPMDSimulator(compiled, tier="interpreted")
+        grid = compiled.grid
+        compared = 0
+        for reductions in sim.reductions.by_loop.values():
+            for reduction, mapping in reductions:
+                if reduction.is_array_reduction:
+                    continue
+                target = mapping.target
+                roles = compiled.mappings[target.symbol.name].roles
+                aligned = [
+                    (g, role, target.subscripts[role.array_dim])
+                    for g, role in enumerate(roles)
+                    if role.kind == "dist"
+                    and g not in mapping.replicated_grid_dims
+                    and affine_form(target.subscripts[role.array_dim])
+                ]
+                # at its exit the reduction loop's index is inactive, but
+                # the dimensions the reduction spans span whatever it is
+                outer = [lp.var.name for lp in reduction.loop.loops_enclosing()]
+                loops = [*outer, reduction.loop.var.name]
+
+                def tier_one(env):
+                    owners = {
+                        g: role.fmt.owner(role.template_pos(
+                            eval_expr(sub, sim.authoritative, env)
+                        ))
+                        for g, role, sub in aligned
+                    }
+                    return [
+                        r for r in grid.all_ranks()
+                        if all(grid.coords_of(r)[g] == c for g, c in owners.items())
+                    ]
+
+                for running in (outer, loops):
+                    sim._active_loop_vars.clear()
+                    sim._active_loop_vars.update(dict.fromkeys(running, 1))
+                    for env in _envs(running, 8):
+                        assert _outcome(
+                            sim._participant_groups, reduction, mapping, env
+                        ) == _outcome(tier_one, env), (program, env)
+                        compared += 1
+        if program in ("tomcatv", "dgefa", "fuzz_0020"):
+            assert compared
 
     def test_fast_path_prefers_compiled_lowering(self):
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
@@ -294,7 +458,7 @@ class TestFetchCharging:
 #: equal to above)
 TIER_ONE_ONLY = (
     "exec_assign", "exec_condition", "_dependent_ranks", "executor_ranks",
-    "_position_form_values", "_position_ranks",
+    "_position_form_values", "_position_ranks", "_eval_form",
 )
 
 

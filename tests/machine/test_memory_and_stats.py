@@ -16,7 +16,10 @@ from repro.machine import (
     ownership_masks,
 )
 from repro.machine.batchexec import VectorMachine
+from repro.machine.memory import GridRanks, tabulate_owners
 from repro.machine.stats import Clocks, TrafficStats
+from repro.mapping.distribution import DimFormat
+from repro.mapping.grid import ProcessorGrid
 from repro.model import SP2, MachineModel
 from repro.programs import appsp_source, dgefa_source, tomcatv_source
 
@@ -320,6 +323,37 @@ class TestOwnerTable:
                     index = indices[e]
                     served = store.source(name, index)
                     assert (-1 if served is None else served) == expected[e]
+
+
+class TestPlacementRule:
+    """The two shared placement pieces against brute force: a format's
+    tabulated owners against ``DimFormat.owner``, and the rank rule
+    against a filter of ``grid.coords_of`` over every rank."""
+
+    @pytest.mark.parametrize("kind,extent,procs,chunk", [
+        ("block", 10, 4, 1), ("block", 7, 3, 1), ("block", 3, 4, 1),
+        ("cyclic", 10, 4, 1), ("cyclic", 13, 3, 2), ("cyclic", 5, 2, 4),
+        ("block", 6, 1, 1), ("cyclic", 1, 1, 1),
+    ])
+    def test_owner_coords_are_dimformat_owner(self, kind, extent, procs, chunk):
+        fmt = DimFormat(kind=kind, extent=extent, procs=procs, chunk=chunk)
+        coords = tabulate_owners(fmt)
+        assert coords.dtype == np.int64
+        assert coords.tolist() == [fmt.owner(p) for p in range(extent)]
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (3,), (2, 3), (3, 1, 2)])
+    def test_grid_ranks_are_the_coordinate_filter(self, shape):
+        grid, rule = ProcessorGrid(name="P", shape=shape), GridRanks(shape)
+        assert rule.every == list(grid.all_ranks())
+        for coords in itertools.product(*([None, *range(s)] for s in shape)):
+            assert rule.ranks(coords) == [
+                r for r in grid.all_ranks()
+                if all(c in (None, at) for c, at in zip(coords, grid.coords_of(r)))
+            ], coords
+            if None not in coords:
+                assert rule.ranks(coords) == [grid.rank_of(coords)]
+                # a point is a shared list: looking it up allocates nothing
+                assert rule.ranks(coords) is rule.ranks(coords)
 
 
 class TestClocks:

@@ -25,6 +25,52 @@ def program_file(tmp_path):
     return str(path)
 
 
+class TestUserErrors:
+    """A user input error ends in argparse's one line on stderr, ``repro
+    <command>: error: <message>``, and exit code 2 — never a traceback."""
+
+    @pytest.mark.parametrize("argv,command,message", [
+        *(
+            ([command, "{program}", "--procs", "0"], command,
+             "argument --procs: expected an integer >= 1, got '0'")
+            for command in ("run", "compile", "estimate", "profile", "sweep")
+        ),
+        (["jobs", "submit", "{program}", "--procs", "0"], "jobs submit",
+         "argument --procs: expected an integer >= 1, got '0'"),
+        (["run", "{program}", "--seed", "-1"], "run",
+         "argument --seed: expected an integer >= 0, got '-1'"),
+        (["sweep", "{program}", "--axis", "strategy=bogus"], "sweep",
+         "strategy must be one of"),
+        (["sweep", "{program}", "--axis", "alpha=abc"], "sweep",
+         "unknown CompilerOptions field(s) ['alpha']"),
+        (["run", "{missing}"], "run", "cannot read "),
+        (["run", "{unparsable}"], "run", "expected ')'"),
+        (["fuzz", "--count", "-1"], "fuzz",
+         "argument --count: expected an integer >= 0, got '-1'"),
+        (["profile", "{program}", "--top", "-1"], "profile",
+         "argument --top: expected an integer >= 0, got '-1'"),
+        (["fuzz", "--scale", "nan"], "fuzz",
+         "argument --scale: expected a finite number > 0, got 'nan'"),
+    ])
+    def test_one_line_and_exit_code_2(
+        self, argv, command, message, program_file, tmp_path, capsys
+    ):
+        unparsable = tmp_path / "bad.hpf"
+        unparsable.write_text("PROGRAM BAD\n  REAL A(8\nEND PROGRAM\n")
+        paths = {
+            "program": program_file,
+            "missing": str(tmp_path / "missing.hpf"),
+            "unparsable": str(unparsable),
+        }
+        with pytest.raises(SystemExit) as exit_info:
+            main([word.format(**paths) for word in argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"repro {command}: error: {message}"), err
+
+
 class TestCompile:
     def test_report_printed(self, program_file, capsys):
         assert main(["compile", program_file]) == 0
