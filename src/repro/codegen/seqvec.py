@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ir.expr import ArrayElemRef, ScalarRef
-from ..ir.stmt import AssignStmt, ContinueStmt, LoopStmt
+from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
 from ..ir.symbols import ScalarType
 from .veceval import (
     _BOUND_ERRORS,
@@ -47,9 +47,11 @@ from .veceval import (
     _coerce_vec,
     _eval,
     _fold_lanes,
+    _masked_lanes,
     _mentions,
     _reduction_operand,
     _serial_axis,
+    masked_fold,
     nest_shape,
 )
 
@@ -129,22 +131,35 @@ class _Plan:
             walkers = [[a for _c, a in walk] for _f, walk in dims if walk]
             sliced = sorted(walkers) == [[a] for a in range(len(lane_vars))]
             self.forms[ref_id] = dims, sliced, sliced and walkers != sorted(walkers)
-        self.folds = self._scalar_roles(
-            assigns, shape.written,
-            innermost=not inner or self.flat is not None,
+        self.folds, self.masked = self._scalar_roles(
+            assigns, shape, innermost=not inner or self.flat is not None,
         )
         reason = _carried_dependence(
-            proc, loop, assigns, forms, inner_vars=inner_vars
+            proc, loop, shape.conds + assigns, forms, inner_vars=inner_vars
         )
         if reason is not None:
             raise _Bail(reason)
 
-    def _scalar_roles(self, assigns, written, innermost: bool) -> dict:
+    def _scalar_roles(self, assigns, shape, innermost: bool) -> tuple:
         """Every body-written scalar is defined textually before each
         use (privatizable: a lane vector) or is the accumulator of a
-        fold: ``stmt_id -> (op, operand)``.  A definition inside a
+        fold: ``stmt_id -> (op, operand)``, or of a guarded fold — an
+        IF's ``stmt_id -> masked_fold(...)``, its accumulator and
+        locations written and read nowhere else.  A definition inside a
         nested loop does not reach past that loop (it may run zero
         trips)."""
+        written = shape.written
+        masked: dict[int, tuple] = {}
+        for guard in shape.conds:
+            fold = masked_fold(guard)
+            if fold is None:
+                raise _Bail("IF body is not a guarded fold")
+            if not innermost:
+                raise _Bail("guarded fold outside the innermost loop")
+            masked[guard.stmt_id] = fold
+        owned = {
+            t.lhs.symbol.name: t for fold in masked.values() for t in fold[3]
+        }
         defs: dict[str, int] = {}
         uses: dict[str, int] = {}
         for s in assigns:
@@ -171,10 +186,26 @@ class _Plan:
                     return op, operand
             return None
 
+        for name, t in owned.items():
+            if defs[name] != 1 or uses.get(name):
+                raise _Bail(f"scalar {name} escapes its guarded fold")
+
         def scan(stmts, defined: set):
             for s in stmts:
                 if isinstance(s, LoopStmt):
                     scan(s.body, set(defined))
+                elif isinstance(s, IfStmt):
+                    for ref in [*s.uses(), *(
+                        r for t in s.then_body for r in t.uses()
+                    )]:
+                        name = ref.symbol.name
+                        if (
+                            isinstance(ref, ScalarRef) and name in written
+                            and name not in defined and name not in owned
+                        ):
+                            raise _Bail(
+                                f"scalar {name} used before its definition"
+                            )
                 elif isinstance(s, AssignStmt):
                     for ref in s.uses():
                         name = ref.symbol.name
@@ -193,7 +224,7 @@ class _Plan:
                         defined.add(s.lhs.symbol.name)
 
         scan(self.body, set())
-        return folds
+        return folds, masked
 
 
 class _SeqCtx(_Ctx):
@@ -219,9 +250,10 @@ class _SeqCtx(_Ctx):
         self.folded: dict[str, object] = {}
         self.journal: list[tuple] = []
         #: statement instances / inner-loop iterations of one lane of
-        #: the taken loop
+        #: the taken loop, and the guarded instances of all lanes
         self.steps = 0
         self.iterations = 0
+        self.guarded = 0
         self._axis(plan.v, low, step, n)
 
     def _axis(self, name: str, low: int, step: int, n: int) -> None:
@@ -331,6 +363,26 @@ class _SeqCtx(_Ctx):
             raise _Bail(f"{op} fold result is a zero or NaN")
         return result
 
+    def _masked(self, guard: IfStmt) -> None:
+        """``IF (e REL acc) THEN acc = e; loc = f ... END IF`` over the
+        lanes: the accumulator and every location take their value at
+        the last lane whose guard holds (``_masked_lanes``)."""
+        rel, acc, e, stmts = self.plan.masked[guard.stmt_id]
+        seed, seed_int = self.read_scalar(acc)
+        value, is_int = _eval(e, self)
+        flat = np.broadcast_to(value, self.shape).ravel()
+        mask, last = _masked_lanes(rel, seed, flat, is_int, seed_int, flat.size)
+        self.guarded += int(mask.sum()) * len(guard.then_body)
+        if last < 0:
+            return
+        for t in stmts:
+            got = (
+                (value, is_int) if t.lhs.symbol is acc.symbol
+                else _eval(t.rhs, self)
+            )
+            vec = _coerce_vec(*got, t.lhs.symbol.type, self.shape)
+            self.folded[t.lhs.symbol.name] = vec.ravel()[last]
+
     def run(self, stmts) -> None:
         env = self._env
         bound = self.eval_bound
@@ -338,6 +390,8 @@ class _SeqCtx(_Ctx):
             self.steps += 1
             if isinstance(s, AssignStmt):
                 self._assign(s)
+            elif isinstance(s, IfStmt):
+                self._masked(s)
             elif isinstance(s, LoopStmt):
                 low = bound(s.low, env)
                 high = bound(s.high, env)
@@ -427,7 +481,8 @@ class SeqVectorizer:
             # silently; the lanes must too
             with np.errstate(all="ignore"):
                 ctx.run(plan.body)
-            if stats.statements_executed + n * ctx.steps > stats.max_steps:
+            steps = n * ctx.steps + ctx.guarded
+            if stats.statements_executed + steps > stats.max_steps:
                 raise _Bail("execution step limit")
         except (_Bail, *_BOUND_ERRORS) as why:
             ctx.rollback()
@@ -439,6 +494,6 @@ class SeqVectorizer:
         self.taken += 1
         if self.metrics is not None:
             self.metrics.inc(f"seq.takeover[loop=S{stmt.stmt_id}]")
-        stats.statements_executed += n * ctx.steps
+        stats.statements_executed += steps
         stats.loop_iterations += n * ctx.iterations
         return True

@@ -33,7 +33,7 @@ from ..ir.expr import (
     UnOp,
     affine_form,
 )
-from ..ir.stmt import AssignStmt, ContinueStmt, LoopStmt
+from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
 from ..ir.symbols import ScalarType
 
 
@@ -261,10 +261,13 @@ def _coerce_vec(value, is_int, stype: ScalarType, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _stmt_array_refs(stmt: AssignStmt):
-    """Every ArrayElemRef in the statement: the lhs target, then the rhs
-    reads (a subscript holding one is not affine, and the nest shape
-    declines before it could matter)."""
+def _stmt_array_refs(stmt):
+    """Every ArrayElemRef in the statement: an assignment's lhs target,
+    then its rhs reads — an IF's condition reads (a subscript holding
+    one is not affine, and the nest shape declines before it could
+    matter)."""
+    if isinstance(stmt, IfStmt):
+        return [r for r in stmt.cond.refs() if isinstance(r, ArrayElemRef)]
     lhs = [stmt.lhs] if isinstance(stmt.lhs, ArrayElemRef) else []
     return lhs + [r for r in stmt.rhs.refs() if isinstance(r, ArrayElemRef)]
 
@@ -272,10 +275,14 @@ def _stmt_array_refs(stmt: AssignStmt):
 class NestShape:
     """The IR facts of one loop nest, as both engines start from them."""
 
-    def __init__(self, loop, assigns, loops, written, forms, scalars, bounds):
+    def __init__(self, loop, assigns, loops, guards, conds, written, forms,
+                 scalars, bounds):
         self.loop = loop
         #: the nest's assignments and nested loops, in program order
         self.assigns, self.loops = assigns, loops
+        #: guarded assignment stmt_id -> the IF whose branch holds it
+        #: (its condition is evaluated per lane), and those IFs
+        self.guards, self.conds = guards, conds
         #: the scalars the nest assigns
         self.written = written
         #: ref_id -> per dimension the affine form, of every array reference
@@ -290,7 +297,7 @@ class NestShape:
 def nest_shape(loop: LoopStmt) -> NestShape | str:
     """The shape of ``loop``'s nest, or the first IR reason it is not one
     data-parallel operation."""
-    assigns, loops, stack = [], [], loop.body[::-1]
+    assigns, loops, guards, stack = [], [], {}, loop.body[::-1]
     while stack:  # pre-order
         s = stack.pop()
         if isinstance(s, AssignStmt):
@@ -298,6 +305,13 @@ def nest_shape(loop: LoopStmt) -> NestShape | str:
         elif isinstance(s, LoopStmt):
             loops.append(s)
             stack += s.body[::-1]
+        elif isinstance(s, IfStmt):
+            for t in s.then_body + s.else_body:
+                if isinstance(t, AssignStmt):
+                    assigns.append(t)
+                    guards[t.stmt_id] = s
+                elif not isinstance(t, ContinueStmt):
+                    return f"IF branch contains {type(t).__name__}"
         elif not isinstance(s, ContinueStmt):
             return f"body contains {type(s).__name__}"
     written = {
@@ -317,7 +331,8 @@ def nest_shape(loop: LoopStmt) -> NestShape | str:
             facts.append((names, affine_form(bound)))
     forms: dict[int, list] = {}
     scalars: set[str] = set()
-    for s in assigns:
+    conds = list(dict.fromkeys(guards.values()))
+    for s in conds + assigns:
         for ref in _stmt_array_refs(s):
             forms[ref.ref_id] = [affine_form(sub) for sub in ref.subscripts]
             if any(f is None for f in forms[ref.ref_id]):
@@ -329,7 +344,9 @@ def nest_shape(loop: LoopStmt) -> NestShape | str:
         if scalars & written:
             name = min(scalars & written)
             return f"subscript depends on body-written scalar {name}"
-    return NestShape(loop, assigns, loops, written, forms, scalars, bounds)
+    return NestShape(
+        loop, assigns, loops, guards, conds, written, forms, scalars, bounds
+    )
 
 
 def _carried_dependence(proc, loop: LoopStmt, assigns, forms,
@@ -337,7 +354,8 @@ def _carried_dependence(proc, loop: LoopStmt, assigns, forms,
                         inner_vars=frozenset()) -> str | None:
     """Reject any possible cross-iteration flow of values through an
     array at ``loop``'s level (per :mod:`repro.analysis.dependence`);
-    ``forms`` are the nest shape's.
+    ``forms`` are the nest shape's, and ``assigns`` may hold the IFs
+    whose conditions read arrays.
 
     A write/read pair sharing *some* dimension whose subscript form is
     identical, has a nonzero coefficient on the loop variable, and is
@@ -353,7 +371,8 @@ def _carried_dependence(proc, loop: LoopStmt, assigns, forms,
 
     v = loop.var.name
     written_scalars = {
-        s.lhs.symbol.name for s in assigns if isinstance(s.lhs, ScalarRef)
+        s.lhs.symbol.name for s in assigns
+        if isinstance(s, AssignStmt) and isinstance(s.lhs, ScalarRef)
     } | set(inner_vars)
 
     def zero_distance_witness(wf, of) -> bool:
@@ -377,7 +396,7 @@ def _carried_dependence(proc, loop: LoopStmt, assigns, forms,
     writes = []
     refs = []
     for s in assigns:
-        if isinstance(s.lhs, ArrayElemRef):
+        if isinstance(s, AssignStmt) and isinstance(s.lhs, ArrayElemRef):
             writes.append((s, s.lhs))
         for r in _stmt_array_refs(s):
             refs.append((s, r))
@@ -468,6 +487,76 @@ def _fold_lanes(op: str, start, value, is_int: bool, stype: ScalarType,
         if not abs(shadow) < _INT_SAFE:
             raise _Bail("INTEGER fold may exceed int64")
     return result
+
+
+#: ``e REL acc`` read the other way round
+_REL_FLIP = {">": "<", ">=": "<=", "<": ">", "<=": ">="}
+
+
+def masked_fold(guard: IfStmt):
+    """The guarded MAXLOC/MINLOC update — ``IF (e REL acc) THEN acc = e;
+    loc = f ... END IF``, the comparison either way round, no ELSE —
+    as ``(rel, acc, e, stmts)``: ``rel`` read as ``e REL acc``, ``acc``
+    the condition's accumulator reference, ``stmts`` the branch's
+    assignments; or None.  No assignment of the branch reads a scalar
+    the branch writes, so ``e`` and every ``f`` are lane values."""
+    cond = guard.cond
+    if guard.else_body or not (
+        isinstance(cond, BinOp) and cond.op in _REL_FLIP
+    ):
+        return None
+    stmts = [t for t in guard.then_body if not isinstance(t, ContinueStmt)]
+    if not all(
+        isinstance(t, AssignStmt) and isinstance(t.lhs, ScalarRef)
+        and not t.lhs.symbol.is_loop_var
+        and t.lhs.symbol.type is not ScalarType.LOGICAL
+        for t in stmts
+    ):
+        return None
+    names = [t.lhs.symbol.name for t in stmts]
+    if len(set(names)) != len(names) or any(
+        ref.symbol.name in names for t in stmts for ref in t.rhs.refs()
+    ):
+        return None
+    for acc, e, rel in (
+        (cond.right, cond.left, cond.op),
+        (cond.left, cond.right, _REL_FLIP[cond.op]),
+    ):
+        if (
+            isinstance(acc, ScalarRef) and acc.symbol.name in names
+            and str(stmts[names.index(acc.symbol.name)].rhs) == str(e)
+        ):
+            return rel, acc, e, stmts
+    return None
+
+
+_REL = {">": np.greater, ">=": np.greater_equal, "<": np.less,
+        "<=": np.less_equal}
+
+
+def _masked_lanes(rel: str, seed, value, is_int: bool, seed_int: bool,
+                  n: int):
+    """``IF (v REL acc) acc = v`` over ``n`` lanes in iteration order,
+    seeded with ``seed``: the lanes whose guard holds, and the last of
+    them (-1: none) — where the final ``acc`` and every location are
+    taken.  Exact: the running extreme over ``[seed, v1 .. vn-1]`` is
+    strictly sequential (``ufunc.accumulate``) and skips NaN lanes,
+    which no comparison admits; it equals the per-iteration ``acc`` in
+    value (a zero's sign aside, which no comparison sees), so each
+    lane's guard is the one the interpreter evaluates.  A NaN seed
+    admits no lane at all."""
+    if is_int != seed_int:
+        # numpy compares INTEGER lanes with REAL ones in floating point
+        raise _Bail("mixed INTEGER/REAL guarded fold")
+    if seed != seed:
+        return np.zeros(n, dtype=np.bool_), -1
+    buf = np.empty(n, dtype=np.int64 if is_int else np.float64)
+    buf[0] = seed
+    buf[1:] = value[:-1] if isinstance(value, np.ndarray) else value
+    running = np.fmax if rel[0] == ">" else np.fmin
+    mask = _REL[rel](value, running.accumulate(buf))
+    hits = mask.nonzero()[0]
+    return mask, int(hits[-1]) if hits.size else -1
 
 
 def _affine_vec(form, vec_vars: dict, env, symbol=None, dim=None):

@@ -46,17 +46,18 @@ Bit-for-bit clock identity is guaranteed by construction: per-instance
 compute charges are precomputed ``dt`` values replayed through
 ``np.add.accumulate`` (strictly sequential, unlike pairwise
 ``np.sum``), so a slab charges exactly the floating-point sum the
-per-iteration path would have produced.  Reads of elements the
-executing rank does not hold are fetched inside the takeover:
-:class:`_FetchLog` records each one at its first read in per-iteration
-order and replays messages and compute in that order at commit, so
-``TrafficStats`` and the clocks see tier 2's exact sequence.
+per-iteration path would have produced.  Reads of elements (and
+subscript scalars) the executing rank does not hold are fetched inside
+the takeover: :class:`~repro.machine.fetchreplay._FetchLog` records
+each one at its first read in per-iteration order and replays messages
+and compute in that order at commit, so ``TrafficStats`` and the
+clocks see tier 2's exact sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -74,17 +75,19 @@ from ..codegen.veceval import (
     _eval,
     _fold_lanes,
     _fold_operand,
+    _masked_lanes,
     _mentions,
     _reduction_operand,
     _serial_axis,
     _stmt_array_refs,
+    masked_fold,
     nest_shape,
 )
 from ..ir.expr import ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt
+from .fetchreplay import _FetchLog
 from .memory import tabulate_owners
 from .simulator import ReductionIndex
-from .stats import sequential_sum
 
 #: consecutive prepare bails after which a nest that never committed is
 #: demoted to tier 2 for the rest of the run
@@ -97,9 +100,9 @@ def slab_trip_count(low, high, step):
     Closed form ``max(0, (high - low + step) // step)``; ``low``/
     ``high`` may be per-column vectors (triangular nests)."""
     n = (high - low + step) // step
-    if np.ndim(n) == 0:
-        return max(int(n), 0)
-    return np.maximum(n, 0)
+    if isinstance(n, np.ndarray):
+        return np.maximum(n, 0)
+    return max(int(n), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +145,15 @@ def _placement_map(events) -> dict[int, list[int]]:
     return placements
 
 
-def _check_executor(info, v: str) -> str | None:
+def _check_executor(info, v: str, one_d: bool) -> str | None:
     """Executor must be an owner/all set whose position does not vary
-    with the vectorized loop variable ``v``."""
+    with the vectorized loop variable ``v`` — or, on a one-dimensional
+    grid, is the owner of ``v``'s own column."""
     if info is None:
         return "no executor info"
     if info.kind not in ("owner", "all"):
         return f"executor kind {info.kind}"
-    if info.kind == "owner" and any(
+    if info.kind == "owner" and not one_d and any(
         dim.kind == "pos" and dim.form is not None and _mentions(dim.form, v)
         for dim in info.position
     ):
@@ -223,7 +227,8 @@ def _classify(compiled, loop: LoopStmt, placements,
     if len(shape.loops) > len(nested):
         return "inner body contains LoopStmt"
     inner = nested[0] if nested else None
-    # the statements before the inner loop, in it and after it
+    # the statements before the inner loop, in it and after it — a
+    # guarding IF, then the assignments of its branch
     pre, body, post = phases = ([], [], [])
     phase = pre
     for s in loop.body:
@@ -232,6 +237,12 @@ def _classify(compiled, loop: LoopStmt, placements,
             phase = post
         elif isinstance(s, AssignStmt):
             phase.append(s)
+        elif isinstance(s, IfStmt):
+            if masked_fold(s) is None:
+                return "IF body is not a guarded fold"
+            phase += [s, *(t for t in s.then_body if isinstance(t, AssignStmt))]
+    if shape.guards and inner is not None:
+        return "guarded fold outside the innermost loop"
     if not (pre if inner is None else body):
         return "empty body"
     proc, executors = compiled.proc, compiled.executors
@@ -245,12 +256,19 @@ def _classify(compiled, loop: LoopStmt, placements,
         return None
 
     if inner is None:
+        one_d = compiled.grid.rank == 1
         for s in stmts:
             info = executors.get(s.stmt_id)
-            reason = _check_executor(info, v) or communicates(s)
+            reason = _check_executor(info, v, one_d) or communicates(s)
             if reason is not None:
                 return f"S{s.stmt_id}: {reason}"
-        reason = _carried_dependence(proc, loop, stmts, forms, reduction_ids)
+        for s in shape.conds:
+            reason = communicates(s)
+            if reason is not None:
+                return f"S{s.stmt_id}: {reason}"
+        reason = _carried_dependence(
+            proc, loop, shape.conds + stmts, forms, reduction_ids
+        )
         if reason is not None:
             return reason
         plan = NestPlan(shape, None, False, [None, None, None])
@@ -383,25 +401,32 @@ def classify_procedure(compiled) -> SlabReport:
 
 
 class _Step:
-    """One assignment of the nest, preprocessed."""
+    """One assignment — or guarding IF — of the nest, preprocessed."""
 
     __slots__ = ("stmt", "sid", "index", "k", "kind", "name", "stype",
-                 "expr", "op", "follows", "group")
+                 "expr", "op", "follows", "group", "fold")
 
-    def __init__(self, stmt: AssignStmt, index: int, k: int):
+    def __init__(self, stmt: AssignStmt | IfStmt, index: int, k: int):
         self.stmt = stmt
         self.sid = stmt.stmt_id
         #: position among all the nest's statements, and within its phase
         self.index = index
         self.k = k
-        self.name = stmt.lhs.symbol.name
-        self.stype = stmt.lhs.symbol.type
+        #: an IF's ``masked_fold``: the guarded accumulator's store
+        #: stands for the IF (``_store_role``)
+        self.fold = masked_fold(stmt) if isinstance(stmt, IfStmt) else None
+        lhs = stmt.lhs if self.fold is None else self.fold[1]
+        self.name = lhs.symbol.name
+        self.stype = lhs.symbol.type
         #: an "array" or "scalar" store of ``expr`` — or, with ``op``,
         #: the fold of ``expr`` over the lanes into a "reduction"
         #: scalar or an "afold" element (both private to each rank) or
-        #: an "sfold" element (a plain owner-computes store, serialized)
-        self.kind = "array" if isinstance(stmt.lhs, ArrayElemRef) else "scalar"
-        self.expr = stmt.rhs
+        #: an "sfold" element (a plain owner-computes store,
+        #: serialized); a "guard" evaluates its IF's masked fold, and a
+        #: "masked" assignment of its branch is charged on the lanes
+        #: where the guard holds
+        self.kind = "array" if isinstance(lhs, ArrayElemRef) else "scalar"
+        self.expr = stmt.rhs if self.fold is None else self.fold[2]
         self.op = None
         #: executed by the owner of its column (else: by a fixed rank
         #: set); index of the nest's statements sharing its executor
@@ -425,12 +450,14 @@ def _afold_operand(rhs, name: str, canon: tuple, op: str, forms: dict):
     return _fold_operand(rhs, op, name, is_acc)
 
 
-def _lane_addresses(ref_forms: dict, lanes_of: Callable, env) -> tuple:
+def _lane_addresses(ref_forms: dict, canons: dict, lanes_of: Callable,
+                    env) -> tuple:
     """ref_id -> the flat *element* of its array each lane names — the
     ravel of the bounds-checked per-dimension offsets, an int where no
     subscript varies with the lanes — and ref_id -> the lane's
     *address* in the array's ``(P, *shape)`` buffer, ``lanes.rank *
-    size + element``.  ``lanes_of(ref_id)`` gives the ref's lanes;
+    size + element``.  ``lanes_of(ref_id)`` gives the ref's lanes and
+    ``canons[ref_id]`` its forms' ``_canon_form``;
     dimensions subscripted by one form over the same lanes and bounds
     — whatever the array — share one offset vector, references alike
     in every dimension one element and one address vector."""
@@ -440,7 +467,7 @@ def _lane_addresses(ref_forms: dict, lanes_of: Callable, env) -> tuple:
     addrs: dict[int, np.ndarray] = {}
     for ref_id, (symbol, forms) in ref_forms.items():
         lanes = lanes_of(ref_id)
-        canon = tuple([_canon_form(f) for f in forms])
+        canon = canons[ref_id]
         key = (lanes, canon, symbol.dims)
         if key not in shared:
             size = 1
@@ -456,239 +483,6 @@ def _lane_addresses(ref_forms: dict, lanes_of: Callable, env) -> tuple:
             shared[key] = (elem, lanes.rank * size + elem)
         elems[ref_id], addrs[ref_id] = shared[key]
     return elems, addrs
-
-
-class _Fetched(NamedTuple):
-    """One fetching read of one reference: a vector entry per distinct
-    (reader, element), then the facts all of them share."""
-
-    inst: np.ndarray  #: statement instance of the element's first read
-    elem: np.ndarray  #: flat element index
-    src: np.ndarray  #: source rank
-    shaky: np.ndarray  #: the source is not the element's primary owner
-    dst: np.ndarray  #: the reading rank (ascending)
-    q: int  #: the read's sequence within its statement
-    ref: ArrayElemRef
-    stmt: AssignStmt
-    addr: np.ndarray  #: where the reader keeps it: ``dst * size + elem``
-    values: np.ndarray
-
-
-class _FetchLog:
-    """The remote reads one takeover's evaluation met, and their exact
-    replay.
-
-    The per-iteration path fetches an invalid element once per reading
-    rank, at that rank's first read of it.  Evaluation records every
-    such read with its place in per-iteration order — the number of the
-    statement *instance* and the read's sequence within the statement —
-    and takes the value from the source rank, whose copy cannot change
-    during the takeover (a fetched element is never one the takeover
-    writes): one source lookup per fetching read, over the lanes of all
-    the reading ranks at once.  :meth:`schedule` orders the fetches and
-    peeks their coalescing keys, still without mutating anything, so it
-    may bail; :meth:`commit` replays compute and messages in that
-    order, one fold per *message run*."""
-
-    def __init__(self, sim, lane_vars: tuple):
-        self.sim = sim
-        self.lane_vars = lane_vars
-        self.reads: list[_Fetched] = []
-
-    def _fetch_read(self, ref, stmt, q: int, dst, elem, inst):
-        """Values of the elements ``elem`` that the ranks ``dst`` read
-        while invalid, in instances ``inst`` — one entry per lane, the
-        lanes rank-major and each rank's instances ascending, served
-        from the store's sources of the elements (``Store.sources``, as
-        every tier's fetch is).  A rank fetches an element once, at its
-        first lane."""
-        name = ref.symbol.name
-        store = self.sim.store
-        data, _valid, size = store.flat[name]
-        addr, first, back = np.unique(
-            dst * size + elem, return_index=True, return_inverse=True
-        )
-        elem = elem[first]
-        src, owners = store.sources(name, elem)
-        if (src < 0).any():
-            raise _Bail(f"no rank holds every element read of {name}")
-        values = data.take(src * size + elem)
-        self.reads.append(_Fetched(
-            inst[first], elem, src, src != owners[0], dst[first],
-            q, ref, stmt, addr, values,
-        ))
-        return values[back]
-
-    def schedule(self, env):
-        """Order the recorded fetches as the per-iteration path issues
-        them — every (rank, element) once, at its first read — and peek
-        their coalescing keys.  Returns None when nothing fetched, else
-        per-fetch vectors (instance, source, reader, opens-a-message)
-        plus the number of elements fetched under each reference's
-        event and the coalescing keys the takeover opens."""
-        reads = self.reads
-        if not reads:
-            return None
-        sim = self.sim
-        inst, elem, src, shaky, dst = (
-            np.concatenate(column) for column in list(zip(*reads))[:5]
-        )
-        arrays: dict[str, int] = {}
-        q, array, read = (
-            np.repeat(column, [f.elem.size for f in reads])
-            for column in (
-                [f.q for f in reads],
-                [
-                    arrays.setdefault(f.ref.symbol.name, len(arrays))
-                    for f in reads
-                ],
-                range(len(reads)),
-            )
-        )
-        elem += array * (int(elem.max()) + 1)
-        order = np.lexsort((q, inst))
-        held = dst[order] * (int(elem.max()) + 1) + elem[order]
-        keep = order[np.sort(np.unique(held, return_index=True)[1])]
-        inst, elem, src, shaky, dst, read = (
-            a[keep] for a in (inst, elem, src, shaky, dst, read)
-        )
-        if shaky.any():
-            # a primary owner's valid copy is the source whatever the
-            # other ranks hold; any other choice can change once an
-            # earlier fetcher of the same element holds it too
-            elems, counts = np.unique(elem, return_counts=True)
-            if np.isin(elem[shaky], elems[counts > 1]).any():
-                raise _Bail("fetch source depends on fetch order")
-        tally = []
-        for k, count in zip(
-            *map(np.ndarray.tolist, np.unique(read, return_counts=True))
-        ):
-            f = reads[k]
-            event, outer = sim._fetch_meta(f.stmt, f.ref.ref_id)
-            if event is None:
-                # raw coalescing keys embed the full env — including
-                # the takeover variables, which tier 2 sets per
-                # iteration and we do not
-                raise _Bail("fetch without a placed event")
-            if set(outer) & set(self.lane_vars):
-                raise _Bail("fetch key varies per lane")
-            tally.append(((f.stmt.stmt_id, f.ref.ref_id), count))
-        # the key is the same for every element of one (read, reader,
-        # source) group, whatever the order; the startup goes to the
-        # earliest fetch under each key
-        nranks = sim.grid.size
-        opened: dict[tuple, int] = {}
-        for code, at in zip(
-            *map(
-                np.ndarray.tolist,
-                np.unique(
-                    (read * nranks + dst) * nranks + src, return_index=True
-                ),
-            )
-        ):
-            pair, source = divmod(code, nranks)
-            f, reader = reads[pair // nranks], pair % nranks
-            key = sim._coalesce_key(f.stmt, f.ref.ref_id, source, reader, env)
-            opened[key] = min(opened.get(key, at), at)
-        fresh = [key for key in opened if key not in sim._fetch_keys_seen]
-        startup = np.zeros(inst.size, dtype=np.bool_)
-        startup[[opened[key] for key in fresh]] = True
-        return inst, src, dst, startup, tally, fresh
-
-    def commit(self, sched, dts: np.ndarray, tapes: list) -> tuple[int, int]:
-        """Replay compute and messages in per-iteration order; returns
-        the number of elements fetched and of message runs replayed.
-
-        ``dts`` is the charge tape of the takeover's statements and
-        ``tapes`` the ranks' tapes end to end (``_NestCtx._rank_tapes``):
-        which statement each of a rank's instances runs and the
-        instance's (ascending) number.  Compute charges on
-        different ranks commute and only a message couples two clocks,
-        so a rank's tape stays pending until just before a message that
-        touches the rank, where it is left-folded up to the message's
-        instance — tier 2's interleaved ``charge_compute`` /
-        ``charge_message_amortized`` sequence, bit for bit.  The unit
-        of that replay is the *run*: consecutive fetches by one reader
-        from one source while the source has nothing pending.  Only a
-        run's first message meets two unrelated clocks; the rest of it
-        — the reader's compute between the messages included — is one
-        left fold (``Clocks.charge_message_run``).  ``compute_time``
-        sees no messages and is folded in one piece.  Everything else a
-        fetch does is batched per reference."""
-        inst, src, dst, startup, tally, fresh = sched
-        sim = self.sim
-        clocks, stats = sim.clocks, sim.stats
-        time = clocks.time
-        # rank r's tape is steps[done[r]:ends[r]], empty when it
-        # computes nothing here
-        bounds, steps, at = tapes
-        done, ends = bounds[:-1].tolist(), bounds[1:].tolist()
-        computing = [r for r in range(len(time)) if ends[r] > done[r]]
-        for r in computing:
-            clocks.compute_time[r] = sequential_sum(
-                clocks.compute_time[r], dts[steps[done[r]:ends[r]]]
-            )
-        # how much of the reader's and of the source's tape precedes
-        # each fetch
-        who = np.stack((dst, src))
-        when = np.broadcast_to(inst, who.shape)
-        cut = bounds[who]
-        for r in computing:
-            here = who == r
-            cut[here] += np.searchsorted(at[done[r]:ends[r]], when[here])
-        # a run ends where the reader, the source or — the source
-        # having computed in between — the source's cut changes
-        opens = np.ones(inst.size, dtype=np.bool_)
-        opens[1:] = (
-            (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])
-            | (cut[1, 1:] != cut[1, :-1])
-        )
-        first = opens.nonzero()[0]
-        last = np.append(first[1:], inst.size) - 1
-        # the replay tape: every message, each after the ``gap`` compute
-        # charges of its reader since the run's previous message (what
-        # precedes a run's first message is flushed in the loop) — as
-        # rows of the statements' tape extended by the two message rows
-        gap = np.diff(cut[0], prepend=0)
-        gap[first] = 0
-        slot = np.arange(inst.size) + gap.cumsum()
-        row = np.empty(int(slot[-1]) + 1, dtype=np.intp)
-        row[slot] = len(dts) + startup
-        if len(row) > inst.size:
-            between = np.ones(len(row), dtype=np.bool_)
-            between[slot] = False
-            row[between] = steps[
-                between.nonzero()[0] + (cut[0] - slot).repeat(gap)
-            ]
-        tape = np.concatenate((dts, clocks.message_rows()))[row]
-        messages = tape[slot]
-        for d, s, cut_d, cut_s, end_d, lo, hi, lo_slot, hi_slot in zip(
-            *map(np.ndarray.tolist, (
-                dst[first], src[first], cut[0, first], cut[1, first],
-                cut[0, last], first, last + 1, slot[first], slot[last] + 1,
-            ))
-        ):
-            for r, upto in ((d, cut_d), (s, cut_s)):
-                if upto > done[r]:
-                    time[r] = sequential_sum(
-                        time[r], dts[steps[done[r]:upto]]
-                    )
-                    done[r] = upto
-            clocks.charge_message_run(
-                s, d, tape[lo_slot:hi_slot], messages[lo:hi]
-            )
-            done[d] = end_d
-        for r in computing:
-            time[r] = sequential_sum(time[r], dts[steps[done[r]:ends[r]]])
-        sim._fetch_keys_seen.update(fresh)
-        stats.messages += len(fresh)
-        for event_key, count in tally:
-            stats.record_fetch(event_key, count)
-        for f in self.reads:
-            data, valid, _size = sim.store.flat[f.ref.symbol.name]
-            data[f.addr] = f.values
-            valid[f.addr] = True
-        return inst.size, first.size
 
 
 #: statement phases of a nest, in execution order: before the inner
@@ -816,16 +610,17 @@ class _Layout:
 
 
 class _Region:
-    """The elements one store form writes in one body pass, and the
-    lane values last stored there."""
+    """The elements one store form writes in one body pass, the lane
+    values last stored there, and when: (pass, step index)."""
 
-    __slots__ = ("lanes", "ref_id", "t", "vec")
+    __slots__ = ("lanes", "ref_id", "t", "vec", "at")
 
-    def __init__(self, lanes: _Lanes, ref_id: int, t: int, vec):
+    def __init__(self, lanes: _Lanes, ref_id: int, t: int, vec, at: tuple):
         self.lanes = lanes
         self.ref_id = ref_id
         self.t = t
         self.vec = vec
+        self.at = at
 
 
 class _NestCtx(_Ctx):
@@ -845,7 +640,8 @@ class _NestCtx(_Ctx):
         self.log = _FetchLog(self.sim, plan.lane_vars)
         #: step index -> the step's lanes
         self.lanes_of = dom.lanes_of
-        sub_env = plan.subscript_env(self.store, env, dom.participants)
+        #: the env the subscripts are evaluated in
+        self.sub_env = sub_env = self._subscript_env(env)
         #: per-pass increment of every element (and address) that moves
         #: with the serial axis
         self.strides = {
@@ -858,25 +654,78 @@ class _NestCtx(_Ctx):
         #: ref_id -> lane elements and addresses at the first body
         #: pass; the last pass is evaluated for its bounds checks alone
         self.elem, self.addr = _lane_addresses(
-            plan.ref_forms, lanes_of, {**sub_env, **dom.binding(0)}
+            plan.ref_forms, plan.ref_canon, lanes_of,
+            {**sub_env, **dom.binding(0)} if dom.serial_var else sub_env,
         )
         if self.strides and dom.serial > 1:
             _lane_addresses(
-                {r: plan.ref_forms[r] for r in self.strides}, lanes_of,
-                {**sub_env, **dom.binding(dom.serial - 1)},
+                {r: plan.ref_forms[r] for r in self.strides}, plan.ref_canon,
+                lanes_of, {**sub_env, **dom.binding(dom.serial - 1)},
             )
         #: scalar name -> (lanes, pass, lane values) of its last store
         self.scalars: dict[str, tuple] = {}
         #: store key -> region
         self.regions: dict[tuple, _Region] = {}
-        #: reads of written arrays that found no region (yet)
+        #: reads of written arrays that found no region (yet), the
+        #: arrays read from one, and (pass, step index) of the first
+        #: store to each array
         self.misses: list[tuple] = []
+        self.region_reads: set[str] = set()
+        self.first_store: dict[str, tuple] = {}
         #: accumulator name / fold step index -> rank -> folded value
         self.reduced: dict[str, dict] = {}
         self.folded: dict[int, dict] = {}
+        #: guard step index -> the lanes running its branch
+        self.masks: dict[int, np.ndarray] = {}
         self._memory_scalars: dict[tuple, tuple] = {}
         self._gathered: dict[int, tuple] = {}
         self.npass = 0
+
+    def _subscript_env(self, env) -> dict:
+        """``env`` plus the memory scalars the subscripts reference
+        (INTEGER symbols: the only ones an affine form holds), at the
+        one value every valid copy among the participants holds.  A
+        participant without one fetches it where tier 2 does — at its
+        first instance reading it, from the lowest rank holding it
+        then — into the log (``_FetchLog.fetch_scalar``)."""
+        plan, dom = self.plan, self.dom
+        scalars = plan.shape.subscript_scalars - set(env)
+        if not scalars:
+            return env
+        sub_env = dict(env)
+        for nm in sorted(scalars):
+            valid, held = self.store.scalar_valid[nm], self.store.scalars[nm]
+            values = {held[r] for r in dom.participants if valid[r]}
+            if len(values) != 1 or plan.shape.guards and not all(
+                valid[r] for r in dom.participants
+            ):
+                raise _Bail(f"subscript scalar {nm} "
+                            + ("diverges" if values else "invalid"))
+            sub_env[nm] = int(values.pop())
+            # each rank lacking it: its first instance reading it
+            first: dict[int, tuple] = {}
+            for index, ref in plan.subscript_reads.get(nm, {}).values():
+                st = plan.all_steps[index]
+                lanes = self.lanes_of[index]
+                heads = [sl.start for _r, sl in lanes.slices]
+                for (r, _sl), inst in zip(
+                    lanes.slices, (dom.base[lanes.col[heads]] + st.k).tolist()
+                ):
+                    if not valid[r] and inst < first.get(r, (inst + 1,))[0]:
+                        first[r] = (inst, st.stmt, ref)
+            holders = [r for r, ok in enumerate(valid) if ok]
+            fetches: dict[int, list] = {}
+            for r in sorted(first, key=lambda r: (first[r][0], r)):
+                src = min(holders)
+                if valid[src] and held[src] != sub_env[nm]:
+                    # (a fetcher holds the value it fetched)
+                    raise _Bail(f"subscript scalar {nm} diverges")
+                inst, stmt, ref = first[r]
+                fetches.setdefault(id(ref), [ref, stmt]).append((inst, src, r))
+                holders.append(r)
+            for ref, stmt, *rows in fetches.values():
+                self.log.fetch_scalar(ref, stmt, *zip(*rows), sub_env[nm])
+        return sub_env
 
     # -- evaluation ----------------------------------------------------
 
@@ -898,10 +747,15 @@ class _NestCtx(_Ctx):
         self.fetch_plan = self.log.schedule(self.base_env)
 
     def process(self, st: _Step) -> None:
+        if st.kind == "masked":
+            return  # its guard evaluated it
         self.cur = st
         self.q = 0
         lanes = self.lanes = self.lanes_of[st.index]
         value, is_int = _eval(st.expr, self)
+        if st.kind == "guard":
+            self._masked(st, value, is_int)
+            return
         if st.op is not None:
             self._fold(st, value, is_int)
             return
@@ -915,12 +769,14 @@ class _NestCtx(_Ctx):
         ref_id = st.stmt.lhs.ref_id
         key = self.plan.keys[ref_id] or self.pass_keys[ref_id]
         region = self.regions.get(key)
+        at = (self.npass, st.index)
+        self.first_store.setdefault(st.name, at)
         if region is None:
-            self.regions[key] = _Region(lanes, ref_id, self.t, vec)
+            self.regions[key] = _Region(lanes, ref_id, self.t, vec, at)
         elif region.lanes is not lanes:
             raise _Bail("array writers differ in executor set")
         else:
-            region.vec = vec
+            region.vec, region.at = vec, at
 
     def _fold(self, st: _Step, value, is_int: bool) -> None:
         """``acc = acc OP e`` over each rank's lanes, in iteration
@@ -948,6 +804,45 @@ class _NestCtx(_Ctx):
                 value[sl] if isinstance(value, np.ndarray) else value,
                 is_int, st.stype, sl.stop - sl.start,
             )
+
+    def _masked(self, st: _Step, value, is_int: bool) -> None:
+        """The guarded update ``IF (e REL acc) THEN acc = e; loc = f
+        ... END IF`` over each rank's lanes, in iteration order, seeded
+        with the rank's own accumulator: which lanes run the branch
+        (``masks``), and each variable of the branch at the last of a
+        rank's (``_masked_lanes``) — a rank whose guard never holds
+        stores nothing."""
+        rel, acc, _e, stmts = st.fold
+        lanes = self.lanes
+        mask = np.zeros(lanes.n, dtype=np.bool_)
+        last = {}
+        for r, sl in lanes.slices:
+            if not self.store.scalar_valid[acc.symbol.name][r]:
+                raise _Bail("reduction accumulator invalid")
+            seed = self.store.scalars[acc.symbol.name][r]
+            mask[sl], at = _masked_lanes(
+                rel, seed,
+                value[sl] if isinstance(value, np.ndarray) else value,
+                is_int, isinstance(seed, int), sl.stop - sl.start,
+            )
+            if at >= 0:
+                last[r] = sl.start + at
+        if lanes.n > len(lanes.runs[0]):
+            # ranks sharing an instance must agree (else tier 2 raises)
+            at = lanes.lane_id[lanes.runs.argmax(axis=0), np.arange(lanes.runs.shape[1])]
+            if (mask != mask[at][lanes.col]).any():
+                raise _Bail("guard disagrees across ranks")
+        self.masks[st.index] = mask
+        if not last:
+            return
+        for t in stmts:
+            got = (value, is_int) if t.lhs.symbol is acc.symbol else (
+                _eval(t.rhs, self)
+            )
+            vec = _coerce_vec(*got, t.lhs.symbol.type, lanes.n)
+            results = self.reduced.setdefault(t.lhs.symbol.name, {})
+            for r, lane in last.items():
+                results[r] = vec[lane]
 
     def _fold_addresses(self, index: int) -> np.ndarray:
         """Where each rank folding into step ``index``'s one array
@@ -1038,6 +933,7 @@ class _NestCtx(_Ctx):
         key = self.plan.keys[ref_id] or self.pass_keys[ref_id]
         region = self.regions.get(key)
         if region is not None:
+            self.region_reads.add(name)
             vec = region.vec
             if region.lanes is not self.lanes:
                 vec = self._carry(vec, region.lanes, f"array {name}")
@@ -1058,7 +954,10 @@ class _NestCtx(_Ctx):
             # the pre-state of an element the nest writes later in the
             # same lane, or a read that must miss every store: settled
             # once all the stores are known
-            self.misses.append((key, name, ref_id, self.t, fetched))
+            self.misses.append((
+                key, name, ref_id, self.t, fetched,
+                (self.npass, self.cur.index),
+            ))
         return data, data.dtype.kind in "bi"
 
     def _at(self, table: dict, ref_id: int, t: int):
@@ -1085,6 +984,9 @@ class _NestCtx(_Ctx):
     def _fetch(self, ref: ArrayElemRef, data, ok) -> np.ndarray:
         lanes, dom, plan = self.lanes, self.dom, self.plan
         name = ref.symbol.name
+        if self.cur.kind == "guard":
+            # (the branch's reads would fetch on its masked lanes only)
+            raise _Bail("guarded fold read would fetch")
         if not self.cur.follows and len(dom.participants) != 1:
             # ranks sharing an instance would fetch in an order the log
             # does not record; (a fixed executor fetching beside other
@@ -1114,21 +1016,28 @@ class _NestCtx(_Ctx):
         """Settle the reads that went to memory against the stores, and
         gather each array's regions for commit.  The classification was
         symbolic: where an array has several regions, or reads that
-        match none, verify the concrete element sets are disjoint — else
-        per-iteration order matters."""
+        match none, verify the concrete element sets — no element is
+        written by two lanes, or read by one lane and written by
+        another — else per-iteration order matters across lanes.  One
+        lane may write an element twice (``A(l,j)`` and ``A(k,j)`` when
+        ``l == k``) if each of its reads of the array precedes its
+        first store: the regions commit in statement order."""
         stray: dict[str, list] = {}
-        for key, name, ref_id, t, fetched in self.misses:
+        late: set[str] = set()
+        for key, name, ref_id, t, fetched, at in self.misses:
             if key not in self.regions:
                 stray.setdefault(name, []).append(self._at(self.elem, ref_id, t))
             elif fetched:
                 raise _Bail(f"written array {name} read would fetch")
+            if at > self.first_store.get(name, at):
+                late.add(name)
         groups: dict[tuple, list] = {}
         for region in self.regions.values():
             name = self.plan.ref_forms[region.ref_id][0].name
             groups.setdefault((name, region.lanes), []).append(region)
         #: (array, lanes) -> the regions these lanes stored: elements,
-        #: addresses and values, with one row per region when there are
-        #: several
+        #: addresses and values, with one row per region — in the order
+        #: of their last stores — when there are several
         self.stores: dict[tuple, tuple] = {}
         marks: dict[str, list] = {}
         for (name, lanes), regions in groups.items():
@@ -1138,7 +1047,7 @@ class _NestCtx(_Ctx):
                     self._at(self.addr, region.ref_id, region.t),
                     region.vec,
                 )
-                for region in regions
+                for region in sorted(regions, key=lambda r: r.at)
             ]
             stored = self.stores[name, lanes] = (
                 rows[0] if len(rows) == 1 else tuple(map(np.stack, zip(*rows)))
@@ -1149,12 +1058,20 @@ class _NestCtx(_Ctx):
             if sum([rows for _e, _l, rows in stored]) < 2 and not reads:
                 continue
             mask = np.zeros(self.store.data[name][0].size, dtype=np.bool_)
-            count = 0
-            for elem, lanes, rows in stored:  # each instance once
-                mask[elem[..., lanes.home]] = True
-                count += rows * int(lanes.home.sum())
-            if int(mask.sum()) != count:
-                raise _Bail("write regions overlap")
+            marked = [elem[..., lanes.home] for elem, lanes, _rows in stored]
+            for at in marked:  # each instance once
+                mask[at] = True
+            if int(mask.sum()) != sum([at.size for at in marked]):
+                if len(marked) > 1 or marked[0].ndim == 1 or (
+                    self.dom.serial > 1 or name in late
+                    or name in self.region_reads
+                ):
+                    raise _Bail("write regions overlap")
+                # one lane writing an element twice is the only overlap
+                # left to allow: each lane's distinct elements
+                at = np.sort(marked[0], axis=0)
+                if int(mask.sum()) != int((at[1:] != at[:-1]).sum()) + at.shape[1]:
+                    raise _Bail("write regions overlap")
             for elem in reads:
                 if mask[elem].any():
                     raise _Bail("read overlaps writes across lanes")
@@ -1167,8 +1084,27 @@ class _NestCtx(_Ctx):
         ``inst[bounds[r]:bounds[r + 1]]``, ascending, each the
         statement ``step`` (index into the nest's steps)."""
         plan, dom = self.plan, self.dom
+        nranks = self.sim.grid.size
         count, trips = dom.count, dom.trips
         sizes = [len(steps) for steps in plan.steps]
+        size = len(plan.all_steps)
+        if len(dom.layouts) == 1 and dom.serial == 1 and (
+            size in (sizes[PRE], sizes[BODY])
+        ):
+            # every statement at one level, on one layout: a lane runs
+            # its instances in a row, each its statements in order
+            lanes = dom.layouts[0].at(size == sizes[BODY])
+            head = dom.base[lanes.col]
+            if lanes.tw is not None:
+                head = head + lanes.tw * size
+            bounds = np.zeros(nranks + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(lanes.rank, minlength=nranks) * size,
+                out=bounds[1:],
+            )
+            k = np.arange(size, dtype=np.min_scalar_type(size))
+            inst = np.add(head[:, None], k, dtype=np.int32).ravel()
+            return bounds, np.broadcast_to(k, (lanes.n, size)).ravel(), inst
         step_of = np.empty(int(count.sum()), dtype=np.min_scalar_type(sum(sizes)))
         # the first statement of each column's prologue, of every one
         # of its body trips, and of its epilogue
@@ -1189,7 +1125,6 @@ class _NestCtx(_Ctx):
         # are rank-major, so a layout's come out rank by rank and
         # ascending — as they are numbered, where every rank's columns
         # are consecutive
-        nranks = self.sim.grid.size
         shared = len(dom.layouts) > 1
         groups = np.asarray([st.group for st in plan.all_steps])
         ranks, insts = [], []
@@ -1227,18 +1162,22 @@ class _NestCtx(_Ctx):
         dts = clocks.tape([dt[st.sid] for st in plan.all_steps])
         if dom.tapes is None:
             dom.tapes = self._rank_tapes()
+        tapes, skipped = self._masked_tapes(dom.tapes)
         replayed = (0, 0)
         if self.fetch_plan is not None:
-            replayed = self.log.commit(self.fetch_plan, dts, dom.tapes)
+            replayed = self.log.commit(self.fetch_plan, dts, tapes)
+            if sim.tracer.enabled:
+                self.log.trace(self.fetch_plan)
         else:
-            bounds, steps, _inst = dom.tapes
+            bounds, steps, _inst = tapes
             cuts = bounds.tolist()
             for r in dom.participants:
                 clocks.charge_compute_tape(r, dts[steps[cuts[r]:cuts[r + 1]]])
         store, nranks = self.store, sim.grid.size
         for (name, lanes), (elem, addr, vals) in self.stores.items():
             data, valid, size = store.flat[name]
-            data[addr] = vals
+            for a, v in zip(addr, vals) if addr.ndim > 1 else ((addr, vals),):
+                data[a] = v  # (region by region: the last store wins)
             if not lanes.runs.all():
                 # every write instance invalidates each rank not
                 # running it: nobody holds the elements, then the
@@ -1278,8 +1217,29 @@ class _NestCtx(_Ctx):
             self.base_env[plan.i] = int(
                 dom.low[-1] + dom.trips[-1] * dom.step
             )
-        sim.slab_instances += int(dom.count.sum())
+        sim.slab_instances += int(dom.count.sum()) - skipped
         return replayed
+
+    def _masked_tapes(self, tapes: tuple) -> tuple:
+        """The ranks' tapes without the branch instances of lanes whose
+        guard failed, and how many statement instances that leaves out.
+        A branch runs on its guard's layout, so its entries come in the
+        order of the guard's lanes."""
+        if not self.masks:
+            return tapes, 0
+        bounds, steps, inst = tapes
+        keep = np.ones(steps.size, dtype=np.bool_)
+        dropped = np.zeros(len(bounds), dtype=np.int64)
+        skipped = 0
+        for index, mask in self.masks.items():
+            branch, lanes = self.plan.branches[index], self.lanes_of[index]
+            for k in branch:
+                keep[steps == k] = mask
+            lost = np.bincount(lanes.rank[~mask], minlength=len(bounds) - 1)
+            dropped[1:] += lost * len(branch)
+            # (as many ranks run every column)
+            skipped += len(branch) * int(lost.sum()) * lanes.runs.shape[1] // lanes.n
+        return (bounds - dropped.cumsum(), steps[keep], inst[keep]), skipped
 
 
 class NestPlan:
@@ -1321,10 +1281,16 @@ class NestPlan:
         #: key changes with the pass: ``moving_keys``); the flat
         #: element's coefficient on that axis
         self.ref_forms: dict[int, tuple] = {}
+        self.ref_canon: dict[int, tuple] = {}
         self.ref_home: dict[int, int] = {}
         self.keys: dict[int, tuple | None] = {}
         self.strides: dict[int, int] = {}
         self._moving: list[tuple] = []
+        #: guard step index -> the step indices of its branch
+        self.branches: dict[int, list] = {}
+        #: memory scalar -> (executor group, phase) -> (step index, its
+        #: reference) of the statement reading it first in a subscript
+        self.subscript_reads: dict[str, dict] = {}
         #: scalar name -> phases storing it; reduction accumulators
         self.scalar_phases: dict[str, set] = {}
         self.acc_names: set[str] = set()
@@ -1366,14 +1332,49 @@ class NestPlan:
             return "array both folded and written"
         # accumulators must not leak into any other statement
         for st in self.all_steps:
-            if st.kind != "reduction" and st.name in self.acc_names:
+            if (
+                st.kind not in ("reduction", "guard", "masked")
+                and st.name in self.acc_names
+            ):
                 return "accumulator written outside the fold"
             for ref in st.expr.refs():
                 if isinstance(ref, ScalarRef) and ref.symbol.name in self.acc_names:
                     return "accumulator read outside the fold"
+        # a scalar the nest stores is read from its own pass's earlier
+        # store, or — in a phase not storing it — from an earlier
+        # phase's; else its value would flow in from another iteration
+        stored: dict[str, int] = {}  # name -> phase of its latest store
+        for phase, steps in enumerate(self.steps):
+            for st in steps:
+                for ref in st.expr.refs():
+                    name = ref.symbol.name
+                    if isinstance(ref, ScalarRef) and name in self.scalar_phases and (
+                        stored.get(name, -1) < phase
+                        if phase in self.scalar_phases[name]
+                        else stored.get(name, -1) < 0
+                    ):
+                        return f"scalar {name} read before its definition"
+                if st.kind == "scalar":
+                    stored[st.name] = phase
         reason = self._executors(compiled, reductions)
-        if reason is not None or self.inner is None:
+        if reason is not None:
             return reason
+        # the statement of each executor group and phase that reads a
+        # subscript scalar first, and its reference (lhs subscripts are
+        # evaluated first)
+        for phase, steps in enumerate(self.steps):
+            for st in steps:
+                lhs = getattr(st.stmt, "lhs", None)
+                for ref in (
+                    sub_ref for a in (lhs, *st.expr.refs())
+                    if isinstance(a, ArrayElemRef) and st.kind != "masked"
+                    for sub in a.subscripts for sub_ref in sub.refs()
+                    if sub_ref.symbol.name in self.shape.subscript_scalars
+                ):
+                    reads = self.subscript_reads.setdefault(ref.symbol.name, {})
+                    reads.setdefault((st.group, phase), (st.index, ref))
+        if self.inner is None:
+            return None
         # what the one plan could run but this round does not take
         # (see CHANGES.md): each keeps its tier-2 verdict
         if self.inner.stmt_id in reductions.by_loop:
@@ -1388,6 +1389,27 @@ class NestPlan:
         fold over the lanes into one accumulator (None), or why it is
         neither."""
         stmt, v = st.stmt, self.v
+        if st.fold is not None:
+            # the branch of a guarded MAXLOC/MINLOC update, private to
+            # each rank like any recognized reduction's
+            stmts = st.fold[3]
+            reduction = updates.get(stmts[0].stmt_id, (None,))[0]
+            if reduction is None or any(
+                updates.get(t.stmt_id, (None,))[0] is not reduction
+                for t in stmts
+            ):
+                return "guarded fold is not a privatized reduction"
+            st.kind, st.op = "guard", st.fold[0]
+            self.acc_names.update(t.lhs.symbol.name for t in stmts)
+            self.branches[st.index] = []
+            return None
+        if st.sid in self.shape.guards:
+            st.kind = "masked"  # (evaluated with its guard)
+            guard = self.shape.guards[st.sid]
+            self.branches[next(
+                t.index for t in self.all_steps if t.stmt is guard
+            )].append(st.index)
+            return None
         reduction = updates.get(st.sid, (None,))[0]
         if reduction is not None and (
             reduction.location_symbol is not None
@@ -1452,6 +1474,7 @@ class NestPlan:
         resolved to one agreed value at prepare (``subscript_env``)."""
         forms = self.shape.forms[ref.ref_id]
         self.ref_forms[ref.ref_id] = (ref.symbol, forms)
+        self.ref_canon[ref.ref_id] = tuple([_canon_form(f) for f in forms])
         self.ref_home[ref.ref_id] = st.index
         # canonical: per dimension the constant — symbolic constants
         # folded in — and the other symbols' terms, the serial axis'
@@ -1503,8 +1526,10 @@ class NestPlan:
         self.executors: list[_Step] = []
         groups: dict = {}
         for st in self.all_steps:
-            info = compiled.executors[st.sid]
-            runs_all = reductions.runs_everywhere(st.sid, info)
+            # (a guard runs where its branch does: checked below)
+            sid = st.sid if st.fold is None else st.fold[3][0].stmt_id
+            info = compiled.executors[sid]
+            runs_all = reductions.runs_everywhere(sid, info)
             forms = [
                 dim.form if dim.kind == "pos" and dim.form is not None
                 and dim.fmt is not None else None
@@ -1522,10 +1547,31 @@ class NestPlan:
                 self.executors.append(st)
             if not st.follows:
                 continue
-            # (the classification held every owner position of the nest
-            # equal, on a 1-D grid: the one dimension ``follows`` found)
+            # (on a 1-D grid: the one dimension ``follows`` found)
             dim = info.position[0]
+            if self.pos_form is not None and (
+                _canon_form(dim.form) != _canon_form(self.pos_form)
+            ):
+                return "executor position differs across statements"
             self.pos_form, self.pos_fmt = dim.form, dim.fmt
+            #: the owner of every column position
+            self.owners = tabulate_owners(dim.fmt)
+        for st in self.all_steps:
+            if st.kind != "guard":
+                continue
+            # tier 2 evaluates the IF on the union of its dependents'
+            # executors: the branch's own, if they are all in it
+            decision = compiled.cf_decisions.get(st.sid)
+            branch = {t.stmt_id for t in st.fold[3]}
+            deps = {
+                compiled.proc.stmt_of_ref(ref).stmt_id
+                for ref in decision.dependent_refs
+            } if decision is not None and decision.privatized else set()
+            if not deps or not deps <= branch or any(
+                t.group != st.group for t in self.all_steps
+                if t.sid in branch
+            ):
+                return "guard and branch executors differ"
         if self.pos_form is None:
             if self.i is not None:
                 # (one rank: the columns have no owner to be sliced by)
@@ -1556,27 +1602,6 @@ class NestPlan:
                         return "executor varies inside the loop"
         return None
 
-    def subscript_env(self, store, env, participants: list[int]):
-        """``env`` plus the memory scalars the subscripts reference
-        (INTEGER symbols: the only ones an affine form holds): every
-        participant must hold the same valid value in ``store``
-        (per-iteration semantics read the rank's own copy each time)."""
-        scalars = self.shape.subscript_scalars
-        if not scalars:
-            return env
-        sub_env = dict(env)
-        for nm in sorted(scalars - set(env)):
-            for k, r in enumerate(participants):
-                if not store.scalar_valid[nm][r]:
-                    raise _Bail(f"subscript scalar {nm} invalid")
-                got = store.scalars[nm][r]
-                if k == 0:
-                    val = got
-                elif got != val:
-                    raise _Bail(f"subscript scalar {nm} diverges")
-            sub_env[nm] = int(val)
-        return sub_env
-
     # ------------------------------------------------------------------
 
     def _build_shape(self, nranks: int, low: int, high: int, step: int,
@@ -1590,35 +1615,46 @@ class NestPlan:
         if nj == 0:
             return None
         dom = _Domain()
-        ahead = step * np.arange(nj, dtype=np.int64)  # of the first column
 
         def per_column(first, form):
-            slope = 0 if form is None else form.coeff(self.loop.var)
-            return first + slope * ahead
+            # (of the first column, ``step`` apart)
+            slope = 0 if form is None else form.coeff(self.loop.var) * step
+            if slope == 0:
+                return np.full(nj, first, dtype=np.int64)
+            return np.arange(first, first + slope * nj, slope, dtype=np.int64)
 
-        dom.jvec = low + ahead
+        dom.jvec = np.arange(low, low + step * nj, step, dtype=np.int64)
         li, hi, si = bounds
         if si == 0:
             raise _Bail("zero inner step")
         dom.step = si
-        dom.low = per_column(li, self.bound_forms[0])
-        dom.trips = slab_trip_count(
-            dom.low, per_column(hi, self.bound_forms[1]), si
-        )
         dom.serial_var = self.serial_var
-        if self.serial_var is None:
-            dom.widths, dom.serial = dom.trips, 1
-        else:
-            dom.widths, dom.serial = np.ones_like(dom.trips), int(dom.trips[0])
-        if not dom.widths.all():
-            # a column with no inner iterations still runs its prologue
-            # and epilogue; keep the uncommon shape on tier 2
-            raise _Bail("empty inner slab")
-        # statement instances in per-iteration order: column by column,
-        # prologue, body trip by trip, epilogue
+        dom.serial = 1
         npre, nbody, npost = (len(steps) for steps in self.steps)
-        dom.count = npre + dom.trips * nbody + npost
-        dom.base = dom.count.cumsum() - dom.count
+        if self.inner is None:
+            # one pass of the statements per column
+            dom.low = dom.trips = dom.widths = np.ones(nj, dtype=np.int64)
+            dom.count = dom.trips * npre
+            dom.base = np.arange(0, nj * npre, npre)
+        else:
+            dom.low = per_column(li, self.bound_forms[0])
+            dom.trips = slab_trip_count(
+                dom.low, per_column(hi, self.bound_forms[1]), si
+            )
+            dom.widths = dom.trips
+            if self.serial_var is not None:
+                dom.widths, dom.serial = (
+                    np.ones_like(dom.trips), int(dom.trips[0])
+                )
+            if not dom.widths.all():
+                # a column with no inner iterations still runs its
+                # prologue and epilogue; keep the uncommon shape on
+                # tier 2
+                raise _Bail("empty inner slab")
+            # statement instances in per-iteration order: column by
+            # column, prologue, body trip by trip, epilogue
+            dom.count = npre + dom.trips * nbody + npost
+            dom.base = dom.count.cumsum() - dom.count
         dom.tapes = None
         layouts: dict = {}  # by rank set: equal executors share one
         for st, fixed in zip(self.executors, ranks):
@@ -1630,7 +1666,7 @@ class NestPlan:
                 if int(at.min()) < 0 or int(at.max()) >= self.pos_fmt.extent:
                     raise _Bail("executor position out of range")
                 # (on the plan's 1-D grid a coordinate is the rank)
-                runs[tabulate_owners(self.pos_fmt)[at], np.arange(nj)] = True
+                runs[self.owners[at], np.arange(nj)] = True
             elif fixed:
                 runs[list(fixed)] = True
             else:
@@ -1706,8 +1742,7 @@ class SlabExecutor:
         self.sim = fast.sim
         self.report = report = self.sim.compiled.slabs
         #: a program without a plan pays nothing per loop entry: one
-        #: flag check instead of a verdict lookup (DGEFA's pivot search
-        #: enters thousands of loops without one)
+        #: flag check instead of a verdict lookup
         self.enabled = bool(report.eligible_loops())
         #: per-loop consecutive prepare bails; a nest that reaches
         #: GIVE_UP_AFTER without ever committing is demoted to tier 2

@@ -175,6 +175,9 @@ class Clocks:
         sees only the messages.  A one-message run is exactly
         ``_deliver``, whose last addition is likewise made once per
         end (lane vectors are never shared)."""
+        if len(tape) == 1:
+            self._deliver(src, dst, tape[0] if self.lanes else float(tape[0]))
+            return
         start = sequential_sum(
             self.later(self.time[src], self.time[dst]), tape[:-1]
         )

@@ -357,11 +357,19 @@ class PerfEstimator:
         3 pays a fixed prepare/commit per entry of ``loop``, a ufunc
         setup per statement per entry, and a per-lane cost.  Both sides
         use the estimator's (triangular-exact) trip counts, so the
-        comparison is between the same instance totals."""
+        comparison is between the same instance totals.  An ``IF``'s
+        branch runs where its condition holds, which no static count
+        knows: the condition's instances are counted, the branch's are
+        not (a guarded fold's branch runs on a few of its lanes)."""
+        guarded = {
+            t.stmt_id for s in loop.walk() if isinstance(s, IfStmt)
+            for t in s.then_body + s.else_body
+        }
         body = [
             stmt
             for stmt in loop.walk()
             if isinstance(stmt, (AssignStmt, IfStmt))
+            and stmt.stmt_id not in guarded
         ]
         instances = sum(self._instances(stmt) for stmt in body)
         entries = self._instances(loop)

@@ -122,7 +122,7 @@ class TestSimulateBuildsEachOnce:
         # one plan per loop with an "ok" verdict, built with the report
         # and prepared by both runs
         plans = len(compiled.slabs.eligible_loops())
-        assert plans == 3
+        assert plans == 5
         assert {row: after[row] - before[row] for row in BUILT} == {
             **dict.fromkeys(DERIVED, 1), "plans": plans,
         }
@@ -136,7 +136,7 @@ class TestSimulateBuildsEachOnce:
         simulate(compiled, inputs, tier="lowered")
         assert builds() == {**NOTHING, "lowering": 1}
         simulate(compiled, inputs, tier="slab")
-        assert builds() == {**NOTHING, "lowering": 1, "slabexec": 1, "plans": 3}
+        assert builds() == {**NOTHING, "lowering": 1, "slabexec": 1, "plans": 5}
 
     def test_derived_state_never_reaches_a_pickle(self):
         compiled, inputs = _dgefa()

@@ -21,6 +21,7 @@ from repro.machine.batchexec import VectorMachine
 from repro.obs import Metrics
 from repro.programs import (
     appsp_source,
+    dgefa_inputs,
     dgefa_source,
     tomcatv_inputs,
     tomcatv_source,
@@ -83,9 +84,11 @@ class TestClassifier:
             dgefa_source(n=12, procs=4), CompilerOptions(num_procs=4)
         )
         verdicts = _ordinal_verdicts(compiled)
-        reasons = set(verdicts.values())
-        assert "body contains IfStmt" in reasons  # pivot search
-        assert any("executor position varies" in r for r in reasons)
+        # the elimination loop: its IF holds the whole pivot step
+        assert verdicts["L00"] == "IF branch contains LoopStmt"
+        # the pivot search is a masked MAXLOC fold, the row swap runs
+        # on the lanes of the columns' owners
+        assert (verdicts["L01"], verdicts["L02"]) == ("ok", "ok")
         assert verdicts["L03"] == "ok"  # the scaling of the pivot column
         # the update sweep is one nest: the pivot column it reads is
         # fetched inside the takeover, not a reason to decline
@@ -300,16 +303,17 @@ GOLDEN = {
     "dgefa": (
         dgefa_source(n=12, procs=4), 4,
         {
-            "L00": "body contains IfStmt",
-            "L01": "body contains IfStmt",
-            "L02": "S#: executor position varies with J",
+            "L00": "IF branch contains LoopStmt",
+            "L01": "ok",
+            "L02": "ok",
             "L03": "ok",
             "L04": "ok",
             "L05": "ok",
         },
-        {"L03": 11, "L04": 11},
-        {"L04": 194},
-        {"L04": 30},
+        {"L01": 11, "L02": 11, "L03": 11, "L04": 11},
+        # (the row swap's one fetch per reading rank: its pivot row L)
+        {"L02": 30, "L04": 194},
+        {"L02": 30, "L04": 30},
     ),
     "tomcatv": (
         tomcatv_source(n=12, niter=2, procs=4), 4,
@@ -444,6 +448,170 @@ class TestGoldenVerdicts:
         assert "L05" not in takeovers
 
 
+def _hostile(case: str, n: int) -> np.ndarray:
+    """A DGEFA input whose pivot searches meet ``case``: every pivot a
+    tie (the first maximum wins under ``>``), an all-zero pivot column
+    (``pmax`` stays 0, ``l = k``, the ``IF (pmax > 0)`` branch skips),
+    NaN lanes (no comparison admits them) or infinite ones."""
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, size=(n, n))
+    if case == "ties":
+        a = np.ones((n, n))
+        a[::2] *= -1.0
+        a[np.arange(n), np.arange(n)] += 0.5 * np.arange(n)
+    elif case == "zero-column":
+        a[:, 0] = 0.0
+        a[2:, 3] = 0.0
+    elif case == "nan":
+        a[2, 0] = a[5, 1] = a[0, 3] = np.nan
+    elif case == "inf":
+        a[3, 0] = np.inf
+        a[1, 2] = -np.inf
+    return a
+
+
+def _exact(state):
+    """``_state`` with every scalar copy as its bits: NaN copies compare
+    equal when they are the same NaN."""
+    *rest, (scalars, valid) = state
+    bits = {
+        name: [v.hex() if isinstance(v, float) else v for v in values]
+        for name, values in scalars.items()
+    }
+    return [*rest, (bits, valid)]
+
+
+#: a MAXLOC over a BLOCK-distributed vector: every rank folds its own
+#: lanes, and the last search is one lane
+MAXLOC_SOURCE = """PROGRAM M
+  PARAMETER (n = 10)
+  REAL A(n), B(n), C(n)
+  REAL s
+  INTEGER l
+!HPF$ ALIGN B(i) WITH A(i)
+!HPF$ ALIGN C(i) WITH A(i)
+!HPF$ DISTRIBUTE (BLOCK) :: A
+  DO k = 1, n
+    s = -1.0
+    l = 0
+    DO i = k, n
+      IF (A(i) >= s) THEN
+        s = A(i)
+        l = i
+      END IF
+    END DO
+    B(k) = l
+    C(k) = s
+  END DO
+END PROGRAM
+"""
+
+
+class TestPivotStep:
+    """DGEFA's pivot step on the slab plan: the pivot search (L01) as a
+    masked MAXLOC fold, the row swap (L02) on column-owned lanes —
+    exactly tier 2, and the reference's takeover exactly the walker."""
+
+    CASES = ["ties", "zero-column", "nan", "inf"]
+
+    @pytest.mark.parametrize("procs", [1, 3, 4, 16])
+    @pytest.mark.parametrize("case", CASES)
+    def test_masked_fold_matches_tier2(self, case, procs):
+        n = 8
+        compiled = compile_source(
+            dgefa_source(n=n, procs=procs), CompilerOptions(num_procs=procs)
+        )
+        inputs = {"A": _hostile(case, n)}
+        metrics = Metrics()
+        slab = simulate(compiled, inputs, tier="slab", metrics=metrics)
+        takeovers = _slab_counters(metrics, compiled, "takeover")
+        assert takeovers["L01"] == n - 1
+        assert _exact(_state(slab)) == _exact(
+            _state(simulate(compiled, inputs, tier="lowered"))
+        )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reference_takeover_matches_the_walker(self, case):
+        from repro.codegen.seq import SequentialInterpreter
+        from repro.ir.build import parse_and_build
+
+        n = 8
+        proc = parse_and_build(dgefa_source(n=n, procs=4))
+        runs = []
+        for fast in (True, False):
+            interp = SequentialInterpreter(proc, fast_path=fast)
+            interp.store.set_array("A", _hostile(case, n))
+            stats = interp.run()
+            runs.append((
+                interp.store.get_array("A").tobytes(),
+                interp.store.get_array("AMD").tobytes(),
+                stats.statements_executed, stats.loop_iterations,
+            ))
+            if fast:
+                search = next(
+                    loop for loop in proc.all_stmts()
+                    if isinstance(loop, LoopStmt) and loop.var.name == "I"
+                )
+                assert not isinstance(
+                    interp.hooks.vector.verdicts[search.stmt_id], str
+                )
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("procs", [1, 3, 4])
+    def test_a_block_maxloc_folds_per_rank(self, procs):
+        """Several ranks fold their own lanes, the last entry is one
+        lane, ties go to the last maximum under ``>=``."""
+        compiled = compile_source(
+            MAXLOC_SOURCE, CompilerOptions(num_procs=procs)
+        )
+        a = np.asarray([0.5, 2.0, 2.0, -1.0, 2.0, 0.25, 1.5, 1.5, 0.0, 3.0])
+        metrics = Metrics()
+        slab = simulate(compiled, {"A": a}, tier="slab", metrics=metrics)
+        assert _slab_counters(metrics, compiled, "takeover")["L01"] == 10
+        assert _slab_counters(metrics, compiled, "fallback") == {}
+        assert _exact(_state(slab)) == _exact(
+            _state(simulate(compiled, {"A": a}, tier="lowered"))
+        )
+        assert slab.gather("B").tolist() == [10.0] * 10
+
+    def test_row_swap_commits_with_the_pivot_on_the_diagonal(self):
+        """A diagonally dominant input keeps every pivot on the
+        diagonal: the swap's two stores name one element per lane
+        (``l == k``), legal in per-iteration order, so L02 commits on
+        every entry."""
+        n = 12
+        compiled = compile_source(
+            dgefa_source(n=n, procs=4), CompilerOptions(num_procs=4)
+        )
+        inputs = dgefa_inputs(n)
+        metrics = Metrics()
+        slab = simulate(compiled, inputs, tier="slab", metrics=metrics)
+        assert _slab_counters(metrics, compiled, "takeover")["L02"] == n - 1
+        assert not [k for k in metrics.counters if k.startswith("slab.bail")]
+        assert slab.gather("AMD").tolist() == list(range(1, n)) + [0.0]
+        assert _state(slab) == _state(
+            simulate(compiled, inputs, tier="lowered")
+        )
+
+    def test_auto_takes_the_whole_pivot_step(self):
+        """The regression guard: at n=80 on 16 ranks the tier plan
+        sends all four per-pivot nests to the slab engine, and
+        per-statement execution is left to the outer loop's glue."""
+        n = 80
+        compiled = compile_source(
+            dgefa_source(n=n, procs=16), CompilerOptions(num_procs=16)
+        )
+        sim = simulate(compiled, seeded_inputs(compiled.proc, 0), tier="auto")
+        ordinals = _loop_ordinals(compiled)
+        decided = {
+            f"L{ordinals[sid]:02d}": choice
+            for sid, choice in sim.tier_decisions.items()
+        }
+        assert decided == dict.fromkeys(["L01", "L02", "L03", "L04"], "slab")
+        assert sim.slab_coverage >= 0.99
+        assert sim.interp_instances <= 1500
+
+
 KERNELS = {
     "tomcatv": lambda procs: tomcatv_source(n=12, niter=2, procs=procs),
     "dgefa": lambda procs: dgefa_source(n=12, procs=procs),
@@ -488,7 +656,7 @@ class TestOneStorePerArray:
         def checked(ctx):
             # (now: the walker's env moves on after the takeover)
             plan, dom = ctx.plan, ctx.dom
-            outer = plan.subscript_env(ctx.store, ctx.base_env, dom.participants)
+            outer = ctx.sub_env
             for ref_id, (symbol, forms) in plan.ref_forms.items():
                 lanes = ctx.lanes_of[plan.ref_home[ref_id]]
                 shape = [symbol.extent(d) for d in range(symbol.rank)]
@@ -656,7 +824,7 @@ class TestFetchReplay:
     @pytest.mark.parametrize(
         "source, procs, lookups, runs, replayed, elements, messages",
         [
-            (dgefa_source(n=24, procs=4), 4, 23, 66, 824, 959, 201),
+            (dgefa_source(n=24, procs=4), 4, 23, 132, 890, 959, 201),
             (SOURCE_BETWEEN, 3, 1, 2, 16, 16, 2),
         ],
         ids=["dgefa", "source-between"],

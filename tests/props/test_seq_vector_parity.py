@@ -707,17 +707,19 @@ def test_non_affine_subscript_declines(verdict):
 
 
 @BOTH
-@pytest.mark.parametrize("stmt, kind", [
-    ("IF (B(i) > 1.0) A(i) = 0.0", "IfStmt"),
-    ("IF (B(i) > 1.0) GO TO 10", "IfStmt"),
-    ("GO TO 10", "GotoStmt"),
-    ("STOP", "StopStmt"),
+@pytest.mark.parametrize("stmt, reason", [
+    # an IF whose branches assign is admitted by the shape, and taken
+    # only as a guarded MAXLOC/MINLOC fold
+    ("IF (B(i) > 1.0) A(i) = 0.0", "IF body is not a guarded fold"),
+    ("IF (B(i) > 1.0) GO TO 10", "IF branch contains GotoStmt"),
+    ("GO TO 10", "body contains GotoStmt"),
+    ("STOP", "body contains StopStmt"),
 ])
-def test_control_flow_in_the_body_declines(verdict, stmt, kind):
+def test_control_flow_in_the_body_declines(verdict, stmt, reason):
     assert verdict(
         f"  DO i = 1, n\n    {stmt}\n    A(i) = B(i)\n 10 CONTINUE\n"
         "  END DO\n"
-    ) == f"body contains {kind}"
+    ) == reason
 
 
 def test_a_shape_decline_is_the_verdict_of_both_engines():
@@ -743,3 +745,40 @@ def test_a_shape_decline_is_the_verdict_of_both_engines():
                     assert verdicts[loop.stmt_id] == shape, (engine, source)
                     checked[engine] += 1
     assert min(checked.values()) > 0
+
+
+_HOSTILE = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, float("nan"), float("inf"), float("-inf")]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([">", ">=", "<", "<="]),
+    _HOSTILE,
+    st.lists(st.one_of(_HOSTILE, st.floats(-3, 3)), min_size=1, max_size=12),
+)
+def test_the_masked_fold_is_the_sequential_guard(rel, seed, values):
+    """``IF (v REL acc) acc = v`` lane by lane, against the one helper
+    both engines evaluate it with: the same lanes run the branch, and
+    the accumulator ends at the same bits — ties, signed zeros, NaN
+    and infinite lanes and seeds included."""
+    import operator
+
+    import numpy as np
+
+    from repro.codegen.veceval import _masked_lanes
+
+    holds = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+             "<=": operator.le}[rel]
+    acc, want = seed, []
+    for v in values:
+        want.append(holds(v, acc))
+        if want[-1]:
+            acc = v
+    mask, last = _masked_lanes(
+        rel, seed, np.asarray(values), False, False, len(values)
+    )
+    assert mask.tolist() == want
+    got = values[last] if last >= 0 else seed
+    assert np.float64(got).tobytes() == np.float64(acc).tobytes()
