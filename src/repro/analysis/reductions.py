@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from ..ir.expr import ArrayElemRef, BinOp, Expr, IntrinsicCall, ScalarRef
 from ..ir.program import Procedure
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
-from ..ir.symbols import Symbol
+from ..ir.symbols import ScalarType, Symbol
 from .ssa import SSAInfo
 
 
@@ -247,53 +247,62 @@ def _find_array_accumulations(proc: Procedure, loop: LoopStmt) -> list[Reduction
 
 
 def _find_maxloc(proc: Procedure, loop: LoopStmt) -> list[Reduction]:
-    """Match ``IF (cand REL s) THEN s = cand ; l = idx END IF``."""
-    found: list[Reduction] = []
-    for stmt in loop.body:
-        if not isinstance(stmt, IfStmt) or stmt.else_body:
+    found = (match_maxloc(stmt, loop) for stmt in loop.body)
+    return [r for r in found if r is not None]
+
+
+def match_maxloc(stmt: Stmt, loop: LoopStmt) -> Reduction | None:
+    """Match ``IF (cand REL s) THEN s = cand [; l = idx] END IF`` in
+    ``loop``'s body.  The branch assigns only scalars, distinct, none a
+    loop index or LOGICAL, and no rhs reads a scalar the branch writes:
+    ``cand`` and ``idx`` are then values of the iteration alone.  The
+    vector engines evaluate the same match as a masked fold
+    (:func:`repro.codegen.veceval.masked_fold`)."""
+    if not isinstance(stmt, IfStmt) or stmt.else_body:
+        return None
+    cond = stmt.cond
+    if not isinstance(cond, BinOp) or cond.op not in (">", ">=", "<", "<="):
+        return None
+    assigns = [s for s in stmt.then_body if isinstance(s, AssignStmt)]
+    if len(assigns) != len(stmt.then_body) or not 0 < len(assigns) <= 2:
+        return None
+    if not all(
+        isinstance(a.lhs, ScalarRef) and not a.lhs.symbol.is_loop_var
+        and a.lhs.symbol.type is not ScalarType.LOGICAL
+        for a in assigns
+    ):
+        return None
+    names = [a.lhs.symbol.name for a in assigns]
+    if len(set(names)) != len(names) or any(
+        ref.symbol.name in names for a in assigns for ref in a.rhs.refs()
+    ):
+        return None
+    # One side of the comparison must be a scalar (the accumulator),
+    # the other the candidate expression.
+    for acc_side, cand_side in ((cond.right, cond.left), (cond.left, cond.right)):
+        name = _scalar_name(acc_side)
+        if name not in names:
             continue
-        cond = stmt.cond
-        if not isinstance(cond, BinOp) or cond.op not in (">", ">=", "<", "<="):
+        value_assign = assigns[names.index(name)]
+        # The updated value must equal the candidate expression.
+        if str(value_assign.rhs) != str(cand_side):
             continue
-        assigns = [s for s in stmt.then_body if isinstance(s, AssignStmt)]
-        if len(assigns) != len(stmt.then_body) or not assigns:
-            continue
-        # One side of the comparison must be a scalar (the accumulator),
-        # the other the candidate expression.
-        for acc_side, cand_side in ((cond.right, cond.left), (cond.left, cond.right)):
-            name = _scalar_name(acc_side)
-            if name is None:
-                continue
-            value_assign = None
-            loc_assign = None
-            for a in assigns:
-                if isinstance(a.lhs, ScalarRef) and a.lhs.symbol.name == name:
-                    value_assign = a
-                elif isinstance(a.lhs, ScalarRef):
-                    loc_assign = a
-            if value_assign is None:
-                continue
-            # The updated value must equal the candidate expression.
-            if str(value_assign.rhs) != str(cand_side):
-                continue
-            bigger_wins = (cond.op in (">", ">=")) == (acc_side is cond.right)
-            op = "MAXLOC" if loc_assign is not None else ("MAX" if bigger_wins else "MIN")
-            if loc_assign is not None and not bigger_wins:
-                op = "MINLOC"
-            found.append(
-                Reduction(
-                    symbol=value_assign.lhs.symbol,
-                    op=op,
-                    loop=loop,
-                    update_stmts=[value_assign] + ([loc_assign] if loc_assign else []),
-                    candidate_refs=_array_refs(_strip_abs(cand_side)),
-                    location_symbol=(
-                        loc_assign.lhs.symbol if loc_assign is not None else None
-                    ),
-                )
-            )
-            break
-    return found
+        loc_assign = next((a for a in assigns if a is not value_assign), None)
+        bigger_wins = (cond.op in (">", ">=")) == (acc_side is cond.right)
+        op = "MAXLOC" if loc_assign is not None else ("MAX" if bigger_wins else "MIN")
+        if loc_assign is not None and not bigger_wins:
+            op = "MINLOC"
+        return Reduction(
+            symbol=value_assign.lhs.symbol,
+            op=op,
+            loop=loop,
+            update_stmts=[value_assign] + ([loc_assign] if loc_assign else []),
+            candidate_refs=_array_refs(_strip_abs(cand_side)),
+            location_symbol=(
+                loc_assign.lhs.symbol if loc_assign is not None else None
+            ),
+        )
+    return None
 
 
 def _array_touches_in(loop: LoopStmt, name: str) -> list[Stmt]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analysis.reductions import match_maxloc
 from ..errors import InterpreterError
 from ..ir.expr import (
     ArrayElemRef,
@@ -494,40 +495,20 @@ _REL_FLIP = {">": "<", ">=": "<=", "<": ">", "<=": ">="}
 
 
 def masked_fold(guard: IfStmt):
-    """The guarded MAXLOC/MINLOC update — ``IF (e REL acc) THEN acc = e;
-    loc = f ... END IF``, the comparison either way round, no ELSE —
-    as ``(rel, acc, e, stmts)``: ``rel`` read as ``e REL acc``, ``acc``
+    """The guarded MAXLOC/MINLOC update the reduction analysis
+    recognizes (:func:`~repro.analysis.reductions.match_maxloc`) as
+    ``(rel, acc, e, stmts)``: ``rel`` read as ``e REL acc``, ``acc``
     the condition's accumulator reference, ``stmts`` the branch's
-    assignments; or None.  No assignment of the branch reads a scalar
-    the branch writes, so ``e`` and every ``f`` are lane values."""
-    cond = guard.cond
-    if guard.else_body or not (
-        isinstance(cond, BinOp) and cond.op in _REL_FLIP
-    ):
+    assignments; or None.  ``e`` and every location are lane values."""
+    reduction = match_maxloc(guard, guard.loop)
+    if reduction is None:
         return None
-    stmts = [t for t in guard.then_body if not isinstance(t, ContinueStmt)]
-    if not all(
-        isinstance(t, AssignStmt) and isinstance(t.lhs, ScalarRef)
-        and not t.lhs.symbol.is_loop_var
-        and t.lhs.symbol.type is not ScalarType.LOGICAL
-        for t in stmts
+    cond, stmts = guard.cond, reduction.update_stmts
+    if isinstance(cond.right, ScalarRef) and (
+        cond.right.symbol.name == reduction.symbol.name
     ):
-        return None
-    names = [t.lhs.symbol.name for t in stmts]
-    if len(set(names)) != len(names) or any(
-        ref.symbol.name in names for t in stmts for ref in t.rhs.refs()
-    ):
-        return None
-    for acc, e, rel in (
-        (cond.right, cond.left, cond.op),
-        (cond.left, cond.right, _REL_FLIP[cond.op]),
-    ):
-        if (
-            isinstance(acc, ScalarRef) and acc.symbol.name in names
-            and str(stmts[names.index(acc.symbol.name)].rhs) == str(e)
-        ):
-            return rel, acc, e, stmts
-    return None
+        return cond.op, cond.right, cond.left, stmts
+    return _REL_FLIP[cond.op], cond.left, cond.right, stmts
 
 
 _REL = {">": np.greater, ">=": np.greater_equal, "<": np.less,

@@ -243,11 +243,10 @@ class _FetchLog:
         # instance)
         span = int(max(at.max(initial=0), inst.max())) + 1
         offset = np.arange(0, span * len(time), span, dtype=np.int64)
-        if offset[-1] + span <= np.iinfo(np.int32).max:
-            offset = offset.astype(np.int32)  # (the size of the tapes)
         ranked = offset.repeat(np.diff(bounds))
         ranked += at
         cut = np.searchsorted(ranked, np.stack((dst, src)) * span + inst)
+        del ranked  # (tape-sized: freed before the replay builds its own)
         # a run ends where the reader, the source or — the source
         # having computed in between — the source's cut changes
         opens = np.ones(inst.size, dtype=np.bool_)

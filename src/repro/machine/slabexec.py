@@ -100,9 +100,9 @@ def slab_trip_count(low, high, step):
     Closed form ``max(0, (high - low + step) // step)``; ``low``/
     ``high`` may be per-column vectors (triangular nests)."""
     n = (high - low + step) // step
-    if isinstance(n, np.ndarray):
-        return np.maximum(n, 0)
-    return max(int(n), 0)
+    if np.ndim(n) == 0:
+        return max(int(n), 0)
+    return np.maximum(n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,18 +1058,20 @@ class _NestCtx(_Ctx):
             if sum([rows for _e, _l, rows in stored]) < 2 and not reads:
                 continue
             mask = np.zeros(self.store.data[name][0].size, dtype=np.bool_)
-            marked = [elem[..., lanes.home] for elem, lanes, _rows in stored]
-            for at in marked:  # each instance once
-                mask[at] = True
-            if int(mask.sum()) != sum([at.size for at in marked]):
-                if len(marked) > 1 or marked[0].ndim == 1 or (
+            count = 0
+            for elem, lanes, rows in stored:  # each instance once
+                mask[elem[..., lanes.home]] = True
+                count += rows * int(lanes.home.sum())
+            if int(mask.sum()) != count:
+                elem, lanes, rows = stored[0]
+                if len(stored) > 1 or rows == 1 or (
                     self.dom.serial > 1 or name in late
                     or name in self.region_reads
                 ):
                     raise _Bail("write regions overlap")
                 # one lane writing an element twice is the only overlap
                 # left to allow: each lane's distinct elements
-                at = np.sort(marked[0], axis=0)
+                at = np.sort(elem[..., lanes.home], axis=0)
                 if int(mask.sum()) != int((at[1:] != at[:-1]).sum()) + at.shape[1]:
                     raise _Bail("write regions overlap")
             for elem in reads:
@@ -1084,27 +1086,8 @@ class _NestCtx(_Ctx):
         ``inst[bounds[r]:bounds[r + 1]]``, ascending, each the
         statement ``step`` (index into the nest's steps)."""
         plan, dom = self.plan, self.dom
-        nranks = self.sim.grid.size
         count, trips = dom.count, dom.trips
         sizes = [len(steps) for steps in plan.steps]
-        size = len(plan.all_steps)
-        if len(dom.layouts) == 1 and dom.serial == 1 and (
-            size in (sizes[PRE], sizes[BODY])
-        ):
-            # every statement at one level, on one layout: a lane runs
-            # its instances in a row, each its statements in order
-            lanes = dom.layouts[0].at(size == sizes[BODY])
-            head = dom.base[lanes.col]
-            if lanes.tw is not None:
-                head = head + lanes.tw * size
-            bounds = np.zeros(nranks + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(lanes.rank, minlength=nranks) * size,
-                out=bounds[1:],
-            )
-            k = np.arange(size, dtype=np.min_scalar_type(size))
-            inst = np.add(head[:, None], k, dtype=np.int32).ravel()
-            return bounds, np.broadcast_to(k, (lanes.n, size)).ravel(), inst
         step_of = np.empty(int(count.sum()), dtype=np.min_scalar_type(sum(sizes)))
         # the first statement of each column's prologue, of every one
         # of its body trips, and of its epilogue
@@ -1125,6 +1108,7 @@ class _NestCtx(_Ctx):
         # are rank-major, so a layout's come out rank by rank and
         # ascending — as they are numbered, where every rank's columns
         # are consecutive
+        nranks = self.sim.grid.size
         shared = len(dom.layouts) > 1
         groups = np.asarray([st.group for st in plan.all_steps])
         ranks, insts = [], []
@@ -1393,11 +1377,7 @@ class NestPlan:
             # the branch of a guarded MAXLOC/MINLOC update, private to
             # each rank like any recognized reduction's
             stmts = st.fold[3]
-            reduction = updates.get(stmts[0].stmt_id, (None,))[0]
-            if reduction is None or any(
-                updates.get(t.stmt_id, (None,))[0] is not reduction
-                for t in stmts
-            ):
+            if stmts[0].stmt_id not in updates:
                 return "guarded fold is not a privatized reduction"
             st.kind, st.op = "guard", st.fold[0]
             self.acc_names.update(t.lhs.symbol.name for t in stmts)
@@ -1615,46 +1595,35 @@ class NestPlan:
         if nj == 0:
             return None
         dom = _Domain()
+        ahead = step * np.arange(nj, dtype=np.int64)  # of the first column
 
         def per_column(first, form):
-            # (of the first column, ``step`` apart)
-            slope = 0 if form is None else form.coeff(self.loop.var) * step
-            if slope == 0:
-                return np.full(nj, first, dtype=np.int64)
-            return np.arange(first, first + slope * nj, slope, dtype=np.int64)
+            slope = 0 if form is None else form.coeff(self.loop.var)
+            return first + slope * ahead
 
-        dom.jvec = np.arange(low, low + step * nj, step, dtype=np.int64)
+        dom.jvec = low + ahead
         li, hi, si = bounds
         if si == 0:
             raise _Bail("zero inner step")
         dom.step = si
+        dom.low = per_column(li, self.bound_forms[0])
+        dom.trips = slab_trip_count(
+            dom.low, per_column(hi, self.bound_forms[1]), si
+        )
         dom.serial_var = self.serial_var
-        dom.serial = 1
-        npre, nbody, npost = (len(steps) for steps in self.steps)
-        if self.inner is None:
-            # one pass of the statements per column
-            dom.low = dom.trips = dom.widths = np.ones(nj, dtype=np.int64)
-            dom.count = dom.trips * npre
-            dom.base = np.arange(0, nj * npre, npre)
+        if self.serial_var is None:
+            dom.widths, dom.serial = dom.trips, 1
         else:
-            dom.low = per_column(li, self.bound_forms[0])
-            dom.trips = slab_trip_count(
-                dom.low, per_column(hi, self.bound_forms[1]), si
-            )
-            dom.widths = dom.trips
-            if self.serial_var is not None:
-                dom.widths, dom.serial = (
-                    np.ones_like(dom.trips), int(dom.trips[0])
-                )
-            if not dom.widths.all():
-                # a column with no inner iterations still runs its
-                # prologue and epilogue; keep the uncommon shape on
-                # tier 2
-                raise _Bail("empty inner slab")
-            # statement instances in per-iteration order: column by
-            # column, prologue, body trip by trip, epilogue
-            dom.count = npre + dom.trips * nbody + npost
-            dom.base = dom.count.cumsum() - dom.count
+            dom.widths, dom.serial = np.ones_like(dom.trips), int(dom.trips[0])
+        if not dom.widths.all():
+            # a column with no inner iterations still runs its prologue
+            # and epilogue; keep the uncommon shape on tier 2
+            raise _Bail("empty inner slab")
+        # statement instances in per-iteration order: column by column,
+        # prologue, body trip by trip, epilogue
+        npre, nbody, npost = (len(steps) for steps in self.steps)
+        dom.count = npre + dom.trips * nbody + npost
+        dom.base = dom.count.cumsum() - dom.count
         dom.tapes = None
         layouts: dict = {}  # by rank set: equal executors share one
         for st, fixed in zip(self.executors, ranks):

@@ -175,9 +175,6 @@ class Clocks:
         sees only the messages.  A one-message run is exactly
         ``_deliver``, whose last addition is likewise made once per
         end (lane vectors are never shared)."""
-        if len(tape) == 1:
-            self._deliver(src, dst, tape[0] if self.lanes else float(tape[0]))
-            return
         start = sequential_sum(
             self.later(self.time[src], self.time[dst]), tape[:-1]
         )
@@ -190,8 +187,9 @@ class Clocks:
         """Batched compute charging, bit-for-bit identical to calling
         ``charge_compute`` once per tape entry: ``dts`` holds the
         precomputed per-instance ``dt`` values (flops x flop_time +
-        statement overhead); 0.0 entries are bitwise no-ops, which is
-        how masked-off guarded instances are encoded."""
+        statement overhead).  A guarded instance whose guard fails is
+        not on the tape at all: the slab engine drops it from the rank
+        tapes (``_NestCtx._masked_tapes``)."""
         if dts.size == 0:
             return
         self.time[rank] = sequential_sum(self.time[rank], dts)

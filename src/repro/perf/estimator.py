@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ..analysis.reductions import match_maxloc
 from ..comm.events import CommEvent, ReduceEvent
 from ..core.driver import CompiledProgram
 from ..core.locality import Position
@@ -357,21 +358,33 @@ class PerfEstimator:
         3 pays a fixed prepare/commit per entry of ``loop``, a ufunc
         setup per statement per entry, and a per-lane cost.  Both sides
         use the estimator's (triangular-exact) trip counts, so the
-        comparison is between the same instance totals.  An ``IF``'s
-        branch runs where its condition holds, which no static count
-        knows: the condition's instances are counted, the branch's are
-        not (a guarded fold's branch runs on a few of its lanes)."""
-        guarded = {
-            t.stmt_id for s in loop.walk() if isinstance(s, IfStmt)
-            for t in s.then_body + s.else_body
-        }
+        comparison is between the same instance totals.  The branch of
+        a guarded MAXLOC/MINLOC fold runs where a lane beats every lane
+        before it: over ``m`` lanes in random order that is ``H(m) =
+        1 + 1/2 + ... + 1/m`` times (the expected number of running
+        maxima), with ``m`` the mean lanes per entry of the fold's
+        loop.  Any other ``IF``'s branch is counted on every instance."""
         body = [
             stmt
             for stmt in loop.walk()
             if isinstance(stmt, (AssignStmt, IfStmt))
-            and stmt.stmt_id not in guarded
         ]
-        instances = sum(self._instances(stmt) for stmt in body)
+        runs: dict[int, float] = {}
+        for guard in body:
+            if isinstance(guard, IfStmt) and (
+                match_maxloc(guard, guard.loop) is not None
+            ):
+                entries = self._instances(guard.loop)
+                lanes = round(self._instances(guard) / entries) if entries else 0
+                runs.update(dict.fromkeys(
+                    [t.stmt_id for t in guard.then_body],
+                    entries * sum(1 / k for k in range(1, lanes + 1)),
+                ))
+        instances = sum(
+            runs[stmt.stmt_id] if stmt.stmt_id in runs
+            else self._instances(stmt)
+            for stmt in body
+        )
         entries = self._instances(loop)
         stmts = len(body)
         tier2 = self.C_T2_STMT * instances

@@ -1,5 +1,7 @@
 """Reduction recognition tests."""
 
+import pytest
+
 from repro.analysis import build_ssa, find_reductions, reduction_for_def
 from repro.ir import ScalarRef, build_cfg, parse_and_build
 
@@ -96,6 +98,22 @@ class TestMaxloc:
         )
         proc, reds = analyzed(src)
         assert len(reds) == 1 and reds[0].op == "MAX"
+
+    @pytest.mark.parametrize("branch", [
+        # a location reading the accumulator the branch writes
+        "      s = ABS(B(i))\n      l = s\n",
+        # an array store in the branch
+        "      s = ABS(B(i))\n      B(i) = 0.0\n",
+        # two locations
+        "      s = ABS(B(i))\n      l = i\n      t = B(i)\n",
+        # the accumulator assigned twice
+        "      s = ABS(B(i))\n      s = ABS(B(i))\n",
+    ])
+    def test_branch_beyond_the_idiom_is_no_maxloc(self, branch):
+        src = self.SRC.replace("      s = ABS(B(i))\n      l = i\n", branch)
+        assert src != self.SRC
+        proc, reds = analyzed(src)
+        assert [r for r in reds if r.op in ("MAX", "MAXLOC")] == []
 
     def test_reduction_for_def_lookup(self):
         proc, reds = analyzed(self.SRC)

@@ -321,3 +321,27 @@ class TestNestCost:
         assert est.nest_cost(outer).tier3_time < (
             est.nest_cost(inner).tier3_time
         )
+
+    def test_guarded_fold_branch_counts_its_running_maxima(self):
+        # the branch of a MAXLOC runs H(m) times over m lanes: DGEFA's
+        # pivot search holds 69 times over its 299 lanes at n=24
+        from repro.programs import dgefa_source
+
+        compiled = compile_source(
+            dgefa_source(n=24, procs=4), CompilerOptions(num_procs=4)
+        )
+        search = list(compiled.proc.loops())[1]
+        cost = PerfEstimator(compiled).nest_cost(search)
+        lanes = 299  # k = 1 .. 23, i = k .. 24
+        mean = round(lanes / 23)
+        assert cost.instances == pytest.approx(
+            lanes + 2 * 23 * sum(1 / k for k in range(1, mean + 1))
+        )
+        assert cost.stmts == 3
+        # any other IF's branch runs on every instance
+        other = compile_body(
+            "  DO i = 1, n\n    IF (B(i) > 0.0) THEN\n      A(i) = B(i)\n"
+            "    END IF\n  END DO"
+        )
+        loop = list(other.proc.loops())[0]
+        assert PerfEstimator(other).nest_cost(loop).instances == 2 * 64
