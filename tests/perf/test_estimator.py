@@ -323,8 +323,9 @@ class TestNestCost:
         )
 
     def test_guarded_fold_branch_counts_its_running_maxima(self):
-        # the branch of a MAXLOC runs H(m) times over m lanes: DGEFA's
-        # pivot search holds 69 times over its 299 lanes at n=24
+        # the branch of a MAXLOC runs H(m) times over m lanes (on seeded
+        # inputs DGEFA's pivot search holds 69 times over its 299 lanes
+        # at n=24)
         from repro.programs import dgefa_source
 
         compiled = compile_source(
