@@ -326,33 +326,71 @@ def _envs(loops, n):
 
 class TestExecutorTables:
     @pytest.mark.parametrize("program", sorted(PLACEMENTS))
-    def test_ranks_match_interpreted_executor_sets(self, program):
-        """Every assignment's and condition's table entry against tier
-        1's executor set, with the enclosing loops inactive (a position
-        naming their index spans) and active (it is a point): equal
-        lists, or the same ``MappingError`` for a position outside the
-        template."""
+    def test_ranks_are_the_owner_filter(self, program):
+        """Every assignment's and condition's table entry against a
+        filter over all ranks, with the enclosing loops inactive (a
+        position naming their index spans) and active (it is a point):
+        a rank executes when, in every grid dimension, its coordinate
+        is the owner of the evaluated position form or the position
+        spans the dimension, and a privatized ``IF``'s set is the union
+        of its dependents'.  Equal lists, or the same ``MappingError``
+        for a position outside the template."""
         source, procs = PLACEMENTS[program]
         compiled = compile_source(source, CompilerOptions(num_procs=procs))
-        sim = SPMDSimulator(compiled, tier="interpreted")
-        every = list(range(procs))
+        sim = SPMDSimulator(compiled, tier="lowered")
+        grid = compiled.grid
+        store = sim.store
         active = sim._active_loop_vars
+
+        def position(form, env):
+            """The form's value, or None where it spans: an inactive
+            loop's index, a scalar no rank holds."""
+            total = form.const
+            for symbol, coeff in form.coeffs:
+                name = symbol.name
+                if symbol.is_loop_var and name not in active:
+                    return None
+                if name in env:
+                    value = env[name]
+                elif symbol.value is not None:
+                    value = symbol.value
+                elif store.holder(name) is None:
+                    return None
+                else:
+                    value = store.scalars[name][store.holder(name)]
+                total += coeff * int(value)
+            return total
+
+        def owner_filter(stmt, env):
+            if isinstance(stmt, IfStmt):
+                decision = compiled.cf_decisions.get(stmt.stmt_id)
+                if decision is None or not decision.privatized:
+                    return list(grid.all_ranks())
+                return sorted({
+                    rank
+                    for ref in decision.dependent_refs
+                    for rank in owner_filter(compiled.proc.stmt_of_ref(ref), env)
+                })
+            info = compiled.executors[stmt.stmt_id]
+            if sim.reductions.runs_everywhere(stmt.stmt_id, info):
+                return list(grid.all_ranks())
+            owners = {}
+            for g, dim in enumerate(info.position):
+                if dim.kind == "pos" and dim.form is not None and dim.fmt is not None:
+                    pos = position(dim.form, env)
+                    if pos is not None:
+                        owners[g] = dim.fmt.owner(pos)
+            return [
+                r for r in grid.all_ranks()
+                if all(grid.coords_of(r)[g] == c for g, c in owners.items())
+            ]
+
         proper = errors = privatized = 0
         for stmt in compiled.proc.all_stmts():
             if isinstance(stmt, IfStmt):
                 decision = compiled.cf_decisions.get(stmt.stmt_id)
-                if decision is not None and decision.privatized:
-                    privatized += 1
-
-                    def tier_one(env, decision=decision):
-                        return sim._dependent_ranks(decision, env)
-                else:
-                    def tier_one(env):
-                        return every
-            elif isinstance(stmt, AssignStmt):
-                def tier_one(env, stmt=stmt):
-                    return sim.executor_ranks(stmt, env)
-            else:
+                privatized += decision is not None and decision.privatized
+            elif not isinstance(stmt, AssignStmt):
                 continue
             loops = [lp.var.name for lp in stmt.loops_enclosing()]
             for running in (False, True):
@@ -361,7 +399,9 @@ class TestExecutorTables:
                     active.update(dict.fromkeys(loops, 1))
                 for env in _envs(loops, 10):
                     got = _outcome(sim.etables.ranks_of(stmt), env)
-                    assert got == _outcome(tier_one, env), (stmt, env, running)
+                    assert got == _outcome(owner_filter, stmt, env), (
+                        stmt, env, running
+                    )
                     if isinstance(got, tuple):
                         errors += 1
                     elif running and len(got) < procs:
