@@ -1,8 +1,8 @@
 """Simulator engine benchmark: tier-3 slab kernels vs tier-2 lowered
-closures vs the tree-walking interpreter, plus the cost-driven
-``tier="auto"`` mode that consults the compiled TierPlan per nest.
+closures, plus the cost-driven ``tier="auto"`` mode that consults the
+compiled TierPlan per nest.
 
-Every run asserts **bit-for-bit identity** across all four paths —
+Every run asserts **bit-for-bit identity** across all three paths —
 virtual clocks, traffic statistics, and complete per-rank memory state
 — before any timing is trusted; the identity asserts double as the
 CI divergence gate (``BENCH_SIM_SMOKE=1`` shrinks the problem sizes
@@ -81,17 +81,12 @@ else:
         "speedup_auto_vs_lowered": 1.0,
     }
     _JOBS = [
-        # the paper's tomcatv problem size; the ISSUE's slab targets
+        # the paper's tomcatv problem size
         (
             "tomcatv",
             tomcatv_source(n=513, niter=1, procs=16),
             tomcatv_inputs(513),
-            {
-                "speedup": 3.0,
-                "speedup_slab": 10.0,
-                "speedup_vs_lowered": 2.5,
-                **_FULL_GATES,
-            },
+            dict(_FULL_GATES),
         ),
         ("dgefa", dgefa_source(n=120, procs=16), dgefa_inputs(120),
          dict(_FULL_GATES)),
@@ -104,15 +99,15 @@ else:
     ]
 
 
-def assert_identical(fast, slow):
+def assert_identical(other, reference):
     """The whole observable machine state, bit for bit."""
-    assert fast.clocks.snapshot() == slow.clocks.snapshot()
-    assert fast.stats.as_dict() == slow.stats.as_dict()
-    for name in slow.store.data:
-        assert fast.store.data[name].tobytes() == slow.store.data[name].tobytes(), name
-        assert fast.store.valid[name].tobytes() == slow.store.valid[name].tobytes(), name
-    assert fast.store.scalars == slow.store.scalars
-    assert fast.store.scalar_valid == slow.store.scalar_valid
+    assert other.clocks.snapshot() == reference.clocks.snapshot()
+    assert other.stats.as_dict() == reference.stats.as_dict()
+    for name in reference.store.data:
+        assert other.store.data[name].tobytes() == reference.store.data[name].tobytes(), name
+        assert other.store.valid[name].tobytes() == reference.store.valid[name].tobytes(), name
+    assert other.store.scalars == reference.store.scalars
+    assert other.store.scalar_valid == reference.store.scalar_valid
 
 
 #: alternated (default, disabled-tracer) run pairs behind one
@@ -187,7 +182,7 @@ def test_engine_speedups(name, source, inputs, gates):
     assert compiled.lowering.assigns
     tierplan = compiled.tierplan  # plans over compiled.slabs
 
-    # Collector off for the four single-shot timings: a full collection
+    # Collector off for the three single-shot timings: a full collection
     # landing inside one ~12 ms smoke-size run reads as that tier being
     # 3x slower, and which run it lands in moves with how many objects
     # the process happened to allocate before (it moved when `import
@@ -196,11 +191,7 @@ def test_engine_speedups(name, source, inputs, gates):
     gc.disable()
     try:
         started = time.perf_counter()
-        slow = simulate(compiled, inputs, tier="interpreted")
-        interpreted_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        fast = simulate(compiled, inputs, tier="lowered")
+        lowered = simulate(compiled, inputs, tier="lowered")
         lowered_s = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -223,25 +214,20 @@ def test_engine_speedups(name, source, inputs, gates):
     run_sequential(proc, inputs)
     reference_s = time.perf_counter() - started
 
-    assert_identical(fast, slow)
-    assert_identical(slab, slow)
-    assert_identical(auto, slow)
-    assert_identical(traced, slow)
+    assert_identical(slab, lowered)
+    assert_identical(auto, lowered)
+    assert_identical(traced, lowered)
     for array in inputs:
-        assert fast.gather(array).tobytes() == slow.gather(array).tobytes()
-        assert slab.gather(array).tobytes() == slow.gather(array).tobytes()
-        assert auto.gather(array).tobytes() == slow.gather(array).tobytes()
+        assert slab.gather(array).tobytes() == lowered.gather(array).tobytes()
+        assert auto.gather(array).tobytes() == lowered.gather(array).tobytes()
 
     measured = {
-        "speedup": interpreted_s / lowered_s,
-        "speedup_slab": interpreted_s / slab_s,
         "speedup_vs_lowered": lowered_s / slab_s,
         "speedup_auto_vs_lowered": lowered_s / auto_s,
         "slab_coverage": slab.slab_coverage,
         "slab_coverage_auto": auto.slab_coverage,
     }
     _RESULTS[name] = {
-        "interpreted_s": round(interpreted_s, 4),
         "lowered_s": round(lowered_s, 4),
         "slab_s": round(slab_s, 4),
         "auto_s": round(auto_s, 4),
@@ -349,14 +335,12 @@ def test_trace_and_metrics_artifacts(output_dir):
 )
 def test_identity_under_every_ablation(pname, source, inputs, vname, options):
     """Bit-for-bit parity on all three paper programs under every
-    mapping-strategy and optimization ablation, across all three
-    execution engines."""
+    mapping-strategy and optimization ablation, across both execution
+    engines."""
     compiled = compile_source(source, options)
     slab = simulate(compiled, inputs, tier="slab")
-    fast = simulate(compiled, inputs, tier="lowered")
-    slow = simulate(compiled, inputs, tier="interpreted")
-    assert_identical(fast, slow)
-    assert_identical(slab, slow)
+    lowered = simulate(compiled, inputs, tier="lowered")
+    assert_identical(slab, lowered)
 
 
 # -- the fuzz corpus as extra identity gates --------------------------------
@@ -371,7 +355,7 @@ _CORPUS = sorted(
 def test_identity_on_fuzz_corpus(path):
     """The checked-in fuzz survivors (feature-diverse generated
     programs plus every minimized divergence class a campaign has
-    found) hold bit-for-bit identity across all four engine modes —
+    found) hold bit-for-bit identity across all three engine modes —
     the same gate the paper programs get, on shapes they never hit."""
     from repro.fuzz.harness import make_inputs
 
@@ -379,10 +363,8 @@ def test_identity_on_fuzz_corpus(path):
     for procs in (3, 4):
         compiled = compile_source(source, CompilerOptions(num_procs=procs))
         inputs = make_inputs(source, 0)
-        slow = simulate(compiled, dict(inputs), tier="interpreted")
-        fast = simulate(compiled, dict(inputs), tier="lowered")
+        lowered = simulate(compiled, dict(inputs), tier="lowered")
         slab = simulate(compiled, dict(inputs), tier="slab")
         auto = simulate(compiled, dict(inputs), tier="auto")
-        assert_identical(fast, slow)
-        assert_identical(slab, slow)
-        assert_identical(auto, slow)
+        assert_identical(slab, lowered)
+        assert_identical(auto, lowered)

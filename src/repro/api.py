@@ -241,8 +241,7 @@ class Session:
         array against the sequential interpreter unless
         ``validate=False``.  ``tier`` selects the execution engine:
         ``"auto"`` (default) consults the compiled :class:`TierPlan`
-        per nest, ``"interpreted"``/``"lowered"``/``"slab"`` force a
-        single tier."""
+        per nest, ``"lowered"``/``"slab"`` force a single tier."""
         import numpy as np
 
         from .codegen.seq import run_sequential, seeded_inputs

@@ -5,7 +5,7 @@ Usage (also via ``python -m repro``)::
     repro compile PROGRAM.hpf [--procs 16] [--strategy selected] [--spmd]
     repro estimate PROGRAM.hpf [--procs 1 2 4 8 16] [...]
     repro run PROGRAM.hpf [--procs 4] [--seed 0] [--trace out.json]
-              [--tier auto|interpreted|lowered|slab]
+              [--tier auto|lowered|slab]
               [--metrics] [--json out.json]
     repro sweep PROGRAM.hpf [--procs 2 4] [--axis FIELD=V1,V2]
               [--measure simulate] [--exec auto] [--json]

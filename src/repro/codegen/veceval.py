@@ -128,7 +128,7 @@ def _eval(expr, ctx: _Ctx):
     Anything outside the bit-for-bit-safe whitelist raises _Bail."""
     if isinstance(expr, Const):
         v = expr.value
-        # bool is an int subclass, exactly as the interpreted dynamic
+        # bool is an int subclass, exactly as the tree walker's dynamic
         # typing sees it
         return v, isinstance(v, int)
     if isinstance(expr, ScalarRef):

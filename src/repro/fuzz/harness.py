@@ -4,10 +4,9 @@
 lens the repo has and returns the list of :class:`Divergence` records
 it found (empty = the program survives):
 
-* **tier parity** — ``interpreted`` / ``lowered`` / ``slab`` /
-  ``tier="auto"`` runs must produce byte-identical clocks, traffic
-  stats, canonical stats, stores (every rank's copy of every
-  variable), and gathered arrays;
+* **tier parity** — ``lowered`` / ``slab`` / ``tier="auto"`` runs
+  must produce byte-identical clocks, traffic stats, canonical stats,
+  stores (every rank's copy of every variable), and gathered arrays;
 * **sequential validation** — the gathered arrays must match the
   sequential reference (``allclose``: parallel reductions combine in
   tree order, so bitwise equality is not expected), and the reference
@@ -161,8 +160,8 @@ def check_tiers(
     options: CompilerOptions | None = None,
 ) -> tuple[list[Divergence], dict | None]:
     """Tier parity at one processor count.  Returns the divergences
-    plus the interpreted tier's payload (the reference for corpus
-    pinning), or None when nothing ran."""
+    plus the lowered tier's payload (the reference the other tiers and
+    corpus pinning compare against), or None when nothing ran."""
     from ..machine.simulator import simulate
 
     options = options or CompilerOptions(num_procs=procs)
@@ -219,10 +218,10 @@ def check_tiers(
                 source=source,
             )
         )
-    reference = payloads.get("interpreted")
+    reference = payloads.get("lowered")
     if reference is not None:
         want = _canonical(reference)
-        for tier in ("lowered", "slab", "auto"):
+        for tier in ("slab", "auto"):
             got = payloads.get(tier)
             if got is None or _canonical(got) == want:
                 continue

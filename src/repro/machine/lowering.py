@@ -22,8 +22,8 @@ once, at lowering time:
   ranks by the store's one rule
   (:mod:`repro.machine.memory`: ``tabulate_owners``, ``GridRanks``).
 
-:class:`FastPath` is the walker's hooks for tiers 2 and 3.  It calls no
-tier-1 code: a read of a copy the rank does not hold goes through the
+:class:`FastPath` is the walker's hooks for the lowered and slab
+tiers: a read of a copy the rank does not hold goes through the
 simulator's one ``fetch_array`` / ``fetch_scalar``, whose source is the
 store's (:meth:`~repro.machine.memory.Store.source`) and whose charge
 is ``_charge_fetch`` — one startup per placement instance plus
@@ -36,9 +36,8 @@ emits the unfolded operation, which raises the interpreter's error at
 run time.  A compiled program keeps its lowered form as derived state
 (:attr:`~repro.core.driver.CompiledProgram.lowering`): any
 ``finalize()`` after an IR transform bumps ``proc.ir_epoch`` and the
-next read lowers again.  ``SPMDSimulator(..., tier="interpreted")``
-bypasses the module entirely: it is the reference the parity tests
-hold results, clocks and traffic statistics against, bit for bit.
+next read lowers again.  The tree-walking evaluator stays the one
+value oracle beside it: ``run_sequential(..., fast_path=False)``.
 """
 
 from __future__ import annotations
@@ -432,7 +431,7 @@ def lower_procedure(proc) -> LoweredIR:
             val = comp.store_code(rhs, stmt.lhs.symbol.type)
             if isinstance(stmt.lhs, ArrayElemRef):
                 # tuple evaluation order = subscripts first, then rhs —
-                # matching the simulator's exec_assign
+                # matching the tree walker's assignment
                 body = f"({comp.index_code(stmt.lhs)}, {val})"
                 lows = tuple(lo for lo, _ in stmt.lhs.symbol.dims)
             else:

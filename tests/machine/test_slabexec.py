@@ -136,14 +136,14 @@ class TestRuntime:
         compiled = _compile_tomcatv()
         inputs = tomcatv_inputs(12)
         slab = simulate(compiled, inputs, tier="slab")
-        walker = simulate(compiled, inputs, tier="interpreted")
+        lowered = simulate(compiled, inputs, tier="lowered")
         assert slab.slab_instances > 0
         assert slab.slab_coverage > 0.9
-        assert slab.clocks.snapshot() == walker.clocks.snapshot()
-        assert slab.stats.as_dict() == walker.stats.as_dict()
+        assert slab.clocks.snapshot() == lowered.clocks.snapshot()
+        assert slab.stats.as_dict() == lowered.stats.as_dict()
         for name in ("X", "Y"):
             assert (
-                slab.gather(name).tobytes() == walker.gather(name).tobytes()
+                slab.gather(name).tobytes() == lowered.gather(name).tobytes()
             )
 
     def test_lowered_tier_executes_nothing_in_tier3(self):
@@ -246,12 +246,12 @@ class TestRuntime:
         inputs = {nm: rng.uniform(1, 2, (n, n)) for nm in "AB"}
         compiled = compile_source(source, CompilerOptions(num_procs=4))
         slab = simulate(compiled, inputs, tier="slab")
-        walker = simulate(compiled, inputs, tier="interpreted")
+        lowered = simulate(compiled, inputs, tier="lowered")
         assert slab.slab_instances > 0
         assert slab.stats.messages > 0  # ghost columns really moved
-        assert slab.clocks.snapshot() == walker.clocks.snapshot()
-        assert slab.stats.as_dict() == walker.stats.as_dict()
-        assert slab.gather("A").tobytes() == walker.gather("A").tobytes()
+        assert slab.clocks.snapshot() == lowered.clocks.snapshot()
+        assert slab.stats.as_dict() == lowered.stats.as_dict()
+        assert slab.gather("A").tobytes() == lowered.gather("A").tobytes()
 
 
 def _loop_ordinals(compiled):
@@ -732,9 +732,8 @@ class TestFetchReplay:
         assert _slab_counters(metrics, compiled, "takeover") == {"L00": 1}
         assert _slab_counters(metrics, compiled, "fetch_replay") == {"L00": 16}
         assert slab.stats.messages == 2
-        for tier in ("lowered", "interpreted"):
-            other = simulate(compiled, inputs, tier=tier)
-            assert _state(slab) == _state(other)
+        lowered = simulate(compiled, inputs, tier="lowered")
+        assert _state(slab) == _state(lowered)
         # the three ranks' clocks really are coupled through rank 1
         times = slab.clocks.snapshot()["time"]
         assert times[2] > times[0] > 0.0
@@ -771,8 +770,7 @@ class TestFetchReplay:
         assert comm[holder] > 0.0 and comm[1] > 0.0
         assert [comm[r] for r in lost] == [0.0]
         assert slab.store.valid["P"][1, :, 4].all()
-        for tier in ("lowered", "interpreted"):
-            assert _state(slab) == _state(run(tier))
+        assert _state(slab) == _state(run("lowered"))
 
     def test_store_invalidates_a_rank_running_another_column(self):
         """Ranks 1 and 2 hold copies of column 4 of A, which rank 0
@@ -799,8 +797,7 @@ class TestFetchReplay:
         assert slab.store.valid["A"][:, 0, 3:6].tolist() == [
             [True, False, False], [False, True, False], [False, False, True],
         ]
-        for tier in ("lowered", "interpreted"):
-            assert _state(slab) == _state(run(tier))
+        assert _state(slab) == _state(run("lowered"))
 
     def test_lane_varying_fetch_key_bails_without_a_trace(self, monkeypatch):
         """A transfer placed inside the taken nest keys its messages on
@@ -818,8 +815,8 @@ class TestFetchReplay:
         # only rank 1's own column — no fetch, no key — is still taken
         assert _slab_counters(metrics, compiled, "takeover") == {"L01": 1}
         assert _slab_counters(metrics, compiled, "fetch_replay") == {}
-        walker = simulate(compiled, inputs, tier="interpreted")
-        assert _state(slab) == _state(walker)
+        lowered = simulate(compiled, inputs, tier="lowered")
+        assert _state(slab) == _state(lowered)
 
     @pytest.mark.parametrize(
         "source, procs, lookups, runs, replayed, elements, messages",

@@ -178,14 +178,14 @@ class TestPipelinedShiftPricing:
 
 class TestTriangularExactness:
     """Loop-variable-dependent bounds price with closed-form
-    n(n±1)/2 sums, validated against exact interpreter instance
-    counts (the walker counts one ``interp_instances`` per executed
+    n(n±1)/2 sums, validated against exact simulator instance counts
+    (the lowered tier counts one ``interp_instances`` per executed
     assignment / condition)."""
 
     def _walker_instances(self, compiled):
         from repro.machine import simulate
 
-        return simulate(compiled, tier="interpreted").interp_instances
+        return simulate(compiled, tier="lowered").interp_instances
 
     def _estimated_instances(self, compiled):
         from repro.ir.stmt import AssignStmt, IfStmt

@@ -5,7 +5,7 @@ feature coverage (every distribution plan, INDEPENDENT/NEW work
 arrays, triangular/downward/imperfect nests, guards, folds) plus the
 minimized reproducer of every divergence class a campaign has found.
 Each file runs through the same differential battery the fuzzer
-applies — all three forced tiers plus ``tier="auto"`` byte-identical,
+applies — both forced tiers plus ``tier="auto"`` byte-identical,
 and the parallel result matching the sequential interpreter — so the
 corpus is a standing regression net, not documentation.
 """

@@ -66,10 +66,10 @@ def test_tiers_hold_the_same_arrays_after_a_run():
     source = _memory_repro()
     compiled = compile_source(source, CompilerOptions(num_procs=3))
     inputs = make_inputs(source, 0)
-    walk = simulate(compiled, dict(inputs), tier="interpreted")
-    for tier in TIERS[1:]:
+    lowered = simulate(compiled, dict(inputs), tier="lowered")
+    for tier in ("slab", "auto"):
         other = simulate(compiled, dict(inputs), tier=tier)
-        mine, theirs = walk.store, other.store
+        mine, theirs = lowered.store, other.store
         assert list(mine.data) == list(theirs.data) == ["A", "B", "C", "W"]
         for name in mine.data:
             assert mine.data[name].tobytes() == theirs.data[name].tobytes()
@@ -82,7 +82,7 @@ def test_tier_payload_covers_every_declared_array():
     in the digest record, whether or not that tier touched them."""
     source = _memory_repro()
     compiled = compile_source(source, CompilerOptions(num_procs=3))
-    sim = simulate(compiled, make_inputs(source, 0), tier="interpreted")
+    sim = simulate(compiled, make_inputs(source, 0), tier="lowered")
     payload = tier_payload(sim)["store"]
     assert {"A", "B", "C", "W"} <= set(payload["arrays"])
     assert set(payload["scalars"]) == {
@@ -141,7 +141,7 @@ def test_every_scalar_is_written_before_read():
         program = generate(seed)
         source = program.emit(1)
         compiled = compile_source(source, CompilerOptions(num_procs=1))
-        simulate(compiled, make_inputs(source, 0), tier="interpreted")
+        simulate(compiled, make_inputs(source, 0), tier="lowered")
 
 
 def test_inputs_match_session_convention():

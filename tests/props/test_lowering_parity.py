@@ -1,12 +1,14 @@
 """Parity: the lowered fast path (``repro.machine.lowering``) is
-bit-for-bit identical to the tree-walking interpreter.
+bit-for-bit identical to the tree-walking interpreter, and the slab
+tier to the lowered one.
 
 Every IR expression and statement kind — unary ops, every binary op
 (including Fortran integer division), every intrinsic, GOTO into a
 loop body, zero-trip loops, negative steps, reductions, privatized
-control flow — runs through both the lowered and the interpreted path
-of the sequential interpreter *and* of the SPMD simulator, asserting
-identical values, virtual clocks, and message counts.
+control flow — runs through both the lowered and the tree-walking path
+of the sequential interpreter, and through the slab and lowered tiers
+of the SPMD simulator, asserting identical values, virtual clocks, and
+message counts.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from repro.machine import simulate
 def assert_parity(source, inputs=None, procs=4, strategy="selected", **opts):
     """Run ``source`` four ways and require exact agreement.
 
-    Sequential fast vs slow: identical stores. SPMD fast vs slow:
+    Sequential fast vs slow: identical stores. SPMD slab vs lowered:
     identical clocks, traffic stats, gathered arrays, and per-rank
     store state. The simulator result must also match the sequential
     ground truth numerically.
@@ -38,7 +40,7 @@ def assert_parity(source, inputs=None, procs=4, strategy="selected", **opts):
         source, CompilerOptions(strategy=strategy, num_procs=procs, **opts)
     )
     fast = simulate(compiled, inputs)
-    slow = simulate(compiled, inputs, tier="interpreted")
+    slow = simulate(compiled, inputs, tier="lowered")
     assert fast.clocks.snapshot() == slow.clocks.snapshot()
     assert fast.stats.as_dict() == slow.stats.as_dict()
     for name, values in slow_seq.arrays.items():

@@ -1,8 +1,8 @@
 """Property: the tier-3 slab engine is bit-for-bit invisible.
 
 Randomized affine loop nests — block/cyclic/replicated mappings,
-guards, reductions, negative steps — run through all three engines
-(slab kernels, lowered closures, tree-walker).  Clocks, traffic
+guards, reductions, negative steps — run through both engines (slab
+kernels, lowered closures).  Clocks, traffic
 statistics, and gathered arrays must be identical down to the last bit;
 nests the slab engine cannot take must fall back without a trace.
 """
@@ -68,7 +68,7 @@ def affine_nests(draw):
     return source, n, eligible
 
 
-def run_three_ways(source, n, procs):
+def run_both_ways(source, n, procs):
     rng = np.random.default_rng(n * 31 + procs)
     inputs = {
         name: rng.uniform(1, 2, (n, n)) for name in ("A", "B", "C")
@@ -76,8 +76,7 @@ def run_three_ways(source, n, procs):
     compiled = compile_source(source, CompilerOptions(num_procs=procs))
     slab = simulate(compiled, inputs, tier="slab")
     lowered = simulate(compiled, inputs, tier="lowered")
-    walker = simulate(compiled, inputs, tier="interpreted")
-    return slab, lowered, walker
+    return slab, lowered
 
 
 def assert_invisible(slab, other):
@@ -97,9 +96,8 @@ def assert_invisible(slab, other):
 @settings(max_examples=40, deadline=None)
 def test_slab_engine_is_bit_for_bit_invisible(case, procs):
     source, n, eligible = case
-    slab, lowered, walker = run_three_ways(source, n, procs)
+    slab, lowered = run_both_ways(source, n, procs)
     assert_invisible(slab, lowered)
-    assert_invisible(slab, walker)
     if eligible:
         # the slab path must actually have executed these nests
         assert slab.slab_instances > 0
@@ -184,9 +182,8 @@ def triangular_nests(draw):
 @settings(max_examples=40, deadline=None)
 def test_triangular_nests_are_bit_for_bit_invisible(case, procs):
     source, n, block_dist, _ = case
-    slab, lowered, walker = run_three_ways(source, n, procs)
+    slab, lowered = run_both_ways(source, n, procs)
     assert_invisible(slab, lowered)
-    assert_invisible(slab, walker)
     assert lowered.slab_instances == 0
     if block_dist:
         # column-block triangular nests are squarely in the classifier's
@@ -202,7 +199,7 @@ def test_triangular_nests_are_bit_for_bit_invisible(case, procs):
 def test_cross_column_reads_are_fetched_inside_one_takeover(case, procs):
     """Reads that leave the lane's column do not push the nest off the
     slab path: the ``j`` nest commits once per entry with its fetches
-    replayed inside, byte-identical to both lower tiers in clocks,
+    replayed inside, byte-identical to the lowered tier in clocks,
     traffic, and every rank's data, validity and versions."""
     source, n, _, entries = case
     rng = np.random.default_rng(n * 31 + procs)
@@ -211,9 +208,7 @@ def test_cross_column_reads_are_fetched_inside_one_takeover(case, procs):
     metrics = Metrics()
     slab = simulate(compiled, inputs, tier="slab", metrics=metrics)
     lowered = simulate(compiled, inputs, tier="lowered")
-    walker = simulate(compiled, inputs, tier="interpreted")
     assert_invisible(slab, lowered)
-    assert_invisible(slab, walker)
     assert lowered.slab_instances == 0
     assert slab.slab_instances > 0
     assert not any(key.startswith("slab.bail") for key in metrics.counters)
@@ -232,14 +227,14 @@ def test_cross_column_reads_are_fetched_inside_one_takeover(case, procs):
 @settings(max_examples=15, deadline=None)
 def test_auto_tier_matches_forced_tiers(case, procs):
     """tier="auto" consults the TierPlan per nest but must stay
-    bit-for-bit identical to every forced tier."""
+    bit-for-bit identical to the forced tiers."""
     source, n, _, _ = case
     rng = np.random.default_rng(n * 31 + procs)
     inputs = {name: rng.uniform(1, 2, (n, n)) for name in ("A", "B", "C")}
     compiled = compile_source(source, CompilerOptions(num_procs=procs))
     auto = simulate(compiled, inputs, tier="auto")
-    walker = simulate(compiled, inputs, tier="interpreted")
-    assert_invisible(auto, walker)
+    lowered = simulate(compiled, inputs, tier="lowered")
+    assert_invisible(auto, lowered)
     assert set(auto.tier_decisions.values()) <= {"slab", "lowered"}
 
 
@@ -262,11 +257,11 @@ def test_reduction_slab_keeps_combine_tree(procs):
     inputs = {"B": rng.uniform(-2, 2, (n, n))}
     compiled = compile_source(source, CompilerOptions(num_procs=procs))
     slab = simulate(compiled, inputs, tier="slab")
-    walker = simulate(compiled, inputs, tier="interpreted")
-    assert slab.clocks.snapshot() == walker.clocks.snapshot()
-    assert slab.stats.as_dict() == walker.stats.as_dict()
-    assert slab.store.scalars == walker.store.scalars
-    assert slab.store.scalar_valid == walker.store.scalar_valid
+    lowered = simulate(compiled, inputs, tier="lowered")
+    assert slab.clocks.snapshot() == lowered.clocks.snapshot()
+    assert slab.stats.as_dict() == lowered.stats.as_dict()
+    assert slab.store.scalars == lowered.store.scalars
+    assert slab.store.scalar_valid == lowered.store.scalar_valid
 
 
 @st.composite
@@ -322,8 +317,8 @@ def serial_column_nests(draw):
 @settings(max_examples=60, deadline=None)
 def test_serial_column_nests_are_bit_for_bit_invisible(case, procs):
     """The serial-inner shape outside tomcatv: the whole ``j`` nest is
-    taken over with the recurrence intact, invisible against both lower
-    tiers in clocks, traffic, and every rank's data, validity and
+    taken over with the recurrence intact, invisible against the lowered
+    tier in clocks, traffic, and every rank's data, validity and
     versions."""
     source, n = case
     rng = np.random.default_rng(n * 31 + procs)
@@ -335,10 +330,8 @@ def test_serial_column_nests_are_bit_for_bit_invisible(case, procs):
     metrics = Metrics()
     slab = simulate(compiled, inputs, tier="slab", metrics=metrics)
     lowered = simulate(compiled, inputs, tier="lowered")
-    walker = simulate(compiled, inputs, tier="interpreted")
-    for other in (lowered, walker):
-        assert_invisible(slab, other)
-        assert slab.gather("D").tobytes() == other.gather("D").tobytes()
+    assert_invisible(slab, lowered)
+    assert slab.gather("D").tobytes() == lowered.gather("D").tobytes()
     assert lowered.slab_instances == 0
     if procs > 1:  # on one rank there is no owner position to slice by
         assert slab.slab_instances > 0

