@@ -16,7 +16,6 @@ fuzz corpus and fuzz seeds 0-19.
 """
 
 import dataclasses
-import pathlib
 
 import pytest
 
@@ -24,18 +23,15 @@ from repro.core import CompilerOptions, compile_source
 from repro.fuzz import generate
 from repro.fuzz.harness import make_inputs
 from repro.machine import simulate
-from repro.programs import appsp_source, dgefa_source, tomcatv_source
 
-CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+from ..machine.test_golden_traffic import programs, source_of
 
-#: program name -> its source at a processor count
+#: program name -> its source at a processor count: the kernels and the
+#: corpus at the golden snapshot's sizes, then generated programs
 PROGRAMS = {
-    "tomcatv": lambda procs: tomcatv_source(n=17, niter=1, procs=procs),
-    "dgefa": lambda procs: dgefa_source(n=12, procs=procs),
-    "appsp": lambda procs: appsp_source(nx=8, ny=8, nz=8, niter=1, procs=procs),
     **{
-        path.stem: lambda procs, path=path: path.read_text()
-        for path in sorted(CORPUS.glob("*.hpf"))
+        name: lambda procs, name=name: source_of(name, procs)
+        for name in programs()
     },
     **{
         f"seed{seed:02d}": lambda procs, seed=seed: generate(seed).emit(procs)
