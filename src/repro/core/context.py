@@ -30,7 +30,7 @@ from ..analysis.reductions import Reduction, find_reductions
 from ..analysis.ssa import SSAInfo
 from ..ir.cfg import CFG, build_cfg
 from ..ir.expr import ArrayElemRef
-from ..ir.program import Procedure
+from ..ir.program import Procedure, ProcessorsSpec
 from ..ir.stmt import LoopStmt
 from ..mapping.descriptors import ArrayMapping, resolve_mappings
 from ..mapping.grid import ProcessorGrid, default_grid
@@ -52,12 +52,10 @@ class AnalysisContext:
     reductions: list[Reduction]
     inductions: list[InductionVar]
     array_mappings: dict[str, ArrayMapping]
-    #: (ref id, loop id) -> :meth:`hoisting_blocked` verdict: a pure
-    #: function of the IR this context was built over, asked by scalar
-    #: mapping and again by communication analysis, once per option
-    #: ablation sharing the context
+    #: the front end's :attr:`FrontendAnalyses.hoisting` memo, shared by
+    #: every context (every grid) built over the same analyses
     _hoisting: dict[tuple[int, int], bool] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        default_factory=dict, repr=False, compare=False
     )
 
     def hoisting_blocked(self, read: ArrayElemRef, loop: LoopStmt) -> bool:
@@ -82,6 +80,13 @@ class FrontendAnalyses:
     liveness: LivenessInfo
     ssa: SSAInfo
     const: ConstPropInfo
+    #: (ref id, loop id) -> :meth:`AnalysisContext.hoisting_blocked`
+    #: verdict: a pure function of the IR these analyses describe, asked
+    #: by scalar mapping and again by communication analysis, once per
+    #: option ablation and grid
+    hoisting: dict[tuple[int, int], bool] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 def analyze_frontend(proc: Procedure) -> FrontendAnalyses:
@@ -94,15 +99,17 @@ def analyze_frontend(proc: Procedure) -> FrontendAnalyses:
     return FrontendAnalyses(cfg=cfg, dom=dom, liveness=liveness, ssa=ssa, const=const)
 
 
-def resolve_grid(proc: Procedure, num_procs: int | None = None) -> ProcessorGrid:
+def resolve_grid(
+    processors: ProcessorsSpec | None, num_procs: int | None = None
+) -> ProcessorGrid:
     """The processor grid: a PROCESSORS directive fixes the shape;
     ``num_procs`` (total processor count) may rescale it
     proportionally."""
-    if proc.processors is not None:
-        shape = proc.processors.shape
+    if processors is not None:
+        shape = processors.shape
         if num_procs is not None and num_procs != _prod(shape):
-            return default_grid(num_procs, rank=len(shape), name=proc.processors.name)
-        return ProcessorGrid(name=proc.processors.name, shape=tuple(shape))
+            return default_grid(num_procs, rank=len(shape), name=processors.name)
+        return ProcessorGrid(name=processors.name, shape=tuple(shape))
     return default_grid(num_procs or 1, rank=1)
 
 
@@ -159,6 +166,7 @@ def assemble_context(
         reductions=reductions,
         inductions=inductions,
         array_mappings=array_mappings,
+        _hoisting=frontend.hoisting,
     )
 
 

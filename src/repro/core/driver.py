@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, MutableMapping
 
 from ..model import SP2, MachineModel
-from ..ir.program import Procedure
+from ..ir.program import Procedure, ProcessorsSpec
 from ..mapping.descriptors import ArrayMapping
 from ..mapping.grid import ProcessorGrid
 from ..partition.owner_computes import ExecutorInfo
@@ -175,6 +175,12 @@ class CompiledProgram:
     _derived: dict[str, tuple[int, Any]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: the compiling manager's lowerings by ``(proc.uid, ir_epoch)``:
+    #: the closures read nothing but the procedure, so the programs of
+    #: one ``Procedure`` (a processor-count family) share theirs
+    _lowerings: MutableMapping[tuple[int, int], "LoweredIR"] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def _derive(self, name: str, build, *inputs) -> Any:
         epoch = self.proc.ir_epoch
@@ -190,7 +196,7 @@ class CompiledProgram:
         # derived products (closures among them) and their timing rows
         # stay out of pickles: the compile pool and the disk cache ship
         # only what cannot be recomputed
-        state = {**self.__dict__, "_derived": {}}
+        state = {**self.__dict__, "_derived": {}, "_lowerings": {}}
         if self.timings is not None and self._derived:
             state["timings"] = PipelineTimings(
                 {
@@ -280,7 +286,12 @@ class CompiledProgram:
 def _lower(compiled: CompiledProgram) -> "LoweredIR":
     from ..machine.lowering import lower_procedure
 
-    return lower_procedure(compiled.proc)
+    proc = compiled.proc
+    key = (proc.uid, proc.ir_epoch)
+    lowered = compiled._lowerings.get(key)
+    if lowered is None:
+        lowered = compiled._lowerings[key] = lower_procedure(proc)
+    return lowered
 
 
 def _classify_slabs(compiled: CompiledProgram) -> "SlabReport":
@@ -304,6 +315,25 @@ def _plan_tiers(compiled: CompiledProgram, slabs: "SlabReport") -> "TierPlan":
     return build_tierplan(compiled.proc, slabs, estimator)
 
 
+def _compile(
+    manager: PassManager,
+    proc: Procedure,
+    processors: ProcessorsSpec | None,
+    options: CompilerOptions | None,
+    timings: PipelineTimings | None,
+) -> CompiledProgram:
+    options = options or CompilerOptions()
+    products, run_timings = manager.run(proc, options, processors)
+    all_timings = (timings or PipelineTimings()).merge(run_timings)
+    return CompiledProgram(
+        proc=proc,
+        options=options,
+        timings=all_timings,
+        _lowerings=manager._lowerings,
+        **products,
+    )
+
+
 def compile_procedure(
     proc: Procedure,
     options: CompilerOptions | None = None,
@@ -312,13 +342,9 @@ def compile_procedure(
     timings: PipelineTimings | None = None,
     tracer: "Tracer | None" = None,
 ) -> CompiledProgram:
-    options = options or CompilerOptions()
+    """Compile ``proc`` on the grid of its own PROCESSORS directive."""
     manager = manager or PassManager(tracer=tracer)
-    products, run_timings = manager.run(proc, options)
-    all_timings = (timings or PipelineTimings()).merge(run_timings)
-    return CompiledProgram(
-        proc=proc, options=options, timings=all_timings, **products
-    )
+    return _compile(manager, proc, proc.processors, options, timings)
 
 
 def compile_source(
@@ -329,11 +355,13 @@ def compile_source(
     tracer: "Tracer | None" = None,
 ) -> CompiledProgram:
     """``tracer`` (repro.obs) instruments the pipeline when no explicit
-    ``manager`` is given; a passed-in manager keeps its own tracer."""
+    ``manager`` is given; a passed-in manager keeps its own tracer.
+    Texts that differ only in their PROCESSORS shape compile on one
+    shared ``Procedure`` of the manager's, each on its own grid."""
     manager = manager or PassManager(tracer=tracer)
     timings = PipelineTimings()
-    proc = manager.parse(source, timings)
-    return compile_procedure(proc, options, manager=manager, timings=timings)
+    proc, processors = manager.parse(source, timings)
+    return _compile(manager, proc, processors, options, timings)
 
 
 # ---------------------------------------------------------------------------

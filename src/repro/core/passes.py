@@ -10,14 +10,19 @@ code, each stage under a ``pass:{name}`` span and a row of the
 by :data:`DEFAULT_PIPELINE`.
 
 What a manager keeps from one compile to the next is the parsed IR per
-source text and two memos keyed on the statement tree it analysed:
+processor-count family — source texts equal up to the shape of their
+one ``!HPF$ PROCESSORS`` directive — and memos keyed on the statement
+tree it analysed:
 
-* the IR analyses (SSA-level front end, inductions, reductions,
-  privatizability) per ``(proc.uid, ir_epoch)`` — shared by every
-  processor count;
+* the IR analyses (SSA-level front end with its hoisting memo,
+  inductions, reductions, privatizability) per ``(proc.uid,
+  ir_epoch)`` — shared by every processor count;
 * the assembled :class:`AnalysisContext` per ``(proc.uid, ir_epoch,
-  num_procs)`` — shared by every option ablation on that grid, and
-  with it the context's hoisting memo.
+  grid)``, the grid resolved from the compiled text's own directive —
+  shared by every option ablation on that grid;
+* the lowered closures per ``(proc.uid, ir_epoch)``, built by the first
+  read of ``CompiledProgram.lowering`` among the programs compiled from
+  that tree, and kept while one of them holds them.
 
 Every ``Procedure.finalize()`` bumps ``ir_epoch``, so a tree changed by
 a transform (induction substitution, scalar expansion, inlining) looks
@@ -28,13 +33,15 @@ option-dependent and always runs.
 from __future__ import annotations
 
 import hashlib
+import re
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
 from ..ir.build import build_procedure
-from ..ir.program import Procedure
+from ..ir.program import Procedure, ProcessorsSpec
 from ..lang import parse_program
 from ..obs import Metrics, NULL_TRACER, Tracer
 from ..mapping.grid import ProcessorGrid
@@ -152,9 +159,45 @@ DEFAULT_PIPELINE: tuple[str, ...] = (
     "message-combining",
 )
 
-#: the rows a held context stands for, and those of held IR analyses
-_CONTEXT_ROWS = DEFAULT_PIPELINE[:7]
+#: the rows a held context stands for (the grid, its key, is always
+#: resolved), and those of held IR analyses
+_CONTEXT_ROWS = DEFAULT_PIPELINE[1:7]
 _IR_ROWS = DEFAULT_PIPELINE[1:5]
+
+#: a PROCESSORS directive alone on its line with a literal shape: the
+#: name, and the shape's span
+_PROCESSORS_LINE = re.compile(
+    r"^[ \t]*!HPF\$[ \t]*PROCESSORS[ \t]+([A-Z_][A-Z0-9_]*)[ \t]*"
+    r"\(([0-9 \t,]*)\)[ \t]*$",
+    re.IGNORECASE | re.MULTILINE | re.ASCII,
+)
+_PROCESSORS_WORD = re.compile("PROCESSORS", re.IGNORECASE)
+
+
+def processors_family(source: str) -> tuple[str, ProcessorsSpec | None]:
+    """The parse-memo key of ``source`` and the PROCESSORS spec it
+    declares.  A text whose one mention of PROCESSORS is a directive
+    alone on its line with integer-literal extents is keyed with that
+    shape masked out — its processor-count variants share one
+    :class:`Procedure` — and its spec is read here.  Any other text (no
+    directive, two, a named or signed extent, a directive after code)
+    is keyed on itself, and ``None`` says its spec is the parsed one."""
+    match = _PROCESSORS_LINE.search(source)
+    if match is None or len(_PROCESSORS_WORD.findall(source)) != 1:
+        return _sha256(source), None
+    extents = match.group(2).split(",")
+    if not all(e.strip() for e in extents):
+        return _sha256(source), None
+    spec = ProcessorsSpec(
+        name=match.group(1).upper(), shape=tuple(int(e) for e in extents)
+    )
+    masked = source[: match.start(2)] + source[match.end(2) :]
+    # a prefix no hexdigest has: a family never answers an exact key
+    return f"processors:{_sha256(masked)}", spec
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _unrecorded(name: str, build, *args):
@@ -184,10 +227,11 @@ class PassManager:
     between compiles and collecting per-stage metrics.
 
     One manager may serve many compilations (that is the point): its
-    memos carry the front end across option ablations of the same
-    procedure, and its parse cache carries the IR across repeated
-    ``compile_source`` calls on the same text.  ``metrics`` accumulates
-    timings over everything the manager ran.
+    memos carry the front end across option ablations and processor
+    counts of the same procedure, and its parse cache carries the IR
+    across ``compile_source`` calls on texts that differ at most in
+    their PROCESSORS shape.  ``metrics`` accumulates timings over
+    everything the manager ran.
     """
 
     def __init__(self, tracer: Tracer | None = None) -> None:
@@ -201,7 +245,15 @@ class PassManager:
         self._parse_cache: dict[str, Procedure] = {}
         self._syntax_tree: tuple[str, Any] | None = None
         self._analyses: dict[tuple[int, int], tuple] = {}
-        self._contexts: dict[tuple[int, int, int | None], AnalysisContext] = {}
+        self._contexts: dict[
+            tuple[int, int, ProcessorGrid], AnalysisContext
+        ] = {}
+        #: lowerings by ``(proc.uid, ir_epoch)``, read and filled by the
+        #: programs this manager compiled (``CompiledProgram.lowering``);
+        #: an entry lives while one of them holds it
+        self._lowerings: weakref.WeakValueDictionary = (
+            weakref.WeakValueDictionary()
+        )
 
     # -- parsing -----------------------------------------------------------
 
@@ -214,45 +266,58 @@ class PassManager:
             self._syntax_tree = (source, parse_program(source))
         return self._syntax_tree[1]
 
-    def parse(self, source: str, timings: PipelineTimings | None = None) -> Procedure:
-        """Parse + lower ``source``, memoized on the source text. Batch
-        ablations over one program therefore share a single IR — and
-        with it every kept analysis."""
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    def parse(
+        self, source: str, timings: PipelineTimings | None = None
+    ) -> tuple[Procedure, ProcessorsSpec | None]:
+        """Parse + lower ``source``, memoized per processor-count family
+        (:func:`processors_family`): ``(proc, processors)``, the IR —
+        shared by every text of the family, so batch ablations and
+        processor sweeps over one program share every kept analysis —
+        and the PROCESSORS spec of this text, which the compile must
+        resolve its grid from (``proc.processors`` is the spec of the
+        text that was parsed first)."""
+        key, processors = processors_family(source)
         started = time.perf_counter()
         with self.tracer.span("parse", cat="compile") as span:
-            proc = self._parse_cache.get(digest)
+            proc = self._parse_cache.get(key)
             cached = proc is not None
             if proc is None:
                 proc = build_procedure(self.syntax_tree(source))
-                self._parse_cache[digest] = proc
+                self._parse_cache[key] = proc
             span.add(cached=cached)
         elapsed = time.perf_counter() - started
         for sink in (timings, self.metrics):
             if sink is not None:
                 sink.record("parse", elapsed, cached=cached)
-        return proc
+        return proc, processors or proc.processors
 
     # -- running -----------------------------------------------------------
 
     def run(
-        self, proc: Procedure, options: Any
+        self,
+        proc: Procedure,
+        options: Any,
+        processors: ProcessorsSpec | None = None,
     ) -> tuple[dict[str, Any], PipelineTimings]:
-        """Compile ``proc`` under ``options``: the six products a
+        """Compile ``proc`` under ``options`` on the grid of
+        ``processors`` (default ``proc.processors``; :meth:`parse` says
+        which spec a source text declares): the six products a
         :class:`~repro.core.driver.CompiledProgram` is built from, by
         field name, and the timings of this run."""
         timings = PipelineTimings()
         stage = partial(self._stage, timings)
-        uid, num_procs = proc.uid, options.num_procs
+        uid = proc.uid
+        grid = stage(
+            "grid", resolve_grid, processors or proc.processors, options.num_procs
+        )
 
-        ctx = self._contexts.get((uid, proc.ir_epoch, num_procs))
+        ctx = self._contexts.get((uid, proc.ir_epoch, grid))
         if ctx is not None:
             self.context_hits += 1
             for name in _CONTEXT_ROWS:
                 stage(name)
         else:
             self.context_misses += 1
-            grid = stage("grid", resolve_grid, proc, num_procs)
             analyses = self._analyses.get((uid, proc.ir_epoch))
             if analyses is not None:
                 for name in _IR_ROWS:
@@ -267,7 +332,7 @@ class PassManager:
             ctx = stage(
                 "context", assemble_context, proc, grid, *analyses, array_mappings
             )
-            self._contexts[(uid, proc.ir_epoch, num_procs)] = ctx
+            self._contexts[(uid, proc.ir_epoch, grid)] = ctx
 
         scalar_pass = stage(
             "scalar-mapping",
@@ -385,7 +450,7 @@ def build_context(
     the grid shape; ``num_procs`` (total processor count) may rescale
     it proportionally; an explicit ``grid`` overrides everything."""
     if grid is None:
-        grid = resolve_grid(proc, num_procs)
+        grid = resolve_grid(proc.processors, num_procs)
     analyses = _analyze_ir(proc, substitute=substitute_inductions)
     return assemble_context(
         proc, grid, *analyses, resolve_array_directives(proc, grid)

@@ -145,9 +145,19 @@ def test_parse_cache_shares_ir():
     assert a.report() == b.report()
 
 
-def test_option_ablations_share_one_context():
-    """Strategy ablations on one grid share the context, and with it
-    the hoisting verdicts; another processor count gets its own."""
+def test_option_ablations_share_one_context(monkeypatch):
+    """Strategy ablations on one grid share the context; every grid
+    shares the IR analyses, and with them the hoisting verdicts."""
+    from repro.core import context
+
+    queries = []
+    query = context.read_may_see_loop_write
+
+    def counting(proc, read, loop):
+        queries.append((read.ref_id, loop.stmt_id))
+        return query(proc, read, loop)
+
+    monkeypatch.setattr(context, "read_may_see_loop_write", counting)
     manager = PassManager()
     proc = parse_and_build(STENCIL)
     selected, producer, replication = (
@@ -155,11 +165,14 @@ def test_option_ablations_share_one_context():
         for strategy in ("selected", "producer", "replication")
     )
     assert selected.ctx is producer.ctx is replication.ctx
-    assert selected.ctx._hoisting is replication.ctx._hoisting
-    assert selected.ctx._hoisting
+    asked = len(queries)
+    assert asked == len(set(queries)) > 0
     wider = compile_procedure(proc, CompilerOptions(num_procs=8), manager=manager)
     assert wider.ctx is not selected.ctx
-    assert wider.ctx._hoisting is not selected.ctx._hoisting
+    frontend = manager._analyses[(proc.uid, proc.ir_epoch)][0]
+    assert wider.ctx._hoisting is selected.ctx._hoisting is frontend.hoisting
+    assert len(frontend.hoisting) == asked
+    assert len(queries) == asked  # the other grid asked nothing again
     assert (manager.context_hits, manager.context_misses) == (2, 2)
 
 
