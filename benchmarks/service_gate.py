@@ -13,7 +13,8 @@ first point commit — simulating a kill -9).  The gate holds when:
   the dead owner's lease and drains the remaining points;
 * the job's per-point results are **byte-identical** (shared
   ``repro.records`` schema, volatile provenance fields stripped) to a
-  direct serial ``run_sweep(mode="batched")`` of the same grid;
+  direct serial ``run_sweep`` of the same grid (the default
+  ``mode="auto"``, which fuses it into one batch);
 * the catalog's audit shows **each grid point evaluated exactly
   once** — completed points were reused from durable state, never
   recomputed (commit-level exactly-once; only uncommitted in-flight
@@ -129,7 +130,7 @@ def main() -> int:
     try:
         # the reference leg: direct serial batched sweep, no service
         started = time.perf_counter()
-        reference = run_sweep(jobs, workers=0, mode="batched")
+        reference = run_sweep(jobs, workers=0)
         stats["direct_batched_s"] = round(time.perf_counter() - started, 3)
         if not all(r.ok for r in reference):
             failures.append("direct batched reference sweep had failures")

@@ -19,8 +19,8 @@ two fresh persistent cache roots:
 
 A third, **batched grid** (simulate mode, 3 processor counts × 7
 machine-parameter variants = 21 points on TOMCATV) gates the batched
-sweep evaluator: run cold through the pool path and cold through
-``mode="batched"``, the batched leg must produce byte-identical
+sweep evaluator: run cold through the pool path and cold through the
+default ``mode="auto"``, the batched leg must produce byte-identical
 ``canonical_stats`` with no point off the fast path — machine-parameter
 lanes share one lane-vector simulation and the procs axis shares
 compiles, so ~21 full jobs collapse to ~3 compiles + 3 simulations.
@@ -234,7 +234,7 @@ def main() -> int:
     started = time.perf_counter()
     b_fast = run_sweep(
         batched_jobs, workers=args.workers, cache=batched_cache,
-        timeout=120, retries=2, mode="batched",
+        timeout=120, retries=2,
     )
     t_batched = time.perf_counter() - started
 
@@ -293,7 +293,7 @@ def main() -> int:
     p_fast = run_sweep(
         procs_jobs, workers=args.workers,
         cache=CompileCache(base_root / "procs-batched"),
-        timeout=120, retries=2, mode="batched",
+        timeout=120, retries=2,
     )
     t_procs_batched = time.perf_counter() - started
 

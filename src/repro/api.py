@@ -300,14 +300,12 @@ class Session:
         """Run an experiment grid through the sweep engine, sharing the
         session's cache, tracer, and metrics.  ``workers=0`` forces
         serial in-process execution on the session's pass manager.
-        ``mode`` selects the execution strategy: ``"pool"`` runs one
-        job at a time, ``"batched"`` fuses grid points that differ only
-        in machine parameters *or the processor count* into
-        lane-vectorized evaluations (and dedupes repeated compiles —
-        ``SweepResult.procs_lanes`` reports how many procs sub-groups
-        a point's batch fused), ``"auto"`` picks batched exactly when
-        some batch has lanes to fuse — results are identical either
-        way."""
+        ``mode="auto"`` fuses grid points that differ only in machine
+        parameters *or the processor count* into lane-vectorized
+        evaluations whenever some batch has lanes to fuse (and dedupes
+        repeated compiles — ``SweepResult.procs_lanes`` reports how
+        many procs sub-groups a point's batch fused); ``"pool"`` runs
+        one job at a time — results are identical either way."""
         return run_sweep(
             spec,
             workers=workers,
@@ -327,7 +325,6 @@ class Session:
         *,
         service: "SweepService | str | os.PathLike | None" = None,
         name: str = "",
-        exec_mode: str = "auto",
         shards: int | None = None,
     ) -> "JobHandle":
         """Submit an experiment grid to the persistent sweep service
@@ -351,9 +348,7 @@ class Session:
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-        return service.submit(
-            spec, name=name, exec_mode=exec_mode, shards=shards
-        )
+        return service.submit(spec, name=name, shards=shards)
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -33,7 +33,7 @@ Flag conventions:
   ``--json`` prints to stdout, ``--json OUT`` writes the file.
 * ``--measure`` — *what* each sweep point measures
   (estimate/simulate/compile).
-* ``--exec`` — *how* the grid executes (auto/pool/batched).
+* ``--exec`` — *how* ``sweep`` runs the grid (auto/pool).
 
 Every subcommand is a thin shell over :class:`repro.api.Session` —
 the CLI parses flags into session configuration and formats what the
@@ -82,6 +82,7 @@ def _checked(parse, ok, what: str):
 _PROCS = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _COUNT = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _SCALE = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_AGE = _checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
 
 
 def _compiler_options(args, num_procs: int | None = None) -> CompilerOptions:
@@ -455,7 +456,7 @@ def _build_spec(args, session) -> SweepSpec:
 def cmd_sweep(args) -> int:
     session = _session(args)
     spec = _build_spec(args, session)
-    results = session.sweep(spec, workers=args.workers, mode=args.exec_mode)
+    results = session.sweep(spec, workers=args.workers, mode=args.exec)
     return _render_sweep_results(args, results)
 
 
@@ -552,8 +553,7 @@ def cmd_fuzz(args) -> int:
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     """The shared grid-definition surface of ``sweep`` and ``jobs
-    submit``: programs, procs, option axes, what to measure and how to
-    execute it."""
+    submit``: programs, procs, option axes and what to measure."""
     parser.add_argument(
         "programs", nargs="+", help="mini-HPF source file(s)"
     )
@@ -572,13 +572,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         "--measure", choices=["estimate", "simulate", "compile"],
         default="simulate", dest="measure",
         help="what each grid point measures (default: simulate)",
-    )
-    parser.add_argument(
-        "--exec", choices=["auto", "pool", "batched"], default="auto",
-        dest="exec_mode",
-        help="execution strategy: batched fuses points differing only "
-        "in machine parameters or processor count into one vectorized "
-        "evaluation (default: auto)",
     )
     parser.add_argument("--seed", type=_COUNT, default=0)
     _add_json_flag(
@@ -611,12 +604,7 @@ def cmd_jobs_submit(args) -> int:
     session = _session(args)
     spec = _build_spec(args, session)
     service = _service(args, cache=session.cache or None)
-    handle = service.submit(
-        spec,
-        name=args.name or "",
-        exec_mode=args.exec_mode,
-        shards=args.shards,
-    )
+    handle = service.submit(spec, name=args.name or "", shards=args.shards)
     status = handle.poll()
     if not args.wait:
         if args.json:
@@ -835,8 +823,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_grid_flags(p_sweep)
     p_sweep.add_argument(
-        "--workers", type=int, default=None,
-        help="pool size for non-batched points (0: serial in-process)",
+        "--exec", choices=["auto", "pool"], default="auto",
+        help="execution strategy: auto fuses points differing only in "
+        "machine parameters or processor count into one vectorized "
+        "evaluation, pool runs every point on its own (default: auto)",
+    )
+    p_sweep.add_argument(
+        "--workers", type=_COUNT, default=None,
+        help="pool size for points run on their own (0: serial "
+        "in-process)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -916,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_service_flags(p_serve)
     p_serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_PROCS, default=1, metavar="N",
         help="claim loops to run: 1 (default) serves in this process, "
         "N > 1 supervises N child processes serving the same directory",
     )
@@ -925,19 +920,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="drain the queue and exit instead of waiting for new work",
     )
     p_serve.add_argument(
-        "--poll", type=float, default=0.2,
+        "--poll", type=_SCALE, default=0.2,
         help="idle polling interval in seconds (default: 0.2)",
     )
     p_serve.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="S",
+        "--idle-timeout", type=_SCALE, default=None, metavar="S",
         help="exit after S seconds with nothing claimable",
     )
     p_serve.add_argument(
-        "--max-shards", type=int, default=None, metavar="N",
+        "--max-shards", type=_COUNT, default=None, metavar="N",
         help="exit after processing N shards",
     )
     p_serve.add_argument(
-        "--lease-ttl", type=float, default=60.0, metavar="S",
+        "--lease-ttl", type=_SCALE, default=60.0, metavar="S",
         help="shard lease duration in seconds (default: 60)",
     )
     p_serve.set_defaults(func=cmd_serve)
@@ -956,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--name", default=None, help="human-readable job name"
     )
     p_submit.add_argument(
-        "--shards", type=int, default=None, metavar="N",
+        "--shards", type=_PROCS, default=None, metavar="N",
         help="partition the grid into N shards (default: one per "
         "fusion group)",
     )
@@ -966,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(like 'repro sweep', but through the durable queue + catalog)",
     )
     p_submit.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
+        "--timeout", type=_SCALE, default=None, metavar="S",
         help="with --wait: give up after S seconds",
     )
     p_submit.set_defaults(func=cmd_jobs_submit)
@@ -984,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_watch.add_argument("job_id", type=int)
     p_watch.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
+        "--timeout", type=_SCALE, default=None, metavar="S",
         help="stop tailing after S seconds (exit code 2)",
     )
     _add_service_flags(p_watch)
@@ -1024,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="drop orphaned and aged catalog entries"
     )
     p_gc.add_argument(
-        "--max-age-days", type=float, default=None, metavar="DAYS",
+        "--max-age-days", type=_AGE, default=None, metavar="DAYS",
         help="also drop entries unused for DAYS (and their cache files)",
     )
     p_gc.add_argument("--dry-run", action="store_true")

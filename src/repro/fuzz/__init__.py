@@ -2,7 +2,7 @@
 
 A seeded random program generator for the mini-HPF subset
 (:mod:`~repro.fuzz.generator`), a differential harness that runs each
-program through all three execution tiers, ``tier="auto"``,
+program through both engines, ``tier="auto"``,
 pool-vs-batched sweeps, and the DetermineMapping-vs-replication
 baseline (:mod:`~repro.fuzz.harness`), a greedy structural shrinker
 for failing programs (:mod:`~repro.fuzz.shrink`), and the campaign

@@ -415,7 +415,7 @@ def check_sweep(
 
     try:
         pool = run_sweep(spec, workers=0, mode="pool")
-        batched = run_sweep(spec, workers=0, mode="batched")
+        batched = run_sweep(spec, workers=0)  # auto: one fused batch
     except Exception as exc:  # noqa: BLE001
         return [
             Divergence(kind="sweep", detail=_trim(exc), source=emit(None))

@@ -50,7 +50,9 @@ from .db import connect, ensure_schema, transaction
 if TYPE_CHECKING:  # jobs and results cross this module only as pickles
     from ..sweep.spec import SweepJob, SweepResult
 
-QUEUE_SCHEMA_VERSION = 1
+#: v2 has no execution-mode column; a v1 file still opens (its column
+#: has a default), and v1 code refuses a v2 file instead of failing
+QUEUE_SCHEMA_VERSION = 2
 
 #: ``SweepResult.worker`` of a point no run finished: the queue gave
 #: it up at the attempt bound (see :meth:`JobQueue._give_up`)
@@ -65,7 +67,6 @@ CREATE TABLE IF NOT EXISTS jobs (
   id INTEGER PRIMARY KEY AUTOINCREMENT,
   name TEXT NOT NULL,
   state TEXT NOT NULL DEFAULT 'queued',
-  exec_mode TEXT NOT NULL DEFAULT 'auto',
   n_points INTEGER NOT NULL,
   n_shards INTEGER NOT NULL,
   submitted_at REAL NOT NULL,
@@ -167,7 +168,6 @@ class JobStatus:
     job_id: int
     name: str
     state: str
-    exec_mode: str
     n_points: int
     done: int
     failed: int
@@ -193,7 +193,6 @@ class JobStatus:
             job_id=self.job_id,
             name=self.name,
             state=self.state,
-            exec_mode=self.exec_mode,
             points=self.n_points,
             done=self.done,
             failed=self.failed,
@@ -215,7 +214,6 @@ class Claim:
     job_id: int
     shard: int
     owner: str
-    exec_mode: str
     #: which handing-out of the shard this is (1 = first)
     attempt: int
     points: list[tuple[int, SweepJob]]
@@ -273,7 +271,6 @@ class JobQueue:
         shards: Sequence[Sequence[int]],
         *,
         name: str = "",
-        exec_mode: str = "auto",
     ) -> int:
         """Persist a grid and its shard assignment; returns the job id.
         ``keys`` are the points' catalog identities (for dedup
@@ -286,9 +283,9 @@ class JobQueue:
         now = time.time()
         with transaction(self.conn):
             cursor = self.conn.execute(
-                "INSERT INTO jobs (name, state, exec_mode, n_points,"
-                " n_shards, submitted_at) VALUES (?, 'queued', ?, ?, ?, ?)",
-                (name or "sweep", exec_mode, len(jobs), len(shards), now),
+                "INSERT INTO jobs (name, state, n_points, n_shards,"
+                " submitted_at) VALUES (?, 'queued', ?, ?, ?)",
+                (name or "sweep", len(jobs), len(shards), now),
             )
             job_id = cursor.lastrowid
             shard_of = {
@@ -321,7 +318,6 @@ class JobQueue:
                 name=name,
                 points=len(jobs),
                 shards=len(shards),
-                exec_mode=exec_mode,
             )
         return job_id
 
@@ -337,8 +333,8 @@ class JobQueue:
         with transaction(self.conn):
             while True:
                 row = self.conn.execute(
-                    "SELECT s.job_id, s.shard, s.state, s.owner, s.attempts,"
-                    " j.exec_mode FROM shards s JOIN jobs j ON j.id = s.job_id"
+                    "SELECT s.job_id, s.shard, s.state, s.owner, s.attempts"
+                    " FROM shards s JOIN jobs j ON j.id = s.job_id"
                     " WHERE j.state IN ('queued', 'running')"
                     " AND (s.state = 'ready' OR (s.state = 'leased'"
                     "      AND s.lease_expires < ?))"
@@ -381,7 +377,6 @@ class JobQueue:
             job_id=job_id,
             shard=shard,
             owner=owner,
-            exec_mode=row["exec_mode"],
             attempt=row["attempts"] + 1,
             points=[(r["idx"], pickle.loads(r["job"])) for r in pending],
         )
@@ -422,8 +417,8 @@ class JobQueue:
         """A leased, unexpired shard whose owner is a dead local pid —
         reclaimable immediately instead of waiting out the lease."""
         rows = self.conn.execute(
-            "SELECT s.job_id, s.shard, s.state, s.owner, s.attempts,"
-            " j.exec_mode FROM shards s JOIN jobs j ON j.id = s.job_id"
+            "SELECT s.job_id, s.shard, s.state, s.owner, s.attempts"
+            " FROM shards s JOIN jobs j ON j.id = s.job_id"
             " WHERE j.state = 'running' AND s.state = 'leased'"
             " ORDER BY s.job_id, s.shard",
         ).fetchall()
@@ -609,7 +604,6 @@ class JobQueue:
             job_id=row["id"],
             name=row["name"],
             state=row["state"],
-            exec_mode=row["exec_mode"],
             n_points=row["n_points"],
             done=progress["done"],
             failed=failed,

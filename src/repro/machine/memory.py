@@ -25,8 +25,8 @@ state is one :class:`Store`, addressed by (name, rank, element):
 The store is also the one place that knows who owns an element.  At
 construction it tabulates, per array and per distributed dimension, the
 owner of every index along that dimension (:class:`_Owners`: O(extent),
-never a ``(P, *shape)`` mask), and from those tables answers, for all
-three tiers, the two questions every fetch, gather and combine asks: an
+never a ``(P, *shape)`` mask), and from those tables answers, for
+both engines, the two questions every fetch, gather and combine asks: an
 element's owner ranks, ascending (:meth:`Store.owner_rows`), and the
 rank a read of it is served from — its lowest-ranked valid owner, else
 the lowest-ranked valid copy (:meth:`Store.sources`, and

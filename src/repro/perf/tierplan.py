@@ -1,10 +1,9 @@
 """Cost-driven tier selection: which engine runs each loop nest.
 
-The simulator has three execution tiers — the tree-walking interpreter
-(tier 1), the lowered closures (tier 2), and the vectorized slab engine
-(tier 3).  Tier 3 used to take over every nest it *could*; on nests
-with tiny per-entry lane counts the prepare/commit overhead loses to
-plain tier-2 dispatch (the DGEFA regression).  In the paper's spirit —
+The simulator has two engines — the lowered closures (tier 2) and the
+vectorized slab engine (tier 3).  Tier 3 used to take over every nest
+it *could*; on nests with tiny per-entry lane counts the
+prepare/commit overhead loses to plain tier-2 dispatch (the DGEFA regression).  In the paper's spirit —
 mapping decisions driven by a cost model, not fixed heuristics — the
 tier plan combines the nests the slab classifier built a plan for
 with :meth:`repro.perf.PerfEstimator.nest_cost` and records, per such

@@ -30,7 +30,7 @@ from typing import Any, Mapping
 
 #: versioned schema tag carried by every record; bump the trailing
 #: integer whenever a field is renamed, removed, or changes meaning
-RESULT_SCHEMA = "repro.result/2"
+RESULT_SCHEMA = "repro.result/3"
 
 #: record kinds emitted by the package
 RECORD_KINDS = ("run", "sweep-point", "job")

@@ -45,7 +45,7 @@ from ..jobqueue import (
     work,
 )
 from ..obs import NULL_TRACER
-from ..sweep.engine import EXEC_MODES, run_sweep
+from ..sweep.engine import run_sweep
 from ..sweep.spec import SweepJob, SweepResult, SweepSpec
 from .catalog import Catalog, point_key
 from .worker import shard_jobs
@@ -199,25 +199,17 @@ class SweepService:
         spec: "SweepSpec | Iterable[SweepJob]",
         *,
         name: str = "",
-        exec_mode: str = "auto",
         shards: int | None = None,
     ) -> JobHandle:
         """Persist a grid as a durable job; returns immediately with a
-        :class:`JobHandle`.  ``exec_mode`` is how each shard will run
-        (``auto``/``pool``/``batched``); ``shards`` partitions the
-        grid (default: one shard per fusion group)."""
-        if exec_mode not in EXEC_MODES:
-            raise ValueError(
-                f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}"
-            )
+        :class:`JobHandle`.  ``shards`` partitions the grid (default:
+        one shard per fusion group)."""
         jobs = list(spec.jobs() if isinstance(spec, SweepSpec) else spec)
         if not jobs:
             raise ValueError("cannot submit an empty grid")
         keys = [point_key(job) for job in jobs]
         assignment = shard_jobs(jobs, shards)
-        job_id = self.queue.submit(
-            jobs, keys, assignment, name=name, exec_mode=exec_mode
-        )
+        job_id = self.queue.submit(jobs, keys, assignment, name=name)
         self._inc("service.jobs_submitted")
         self._inc("service.points_submitted", len(jobs))
         self._update_depth_gauges()
@@ -292,7 +284,6 @@ class SweepService:
                 run_sweep(
                     fresh,
                     workers=0,
-                    mode=claim.exec_mode,
                     cache=self.cache,
                     manager=self.manager,
                     tracer=self.tracer,

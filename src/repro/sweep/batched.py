@@ -205,6 +205,65 @@ def compile_with_memo(
 
 
 # ---------------------------------------------------------------------------
+# Point records: one builder per measurement, scalar run or lane alike
+# ---------------------------------------------------------------------------
+
+
+def simulate_record(
+    sim, compiled: CompiledProgram, canonical: dict, lane: int | None = None
+) -> dict:
+    """The simulate-mode fields of one grid point: of the scalar run
+    ``sim``, or of lane ``lane`` of a lane-vector run.  ``canonical``
+    is ``sim.canonical_stats()``, taken once per simulation; a lane's
+    copy swaps in that lane's clocks, the traffic and tier decisions
+    being the same for every lane."""
+    if lane is None:
+        elapsed, stats = sim.elapsed, canonical
+    else:
+        elapsed = sim.clocks.lane_elapsed(lane)
+        stats = {
+            "procs": canonical["procs"],
+            "clocks": sim.clocks.lane_snapshot(lane),
+            "stats": copy.deepcopy(canonical["stats"]),
+            "tiers": dict(canonical["tiers"]),
+        }
+    return dict(
+        grid_size=compiled.grid.size,
+        elapsed=elapsed,
+        canonical_stats=stats,
+        slab_coverage=round(sim.slab_coverage, 6),
+        messages=sim.stats.messages,
+        fetches=sim.stats.fetches,
+        unexpected_fetches=sim.stats.unexpected_fetches,
+    )
+
+
+def estimate_record(
+    estimate, compiled: CompiledProgram, lane: int | None = None
+) -> dict:
+    """The estimate-mode fields of one grid point: of a scalar
+    estimate, or of lane ``lane`` of a vectorized one — where a cost
+    no machine-dependent term touched stays a plain scalar (e.g.
+    ``comm_time`` of a communication-free program), exactly like the
+    scalar estimator's."""
+
+    def pick(value):
+        if lane is None:
+            return value
+        import numpy as np
+
+        arr = np.asarray(value, dtype=np.float64)
+        return float(arr) if arr.ndim == 0 else float(arr[lane])
+
+    return dict(
+        grid_size=compiled.grid.size,
+        total_time=pick(estimate.total_time),
+        compute_time=pick(estimate.compute_time),
+        comm_time=pick(estimate.comm_time),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Vectorized evaluation
 # ---------------------------------------------------------------------------
 
@@ -223,61 +282,23 @@ def _simulate_lanes(batch: Batch, compiled: CompiledProgram):
 
 
 def _simulate_payloads(sim, compiled: CompiledProgram) -> list[dict]:
-    """Per-lane simulate-mode payloads of one sub-simulation: the
-    clock-derived fields come from lane ``m`` of its clocks, the rest
-    is shared by every lane."""
-    clocks = sim.clocks
-    base = sim.canonical_stats()  # lane-vector "clocks", shared rest
-    shared = dict(
-        slab_coverage=round(sim.slab_coverage, 6),
-        messages=sim.stats.messages,
-        fetches=sim.stats.fetches,
-        unexpected_fetches=sim.stats.unexpected_fetches,
-        grid_size=compiled.grid.size,
-    )
-    payloads = []
-    for lane in range(clocks.lanes):
-        stats = {
-            "procs": base["procs"],
-            "clocks": clocks.lane_snapshot(lane),
-            "stats": copy.deepcopy(base["stats"]),
-            "tiers": dict(base["tiers"]),
-        }
-        payloads.append(
-            dict(
-                shared,
-                elapsed=clocks.lane_elapsed(lane),
-                canonical_stats=stats,
-            )
-        )
-    return payloads
-
-
-def _lane_float(value, lane: int) -> float:
-    """One lane of a vectorized cost — which stays a plain scalar when
-    no machine-dependent term ever touched it (e.g. ``comm_time`` of a
-    communication-free program), exactly like the scalar estimator."""
-    import numpy as np
-
-    arr = np.asarray(value, dtype=np.float64)
-    return float(arr) if arr.ndim == 0 else float(arr[lane])
+    """Per-lane simulate-mode records of one sub-simulation."""
+    base = sim.canonical_stats()  # once per sub-simulation, not per lane
+    return [
+        simulate_record(sim, compiled, base, lane)
+        for lane in range(sim.clocks.lanes)
+    ]
 
 
 def _estimate_lanes(batch: Batch, compiled: CompiledProgram) -> list[dict]:
-    """One vectorized estimator pass; per-lane estimate payloads."""
+    """One vectorized estimator pass; per-lane estimate records."""
     from ..machine.batchexec import VectorMachine
     from ..perf.estimator import PerfEstimator
 
     machine = VectorMachine([j.options.machine for j in batch.jobs])
     estimate = PerfEstimator(compiled, machine).estimate()
     return [
-        dict(
-            total_time=_lane_float(estimate.total_time, lane),
-            compute_time=_lane_float(estimate.compute_time, lane),
-            comm_time=_lane_float(estimate.comm_time, lane),
-            grid_size=compiled.grid.size,
-        )
-        for lane in range(len(batch))
+        estimate_record(estimate, compiled, lane) for lane in range(len(batch))
     ]
 
 

@@ -46,12 +46,15 @@ from ..core.diskcache import CompileCache, as_compile_cache
 from ..core.passes import PassManager
 from ..jobqueue import ABANDONED, JobQueue, LocalWorkers, make_owner, work
 from ..obs import Metrics, NULL_TRACER, Tracer
-from .batched import compile_with_memo, plan_batches, record_result, run_batched
+from .batched import (
+    compile_with_memo,
+    estimate_record,
+    plan_batches,
+    record_result,
+    run_batched,
+    simulate_record,
+)
 from .spec import SweepJob, SweepResult, SweepSpec
-
-#: execution modes of :func:`run_sweep` — how the grid is *run*, as
-#: opposed to ``SweepSpec.mode`` which says what each point *measures*
-EXEC_MODES = ("auto", "pool", "batched")
 
 
 # ---------------------------------------------------------------------------
@@ -61,35 +64,19 @@ EXEC_MODES = ("auto", "pool", "batched")
 
 def _measure_payload(job: SweepJob, compiled) -> dict:
     """Run the job's measurement mode over the compiled program."""
-    payload: dict = {"grid_size": compiled.grid.size}
     if job.mode == "estimate":
         from ..perf.estimator import PerfEstimator
 
-        estimate = PerfEstimator(compiled).estimate()
-        payload.update(
-            total_time=estimate.total_time,
-            compute_time=estimate.compute_time,
-            comm_time=estimate.comm_time,
-        )
-    elif job.mode == "simulate":
+        return estimate_record(PerfEstimator(compiled).estimate(), compiled)
+    if job.mode == "simulate":
         from ..codegen.seq import seeded_inputs
         from ..machine.simulator import simulate
 
         inputs = seeded_inputs(compiled.proc, job.seed)
         # tier="auto" matches Session.run and the batched fast path
-        # (which the parity suite byte-compares against this payload)
         sim = simulate(compiled, inputs, tier="auto")
-        payload.update(
-            elapsed=sim.elapsed,
-            canonical_stats=sim.canonical_stats(),
-            slab_coverage=round(sim.slab_coverage, 6),
-            messages=sim.stats.messages,
-            fetches=sim.stats.fetches,
-            unexpected_fetches=sim.stats.unexpected_fetches,
-        )
-    else:  # "compile"
-        payload.update(report=compiled.report())
-    return payload
+        return simulate_record(sim, compiled, sim.canonical_stats())
+    return {"grid_size": compiled.grid.size, "report": compiled.report()}
 
 
 def execute_job(
@@ -300,24 +287,22 @@ def run_sweep(
     persistent compile cache (path, True for the default root, or a
     :class:`CompileCache`).
 
-    ``mode`` picks the execution strategy: ``"pool"`` runs every job
-    on its own, serially or on the worker pool; ``"batched"`` routes
+    ``mode`` is how the grid is *run* (``SweepSpec.mode`` says what
+    each point *measures*).  ``"auto"`` (default) routes
     simulate/estimate points through the vectorized batch evaluator
-    (:mod:`repro.sweep.batched`) — points differing only in machine
-    parameters share one simulation, points differing only in the
-    processor count fuse into procs sub-groups of one batch (one
-    compile and one lane-vector simulation or estimate per sub-group),
-    repeated compiles dedupe — with everything
-    non-batchable run per job; ``"auto"`` (default) uses
-    the batched path exactly when some batch has two or more lanes to
-    fuse.  Results are identical across modes (the parity suite
-    byte-compares them); only the wall clock differs.
+    (:mod:`repro.sweep.batched`) exactly when some batch has two or
+    more lanes to fuse — points differing only in machine parameters
+    share one simulation, points differing only in the processor count
+    fuse into procs sub-groups of one batch, repeated compiles dedupe
+    — and runs everything else per job.  ``"pool"`` runs every job on
+    its own, serially or on the worker pool: the scalar-charging
+    reference, and the only way to spread a fusing grid over
+    ``workers`` processes.  Results are identical across modes (the
+    parity suites byte-compare them); only the wall clock differs.
     """
     jobs = list(spec.jobs() if isinstance(spec, SweepSpec) else spec)
-    if mode not in EXEC_MODES:
-        raise ValueError(
-            f"mode must be one of {EXEC_MODES}, got {mode!r}"
-        )
+    if mode not in ("auto", "pool"):
+        raise ValueError(f"mode must be 'auto' or 'pool', got {mode!r}")
     tracer = tracer if tracer is not None else NULL_TRACER
     disk_cache = as_compile_cache(cache)
     if metrics is not None:
@@ -329,9 +314,9 @@ def run_sweep(
 
     batches: list = []
     leftover = list(range(len(jobs)))
-    if mode != "pool":
+    if mode == "auto":
         planned, rest = plan_batches(jobs)
-        if mode == "batched" or any(len(b) > 1 for b in planned):
+        if any(len(b) > 1 for b in planned):
             batches, leftover = planned, rest
 
     with tracer.span(

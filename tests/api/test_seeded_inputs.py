@@ -57,9 +57,11 @@ def test_four_call_sites_draw_identical_arrays(name, seed, seen):
     assert _bytes(result.inputs) == expected
 
     job = SweepJob(program=name, source=source, mode="simulate", seed=seed)
-    for mode in ("pool", "batched"):
-        (point,) = run_sweep([job], workers=0, mode=mode)
-        assert point.ok, point.error
+    (point,) = run_sweep([job], workers=0, mode="pool")
+    assert point.ok, point.error
+    # a repeated point is a two-lane batch: one lane-vector simulation
+    points = run_sweep([job, job], workers=0)
+    assert all(p.ok and p.worker == "batched" for p in points)
 
     assert _bytes(make_inputs(source, seed)) == expected
 

@@ -73,7 +73,7 @@ def test_batched_sweep_matches_per_point_simulation(program):
     )
     jobs = spec.jobs()
     assert len(jobs) >= 7
-    results = run_sweep(spec, workers=0, mode="batched")
+    results = run_sweep(spec, workers=0)
     assert [r.label for r in results] == [j.label for j in jobs]
     for job, result in zip(jobs, results):
         assert result.ok, result.error

@@ -79,7 +79,7 @@ def _grid_spec(program, machines=MACHINES, procs=None):
 def test_procs_fused_batch_matches_per_procs_runs(program):
     spec = _grid_spec(program)
     jobs = spec.jobs()
-    results = run_sweep(spec, workers=0, mode="batched")
+    results = run_sweep(spec, workers=0)
     assert [r.label for r in results] == [j.label for j in jobs]
     for job, result in zip(jobs, results):
         assert result.ok, result.error
@@ -99,8 +99,9 @@ def test_procs_fused_batch_matches_pool_mode(program):
     """The same grid through mode="pool" (per-job execution) — every
     measurement field identical, only execution bookkeeping differs."""
     spec = _grid_spec(program)
-    batched = run_sweep(spec, workers=0, mode="batched")
+    batched = run_sweep(spec, workers=0)
     pooled = run_sweep(spec, workers=0, mode="pool")
+    assert all(r.worker == "batched" for r in batched)
     # execution bookkeeping (who ran it, how fast, what was shared)
     # legitimately differs between modes; the measurements must not
     strip = ("worker", "duration_s", "procs_lanes", "compile_dedup",
@@ -131,9 +132,10 @@ def test_random_procs_subsets_stay_byte_identical(procs, machines):
         seed=7,
     )
     jobs = spec.jobs()
-    results = run_sweep(spec, workers=0, mode="batched")
+    results = run_sweep(spec, workers=0)
     for job, result in zip(jobs, results):
         assert result.ok, result.error
+        assert result.worker == "batched"
         assert result.procs_lanes == len(procs)
         stats, elapsed, _ = _reference_stats(job.source, job.options, job.seed)
         assert _canonical(result.canonical_stats) == _canonical(stats)
@@ -210,7 +212,7 @@ def test_demoting_nests_stay_byte_identical(monkeypatch):
         seed=3,
     )
     jobs = spec.jobs()
-    results = run_sweep(spec, workers=0, mode="batched")
+    results = run_sweep(spec, workers=0)
     for job, result in zip(jobs, results):
         assert result.ok, result.error
         assert result.worker == "batched"

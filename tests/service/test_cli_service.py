@@ -38,7 +38,7 @@ class TestJobsLifecycle:
             "jobs", "status", "1", "--service-dir", service_dir, "--json",
         ]) == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["schema"] == "repro.result/2"
+        assert record["schema"] == "repro.result/3"
         assert record["kind"] == "job"
         assert record["state"] == "done" and record["done"] == 2
 
@@ -121,7 +121,7 @@ class TestCatalogCli:
         ]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["point_key"] == point_key
-        assert record["record"]["schema"] == "repro.result/2"
+        assert record["record"]["schema"] == "repro.result/3"
 
         assert main([
             "catalog", "show", "ffffffff", "--service-dir", service_dir,
@@ -137,10 +137,11 @@ class TestCatalogCli:
 class TestFlagConventions:
     def test_measure_exec_canonical_and_aliases(self, program, capsys):
         """``--measure``/``--exec`` are the only spellings; the aliases
-        older releases hid are refused on both grid-taking commands."""
+        older releases hid are refused on both grid-taking commands,
+        and only ``sweep`` says how its grid runs."""
         assert main([
             "sweep", str(program), "--procs", "2",
-            "--measure", "estimate", "--exec", "batched",
+            "--measure", "estimate", "--exec", "pool",
         ]) == 0
         assert "total" in capsys.readouterr().out
         for command in (["sweep"], ["jobs", "submit"]):
@@ -149,6 +150,12 @@ class TestFlagConventions:
                     main([*command, str(program), "--procs", "2", *old])
                 assert exit_info.value.code == 2
                 assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["jobs", "submit", str(program), "--exec", "auto"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --exec auto" in (
+            capsys.readouterr().err
+        )
 
     def test_hidden_aliases_not_in_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -165,7 +172,7 @@ class TestFlagConventions:
             "--measure", "estimate", "--json", str(out),
         ]) == 0
         records = json.loads(out.read_text())
-        assert records[0]["schema"] == "repro.result/2"
+        assert records[0]["schema"] == "repro.result/3"
         assert records[0]["kind"] == "sweep-point"
 
     def test_run_json_record(self, program, tmp_path, capsys):

@@ -39,8 +39,9 @@ class TestEndToEnd:
         via_service = handle.result(timeout=60)
 
         direct = Session(cache=False, use_calibration=False).sweep(
-            spec, workers=0, mode="batched"
+            spec, workers=0
         )
+        assert all(r.worker == "batched" for r in direct)
         assert _canon(via_service) == _canon(direct)
         service.close()
 
@@ -124,8 +125,44 @@ class TestJobHandle:
         service = SweepService(tmp_path / "svc")
         with pytest.raises(ValueError, match="empty grid"):
             service.submit([])
-        with pytest.raises(ValueError, match="exec_mode"):
-            service.submit(_spec(), exec_mode="warp")
+        service.close()
+
+
+class TestQueueSchema:
+    #: the jobs table as queue schema v1 wrote it, execution-mode
+    #: column included
+    V1_JOBS = """
+    CREATE TABLE jobs (
+      id INTEGER PRIMARY KEY AUTOINCREMENT,
+      name TEXT NOT NULL,
+      state TEXT NOT NULL DEFAULT 'queued',
+      exec_mode TEXT NOT NULL DEFAULT 'auto',
+      n_points INTEGER NOT NULL,
+      n_shards INTEGER NOT NULL,
+      submitted_at REAL NOT NULL,
+      started_at REAL,
+      finished_at REAL,
+      error TEXT
+    )
+    """
+
+    def test_v1_queue_file_takes_a_job_to_done(self, tmp_path):
+        from repro.jobqueue.db import connect, ensure_schema
+
+        root = tmp_path / "svc"
+        conn = connect(root / "queue.sqlite")
+        ensure_schema(conn, "queue", 1, self.V1_JOBS)
+        conn.close()
+
+        service = SweepService(root)
+        handle = service.submit(_spec(procs=(2,)))
+        assert service.serve_forever(once=True) == 1
+        assert handle.poll().state == "done"
+        assert [r.ok for r in handle.result(timeout=5)] == [True]
+        (version,) = service.queue.conn.execute(
+            "SELECT version FROM schema_info WHERE name = 'queue'"
+        ).fetchone()
+        assert version == 2
         service.close()
 
 
@@ -137,7 +174,8 @@ class TestSessionSubmit:
         worker.serve_forever(once=True)
         results = handle.result(timeout=60)
         assert len(results) == 2 and all(r.ok for r in results)
-        direct = session.sweep(_spec(), workers=0, mode="batched")
+        direct = session.sweep(_spec(), workers=0)
+        assert all(r.worker == "batched" for r in direct)
         assert _canon(results) == _canon(direct)
         worker.close()
         handle.service.close()

@@ -40,8 +40,9 @@ class TestParityWithPool:
     def test_batched_equals_pool_byte_for_byte(self, mode):
         spec = _spec(mode=mode)
         pool = run_sweep(spec, workers=0, mode="pool")
-        batched = run_sweep(spec, workers=0, mode="batched")
+        batched = run_sweep(spec, workers=0)
         assert len(pool) == len(batched) == len(spec)
+        assert all(b.worker == "batched" for b in batched)
         for p, b in zip(pool, batched):
             assert json.dumps(_comparable(p), sort_keys=True) == json.dumps(
                 _comparable(b), sort_keys=True
@@ -67,7 +68,7 @@ class TestParityWithPool:
             mode="estimate",
         )
         metrics = Metrics()
-        results = run_sweep(spec, workers=0, mode="batched", metrics=metrics)
+        results = run_sweep(spec, workers=0, metrics=metrics)
         assert len(results) == 18
         assert metrics.counters["sweep.batched_groups"] == 3
         assert not any(
@@ -99,8 +100,9 @@ class TestParityWithPool:
     def test_single_procs_batch_reports_one_procs_lane(self):
         metrics = Metrics()
         results = run_sweep(
-            _spec(procs=(2,)), workers=0, mode="batched", metrics=metrics
+            _spec(procs=(2,)), workers=0, metrics=metrics
         )
+        assert all(r.worker == "batched" for r in results)
         assert all(r.procs_lanes == 1 for r in results)
         assert "sweep.procs_fused" not in metrics.counters
 
@@ -109,8 +111,9 @@ class TestAccounting:
     def test_compile_dedup_counter(self):
         metrics = Metrics()
         results = run_sweep(
-            _spec(), workers=0, mode="batched", metrics=metrics
+            _spec(), workers=0, metrics=metrics
         )
+        assert all(r.worker == "batched" for r in results)
         # each batch compiles once; the other lanes reuse it
         deduped = [r for r in results if r.compile_dedup]
         assert len(deduped) == 4
@@ -129,7 +132,8 @@ class TestAccounting:
         assert metrics.counters["sweep.compile_dedup"] == 1
 
     def test_batched_duration_amortized_over_lanes(self):
-        results = run_sweep(_spec(procs=(2,)), workers=0, mode="batched")
+        results = run_sweep(_spec(procs=(2,)), workers=0)
+        assert all(r.worker == "batched" for r in results)
         durations = {r.duration_s for r in results}
         assert len(durations) == 1  # one batch wall clock, split evenly
         assert durations.pop() > 0
@@ -145,7 +149,7 @@ class TestFallback:
         monkeypatch.setattr(batched_mod, "_simulate_lanes", boom)
         metrics = Metrics()
         spec = _spec(procs=(2,))
-        results = run_sweep(spec, workers=0, mode="batched", metrics=metrics)
+        results = run_sweep(spec, workers=0, metrics=metrics)
         assert metrics.counters["sweep.batched_fallbacks"] == 1
         assert [r.worker for r in results] == ["batched-fallback"] * 3
         assert all(r.ok for r in results)
@@ -164,7 +168,7 @@ class TestFallback:
         monkeypatch.setattr(batched_mod, "_simulate_lanes", boom)
         metrics = Metrics()
         results = run_sweep(
-            _spec(procs=(2,)), workers=0, mode="batched", metrics=metrics
+            _spec(procs=(2,)), workers=0, metrics=metrics
         )
         for result in results:
             assert result.fallback_reason is not None
@@ -191,7 +195,7 @@ class TestFallback:
         monkeypatch.setattr(batched_mod, "_simulate_payloads", nope)
         metrics = Metrics()
         spec = _spec(procs=(2, 4), machines=(SP2,))
-        results = run_sweep(spec, workers=0, mode="batched", metrics=metrics)
+        results = run_sweep(spec, workers=0, metrics=metrics)
         assert [r.worker for r in results] == ["batched-fallback"] * 2
         for result in results:
             assert result.fallback_reason.startswith("batch: ")
@@ -216,7 +220,7 @@ class TestFallback:
         monkeypatch.setattr(batched_mod, "_estimate_lanes", refuse_four_procs)
         metrics = Metrics()
         spec = _spec(mode="estimate")
-        results = run_sweep(spec, workers=0, mode="batched", metrics=metrics)
+        results = run_sweep(spec, workers=0, metrics=metrics)
         pool = run_sweep(spec, workers=0, mode="pool")
         for job, result, ref in zip(spec.jobs(), results, pool):
             assert _comparable(result) == _comparable(ref)
@@ -232,7 +236,8 @@ class TestFallback:
         assert metrics.counters["sweep.lane_fallback[reason=estimate]"] == 3
 
     def test_healthy_batched_run_has_no_fallback_reason(self):
-        results = run_sweep(_spec(procs=(2,)), workers=0, mode="batched")
+        results = run_sweep(_spec(procs=(2,)), workers=0)
         for result in results:
+            assert result.worker == "batched"
             assert result.fallback_reason is None
             assert "fallback_reason" not in result.as_dict()

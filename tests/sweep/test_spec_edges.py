@@ -47,7 +47,7 @@ class TestSpecEdges:
         )
         jobs = spec.jobs()
         assert len(jobs) == 3
-        results = run_sweep(spec, workers=0, mode="batched")
+        results = run_sweep(spec, workers=0)
         assert [r.label for r in results] == [j.label for j in jobs]
         assert all(r.ok for r in results)
         assert all(r.worker == "batched" for r in results)
@@ -106,7 +106,7 @@ class TestPartitionInvariant:
             _job(label="d", mode="estimate"),
             _job(label="e"),
         ]
-        for mode in ("auto", "pool", "batched"):
+        for mode in ("auto", "pool"):
             results = run_sweep(list(jobs), workers=0, mode=mode)
             assert [r.label for r in results] == ["a", "b", "c", "d", "e"]
             assert all(r.ok for r in results), mode
@@ -130,6 +130,21 @@ class TestPartitionInvariant:
         assert all(r.worker == "batched" for r in results)
         assert all(r.procs_lanes == 2 for r in results)
 
-    def test_rejects_unknown_exec_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_sweep([_job()], workers=0, mode="warp")
+    def test_one_fusing_batch_takes_every_batchable_point_batched(self):
+        """Once some batch has lanes to fuse, auto runs every batch on
+        the batched path — a singleton batch included — and only the
+        unbatchable points per job."""
+        jobs = [
+            _job(),
+            _job(options=CompilerOptions(num_procs=2, machine=FAST)),
+            _job(options=CompilerOptions(num_procs=2, strategy="consumer")),
+            _job(mode="compile"),
+        ]
+        results = run_sweep(jobs, workers=0, mode="auto")
+        assert all(r.ok for r in results)
+        assert [r.worker for r in results] == ["batched"] * 3 + ["serial"]
+
+    @pytest.mark.parametrize("mode", ["warp", "batched"])
+    def test_rejects_unknown_exec_mode(self, mode):
+        with pytest.raises(ValueError, match="'auto' or 'pool'"):
+            run_sweep([_job()], workers=0, mode=mode)

@@ -58,6 +58,30 @@ class TestUserErrors:
          "argument --scale: expected a finite number > 0, got 'nan'"),
         (["run", "{program}", "--tier", RETIRED_TIER], "run",
          f"argument --tier: invalid choice: '{RETIRED_TIER}'"),
+        (["sweep", "{program}", "--exec", "batched"], "sweep",
+         "argument --exec: invalid choice: 'batched'"),
+        (["sweep", "{program}", "--workers", "-2"], "sweep",
+         "argument --workers: expected an integer >= 0, got '-2'"),
+        (["jobs", "submit", "{program}", "--shards", "0"], "jobs submit",
+         "argument --shards: expected an integer >= 1, got '0'"),
+        (["jobs", "submit", "{program}", "--timeout", "nan"], "jobs submit",
+         "argument --timeout: expected a finite number > 0, got 'nan'"),
+        (["jobs", "watch", "1", "--timeout", "nan"], "jobs watch",
+         "argument --timeout: expected a finite number > 0, got 'nan'"),
+        (["serve", "--workers", "0"], "serve",
+         "argument --workers: expected an integer >= 1, got '0'"),
+        (["serve", "--max-shards", "-1"], "serve",
+         "argument --max-shards: expected an integer >= 0, got '-1'"),
+        (["serve", "--poll", "nan"], "serve",
+         "argument --poll: expected a finite number > 0, got 'nan'"),
+        (["serve", "--lease-ttl", "-5"], "serve",
+         "argument --lease-ttl: expected a finite number > 0, got '-5'"),
+        (["serve", "--idle-timeout", "-1"], "serve",
+         "argument --idle-timeout: expected a finite number > 0, got '-1'"),
+        (["catalog", "gc", "--max-age-days", "-1", "--dry-run"],
+         "catalog gc",
+         "argument --max-age-days: expected a finite number >= 0, "
+         "got '-1'"),
     ])
     def test_one_line_and_exit_code_2(
         self, argv, command, message, program_file, tmp_path, capsys
@@ -318,14 +342,6 @@ class TestSweepCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "2 points" in out
-
-    def test_forced_batched_mode(self, program_file, capsys):
-        assert main(
-            ["sweep", program_file, "--procs", "2", "4",
-             "--exec", "batched"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "(2 batched" in out
 
     @pytest.mark.parametrize(
         "old", [["--sweep-mode", "estimate"], ["--mode", "batched"]]
