@@ -73,24 +73,42 @@ def default_cache_dir() -> Path:
     return base / "repro"
 
 
+#: sorted field names per options class (None: not a dataclass), so a
+#: render walks a tuple instead of ``dataclasses.fields`` and a sort
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    try:
+        return _FIELD_NAMES[cls]
+    except KeyError:
+        names = (
+            tuple(sorted(f.name for f in dataclasses.fields(cls)))
+            if dataclasses.is_dataclass(cls)
+            else None
+        )
+        _FIELD_NAMES[cls] = names
+        return names
+
+
+def _render_fields(value: Any, names: tuple[str, ...], sep: str) -> str:
+    return sep.join(
+        f"{name}={_canonical_value(getattr(value, name))}" for name in names
+    )
+
+
 def _canonical_value(value: Any) -> str:
     """Deterministic rendering of one options field value."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        inner = ",".join(
-            f"{f.name}={_canonical_value(getattr(value, f.name))}"
-            for f in sorted(dataclasses.fields(value), key=lambda f: f.name)
-        )
-        return f"{type(value).__name__}({inner})"
-    return repr(value)
+    names = _field_names(type(value))
+    if names is None:
+        return repr(value)
+    return f"{type(value).__name__}({_render_fields(value, names, ',')})"
 
 
 def options_signature(options: Any) -> str:
     """The canonical *options closure*: every field of the options
     dataclass (machine model included), in name order."""
-    return ";".join(
-        f"{f.name}={_canonical_value(getattr(options, f.name))}"
-        for f in sorted(dataclasses.fields(options), key=lambda f: f.name)
-    )
+    return _render_fields(options, _field_names(type(options)), ";")
 
 
 def pipeline_fingerprint() -> str:

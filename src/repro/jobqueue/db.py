@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import sqlite3
 from pathlib import Path
+from typing import Callable
 
 #: how long a writer waits on a locked database before erroring (ms)
 BUSY_TIMEOUT_MS = 30_000
@@ -47,14 +48,19 @@ def connect(path: str | os.PathLike) -> sqlite3.Connection:
 
 
 def ensure_schema(
-    conn: sqlite3.Connection, name: str, version: int, ddl: str
+    conn: sqlite3.Connection,
+    name: str,
+    version: int,
+    ddl: str,
+    upgrade: Callable[[sqlite3.Connection], None] | None = None,
 ) -> None:
     """Create ``ddl`` (idempotent ``CREATE TABLE IF NOT EXISTS``
     statements, ``;``-separated, no semicolons inside literals) and
     record ``version`` under ``name``.  An on-disk version *newer*
     than ``version`` raises :class:`SchemaMismatch`; an older one is
     overwritten after the DDL runs (the DDL must stay additive within
-    a major schema)."""
+    a major schema) and ``upgrade(conn)``, in the same transaction,
+    brings the existing tables up to date."""
     # not executescript: that implicitly COMMITs any open transaction
     with transaction(conn):
         conn.execute(
@@ -72,6 +78,9 @@ def ensure_schema(
         for statement in ddl.split(";"):
             if statement.strip():
                 conn.execute(statement)
+        older = row is not None and row["version"] < version
+        if upgrade is not None and older:
+            upgrade(conn)
         conn.execute(
             "INSERT INTO schema_info (name, version) VALUES (?, ?) "
             "ON CONFLICT(name) DO UPDATE SET version = excluded.version",

@@ -22,9 +22,12 @@ the queue database:
   attempt count and the last owner), so a point that kills every
   worker it meets ends the job instead of circulating forever.
 * **durability** — every completed point commits its pickled
-  :class:`~repro.sweep.spec.SweepResult` in the same transaction that
-  flips the point state, so a crash between points loses nothing and
-  a restarted service resumes exactly the pending points.
+  :class:`~repro.sweep.spec.SweepResult` (and its ``ok`` flag, the
+  column failure counts read) in the same transaction that flips the
+  point state — alone, or with the other points of one
+  :meth:`JobQueue.complete_points` batch — so a crash between commits
+  loses nothing and a restarted service resumes exactly the pending
+  points.
 * **events** — submit/claim/point/shard/terminal transitions append to
   a monotonic per-queue event log that ``JobHandle.stream_events`` and
   ``repro jobs watch`` tail.
@@ -50,9 +53,12 @@ from .db import connect, ensure_schema, transaction
 if TYPE_CHECKING:  # jobs and results cross this module only as pickles
     from ..sweep.spec import SweepJob, SweepResult
 
-#: v2 has no execution-mode column; a v1 file still opens (its column
-#: has a default), and v1 code refuses a v2 file instead of failing
-QUEUE_SCHEMA_VERSION = 2
+#: v2 has no execution-mode column (a v1 file still opens: its column
+#: has a default); v3 keeps each finished point's ``ok`` in a column, so
+#: counting failures reads no result blob (a v2 file gains the column
+#: and is backfilled from its blobs once).  Older code refuses a newer
+#: file instead of failing
+QUEUE_SCHEMA_VERSION = 3
 
 #: ``SweepResult.worker`` of a point no run finished: the queue gave
 #: it up at the attempt bound (see :meth:`JobQueue._give_up`)
@@ -83,6 +89,7 @@ CREATE TABLE IF NOT EXISTS points (
   label TEXT NOT NULL,
   job BLOB NOT NULL,
   result BLOB,
+  ok INTEGER,
   reused INTEGER NOT NULL DEFAULT 0,
   finished_at REAL,
   PRIMARY KEY (job_id, idx)
@@ -111,6 +118,28 @@ CREATE INDEX IF NOT EXISTS idx_shards_claimable
 CREATE INDEX IF NOT EXISTS idx_events_job
   ON events (job_id, seq);
 """
+
+
+def _add_ok_column(conn) -> None:
+    """Upgrade a pre-v3 queue in place: add ``points.ok`` and fill it
+    from the stored result blobs (a blob that no longer unpickles
+    counts as a failure)."""
+    columns = conn.execute("PRAGMA table_info(points)").fetchall()
+    if any(column["name"] == "ok" for column in columns):
+        return
+    conn.execute("ALTER TABLE points ADD COLUMN ok INTEGER")
+    finished = conn.execute(
+        "SELECT job_id, idx, result FROM points WHERE result IS NOT NULL"
+    ).fetchall()
+    for row in finished:
+        try:
+            ok = pickle.loads(row["result"]).ok
+        except Exception:
+            ok = False
+        conn.execute(
+            "UPDATE points SET ok = ? WHERE job_id = ? AND idx = ?",
+            (int(ok), row["job_id"], row["idx"]),
+        )
 
 
 def make_owner() -> str:
@@ -217,6 +246,9 @@ class Claim:
     #: which handing-out of the shard this is (1 = first)
     attempt: int
     points: list[tuple[int, SweepJob]]
+    #: each pending point's key as submitted (its catalog identity on a
+    #: service queue), by grid index
+    keys: dict[int, str]
 
 
 class JobQueue:
@@ -233,7 +265,9 @@ class JobQueue:
         self.lease_ttl = float(lease_ttl)
         self.max_attempts = int(max_attempts)
         self.conn = connect(path)
-        ensure_schema(self.conn, "queue", QUEUE_SCHEMA_VERSION, _DDL)
+        ensure_schema(
+            self.conn, "queue", QUEUE_SCHEMA_VERSION, _DDL, _add_ok_column
+        )
 
     def close(self) -> None:
         self.conn.close()
@@ -379,11 +413,13 @@ class JobQueue:
             owner=owner,
             attempt=row["attempts"] + 1,
             points=[(r["idx"], pickle.loads(r["job"])) for r in pending],
+            keys={r["idx"]: r["point_key"] for r in pending},
         )
 
     def _pending_points(self, job_id: int, shard: int):
         return self.conn.execute(
-            "SELECT idx, job FROM points WHERE job_id = ? AND shard = ?"
+            "SELECT idx, job, point_key FROM points WHERE job_id = ?"
+            " AND shard = ?"
             " AND state = 'pending' ORDER BY idx",
             (job_id, shard),
         ).fetchall()
@@ -449,6 +485,51 @@ class JobQueue:
 
     # -- completion --------------------------------------------------------
 
+    def complete_points(
+        self,
+        job_id: int,
+        landed: Sequence[tuple[int, SweepResult]],
+        *,
+        reused: bool = False,
+        lease: tuple[int, str] | None = None,
+    ) -> list[bool]:
+        """Commit ``(grid index, result)`` pairs in one transaction:
+        each point's state flip, pickled record and ``ok`` column, one
+        ``point`` event per point that landed, and — given ``lease``,
+        a ``(shard, owner)`` — its :meth:`heartbeat`.  Per pair, False
+        means the point was already done: a racing double-completion is
+        dropped, not duplicated."""
+        now = time.time()
+        done: list[bool] = []
+        with transaction(self.conn):
+            for idx, result in landed:
+                cursor = self.conn.execute(
+                    "UPDATE points SET state = 'done', result = ?, ok = ?,"
+                    " reused = ?, finished_at = ? WHERE job_id = ?"
+                    " AND idx = ? AND state = 'pending'",
+                    (
+                        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+                        int(result.ok),
+                        int(reused),
+                        now,
+                        job_id,
+                        idx,
+                    ),
+                )
+                done.append(cursor.rowcount > 0)
+                if done[-1]:
+                    self._emit(
+                        job_id,
+                        "point",
+                        idx=idx,
+                        label=result.label,
+                        ok=result.ok,
+                        reused=reused,
+                    )
+            if lease is not None:
+                self.heartbeat(job_id, *lease)
+        return done
+
     def complete_point(
         self,
         job_id: int,
@@ -457,34 +538,8 @@ class JobQueue:
         *,
         reused: bool = False,
     ) -> bool:
-        """Commit one point's result (state flip + pickled record in
-        one transaction).  Returns False if the point was already done
-        — a racing double-completion is dropped, not duplicated."""
-        now = time.time()
-        with transaction(self.conn):
-            cursor = self.conn.execute(
-                "UPDATE points SET state = 'done', result = ?, reused = ?,"
-                " finished_at = ? WHERE job_id = ? AND idx = ?"
-                " AND state = 'pending'",
-                (
-                    pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-                    int(reused),
-                    now,
-                    job_id,
-                    idx,
-                ),
-            )
-            if cursor.rowcount == 0:
-                return False
-            self._emit(
-                job_id,
-                "point",
-                idx=idx,
-                label=result.label,
-                ok=result.ok,
-                reused=reused,
-            )
-        return True
+        """Commit one point's result (see :meth:`complete_points`)."""
+        return self.complete_points(job_id, [(idx, result)], reused=reused)[0]
 
     def finish_shard(self, job_id: int, shard: int, owner: str) -> bool:
         """Mark a fully-evaluated shard done (only by its lease owner);
@@ -575,59 +630,62 @@ class JobQueue:
 
     # -- inspection --------------------------------------------------------
 
-    def status(self, job_id: int) -> JobStatus:
-        row = self.conn.execute(
-            "SELECT * FROM jobs WHERE id = ?", (job_id,)
-        ).fetchone()
-        if row is None:
-            raise KeyError(f"no job {job_id} in {self.path}")
-        progress = self.conn.execute(
-            "SELECT COUNT(*) FILTER (WHERE state = 'done') AS done,"
-            " COUNT(*) FILTER (WHERE reused = 1) AS reused FROM points"
-            " WHERE job_id = ?",
-            (job_id,),
-        ).fetchone()
-        failed = 0
-        for record in self.conn.execute(
-            "SELECT result FROM points WHERE job_id = ?"
-            " AND state = 'done' AND result IS NOT NULL",
-            (job_id,),
-        ):
-            if not pickle.loads(record["result"]).ok:
-                failed += 1
-        shards_done = self.conn.execute(
-            "SELECT COUNT(*) AS n FROM shards WHERE job_id = ?"
-            " AND state = 'done'",
-            (job_id,),
-        ).fetchone()["n"]
+    #: one statement, so one snapshot: a job row with its point and
+    #: shard counts (failures from the ``ok`` column, no blob read)
+    _STATUS = (
+        "SELECT j.*,"
+        " COUNT(p.idx) FILTER (WHERE p.state = 'done') AS done,"
+        " COUNT(p.idx) FILTER (WHERE p.state = 'done' AND p.ok = 0)"
+        " AS failed,"
+        " COUNT(p.idx) FILTER (WHERE p.reused = 1) AS reused,"
+        " (SELECT COUNT(*) FROM shards s WHERE s.job_id = j.id"
+        "  AND s.state = 'done') AS shards_done"
+        " FROM jobs j LEFT JOIN points p ON p.job_id = j.id"
+    )
+
+    @staticmethod
+    def _job_status(row) -> JobStatus:
         return JobStatus(
             job_id=row["id"],
             name=row["name"],
             state=row["state"],
             n_points=row["n_points"],
-            done=progress["done"],
-            failed=failed,
-            reused=progress["reused"],
+            done=row["done"],
+            failed=row["failed"],
+            reused=row["reused"],
             n_shards=row["n_shards"],
-            shards_done=shards_done,
+            shards_done=row["shards_done"],
             submitted_at=row["submitted_at"],
             started_at=row["started_at"],
             finished_at=row["finished_at"],
             error=row["error"],
         )
 
+    def status(self, job_id: int) -> JobStatus:
+        row = self.conn.execute(
+            f"{self._STATUS} WHERE j.id = ? GROUP BY j.id", (job_id,)
+        ).fetchone()
+        if row is None:
+            raise KeyError(f"no job {job_id} in {self.path}")
+        return self._job_status(row)
+
     def list_jobs(self) -> list[JobStatus]:
-        ids = [
-            row["id"]
-            for row in self.conn.execute("SELECT id FROM jobs ORDER BY id")
+        return [
+            self._job_status(row)
+            for row in self.conn.execute(
+                f"{self._STATUS} GROUP BY j.id ORDER BY j.id"
+            )
         ]
-        return [self.status(job_id) for job_id in ids]
 
     def results(self, job_id: int) -> list[SweepResult | None]:
         """Per-point results in grid order; None for points still
         pending."""
-        status = self.status(job_id)  # raises on unknown job
-        out: list[SweepResult | None] = [None] * status.n_points
+        row = self.conn.execute(
+            "SELECT n_points FROM jobs WHERE id = ?", (job_id,)
+        ).fetchone()
+        if row is None:
+            raise KeyError(f"no job {job_id} in {self.path}")
+        out: list[SweepResult | None] = [None] * row["n_points"]
         for row in self.conn.execute(
             "SELECT idx, result FROM points WHERE job_id = ?"
             " AND result IS NOT NULL",

@@ -18,7 +18,7 @@ import multiprocessing.connection
 import os
 import time
 import traceback
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .queue import Claim, JobQueue, owner_pid
 
@@ -33,8 +33,9 @@ from .queue import Claim, JobQueue, owner_pid
 #: in-process fallback) is immune by construction.
 _FAULT_ENV = "_REPRO_WORKER_FAULT"
 FAULT_EXIT_CODE = 32
-#: after the claim, before the evaluator runs, after each point commit,
-#: after the shard closed
+#: after the claim, before the evaluator runs, after each point commit
+#: (a batch commit: once per point, after its one transaction), after
+#: the shard closed
 PROTOCOL_STEPS = ("claimed", "evaluating", "committed", "finished")
 
 
@@ -69,14 +70,15 @@ def work(
     claimable.
 
     ``evaluate(claim, commit)`` measures the claim's pending points
-    and calls ``commit(idx, result, reused=False)`` as each one lands:
-    the durable, exactly-once step (False when somebody else committed
-    the point first), which also extends the lease.  An exception out
-    of the evaluator is a deterministic failure, not a crash: the
-    points it left open are committed ``ok=False`` with the traceback
-    and nothing is retried.  A lost lease (reclaimed, or the job
-    cancelled) releases the shard instead of finishing it; what was
-    committed stays committed either way."""
+    and calls ``commit(landed, reused=False)`` with the ``(idx,
+    result)`` pairs as they land: the durable, exactly-once step, one
+    transaction per call (per pair, False when somebody else committed
+    the point first), which also extends the lease unless the points
+    were reused.  An exception out of the evaluator is a deterministic
+    failure, not a crash: the points it left open are committed
+    ``ok=False`` with the traceback and nothing is retried.  A lost
+    lease (reclaimed, or the job cancelled) releases the shard instead
+    of finishing it; what was committed stays committed either way."""
     claim = queue.claim(owner)
     if claim is None:
         return False
@@ -84,13 +86,18 @@ def work(
     _fault("claimed", claim, labels)
     open_points = dict(claim.points)
 
-    def commit(idx: int, result, *, reused: bool = False) -> bool:
-        landed = queue.complete_point(claim.job_id, idx, result, reused=reused)
-        open_points.pop(idx, None)
-        if not reused:  # a reused point took no time off the lease
-            queue.heartbeat(claim.job_id, claim.shard, owner)
-        _fault("committed", claim, (result.label,))
-        return landed
+    def commit(landed: Sequence[tuple], *, reused: bool = False) -> list[bool]:
+        done = queue.complete_points(
+            claim.job_id,
+            landed,
+            reused=reused,
+            # a reused point took no time off the lease
+            lease=None if reused else (claim.shard, owner),
+        )
+        for idx, result in landed:
+            open_points.pop(idx, None)
+            _fault("committed", claim, (result.label,))
+        return done
 
     try:
         _fault("evaluating", claim, labels)
@@ -102,8 +109,7 @@ def work(
             attempts=claim.attempt,
             worker=owner,
         )
-        for idx, job in list(open_points.items()):
-            commit(idx, job.result(**failure))
+        commit([(i, job.result(**failure)) for i, job in open_points.items()])
     if queue.heartbeat(claim.job_id, claim.shard, owner):
         queue.finish_shard(claim.job_id, claim.shard, owner)
     else:

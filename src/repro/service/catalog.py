@@ -30,8 +30,7 @@ import json
 import os
 import pickle
 import time
-from copy import copy
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..core.diskcache import options_signature, pipeline_fingerprint
 from ..sweep.spec import SweepJob, SweepResult
@@ -105,6 +104,20 @@ def canonical_sha(result: SweepResult) -> str | None:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+#: point keys per ``IN (...)`` list, under sqlite's bound-parameter limit
+_IN_CHUNK = 500
+
+
+def _decode(blob: bytes) -> SweepResult | None:
+    """A stored record, or None when the bytes no longer unpickle
+    (damaged bytes raise nearly any exception from ``pickle.loads``:
+    EOFError, UnpicklingError, AttributeError, ImportError, ...)."""
+    try:
+        return pickle.loads(blob)
+    except Exception:
+        return None
+
+
 class Catalog:
     """Sqlite index over compiled artifacts and point results (see
     module doc)."""
@@ -158,13 +171,22 @@ class Catalog:
         return key
 
     def record_result(
-        self, job: SweepJob, result: SweepResult, *, job_id: int | None = None
+        self,
+        job: SweepJob,
+        result: SweepResult,
+        *,
+        job_id: int | None = None,
+        cache: "CompileCache | None" = None,
+        key: str | None = None,
     ) -> str:
-        """Store one freshly evaluated point under its identity key.
-        Re-recording the same key (a crash replayed an uncommitted
-        evaluation, or two jobs raced) increments ``evaluations`` —
-        the counter the exactly-once gates read."""
-        key = point_key(job)
+        """Store one freshly evaluated point under its identity key
+        (``key``: the :func:`point_key` the caller already holds) and,
+        given the compile ``cache``, index its compiled artifact too —
+        one transaction.  Re-recording the same key (a crash replayed
+        an uncommitted evaluation, or two jobs raced) increments
+        ``evaluations`` — the counter the exactly-once gates read —
+        and overwrites the stored record."""
+        key = key or point_key(job)
         now = time.time()
         with transaction(self.conn):
             self.conn.execute(
@@ -191,30 +213,50 @@ class Catalog:
                     now,
                 ),
             )
+            self.record_compile(job, cache)
         return key
 
     # -- lookup / reuse ----------------------------------------------------
 
-    def lookup(self, job: SweepJob) -> SweepResult | None:
-        """The stored result for this point identity, or None.  A hit
-        bumps the ``reuses`` counter and comes back tagged
+    def lookup_many(self, keys: Sequence[str]) -> dict[str, SweepResult]:
+        """The stored results of the given point identities, by key;
+        keys with no (decodable) record are absent.  One read, and one
+        transaction that bumps ``reuses`` once per hit in ``keys``, so
+        a key listed twice counts two reuses.  Hits come back tagged
         ``worker="catalog"`` so provenance stays visible; everything
-        the byte-parity gates compare is the stored record verbatim."""
+        the byte-parity gates compare is the stored record verbatim.
+        A record that no longer unpickles is a miss: the caller
+        recomputes the point and :meth:`record_result` overwrites the
+        row."""
+        distinct = list(dict.fromkeys(keys))
+        found: dict[str, SweepResult] = {}
+        for start in range(0, len(distinct), _IN_CHUNK):
+            chunk = distinct[start : start + _IN_CHUNK]
+            marks = ",".join("?" * len(chunk))
+            for row in self.conn.execute(
+                f"SELECT point_key, record FROM results"
+                f" WHERE point_key IN ({marks})",
+                chunk,
+            ):
+                result = _decode(row["record"])
+                if result is not None:
+                    result.worker = "catalog"
+                    found[row["point_key"]] = result
+        if found:
+            now = time.time()
+            with transaction(self.conn):
+                self.conn.executemany(
+                    "UPDATE results SET reuses = reuses + 1, last_used = ?"
+                    " WHERE point_key = ?",
+                    [(now, key) for key in keys if key in found],
+                )
+        return found
+
+    def lookup(self, job: SweepJob) -> SweepResult | None:
+        """The stored result for this one point identity, or None (see
+        :meth:`lookup_many`)."""
         key = point_key(job)
-        row = self.conn.execute(
-            "SELECT record FROM results WHERE point_key = ?", (key,)
-        ).fetchone()
-        if row is None:
-            return None
-        with transaction(self.conn):
-            self.conn.execute(
-                "UPDATE results SET reuses = reuses + 1, last_used = ?"
-                " WHERE point_key = ?",
-                (time.time(), key),
-            )
-        result = copy(pickle.loads(row["record"]))
-        result.worker = "catalog"
-        return result
+        return self.lookup_many([key]).get(key)
 
     def evaluations(self, job_or_key: "SweepJob | str") -> int:
         """How many times this point identity was actually computed
@@ -255,27 +297,51 @@ class Catalog:
                 rows.append(record)
         return rows
 
-    def show(self, key: str) -> dict[str, Any]:
-        """Full detail of one artifact or result row (prefix match on
-        the key, like git); the result's record is expanded to its
-        ``as_dict()`` form."""
-        row = self.conn.execute(
-            "SELECT * FROM artifacts WHERE key LIKE ? || '%'", (key,)
-        ).fetchone()
-        if row is not None:
-            record = dict(row)
-            record["table"] = "artifacts"
+    def show(self, prefix: str) -> dict[str, Any]:
+        """Full detail of the one artifact or result row whose key
+        starts with ``prefix`` (matched literally, like a git object
+        name); the result's record is expanded to its ``as_dict()``
+        form (None, with ``error`` set, when it no longer unpickles).
+        An empty prefix, a prefix no key starts with, and one that
+        several keys start with are each a :class:`KeyError` naming
+        the number of matches."""
+        tables = (("artifacts", "key"), ("results", "point_key"))
+        matches = [
+            (table, column, key)
+            for table, column in tables
+            for (key,) in self.conn.execute(
+                f"SELECT {column} FROM {table}"
+                f" WHERE substr({column}, 1, ?) = ?",
+                (len(prefix), prefix),
+            )
+        ]
+        if not matches:
+            raise KeyError(f"no catalog entry matches {prefix!r}")
+        if not prefix:
+            raise KeyError(
+                f"an empty key prefix matches all {len(matches)} catalog"
+                " entries"
+            )
+        if len(matches) > 1:
+            raise KeyError(
+                f"{len(matches)} catalog entries match {prefix!r};"
+                " give a longer key prefix"
+            )
+        table, column, key = matches[0]
+        record = dict(
+            self.conn.execute(
+                f"SELECT * FROM {table} WHERE {column} = ?", (key,)
+            ).fetchone()
+        )
+        record["table"] = table
+        if table == "artifacts":
             record["exists"] = os.path.exists(record["path"])
-            return record
-        row = self.conn.execute(
-            "SELECT * FROM results WHERE point_key LIKE ? || '%'", (key,)
-        ).fetchone()
-        if row is not None:
-            record = dict(row)
-            record["table"] = "results"
-            record["record"] = pickle.loads(record["record"]).as_dict()
-            return record
-        raise KeyError(f"no catalog entry matches {key!r}")
+        else:
+            result = _decode(record["record"])
+            record["record"] = result.as_dict() if result is not None else None
+            if result is None:
+                record["error"] = "stored record does not unpickle"
+        return record
 
     def gc(
         self,

@@ -14,10 +14,11 @@ the ordered :class:`~repro.sweep.spec.SweepResult` list,
 ``stream_events()`` to tail progress.  Work happens wherever someone
 runs the worker loop: ``repro serve`` (or
 :meth:`SweepService.serve_forever`) runs the queue's claim loop
-(:func:`repro.jobqueue.work`) one shard at a time, serves points the
-catalog has already measured as *reuses*, evaluates the rest in-process
-through :func:`repro.sweep.run_sweep`, and commits every point to
-queue + catalog as it lands.  Kill the process at any moment:
+(:func:`repro.jobqueue.work`) one shard at a time, serves the points
+the catalog has already measured as *reuses* (one catalog read and one
+queue commit for all of them), evaluates the rest in-process through
+:func:`repro.sweep.run_sweep`, and commits each of those to catalog +
+queue as it lands.  Kill the process at any moment:
 completed points are durable, the lease expires (or the dead pid is
 detected), and the next worker resumes exactly the pending points —
 canonical stats stay byte-identical to an uninterrupted
@@ -240,29 +241,39 @@ class SweepService:
 
     def _evaluate(self, claim: Claim, commit) -> None:
         """The claim loop's evaluator: points the catalog has already
-        measured land as reuses, the rest run in-process as one sweep
-        (so batched/procs-lane fusion applies to the whole shard) and
-        land as they stream out.  Results map back to grid indices by
-        label (unique within a grid up to identical point identities,
-        which interchange freely)."""
+        measured land together as reuses (one catalog read, one queue
+        transaction), the rest run in-process as one sweep (so
+        batched/procs-lane fusion applies to the whole shard) and land
+        as they stream out.  Results map back to grid indices by label
+        (unique within a grid up to identical point identities, which
+        interchange freely)."""
         job_of = dict(claim.points)
 
-        def land(idx: int, result: SweepResult, reused: bool) -> None:
-            if not reused:
-                self.catalog.record_result(
-                    job_of[idx], result, job_id=claim.job_id
-                )
-                self.catalog.record_compile(job_of[idx], self.cache)
-            commit(idx, result, reused=reused)
-            self._inc("service.points_reused" if reused else "service.points_done")
-            self.tracer.instant(
-                "service.point",
-                cat="service",
-                job_id=claim.job_id,
-                label=result.label,
-                ok=result.ok,
-                reused=reused,
+        def served(results: list[SweepResult], reused: bool) -> None:
+            self._inc(
+                "service.points_reused" if reused else "service.points_done",
+                len(results),
             )
+            for result in results:
+                self.tracer.instant(
+                    "service.point",
+                    cat="service",
+                    job_id=claim.job_id,
+                    label=result.label,
+                    ok=result.ok,
+                    reused=reused,
+                )
+
+        def land(idx: int, result: SweepResult) -> None:
+            self.catalog.record_result(
+                job_of[idx],
+                result,
+                job_id=claim.job_id,
+                cache=self.cache,
+                key=claim.keys[idx],
+            )
+            commit([(idx, result)])
+            served([result], False)
 
         with self.tracer.span(
             "service.shard",
@@ -271,15 +282,20 @@ class SweepService:
             shard=claim.shard,
             pending=len(claim.points),
         ):
+            hits = self.catalog.lookup_many(list(claim.keys.values()))
+            reused: list[tuple[int, SweepResult]] = []
             index_of: dict[str, deque[int]] = {}
             fresh: list[SweepJob] = []
             for idx, job in claim.points:
-                cached = self.catalog.lookup(job)
-                if cached is not None:
-                    land(idx, cached, True)
+                hit = hits.get(claim.keys[idx])
+                if hit is not None:
+                    reused.append((idx, hit))
                 else:
                     fresh.append(job)
                     index_of.setdefault(job.label, deque()).append(idx)
+            if reused:
+                commit(reused, reused=True)
+                served([result for _, result in reused], True)
             if fresh:
                 run_sweep(
                     fresh,
@@ -289,7 +305,7 @@ class SweepService:
                     tracer=self.tracer,
                     metrics=self.metrics,
                     on_result=lambda result: land(
-                        index_of[result.label].popleft(), result, False
+                        index_of[result.label].popleft(), result
                     ),
                 )
 

@@ -145,7 +145,7 @@ def _pool_worker(
             result = execute_job(job, manager=manager, cache=cache, memo=memo)
             result.worker = f"worker-{worker_id}"
             result.attempts = claim.attempt
-            commit(idx, result)
+            commit([(idx, result)])
 
     owner = make_owner()
     while work(queue, owner, evaluate):

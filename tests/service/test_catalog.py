@@ -3,11 +3,12 @@ accounting, reuse, and inspection/gc."""
 
 import pytest
 
-from repro.core.diskcache import CompileCache
-from repro.core.driver import compile_source
+from repro.core.diskcache import CompileCache, options_signature
+from repro.core.driver import CompilerOptions, compile_source
+from repro.model import MachineModel
 from repro.programs import tomcatv_source
 from repro.service import Catalog, point_key
-from repro.sweep.spec import SweepResult, SweepSpec
+from repro.sweep.spec import SweepJob, SweepResult, SweepSpec
 
 
 def _jobs(procs=(2, 4)):
@@ -43,6 +44,95 @@ class TestPointKey:
         assert point_key(job) != point_key(other_seed)
 
 
+def _corrupt(catalog, key):
+    catalog.conn.execute(
+        "UPDATE results SET record = ? WHERE point_key = ?",
+        (b"\x80\x05garbage", key),
+    )
+
+
+_KEYS_SOURCE = "      PROGRAM KEYS\n      END\n"
+
+#: (job, options_signature, point_key), rendered by the release before
+#: the signature renderer kept per-class field tuples: every byte of
+#: both is the identity of existing catalogs and compile caches
+GOLDEN_KEYS = [
+    (
+        SweepJob(
+            program="keys",
+            source=_KEYS_SOURCE,
+            options=CompilerOptions(num_procs=4),
+            mode="simulate",
+            procs=4,
+        ),
+        "align_reductions=True;auto_privatize_arrays=False;"
+        "combine_messages=False;machine=MachineModel(alpha=4e-05,"
+        "beta=2.8571428571428572e-08,element_bytes=8,flop_time=2e-08,"
+        "name='SP2-like',stmt_overhead=1e-08);message_vectorization=True;"
+        "nest_cost_constants=None;num_procs=4;partial_privatization=True;"
+        "privatize_arrays=True;privatize_control_flow=True;"
+        "strategy='selected'",
+        "bcfea0e5a2fa1c9e3e28af3c36c1df72760567f5a5e44df8122c68bd5062d7cd",
+    ),
+    (
+        SweepJob(
+            program="keys",
+            source=_KEYS_SOURCE,
+            options=CompilerOptions(
+                num_procs=2,
+                machine=MachineModel(
+                    name="fast-net", alpha=5e-6, beta=1.0 / 400e6
+                ),
+            ),
+            mode="estimate",
+            procs=2,
+            seed=3,
+        ),
+        "align_reductions=True;auto_privatize_arrays=False;"
+        "combine_messages=False;machine=MachineModel(alpha=5e-06,"
+        "beta=2.5e-09,element_bytes=8,flop_time=2e-08,name='fast-net',"
+        "stmt_overhead=1e-08);message_vectorization=True;"
+        "nest_cost_constants=None;num_procs=2;partial_privatization=True;"
+        "privatize_arrays=True;privatize_control_flow=True;"
+        "strategy='selected'",
+        "e8439fee704e5c8adc6f44ac69531058b84aaf8601ed09754bd0b9382edd030a",
+    ),
+    (
+        SweepJob(
+            program="keys",
+            source=_KEYS_SOURCE,
+            options=CompilerOptions(
+                strategy="producer",
+                nest_cost_constants={"C_VEC": 2.5e-7, "C_ELEM": 1e-9},
+            ),
+            mode="compile",
+            seed=1,
+        ),
+        "align_reductions=True;auto_privatize_arrays=False;"
+        "combine_messages=False;machine=MachineModel(alpha=4e-05,"
+        "beta=2.8571428571428572e-08,element_bytes=8,flop_time=2e-08,"
+        "name='SP2-like',stmt_overhead=1e-08);message_vectorization=True;"
+        "nest_cost_constants=(('C_ELEM', 1e-09), ('C_VEC', 2.5e-07));"
+        "num_procs=None;partial_privatization=True;privatize_arrays=True;"
+        "privatize_control_flow=True;strategy='producer'",
+        "2cdd66767345a75af631bb1592a3fa9933cfdf4c7583ea9a25c136367747cf51",
+    ),
+]
+
+
+class TestGoldenKeys:
+    @pytest.mark.parametrize(
+        "job, signature, key",
+        GOLDEN_KEYS,
+        ids=["default", "fast-net-machine", "nest-cost-constants"],
+    )
+    def test_signature_and_point_key_are_byte_stable(
+        self, job, signature, key
+    ):
+        assert options_signature(job.options) == signature
+        assert point_key(job) == key
+
+
 class TestResults:
     def test_record_then_lookup_round_trips(self, tmp_path):
         catalog = Catalog(tmp_path / "c.sqlite")
@@ -76,6 +166,54 @@ class TestResults:
         catalog.lookup(job)
         row = catalog.show(point_key(job))
         assert row["reuses"] == 2 and row["evaluations"] == 1
+
+
+    def test_lookup_many_reads_a_shard_and_counts_each_listed_hit(
+        self, tmp_path
+    ):
+        catalog = Catalog(tmp_path / "c.sqlite")
+        a, b = _jobs()
+        catalog.record_result(a, _result(a))
+        keys = [point_key(a), point_key(b), point_key(a), point_key(a)]
+        found = catalog.lookup_many(keys)
+        assert set(found) == {point_key(a)}  # b was never recorded
+        assert found[point_key(a)].worker == "catalog"
+        assert catalog.show(point_key(a))["reuses"] == 3
+        assert catalog.lookup_many([]) == {}
+
+    def test_an_undecodable_record_is_a_miss_until_recomputed(
+        self, tmp_path
+    ):
+        catalog = Catalog(tmp_path / "c.sqlite")
+        a, b = _jobs()
+        for job in (a, b):
+            catalog.record_result(job, _result(job))
+        _corrupt(catalog, point_key(a))
+        found = catalog.lookup_many([point_key(a), point_key(b)])
+        assert list(found) == [point_key(b)]  # the other hit still lands
+        row = catalog.show(point_key(a))
+        assert row["record"] is None and "does not unpickle" in row["error"]
+        assert row["reuses"] == 0  # a miss is not a reuse
+        catalog.record_result(a, _result(a, total_time=2.5))
+        assert catalog.evaluations(a) == 2
+        assert catalog.lookup(a).total_time == 2.5
+
+    def test_record_result_indexes_the_compile_in_the_same_call(
+        self, tmp_path
+    ):
+        cache = CompileCache(tmp_path / "cache")
+        job = _jobs()[0]
+        cache.get_or_compile(
+            job.source,
+            job.options,
+            lambda: compile_source(job.source, job.options),
+        )
+        catalog = Catalog(tmp_path / "c.sqlite")
+        key = catalog.record_result(job, _result(job), cache=cache)
+        assert key == point_key(job)
+        (artifact,) = catalog.ls("artifacts")
+        assert artifact["options_signature"] == options_signature(job.options)
+        assert artifact["uses"] == 1
 
 
 class TestArtifacts:
@@ -147,6 +285,28 @@ class TestInspection:
         assert row["record"]["total_time"] == 1.25  # expanded, not pickled
         with pytest.raises(KeyError, match="no catalog entry"):
             catalog.show("ffffffff")
+
+    @pytest.mark.parametrize(
+        "prefix, message",
+        [
+            ("", "empty key prefix matches all 3 catalog entries"),
+            ("_", "no catalog entry matches '_'"),
+            ("%", "no catalog entry matches '%'"),
+            ("ab_", "no catalog entry matches 'ab_'"),
+            ("ab", "2 catalog entries match 'ab'"),
+        ],
+    )
+    def test_show_matches_the_prefix_literally_and_uniquely(
+        self, tmp_path, prefix, message
+    ):
+        catalog = Catalog(tmp_path / "c.sqlite")
+        job = _jobs()[0]
+        for key in ("abc1", "abd2", "ffe3"):
+            catalog.record_result(job, _result(job), key=key)
+        with pytest.raises(KeyError, match=message):
+            catalog.show(prefix)
+        assert catalog.show("abc")["point_key"] == "abc1"
+        assert catalog.show("ffe3")["point_key"] == "ffe3"
 
 
 class TestGc:

@@ -134,6 +134,37 @@ class TestCatalogCli:
         assert "would remove 0 orphan(s)" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "prefix, message",
+        [
+            ("", "an empty key prefix matches all"),
+            ("_", "no catalog entry matches '_'"),
+            ("%", "no catalog entry matches '%'"),
+            ("abc", "2 catalog entries match 'abc'"),
+        ],
+    )
+    def test_show_refuses_a_pattern_or_an_ambiguous_prefix(
+        self, program, tmp_path, capsys, prefix, message
+    ):
+        from repro.service import Catalog
+        from repro.sweep import SweepJob
+
+        _, service_dir = _submit(program, tmp_path, "--wait")
+        catalog = Catalog(tmp_path / "svc" / "catalog.sqlite")
+        job = SweepJob(program="p", source=program.read_text())
+        for key in ("abc1", "abc2"):
+            catalog.record_result(job, job.result(ok=True), key=key)
+        catalog.close()
+        capsys.readouterr()
+        assert main([
+            "catalog", "show", prefix, "--service-dir", service_dir,
+        ]) == 1
+        assert message in capsys.readouterr().err
+        assert main([
+            "catalog", "show", "abc2", "--service-dir", service_dir,
+        ]) == 0
+
+
 class TestFlagConventions:
     def test_measure_exec_canonical_and_aliases(self, program, capsys):
         """``--measure``/``--exec`` are the only spellings; the aliases

@@ -188,6 +188,46 @@ class TestCompletion:
         assert queue.complete_point(job_id, idx, _result(job))
         assert not queue.complete_point(job_id, idx, _result(job))
 
+    def test_complete_points_lands_a_batch_once_in_one_transaction(
+        self, tmp_path
+    ):
+        queue = JobQueue(tmp_path / "q.sqlite")
+        jobs = _spec(procs=(2, 3, 4)).jobs()
+        job_id = _submit(queue, jobs, shards=1)
+        claim = queue.claim("me:1:a")
+        assert claim.keys == {i: point_key(j) for i, j in enumerate(jobs)}
+        idx, job = claim.points[0]
+        assert queue.complete_point(job_id, idx, _result(job))
+        statements = []
+        queue.conn.set_trace_callback(statements.append)
+        landed = queue.complete_points(
+            job_id,
+            [(idx, _result(job, ok=False)) for idx, job in claim.points],
+            reused=True,
+        )
+        queue.conn.set_trace_callback(None)
+        assert landed == [False, True, True]  # the first was already done
+        assert statements.count("BEGIN IMMEDIATE") == 1
+        status = queue.status(job_id)
+        assert (status.done, status.reused, status.failed) == (3, 2, 2)
+        points = [
+            e.payload for e in queue.events_since(job_id) if e.kind == "point"
+        ]
+        assert [p["idx"] for p in points] == [0, 1, 2]
+        assert [p["reused"] for p in points] == [False, True, True]
+
+    def test_status_counts_failures_without_reading_a_result(self, tmp_path):
+        queue = JobQueue(tmp_path / "q.sqlite")
+        jobs = _spec().jobs()
+        job_id = _submit(queue, jobs, shards=1)
+        claim = queue.claim("me:1:a")
+        for (idx, job), ok in zip(claim.points, (True, False)):
+            queue.complete_point(job_id, idx, _result(job, ok=ok))
+        queue.conn.execute("UPDATE points SET result = x'00'")
+        status = queue.status(job_id)
+        assert (status.done, status.failed) == (2, 1)
+        assert [s.failed for s in queue.list_jobs()] == [1]
+
     def test_finish_shard_refuses_pending_points(self, tmp_path):
         queue = JobQueue(tmp_path / "q.sqlite")
         job_id = _submit(queue, _spec().jobs(), shards=1)

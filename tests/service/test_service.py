@@ -6,11 +6,16 @@ import json
 
 import pytest
 
+import dataclasses
+import pickle
+
 from repro import Session
+from repro.jobqueue.queue import QUEUE_SCHEMA_VERSION
+from repro.model import SP2
 from repro.obs import Metrics
-from repro.programs import tomcatv_source
+from repro.programs import appsp_source, dgefa_source, tomcatv_source
 from repro.records import comparable
-from repro.service import JobFailed, SweepService, shard_jobs
+from repro.service import JobFailed, SweepService, point_key, shard_jobs
 from repro.sweep.spec import SweepSpec
 
 
@@ -94,6 +99,84 @@ class TestEndToEnd:
         service.close()
 
 
+class TestCatalogServing:
+    def _grid_105(self):
+        """3 programs x 7 processor counts x 5 machines, one shard per
+        program: the shape of the benchmark's service grid, small."""
+        return SweepSpec(
+            programs={
+                "tomcatv": lambda p: tomcatv_source(n=12, niter=1, procs=p),
+                "dgefa": lambda p: dgefa_source(n=8, procs=p),
+                "appsp": lambda p: appsp_source(
+                    nx=5, ny=5, nz=5, niter=1, procs=p
+                ),
+            },
+            procs=(1, 2, 3, 4, 6, 8, 12),
+            axes={
+                "machine": [SP2]
+                + [
+                    dataclasses.replace(SP2, name=f"m{i}", alpha=i * 1e-5)
+                    for i in range(1, 5)
+                ]
+            },
+            mode="simulate",
+        )
+
+    def test_a_corrupt_row_is_recomputed_not_the_shards_failure(
+        self, tmp_path
+    ):
+        spec = self._grid_105()
+        jobs = spec.jobs()
+        service = SweepService(tmp_path / "svc")
+        first = service.submit(spec)
+        service.serve_forever(once=True)
+        assert first.poll().failed == 0
+        victim = jobs[40]
+        service.catalog.conn.execute(
+            "UPDATE results SET record = ? WHERE point_key = ?",
+            (b"\x80\x05garbage", point_key(victim)),
+        )
+        second = service.submit(spec)
+        service.serve_forever(once=True)
+        results = second.result(timeout=60)
+        status = second.poll()
+        assert len(results) == 105 and all(r.ok for r in results)
+        assert (status.done, status.reused, status.failed) == (105, 104, 0)
+        assert results[40].worker != "catalog"  # measured again
+        assert service.catalog.evaluations(victim) == 2
+        assert all(
+            service.catalog.evaluations(job) == 1
+            for job in jobs
+            if job is not victim
+        )
+        assert _canon(results) == _canon(first.result(timeout=0))
+        service.close()
+
+    def test_duplicate_identities_count_every_reuse(self, tmp_path):
+        """A grid listing one point three times: each listing is
+        evaluated on the cold pass and counted as a reuse on the warm
+        one (the counts of the per-point lookup this replaced)."""
+        a, b = _spec().jobs()
+        grid = [a, b, a, a]
+        service = SweepService(tmp_path / "svc")
+        service.submit(grid)
+        service.serve_forever(once=True)
+
+        def counts():
+            rows = [service.catalog.show(point_key(j)) for j in (a, b)]
+            return [(r["evaluations"], r["reuses"]) for r in rows]
+
+        assert counts() == [(3, 0), (1, 0)]
+        handle = service.submit(grid)
+        service.serve_forever(once=True)
+        assert [r.worker for r in handle.result(timeout=60)] == (
+            ["catalog"] * 4
+        )
+        assert handle.poll().reused == 4
+        assert counts() == [(3, 3), (1, 1)]
+        service.close()
+
+
 class TestJobHandle:
     def test_poll_and_result_timeout(self, tmp_path):
         service = SweepService(tmp_path / "svc")
@@ -162,7 +245,69 @@ class TestQueueSchema:
         (version,) = service.queue.conn.execute(
             "SELECT version FROM schema_info WHERE name = 'queue'"
         ).fetchone()
-        assert version == 2
+        assert version == QUEUE_SCHEMA_VERSION
+        service.close()
+
+
+    #: the points table as queue schema v2 wrote it: no ``ok`` column
+    V2_POINTS = """
+    CREATE TABLE points (
+      job_id INTEGER NOT NULL REFERENCES jobs(id) ON DELETE CASCADE,
+      idx INTEGER NOT NULL,
+      shard INTEGER NOT NULL,
+      state TEXT NOT NULL DEFAULT 'pending',
+      point_key TEXT NOT NULL,
+      label TEXT NOT NULL,
+      job BLOB NOT NULL,
+      result BLOB,
+      reused INTEGER NOT NULL DEFAULT 0,
+      finished_at REAL,
+      PRIMARY KEY (job_id, idx)
+    )
+    """
+
+    def test_v2_queue_file_counts_its_failures_and_takes_a_job(
+        self, tmp_path
+    ):
+        from repro.jobqueue.db import connect, ensure_schema
+        from repro.jobqueue.queue import _DDL
+
+        root = tmp_path / "svc"
+        conn = connect(root / "queue.sqlite")
+        ensure_schema(conn, "queue", 2, self.V2_POINTS + ";" + _DDL)
+        conn.execute(
+            "INSERT INTO jobs (id, name, state, n_points, n_shards,"
+            " submitted_at) VALUES (1, 'old', 'done', 2, 1, 0)"
+        )
+        conn.execute(
+            "INSERT INTO shards (job_id, shard, state) VALUES (1, 0, 'done')"
+        )
+        for idx, (job, ok) in enumerate(zip(_spec().jobs(), (True, False))):
+            conn.execute(
+                "INSERT INTO points (job_id, idx, shard, state, point_key,"
+                " label, job, result) VALUES (1, ?, 0, 'done', ?, ?, ?, ?)",
+                (
+                    idx,
+                    point_key(job),
+                    job.label,
+                    pickle.dumps(job),
+                    pickle.dumps(job.result(ok=ok, worker="old")),
+                ),
+            )
+        conn.close()
+
+        service = SweepService(root)
+        old = service.handle(1).poll()
+        assert (old.state, old.done, old.failed) == ("done", 2, 1)
+        handle = service.submit(_spec(procs=(2,)))
+        assert service.serve_forever(once=True) == 1
+        assert handle.poll().state == "done" and handle.poll().failed == 0
+        assert [r.ok for r in handle.result(timeout=5)] == [True]
+        assert service.queue.list_jobs()[0].failed == 1
+        (version,) = service.queue.conn.execute(
+            "SELECT version FROM schema_info WHERE name = 'queue'"
+        ).fetchone()
+        assert version == QUEUE_SCHEMA_VERSION == 3
         service.close()
 
 

@@ -240,6 +240,42 @@ def test_durable_column(fault, reference, tmp_path):
     client.close()
 
 
+@pytest.mark.parametrize("victim", ["first", "third"], ids=["hit", "fresh"])
+def test_durable_shard_of_hits_and_fresh_points_killed_after_a_commit(
+    victim, reference, tmp_path
+):
+    """One shard holding two catalog hits (landed as one batch) and two
+    fresh points; its worker dies right after committing ``victim``
+    (the batch of hits, or the first fresh point).  The restarted
+    worker finishes it: every point committed once, the hits counted
+    as reused, every fresh point evaluated once."""
+    jobs = _jobs()
+    client = SweepService(tmp_path / "svc")
+    client.submit(jobs[:2])
+    client.serve_forever(once=True)
+    handle = client.submit(jobs, shards=1)
+    fault = Fault("mixed", f"exit@committed:label={victim}:attempts=1")
+    for code in (32, 0):
+        worker = _serve(client.root, fault)
+        _, errors = worker.communicate(timeout=60)
+        assert worker.returncode == code, errors
+    results = handle.result(timeout=0)
+    assert _canon(results) == reference
+    assert [r.worker == "catalog" for r in results] == [
+        True, True, False, False,
+    ]
+    status = handle.poll()
+    assert (status.done, status.reused, status.failed) == (4, 2, 0)
+    commits = [
+        event.payload["idx"]
+        for event in handle.stream_events(timeout=5)
+        if event.kind == "point"
+    ]
+    assert sorted(commits) == [0, 1, 2, 3]
+    assert [client.catalog.evaluations(job) for job in jobs] == [1, 1, 1, 1]
+    client.close()
+
+
 def test_more_workers_than_cores_each_dying_after_every_commit(monkeypatch):
     """Stress: four children on a 24-point grid, every one hard-exits
     right after each point it commits, so every shard is reclaimed
