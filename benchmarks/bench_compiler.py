@@ -128,7 +128,7 @@ def test_simulator_throughput(benchmark):
     inputs = tomcatv_inputs(8)
 
     def run():
-        return simulate(compiled, inputs)
+        return simulate(compiled, inputs, tier="slab")
 
     sim = benchmark.pedantic(run, rounds=3, iterations=1)
     assert sim.stats.unexpected_fetches == 0

@@ -306,10 +306,12 @@ def test_trace_and_metrics_artifacts(output_dir):
     metrics = Metrics()
     manager = PassManager(tracer=tracer)
     compiled = compile_source(source, CompilerOptions(), manager=manager)
-    traced = simulate(compiled, inputs, tracer=tracer, metrics=metrics)
+    traced = simulate(
+        compiled, inputs, tier="slab", tracer=tracer, metrics=metrics
+    )
     manager.collect_metrics(metrics)
 
-    plain = simulate(compiled, inputs)
+    plain = simulate(compiled, inputs, tier="slab")
     assert_identical(traced, plain)
 
     assert len(tracer) > 0

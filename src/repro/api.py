@@ -146,13 +146,10 @@ class Session:
     :class:`CompileCache`.  ``tracer``/``metrics`` are threaded through
     compilation, simulation, and sweeps.
 
-    A fit saved by ``repro calibrate --save`` is applied automatically:
-    when the options carry no explicit ``nest_cost_constants``, the
-    session loads the saved constants (from the cache root, or the
-    root ``use_calibration`` names) into its options, so the tier
-    plan prices tiers with the host's own numbers.  ``use_calibration=
-    False`` keeps the shipped defaults; an explicit
-    ``nest_cost_constants`` in the options always wins.
+    The tier plan always prices engines with the estimator's built-in
+    constants.  ``use_calibration`` is kept only so that older callers
+    passing ``use_calibration=False`` still work; the host calibration
+    it used to switch is gone, and any other value is a ``TypeError``.
     """
 
     def __init__(
@@ -163,24 +160,17 @@ class Session:
         tracer: "Tracer | None" = None,
         metrics: "Metrics | None" = None,
         manager: PassManager | None = None,
-        use_calibration: bool | str | os.PathLike = True,
+        use_calibration: bool = False,
         **overrides: Any,
     ):
+        if use_calibration is not False:
+            raise TypeError(
+                "Session(use_calibration=...) accepts only False: the "
+                "host calibration was removed, and tiers are always "
+                "priced with the built-in constants"
+            )
         if overrides or options is None:
             options = CompilerOptions.from_overrides(options, **overrides)
-        if use_calibration and options.nest_cost_constants is None:
-            from .perf.calibrate import load_calibration
-
-            root = (
-                use_calibration
-                if not isinstance(use_calibration, bool)
-                else None
-            )
-            saved = load_calibration(root)
-            if saved:
-                options = CompilerOptions.from_overrides(
-                    options, nest_cost_constants=saved
-                )
         self.options = options
         self.cache = as_compile_cache(cache)
         self.tracer = tracer

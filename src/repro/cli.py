@@ -113,16 +113,9 @@ def _cache_arg(args):
 
 
 def _session(args, num_procs: int | None = None, **kwargs) -> Session:
-    # a saved fit (repro calibrate --save) applies by default; a custom
-    # --cache-dir also roots the calibration lookup there
-    use_calibration: bool | str = not getattr(args, "no_calibration", False)
-    cache_dir = getattr(args, "cache_dir", None)
-    if use_calibration and cache_dir:
-        use_calibration = cache_dir
     return Session(
         _compiler_options(args, num_procs=num_procs),
         cache=_cache_arg(args),
-        use_calibration=use_calibration,
         **kwargs,
     )
 
@@ -158,12 +151,6 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
         "--timings",
         action="store_true",
         help="print the per-pass pipeline timings table",
-    )
-    parser.add_argument(
-        "--no-calibration",
-        action="store_true",
-        help="ignore a saved nest-cost calibration (repro calibrate "
-        "--save) and price tiers with the shipped defaults",
     )
     _add_cache_flags(parser)
 
@@ -495,23 +482,6 @@ def _render_sweep_results(args, results) -> int:
     return 1 if failed else 0
 
 
-def cmd_calibrate(args) -> int:
-    from .perf.calibrate import calibrate, save_calibration
-
-    result = calibrate(
-        repeats=args.repeats, verbose=args.verbose
-    )
-    if args.json:
-        _emit_json(args, result.as_dict())
-    else:
-        print(result.render())
-    if getattr(args, "save", False):
-        path = save_calibration(result, getattr(args, "cache_dir", None))
-        print(f"saved fit to {path} (sessions now apply it by default; "
-              f"opt out with --no-calibration)")
-    return 0
-
-
 def cmd_cache(args) -> int:
     import json
 
@@ -834,24 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
         "in-process)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_cal = sub.add_parser(
-        "calibrate",
-        help="fit the tier-choice cost constants on this host",
-    )
-    p_cal.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repetitions per configuration (min is kept)",
-    )
-    p_cal.add_argument(
-        "--save", action="store_true",
-        help="persist the fit under the cache root so sessions (and "
-        "their tier plans) apply it by default",
-    )
-    _add_json_flag(p_cal)
-    p_cal.add_argument("--verbose", action="store_true")
-    _add_cache_flags(p_cal)
-    p_cal.set_defaults(func=cmd_calibrate)
 
     p_cache = sub.add_parser(
         "cache", help="manage the persistent compile cache"

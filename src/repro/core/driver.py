@@ -27,7 +27,6 @@ stage: it is derived from the compiled program on first read.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, MutableMapping
@@ -51,12 +50,6 @@ if TYPE_CHECKING:  # comm/machine/perf types; no runtime dependency
     from ..obs import Tracer
     from ..perf.tierplan import TierPlan
 
-#: the tier-choice cost constants ``repro calibrate`` fits (mirrors the
-#: :class:`~repro.perf.estimator.PerfEstimator` attribute names; listed
-#: here so options validation does not import the perf layer)
-NEST_COST_CONSTANTS = ("C_T2_STMT", "C_PREP", "C_VEC", "C_ELEM")
-
-
 @dataclass
 class CompilerOptions:
     """Every knob of the reproduction, including the paper's measured
@@ -77,12 +70,6 @@ class CompilerOptions:
     auto_privatize_arrays: bool = False
     num_procs: int | None = None
     machine: MachineModel = field(default_factory=lambda: SP2)
-    #: host-calibrated nest-cost constants steering tier selection
-    #: (``repro calibrate --save``); None uses the estimator's shipped
-    #: defaults.  Accepts a mapping or pair sequence and normalizes to
-    #: a sorted tuple of ``(name, seconds)`` pairs so the options
-    #: closure (compile-cache key, sweep grouping) stays canonical.
-    nest_cost_constants: Any = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -98,26 +85,6 @@ class CompilerOptions:
                 f"num_procs must be a positive processor count, "
                 f"got {self.num_procs!r}"
             )
-        if self.nest_cost_constants is not None:
-            pairs = (
-                self.nest_cost_constants.items()
-                if isinstance(self.nest_cost_constants, Mapping)
-                else self.nest_cost_constants
-            )
-            normalized = tuple(
-                sorted((str(name), float(value)) for name, value in pairs)
-            )
-            unknown = sorted(
-                {name for name, _ in normalized} - set(NEST_COST_CONSTANTS)
-            )
-            if unknown:
-                raise ValueError(
-                    f"unknown nest-cost constant(s) {unknown}; "
-                    f"valid: {sorted(NEST_COST_CONSTANTS)}"
-                )
-            if not all(0 < value < math.inf for _, value in normalized):
-                raise ValueError("nest-cost constants must be positive")
-            self.nest_cost_constants = normalized or None
 
     @classmethod
     def from_overrides(
@@ -306,13 +273,7 @@ def _plan_tiers(compiled: CompiledProgram, slabs: "SlabReport") -> "TierPlan":
     from ..perf.estimator import PerfEstimator
     from ..perf.tierplan import build_tierplan
 
-    # host-calibrated constants ride on the options (see ``repro
-    # calibrate --save``), so the plan reflects the fit it was asked for
-    constants = compiled.options.nest_cost_constants
-    estimator = PerfEstimator(
-        compiled, nest_cost_constants=dict(constants) if constants else None
-    )
-    return build_tierplan(compiled.proc, slabs, estimator)
+    return build_tierplan(compiled.proc, slabs, PerfEstimator(compiled))
 
 
 def _compile(

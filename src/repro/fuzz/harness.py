@@ -292,7 +292,7 @@ def check_sequential(
     try:
         compiled = compile_source(source, CompilerOptions(num_procs=procs))
         inputs = make_inputs(source, seed)
-        sim = simulate(compiled, dict(inputs), tier="auto")
+        sim = simulate(compiled, dict(inputs))
         sequential = run_sequential(parse_and_build(source), inputs)
         oracle = run_sequential(
             parse_and_build(source), inputs, fast_path=False
@@ -350,7 +350,7 @@ def check_mapping(
                 source,
                 CompilerOptions(num_procs=procs, strategy=strategy),
             )
-            sim = simulate(compiled, make_inputs(source, seed), tier="auto")
+            sim = simulate(compiled, make_inputs(source, seed))
         except Exception as exc:  # noqa: BLE001
             return [
                 Divergence(

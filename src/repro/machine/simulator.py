@@ -144,7 +144,7 @@ class SPMDSimulator:
         machine: MachineModel | None = None,
         tracer: Tracer | None = None,
         metrics: Metrics | None = None,
-        tier: str = "slab",
+        tier: str = "auto",
     ):
         self.compiled = compiled
         if tier not in TIERS:
@@ -643,7 +643,7 @@ def simulate(
     machine: MachineModel | None = None,
     tracer: Tracer | None = None,
     metrics: Metrics | None = None,
-    tier: str = "slab",
+    tier: str = "auto",
 ) -> SPMDSimulator:
     sim = SPMDSimulator(
         compiled, machine, tracer=tracer, metrics=metrics, tier=tier

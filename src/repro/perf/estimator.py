@@ -161,23 +161,9 @@ class PerfEstimator:
         compiled: CompiledProgram,
         machine: MachineModel | None = None,
         pipelined_shifts: bool = False,
-        nest_cost_constants: "dict[str, float] | None" = None,
     ):
         self.compiled = compiled
         self.machine = machine or compiled.options.machine
-        if nest_cost_constants:
-            valid = {"C_T2_STMT", "C_PREP", "C_VEC", "C_ELEM"}
-            unknown = sorted(set(nest_cost_constants) - valid)
-            if unknown:
-                raise ValueError(
-                    f"unknown nest-cost constant(s) {unknown}; "
-                    f"valid: {sorted(valid)}"
-                )
-            # Instance attributes shadow the class defaults, so a
-            # calibrated set (``repro calibrate``) steers this
-            # estimator's tier comparisons only.
-            for name, value in nest_cost_constants.items():
-                setattr(self, name, float(value))
         self.ctx = compiled.ctx
         self.grid = compiled.grid
         #: pricing semantics for inner-loop shifts: False (default)
@@ -344,9 +330,9 @@ class PerfEstimator:
     # Per-nest tier costs
     # ==================================================================
 
-    #: host-side cost constants (seconds), calibrated against the
-    #: executing simulator on this interpreter — only their *ratios*
-    #: steer the tier choice, so rough is fine
+    #: host-side cost constants (seconds), measured once against the
+    #: executing simulator and fixed, like the machine's prices — only
+    #: their *ratios* steer the tier choice, so rough is fine
     C_T2_STMT = 4e-6  #: one lowered-closure statement dispatch
     C_PREP = 6e-5  #: one slab prepare/commit attempt (fixed overhead)
     C_VEC = 2e-5  #: one vectorized statement evaluation (ufunc setup)

@@ -9,12 +9,18 @@ tier plan combines the nests the slab classifier built a plan for
 with :meth:`repro.perf.PerfEstimator.nest_cost` and records, per such
 nest, whether the slab engine is *predicted* to win.
 
+The estimator prices both tiers with its four class constants
+(``C_T2_STMT``, ``C_PREP``, ``C_VEC``, ``C_ELEM``; see
+docs/COSTMODEL.md).  They are fixed, like the paper's machine
+parameters: no host fit or file changes a decision, so one program
+gets one plan on every machine.
+
 The product is a :class:`TierPlan`, derived from the
-:class:`~repro.core.driver.CompiledProgram` (its slab report, and the
-nest-cost constants its options carry) the first time a simulator
-asks for ``tier="auto"``.  A decision never regresses below tier 2:
-"lowered" just means the slab engine leaves the nest to the closures,
-and any slab bail already falls back to tier 2 statement-by-statement.
+:class:`~repro.core.driver.CompiledProgram` (its slab report) the
+first time a simulator asks for ``tier="auto"``.  A decision never
+regresses below tier 2: "lowered" just means the slab engine leaves
+the nest to the closures, and any slab bail already falls back to
+tier 2 statement-by-statement.
 """
 
 from __future__ import annotations

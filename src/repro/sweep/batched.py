@@ -278,7 +278,7 @@ def _simulate_lanes(batch: Batch, compiled: CompiledProgram):
     job = batch.jobs[0]
     machine = VectorMachine([j.options.machine for j in batch.jobs])
     inputs = seeded_inputs(compiled.proc, job.seed)
-    return simulate(compiled, inputs, machine=machine, tier="auto")
+    return simulate(compiled, inputs, machine=machine)
 
 
 def _simulate_payloads(sim, compiled: CompiledProgram) -> list[dict]:

@@ -73,8 +73,7 @@ def _measure_payload(job: SweepJob, compiled) -> dict:
         from ..machine.simulator import simulate
 
         inputs = seeded_inputs(compiled.proc, job.seed)
-        # tier="auto" matches Session.run and the batched fast path
-        sim = simulate(compiled, inputs, tier="auto")
+        sim = simulate(compiled, inputs)
         return simulate_record(sim, compiled, sim.canonical_stats())
     return {"grid_size": compiled.grid.size, "report": compiled.report()}
 

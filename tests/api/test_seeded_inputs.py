@@ -53,7 +53,7 @@ def test_four_call_sites_draw_identical_arrays(name, seed, seen):
     expected = _bytes(seeded_inputs(parse_and_build(source), seed))
     assert list(expected) and all(e[2] for e in expected.values())
 
-    result = Session(use_calibration=False).run(source, seed=seed)
+    result = Session().run(source, seed=seed)
     assert _bytes(result.inputs) == expected
 
     job = SweepJob(program=name, source=source, mode="simulate", seed=seed)

@@ -110,7 +110,7 @@ class TestSessionRunEquivalence:
             "  X = 1E999\n  DO i = 1, n\n    A(i) = X * 0.0 + 1E999\n"
             "  END DO\nEND PROGRAM\n"
         )
-        result = Session(num_procs=4, use_calibration=False).run(src, tier=tier)
+        result = Session(num_procs=4).run(src, tier=tier)
         assert result.sim.gather("A").tobytes() == (
             result.sequential.get_array("A").tobytes()
         )
@@ -176,6 +176,20 @@ class TestSessionRunEquivalence:
         session.collect_metrics()
         emitted = metrics.gauges["lowering.closures_emitted"]
         assert 0 < metrics.gauges["lowering.closures_built"] < emitted
+
+    def test_bare_simulate_runs_the_session_default(self):
+        """``simulate`` and ``SPMDSimulator`` default to ``tier="auto"``,
+        like ``Session.run``: the same inputs give the same clocks,
+        traffic and per-nest engines."""
+        from repro.machine.simulator import SPMDSimulator, simulate
+
+        source = tomcatv_source(n=17, procs=4)
+        result = Session().run(source)
+        compiled = compile_source(source)
+        sim = simulate(compiled, result.inputs)
+        assert sim.tier == SPMDSimulator(compiled).tier == "auto"
+        assert result.sim.tier == "auto"
+        assert sim.canonical_stats() == result.canonical_stats()
 
     def test_run_seed_changes_inputs_not_stats_keys(self):
         a = Session(num_procs=2).run(TOMCATV, seed=0)
@@ -296,6 +310,14 @@ class TestRetiredShims:
         assert estimate.total_time > 0
         assert callable(repro.table1_tomcatv)
 
+
+    @pytest.mark.parametrize("value", [True, "fit-dir", 0, None])
+    def test_use_calibration_accepts_only_false(self, value):
+        """The host calibration is removed; the keyword stays only so
+        that ``use_calibration=False`` callers keep working."""
+        assert Session(use_calibration=False).options == CompilerOptions()
+        with pytest.raises(TypeError, match="host calibration was removed"):
+            Session(use_calibration=value)
 
     def test_run_has_no_event_buffer_keyword(self):
         import inspect

@@ -66,9 +66,9 @@ class TestKeys:
         assert cache.key(SRC, OPTS) != key
 
     def test_key_is_pinned(self, tmp_path, monkeypatch):
-        """Computed at the commit before ``pipeline=`` left the
-        signatures: every entry and catalog row written before it is
-        still found.  A new key here orphans every existing cache —
+        """Re-captured when the nest-cost constants left the options
+        signature (an entry written before then misses once and is
+        recomputed).  A new key here orphans every existing cache —
         bump ``CACHE_SCHEMA`` on purpose, never by accident."""
         monkeypatch.setattr(diskcache, "_package_version", lambda: "pinned")
         source = (
@@ -84,7 +84,7 @@ class TestKeys:
         )
         options = CompilerOptions(num_procs=4, strategy="producer")
         assert CompileCache(tmp_path).key(source, options) == (
-            "35b8289c0f37628fb27aeec8e5712dd67863d9c8cf1de77bad8a9627cbea6131"
+            "a17f917d17160c854f698d7c58802cec7adc0743a58f78b36e6e94f2bc2ae1f5"
         )
 
     def test_options_signature_covers_every_field(self):

@@ -60,7 +60,9 @@ class TestEngineSwitch:
         assert list(inspect.signature(simulate).parameters) == [
             "compiled", "inputs", *expected[1:]
         ]
-        assert inspect.signature(simulate).parameters["tier"].default == "slab"
+        for signature in (inspect.signature(SPMDSimulator.__init__),
+                          inspect.signature(simulate)):
+            assert signature.parameters["tier"].default == "auto"
 
     def test_unknown_tier_is_refused(self, compiled):
         for bad in (None, "fast", ""):

@@ -153,7 +153,7 @@ class TestClosuresCompileOnFirstLookup:
         from repro.codegen import SequentialInterpreter
         from repro.codegen.seq import seeded_inputs
 
-        result = Session(num_procs=16, use_calibration=False).run(
+        result = Session(num_procs=16).run(
             tomcatv_source(n=129, niter=1, procs=16)
         )
         assert result.ok
@@ -487,7 +487,7 @@ class TestFetchCharging:
         # The slab tier replays the fetches the lowered tier makes
         # through the simulator's one fetch_array, charge for charge.
         compiled = compile_source(SOURCE, CompilerOptions(num_procs=4))
-        slab = simulate(compiled, _inputs())
+        slab = simulate(compiled, _inputs(), tier="slab")
         lowered = simulate(compiled, _inputs(), tier="lowered")
         assert slab.stats.as_dict() == lowered.stats.as_dict()
         assert slab.clocks.snapshot() == lowered.clocks.snapshot()

@@ -189,7 +189,9 @@ class TestRuntime:
         monkeypatch.setattr(slabexec.NestPlan, "prepare", recording_prepare)
         lanes = VectorMachine([SP2, dataclasses.replace(SP2, alpha=2 * SP2.alpha)])
         for machine in (SP2, lanes):
-            sim = simulate(compiled, tomcatv_inputs(12), machine=machine)
+            sim = simulate(
+                compiled, tomcatv_inputs(12), machine=machine, tier="slab"
+            )
             assert sim.slab_instances > 0
         assert built == []
         scalar, vector = prepared.values()

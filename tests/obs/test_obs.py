@@ -198,7 +198,8 @@ class TestEndToEnd:
             manager=manager,
         )
         sim = simulate(
-            compiled, tomcatv_inputs(12), tracer=tracer, metrics=metrics
+            compiled, tomcatv_inputs(12), tier="slab", tracer=tracer,
+            metrics=metrics,
         )
         manager.collect_metrics(metrics)
         return tracer, metrics, sim

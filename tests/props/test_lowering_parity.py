@@ -39,7 +39,7 @@ def assert_parity(source, inputs=None, procs=4, strategy="selected", **opts):
     compiled = compile_source(
         source, CompilerOptions(strategy=strategy, num_procs=procs, **opts)
     )
-    fast = simulate(compiled, inputs)
+    fast = simulate(compiled, inputs, tier="slab")
     slow = simulate(compiled, inputs, tier="lowered")
     assert fast.clocks.snapshot() == slow.clocks.snapshot()
     assert fast.stats.as_dict() == slow.stats.as_dict()

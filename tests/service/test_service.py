@@ -43,7 +43,7 @@ class TestEndToEnd:
         assert service.serve_forever(once=True) >= 1
         via_service = handle.result(timeout=60)
 
-        direct = Session(cache=False, use_calibration=False).sweep(
+        direct = Session(cache=False).sweep(
             spec, workers=0
         )
         assert all(r.worker == "batched" for r in direct)
@@ -313,7 +313,7 @@ class TestQueueSchema:
 
 class TestSessionSubmit:
     def test_session_submit_round_trip(self, tmp_path):
-        session = Session(use_calibration=False)
+        session = Session()
         handle = session.submit(_spec(), service=tmp_path / "svc")
         worker = SweepService(tmp_path / "svc")
         worker.serve_forever(once=True)

@@ -78,7 +78,7 @@ class TestParityWithPool:
             assert result.ok and result.worker == "batched"
             assert result.fallback_reason is None
             assert result.procs_lanes == 3
-            alone = Session(job.options, use_calibration=False).estimate(
+            alone = Session(job.options).estimate(
                 job.source
             )
             assert (

@@ -81,7 +81,7 @@ class TestExpressionNesting:
     def test_ninety_levels_run(self):
         from repro import Session
 
-        result = Session(num_procs=2, use_calibration=False).run(_nested(90))
+        result = Session(num_procs=2).run(_nested(90))
         assert result.ok and result.matches == {"A": True, "B": True}
 
     @pytest.mark.parametrize("depth", [300, 3000])
@@ -89,7 +89,7 @@ class TestExpressionNesting:
         from repro import Session
 
         with pytest.raises(ParseError) as err:
-            Session(num_procs=2, use_calibration=False).run(_nested(depth))
+            Session(num_procs=2).run(_nested(depth))
         assert isinstance(err.value, ReproError)
         assert "expression nested too deeply at line 7" in str(err.value)
         assert not isinstance(err.value.__cause__, RecursionError)
@@ -136,13 +136,6 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match="num_procs must be a positive"):
             CompilerOptions(num_procs=True)
         assert CompilerOptions(num_procs=1).num_procs == 1
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_nest_cost_constant(self, value):
-        """NaN options never compare equal to themselves, and ``nan``
-        would enter every cache key."""
-        with pytest.raises(ValueError, match="must be positive"):
-            CompilerOptions(nest_cost_constants={"C_PREP": value})
 
     def test_all_errors_share_base(self):
         for exc in (LexError, ParseError, DirectiveError, SemanticError, MappingError):
