@@ -310,6 +310,27 @@ class TestRetiredShims:
         assert estimate.total_time > 0
         assert callable(repro.table1_tomcatv)
 
+    def test_calibrate_module_removed(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.perf.calibrate")
+
+    def test_options_have_no_nest_cost_constants(self):
+        """The tier plan prices with the estimator's class constants
+        only; no option carries a replacement set."""
+        import repro.core.driver as driver
+
+        assert not hasattr(driver, "NEST_COST_CONSTANTS")
+        with pytest.raises(TypeError, match="nest_cost_constants"):
+            CompilerOptions(nest_cost_constants={"C_PREP": 1e-4})
+
+    def test_estimator_takes_no_nest_cost_constants(self):
+        from repro.perf.estimator import PerfEstimator
+
+        compiled = compile_source(TOMCATV, CompilerOptions(num_procs=2))
+        with pytest.raises(TypeError, match="nest_cost_constants"):
+            PerfEstimator(compiled, nest_cost_constants={"C_PREP": 1e-4})
 
     @pytest.mark.parametrize("value", [True, "fit-dir", 0, None])
     def test_use_calibration_accepts_only_false(self, value):

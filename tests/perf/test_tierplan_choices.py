@@ -20,6 +20,7 @@ from repro import Session
 from repro.cli import main
 from repro.core.driver import CompilerOptions, compile_source
 from repro.ir.stmt import LoopStmt
+from repro.perf.estimator import PerfEstimator
 from repro.programs import appsp_source, dgefa_source, tomcatv_source
 
 
@@ -68,6 +69,42 @@ POINTS = [
 def test_choices_at_the_measured_points(source, expected):
     compiled = compile_source(source, CompilerOptions())
     assert _choices(compiled) == dict(sorted(expected.items()))
+
+
+class TestClassConstantsPriceThePlan:
+    """The four class constants are the plan's one source of prices:
+    scaling one of them on the class moves DGEFA n=24, P=16's nests
+    the way its term in ``nest_cost`` says."""
+
+    SOURCE = dgefa_source(n=24, procs=16)
+    LOOPS = ("L01", "L02", "L03", "L04", "L05")
+
+    @pytest.mark.parametrize(
+        "name, factor, slab",
+        [
+            # dearer tier-2 dispatch: every eligible nest goes to slab
+            ("C_T2_STMT", 1e3, LOOPS),
+            # dearer slab overhead or lanes: every nest stays lowered
+            ("C_PREP", 1e3, ()),
+            ("C_VEC", 1e3, ()),
+            ("C_ELEM", 1e3, ()),
+            # cheaper slab set-up: the small nests move to slab too
+            ("C_PREP", 1e-3, LOOPS),
+            ("C_VEC", 1e-3, ("L01", "L02", "L04", "L05")),
+        ],
+        ids=["t2-stmt-x1e3", "prep-x1e3", "vec-x1e3", "elem-x1e3",
+             "prep-x1e-3", "vec-x1e-3"],
+    )
+    def test_scaling_a_constant_moves_the_plan(
+        self, name, factor, slab, monkeypatch
+    ):
+        monkeypatch.setattr(
+            PerfEstimator, name, getattr(PerfEstimator, name) * factor
+        )
+        compiled = compile_source(self.SOURCE, CompilerOptions())
+        assert _choices(compiled) == {
+            loop: "slab" if loop in slab else "lowered" for loop in self.LOOPS
+        }
 
 
 #: constants under which the slab engine never wins: a file carrying
