@@ -1,6 +1,6 @@
 """Simulator engine benchmark: tier-3 slab kernels vs tier-2 lowered
-closures, plus the cost-driven ``tier="auto"`` mode that consults the
-compiled TierPlan per nest.
+closures, plus the cost-driven ``tier="auto"`` mode that runs each
+nest on the engine its priced slab plan picks.
 
 Every run asserts **bit-for-bit identity** across all three paths —
 virtual clocks, traffic statistics, and complete per-rank memory state
@@ -35,6 +35,7 @@ from repro.core import CompilerOptions, compile_source
 from repro.ir.build import parse_and_build
 from repro.ir.stmt import LoopStmt
 from repro.machine import simulate
+from repro.machine.slabexec import NestPlan
 from repro.obs import Metrics, Tracer, validate_chrome_trace
 from repro.programs import (
     appsp_inputs,
@@ -180,7 +181,11 @@ def test_engine_speedups(name, source, inputs, gates):
     # The tiers are timed on the same footing: the products each one
     # derives from the compiled program on first read exist up front.
     assert compiled.lowering.assigns
-    tierplan = compiled.tierplan  # plans over compiled.slabs
+    choices = [
+        verdict.choice
+        for verdict in compiled.slabs.verdicts.values()
+        if isinstance(verdict, NestPlan)
+    ]
 
     # Collector off for the three single-shot timings: a full collection
     # landing inside one ~12 ms smoke-size run reads as that tier being
@@ -241,9 +246,13 @@ def test_engine_speedups(name, source, inputs, gates):
         "messages": slab.stats.messages,
         "elements": slab.stats.elements,
         "fetches": slab.stats.fetches,
-        # per-nest decision breakdown: what the TierPlan predicted and
-        # what the auto run actually chose, on stable loop ordinals
-        "tierplan": tierplan.summary(),
+        # per-nest decision breakdown: what the priced plans predicted
+        # and what the auto run actually chose, on stable loop ordinals
+        "tierplan": {
+            "eligible": len(choices),
+            "slab": choices.count("slab"),
+            "lowered": choices.count("lowered"),
+        },
         "tier_decisions": auto.canonical_stats()["tiers"],
         # takeovers each nest committed under the blanket slab tier,
         # and the fetched elements replayed inside them

@@ -146,7 +146,7 @@ class Session:
     :class:`CompileCache`.  ``tracer``/``metrics`` are threaded through
     compilation, simulation, and sweeps.
 
-    The tier plan always prices engines with the estimator's built-in
+    ``tier="auto"`` always prices engines with the estimator's built-in
     constants.  ``use_calibration`` is kept only so that older callers
     passing ``use_calibration=False`` still work; the host calibration
     it used to switch is gone, and any other value is a ``TypeError``.
@@ -230,8 +230,9 @@ class Session:
         deterministic random inputs (``seed``), cross-checking every
         array against the sequential interpreter unless
         ``validate=False``.  ``tier`` selects the execution engine:
-        ``"auto"`` (default) consults the compiled :class:`TierPlan`
-        per nest, ``"lowered"``/``"slab"`` force a single tier."""
+        ``"auto"`` (default) runs each nest on the engine its priced
+        slab plan picks, ``"lowered"``/``"slab"`` force a single
+        tier."""
         import numpy as np
 
         from .codegen.seq import run_sequential, seeded_inputs

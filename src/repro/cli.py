@@ -4,7 +4,7 @@ Usage (also via ``python -m repro``)::
 
     repro compile PROGRAM.hpf [--procs 16] [--strategy selected] [--spmd]
     repro estimate PROGRAM.hpf [--procs 1 2 4 8 16] [...]
-    repro run PROGRAM.hpf [--procs 4] [--seed 0] [--trace out.json]
+    repro run PROGRAM.hpf [--procs N] [--seed 0] [--trace out.json]
               [--tier auto|lowered|slab]
               [--metrics] [--json out.json]
     repro sweep PROGRAM.hpf [--procs 2 4] [--axis FIELD=V1,V2]
@@ -705,13 +705,19 @@ def cmd_catalog(args) -> int:
         removed = catalog.gc(
             max_age_days=args.max_age_days, dry_run=args.dry_run
         )
+        removed["jobs"] = (
+            service.queue.gc(args.max_age_days, dry_run=args.dry_run)
+            if args.max_age_days is not None
+            else 0
+        )
         verb = "would remove" if args.dry_run else "removed"
         if args.json:
             _emit_json(args, {"dry_run": args.dry_run, **removed})
         else:
             print(f"{verb} {removed['orphans']} orphan(s), "
                   f"{removed['aged_artifacts']} aged artifact(s), "
-                  f"{removed['aged_results']} aged result(s)")
+                  f"{removed['aged_results']} aged result(s), "
+                  f"{removed['jobs']} finished job(s)")
     service.close()
     return code
 
@@ -754,14 +760,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate and validate against sequential")
     _add_compile_flags(p_run)
-    p_run.add_argument("--procs", type=_PROCS, default=4)
+    p_run.add_argument("--procs", type=_PROCS, default=None)
     p_run.add_argument("--seed", type=_COUNT, default=0)
     p_run.add_argument(
         "--tier",
         choices=TIERS,
         default="auto",
-        help="execution engine: 'auto' picks slab per nest from the "
-        "compiled TierPlan; the others force one tier everywhere",
+        help="execution engine: 'auto' picks slab per nest from its "
+        "priced slab plan; the others force one tier everywhere",
     )
     p_run.add_argument(
         "--trace", type=_trace_path, default=None, metavar="OUT.json",
@@ -968,11 +974,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_show.set_defaults(func=cmd_catalog, action="show")
 
     p_gc = catalog_sub.add_parser(
-        "gc", help="drop orphaned and aged catalog entries"
+        "gc", help="drop orphaned and aged catalog entries and old jobs"
     )
     p_gc.add_argument(
         "--max-age-days", type=_AGE, default=None, metavar="DAYS",
-        help="also drop entries unused for DAYS (and their cache files)",
+        help="also drop entries unused for DAYS (and their cache files) "
+        "and queue jobs that finished more than DAYS ago",
     )
     p_gc.add_argument("--dry-run", action="store_true")
     _add_service_flags(p_gc)

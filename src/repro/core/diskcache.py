@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 #: bump when the pickled payload layout — or the meaning of a pass
 #: product in it — changes; part of the pipeline fingerprint, so old
 #: entries become silent misses, not errors.  4: ``CompiledProgram``
-#: derives ``lowering``/``slabs``/``tierplan`` on first read (a schema-3
+#: derives ``lowering``/``slabs`` on first read (a schema-3
 #: pickle carries them as fields and lacks the memo the properties use).
 CACHE_SCHEMA = 4
 

@@ -21,7 +21,7 @@ parsed IR and front-end analyses across compiles, or use
 every entry point is a
 :class:`CompiledProgram` consumed by the performance estimator, the
 SPMD simulator, and the reports. What only the simulator reads —
-statement closures, slab verdicts, the tier plan — is no pipeline
+statement closures, the priced slab verdicts — is no pipeline
 stage: it is derived from the compiled program on first read.
 """
 
@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # comm/machine/perf types; no runtime dependency
     from ..machine.lowering import LoweredIR
     from ..machine.slabexec import SlabReport
     from ..obs import Tracer
-    from ..perf.tierplan import TierPlan
 
 @dataclass
 class CompilerOptions:
@@ -149,12 +148,12 @@ class CompiledProgram:
         default_factory=dict, repr=False, compare=False
     )
 
-    def _derive(self, name: str, build, *inputs) -> Any:
+    def _derive(self, name: str, build) -> Any:
         epoch = self.proc.ir_epoch
         held = self._derived.get(name)
         if held is None or held[0] != epoch:
             started = time.perf_counter()
-            held = self._derived[name] = (epoch, build(self, *inputs))
+            held = self._derived[name] = (epoch, build(self))
             if self.timings is not None:
                 self.timings.record(name, time.perf_counter() - started)
         return held[1]
@@ -181,14 +180,9 @@ class CompiledProgram:
 
     @property
     def slabs(self) -> "SlabReport":
-        """Per-loop slab plans, the simulator's tier-3 engine."""
+        """Per-loop slab plans, the simulator's tier-3 engine, each
+        priced against tier 2 for ``tier="auto"``."""
         return self._derive("slabexec", _classify_slabs)
-
-    @property
-    def tierplan(self) -> "TierPlan":
-        """Cost-driven per-nest tier decisions, consulted by the
-        simulator under ``tier="auto"``."""
-        return self._derive("tierplan", _plan_tiers, self.slabs)
 
     @property
     def grid(self) -> ProcessorGrid:
@@ -262,18 +256,11 @@ def _lower(compiled: CompiledProgram) -> "LoweredIR":
 
 
 def _classify_slabs(compiled: CompiledProgram) -> "SlabReport":
-    """Every loop's slab plan or the reason it has none — built once
-    here and shared by every run of the program."""
+    """Every loop's priced slab plan or the reason it has none — built
+    once here and shared by every run of the program."""
     from ..machine.slabexec import classify_procedure
 
     return classify_procedure(compiled)
-
-
-def _plan_tiers(compiled: CompiledProgram, slabs: "SlabReport") -> "TierPlan":
-    from ..perf.estimator import PerfEstimator
-    from ..perf.tierplan import build_tierplan
-
-    return build_tierplan(compiled.proc, slabs, PerfEstimator(compiled))
 
 
 def _compile(

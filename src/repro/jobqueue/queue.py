@@ -628,6 +628,30 @@ class JobQueue:
             if cursor.rowcount:
                 self._emit(job_id, "failed", error=error.splitlines()[-1])
 
+    def gc(self, max_age_days: float, dry_run: bool = False) -> int:
+        """Delete the terminal jobs that finished more than
+        ``max_age_days`` ago — their points and shards by cascade,
+        their events (which carry no foreign key) explicitly.  Returns
+        how many jobs were (or, under ``dry_run``, would be) deleted."""
+        cutoff = time.time() - max_age_days * 86400.0
+        marks = ",".join("?" * len(TERMINAL_STATES))
+        with transaction(self.conn):
+            aged = [
+                row["id"]
+                for row in self.conn.execute(
+                    f"SELECT id FROM jobs WHERE state IN ({marks})"
+                    " AND finished_at < ?",
+                    (*TERMINAL_STATES, cutoff),
+                )
+            ]
+            if not dry_run:
+                rows = [(job_id,) for job_id in aged]
+                self.conn.executemany(
+                    "DELETE FROM events WHERE job_id = ?", rows
+                )
+                self.conn.executemany("DELETE FROM jobs WHERE id = ?", rows)
+        return len(aged)
+
     # -- inspection --------------------------------------------------------
 
     #: one statement, so one snapshot: a job row with its point and

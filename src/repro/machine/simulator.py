@@ -19,7 +19,7 @@ Two engines execute the statements, picked by ``tier=``: the lowered
 closures of :mod:`repro.machine.lowering` run one statement instance
 at a time on its executor ranks (``"lowered"``), and the slab plans of
 :mod:`repro.machine.slabexec` additionally take whole nests at once
-(``"slab"``, or ``"auto"`` where the TierPlan predicts a win).  Both
+(``"slab"``, or ``"auto"`` where the plan's price predicts a win).  Both
 charge through this module's fetch, executor tables and reduction
 combine.
 
@@ -74,7 +74,7 @@ class _AuthoritativeReader(ValueReader):
 
 
 #: the engine switch's values: the two forced tiers, then the
-#: TierPlan-driven per-nest choice
+#: price-driven per-nest choice
 TIERS = ("lowered", "slab", "auto")
 
 
@@ -152,8 +152,8 @@ class SPMDSimulator:
         #: the engine switch: "lowered" runs the compiled closures
         #: alone, "slab" additionally takes every eligible nest over as
         #: vectorized slab kernels, and "auto" does so only where the
-        #: compiled TierPlan predicts a win — cost-driven selection
-        #: that never regresses below "lowered"
+        #: nest's priced plan predicts a win (``compiled.slabs``) —
+        #: cost-driven selection that never regresses below "lowered"
         self.tier = tier
         #: structured tracing (repro.obs); the disabled NULL_TRACER by
         #: default, so hot paths pay one attribute load and one branch
@@ -168,11 +168,6 @@ class SPMDSimulator:
         #: eligibility-coverage metric
         self.slab_instances = 0
         self.interp_instances = 0
-        #: loop ids the TierPlan approved for slab takeover (None: no
-        #: plan consulted — every eligible nest may be taken)
-        self._tier_approved: set[int] | None = None
-        if tier == "auto":
-            self._tier_approved = compiled.tierplan.slab_loops()
         #: runtime record, loop id -> engine that actually ran the nest
         #: ("slab" | "lowered"), exported via canonical_stats()/metrics
         self.tier_decisions: dict[int, str] = {}

@@ -33,7 +33,11 @@ and checked again per entry:
   :mod:`repro.analysis.dependence`, and a store role for every
   statement — and builds the nest's :class:`NestPlan`, or names the
   first reason it is not one takeover.  The plan is machine- and
-  run-independent: every simulation of the program shares it;
+  run-independent: every simulation of the program shares it.  It
+  also carries its price (``NestPlan.cost``:
+  :meth:`~repro.perf.PerfEstimator.nest_cost`), and under
+  ``tier="auto"`` a nest is taken only where the slab engine is
+  predicted to win or the estimator could not price it;
 * each **entry** (:meth:`NestPlan.prepare`) checks what depends on live
   state (validity of read operands, executor rank sets, divisors,
   subscript bounds, disjointness of the concrete index sets) and
@@ -85,6 +89,7 @@ from ..codegen.veceval import (
 )
 from ..ir.expr import ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt
+from ..perf.estimator import NestCost, PerfEstimator
 from .fetchreplay import _FetchLog
 from .memory import tabulate_owners
 from .simulator import ReductionIndex
@@ -112,11 +117,12 @@ def slab_trip_count(low, high, step):
 
 @dataclass
 class SlabReport:
-    """Per-loop slab plans.
+    """Per-loop slab plans and their prices.
 
     ``verdicts`` maps every loop statement id to the loop's
-    :class:`NestPlan` — it is one takeover — or to the first reason it
-    is not.  Derived from the compiled program on first read and again
+    :class:`NestPlan` — it is one takeover, priced against tier 2
+    (``plan.cost``, ``plan.choice``) — or to the first reason it is
+    not.  Derived from the compiled program on first read and again
     when ``ir_epoch`` is stale, like the lowering; the plans hold no
     machine or run state, so every simulation of the program shares
     them.
@@ -371,7 +377,7 @@ def _classify(compiled, loop: LoopStmt, placements,
 
 
 def classify_procedure(compiled) -> SlabReport:
-    """Every loop nest's plan, or the first reason it has none."""
+    """Every loop nest's priced plan, or the first reason it has none."""
     proc = compiled.proc
     placements = _placement_map(compiled.comm.events)
     reductions = ReductionIndex(compiled)
@@ -393,6 +399,15 @@ def classify_procedure(compiled) -> SlabReport:
                 visit(s.else_body)
 
     visit(proc.body)
+    # one estimator prices every plan with its class constants (see
+    # docs/COSTMODEL.md, "Per-nest tier choice")
+    estimator = PerfEstimator(compiled)
+    for plan in report.verdicts.values():
+        if isinstance(plan, NestPlan):
+            try:
+                plan.cost = estimator.nest_cost(plan.loop)
+            except Exception:  # never fail a run over a prediction
+                pass
     return report
 
 # ---------------------------------------------------------------------------
@@ -1291,6 +1306,18 @@ class NestPlan:
             else (None, None, None)
         )
         self.bound_forms = bound_forms
+        #: the nest's predicted tier-2 and tier-3 times, set by the
+        #: classification; None when the estimator could not price it
+        self.cost: NestCost | None = None
+
+    @property
+    def choice(self) -> str:
+        """The engine ``tier="auto"`` gives the nest: tier 2 where it
+        is predicted to win, else the slab engine — unpriced nests
+        included."""
+        if self.cost is not None and not self.cost.slab_wins:
+            return "lowered"
+        return "slab"
 
     def _build(self, compiled, reductions: ReductionIndex,
                phases: tuple) -> str | None:
@@ -1710,6 +1737,9 @@ class SlabExecutor:
         self.fast = fast
         self.sim = fast.sim
         self.report = report = self.sim.compiled.slabs
+        #: whether the nests' prices pick the engine (``tier="auto"``)
+        #: or every plan is taken (``tier="slab"``)
+        self.priced = self.sim.tier == "auto"
         #: a program without a plan pays nothing per loop entry: one
         #: flag check instead of a verdict lookup
         self.enabled = bool(report.eligible_loops())
@@ -1748,9 +1778,7 @@ class SlabExecutor:
         if not isinstance(plan, NestPlan):
             return False
         sim = self.sim
-        approved = sim._tier_approved
-        if approved is not None and sid not in approved:
-            # the TierPlan predicted tier 2 to win here
+        if self.priced and plan.choice == "lowered":
             self._decide(sid, "lowered")
             return False
         if self._bail_counts.get(sid, 0) >= GIVE_UP_AFTER:

@@ -8,7 +8,6 @@ from .estimator import (
     PerfEstimator,
     StmtCost,
 )
-from .tierplan import NestDecision, TierPlan, build_tierplan
 
 __all__ = [
     "MemoryReport",
@@ -18,7 +17,4 @@ __all__ = [
     "PerfEstimate",
     "PerfEstimator",
     "StmtCost",
-    "NestDecision",
-    "TierPlan",
-    "build_tierplan",
 ]

@@ -112,8 +112,9 @@ class EventCost:
 class NestCost:
     """Predicted host-side execution time of one loop nest under the
     tier-2 lowered interpreter vs the tier-3 slab engine (see
-    docs/COSTMODEL.md: the per-nest inequality the tier plan is
-    decided with)."""
+    docs/COSTMODEL.md: the per-nest inequality ``tier="auto"``
+    decides with).  The slab classification prices each plan with it
+    (``NestPlan.cost``)."""
 
     loop_id: int
     #: dynamic statement instances inside the nest, whole program run

@@ -1,9 +1,9 @@
-"""``CompiledProgram.lowering`` / ``.slabs`` / ``.tierplan`` are derived
-on first read, memoized against ``proc.ir_epoch``, and never pickled:
-estimate journeys build none of them, simulate journeys build each
-once — and with ``.slabs`` one ``NestPlan`` per loop that has one — and
-a stale or unpickled program plans ``tier="auto"`` again instead of
-silently running as ``tier="slab"``."""
+"""``CompiledProgram.lowering`` / ``.slabs`` are derived on first read,
+memoized against ``proc.ir_epoch``, and never pickled: estimate
+journeys build neither, simulate journeys build each once — and with
+``.slabs`` one priced ``NestPlan`` per loop that has one — and a stale
+or unpickled program prices ``tier="auto"`` again instead of silently
+running as ``tier="slab"``."""
 
 import pickle
 
@@ -16,11 +16,10 @@ from repro.machine import lowering, simulate, slabexec
 from repro.machine.lowering import FastPath
 from repro.machine.simulator import SPMDSimulator
 from repro.obs import Metrics
-from repro.perf import tierplan
 from repro.programs import dgefa_source
 from repro.report.tables import table1_tomcatv, table2_dgefa, table3_appsp
 
-DERIVED = ("lowering", "slabexec", "tierplan")
+DERIVED = ("lowering", "slabexec")
 #: the derived products, and the slab plans ``slabexec`` builds
 BUILT = (*DERIVED, "plans")
 NOTHING = dict.fromkeys(BUILT, 0)
@@ -33,7 +32,6 @@ def builds(monkeypatch):
     counts = dict(NOTHING)
     lower = lowering.lower_procedure
     classify = slabexec.classify_procedure
-    plan = tierplan.build_tierplan
     nest_plan = slabexec.NestPlan.__init__
 
     def counting_lower(proc):
@@ -44,10 +42,6 @@ def builds(monkeypatch):
         counts["slabexec"] += 1
         return classify(*args, **kwargs)
 
-    def counting_plan(*args, **kwargs):
-        counts["tierplan"] += 1
-        return plan(*args, **kwargs)
-
     def counting_nest_plan(self, *args):
         counts["plans"] += 1
         nest_plan(self, *args)
@@ -55,7 +49,6 @@ def builds(monkeypatch):
     monkeypatch.setattr(lowering, "lower_procedure", counting_lower)
     monkeypatch.setattr(slabexec.NestPlan, "__init__", counting_nest_plan)
     monkeypatch.setattr(slabexec, "classify_procedure", counting_classify)
-    monkeypatch.setattr(tierplan, "build_tierplan", counting_plan)
     return lambda: dict(counts)
 
 

@@ -53,7 +53,7 @@ def test_rows_are_the_default_pipeline():
     assert tuple(plain.passes) == DEFAULT_PIPELINE[:-1]
 
 
-@pytest.mark.parametrize("name", ("lowering", "slabexec", "tierplan"))
+@pytest.mark.parametrize("name", ("lowering", "slabexec"))
 def test_derived_products_are_not_passes(name):
     """They are read off the CompiledProgram, not scheduled."""
     assert len(DEFAULT_PIPELINE) == 13

@@ -1,4 +1,4 @@
-"""The tier plan's per-nest choices at the sweep's measured points.
+"""The priced slab plans' per-nest choices at the sweep's measured points.
 
 ``PerfEstimator.nest_cost`` prices tier 2 against tier 3 with four
 fixed class constants (``C_T2_STMT``, ``C_PREP``, ``C_VEC``,
@@ -18,8 +18,11 @@ import pytest
 
 from repro import Session
 from repro.cli import main
+from repro.codegen.seq import seeded_inputs
 from repro.core.driver import CompilerOptions, compile_source
 from repro.ir.stmt import LoopStmt
+from repro.machine import simulate
+from repro.machine.slabexec import NestPlan
 from repro.perf.estimator import PerfEstimator
 from repro.programs import appsp_source, dgefa_source, tomcatv_source
 
@@ -28,11 +31,12 @@ def _choices(compiled) -> dict[str, str]:
     loops = (s for s in compiled.proc.all_stmts() if isinstance(s, LoopStmt))
     ordinal = {s.stmt_id: i for i, s in enumerate(loops)}
     return {
-        f"L{ordinal[sid]:02d}": decision.choice
-        for sid, decision in sorted(
-            compiled.tierplan.decisions.items(),
+        f"L{ordinal[sid]:02d}": verdict.choice
+        for sid, verdict in sorted(
+            compiled.slabs.verdicts.items(),
             key=lambda item: ordinal[item[0]],
         )
+        if isinstance(verdict, NestPlan)
     }
 
 
@@ -153,3 +157,26 @@ class TestNoFileChangesADecision:
             argv += ["--cache-dir", str(tmp_path / root)]
         assert main(argv) == 0
         assert json.loads(out.read_text())["tiers"] == self.RAN
+
+
+class TestAFailedPriceNeverFailsARun:
+    """A nest whose price cannot be computed keeps its slab plan: under
+    ``tier="auto"`` it runs exactly as under ``tier="slab"``, and the
+    clocks and traffic are still those of the lowered closures."""
+
+    def test_auto_runs_every_plan(self, monkeypatch):
+        def refuse(self, loop):
+            raise ArithmeticError("no price")
+
+        monkeypatch.setattr(PerfEstimator, "nest_cost", refuse)
+        source = dgefa_source(n=12, procs=4)
+        runs = {}
+        for tier in ("auto", "slab", "lowered"):
+            compiled = compile_source(source, CompilerOptions(num_procs=4))
+            runs[tier] = simulate(
+                compiled, seeded_inputs(compiled.proc, 0), tier=tier
+            ).canonical_stats()
+        assert runs["auto"]["tiers"] == runs["slab"]["tiers"]
+        assert "slab" in runs["auto"]["tiers"].values()
+        for key in ("clocks", "stats"):
+            assert runs["auto"][key] == runs["lowered"][key]

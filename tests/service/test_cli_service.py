@@ -133,6 +133,61 @@ class TestCatalogCli:
         ]) == 0
         assert "would remove 0 orphan(s)" in capsys.readouterr().out
 
+    def test_gc_deletes_only_the_aged_finished_job(
+        self, program, tmp_path, capsys
+    ):
+        """``--max-age-days`` also prunes ``queue.sqlite``: a terminal
+        job that finished before the window loses its job, point, shard
+        and event rows; a job that finished inside it keeps all four."""
+        import sqlite3
+
+        _, service_dir = _submit(program, tmp_path, "--wait")
+        _submit(program, tmp_path, "--wait")
+        queue = tmp_path / "svc" / "queue.sqlite"
+        tables = ("jobs", "points", "shards", "events")
+
+        def rows():
+            with sqlite3.connect(queue) as conn:
+                return {
+                    (table, job): conn.execute(
+                        f"SELECT COUNT(*) FROM {table} WHERE "
+                        f"{'id' if table == 'jobs' else 'job_id'} = ?",
+                        (job,),
+                    ).fetchone()[0]
+                    for table in tables
+                    for job in (1, 2)
+                }
+
+        with sqlite3.connect(queue) as conn:
+            conn.execute(
+                "UPDATE jobs SET finished_at = finished_at - 3 * 86400.0"
+                " WHERE id = 1"
+            )
+        before = rows()
+        assert all(before.values())
+        gc = ["catalog", "gc", "--max-age-days", "1", "--service-dir",
+              service_dir, "--json"]
+        capsys.readouterr()
+
+        assert main([*gc, "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["jobs"] == 1
+        assert rows() == before
+
+        assert main(gc) == 0
+        assert json.loads(capsys.readouterr().out)["jobs"] == 1
+        assert rows() == {
+            (table, job): 0 if job == 1 else before[table, job]
+            for table, job in before
+        }
+
+        assert main(["jobs", "status", "--service-dir", service_dir]) == 0
+        out = capsys.readouterr().out
+        assert out.count("done") == 1
+        assert main([
+            "jobs", "status", "2", "--service-dir", service_dir, "--json",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["state"] == "done"
+
 
     @pytest.mark.parametrize(
         "prefix, message",

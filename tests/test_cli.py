@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.programs import dgefa_source
 
 
 @pytest.fixture
@@ -168,6 +169,14 @@ class TestRun:
         out = capsys.readouterr().out
         assert "matches sequential: True" in out
         assert "0 unexpected" in out
+
+    def test_procs_defaults_to_the_programs_grid(self, tmp_path, capsys):
+        """Without ``--procs`` a run uses the ``!HPF$ PROCESSORS`` grid,
+        like ``compile``, ``sweep`` and ``Session.run``."""
+        program = tmp_path / "dgefa.hpf"
+        program.write_text(dgefa_source(n=24, procs=16))
+        assert main(["run", str(program)]) == 0
+        assert "on 16 processors" in capsys.readouterr().out
 
     def test_seed_determinism(self, program_file, capsys):
         main(["run", program_file, "--seed", "3"])
