@@ -14,7 +14,9 @@ and allows 10% timing noise on the auto ratio.  The sequential
 reference (``run_sequential`` on the untransformed procedure, lowered
 beforehand like the compiled program is) is timed in the same process
 and must not cost more than the slab-tier simulation it validates —
-``reference_vs_slab <= 1.0``, a ratio, at every size.  The
+``reference_vs_slab <= 1.0``, a ratio, at every size; both sides are
+the median of ``REFERENCE_RUNS`` alternated runs with the collector
+off, after one untimed reference run has paid the first imports.  The
 disabled-tracer overhead is the median over alternated pairs of runs —
 a single pair on this host reads anywhere from 0.7 to 1.5.  Results —
 including the per-nest tier decisions and how many takeovers each nest
@@ -115,6 +117,50 @@ def assert_identical(other, reference):
 #: ``tracer_overhead`` reading
 TRACER_PAIRS = 5
 
+#: alternated (reference, slab) run pairs behind ``reference_s`` and
+#: ``slab_s``: one pair on a smoke size straddles the bound run to run
+REFERENCE_RUNS = 7
+
+
+def _timed(run):
+    """One run's seconds with the collector off: a full collection
+    landing inside one ~12 ms smoke-size run reads as 3x slower."""
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        result = run()
+        return time.perf_counter() - started, result
+    finally:
+        gc.enable()
+
+
+def _reference_vs_slab(compiled, source, inputs):
+    """Median seconds of the sequential reference Session.run validates
+    against and of the slab-tier simulation, over ``REFERENCE_RUNS``
+    alternated runs on one footing: the collector off for both, and the
+    reference's deferred imports paid by an untimed first run.  Each
+    timed reference parses outside the clock and lowers inside it, as a
+    run pays for it: emitting the closures' source is part of every
+    reference run.  Also returns the last slab simulation."""
+    run_sequential(parse_and_build(source), inputs)
+    seconds = {"reference": [], "slab": []}
+    for k in range(REFERENCE_RUNS):
+        for side in ("reference", "slab") if k % 2 == 0 else ("slab", "reference"):
+            if side == "reference":
+                proc = parse_and_build(source)
+                elapsed, _ = _timed(lambda: run_sequential(proc, inputs))
+            else:
+                elapsed, slab = _timed(
+                    lambda: simulate(compiled, inputs, tier="slab")
+                )
+            seconds[side].append(elapsed)
+    return (
+        statistics.median(seconds["reference"]),
+        statistics.median(seconds["slab"]),
+        slab,
+    )
+
 
 def _tracer_overhead(compiled, inputs):
     """Disabled-tracer overhead of the slab tier: the same run with an
@@ -187,37 +233,14 @@ def test_engine_speedups(name, source, inputs, gates):
         if isinstance(verdict, NestPlan)
     ]
 
-    # Collector off for the three single-shot timings: a full collection
-    # landing inside one ~12 ms smoke-size run reads as that tier being
-    # 3x slower, and which run it lands in moves with how many objects
-    # the process happened to allocate before (it moved when `import
-    # repro` stopped loading concurrent.futures).
-    gc.collect()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        lowered = simulate(compiled, inputs, tier="lowered")
-        lowered_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        slab = simulate(compiled, inputs, tier="slab")
-        slab_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        auto = simulate(compiled, inputs, tier="auto")
-        auto_s = time.perf_counter() - started
-    finally:
-        gc.enable()
+    lowered_s, lowered = _timed(
+        lambda: simulate(compiled, inputs, tier="lowered")
+    )
+    auto_s, auto = _timed(lambda: simulate(compiled, inputs, tier="auto"))
+    reference_s, slab_s, slab = _reference_vs_slab(compiled, source, inputs)
 
     tracer_overhead, traced = _tracer_overhead(compiled, inputs)
     counts = _slab_counts(compiled, inputs)
-
-    # The reference Session.run validates against, as a run pays for
-    # it: emitting the closures' source is part of every reference run.
-    proc = parse_and_build(source)
-    started = time.perf_counter()
-    run_sequential(proc, inputs)
-    reference_s = time.perf_counter() - started
 
     assert_identical(slab, lowered)
     assert_identical(auto, lowered)

@@ -1,11 +1,9 @@
-"""Shared benchmark helpers.
+"""Shared benchmark fixtures.
 
-Every benchmark regenerates a piece of the paper's evaluation: the
-timed quantity is this reproduction's compile+estimate (or simulate)
-pipeline, and the *simulated SP2 execution time* — the number that
-corresponds to the paper's tables — is attached as
-``benchmark.extra_info["simulated_time_s"]`` and also written to
-``benchmarks/output/``.
+``output_dir`` is ``benchmarks/output/``, where the simulator benchmark
+writes the Chrome trace and metrics JSON that CI uploads.  The paper's
+tables and claims are not benchmarks: ``repro tables`` prints them and
+``tests/integration/test_paper_claims.py`` asserts them.
 """
 
 import pathlib
@@ -19,7 +17,3 @@ OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 def output_dir():
     OUTPUT_DIR.mkdir(exist_ok=True)
     return OUTPUT_DIR
-
-
-def record_table(output_dir, name, table):
-    (output_dir / f"{name}.txt").write_text(table.render() + "\n")

@@ -11,7 +11,8 @@ places the computation sensibly.
 
 The paper's framework achieves the same parallelism with *O(1)* storage
 per processor (a privatized copy) instead of *O(n)*; this module exists
-to measure exactly that trade-off (`benchmarks/bench_expansion.py`).
+to measure exactly that trade-off (the `related-expansion` row of
+`tests/integration/test_paper_claims.py`).
 
 The transformation is a source-level rewrite producing a new
 :class:`~repro.ir.program.Procedure` that compiles through the ordinary

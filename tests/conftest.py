@@ -1,9 +1,25 @@
-"""Shared fixtures: canonical paper program fragments."""
+"""Shared fixtures: canonical paper program fragments, and the paper's
+three tables at paper size."""
 
 import pytest
 
+from repro.core import PassManager
 from repro.ir import build_cfg, parse_and_build
 from repro.analysis.ssa import build_ssa
+from repro.report import table1_tomcatv, table2_dgefa, table3_appsp
+
+
+@pytest.fixture(scope="session")
+def paper_tables():
+    """Tables 1–3 at the paper's sizes (the generators' defaults), built
+    once per session: ``tests/test_report.py`` pins their rendered text
+    and ``tests/integration/test_paper_claims.py`` reads their rows."""
+    manager = PassManager()
+    return {
+        "table1_tomcatv": table1_tomcatv(manager=manager),
+        "table2_dgefa": table2_dgefa(manager=manager),
+        "table3_appsp": table3_appsp(manager=manager),
+    }
 
 
 FIG1_SRC = """

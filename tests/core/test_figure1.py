@@ -22,9 +22,15 @@ from repro.ir import ScalarRef
 from repro.programs import figure1_source
 
 
+#: the fragment's test size, and the paper's (TOMCATV's n, 16 processors)
+SIZES = {"small": dict(n=100, procs=4), "paper": dict(n=513, procs=16)}
+AT_BOTH_SIZES = pytest.mark.parametrize("compiled", list(SIZES), indirect=True)
+
+
 @pytest.fixture(scope="module")
-def compiled():
-    return compile_source(figure1_source(n=100, procs=4), CompilerOptions())
+def compiled(request):
+    size = SIZES[getattr(request, "param", "small")]
+    return compile_source(figure1_source(**size), CompilerOptions())
 
 
 def mapping_of(compiled, name, k=0):
@@ -44,6 +50,7 @@ class TestInductionVariableM:
     def test_recognized_as_induction(self, compiled):
         assert any(iv.symbol.name == "M" for iv in compiled.ctx.inductions)
 
+    @AT_BOTH_SIZES
     def test_privatized_without_alignment(self, compiled):
         mapping, _ = mapping_of(compiled, "M", k=1)
         assert isinstance(mapping, PrivateNoAlign)
@@ -59,12 +66,14 @@ class TestInductionVariableM:
 
 
 class TestConsumerAlignmentX:
+    @AT_BOTH_SIZES
     def test_x_aligned_with_consumer(self, compiled):
         mapping, _ = mapping_of(compiled, "X")
         assert isinstance(mapping, AlignedTo)
         assert mapping.is_consumer
         assert mapping.target.symbol.name == "D"
 
+    @AT_BOTH_SIZES
     def test_b_c_communication_vectorized(self, compiled):
         """The shifts for B(i), C(i) move outside the i-loop."""
         events = [
@@ -78,14 +87,17 @@ class TestConsumerAlignmentX:
 
 
 class TestProducerAlignmentY:
+    @AT_BOTH_SIZES
     def test_y_aligned_with_producer(self, compiled):
         mapping, _ = mapping_of(compiled, "Y")
         assert isinstance(mapping, AlignedTo)
         assert not mapping.is_consumer
         assert mapping.target.symbol.name in ("A", "B")
 
+    @AT_BOTH_SIZES
     def test_y_transfer_in_inner_loop(self, compiled):
-        """y's value travels to the owner of A(i+1) inside the loop."""
+        """y's value travels to the owner of A(i+1) inside the loop, the
+        fragment's only inner-loop transfer."""
         events = [
             e
             for e in compiled.comm.events
@@ -93,9 +105,11 @@ class TestProducerAlignmentY:
         ]
         assert len(events) == 1
         assert events[0].is_inner_loop
+        assert [e for e in compiled.comm.events if e.is_inner_loop] == events
 
 
 class TestNoAlignZ:
+    @AT_BOTH_SIZES
     def test_z_private_no_align(self, compiled):
         mapping, _ = mapping_of(compiled, "Z")
         assert isinstance(mapping, PrivateNoAlign)

@@ -19,9 +19,15 @@ from repro.ir import ArrayElemRef, ScalarRef
 from repro.programs import figure2_source
 
 
+#: the fragment's test size, and the paper's (16 processors)
+SIZES = {"small": dict(n=64, procs=4), "paper": dict(n=512, procs=16)}
+AT_BOTH_SIZES = pytest.mark.parametrize("compiled", list(SIZES), indirect=True)
+
+
 @pytest.fixture(scope="module")
-def compiled():
-    return compile_source(figure2_source(n=64, procs=4), CompilerOptions())
+def compiled(request):
+    size = SIZES[getattr(request, "param", "small")]
+    return compile_source(figure2_source(**size), CompilerOptions())
 
 
 def use_of(compiled, name):
@@ -49,6 +55,7 @@ class TestUseClassification:
 
 
 class TestConsumerIdentification:
+    @AT_BOTH_SIZES
     def test_consumer_of_p_is_lhs(self, compiled):
         """H(i,p) needs no communication (row i is local to the owner of
         A(i)), so only the executing processor needs p."""
@@ -58,6 +65,7 @@ class TestConsumerIdentification:
         assert isinstance(candidate, ArrayElemRef)
         assert candidate.symbol.name == "A"
 
+    @AT_BOTH_SIZES
     def test_consumer_of_q_is_dummy_replicated(self, compiled):
         """G(q,i) needs communication, so its subscript q must be
         available on all processors."""
@@ -79,6 +87,7 @@ class TestResultingMappings:
         mapping = compiled.scalar_mapping_of(stmts[0].stmt_id)
         assert isinstance(mapping, PrivateNoAlign)
 
+    @AT_BOTH_SIZES
     def test_q_stays_replicated(self, compiled):
         stmts = [
             s
@@ -88,9 +97,11 @@ class TestResultingMappings:
         mapping = compiled.scalar_mapping_of(stmts[0].stmt_id)
         assert isinstance(mapping, Replicated)
 
+    @AT_BOTH_SIZES
     def test_h_row_access_needs_no_comm(self, compiled):
         assert not [e for e in compiled.comm.events if e.ref.symbol.name == "H"]
 
+    @AT_BOTH_SIZES
     def test_g_access_needs_comm(self, compiled):
         assert [e for e in compiled.comm.events if e.ref.symbol.name == "G"]
 

@@ -20,10 +20,15 @@ from repro.ir import ArrayElemRef, parse_and_build
 from repro.programs import figure4_source
 
 
+#: the fragment's test size, and a paper-scale one (a 4 x 4 grid)
+SIZES = {"small": dict(n=16, p0=2, p1=2), "paper": dict(n=64, p0=4, p1=4)}
+AT_BOTH_SIZES = pytest.mark.parametrize("ctx", list(SIZES), indirect=True)
+
+
 @pytest.fixture(scope="module")
-def ctx():
-    proc = parse_and_build(figure4_source(n=16, p0=2, p1=2))
-    return build_context(proc)
+def ctx(request):
+    size = SIZES[getattr(request, "param", "small")]
+    return build_context(parse_and_build(figure4_source(**size)))
 
 
 def lhs_ref(ctx, name):
@@ -61,11 +66,13 @@ class TestSubscriptAlignLevel:
 
 
 class TestAlignLevel:
+    @AT_BOTH_SIZES
     def test_alignlevel_A_is_2(self, ctx):
         ref, _ = lhs_ref(ctx, "A")
         mapping = ctx.array_mappings["A"]
         assert align_level(ref, ctx.proc, ctx.ssa, mapping) == 2
 
+    @AT_BOTH_SIZES
     def test_alignlevel_B_is_3(self, ctx):
         ref, _ = lhs_ref(ctx, "B")
         mapping = ctx.array_mappings["B"]

@@ -22,9 +22,15 @@ from repro.machine import simulate
 from repro.programs import figure5_source
 
 
+#: the fragment's test size, and a paper-scale one (a 4 x 4 grid)
+SIZES = {"small": dict(n=64, p0=2, p1=2), "paper": dict(n=512, p0=4, p1=4)}
+AT_BOTH_SIZES = pytest.mark.parametrize("compiled", list(SIZES), indirect=True)
+
+
 @pytest.fixture(scope="module")
-def compiled():
-    return compile_source(figure5_source(n=64, p0=2, p1=2), CompilerOptions())
+def compiled(request):
+    size = SIZES[getattr(request, "param", "small")]
+    return compile_source(figure5_source(**size), CompilerOptions())
 
 
 def s_mapping(compiled, k):
@@ -37,10 +43,12 @@ def s_mapping(compiled, k):
 
 
 class TestReductionMapping:
+    @AT_BOTH_SIZES
     def test_update_gets_reduction_mapping(self, compiled):
         mapping = s_mapping(compiled, 1)
         assert isinstance(mapping, ReductionMapping)
 
+    @AT_BOTH_SIZES
     def test_replicated_along_second_grid_dim(self, compiled):
         mapping = s_mapping(compiled, 1)
         assert mapping.replicated_grid_dims == (1,)
@@ -54,16 +62,19 @@ class TestReductionMapping:
         across all reaching definitions of each use)."""
         assert s_mapping(compiled, 0) == s_mapping(compiled, 1)
 
+    @AT_BOTH_SIZES
     def test_no_row_broadcast(self, compiled):
         """The whole point: A(i,j) is read locally by its owner."""
         assert not [e for e in compiled.comm.events if e.ref.symbol.name == "A"]
 
+    @AT_BOTH_SIZES
     def test_combine_event_emitted(self, compiled):
         assert len(compiled.comm.reduces) == 1
         combine = compiled.comm.reduces[0]
         assert combine.grid_dims == (1,)
         assert combine.op == "+"
 
+    @AT_BOTH_SIZES
     def test_combine_once_per_i_iteration(self, compiled):
         combine = compiled.comm.reduces[0]
         assert combine.loop_level == 2  # the j loop

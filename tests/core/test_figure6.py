@@ -18,12 +18,19 @@ from repro.machine import simulate
 from repro.programs import figure6_source
 
 
+#: the fragment's test size, and a paper-scale one (a 4 x 4 grid)
+SIZES = {"small": dict(n=12, p0=2, p1=2), "paper": dict(n=32, p0=4, p1=4)}
+AT_BOTH_SIZES = pytest.mark.parametrize("compiled", list(SIZES), indirect=True)
+
+
 @pytest.fixture(scope="module")
-def compiled():
-    return compile_source(figure6_source(n=12, p0=2, p1=2), CompilerOptions())
+def compiled(request):
+    size = SIZES[getattr(request, "param", "small")]
+    return compile_source(figure6_source(**size), CompilerOptions())
 
 
 class TestPartialPrivatization:
+    @AT_BOTH_SIZES
     def test_partial_privatization_applied(self, compiled):
         privs = compiled.array_result.privatizations
         assert len(privs) == 1
@@ -31,10 +38,12 @@ class TestPartialPrivatization:
         assert priv.array.name == "C"
         assert priv.is_partial
 
+    @AT_BOTH_SIZES
     def test_privatized_along_second_grid_dim(self, compiled):
         priv = compiled.array_result.privatizations[0]
         assert priv.privatized_grid_dims == (1,)
 
+    @AT_BOTH_SIZES
     def test_partitioned_j_dimension(self, compiled):
         priv = compiled.array_result.privatizations[0]
         # C's dim 1 (the j index) is partitioned onto grid dim 0.
@@ -63,9 +72,10 @@ class TestPartialPrivatization:
 
 
 class TestFullPrivatizationFails:
-    def test_failure_without_partial(self):
+    @pytest.mark.parametrize("size", list(SIZES))
+    def test_failure_without_partial(self, size):
         compiled = compile_source(
-            figure6_source(n=12, p0=2, p1=2),
+            figure6_source(**SIZES[size]),
             CompilerOptions(partial_privatization=False),
         )
         assert not compiled.array_result.privatizations

@@ -17,9 +17,15 @@ from repro.machine import simulate
 from repro.programs import figure7_source
 
 
+#: the fragment's test size, and the paper's (16 processors)
+SIZES = {"small": dict(n=64, procs=4), "paper": dict(n=512, procs=16)}
+AT_BOTH_SIZES = pytest.mark.parametrize("compiled", list(SIZES), indirect=True)
+
+
 @pytest.fixture(scope="module")
-def compiled():
-    return compile_source(figure7_source(n=64, procs=4), CompilerOptions())
+def compiled(request):
+    size = SIZES[getattr(request, "param", "small")]
+    return compile_source(figure7_source(**size), CompilerOptions())
 
 
 def if_decisions(compiled):
@@ -31,6 +37,7 @@ def if_decisions(compiled):
 
 
 class TestPrivatizedExecution:
+    @AT_BOTH_SIZES
     def test_both_ifs_privatized(self, compiled):
         decisions = if_decisions(compiled)
         assert len(decisions) == 2
@@ -51,6 +58,7 @@ class TestPrivatizedExecution:
         dependents already hold the predicate data."""
         assert not [e for e in compiled.comm.events if e.ref.symbol.name == "B"]
 
+    @AT_BOTH_SIZES
     def test_no_communication_at_all(self, compiled):
         assert not compiled.comm.events
 

@@ -148,40 +148,16 @@ class TestProgramSources:
             assert abs(a[k, k]) > np.abs(np.delete(a[k], k)).sum() / 8
 
 
-class TestSimulatorBackedTables:
-    def test_table1_simulated_shape(self):
-        from repro.report import table1_tomcatv_simulated
-
-        table = table1_tomcatv_simulated(n=12, niter=2, procs=(4,))
-        selected = table.cell(4, "Selected Alignment")
-        assert selected < table.cell(4, "Replication")
-        assert selected < table.cell(4, "Producer Alignment")
-
-    def test_table3_simulated_shape(self):
-        from repro.report import table3_appsp_simulated
-
-        table = table3_appsp_simulated(n=8, niter=2, procs=(4,))
-        assert table.cell(4, "2-D, Partial Priv.") < table.cell(
-            4, "2-D, No Partial Priv."
-        )
-        assert table.cell(4, "1-D, Priv.") < table.cell(4, "1-D, No Array Priv.")
-
-
 class TestCommittedTables:
-    """The paper tables at paper sizes are the committed texts, byte
-    for byte — ``benchmarks/output/table2_dgefa.txt`` once sat a whole
-    estimator change (PR 6's exact triangular trip counts) behind what
-    ``repro tables`` printed, and nothing noticed."""
+    """The paper tables at paper sizes are the committed texts next to
+    this file, byte for byte — the committed Table 2 once sat a whole
+    estimator change (exact triangular trip counts) behind what
+    ``repro tables`` printed, and nothing noticed.  The tables' shape
+    claims are ``tests/integration/test_paper_claims.py``."""
 
-    OUTPUT = (
-        pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "output"
+    @pytest.mark.parametrize(
+        "name", ["table1_tomcatv", "table2_dgefa", "table3_appsp"]
     )
-
-    @pytest.mark.parametrize("name, build", [
-        ("table1_tomcatv", table1_tomcatv),
-        ("table2_dgefa", table2_dgefa),
-        ("table3_appsp", table3_appsp),
-    ])
-    def test_rendered_table_equals_committed_text(self, name, build):
-        committed = (self.OUTPUT / f"{name}.txt").read_text()
-        assert build().render() + "\n" == committed
+    def test_rendered_table_equals_committed_text(self, name, paper_tables):
+        committed = (pathlib.Path(__file__).parent / f"{name}.txt").read_text()
+        assert paper_tables[name].render() + "\n" == committed
