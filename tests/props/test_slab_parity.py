@@ -341,3 +341,89 @@ def test_serial_column_nests_are_bit_for_bit_invisible(case, procs):
             if isinstance(s, LoopStmt) and s.var.name == "J"
         )
         assert metrics.counters[f"slab.takeover[loop=S{j_loop}]"] == 1
+
+
+@st.composite
+def pivot_nests(draw):
+    """Elimination steps in DGEFA's mould under a long enclosing loop
+    ``DO k = 1, n - 2``: each step enters every nest again with its
+    domain moved by one — a pivot search down column ``k`` and a scale
+    of it, both run by the owner of column ``k`` (a fixed executor that
+    changes with ``k``), a row swap through the scalar subscript ``l``
+    the search found, and an update of the ``k+1..n`` columns by
+    ``k+1..n`` rows that reads column ``k``.  Block or cyclic columns;
+    a dominant diagonal keeps every pivot on the diagonal (the swap is
+    then a self-swap), a plain random matrix moves it."""
+    n = draw(st.integers(min_value=7, max_value=12))
+    dist = draw(st.sampled_from(TRI_DISTS))
+    swap_from = draw(st.sampled_from(["k", "k + 1"]))
+    guarded = draw(st.booleans())
+    extra = draw(st.sampled_from(["", " + 0.25 * B(i,k)", " - C(k,j)"]))
+    dominant = draw(st.booleans())
+    step = [
+        "    pmax = 0.0",
+        "    l = k",
+        "    DO i = k, n",
+        "      IF (ABS(A(i,k)) > pmax) THEN",
+        "        pmax = ABS(A(i,k))",
+        "        l = i",
+        "      END IF",
+        "    END DO",
+        "    AMD(k) = l",
+    ]
+    body = [
+        f"    DO j = {swap_from}, n",
+        "      t = A(l,j)",
+        "      A(l,j) = A(k,j)",
+        "      A(k,j) = t",
+        "    END DO",
+        "    pinv = -1.0 / A(k,k)",
+        "    DO i = k + 1, n",
+        "      A(i,k) = A(i,k) * pinv",
+        "    END DO",
+        "    DO j = k + 1, n",
+        "      DO i = k + 1, n",
+        f"        A(i,j) = A(i,j) + A(i,k) * A(k,j){extra}",
+        "      END DO",
+        "    END DO",
+    ]
+    if guarded:
+        body = ["    IF (pmax > 0.0) THEN"] + ["  " + ln for ln in body] + [
+            "    END IF"
+        ]
+    source = (
+        f"PROGRAM R\n  PARAMETER (n = {n})\n"
+        "  REAL A(n,n), B(n,n), C(n,n)\n  REAL AMD(n)\n  REAL pmax, t, pinv\n"
+        "  INTEGER l\n"
+        "!HPF$ ALIGN (i,j) WITH A(i,j) :: B, C\n"
+        "!HPF$ ALIGN AMD(j) WITH A(*, j)\n"
+        + dist
+        + "  DO k = 1, n - 2\n"
+        + "".join(line + "\n" for line in step + body)
+        + "  END DO\nEND PROGRAM\n"
+    )
+    return source, n, dominant
+
+
+@given(pivot_nests(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=40, deadline=None)
+def test_pivot_nests_are_bit_for_bit_invisible(case, procs):
+    """A nest entered once per pivot step, its domain, executors and
+    swapped row moving with ``k``: every entry is invisible against the
+    lowered tier in clocks, traffic, and every rank's data and validity,
+    under both the forced slab engine and ``auto``."""
+    source, n, dominant = case
+    rng = np.random.default_rng(n * 31 + procs)
+    a = rng.uniform(-1, 1, (n, n))
+    if dominant:
+        a[np.arange(n), np.arange(n)] += n
+    inputs = {"A": a, "B": rng.uniform(1, 2, (n, n)),
+              "C": rng.uniform(1, 2, (n, n))}
+    compiled = compile_source(source, CompilerOptions(num_procs=procs))
+    lowered = simulate(compiled, inputs, tier="lowered")
+    for tier in ("slab", "auto"):
+        ran = simulate(compiled, inputs, tier=tier)
+        assert_invisible(ran, lowered)
+        assert ran.gather("AMD").tobytes() == lowered.gather("AMD").tobytes()
+        if tier == "slab":
+            assert ran.slab_instances > 0
