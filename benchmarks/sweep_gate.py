@@ -8,8 +8,11 @@ two fresh persistent cache roots:
 
 * **timing grid** (compile mode): the cold pass compiles every point
   through the full pass pipeline and persists it; the warm pass must
-  serve every point from the disk cache and finish at least
-  ``--min-speedup`` (default 2.0) times faster.  Compile mode isolates
+  serve every point from the disk cache.  Five such cold/warm pairs
+  run one after the other, each pair in a fresh cache root, and the
+  median warm pass must be at least ``--min-speedup`` (default 2.0)
+  times faster than the median cold pass (one pair's ratio spreads
+  across the threshold on a 2-core host).  Compile mode isolates
   what the cache can actually accelerate — simulation time is paid
   identically cold and warm and would only dilute the signal.
 * **stats grid** (simulate mode): cold-vs-warm per-point
@@ -59,6 +62,7 @@ import json
 import os
 import pathlib
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -77,6 +81,9 @@ from repro.programs import (  # noqa: E402
 )
 from repro.records import comparable  # noqa: E402
 from repro.sweep import SweepSpec, run_sweep  # noqa: E402
+
+#: cold/warm pairs of the timing grid whose medians are compared
+TIMING_PAIRS = 5
 
 #: seven machine-parameter ablations around the SP2 baseline — the
 #: lane axis of the batched grid (3 procs x 7 machines = 21 points)
@@ -171,16 +178,27 @@ def main() -> int:
         os.environ[_FAULT_ENV] = (
             f"exit@evaluating:label={timing_jobs[0].label}:attempts=1"
         )
-    cold, t_cold, _ = run_pass(timing_jobs, args.workers, base_root / "timing")
-    warm, t_warm, timing_cache = run_pass(
-        timing_jobs, args.workers, base_root / "timing"
-    )
-    os.environ.pop(_FAULT_ENV, None)
-    check_pass_pair("timing", timing_jobs, cold, warm, failures)
+    # medians of cold/warm pairs, alternated, each pair in a fresh
+    # cache root: one pair's ratio straddles the gate on a 2-core host
+    colds, warms = [], []
+    for pair in range(TIMING_PAIRS):
+        root = base_root / f"timing-{pair}"
+        cold_pass, t_cold, _ = run_pass(timing_jobs, args.workers, root)
+        warm_pass, t_warm, pair_cache = run_pass(timing_jobs, args.workers, root)
+        # (the injected crash hits the first pair's passes only)
+        os.environ.pop(_FAULT_ENV, None)
+        check_pass_pair(f"timing pair {pair}", timing_jobs, cold_pass,
+                        warm_pass, failures)
+        colds.append(t_cold)
+        warms.append(t_warm)
+        if pair == 0:
+            cold, warm, timing_cache = cold_pass, warm_pass, pair_cache
+    t_cold, t_warm = statistics.median(colds), statistics.median(warms)
 
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
-    print(f"cold {t_cold:.3f}s, warm {t_warm:.3f}s -> speedup "
-          f"{speedup:.2f}x (gate: >= {args.min_speedup:.1f}x)")
+    print(f"cold {t_cold:.3f}s, warm {t_warm:.3f}s (medians of "
+          f"{TIMING_PAIRS} pairs) -> speedup {speedup:.2f}x "
+          f"(gate: >= {args.min_speedup:.1f}x)")
     if speedup < args.min_speedup:
         failures.append(f"warm sweep only {speedup:.2f}x faster "
                         f"(need >= {args.min_speedup:.1f}x)")
@@ -339,6 +357,8 @@ def main() -> int:
         "workers": args.workers,
         "cold_seconds": t_cold,
         "warm_seconds": t_warm,
+        "cold_pairs_seconds": colds,
+        "warm_pairs_seconds": warms,
         "speedup": t_cold / t_warm if t_warm > 0 else None,
         "min_speedup": args.min_speedup,
         "inject_crash": args.inject_crash,

@@ -172,6 +172,7 @@ class _FetchLog:
         # source) group, whatever the order; the startup goes to the
         # earliest fetch under each key
         nranks = sim.grid.size
+        keys = [sim._coalesce_keys_of(f.stmt, f.ref.ref_id, env) for f in reads]
         opened: dict[tuple, int] = {}
         for code, at in zip(
             *map(
@@ -182,8 +183,7 @@ class _FetchLog:
             )
         ):
             pair, source = divmod(code, nranks)
-            f, reader = reads[pair // nranks], pair % nranks
-            key = sim._coalesce_key(f.stmt, f.ref.ref_id, source, reader, env)
+            key = keys[pair // nranks](source, pair % nranks)
             opened[key] = min(opened.get(key, at), at)
         fresh = [key for key in opened if key not in sim._fetch_keys_seen]
         startup = np.zeros(inst.size, dtype=np.bool_)
@@ -229,21 +229,21 @@ class _FetchLog:
         sim = self.sim
         clocks, stats = sim.clocks, sim.stats
         time = clocks.time
-        # rank r's tape is steps[done[r]:ends[r]], empty when it
+        # rank r's tape is charges[done[r]:ends[r]], empty when it
         # computes nothing here
         bounds, steps, at = tapes
+        charges = dts[steps]
         done, ends = bounds[:-1].tolist(), bounds[1:].tolist()
         computing = [r for r in range(len(time)) if ends[r] > done[r]]
         for r in computing:
             clocks.compute_time[r] = sequential_sum(
-                clocks.compute_time[r], dts[steps[done[r]:ends[r]]]
+                clocks.compute_time[r], charges[done[r]:ends[r]]
             )
         # how much of the reader's and of the source's tape precedes
         # each fetch: the tapes end to end are ascending in (rank,
         # instance)
         span = int(max(at.max(initial=0), inst.max())) + 1
-        offset = np.arange(0, span * len(time), span, dtype=np.int64)
-        ranked = offset.repeat(np.diff(bounds))
+        ranked = np.arange(0, span * len(time), span).repeat(np.diff(bounds))
         ranked += at
         cut = np.searchsorted(ranked, np.stack((dst, src)) * span + inst)
         del ranked  # (tape-sized: freed before the replay builds its own)
@@ -272,25 +272,29 @@ class _FetchLog:
                 between.nonzero()[0] + (cut[0] - slot).repeat(gap)
             ]
         tape = np.concatenate((dts, clocks.message_rows()))[row]
-        messages = tape[slot]
-        for d, s, cut_d, cut_s, end_d, lo, hi, lo_slot, hi_slot in zip(
-            *map(np.ndarray.tolist, (
-                dst[first], src[first], cut[0, first], cut[1, first],
-                cut[0, last], first, last + 1, slot[first], slot[last] + 1,
-            ))
+        #: rank -> (first, last) fetch of each run it served or read
+        talks: dict[int, list] = {}
+        fetch = np.arange(inst.size)
+        for d, s, cut_d, cut_s, lo, lo_slot, end_d, hi, hi_slot in zip(
+            *np.stack((dst, src, cut[0], cut[1], fetch, slot))[:, first].tolist(),
+            *np.stack((cut[0], fetch + 1, slot + 1))[:, last].tolist(),
         ):
             for r, upto in ((d, cut_d), (s, cut_s)):
                 if upto > done[r]:
-                    time[r] = sequential_sum(
-                        time[r], dts[steps[done[r]:upto]]
-                    )
+                    time[r] = sequential_sum(time[r], charges[done[r]:upto])
                     done[r] = upto
-            clocks.charge_message_run(
-                s, d, tape[lo_slot:hi_slot], messages[lo:hi]
-            )
+            clocks.charge_message_run(s, d, tape[lo_slot:hi_slot])
             done[d] = end_d
+            talks.setdefault(s, []).append((lo, hi))
+            talks.setdefault(d, []).append((lo, hi))
         for r in computing:
-            time[r] = sequential_sum(time[r], dts[steps[done[r]:ends[r]]])
+            time[r] = sequential_sum(time[r], charges[done[r]:ends[r]])
+        messages = tape[slot]
+        for r, spans in talks.items():
+            clocks.comm_time[r] = sequential_sum(
+                clocks.comm_time[r],
+                np.concatenate([messages[lo:hi] for lo, hi in spans]),
+            )
         sim._fetch_keys_seen.update(fresh)
         stats.messages += len(fresh)
         for event_key, count in tally:

@@ -236,7 +236,12 @@ class SPMDSimulator:
         with self.tracer.span(
             f"simulate[{engines}]", cat="sim", procs=self.grid.size
         ) as span:
-            result = walker.run()
+            try:
+                result = walker.run()
+            finally:
+                if self._fast.slab is not None:
+                    # the nests' shape builds live as long as the run
+                    self._fast.slab.builds.clear()
             span.add(
                 messages=self.stats.messages,
                 slab_instances=self.slab_instances,
@@ -295,6 +300,13 @@ class SPMDSimulator:
             "evt", event.ordinal, src, dst,
             tuple(env.get(name, 0) for name in outer),
         )
+
+    def _coalesce_keys_of(self, stmt: Stmt, ref_id: int, env) -> Callable:
+        """``(src, dst) -> _coalesce_key(stmt, ref_id, src, dst, env)``
+        of a reference the analysis placed, its event looked up once."""
+        event, outer = self._fetch_meta(stmt, ref_id)
+        at = tuple(env.get(name, 0) for name in outer)
+        return lambda src, dst: ("evt", event.ordinal, src, dst, at)
 
     def _charge_fetch(self, stmt: Stmt, ref_id: int, src: int, dst: int,
                       env) -> None:

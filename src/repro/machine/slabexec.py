@@ -1,8 +1,8 @@
 """Tier 3: slab-vectorized loop execution.
 
-The lowered closures of :mod:`repro.machine.lowering` (tier 2) still
-execute one iteration x one rank x one element at a time.  This module
-takes whole loop nests over as one data-parallel operation each — the
+The lowered closures of :mod:`repro.machine.lowering` (tier 2) execute
+one iteration x one rank x one element at a time.  This module takes
+whole loop nests over as one data-parallel operation each — the
 "generalized data-parallel operation" view of the paper's privatized
 loops: a *domain* of statement instances, a *signature* from each
 instance to the elements it reads, and the recognized folds.  A *lane*
@@ -11,56 +11,46 @@ evaluated once over all of its lanes as numpy vector operations, each
 lane reading through its own rank's copy, and the virtual clocks are
 charged in closed form from per-statement charge tapes.
 
-There is one plan (:class:`NestPlan`) and one evaluation context.  What
-used to be three kinds of takeover are shapes of the domain, described
-by data (:class:`_Domain`): the outer iterations — *columns* — are
-always lanes; the iterations of the one inner loop, when there is one,
-are lanes too (a flattened, possibly triangular nest: the per-column
-*widths* vary with the outer index) unless a value flows from one of
-them to the next — then the inner loop is the *serial axis*: the body
-runs trip by trip, each statement still vectorized across the columns.
+There is one plan (:class:`NestPlan`) and one evaluation context; the
+shapes of a takeover are data (:class:`_Domain`).  The outer iterations
+— *columns* — are always lanes; those of the one inner loop are lanes
+too (a flattened, possibly triangular nest) unless a value flows from
+one to the next — then the inner loop is the *serial axis*: the body
+runs trip by trip, each statement vectorized across the columns.
 
 Eligibility (the fallback ladder's top rung) is decided once per nest
 and checked again per entry:
 
 * the **classification** (:func:`classify_procedure`, the compiled
   program's ``slabs``) starts from each loop's nest shape
-  (:func:`~repro.codegen.veceval.nest_shape`: assign-only bodies and
-  affine subscripts, as in the sequential reference) and adds its own
-  rules — at most one inner loop, executors that are a fixed rank set
-  or the owner of the column, communication placed above the loop per
-  the communication analysis, no dependence carried between lanes per
-  :mod:`repro.analysis.dependence`, and a store role for every
-  statement — and builds the nest's :class:`NestPlan`, or names the
-  first reason it is not one takeover.  The plan is machine- and
-  run-independent: every simulation of the program shares it.  It
-  also carries its price (``NestPlan.cost``:
-  :meth:`~repro.perf.PerfEstimator.nest_cost`), and under
-  ``tier="auto"`` a nest is taken only where the slab engine is
-  predicted to win or the estimator could not price it;
+  (:func:`~repro.codegen.veceval.nest_shape`, as in the sequential
+  reference) and adds its own rules — at most one inner loop,
+  executors that are a fixed rank set or the owner of the column,
+  communication placed above the loop, no dependence carried between
+  lanes, a store role for every statement — and builds the nest's
+  :class:`NestPlan`, or names the first reason it has none.  The plan
+  is machine- and run-independent, and carries its price
+  (``NestPlan.cost``): under ``tier="auto"`` a nest is taken only where
+  the slab engine is predicted to win or could not be priced;
 * each **entry** (:meth:`NestPlan.prepare`) checks what depends on live
   state (validity of read operands, executor rank sets, divisors,
   subscript bounds, disjointness of the concrete index sets) and
-  *bails* — executing nothing and mutating nothing — the moment any
-  assumption fails.  A bailed takeover falls back to the tier-2 lowered
-  closures, which reproduce the per-iteration semantics (including any
-  error and its exact partial state) bit for bit.
+  *bails* — executing and mutating nothing — the moment an assumption
+  fails; the tier-2 closures then reproduce the per-iteration
+  semantics, any error and its partial state included, bit for bit.
 
-Bit-for-bit clock identity is guaranteed by construction: per-instance
-compute charges are precomputed ``dt`` values replayed through
-``np.add.accumulate`` (strictly sequential, unlike pairwise
-``np.sum``), so a slab charges exactly the floating-point sum the
-per-iteration path would have produced.  Reads of elements (and
+Clocks are bit-for-bit tier 2's by construction: per-instance compute
+charges are ``dt`` values folded with ``np.add.accumulate`` (strictly
+sequential, unlike pairwise ``np.sum``).  Reads of elements (and
 subscript scalars) the executing rank does not hold are fetched inside
 the takeover: :class:`~repro.machine.fetchreplay._FetchLog` records
 each one at its first read in per-iteration order and replays messages
-and compute in that order at commit, so ``TrafficStats`` and the
-clocks see tier 2's exact sequence.
+and compute in that order at commit.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any, Callable
 
 import numpy as np
@@ -465,8 +455,26 @@ def _afold_operand(rhs, name: str, canon: tuple, op: str, forms: dict):
     return _fold_operand(rhs, op, name, is_acc)
 
 
+def _span(form, ranges: dict, env) -> tuple | None:
+    """The interval an affine ``form`` spans over the loop variables'
+    ``ranges`` (name -> (min, max)), its other symbols at their ``env``
+    values; None when a symbol has neither."""
+    lo = hi = form.const
+    for sym, c in form.coeffs:
+        if sym.value is not None:
+            x = y = int(sym.value)
+        elif sym.name in ranges:
+            x, y = ranges[sym.name]
+        elif sym.name in env:
+            x = y = int(env[sym.name])
+        else:
+            return None
+        lo, hi = lo + min(c * x, c * y), hi + max(c * x, c * y)
+    return lo, hi
+
+
 def _lane_addresses(ref_forms: dict, canons: dict, lanes_of: Callable,
-                    env) -> tuple:
+                    env, ranges: dict) -> tuple:
     """ref_id -> the flat *element* of its array each lane names — the
     ravel of the bounds-checked per-dimension offsets, an int where no
     subscript varies with the lanes — and ref_id -> the lane's
@@ -475,7 +483,9 @@ def _lane_addresses(ref_forms: dict, canons: dict, lanes_of: Callable,
     ``canons[ref_id]`` its forms' ``_canon_form``;
     dimensions subscripted by one form over the same lanes and bounds
     — whatever the array — share one offset vector, references alike
-    in every dimension one element and one address vector."""
+    in every dimension one element and one address vector.  A
+    subscript whose interval over the domain's ``ranges`` stays in
+    bounds is not checked lane by lane."""
     dims: dict[tuple, Any] = {}
     shared: dict[tuple, tuple] = {}
     elems: dict[int, Any] = {}
@@ -489,13 +499,19 @@ def _lane_addresses(ref_forms: dict, canons: dict, lanes_of: Callable,
             for d, f in enumerate(forms):
                 dim = (lanes, canon[d], symbol.dims[d])
                 if dim not in dims:
-                    dims[dim] = _bounds_checked_offset(
-                        _affine_vec(f, lanes.vars, env), symbol, d
+                    (lo, hi), span = symbol.dims[d], _span(f, ranges, env)
+                    at = _affine_vec(f, lanes.vars, env)
+                    dims[dim] = (
+                        at - lo if span and lo <= span[0] and span[1] <= hi
+                        else _bounds_checked_offset(at, symbol, d)
                     )
                 extent = symbol.extent(d)
                 elem = dims[dim] if d == 0 else elem * extent + dims[dim]
                 size *= extent
-            shared[key] = (elem, lanes.rank * size + elem)
+            base = shared.get((lanes, size))
+            if base is None:
+                base = shared[lanes, size] = lanes.rank * size
+            shared[key] = (elem, base + elem)
         elems[ref_id], addrs[ref_id] = shared[key]
     return elems, addrs
 
@@ -523,17 +539,87 @@ class _Domain:
     per distinct executor of the nest, ``lanes_of`` every statement's
     lanes at its level (the flattened body's, or the columns'),
     ``participants`` the ranks running anything at all, and ``tapes``
-    — filled at the first commit — each rank's charge tape."""
+    — filled at the first commit — each rank's charge tape.
+
+    A domain is *built* (``NestPlan._build_shape``) or *sliced* from
+    the run's build of the nest: ``origin`` is then ``(build, m, d)``,
+    its columns being the build's from column ``m`` on and each
+    column's inner trips the build's from trip ``d`` on."""
 
     __slots__ = ("jvec", "low", "step", "trips", "widths", "serial",
                  "serial_var", "count", "base", "layouts", "lanes_of",
-                 "participants", "tapes")
+                 "participants", "tapes", "origin", "key", "_ranges")
 
     def binding(self, t: int) -> dict:
         """The serial axis' index at body pass ``t``, as an env entry."""
         if self.serial_var is None:
             return {}
         return {self.serial_var: int(self.low[0]) + self.step * t}
+
+    def ranges(self, plan: "NestPlan") -> dict:
+        """Loop variable -> (min, max) over the lanes: the columns',
+        and the flattened inner loop's."""
+        if self._ranges is None:
+            jvec = self.jvec
+            self._ranges = {plan.v: (int(jvec.min()), int(jvec.max()))}
+            if plan.i in plan.flat_vars:
+                ends = (self.low, self.low + self.step * (self.trips - 1))
+                self._ranges[plan.i] = (
+                    int(min(end.min() for end in ends)),
+                    int(max(end.max() for end in ends)),
+                )
+        return self._ranges
+
+    def rank_tapes(self, plan: "NestPlan", nranks: int) -> tuple:
+        """The ranks' tier-2 tapes end to end, in rank order, as
+        ``(bounds, step, inst)``: rank ``r`` runs the instances
+        ``inst[bounds[r]:bounds[r + 1]]``, ascending, each the
+        statement ``step`` (index into the nest's steps)."""
+        if self.tapes is None:
+            self.tapes = self._build_tapes(plan, nranks)
+        return self.tapes
+
+    def _build_tapes(self, plan: "NestPlan", nranks: int) -> tuple:
+        dom = self
+        count, trips = dom.count, dom.trips
+        sizes = [len(steps) for steps in plan.steps]
+        npre, nbody = sizes[PRE], sizes[BODY]
+
+        def step_of(at, trips):
+            """The statement of the instance ``at`` of its column."""
+            body, last = at - npre, nbody * trips
+            return np.where(body < 0, at, np.where(
+                body < last, npre + body % max(nbody, 1), at - last + nbody
+            ))
+
+        if len(dom.layouts) == 1 and trips[0] == trips[-1]:
+            # one layout, every column alike (trips are affine in the
+            # column): each lane runs its column's instances, one
+            # pattern of statements
+            cols, c = dom.layouts[0].columns, int(count[0])
+            bounds = np.zeros(nranks + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(cols.rank, minlength=nranks) * c, out=bounds[1:]
+            )
+            build = dom.origin[0] if dom.origin else None
+            if build is not None and build.count[0] == c == build.count[-1]:
+                # (a prefix of the same pattern's tiling)
+                steps = build.rank_tapes(plan, nranks)[1][:cols.n * c]
+            else:
+                steps = np.tile(step_of(np.arange(c), trips[0]), cols.n)
+            if len(cols.slices) == 1:  # one rank: lane c is column c
+                return bounds, steps, np.arange(cols.n * c)
+            return bounds, steps, ((cols.col * c)[:, None] + np.arange(c)).ravel()
+        # every instance's column and statement; a rank runs those
+        # whose column the layout of their statement gives it
+        col = np.arange(dom.jvec.size).repeat(count)
+        step = step_of(np.arange(col.size) - dom.base[col], trips[col])
+        groups = np.asarray([st.group for st in plan.all_steps])
+        runs = np.stack([layout.runs for layout in dom.layouts])
+        rank, inst = runs[groups[step], :, col].T.nonzero()
+        bounds = np.zeros(nranks + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rank, minlength=nranks), out=bounds[1:])
+        return bounds, step[inst], inst
 
 
 class _Lanes:
@@ -666,16 +752,20 @@ class _NestCtx(_Ctx):
         def lanes_of(ref_id):
             return self.lanes_of[plan.ref_home[ref_id]]
 
+        #: loop variable -> (min, max) over the domain's lanes
+        self.ranges = dom.ranges(plan)
         #: ref_id -> lane elements and addresses at the first body
         #: pass; the last pass is evaluated for its bounds checks alone
         self.elem, self.addr = _lane_addresses(
             plan.ref_forms, plan.ref_canon, lanes_of,
             {**sub_env, **dom.binding(0)} if dom.serial_var else sub_env,
+            self.ranges,
         )
         if self.strides and dom.serial > 1:
             _lane_addresses(
                 {r: plan.ref_forms[r] for r in self.strides}, plan.ref_canon,
                 lanes_of, {**sub_env, **dom.binding(dom.serial - 1)},
+                self.ranges,
             )
         #: scalar name -> (lanes, pass, lane values) of its last store
         self.scalars: dict[str, tuple] = {}
@@ -1041,7 +1131,7 @@ class _NestCtx(_Ctx):
         late: set[str] = set()
         for key, name, ref_id, t, fetched, at in self.misses:
             if key not in self.regions:
-                stray.setdefault(name, []).append(self._at(self.elem, ref_id, t))
+                stray.setdefault(name, []).append((ref_id, t))
             elif fetched:
                 raise _Bail(f"written array {name} read would fetch")
             if at > self.first_store.get(name, at):
@@ -1069,15 +1159,33 @@ class _NestCtx(_Ctx):
             )
             marks.setdefault(name, []).append((stored[0], lanes, len(rows)))
         for name, stored in marks.items():
-            reads = stray.get(name, ())
-            if sum([rows for _e, _l, rows in stored]) < 2 and not reads:
+            # (a read whose subscripts span, in some dimension, no
+            # element any region of the array does cannot overlap)
+            written = [r.ref_id for (n, _l), rs in groups.items() if n == name for r in rs]
+            reads = [
+                self._at(self.elem, ref_id, t) for ref_id, t in stray.get(name, ())
+                if not all(self._apart(ref_id, w) for w in written)
+            ]
+            # (each region is injective over its lanes: so are regions
+            # spanning disjoint elements, together)
+            several = len(written) > 1 and not all(
+                self._apart(a, b) for a, b in combinations(written, 2)
+            )
+            elem, lanes, rows = stored[0]
+            if several and len(stored) == 1 and (elem[1:] == elem[0]).all():
+                # every lane writes its one element once per region:
+                # the overlap allowed below, without counting it
+                if self.dom.serial > 1 or name in late or name in self.region_reads:
+                    raise _Bail("write regions overlap")
+                several = False
+            if not several and not reads:
                 continue
             mask = np.zeros(self.store.data[name][0].size, dtype=np.bool_)
             count = 0
             for elem, lanes, rows in stored:  # each instance once
                 mask[elem[..., lanes.home]] = True
                 count += rows * int(lanes.home.sum())
-            if int(mask.sum()) != count:
+            if several and int(mask.sum()) != count:
                 elem, lanes, rows = stored[0]
                 if len(stored) > 1 or rows == 1 or (
                     self.dom.serial > 1 or name in late
@@ -1093,63 +1201,18 @@ class _NestCtx(_Ctx):
                 if mask[elem].any():
                     raise _Bail("read overlaps writes across lanes")
 
-    # -- commit --------------------------------------------------------
+    def _apart(self, a: int, b: int) -> bool:
+        """Whether the references ``a`` and ``b`` of one array name no
+        common element: in some dimension their subscripts span
+        disjoint intervals over the domain (``_span``)."""
+        for fa, fb in zip(self.plan.ref_forms[a][1], self.plan.ref_forms[b][1]):
+            sa = _span(fa, self.ranges, self.sub_env)
+            sb = _span(fb, self.ranges, self.sub_env)
+            if sa and sb and (sa[1] < sb[0] or sb[1] < sa[0]):
+                return True
+        return False
 
-    def _rank_tapes(self) -> tuple:
-        """The ranks' tier-2 tapes end to end, in rank order, as
-        ``(bounds, step, inst)``: rank ``r`` runs the instances
-        ``inst[bounds[r]:bounds[r + 1]]``, ascending, each the
-        statement ``step`` (index into the nest's steps)."""
-        plan, dom = self.plan, self.dom
-        count, trips = dom.count, dom.trips
-        sizes = [len(steps) for steps in plan.steps]
-        step_of = np.empty(int(count.sum()), dtype=np.min_scalar_type(sum(sizes)))
-        # the first statement of each column's prologue, of every one
-        # of its body trips, and of its epilogue
-        s0 = 0
-        for phase, size in enumerate(sizes):
-            if size:
-                first = dom.base + (phase > PRE) * sizes[PRE]
-                if phase == BODY:
-                    starts = (trips.cumsum() - trips).repeat(trips)
-                    trip = np.arange(starts.size) - starts
-                    first = first.repeat(trips) + size * trip
-                elif phase == POST:
-                    first = first + sizes[BODY] * trips
-                for k in range(size):
-                    step_of[first + k] = s0 + k
-                s0 += size
-        # a lane (rank, column) runs its column's instances: the lanes
-        # are rank-major, so a layout's come out rank by rank and
-        # ascending — as they are numbered, where every rank's columns
-        # are consecutive
-        nranks = self.sim.grid.size
-        shared = len(dom.layouts) > 1
-        groups = np.asarray([st.group for st in plan.all_steps])
-        ranks, insts = [], []
-        for group, layout in enumerate(dom.layouts):
-            cols = layout.columns
-            n = count[cols.col]
-            inst = np.arange(int(n.sum()), dtype=np.int32)
-            ahead = dom.base[cols.col] - (n.cumsum() - n)
-            if ahead.any():
-                inst += ahead.repeat(n)
-            if shared:
-                # ... those of the layout's own statements, that is
-                mine = groups[step_of[inst]] == group
-                inst = inst[mine]
-                ranks.append(cols.rank.repeat(n)[mine])
-            insts.append(inst)
-        if shared:
-            rank, inst = np.concatenate(ranks), np.concatenate(insts)
-            inst = inst[np.lexsort((inst, rank))]
-            lengths = np.bincount(rank, minlength=nranks)
-        else:
-            (inst,), cols = insts, dom.layouts[0].columns
-            lengths = np.bincount(cols.rank, count[cols.col], nranks)
-        bounds = np.zeros(nranks + 1, dtype=np.int64)
-        np.cumsum(lengths, dtype=np.int64, out=bounds[1:])
-        return bounds, step_of[inst], inst
+    # -- commit --------------------------------------------------------
 
     def commit(self) -> tuple[int, int]:
         """Make the takeover visible: clocks, stores and invalidations,
@@ -1159,9 +1222,9 @@ class _NestCtx(_Ctx):
         clocks = sim.clocks
         dt = self.fast._dt
         dts = clocks.tape([dt[st.sid] for st in plan.all_steps])
-        if dom.tapes is None:
-            dom.tapes = self._rank_tapes()
-        tapes, skipped = self._masked_tapes(dom.tapes)
+        tapes, skipped = self._masked_tapes(
+            dom.rank_tapes(plan, sim.grid.size)
+        )
         replayed = (0, 0)
         if self.fetch_plan is not None:
             replayed = self.log.commit(self.fetch_plan, dts, tapes)
@@ -1180,8 +1243,14 @@ class _NestCtx(_Ctx):
             if not lanes.runs.all():
                 # every write instance invalidates each rank not
                 # running it: nobody holds the elements, then the
-                # writers do
-                valid.reshape(nranks, size)[:, elem[..., lanes.home]] = False
+                # writers do (a large store through a mask)
+                copies = valid.reshape(nranks, size)
+                if elem.size * nranks > size:
+                    lost = np.zeros(size, dtype=np.bool_)
+                    lost[elem] = True
+                    np.logical_and(copies, ~lost, out=copies)
+                else:
+                    copies[:, elem] = False
             valid[addr] = True
         for name, (lanes, _npass, vec) in self.scalars.items():
             # every rank keeps the value of its own last instance (it
@@ -1611,27 +1680,61 @@ class NestPlan:
 
     # ------------------------------------------------------------------
 
-    def _build_shape(self, nranks: int, low: int, high: int, step: int,
-                     bounds: tuple, pos, ranks: tuple) -> _Domain | None:
+    def _shape(self, slab: "SlabExecutor", low: int, high: int, step: int,
+               bounds: tuple, pos, ranks: tuple) -> _Domain | None:
         """The iteration domain — None when it is empty — of an entry
-        on ``nranks`` ranks whose loop runs ``low, high, step``, whose
-        inner bounds and owner position are ``bounds`` and ``pos`` at
-        the first column, and whose fixed executors are ``ranks``: a
-        function of these alone."""
+        whose loop runs ``low, high, step``, whose inner bounds and
+        owner position are ``bounds`` and ``pos`` at the first column,
+        and whose fixed executors are ``ranks``: a function of these
+        alone.  The run's build of the nest for these executors serves
+        every entry it covers, as itself or sliced; any other entry is
+        built anew, and its build replaces it."""
         nj = slab_trip_count(low, high, step)
         if nj == 0:
             return None
+        key = (low, high, step, bounds, pos)
+        build = slab.builds.get((self, ranks))
+        if build is not None and build.key == key:
+            return build
         dom = _Domain()
+        dom.key, dom.tapes, dom._ranges = key, None, None
+        dom.origin = build and self._inside(build, key, nj)
+        if dom.origin:
+            runs = self._slice(dom, nj)
+        else:
+            runs = self._build_shape(dom, nj, ranks, slab.sim.grid.size)
+            slab.builds[self, ranks] = dom
+            if slab.sim.metrics is not None:
+                slab.sim.metrics.inc(f"slab.shape_build[loop=S{self.loop.stmt_id}]")
+        dom.base = dom.count.cumsum() - dom.count
+        layouts: dict = {}  # equal executors share one
+        dom.layouts = [
+            layouts.get(id(r)) or layouts.setdefault(id(r), _Layout(r, dom, self))
+            for r in runs
+        ]
+        dom.lanes_of = [
+            dom.layouts[st.group].at(phase == BODY)
+            for phase, steps in enumerate(self.steps)
+            for st in steps
+        ]
+        dom.participants = sorted({
+            r for layout in dom.layouts for r, _sl in layout.columns.slices
+        })
+        return dom
+
+    def _build_shape(self, dom: _Domain, nj: int, ranks: tuple,
+                     nranks: int) -> list:
+        """Build ``dom``'s columns; returns each executor's layout."""
+        low, _high, step, (li, hi, si), pos = dom.key
         ahead = step * np.arange(nj, dtype=np.int64)  # of the first column
 
         def per_column(first, form):
             slope = 0 if form is None else form.coeff(self.loop.var)
             return first + slope * ahead
 
-        dom.jvec = low + ahead
-        li, hi, si = bounds
         if si == 0:
             raise _Bail("zero inner step")
+        dom.jvec = low + ahead
         dom.step = si
         dom.low = per_column(li, self.bound_forms[0])
         dom.trips = slab_trip_count(
@@ -1650,13 +1753,11 @@ class NestPlan:
         # prologue, body trip by trip, epilogue
         npre, nbody, npost = (len(steps) for steps in self.steps)
         dom.count = npre + dom.trips * nbody + npost
-        dom.base = dom.count.cumsum() - dom.count
-        dom.tapes = None
-        layouts: dict = {}  # by rank set: equal executors share one
+        layouts: dict = {}  # by rank set
         for st, fixed in zip(self.executors, ranks):
             if fixed in layouts:
                 continue
-            runs = np.zeros((nranks, nj), dtype=np.bool_)
+            runs = layouts[fixed] = np.zeros((nranks, nj), dtype=np.bool_)
             if st.follows:
                 at = per_column(pos, self.pos_form)
                 if int(at.min()) < 0 or int(at.max()) >= self.pos_fmt.extent:
@@ -1667,26 +1768,60 @@ class NestPlan:
                 runs[list(fixed)] = True
             else:
                 raise _Bail("empty executor set")
-            layouts[fixed] = _Layout(runs, dom, self)
-        dom.layouts = [layouts[fixed] for fixed in ranks]
-        dom.lanes_of = [
-            dom.layouts[st.group].at(phase == BODY)
-            for phase, steps in enumerate(self.steps)
-            for st in steps
+        return [layouts[fixed] for fixed in ranks]
+
+    def _inside(self, build: _Domain, key: tuple, nj: int) -> tuple | None:
+        """``(build, m, d)`` when the entry of ``key`` runs ``build``'s
+        columns from ``m`` on, each with its inner trips from ``d`` on —
+        the same steps and, column for column, the same owners and
+        inner ends; else None.  (A serial axis is never sliced.)"""
+        low, high, step, (li, hi, si), pos = key
+        low0, high0, step0, (li0, hi0, si0), pos0 = build.key
+        m, off = divmod(low - low0, step)
+        if self.serial_var is not None or off or m < 0 or (
+            step != step0 or si != si0 or m + nj > build.jvec.size
+        ):
+            return None
+
+        def moved(form):  # from the build's first column to the entry's
+            return 0 if form is None else form.coeff(self.loop.var) * m * step
+
+        d, off = divmod(li - li0 - moved(self.bound_forms[0]), si)
+        if off or d < 0 or hi != hi0 + moved(self.bound_forms[1]) or (
+            pos != (pos0 if pos0 is None else pos0 + moved(self.pos_form))
+        ):
+            return None
+        return build, m, d
+
+    def _slice(self, dom: _Domain, nj: int) -> list:
+        """``dom``'s columns as views of its build's; returns each
+        executor's layout."""
+        build, m, d = dom.origin
+        cut = slice(m, m + nj)
+        dom.jvec, dom.low, dom.trips, dom.count = (
+            build.jvec[cut], build.low[cut], build.trips[cut], build.count[cut]
+        )
+        if d:
+            if int(dom.trips.min()) <= d:
+                raise _Bail("empty inner slab")
+            dom.low = dom.low + d * dom.key[3][2]
+            dom.trips = dom.trips - d
+            dom.count = dom.count - d * len(self.steps[BODY])
+        dom.step, dom.serial_var, dom.widths, dom.serial = (
+            build.step, None, dom.trips, 1
+        )
+        views: dict = {}
+        return [
+            views.get(id(was)) or views.setdefault(id(was), was.runs[:, cut])
+            for was in build.layouts
         ]
-        dom.participants = sorted({
-            r for layout in dom.layouts for r, _sl in layout.columns.slices
-        })
-        return dom
 
     def prepare(self, slab: "SlabExecutor", low: int, high: int, step: int,
                 env) -> Callable:
-        # ``slab`` is the run's executor.  What the entry's shape is a
-        # function of — a handful of integers that successive entries
-        # mostly repeat, so the executor keeps the last shape (one,
-        # whatever the loop: a big nest's is released before the next
-        # is built).  A bound invariant over the columns is evaluated
-        # once, uncharged, exactly like the per-iteration walker's
+        # ``slab`` is the run's executor, which keeps the run's builds
+        # (``_shape``).  What the entry's shape is a function of: a
+        # bound invariant over the columns is evaluated once,
+        # uncharged, exactly like the per-iteration walker's
         # eval_bound; one affine in the column, and the owners'
         # position, at the first column
         first = {self.v: low}
@@ -1700,7 +1835,7 @@ class NestPlan:
         except _BOUND_ERRORS:
             raise _Bail("inner bounds not evaluable") from None
         key = (
-            self, low, high, step, bounds,
+            bounds,
             None if self.pos_form is None
             else _affine_vec(self.pos_form, first, env),
             tuple([
@@ -1709,11 +1844,7 @@ class NestPlan:
                 for st in self.executors
             ]),
         )
-        if key != slab.shape_key:
-            slab.shape_key = slab.shape = None
-            slab.shape = self._build_shape(slab.sim.grid.size, *key[1:])
-            slab.shape_key = key
-        dom = slab.shape
+        dom = self._shape(slab, low, high, step, *key)
         if dom is None:
             return lambda: (0, 0)
         ctx = _NestCtx(self, slab, dom, env)
@@ -1730,8 +1861,8 @@ class NestPlan:
 class SlabExecutor:
     """Tier-3 entry point of one run: attempts a takeover of every loop
     the compiled program has a plan for, falls back on any bail, and
-    keeps what belongs to the run — the last entry's shape and the bail
-    counts that demote a nest."""
+    keeps what belongs to the run — the nests' shape builds and the
+    bail counts that demote a nest."""
 
     def __init__(self, fast):
         self.fast = fast
@@ -1748,9 +1879,10 @@ class SlabExecutor:
         #: for the rest of the run (prepare overhead was pure loss)
         self._bail_counts: dict[int, int] = {}
         self._committed: set[int] = set()
-        #: the last takeover's shape and what it was built from (see
-        #: ``NestPlan.prepare``)
-        self.shape_key = self.shape = None
+        #: (plan, fixed executors) -> the run's build of the nest's
+        #: shape, which serves every entry it covers
+        #: (``NestPlan._shape``); released when the run ends
+        self.builds: dict[tuple, _Domain] = {}
 
     def _record_bail(self, stmt: LoopStmt, reason: str) -> None:
         sim = self.sim

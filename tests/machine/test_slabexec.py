@@ -8,6 +8,7 @@ behaviour: coverage, fallback, ghost-column fetch replay.
 import dataclasses
 import pickle
 import re
+import types
 from collections import Counter
 
 import numpy as np
@@ -200,7 +201,7 @@ class TestRuntime:
     def test_takeovers_leave_no_cyclic_garbage(self):
         """A takeover's domain, lanes and context die by reference
         count: a cycle among them would hold every entry's arrays until
-        the collector runs, and DGEFA builds a new shape per entry."""
+        the collector runs, and DGEFA enters each nest once per pivot."""
         import gc
 
         from repro.machine import slabexec
@@ -225,10 +226,10 @@ class TestRuntime:
             gc.garbage.clear()
             gc.enable()
         # the executor and the simulator reference each other by
-        # design and die together — with the one shape the executor
-        # keeps, not the twenty-odd the run built; the plans belong to
-        # the compiled program and reference neither
-        assert domains == 1
+        # design and die together — without a shape: the builds the
+        # executor kept were released when the run ended; the plans
+        # belong to the compiled program and reference neither
+        assert domains == 0
 
     def test_ghost_column_fetches_replay_inside_slab(self):
         """A (*, BLOCK) stencil reads the neighbour rank's boundary
@@ -910,3 +911,76 @@ class TestFetchReplay:
             assert scalar.clocks.snapshot() == lowered.clocks.snapshot()
             assert lanes.clocks.lane_snapshot(lane) == scalar.clocks.snapshot()
             assert lanes.stats.as_dict() == scalar.stats.as_dict()
+
+
+class TestShapeBuilds:
+    """A nest's shape is built at its first entry of a run, once per
+    fixed executor set; every later entry the build covers is a slice
+    of it, never a rebuild."""
+
+    def test_dgefa_builds_each_nest_once_per_executor_set(self):
+        """DGEFA n = 80, P = 16: 79 pivot steps enter four nests (316
+        entries).  The swap and the update build once; the pivot search
+        and the scale, run by the owner of column k, once per owner."""
+        n, procs = 80, 16
+        compiled = compile_source(
+            dgefa_source(n=n, procs=procs), CompilerOptions(num_procs=procs)
+        )
+        metrics = Metrics()
+        simulate(
+            compiled, seeded_inputs(compiled.proc, 0), tier="auto",
+            metrics=metrics,
+        )
+        assert _slab_counters(metrics, compiled, "takeover") == {
+            "L01": 79, "L02": 79, "L03": 79, "L04": 79,
+        }
+        assert _slab_counters(metrics, compiled, "shape_build") == {
+            "L01": 16, "L02": 1, "L03": 16, "L04": 1,
+        }
+
+    @pytest.mark.parametrize("dist", ["CYCLIC", "BLOCK"])
+    @pytest.mark.parametrize("procs", [1, 3, 4])
+    def test_sliced_domains_equal_their_builds(self, monkeypatch, dist, procs):
+        """Every sliced domain of a DGEFA run equals the domain built
+        afresh for its entry: columns, instances, layouts, lanes at
+        both levels and the ranks' tapes."""
+        from repro.machine import slabexec
+
+        n = 14
+        source = dgefa_source(n=n, procs=procs).replace("CYCLIC", dist)
+        compiled = compile_source(source, CompilerOptions(num_procs=procs))
+        sliced = []
+        shape = slabexec.NestPlan._shape
+
+        def checked(self, slab, *entry):
+            dom = shape(self, slab, *entry)
+            if dom is not None and dom.origin is not None:
+                # (an executor holding no build builds the entry afresh)
+                alone = types.SimpleNamespace(builds={}, sim=slab.sim)
+                sliced.append((self, dom, shape(self, alone, *entry)))
+            return dom
+
+        monkeypatch.setattr(slabexec.NestPlan, "_shape", checked)
+        simulate(compiled, seeded_inputs(compiled.proc, 0), tier="slab")
+        assert sliced
+        nranks = procs
+        for plan, dom, built in sliced:
+            for name in ("jvec", "low", "trips", "widths", "count", "base"):
+                assert np.array_equal(getattr(dom, name), getattr(built, name))
+            assert (dom.step, dom.serial, dom.participants) == (
+                built.step, built.serial, built.participants
+            )
+            for mine, theirs in zip(dom.lanes_of, built.lanes_of):
+                assert np.array_equal(mine.runs, theirs.runs)
+                for name in ("rank", "col", "up", "tw"):
+                    a, b = getattr(mine, name), getattr(theirs, name)
+                    assert (a is None) == (b is None)
+                    assert a is None or np.array_equal(a, b)
+                assert mine.vars.keys() == theirs.vars.keys()
+                for var in mine.vars:
+                    assert np.array_equal(mine.vars[var], theirs.vars[var])
+                assert mine.slices == theirs.slices
+            for a, b in zip(
+                dom.rank_tapes(plan, nranks), built.rank_tapes(plan, nranks)
+            ):
+                assert np.array_equal(a, b)
