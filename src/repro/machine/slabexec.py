@@ -47,9 +47,11 @@ the takeover: :class:`~repro.machine.fetchreplay._FetchLog` records
 each one at its first read in per-iteration order and replays messages
 and compute in that order at commit.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable
 
@@ -107,25 +109,19 @@ def slab_trip_count(low, high, step):
 
 @dataclass
 class SlabReport:
-    """Per-loop slab plans and their prices.
-
-    ``verdicts`` maps every loop statement id to the loop's
-    :class:`NestPlan` — it is one takeover, priced against tier 2
-    (``plan.cost``, ``plan.choice``) — or to the first reason it is
-    not.  Derived from the compiled program on first read and again
-    when ``ir_epoch`` is stale, like the lowering; the plans hold no
-    machine or run state, so every simulation of the program shares
-    them.
-    """
+    """Per-loop slab plans and their prices: ``verdicts`` maps every
+    loop statement id to its :class:`NestPlan` — one takeover, priced
+    against tier 2 (``plan.cost``, ``plan.choice``) — or to the first
+    reason it is not.  Derived from the compiled program on first read
+    and again when ``ir_epoch`` is stale, like the lowering; every
+    simulation of the program shares the plans."""
 
     ir_epoch: int
     verdicts: dict[int, "NestPlan | str"] = field(default_factory=dict)
 
     def eligible_loops(self) -> set[int]:
         """Statement ids of every loop with a plan."""
-        return {
-            sid for sid, v in self.verdicts.items() if isinstance(v, NestPlan)
-        }
+        return {s for s, v in self.verdicts.items() if isinstance(v, NestPlan)}
 
 
 def _placement_map(events) -> dict[int, list[int]]:
@@ -161,12 +157,8 @@ def _replicated_exec(info) -> bool:
     """True when the statement executes on every rank, invariantly:
     replicated ("all") or privatized/no-guard ("union") executors whose
     position constrains no grid dimension."""
-    return (
-        info is not None
-        and info.kind in ("all", "union")
-        and all(
-            dim.kind != "pos" or dim.form is None for dim in info.position
-        )
+    return info is not None and info.kind in ("all", "union") and all(
+        dim.kind != "pos" or dim.form is None for dim in info.position
     )
 
 
@@ -196,24 +188,18 @@ def _column_discipline(stmts, v: str, stores_only: bool, forms) -> str | None:
 def _classify(compiled, loop: LoopStmt, placements,
               reductions: ReductionIndex, verdicts) -> "NestPlan | str":
     """The plan of ``loop`` as one data-parallel operation, or the first
-    reason it is not one.
-
-    Without an inner loop every iteration is a lane on a *fixed*
-    executor set: the executors may not vary with the loop variable,
-    and no array value may flow between iterations.
-
-    With one inner loop the outer iterations are columns, each run by
-    the owner of the same outer-variable position; replicated
-    statements may ride along when they touch no array.  The inner
-    iterations are flattened into the lanes — their bounds may be
-    affine in the outer variable (triangular nests) — with every store
-    in the inner loop and naming its own column, scalar reduction
-    updates folded there, and reads free to leave the column (fetched
-    at run time) as long as no value flows between outer iterations;
-    or, when the inner loop carries a value, they are the serial axis:
-    the bounds must then be the same for every column and every
-    reference must stay inside its own column, so the columns evolve
-    independently in program order."""
+    reason it is not one.  Without an inner loop every iteration is a
+    lane, its executors invariant in the loop variable (or, on a 1-D
+    grid, the owner of its own column), and no array value may flow
+    between iterations.  With one inner loop the outer iterations are
+    columns, each run by the owner of its position (replicated
+    statements ride along when they touch no array), and the inner
+    iterations are either flattened into the lanes — bounds affine in
+    the outer variable, every store in the inner loop naming its own
+    column, scalar reductions folded there, reads free to leave the
+    column while no value flows between columns — or, when the inner
+    loop carries a value, the serial axis: one trip count for every
+    column and every reference inside its own column."""
     shape = nest_shape(loop)
     if isinstance(shape, str):
         return shape
@@ -300,9 +286,8 @@ def _classify(compiled, loop: LoopStmt, placements,
         if info is None:
             return f"S{sid}: no executor info"
         if _replicated_exec(info) and not serial:
-            # every rank runs it each iteration: fine for scalar-only
-            # statements (their operands are checked at run time);
-            # arrays would read per-rank state
+            # every rank runs it each iteration: fine without arrays
+            # (which would read per-rank state)
             if _stmt_array_refs(s):
                 return f"S{sid}: replicated statement touches arrays"
             reason = communicates(s)
@@ -322,9 +307,7 @@ def _classify(compiled, loop: LoopStmt, placements,
         elif pos != canon_pos:
             return "executor position differs across statements"
         if not serial:
-            # (a serial nest whose position is no point — one rank —
-            # is declined by its plan's executors, after every check
-            # here)
+            # (a serial nest on one rank: declined by its executors)
             if len(pos) != 1:
                 return f"S{sid}: executor is not a 1-D owner position"
             if isinstance(pos[0], str):
@@ -376,10 +359,9 @@ def classify_procedure(compiled) -> SlabReport:
     def visit(stmts):
         for s in stmts:
             if isinstance(s, LoopStmt):
-                # inner verdicts first: whether a nest flattens its
-                # inner loop depends on it.  A nest with a plan preempts
-                # its inner loop's; a bail falls back to tier 2, which
-                # re-enters the inner loop's own takeover
+                # inner verdicts first (a nest flattens only an inner
+                # loop with a plan); a nest's bail falls back to tier 2,
+                # which re-enters the inner loop's own takeover
                 visit(s.body)
                 report.verdicts[s.stmt_id] = _classify(
                     compiled, s, placements, reductions, report.verdicts
@@ -417,34 +399,31 @@ class _Step:
         #: position among all the nest's statements, and within its phase
         self.index = index
         self.k = k
-        #: an IF's ``masked_fold``: the guarded accumulator's store
-        #: stands for the IF (``_store_role``)
+        #: an IF's ``masked_fold`` (its accumulator's store stands in)
         self.fold = masked_fold(stmt) if isinstance(stmt, IfStmt) else None
         lhs = stmt.lhs if self.fold is None else self.fold[1]
         self.name = lhs.symbol.name
         self.stype = lhs.symbol.type
         #: an "array" or "scalar" store of ``expr`` — or, with ``op``,
-        #: the fold of ``expr`` over the lanes into a "reduction"
-        #: scalar or an "afold" element (both private to each rank) or
-        #: an "sfold" element (a plain owner-computes store,
-        #: serialized); a "guard" evaluates its IF's masked fold, and a
-        #: "masked" assignment of its branch is charged on the lanes
-        #: where the guard holds
+        #: its fold over the lanes into a "reduction" scalar or an
+        #: "afold" element (private to each rank) or an "sfold" element
+        #: (an owner-computes store, serialized); a "guard" evaluates
+        #: its IF's masked fold, charging its "masked" branch where the
+        #: guard holds
         self.kind = "array" if isinstance(lhs, ArrayElemRef) else "scalar"
         self.expr = stmt.rhs if self.fold is None else self.fold[2]
         self.op = None
-        #: executed by the owner of its column (else: by a fixed rank
-        #: set); index of the nest's statements sharing its executor
+        #: run by the owner of its column (else a fixed rank set); the
+        #: index of its executor among the nest's
         self.follows = False
         self.group = 0
 
 
 def _afold_operand(rhs, name: str, canon: tuple, op: str, forms: dict):
     """``A(c) = A(c) OP e`` / ``A(c) = MAX(A(c), e)`` → ``e`` (both
-    orderings), where the accumulator reference matches the store's
-    canonical subscript form exactly (``forms``: the nest shape's);
-    None otherwise.  ``e`` must not touch the accumulator array at
-    all."""
+    orderings; the accumulator's canonical subscript form — ``forms``:
+    the nest shape's — exactly the store's, and ``e`` free of the
+    array); None otherwise."""
 
     def is_acc(e):
         return (
@@ -456,9 +435,8 @@ def _afold_operand(rhs, name: str, canon: tuple, op: str, forms: dict):
 
 
 def _span(form, ranges: dict, env) -> tuple | None:
-    """The interval an affine ``form`` spans over the loop variables'
-    ``ranges`` (name -> (min, max)), its other symbols at their ``env``
-    values; None when a symbol has neither."""
+    """The interval ``form`` spans over the lane variables' ``ranges``,
+    other symbols at their ``env`` values (None: one has neither)."""
     lo = hi = form.const
     for sym, c in form.coeffs:
         if sym.value is not None:
@@ -474,18 +452,14 @@ def _span(form, ranges: dict, env) -> tuple | None:
 
 
 def _lane_addresses(ref_forms: dict, canons: dict, lanes_of: Callable,
-                    env, ranges: dict) -> tuple:
-    """ref_id -> the flat *element* of its array each lane names — the
-    ravel of the bounds-checked per-dimension offsets, an int where no
-    subscript varies with the lanes — and ref_id -> the lane's
+                    env) -> tuple:
+    """ref_id -> the flat *element* of its array each lane names (the
+    ravel of the bounds-checked per-dimension offsets; an int where no
+    subscript varies with the lanes), and ref_id -> the lane's
     *address* in the array's ``(P, *shape)`` buffer, ``lanes.rank *
-    size + element``.  ``lanes_of(ref_id)`` gives the ref's lanes and
-    ``canons[ref_id]`` its forms' ``_canon_form``;
-    dimensions subscripted by one form over the same lanes and bounds
-    — whatever the array — share one offset vector, references alike
-    in every dimension one element and one address vector.  A
-    subscript whose interval over the domain's ``ranges`` stays in
-    bounds is not checked lane by lane."""
+    size + element``.  ``lanes_of(ref_id)`` gives the ref's lanes,
+    ``canons[ref_id]`` its forms' ``_canon_form``; a form over the same
+    lanes and bounds is evaluated once, whatever the array."""
     dims: dict[tuple, Any] = {}
     shared: dict[tuple, tuple] = {}
     elems: dict[int, Any] = {}
@@ -499,11 +473,8 @@ def _lane_addresses(ref_forms: dict, canons: dict, lanes_of: Callable,
             for d, f in enumerate(forms):
                 dim = (lanes, canon[d], symbol.dims[d])
                 if dim not in dims:
-                    (lo, hi), span = symbol.dims[d], _span(f, ranges, env)
-                    at = _affine_vec(f, lanes.vars, env)
-                    dims[dim] = (
-                        at - lo if span and lo <= span[0] and span[1] <= hi
-                        else _bounds_checked_offset(at, symbol, d)
+                    dims[dim] = _bounds_checked_offset(
+                        _affine_vec(f, lanes.vars, env), symbol, d
                     )
                 extent = symbol.extent(d)
                 elem = dims[dim] if d == 0 else elem * extent + dims[dim]
@@ -525,26 +496,18 @@ class _Domain:
     """The iteration domain of one takeover, as data.
 
     ``jvec`` is the outer index of every *column*.  A column runs the
-    prologue once, the body ``trips`` times — the inner index starting
-    at ``low`` and advancing by ``step`` — and the epilogue once.
-    ``widths`` of those trips lie side by side as lanes and ``serial``
-    of them follow one another, ``trips == widths * serial``: a
-    flattened nest has ``widths == trips`` (varying with the column
-    when it is triangular) and one pass over the body, a nest with a
-    serial axis ``widths == 1`` and ``serial`` passes, a loop without
-    an inner loop an empty body.  ``count`` statement instances belong
-    to each column, numbered from ``base`` in per-iteration order.
-
-    Who runs them is data too: ``layouts`` holds one executor layout
-    per distinct executor of the nest, ``lanes_of`` every statement's
-    lanes at its level (the flattened body's, or the columns'),
-    ``participants`` the ranks running anything at all, and ``tapes``
-    — filled at the first commit — each rank's charge tape.
-
-    A domain is *built* (``NestPlan._build_shape``) or *sliced* from
-    the run's build of the nest: ``origin`` is then ``(build, m, d)``,
-    its columns being the build's from column ``m`` on and each
-    column's inner trips the build's from trip ``d`` on."""
+    prologue once, the body ``trips`` times — the inner index from
+    ``low`` by ``step`` — and the epilogue once; ``widths`` of those
+    trips lie side by side as lanes and ``serial`` follow one another
+    (flattened: ``widths == trips``, one pass; serial axis: ``widths ==
+    1``, ``serial`` passes; no inner loop: an empty body).  ``count``
+    statement instances belong to each column, numbered from ``base``
+    in per-iteration order.  ``layouts`` holds one executor layout per
+    distinct executor of the nest, ``lanes_of`` every statement's lanes
+    at its level, ``participants`` the ranks running anything, and
+    ``tapes`` each rank's charge tape, once a commit asked.  ``key`` is
+    what the domain is a function of; ``origin`` is None for a build,
+    ``(build, m, d)`` for a slice of it (``NestPlan._shape``)."""
 
     __slots__ = ("jvec", "low", "step", "trips", "widths", "serial",
                  "serial_var", "count", "base", "layouts", "lanes_of",
@@ -557,17 +520,12 @@ class _Domain:
         return {self.serial_var: int(self.low[0]) + self.step * t}
 
     def ranges(self, plan: "NestPlan") -> dict:
-        """Loop variable -> (min, max) over the lanes: the columns',
-        and the flattened inner loop's."""
+        """Lane variable -> (min, max) over the domain."""
         if self._ranges is None:
-            jvec = self.jvec
-            self._ranges = {plan.v: (int(jvec.min()), int(jvec.max()))}
+            self._ranges = {plan.v: (int(self.jvec.min()), int(self.jvec.max()))}
             if plan.i in plan.flat_vars:
-                ends = (self.low, self.low + self.step * (self.trips - 1))
-                self._ranges[plan.i] = (
-                    int(min(end.min() for end in ends)),
-                    int(max(end.max() for end in ends)),
-                )
+                ends = np.append(self.low, self.low + self.step * (self.trips - 1))
+                self._ranges[plan.i] = (int(ends.min()), int(ends.max()))
         return self._ranges
 
     def rank_tapes(self, plan: "NestPlan", nranks: int) -> tuple:
@@ -575,59 +533,54 @@ class _Domain:
         ``(bounds, step, inst)``: rank ``r`` runs the instances
         ``inst[bounds[r]:bounds[r + 1]]``, ascending, each the
         statement ``step`` (index into the nest's steps)."""
-        if self.tapes is None:
-            self.tapes = self._build_tapes(plan, nranks)
-        return self.tapes
+        if self.tapes is not None:
+            return self.tapes
+        count, trips = self.count, self.trips
+        npre, nbody = len(plan.steps[PRE]), len(plan.steps[BODY])
 
-    def _build_tapes(self, plan: "NestPlan", nranks: int) -> tuple:
-        dom = self
-        count, trips = dom.count, dom.trips
-        sizes = [len(steps) for steps in plan.steps]
-        npre, nbody = sizes[PRE], sizes[BODY]
-
-        def step_of(at, trips):
-            """The statement of the instance ``at`` of its column."""
+        def step_of(at, trips):  # of the instance ``at`` of its column
             body, last = at - npre, nbody * trips
             return np.where(body < 0, at, np.where(
                 body < last, npre + body % max(nbody, 1), at - last + nbody
             ))
 
-        if len(dom.layouts) == 1 and trips[0] == trips[-1]:
+        bounds = np.zeros(nranks + 1, dtype=np.int64)
+        if len(self.layouts) == 1 and trips[0] == trips[-1]:
             # one layout, every column alike (trips are affine in the
-            # column): each lane runs its column's instances, one
-            # pattern of statements
-            cols, c = dom.layouts[0].columns, int(count[0])
-            bounds = np.zeros(nranks + 1, dtype=np.int64)
+            # column): one pattern of statements per lane
+            cols, c = self.layouts[0].columns, int(count[0])
             np.cumsum(
                 np.bincount(cols.rank, minlength=nranks) * c, out=bounds[1:]
             )
-            build = dom.origin[0] if dom.origin else None
+            build = self.origin[0] if self.origin else None
             if build is not None and build.count[0] == c == build.count[-1]:
                 # (a prefix of the same pattern's tiling)
                 steps = build.rank_tapes(plan, nranks)[1][:cols.n * c]
             else:
                 steps = np.tile(step_of(np.arange(c), trips[0]), cols.n)
-            if len(cols.slices) == 1:  # one rank: lane c is column c
-                return bounds, steps, np.arange(cols.n * c)
-            return bounds, steps, ((cols.col * c)[:, None] + np.arange(c)).ravel()
-        # every instance's column and statement; a rank runs those
-        # whose column the layout of their statement gives it
-        col = np.arange(dom.jvec.size).repeat(count)
-        step = step_of(np.arange(col.size) - dom.base[col], trips[col])
-        groups = np.asarray([st.group for st in plan.all_steps])
-        runs = np.stack([layout.runs for layout in dom.layouts])
-        rank, inst = runs[groups[step], :, col].T.nonzero()
-        bounds = np.zeros(nranks + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rank, minlength=nranks), out=bounds[1:])
-        return bounds, step[inst], inst
+            inst = (
+                np.arange(cols.n * c) if len(cols.slices) == 1  # lane = column
+                else ((cols.col * c)[:, None] + np.arange(c)).ravel()
+            )
+        else:
+            # every instance's column and statement; a rank runs those
+            # whose column the layout of their statement gives it
+            col = np.arange(self.jvec.size).repeat(count)
+            step = step_of(np.arange(col.size) - self.base[col], trips[col])
+            groups = np.asarray([st.group for st in plan.all_steps])
+            runs = np.stack([layout.runs for layout in self.layouts])
+            rank, inst = runs[groups[step], :, col].T.nonzero()
+            np.cumsum(np.bincount(rank, minlength=nranks), out=bounds[1:])
+            steps = step[inst]
+        self.tapes = bounds, steps, inst
+        return self.tapes
 
 
 class _Lanes:
     """The lanes of one executor layout at one level — its columns, or
-    the flattened body.  A lane is a (statement instance, executing
-    rank) pair; lanes are ordered rank-major (then by column, then by
-    inner iteration), so each rank's lanes are one slice and run in
-    per-iteration order."""
+    the flattened body — ordered rank-major (then by column, then by
+    inner iteration): each rank's lanes are one slice, in per-iteration
+    order."""
 
     def __init__(self, runs: np.ndarray, rank, col, lane_vars: dict,
                  spread=None):
@@ -638,8 +591,7 @@ class _Lanes:
         self.col = col
         #: the loop variables' lane vectors
         self.vars = lane_vars
-        #: in the flattened body: the column-level lane each lane
-        #: belongs to and its inner iteration within the column, then
+        #: flattened: each lane's column-level lane and inner trip, and
         #: those ``columns``, their ``widths`` and ``first`` flat lanes
         #: (at column level: the lanes themselves, and nothing)
         self.up, self.tw, self.columns, self.widths, self.first = spread or (
@@ -652,38 +604,34 @@ class _Lanes:
             for r, (start, stop) in enumerate(zip([0] + ends, ends))
             if stop > start
         ]
-        self._home = self._lane_id = None
 
-    @property
+    @cached_property
     def home(self) -> np.ndarray:
         """One lane per statement instance — that of the lowest rank
         running it — as a lane mask."""
-        if self._home is None:
-            self._home = self.rank == self.runs.argmax(axis=0)[self.col]
-        return self._home
+        return self.rank == self.runs.argmax(axis=0)[self.col]
 
-    @property
+    @cached_property
     def lane_id(self) -> np.ndarray:
         """(rank, column) -> column-level lane, -1 where not run."""
-        if self._lane_id is None:
-            self._lane_id = np.full(self.runs.shape, -1, dtype=np.int64)
-            self._lane_id[self.rank, self.col] = self.up
-        return self._lane_id
+        lane_id = np.full(self.runs.shape, -1, dtype=np.int64)
+        lane_id[self.rank, self.col] = self.up
+        return lane_id
 
 
 class _Layout:
     """Which rank runs which column of the statements sharing one
-    executor: ``runs[r, c]`` — the owner-computes layout has one rank
-    per column, a fixed executor set the same ranks for every column —
-    and its lanes at either level."""
+    executor, ``runs[r, c]`` (the owner's one rank per column, or a
+    fixed executor set's ranks in every column), and its lanes at
+    either level."""
 
     def __init__(self, runs: np.ndarray, dom: _Domain, plan: "NestPlan"):
         self.runs = runs
         rank, col = runs.nonzero()
         self.columns = _Lanes(runs, rank, col, {plan.v: dom.jvec[col]})
         self._flat = None
-        # what the flattened lanes are built from (not the domain
-        # itself, which holds the layouts: no reference cycle)
+        # (what the flattened lanes are built from: not the domain,
+        # which holds the layouts, to keep reference cycles out)
         self._spread = (
             dom.widths, plan.v, dom.jvec,
             plan.i if plan.i in plan.flat_vars else None, dom.low, dom.step,
@@ -717,25 +665,20 @@ class _Region:
     __slots__ = ("lanes", "ref_id", "t", "vec", "at")
 
     def __init__(self, lanes: _Lanes, ref_id: int, t: int, vec, at: tuple):
-        self.lanes = lanes
-        self.ref_id = ref_id
-        self.t = t
-        self.vec = vec
-        self.at = at
+        self.lanes, self.ref_id, self.t, self.vec, self.at = (
+            lanes, ref_id, t, vec, at
+        )
 
 
 class _NestCtx(_Ctx):
     """One takeover in flight: the lane values of everything the nest
-    has written so far, the reads that went to memory, and the fetch
-    log.  Evaluation is global — one ``_eval`` per statement per pass,
-    whatever the number of ranks; per-rank state is gathered lane-wise
-    through each lane's executing rank."""
+    has written so far, the reads that went to memory, the fetch log.
+    One ``_eval`` per statement per pass, whatever the number of ranks;
+    per-rank state is gathered through each lane's executing rank."""
 
     def __init__(self, plan: "NestPlan", slab: "SlabExecutor", dom: _Domain,
                  env):
-        self.plan = plan
-        self.dom = dom
-        self.base_env = env
+        self.plan, self.dom, self.base_env = plan, dom, env
         self.sim, self.fast = slab.sim, slab.fast
         self.store = self.sim.store
         self.log = _FetchLog(self.sim, plan.lane_vars)
@@ -743,8 +686,7 @@ class _NestCtx(_Ctx):
         self.lanes_of = dom.lanes_of
         #: the env the subscripts are evaluated in
         self.sub_env = sub_env = self._subscript_env(env)
-        #: per-pass increment of every element (and address) that moves
-        #: with the serial axis
+        #: per-pass increment of elements moving with the serial axis
         self.strides = {
             ref_id: coeff * dom.step for ref_id, coeff in plan.strides.items()
         }
@@ -752,28 +694,23 @@ class _NestCtx(_Ctx):
         def lanes_of(ref_id):
             return self.lanes_of[plan.ref_home[ref_id]]
 
-        #: loop variable -> (min, max) over the domain's lanes
-        self.ranges = dom.ranges(plan)
         #: ref_id -> lane elements and addresses at the first body
         #: pass; the last pass is evaluated for its bounds checks alone
         self.elem, self.addr = _lane_addresses(
             plan.ref_forms, plan.ref_canon, lanes_of,
             {**sub_env, **dom.binding(0)} if dom.serial_var else sub_env,
-            self.ranges,
         )
         if self.strides and dom.serial > 1:
             _lane_addresses(
                 {r: plan.ref_forms[r] for r in self.strides}, plan.ref_canon,
                 lanes_of, {**sub_env, **dom.binding(dom.serial - 1)},
-                self.ranges,
             )
         #: scalar name -> (lanes, pass, lane values) of its last store
         self.scalars: dict[str, tuple] = {}
         #: store key -> region
         self.regions: dict[tuple, _Region] = {}
-        #: reads of written arrays that found no region (yet), the
-        #: arrays read from one, and (pass, step index) of the first
-        #: store to each array
+        #: reads of written arrays that found no region (yet), arrays
+        #: read from one, (pass, step index) of each one's first store
         self.misses: list[tuple] = []
         self.region_reads: set[str] = set()
         self.first_store: dict[str, tuple] = {}
@@ -787,12 +724,10 @@ class _NestCtx(_Ctx):
         self.npass = 0
 
     def _subscript_env(self, env) -> dict:
-        """``env`` plus the memory scalars the subscripts reference
-        (INTEGER symbols: the only ones an affine form holds), at the
-        one value every valid copy among the participants holds.  A
-        participant without one fetches it where tier 2 does — at its
-        first instance reading it, from the lowest rank holding it
-        then — into the log (``_FetchLog.fetch_scalar``)."""
+        """``env`` plus the memory scalars of the subscripts, at the one
+        value every valid copy among the participants holds; one without
+        a copy fetches it where tier 2 does — at its first instance
+        reading it, from the lowest holder — into the log."""
         plan, dom = self.plan, self.dom
         scalars = plan.shape.subscript_scalars - set(env)
         if not scalars:
@@ -911,12 +846,11 @@ class _NestCtx(_Ctx):
             )
 
     def _masked(self, st: _Step, value, is_int: bool) -> None:
-        """The guarded update ``IF (e REL acc) THEN acc = e; loc = f
-        ... END IF`` over each rank's lanes, in iteration order, seeded
-        with the rank's own accumulator: which lanes run the branch
-        (``masks``), and each variable of the branch at the last of a
-        rank's (``_masked_lanes``) — a rank whose guard never holds
-        stores nothing."""
+        """``IF (e REL acc) THEN acc = e; loc = f ... END IF`` over each
+        rank's lanes in order, seeded with the rank's own accumulator:
+        the lanes running the branch (``masks``) and its variables at a
+        rank's last such lane — a rank whose guard never holds stores
+        nothing."""
         rel, acc, _e, stmts = st.fold
         lanes = self.lanes
         mask = np.zeros(lanes.n, dtype=np.bool_)
@@ -950,9 +884,8 @@ class _NestCtx(_Ctx):
                 results[r] = vec[lane]
 
     def _fold_addresses(self, index: int) -> np.ndarray:
-        """Where each rank folding into step ``index``'s one array
-        element keeps it (the address at the rank's first lane), in
-        the order of the lanes' ``slices``."""
+        """Where each rank folding into step ``index``'s one element
+        keeps it (its first lane's address), in ``slices`` order."""
         heads = [sl.start for _r, sl in self.lanes_of[index].slices]
         ref_id = self.plan.all_steps[index].stmt.lhs.ref_id
         return self.addr[ref_id][heads]
@@ -967,11 +900,10 @@ class _NestCtx(_Ctx):
         return self._env
 
     def _carry(self, vec: np.ndarray, src: _Lanes, what: str) -> np.ndarray:
-        """``vec`` over the lanes ``src`` that stored it, as the current
-        statement's other lanes read it: each through its own rank's
-        copy; a column's value repeated over the column's inner lanes,
-        a body value taken at the same inner iteration — or, after the
-        body, at the column's last."""
+        """``vec`` stored over the lanes ``src``, as the current lanes
+        read it through their own ranks' copies: a column's value over
+        its inner lanes, a body value at the same inner trip (after the
+        body: the column's last)."""
         dst = self.lanes
         at = dst.up
         if src.runs is not dst.runs:
@@ -1056,9 +988,8 @@ class _NestCtx(_Ctx):
         if fetched:
             data = self._fetch(ref, data, ok)
         if name in self.plan.written_arrays:
-            # the pre-state of an element the nest writes later in the
-            # same lane, or a read that must miss every store: settled
-            # once all the stores are known
+            # a pre-state the same lane overwrites, or a read missing
+            # every store: settled once all the stores are known
             self.misses.append((
                 key, name, ref_id, self.t, fetched,
                 (self.npass, self.cur.index),
@@ -1094,12 +1025,10 @@ class _NestCtx(_Ctx):
             raise _Bail("guarded fold read would fetch")
         if not self.cur.follows and len(dom.participants) != 1:
             # ranks sharing an instance would fetch in an order the log
-            # does not record; (a fixed executor fetching beside other
-            # ranks' statements stays on tier 2 as well)
+            # does not record (so would a fixed executor beside others)
             raise _Bail("fetching takeover with multiple executors")
         if dom.serial > 1:
-            # (the replay numbers the instances of one body pass;
-            # fetches under a serial axis stay on tier 2)
+            # (the replay numbers the instances of one body pass)
             raise _Bail(f"array {name} read would fetch")
         bad = (~ok).nonzero()[0]
         # the fetching lanes' statement instances, in per-iteration order
@@ -1119,14 +1048,13 @@ class _NestCtx(_Ctx):
 
     def _check_stores(self) -> None:
         """Settle the reads that went to memory against the stores, and
-        gather each array's regions for commit.  The classification was
-        symbolic: where an array has several regions, or reads that
-        match none, verify the concrete element sets — no element is
-        written by two lanes, or read by one lane and written by
-        another — else per-iteration order matters across lanes.  One
-        lane may write an element twice (``A(l,j)`` and ``A(k,j)`` when
-        ``l == k``) if each of its reads of the array precedes its
-        first store: the regions commit in statement order."""
+        gather each array's regions for commit.  Where an array has
+        several regions, or reads that match none, no element may be
+        written by two lanes, or read by one and written by another —
+        unless their intervals show it (``_apart``), verified on the
+        concrete element sets.  One lane may write an element twice
+        (``A(l,j)`` and ``A(k,j)``, ``l == k``) if each of its reads of
+        the array precedes its first store: regions commit in order."""
         stray: dict[str, list] = {}
         late: set[str] = set()
         for key, name, ref_id, t, fetched, at in self.misses:
@@ -1140,9 +1068,8 @@ class _NestCtx(_Ctx):
         for region in self.regions.values():
             name = self.plan.ref_forms[region.ref_id][0].name
             groups.setdefault((name, region.lanes), []).append(region)
-        #: (array, lanes) -> the regions these lanes stored: elements,
-        #: addresses and values, with one row per region — in the order
-        #: of their last stores — when there are several
+        #: (array, lanes) -> elements, addresses and values stored, one
+        #: row per region in the order of their last stores if several
         self.stores: dict[tuple, tuple] = {}
         marks: dict[str, list] = {}
         for (name, lanes), regions in groups.items():
@@ -1159,15 +1086,12 @@ class _NestCtx(_Ctx):
             )
             marks.setdefault(name, []).append((stored[0], lanes, len(rows)))
         for name, stored in marks.items():
-            # (a read whose subscripts span, in some dimension, no
-            # element any region of the array does cannot overlap)
             written = [r.ref_id for (n, _l), rs in groups.items() if n == name for r in rs]
             reads = [
                 self._at(self.elem, ref_id, t) for ref_id, t in stray.get(name, ())
                 if not all(self._apart(ref_id, w) for w in written)
             ]
-            # (each region is injective over its lanes: so are regions
-            # spanning disjoint elements, together)
+            # (regions are injective over their lanes; apart, together)
             several = len(written) > 1 and not all(
                 self._apart(a, b) for a, b in combinations(written, 2)
             )
@@ -1202,12 +1126,11 @@ class _NestCtx(_Ctx):
                     raise _Bail("read overlaps writes across lanes")
 
     def _apart(self, a: int, b: int) -> bool:
-        """Whether the references ``a`` and ``b`` of one array name no
-        common element: in some dimension their subscripts span
-        disjoint intervals over the domain (``_span``)."""
+        """Whether references ``a`` and ``b`` of one array are disjoint
+        by the intervals one dimension's subscripts span (``_span``)."""
+        ranges = self.dom.ranges(self.plan)
         for fa, fb in zip(self.plan.ref_forms[a][1], self.plan.ref_forms[b][1]):
-            sa = _span(fa, self.ranges, self.sub_env)
-            sb = _span(fb, self.ranges, self.sub_env)
+            sa, sb = _span(fa, ranges, self.sub_env), _span(fb, ranges, self.sub_env)
             if sa and sb and (sa[1] < sb[0] or sb[1] < sa[0]):
                 return True
         return False
@@ -1241,21 +1164,12 @@ class _NestCtx(_Ctx):
             for a, v in zip(addr, vals) if addr.ndim > 1 else ((addr, vals),):
                 data[a] = v  # (region by region: the last store wins)
             if not lanes.runs.all():
-                # every write instance invalidates each rank not
-                # running it: nobody holds the elements, then the
-                # writers do (a large store through a mask)
-                copies = valid.reshape(nranks, size)
-                if elem.size * nranks > size:
-                    lost = np.zeros(size, dtype=np.bool_)
-                    lost[elem] = True
-                    np.logical_and(copies, ~lost, out=copies)
-                else:
-                    copies[:, elem] = False
+                # nobody holds the written elements, then the writers do
+                valid.reshape(nranks, size)[:, elem[..., lanes.home]] = False
             valid[addr] = True
         for name, (lanes, _npass, vec) in self.scalars.items():
-            # every rank keeps the value of its own last instance (it
-            # persists even once a later column invalidates it); the
-            # copies of the ranks running the last column end valid
+            # every rank keeps its own last instance's value (even once
+            # a later column invalidates it); the last column's are valid
             values = store.scalars[name]
             for r, sl in lanes.slices:
                 values[r] = vec[sl.stop - 1].item()
@@ -1271,10 +1185,9 @@ class _NestCtx(_Ctx):
             addr = self._fold_addresses(index)
             data[addr] = [results[r].item() for r, _sl in lanes.slices]
             valid[addr] = True
-            # an afold accumulates privately: the other ranks keep
-            # their copies, exactly like scalar reductions.  An sfold
-            # is a plain owner-computes store, just serialized: it
-            # invalidates them once per iteration
+            # an afold accumulates privately, like scalar reductions; an
+            # sfold is an owner-computes store, serialized: it
+            # invalidates the other ranks' copies
             if st.kind == "sfold":
                 lost = ~lanes.runs.all(axis=1)
                 elem = self.elem[st.stmt.lhs.ref_id]
@@ -1290,9 +1203,8 @@ class _NestCtx(_Ctx):
 
     def _masked_tapes(self, tapes: tuple) -> tuple:
         """The ranks' tapes without the branch instances of lanes whose
-        guard failed, and how many statement instances that leaves out.
-        A branch runs on its guard's layout, so its entries come in the
-        order of the guard's lanes."""
+        guard failed (a branch runs on its guard's layout: its entries
+        come in the guard's lane order), and how many that leaves out."""
         if not self.masks:
             return tapes, 0
         bounds, steps, inst = tapes
@@ -1313,22 +1225,17 @@ class _NestCtx(_Ctx):
 class NestPlan:
     """Vectorized execution of one loop nest as one takeover.
 
-    Built by the classification (:func:`_classify`) for every loop that
-    is one takeover, from the loop's nest shape
-    (:func:`~repro.codegen.veceval.nest_shape`, which it holds) and the
-    compiled program alone: the nest's store roles, its references'
-    keys, its executor groups and the owner table of the column.  It
-    holds no machine and no run, so every simulation of the program
-    shares it.  *prepare* then builds the entry's iteration domain
-    (:class:`_Domain`), evaluates every statement over its lanes
-    (:class:`_NestCtx`) and returns the commit.  Exact because no value
-    flows between lanes:
-    every store is injective over its lanes, a lane reads what its own
-    instance stored or what the nest never writes, and whatever depends
-    on live state — validity, bounds, widths, overlap of the concrete
-    index sets — bails to tier 2 before any mutation.  A lane reads
-    through its executing rank and fetches what that rank does not
-    hold, like tier 2 (:class:`_FetchLog`)."""
+    Built by the classification (:func:`_classify`) from the loop's
+    nest shape, which it holds, and the compiled program alone — store
+    roles, reference keys, executor groups, the column's owner table —
+    so every simulation of the program shares it.  *prepare* takes the
+    entry's iteration domain (:class:`_Domain`, through the run's build
+    of it), evaluates every statement over its lanes (:class:`_NestCtx`)
+    and returns the commit.  Exact because no value flows between
+    lanes: every store is injective over its lanes, a lane reads what
+    its own instance stored or what the nest never writes, and whatever
+    depends on live state bails to tier 2 before any mutation; a lane
+    fetches what its rank does not hold, like tier 2 (:class:`_FetchLog`)."""
 
     def __init__(self, shape: NestShape, inner: LoopStmt | None,
                  serial: bool, bound_forms: list):
@@ -1337,17 +1244,14 @@ class NestPlan:
         self.inner = inner
         self.v = v = loop.var.name
         self.i = i = inner.var.name if inner is not None else None
-        #: the variable of the serial axis, if there is one, and the
-        #: lane axes of the body
+        #: the serial axis' variable, if any; the body's lane axes
         self.serial_var = i if serial else None
         self.flat_vars = (v,) if inner is None or serial else (v, i)
         #: every loop variable the takeover binds
         self.lane_vars = (v,) if inner is None else (v, i)
-        #: ref_id -> (symbol, forms); index of its step; what it names
-        #: — a canonical key comparable across the nest's statements,
-        #: None for a reference that moves with the serial axis (its
-        #: key changes with the pass: ``moving_keys``); the flat
-        #: element's coefficient on that axis
+        #: ref_id -> (symbol, forms); its step; a canonical key of what
+        #: it names (None when it moves with the serial axis: see
+        #: ``moving_keys``); the flat element's coefficient on that axis
         self.ref_forms: dict[int, tuple] = {}
         self.ref_canon: dict[int, tuple] = {}
         self.ref_home: dict[int, int] = {}
@@ -1356,8 +1260,8 @@ class NestPlan:
         self._moving: list[tuple] = []
         #: guard step index -> the step indices of its branch
         self.branches: dict[int, list] = {}
-        #: memory scalar -> (executor group, phase) -> (step index, its
-        #: reference) of the statement reading it first in a subscript
+        #: memory scalar -> (executor group, phase) -> (step index, ref)
+        #: of its first read in a subscript
         self.subscript_reads: dict[str, dict] = {}
         #: scalar name -> phases storing it; reduction accumulators
         self.scalar_phases: dict[str, set] = {}
@@ -1367,16 +1271,14 @@ class NestPlan:
         self.fold_arrays: set[str] = set()
         self.steps: tuple[list, list, list] = ([], [], [])
         self.all_steps: list[_Step] = []
-        #: the inner loop's bounds — an absent one is 1: a missing
-        #: step, and the single trip of a nest without an inner loop —
-        #: with the affine form of each that varies with the column
+        #: the inner loop's bounds (an absent one is 1), with the affine
+        #: form of each that varies with the column
         self.bounds = (
             (inner.low, inner.high, inner.step) if inner is not None
             else (None, None, None)
         )
         self.bound_forms = bound_forms
-        #: the nest's predicted tier-2 and tier-3 times, set by the
-        #: classification; None when the estimator could not price it
+        #: predicted tier-2 and tier-3 times (None: not priced)
         self.cost: NestCost | None = None
 
     @property
@@ -1420,9 +1322,8 @@ class NestPlan:
             for ref in st.expr.refs():
                 if isinstance(ref, ScalarRef) and ref.symbol.name in self.acc_names:
                     return "accumulator read outside the fold"
-        # a scalar the nest stores is read from its own pass's earlier
-        # store, or — in a phase not storing it — from an earlier
-        # phase's; else its value would flow in from another iteration
+        # a stored scalar is read from its own pass's earlier store or,
+        # in a phase not storing it, an earlier phase's
         stored: dict[str, int] = {}  # name -> phase of its latest store
         for phase, steps in enumerate(self.steps):
             for st in steps:
@@ -1439,9 +1340,8 @@ class NestPlan:
         reason = self._executors(compiled, reductions)
         if reason is not None:
             return reason
-        # the statement of each executor group and phase that reads a
-        # subscript scalar first, and its reference (lhs subscripts are
-        # evaluated first)
+        # the first subscript-scalar read of each executor group and
+        # phase (lhs subscripts are evaluated first)
         for phase, steps in enumerate(self.steps):
             for st in steps:
                 lhs = getattr(st.stmt, "lhs", None)
@@ -1455,8 +1355,7 @@ class NestPlan:
                     reads.setdefault((st.group, phase), (st.index, ref))
         if self.inner is None:
             return None
-        # what the one plan could run but this round does not take
-        # (see CHANGES.md): each keeps its tier-2 verdict
+        # what the one plan could run but does not take
         if self.inner.stmt_id in reductions.by_loop:
             return "inner loop combines a reduction"
         if self.shape.subscript_scalars:
@@ -1519,11 +1418,9 @@ class NestPlan:
                 return "unrecognized array fold update"
             st.kind, st.op = "afold", reduction.op
         elif not injective:
-            # every lane of an axis stores the same element: only a
-            # serial fold (``A(c) = A(c) OP e``, the reduction-into-
-            # column shape the reduction pass left as a plain
-            # owner-computes assign) has per-iteration semantics a
-            # slab can replay
+            # every lane of an axis stores one element: only a serial
+            # fold (``A(c) = A(c) OP e``, left an owner-computes
+            # assign by the reduction pass) can be replayed
             if self.i is not None or any(_mentions(f, v) for f in forms):
                 return "store not injective in the loop variables"
             for op in ("+", "*", "MAX", "MIN"):
@@ -1667,8 +1564,7 @@ class NestPlan:
                 or st.sid in everywhere and _stmt_array_refs(st.stmt)
             ):
                 # beside column-owned statements only plain scalar
-                # stores: the classification held the replicated ones
-                # off arrays, this holds folds and what runs everywhere
+                # stores (no folds, nothing run everywhere on arrays)
                 return "replicated statement touches an array"
             if st.sid in everywhere:
                 continue
@@ -1682,13 +1578,12 @@ class NestPlan:
 
     def _shape(self, slab: "SlabExecutor", low: int, high: int, step: int,
                bounds: tuple, pos, ranks: tuple) -> _Domain | None:
-        """The iteration domain — None when it is empty — of an entry
-        whose loop runs ``low, high, step``, whose inner bounds and
-        owner position are ``bounds`` and ``pos`` at the first column,
-        and whose fixed executors are ``ranks``: a function of these
-        alone.  The run's build of the nest for these executors serves
-        every entry it covers, as itself or sliced; any other entry is
-        built anew, and its build replaces it."""
+        """The iteration domain (None: empty) of an entry running
+        ``low, high, step``, its inner bounds and owner position
+        ``bounds`` and ``pos`` at the first column, its fixed executors
+        ``ranks``.  The run's build for these executors serves every
+        entry it covers, as itself or sliced; any other is built anew,
+        and its build replaces the old one."""
         nj = slab_trip_count(low, high, step)
         if nj == 0:
             return None
@@ -1724,7 +1619,7 @@ class NestPlan:
 
     def _build_shape(self, dom: _Domain, nj: int, ranks: tuple,
                      nranks: int) -> list:
-        """Build ``dom``'s columns; returns each executor's layout."""
+        """Build ``dom``'s columns; returns each executor's runs."""
         low, _high, step, (li, hi, si), pos = dom.key
         ahead = step * np.arange(nj, dtype=np.int64)  # of the first column
 
@@ -1772,9 +1667,8 @@ class NestPlan:
 
     def _inside(self, build: _Domain, key: tuple, nj: int) -> tuple | None:
         """``(build, m, d)`` when the entry of ``key`` runs ``build``'s
-        columns from ``m`` on, each with its inner trips from ``d`` on —
-        the same steps and, column for column, the same owners and
-        inner ends; else None.  (A serial axis is never sliced.)"""
+        columns from ``m`` on, their inner trips from ``d`` on, with the
+        same steps, owners and inner ends; else None (serial axes)."""
         low, high, step, (li, hi, si), pos = key
         low0, high0, step0, (li0, hi0, si0), pos0 = build.key
         m, off = divmod(low - low0, step)
@@ -1794,8 +1688,7 @@ class NestPlan:
         return build, m, d
 
     def _slice(self, dom: _Domain, nj: int) -> list:
-        """``dom``'s columns as views of its build's; returns each
-        executor's layout."""
+        """``dom``'s columns, views of its build's; each executor's runs."""
         build, m, d = dom.origin
         cut = slice(m, m + nj)
         dom.jvec, dom.low, dom.trips, dom.count = (
@@ -1807,9 +1700,7 @@ class NestPlan:
             dom.low = dom.low + d * dom.key[3][2]
             dom.trips = dom.trips - d
             dom.count = dom.count - d * len(self.steps[BODY])
-        dom.step, dom.serial_var, dom.widths, dom.serial = (
-            build.step, None, dom.trips, 1
-        )
+        dom.step, dom.serial_var, dom.widths, dom.serial = build.step, None, dom.trips, 1
         views: dict = {}
         return [
             views.get(id(was)) or views.setdefault(id(was), was.runs[:, cut])
@@ -1818,10 +1709,8 @@ class NestPlan:
 
     def prepare(self, slab: "SlabExecutor", low: int, high: int, step: int,
                 env) -> Callable:
-        # ``slab`` is the run's executor, which keeps the run's builds
-        # (``_shape``).  What the entry's shape is a function of: a
-        # bound invariant over the columns is evaluated once,
-        # uncharged, exactly like the per-iteration walker's
+        # what the entry's shape is a function of: a bound invariant
+        # over the columns evaluated once, uncharged, like the walker's
         # eval_bound; one affine in the column, and the owners'
         # position, at the first column
         first = {self.v: low}
@@ -1868,20 +1757,17 @@ class SlabExecutor:
         self.fast = fast
         self.sim = fast.sim
         self.report = report = self.sim.compiled.slabs
-        #: whether the nests' prices pick the engine (``tier="auto"``)
-        #: or every plan is taken (``tier="slab"``)
+        #: whether the nests' prices pick the engine (``tier="auto"``);
+        #: whether the program has a plan at all (else one flag check
+        #: per loop entry)
         self.priced = self.sim.tier == "auto"
-        #: a program without a plan pays nothing per loop entry: one
-        #: flag check instead of a verdict lookup
         self.enabled = bool(report.eligible_loops())
-        #: per-loop consecutive prepare bails; a nest that reaches
-        #: GIVE_UP_AFTER without ever committing is demoted to tier 2
-        #: for the rest of the run (prepare overhead was pure loss)
+        #: per-loop consecutive prepare bails (GIVE_UP_AFTER demotes a
+        #: nest that never committed) and the loops that committed
         self._bail_counts: dict[int, int] = {}
         self._committed: set[int] = set()
         #: (plan, fixed executors) -> the run's build of the nest's
-        #: shape, which serves every entry it covers
-        #: (``NestPlan._shape``); released when the run ends
+        #: shape (``NestPlan._shape``); released when the run ends
         self.builds: dict[tuple, _Domain] = {}
 
     def _record_bail(self, stmt: LoopStmt, reason: str) -> None:
@@ -1924,8 +1810,7 @@ class SlabExecutor:
             self._record_bail(stmt, str(bail))
             self._decide(sid, "lowered")
             if sid not in self._committed:
-                # never succeeded: the GIVE_UP_AFTER-th bail stops
-                # paying prepare per entry
+                # (never succeeded: counts towards GIVE_UP_AFTER)
                 self._bail_counts[sid] = self._bail_counts.get(sid, 0) + 1
             return False
         except (ArithmeticError, ValueError, OverflowError):
