@@ -266,11 +266,9 @@ class _FetchLog:
                 if upto > done[r]:
                     time[r] = sequential_sum(time[r], charges[done[r]:upto])
                     done[r] = upto
-            clocks.charge_message_run(s, d, tape[lo_slot:hi_slot])
-            for r in (s, d):
-                clocks.comm_time[r] = sequential_sum(
-                    clocks.comm_time[r], messages[lo:hi]
-                )
+            clocks.charge_message_run(
+                s, d, tape[lo_slot:hi_slot], messages[lo:hi]
+            )
             done[d] = end_d
         for r in computing:
             time[r] = sequential_sum(time[r], charges[done[r]:ends[r]])

@@ -558,10 +558,7 @@ class _Domain:
                 steps = build.rank_tapes(plan, nranks)[1][:cols.n * c]
             else:
                 steps = np.tile(step_of(np.arange(c), trips[0]), cols.n)
-            inst = (
-                np.arange(cols.n * c) if len(cols.slices) == 1  # lane = column
-                else ((cols.col * c)[:, None] + np.arange(c)).ravel()
-            )
+            inst = ((cols.col * c)[:, None] + np.arange(c)).ravel()
         else:
             # every instance's column and statement; a rank runs those
             # whose column the layout of their statement gives it
@@ -1164,8 +1161,13 @@ class _NestCtx(_Ctx):
             for a, v in zip(addr, vals) if addr.ndim > 1 else ((addr, vals),):
                 data[a] = v  # (region by region: the last store wins)
             if not lanes.runs.all():
-                # nobody holds the written elements, then the writers do
-                valid.reshape(nranks, size)[:, elem[..., lanes.home]] = False
+                # nobody holds the written elements (a large store's
+                # through a mask of them), then the writers do
+                copies = valid.reshape(nranks, size)
+                if elem.size * nranks < size:
+                    copies[:, elem] = False
+                else:
+                    np.logical_and(copies, np.bincount(elem.ravel(), minlength=size) == 0, out=copies)
             valid[addr] = True
         for name, (lanes, _npass, vec) in self.scalars.items():
             # every rank keeps its own last instance's value (even once
@@ -1582,15 +1584,15 @@ class NestPlan:
         ``low, high, step``, its inner bounds and owner position
         ``bounds`` and ``pos`` at the first column, its fixed executors
         ``ranks``.  The run's build for these executors serves every
-        entry it covers, as itself or sliced; any other is built anew,
-        and its build replaces the old one."""
+        entry it covers, as itself or sliced (the latest domain is
+        kept too); any other is built anew, replacing the build."""
         nj = slab_trip_count(low, high, step)
         if nj == 0:
             return None
         key = (low, high, step, bounds, pos)
-        build = slab.builds.get((self, ranks))
-        if build is not None and build.key == key:
-            return build
+        build, last = slab.builds.get((self, ranks), (None, None))
+        if last is not None and key in (last.key, build.key):
+            return last if last.key == key else build
         dom = _Domain()
         dom.key, dom.tapes, dom._ranges = key, None, None
         dom.origin = build and self._inside(build, key, nj)
@@ -1598,9 +1600,10 @@ class NestPlan:
             runs = self._slice(dom, nj)
         else:
             runs = self._build_shape(dom, nj, ranks, slab.sim.grid.size)
-            slab.builds[self, ranks] = dom
+            build = dom
             if slab.sim.metrics is not None:
                 slab.sim.metrics.inc(f"slab.shape_build[loop=S{self.loop.stmt_id}]")
+        slab.builds[self, ranks] = build, dom
         dom.base = dom.count.cumsum() - dom.count
         layouts: dict = {}  # equal executors share one
         dom.layouts = [
@@ -1701,11 +1704,8 @@ class NestPlan:
             dom.trips = dom.trips - d
             dom.count = dom.count - d * len(self.steps[BODY])
         dom.step, dom.serial_var, dom.widths, dom.serial = build.step, None, dom.trips, 1
-        views: dict = {}
-        return [
-            views.get(id(was)) or views.setdefault(id(was), was.runs[:, cut])
-            for was in build.layouts
-        ]
+        views = {id(was): was.runs[:, cut] for was in build.layouts}
+        return [views[id(was)] for was in build.layouts]
 
     def prepare(self, slab: "SlabExecutor", low: int, high: int, step: int,
                 env) -> Callable:
@@ -1767,8 +1767,9 @@ class SlabExecutor:
         self._bail_counts: dict[int, int] = {}
         self._committed: set[int] = set()
         #: (plan, fixed executors) -> the run's build of the nest's
-        #: shape (``NestPlan._shape``); released when the run ends
-        self.builds: dict[tuple, _Domain] = {}
+        #: shape and the latest entry's domain (``NestPlan._shape``);
+        #: released when the run ends
+        self.builds: dict[tuple, tuple] = {}
 
     def _record_bail(self, stmt: LoopStmt, reason: str) -> None:
         sim = self.sim

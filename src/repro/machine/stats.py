@@ -156,7 +156,8 @@ class Clocks:
         startup."""
         return self.tape([self.amortized_dt(1, False), self.amortized_dt(1, True)])
 
-    def charge_message_run(self, src: int, dst: int, tape: np.ndarray) -> None:
+    def charge_message_run(self, src: int, dst: int, tape: np.ndarray,
+                           messages: np.ndarray) -> None:
         """A *run* of messages from ``src`` to ``dst`` in one fold, bit
         for bit the interleaved ``charge_compute(dst)`` /
         ``charge_message_amortized(src, dst, 1, ...)`` sequence it
@@ -164,9 +165,8 @@ class Clocks:
 
         ``tape`` is that sequence's ``dt`` values in order — the first
         message, then ``dst``'s compute charges and the further
-        messages as they interleave, ending with a message
-        (:meth:`message_rows`).  ``comm_time`` sees only the messages:
-        the caller folds them (the fetch replay, once per takeover).
+        messages as they interleave, ending with a message — and
+        ``messages`` the messages among them (:meth:`message_rows`).
         The caller guarantees that between the first and the last
         message nothing else touches either clock and ``src`` charges
         no compute.  Then the first message leaves both clocks at one
@@ -178,12 +178,15 @@ class Clocks:
         two clocks, both ends leaving at the result.  ``c >= 0`` is not
         tested here: :class:`~repro.model.MachineModel` rejects
         negative and non-finite parameters at construction, so no
-        machine can produce a negative or NaN charge.  A one-message
-        run is exactly ``_deliver`` (lane vectors are never shared:
-        each end gets its own copy)."""
+        machine can produce a negative or NaN charge.  ``comm_time``
+        sees only the messages.  A one-message run is exactly
+        ``_deliver`` (lane vectors are never shared: each end gets its
+        own copy)."""
         end = sequential_sum(self.later(self.time[src], self.time[dst]), tape)
         self.time[src] = end
         self.time[dst] = end.copy() if self._row else end
+        self.comm_time[src] = sequential_sum(self.comm_time[src], messages)
+        self.comm_time[dst] = sequential_sum(self.comm_time[dst], messages)
 
     def charge_compute_tape(self, rank: int, dts: np.ndarray) -> None:
         """Batched compute charging, bit-for-bit identical to calling
