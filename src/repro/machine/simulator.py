@@ -290,22 +290,18 @@ class SPMDSimulator:
         """The message a fetch belongs to — message vectorization's one
         startup per placement instance.  Every tier builds its keys
         here, so the shapes in ``_fetch_keys_seen`` cannot differ."""
-        event, outer = self._fetch_meta(stmt, ref_id)
-        if event is None:
+        if self._fetch_meta(stmt, ref_id)[0] is None:
             return ("raw", stmt.stmt_id, ref_id, src, dst, tuple(sorted(env.items())))
-        # Keyed by the event's stable ordinal so transfers merged by
-        # message combining share one startup per placement instance
-        # and charging is identical across runs and pickle round-trips.
-        return (
-            "evt", event.ordinal, src, dst,
-            tuple(env.get(name, 0) for name in outer),
-        )
+        return self._coalesce_keys_of(stmt, ref_id, env)(src, dst)
 
     def _coalesce_keys_of(self, stmt: Stmt, ref_id: int, env) -> Callable:
         """``(src, dst) -> _coalesce_key(stmt, ref_id, src, dst, env)``
         of a reference the analysis placed, its event looked up once."""
         event, outer = self._fetch_meta(stmt, ref_id)
         at = tuple(env.get(name, 0) for name in outer)
+        # Keyed by the event's stable ordinal so transfers merged by
+        # message combining share one startup per placement instance
+        # and charging is identical across runs and pickle round-trips.
         return lambda src, dst: ("evt", event.ordinal, src, dst, at)
 
     def _charge_fetch(self, stmt: Stmt, ref_id: int, src: int, dst: int,

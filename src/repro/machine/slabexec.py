@@ -1584,15 +1584,15 @@ class NestPlan:
         ``low, high, step``, its inner bounds and owner position
         ``bounds`` and ``pos`` at the first column, its fixed executors
         ``ranks``.  The run's build for these executors serves every
-        entry it covers, as itself or sliced (the latest domain is
-        kept too); any other is built anew, replacing the build."""
+        entry it covers, as itself or sliced; any other is built anew,
+        and its build replaces the old one."""
         nj = slab_trip_count(low, high, step)
         if nj == 0:
             return None
         key = (low, high, step, bounds, pos)
-        build, last = slab.builds.get((self, ranks), (None, None))
-        if last is not None and key in (last.key, build.key):
-            return last if last.key == key else build
+        build = slab.builds.get((self, ranks))
+        if build is not None and build.key == key:
+            return build
         dom = _Domain()
         dom.key, dom.tapes, dom._ranges = key, None, None
         dom.origin = build and self._inside(build, key, nj)
@@ -1600,10 +1600,9 @@ class NestPlan:
             runs = self._slice(dom, nj)
         else:
             runs = self._build_shape(dom, nj, ranks, slab.sim.grid.size)
-            build = dom
+            slab.builds[self, ranks] = dom
             if slab.sim.metrics is not None:
                 slab.sim.metrics.inc(f"slab.shape_build[loop=S{self.loop.stmt_id}]")
-        slab.builds[self, ranks] = build, dom
         dom.base = dom.count.cumsum() - dom.count
         layouts: dict = {}  # equal executors share one
         dom.layouts = [
@@ -1767,9 +1766,8 @@ class SlabExecutor:
         self._bail_counts: dict[int, int] = {}
         self._committed: set[int] = set()
         #: (plan, fixed executors) -> the run's build of the nest's
-        #: shape and the latest entry's domain (``NestPlan._shape``);
-        #: released when the run ends
-        self.builds: dict[tuple, tuple] = {}
+        #: shape (``NestPlan._shape``); released when the run ends
+        self.builds: dict[tuple, _Domain] = {}
 
     def _record_bail(self, stmt: LoopStmt, reason: str) -> None:
         sim = self.sim
