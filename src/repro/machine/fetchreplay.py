@@ -2,8 +2,12 @@
 
 A lane of a tier-3 takeover (:mod:`repro.machine.slabexec`) reads
 through its executing rank's copy; an element or scalar that rank does
-not hold is one tier 2 would fetch.  :class:`_FetchLog` records, orders
-and replays those fetches (docs/COSTMODEL.md "Messages").
+not hold is one tier 2 would fetch.  :class:`_FetchLog` records each
+such read at its place in per-iteration order during the takeover's
+prepare phase, orders the fetches and peeks their coalescing keys
+(``schedule``, which may still bail), and at commit replays compute
+and messages in exactly tier 2's order, one left fold per *message
+run* (docs/COSTMODEL.md "Messages").
 """
 
 from __future__ import annotations
@@ -38,15 +42,19 @@ class _Fetched(NamedTuple):
 
 class _FetchLog:
     """The remote reads one takeover's evaluation met, and their exact
-    replay.  Tier 2 fetches an invalid element once per reading rank,
-    at its first read.  Evaluation records every such read at its place
-    in per-iteration order — the statement *instance* and the read's
-    sequence in the statement — with the value from the source rank,
-    whose copy the takeover never writes: one source lookup per
-    fetching read, for all reading ranks at once.  :meth:`schedule`
-    orders the fetches and peeks their coalescing keys (it may still
-    bail); :meth:`commit` replays compute and messages in that order,
-    one fold per *message run*."""
+    replay.
+
+    The per-iteration path fetches an invalid element once per reading
+    rank, at that rank's first read of it.  Evaluation records every
+    such read with its place in per-iteration order — the number of the
+    statement *instance* and the read's sequence within the statement —
+    and takes the value from the source rank, whose copy cannot change
+    during the takeover (a fetched element is never one the takeover
+    writes): one source lookup per fetching read, over the lanes of all
+    the reading ranks at once.  :meth:`schedule` orders the fetches and
+    peeks their coalescing keys, still without mutating anything, so it
+    may bail; :meth:`commit` replays compute and messages in that
+    order, one fold per *message run*."""
 
     def __init__(self, sim, lane_vars: tuple):
         self.sim = sim
@@ -54,11 +62,12 @@ class _FetchLog:
         self.reads: list[_Fetched] = []
 
     def _fetch_read(self, ref, stmt, q: int, dst, elem, inst):
-        """Values of the elements ``elem`` the ranks ``dst`` read while
-        invalid, in instances ``inst`` (one entry per lane, rank-major,
-        instances ascending), from the elements' sources
-        (``Store.sources``, as every tier); a rank fetches an element
-        once, at its first lane."""
+        """Values of the elements ``elem`` that the ranks ``dst`` read
+        while invalid, in instances ``inst`` — one entry per lane, the
+        lanes rank-major and each rank's instances ascending, served
+        from the store's sources of the elements (``Store.sources``, as
+        every tier's fetch is).  A rank fetches an element once, at its
+        first lane."""
         name = ref.symbol.name
         store = self.sim.store
         data, _valid, size = store.flat[name]
@@ -90,11 +99,12 @@ class _FetchLog:
         ))
 
     def schedule(self, env):
-        """Order the recorded fetches as tier 2 issues them — every
-        (rank, element) once, at its first read — and peek their
-        coalescing keys: None when nothing fetched, else per-fetch
-        vectors (instance, source, reader, opens-a-message), the
-        elements fetched per reference's event, the keys opened."""
+        """Order the recorded fetches as the per-iteration path issues
+        them — every (rank, element) once, at its first read — and peek
+        their coalescing keys.  Returns None when nothing fetched, else
+        per-fetch vectors (instance, source, reader, opens-a-message)
+        plus the number of elements fetched under each reference's
+        event and the coalescing keys the takeover opens."""
         reads = self.reads
         if not reads:
             return None
@@ -200,20 +210,26 @@ class _FetchLog:
         the number of elements fetched and of message runs replayed.
 
         ``dts`` is the charge tape of the takeover's statements and
-        ``tapes`` the ranks' tapes end to end (``_Domain.rank_tapes``).
-        Compute charges on different ranks commute and only a message
-        couples two clocks, so a rank's tape stays pending until just
-        before a message that touches it, and is left-folded up to the
-        message's instance — tier 2's interleaved sequence, bit for
-        bit.  The unit of that replay is the *run*: consecutive fetches
-        by one reader from one source while the source has nothing
-        pending, one left fold (``Clocks.charge_message_run``).
-        ``compute_time`` sees no messages and is folded in one piece."""
+        ``tapes`` the ranks' tapes end to end (``_NestCtx._rank_tapes``):
+        which statement each of a rank's instances runs and the
+        instance's (ascending) number.  Compute charges on
+        different ranks commute and only a message couples two clocks,
+        so a rank's tape stays pending until just before a message that
+        touches the rank, where it is left-folded up to the message's
+        instance — tier 2's interleaved ``charge_compute`` /
+        ``charge_message_amortized`` sequence, bit for bit.  The unit
+        of that replay is the *run*: consecutive fetches by one reader
+        from one source while the source has nothing pending.  Only a
+        run's first message meets two unrelated clocks; the rest of it
+        — the reader's compute between the messages included — is one
+        left fold (``Clocks.charge_message_run``).  ``compute_time``
+        sees no messages and is folded in one piece.  Everything else a
+        fetch does is batched per reference."""
         inst, src, dst, startup, tally, fresh = sched
         sim = self.sim
         clocks, stats = sim.clocks, sim.stats
         time = clocks.time
-        # rank r's tape is charges[done[r]:ends[r]], empty when it
+        # rank r's tape is steps[done[r]:ends[r]], empty when it
         # computes nothing here
         bounds, steps, at = tapes
         charges = dts[steps]
@@ -227,7 +243,8 @@ class _FetchLog:
         # each fetch: the tapes end to end are ascending in (rank,
         # instance)
         span = int(max(at.max(initial=0), inst.max())) + 1
-        ranked = np.arange(0, span * len(time), span).repeat(np.diff(bounds))
+        offset = np.arange(0, span * len(time), span, dtype=np.int64)
+        ranked = offset.repeat(np.diff(bounds))
         ranked += at
         cut = np.searchsorted(ranked, np.stack((dst, src)) * span + inst)
         del ranked  # (tape-sized: freed before the replay builds its own)
@@ -257,14 +274,17 @@ class _FetchLog:
             ]
         tape = np.concatenate((dts, clocks.message_rows()))[row]
         messages = tape[slot]
-        fetch = np.arange(inst.size)
-        for d, s, cut_d, cut_s, lo, lo_slot, end_d, hi, hi_slot in zip(
-            *np.stack((dst, src, cut[0], cut[1], fetch, slot))[:, first].tolist(),
-            *np.stack((cut[0], fetch + 1, slot + 1))[:, last].tolist(),
+        for d, s, cut_d, cut_s, end_d, lo, hi, lo_slot, hi_slot in zip(
+            *map(np.ndarray.tolist, (
+                dst[first], src[first], cut[0, first], cut[1, first],
+                cut[0, last], first, last + 1, slot[first], slot[last] + 1,
+            ))
         ):
             for r, upto in ((d, cut_d), (s, cut_s)):
                 if upto > done[r]:
-                    time[r] = sequential_sum(time[r], charges[done[r]:upto])
+                    time[r] = sequential_sum(
+                        time[r], charges[done[r]:upto]
+                    )
                     done[r] = upto
             clocks.charge_message_run(
                 s, d, tape[lo_slot:hi_slot], messages[lo:hi]

@@ -239,9 +239,11 @@ class SPMDSimulator:
             try:
                 result = walker.run()
             finally:
-                if self._fast.slab is not None:
+                slab = self._fast.slab
+                if slab is not None:
                     # the nests' shape builds live as long as the run
-                    self._fast.slab.builds.clear()
+                    slab.builds.clear()
+                    slab.shape = None
             span.add(
                 messages=self.stats.messages,
                 slab_instances=self.slab_instances,
@@ -290,18 +292,20 @@ class SPMDSimulator:
         """The message a fetch belongs to — message vectorization's one
         startup per placement instance.  Every tier builds its keys
         here, so the shapes in ``_fetch_keys_seen`` cannot differ."""
-        if self._fetch_meta(stmt, ref_id)[0] is None:
-            return ("raw", stmt.stmt_id, ref_id, src, dst, tuple(sorted(env.items())))
         return self._coalesce_keys_of(stmt, ref_id, env)(src, dst)
 
     def _coalesce_keys_of(self, stmt: Stmt, ref_id: int, env) -> Callable:
-        """``(src, dst) -> _coalesce_key(stmt, ref_id, src, dst, env)``
-        of a reference the analysis placed, its event looked up once."""
+        """``(src, dst) -> _coalesce_key(stmt, ref_id, src, dst, env)``,
+        the reference's event looked up once (a takeover's replay keys
+        every (reader, source) pair of a read)."""
         event, outer = self._fetch_meta(stmt, ref_id)
-        at = tuple(env.get(name, 0) for name in outer)
+        if event is None:
+            at = tuple(sorted(env.items()))
+            return lambda src, dst: ("raw", stmt.stmt_id, ref_id, src, dst, at)
         # Keyed by the event's stable ordinal so transfers merged by
         # message combining share one startup per placement instance
         # and charging is identical across runs and pickle round-trips.
+        at = tuple(env.get(name, 0) for name in outer)
         return lambda src, dst: ("evt", event.ordinal, src, dst, at)
 
     def _charge_fetch(self, stmt: Stmt, ref_id: int, src: int, dst: int,

@@ -1,8 +1,8 @@
 """Tier 3: slab-vectorized loop execution.
 
-The lowered closures of :mod:`repro.machine.lowering` (tier 2) execute
-one iteration x one rank x one element at a time.  This module takes
-whole loop nests over as one data-parallel operation each — the
+The lowered closures of :mod:`repro.machine.lowering` (tier 2) still
+execute one iteration x one rank x one element at a time.  This module
+takes whole loop nests over as one data-parallel operation each — the
 "generalized data-parallel operation" view of the paper's privatized
 loops: a *domain* of statement instances, a *signature* from each
 instance to the elements it reads, and the recognized folds.  A *lane*
@@ -11,47 +11,56 @@ evaluated once over all of its lanes as numpy vector operations, each
 lane reading through its own rank's copy, and the virtual clocks are
 charged in closed form from per-statement charge tapes.
 
-There is one plan (:class:`NestPlan`) and one evaluation context; the
-shapes of a takeover are data (:class:`_Domain`).  The outer iterations
-— *columns* — are always lanes; those of the one inner loop are lanes
-too (a flattened, possibly triangular nest) unless a value flows from
-one to the next — then the inner loop is the *serial axis*: the body
-runs trip by trip, each statement vectorized across the columns.
+There is one plan (:class:`NestPlan`) and one evaluation context.  What
+used to be three kinds of takeover are shapes of the domain, described
+by data (:class:`_Domain`): the outer iterations — *columns* — are
+always lanes; the iterations of the one inner loop, when there is one,
+are lanes too (a flattened, possibly triangular nest: the per-column
+*widths* vary with the outer index) unless a value flows from one of
+them to the next — then the inner loop is the *serial axis*: the body
+runs trip by trip, each statement still vectorized across the columns.
 
 Eligibility (the fallback ladder's top rung) is decided once per nest
 and checked again per entry:
 
 * the **classification** (:func:`classify_procedure`, the compiled
   program's ``slabs``) starts from each loop's nest shape
-  (:func:`~repro.codegen.veceval.nest_shape`, as in the sequential
-  reference) and adds its own rules — at most one inner loop,
-  executors that are a fixed rank set or the owner of the column,
-  communication placed above the loop, no dependence carried between
-  lanes, a store role for every statement — and builds the nest's
-  :class:`NestPlan`, or names the first reason it has none.  The plan
-  is machine- and run-independent, and carries its price
-  (``NestPlan.cost``): under ``tier="auto"`` a nest is taken only where
-  the slab engine is predicted to win or could not be priced;
+  (:func:`~repro.codegen.veceval.nest_shape`: assign-only bodies and
+  affine subscripts, as in the sequential reference) and adds its own
+  rules — at most one inner loop, executors that are a fixed rank set
+  or the owner of the column, communication placed above the loop per
+  the communication analysis, no dependence carried between lanes per
+  :mod:`repro.analysis.dependence`, and a store role for every
+  statement — and builds the nest's :class:`NestPlan`, or names the
+  first reason it is not one takeover.  The plan is machine- and
+  run-independent: every simulation of the program shares it.  It
+  also carries its price (``NestPlan.cost``:
+  :meth:`~repro.perf.PerfEstimator.nest_cost`), and under
+  ``tier="auto"`` a nest is taken only where the slab engine is
+  predicted to win or the estimator could not price it;
 * each **entry** (:meth:`NestPlan.prepare`) checks what depends on live
   state (validity of read operands, executor rank sets, divisors,
   subscript bounds, disjointness of the concrete index sets) and
-  *bails* — executing and mutating nothing — the moment an assumption
-  fails; the tier-2 closures then reproduce the per-iteration
-  semantics, any error and its partial state included, bit for bit.
+  *bails* — executing nothing and mutating nothing — the moment any
+  assumption fails.  A bailed takeover falls back to the tier-2 lowered
+  closures, which reproduce the per-iteration semantics (including any
+  error and its exact partial state) bit for bit.
 
-Clocks are bit-for-bit tier 2's by construction: per-instance compute
-charges are ``dt`` values folded with ``np.add.accumulate`` (strictly
-sequential, unlike pairwise ``np.sum``).  Reads of elements (and
+Bit-for-bit clock identity is guaranteed by construction: per-instance
+compute charges are precomputed ``dt`` values replayed through
+``np.add.accumulate`` (strictly sequential, unlike pairwise
+``np.sum``), so a slab charges exactly the floating-point sum the
+per-iteration path would have produced.  Reads of elements (and
 subscript scalars) the executing rank does not hold are fetched inside
 the takeover: :class:`~repro.machine.fetchreplay._FetchLog` records
 each one at its first read in per-iteration order and replays messages
-and compute in that order at commit.
+and compute in that order at commit, so ``TrafficStats`` and the
+clocks see tier 2's exact sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable
 
@@ -109,19 +118,25 @@ def slab_trip_count(low, high, step):
 
 @dataclass
 class SlabReport:
-    """Per-loop slab plans and their prices: ``verdicts`` maps every
-    loop statement id to its :class:`NestPlan` — one takeover, priced
-    against tier 2 (``plan.cost``, ``plan.choice``) — or to the first
-    reason it is not.  Derived from the compiled program on first read
-    and again when ``ir_epoch`` is stale, like the lowering; every
-    simulation of the program shares the plans."""
+    """Per-loop slab plans and their prices.
+
+    ``verdicts`` maps every loop statement id to the loop's
+    :class:`NestPlan` — it is one takeover, priced against tier 2
+    (``plan.cost``, ``plan.choice``) — or to the first reason it is
+    not.  Derived from the compiled program on first read and again
+    when ``ir_epoch`` is stale, like the lowering; the plans hold no
+    machine or run state, so every simulation of the program shares
+    them.
+    """
 
     ir_epoch: int
     verdicts: dict[int, "NestPlan | str"] = field(default_factory=dict)
 
     def eligible_loops(self) -> set[int]:
         """Statement ids of every loop with a plan."""
-        return {s for s, v in self.verdicts.items() if isinstance(v, NestPlan)}
+        return {
+            sid for sid, v in self.verdicts.items() if isinstance(v, NestPlan)
+        }
 
 
 def _placement_map(events) -> dict[int, list[int]]:
@@ -157,8 +172,12 @@ def _replicated_exec(info) -> bool:
     """True when the statement executes on every rank, invariantly:
     replicated ("all") or privatized/no-guard ("union") executors whose
     position constrains no grid dimension."""
-    return info is not None and info.kind in ("all", "union") and all(
-        dim.kind != "pos" or dim.form is None for dim in info.position
+    return (
+        info is not None
+        and info.kind in ("all", "union")
+        and all(
+            dim.kind != "pos" or dim.form is None for dim in info.position
+        )
     )
 
 
@@ -188,18 +207,24 @@ def _column_discipline(stmts, v: str, stores_only: bool, forms) -> str | None:
 def _classify(compiled, loop: LoopStmt, placements,
               reductions: ReductionIndex, verdicts) -> "NestPlan | str":
     """The plan of ``loop`` as one data-parallel operation, or the first
-    reason it is not one.  Without an inner loop every iteration is a
-    lane, its executors invariant in the loop variable (or, on a 1-D
-    grid, the owner of its own column), and no array value may flow
-    between iterations.  With one inner loop the outer iterations are
-    columns, each run by the owner of its position (replicated
-    statements ride along when they touch no array), and the inner
-    iterations are either flattened into the lanes — bounds affine in
-    the outer variable, every store in the inner loop naming its own
-    column, scalar reductions folded there, reads free to leave the
-    column while no value flows between columns — or, when the inner
-    loop carries a value, the serial axis: one trip count for every
-    column and every reference inside its own column."""
+    reason it is not one.
+
+    Without an inner loop every iteration is a lane on a *fixed*
+    executor set: the executors may not vary with the loop variable,
+    and no array value may flow between iterations.
+
+    With one inner loop the outer iterations are columns, each run by
+    the owner of the same outer-variable position; replicated
+    statements may ride along when they touch no array.  The inner
+    iterations are flattened into the lanes — their bounds may be
+    affine in the outer variable (triangular nests) — with every store
+    in the inner loop and naming its own column, scalar reduction
+    updates folded there, and reads free to leave the column (fetched
+    at run time) as long as no value flows between outer iterations;
+    or, when the inner loop carries a value, they are the serial axis:
+    the bounds must then be the same for every column and every
+    reference must stay inside its own column, so the columns evolve
+    independently in program order."""
     shape = nest_shape(loop)
     if isinstance(shape, str):
         return shape
@@ -286,8 +311,9 @@ def _classify(compiled, loop: LoopStmt, placements,
         if info is None:
             return f"S{sid}: no executor info"
         if _replicated_exec(info) and not serial:
-            # every rank runs it each iteration: fine without arrays
-            # (which would read per-rank state)
+            # every rank runs it each iteration: fine for scalar-only
+            # statements (their operands are checked at run time);
+            # arrays would read per-rank state
             if _stmt_array_refs(s):
                 return f"S{sid}: replicated statement touches arrays"
             reason = communicates(s)
@@ -307,7 +333,9 @@ def _classify(compiled, loop: LoopStmt, placements,
         elif pos != canon_pos:
             return "executor position differs across statements"
         if not serial:
-            # (a serial nest on one rank: declined by its executors)
+            # (a serial nest whose position is no point — one rank —
+            # is declined by its plan's executors, after every check
+            # here)
             if len(pos) != 1:
                 return f"S{sid}: executor is not a 1-D owner position"
             if isinstance(pos[0], str):
@@ -359,9 +387,10 @@ def classify_procedure(compiled) -> SlabReport:
     def visit(stmts):
         for s in stmts:
             if isinstance(s, LoopStmt):
-                # inner verdicts first (a nest flattens only an inner
-                # loop with a plan); a nest's bail falls back to tier 2,
-                # which re-enters the inner loop's own takeover
+                # inner verdicts first: whether a nest flattens its
+                # inner loop depends on it.  A nest with a plan preempts
+                # its inner loop's; a bail falls back to tier 2, which
+                # re-enters the inner loop's own takeover
                 visit(s.body)
                 report.verdicts[s.stmt_id] = _classify(
                     compiled, s, placements, reductions, report.verdicts
@@ -399,31 +428,34 @@ class _Step:
         #: position among all the nest's statements, and within its phase
         self.index = index
         self.k = k
-        #: an IF's ``masked_fold`` (its accumulator's store stands in)
+        #: an IF's ``masked_fold``: the guarded accumulator's store
+        #: stands for the IF (``_store_role``)
         self.fold = masked_fold(stmt) if isinstance(stmt, IfStmt) else None
         lhs = stmt.lhs if self.fold is None else self.fold[1]
         self.name = lhs.symbol.name
         self.stype = lhs.symbol.type
         #: an "array" or "scalar" store of ``expr`` — or, with ``op``,
-        #: its fold over the lanes into a "reduction" scalar or an
-        #: "afold" element (private to each rank) or an "sfold" element
-        #: (an owner-computes store, serialized); a "guard" evaluates
-        #: its IF's masked fold, charging its "masked" branch where the
-        #: guard holds
+        #: the fold of ``expr`` over the lanes into a "reduction"
+        #: scalar or an "afold" element (both private to each rank) or
+        #: an "sfold" element (a plain owner-computes store,
+        #: serialized); a "guard" evaluates its IF's masked fold, and a
+        #: "masked" assignment of its branch is charged on the lanes
+        #: where the guard holds
         self.kind = "array" if isinstance(lhs, ArrayElemRef) else "scalar"
         self.expr = stmt.rhs if self.fold is None else self.fold[2]
         self.op = None
-        #: run by the owner of its column (else a fixed rank set); the
-        #: index of its executor among the nest's
+        #: executed by the owner of its column (else: by a fixed rank
+        #: set); index of the nest's statements sharing its executor
         self.follows = False
         self.group = 0
 
 
 def _afold_operand(rhs, name: str, canon: tuple, op: str, forms: dict):
     """``A(c) = A(c) OP e`` / ``A(c) = MAX(A(c), e)`` → ``e`` (both
-    orderings; the accumulator's canonical subscript form — ``forms``:
-    the nest shape's — exactly the store's, and ``e`` free of the
-    array); None otherwise."""
+    orderings), where the accumulator reference matches the store's
+    canonical subscript form exactly (``forms``: the nest shape's);
+    None otherwise.  ``e`` must not touch the accumulator array at
+    all."""
 
     def is_acc(e):
         return (
@@ -434,15 +466,19 @@ def _afold_operand(rhs, name: str, canon: tuple, op: str, forms: dict):
     return _fold_operand(rhs, op, name, is_acc)
 
 
-def _span(form, ranges: dict, env) -> tuple | None:
+def _span(form, ranges: dict, lane_vars: tuple, env) -> tuple | None:
     """The interval ``form`` spans over the lane variables' ``ranges``,
-    other symbols at their ``env`` values (None: one has neither)."""
+    other symbols at their ``env`` values; None where a symbol has
+    neither, or is a lane variable without a range (the environment
+    holds a stale value of a loop variable the walker left behind)."""
     lo = hi = form.const
     for sym, c in form.coeffs:
         if sym.value is not None:
             x = y = int(sym.value)
         elif sym.name in ranges:
             x, y = ranges[sym.name]
+        elif sym.name in lane_vars:
+            return None
         elif sym.name in env:
             x = y = int(env[sym.name])
         else:
@@ -453,13 +489,15 @@ def _span(form, ranges: dict, env) -> tuple | None:
 
 def _lane_addresses(ref_forms: dict, canons: dict, lanes_of: Callable,
                     env) -> tuple:
-    """ref_id -> the flat *element* of its array each lane names (the
-    ravel of the bounds-checked per-dimension offsets; an int where no
-    subscript varies with the lanes), and ref_id -> the lane's
+    """ref_id -> the flat *element* of its array each lane names — the
+    ravel of the bounds-checked per-dimension offsets, an int where no
+    subscript varies with the lanes — and ref_id -> the lane's
     *address* in the array's ``(P, *shape)`` buffer, ``lanes.rank *
-    size + element``.  ``lanes_of(ref_id)`` gives the ref's lanes,
-    ``canons[ref_id]`` its forms' ``_canon_form``; a form over the same
-    lanes and bounds is evaluated once, whatever the array."""
+    size + element``.  ``lanes_of(ref_id)`` gives the ref's lanes and
+    ``canons[ref_id]`` its forms' ``_canon_form``;
+    dimensions subscripted by one form over the same lanes and bounds
+    — whatever the array — share one offset vector, references alike
+    in every dimension one element and one address vector."""
     dims: dict[tuple, Any] = {}
     shared: dict[tuple, tuple] = {}
     elems: dict[int, Any] = {}
@@ -479,10 +517,7 @@ def _lane_addresses(ref_forms: dict, canons: dict, lanes_of: Callable,
                 extent = symbol.extent(d)
                 elem = dims[dim] if d == 0 else elem * extent + dims[dim]
                 size *= extent
-            base = shared.get((lanes, size))
-            if base is None:
-                base = shared[lanes, size] = lanes.rank * size
-            shared[key] = (elem, base + elem)
+            shared[key] = (elem, lanes.rank * size + elem)
         elems[ref_id], addrs[ref_id] = shared[key]
     return elems, addrs
 
@@ -496,22 +531,39 @@ class _Domain:
     """The iteration domain of one takeover, as data.
 
     ``jvec`` is the outer index of every *column*.  A column runs the
-    prologue once, the body ``trips`` times — the inner index from
-    ``low`` by ``step`` — and the epilogue once; ``widths`` of those
-    trips lie side by side as lanes and ``serial`` follow one another
-    (flattened: ``widths == trips``, one pass; serial axis: ``widths ==
-    1``, ``serial`` passes; no inner loop: an empty body).  ``count``
-    statement instances belong to each column, numbered from ``base``
-    in per-iteration order.  ``layouts`` holds one executor layout per
-    distinct executor of the nest, ``lanes_of`` every statement's lanes
-    at its level, ``participants`` the ranks running anything, and
-    ``tapes`` each rank's charge tape, once a commit asked.  ``key`` is
-    what the domain is a function of; ``origin`` is None for a build,
-    ``(build, m, d)`` for a slice of it (``NestPlan._shape``)."""
+    prologue once, the body ``trips`` times — the inner index starting
+    at ``low`` and advancing by ``step`` — and the epilogue once.
+    ``widths`` of those trips lie side by side as lanes and ``serial``
+    of them follow one another, ``trips == widths * serial``: a
+    flattened nest has ``widths == trips`` (varying with the column
+    when it is triangular) and one pass over the body, a nest with a
+    serial axis ``widths == 1`` and ``serial`` passes, a loop without
+    an inner loop an empty body.  ``count`` statement instances belong
+    to each column, numbered from ``base`` in per-iteration order.
+
+    Who runs them is data too: ``layouts`` holds one executor layout
+    per distinct executor of the nest, ``lanes_of`` every statement's
+    lanes at its level (the flattened body's, or the columns'),
+    ``participants`` the ranks running anything at all, and ``tapes``
+    — filled at the first commit — each rank's charge tape.  They are
+    laid out from ``runs``, each executor's ranks per column.
+
+    ``key`` is what the domain is a function of (``NestPlan._shape``):
+    the outer loop's bounds and step, the inner bounds and the owner
+    position at the first column."""
 
     __slots__ = ("jvec", "low", "step", "trips", "widths", "serial",
                  "serial_var", "count", "base", "layouts", "lanes_of",
-                 "participants", "tapes", "origin", "key", "_ranges")
+                 "participants", "tapes", "runs", "key")
+
+    def ranges(self, plan: "NestPlan") -> dict:
+        """Loop variable -> (min, max) over the domain: the columns',
+        and the inner index's over every lane and every pass."""
+        ranges = {plan.v: (int(self.jvec.min()), int(self.jvec.max()))}
+        if plan.i is not None:
+            ends = np.append(self.low, self.low + self.step * (self.trips - 1))
+            ranges[plan.i] = (int(ends.min()), int(ends.max()))
+        return ranges
 
     def binding(self, t: int) -> dict:
         """The serial axis' index at body pass ``t``, as an env entry."""
@@ -519,65 +571,13 @@ class _Domain:
             return {}
         return {self.serial_var: int(self.low[0]) + self.step * t}
 
-    def ranges(self, plan: "NestPlan") -> dict:
-        """Lane variable -> (min, max) over the domain."""
-        if self._ranges is None:
-            self._ranges = {plan.v: (int(self.jvec.min()), int(self.jvec.max()))}
-            if plan.i in plan.flat_vars:
-                ends = np.append(self.low, self.low + self.step * (self.trips - 1))
-                self._ranges[plan.i] = (int(ends.min()), int(ends.max()))
-        return self._ranges
-
-    def rank_tapes(self, plan: "NestPlan", nranks: int) -> tuple:
-        """The ranks' tier-2 tapes end to end, in rank order, as
-        ``(bounds, step, inst)``: rank ``r`` runs the instances
-        ``inst[bounds[r]:bounds[r + 1]]``, ascending, each the
-        statement ``step`` (index into the nest's steps)."""
-        if self.tapes is not None:
-            return self.tapes
-        count, trips = self.count, self.trips
-        npre, nbody = len(plan.steps[PRE]), len(plan.steps[BODY])
-
-        def step_of(at, trips):  # of the instance ``at`` of its column
-            body, last = at - npre, nbody * trips
-            return np.where(body < 0, at, np.where(
-                body < last, npre + body % max(nbody, 1), at - last + nbody
-            ))
-
-        bounds = np.zeros(nranks + 1, dtype=np.int64)
-        if len(self.layouts) == 1 and trips[0] == trips[-1]:
-            # one layout, every column alike (trips are affine in the
-            # column): one pattern of statements per lane
-            cols, c = self.layouts[0].columns, int(count[0])
-            np.cumsum(
-                np.bincount(cols.rank, minlength=nranks) * c, out=bounds[1:]
-            )
-            build = self.origin[0] if self.origin else None
-            if build is not None and build.count[0] == c == build.count[-1]:
-                # (a prefix of the same pattern's tiling)
-                steps = build.rank_tapes(plan, nranks)[1][:cols.n * c]
-            else:
-                steps = np.tile(step_of(np.arange(c), trips[0]), cols.n)
-            inst = ((cols.col * c)[:, None] + np.arange(c)).ravel()
-        else:
-            # every instance's column and statement; a rank runs those
-            # whose column the layout of their statement gives it
-            col = np.arange(self.jvec.size).repeat(count)
-            step = step_of(np.arange(col.size) - self.base[col], trips[col])
-            groups = np.asarray([st.group for st in plan.all_steps])
-            runs = np.stack([layout.runs for layout in self.layouts])
-            rank, inst = runs[groups[step], :, col].T.nonzero()
-            np.cumsum(np.bincount(rank, minlength=nranks), out=bounds[1:])
-            steps = step[inst]
-        self.tapes = bounds, steps, inst
-        return self.tapes
-
 
 class _Lanes:
     """The lanes of one executor layout at one level — its columns, or
-    the flattened body — ordered rank-major (then by column, then by
-    inner iteration): each rank's lanes are one slice, in per-iteration
-    order."""
+    the flattened body.  A lane is a (statement instance, executing
+    rank) pair; lanes are ordered rank-major (then by column, then by
+    inner iteration), so each rank's lanes are one slice and run in
+    per-iteration order."""
 
     def __init__(self, runs: np.ndarray, rank, col, lane_vars: dict,
                  spread=None):
@@ -588,7 +588,8 @@ class _Lanes:
         self.col = col
         #: the loop variables' lane vectors
         self.vars = lane_vars
-        #: flattened: each lane's column-level lane and inner trip, and
+        #: in the flattened body: the column-level lane each lane
+        #: belongs to and its inner iteration within the column, then
         #: those ``columns``, their ``widths`` and ``first`` flat lanes
         #: (at column level: the lanes themselves, and nothing)
         self.up, self.tw, self.columns, self.widths, self.first = spread or (
@@ -601,34 +602,38 @@ class _Lanes:
             for r, (start, stop) in enumerate(zip([0] + ends, ends))
             if stop > start
         ]
+        self._home = self._lane_id = None
 
-    @cached_property
+    @property
     def home(self) -> np.ndarray:
         """One lane per statement instance — that of the lowest rank
         running it — as a lane mask."""
-        return self.rank == self.runs.argmax(axis=0)[self.col]
+        if self._home is None:
+            self._home = self.rank == self.runs.argmax(axis=0)[self.col]
+        return self._home
 
-    @cached_property
+    @property
     def lane_id(self) -> np.ndarray:
         """(rank, column) -> column-level lane, -1 where not run."""
-        lane_id = np.full(self.runs.shape, -1, dtype=np.int64)
-        lane_id[self.rank, self.col] = self.up
-        return lane_id
+        if self._lane_id is None:
+            self._lane_id = np.full(self.runs.shape, -1, dtype=np.int64)
+            self._lane_id[self.rank, self.col] = self.up
+        return self._lane_id
 
 
 class _Layout:
     """Which rank runs which column of the statements sharing one
-    executor, ``runs[r, c]`` (the owner's one rank per column, or a
-    fixed executor set's ranks in every column), and its lanes at
-    either level."""
+    executor: ``runs[r, c]`` — the owner-computes layout has one rank
+    per column, a fixed executor set the same ranks for every column —
+    and its lanes at either level."""
 
     def __init__(self, runs: np.ndarray, dom: _Domain, plan: "NestPlan"):
         self.runs = runs
         rank, col = runs.nonzero()
         self.columns = _Lanes(runs, rank, col, {plan.v: dom.jvec[col]})
         self._flat = None
-        # (what the flattened lanes are built from: not the domain,
-        # which holds the layouts, to keep reference cycles out)
+        # what the flattened lanes are built from (not the domain
+        # itself, which holds the layouts: no reference cycle)
         self._spread = (
             dom.widths, plan.v, dom.jvec,
             plan.i if plan.i in plan.flat_vars else None, dom.low, dom.step,
@@ -662,20 +667,25 @@ class _Region:
     __slots__ = ("lanes", "ref_id", "t", "vec", "at")
 
     def __init__(self, lanes: _Lanes, ref_id: int, t: int, vec, at: tuple):
-        self.lanes, self.ref_id, self.t, self.vec, self.at = (
-            lanes, ref_id, t, vec, at
-        )
+        self.lanes = lanes
+        self.ref_id = ref_id
+        self.t = t
+        self.vec = vec
+        self.at = at
 
 
 class _NestCtx(_Ctx):
     """One takeover in flight: the lane values of everything the nest
-    has written so far, the reads that went to memory, the fetch log.
-    One ``_eval`` per statement per pass, whatever the number of ranks;
-    per-rank state is gathered through each lane's executing rank."""
+    has written so far, the reads that went to memory, and the fetch
+    log.  Evaluation is global — one ``_eval`` per statement per pass,
+    whatever the number of ranks; per-rank state is gathered lane-wise
+    through each lane's executing rank."""
 
     def __init__(self, plan: "NestPlan", slab: "SlabExecutor", dom: _Domain,
                  env):
-        self.plan, self.dom, self.base_env = plan, dom, env
+        self.plan = plan
+        self.dom = dom
+        self.base_env = env
         self.sim, self.fast = slab.sim, slab.fast
         self.store = self.sim.store
         self.log = _FetchLog(self.sim, plan.lane_vars)
@@ -683,7 +693,8 @@ class _NestCtx(_Ctx):
         self.lanes_of = dom.lanes_of
         #: the env the subscripts are evaluated in
         self.sub_env = sub_env = self._subscript_env(env)
-        #: per-pass increment of elements moving with the serial axis
+        #: per-pass increment of every element (and address) that moves
+        #: with the serial axis
         self.strides = {
             ref_id: coeff * dom.step for ref_id, coeff in plan.strides.items()
         }
@@ -706,8 +717,9 @@ class _NestCtx(_Ctx):
         self.scalars: dict[str, tuple] = {}
         #: store key -> region
         self.regions: dict[tuple, _Region] = {}
-        #: reads of written arrays that found no region (yet), arrays
-        #: read from one, (pass, step index) of each one's first store
+        #: reads of written arrays that found no region (yet), the
+        #: arrays read from one, and (pass, step index) of the first
+        #: store to each array
         self.misses: list[tuple] = []
         self.region_reads: set[str] = set()
         self.first_store: dict[str, tuple] = {}
@@ -721,10 +733,12 @@ class _NestCtx(_Ctx):
         self.npass = 0
 
     def _subscript_env(self, env) -> dict:
-        """``env`` plus the memory scalars of the subscripts, at the one
-        value every valid copy among the participants holds; one without
-        a copy fetches it where tier 2 does — at its first instance
-        reading it, from the lowest holder — into the log."""
+        """``env`` plus the memory scalars the subscripts reference
+        (INTEGER symbols: the only ones an affine form holds), at the
+        one value every valid copy among the participants holds.  A
+        participant without one fetches it where tier 2 does — at its
+        first instance reading it, from the lowest rank holding it
+        then — into the log (``_FetchLog.fetch_scalar``)."""
         plan, dom = self.plan, self.dom
         scalars = plan.shape.subscript_scalars - set(env)
         if not scalars:
@@ -843,11 +857,12 @@ class _NestCtx(_Ctx):
             )
 
     def _masked(self, st: _Step, value, is_int: bool) -> None:
-        """``IF (e REL acc) THEN acc = e; loc = f ... END IF`` over each
-        rank's lanes in order, seeded with the rank's own accumulator:
-        the lanes running the branch (``masks``) and its variables at a
-        rank's last such lane — a rank whose guard never holds stores
-        nothing."""
+        """The guarded update ``IF (e REL acc) THEN acc = e; loc = f
+        ... END IF`` over each rank's lanes, in iteration order, seeded
+        with the rank's own accumulator: which lanes run the branch
+        (``masks``), and each variable of the branch at the last of a
+        rank's (``_masked_lanes``) — a rank whose guard never holds
+        stores nothing."""
         rel, acc, _e, stmts = st.fold
         lanes = self.lanes
         mask = np.zeros(lanes.n, dtype=np.bool_)
@@ -881,8 +896,9 @@ class _NestCtx(_Ctx):
                 results[r] = vec[lane]
 
     def _fold_addresses(self, index: int) -> np.ndarray:
-        """Where each rank folding into step ``index``'s one element
-        keeps it (its first lane's address), in ``slices`` order."""
+        """Where each rank folding into step ``index``'s one array
+        element keeps it (the address at the rank's first lane), in
+        the order of the lanes' ``slices``."""
         heads = [sl.start for _r, sl in self.lanes_of[index].slices]
         ref_id = self.plan.all_steps[index].stmt.lhs.ref_id
         return self.addr[ref_id][heads]
@@ -897,10 +913,11 @@ class _NestCtx(_Ctx):
         return self._env
 
     def _carry(self, vec: np.ndarray, src: _Lanes, what: str) -> np.ndarray:
-        """``vec`` stored over the lanes ``src``, as the current lanes
-        read it through their own ranks' copies: a column's value over
-        its inner lanes, a body value at the same inner trip (after the
-        body: the column's last)."""
+        """``vec`` over the lanes ``src`` that stored it, as the current
+        statement's other lanes read it: each through its own rank's
+        copy; a column's value repeated over the column's inner lanes,
+        a body value taken at the same inner iteration — or, after the
+        body, at the column's last."""
         dst = self.lanes
         at = dst.up
         if src.runs is not dst.runs:
@@ -985,8 +1002,9 @@ class _NestCtx(_Ctx):
         if fetched:
             data = self._fetch(ref, data, ok)
         if name in self.plan.written_arrays:
-            # a pre-state the same lane overwrites, or a read missing
-            # every store: settled once all the stores are known
+            # the pre-state of an element the nest writes later in the
+            # same lane, or a read that must miss every store: settled
+            # once all the stores are known
             self.misses.append((
                 key, name, ref_id, self.t, fetched,
                 (self.npass, self.cur.index),
@@ -1022,10 +1040,12 @@ class _NestCtx(_Ctx):
             raise _Bail("guarded fold read would fetch")
         if not self.cur.follows and len(dom.participants) != 1:
             # ranks sharing an instance would fetch in an order the log
-            # does not record (so would a fixed executor beside others)
+            # does not record; (a fixed executor fetching beside other
+            # ranks' statements stays on tier 2 as well)
             raise _Bail("fetching takeover with multiple executors")
         if dom.serial > 1:
-            # (the replay numbers the instances of one body pass)
+            # (the replay numbers the instances of one body pass;
+            # fetches under a serial axis stay on tier 2)
             raise _Bail(f"array {name} read would fetch")
         bad = (~ok).nonzero()[0]
         # the fetching lanes' statement instances, in per-iteration order
@@ -1045,13 +1065,16 @@ class _NestCtx(_Ctx):
 
     def _check_stores(self) -> None:
         """Settle the reads that went to memory against the stores, and
-        gather each array's regions for commit.  Where an array has
-        several regions, or reads that match none, no element may be
-        written by two lanes, or read by one and written by another —
-        unless their intervals show it (``_apart``), verified on the
-        concrete element sets.  One lane may write an element twice
-        (``A(l,j)`` and ``A(k,j)``, ``l == k``) if each of its reads of
-        the array precedes its first store: regions commit in order."""
+        gather each array's regions for commit.  The classification was
+        symbolic: where an array has several regions, or reads that
+        match none, verify the concrete element sets — no element is
+        written by two lanes, or read by one lane and written by
+        another — else per-iteration order matters across lanes.  One
+        lane may write an element twice (``A(l,j)`` and ``A(k,j)`` when
+        ``l == k``) if each of its reads of the array precedes its
+        first store: the regions commit in statement order.  Regions
+        and reads whose subscripts span disjoint intervals over the
+        domain (``_apart``) need no concrete check."""
         stray: dict[str, list] = {}
         late: set[str] = set()
         for key, name, ref_id, t, fetched, at in self.misses:
@@ -1065,8 +1088,9 @@ class _NestCtx(_Ctx):
         for region in self.regions.values():
             name = self.plan.ref_forms[region.ref_id][0].name
             groups.setdefault((name, region.lanes), []).append(region)
-        #: (array, lanes) -> elements, addresses and values stored, one
-        #: row per region in the order of their last stores if several
+        #: (array, lanes) -> the regions these lanes stored: elements,
+        #: addresses and values, with one row per region — in the order
+        #: of their last stores — when there are several
         self.stores: dict[tuple, tuple] = {}
         marks: dict[str, list] = {}
         for (name, lanes), regions in groups.items():
@@ -1082,21 +1106,29 @@ class _NestCtx(_Ctx):
                 rows[0] if len(rows) == 1 else tuple(map(np.stack, zip(*rows)))
             )
             marks.setdefault(name, []).append((stored[0], lanes, len(rows)))
+        ranges = self.dom.ranges(self.plan) if marks else None
         for name, stored in marks.items():
-            written = [r.ref_id for (n, _l), rs in groups.items() if n == name for r in rs]
-            reads = [
-                self._at(self.elem, ref_id, t) for ref_id, t in stray.get(name, ())
-                if not all(self._apart(ref_id, w) for w in written)
+            written = [
+                region.ref_id for (n, _l), regions in groups.items()
+                if n == name for region in regions
             ]
-            # (regions are injective over their lanes; apart, together)
+            reads = [
+                self._at(self.elem, ref_id, t)
+                for ref_id, t in stray.get(name, ())
+                if not all(self._apart(ranges, ref_id, w) for w in written)
+            ]
+            # (each region is injective over its lanes: regions apart
+            # are so together)
             several = len(written) > 1 and not all(
-                self._apart(a, b) for a, b in combinations(written, 2)
+                self._apart(ranges, a, b) for a, b in combinations(written, 2)
             )
             elem, lanes, rows = stored[0]
             if several and len(stored) == 1 and (elem[1:] == elem[0]).all():
                 # every lane writes its one element once per region:
                 # the overlap allowed below, without counting it
-                if self.dom.serial > 1 or name in late or name in self.region_reads:
+                if self.dom.serial > 1 or (
+                    name in late or name in self.region_reads
+                ):
                     raise _Bail("write regions overlap")
                 several = False
             if not several and not reads:
@@ -1122,17 +1154,57 @@ class _NestCtx(_Ctx):
                 if mask[elem].any():
                     raise _Bail("read overlaps writes across lanes")
 
-    def _apart(self, a: int, b: int) -> bool:
+    def _apart(self, ranges: dict, a: int, b: int) -> bool:
         """Whether references ``a`` and ``b`` of one array are disjoint
-        by the intervals one dimension's subscripts span (``_span``)."""
-        ranges = self.dom.ranges(self.plan)
-        for fa, fb in zip(self.plan.ref_forms[a][1], self.plan.ref_forms[b][1]):
-            sa, sb = _span(fa, ranges, self.sub_env), _span(fb, ranges, self.sub_env)
+        by the intervals one dimension's subscripts span over the loop
+        variables' ``ranges`` (``_span``)."""
+        plan = self.plan
+        for fa, fb in zip(plan.ref_forms[a][1], plan.ref_forms[b][1]):
+            sa = _span(fa, ranges, plan.lane_vars, self.sub_env)
+            sb = _span(fb, ranges, plan.lane_vars, self.sub_env)
             if sa and sb and (sa[1] < sb[0] or sb[1] < sa[0]):
                 return True
         return False
 
     # -- commit --------------------------------------------------------
+
+    def _rank_tapes(self) -> tuple:
+        """The ranks' tier-2 tapes end to end, in rank order, as
+        ``(bounds, step, inst)``: rank ``r`` runs the instances
+        ``inst[bounds[r]:bounds[r + 1]]``, ascending, each the
+        statement ``step`` (index into the nest's steps)."""
+        plan, dom = self.plan, self.dom
+        count, trips = dom.count, dom.trips
+        npre, nbody = len(plan.steps[PRE]), len(plan.steps[BODY])
+        nranks = self.sim.grid.size
+
+        def step_of(at, trips):  # of the instance ``at`` of its column
+            body, last = at - npre, nbody * trips
+            return np.where(body < 0, at, np.where(
+                body < last, npre + body % max(nbody, 1), at - last + nbody
+            ))
+
+        bounds = np.zeros(nranks + 1, dtype=np.int64)
+        if len(dom.layouts) == 1 and trips[0] == trips[-1]:
+            # one layout, every column alike (the trips are monotone in
+            # the column): a lane runs one pattern of statements, and
+            # the lanes are rank-major
+            cols, c = dom.layouts[0].columns, int(count[0])
+            lengths = np.bincount(cols.rank, minlength=nranks) * c
+            steps = np.tile(step_of(np.arange(c), trips[0]), cols.n)
+            inst = ((cols.col * c)[:, None] + np.arange(c)).ravel()
+        else:
+            # every instance's column and statement; a rank runs those
+            # whose column the layout of their statement gives it
+            col = np.arange(dom.jvec.size).repeat(count)
+            step = step_of(np.arange(col.size) - dom.base[col], trips[col])
+            groups = np.asarray([st.group for st in plan.all_steps])
+            runs = np.stack([layout.runs for layout in dom.layouts])
+            rank, inst = runs[groups[step], :, col].T.nonzero()
+            lengths = np.bincount(rank, minlength=nranks)
+            steps = step[inst]
+        np.cumsum(lengths, out=bounds[1:])
+        return bounds, steps, inst
 
     def commit(self) -> tuple[int, int]:
         """Make the takeover visible: clocks, stores and invalidations,
@@ -1142,9 +1214,9 @@ class _NestCtx(_Ctx):
         clocks = sim.clocks
         dt = self.fast._dt
         dts = clocks.tape([dt[st.sid] for st in plan.all_steps])
-        tapes, skipped = self._masked_tapes(
-            dom.rank_tapes(plan, sim.grid.size)
-        )
+        if dom.tapes is None:
+            dom.tapes = self._rank_tapes()
+        tapes, skipped = self._masked_tapes(dom.tapes)
         replayed = (0, 0)
         if self.fetch_plan is not None:
             replayed = self.log.commit(self.fetch_plan, dts, tapes)
@@ -1161,17 +1233,22 @@ class _NestCtx(_Ctx):
             for a, v in zip(addr, vals) if addr.ndim > 1 else ((addr, vals),):
                 data[a] = v  # (region by region: the last store wins)
             if not lanes.runs.all():
-                # nobody holds the written elements (a large store's
-                # through a mask of them), then the writers do
+                # every write instance invalidates each rank not
+                # running it: nobody holds the elements, then the
+                # writers do (a store of many elements through a mask
+                # of them)
                 copies = valid.reshape(nranks, size)
                 if elem.size * nranks < size:
                     copies[:, elem] = False
                 else:
-                    np.logical_and(copies, np.bincount(elem.ravel(), minlength=size) == 0, out=copies)
+                    kept = np.ones(size, dtype=np.bool_)
+                    kept[elem] = False
+                    copies &= kept
             valid[addr] = True
         for name, (lanes, _npass, vec) in self.scalars.items():
-            # every rank keeps its own last instance's value (even once
-            # a later column invalidates it); the last column's are valid
+            # every rank keeps the value of its own last instance (it
+            # persists even once a later column invalidates it); the
+            # copies of the ranks running the last column end valid
             values = store.scalars[name]
             for r, sl in lanes.slices:
                 values[r] = vec[sl.stop - 1].item()
@@ -1187,9 +1264,10 @@ class _NestCtx(_Ctx):
             addr = self._fold_addresses(index)
             data[addr] = [results[r].item() for r, _sl in lanes.slices]
             valid[addr] = True
-            # an afold accumulates privately, like scalar reductions; an
-            # sfold is an owner-computes store, serialized: it
-            # invalidates the other ranks' copies
+            # an afold accumulates privately: the other ranks keep
+            # their copies, exactly like scalar reductions.  An sfold
+            # is a plain owner-computes store, just serialized: it
+            # invalidates them once per iteration
             if st.kind == "sfold":
                 lost = ~lanes.runs.all(axis=1)
                 elem = self.elem[st.stmt.lhs.ref_id]
@@ -1205,8 +1283,9 @@ class _NestCtx(_Ctx):
 
     def _masked_tapes(self, tapes: tuple) -> tuple:
         """The ranks' tapes without the branch instances of lanes whose
-        guard failed (a branch runs on its guard's layout: its entries
-        come in the guard's lane order), and how many that leaves out."""
+        guard failed, and how many statement instances that leaves out.
+        A branch runs on its guard's layout, so its entries come in the
+        order of the guard's lanes."""
         if not self.masks:
             return tapes, 0
         bounds, steps, inst = tapes
@@ -1227,17 +1306,22 @@ class _NestCtx(_Ctx):
 class NestPlan:
     """Vectorized execution of one loop nest as one takeover.
 
-    Built by the classification (:func:`_classify`) from the loop's
-    nest shape, which it holds, and the compiled program alone — store
-    roles, reference keys, executor groups, the column's owner table —
-    so every simulation of the program shares it.  *prepare* takes the
-    entry's iteration domain (:class:`_Domain`, through the run's build
-    of it), evaluates every statement over its lanes (:class:`_NestCtx`)
-    and returns the commit.  Exact because no value flows between
-    lanes: every store is injective over its lanes, a lane reads what
-    its own instance stored or what the nest never writes, and whatever
-    depends on live state bails to tier 2 before any mutation; a lane
-    fetches what its rank does not hold, like tier 2 (:class:`_FetchLog`)."""
+    Built by the classification (:func:`_classify`) for every loop that
+    is one takeover, from the loop's nest shape
+    (:func:`~repro.codegen.veceval.nest_shape`, which it holds) and the
+    compiled program alone: the nest's store roles, its references'
+    keys, its executor groups and the owner table of the column.  It
+    holds no machine and no run, so every simulation of the program
+    shares it.  *prepare* then builds the entry's iteration domain
+    (:class:`_Domain`), evaluates every statement over its lanes
+    (:class:`_NestCtx`) and returns the commit.  Exact because no value
+    flows between lanes:
+    every store is injective over its lanes, a lane reads what its own
+    instance stored or what the nest never writes, and whatever depends
+    on live state — validity, bounds, widths, overlap of the concrete
+    index sets — bails to tier 2 before any mutation.  A lane reads
+    through its executing rank and fetches what that rank does not
+    hold, like tier 2 (:class:`_FetchLog`)."""
 
     def __init__(self, shape: NestShape, inner: LoopStmt | None,
                  serial: bool, bound_forms: list):
@@ -1246,14 +1330,17 @@ class NestPlan:
         self.inner = inner
         self.v = v = loop.var.name
         self.i = i = inner.var.name if inner is not None else None
-        #: the serial axis' variable, if any; the body's lane axes
+        #: the variable of the serial axis, if there is one, and the
+        #: lane axes of the body
         self.serial_var = i if serial else None
         self.flat_vars = (v,) if inner is None or serial else (v, i)
         #: every loop variable the takeover binds
         self.lane_vars = (v,) if inner is None else (v, i)
-        #: ref_id -> (symbol, forms); its step; a canonical key of what
-        #: it names (None when it moves with the serial axis: see
-        #: ``moving_keys``); the flat element's coefficient on that axis
+        #: ref_id -> (symbol, forms); index of its step; what it names
+        #: — a canonical key comparable across the nest's statements,
+        #: None for a reference that moves with the serial axis (its
+        #: key changes with the pass: ``moving_keys``); the flat
+        #: element's coefficient on that axis
         self.ref_forms: dict[int, tuple] = {}
         self.ref_canon: dict[int, tuple] = {}
         self.ref_home: dict[int, int] = {}
@@ -1262,8 +1349,8 @@ class NestPlan:
         self._moving: list[tuple] = []
         #: guard step index -> the step indices of its branch
         self.branches: dict[int, list] = {}
-        #: memory scalar -> (executor group, phase) -> (step index, ref)
-        #: of its first read in a subscript
+        #: memory scalar -> (executor group, phase) -> (step index, its
+        #: reference) of the statement reading it first in a subscript
         self.subscript_reads: dict[str, dict] = {}
         #: scalar name -> phases storing it; reduction accumulators
         self.scalar_phases: dict[str, set] = {}
@@ -1273,14 +1360,16 @@ class NestPlan:
         self.fold_arrays: set[str] = set()
         self.steps: tuple[list, list, list] = ([], [], [])
         self.all_steps: list[_Step] = []
-        #: the inner loop's bounds (an absent one is 1), with the affine
-        #: form of each that varies with the column
+        #: the inner loop's bounds — an absent one is 1: a missing
+        #: step, and the single trip of a nest without an inner loop —
+        #: with the affine form of each that varies with the column
         self.bounds = (
             (inner.low, inner.high, inner.step) if inner is not None
             else (None, None, None)
         )
         self.bound_forms = bound_forms
-        #: predicted tier-2 and tier-3 times (None: not priced)
+        #: the nest's predicted tier-2 and tier-3 times, set by the
+        #: classification; None when the estimator could not price it
         self.cost: NestCost | None = None
 
     @property
@@ -1324,8 +1413,9 @@ class NestPlan:
             for ref in st.expr.refs():
                 if isinstance(ref, ScalarRef) and ref.symbol.name in self.acc_names:
                     return "accumulator read outside the fold"
-        # a stored scalar is read from its own pass's earlier store or,
-        # in a phase not storing it, an earlier phase's
+        # a scalar the nest stores is read from its own pass's earlier
+        # store, or — in a phase not storing it — from an earlier
+        # phase's; else its value would flow in from another iteration
         stored: dict[str, int] = {}  # name -> phase of its latest store
         for phase, steps in enumerate(self.steps):
             for st in steps:
@@ -1342,8 +1432,9 @@ class NestPlan:
         reason = self._executors(compiled, reductions)
         if reason is not None:
             return reason
-        # the first subscript-scalar read of each executor group and
-        # phase (lhs subscripts are evaluated first)
+        # the statement of each executor group and phase that reads a
+        # subscript scalar first, and its reference (lhs subscripts are
+        # evaluated first)
         for phase, steps in enumerate(self.steps):
             for st in steps:
                 lhs = getattr(st.stmt, "lhs", None)
@@ -1357,7 +1448,8 @@ class NestPlan:
                     reads.setdefault((st.group, phase), (st.index, ref))
         if self.inner is None:
             return None
-        # what the one plan could run but does not take
+        # what the one plan could run but this round does not take
+        # (see CHANGES.md): each keeps its tier-2 verdict
         if self.inner.stmt_id in reductions.by_loop:
             return "inner loop combines a reduction"
         if self.shape.subscript_scalars:
@@ -1420,9 +1512,11 @@ class NestPlan:
                 return "unrecognized array fold update"
             st.kind, st.op = "afold", reduction.op
         elif not injective:
-            # every lane of an axis stores one element: only a serial
-            # fold (``A(c) = A(c) OP e``, left an owner-computes
-            # assign by the reduction pass) can be replayed
+            # every lane of an axis stores the same element: only a
+            # serial fold (``A(c) = A(c) OP e``, the reduction-into-
+            # column shape the reduction pass left as a plain
+            # owner-computes assign) has per-iteration semantics a
+            # slab can replay
             if self.i is not None or any(_mentions(f, v) for f in forms):
                 return "store not injective in the loop variables"
             for op in ("+", "*", "MAX", "MIN"):
@@ -1566,7 +1660,8 @@ class NestPlan:
                 or st.sid in everywhere and _stmt_array_refs(st.stmt)
             ):
                 # beside column-owned statements only plain scalar
-                # stores (no folds, nothing run everywhere on arrays)
+                # stores: the classification held the replicated ones
+                # off arrays, this holds folds and what runs everywhere
                 return "replicated statement touches an array"
             if st.sid in everywhere:
                 continue
@@ -1580,58 +1675,59 @@ class NestPlan:
 
     def _shape(self, slab: "SlabExecutor", low: int, high: int, step: int,
                bounds: tuple, pos, ranks: tuple) -> _Domain | None:
-        """The iteration domain (None: empty) of an entry running
-        ``low, high, step``, its inner bounds and owner position
-        ``bounds`` and ``pos`` at the first column, its fixed executors
-        ``ranks``.  The run's build for these executors serves every
-        entry it covers, as itself or sliced; any other is built anew,
-        and its build replaces the old one."""
+        """The iteration domain — None when it is empty — of an entry
+        whose loop runs ``low, high, step``, whose inner bounds and
+        owner position are ``bounds`` and ``pos`` at the first column,
+        and whose fixed executors are ``ranks``.  The run's build for
+        these executors serves an entry with its key as itself, and one
+        whose columns it covers (``_inside``) as a slice of it; any
+        other entry is built anew, and its build replaces the old one.
+        Only the latest entry's domain keeps its lanes and tapes."""
         nj = slab_trip_count(low, high, step)
         if nj == 0:
             return None
         key = (low, high, step, bounds, pos)
         build = slab.builds.get((self, ranks))
         if build is not None and build.key == key:
-            return build
-        dom = _Domain()
-        dom.key, dom.tapes, dom._ranges = key, None, None
-        dom.origin = build and self._inside(build, key, nj)
-        if dom.origin:
-            runs = self._slice(dom, nj)
+            dom = build
         else:
-            runs = self._build_shape(dom, nj, ranks, slab.sim.grid.size)
-            slab.builds[self, ranks] = dom
-            if slab.sim.metrics is not None:
-                slab.sim.metrics.inc(f"slab.shape_build[loop=S{self.loop.stmt_id}]")
-        dom.base = dom.count.cumsum() - dom.count
-        layouts: dict = {}  # equal executors share one
-        dom.layouts = [
-            layouts.get(id(r)) or layouts.setdefault(id(r), _Layout(r, dom, self))
-            for r in runs
-        ]
-        dom.lanes_of = [
-            dom.layouts[st.group].at(phase == BODY)
-            for phase, steps in enumerate(self.steps)
-            for st in steps
-        ]
-        dom.participants = sorted({
-            r for layout in dom.layouts for r, _sl in layout.columns.slices
-        })
+            inside = build and self._inside(build, key, nj)
+            if inside:
+                dom = self._slice(build, key, nj, *inside)
+            else:
+                dom = self._build_shape(key, nj, ranks, slab.sim.grid.size)
+                slab.builds[self, ranks] = dom
+                if slab.sim.metrics is not None:
+                    slab.sim.metrics.inc(
+                        f"slab.shape_build[loop=S{self.loop.stmt_id}]"
+                    )
+        if slab.shape is not dom:
+            if slab.shape is not None:
+                # (a build outlives its entry by its columns and runs)
+                slab.shape.layouts = slab.shape.lanes_of = None
+                slab.shape.tapes = None
+            slab.shape = dom
+        if dom.layouts is None:
+            self._lay_out(dom)
         return dom
 
-    def _build_shape(self, dom: _Domain, nj: int, ranks: tuple,
-                     nranks: int) -> list:
-        """Build ``dom``'s columns; returns each executor's runs."""
-        low, _high, step, (li, hi, si), pos = dom.key
+    def _build_shape(self, key: tuple, nj: int, ranks: tuple,
+                     nranks: int) -> _Domain:
+        """The columns and executor runs of the domain of ``key`` on
+        ``nranks`` ranks, with fixed executors ``ranks``: a function of
+        these alone."""
+        low, _high, step, (li, hi, si), pos = key
+        dom = _Domain()
+        dom.key = key
         ahead = step * np.arange(nj, dtype=np.int64)  # of the first column
 
         def per_column(first, form):
             slope = 0 if form is None else form.coeff(self.loop.var)
             return first + slope * ahead
 
+        dom.jvec = low + ahead
         if si == 0:
             raise _Bail("zero inner step")
-        dom.jvec = low + ahead
         dom.step = si
         dom.low = per_column(li, self.bound_forms[0])
         dom.trips = slab_trip_count(
@@ -1650,11 +1746,13 @@ class NestPlan:
         # prologue, body trip by trip, epilogue
         npre, nbody, npost = (len(steps) for steps in self.steps)
         dom.count = npre + dom.trips * nbody + npost
-        layouts: dict = {}  # by rank set
+        dom.base = dom.count.cumsum() - dom.count
+        dom.layouts = dom.tapes = None
+        runs_of: dict = {}  # by rank set: equal executors share one
         for st, fixed in zip(self.executors, ranks):
-            if fixed in layouts:
+            if fixed in runs_of:
                 continue
-            runs = layouts[fixed] = np.zeros((nranks, nj), dtype=np.bool_)
+            runs = runs_of[fixed] = np.zeros((nranks, nj), dtype=np.bool_)
             if st.follows:
                 at = per_column(pos, self.pos_form)
                 if int(at.min()) < 0 or int(at.max()) >= self.pos_fmt.extent:
@@ -1665,14 +1763,16 @@ class NestPlan:
                 runs[list(fixed)] = True
             else:
                 raise _Bail("empty executor set")
-        return [layouts[fixed] for fixed in ranks]
+        dom.runs = [runs_of[fixed] for fixed in ranks]
+        return dom
 
     def _inside(self, build: _Domain, key: tuple, nj: int) -> tuple | None:
-        """``(build, m, d)`` when the entry of ``key`` runs ``build``'s
-        columns from ``m`` on, their inner trips from ``d`` on, with the
-        same steps, owners and inner ends; else None (serial axes)."""
-        low, high, step, (li, hi, si), pos = key
-        low0, high0, step0, (li0, hi0, si0), pos0 = build.key
+        """``(m, d)`` when the entry of ``key`` runs ``build``'s columns
+        from column ``m`` on, each from its inner trip ``d`` on, with the
+        same steps, owners and inner ends; else None — always for a
+        serial axis, whose passes are not lanes."""
+        low, _high, step, (li, hi, si), pos = key
+        low0, _high0, step0, (li0, hi0, si0), pos0 = build.key
         m, off = divmod(low - low0, step)
         if self.serial_var is not None or off or m < 0 or (
             step != step0 or si != si0 or m + nj > build.jvec.size
@@ -1684,34 +1784,61 @@ class NestPlan:
 
         d, off = divmod(li - li0 - moved(self.bound_forms[0]), si)
         if off or d < 0 or hi != hi0 + moved(self.bound_forms[1]) or (
-            pos != (pos0 if pos0 is None else pos0 + moved(self.pos_form))
+            pos0 is not None and pos != pos0 + moved(self.pos_form)
         ):
             return None
-        return build, m, d
+        return m, d
 
-    def _slice(self, dom: _Domain, nj: int) -> list:
-        """``dom``'s columns, views of its build's; each executor's runs."""
-        build, m, d = dom.origin
+    def _slice(self, build: _Domain, key: tuple, nj: int, m: int,
+               d: int) -> _Domain:
+        """The domain of ``key``: ``build``'s columns ``m`` to ``m + nj``
+        without their first ``d`` inner trips (views where nothing
+        moves)."""
+        dom = _Domain()
+        dom.key = key
         cut = slice(m, m + nj)
-        dom.jvec, dom.low, dom.trips, dom.count = (
-            build.jvec[cut], build.low[cut], build.trips[cut], build.count[cut]
-        )
+        dom.jvec, dom.low = build.jvec[cut], build.low[cut]
+        dom.trips, dom.count = build.trips[cut], build.count[cut]
         if d:
             if int(dom.trips.min()) <= d:
                 raise _Bail("empty inner slab")
-            dom.low = dom.low + d * dom.key[3][2]
+            dom.low = dom.low + d * build.step
             dom.trips = dom.trips - d
             dom.count = dom.count - d * len(self.steps[BODY])
-        dom.step, dom.serial_var, dom.widths, dom.serial = build.step, None, dom.trips, 1
-        views = {id(was): was.runs[:, cut] for was in build.layouts}
-        return [views[id(was)] for was in build.layouts]
+        dom.step, dom.serial_var, dom.serial = build.step, None, 1
+        dom.widths = dom.trips
+        dom.base = dom.count.cumsum() - dom.count
+        dom.layouts = dom.tapes = None
+        views = {id(runs): runs[:, cut] for runs in build.runs}
+        dom.runs = [views[id(runs)] for runs in build.runs]
+        return dom
+
+    def _lay_out(self, dom: _Domain) -> None:
+        """``dom``'s layouts, every statement's lanes and the ranks
+        running anything, from its runs."""
+        layouts: dict = {}  # equal executors share one
+        for runs in dom.runs:
+            if id(runs) not in layouts:
+                layouts[id(runs)] = _Layout(runs, dom, self)
+        dom.layouts = [layouts[id(runs)] for runs in dom.runs]
+        dom.lanes_of = [
+            dom.layouts[st.group].at(phase == BODY)
+            for phase, steps in enumerate(self.steps)
+            for st in steps
+        ]
+        dom.participants = sorted({
+            r for layout in dom.layouts for r, _sl in layout.columns.slices
+        })
 
     def prepare(self, slab: "SlabExecutor", low: int, high: int, step: int,
                 env) -> Callable:
-        # what the entry's shape is a function of: a bound invariant
-        # over the columns evaluated once, uncharged, like the walker's
-        # eval_bound; one affine in the column, and the owners'
-        # position, at the first column
+        # ``slab`` is the run's executor.  What the entry's shape is a
+        # function of — a handful of integers that move with an
+        # enclosing loop, if at all, so the executor keeps a build per
+        # nest to slice from (``_shape``).  A bound invariant over the
+        # columns is evaluated once, uncharged, exactly like the
+        # per-iteration walker's eval_bound; one affine in the column,
+        # and the owners' position, at the first column
         first = {self.v: low}
         try:
             bounds = tuple([
@@ -1722,8 +1849,8 @@ class NestPlan:
             ])
         except _BOUND_ERRORS:
             raise _Bail("inner bounds not evaluable") from None
-        key = (
-            bounds,
+        dom = self._shape(
+            slab, low, high, step, bounds,
             None if self.pos_form is None
             else _affine_vec(self.pos_form, first, env),
             tuple([
@@ -1732,7 +1859,6 @@ class NestPlan:
                 for st in self.executors
             ]),
         )
-        dom = self._shape(slab, low, high, step, *key)
         if dom is None:
             return lambda: (0, 0)
         ctx = _NestCtx(self, slab, dom, env)
@@ -1749,25 +1875,29 @@ class NestPlan:
 class SlabExecutor:
     """Tier-3 entry point of one run: attempts a takeover of every loop
     the compiled program has a plan for, falls back on any bail, and
-    keeps what belongs to the run — the nests' shape builds and the
-    bail counts that demote a nest."""
+    keeps what belongs to the run — the nests' shape builds and the bail
+    counts that demote a nest."""
 
     def __init__(self, fast):
         self.fast = fast
         self.sim = fast.sim
         self.report = report = self.sim.compiled.slabs
-        #: whether the nests' prices pick the engine (``tier="auto"``);
-        #: whether the program has a plan at all (else one flag check
-        #: per loop entry)
+        #: whether the nests' prices pick the engine (``tier="auto"``)
+        #: or every plan is taken (``tier="slab"``)
         self.priced = self.sim.tier == "auto"
+        #: a program without a plan pays nothing per loop entry: one
+        #: flag check instead of a verdict lookup
         self.enabled = bool(report.eligible_loops())
-        #: per-loop consecutive prepare bails (GIVE_UP_AFTER demotes a
-        #: nest that never committed) and the loops that committed
+        #: per-loop consecutive prepare bails; a nest that reaches
+        #: GIVE_UP_AFTER without ever committing is demoted to tier 2
+        #: for the rest of the run (prepare overhead was pure loss)
         self._bail_counts: dict[int, int] = {}
         self._committed: set[int] = set()
         #: (plan, fixed executors) -> the run's build of the nest's
-        #: shape (``NestPlan._shape``); released when the run ends
+        #: shape, released when the run ends; the latest entry's
+        #: domain, the one holding lanes and tapes (``NestPlan._shape``)
         self.builds: dict[tuple, _Domain] = {}
+        self.shape: _Domain | None = None
 
     def _record_bail(self, stmt: LoopStmt, reason: str) -> None:
         sim = self.sim
@@ -1809,7 +1939,8 @@ class SlabExecutor:
             self._record_bail(stmt, str(bail))
             self._decide(sid, "lowered")
             if sid not in self._committed:
-                # (never succeeded: counts towards GIVE_UP_AFTER)
+                # never succeeded: the GIVE_UP_AFTER-th bail stops
+                # paying prepare per entry
                 self._bail_counts[sid] = self._bail_counts.get(sid, 0) + 1
             return False
         except (ArithmeticError, ValueError, OverflowError):

@@ -28,8 +28,8 @@ def sequential_sum(start, dts: np.ndarray):
     if dts.shape[0] == 1:  # a one-term fold is one addition
         return float(start + dts[0]) if dts.ndim == 1 else start + dts[0]
     if dts.ndim == 1 and dts.size <= 32:
-        # (Python floats add exactly like float64: short tapes fold
-        # faster without numpy's per-call overhead)
+        # Python floats add exactly like float64; a short tape folds
+        # faster without numpy's per-call overhead
         total = float(start)
         for dt in dts.tolist():
             total += dt

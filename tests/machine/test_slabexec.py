@@ -952,19 +952,18 @@ class TestShapeBuilds:
         sliced = []
         shape = slabexec.NestPlan._shape
 
+        def tapes(plan, dom, sim):
+            ctx = types.SimpleNamespace(plan=plan, dom=dom, sim=sim)
+            return slabexec._NestCtx._rank_tapes(ctx)
+
         def checked(self, slab, *entry):
             dom = shape(self, slab, *entry)
-            if dom is not None and dom.origin is not None:
-                # (an executor holding no build builds the entry afresh)
-                alone = types.SimpleNamespace(builds={}, sim=slab.sim)
-                sliced.append((self, dom, shape(self, alone, *entry)))
-            return dom
-
-        monkeypatch.setattr(slabexec.NestPlan, "_shape", checked)
-        simulate(compiled, seeded_inputs(compiled.proc, 0), tier="slab")
-        assert sliced
-        nranks = procs
-        for plan, dom, built in sliced:
+            if dom is None or dom is slab.builds[self, entry[-1]]:
+                return dom
+            # a slice: compared while it holds its lanes, against the
+            # entry built afresh by an executor holding no build
+            alone = types.SimpleNamespace(builds={}, shape=None, sim=slab.sim)
+            built = shape(self, alone, *entry)
             for name in ("jvec", "low", "trips", "widths", "count", "base"):
                 assert np.array_equal(getattr(dom, name), getattr(built, name))
             assert (dom.step, dom.serial, dom.participants) == (
@@ -981,6 +980,12 @@ class TestShapeBuilds:
                     assert np.array_equal(mine.vars[var], theirs.vars[var])
                 assert mine.slices == theirs.slices
             for a, b in zip(
-                dom.rank_tapes(plan, nranks), built.rank_tapes(plan, nranks)
+                tapes(self, dom, slab.sim), tapes(self, built, slab.sim)
             ):
                 assert np.array_equal(a, b)
+            sliced.append(dom)
+            return dom
+
+        monkeypatch.setattr(slabexec.NestPlan, "_shape", checked)
+        simulate(compiled, seeded_inputs(compiled.proc, 0), tier="slab")
+        assert sliced

@@ -427,3 +427,40 @@ def test_pivot_nests_are_bit_for_bit_invisible(case, procs):
         assert ran.gather("AMD").tobytes() == lowered.gather("AMD").tobytes()
         if tier == "slab":
             assert ran.slab_instances > 0
+
+
+@given(
+    st.sampled_from(TRI_DISTS), st.integers(min_value=6, max_value=10),
+    st.booleans(), st.sampled_from(["k", "k + 1", "n - k"]),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=30, deadline=None)
+def test_serial_nests_reading_a_moving_row_are_invisible(
+    dist, n, earlier, row, procs
+):
+    """A serial-axis nest reading one row ``A(row,j)`` that one of its
+    passes writes, entered once per ``k``: the read must see the value
+    of its pass, not the entry's.  An earlier ``DO i`` loop — or the
+    nest's own fallback at the previous ``k`` — leaves ``i`` in the
+    environment at a value outside the nest's passes; the overlap
+    check may not take it for the serial index."""
+    earlier_loop = (
+        "    DO i = 1, n\n      B(i,k) = B(i,k) * 0.5\n    END DO\n"
+        if earlier else ""
+    )
+    source = (
+        f"PROGRAM R\n  PARAMETER (n = {n})\n  REAL A(n,n), B(n,n), C(n,n)\n"
+        "!HPF$ ALIGN (i,j) WITH A(i,j) :: B, C\n"
+        + dist
+        + "  DO k = 2, 3\n"
+        + earlier_loop
+        + "    DO j = 1, n\n      DO i = 2, n\n"
+        f"        A(i,j) = A(i-1,j) * 0.5 + A({row},j)\n"
+        "      END DO\n    END DO\n  END DO\nEND PROGRAM\n"
+    )
+    rng = np.random.default_rng(n * 31 + procs)
+    inputs = {name: rng.uniform(1, 2, (n, n)) for name in "ABC"}
+    compiled = compile_source(source, CompilerOptions(num_procs=procs))
+    lowered = simulate(compiled, inputs, tier="lowered")
+    ran = simulate(compiled, inputs, tier="slab")
+    assert_invisible(ran, lowered)
