@@ -232,12 +232,11 @@ class _FetchLog:
         # rank r's tape is steps[done[r]:ends[r]], empty when it
         # computes nothing here
         bounds, steps, at = tapes
-        charges = dts[steps]
         done, ends = bounds[:-1].tolist(), bounds[1:].tolist()
         computing = [r for r in range(len(time)) if ends[r] > done[r]]
         for r in computing:
             clocks.compute_time[r] = sequential_sum(
-                clocks.compute_time[r], charges[done[r]:ends[r]]
+                clocks.compute_time[r], dts[steps[done[r]:ends[r]]]
             )
         # how much of the reader's and of the source's tape precedes
         # each fetch: the tapes end to end are ascending in (rank,
@@ -283,7 +282,7 @@ class _FetchLog:
             for r, upto in ((d, cut_d), (s, cut_s)):
                 if upto > done[r]:
                     time[r] = sequential_sum(
-                        time[r], charges[done[r]:upto]
+                        time[r], dts[steps[done[r]:upto]]
                     )
                     done[r] = upto
             clocks.charge_message_run(
@@ -291,7 +290,7 @@ class _FetchLog:
             )
             done[d] = end_d
         for r in computing:
-            time[r] = sequential_sum(time[r], charges[done[r]:ends[r]])
+            time[r] = sequential_sum(time[r], dts[steps[done[r]:ends[r]]])
         sim._fetch_keys_seen.update(fresh)
         stats.messages += len(fresh)
         for event_key, count in tally:

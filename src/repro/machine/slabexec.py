@@ -1177,12 +1177,13 @@ class _NestCtx(_Ctx):
         count, trips = dom.count, dom.trips
         npre, nbody = len(plan.steps[PRE]), len(plan.steps[BODY])
         nranks = self.sim.grid.size
+        small = np.min_scalar_type(len(plan.all_steps))  # (tape-sized)
 
         def step_of(at, trips):  # of the instance ``at`` of its column
             body, last = at - npre, nbody * trips
             return np.where(body < 0, at, np.where(
                 body < last, npre + body % max(nbody, 1), at - last + nbody
-            ))
+            )).astype(small)
 
         bounds = np.zeros(nranks + 1, dtype=np.int64)
         if len(dom.layouts) == 1 and trips[0] == trips[-1]:
@@ -1192,7 +1193,8 @@ class _NestCtx(_Ctx):
             cols, c = dom.layouts[0].columns, int(count[0])
             lengths = np.bincount(cols.rank, minlength=nranks) * c
             steps = np.tile(step_of(np.arange(c), trips[0]), cols.n)
-            inst = ((cols.col * c)[:, None] + np.arange(c)).ravel()
+            first = cols.col.astype(np.int32) * c
+            inst = (first[:, None] + np.arange(c, dtype=np.int32)).ravel()
         else:
             # every instance's column and statement; a rank runs those
             # whose column the layout of their statement gives it
