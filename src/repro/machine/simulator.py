@@ -243,7 +243,7 @@ class SPMDSimulator:
                 if slab is not None:
                     # the nests' shape builds live as long as the run
                     slab.builds.clear()
-                    slab.shape = None
+                    slab.shape_key = slab.shape = None
             span.add(
                 messages=self.stats.messages,
                 slab_instances=self.slab_instances,

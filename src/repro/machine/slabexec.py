@@ -1684,11 +1684,14 @@ class NestPlan:
         these executors serves an entry with its key as itself, and one
         whose columns it covers (``_inside``) as a slice of it; any
         other entry is built anew, and its build replaces the old one.
-        Only the latest entry's domain keeps its lanes and tapes."""
+        Only the latest entry's domain keeps its lanes and tapes, and
+        serves the next entry if it has the same key."""
         nj = slab_trip_count(low, high, step)
         if nj == 0:
             return None
         key = (low, high, step, bounds, pos)
+        if slab.shape_key == (self, ranks, key):
+            return slab.shape
         build = slab.builds.get((self, ranks))
         if build is not None and build.key == key:
             dom = build
@@ -1703,12 +1706,11 @@ class NestPlan:
                     slab.sim.metrics.inc(
                         f"slab.shape_build[loop=S{self.loop.stmt_id}]"
                     )
-        if slab.shape is not dom:
-            if slab.shape is not None:
-                # (a build outlives its entry by its columns and runs)
-                slab.shape.layouts = slab.shape.lanes_of = None
-                slab.shape.tapes = None
-            slab.shape = dom
+        if slab.shape is not None and slab.shape is not dom:
+            # (a build outlives its entry by its columns and runs)
+            slab.shape.layouts = slab.shape.lanes_of = None
+            slab.shape.tapes = None
+        slab.shape_key, slab.shape = (self, ranks, key), dom
         if dom.layouts is None:
             self._lay_out(dom)
         return dom
@@ -1897,9 +1899,10 @@ class SlabExecutor:
         self._committed: set[int] = set()
         #: (plan, fixed executors) -> the run's build of the nest's
         #: shape, released when the run ends; the latest entry's
-        #: domain, the one holding lanes and tapes (``NestPlan._shape``)
+        #: domain, the one holding lanes and tapes, and what it is a
+        #: function of (``NestPlan._shape``)
         self.builds: dict[tuple, _Domain] = {}
-        self.shape: _Domain | None = None
+        self.shape_key = self.shape = None
 
     def _record_bail(self, stmt: LoopStmt, reason: str) -> None:
         sim = self.sim

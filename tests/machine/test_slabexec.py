@@ -962,7 +962,9 @@ class TestShapeBuilds:
                 return dom
             # a slice: compared while it holds its lanes, against the
             # entry built afresh by an executor holding no build
-            alone = types.SimpleNamespace(builds={}, shape=None, sim=slab.sim)
+            alone = types.SimpleNamespace(
+                builds={}, shape_key=None, shape=None, sim=slab.sim
+            )
             built = shape(self, alone, *entry)
             for name in ("jvec", "low", "trips", "widths", "count", "base"):
                 assert np.array_equal(getattr(dom, name), getattr(built, name))
