@@ -214,8 +214,9 @@ def _classify(compiled, loop: LoopStmt, placements,
     and no array value may flow between iterations.
 
     With one inner loop the outer iterations are columns, each run by
-    the owner of the same outer-variable position; replicated
-    statements may ride along when they touch no array.  The inner
+    the owner of the same outer-variable position (on one rank: by the
+    one rank); replicated statements may ride along when they touch no
+    array.  The inner
     iterations are flattened into the lanes — their bounds may be
     affine in the outer variable (triangular nests) — with every store
     in the inner loop and naming its own column, scalar reduction
@@ -332,14 +333,8 @@ def _classify(compiled, loop: LoopStmt, placements,
             canon_pos = pos
         elif pos != canon_pos:
             return "executor position differs across statements"
-        if not serial:
-            # (a serial nest whose position is no point — one rank —
-            # is declined by its plan's executors, after every check
-            # here)
-            if len(pos) != 1:
-                return f"S{sid}: executor is not a 1-D owner position"
-            if isinstance(pos[0], str):
-                return f"S{sid}: executor position is not a point"
+        if not serial and len(pos) != 1:
+            return f"S{sid}: executor is not a 1-D owner position"
         if any(
             dim.kind == "pos" and dim.form is not None
             and _mentions(dim.form, i)
@@ -1644,8 +1639,9 @@ class NestPlan:
             ):
                 return "guard and branch executors differ"
         if self.pos_form is None:
-            if self.i is not None:
-                # (one rank: the columns have no owner to be sliced by)
+            if self.i is not None and compiled.grid.size > 1:
+                # (on one rank every column has the one rank as its
+                # fixed executor set)
                 return "executor position is not a point"
         else:
             # the position may only depend on the column (and constants)

@@ -337,26 +337,24 @@ GOLDEN = {
         {"L01": 264},
         {"L01": 12},
     ),
-    # one rank: a nest's columns have no owner to be sliced by, so its
-    # innermost loops are taken instead — the serial-axis nests (L05,
-    # L07) are declined by their plans' executors, a verdict like the
-    # others, not a bail at run time
+    # one rank: every column's executor set is the one rank, so each
+    # nest is taken whole as at P = 4 — with nothing to fetch
     "tomcatv-p1": (
         tomcatv_source(n=12, niter=2, procs=1), 1,
         {
             "L00": "more than one inner loop",
-            "L01": "S#: executor position is not a point",
+            "L01": "ok",
             "L02": "ok",
-            "L03": "S#: executor position is not a point",
+            "L03": "ok",
             "L04": "ok",
-            "L05": "executor position is not a point",
+            "L05": "ok",
             "L06": "loop-carried dependence on D",
-            "L07": "executor position is not a point",
+            "L07": "ok",
             "L08": "loop-carried dependence on RX",
-            "L09": "S#: executor position is not a point",
+            "L09": "ok",
             "L10": "ok",
         },
-        {"L02": 20, "L04": 20, "L10": 20},
+        {"L01": 2, "L03": 2, "L05": 2, "L07": 2, "L09": 2},
         {},
         {},
     ),
@@ -694,7 +692,7 @@ class TestOneStorePerArray:
         assert seen["refs"] > 0
         if kernel == "dgefa":
             assert seen["invariant"] > 0
-        elif procs > 1:  # (one rank has no column owner: no nest is taken)
+        else:
             assert seen["moving"] > 0
 
 
@@ -710,6 +708,61 @@ SOURCE_BETWEEN = """PROGRAM B
   END DO
 END PROGRAM
 """
+
+
+def _lane_models(base):
+    """Five machines: ``base`` with its α, β and flop time scaled."""
+    return [
+        dataclasses.replace(
+            base,
+            alpha=base.alpha * a,
+            beta=base.beta * b,
+            flop_time=base.flop_time * f,
+        )
+        for a, b, f in (
+            (1, 1, 1), (2, 0.5, 1), (0.1, 3, 2), (7, 1, 0.3),
+            (0.5, 0.5, 0.5),
+        )
+    ]
+
+
+class TestOneRank:
+    """On a grid of one rank every nest's columns have the one rank as
+    their fixed executor set: the sweep's P = 1 points run their column
+    nests whole on the slab engine, over every machine lane, exactly
+    like the lowered closures."""
+
+    @pytest.mark.parametrize("kernel, source", [
+        ("tomcatv", tomcatv_source(n=16, niter=1, procs=1)),
+        ("dgefa", dgefa_source(n=12, procs=1)),
+    ], ids=["tomcatv", "dgefa"])
+    def test_lanes_match_lowered(self, kernel, source):
+        compiled = compile_source(source, CompilerOptions(num_procs=1))
+        assert not any(
+            "executor position is not a point" in _reason(verdict)
+            for verdict in compiled.slabs.verdicts.values()
+        )
+        models = _lane_models(compiled.options.machine)
+        machine = VectorMachine(models)
+        inputs = seeded_inputs(compiled.proc, 0)
+        runs = {
+            tier: simulate(compiled, inputs, machine=machine, tier=tier)
+            for tier in ("lowered", "slab", "auto")
+        }
+        if kernel == "tomcatv":
+            # every instance but the residual's two initializations
+            # (``rxm = 0.0``, ``rym = 0.0``: in no nest) is a slab's
+            for tier in ("slab", "auto"):
+                assert runs[tier].interp_instances == 2
+                assert round(runs[tier].slab_coverage, 3) == 1.0
+        lowered = runs["lowered"]
+        for tier in ("slab", "auto"):
+            sim = runs[tier]
+            for lane in range(len(models)):
+                assert sim.clocks.lane_snapshot(lane) == (
+                    lowered.clocks.lane_snapshot(lane)
+                )
+            assert _state(sim)[1:] == _state(lowered)[1:]
 
 
 class TestFetchReplay:
@@ -886,19 +939,7 @@ class TestFetchReplay:
             dgefa_source(n=n, procs=4), CompilerOptions(num_procs=4)
         )
         inputs = seeded_inputs(compiled.proc, 0)
-        base = compiled.options.machine
-        models = [
-            dataclasses.replace(
-                base,
-                alpha=base.alpha * a,
-                beta=base.beta * b,
-                flop_time=base.flop_time * f,
-            )
-            for a, b, f in (
-                (1, 1, 1), (2, 0.5, 1), (0.1, 3, 2), (7, 1, 0.3),
-                (0.5, 0.5, 0.5),
-            )
-        ]
+        models = _lane_models(compiled.options.machine)
         metrics = Metrics()
         lanes = simulate(
             compiled, inputs, machine=VectorMachine(models), tier="slab",

@@ -52,12 +52,16 @@ POINTS = [
      appsp_source(nx=8, ny=8, nz=8, niter=1, procs=4), APPSP_LOWERED),
     ("appsp-8-p16",
      appsp_source(nx=8, ny=8, nz=8, niter=1, procs=16), APPSP_LOWERED),
+    # (one rank: the rank-1 update L04 is a nest on one fixed executor
+    # set, taken whole like its multi-rank counterpart)
     ("dgefa-24-p1", dgefa_source(n=24, procs=1),
-     {**_all("slab", "L02"), **_all("lowered", "L01", "L03", "L05")}),
+     {**_all("slab", "L02", "L04"), **_all("lowered", "L01", "L03", "L05")}),
     ("dgefa-24-p16", dgefa_source(n=24, procs=16),
      {**_all("slab", "L02", "L04"), **_all("lowered", "L01", "L03", "L05")}),
+    # (one rank: the column nests run on the one rank, so their choices
+    # are P = 4's)
     ("tomcatv-33-p1", tomcatv_source(n=33, niter=1, procs=1),
-     _all("slab", "L02", "L04", "L10")),
+     _all("slab", "L01", "L02", "L03", "L04", "L05", "L07", "L09", "L10")),
     ("tomcatv-33-p4", tomcatv_source(n=33, niter=1, procs=4),
      _all("slab", "L01", "L02", "L03", "L04", "L05", "L07", "L09", "L10")),
     ("dgefa-80-p16", dgefa_source(n=80, procs=16),

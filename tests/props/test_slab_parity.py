@@ -212,15 +212,14 @@ def test_cross_column_reads_are_fetched_inside_one_takeover(case, procs):
     assert lowered.slab_instances == 0
     assert slab.slab_instances > 0
     assert not any(key.startswith("slab.bail") for key in metrics.counters)
-    if procs > 1:  # on one rank there is no owner position to slice by
-        (j_loop,) = (
-            s.stmt_id
-            for s in compiled.proc.all_stmts()
-            if isinstance(s, LoopStmt) and s.var.name == "J"
-        )
-        taken = metrics.counters[f"slab.takeover[loop=S{j_loop}]"]
-        assert taken == entries
-        assert slab.interp_instances == 2  # ``S`` and ``T`` set up front
+    (j_loop,) = (
+        s.stmt_id
+        for s in compiled.proc.all_stmts()
+        if isinstance(s, LoopStmt) and s.var.name == "J"
+    )
+    taken = metrics.counters[f"slab.takeover[loop=S{j_loop}]"]
+    assert taken == entries
+    assert slab.interp_instances == 2  # ``S`` and ``T`` set up front
 
 
 @given(triangular_nests(), st.integers(min_value=1, max_value=4))
@@ -333,14 +332,13 @@ def test_serial_column_nests_are_bit_for_bit_invisible(case, procs):
     assert_invisible(slab, lowered)
     assert slab.gather("D").tobytes() == lowered.gather("D").tobytes()
     assert lowered.slab_instances == 0
-    if procs > 1:  # on one rank there is no owner position to slice by
-        assert slab.slab_instances > 0
-        (j_loop,) = (
-            s.stmt_id
-            for s in compiled.proc.all_stmts()
-            if isinstance(s, LoopStmt) and s.var.name == "J"
-        )
-        assert metrics.counters[f"slab.takeover[loop=S{j_loop}]"] == 1
+    assert slab.slab_instances > 0
+    (j_loop,) = (
+        s.stmt_id
+        for s in compiled.proc.all_stmts()
+        if isinstance(s, LoopStmt) and s.var.name == "J"
+    )
+    assert metrics.counters[f"slab.takeover[loop=S{j_loop}]"] == 1
 
 
 @st.composite
