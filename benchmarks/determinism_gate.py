@@ -14,14 +14,16 @@ gate was built to catch) or orders its work by a hash.
 Two legs: tomcatv (the stencil the gate was built on) and DGEFA, whose
 update sweep fetches the pivot column inside every takeover — the
 fetch-replay kernel, which groups its work in dicts keyed on tuples
-that contain strings.
+that contain strings.  ``--procs 1`` runs both legs on one rank,
+DGEFA's one-rank update nest (L04) included.
 
 Usage::
 
     python benchmarks/determinism_gate.py [--n 33] [--niter 2]
                                           [--procs 8] [--verbose]
 
-The options size the tomcatv leg; the DGEFA leg is fixed.
+``--n`` and ``--niter`` size the tomcatv leg; ``--procs`` is both
+legs' processor count.  DGEFA's size is fixed.
 
 Exits 0 on byte-identical stats, 1 on mismatch (with a unified diff).
 """
@@ -44,9 +46,9 @@ from repro.programs import dgefa_source, tomcatv_source  # noqa: E402
 #: (0 would switch hash randomization off in both)
 HASH_SEEDS = ("1", "2")
 
-#: the DGEFA leg: 23 fetching takeovers, 824 replayed elements
+#: the DGEFA leg's size (at P = 4: 23 fetching takeovers, 824 replayed
+#: elements)
 DGEFA_N = 24
-DGEFA_PROCS = 4
 
 
 def run_once(
@@ -106,7 +108,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=33, help="tomcatv grid size")
     parser.add_argument("--niter", type=int, default=2)
-    parser.add_argument("--procs", type=int, default=8)
+    parser.add_argument(
+        "--procs", type=int, default=8, help="processor count of both legs"
+    )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
 
@@ -119,7 +123,7 @@ def main() -> int:
             tomcatv_source(n=args.n, niter=args.niter, procs=args.procs),
             args.procs,
         ),
-        ("dgefa", dgefa_source(n=DGEFA_N, procs=DGEFA_PROCS), DGEFA_PROCS),
+        ("dgefa", dgefa_source(n=DGEFA_N, procs=args.procs), args.procs),
     ]
     with tempfile.TemporaryDirectory(prefix="determinism-gate-") as tmp:
         # every leg runs, so one report shows every kernel that drifted

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..ir.cfg import CFG
-from ..ir.expr import AffineForm, ArrayElemRef, affine_form
+from ..ir.expr import AffineForm, ArrayElemRef
 from ..ir.program import Procedure
 from ..ir.stmt import IfStmt, LoopStmt, Stmt
 from ..ir.symbols import Symbol
@@ -109,12 +109,12 @@ def _inner_loop_bounds(
         if l.level <= loop.level:
             continue
         step_ok = l.step is None or (
-            (sf := affine_form(l.step)) is not None and sf.is_constant and sf.const > 0
+            (sf := l.step_form) is not None and sf.is_constant and sf.const > 0
         )
         if not step_ok:
             bounds[l.var.name] = (None, None)
             continue
-        bounds[l.var.name] = (affine_form(l.low), affine_form(l.high))
+        bounds[l.var.name] = (l.low_form, l.high_form)
     return bounds
 
 
@@ -124,8 +124,7 @@ def ref_section(proc: Procedure, ref: ArrayElemRef, loop: LoopStmt) -> list[Sect
     stmt = proc.stmt_of_ref(ref)
     inner = _inner_loop_bounds(stmt, loop)
     section: list[SectionDim] = []
-    for sub in ref.subscripts:
-        form = affine_form(sub)
+    for form in ref.forms:
         if form is None:
             section.append(SectionDim(lo=None, hi=None))
             continue

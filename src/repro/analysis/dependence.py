@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..ir.expr import ArrayElemRef, AffineForm, affine_form
+from ..ir.expr import ArrayElemRef, AffineForm
 from ..ir.program import Procedure
 from ..ir.stmt import LoopStmt
 from ..ir.symbols import Symbol
@@ -44,9 +44,9 @@ class Dependence:
 
 def _trip_count(loop: LoopStmt) -> int | None:
     """Constant trip count if bounds are constant."""
-    low = affine_form(loop.low)
-    high = affine_form(loop.high)
-    step = affine_form(loop.step) if loop.step is not None else None
+    low = loop.low_form
+    high = loop.high_form
+    step = loop.step_form
     if low is None or high is None or not low.is_constant or not high.is_constant:
         return None
     step_value = 1 if step is None else (step.const if step.is_constant else None)
@@ -63,14 +63,14 @@ def _bounds_of_loops(*stmts) -> dict[str, tuple[AffineForm | None, AffineForm | 
     for stmt in stmts:
         for loop in stmt.loops_enclosing():
             step_ok = loop.step is None or (
-                (sf := affine_form(loop.step)) is not None
+                (sf := loop.step_form) is not None
                 and sf.is_constant
                 and sf.const > 0
             )
             if not step_ok:
                 bounds[loop.var.name] = (None, None)
                 continue
-            bounds[loop.var.name] = (affine_form(loop.low), affine_form(loop.high))
+            bounds[loop.var.name] = (loop.low_form, loop.high_form)
     return bounds
 
 
@@ -227,9 +227,9 @@ def test_dependence(
     common = proc.common_loops(stmt1, stmt2)
     bounds = _bounds_of_loops(stmt1, stmt2)
     distances: dict[str, int | None] = {l.var.name: None for l in common}
-    for sub1, sub2 in zip(write.subscripts, other.subscripts):
+    for form1, form2 in zip(write.forms, other.forms):
         feasible, dim_distances = _subscript_pair_test(
-            affine_form(sub1), affine_form(sub2), common, bounds
+            form1, form2, common, bounds
         )
         if not feasible:
             return None
@@ -341,14 +341,14 @@ def _side_bounds(
     bounds: dict[str, tuple[AffineForm | None, AffineForm | None]] = {}
     for l in stmt.loops_enclosing():
         name = l.var.name + (suffix if l.var.name in deep_names else "")
-        lo = affine_form(l.low)
-        hi = affine_form(l.high)
+        lo = l.low_form
+        hi = l.high_form
         if lo is not None:
             lo = _rename_form(lo, deep_names, suffix)
         if hi is not None:
             hi = _rename_form(hi, deep_names, suffix)
         step_ok = l.step is None or (
-            (sf := affine_form(l.step)) is not None
+            (sf := l.step_form) is not None
             and sf.is_constant
             and sf.const > 0
         )
@@ -384,9 +384,7 @@ def may_depend_within_loop(
     bounds = {}
     bounds.update(_side_bounds(write_stmt, loop, "%W"))
     bounds.update(_side_bounds(read_stmt, loop, "%R"))
-    for sub_w, sub_r in zip(write.subscripts, read.subscripts):
-        f_w = affine_form(sub_w)
-        f_r = affine_form(sub_r)
+    for f_w, f_r in zip(write.forms, read.forms):
         if f_w is None or f_r is None:
             continue  # unknown: cannot disprove via this dimension
         f_w = _rename_form(f_w, write_deep, "%W")

@@ -25,7 +25,7 @@ lint on top.
 from __future__ import annotations
 
 from ..ir.cfg import CFG
-from ..ir.expr import ArrayElemRef, affine_form
+from ..ir.expr import ArrayElemRef
 from ..ir.program import Procedure
 from ..ir.stmt import AssignStmt, LoopStmt
 from ..ir.symbols import Symbol
@@ -134,8 +134,7 @@ class PrivatizabilityInfo:
             if stmt.lhs.symbol.name != array.name:
                 continue
             all_inner_or_invariant = True
-            for sub in stmt.lhs.subscripts:
-                form = affine_form(sub)
+            for form in stmt.lhs.forms:
                 if form is None:
                     all_inner_or_invariant = False
                     break

@@ -171,8 +171,6 @@ def _find_array_accumulations(proc: Procedure, loop: LoopStmt) -> list[Reduction
     whose accumulator subscripts are invariant with respect to the
     reduction loop (so the same element accumulates across the loop's
     iterations)."""
-    from ..ir.expr import affine_form
-
     found: list[Reduction] = []
     for stmt in loop.walk():
         if not isinstance(stmt, AssignStmt) or not isinstance(stmt.lhs, ArrayElemRef):
@@ -184,8 +182,7 @@ def _find_array_accumulations(proc: Procedure, loop: LoopStmt) -> list[Reduction
         lhs = stmt.lhs
         # Subscripts must not vary with the reduction loop's index.
         invariant = True
-        for sub in lhs.subscripts:
-            form = affine_form(sub)
+        for form in lhs.forms:
             if form is None or form.coeff(loop.var) != 0:
                 invariant = False
                 break
@@ -327,17 +324,14 @@ def _grow_reduction(proc: Procedure, reduction: Reduction) -> None:
         # Array accumulators: grow while the outer loop touches the
         # accumulator only through the update statement AND the
         # accumulator subscripts stay invariant in the outer loop.
-        from ..ir.expr import affine_form
-
         while loop.loop is not None:
             outer = loop.loop
             touches = _array_touches_in(outer, reduction.symbol.name)
             if {s.stmt_id for s in touches} != update_ids:
                 break
             invariant = all(
-                (form := affine_form(sub)) is not None
-                and form.coeff(outer.var) == 0
-                for sub in reduction.accumulator.subscripts
+                form is not None and form.coeff(outer.var) == 0
+                for form in reduction.accumulator.forms
             )
             if not invariant:
                 break

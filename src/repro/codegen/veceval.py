@@ -26,13 +26,13 @@ import numpy as np
 from ..analysis.reductions import match_maxloc
 from ..errors import InterpreterError
 from ..ir.expr import (
+    AffineForm,
     ArrayElemRef,
     BinOp,
     Const,
     IntrinsicCall,
     ScalarRef,
     UnOp,
-    affine_form,
 )
 from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
 from ..ir.symbols import ScalarType
@@ -40,6 +40,10 @@ from ..ir.symbols import ScalarType
 
 class _Bail(Exception):
     """This takeover declines; nothing has been mutated."""
+
+
+#: the affine form of a loop without a step
+_UNIT_STEP = AffineForm(coeffs=(), const=1)
 
 
 #: what a bound expression can legitimately raise at evaluation time
@@ -321,7 +325,14 @@ def nest_shape(loop: LoopStmt) -> NestShape | str:
     bounds = {}
     for inner in loops:
         facts = bounds[inner.stmt_id] = []
-        for bound in (inner.low, inner.high, inner.step or Const(1)):
+        for bound, form in (
+            (inner.low, inner.low_form),
+            (inner.high, inner.high_form),
+            (inner.step, inner.step_form),
+        ):
+            if bound is None:  # no step: 1
+                facts.append((set(), _UNIT_STEP))
+                continue
             refs = list(bound.refs())
             for ref in refs:
                 if isinstance(ref, ArrayElemRef):
@@ -329,13 +340,13 @@ def nest_shape(loop: LoopStmt) -> NestShape | str:
                 if ref.symbol.name in written:
                     return f"inner bound depends on {ref.symbol.name}"
             names = {ref.symbol.name for ref in refs}
-            facts.append((names, affine_form(bound)))
+            facts.append((names, form))
     forms: dict[int, list] = {}
     scalars: set[str] = set()
     conds = list(dict.fromkeys(guards.values()))
     for s in conds + assigns:
         for ref in _stmt_array_refs(s):
-            forms[ref.ref_id] = [affine_form(sub) for sub in ref.subscripts]
+            forms[ref.ref_id] = ref.forms
             if any(f is None for f in forms[ref.ref_id]):
                 return f"non-affine subscript in {ref.symbol.name}"
             scalars.update(

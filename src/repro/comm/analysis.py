@@ -88,7 +88,7 @@ class CommAnalysis:
     def _placement(self, ref: Ref, stmt: Stmt) -> int:
         if not self.options.message_vectorization:
             return stmt.nesting_level
-        return self.scalar_pass.comm_blocked_level(ref, stmt)
+        return self.ctx.comm_blocked_level(ref, stmt)
 
     def _emit(
         self,
@@ -222,8 +222,6 @@ class CommAnalysis:
         """Elements combined per instance of an array reduction: the
         extent of each accumulator dimension whose subscript varies in
         a loop nested inside the reduction loop."""
-        from ..ir.expr import affine_form
-
         update = reduction.update_stmts[0]
         inner_vars = {
             l.var.name
@@ -231,8 +229,7 @@ class CommAnalysis:
             if l.level > reduction.loop.level
         }
         elements = 1
-        for dim, sub in enumerate(reduction.accumulator.subscripts):
-            form = affine_form(sub)
+        for dim, form in enumerate(reduction.accumulator.forms):
             if form is None or any(s.name in inner_vars for s in form.symbols):
                 elements *= reduction.accumulator.symbol.extent(dim)
         return elements

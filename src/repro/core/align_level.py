@@ -17,12 +17,7 @@ privatizable at nesting level ``l`` iff ``AlignLevel(r) <= l``.
 
 from __future__ import annotations
 
-from ..ir.expr import (
-    ArrayElemRef,
-    Expr,
-    ScalarRef,
-    affine_form,
-)
+from ..ir.expr import ArrayElemRef, Expr, ScalarRef
 from ..ir.program import Procedure
 from ..ir.stmt import LoopStmt, Stmt
 from ..mapping.descriptors import ArrayMapping
@@ -78,11 +73,12 @@ def var_level_of_array_ref(ref: ArrayElemRef, stmt: Stmt, proc: Procedure) -> in
 
 
 def subscript_align_level(
-    expr: Expr, stmt: Stmt, proc: Procedure, ssa: SSAInfo
+    ref: ArrayElemRef, dim: int, stmt: Stmt, proc: Procedure, ssa: SSAInfo
 ) -> int:
-    """SubscriptAlignLevel per the paper's definition."""
-    vl = var_level(expr, stmt, proc, ssa)
-    form = affine_form(expr)
+    """SubscriptAlignLevel per the paper's definition, of the
+    ``dim``-th subscript of ``ref``."""
+    vl = var_level(ref.subscripts[dim], stmt, proc, ssa)
+    form = ref.forms[dim]
     if form is not None and _affine_in_enclosing_indices(form, stmt):
         return vl
     return vl + 1
@@ -115,8 +111,9 @@ def align_level(
             continue
         if restrict_grid_dims is not None and g not in restrict_grid_dims:
             continue
-        sub = ref.subscripts[role.array_dim]
-        level = max(level, subscript_align_level(sub, stmt, proc, ssa))
+        level = max(
+            level, subscript_align_level(ref, role.array_dim, stmt, proc, ssa)
+        )
     return level
 
 

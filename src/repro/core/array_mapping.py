@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.expr import ArrayElemRef, ScalarRef, affine_form
+from ..ir.expr import ArrayElemRef, ScalarRef
 from ..ir.stmt import AssignStmt, LoopStmt
 from ..ir.symbols import Symbol
 from ..mapping.descriptors import ArrayMapping
@@ -170,8 +170,9 @@ class ArrayMappingPass:
         for g, role in enumerate(target_mapping.roles):
             if role.kind != "dist":
                 continue
-            sub = target.subscripts[role.array_dim]
-            dim_levels[g] = subscript_align_level(sub, target_stmt, ctx.proc, ctx.ssa)
+            dim_levels[g] = subscript_align_level(
+                target, role.array_dim, target_stmt, ctx.proc, ctx.ssa
+            )
 
         full_level = max(dim_levels.values(), default=0)
         if full_level <= level:
@@ -219,8 +220,7 @@ class ArrayMappingPass:
         partitioned_dims: dict[int, int] = {}
         for g in part_grid_dims:
             role = target_mapping.roles[g]
-            sub = target.subscripts[role.array_dim]
-            form = affine_form(sub)
+            form = target.forms[role.array_dim]
             driving = {s.name for s in form.symbols} if form is not None else set()
             array_dim = find_matching_array_dim(ctx.proc, array, loop, driving)
             if array_dim is None:

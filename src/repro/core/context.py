@@ -29,9 +29,9 @@ from ..analysis.privatizable import PrivatizabilityInfo
 from ..analysis.reductions import Reduction, find_reductions
 from ..analysis.ssa import SSAInfo
 from ..ir.cfg import CFG, build_cfg
-from ..ir.expr import ArrayElemRef
+from ..ir.expr import ArrayElemRef, Ref, ScalarRef
 from ..ir.program import Procedure, ProcessorsSpec
-from ..ir.stmt import LoopStmt
+from ..ir.stmt import LoopStmt, Stmt
 from ..mapping.descriptors import ArrayMapping, resolve_mappings
 from ..mapping.grid import ProcessorGrid, default_grid
 
@@ -57,6 +57,11 @@ class AnalysisContext:
     _hoisting: dict[tuple[int, int], bool] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: the front end's :attr:`FrontendAnalyses.blocked_levels` memo,
+    #: shared the same way
+    _blocked_levels: dict[tuple[int, int], int] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def hoisting_blocked(self, read: ArrayElemRef, loop: LoopStmt) -> bool:
         """Can ``read`` observe a value written inside ``loop`` (so its
@@ -68,6 +73,50 @@ class AnalysisContext:
                 self.proc, read, loop
             )
         return blocked
+
+    def comm_blocked_level(self, ref: Ref, stmt: Stmt) -> int:
+        """The innermost loop level out of which communication for
+        ``ref`` on ``stmt`` cannot be hoisted (0 = hoistable before the
+        whole nest) — message vectorization's limit.
+
+        * array reference: blocked inside any enclosing loop that may
+          write the data it reads (flow dependence),
+        * scalar reference: blocked inside the innermost loop in which
+          the value is recomputed (common loop with a reaching def).
+        """
+        key = (ref.ref_id, stmt.stmt_id)
+        level = self._blocked_levels.get(key)
+        if level is None:
+            level = self._blocked_levels[key] = self._blocked_level(ref, stmt)
+        return level
+
+    def _blocked_level(self, ref: Ref, stmt: Stmt) -> int:
+        level = 0
+        if isinstance(ref, ArrayElemRef):
+            for loop in self.proc.stmt_of_ref(ref).loops_enclosing():
+                if self.hoisting_blocked(ref, loop):
+                    level = max(level, loop.level)
+            # Non-affine / scalar-dependent subscripts also pin the
+            # communication to where their values are produced.
+            for sub_ref in ref.refs():
+                if isinstance(sub_ref, ScalarRef):
+                    level = max(level, self._scalar_blocked_level(sub_ref, stmt))
+            return level
+        if isinstance(ref, ScalarRef):
+            return self._scalar_blocked_level(ref, stmt)
+        return level
+
+    def _scalar_blocked_level(self, ref: ScalarRef, stmt: Stmt) -> int:
+        if ref.symbol.is_loop_var or ref.symbol.value is not None:
+            return 0
+        level = 0
+        for d in self.ssa.reaching_real_defs(ref):
+            if d.stmt is None:
+                continue
+            common = self.proc.common_loops(d.stmt, stmt)
+            if common:
+                level = max(level, common[-1].level)
+        return level
 
 
 @dataclass
@@ -85,6 +134,12 @@ class FrontendAnalyses:
     #: by scalar mapping and again by communication analysis, once per
     #: option ablation and grid
     hoisting: dict[tuple[int, int], bool] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: (ref id, stmt id) -> :meth:`AnalysisContext.comm_blocked_level`:
+    #: likewise a pure function of the IR, asked by the mapping veto and
+    #: by communication placement in every compile
+    blocked_levels: dict[tuple[int, int], int] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -167,6 +222,7 @@ def assemble_context(
         inductions=inductions,
         array_mappings=array_mappings,
         _hoisting=frontend.hoisting,
+        _blocked_levels=frontend.blocked_levels,
     )
 
 

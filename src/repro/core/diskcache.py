@@ -45,7 +45,9 @@ if TYPE_CHECKING:
 #: entries become silent misses, not errors.  4: ``CompiledProgram``
 #: derives ``lowering``/``slabs`` on first read (a schema-3
 #: pickle carries them as fields and lacks the memo the properties use).
-CACHE_SCHEMA = 4
+#: 5: the IR carries the facts ``Procedure.finalize()`` stamps (affine
+#: forms, flops, the statement order); a schema-4 tree lacks them.
+CACHE_SCHEMA = 5
 
 _MAGIC = "repro-compile-cache"
 _SUFFIX = ".pkl"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir.expr import AffineForm, ArrayElemRef, affine_form
+from ..ir.expr import AffineForm, ArrayElemRef
 from ..mapping.descriptors import ArrayMapping
 from ..mapping.distribution import DimFormat
 
@@ -72,8 +72,7 @@ def position_of_array_ref(ref: ArrayElemRef, mapping: ArrayMapping) -> Position:
             # local everywhere along it.
             dims.append(ANY)
             continue
-        sub = ref.subscripts[role.array_dim]
-        form = affine_form(sub)
+        form = ref.forms[role.array_dim]
         if form is None:
             dims.append(DimPosition(kind="unknown", fmt=role.fmt))
             continue

@@ -20,7 +20,7 @@ Full privatization is the special case with every grid dimension
 from __future__ import annotations
 
 from ..errors import MappingError
-from ..ir.expr import ArrayElemRef, affine_form
+from ..ir.expr import ArrayElemRef
 from ..ir.program import Procedure
 from ..ir.stmt import LoopStmt
 from ..ir.symbols import Symbol
@@ -39,8 +39,7 @@ def find_matching_array_dim(
     """
     def scan(refs) -> int | None:
         for ref in refs:
-            for dim, sub in enumerate(ref.subscripts):
-                form = affine_form(sub)
+            for dim, form in enumerate(ref.forms):
                 if form is None:
                     continue
                 for s in form.symbols:

@@ -14,9 +14,9 @@ processor-count family — source texts equal up to the shape of their
 one ``!HPF$ PROCESSORS`` directive — and memos keyed on the statement
 tree it analysed:
 
-* the IR analyses (SSA-level front end with its hoisting memo,
-  inductions, reductions, privatizability) per ``(proc.uid,
-  ir_epoch)`` — shared by every processor count;
+* the IR analyses (SSA-level front end with its hoisting and
+  blocked-level memos, inductions, reductions, privatizability) per
+  ``(proc.uid, ir_epoch)`` — shared by every processor count;
 * the assembled :class:`AnalysisContext` per ``(proc.uid, ir_epoch,
   grid)``, the grid resolved from the compiled text's own directive —
   shared by every option ablation on that grid;
@@ -24,10 +24,15 @@ tree it analysed:
   read of ``CompiledProgram.lowering`` among the programs compiled from
   that tree, and kept while one of them holds them.
 
-Every ``Procedure.finalize()`` bumps ``ir_epoch``, so a tree changed by
-a transform (induction substitution, scalar expansion, inlining) looks
-up a key nothing was stored under; the mapping back end is
-option-dependent and always runs.
+Beneath them, the facts of the tree itself — the affine form of every
+array subscript and loop bound, each statement's flops, the pre-order
+statement tuple — are stamped on the nodes by ``Procedure.finalize()``
+and read by every pass, so no compile derives them again.
+
+Every ``Procedure.finalize()`` bumps ``ir_epoch`` and re-derives those
+facts, so a tree changed by a transform (induction substitution, scalar
+expansion, inlining) looks up a key nothing was stored under; the
+mapping back end is option-dependent and always runs.
 """
 
 from __future__ import annotations

@@ -148,8 +148,6 @@ def map_array_reduction(
     (or privatized) along every grid dimension the reduction spans —
     each participant must hold a private copy to accumulate into.
     """
-    from ..ir.expr import affine_form
-
     ctx = pass_.ctx
     target = _select_target(pass_, reduction)
     if target is None:
@@ -158,8 +156,7 @@ def map_array_reduction(
     # NOT by the accumulator's own indices (those enumerate elements,
     # they are not reduced over).
     acc_vars: set[str] = set()
-    for sub in reduction.accumulator.subscripts:
-        form = affine_form(sub)
+    for form in reduction.accumulator.forms:
         if form is not None:
             acc_vars.update(s.name for s in form.symbols)
     target_mapping = pass_.array_mapping(target)
@@ -187,12 +184,10 @@ def map_array_reduction(
 def _dim_driven_by(target, target_mapping, grid_dim: int, var_names: set[str]) -> bool:
     """Is the target's subscript on ``grid_dim`` a function of any of
     ``var_names``?"""
-    from ..ir.expr import affine_form
-
     role = target_mapping.roles[grid_dim]
     if role.kind != "dist":
         return False
-    form = affine_form(target.subscripts[role.array_dim])
+    form = target.forms[role.array_dim]
     if form is None:
         return False
     return any(s.name in var_names for s in form.symbols)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ..analysis.reductions import Reduction, reduction_for_def
 from ..analysis.ssa import SSADef
-from ..ir.expr import ArrayElemRef, Ref, ScalarRef, affine_form
+from ..ir.expr import ArrayElemRef, Ref, ScalarRef
 from ..ir.stmt import AssignStmt, Stmt
 from .align_level import align_level, alignment_valid
 from .consumer import classify_use, consumer_candidate
@@ -423,7 +423,7 @@ class ScalarMappingPass:
         for role in mapping.roles:
             if role.kind != "dist":
                 continue
-            form = affine_form(ref.subscripts[role.array_dim])
+            form = ref.forms[role.array_dim]
             if form is not None and form.coeff(innermost.var) != 0:
                 return 1
         return 0
@@ -466,46 +466,9 @@ class ScalarMappingPass:
         for ref in stmt.rhs.refs():
             if comm_free(self.position_of_ref(ref), executor):
                 continue
-            if self.comm_blocked_level(ref, stmt) >= innermost_level:
+            if self.ctx.comm_blocked_level(ref, stmt) >= innermost_level:
                 return True
         return False
-
-    def comm_blocked_level(self, ref: Ref, stmt: Stmt) -> int:
-        """The innermost loop level out of which communication for
-        ``ref`` cannot be hoisted (0 = hoistable before the whole nest)
-        — message vectorization's limit.
-
-        * array reference: blocked inside any enclosing loop that may
-          write the data it reads (flow dependence),
-        * scalar reference: blocked inside the innermost loop in which
-          the value is recomputed (common loop with a reaching def).
-        """
-        level = 0
-        if isinstance(ref, ArrayElemRef):
-            for loop in self.ctx.proc.stmt_of_ref(ref).loops_enclosing():
-                if self.ctx.hoisting_blocked(ref, loop):
-                    level = max(level, loop.level)
-            # Non-affine / scalar-dependent subscripts also pin the
-            # communication to where their values are produced.
-            for sub_ref in ref.refs():
-                if isinstance(sub_ref, ScalarRef) and sub_ref is not ref:
-                    level = max(level, self._scalar_blocked_level(sub_ref, stmt))
-            return level
-        if isinstance(ref, ScalarRef):
-            return self._scalar_blocked_level(ref, stmt)
-        return level
-
-    def _scalar_blocked_level(self, ref: ScalarRef, stmt: Stmt) -> int:
-        if ref.symbol.is_loop_var or ref.symbol.value is not None:
-            return 0
-        level = 0
-        for d in self.ctx.ssa.reaching_real_defs(ref):
-            if d.stmt is None:
-                continue
-            common = self.ctx.proc.common_loops(d.stmt, stmt)
-            if common:
-                level = max(level, common[-1].level)
-        return level
 
 
 def run_scalar_mapping(

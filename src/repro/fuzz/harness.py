@@ -158,10 +158,14 @@ def check_tiers(
     *,
     seed: int = 0,
     options: CompilerOptions | None = None,
+    slab_instances: dict[int, int] | None = None,
 ) -> tuple[list[Divergence], dict | None]:
     """Tier parity at one processor count.  Returns the divergences
     plus the lowered tier's payload (the reference the other tiers and
-    corpus pinning compare against), or None when nothing ran."""
+    corpus pinning compare against), or None when nothing ran.  A
+    ``slab_instances`` dict, when given, receives the ``tier="slab"``
+    run's ``sim.slab_instances`` under ``procs`` (no entry when it
+    raised)."""
     from ..machine.simulator import simulate
 
     options = options or CompilerOptions(num_procs=procs)
@@ -187,6 +191,8 @@ def check_tiers(
         try:
             sim = simulate(compiled, dict(inputs), tier=tier)
             payloads[tier] = tier_payload(sim)
+            if tier == "slab" and slab_instances is not None:
+                slab_instances[procs] = sim.slab_instances
         except Exception as exc:  # noqa: BLE001 — compared below
             errors[tier] = _trim(exc)
 
@@ -447,16 +453,21 @@ def check_program(
     sweep: bool = False,
     mapping: bool = True,
     sequential: bool = True,
+    slab_instances: dict[int, int] | None = None,
 ) -> list[Divergence]:
     """Run every lens over ``program`` (a
     :class:`~repro.fuzz.grammar.FuzzProgram` or raw source text).
-    ``sweep`` adds the (slower) pool-vs-batched differential."""
+    ``sweep`` adds the (slower) pool-vs-batched differential;
+    ``slab_instances`` is handed to :func:`check_tiers` at each
+    processor count."""
     emit = program.emit if hasattr(program, "emit") else None
     gen_seed = getattr(program, "seed", None)
     divergences: list[Divergence] = []
     for procs in procs_list:
         source = emit(procs) if emit is not None else program
-        tier_div, _reference = check_tiers(source, procs, seed=seed)
+        tier_div, _reference = check_tiers(
+            source, procs, seed=seed, slab_instances=slab_instances
+        )
         divergences.extend(tier_div)
         if any(d.kind in ("compile-crash", "invalid") for d in tier_div):
             break  # nothing else can run; one record is enough

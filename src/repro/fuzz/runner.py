@@ -48,17 +48,21 @@ class FuzzReport:
     checked: int = 0
     invalid: int = 0
     findings: list[Finding] = field(default_factory=list)
-    #: how many generated programs actually exercised the slab tier
-    slab_hits: int = 0
+    #: processor count -> how many programs' ``tier="slab"`` runs took
+    #: over a nest at it
+    slab_hits: dict[int, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.findings and self.invalid == 0
 
     def summary(self) -> str:
+        ran = ", ".join(
+            f"{hits} at P={procs}" for procs, hits in sorted(self.slab_hits.items())
+        )
         lines = [
             f"fuzz: {self.checked}/{self.count} programs checked, "
-            f"{self.slab_hits} ran slabs, {self.invalid} invalid, "
+            f"ran slabs: {ran or 'none'}, {self.invalid} invalid, "
             f"{len(self.findings)} divergent"
         ]
         for finding in self.findings:
@@ -70,25 +74,6 @@ class FuzzReport:
             )
             lines.append("    " + finding.divergences[0].describe())
         return "\n".join(lines)
-
-
-def _slab_ran(program: FuzzProgram, procs: int = 3, seed: int = 0) -> bool:
-    """Did the slab tier actually take over a nest of this program?"""
-    from ..core.driver import CompilerOptions, compile_source
-    from ..machine.simulator import simulate
-
-    try:
-        compiled = compile_source(
-            program.emit(procs), CompilerOptions(num_procs=procs)
-        )
-        from .harness import make_inputs
-
-        sim = simulate(
-            compiled, make_inputs(program.emit(procs), seed), tier="slab"
-        )
-    except Exception:  # noqa: BLE001 — coverage stat only
-        return False
-    return sim.slab_instances > 0
 
 
 def run_campaign(
@@ -115,14 +100,18 @@ def run_campaign(
         gen_seed = seed * STRIDE + index
         program = generate(gen_seed, config)
         with_sweep = sweep_every > 0 and index % sweep_every == sweep_every - 1
+        slab_instances: dict[int, int] = {}
         divergences = check_program(
             program,
             procs_list=procs_list,
             sweep=with_sweep,
+            slab_instances=slab_instances,
         )
         report.checked += 1
-        if _slab_ran(program):
-            report.slab_hits += 1
+        for procs in procs_list:
+            report.slab_hits.setdefault(procs, 0)
+            if slab_instances.get(procs, 0) > 0:
+                report.slab_hits[procs] += 1
         if not divergences:
             continue
         if all(d.kind == "invalid" for d in divergences):

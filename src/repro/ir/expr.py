@@ -72,6 +72,12 @@ class ScalarRef(Ref):
 @dataclass
 class ArrayElemRef(Ref):
     subscripts: list[Expr] = field(default_factory=list)
+    #: :func:`affine_form` of each subscript, stamped by
+    #: ``Procedure.finalize()`` (None on a reference outside a
+    #: finalized tree, e.g. one a transform has just built)
+    forms: tuple[AffineForm | None, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def is_array(self) -> bool:

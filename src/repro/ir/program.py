@@ -8,7 +8,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..errors import SemanticError
-from .expr import Ref
+from ..model import flops_of_expr
+from .expr import ArrayElemRef, Ref, affine_form
 from .stmt import AssignStmt, GotoStmt, IfStmt, LoopStmt, Stmt
 from .symbols import Symbol, SymbolTable
 
@@ -74,6 +75,9 @@ class Procedure:
     _stmts_by_id: dict[int, Stmt] = field(default_factory=dict, repr=False)
     _stmts_by_label: dict[int, Stmt] = field(default_factory=dict, repr=False)
     _ref_to_stmt: dict[int, Stmt] = field(default_factory=dict, repr=False)
+    #: every statement, pre-order (``_stmts_by_id`` is filled in walk
+    #: order): what :meth:`all_stmts` returns
+    _stmt_order: tuple[Stmt, ...] = field(default=(), repr=False)
 
     # -- pickling -------------------------------------------------------------
 
@@ -92,13 +96,19 @@ class Procedure:
     # -- structure ------------------------------------------------------------
 
     def finalize(self) -> "Procedure":
-        """Compute parent-loop links, loop levels, and lookup tables.
-        Must be called whenever the statement tree changes."""
+        """Compute parent-loop links, loop levels, and lookup tables,
+        and stamp the facts every pass reads on the nodes: the affine
+        form of each array subscript (``ref.forms``) and loop bound
+        (``loop.low_form`` / ``high_form`` / ``step_form``), and the
+        flops of each assignment's rhs and IF's condition
+        (``stmt.flops``).  Must be called whenever the statement tree
+        changes; it is the one place those facts are (re)derived."""
         self.ir_epoch += 1
         self._stmts_by_id.clear()
         self._stmts_by_label.clear()
         self._ref_to_stmt.clear()
         self._link(self.body, None)
+        self._stmt_order = tuple(self._stmts_by_id.values())
         return self
 
     def _link(self, stmts: list[Stmt], loop: LoopStmt | None) -> None:
@@ -112,10 +122,20 @@ class Procedure:
             for ref in list(stmt.uses()) + list(stmt.defs()):
                 ref.stmt_id = stmt.stmt_id
                 self._ref_to_stmt[ref.ref_id] = stmt
-            if isinstance(stmt, LoopStmt):
+                if isinstance(ref, ArrayElemRef):
+                    ref.forms = tuple(affine_form(s) for s in ref.subscripts)
+            if isinstance(stmt, AssignStmt):
+                stmt.flops = flops_of_expr(stmt.rhs)
+            elif isinstance(stmt, LoopStmt):
                 stmt.level = (loop.level + 1) if loop is not None else 1
+                stmt.low_form = affine_form(stmt.low)
+                stmt.high_form = affine_form(stmt.high)
+                stmt.step_form = (
+                    affine_form(stmt.step) if stmt.step is not None else None
+                )
                 self._link(stmt.body, stmt)
             elif isinstance(stmt, IfStmt):
+                stmt.flops = flops_of_expr(stmt.cond)
                 self._link(stmt.then_body, loop)
                 self._link(stmt.else_body, loop)
 
@@ -130,9 +150,10 @@ class Procedure:
     def stmt_of_ref(self, ref: Ref) -> Stmt:
         return self._ref_to_stmt[ref.ref_id]
 
-    def all_stmts(self):
-        for stmt in self.body:
-            yield from stmt.walk()
+    def all_stmts(self) -> tuple[Stmt, ...]:
+        """Every statement, pre-order (the order of ``walk()``), as of
+        the last :meth:`finalize`."""
+        return self._stmt_order
 
     def assignments(self):
         for stmt in self.all_stmts():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .expr import ArrayElemRef, Expr, Ref, ScalarRef
+from .expr import AffineForm, ArrayElemRef, Expr, Ref, ScalarRef
 from .symbols import Symbol
 
 _stmt_counter = itertools.count(1)
@@ -72,6 +72,8 @@ class AssignStmt(Stmt):
 
     lhs: Ref = None
     rhs: Expr = None
+    #: ``flops_of_expr(rhs)``; set by Procedure.finalize().
+    flops: int | None = field(default=None, repr=False)
 
     def uses(self):
         yield from self.rhs.refs()
@@ -105,6 +107,11 @@ class LoopStmt(Stmt):
     reduction_vars: tuple[str, ...] = ()
     #: 1-based loop nesting level (outermost loop = 1); set by finalize().
     level: int = 0
+    #: :func:`~repro.ir.expr.affine_form` of ``low`` / ``high`` /
+    #: ``step`` (None: not affine, or no step); set by finalize().
+    low_form: AffineForm | None = field(default=None, repr=False)
+    high_form: AffineForm | None = field(default=None, repr=False)
+    step_form: AffineForm | None = field(default=None, repr=False)
 
     def children(self) -> list[Stmt]:
         return list(self.body)
@@ -134,6 +141,8 @@ class IfStmt(Stmt):
     cond: Expr = None
     then_body: list[Stmt] = field(default_factory=list)
     else_body: list[Stmt] = field(default_factory=list)
+    #: ``flops_of_expr(cond)``; set by Procedure.finalize().
+    flops: int | None = field(default=None, repr=False)
 
     def children(self) -> list[Stmt]:
         return list(self.then_body) + list(self.else_body)

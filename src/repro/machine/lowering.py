@@ -65,7 +65,6 @@ from ..ir.expr import (
 )
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt
 from ..ir.symbols import ScalarType
-from ..model import flops_of_expr
 from .memory import tabulate_owners
 
 _MISS = object()
@@ -426,7 +425,7 @@ def lower_procedure(proc) -> LoweredIR:
     for stmt in proc.all_stmts():
         sid = stmt.stmt_id
         if isinstance(stmt, AssignStmt):
-            lowered.flops[sid] = max(flops_of_expr(stmt.rhs), 1)
+            lowered.flops[sid] = max(stmt.flops, 1)
             rhs = comp.emit(stmt.rhs)
             val = comp.store_code(rhs, stmt.lhs.symbol.type)
             if isinstance(stmt.lhs, ArrayElemRef):
@@ -442,7 +441,7 @@ def lower_procedure(proc) -> LoweredIR:
             )
             lowered.lhs_info[sid] = (stmt.lhs.symbol.name, lows)
         elif isinstance(stmt, IfStmt):
-            lowered.flops[sid] = max(flops_of_expr(stmt.cond), 1)
+            lowered.flops[sid] = max(stmt.flops, 1)
             cond = comp.emit(stmt.cond)
             lowered.conds[sid] = _emit_fn(
                 f"_c{sid}",

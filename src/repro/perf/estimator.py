@@ -29,9 +29,9 @@ from ..comm.events import CommEvent, ReduceEvent
 from ..core.driver import CompiledProgram
 from ..core.locality import Position
 from ..errors import AnalysisError
-from ..ir.expr import ArrayElemRef, Expr, ScalarRef, affine_form
+from ..ir.expr import AffineForm, ArrayElemRef, Expr, ScalarRef
 from ..ir.stmt import AssignStmt, IfStmt, LoopStmt, Stmt
-from ..model import MachineModel, flops_of_expr
+from ..model import MachineModel
 
 
 def _power_sum(p: int, m: int) -> int:
@@ -187,13 +187,13 @@ class PerfEstimator:
     # Trip counts
     # ==================================================================
 
-    def _eval_bound(self, expr: Expr) -> float:
-        """Evaluate a loop bound, substituting midpoints for enclosing
-        loop indices (average-trip model for triangular nests)."""
+    def _eval_bound(self, expr: Expr, form: AffineForm | None) -> float:
+        """Evaluate a loop bound, whose affine form is ``form``,
+        substituting midpoints for enclosing loop indices (average-trip
+        model for triangular nests)."""
         value = self.ctx.const.eval_expr(expr)
         if isinstance(value, (int, float)):
             return float(value)
-        form = affine_form(expr)
         if form is None:
             raise AnalysisError(f"cannot estimate non-affine loop bound {expr}")
         total = float(form.const)
@@ -214,11 +214,11 @@ class PerfEstimator:
         for outer in loop.loops_enclosing():
             if outer.var.name not in self._midpoint_cache:
                 self.trip_count(outer)
-        low = self._eval_bound(loop.low)
-        high = self._eval_bound(loop.high)
+        low = self._eval_bound(loop.low, loop.low_form)
+        high = self._eval_bound(loop.high, loop.high_form)
         step = 1.0
         if loop.step is not None:
-            step = self._eval_bound(loop.step)
+            step = self._eval_bound(loop.step, loop.step_form)
             if step == 0:
                 raise AnalysisError("loop step of zero")
         trip = max(0.0, math.floor((high - low + step) / step))
@@ -242,8 +242,8 @@ class PerfEstimator:
         iteration per level.  Returns ``(driver, m0, q, mean)``, or
         ``None`` when the shape (or non-integral bounds) demands the
         midpoint fallback."""
-        low_form = affine_form(loop.low)
-        high_form = affine_form(loop.high)
+        low_form = loop.low_form
+        high_form = loop.high_form
         if low_form is None or high_form is None:
             return None
         # high - low + step, split into a·v + b over the one unresolved
@@ -395,12 +395,14 @@ class PerfEstimator:
 
     def _flops_of_stmt(self, stmt: Stmt) -> int:
         if isinstance(stmt, AssignStmt):
-            flops = flops_of_expr(stmt.rhs)
+            flops = stmt.flops
             if isinstance(stmt.lhs, ArrayElemRef):
-                flops += len(stmt.lhs.subscripts)  # addressing
+                # addressing: one flop per lhs subscript, which neither
+                # simulator engine charges (docs/COSTMODEL.md, "Computation")
+                flops += len(stmt.lhs.subscripts)
             return max(flops, 1)
         if isinstance(stmt, IfStmt):
-            return max(flops_of_expr(stmt.cond), 1)
+            return max(stmt.flops, 1)
         return 0
 
     def _position_varies_with(self, position: Position, loop: LoopStmt) -> bool:
@@ -458,8 +460,7 @@ class PerfEstimator:
 
     def _ref_varies_with(self, ref, loop: LoopStmt) -> bool:
         if isinstance(ref, ArrayElemRef):
-            for sub in ref.subscripts:
-                form = affine_form(sub)
+            for form in ref.forms:
                 if form is None:
                     return True  # unknown: assume it varies
                 if form.coeff(loop.var) != 0:

@@ -66,10 +66,11 @@ class TestKeys:
         assert cache.key(SRC, OPTS) != key
 
     def test_key_is_pinned(self, tmp_path, monkeypatch):
-        """Re-captured when the nest-cost constants left the options
-        signature (an entry written before then misses once and is
-        recomputed).  A new key here orphans every existing cache —
-        bump ``CACHE_SCHEMA`` on purpose, never by accident."""
+        """Re-captured at ``CACHE_SCHEMA`` 5, when the pickled IR gained
+        the facts ``Procedure.finalize()`` stamps (an entry written
+        before then misses once and is recomputed).  A new key here
+        orphans every existing cache — bump ``CACHE_SCHEMA`` on purpose,
+        never by accident."""
         monkeypatch.setattr(diskcache, "_package_version", lambda: "pinned")
         source = (
             "PROGRAM STEN\n"
@@ -84,7 +85,7 @@ class TestKeys:
         )
         options = CompilerOptions(num_procs=4, strategy="producer")
         assert CompileCache(tmp_path).key(source, options) == (
-            "a17f917d17160c854f698d7c58802cec7adc0743a58f78b36e6e94f2bc2ae1f5"
+            "5b0e60dc7cfc3bd70dbbd526279a5e97150aee70a2bdb46b5adb9cc988a85616"
         )
 
     def test_options_signature_covers_every_field(self):

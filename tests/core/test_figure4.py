@@ -56,13 +56,13 @@ class TestVarLevel:
 class TestSubscriptAlignLevel:
     def test_affine_index_sal_equals_varlevel(self, ctx):
         ref, stmt = lhs_ref(ctx, "A")
-        assert subscript_align_level(ref.subscripts[1], stmt, ctx.proc, ctx.ssa) == 2
+        assert subscript_align_level(ref, 1, stmt, ctx.proc, ctx.ssa) == 2
 
     def test_non_affine_scalar_sal_is_varlevel_plus_one(self, ctx):
         """s = i*j is not an affine function of loop indices:
         SubscriptAlignLevel(s) = VarLevel(s) + 1 = 3."""
         ref, stmt = lhs_ref(ctx, "B")
-        assert subscript_align_level(ref.subscripts[0], stmt, ctx.proc, ctx.ssa) == 3
+        assert subscript_align_level(ref, 0, stmt, ctx.proc, ctx.ssa) == 3
 
 
 class TestAlignLevel:
