@@ -20,10 +20,14 @@ first point commit — simulating a kill -9).  The gate holds when:
   recomputed (commit-level exactly-once; only uncommitted in-flight
   work may repeat, and the audit counts it when it does);
 * a resubmission of the same grid is served entirely from the catalog
-  (all points ``reused``, zero new evaluations).
+  (all points ``reused``, zero new evaluations);
+* the service directory holds its one database, ``queue.sqlite``
+  (queue and catalog tables, with its ``-wal``/``-shm`` files), and
+  ``cache/``, nothing else.
 
 Writes a JSON artifact (``--stats-out``) with the queue/catalog
-footprint, per-worker shard counts, and the kill diagnostics.
+footprint, the service directory's file list, per-worker shard counts,
+and the kill diagnostics.
 
 Usage::
 
@@ -55,6 +59,11 @@ from repro.service import SweepService  # noqa: E402
 from repro.sweep import SweepSpec, run_sweep  # noqa: E402
 
 from sweep_gate import MACHINE_VARIANTS  # noqa: E402
+
+#: everything a service directory may hold
+SERVICE_FILES = {
+    "queue.sqlite", "queue.sqlite-wal", "queue.sqlite-shm", "cache",
+}
 
 _SERVE_SNIPPET = """
 import sys
@@ -216,6 +225,17 @@ def main() -> int:
         stats["catalog"] = client.catalog.stats_dict()
         stats["queue_depth"] = client.queue.depth()
         client.close()
+
+        files = sorted(path.name for path in service_dir.iterdir())
+        stats["service_dir_files"] = files
+        stray = sorted(set(files) - SERVICE_FILES)
+        if stray:
+            failures.append(
+                f"service directory holds more than queue.sqlite and "
+                f"cache/: {stray}"
+            )
+        else:
+            print(f"service directory holds {', '.join(files)}")
     finally:
         if scratch:
             shutil.rmtree(scratch, ignore_errors=True)

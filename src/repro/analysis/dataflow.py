@@ -70,14 +70,12 @@ class LivenessInfo:
     # -- loop-level queries --------------------------------------------------
 
     def live_after_loop(self, loop: LoopStmt) -> frozenset[str]:
-        """Symbols live on the loop's exit edge (header → follow)."""
-        header = self.cfg.node_of(loop)
-        body_nodes = {
-            self.cfg.node_of(s).index for s in loop.walk() if s is not loop
-        }
+        """Symbols live on the loop's exit edge (header → follow): the
+        header's successors that ``loop`` does not enclose."""
         live: set[str] = set()
-        for succ in header.succs:
-            if succ.index not in body_nodes:
+        for succ in self.cfg.node_of(loop).succs:
+            stmt = succ.stmt
+            if stmt is None or not self.cfg.proc.encloses(loop, stmt):
                 live |= self.live_in.get(succ.index, frozenset())
         return frozenset(live)
 

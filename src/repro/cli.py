@@ -198,9 +198,9 @@ def _emit_json(args, payload) -> None:
 def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--service-dir", metavar="DIR", default=None,
-        help="service root holding queue.sqlite, catalog.sqlite and the "
-        "compile cache (default: $REPRO_SERVICE_DIR or "
-        "<cache root>/service)",
+        help="service root holding queue.sqlite (the job queue and the "
+        "artifact catalog) and the compile cache (default: "
+        "$REPRO_SERVICE_DIR or <cache root>/service)",
     )
 
 

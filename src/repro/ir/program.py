@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from ..errors import SemanticError
 from ..model import flops_of_expr
-from .expr import ArrayElemRef, Ref, affine_form
+from .expr import AffineForm, ArrayElemRef, Ref, affine_form
 from .stmt import AssignStmt, GotoStmt, IfStmt, LoopStmt, Stmt
 from .symbols import Symbol, SymbolTable
 
@@ -101,17 +101,31 @@ class Procedure:
         form of each array subscript (``ref.forms``) and loop bound
         (``loop.low_form`` / ``high_form`` / ``step_form``), and the
         flops of each assignment's rhs and IF's condition
-        (``stmt.flops``).  Must be called whenever the statement tree
-        changes; it is the one place those facts are (re)derived."""
+        (``stmt.flops``).  Equal forms are one object, so a pickled
+        tree stores each once.  Must be called whenever the statement
+        tree changes; it is the one place those facts are (re)derived."""
         self.ir_epoch += 1
         self._stmts_by_id.clear()
         self._stmts_by_label.clear()
         self._ref_to_stmt.clear()
-        self._link(self.body, None)
+        self._link(self.body, None, {})
         self._stmt_order = tuple(self._stmts_by_id.values())
         return self
 
-    def _link(self, stmts: list[Stmt], loop: LoopStmt | None) -> None:
+    @staticmethod
+    def _form(expr, forms: dict) -> AffineForm | None:
+        """``affine_form(expr)`` (None for no ``expr``), as the object
+        ``forms`` already holds for an equal form (keyed on symbol
+        identity: ``Symbol`` is unhashable)."""
+        form = affine_form(expr) if expr is not None else None
+        if form is None:
+            return None
+        key = (form.const, tuple((id(sym), c) for sym, c in form.coeffs))
+        return forms.setdefault(key, form)
+
+    def _link(
+        self, stmts: list[Stmt], loop: LoopStmt | None, forms: dict
+    ) -> None:
         for stmt in stmts:
             stmt.loop = loop
             self._stmts_by_id[stmt.stmt_id] = stmt
@@ -123,21 +137,21 @@ class Procedure:
                 ref.stmt_id = stmt.stmt_id
                 self._ref_to_stmt[ref.ref_id] = stmt
                 if isinstance(ref, ArrayElemRef):
-                    ref.forms = tuple(affine_form(s) for s in ref.subscripts)
+                    ref.forms = tuple(
+                        self._form(s, forms) for s in ref.subscripts
+                    )
             if isinstance(stmt, AssignStmt):
                 stmt.flops = flops_of_expr(stmt.rhs)
             elif isinstance(stmt, LoopStmt):
                 stmt.level = (loop.level + 1) if loop is not None else 1
-                stmt.low_form = affine_form(stmt.low)
-                stmt.high_form = affine_form(stmt.high)
-                stmt.step_form = (
-                    affine_form(stmt.step) if stmt.step is not None else None
-                )
-                self._link(stmt.body, stmt)
+                stmt.low_form = self._form(stmt.low, forms)
+                stmt.high_form = self._form(stmt.high, forms)
+                stmt.step_form = self._form(stmt.step, forms)
+                self._link(stmt.body, stmt, forms)
             elif isinstance(stmt, IfStmt):
                 stmt.flops = flops_of_expr(stmt.cond)
-                self._link(stmt.then_body, loop)
-                self._link(stmt.else_body, loop)
+                self._link(stmt.then_body, loop, forms)
+                self._link(stmt.else_body, loop, forms)
 
     # -- lookup -----------------------------------------------------------------
 

@@ -1,26 +1,27 @@
 """Shared sqlite plumbing for the job queue and the artifact catalog.
 
-Both databases — the job queue (the service's durable one and the
-sweep pool's temporary one alike) and the service's artifact catalog —
-are single-file sqlite databases opened in WAL mode so a submitting client,
-several ``repro serve`` worker processes, and a ``repro jobs watch``
-poller can read and write concurrently without corrupting each other:
-WAL gives readers a consistent snapshot while one writer commits, and
-``busy_timeout`` turns writer contention into a bounded wait instead
-of an immediate ``database is locked`` error.
+One file holds a service's durable state: ``queue.sqlite``, the job
+queue's tables and the artifact catalog's (the sweep pool's temporary
+queue has the queue's only).  It is opened in WAL mode so a submitting
+client, several ``repro serve`` worker processes, and a ``repro jobs
+watch`` poller can read and write concurrently without corrupting each
+other: WAL gives readers a consistent snapshot while one writer
+commits, and ``busy_timeout`` turns writer contention into a bounded
+wait instead of an immediate ``database is locked`` error.
 
-Schema versions live in a ``schema_info`` table per database.  A
-database written by a *newer* schema than the code understands is
-refused loudly (the caller should upgrade, not silently corrupt);
-missing tables are created on first open.
+Schema versions live in a ``schema_info`` table, one row per table set
+(``queue``, ``catalog``).  A set written by a *newer* schema than the
+code understands is refused loudly (the caller should upgrade, not
+silently corrupt); missing tables are created on first open.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 #: how long a writer waits on a locked database before erroring (ms)
 BUSY_TIMEOUT_MS = 30_000
@@ -88,27 +89,19 @@ def ensure_schema(
         )
 
 
-class transaction:
+@contextmanager
+def transaction(conn: sqlite3.Connection) -> Iterator[sqlite3.Connection]:
     """``with transaction(conn):`` — an immediate write transaction
     that commits on success and rolls back on any exception.  Nested
     use is a no-op inner block (sqlite has no nested transactions; the
     outermost owner commits)."""
-
-    def __init__(self, conn: sqlite3.Connection):
-        self.conn = conn
-        self.owns = False
-
-    def __enter__(self):
-        if not self.conn.in_transaction:
-            self.conn.execute("BEGIN IMMEDIATE")
-            self.owns = True
-        return self.conn
-
-    def __exit__(self, exc_type, exc, tb):
-        if not self.owns:
-            return False
-        if exc_type is None:
-            self.conn.execute("COMMIT")
-        else:
-            self.conn.execute("ROLLBACK")
-        return False
+    if conn.in_transaction:
+        yield conn
+        return
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield conn
+    except BaseException:
+        conn.execute("ROLLBACK")
+        raise
+    conn.execute("COMMIT")

@@ -34,7 +34,7 @@ the queue database:
 
 The queue stores *work*; measurement artifacts (compiled programs,
 per-point results indexed for reuse) live in the
-:class:`repro.service.catalog.Catalog`.
+:class:`repro.service.catalog.Catalog` (in the same file, on a service).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import socket
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .db import connect, ensure_schema, transaction
 
@@ -492,16 +492,19 @@ class JobQueue:
         *,
         reused: bool = False,
         lease: tuple[int, str] | None = None,
+        record: Callable[[], Any] | None = None,
     ) -> list[bool]:
         """Commit ``(grid index, result)`` pairs in one transaction:
-        each point's state flip, pickled record and ``ok`` column, one
-        ``point`` event per point that landed, and — given ``lease``,
-        a ``(shard, owner)`` — its :meth:`heartbeat`.  Per pair, False
-        means the point was already done: a racing double-completion is
-        dropped, not duplicated."""
+        ``record()`` (the caller's own rows), each point's state flip,
+        pickled record and ``ok`` column, one ``point`` event per point
+        that landed, and — given ``lease``, a ``(shard, owner)`` — its
+        :meth:`heartbeat`.  Per pair, False means the point was already
+        done: a racing double-completion is dropped, not duplicated."""
         now = time.time()
         done: list[bool] = []
         with transaction(self.conn):
+            if record is not None:
+                record()
             for idx, result in landed:
                 cursor = self.conn.execute(
                     "UPDATE points SET state = 'done', result = ?, ok = ?,"

@@ -18,7 +18,7 @@ import multiprocessing.connection
 import os
 import time
 import traceback
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .queue import Claim, JobQueue, owner_pid
 
@@ -70,11 +70,12 @@ def work(
     claimable.
 
     ``evaluate(claim, commit)`` measures the claim's pending points
-    and calls ``commit(landed, reused=False)`` with the ``(idx,
-    result)`` pairs as they land: the durable, exactly-once step, one
-    transaction per call (per pair, False when somebody else committed
-    the point first), which also extends the lease unless the points
-    were reused.  An exception out of the evaluator is a deterministic
+    and calls ``commit(landed, reused=False, record=None)`` with the
+    ``(idx, result)`` pairs as they land: the durable, exactly-once
+    step, one transaction per call (per pair, False when somebody else
+    committed the point first), which also runs the evaluator's own
+    writes (``record()``) and extends the lease unless the points were
+    reused.  An exception out of the evaluator is a deterministic
     failure, not a crash: the points it left open are committed
     ``ok=False`` with the traceback and nothing is retried.  A lost
     lease (reclaimed, or the job cancelled) releases the shard instead
@@ -86,13 +87,14 @@ def work(
     _fault("claimed", claim, labels)
     open_points = dict(claim.points)
 
-    def commit(landed: Sequence[tuple], *, reused: bool = False) -> list[bool]:
+    def commit(landed, *, reused=False, record=None) -> list[bool]:
         done = queue.complete_points(
             claim.job_id,
             landed,
             reused=reused,
             # a reused point took no time off the lease
             lease=None if reused else (claim.shard, owner),
+            record=record,
         )
         for idx, result in landed:
             open_points.pop(idx, None)

@@ -4,7 +4,7 @@ service has built and measured.
 The content-addressed :class:`~repro.core.diskcache.CompileCache`
 already persists compiled programs, but it is write-only bookkeeping:
 a directory of opaque hashes.  The catalog layers provenance and
-reuse accounting on top, in two tables:
+reuse accounting on top, in two tables of the service's queue.sqlite:
 
 * **artifacts** — one row per compiled-program pickle the service
   touched: catalog key (the cache's content address), source hash,
@@ -29,12 +29,13 @@ import hashlib
 import json
 import os
 import pickle
+import sqlite3
 import time
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..core.diskcache import options_signature, pipeline_fingerprint
 from ..sweep.spec import SweepJob, SweepResult
-from ..jobqueue.db import connect, ensure_schema, transaction
+from ..jobqueue.db import ensure_schema, transaction
 
 if TYPE_CHECKING:
     from ..core.diskcache import CompileCache
@@ -120,15 +121,11 @@ def _decode(blob: bytes) -> SweepResult | None:
 
 class Catalog:
     """Sqlite index over compiled artifacts and point results (see
-    module doc)."""
+    module doc) on an open connection — a service's is its queue's."""
 
-    def __init__(self, path: str | os.PathLike):
-        self.path = path
-        self.conn = connect(path)
-        ensure_schema(self.conn, "catalog", CATALOG_SCHEMA_VERSION, _DDL)
-
-    def close(self) -> None:
-        self.conn.close()
+    def __init__(self, conn: sqlite3.Connection):
+        self.conn = conn
+        ensure_schema(conn, "catalog", CATALOG_SCHEMA_VERSION, _DDL)
 
     # -- recording ---------------------------------------------------------
 
@@ -182,8 +179,9 @@ class Catalog:
         """Store one freshly evaluated point under its identity key
         (``key``: the :func:`point_key` the caller already holds) and,
         given the compile ``cache``, index its compiled artifact too —
-        one transaction.  Re-recording the same key (a crash replayed
-        an uncommitted evaluation, or two jobs raced) increments
+        one transaction (the caller's, when one is open).  Re-recording
+        the same key (a crash replayed an uncommitted evaluation, or
+        two jobs raced) increments
         ``evaluations`` — the counter the exactly-once gates read —
         and overwrites the stored record."""
         key = key or point_key(job)
@@ -218,16 +216,13 @@ class Catalog:
 
     # -- lookup / reuse ----------------------------------------------------
 
-    def lookup_many(self, keys: Sequence[str]) -> dict[str, SweepResult]:
-        """The stored results of the given point identities, by key;
-        keys with no (decodable) record are absent.  One read, and one
-        transaction that bumps ``reuses`` once per hit in ``keys``, so
-        a key listed twice counts two reuses.  Hits come back tagged
-        ``worker="catalog"`` so provenance stays visible; everything
-        the byte-parity gates compare is the stored record verbatim.
-        A record that no longer unpickles is a miss: the caller
-        recomputes the point and :meth:`record_result` overwrites the
-        row."""
+    def find(self, keys: Sequence[str]) -> dict[str, SweepResult]:
+        """The stored results of the given point identities, by key, in
+        one read (no reuse counted); keys with no (decodable) record are
+        absent.  Hits come back tagged ``worker="catalog"``; everything
+        the byte-parity gates compare is the stored record verbatim.  A
+        record that no longer unpickles is a miss: the caller recomputes
+        the point and :meth:`record_result` overwrites the row."""
         distinct = list(dict.fromkeys(keys))
         found: dict[str, SweepResult] = {}
         for start in range(0, len(distinct), _IN_CHUNK):
@@ -242,14 +237,25 @@ class Catalog:
                 if result is not None:
                     result.worker = "catalog"
                     found[row["point_key"]] = result
+        return found
+
+    def count_reuses(self, keys: Sequence[str]) -> None:
+        """Bump ``reuses`` and ``last_used`` once per listed key, in one
+        transaction (the caller's, when one is open)."""
+        now = time.time()
+        with transaction(self.conn):
+            self.conn.executemany(
+                "UPDATE results SET reuses = reuses + 1, last_used = ?"
+                " WHERE point_key = ?",
+                [(now, key) for key in keys],
+            )
+
+    def lookup_many(self, keys: Sequence[str]) -> dict[str, SweepResult]:
+        """:meth:`find`, and :meth:`count_reuses` of each hit in ``keys``
+        (a key listed twice counts two reuses)."""
+        found = self.find(keys)
         if found:
-            now = time.time()
-            with transaction(self.conn):
-                self.conn.executemany(
-                    "UPDATE results SET reuses = reuses + 1, last_used = ?"
-                    " WHERE point_key = ?",
-                    [(now, key) for key in keys if key in found],
-                )
+            self.count_reuses([key for key in keys if key in found])
         return found
 
     def lookup(self, job: SweepJob) -> SweepResult | None:
@@ -261,13 +267,11 @@ class Catalog:
     def evaluations(self, job_or_key: "SweepJob | str") -> int:
         """How many times this point identity was actually computed
         (0: never recorded)."""
-        key = (
-            job_or_key
-            if isinstance(job_or_key, str)
-            else point_key(job_or_key)
-        )
+        if not isinstance(job_or_key, str):
+            job_or_key = point_key(job_or_key)
         row = self.conn.execute(
-            "SELECT evaluations FROM results WHERE point_key = ?", (key,)
+            "SELECT evaluations FROM results WHERE point_key = ?",
+            (job_or_key,),
         ).fetchone()
         return row["evaluations"] if row else 0
 
@@ -278,24 +282,18 @@ class Catalog:
         both (tagged by ``table``)."""
         if kind not in ("all", "artifacts", "results"):
             raise ValueError(f"unknown catalog kind {kind!r}")
-        rows: list[dict[str, Any]] = []
-        if kind in ("all", "artifacts"):
-            for row in self.conn.execute(
-                "SELECT * FROM artifacts ORDER BY created_at"
-            ):
-                record = dict(row)
-                record["table"] = "artifacts"
-                rows.append(record)
-        if kind in ("all", "results"):
-            for row in self.conn.execute(
-                "SELECT point_key, program, mode, procs, seed,"
-                " canonical_sha, job_id, created_at, last_used,"
-                " evaluations, reuses FROM results ORDER BY created_at"
-            ):
-                record = dict(row)
-                record["table"] = "results"
-                rows.append(record)
-        return rows
+        queries = {
+            "artifacts": "SELECT * FROM artifacts ORDER BY created_at",
+            "results": "SELECT point_key, program, mode, procs, seed,"
+            " canonical_sha, job_id, created_at, last_used, evaluations,"
+            " reuses FROM results ORDER BY created_at",
+        }
+        return [
+            dict(row, table=table)
+            for table, query in queries.items()
+            if kind in ("all", table)
+            for row in self.conn.execute(query)
+        ]
 
     def show(self, prefix: str) -> dict[str, Any]:
         """Full detail of the one artifact or result row whose key
@@ -354,11 +352,9 @@ class Catalog:
         — artifacts and results not used within the window, unlinking
         aged artifacts' cache files too.  Returns removal counts."""
         removed = {"orphans": 0, "aged_artifacts": 0, "aged_results": 0}
-        cutoff = (
-            time.time() - max_age_days * 86400.0
-            if max_age_days is not None
-            else None
-        )
+        cutoff = None
+        if max_age_days is not None:
+            cutoff = time.time() - max_age_days * 86400.0
         with transaction(self.conn):
             for row in self.conn.execute(
                 "SELECT key, path, last_used FROM artifacts"
@@ -402,7 +398,7 @@ class Catalog:
             " COALESCE(SUM(reuses), 0) AS reuses FROM results"
         ).fetchone()
         return {
-            "path": str(self.path),
+            "path": self.conn.execute("PRAGMA database_list").fetchone()[2],
             "schema": CATALOG_SCHEMA_VERSION,
             "artifacts": {
                 "entries": artifacts["n"],

@@ -4,7 +4,7 @@ the warm cache shared.
 A *service directory* holds everything durable::
 
     <root>/queue.sqlite    the job queue (jobs, points, shards, events)
-    <root>/catalog.sqlite  the artifact catalog (compiles, results)
+                           and the artifact catalog (artifacts, results)
     <root>/cache/          the content-addressed compile cache
 
 Clients submit through :meth:`SweepService.submit` (or
@@ -15,11 +15,11 @@ the ordered :class:`~repro.sweep.spec.SweepResult` list,
 runs the worker loop: ``repro serve`` (or
 :meth:`SweepService.serve_forever`) runs the queue's claim loop
 (:func:`repro.jobqueue.work`) one shard at a time, serves the points
-the catalog has already measured as *reuses* (one catalog read and one
-queue commit for all of them), evaluates the rest in-process through
-:func:`repro.sweep.run_sweep`, and commits each of those to catalog +
-queue as it lands.  Kill the process at any moment:
-completed points are durable, the lease expires (or the dead pid is
+the catalog has already measured as *reuses* (one catalog read, one
+transaction), evaluates the rest in-process through
+:func:`repro.sweep.run_sweep`, and lands each of those (catalog rows
+and queue commit) in one transaction as it comes.  Kill the process at
+any moment: completed points are durable, the lease expires (or the dead pid is
 detected), and the next worker resumes exactly the pending points —
 canonical stats stay byte-identical to an uninterrupted
 ``Session.sweep`` of the same grid.
@@ -31,6 +31,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -141,7 +142,7 @@ def _serve_child(
     worker_id: int, root: str, lease_ttl: float, cache_root, loop: dict
 ) -> None:
     """One ``serve_forever(workers=N)`` child: its own service object
-    (own sqlite connections, own owner tag) on the parent's directory."""
+    (own sqlite connection, own owner tag) on the parent's directory."""
     service = SweepService(root, lease_ttl=lease_ttl, cache=cache_root)
     try:
         service.serve_forever(**loop)
@@ -150,9 +151,9 @@ def _serve_child(
 
 
 class SweepService:
-    """Queue + catalog + compile cache over one service directory.
-    The same class serves both roles: clients construct it to
-    submit/poll, worker processes construct it to run
+    """Queue + catalog (on one connection) + compile cache over one
+    service directory.  The same class serves both roles: clients
+    construct it to submit/poll, worker processes construct it to run
     :meth:`serve_forever`."""
 
     def __init__(
@@ -168,7 +169,7 @@ class SweepService:
         self.root = Path(root).expanduser() if root else default_service_dir()
         self.root.mkdir(parents=True, exist_ok=True)
         self.queue = JobQueue(self.root / "queue.sqlite", lease_ttl=lease_ttl)
-        self.catalog = Catalog(self.root / "catalog.sqlite")
+        self.catalog = Catalog(self.queue.conn)
         self.cache = as_compile_cache(
             cache if cache is not None else self.root / "cache"
         )
@@ -179,7 +180,6 @@ class SweepService:
 
     def close(self) -> None:
         self.queue.close()
-        self.catalog.close()
 
     # -- metrics helpers ---------------------------------------------------
 
@@ -241,12 +241,12 @@ class SweepService:
 
     def _evaluate(self, claim: Claim, commit) -> None:
         """The claim loop's evaluator: points the catalog has already
-        measured land together as reuses (one catalog read, one queue
+        measured land together as reuses (one catalog read, one
         transaction), the rest run in-process as one sweep (so
-        batched/procs-lane fusion applies to the whole shard) and land
-        as they stream out.  Results map back to grid indices by label
-        (unique within a grid up to identical point identities, which
-        interchange freely)."""
+        batched/procs-lane fusion applies to the whole shard) and land,
+        catalog rows and all, one transaction each as they stream out.
+        Results map back to grid indices by label (unique within a grid
+        up to identical point identities, which interchange freely)."""
         job_of = dict(claim.points)
 
         def served(results: list[SweepResult], reused: bool) -> None:
@@ -265,14 +265,16 @@ class SweepService:
                 )
 
         def land(idx: int, result: SweepResult) -> None:
-            self.catalog.record_result(
-                job_of[idx],
-                result,
-                job_id=claim.job_id,
-                cache=self.cache,
-                key=claim.keys[idx],
+            commit(
+                [(idx, result)],
+                record=lambda: self.catalog.record_result(
+                    job_of[idx],
+                    result,
+                    job_id=claim.job_id,
+                    cache=self.cache,
+                    key=claim.keys[idx],
+                ),
             )
-            commit([(idx, result)])
             served([result], False)
 
         with self.tracer.span(
@@ -282,7 +284,7 @@ class SweepService:
             shard=claim.shard,
             pending=len(claim.points),
         ):
-            hits = self.catalog.lookup_many(list(claim.keys.values()))
+            hits = self.catalog.find(list(claim.keys.values()))
             reused: list[tuple[int, SweepResult]] = []
             index_of: dict[str, deque[int]] = {}
             fresh: list[SweepJob] = []
@@ -294,7 +296,9 @@ class SweepService:
                     fresh.append(job)
                     index_of.setdefault(job.label, deque()).append(idx)
             if reused:
-                commit(reused, reused=True)
+                keys = [claim.keys[idx] for idx, _ in reused]
+                record = partial(self.catalog.count_reuses, keys)
+                commit(reused, reused=True, record=record)
                 served([result for _, result in reused], True)
             if fresh:
                 run_sweep(

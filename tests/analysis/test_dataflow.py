@@ -1,7 +1,14 @@
 """Liveness and upward-exposed-uses tests."""
 
+from pathlib import Path
+
 from repro.analysis import compute_liveness, upward_exposed_uses
+from repro.fuzz import generate
 from repro.ir import build_cfg, parse_and_build
+from repro.ir.stmt import Stmt
+from repro.programs import appsp_source, dgefa_source, figures, tomcatv_source
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def analyzed(body, decls="  REAL A(10), B(10)\n  REAL x, y\n"):
@@ -55,6 +62,54 @@ class TestLiveness:
         proc, cfg, liv = analyzed("  A(1) = 1.0\n  y = A(2)")
         first = cfg.node_of(proc.body[0])
         assert "A" in liv.live_in[first.index]  # element store: no kill
+
+
+def _programs():
+    """The kernels, the paper's figures, the corpus and the seed-0 fuzz
+    programs."""
+    yield tomcatv_source(n=17, niter=2, procs=4)
+    yield dgefa_source(n=12, procs=4)
+    yield appsp_source(nx=6, ny=6, nz=6, niter=1, procs=4)
+    for number in (1, 2, 4, 5, 6, 7):
+        yield getattr(figures, f"figure{number}_source")()
+    for path in sorted(CORPUS.glob("*.hpf")):
+        yield path.read_text()
+    for seed in range(150):
+        yield generate(seed).emit(3)
+
+
+def walked_live_after(liveness, loop):
+    """The exit-edge set found through the node set of the walked body."""
+    cfg = liveness.cfg
+    body = {cfg.node_of(s).index for s in loop.walk() if s is not loop}
+    return frozenset().union(
+        *(
+            liveness.live_in.get(succ.index, frozenset())
+            for succ in cfg.node_of(loop).succs
+            if succ.index not in body
+        )
+    )
+
+
+def test_live_after_loop_reads_the_enclosing_loops_not_the_body(
+    monkeypatch,
+):
+    cases = []
+    for source in _programs():
+        proc = parse_and_build(source)
+        liveness = compute_liveness(build_cfg(proc))
+        cases += [
+            (liveness, loop, walked_live_after(liveness, loop))
+            for loop in proc.loops()
+        ]
+    assert len(cases) > 300
+
+    def refuse(self):
+        raise AssertionError("live_after_loop walked a loop body")
+
+    monkeypatch.setattr(Stmt, "walk", refuse)
+    for liveness, loop, expected in cases:
+        assert liveness.live_after_loop(loop) == expected, loop
 
 
 class TestUpwardExposed:

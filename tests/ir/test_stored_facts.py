@@ -9,6 +9,7 @@ seed-0 fuzz programs, and again after a transform changed the tree
 (so a fact left over from before the change fails here).
 """
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -73,6 +74,36 @@ def test_kernel_facts_match_the_pure_functions(name):
     assert_facts_are_current(proc)
     compiled = compile_source(KERNELS[name]())
     assert_facts_are_current(compiled.proc)
+
+
+def stored_forms(proc):
+    """Every stored subscript and bound form, in tree order."""
+    for stmt in proc.all_stmts():
+        for ref in array_refs(stmt):
+            yield from ref.forms
+        if isinstance(stmt, LoopStmt):
+            yield from (stmt.low_form, stmt.high_form, stmt.step_form)
+
+
+def assert_equal_forms_are_one_object(forms):
+    distinct = []
+    for form in forms:
+        same = [seen for seen in distinct if seen == form]
+        assert all(seen is form for seen in same), form
+        if not same:
+            distinct.append(form)
+    assert len(distinct) < len(forms)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_equal_forms_are_one_object_and_pickle_so(name):
+    proc = compile_source(KERNELS[name]()).proc
+    forms = [f for f in stored_forms(proc) if f is not None]
+    assert_equal_forms_are_one_object(forms)
+    revived = pickle.loads(pickle.dumps(proc, pickle.HIGHEST_PROTOCOL))
+    again = [f for f in stored_forms(revived) if f is not None]
+    assert again == forms
+    assert_equal_forms_are_one_object(again)
 
 
 def test_fuzz_program_facts_match_the_pure_functions():

@@ -7,6 +7,7 @@ from repro.core.diskcache import CompileCache, options_signature
 from repro.core.driver import CompilerOptions, compile_source
 from repro.model import MachineModel
 from repro.programs import tomcatv_source
+from repro.jobqueue.db import connect
 from repro.service import Catalog, point_key
 from repro.sweep.spec import SweepJob, SweepResult, SweepSpec
 
@@ -124,7 +125,7 @@ class TestGoldenKeys:
 
 class TestResults:
     def test_record_then_lookup_round_trips(self, tmp_path):
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         job = _jobs()[0]
         assert catalog.lookup(job) is None
         catalog.record_result(job, _result(job), job_id=3)
@@ -135,7 +136,7 @@ class TestResults:
         assert found.worker == "catalog"  # provenance tag on reuse
 
     def test_evaluations_counts_computes_not_reuses(self, tmp_path):
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         job = _jobs()[0]
         assert catalog.evaluations(job) == 0
         catalog.record_result(job, _result(job))
@@ -148,7 +149,7 @@ class TestResults:
         assert catalog.evaluations(job) == 2
 
     def test_reuse_counter(self, tmp_path):
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         job = _jobs()[0]
         catalog.record_result(job, _result(job))
         catalog.lookup(job)
@@ -160,7 +161,7 @@ class TestResults:
     def test_lookup_many_reads_a_shard_and_counts_each_listed_hit(
         self, tmp_path
     ):
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         a, b = _jobs()
         catalog.record_result(a, _result(a))
         keys = [point_key(a), point_key(b), point_key(a), point_key(a)]
@@ -173,7 +174,7 @@ class TestResults:
     def test_an_undecodable_record_is_a_miss_until_recomputed(
         self, tmp_path
     ):
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         a, b = _jobs()
         for job in (a, b):
             catalog.record_result(job, _result(job))
@@ -197,7 +198,7 @@ class TestResults:
             job.options,
             lambda: compile_source(job.source, job.options),
         )
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         key = catalog.record_result(job, _result(job), cache=cache)
         assert key == point_key(job)
         (artifact,) = catalog.ls("artifacts")
@@ -214,7 +215,7 @@ class TestArtifacts:
             job.options,
             lambda: compile_source(job.source, job.options),
         )
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         key = catalog.record_compile(job, cache)
         assert key is not None
         row = catalog.show(key)
@@ -225,13 +226,13 @@ class TestArtifacts:
         assert catalog.show(key)["uses"] == 2
 
     def test_record_compile_without_cache_is_noop(self, tmp_path):
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         assert catalog.record_compile(_jobs()[0], None) is None
 
 
 class TestInspection:
     def test_ls_kinds_and_stats(self, tmp_path):
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         job = _jobs()[0]
         catalog.record_result(job, _result(job))
         assert [r["table"] for r in catalog.ls("results")] == ["results"]
@@ -248,7 +249,7 @@ class TestInspection:
         """Earlier releases created an (always empty) ``calibrations``
         table; the schema version did not move when it went."""
         path = tmp_path / "c.sqlite"
-        old = Catalog(path)
+        old = Catalog(connect(path))
         job = _jobs()[0]
         old.record_result(job, _result(job))
         old.conn.execute(
@@ -256,8 +257,8 @@ class TestInspection:
             " constants TEXT NOT NULL, recorded_at REAL NOT NULL)"
         )
         old.conn.commit()
-        old.close()
-        catalog = Catalog(path)
+        old.conn.close()
+        catalog = Catalog(connect(path))
         assert [r["table"] for r in catalog.ls()] == ["results"]
         assert "calibrations" not in catalog.stats_dict()
         with pytest.raises(ValueError, match="unknown catalog kind"):
@@ -265,7 +266,7 @@ class TestInspection:
         assert catalog.lookup(job).total_time == 1.25
 
     def test_show_prefix_match_and_missing(self, tmp_path):
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         job = _jobs()[0]
         catalog.record_result(job, _result(job))
         key = point_key(job)
@@ -288,7 +289,7 @@ class TestInspection:
     def test_show_matches_the_prefix_literally_and_uniquely(
         self, tmp_path, prefix, message
     ):
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         job = _jobs()[0]
         for key in ("abc1", "abd2", "ffe3"):
             catalog.record_result(job, _result(job), key=key)
@@ -311,7 +312,7 @@ class TestGc:
                 job.options,
                 lambda job=job: compile_source(job.source, job.options),
             )
-        catalog = Catalog(tmp_path / "c.sqlite")
+        catalog = Catalog(connect(tmp_path / "c.sqlite"))
         keys = [catalog.record_compile(job, cache) for job in jobs]
         catalog.record_result(jobs[0], _result(jobs[0]))
 

@@ -201,15 +201,16 @@ class TestCatalogCli:
     def test_show_refuses_a_pattern_or_an_ambiguous_prefix(
         self, program, tmp_path, capsys, prefix, message
     ):
+        from repro.jobqueue.db import connect
         from repro.service import Catalog
         from repro.sweep import SweepJob
 
         _, service_dir = _submit(program, tmp_path, "--wait")
-        catalog = Catalog(tmp_path / "svc" / "catalog.sqlite")
+        catalog = Catalog(connect(tmp_path / "svc" / "queue.sqlite"))
         job = SweepJob(program="p", source=program.read_text())
         for key in ("abc1", "abc2"):
             catalog.record_result(job, job.result(ok=True), key=key)
-        catalog.close()
+        catalog.conn.close()
         capsys.readouterr()
         assert main([
             "catalog", "show", prefix, "--service-dir", service_dir,

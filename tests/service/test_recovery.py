@@ -6,6 +6,7 @@ never re-run; only uncommitted in-flight work repeats)."""
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 
@@ -144,3 +145,61 @@ class TestCrashRecovery:
         assert _canon(results[:1] + results[2:]) == _canon(direct[:1] + direct[2:])
         assert [client.catalog.evaluations(j) for j in jobs] == [1, 0, 1]
         client.close()
+
+
+
+def _fail_next_point_commit(service):
+    """ENOSPC on commit, once: the next ``UPDATE`` that marks a point
+    done raises ``sqlite3.OperationalError`` (returns the list that
+    records that it fired)."""
+    fired = []
+
+    def disk_full():
+        if not fired:
+            fired.append(True)
+            raise sqlite3.OperationalError("database or disk is full")
+
+    service.queue.conn.create_function("disk_full", 0, disk_full)
+    service.queue.conn.execute(
+        "CREATE TEMP TRIGGER disk_full BEFORE UPDATE OF state ON points"
+        " WHEN NEW.state = 'done' BEGIN SELECT disk_full(); END"
+    )
+    return fired
+
+
+class TestOneTransactionPerPoint:
+    def test_a_failed_point_commit_leaves_no_catalog_row(self, tmp_path):
+        """The queue's point ``UPDATE`` fails after the point's catalog
+        row was written: the row goes with the commit, so no orphan is
+        left for a resubmission to be served, and it evaluates the
+        point again."""
+        spec = _spec(procs=(2,))
+        (job,) = spec.jobs()
+        service = SweepService(tmp_path / "svc")
+        fired = _fail_next_point_commit(service)
+        handle = service.submit(spec)
+        service.serve_forever(once=True)
+        (failed,) = handle.result(timeout=0)
+        assert fired and not failed.ok and "OperationalError" in failed.error
+        assert service.catalog.evaluations(job) == 0
+
+        again = service.submit(spec)
+        service.serve_forever(once=True)
+        (result,) = again.result(timeout=0)
+        assert result.ok and again.poll().reused == 0
+        assert service.catalog.evaluations(job) == 1
+        service.close()
+
+    def test_a_failed_reuse_commit_counts_no_reuse(self, tmp_path):
+        spec = _spec(procs=(2, 3))
+        service = SweepService(tmp_path / "svc")
+        service.submit(spec)
+        service.serve_forever(once=True)
+        fired = _fail_next_point_commit(service)
+        handle = service.submit(spec, shards=1)
+        service.serve_forever(once=True)
+        assert fired and handle.poll().failed == 2
+        assert {
+            row["reuses"] for row in service.catalog.ls("results")
+        } == {0}
+        service.close()

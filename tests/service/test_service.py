@@ -3,6 +3,7 @@ reuse, the JobHandle client surface, sharding, and supervised
 workers."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -10,7 +11,7 @@ import dataclasses
 import pickle
 
 from repro import Session
-from repro.jobqueue.queue import QUEUE_SCHEMA_VERSION
+from repro.jobqueue.queue import QUEUE_SCHEMA_VERSION, JobQueue
 from repro.model import SP2
 from repro.obs import Metrics
 from repro.programs import appsp_source, dgefa_source, tomcatv_source
@@ -98,6 +99,54 @@ class TestEndToEnd:
         assert kinds[0] == "submitted" and kinds[-1] == "done"
         service.close()
 
+
+
+def _tables(conn):
+    return {
+        row["name"]
+        for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+    }
+
+
+class TestOneDatabase:
+    def test_the_directory_holds_one_database_on_one_connection(
+        self, tmp_path
+    ):
+        """The catalog's tables live in ``queue.sqlite``: a round trip
+        leaves no other file, the catalog works on the queue's
+        connection, and ``close()`` closes it.  An old
+        ``catalog.sqlite`` stays on disk untouched and unread."""
+        root = tmp_path / "svc"
+        root.mkdir()
+        (root / "catalog.sqlite").write_bytes(b"an old catalog")
+        service = SweepService(root)
+        conn = service.queue.conn
+        assert service.catalog.conn is conn
+        handle = service.submit(_spec())
+        service.serve_forever(once=True)
+        handle.result(timeout=60)
+        assert {"jobs", "points", "artifacts", "results"} <= _tables(conn)
+        schemas = {row["name"] for row in conn.execute(
+            "SELECT name FROM schema_info"
+        )}
+        assert schemas == {"queue", "catalog"}
+        service.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+        assert (root / "catalog.sqlite").read_bytes() == b"an old catalog"
+        names = {path.name for path in root.iterdir()} - {"catalog.sqlite"}
+        assert "queue.sqlite" in names and "cache" in names
+        assert names <= {
+            "queue.sqlite", "queue.sqlite-wal", "queue.sqlite-shm", "cache",
+        }
+
+    def test_a_bare_queue_holds_no_catalog(self, tmp_path):
+        """The sweep pool's temporary queue is a bare ``JobQueue``."""
+        queue = JobQueue(tmp_path / "q.sqlite")
+        assert not {"artifacts", "results"} & _tables(queue.conn)
+        queue.close()
 
 class TestCatalogServing:
     def _grid_105(self):
