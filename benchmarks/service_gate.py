@@ -23,11 +23,14 @@ first point commit — simulating a kill -9).  The gate holds when:
   (all points ``reused``, zero new evaluations);
 * the service directory holds its one database, ``queue.sqlite``
   (queue and catalog tables, with its ``-wal``/``-shm`` files), and
-  ``cache/``, nothing else.
+  ``cache/``, nothing else;
+* that database lists no ``results`` table: a result's one stored
+  copy is its ``points`` row.
 
 Writes a JSON artifact (``--stats-out``) with the queue/catalog
-footprint, the service directory's file list, per-worker shard counts,
-and the kill diagnostics.
+footprint, the queue's bytes per point after the cold and the warm
+round trip (``queue_bytes_per_point``), the service directory's file
+list, per-worker shard counts, and the kill diagnostics.
 
 Usage::
 
@@ -104,6 +107,13 @@ def spawn_worker(service_dir, fault=None):
     )
 
 
+def queue_bytes(service) -> int:
+    """Bytes of the service's ``queue.sqlite`` with its write-ahead log
+    checkpointed into it (the log is empty afterwards)."""
+    service.queue.conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    return (service.root / "queue.sqlite").stat().st_size
+
+
 def canon(results) -> bytes:
     return json.dumps(
         [comparable(r.as_dict()) for r in results], sort_keys=True
@@ -170,6 +180,7 @@ def main() -> int:
         replacement = spawn_worker(service_dir)
         replacement_out, _ = replacement.communicate(timeout=300)
         stats["service_elapsed_s"] = round(time.perf_counter() - started, 3)
+        cold_bytes = queue_bytes(client)
         if args.verbose:
             for tag, out in (("doomed", doomed_out),
                              ("survivor", survivor_out),
@@ -209,6 +220,12 @@ def main() -> int:
         # warm resubmission: all catalog, zero recomputation
         second = client.submit(spec, name="service-gate-warm")
         client.serve_forever(once=True)
+        stats["queue_bytes_per_point"] = {
+            "cold": round(cold_bytes / len(jobs), 1),
+            "warm": round(
+                (queue_bytes(client) - cold_bytes) / len(jobs), 1
+            ),
+        }
         warm_status = second.poll()
         stats["warm"] = warm_status.as_dict()
         if warm_status.reused != len(jobs):
@@ -224,6 +241,23 @@ def main() -> int:
 
         stats["catalog"] = client.catalog.stats_dict()
         stats["queue_depth"] = client.queue.depth()
+        tables = [
+            row["name"]
+            for row in client.queue.conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        ]
+        stats["tables"] = sorted(tables)
+        if "results" in tables:
+            failures.append(
+                "queue.sqlite has a results table: a result is stored "
+                "twice"
+            )
+        else:
+            print(f"one stored copy per result: "
+                  f"{stats['queue_bytes_per_point']['cold']} queue bytes "
+                  f"per point cold, "
+                  f"{stats['queue_bytes_per_point']['warm']} warm")
         client.close()
 
         files = sorted(path.name for path in service_dir.iterdir())

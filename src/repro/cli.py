@@ -705,11 +705,6 @@ def cmd_catalog(args) -> int:
         removed = catalog.gc(
             max_age_days=args.max_age_days, dry_run=args.dry_run
         )
-        removed["jobs"] = (
-            service.queue.gc(args.max_age_days, dry_run=args.dry_run)
-            if args.max_age_days is not None
-            else 0
-        )
         verb = "would remove" if args.dry_run else "removed"
         if args.json:
             _emit_json(args, {"dry_run": args.dry_run, **removed})

@@ -54,14 +54,6 @@ class PartitionError(ReproError):
     """Computation-partitioning failure (no executor set derivable)."""
 
 
-class CommError(ReproError):
-    """Communication-analysis failure."""
-
-
-class CodegenError(ReproError):
-    """SPMD lowering failure."""
-
-
 class SimulationError(ReproError):
     """Runtime failure inside the machine simulator."""
 

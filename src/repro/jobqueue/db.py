@@ -1,13 +1,14 @@
 """Shared sqlite plumbing for the job queue and the artifact catalog.
 
 One file holds a service's durable state: ``queue.sqlite``, the job
-queue's tables and the artifact catalog's (the sweep pool's temporary
-queue has the queue's only).  It is opened in WAL mode so a submitting
-client, several ``repro serve`` worker processes, and a ``repro jobs
-watch`` poller can read and write concurrently without corrupting each
-other: WAL gives readers a consistent snapshot while one writer
-commits, and ``busy_timeout`` turns writer contention into a bounded
-wait instead of an immediate ``database is locked`` error.
+queue's tables, whose done points are the artifact catalog's results,
+and the catalog's own (the sweep pool's temporary queue has no
+catalog).  It is opened in WAL mode so a submitting client, several
+``repro serve`` worker processes, and a ``repro jobs watch`` poller
+can read and write concurrently without corrupting each other: WAL
+gives readers a consistent snapshot while one writer commits, and
+``busy_timeout`` turns writer contention into a bounded wait instead
+of an immediate ``database is locked`` error.
 
 Schema versions live in a ``schema_info`` table, one row per table set
 (``queue``, ``catalog``).  A set written by a *newer* schema than the

@@ -32,9 +32,9 @@ the queue database:
   a monotonic per-queue event log that ``JobHandle.stream_events`` and
   ``repro jobs watch`` tail.
 
-The queue stores *work*; measurement artifacts (compiled programs,
-per-point results indexed for reuse) live in the
-:class:`repro.service.catalog.Catalog` (in the same file, on a service).
+The queue stores *work* and its results; on a service, the
+:class:`repro.service.catalog.Catalog` (in the same file) indexes the
+compiled programs and serves the done points' results for reuse.
 """
 
 from __future__ import annotations
@@ -140,6 +140,27 @@ def _add_ok_column(conn) -> None:
             "UPDATE points SET ok = ? WHERE job_id = ? AND idx = ?",
             (int(ok), row["job_id"], row["idx"]),
         )
+
+
+#: the ids of the terminal jobs that finished before a cutoff (``?``);
+#: the states' tuple renders as an SQL list
+AGED_JOBS = (
+    f"SELECT id FROM jobs WHERE state IN {TERMINAL_STATES}"
+    " AND finished_at < ?"
+)
+
+
+def gc_jobs(conn, cutoff: float, dry_run: bool = False) -> int:
+    """Delete the terminal jobs that finished before ``cutoff`` — their
+    points and shards by cascade, their events (which carry no foreign
+    key) explicitly.  Returns how many jobs were (or, under
+    ``dry_run``, would be) deleted."""
+    with transaction(conn):
+        aged = [(row["id"],) for row in conn.execute(AGED_JOBS, (cutoff,))]
+        if not dry_run:
+            conn.executemany("DELETE FROM events WHERE job_id = ?", aged)
+            conn.executemany("DELETE FROM jobs WHERE id = ?", aged)
+    return len(aged)
 
 
 def make_owner() -> str:
@@ -630,30 +651,6 @@ class JobQueue:
             )
             if cursor.rowcount:
                 self._emit(job_id, "failed", error=error.splitlines()[-1])
-
-    def gc(self, max_age_days: float, dry_run: bool = False) -> int:
-        """Delete the terminal jobs that finished more than
-        ``max_age_days`` ago — their points and shards by cascade,
-        their events (which carry no foreign key) explicitly.  Returns
-        how many jobs were (or, under ``dry_run``, would be) deleted."""
-        cutoff = time.time() - max_age_days * 86400.0
-        marks = ",".join("?" * len(TERMINAL_STATES))
-        with transaction(self.conn):
-            aged = [
-                row["id"]
-                for row in self.conn.execute(
-                    f"SELECT id FROM jobs WHERE state IN ({marks})"
-                    " AND finished_at < ?",
-                    (*TERMINAL_STATES, cutoff),
-                )
-            ]
-            if not dry_run:
-                rows = [(job_id,) for job_id in aged]
-                self.conn.executemany(
-                    "DELETE FROM events WHERE job_id = ?", rows
-                )
-                self.conn.executemany("DELETE FROM jobs WHERE id = ?", rows)
-        return len(aged)
 
     # -- inspection --------------------------------------------------------
 

@@ -4,7 +4,8 @@ the warm cache shared.
 A *service directory* holds everything durable::
 
     <root>/queue.sqlite    the job queue (jobs, points, shards, events)
-                           and the artifact catalog (artifacts, results)
+                           and the artifact catalog (artifacts; its
+                           results are the done points)
     <root>/cache/          the content-addressed compile cache
 
 Clients submit through :meth:`SweepService.submit` (or
@@ -17,8 +18,9 @@ runs the worker loop: ``repro serve`` (or
 (:func:`repro.jobqueue.work`) one shard at a time, serves the points
 the catalog has already measured as *reuses* (one catalog read, one
 transaction), evaluates the rest in-process through
-:func:`repro.sweep.run_sweep`, and lands each of those (catalog rows
-and queue commit) in one transaction as it comes.  Kill the process at
+:func:`repro.sweep.run_sweep`, and lands each of those (its point row,
+the catalog's result, and its compile's artifact row) in one
+transaction as it comes.  Kill the process at
 any moment: completed points are durable, the lease expires (or the dead pid is
 detected), and the next worker resumes exactly the pending points —
 canonical stats stay byte-identical to an uninterrupted
@@ -244,7 +246,8 @@ class SweepService:
         measured land together as reuses (one catalog read, one
         transaction), the rest run in-process as one sweep (so
         batched/procs-lane fusion applies to the whole shard) and land,
-        catalog rows and all, one transaction each as they stream out.
+        each with its compile's artifact row, one transaction each as
+        they stream out.
         Results map back to grid indices by label (unique within a grid
         up to identical point identities, which interchange freely)."""
         job_of = dict(claim.points)
@@ -265,16 +268,10 @@ class SweepService:
                 )
 
         def land(idx: int, result: SweepResult) -> None:
-            commit(
-                [(idx, result)],
-                record=lambda: self.catalog.record_result(
-                    job_of[idx],
-                    result,
-                    job_id=claim.job_id,
-                    cache=self.cache,
-                    key=claim.keys[idx],
-                ),
+            record = partial(
+                self.catalog.record_compile, job_of[idx], self.cache
             )
+            commit([(idx, result)], record=record)
             served([result], False)
 
         with self.tracer.span(
@@ -296,9 +293,7 @@ class SweepService:
                     fresh.append(job)
                     index_of.setdefault(job.label, deque()).append(idx)
             if reused:
-                keys = [claim.keys[idx] for idx, _ in reused]
-                record = partial(self.catalog.count_reuses, keys)
-                commit(reused, reused=True, record=record)
+                commit(reused, reused=True)
                 served([result for _, result in reused], True)
             if fresh:
                 run_sweep(

@@ -7,7 +7,9 @@ from repro.core.diskcache import CompileCache, options_signature
 from repro.core.driver import CompilerOptions, compile_source
 from repro.model import MachineModel
 from repro.programs import tomcatv_source
-from repro.jobqueue.db import connect
+from functools import partial
+
+from repro.jobqueue import JobQueue
 from repro.service import Catalog, point_key
 from repro.sweep.spec import SweepJob, SweepResult, SweepSpec
 
@@ -45,9 +47,27 @@ class TestPointKey:
         assert point_key(job) != point_key(other_seed)
 
 
+def _catalog(tmp_path):
+    """A catalog on a fresh queue database, and the queue."""
+    queue = JobQueue(tmp_path / "q.sqlite")
+    return Catalog(queue.conn), queue
+
+
+def _land(queue, job, result, *, key=None, reused=False):
+    """Run one job of one point through the queue, ending with
+    ``result`` (measured, or ``reused``): how a result enters the
+    catalog.  Returns the job id."""
+    job_id = queue.submit([job], [key or point_key(job)], [[0]])
+    claim = queue.claim("test")
+    assert claim.job_id == job_id
+    queue.complete_point(job_id, 0, result, reused=reused)
+    assert queue.finish_shard(job_id, claim.shard, "test")
+    return job_id
+
+
 def _corrupt(catalog, key):
     catalog.conn.execute(
-        "UPDATE results SET record = ? WHERE point_key = ?",
+        "UPDATE points SET result = ? WHERE point_key = ?",
         (b"\x80\x05garbage", key),
     )
 
@@ -125,10 +145,10 @@ class TestGoldenKeys:
 
 class TestResults:
     def test_record_then_lookup_round_trips(self, tmp_path):
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        catalog, queue = _catalog(tmp_path)
         job = _jobs()[0]
         assert catalog.lookup(job) is None
-        catalog.record_result(job, _result(job), job_id=3)
+        _land(queue, job, _result(job))
         found = catalog.lookup(job)
         assert found is not None
         assert found.total_time == 1.25
@@ -136,59 +156,87 @@ class TestResults:
         assert found.worker == "catalog"  # provenance tag on reuse
 
     def test_evaluations_counts_computes_not_reuses(self, tmp_path):
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        catalog, queue = _catalog(tmp_path)
         job = _jobs()[0]
         assert catalog.evaluations(job) == 0
-        catalog.record_result(job, _result(job))
+        _land(queue, job, _result(job))
         assert catalog.evaluations(job) == 1
         catalog.lookup(job)
         catalog.lookup(job)
         assert catalog.evaluations(job) == 1
-        # a crash-replayed re-record is counted, visible in the audit
-        catalog.record_result(job, _result(job))
+        # a crash-replayed re-measurement is counted, visible in the audit
+        _land(queue, job, _result(job))
         assert catalog.evaluations(job) == 2
 
     def test_reuse_counter(self, tmp_path):
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        """``reuses`` counts the points a result was served to; a bare
+        lookup serves nothing."""
+        catalog, queue = _catalog(tmp_path)
         job = _jobs()[0]
-        catalog.record_result(job, _result(job))
-        catalog.lookup(job)
+        _land(queue, job, _result(job))
+        for _ in range(2):
+            _land(queue, job, catalog.lookup(job), reused=True)
         catalog.lookup(job)
         row = catalog.show(point_key(job))
         assert row["reuses"] == 2 and row["evaluations"] == 1
 
-
-    def test_lookup_many_reads_a_shard_and_counts_each_listed_hit(
-        self, tmp_path
-    ):
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+    def test_find_reads_a_shard_and_counts_no_reuse(self, tmp_path):
+        catalog, queue = _catalog(tmp_path)
         a, b = _jobs()
-        catalog.record_result(a, _result(a))
+        _land(queue, a, _result(a))
         keys = [point_key(a), point_key(b), point_key(a), point_key(a)]
-        found = catalog.lookup_many(keys)
+        found = catalog.find(keys)
         assert set(found) == {point_key(a)}  # b was never recorded
         assert found[point_key(a)].worker == "catalog"
-        assert catalog.show(point_key(a))["reuses"] == 3
-        assert catalog.lookup_many([]) == {}
+        assert catalog.show(point_key(a))["reuses"] == 0
+        assert catalog.find([]) == {}
+
+    def test_a_failed_point_is_never_a_result(self, tmp_path):
+        catalog, queue = _catalog(tmp_path)
+        job = _jobs()[0]
+        _land(queue, job, _result(job, ok=False, error="boom"))
+        assert catalog.lookup(job) is None
+        assert catalog.evaluations(job) == 0
+        assert catalog.ls("results") == []
+        assert catalog.stats_dict()["results"]["entries"] == 0
+
+    def test_the_newest_measured_row_is_served_else_a_served_one(
+        self, tmp_path
+    ):
+        catalog, queue = _catalog(tmp_path)
+        job = _jobs()[0]
+        first = _land(queue, job, _result(job, total_time=1.0))
+        _land(queue, job, _result(job, total_time=2.0))
+        assert catalog.lookup(job).total_time == 2.0
+        _land(queue, job, catalog.lookup(job), reused=True)
+        queue.conn.execute("DELETE FROM jobs WHERE id > ?", (first,))
+        assert catalog.lookup(job).total_time == 1.0
+        _land(queue, job, _result(job, total_time=3.0), reused=True)
+        assert catalog.lookup(job).total_time == 1.0
+        queue.conn.execute("DELETE FROM jobs WHERE id = ?", (first,))
+        # only a job it was served to holds the result now
+        assert catalog.lookup(job).total_time == 3.0
+        row = catalog.show(point_key(job))
+        assert (row["evaluations"], row["reuses"]) == (0, 1)
 
     def test_an_undecodable_record_is_a_miss_until_recomputed(
         self, tmp_path
     ):
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        catalog, queue = _catalog(tmp_path)
         a, b = _jobs()
         for job in (a, b):
-            catalog.record_result(job, _result(job))
+            _land(queue, job, _result(job))
         _corrupt(catalog, point_key(a))
-        found = catalog.lookup_many([point_key(a), point_key(b)])
+        found = catalog.find([point_key(a), point_key(b)])
         assert list(found) == [point_key(b)]  # the other hit still lands
         row = catalog.show(point_key(a))
         assert row["record"] is None and "does not unpickle" in row["error"]
         assert row["reuses"] == 0  # a miss is not a reuse
-        catalog.record_result(a, _result(a, total_time=2.5))
+        _land(queue, a, _result(a, total_time=2.5))
         assert catalog.evaluations(a) == 2
         assert catalog.lookup(a).total_time == 2.5
 
-    def test_record_result_indexes_the_compile_in_the_same_call(
+    def test_a_point_commit_indexes_its_compile_in_the_same_transaction(
         self, tmp_path
     ):
         cache = CompileCache(tmp_path / "cache")
@@ -198,9 +246,11 @@ class TestResults:
             job.options,
             lambda: compile_source(job.source, job.options),
         )
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
-        key = catalog.record_result(job, _result(job), cache=cache)
-        assert key == point_key(job)
+        catalog, queue = _catalog(tmp_path)
+        job_id = queue.submit([job], [point_key(job)], [[0]])
+        record = partial(catalog.record_compile, job, cache)
+        queue.complete_points(job_id, [(0, _result(job))], record=record)
+        assert catalog.evaluations(job) == 1
         (artifact,) = catalog.ls("artifacts")
         assert artifact["options_signature"] == options_signature(job.options)
         assert artifact["uses"] == 1
@@ -215,7 +265,7 @@ class TestArtifacts:
             job.options,
             lambda: compile_source(job.source, job.options),
         )
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        catalog, _ = _catalog(tmp_path)
         key = catalog.record_compile(job, cache)
         assert key is not None
         row = catalog.show(key)
@@ -226,15 +276,15 @@ class TestArtifacts:
         assert catalog.show(key)["uses"] == 2
 
     def test_record_compile_without_cache_is_noop(self, tmp_path):
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        catalog, _ = _catalog(tmp_path)
         assert catalog.record_compile(_jobs()[0], None) is None
 
 
 class TestInspection:
     def test_ls_kinds_and_stats(self, tmp_path):
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        catalog, queue = _catalog(tmp_path)
         job = _jobs()[0]
-        catalog.record_result(job, _result(job))
+        _land(queue, job, _result(job))
         assert [r["table"] for r in catalog.ls("results")] == ["results"]
         assert catalog.ls("artifacts") == []
         with pytest.raises(ValueError, match="unknown catalog kind"):
@@ -248,17 +298,16 @@ class TestInspection:
     ):
         """Earlier releases created an (always empty) ``calibrations``
         table; the schema version did not move when it went."""
-        path = tmp_path / "c.sqlite"
-        old = Catalog(connect(path))
+        old, queue = _catalog(tmp_path)
         job = _jobs()[0]
-        old.record_result(job, _result(job))
+        _land(queue, job, _result(job))
         old.conn.execute(
             "CREATE TABLE calibrations (path TEXT PRIMARY KEY,"
             " constants TEXT NOT NULL, recorded_at REAL NOT NULL)"
         )
         old.conn.commit()
-        old.conn.close()
-        catalog = Catalog(connect(path))
+        queue.close()
+        catalog, _ = _catalog(tmp_path)
         assert [r["table"] for r in catalog.ls()] == ["results"]
         assert "calibrations" not in catalog.stats_dict()
         with pytest.raises(ValueError, match="unknown catalog kind"):
@@ -266,9 +315,9 @@ class TestInspection:
         assert catalog.lookup(job).total_time == 1.25
 
     def test_show_prefix_match_and_missing(self, tmp_path):
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        catalog, queue = _catalog(tmp_path)
         job = _jobs()[0]
-        catalog.record_result(job, _result(job))
+        _land(queue, job, _result(job))
         key = point_key(job)
         row = catalog.show(key[:10])
         assert row["point_key"] == key
@@ -289,10 +338,10 @@ class TestInspection:
     def test_show_matches_the_prefix_literally_and_uniquely(
         self, tmp_path, prefix, message
     ):
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        catalog, queue = _catalog(tmp_path)
         job = _jobs()[0]
         for key in ("abc1", "abd2", "ffe3"):
-            catalog.record_result(job, _result(job), key=key)
+            _land(queue, job, _result(job), key=key)
         with pytest.raises(KeyError, match=message):
             catalog.show(prefix)
         assert catalog.show("abc")["point_key"] == "abc1"
@@ -312,15 +361,15 @@ class TestGc:
                 job.options,
                 lambda job=job: compile_source(job.source, job.options),
             )
-        catalog = Catalog(connect(tmp_path / "c.sqlite"))
+        catalog, queue = _catalog(tmp_path)
         keys = [catalog.record_compile(job, cache) for job in jobs]
-        catalog.record_result(jobs[0], _result(jobs[0]))
+        _land(queue, jobs[0], _result(jobs[0]))
 
         # orphan one artifact's cache file
         os.unlink(catalog.show(keys[0])["path"])
         preview = catalog.gc(dry_run=True)
         assert preview == {
-            "orphans": 1, "aged_artifacts": 0, "aged_results": 0,
+            "orphans": 1, "aged_artifacts": 0, "aged_results": 0, "jobs": 0,
         }
         assert len(catalog.ls("artifacts")) == 2  # dry run kept rows
 
@@ -334,3 +383,32 @@ class TestGc:
         assert removed["aged_artifacts"] == 1
         assert removed["aged_results"] == 1
         assert catalog.ls() == []
+
+    def test_a_result_lives_while_a_kept_job_holds_it(self, tmp_path):
+        """Results age with the queue's jobs: one goes when the last
+        job holding a done row for it goes, measured or served."""
+        catalog, queue = _catalog(tmp_path)
+        job = _jobs()[0]
+        measured = _land(queue, job, _result(job))
+        served = _land(queue, job, catalog.lookup(job), reused=True)
+
+        def age(job_id):
+            queue.conn.execute(
+                "UPDATE jobs SET finished_at = finished_at - 3 * 86400.0"
+                " WHERE id = ?",
+                (job_id,),
+            )
+
+        def aged(**flags):
+            removed = catalog.gc(max_age_days=1, **flags)
+            return removed["jobs"], removed["aged_results"]
+
+        age(measured)
+        assert aged(dry_run=True) == (1, 0)
+        assert len(queue.list_jobs()) == 2  # dry run kept the job
+        assert aged() == (1, 0)
+        assert [status.job_id for status in queue.list_jobs()] == [served]
+        assert catalog.lookup(job).total_time == 1.25
+        age(served)
+        assert aged() == (1, 1)
+        assert catalog.lookup(job) is None and queue.list_jobs() == []

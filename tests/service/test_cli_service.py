@@ -201,16 +201,17 @@ class TestCatalogCli:
     def test_show_refuses_a_pattern_or_an_ambiguous_prefix(
         self, program, tmp_path, capsys, prefix, message
     ):
-        from repro.jobqueue.db import connect
-        from repro.service import Catalog
+        from repro.jobqueue import JobQueue
         from repro.sweep import SweepJob
 
         _, service_dir = _submit(program, tmp_path, "--wait")
-        catalog = Catalog(connect(tmp_path / "svc" / "queue.sqlite"))
+        queue = JobQueue(tmp_path / "svc" / "queue.sqlite")
         job = SweepJob(program="p", source=program.read_text())
-        for key in ("abc1", "abc2"):
-            catalog.record_result(job, job.result(ok=True), key=key)
-        catalog.conn.close()
+        job_id = queue.submit([job, job], ["abc1", "abc2"], [[0, 1]])
+        queue.complete_points(
+            job_id, [(0, job.result(ok=True)), (1, job.result(ok=True))]
+        )
+        queue.close()
         capsys.readouterr()
         assert main([
             "catalog", "show", prefix, "--service-dir", service_dir,

@@ -190,6 +190,29 @@ class TestOneTransactionPerPoint:
         assert service.catalog.evaluations(job) == 1
         service.close()
 
+    def test_a_resubmission_after_a_failed_commit_matches_a_direct_sweep(
+        self, tmp_path
+    ):
+        """ENOSPC on a shard's first point commit fails the shard's
+        open points; resubmitted, every point is measured once and
+        the job's records are byte-identical to a direct sweep."""
+        jobs = _spec(procs=(2, 3, 4)).jobs()
+        service = SweepService(tmp_path / "svc")
+        fired = _fail_next_point_commit(service)
+        handle = service.submit(jobs, shards=1)
+        service.serve_forever(once=True)
+        assert fired and handle.poll().failed == len(jobs)
+        assert [service.catalog.evaluations(j) for j in jobs] == [0, 0, 0]
+
+        again = service.submit(jobs)
+        service.serve_forever(once=True)
+        results = again.result(timeout=60)
+        assert again.poll().reused == 0
+        direct = run_sweep(jobs, workers=0, mode="pool")
+        assert _canon(results) == _canon(direct)
+        assert [service.catalog.evaluations(j) for j in jobs] == [1, 1, 1]
+        service.close()
+
     def test_a_failed_reuse_commit_counts_no_reuse(self, tmp_path):
         spec = _spec(procs=(2, 3))
         service = SweepService(tmp_path / "svc")

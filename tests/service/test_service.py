@@ -17,7 +17,7 @@ from repro.obs import Metrics
 from repro.programs import appsp_source, dgefa_source, tomcatv_source
 from repro.records import comparable
 from repro.service import JobFailed, SweepService, point_key, shard_jobs
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepJob, SweepSpec
 
 
 def _spec(procs=(2, 4), **kwargs):
@@ -127,7 +127,8 @@ class TestOneDatabase:
         handle = service.submit(_spec())
         service.serve_forever(once=True)
         handle.result(timeout=60)
-        assert {"jobs", "points", "artifacts", "results"} <= _tables(conn)
+        assert {"jobs", "points", "artifacts"} <= _tables(conn)
+        assert "results" not in _tables(conn)  # a result is its point row
         schemas = {row["name"] for row in conn.execute(
             "SELECT name FROM schema_info"
         )}
@@ -142,10 +143,45 @@ class TestOneDatabase:
             "queue.sqlite", "queue.sqlite-wal", "queue.sqlite-shm", "cache",
         }
 
+    def test_a_v1_results_table_is_left_as_it_is_and_unread(self, tmp_path):
+        """Catalog schema v1 kept a second copy of every result in a
+        ``results`` table; v2 reads the done points instead and never
+        touches that table."""
+        from repro.jobqueue.db import connect, ensure_schema
+
+        root = tmp_path / "svc"
+        conn = connect(root / "queue.sqlite")
+        ensure_schema(
+            conn, "catalog", 1,
+            "CREATE TABLE results (point_key TEXT PRIMARY KEY, record BLOB)",
+        )
+        conn.execute("INSERT INTO results VALUES ('0ld', x'00')")
+        conn.close()
+        service = SweepService(root)
+        handle = service.submit(_spec())
+        service.serve_forever(once=True)
+        handle.result(timeout=60)
+        conn = service.queue.conn
+        assert [tuple(row) for row in conn.execute(
+            "SELECT * FROM results"
+        )] == [("0ld", b"\x00")]
+        assert len(service.catalog.ls("results")) == 2
+        with pytest.raises(KeyError, match="no catalog entry"):
+            service.catalog.show("0ld")
+        (version,) = conn.execute(
+            "SELECT version FROM schema_info WHERE name = 'catalog'"
+        ).fetchone()
+        assert version == 2
+        service.close()
+
     def test_a_bare_queue_holds_no_catalog(self, tmp_path):
         """The sweep pool's temporary queue is a bare ``JobQueue``."""
         queue = JobQueue(tmp_path / "q.sqlite")
         assert not {"artifacts", "results"} & _tables(queue.conn)
+        indexes = {row["name"] for row in queue.conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index'"
+        )}
+        assert "idx_points_catalog" not in indexes
         queue.close()
 
 class TestCatalogServing:
@@ -180,9 +216,11 @@ class TestCatalogServing:
         first = service.submit(spec)
         service.serve_forever(once=True)
         assert first.poll().failed == 0
+        expected = _canon(first.result(timeout=0))
         victim = jobs[40]
+        # the first job's own result of the point is damaged with it
         service.catalog.conn.execute(
-            "UPDATE results SET record = ? WHERE point_key = ?",
+            "UPDATE points SET result = ? WHERE point_key = ?",
             (b"\x80\x05garbage", point_key(victim)),
         )
         second = service.submit(spec)
@@ -198,7 +236,26 @@ class TestCatalogServing:
             for job in jobs
             if job is not victim
         )
-        assert _canon(results) == _canon(first.result(timeout=0))
+        assert _canon(results) == expected
+        service.close()
+
+    def test_a_failed_point_is_measured_again_not_served(self, tmp_path):
+        """A point whose evaluation failed is no catalog result: a
+        resubmission evaluates it again instead of serving the
+        failure back."""
+        bad = SweepJob(
+            program="bad", source="      PROGRAM BAD\n      X = \n", procs=2
+        )
+        service = SweepService(tmp_path / "svc")
+        for _ in range(2):
+            handle = service.submit([bad])
+            service.serve_forever(once=True)
+            (result,) = handle.result(timeout=60)
+            status = handle.poll()
+            assert not result.ok and result.worker != "catalog"
+            assert (status.failed, status.reused) == (1, 0)
+        assert service.catalog.evaluations(bad) == 0
+        assert service.catalog.ls("results") == []
         service.close()
 
     def test_duplicate_identities_count_every_reuse(self, tmp_path):
